@@ -12,17 +12,17 @@ from repro.experiments.figures import CHAUMBENCH_TARGET_SPEEDUP
 from repro.experiments.runner import experiment_rows
 
 
-def test_chaum_microbench(benchmark, scale):
+def test_chaum_microbench(benchmark, scale, check_speedups):
     rows = benchmark.pedantic(
         experiment_rows, kwargs={"name": "chaumbench", "scale": scale}, iterations=1, rounds=1
     )
     # The vectorised engine must reproduce the scalar reference bit-for-bit.
     assert all(row["identical"] for row in rows)
     # And beat it by >= 10x at 1000 trials.  Locally the margin is ~16-25x;
-    # assert the median across parameter points so one contended timing
-    # sample on a loaded CI runner cannot flake the suite.
-    speedups = sorted(row["speedup"] for row in rows)
-    assert speedups[len(speedups) // 2] >= CHAUMBENCH_TARGET_SPEEDUP
-    assert all(s > 3.0 for s in speedups)
+    # gate the median across parameter points so one contended timing
+    # sample on a loaded CI runner cannot flake the bench job.
+    check_speedups(
+        [row["speedup"] for row in rows], CHAUMBENCH_TARGET_SPEEDUP, each_above=3.0
+    )
     print()
     print(format_table(rows))

@@ -11,19 +11,16 @@ from repro.experiments import format_table
 from repro.experiments.runner import experiment_rows
 
 
-def test_coding_microbench(benchmark, scale):
+def test_coding_microbench(benchmark, scale, check_speedups):
     rows = benchmark.pedantic(
         experiment_rows, kwargs={"name": "microbench", "scale": scale}, iterations=1, rounds=1
     )
     assert all(r['encode_us_per_packet'] > 0 for r in rows)
     # The batched path must beat the per-message loop by >= 3x on 64 messages.
-    # Assert the median across split factors (locally 3.4-4.7x) so one noisy
-    # timing sample on a loaded CI runner cannot flake the suite, while still
-    # requiring every d to show a clear win.
-    speedups = sorted(r['batch_speedup'] for r in rows)
-    assert speedups[len(speedups) // 2] >= 3.0
-    # Every d must still win outright; the margin is kept loose because a
-    # single contended timing sample on a shared runner can degrade one d.
-    assert all(s > 1.0 for s in speedups)
+    # Gate the median across split factors (locally 3.4-4.7x) so one noisy
+    # timing sample on a loaded CI runner cannot flake the bench job.  Every
+    # d must still win outright; that margin is kept loose because a single
+    # contended timing sample on a shared runner can degrade one d.
+    check_speedups([r['batch_speedup'] for r in rows], 3.0, each_above=1.0)
     print()
     print(format_table(rows))

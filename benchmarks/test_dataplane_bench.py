@@ -9,7 +9,7 @@ from repro.experiments.figures import DATAPLANE_TARGET_SPEEDUP
 from repro.experiments.runner import experiment_rows
 
 
-def test_dataplane_microbench(benchmark, scale):
+def test_dataplane_microbench(benchmark, scale, check_speedups):
     rows = benchmark.pedantic(
         experiment_rows,
         kwargs={"name": "dataplane-bench", "scale": scale},
@@ -20,11 +20,13 @@ def test_dataplane_microbench(benchmark, scale):
     # same delivered plaintexts, same per-relay counters.
     assert all(row["identical"] for row in rows)
     # And beat it by >= 5x at 64 messages.  Locally the margin is ~5-7x;
-    # assert the median across seeds so one contended timing sample on a
-    # loaded CI runner cannot flake the suite.
-    speedups = sorted(row["speedup"] for row in rows)
-    assert speedups[len(speedups) // 2] >= DATAPLANE_TARGET_SPEEDUP
-    assert all(s > DATAPLANE_TARGET_SPEEDUP / 2 for s in speedups)
+    # gate the median across seeds so one contended timing sample on a
+    # loaded CI runner cannot flake the bench job.
+    check_speedups(
+        [row["speedup"] for row in rows],
+        DATAPLANE_TARGET_SPEEDUP,
+        each_above=DATAPLANE_TARGET_SPEEDUP / 2,
+    )
     # The event collapse is structural, not a timing accident.
     assert all(row["batched_events"] * 5 < row["scalar_events"] for row in rows)
     print()

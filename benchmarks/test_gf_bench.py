@@ -8,7 +8,8 @@ experiment runner (``run_experiment("gfbench")``).
 The compiled backend is an optional extra (numba, or the bundled C
 extension compiled on demand); on hosts where neither is available the
 experiment records ``"skipped"`` rows and this gate skips with the reason —
-the CI ``compiled-kernels`` job installs ``.[fast]`` and enforces it.
+the CI ``compiled-kernels`` job installs ``.[fast]`` and enforces it
+(``--enforce-speedups``; without the flag the speedup is only reported).
 """
 
 import pytest
@@ -18,7 +19,7 @@ from repro.experiments.figures import GFBENCH_TARGET_SPEEDUP
 from repro.experiments.runner import experiment_rows
 
 
-def test_gf_kernel_microbench(benchmark, scale):
+def test_gf_kernel_microbench(benchmark, scale, check_speedups):
     rows = benchmark.pedantic(
         experiment_rows,
         kwargs={"name": "gfbench", "scale": scale},
@@ -35,12 +36,11 @@ def test_gf_kernel_microbench(benchmark, scale):
     # any speedup is considered.
     assert all(row["identical"] for row in rows)
     assert {row["op"] for row in rows} == {"matmul", "invert"}
-    # Locally the margin is ~5x (matmul) and ~10x (invert); assert the
+    # Locally the margin is ~5x (matmul) and ~10x (invert); gate the
     # median across seeds and ops so one contended timing sample on a loaded
-    # CI runner cannot flake the suite.
-    speedups = sorted(row["speedup"] for row in rows)
-    assert speedups[len(speedups) // 2] >= GFBENCH_TARGET_SPEEDUP, (
-        f"compiled-kernel speedup median {speedups[len(speedups) // 2]:.2f}x "
-        f"is below the {GFBENCH_TARGET_SPEEDUP}x gate (speedups: {speedups})"
+    # CI runner cannot flake the bench job.
+    check_speedups(
+        [row["speedup"] for row in rows],
+        GFBENCH_TARGET_SPEEDUP,
+        each_above=GFBENCH_TARGET_SPEEDUP / 3,
     )
-    assert all(s > GFBENCH_TARGET_SPEEDUP / 3 for s in speedups)

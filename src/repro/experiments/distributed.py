@@ -2,9 +2,8 @@
 
 One registered :class:`~repro.experiments.registry.Experiment` is sharded
 across worker *processes* (same host or not) that speak length-prefixed JSON
-frames over TCP — the same framing discipline as the asyncio overlay backend
-(:mod:`repro.overlay.aio`), whose :func:`~repro.overlay.aio.encode_frame` /
-:func:`~repro.overlay.aio.read_frame` primitives this module reuses.
+frames over TCP — the frames, sessions and channels of :mod:`repro.net`, the
+same wire layer the asyncio overlay backend (:mod:`repro.overlay.aio`) uses.
 
 Roles
 -----
@@ -82,14 +81,14 @@ from ..core.errors import (
     PacketFormatError,
     SecureTransportError,
 )
-from ..net import TransportCredential, write_keypair
-from ..net.channel import (
-    AioFrameChannel,
-    SyncFrameChannel,
-    accept_secure_aio,
-    connect_secure_sync,
+from ..net import (
+    AioChannel,
+    SyncChannel,
+    TransportCredential,
+    encode_frame,
+    handshake,
+    write_keypair,
 )
-from ..overlay.aio import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame
 from .registry import Experiment, get_experiment
 from .runner import (
     _jsonify,
@@ -137,8 +136,7 @@ def encode_message(message: dict) -> bytes:
     envelope must not re-order what it carries.  Raises
     :class:`~repro.core.errors.PacketFormatError` for non-dict messages,
     messages without a ``"type"``, or encodings that exceed
-    :data:`~repro.overlay.aio.MAX_FRAME_BYTES` — the same limit as the
-    overlay wire.
+    :data:`~repro.net.MAX_FRAME_BYTES` — the same limit as the overlay wire.
     """
     return encode_frame(message_payload(message))
 
@@ -146,9 +144,9 @@ def encode_message(message: dict) -> bytes:
 def message_payload(message: dict) -> bytes:
     """Serialise one protocol message to its unframed JSON payload bytes.
 
-    The frame channels (:mod:`repro.net.channel`) add their own plain or
-    encrypted framing around this payload; :func:`encode_message` is the
-    plain-wire composition kept for the protocol tests.
+    The channel's session (:mod:`repro.net`) seals this payload into a plain
+    or encrypted frame; :func:`encode_message` is the plain-wire composition
+    kept for the protocol tests.
     """
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise PacketFormatError("protocol messages are dicts with a string 'type'")
@@ -461,7 +459,7 @@ class Coordinator:
         return state.ledger.results_in_order()
 
     async def _drain_handlers(self) -> None:
-        # Handlers park either at the min_workers barrier or in read_frame()
+        # Handlers park either at the min_workers barrier or in recv_frame()
         # waiting for their worker's next request; releasing the barrier and
         # closing the transports wakes them with a clean EOF so they finish
         # normally (and their workers see EOF = run over) instead of being
@@ -529,23 +527,20 @@ class Coordinator:
             task.add_done_callback(self._handler_tasks.discard)
         self._handler_writers.add(writer)
         try:
+            channel = AioChannel(reader, writer)
             if self.transport == "secure":
-                # The handshake (and the allowlist check inside accept) runs
-                # to completion before any protocol frame is read: an
+                # The handshake (and the allowlist check inside it) runs to
+                # completion before any protocol frame is read: an
                 # unauthorized or tampering peer is rejected here, with no
                 # job state touched.
+                cred = self.credential
                 try:
-                    channel = await accept_secure_aio(
-                        reader,
-                        writer,
-                        self.credential.keypair,
-                        self.credential.authorized,
+                    await channel.handshake(
+                        handshake(cred.keypair, authorized=cred.authorized)
                     )
                 except HandshakeError as exc:
                     self.log(f"coordinator: rejected connection: {exc}")
                     return
-            else:
-                channel = AioFrameChannel(reader, writer)
             hello = await channel.recv_frame()
             if hello is None:
                 return
@@ -828,34 +823,6 @@ def run_distributed(
 # -- worker -------------------------------------------------------------------------
 
 
-def _recv_message(sock: socket.socket) -> dict | None:
-    """Blocking read of one protocol message; None on clean EOF at a boundary."""
-    header = _recv_exact(sock, FRAME_HEADER.size, eof_ok=True)
-    if header is None:
-        return None
-    (length,) = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise PacketFormatError(
-            f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-        )
-    payload = _recv_exact(sock, length, eof_ok=False)
-    return decode_message(payload)
-
-
-def _recv_exact(sock: socket.socket, count: int, eof_ok: bool) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if eof_ok and remaining == count:
-                return None
-            raise PacketFormatError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def _connect_with_retry(host: str, port: int, connect_timeout: float) -> socket.socket:
     """Dial the coordinator, retrying while it is still binding its port."""
     deadline = time.monotonic() + connect_timeout
@@ -914,10 +881,13 @@ def run_worker(
         return 1
     try:
         sock.settimeout(io_timeout)
+        channel = SyncChannel(sock)
         if transport == "secure":
             try:
-                channel = connect_secure_sync(
-                    sock, credential.keypair, credential.remote_public
+                channel.handshake(
+                    handshake(
+                        credential.keypair, remote_public=credential.remote_public
+                    )
                 )
             except HandshakeError as exc:
                 print(
@@ -926,8 +896,6 @@ def run_worker(
                     file=sys.stderr,
                 )
                 return 1
-        else:
-            channel = SyncFrameChannel(sock)
 
         def send(message: dict) -> None:
             channel.send_frame(message_payload(message))

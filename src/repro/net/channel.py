@@ -1,275 +1,139 @@
-"""Sync-socket and asyncio adapters mounting the secure transport.
+"""The two I/O shims: a session's bytes over a blocking socket or asyncio streams.
 
-Both TCP substrates speak 4-byte length-prefixed frames.  This module gives
-each of them a *channel* object with the same two-method surface —
-``send_frame(payload)`` / ``recv_frame() -> bytes | None`` — in plain and
-secure flavours, plus the handshake drivers that run the three acts over a
-blocking socket (workers) or an asyncio stream pair (the coordinator, the
-aio overlay).  Above a channel the substrates are transport-agnostic, which
-is what keeps merged artifacts byte-identical across ``plain`` and
-``secure`` runs.
+Everything that decides *what* goes on the wire is sans-I/O — the frame
+format and the plain session in :mod:`repro.net.framing`, the secure session
+and the :func:`~repro.net.secure.handshake` generator in
+:mod:`repro.net.secure`.  The shims here only move those bytes:
+:class:`SyncChannel` for the worker's blocking socket, :class:`AioChannel`
+for the coordinator and the aio overlay.  A channel starts with the plain
+session; ``handshake(steps)`` drives a handshake generator over the
+connection and adopts the session it returns (a failed handshake leaves the
+channel with none).  Either way ``send_frame(payload)`` /
+``recv_frame() -> bytes | None`` look the same from above, which is what
+keeps merged artifacts byte-identical across ``plain`` and ``secure`` runs.
 
-The responder-side accept functions check the initiator's authenticated
-static key against the allowlist and raise
-:class:`~repro.core.errors.HandshakeError` *before* returning a channel, so
-an unauthorized peer never gets a single application frame processed.
+A peer that closes mid-handshake hands the generator a short act, which it
+rejects with :class:`~repro.core.errors.HandshakeError`; a peer that closes
+mid-frame raises :class:`~repro.core.errors.PacketFormatError`; a clean
+close between frames reads as ``None``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import socket
-import struct
-from typing import Callable
+from typing import Generator, Iterable
 
-from ..core.errors import HandshakeError, PacketFormatError
-from .secure import (
-    ACT_ONE_SIZE,
-    ACT_THREE_SIZE,
-    ACT_TWO_SIZE,
-    LENGTH_CIPHERTEXT_SIZE,
-    MAX_FRAME_BYTES,
-    HandshakeState,
-    SecureSession,
-    StaticKeyPair,
-)
-
-_FRAME_HEADER = struct.Struct(">I")
+from ..core.errors import PacketFormatError
+from .framing import PLAIN
 
 
-# -- sync-socket primitives ---------------------------------------------------------
-
-
-def _recv_exactly(sock: socket.socket, size: int) -> bytes | None:
-    """Read exactly ``size`` bytes; ``None`` on clean EOF before the first."""
-    chunks: list[bytes] = []
-    remaining = size
-    while remaining:
-        chunk = sock.recv(min(remaining, 65536))
-        if not chunk:
-            if not chunks:
-                return None
-            raise PacketFormatError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_handshake(sock: socket.socket, size: int, act: str) -> bytes:
-    data = _recv_exactly(sock, size)
-    if data is None:
-        raise HandshakeError(f"connection closed before {act}")
+def _whole(data: bytes, size: int) -> bytes:
+    if len(data) < size:
+        raise PacketFormatError("connection closed mid-frame")
     return data
 
 
-class SyncFrameChannel:
-    """Plain length-prefixed frames over a blocking socket."""
+class SyncChannel:
+    """Frames over a blocking socket."""
 
-    transport = "plain"
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-
-    def send_frame(self, payload: bytes) -> None:
-        if len(payload) > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame payload of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-        self.sock.sendall(_FRAME_HEADER.pack(len(payload)) + payload)
-
-    def recv_frame(self) -> bytes | None:
-        header = _recv_exactly(self.sock, _FRAME_HEADER.size)
-        if header is None:
-            return None
-        (length,) = _FRAME_HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        payload = _recv_exactly(self.sock, length)
-        if payload is None or len(payload) != length:
-            raise PacketFormatError("truncated frame payload")
-        return payload
-
-
-class SecureSyncFrameChannel:
-    """AEAD-protected frames over a blocking socket (established session)."""
-
-    transport = "secure"
-
-    def __init__(self, sock: socket.socket, session: SecureSession) -> None:
+    def __init__(self, sock: socket.socket, session=PLAIN) -> None:
         self.sock = sock
         self.session = session
 
+    def _read(self, size: int) -> bytes:
+        """Read ``size`` bytes; fewer only if the peer closed first."""
+        chunks: list[bytes] = []
+        remaining = size
+        while remaining:
+            chunk = self.sock.recv(min(remaining, 65536))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            remaining -= len(chunk)
+        return b"".join(chunks)
+
+    def handshake(self, steps: Generator) -> None:
+        """Run a handshake generator over the socket; adopt its session."""
+        self.session = None  # a failed handshake leaves no usable channel
+        reply = None
+        try:
+            while True:
+                step = steps.send(reply)
+                reply = None
+                if isinstance(step, int):
+                    reply = self._read(step)
+                else:
+                    self.sock.sendall(step)
+        except StopIteration as done:
+            self.session = done.value
+
     def send_frame(self, payload: bytes) -> None:
-        self.sock.sendall(self.session.encrypt_frame(payload))
+        self.sock.sendall(self.session.seal(payload))
 
     def recv_frame(self) -> bytes | None:
-        header = _recv_exactly(self.sock, LENGTH_CIPHERTEXT_SIZE)
-        if header is None:
+        header = self._read(self.session.header_size)
+        if not header:
             return None
-        body_size = self.session.decrypt_length(header)
-        body = _recv_exactly(self.sock, body_size)
-        if body is None or len(body) != body_size:
-            raise PacketFormatError("truncated encrypted frame body")
-        return self.session.decrypt_body(body)
+        size = self.session.body_size(_whole(header, self.session.header_size))
+        return self.session.open(_whole(self._read(size), size))
 
 
-def connect_secure_sync(
-    sock: socket.socket,
-    keypair: StaticKeyPair,
-    remote_public: bytes,
-    entropy: Callable[[int], bytes] = os.urandom,
-) -> SecureSyncFrameChannel:
-    """Run the initiator side of the handshake over a connected socket."""
-    handshake = HandshakeState.initiator(keypair, remote_public, entropy=entropy)
-    sock.sendall(handshake.write_act_one())
-    handshake.read_act_two(_recv_handshake(sock, ACT_TWO_SIZE, "act two"))
-    sock.sendall(handshake.write_act_three())
-    return SecureSyncFrameChannel(sock, handshake.session())
-
-
-def accept_secure_sync(
-    sock: socket.socket,
-    keypair: StaticKeyPair,
-    authorized: frozenset[bytes],
-    entropy: Callable[[int], bytes] = os.urandom,
-) -> SecureSyncFrameChannel:
-    """Run the responder side over a connected socket; enforce the allowlist."""
-    handshake = HandshakeState.responder(keypair, entropy=entropy)
-    handshake.read_act_one(_recv_handshake(sock, ACT_ONE_SIZE, "act one"))
-    sock.sendall(handshake.write_act_two())
-    remote = handshake.read_act_three(
-        _recv_handshake(sock, ACT_THREE_SIZE, "act three")
-    )
-    if remote not in authorized:
-        raise HandshakeError(
-            f"unauthorized static key {remote.hex()[:16]}… rejected by allowlist"
-        )
-    return SecureSyncFrameChannel(sock, handshake.session())
-
-
-# -- asyncio adapters ---------------------------------------------------------------
-
-
-async def _read_handshake(reader: asyncio.StreamReader, size: int, act: str) -> bytes:
-    try:
-        return await reader.readexactly(size)
-    except asyncio.IncompleteReadError:
-        raise HandshakeError(f"connection closed before {act}") from None
-
-
-class AioFrameChannel:
-    """Plain length-prefixed frames over an asyncio stream pair."""
-
-    transport = "plain"
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-
-    async def send_frame(self, payload: bytes) -> None:
-        if len(payload) > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame payload of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-        self.writer.write(_FRAME_HEADER.pack(len(payload)) + payload)
-        await self.writer.drain()
-
-    async def recv_frame(self) -> bytes | None:
-        try:
-            header = await self.reader.readexactly(_FRAME_HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise PacketFormatError("truncated frame header") from None
-            return None
-        (length,) = _FRAME_HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        try:
-            return await self.reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise PacketFormatError("truncated frame payload") from None
-
-
-class SecureAioFrameChannel:
-    """AEAD-protected frames over an asyncio stream pair."""
-
-    transport = "secure"
+class AioChannel:
+    """Frames over an asyncio stream pair."""
 
     def __init__(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        session: SecureSession,
+        session=PLAIN,
     ) -> None:
         self.reader = reader
         self.writer = writer
         self.session = session
 
+    async def _read(self, size: int) -> bytes:
+        """Read ``size`` bytes; fewer only if the peer closed first."""
+        try:
+            return await self.reader.readexactly(size)
+        except asyncio.IncompleteReadError as exc:
+            return exc.partial
+
+    async def handshake(self, steps: Generator) -> None:
+        """Run a handshake generator over the streams; adopt its session."""
+        self.session = None  # a failed handshake leaves no usable channel
+        reply = None
+        try:
+            while True:
+                step = steps.send(reply)
+                reply = None
+                if isinstance(step, int):
+                    reply = await self._read(step)
+                else:
+                    self.writer.write(step)
+                    await self.writer.drain()
+        except StopIteration as done:
+            self.session = done.value
+
     async def send_frame(self, payload: bytes) -> None:
-        # Encrypt and hand to the transport in one step with no await in
-        # between, so nonce order always matches wire order even when
-        # several coroutines send on the same channel.
-        self.writer.write(self.session.encrypt_frame(payload))
+        await self.send_frames((payload,))
+
+    async def send_frames(self, payloads: Iterable[bytes]) -> None:
+        """Send frames back to back (an overlay batch) in one write."""
+        # Seal and hand to the transport with no await in between, so nonce
+        # order always matches wire order even when several coroutines send
+        # on the same channel, and a batch stays contiguous on the wire.
+        self.writer.writelines([self.session.seal(payload) for payload in payloads])
         await self.writer.drain()
 
     async def recv_frame(self) -> bytes | None:
+        session = self.session
+        header = None
         try:
-            header = await self.reader.readexactly(LENGTH_CIPHERTEXT_SIZE)
+            header = await self.reader.readexactly(session.header_size)
+            body = await self.reader.readexactly(session.body_size(header))
         except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise PacketFormatError("truncated encrypted length prefix") from None
-            return None
-        body_size = self.session.decrypt_length(header)
-        try:
-            body = await self.reader.readexactly(body_size)
-        except asyncio.IncompleteReadError:
-            raise PacketFormatError("truncated encrypted frame body") from None
-        return self.session.decrypt_body(body)
-
-
-async def connect_secure_aio(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    keypair: StaticKeyPair,
-    remote_public: bytes,
-    entropy: Callable[[int], bytes] = os.urandom,
-) -> SecureAioFrameChannel:
-    """Run the initiator side of the handshake over an asyncio stream pair."""
-    handshake = HandshakeState.initiator(keypair, remote_public, entropy=entropy)
-    writer.write(handshake.write_act_one())
-    await writer.drain()
-    handshake.read_act_two(await _read_handshake(reader, ACT_TWO_SIZE, "act two"))
-    writer.write(handshake.write_act_three())
-    await writer.drain()
-    return SecureAioFrameChannel(reader, writer, handshake.session())
-
-
-async def accept_secure_aio(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    keypair: StaticKeyPair,
-    authorized: frozenset[bytes],
-    entropy: Callable[[int], bytes] = os.urandom,
-) -> SecureAioFrameChannel:
-    """Run the responder side over an asyncio stream pair; enforce the allowlist."""
-    handshake = HandshakeState.responder(keypair, entropy=entropy)
-    handshake.read_act_one(await _read_handshake(reader, ACT_ONE_SIZE, "act one"))
-    writer.write(handshake.write_act_two())
-    await writer.drain()
-    remote = handshake.read_act_three(
-        await _read_handshake(reader, ACT_THREE_SIZE, "act three")
-    )
-    if remote not in authorized:
-        raise HandshakeError(
-            f"unauthorized static key {remote.hex()[:16]}… rejected by allowlist"
-        )
-    return SecureAioFrameChannel(reader, writer, handshake.session())
+            if header is None and not exc.partial:
+                return None
+            raise PacketFormatError("connection closed mid-frame") from None
+        return session.open(body)

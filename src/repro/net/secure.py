@@ -2,14 +2,15 @@
 
 Both TCP substrates — the asyncio overlay backend (:mod:`repro.overlay.aio`)
 and the distributed coordinator/worker protocol
-(:mod:`repro.experiments.distributed`) — speak 4-byte length-prefixed frames.
-This module supplies the authenticated layer *below* that framing, modelled
-on Lightning's BOLT #8 transport (itself Noise_XK): a three-act handshake
-establishing per-session send/receive keys, then one AEAD-protected message
-per frame with an **encrypted length prefix**, strictly increasing nonces,
-and periodic key rotation.  A passive observer of a secure connection sees
-neither frame boundaries nor payload bytes; an active attacker who flips a
-bit, truncates a body, or replays a ciphertext fails the MAC check.
+(:mod:`repro.experiments.distributed`) — speak the length-prefixed frames of
+:mod:`repro.net.framing`.  This module supplies the authenticated flavour of
+that framing, modelled on Lightning's BOLT #8 transport (itself Noise_XK): a
+three-act handshake establishing per-session send/receive keys, then one
+AEAD-protected message per frame with an **encrypted length prefix**,
+strictly increasing nonces, and periodic key rotation.  A passive observer
+of a secure connection sees neither frame boundaries nor payload bytes; an
+active attacker who flips a bit, truncates a body, or replays a ciphertext
+fails the MAC check.
 
 Like the rest of :mod:`repro.crypto`, the primitives are *simulated*
 cryptography with real structure: the Diffie-Hellman group is modular
@@ -33,9 +34,11 @@ it against an allowlist before any application frame is processed::
         <---- act two (49 B) ------    e, ee
         ----- act three (65 B) --->    s, se
 
-Everything is a pure state machine — no sockets, no clocks — so the
-handshake is property-testable in isolation (``tests/test_secure_transport.
-py``); the socket adapters live in :mod:`repro.net.channel`.
+Everything is a pure state machine — no sockets, no clocks.
+:func:`handshake` sequences the three acts of either role as a generator
+that yields bytes to send and byte counts to read, so the protocol is
+enumerable in memory (``tests/test_secure_transport.py``); the I/O shims
+that move those bytes live in :mod:`repro.net.channel`.
 
 >>> import itertools
 >>> counter = itertools.count(7)
@@ -49,12 +52,15 @@ py``); the socket adapters live in :mod:`repro.net.channel`.
 >>> res.read_act_three(ini.write_act_three()) == client.public
 True
 >>> ini_session, res_session = ini.session(), res.session()
->>> wire = ini_session.encrypt_frame(b"job frame")
+>>> wire = ini_session.seal(b"job frame")
 >>> len(wire) == LENGTH_CIPHERTEXT_SIZE + len(b"job frame") + TAG_SIZE
 True
->>> res_session.decrypt_frame(wire)
+>>> header, body = wire[:LENGTH_CIPHERTEXT_SIZE], wire[LENGTH_CIPHERTEXT_SIZE:]
+>>> res_session.body_size(header) == len(body)
+True
+>>> res_session.open(body)
 b'job frame'
->>> res_session.decrypt_frame(wire)          # replay: nonce moved on
+>>> res_session.body_size(header)            # replay: nonce moved on
 Traceback (most recent call last):
     ...
 repro.core.errors.FrameAuthenticationError: frame body failed authentication
@@ -67,9 +73,10 @@ import hmac
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 from ..core.errors import FrameAuthenticationError, HandshakeError
+from .framing import FRAME_HEADER, check_frame_size
 
 #: Hashed into the initial handshake digest; both sides must agree on it.
 PROTOCOL_NAME = b"Noise_XK_repro+stream+hmacsha256"
@@ -85,13 +92,8 @@ PUBLIC_KEY_SIZE = 32
 SECRET_KEY_SIZE = 32
 #: Truncated HMAC-SHA256 authentication tag per AEAD call.
 TAG_SIZE = 16
-#: Plaintext frame-length prefix (matches the plain wire's ``>I`` header).
-LENGTH_SIZE = 4
-#: Wire bytes of one encrypted length prefix.
-LENGTH_CIPHERTEXT_SIZE = LENGTH_SIZE + TAG_SIZE
-#: Upper bound on one frame's plaintext, identical to the plain framing's
-#: :data:`repro.overlay.aio.MAX_FRAME_BYTES` (asserted by the test suite).
-MAX_FRAME_BYTES = 1 << 22
+#: Wire bytes of one encrypted length prefix (the plain wire's header + tag).
+LENGTH_CIPHERTEXT_SIZE = FRAME_HEADER.size + TAG_SIZE
 #: Messages a single session key may protect before rotating (BOLT #8 also
 #: rotates every 1000).
 REKEY_INTERVAL = 1000
@@ -103,7 +105,6 @@ ACT_TWO_SIZE = 1 + PUBLIC_KEY_SIZE + TAG_SIZE
 ACT_THREE_SIZE = 1 + PUBLIC_KEY_SIZE + TAG_SIZE + TAG_SIZE
 
 _HANDSHAKE_VERSION = b"\x00"
-_LENGTH_HEADER = struct.Struct(">I")
 _NONCE = struct.Struct("<Q")
 
 
@@ -274,13 +275,17 @@ class CipherState:
 class SecureSession:
     """An established connection's two cipher states plus its peer identity.
 
-    ``encrypt_frame`` / ``decrypt_frame`` mirror the plain wire's
-    ``encode_frame`` / ``read_frame`` discipline one layer down: each frame
-    becomes an encrypted 4-byte length prefix (so even frame boundaries are
-    hidden) followed by the encrypted payload, each carrying its own tag.
-    The incremental ``decrypt_length`` / ``decrypt_body`` pair is what the
-    socket adapters drive.
+    The same four-member surface as the plain session
+    (:mod:`repro.net.framing`), one layer down: each frame becomes an
+    encrypted 4-byte length prefix (so even frame boundaries are hidden)
+    followed by the encrypted payload, each carrying its own tag.  Size
+    violations raise the plain framing's
+    :class:`~repro.core.errors.PacketFormatError`;
+    :class:`~repro.core.errors.FrameAuthenticationError` is reserved for
+    tampered, replayed or truncated ciphertext.
     """
+
+    header_size = LENGTH_CIPHERTEXT_SIZE
 
     def __init__(
         self,
@@ -294,45 +299,26 @@ class SecureSession:
         self.remote_public = remote_public
         self.handshake_hash = handshake_hash
 
-    def encrypt_frame(self, payload: bytes) -> bytes:
+    def seal(self, payload: bytes) -> bytes:
         """One plaintext frame payload -> its complete secure wire message."""
-        if len(payload) > MAX_FRAME_BYTES:
-            raise FrameAuthenticationError(
-                f"frame payload of {len(payload)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-        header = self.send_cipher.encrypt(b"", _LENGTH_HEADER.pack(len(payload)))
+        header = self.send_cipher.encrypt(
+            b"", FRAME_HEADER.pack(check_frame_size(len(payload)))
+        )
         return header + self.send_cipher.encrypt(b"", payload)
 
-    def decrypt_length(self, header: bytes) -> int:
+    def body_size(self, header: bytes) -> int:
         """Open an encrypted length prefix; returns the body's wire size."""
         if len(header) != LENGTH_CIPHERTEXT_SIZE:
             raise FrameAuthenticationError(
                 f"encrypted length prefixes are {LENGTH_CIPHERTEXT_SIZE} bytes, "
                 f"got {len(header)}"
             )
-        (length,) = _LENGTH_HEADER.unpack(self.recv_cipher.decrypt(b"", header))
-        if length > MAX_FRAME_BYTES:
-            raise FrameAuthenticationError(
-                f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        return length + TAG_SIZE
+        (length,) = FRAME_HEADER.unpack(self.recv_cipher.decrypt(b"", header))
+        return check_frame_size(length) + TAG_SIZE
 
-    def decrypt_body(self, body: bytes) -> bytes:
-        """Open a frame body read after :meth:`decrypt_length`."""
+    def open(self, body: bytes) -> bytes:
+        """Open a frame body read after :meth:`body_size`."""
         return self.recv_cipher.decrypt(b"", body)
-
-    def decrypt_frame(self, data: bytes) -> bytes:
-        """Open one complete secure wire message (tests and doctests)."""
-        if len(data) < LENGTH_CIPHERTEXT_SIZE:
-            raise FrameAuthenticationError("truncated encrypted length prefix")
-        body_size = self.decrypt_length(data[:LENGTH_CIPHERTEXT_SIZE])
-        body = data[LENGTH_CIPHERTEXT_SIZE:]
-        if len(body) != body_size:
-            raise FrameAuthenticationError(
-                f"frame body is {len(body)} bytes, expected {body_size}"
-            )
-        return self.decrypt_body(body)
 
 
 # -- handshake ----------------------------------------------------------------------
@@ -502,8 +488,8 @@ class HandshakeState:
     def read_act_three(self, data: bytes) -> bytes:
         """Consume act three; returns the initiator's authenticated static key.
 
-        The caller (the responder-side adapter) checks the returned key
-        against its allowlist *before* exchanging any application frame.
+        The caller (:func:`handshake`'s responder branch) checks the
+        returned key against its allowlist *before* any session exists.
         """
         self._expect(2, "responder")
         body = self._parse_act(data, ACT_THREE_SIZE, "act three")
@@ -534,3 +520,36 @@ class HandshakeState:
             remote_public=self.remote_static,
             handshake_hash=self.hash,
         )
+
+
+def handshake(
+    keypair: StaticKeyPair,
+    remote_public: bytes | None = None,
+    authorized: frozenset[bytes] = frozenset(),
+    entropy: Callable[[int], bytes] = os.urandom,
+) -> Generator[bytes | int, bytes | None, SecureSession]:
+    """The three acts of one side, sans I/O; returns the established session.
+
+    Yields ``bytes`` for the driver to send and an ``int`` for it to read
+    that many bytes and send back in (fewer only if the peer closed — the
+    act parser then rejects the stump).  The dialling side passes the
+    responder's ``remote_public``; the accepting side leaves it ``None`` and
+    passes the static keys it ``authorized``, and an initiator outside that
+    allowlist raises :class:`~repro.core.errors.HandshakeError` before a
+    session is derived, so it never gets an application frame processed.
+    """
+    if remote_public is not None:
+        state = HandshakeState.initiator(keypair, remote_public, entropy=entropy)
+        yield state.write_act_one()
+        state.read_act_two((yield ACT_TWO_SIZE))
+        yield state.write_act_three()
+    else:
+        state = HandshakeState.responder(keypair, entropy=entropy)
+        state.read_act_one((yield ACT_ONE_SIZE))
+        yield state.write_act_two()
+        remote = state.read_act_three((yield ACT_THREE_SIZE))
+        if remote not in authorized:
+            raise HandshakeError(
+                f"unauthorized static key {remote.hex()[:16]}… rejected by allowlist"
+            )
+    return state.session()

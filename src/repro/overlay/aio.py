@@ -7,11 +7,13 @@ implements the *same* transport surface — :meth:`transmit_packets` /
 keyed event coalescing — over real TCP streams (loopback by default, any
 interface via ``bind_host``), so :class:`~repro.overlay.node.SlicingRuntime`
 and the onion runtimes in :mod:`repro.baselines.runtime` run unchanged on
-either backend.  With ``transport="secure"`` every connection opens with the
-:mod:`repro.net` Noise-style handshake and each frame rides one AEAD
-message; because the encryption sits *below* the framing, delivered
-payloads — and the parity artifacts built from them — are bit-identical to
-a plaintext run.
+either backend.  Frames and connections come from :mod:`repro.net`: each
+connection is an :class:`~repro.net.AioChannel` whose session is chosen once,
+where the connection opens — plain by default, or, with
+``transport="secure"``, the one the Noise-style handshake returns, so each
+frame rides one AEAD message.  The session sits *below* the frame payloads,
+so delivered payloads — and the parity artifacts built from them — are
+bit-identical to a plaintext run.
 
 How the two clocks relate
 -------------------------
@@ -35,23 +37,17 @@ wall-clock-dependent timing fields are not comparable by value.  See
 
 Wire format
 -----------
-Every message on a connection is a *frame*: a 4-byte big-endian length
-followed by that many payload bytes (:func:`encode_frame` /
-:func:`decode_frames`).  A connection opens with a hello frame
+Every message on a connection is a *frame* (:mod:`repro.net.framing`: a
+4-byte big-endian length followed by that many payload bytes, at most
+:data:`~repro.net.MAX_FRAME_BYTES`).  A connection opens with a hello frame
 (``sender\\x00receiver``), then carries batches: one batch-header frame
 (``>QI``: batch id, frame count) followed by the batch's payload frames —
 serialised :class:`~repro.core.packet.Packet` bytes for the slicing data
-plane, opaque onion cells for the baselines.  Frames larger than
-:data:`MAX_FRAME_BYTES` are rejected, as are truncated frames.
-
-The transmit path is zero-copy: instead of building one ``bytes`` per frame
-(length prefix + payload copy), a batch packs its header frame and every
-4-byte length prefix into a reused ``bytearray`` and hands the writer an
-interleaved sequence of :class:`memoryview` slices and the payload ``bytes``
-objects themselves via ``writelines`` — the payloads are never copied in
-Python, and the per-batch allocation is one pooled buffer instead of
-``n + 1`` throwaway ``bytes``.  The bytes on the wire are identical to the
-``encode_frame`` reference (asserted in ``tests/test_aio_backend.py``).
+plane, opaque onion cells for the baselines.  A batch leaves in one
+``writelines`` of its sealed frames, on either transport.  The receiving
+side rejects an unknown batch id, a malformed batch header and a connection
+that closes inside a batch with a
+:class:`~repro.core.errors.PacketFormatError` naming the connection.
 """
 
 from __future__ import annotations
@@ -65,128 +61,17 @@ from typing import Callable, Sequence
 
 from ..core.errors import PacketFormatError, SimulationError
 from ..core.packet import Packet
-from ..net import TransportCredential
-from ..net.channel import accept_secure_aio, connect_secure_aio
+from ..net import AioChannel, TransportCredential, handshake
 from .network import NetworkModel
 from .node import DEFAULT_PER_PACKET_OVERHEAD, OverlayTransport
 from .simulator import EventSimulator
 
-#: Length prefix of every frame on the wire.
-FRAME_HEADER = struct.Struct(">I")
-
 #: Batch header payload: (batch id, number of payload frames that follow).
 BATCH_HEADER = struct.Struct(">QI")
-
-#: Upper bound on a single frame's payload; anything larger is a protocol
-#: error (slicing packets are a few KiB even at large split factors).
-MAX_FRAME_BYTES = 1 << 22
-
-#: Bytes of a batch's leading frame: length prefix plus the batch header.
-_BATCH_PREFIX = FRAME_HEADER.size + BATCH_HEADER.size
 
 #: Wall-clock seconds the backend may sit non-quiescent with no delivery
 #: progress before it declares itself wedged instead of hanging CI.
 DEFAULT_STALL_TIMEOUT = 60.0
-
-
-# -- framing ------------------------------------------------------------------------
-
-
-def encode_frame(payload: bytes) -> bytes:
-    """Length-prefix ``payload`` for the wire."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise PacketFormatError(
-            f"frame payload of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    return FRAME_HEADER.pack(len(payload)) + payload
-
-
-def decode_frames(data: bytes) -> list[bytes]:
-    """Split a byte string into exact frames; reject truncated or oversized ones.
-
-    The incremental socket path reads frame by frame; this strict batch form
-    is the reference the property tests exercise: the buffer must contain a
-    whole number of well-formed frames.
-    """
-    frames: list[bytes] = []
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < FRAME_HEADER.size:
-            raise PacketFormatError("truncated frame header")
-        (length,) = FRAME_HEADER.unpack_from(data, offset)
-        if length > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-            )
-        offset += FRAME_HEADER.size
-        if total - offset < length:
-            raise PacketFormatError("truncated frame payload")
-        frames.append(data[offset : offset + length])
-        offset += length
-    return frames
-
-
-def pack_batch(
-    batch_id: int, frames: list[bytes], buffer: bytearray
-) -> list[bytes | memoryview]:
-    """Assemble a batch's wire chunks without copying any payload.
-
-    Packs the batch-header frame and every frame's 4-byte length prefix into
-    ``buffer`` (grown in place if needed, so callers can pool it across
-    batches) and returns the chunk sequence for ``StreamWriter.writelines``:
-    memoryview slices of ``buffer`` interleaved with the payload ``bytes``
-    objects themselves.  Joining the chunks yields exactly
-    ``encode_frame(BATCH_HEADER.pack(batch_id, len(frames)))`` followed by
-    ``encode_frame(frame)`` for each frame — the reference the property
-    tests compare against.
-
-    Callers must drop the returned memoryviews before reusing or growing
-    ``buffer`` (a bytearray with live exports cannot resize).
-    """
-    for frame in frames:
-        if len(frame) > MAX_FRAME_BYTES:
-            raise PacketFormatError(
-                f"frame payload of {len(frame)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte limit"
-            )
-    needed = _BATCH_PREFIX + FRAME_HEADER.size * len(frames)
-    if len(buffer) < needed:
-        buffer.extend(bytes(needed - len(buffer)))
-    FRAME_HEADER.pack_into(buffer, 0, BATCH_HEADER.size)
-    BATCH_HEADER.pack_into(buffer, FRAME_HEADER.size, batch_id, len(frames))
-    view = memoryview(buffer)
-    chunks: list[bytes | memoryview] = [view[:_BATCH_PREFIX]]
-    offset = _BATCH_PREFIX
-    for frame in frames:
-        FRAME_HEADER.pack_into(buffer, offset, len(frame))
-        chunks.append(view[offset : offset + FRAME_HEADER.size])
-        chunks.append(frame)
-        offset += FRAME_HEADER.size
-    return chunks
-
-
-async def read_frame(reader: asyncio.StreamReader, strict: bool = False) -> bytes | None:
-    """Read one frame from a stream; ``None`` on a clean EOF between frames.
-
-    With ``strict`` (mid-batch reads, where a frame *must* follow) EOF is a
-    protocol error too.
-    """
-    try:
-        header = await reader.readexactly(FRAME_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial or strict:
-            raise PacketFormatError("truncated frame header") from None
-        return None
-    (length,) = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise PacketFormatError(
-            f"frame declares {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
-        )
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise PacketFormatError("truncated frame payload") from None
 
 
 # -- the virtual clock --------------------------------------------------------------
@@ -306,9 +191,6 @@ class AioOverlayNetwork(OverlayTransport):
         self._handler_writers: set[asyncio.StreamWriter] = set()
         self._pending: dict[int, _PendingBatch] = {}
         self._outbox: list[tuple[str, str, int, list[bytes]]] = []
-        #: Pool of prefix buffers for pack_batch: concurrent sends each pop
-        #: one, so a buffer is never shared by two in-flight batches.
-        self._prefix_buffers: list[bytearray] = []
         self._inflight = 0
         self._pacing = 0
         self._idle = asyncio.Event()
@@ -482,51 +364,14 @@ class AioOverlayNetwork(OverlayTransport):
         self, sender: str, receiver: str, batch_id: int, frames: list[bytes]
     ) -> None:
         try:
-            writer, session = await self._connection(sender, receiver)
-            if session is not None:
-                # Secure path: one AEAD message per frame, encrypted and
-                # handed to the transport in a single synchronous block so
-                # the cipher's nonce order always matches wire order even
-                # with several batches in flight on one connection.
-                chunks = [
-                    session.encrypt_frame(BATCH_HEADER.pack(batch_id, len(frames)))
-                ]
-                chunks.extend(session.encrypt_frame(frame) for frame in frames)
-                writer.writelines(chunks)
-                await writer.drain()
-                return
-            buffer = (
-                self._prefix_buffers.pop() if self._prefix_buffers else bytearray()
-            )
-            handed_to_transport = False
-            try:
-                chunks = pack_batch(batch_id, frames, buffer)
-                # One writelines per batch: the transport joins/queues the
-                # chunks itself, so payload bytes are never copied at the
-                # Python level and frame writes stay contiguous
-                # (per-connection FIFO intact).
-                handed_to_transport = True
-                writer.writelines(chunks)
-                del chunks  # release our own memoryview exports
-                await writer.drain()
-            finally:
-                # drain() only waits for the write buffer to fall below the
-                # high-water mark — the transport may still hold memoryviews
-                # of `buffer` queued for send.  Reusing it then would
-                # pack_into over unsent wire bytes (or BufferError on
-                # extend), so only pool it once the transport has flushed
-                # everything; otherwise drop it and let the next batch
-                # allocate fresh.
-                if not handed_to_transport or (
-                    writer.transport.get_write_buffer_size() == 0
-                ):
-                    self._prefix_buffers.append(buffer)
+            channel = await self._connection(sender, receiver)
+            await channel.send_frames([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: B036 - must not strand _quiesce
             self._fail(exc)
 
-    async def _connection(self, sender: str, receiver: str):
+    async def _connection(self, sender: str, receiver: str) -> AioChannel:
         key = (sender, receiver)
         task = self._writer_tasks.get(key)
         if task is None:
@@ -537,22 +382,16 @@ class AioOverlayNetwork(OverlayTransport):
             self._writer_tasks[key] = task
         return await task
 
-    async def _open_connection(self, sender: str, receiver: str):
-        """Dial ``receiver``'s server; returns ``(writer, session | None)``."""
+    async def _open_connection(self, sender: str, receiver: str) -> AioChannel:
+        """Dial ``receiver``'s server, settle the session, say hello."""
         server = await self._ensure_server(receiver)
         port = server.sockets[0].getsockname()[1]
-        reader, writer = await asyncio.open_connection(self.bind_host, port)
-        hello = f"{sender}\x00{receiver}".encode()
+        channel = AioChannel(*await asyncio.open_connection(self.bind_host, port))
         if self.transport == "secure":
-            channel = await connect_secure_aio(
-                reader, writer, self.credential.keypair, self.credential.remote_public
-            )
-            writer.write(channel.session.encrypt_frame(hello))
-            await writer.drain()
-            return writer, channel.session
-        writer.write(encode_frame(hello))
-        await writer.drain()
-        return writer, None
+            cred = self.credential
+            await channel.handshake(handshake(cred.keypair, remote_public=cred.remote_public))
+        await channel.send_frame(f"{sender}\x00{receiver}".encode())
+        return channel
 
     async def _ensure_server(self, address: str):
         # Memoised as a task (like _connection): two senders dialling the
@@ -580,32 +419,37 @@ class AioOverlayNetwork(OverlayTransport):
             task.add_done_callback(self._handler_tasks.discard)
         self._handler_writers.add(writer)
         try:
+            channel = AioChannel(reader, writer)
             if self.transport == "secure":
-                channel = await accept_secure_aio(
-                    reader, writer, self.credential.keypair, self.credential.authorized
-                )
-                recv = channel.recv_frame
-            else:
-
-                async def recv(strict: bool = False) -> bytes | None:
-                    return await read_frame(reader, strict=strict)
-
-            hello = await recv()
+                cred = self.credential
+                await channel.handshake(handshake(cred.keypair, authorized=cred.authorized))
+            hello = await channel.recv_frame()
             if hello is None:
                 return
             sender, _, receiver = hello.decode("utf-8").partition("\x00")
+            link = f"{sender}→{receiver}"
             while True:
-                header = await recv()
+                header = await channel.recv_frame()
                 if header is None:
                     break
+                if len(header) != BATCH_HEADER.size:
+                    raise PacketFormatError(
+                        f"{link}: batch header of {len(header)} bytes, "
+                        f"expected {BATCH_HEADER.size}"
+                    )
                 batch_id, count = BATCH_HEADER.unpack(header)
+                batch = self._pending.pop(batch_id, None)
+                if batch is None:
+                    raise PacketFormatError(f"{link}: unknown batch id {batch_id}")
                 frames = []
                 for _ in range(count):
-                    frame = await recv()
+                    frame = await channel.recv_frame()
                     if frame is None:
-                        raise PacketFormatError("truncated frame header")
+                        raise PacketFormatError(
+                            f"{link}: connection closed after {len(frames)} of "
+                            f"the {count} frames of batch {batch_id}"
+                        )
                     frames.append(frame)
-                batch = self._pending.pop(batch_id)
                 await self._deliver_batch(sender, receiver, frames, batch)
         except asyncio.CancelledError:
             raise
@@ -692,7 +536,7 @@ class AioOverlayNetwork(OverlayTransport):
         writers: list[asyncio.StreamWriter] = []
         for task in self._writer_tasks.values():
             if task.done() and not task.cancelled() and task.exception() is None:
-                writers.append(task.result()[0])
+                writers.append(task.result().writer)
             else:
                 task.cancel()
                 cancelled.append(task)
@@ -720,7 +564,7 @@ class AioOverlayNetwork(OverlayTransport):
             server.close()
         for server in servers:
             await server.wait_closed()
-        # The per-connection reader tasks park in read_frame(); closing
+        # The per-connection reader tasks park in recv_frame(); closing
         # their transports wakes them with a clean EOF so they finish
         # normally before the loop closes.  Cancellation is a last resort
         # (a handler wedged inside a delivery callback).

@@ -141,8 +141,9 @@ def build_substrate(
     ``REPRO_AIO_HOST`` (bind/dial address, default ``127.0.0.1``) and
     ``REPRO_AIO_TRANSPORT`` (``plain`` | ``secure``).  Explicit kwargs win
     over the environment.  Structural results are bit-identical across all
-    of these settings (CI's ``aio-parity`` and ``secure-transport`` jobs
-    gate exactly that).
+    of these settings (``tests/test_aio_backend.py`` compares sim, plain aio
+    and secure aio selected either way; CI's ``aio-parity`` job ``cmp``s the
+    plain-aio figure artifacts).
     """
     if backend == "sim":
         return SimulatedOverlayNetwork(network, connection_bps=connection_bps, **kwargs)

@@ -8,67 +8,28 @@ in-process versions of what the CI ``aio-parity`` job asserts across whole
 figure artifacts.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.errors import PacketFormatError, SimulationError
 from repro.experiments.runner import run_experiment
 from repro.experiments.setup_latency import measure_setup
-from repro.experiments.throughput import aggregate_throughput_vs_flows, measure_throughput
-from repro.overlay.aio import AioOverlayNetwork
+from repro.experiments.throughput import (
+    aggregate_throughput_vs_flows,
+    connection_bps_for,
+    measure_throughput,
+    prepare_scheme_transfer,
+)
+from repro.net import encode_frame
+from repro.overlay.aio import BATCH_HEADER, AioOverlayNetwork
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.runtime import build_substrate
 
 
 def _lan_network(addresses, seed=0):
     return LAN_PROFILE.build_network(addresses, np.random.default_rng(seed))
-
-
-# -- zero-copy framing --------------------------------------------------------------
-
-
-@settings(deadline=None, max_examples=80)
-@given(
-    batch_id=st.integers(0, 2**64 - 1),
-    frames=st.lists(st.binary(max_size=256), max_size=12),
-)
-def test_pack_batch_matches_encode_frame_reference(batch_id, frames):
-    """The writelines chunk sequence joins to exactly the per-frame encoding."""
-    from repro.overlay.aio import BATCH_HEADER, encode_frame, pack_batch
-
-    buffer = bytearray()
-    chunks = pack_batch(batch_id, frames, buffer)
-    reference = encode_frame(BATCH_HEADER.pack(batch_id, len(frames))) + b"".join(
-        encode_frame(frame) for frame in frames
-    )
-    assert b"".join(chunks) == reference
-    # Payload chunks are the caller's bytes objects themselves — zero-copy.
-    assert [chunk for chunk in chunks if isinstance(chunk, bytes)] == frames
-
-
-def test_pack_batch_reuses_and_grows_the_buffer():
-    from repro.overlay.aio import pack_batch
-
-    buffer = bytearray()
-    first = pack_batch(1, [b"a", b"bb"], buffer)
-    grown = len(buffer)
-    assert grown > 0
-    joined_small = b"".join(pack_batch(2, [b"x"], buffer))
-    assert len(buffer) == grown  # a smaller batch reuses the allocation
-    del first
-    pack_batch(3, [bytes(2) for _ in range(10)], buffer)
-    assert len(buffer) > grown  # a larger batch grows it in place
-    # Stale tail bytes from earlier batches never leak into the chunks.
-    assert joined_small.endswith(b"x")
-
-
-def test_pack_batch_rejects_oversized_frames_before_writing():
-    from repro.overlay.aio import MAX_FRAME_BYTES, pack_batch
-
-    with pytest.raises(PacketFormatError):
-        pack_batch(1, [b"ok", bytes(MAX_FRAME_BYTES + 1)], bytearray())
 
 
 # -- parity -------------------------------------------------------------------------
@@ -100,6 +61,47 @@ def test_throughput_parity_with_simulator(scheme, kwargs):
     # The digest covers actual plaintext content, so this is end-to-end
     # delivery equivalence, not just equal counts.
     assert results["sim"].delivered_digest == results["aio"].delivered_digest != ""
+
+
+def _transfer(scheme, backend="sim", substrate_factory=None):
+    """One small transfer; returns the transport used and the parity surface."""
+    substrate, runtime, relays, destination = prepare_scheme_transfer(
+        scheme, LAN_PROFILE, 2, 2, 2, 42, "batched", backend, substrate_factory
+    )
+    try:
+        runtime.establish(relays, destination)
+        substrate.sim.run()
+        runtime.send_messages([bytes([seq]) * 1500 for seq in range(15)])
+        substrate.sim.run()
+        assert len(runtime.delivered_plaintexts()) == 15
+        return getattr(substrate, "transport", None), (
+            runtime.delivered_digest(),
+            runtime.relay_counters(),
+            runtime.network_counters(),
+        )
+    finally:
+        substrate.close()
+
+
+@pytest.mark.parametrize("scheme", ["slicing", "onion"])
+def test_secure_aio_overlay_parity_with_plain_and_simulator(scheme, monkeypatch):
+    def secure_by_kwarg(network):
+        return AioOverlayNetwork(
+            network, connection_bps=connection_bps_for(LAN_PROFILE), transport="secure"
+        )
+
+    monkeypatch.delenv("REPRO_AIO_TRANSPORT", raising=False)
+    _, sim = _transfer(scheme)
+    plain_transport, plain = _transfer(scheme, "aio")
+    kwarg_transport, by_kwarg = _transfer(scheme, substrate_factory=secure_by_kwarg)
+    monkeypatch.setenv("REPRO_AIO_TRANSPORT", "secure")
+    env_transport, by_env = _transfer(scheme, "aio")
+    assert (plain_transport, kwarg_transport, env_transport) == (
+        "plain",
+        "secure",
+        "secure",
+    )
+    assert sim == plain == by_kwarg == by_env
 
 
 @pytest.mark.parametrize(
@@ -205,6 +207,65 @@ def test_aio_drops_to_failed_receiver():
         assert substrate.stats.packets_dropped == 2
     finally:
         substrate.close()
+
+
+# -- receive-side rejections --------------------------------------------------------
+
+
+class _NullWriter:
+    def close(self) -> None:
+        pass
+
+
+def _receive(substrate: AioOverlayNetwork, wire: bytes) -> None:
+    """Play ``wire`` into the backend as one inbound connection, then drive."""
+
+    async def inbound():
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire)
+        reader.feed_eof()
+        await substrate._handle_connection(reader, _NullWriter())
+
+    substrate._ensure_loop().run_until_complete(inbound())
+    substrate.drive()
+
+
+@pytest.fixture
+def substrate():
+    substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
+    yield substrate
+    substrate.close()
+
+
+def test_aio_rejects_an_unknown_batch_id_naming_the_connection(substrate):
+    wire = encode_frame(b"a\x00b") + encode_frame(BATCH_HEADER.pack(17, 1))
+    with pytest.raises(PacketFormatError, match="a→b: unknown batch id 17"):
+        _receive(substrate, wire + encode_frame(b"payload"))
+
+
+def test_aio_rejects_a_batch_header_of_the_wrong_length(substrate):
+    wire = encode_frame(b"a\x00b") + encode_frame(b"seven b")
+    with pytest.raises(
+        PacketFormatError, match="a→b: batch header of 7 bytes, expected 12"
+    ):
+        _receive(substrate, wire)
+
+
+def test_aio_reports_how_much_of_a_batch_arrived_before_the_connection_closed(
+    substrate,
+):
+    substrate.transmit_blobs("a", "b", [b"one", b"two", b"three"], lambda *_: None)
+    (batch_id,) = substrate._pending
+    wire = (
+        encode_frame(b"a\x00b")
+        + encode_frame(BATCH_HEADER.pack(batch_id, 3))
+        + encode_frame(b"one")
+    )
+    with pytest.raises(
+        PacketFormatError,
+        match=f"a→b: connection closed after 1 of the 3 frames of batch {batch_id}",
+    ):
+        _receive(substrate, wire)
 
 
 def test_aio_pace_shapes_wall_clock_delivery():

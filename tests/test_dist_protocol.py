@@ -22,7 +22,7 @@ from repro.experiments.distributed import (
     encode_message,
     trials_digest,
 )
-from repro.overlay.aio import FRAME_HEADER, MAX_FRAME_BYTES, decode_frames
+from repro.net import FRAME_HEADER, MAX_FRAME_BYTES, decode_frames
 
 from strategies import json_scalars, lease_messages, result_messages
 

@@ -20,9 +20,10 @@ from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.distributed import (
     PROTOCOL_VERSION,
     _connect_with_retry,
-    _recv_message,
-    encode_message,
+    decode_message,
+    message_payload,
 )
+from repro.net import SyncChannel
 
 SMALL = 0.03
 
@@ -31,6 +32,20 @@ def _free_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
+
+
+class _FakeWorkerWire:
+    """The worker's side of the protocol, spoken by hand over one socket."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.channel = SyncChannel(sock)
+
+    def send(self, message: dict) -> None:
+        self.channel.send_frame(message_payload(message))
+
+    def recv(self) -> dict | None:
+        payload = self.channel.recv_frame()
+        return None if payload is None else decode_message(payload)
 
 
 def _start_workers(port: int, count: int, **kwargs) -> list[threading.Thread]:
@@ -112,21 +127,18 @@ def test_distributed_run_redispatches_expired_leases(tmp_path):
         # Speaks just enough protocol to claim one lease, then goes silent;
         # the coordinator must expire the lease and re-dispatch its trials.
         with _connect_with_retry("127.0.0.1", port, connect_timeout=30) as sock:
-            sock.sendall(
-                encode_message(
-                    {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": "stall"}
-                )
-            )
-            job = _recv_message(sock)
+            wire = _FakeWorkerWire(sock)
+            wire.send({"type": "hello", "protocol": PROTOCOL_VERSION, "worker": "stall"})
+            job = wire.recv()
             assert job["type"] == "job"
-            sock.sendall(encode_message({"type": "request"}))
-            lease = _recv_message(sock)
+            wire.send({"type": "request"})
+            lease = wire.recv()
             assert lease["type"] == "lease"
             stalled.set()
             # Hold the connection (and the lease) until the run is over.
             sock.settimeout(60)
             try:
-                _recv_message(sock)  # unblocks on coordinator teardown EOF
+                wire.recv()  # unblocks on coordinator teardown EOF
             except Exception:
                 pass
 
@@ -169,12 +181,9 @@ def test_duplicate_results_on_the_wire_are_idempotent(tmp_path):
     def _duplicating_worker_loop():
         with _connect_with_retry("127.0.0.1", port, connect_timeout=30) as sock:
             sock.settimeout(60)
-            sock.sendall(
-                encode_message(
-                    {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": "dup"}
-                )
-            )
-            job = _recv_message(sock)
+            wire = _FakeWorkerWire(sock)
+            wire.send({"type": "hello", "protocol": PROTOCOL_VERSION, "worker": "dup"})
+            job = wire.recv()
             assert job["type"] == "job"
             from repro.experiments.runner import (
                 _jsonify,
@@ -187,32 +196,30 @@ def test_duplicate_results_on_the_wire_are_idempotent(tmp_path):
             experiment = get_experiment(job["experiment"])
             trials = build_trial_list(experiment, job["scale"], job["backend"])
             payloads = trial_payloads(experiment.name, trials, job["seed"])
-            sock.sendall(encode_message({"type": "request"}))
+            wire.send({"type": "request"})
             while True:
-                message = _recv_message(sock)
+                message = wire.recv()
                 if message is None or message["type"] == "done":
                     return
                 if message["type"] == "wait":
                     time.sleep(0.05)
-                    sock.sendall(encode_message({"type": "request"}))
+                    wire.send({"type": "request"})
                     continue
                 results = []
                 for index in message["indices"]:
                     _, row = execute_trial(payloads[index])
                     results.append([index, _jsonify(row)])
-                frame = encode_message(
-                    {
-                        "type": "result",
-                        "lease_id": message["lease_id"],
-                        "results": results,
-                    }
-                )
+                report = {
+                    "type": "result",
+                    "lease_id": message["lease_id"],
+                    "results": results,
+                }
                 # Send every result twice: the second copy references a
                 # retired lease and already-recorded indices and must change
                 # nothing.  Each copy draws one reply (lease/wait/done),
                 # which the loop above consumes in order.
-                sock.sendall(frame)
-                sock.sendall(frame)
+                wire.send(report)
+                wire.send(report)
 
     worker = threading.Thread(target=duplicating_worker, daemon=True)
     worker.start()

@@ -1,9 +1,13 @@
-"""Property and end-to-end tests for the authenticated secure transport.
+"""Enumerated, property and end-to-end tests for the authenticated transport.
 
-The handshake/cipher layer (:mod:`repro.net.secure`) is pure logic, so the
-property tests drive it entirely in memory with deterministic entropy; the
-adapter tests run the sync and asyncio flavours against each other over real
-sockets; and the end-to-end tests assert the load-bearing guarantee of the
+The whole wire layer is sans-I/O — the handshake is a generator, a session
+is a byte-in/byte-out object — so almost everything here runs in memory with
+injected entropy: a lock-step driver plays the initiator and responder
+generators against each other and *enumerates* the ways a handshake can be
+attacked (every truncation of every act, swapped and replayed acts, wrong
+and unauthorized keys); a scripted socket feeds the real shims one byte at a
+time.  One test crosses real sockets (a sync worker against an asyncio
+acceptor), and the end-to-end tests assert the load-bearing guarantee of the
 whole stack: a ``--transport secure`` distributed run merges to an artifact
 byte-identical to the single-process plaintext run, while a tampered frame
 or an unauthorized static key is rejected before any job frame is processed.
@@ -14,6 +18,7 @@ import hashlib
 import itertools
 import socket
 import threading
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
@@ -23,23 +28,28 @@ from repro.core.errors import (
     FrameAuthenticationError,
     HandshakeError,
     KeyFileError,
+    PacketFormatError,
 )
 from repro.experiments import run_distributed, run_experiment, run_worker
 from repro.experiments.__main__ import main as experiments_main
 from repro.net import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
+    PLAIN,
+    AioChannel,
     StaticKeyPair,
+    SyncChannel,
     TransportCredential,
+    handshake,
     load_allowlist,
     load_keypair,
     load_public_key,
     write_keypair,
 )
-from repro.net.channel import (
-    accept_secure_aio,
-    accept_secure_sync,
-    connect_secure_sync,
-)
 from repro.net.secure import (
+    ACT_ONE_SIZE,
+    ACT_THREE_SIZE,
+    ACT_TWO_SIZE,
     REKEY_INTERVAL,
     TAG_SIZE,
     HandshakeState,
@@ -71,35 +81,203 @@ def entropy_from(seed: bytes):
     return entropy
 
 
-def complete_handshake(
-    initiator_pair: StaticKeyPair,
-    responder_pair: StaticKeyPair,
-    seed: bytes = b"",
-    prologue: bytes = b"",
-):
+# -- in-memory drivers --------------------------------------------------------------
+
+
+@dataclass
+class Outcome:
+    """How a lock-step handshake ended, per side (``"i"`` / ``"r"``)."""
+
+    acts: list[bytes] = field(default_factory=list)
+    sessions: dict = field(default_factory=dict)
+    errors: dict = field(default_factory=dict)
+
+
+def lockstep(initiator, responder, deliver=lambda index, act: act) -> Outcome:
+    """Play two handshake generators against each other, no sockets.
+
+    Every message a side yields goes through ``deliver(index, act)`` (index
+    0–2 in wire order — the tampering hook) into its peer's inbox.  A side
+    whose read cannot be satisfied once nobody can send any more gets the
+    stump, exactly what the shims hand over when the peer has closed.
+    """
+    sides = {"i": initiator, "r": responder}
+    inbox = {"i": b"", "r": b""}
+    wants: dict[str, int] = {}
+    outcome = Outcome()
+
+    def advance(side: str, reply: bytes | None = None) -> None:
+        try:
+            while True:
+                step = sides[side].send(reply)
+                reply = None
+                if isinstance(step, int):
+                    wants[side] = step
+                    return
+                inbox["r" if side == "i" else "i"] += deliver(len(outcome.acts), step)
+                outcome.acts.append(step)
+        except StopIteration as done:
+            outcome.sessions[side] = done.value
+        except HandshakeError as exc:
+            outcome.errors[side] = exc
+
+    advance("i")
+    advance("r")
+    while wants:
+        ready = [side for side, size in wants.items() if len(inbox[side]) >= size]
+        side = ready[0] if ready else next(iter(wants))
+        size = wants.pop(side)
+        data, inbox[side] = inbox[side][:size], inbox[side][size:]
+        advance(side, data)
+    return outcome
+
+
+def honest_pair(pair_i, pair_r, seed: bytes = b"", authorized=None):
+    """Fresh initiator and responder generators with seeded entropy."""
+    if authorized is None:
+        authorized = frozenset({pair_i.public})
+    return (
+        handshake(pair_i, remote_public=pair_r.public, entropy=entropy_from(seed + b"i")),
+        handshake(pair_r, authorized=authorized, entropy=entropy_from(seed + b"r")),
+    )
+
+
+def complete_handshake(pair_i, pair_r, seed: bytes = b""):
     """Run all three acts in memory; returns (initiator, responder) sessions."""
-    initiator = HandshakeState.initiator(
-        initiator_pair,
-        responder_pair.public,
-        prologue=prologue,
-        entropy=entropy_from(seed + b"i"),
-    )
-    responder = HandshakeState.responder(
-        responder_pair, prologue=prologue, entropy=entropy_from(seed + b"r")
-    )
-    responder.read_act_one(initiator.write_act_one())
-    initiator.read_act_two(responder.write_act_two())
-    remote = responder.read_act_three(initiator.write_act_three())
-    assert remote == initiator_pair.public
-    return initiator.session(), responder.session()
+    outcome = lockstep(*honest_pair(pair_i, pair_r, seed))
+    assert not outcome.errors
+    assert [len(act) for act in outcome.acts] == [
+        ACT_ONE_SIZE,
+        ACT_TWO_SIZE,
+        ACT_THREE_SIZE,
+    ]
+    return outcome.sessions["i"], outcome.sessions["r"]
+
+
+class ScriptedSocket:
+    """An in-memory socket: scripted bytes out one at a time, then EOF."""
+
+    def __init__(self, incoming: bytes = b"") -> None:
+        self.incoming = incoming
+        self.sent = b""
+
+    def recv(self, size: int) -> bytes:
+        chunk, self.incoming = self.incoming[:1], self.incoming[1:]
+        return chunk
+
+    def sendall(self, data: bytes) -> None:
+        self.sent += data
+
+
+def read_frames(session, wire: bytes) -> list[bytes]:
+    """Every frame in ``wire``, read through the real sync shim byte by byte."""
+    channel = SyncChannel(ScriptedSocket(wire), session)
+    return list(iter(channel.recv_frame, None))
 
 
 secrets = st.binary(min_size=1, max_size=48)
 seeds = st.binary(min_size=0, max_size=16)
 payloads = st.lists(st.binary(max_size=256), min_size=1, max_size=6)
 
+#: Recorded from the pre-refactor ``HandshakeState`` / ``SecureSession``
+#: (commit 57cf95e) with ``keypair(b"vector-i")`` / ``keypair(b"vector-r")``
+#: and ``entropy_from(b"vector-i")`` / ``entropy_from(b"vector-r")``: the wire
+#: bytes of the secure flavour must never change under a refactor.
+VECTOR = {
+    "acts": [
+        "0001d57425c02349bd46ef6b4acf4b0e0aa3958382f69167c6dc2d33e15005e5ba"
+        "913693cb3c3863ffbedff141849d3d69",
+        "003e67638a6951f407dec059d0627470c7fb3a5f77a199ad733973ff441eb0b965"
+        "24eb75d52bf214a6a01169079c55e59f",
+        "00eb37576473cf8f6971571a22ce7aecba16bf2124ad39f15b05d08b18ec507e67"
+        "33878b0a2910a9b3e466311dd357cd90c332fc132d225c294c719737e6a35a1e",
+    ],
+    "initiator_frames": {
+        b"hello": "826d1ab5286e262f5eb1f9971b1fa0a9bcce8024bfde0faa7e78d18cc40f55"
+        "96e1c240eddc06761a50",
+        b"": "f8cbf0ca9c0d46ed8cacf13b08cf35254a1859ab61f6e2450901b775d38d76ce"
+        "c6faa49e",
+    },
+    "responder_frames": {
+        b"job frame": "d678dad173427c8ad7f0979cd1dc542bebf4789ce1f4f92f0a407ac948b123"
+        "2cc87ba44ef2650263570552c155",
+    },
+}
 
-# -- handshake properties -----------------------------------------------------------
+
+def vector_outcome(deliver=lambda index, act: act, **kwargs) -> Outcome:
+    pair_i, pair_r = keypair(b"vector-i"), keypair(b"vector-r")
+    return lockstep(*honest_pair(pair_i, pair_r, b"vector-", **kwargs), deliver)
+
+
+# -- the handshake, enumerated ------------------------------------------------------
+
+
+def test_handshake_and_first_frames_match_the_recorded_vector():
+    outcome = vector_outcome()
+    assert [act.hex() for act in outcome.acts] == VECTOR["acts"]
+    for side, frames in (("i", "initiator_frames"), ("r", "responder_frames")):
+        for payload, sealed in VECTOR[frames].items():
+            assert outcome.sessions[side].seal(payload).hex() == sealed
+
+
+def test_every_truncation_of_every_act_is_rejected():
+    reader = {0: "r", 1: "i", 2: "r"}
+    for act, size in enumerate((ACT_ONE_SIZE, ACT_TWO_SIZE, ACT_THREE_SIZE)):
+        for cut in range(size):
+            outcome = vector_outcome(
+                lambda index, data: data[:cut] if index == act else data
+            )
+            # The side that read the stump fails and never derives a session;
+            # nothing past the cut is ever sent, so its peer starves too
+            # (an initiator that already sent act three is the one exception:
+            # in XK it finishes first, talking to a responder that is gone).
+            assert isinstance(outcome.errors[reader[act]], HandshakeError)
+            assert reader[act] not in outcome.sessions
+            assert "r" not in outcome.sessions
+            assert len(outcome.acts) == act + 1
+
+
+@pytest.mark.parametrize(("first", "second"), [(0, 1), (0, 2), (1, 2)])
+def test_swapped_acts_are_rejected(first, second):
+    honest = vector_outcome().acts
+    swap = {first: honest[second], second: honest[first]}
+    outcome = vector_outcome(lambda index, data: swap.get(index, data))
+    assert outcome.errors and not outcome.sessions.get("r")
+    assert all(isinstance(error, HandshakeError) for error in outcome.errors.values())
+    # The handshake died at the first swapped act; the second was never sent.
+    assert len(outcome.acts) == first + 1
+
+
+def test_replayed_initiator_transcript_is_rejected():
+    honest = vector_outcome().acts
+
+    def replayer():
+        yield honest[0]
+        yield ACT_TWO_SIZE
+        yield honest[2]
+
+    # Act one is replayable by design (it carries no responder freshness);
+    # the recorded act three then fails against the fresh responder ephemeral.
+    victim = handshake(
+        keypair(b"vector-r"),
+        authorized=frozenset({keypair(b"vector-i").public}),
+        entropy=entropy_from(b"another day"),
+    )
+    outcome = lockstep(replayer(), victim)
+    assert "MAC check failed" in str(outcome.errors["r"])
+    assert "r" not in outcome.sessions
+    assert len(outcome.acts) == 3 and outcome.acts[1] != honest[1]
+    # Replaying act one in place of act three is a stump, rejected likewise.
+    outcome = vector_outcome(lambda index, data: honest[0] if index == 2 else data)
+    assert isinstance(outcome.errors["r"], HandshakeError)
+    assert "r" not in outcome.sessions
+
+
+def test_unauthorized_initiator_key_is_rejected_before_a_session_exists():
+    outcome = vector_outcome(authorized=frozenset({keypair(b"someone else").public}))
+    assert "unauthorized static key" in str(outcome.errors["r"])
+    assert "r" not in outcome.sessions
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,8 +292,8 @@ def test_handshake_transcript_round_trip(secret_i, secret_r, seed, messages):
     assert session_r.remote_public == pair_i.public
     # Frames round-trip in both directions, interleaved.
     for message in messages:
-        assert session_r.decrypt_frame(session_i.encrypt_frame(message)) == message
-        assert session_i.decrypt_frame(session_r.encrypt_frame(message)) == message
+        assert read_frames(session_r, session_i.seal(message)) == [message]
+        assert read_frames(session_i, session_r.seal(message)) == [message]
 
 
 @settings(max_examples=25, deadline=None)
@@ -139,6 +317,13 @@ def test_wrong_responder_static_key_fails_act_one(
     # The failure poisons the state: no transport keys can ever be derived.
     with pytest.raises(HandshakeError):
         responder.session()
+    # Through the generators: one act crosses, neither side gets a session.
+    outcome = lockstep(
+        handshake(pair_i, remote_public=expected.public, entropy=entropy_from(seed)),
+        handshake(pair_r, authorized=frozenset({pair_i.public})),
+    )
+    assert set(outcome.errors) == {"i", "r"} and not outcome.sessions
+    assert len(outcome.acts) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -146,31 +331,18 @@ def test_wrong_responder_static_key_fails_act_one(
 def test_tampered_handshake_act_is_rejected(seed, act, index):
     pair_i = keypair(seed + b"tamper-i")
     pair_r = keypair(seed + b"tamper-r")
-    initiator = HandshakeState.initiator(
-        pair_i, pair_r.public, entropy=entropy_from(seed + b"i")
-    )
-    responder = HandshakeState.responder(pair_r, entropy=entropy_from(seed + b"r"))
-    acts = []
-    acts.append(initiator.write_act_one())
-    if act == 0:
-        flipped = bytearray(acts[0])
+
+    def flip(position: int, data: bytes) -> bytes:
+        if position != act:
+            return data
+        flipped = bytearray(data)
         flipped[index % len(flipped)] ^= 0x40
-        with pytest.raises(HandshakeError):
-            responder.read_act_one(bytes(flipped))
-        return
-    responder.read_act_one(acts[0])
-    acts.append(responder.write_act_two())
-    if act == 1:
-        flipped = bytearray(acts[1])
-        flipped[index % len(flipped)] ^= 0x40
-        with pytest.raises(HandshakeError):
-            initiator.read_act_two(bytes(flipped))
-        return
-    initiator.read_act_two(acts[1])
-    flipped = bytearray(initiator.write_act_three())
-    flipped[index % len(flipped)] ^= 0x40
-    with pytest.raises(HandshakeError):
-        responder.read_act_three(bytes(flipped))
+        return bytes(flipped)
+
+    outcome = lockstep(*honest_pair(pair_i, pair_r, seed), flip)
+    assert isinstance(outcome.errors["i" if act == 1 else "r"], HandshakeError)
+    assert "r" not in outcome.sessions
+    assert len(outcome.acts) == act + 1
 
 
 def test_handshake_acts_out_of_order_are_rejected():
@@ -189,16 +361,47 @@ def test_handshake_acts_out_of_order_are_rejected():
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=seeds, messages=payloads)
+def test_frames_round_trip_one_byte_at_a_time_on_both_session_kinds(seed, messages):
+    session_i, session_r = complete_handshake(keypair(b"rt-i"), keypair(b"rt-r"), seed)
+    for sender, receiver in ((PLAIN, PLAIN), (session_i, session_r)):
+        wire = b"".join(sender.seal(message) for message in messages)
+        assert read_frames(receiver, wire) == messages
+
+
+@pytest.mark.parametrize("kind", ["plain", "secure"])
+def test_size_violations_raise_packet_format_error_on_both_session_kinds(kind):
+    if kind == "plain":
+        sender = receiver = PLAIN
+        declare, overhead = FRAME_HEADER.pack, 0
+    else:
+        sender, receiver = complete_handshake(keypair(b"size-i"), keypair(b"size-r"))
+        overhead = TAG_SIZE
+
+        def declare(length: int) -> bytes:
+            # A peer holding the session keys can authenticate any length it
+            # likes: the MAC verifies, the bound still applies.
+            return sender.send_cipher.encrypt(b"", FRAME_HEADER.pack(length))
+
+    with pytest.raises(PacketFormatError, match="over the"):
+        sender.seal(bytes(MAX_FRAME_BYTES + 1))
+    with pytest.raises(PacketFormatError, match="over the"):
+        receiver.body_size(declare(MAX_FRAME_BYTES + 1))
+    # The bound itself is legal, and the session is still in step after it.
+    assert receiver.body_size(declare(MAX_FRAME_BYTES)) == MAX_FRAME_BYTES + overhead
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=seeds, message=st.binary(max_size=256))
 def test_replayed_frame_is_rejected(seed, message):
     pair_i = keypair(seed + b"replay-i")
     pair_r = keypair(seed + b"replay-r")
     session_i, session_r = complete_handshake(pair_i, pair_r, seed)
-    wire = session_i.encrypt_frame(message)
-    assert session_r.decrypt_frame(wire) == message
+    wire = session_i.seal(message)
+    assert read_frames(session_r, wire) == [message]
     # The receive nonce advanced, so the identical bytes no longer verify.
     with pytest.raises(FrameAuthenticationError):
-        session_r.decrypt_frame(wire)
+        read_frames(session_r, wire)
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,15 +415,21 @@ def test_tampered_or_truncated_frame_is_rejected(seed, message, index, truncate)
     pair_i = keypair(seed + b"mangle-i")
     pair_r = keypair(seed + b"mangle-r")
     session_i, session_r = complete_handshake(pair_i, pair_r, seed)
-    wire = session_i.encrypt_frame(message)
+    wire = session_i.seal(message)
     if truncate:
-        mangled = wire[: index % len(wire)]
-    else:
-        flipped = bytearray(wire)
-        flipped[index % len(flipped)] ^= 0x01
-        mangled = bytes(flipped)
+        # A connection that closes inside a frame; at offset 0 it is a clean
+        # close between frames instead.
+        cut = index % len(wire)
+        if cut == 0:
+            assert read_frames(session_r, b"") == []
+            return
+        with pytest.raises(PacketFormatError, match="mid-frame"):
+            read_frames(session_r, wire[:cut])
+        return
+    flipped = bytearray(wire)
+    flipped[index % len(flipped)] ^= 0x01
     with pytest.raises(FrameAuthenticationError):
-        session_r.decrypt_frame(mangled)
+        read_frames(session_r, bytes(flipped))
 
 
 def test_nonces_advance_and_keys_rotate_across_the_rekey_interval():
@@ -232,7 +441,7 @@ def test_nonces_advance_and_keys_rotate_across_the_rekey_interval():
     # the REKEY_INTERVAL boundary with room to spare.
     for sequence in range(REKEY_INTERVAL // 2 + 4):
         message = b"frame %d" % sequence
-        assert session_r.decrypt_frame(session_i.encrypt_frame(message)) == message
+        assert read_frames(session_r, session_i.seal(message)) == [message]
     assert session_i.send_cipher.key != first_key
     assert session_r.recv_cipher.key == session_i.send_cipher.key
     assert session_i.send_cipher.nonce < REKEY_INTERVAL
@@ -250,58 +459,43 @@ def test_aead_rejects_nonce_and_associated_data_mismatch():
         aead_decrypt(key, 7, b"ad", sealed[:TAG_SIZE - 1])
 
 
-# -- adapter interop ----------------------------------------------------------------
-
-
-def _handshake_sockets():
-    server, client = socket.socketpair()
-    server.settimeout(10)
-    client.settimeout(10)
-    return server, client
+# -- the I/O shims ------------------------------------------------------------------
 
 
 def test_sync_adapters_interoperate_and_enforce_the_allowlist():
-    coordinator = keypair(b"sync-coordinator")
-    worker = keypair(b"sync-worker")
-    server, client = _handshake_sockets()
-    accepted = {}
-
-    def serve():
-        accepted["channel"] = accept_secure_sync(
-            server, coordinator, frozenset({worker.public})
-        )
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    channel = connect_secure_sync(client, worker, coordinator.public)
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    channel.send_frame(b"hello over sync")
-    assert accepted["channel"].recv_frame() == b"hello over sync"
-    accepted["channel"].send_frame(b"hello back")
-    assert channel.recv_frame() == b"hello back"
-    server.close()
-    client.close()
+    # Socket-free: each sync shim runs its real handshake driver against the
+    # peer's recorded acts, fed one byte at a time.
+    pair_i, pair_r = keypair(b"vector-i"), keypair(b"vector-r")
+    act_one, act_two, act_three = (bytes.fromhex(act) for act in VECTOR["acts"])
+    dial, accept = honest_pair(pair_i, pair_r, b"vector-")
+    worker = SyncChannel(ScriptedSocket(act_two))
+    worker.handshake(dial)
+    assert worker.sock.sent == act_one + act_three
+    coordinator = SyncChannel(ScriptedSocket(act_one + act_three))
+    coordinator.handshake(accept)
+    assert coordinator.sock.sent == act_two
+    assert coordinator.session.remote_public == pair_i.public
+    worker.send_frame(b"hello over sync")
+    coordinator.sock.incoming = worker.sock.sent[len(act_one + act_three) :]
+    assert coordinator.recv_frame() == b"hello over sync"
+    assert coordinator.recv_frame() is None
 
     # A rogue key completes the handshake crypto but is rejected by the
-    # allowlist before any application frame is exchanged.
-    rogue = keypair(b"sync-rogue")
-    server, client = _handshake_sockets()
-    errors = {}
+    # allowlist before any session exists: the channel is left unusable.
+    _, accept = honest_pair(
+        pair_i, pair_r, b"vector-", authorized=frozenset({keypair(b"other").public})
+    )
+    coordinator = SyncChannel(ScriptedSocket(act_one + act_three + PLAIN.seal(b"job?")))
+    with pytest.raises(HandshakeError, match="unauthorized static key"):
+        coordinator.handshake(accept)
+    assert coordinator.session is None
 
-    def serve_rejecting():
-        try:
-            accept_secure_sync(server, coordinator, frozenset({worker.public}))
-        except HandshakeError as exc:
-            errors["server"] = str(exc)
-
-    thread = threading.Thread(target=serve_rejecting, daemon=True)
-    thread.start()
-    connect_secure_sync(client, rogue, coordinator.public)
-    thread.join(timeout=10)
-    assert "unauthorized static key" in errors["server"]
-    server.close()
-    client.close()
+    # A peer that hangs up inside act three hands over a stump.
+    _, accept = honest_pair(pair_i, pair_r, b"vector-")
+    coordinator = SyncChannel(ScriptedSocket(act_one + act_three[:-1]))
+    with pytest.raises(HandshakeError, match="act three must be 65 bytes, got 64"):
+        coordinator.handshake(accept)
+    assert coordinator.session is None
 
 
 def test_sync_worker_interoperates_with_aio_acceptor():
@@ -313,8 +507,9 @@ def test_sync_worker_interoperates_with_aio_acceptor():
         received = []
 
         async def handle(reader, writer):
-            channel = await accept_secure_aio(
-                reader, writer, coordinator, frozenset({worker.public})
+            channel = AioChannel(reader, writer)
+            await channel.handshake(
+                handshake(coordinator, authorized=frozenset({worker.public}))
             )
             received.append(await channel.recv_frame())
             await channel.send_frame(b"ack from aio")
@@ -325,7 +520,8 @@ def test_sync_worker_interoperates_with_aio_acceptor():
 
         def sync_client():
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-                channel = connect_secure_sync(sock, worker, coordinator.public)
+                channel = SyncChannel(sock)
+                channel.handshake(handshake(worker, remote_public=coordinator.public))
                 channel.send_frame(b"hello from sync")
                 return channel.recv_frame()
 

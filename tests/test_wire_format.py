@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import PacketFormatError
 from repro.core.packet import Packet
-from repro.overlay.aio import (
+from repro.net import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
+    AioChannel,
     decode_frames,
     encode_frame,
-    read_frame,
 )
 
 from strategies import packets
@@ -79,24 +79,53 @@ def test_oversized_payload_is_rejected_on_encode():
         encode_frame(bytes(MAX_FRAME_BYTES + 1))
 
 
-def _read_from(data: bytes, strict: bool = False):
+def _read_from(data: bytes):
     async def go():
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         reader.feed_eof()
-        return await read_frame(reader, strict=strict)
+        return await AioChannel(reader, None).recv_frame()
 
     return asyncio.run(go())
+
+
+class _CapturingWriter:
+    """The two StreamWriter members a channel's send path touches."""
+
+    def __init__(self) -> None:
+        self.wire = b""
+
+    def writelines(self, chunks) -> None:
+        self.wire += b"".join(chunks)
+
+    async def drain(self) -> None:
+        pass
+
+
+@given(frames=st.lists(st.binary(max_size=256), max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_a_batch_of_frames_leaves_as_the_encode_frame_reference(frames):
+    writer = _CapturingWriter()
+    asyncio.run(AioChannel(None, writer).send_frames(frames))
+    assert writer.wire == b"".join(encode_frame(frame) for frame in frames)
+    assert decode_frames(writer.wire) == frames
+
+
+def test_an_oversized_frame_fails_the_batch_before_anything_is_written():
+    writer = _CapturingWriter()
+    with pytest.raises(PacketFormatError):
+        asyncio.run(
+            AioChannel(None, writer).send_frames([b"ok", bytes(MAX_FRAME_BYTES + 1)])
+        )
+    assert writer.wire == b""
 
 
 def test_stream_read_frame_round_trip_and_eof():
     payload = b"hello overlay"
     assert _read_from(encode_frame(payload)) == payload
-    # Clean EOF between frames: None (the peer closed), unless a frame is
-    # required to follow (mid-batch), which makes EOF a protocol error.
+    assert _read_from(encode_frame(b"")) == b""
+    # Clean EOF between frames: None (the peer closed).
     assert _read_from(b"") is None
-    with pytest.raises(PacketFormatError):
-        _read_from(b"", strict=True)
 
 
 def test_stream_read_frame_rejects_truncation():
