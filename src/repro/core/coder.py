@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodingError, InsufficientSlicesError
-from .gf import GF256, resolve_field
+from .gf import GF256, default_field
 from .matrix import mds_matrix, random_invertible_matrix
 
 #: Number of bytes used to prefix the plaintext with its length.
@@ -132,9 +132,6 @@ class SliceCoder:
     field:
         Finite field implementation.  Defaults to the shared instance for
         the active kernel (see :func:`repro.core.gf.use_kernel`).
-    kernel:
-        Shorthand for ``field=field_for_kernel(kernel)``; ignored when an
-        explicit ``field`` is given.
     """
 
     def __init__(
@@ -142,7 +139,6 @@ class SliceCoder:
         d: int,
         d_prime: int | None = None,
         field: GF256 | None = None,
-        kernel: str | None = None,
     ) -> None:
         if d < 1:
             raise CodingError(f"split factor d must be >= 1, got {d}")
@@ -151,7 +147,7 @@ class SliceCoder:
             raise CodingError(f"d' ({d_prime}) must be >= d ({d})")
         self.d = d
         self.d_prime = d_prime
-        self.field = resolve_field(field, kernel)
+        self.field = default_field() if field is None else field
 
     # -- encoding ----------------------------------------------------------------
 

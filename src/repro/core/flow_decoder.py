@@ -32,14 +32,13 @@ import numpy as np
 
 from .coder import CodedBlock, SliceCoder, _unpad_message
 from .errors import CodingError, InsufficientSlicesError
-from .gf import GF256, resolve_field
+from .gf import GF256, default_field
 from .integrity import robust_decode, unwrap, verify
 
 def decode_setup_payload(
     coder: SliceCoder,
     blocks: list[CodedBlock],
     field: GF256 | None = None,
-    kernel: str | None = None,
 ) -> bytes:
     """Robust-decode one slice set through the batched Gauss–Jordan kernel.
 
@@ -61,7 +60,7 @@ def decode_setup_payload(
     blocks.  Asserted in ``tests/test_setup_decode.py`` and re-checked by
     :func:`repro.experiments.setup_latency.compare_setup_decode_engines`.
     """
-    field = resolve_field(field, kernel)
+    field = default_field() if field is None else field
     d = coder.d
     if len(blocks) < d:
         raise InsufficientSlicesError(d, len(blocks))
@@ -209,21 +208,13 @@ class FlowDecoder:
     field:
         Finite-field implementation.  Defaults to the shared instance for
         the active kernel (see :func:`repro.core.gf.use_kernel`).
-    kernel:
-        Shorthand for ``field=field_for_kernel(kernel)``; ignored when an
-        explicit ``field`` is given.
     """
 
-    def __init__(
-        self,
-        d: int,
-        field: GF256 | None = None,
-        kernel: str | None = None,
-    ) -> None:
+    def __init__(self, d: int, field: GF256 | None = None) -> None:
         if d < 1:
             raise CodingError(f"split factor d must be >= 1, got {d}")
         self.d = d
-        self.field = resolve_field(field, kernel)
+        self.field = default_field() if field is None else field
         self._coder = SliceCoder(d, field=self.field)
         self._planes: dict[int, _Plane] = {}
         self._seq_plane: dict[int, int] = {}

@@ -550,19 +550,6 @@ def default_field() -> GF256:
     return field_for_kernel(_ACTIVE_KERNEL.get())
 
 
-def resolve_field(field: GF256 | None = None, kernel: str | None = None) -> GF256:
-    """Resolve the ``field=`` / ``kernel=`` constructor pair every coder takes.
-
-    An explicit ``field`` wins; otherwise an explicit ``kernel`` selects the
-    shared instance for that kernel; otherwise the active kernel decides.
-    """
-    if field is not None:
-        return field
-    if kernel is not None:
-        return field_for_kernel(kernel)
-    return default_field()
-
-
 # Re-exported for convenience: callers selecting kernels catch this.
 __all__ = [
     "GF",
@@ -573,6 +560,5 @@ __all__ = [
     "available_kernels",
     "default_field",
     "field_for_kernel",
-    "resolve_field",
     "use_kernel",
 ]

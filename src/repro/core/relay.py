@@ -43,7 +43,7 @@ from ..crypto.symmetric import StreamCipher
 from .coder import CodedBlock, SliceCoder
 from .errors import CodingError, InsufficientSlicesError, ProtocolError
 from .flow_decoder import FlowDecoder, decode_setup_payload
-from .gf import GF256, resolve_field
+from .gf import GF256, default_field
 from .integrity import robust_decode
 from .node_info import NodeInfo
 from .packet import Packet, PacketKind, random_padding_slice
@@ -128,11 +128,12 @@ class Relay:
         ``"batched"`` (default) decodes deliverable messages in batched
         GF(2^8) kernels; ``"scalar"`` keeps the per-message reference path.
         Both produce bit-identical delivered messages and stats.
-    field / kernel:
+    field:
         The GF(2^8) implementation every coder and decoder of this relay
-        uses (see :func:`repro.core.gf.resolve_field`); kernels are
-        bit-identical by construction, so delivered messages and stats do
-        not depend on the choice.
+        uses; defaults to the shared instance for the active kernel (see
+        :func:`repro.core.gf.use_kernel`).  Kernels are bit-identical by
+        construction, so delivered messages and stats do not depend on the
+        choice.
     """
 
     def __init__(
@@ -143,7 +144,6 @@ class Relay:
         regenerate_redundancy: bool = True,
         engine: str = "batched",
         field: GF256 | None = None,
-        kernel: str | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ProtocolError(f"unknown relay engine {engine!r} (known: {ENGINES})")
@@ -152,7 +152,7 @@ class Relay:
         self.auto_forward_setup = auto_forward_setup
         self.regenerate_redundancy = regenerate_redundancy
         self.engine = engine
-        self.field = resolve_field(field, kernel)
+        self.field = default_field() if field is None else field
         self.flows: dict[int, FlowState] = {}
         self.stats = RelayStats()
 

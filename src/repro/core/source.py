@@ -23,7 +23,7 @@ import numpy as np
 from ..crypto.symmetric import StreamCipher
 from .coder import CodedBlock, SliceCoder
 from .errors import GraphConstructionError, ProtocolError
-from .gf import GF256, resolve_field
+from .gf import GF256, default_field
 from .graph import ForwardingGraph, build_forwarding_graph
 from .integrity import wrap
 from .packet import Packet, PacketKind, random_padding_slice
@@ -77,10 +77,11 @@ class Source:
         Protocol parameters (paper's ``d``, ``d'`` and ``L``).
     rng:
         Randomness source; pass a seeded generator for reproducible flows.
-    field / kernel:
-        The GF(2^8) implementation this source's coders use (see
-        :func:`repro.core.gf.resolve_field`); output is bit-identical
-        across kernels by construction.
+    field:
+        The GF(2^8) implementation this source's coders use; defaults to
+        the shared instance for the active kernel (see
+        :func:`repro.core.gf.use_kernel`).  Output is bit-identical across
+        kernels by construction.
     """
 
     def __init__(
@@ -92,7 +93,6 @@ class Source:
         d_prime: int | None = None,
         rng: np.random.Generator | None = None,
         field: GF256 | None = None,
-        kernel: str | None = None,
     ) -> None:
         self.address = address
         self.pseudo_sources = list(pseudo_sources)
@@ -100,7 +100,7 @@ class Source:
         self.d_prime = d if d_prime is None else d_prime
         self.path_length = path_length
         self.rng = np.random.default_rng() if rng is None else rng
-        self.field = resolve_field(field, kernel)
+        self.field = default_field() if field is None else field
         if self.d_prime < self.d:
             raise ProtocolError(f"d' ({self.d_prime}) must be >= d ({self.d})")
         if len(self.pseudo_sources) != self.d_prime - 1:

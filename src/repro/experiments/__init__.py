@@ -1,39 +1,9 @@
 """Experiment harness: a registry of named experiments plus a parallel runner."""
 
-from .ablations import (
-    ablation_as_selection,
-    ablation_network_coding,
-    ablation_transforms,
-)
-from .distributed import (
-    DistributedRunResult,
-    TrialLedger,
-    run_distributed,
-    run_worker,
-)
-from .figures import (
-    FIGURES,
-    anonymity_microbenchmark,
-    chaum_microbenchmark,
-    coding_microbenchmark,
-    dataplane_microbenchmark,
-    distributed_sharding_benchmark,
-    figure07_anonymity_vs_malicious,
-    figure08_anonymity_vs_split,
-    figure09_anonymity_vs_path_length,
-    figure10_anonymity_vs_redundancy,
-    figure11_throughput_lan,
-    figure12_throughput_wan,
-    figure13_scaling_with_flows,
-    figure14_setup_latency_lan,
-    figure15_setup_latency_wan,
-    figure16_resilience_analysis,
-    figure17_churn_resilience,
-    gf_kernel_microbenchmark,
-)
+from .distributed import TrialLedger, run_distributed, run_worker
 from .registry import REGISTRY, Experiment, experiment_names, get_experiment, register
 from .report import build_report, render_markdown, write_report
-from .runner import RunResult, experiment_rows, run_experiment
+from .runner import Job, RunResult, UsageError, experiment_rows, run_experiment
 from .scenarios import (
     ScenarioCell,
     ScenarioMatrix,
@@ -49,7 +19,6 @@ from .setup_latency import (
     measure_onion_setup,
     measure_setup,
     measure_slicing_setup,
-    setup_latency_sweep,
 )
 from .tables import format_table
 from .throughput import (
@@ -58,54 +27,31 @@ from .throughput import (
     measure_onion_throughput,
     measure_slicing_throughput,
     measure_throughput,
-    throughput_vs_path_length,
 )
 
 __all__ = [
-    "FIGURES",
     "REGISTRY",
     "Experiment",
+    "Job",
     "RunResult",
+    "UsageError",
     "register",
     "get_experiment",
     "experiment_names",
     "run_experiment",
     "experiment_rows",
-    "ablation_transforms",
-    "ablation_as_selection",
-    "ablation_network_coding",
     "format_table",
-    "figure07_anonymity_vs_malicious",
-    "figure08_anonymity_vs_split",
-    "figure09_anonymity_vs_path_length",
-    "figure10_anonymity_vs_redundancy",
-    "figure11_throughput_lan",
-    "figure12_throughput_wan",
-    "figure13_scaling_with_flows",
-    "figure14_setup_latency_lan",
-    "figure15_setup_latency_wan",
-    "figure16_resilience_analysis",
-    "figure17_churn_resilience",
-    "coding_microbenchmark",
-    "anonymity_microbenchmark",
-    "chaum_microbenchmark",
-    "dataplane_microbenchmark",
-    "distributed_sharding_benchmark",
-    "gf_kernel_microbenchmark",
-    "DistributedRunResult",
     "TrialLedger",
     "run_distributed",
     "run_worker",
     "measure_throughput",
     "measure_slicing_throughput",
     "measure_onion_throughput",
-    "throughput_vs_path_length",
     "aggregate_throughput_vs_flows",
     "ThroughputResult",
     "measure_setup",
     "measure_slicing_setup",
     "measure_onion_setup",
-    "setup_latency_sweep",
     "compare_setup_decode_engines",
     "ScenarioCell",
     "ScenarioMatrix",

@@ -38,52 +38,118 @@ explicit names, all of the matrix's cells run.  ``report`` merges the cell
 artifacts of a matrix into ``scenario_report.json`` plus a markdown page
 (:mod:`repro.experiments.report`), with optional baseline-delta and
 bench-trajectory sections.
-
-The legacy invocation ``python -m repro.experiments [fig07 ...] [--scale S]``
-still works: it runs the named figures inline and prints their tables.
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import asdict
 
+from ..core.errors import KernelUnavailableError
 from ..overlay.runtime import SUBSTRATE_BACKENDS
 from .registry import experiment_names, get_experiment
-from .runner import DEFAULT_RESULTS_DIR, run_experiment
+from .runner import DEFAULT_RESULTS_DIR, Job, RunResult, UsageError, run_experiment
 from .tables import format_table
-
-_SUBCOMMANDS = ("run", "list", "coordinate", "worker", "report", "keygen")
 
 #: Wire transports the distributed subcommands accept (mirrors
 #: :data:`repro.experiments.distributed.TRANSPORTS`).
 _TRANSPORT_CHOICES = ("plain", "secure")
 
 
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
-    return value
-
-
 def main(argv: list[str] | None = None) -> int:
-    import sys
-
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _dispatch(argv)
-    return _legacy_main(argv)
-
-
-def _dispatch(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    # Flags more than one subcommand takes are declared once and shared
+    # through parents=.
+    matrix_flags = argparse.ArgumentParser(add_help=False)
+    matrix_flags.add_argument(
+        "--matrix",
+        action="append",
+        default=None,
+        metavar="SPEC",
+        help="scenario-matrix spec file whose cells to register before "
+        "dispatch (repeatable); remote workers need it too — they do not "
+        "inherit REPRO_SCENARIO_MATRIX",
+    )
+    transport_flags = argparse.ArgumentParser(add_help=False)
+    transport_flags.add_argument(
+        "--transport",
+        choices=_TRANSPORT_CHOICES,
+        default="plain",
+        help="wire transport between coordinator and workers: 'plain' "
+        "(default) or 'secure' (authenticated Noise-style channel; "
+        "`run --dist` generates throwaway keys, `coordinate`/`worker` take "
+        "--keyfile plus --authorized-keys/--coordinator-key); artifacts "
+        "are byte-identical either way",
+    )
+    # The run request.  Its values are validated by building the Job in
+    # _jobs (not via argparse type=) so that a non-finite scale, a negative
+    # seed, an unsupported scheme/backend pairing or a missing compiled
+    # kernel is a one-line exit-2 error listing what is supported, not a
+    # usage dump or a traceback.
+    job_flags = argparse.ArgumentParser(add_help=False)
+    job_flags.add_argument(
+        "--scale",
+        type=float,
+        default=1.0,
+        help="trial-count scale factor (1.0 = the paper's full counts)",
+    )
+    job_flags.add_argument(
+        "--seed", type=int, default=None, help="override the experiment's base seed"
+    )
+    job_flags.add_argument(
+        "--backend",
+        choices=SUBSTRATE_BACKENDS,
+        default="sim",
+        help="overlay transport backend for figs. 11-15: 'sim' (discrete-event, "
+        "default) or 'aio' (asyncio localhost TCP)",
+    )
+    job_flags.add_argument(
+        "--scheme",
+        default=None,
+        metavar="NAME",
+        help="restrict a scheme-capable experiment (figs. 11-15) to one "
+        "registered protocol runtime (slicing, onion, onion-erasure, sphinx)",
+    )
+    job_flags.add_argument(
+        "--kernel",
+        default=None,
+        metavar="NAME",
+        help="GF(2^8) kernel trials execute with: 'numpy' (reference) or "
+        "'compiled' (numba/cext, requires the 'fast' extra or a C "
+        "toolchain); results are bit-identical either way",
+    )
+    job_flags.add_argument(
+        "--out",
+        default=str(DEFAULT_RESULTS_DIR),
+        help="artifact directory (default: results/)",
+    )
+    job_flags.add_argument(
+        "--force",
+        action="store_true",
+        help="recompute even if a matching artifact exists",
+    )
+    peer_flags = argparse.ArgumentParser(add_help=False)
+    peer_flags.add_argument(
+        "--host",
+        default="127.0.0.1",
+        help="interface the coordinator binds and workers dial (default: 127.0.0.1)",
+    )
+    peer_flags.add_argument(
+        "--keyfile",
+        default=None,
+        metavar="PATH",
+        help="this side's static secret key file (see the 'keygen' subcommand)",
+    )
+
     run_parser = subparsers.add_parser(
-        "run", help="run experiments through the parallel runner"
+        "run",
+        parents=[matrix_flags, job_flags, transport_flags],
+        help="run experiments through the parallel runner",
     )
     run_parser.add_argument(
         "names",
@@ -91,13 +157,6 @@ def _dispatch(argv: list[str]) -> int:
         metavar="name",
         help="registered experiment names (see the 'list' subcommand); "
         "defaults to every cell of the --matrix spec(s) when omitted",
-    )
-    run_parser.add_argument(
-        "--matrix",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="scenario-matrix spec file whose cells to register (repeatable)",
     )
     # Validated in _run_command (not via argparse type=) so that a bad count
     # is a one-line stderr error like the unknown-name/unsupported-backend
@@ -113,108 +172,20 @@ def _dispatch(argv: list[str]) -> int:
         help="shard trials across N local worker processes via the "
         "distributed coordinator (see the 'coordinate'/'worker' subcommands)",
     )
-    run_parser.add_argument(
-        "--scale",
-        type=_positive_float,
-        default=1.0,
-        help="trial-count scale factor (1.0 = the paper's full counts)",
-    )
-    run_parser.add_argument(
-        "--out",
-        default=str(DEFAULT_RESULTS_DIR),
-        help="artifact directory (default: results/)",
-    )
-    run_parser.add_argument(
-        "--seed", type=int, default=None, help="override the experiment's base seed"
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=SUBSTRATE_BACKENDS,
-        default="sim",
-        help="overlay transport backend for figs. 11-15: 'sim' (discrete-event, "
-        "default) or 'aio' (asyncio localhost TCP)",
-    )
-    # Validated in _run_command via the runner's validate_scheme so an
-    # unsupported scheme/backend pairing is a one-line exit-2 error listing
-    # the supported schemes, not a usage dump.
-    run_parser.add_argument(
-        "--scheme",
-        default=None,
-        metavar="NAME",
-        help="restrict a scheme-capable experiment (figs. 11-15) to one "
-        "registered protocol runtime (slicing, onion, onion-erasure, sphinx)",
-    )
-    # Validated in _run_command via the runner's validate_kernel so a
-    # missing compiled backend is a one-line exit-2 error, not a traceback.
-    run_parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="GF(2^8) kernel trials execute with: 'numpy' (reference) or "
-        "'compiled' (numba/cext, requires the 'fast' extra or a C "
-        "toolchain); results are bit-identical either way",
-    )
-    run_parser.add_argument(
-        "--transport",
-        choices=_TRANSPORT_CHOICES,
-        default="plain",
-        help="wire transport for --dist runs: 'plain' (default) or 'secure' "
-        "(authenticated Noise-style channel with auto-generated throwaway "
-        "keys); artifacts are byte-identical either way",
-    )
-    run_parser.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even if a matching artifact exists",
-    )
 
     coordinate_parser = subparsers.add_parser(
         "coordinate",
+        parents=[matrix_flags, job_flags, transport_flags, peer_flags],
         help="lease one experiment's trials to TCP workers and merge the rows",
     )
     coordinate_parser.add_argument(
         "name", help="registered experiment name (see the 'list' subcommand)"
     )
     coordinate_parser.add_argument(
-        "--host", default="127.0.0.1", help="interface to bind (default: 127.0.0.1)"
-    )
-    coordinate_parser.add_argument(
         "--port",
         type=int,
         default=0,
         help="TCP port to listen on (default: 0 = pick a free port and print it)",
-    )
-    coordinate_parser.add_argument(
-        "--scale",
-        type=_positive_float,
-        default=1.0,
-        help="trial-count scale factor (1.0 = the paper's full counts)",
-    )
-    coordinate_parser.add_argument(
-        "--seed", type=int, default=None, help="override the experiment's base seed"
-    )
-    coordinate_parser.add_argument(
-        "--out",
-        default=str(DEFAULT_RESULTS_DIR),
-        help="artifact directory (default: results/)",
-    )
-    coordinate_parser.add_argument(
-        "--backend",
-        choices=SUBSTRATE_BACKENDS,
-        default="sim",
-        help="overlay transport backend workers run trials on (default: sim)",
-    )
-    coordinate_parser.add_argument(
-        "--scheme",
-        default=None,
-        metavar="NAME",
-        help="restrict a scheme-capable experiment to one protocol runtime",
-    )
-    coordinate_parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="GF(2^8) kernel workers execute trials with (numpy or compiled)",
     )
     coordinate_parser.add_argument(
         "--chunk", type=int, default=1, help="trial indices per lease (default: 1)"
@@ -239,42 +210,16 @@ def _dispatch(argv: list[str]) -> int:
         help="abort if the run has not completed after this many seconds",
     )
     coordinate_parser.add_argument(
-        "--matrix",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="scenario-matrix spec file whose cells to register (repeatable)",
-    )
-    coordinate_parser.add_argument(
-        "--transport",
-        choices=_TRANSPORT_CHOICES,
-        default="plain",
-        help="wire transport workers must speak: 'plain' (default) or "
-        "'secure' (requires --keyfile and --authorized-keys)",
-    )
-    coordinate_parser.add_argument(
-        "--keyfile",
-        default=None,
-        metavar="PATH",
-        help="coordinator static secret key file (see the 'keygen' subcommand)",
-    )
-    coordinate_parser.add_argument(
         "--authorized-keys",
         default=None,
         metavar="PATH",
         help="allowlist of authorized worker public keys, one hex key per line",
     )
-    coordinate_parser.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even if a matching artifact exists",
-    )
 
     worker_parser = subparsers.add_parser(
-        "worker", help="execute leased trials for a coordinator"
-    )
-    worker_parser.add_argument(
-        "--host", default="127.0.0.1", help="coordinator host (default: 127.0.0.1)"
+        "worker",
+        parents=[matrix_flags, transport_flags, peer_flags],
+        help="execute leased trials for a coordinator",
     )
     worker_parser.add_argument(
         "--port", type=int, required=True, help="coordinator port"
@@ -295,28 +240,6 @@ def _dispatch(argv: list[str]) -> int:
         metavar="N",
         help="fault injection: die abruptly upon receiving lease N+1 "
         "(exercises the coordinator's re-dispatch path)",
-    )
-    worker_parser.add_argument(
-        "--matrix",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="scenario-matrix spec file whose cells to register before "
-        "serving leases (remote workers that did not inherit "
-        "REPRO_SCENARIO_MATRIX)",
-    )
-    worker_parser.add_argument(
-        "--transport",
-        choices=_TRANSPORT_CHOICES,
-        default="plain",
-        help="wire transport to the coordinator: 'plain' (default) or "
-        "'secure' (requires --keyfile and --coordinator-key)",
-    )
-    worker_parser.add_argument(
-        "--keyfile",
-        default=None,
-        metavar="PATH",
-        help="worker static secret key file (see the 'keygen' subcommand)",
     )
     worker_parser.add_argument(
         "--coordinator-key",
@@ -504,72 +427,39 @@ def _load_credential(
     )
 
 
-def _validate_names(names: list[str], backend: str) -> int:
-    """Shared up-front validation so usage mistakes exit with one line,
-    while genuine failures inside trial code keep their tracebacks."""
-    unknown = [name for name in names if name not in experiment_names()]
-    if unknown:
-        known = ", ".join(experiment_names())
-        return _fail(f"unknown experiment(s): {', '.join(unknown)} (known: {known})")
-    unsupported = [
-        name for name in names if backend not in get_experiment(name).backends
-    ]
-    if unsupported:
-        return _fail(
-            f"experiment(s) {', '.join(unsupported)} do not support "
-            f"backend {backend!r} (simulator-only)"
-        )
-    return 0
+def _jobs(names: list[str], args: argparse.Namespace, *, sharded: bool):
+    """Every requested run as a validated Job: ``(jobs, 0)`` or ``(None, 2)``.
 
-
-def _validate_scheme(names: list[str], scheme: str | None, backend: str) -> int:
-    """Per-experiment --scheme validation: one-line exit-2 usage errors."""
-    if scheme is None:
-        return 0
-    from .runner import validate_scheme
-
-    for name in names:
-        try:
-            validate_scheme(get_experiment(name), scheme, backend)
-        except ValueError as error:
-            return _fail(str(error))
-    return 0
-
-
-def _validate_kernel(names: list[str], kernel: str | None) -> int:
-    """Per-experiment --kernel validation: one-line exit-2 usage errors.
-
-    An unavailable compiled backend is a usage error too (install the
-    ``fast`` extra or provide a C toolchain), so it gets the same one-line
-    treatment instead of a traceback.
+    Building them all up front means usage mistakes exit with one line
+    before any trial runs, while genuine failures inside trial code keep
+    their tracebacks.  An unavailable compiled backend is a usage error too
+    (install the ``fast`` extra or provide a C toolchain).
     """
-    if kernel is None:
-        return 0
-    from ..core.errors import KernelUnavailableError
-    from .runner import validate_kernel
+    try:
+        jobs = [
+            Job(name, args.scale, args.seed, args.backend, args.scheme, args.kernel)
+            for name in names
+        ]
+        if sharded:
+            for job in jobs:
+                job.require_shardable()
+    except (KeyError, UsageError, KernelUnavailableError) as error:
+        return None, _fail(error.args[0])
+    return jobs, 0
 
-    for name in names:
-        try:
-            validate_kernel(get_experiment(name), kernel)
-        except (ValueError, KernelUnavailableError) as error:
-            return _fail(str(error))
-    return 0
 
-
-def _print_result(name: str, result) -> None:
-    """Shared table printing for RunResult and DistributedRunResult."""
+def _print_result(result: RunResult) -> None:
     status = "cached" if result.cached else f"{result.elapsed_seconds:.2f}s"
     header = f"scale={result.scale}, seed={result.seed}"
     if result.backend != "sim":
         header += f", backend={result.backend}"
-    if getattr(result, "scheme", None):
+    if result.scheme:
         header += f", scheme={result.scheme}"
-    if getattr(result, "kernel", None):
+    if result.kernel:
         header += f", kernel={result.kernel}"
-    workers_seen = getattr(result, "workers_seen", 0)
-    if workers_seen:
-        header += f", dist-workers={workers_seen}"
-    print(f"\n=== {name} ({header}, {status}) ===")
+    if result.workers_seen:
+        header += f", dist-workers={result.workers_seen}"
+    print(f"\n=== {result.name} ({header}, {status}) ===")
     # The structural parity sub-dicts are artifact material, not table
     # material — they would dwarf every other column.
     print(
@@ -607,73 +497,34 @@ def _run_command(args: argparse.Namespace, matrices: list) -> int:
             "--transport applies to the distributed wire; pair it with --dist "
             "(or use the coordinate/worker subcommands)"
         )
-    code = _validate_names(args.names, args.backend)
+    jobs, code = _jobs(args.names, args, sharded=args.dist is not None)
     if code:
         return code
-    code = _validate_scheme(args.names, args.scheme, args.backend)
-    if code:
-        return code
-    code = _validate_kernel(args.names, args.kernel)
-    if code:
-        return code
-    if args.dist is not None:
-        unshardable = [
-            name for name in args.names if not get_experiment(name).shardable
-        ]
-        if unshardable:
-            return _fail(
-                f"experiment(s) {', '.join(unshardable)} are not shardable "
-                "(single-host wall-clock measurements); drop --dist"
-            )
-    for name in args.names:
+    for job in jobs:
         if args.dist is not None:
             from .distributed import run_distributed
 
             result = run_distributed(
-                name,
-                scale=args.scale,
-                seed=args.seed,
+                **asdict(job),
                 out_dir=args.out,
                 force=args.force,
-                backend=args.backend,
-                scheme=args.scheme,
-                kernel=args.kernel,
                 workers=args.dist,
                 transport=args.transport,
             )
         else:
             result = run_experiment(
-                name,
-                scale=args.scale,
-                workers=args.workers,
-                seed=args.seed,
-                out_dir=args.out,
-                force=args.force,
-                backend=args.backend,
-                scheme=args.scheme,
-                kernel=args.kernel,
+                **asdict(job), workers=args.workers, out_dir=args.out, force=args.force
             )
-        _print_result(name, result)
+        _print_result(result)
     return 0
 
 
 def _coordinate_command(args: argparse.Namespace) -> int:
     from .distributed import run_distributed
 
-    code = _validate_names([args.name], args.backend)
+    jobs, code = _jobs([args.name], args, sharded=True)
     if code:
         return code
-    code = _validate_scheme([args.name], args.scheme, args.backend)
-    if code:
-        return code
-    code = _validate_kernel([args.name], args.kernel)
-    if code:
-        return code
-    if not get_experiment(args.name).shardable:
-        return _fail(
-            f"experiment {args.name!r} is not shardable "
-            "(single-host wall-clock measurement)"
-        )
     if args.chunk < 1:
         return _fail(f"--chunk must be >= 1, got {args.chunk}")
     if args.lease_seconds <= 0:
@@ -693,14 +544,9 @@ def _coordinate_command(args: argparse.Namespace) -> int:
     elif args.keyfile or args.authorized_keys:
         return _fail("--keyfile/--authorized-keys require --transport secure")
     result = run_distributed(
-        args.name,
-        scale=args.scale,
-        seed=args.seed,
+        **asdict(jobs[0]),
         out_dir=args.out,
         force=args.force,
-        backend=args.backend,
-        scheme=args.scheme,
-        kernel=args.kernel,
         host=args.host,
         port=args.port,
         workers=0,
@@ -717,7 +563,7 @@ def _coordinate_command(args: argparse.Namespace) -> int:
         f"trials={result.trial_count} workers={result.workers_seen} "
         f"redispatched={result.redispatched} cached={str(result.cached).lower()}"
     )
-    _print_result(args.name, result)
+    _print_result(result)
     return 0
 
 
@@ -791,33 +637,6 @@ def _report_command(args: argparse.Namespace, matrix) -> int:
     print(f"json: {json_path}")
     if md_path is not None:
         print(f"markdown: {md_path}")
-    return 0
-
-
-def _legacy_main(argv: list[str]) -> int:
-    from .figures import FIGURES
-
-    parser = argparse.ArgumentParser(
-        description="Regenerate paper figures (legacy interface)."
-    )
-    parser.add_argument(
-        "figures",
-        nargs="*",
-        choices=[*FIGURES, []],
-        help="figures to regenerate (default: all)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=0.2,
-        help="trial-count scale factor (1.0 = the paper's full counts)",
-    )
-    args = parser.parse_args(argv)
-    selected = args.figures or list(FIGURES)
-    for name in selected:
-        rows = FIGURES[name](scale=args.scale)
-        print(f"\n=== {name} ===")
-        print(format_table(rows))
     return 0
 
 

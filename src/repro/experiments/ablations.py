@@ -22,7 +22,6 @@ from ..overlay.selection import (
     uniform_selection,
 )
 from .registry import Experiment, register
-from .runner import experiment_rows
 from .trials import chunked_points, merge_chunks, spawn_seed
 
 
@@ -73,11 +72,6 @@ register(
         shardable=False,  # single-host comparison; numbers mean nothing sharded
     )
 )
-
-
-def ablation_transforms(scale: float = 1.0) -> list[dict]:
-    """Ablation §9.4a: per-hop transform overhead on top of plain coding."""
-    return experiment_rows("ablation_transforms", scale=scale)
 
 
 # -- §9.1: AS-diverse vs. uniform relay selection --------------------------------
@@ -132,11 +126,6 @@ register(
         reduce=_as_selection_reduce,
     )
 )
-
-
-def ablation_as_selection(scale: float = 1.0) -> list[dict]:
-    """Ablation §9.1: adversary capture under uniform vs. AS-diverse selection."""
-    return experiment_rows("ablation_as_selection", scale=scale)
 
 
 # -- §4.4.1: in-network redundancy regeneration on vs. off -----------------------
@@ -206,8 +195,3 @@ register(
         reduce=_network_coding_reduce,
     )
 )
-
-
-def ablation_network_coding(scale: float = 1.0) -> list[dict]:
-    """Ablation §4.4.1: transfer success with regeneration enabled vs. disabled."""
-    return experiment_rows("ablation_network_coding", scale=scale)

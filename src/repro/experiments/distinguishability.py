@@ -46,7 +46,6 @@ import numpy as np
 from ..overlay.node import SimulatedOverlayNetwork
 from ..overlay.profiles import LAN_PROFILE, OverlayProfile
 from .registry import Experiment, register
-from .runner import experiment_rows
 from .throughput import (
     connection_bps_for,
     prepare_scheme_transfer,
@@ -269,8 +268,3 @@ register(
         run_trial=_distinguishability_run,
     )
 )
-
-
-def distinguishability_rows(scale: float = 1.0) -> list[dict]:
-    """Packet-size distinguishability: hop-position leakage per scheme."""
-    return experiment_rows("distinguishability", scale=scale)

@@ -12,13 +12,13 @@ Roles
   with an expiry deadline, hands a lease to whichever worker asks, collects
   completed rows, re-enqueues the outstanding indices of a lease when its
   worker dies or the lease times out, and — once every index has a result —
-  merges the rows through the runner's canonical artifact path
-  (:func:`~repro.experiments.runner.write_run_artifacts`).
+  hands them to the runner's one pipeline
+  (:func:`~repro.experiments.runner.run_job`) to reduce and write.
 * A **worker** (:func:`run_worker`, CLI ``repro-experiments worker``)
-  connects, learns ``(experiment, scale, seed, backend)`` from the job
-  frame, *rebuilds the trial list and per-trial seed sequences locally*
-  (:func:`~repro.experiments.runner.build_trial_list` /
-  :func:`~repro.experiments.runner.trial_payloads`), and then loops:
+  connects, parses the job frame back into the coordinator's
+  :class:`~repro.experiments.runner.Job` (:func:`job_from_frame` — the
+  coordinator's own validation, re-run on this host), *rebuilds the trial
+  list and per-trial seed sequences locally* from it, and then loops:
   request a lease, execute its trials through the shared
   :func:`~repro.experiments.runner.execute_trial` core, send the rows back.
 
@@ -41,7 +41,8 @@ type            direction  payload
 ==============  =========  ====================================================
 ``hello``       w -> c     ``protocol``, ``worker`` (display label)
 ``job``         c -> w     ``protocol``, ``experiment``, ``scale``, ``seed``,
-                           ``backend``, ``trial_count``, ``trials_digest``
+                           ``backend``, ``scheme``, ``kernel``,
+                           ``trial_count``, ``trials_digest``
 ``request``     w -> c     ask for work
 ``lease``       c -> w     ``lease_id``, ``indices`` (trial indices to run)
 ``result``      w -> c     ``lease_id``, ``results``: ``[[index, row], ...]``
@@ -56,7 +57,10 @@ exactly one of ``lease`` / ``wait`` / ``done``.  Truncated and oversized
 frames are rejected exactly as on the overlay wire (property-tested in
 ``tests/test_dist_protocol.py``); results are recorded *per trial index* and
 only the first result for an index counts, which makes duplicate and stale
-(post-re-dispatch) deliveries idempotent.
+(post-re-dispatch) deliveries idempotent.  Frames from the other side are
+outside input: a missing or mistyped field is a
+:class:`~repro.core.errors.PacketFormatError` on the receiving side, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ import sys
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..core.errors import (
@@ -89,19 +93,7 @@ from ..net import (
     handshake,
     write_keypair,
 )
-from .registry import Experiment, get_experiment
-from .runner import (
-    _jsonify,
-    _load_cached_document,
-    _write_parity_artifact,
-    build_trial_list,
-    execute_trial,
-    reduce_rows,
-    trial_payloads,
-    validate_kernel,
-    validate_scheme,
-    write_run_artifacts,
-)
+from .runner import Job, RunResult, UsageError, _jsonify, execute_trial, run_job
 
 #: Version tag carried by ``hello`` and ``job``; mismatch is a hard error.
 PROTOCOL_VERSION = 1
@@ -173,6 +165,66 @@ def trials_digest(trials: list[dict]) -> str:
     """
     canonical = json.dumps(trials, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _frame_field(message: dict, key: str, *kinds: type):
+    """``message[key]``, which must be an instance of one of ``kinds``.
+
+    Frames come from another host, so a missing field (``None``) or one of
+    the wrong JSON type is a :class:`~repro.core.errors.PacketFormatError`;
+    ``true``/``false`` never pass for a number.
+    """
+    value = message.get(key)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+        raise PacketFormatError(
+            f"malformed {message['type']} frame: {key!r} is {value!r}, expected {expected}"
+        )
+    return value
+
+
+def job_frame(job: Job) -> dict:
+    """The ``job`` frame announcing ``job`` to a worker."""
+    return {
+        "type": "job",
+        "protocol": PROTOCOL_VERSION,
+        "experiment": job.name,
+        "scale": job.scale,
+        "seed": job.seed,
+        "backend": job.backend,
+        "scheme": job.scheme,
+        "kernel": job.kernel,
+        "trial_count": len(job.trials),
+        "trials_digest": trials_digest(job.trials),
+    }
+
+
+def job_from_frame(frame: dict) -> Job:
+    """Parse a ``job`` frame back into the coordinator's :class:`Job`.
+
+    Building the ``Job`` re-runs the coordinator's own validation on this
+    host (unknown experiment, kernel that cannot load here, ...); a trial
+    list that then differs from the coordinator's in count or digest means
+    the two sides run different code, and is a
+    :class:`~repro.experiments.runner.UsageError` as well.
+    """
+    none = type(None)
+    count = _frame_field(frame, "trial_count", int)
+    digest = _frame_field(frame, "trials_digest", str)
+    job = Job(
+        name=_frame_field(frame, "experiment", str),
+        scale=_frame_field(frame, "scale", int, float),
+        seed=_frame_field(frame, "seed", int),
+        backend=_frame_field(frame, "backend", str),
+        scheme=_frame_field(frame, "scheme", str, none),
+        kernel=_frame_field(frame, "kernel", str, none),
+    )
+    if (len(job.trials), trials_digest(job.trials)) != (count, digest):
+        raise UsageError(
+            f"local trial list for {job.name!r} does not match the "
+            "coordinator's (code version skew?)"
+        )
+    return job
 
 
 # -- lease bookkeeping --------------------------------------------------------------
@@ -320,31 +372,6 @@ class TrialLedger:
 # -- coordinator --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistributedRunResult:
-    """Outcome of one distributed experiment run."""
-
-    name: str
-    scale: float
-    seed: int
-    backend: str
-    rows: list[dict]
-    trial_count: int
-    artifact: Path | None
-    cached: bool
-    elapsed_seconds: float
-    #: First lease granted -> last result recorded; excludes worker start-up,
-    #: which is what the ``distbench`` sharding-speedup gate measures.
-    compute_seconds: float
-    workers_seen: int
-    redispatched: int
-    scheme: str | None = None
-    kernel: str | None = None
-    #: Wire transport the run used ("plain" | "secure"); the merged artifact
-    #: is byte-identical either way.
-    transport: str = "plain"
-
-
 @dataclass
 class _CoordinatorState:
     """Mutable run state shared by the socket handlers and the watchdog."""
@@ -370,24 +397,21 @@ class Coordinator:
 
     def __init__(
         self,
-        experiment: Experiment,
-        trials: list[dict],
-        scale: float,
-        seed: int,
-        backend: str = "sim",
-        scheme: str | None = None,
-        kernel: str | None = None,
+        job: Job,
         host: str = "127.0.0.1",
         port: int = 0,
+        workers: int = 0,
+        min_workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        min_workers: int = 1,
         timeout: float | None = None,
         transport: str = "plain",
         credential: TransportCredential | None = None,
-        worker_extra_args: list[str] | None = None,
         log=None,
     ) -> None:
+        min_workers = max(workers, 1) if min_workers is None else min_workers
+        if workers < 0:
+            raise ValueError(f"worker count must be >= 0, got {workers}")
         if min_workers < 1:
             raise ValueError(f"min_workers must be >= 1, got {min_workers}")
         if transport not in TRANSPORTS:
@@ -395,39 +419,62 @@ class Coordinator:
             raise ValueError(
                 f"unknown transport {transport!r} (supported: {supported})"
             )
-        if transport == "secure" and credential is None:
+        if transport == "secure" and credential is None and workers == 0:
             raise ValueError(
-                "the secure transport needs a TransportCredential "
-                "(static keypair + authorized worker keys)"
+                "a secure run awaiting external workers needs a TransportCredential "
+                "(key files); only the spawn-local mode can generate throwaway keys"
             )
-        self.transport = transport
-        self.credential = credential
-        self.worker_extra_args = list(worker_extra_args or [])
-        self.experiment = experiment
-        self.trials = trials
-        self.scale = scale
-        self.seed = seed
-        self.backend = backend
-        self.scheme = scheme
-        self.kernel = kernel
+        self.job = job
         self.host = host
         self.port = port
-        self.lease_seconds = lease_seconds
+        self.workers = workers
         self.min_workers = min_workers
+        self.lease_seconds = lease_seconds
         self.timeout = timeout
+        self.transport = transport
+        self.credential = credential
         self.log = log or (lambda message: None)
         self.state = _CoordinatorState(
-            ledger=TrialLedger(len(trials), chunk_size, lease_seconds)
+            ledger=TrialLedger(len(job.trials), chunk_size, lease_seconds)
         )
-        self._digest = trials_digest(trials)
+        self._job_frame = job_frame(job)
+        self._worker_extra_args: list[str] = []
         self._handler_tasks: set[asyncio.Task] = set()
         self._handler_writers: set[asyncio.StreamWriter] = set()
 
-    async def serve(self, spawn_local: int = 0) -> list[dict]:
+    def run(self) -> list[dict]:
+        """Serve to completion on a fresh event loop; the pipeline's executor.
+
+        A secure spawn-local run without a credential provisions itself:
+        throwaway coordinator and worker keypairs plus a one-key allowlist,
+        handed to the spawned workers as ordinary key-file flags and deleted
+        with the run — the handshake is fully exercised with zero
+        provisioning.
+        """
+        if self.transport != "secure" or self.credential is not None:
+            return asyncio.run(self.serve())
+        with tempfile.TemporaryDirectory(prefix="repro-net-keys-") as key_dir:
+            coordinator_pair = write_keypair(Path(key_dir) / "coordinator.key")
+            worker_pair = write_keypair(Path(key_dir) / "worker.key")
+            self.credential = TransportCredential(
+                keypair=coordinator_pair,
+                authorized=frozenset({worker_pair.public}),
+            )
+            self._worker_extra_args = [
+                "--transport",
+                "secure",
+                "--keyfile",
+                str(Path(key_dir) / "worker.key"),
+                "--coordinator-key",
+                str(Path(key_dir) / "coordinator.key.pub"),
+            ]
+            return asyncio.run(self.serve())
+
+    async def serve(self) -> list[dict]:
         """Run to completion; returns the per-trial results in trial order.
 
-        ``spawn_local`` convenience mode launches that many worker processes
-        against the bound port (the CLI's ``run --dist N``).
+        ``workers`` (the CLI's ``run --dist N`` convenience mode) launches
+        that many worker processes against the bound port.
         """
         state = self.state
         if state.ledger.total == 0:
@@ -435,18 +482,18 @@ class Coordinator:
         server = await asyncio.start_server(self._handle_worker, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
         self.log(
-            f"coordinator: {self.experiment.name} scale={self.scale} "
-            f"seed={self.seed} trials={state.ledger.total} "
+            f"coordinator: {self.job.name} scale={self.job.scale} "
+            f"seed={self.job.seed} trials={state.ledger.total} "
             f"listening on {self.host}:{self.port}"
         )
-        workers: list[subprocess.Popen] = []
+        spawned: list[subprocess.Popen] = []
         watchdog = asyncio.ensure_future(self._watch_expiry())
         try:
-            workers = [self._spawn_local_worker(rank) for rank in range(spawn_local)]
+            spawned = [self._spawn_local_worker(rank) for rank in range(self.workers)]
             await asyncio.wait_for(state.done.wait(), self.timeout)
         except asyncio.TimeoutError:
             raise TimeoutError(
-                f"distributed run of {self.experiment.name!r} timed out after "
+                f"distributed run of {self.job.name!r} timed out after "
                 f"{self.timeout}s with {state.ledger.completed}/{state.ledger.total} "
                 "trials complete"
             ) from None
@@ -455,7 +502,7 @@ class Coordinator:
             server.close()
             await server.wait_closed()
             await self._drain_handlers()
-            self._reap(workers)
+            self._reap(spawned)
         return state.ledger.results_in_order()
 
     async def _drain_handlers(self) -> None:
@@ -487,7 +534,7 @@ class Coordinator:
             str(self.port),
             "--label",
             f"local-{rank}",
-            *self.worker_extra_args,
+            *self._worker_extra_args,
         ]
         return subprocess.Popen(command, stdout=subprocess.DEVNULL)
 
@@ -562,21 +609,7 @@ class Coordinator:
             label = str(message.get("worker") or "worker")
             worker_key = f"{label}#{state.workers_seen}"
             self.log(f"coordinator: worker {worker_key} connected")
-            await self._send(
-                channel,
-                {
-                    "type": "job",
-                    "protocol": PROTOCOL_VERSION,
-                    "experiment": self.experiment.name,
-                    "scale": self.scale,
-                    "seed": self.seed,
-                    "backend": self.backend,
-                    "scheme": self.scheme,
-                    "kernel": self.kernel,
-                    "trial_count": state.ledger.total,
-                    "trials_digest": self._digest,
-                },
-            )
+            await self._send(channel, self._job_frame)
             if state.connected >= self.min_workers:
                 state.ready.set()
             await state.ready.wait()
@@ -619,11 +652,8 @@ class Coordinator:
 
     def _record_result(self, message: dict) -> None:
         state = self.state
-        raw = message.get("results")
-        if not isinstance(raw, list):
-            raise PacketFormatError("result message carries no results list")
         results: dict[int, dict] = {}
-        for entry in raw:
+        for entry in _frame_field(message, "results", list):
             if not (
                 isinstance(entry, list)
                 and len(entry) == 2
@@ -632,7 +662,7 @@ class Coordinator:
             ):
                 raise PacketFormatError("result entries must be [index, row] pairs")
             results[entry[0]] = entry[1]
-        state.ledger.complete(int(message.get("lease_id", 0)), results)
+        state.ledger.complete(_frame_field(message, "lease_id", int), results)
         state.note_progress()
 
     def _next_reply(self, worker_key: str) -> dict:
@@ -670,7 +700,7 @@ def run_distributed(
     transport: str = "plain",
     credential: TransportCredential | None = None,
     log=None,
-) -> DistributedRunResult:
+) -> RunResult:
     """Coordinate one distributed experiment run to completion.
 
     With ``workers=0`` (the ``coordinate`` CLI) the coordinator binds and
@@ -683,139 +713,38 @@ def run_distributed(
     ``transport="secure"`` mounts the frames on the authenticated
     :mod:`repro.net` channel.  A ``coordinate``-style run passes its own
     ``credential`` (loaded from key files); the spawn-local convenience mode
-    may omit it, in which case a throwaway coordinator/worker keypair and
-    allowlist are generated in a temporary directory and handed to the
-    spawned workers — the handshake is fully exercised with zero
-    provisioning.  Either way the merged artifact is byte-identical to a
-    plaintext run of the same ``(name, scale, seed)``.
+    may omit it and gets throwaway keys (:meth:`Coordinator.run`).  Either
+    way the merged artifact is byte-identical to a plaintext run of the same
+    ``(name, scale, seed)``.
 
-    Artifact and cache behaviour mirror :func:`~repro.experiments.runner.
-    run_experiment`: deterministic sim-backend runs write (and may be served
-    from) the same canonical ``<name>.json``, byte-identical to the
-    single-process artifact.
+    The run request and the artifact and cache behaviour are
+    :func:`~repro.experiments.runner.run_experiment`'s — same
+    :class:`~repro.experiments.runner.Job`, same pipeline — so deterministic
+    sim-backend runs write (and may be served from) the same canonical
+    ``<name>.json``, byte-identical to the single-process artifact.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
-    if transport not in TRANSPORTS:
-        supported = ", ".join(TRANSPORTS)
-        raise ValueError(f"unknown transport {transport!r} (supported: {supported})")
-    if transport == "secure" and credential is None and workers == 0:
-        raise ValueError(
-            "a secure run awaiting external workers needs a TransportCredential "
-            "(key files); only the spawn-local mode can generate throwaway keys"
-        )
-    experiment = get_experiment(name)
-    if not experiment.shardable:
-        raise ValueError(
-            f"experiment {name!r} is not shardable (single-host wall-clock "
-            "measurement); run it through `run` instead"
-        )
-    if backend not in experiment.backends:
-        supported = ", ".join(experiment.backends)
-        raise ValueError(
-            f"experiment {name!r} does not support backend {backend!r} "
-            f"(supported: {supported})"
-        )
-    if scheme is not None:
-        validate_scheme(experiment, scheme, backend)
-    if kernel is not None:
-        validate_kernel(experiment, kernel)
-    seed = experiment.base_seed if seed is None else int(seed)
-    started = time.perf_counter()
-    trials = build_trial_list(experiment, scale, backend, scheme)
-    cacheable = experiment.deterministic and backend == "sim"
-
-    artifact = None if out_dir is None else Path(out_dir) / f"{name}.json"
-    if artifact is not None and not force and cacheable:
-        cached = _load_cached_document(artifact, name, scale, seed, trials)
-        if cached is not None:
-            # Keep the parity mirror tracking the served rows, exactly like
-            # the local runner's cache path.
-            _write_parity_artifact(artifact, experiment, scale, seed, cached["rows"])
-            return DistributedRunResult(
-                name=name,
-                scale=scale,
-                seed=seed,
-                backend=backend,
-                rows=cached["rows"],
-                trial_count=len(cached["trials"]),
-                artifact=artifact,
-                cached=True,
-                elapsed_seconds=time.perf_counter() - started,
-                compute_seconds=0.0,
-                workers_seen=0,
-                redispatched=0,
-                scheme=scheme,
-                kernel=kernel,
-                transport=transport,
-            )
-
-    worker_extra_args: list[str] = []
-    key_dir: tempfile.TemporaryDirectory | None = None
-    if transport == "secure" and credential is None:
-        # Spawn-local mode provisions itself: throwaway coordinator and
-        # worker keypairs plus a one-key allowlist, handed to the spawned
-        # workers as ordinary key-file flags.
-        key_dir = tempfile.TemporaryDirectory(prefix="repro-net-keys-")
-        coordinator_pair = write_keypair(Path(key_dir.name) / "coordinator.key")
-        worker_pair = write_keypair(Path(key_dir.name) / "worker.key")
-        credential = TransportCredential(
-            keypair=coordinator_pair,
-            authorized=frozenset({worker_pair.public}),
-        )
-        worker_extra_args = [
-            "--transport",
-            "secure",
-            "--keyfile",
-            str(Path(key_dir.name) / "worker.key"),
-            "--coordinator-key",
-            str(Path(key_dir.name) / "coordinator.key.pub"),
-        ]
-
+    job = Job(name, scale, seed, backend, scheme, kernel)
+    job.require_shardable()
     coordinator = Coordinator(
-        experiment,
-        trials,
-        scale=scale,
-        seed=seed,
-        backend=backend,
-        scheme=scheme,
-        kernel=kernel,
+        job,
         host=host,
         port=port,
+        workers=workers,
+        min_workers=min_workers,
         chunk_size=chunk_size,
         lease_seconds=lease_seconds,
-        min_workers=max(workers, 1) if min_workers is None else min_workers,
         timeout=timeout,
         transport=transport,
         credential=credential,
-        worker_extra_args=worker_extra_args,
         log=log,
     )
-    try:
-        results = asyncio.run(coordinator.serve(spawn_local=workers))
-    finally:
-        if key_dir is not None:
-            key_dir.cleanup()
-    rows = reduce_rows(experiment, trials, [_jsonify(result) for result in results])
-    if artifact is not None:
-        write_run_artifacts(artifact, experiment, scale, seed, trials, rows)
-    return DistributedRunResult(
-        name=name,
-        scale=scale,
-        seed=seed,
-        backend=backend,
-        rows=rows,
-        trial_count=len(trials),
-        artifact=artifact,
-        cached=False,
-        elapsed_seconds=time.perf_counter() - started,
-        compute_seconds=coordinator.state.compute_seconds,
-        workers_seen=coordinator.state.workers_seen,
-        redispatched=coordinator.state.redispatched,
-        scheme=scheme,
-        kernel=kernel,
+    result = run_job(job, coordinator.run, workers, out_dir, force)
+    state = coordinator.state
+    return replace(
+        result,
+        compute_seconds=state.compute_seconds,
+        workers_seen=state.workers_seen,
+        redispatched=state.redispatched,
         transport=transport,
     )
 
@@ -906,55 +835,28 @@ def run_worker(
 
         label = label or f"pid-{os.getpid()}"
         send({"type": "hello", "protocol": PROTOCOL_VERSION, "worker": label})
-        job = recv()
-        if job is None:
+        frame = recv()
+        if frame is None:
             return 1
-        if job.get("type") == "error":
-            print(f"worker error: {job.get('message')}", file=sys.stderr)
+        if frame.get("type") == "error":
+            print(f"worker error: {frame.get('message')}", file=sys.stderr)
             return 1
-        if job.get("type") != "job" or job.get("protocol") != PROTOCOL_VERSION:
-            print(f"worker error: unexpected job frame {job!r}", file=sys.stderr)
+        if frame.get("type") != "job" or frame.get("protocol") != PROTOCOL_VERSION:
+            print(f"worker error: unexpected job frame {frame!r}", file=sys.stderr)
             return 1
         try:
-            experiment = get_experiment(str(job["experiment"]))
-        except KeyError:
+            job = job_from_frame(frame)
+        except (KeyError, UsageError, KernelUnavailableError) as error:
+            # The coordinator's own checks, failing on this host: an unknown
+            # experiment or a differing trial list means the two sides run
+            # different code; a kernel may simply not load here.
             print(
-                f"worker error: coordinator's experiment {job['experiment']!r} is "
-                "not in this worker's registry (code version skew?)",
+                f"worker error: cannot serve the coordinator's job: {error.args[0]}",
                 file=sys.stderr,
             )
             return 1
-        scheme = job.get("scheme")
-        trials = build_trial_list(
-            experiment,
-            float(job["scale"]),
-            str(job.get("backend", "sim")),
-            None if scheme is None else str(scheme),
-        )
-        if (
-            len(trials) != job.get("trial_count")
-            or trials_digest(trials) != job.get("trials_digest")
-        ):
-            print(
-                f"worker error: local trial list for {experiment.name!r} does not "
-                "match the coordinator's (code version skew?)",
-                file=sys.stderr,
-            )
-            return 1
-        kernel = job.get("kernel")
-        if kernel is not None:
-            try:
-                validate_kernel(experiment, str(kernel))
-            except (ValueError, KernelUnavailableError) as error:
-                print(f"worker error: {error}", file=sys.stderr)
-                return 1
-        payloads = trial_payloads(
-            experiment.name,
-            trials,
-            int(job["seed"]),
-            None if kernel is None else str(kernel),
-        )
-        log(f"worker {label}: joined {experiment.name} ({len(trials)} trials)")
+        payloads = job.payloads()
+        log(f"worker {label}: joined {job.name} ({len(payloads)} trials)")
         leases_taken = 0
         send({"type": "request"})
         while True:
@@ -966,7 +868,8 @@ def run_worker(
                 return 0
             kind = message["type"]
             if kind == "wait":
-                time.sleep(min(float(message.get("seconds", DEFAULT_POLL_SECONDS)), 2.0))
+                seconds = _frame_field(message, "seconds", int, float)
+                time.sleep(min(max(0.0, seconds), 2.0))
                 send({"type": "request"})
             elif kind == "lease":
                 leases_taken += 1
@@ -974,17 +877,20 @@ def run_worker(
                     log(f"worker {label}: injected crash on lease {leases_taken}")
                     sock.close()
                     return 1
+                lease_id = _frame_field(message, "lease_id", int)
+                indices = _frame_field(message, "indices", list)
+                if not all(
+                    type(index) is int and 0 <= index < len(payloads) for index in indices
+                ):
+                    raise PacketFormatError(
+                        f"malformed lease frame: 'indices' is {indices!r}, expected "
+                        f"trial indices in 0..{len(payloads) - 1}"
+                    )
                 results = []
-                for index in message["indices"]:
-                    _, result = execute_trial(payloads[int(index)])
-                    results.append([int(index), _jsonify(result)])
-                send(
-                    {
-                        "type": "result",
-                        "lease_id": int(message["lease_id"]),
-                        "results": results,
-                    }
-                )
+                for index in indices:
+                    _, result = execute_trial(payloads[index])
+                    results.append([index, _jsonify(result)])
+                send({"type": "result", "lease_id": lease_id, "results": results})
             else:
                 print(
                     f"worker error: unexpected message type {kind!r}", file=sys.stderr

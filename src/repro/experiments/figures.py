@@ -8,9 +8,9 @@ a reduction that folds per-trial results into the row dictionaries the paper
 plots.  Monte-Carlo figures additionally split each parameter point into
 bounded chunks so the runner can spread one expensive point across workers.
 
-The ``figureXX_*`` functions remain the stable public API — each is now a
-thin wrapper that executes its registered experiment inline — and ``scale``
-keeps its old meaning (1.0 reproduces the paper's trial counts).
+Run one by name through :func:`~repro.experiments.runner.run_experiment`
+(or :func:`~repro.experiments.runner.experiment_rows` for just the rows);
+``scale=1.0`` reproduces the paper's trial counts.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from ..resilience.analysis import (
     slicing_success_probability,
 )
 from ..resilience.transfer import simulate_transfers
-from .distinguishability import distinguishability_rows
 from .registry import Experiment, register
-from .runner import experiment_rows
 from .setup_latency import measure_onion_setup, measure_setup, measure_slicing_setup
 from .throughput import (
     aggregate_throughput_vs_flows,
@@ -115,11 +113,6 @@ register(
 )
 
 
-def figure07_anonymity_vs_malicious(scale: float = 1.0) -> list[dict]:
-    """Fig. 7: anonymity vs. fraction of malicious nodes (N=10000, L=8, d=3)."""
-    return experiment_rows("fig07", scale=scale)
-
-
 # -- Fig. 8: anonymity vs. split factor ------------------------------------------
 
 _FIG08_SPLIT_FACTORS = [2, 3, 4, 6, 8, 10, 12]
@@ -178,11 +171,6 @@ register(
 )
 
 
-def figure08_anonymity_vs_split(scale: float = 1.0) -> list[dict]:
-    """Fig. 8: anonymity vs. split factor d (N=10000, L=8, f in {0.1, 0.4})."""
-    return experiment_rows("fig08", scale=scale)
-
-
 # -- Fig. 9: anonymity vs. path length -------------------------------------------
 
 _FIG09_LENGTHS = [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
@@ -225,11 +213,6 @@ register(
         reduce=_fig09_reduce,
     )
 )
-
-
-def figure09_anonymity_vs_path_length(scale: float = 1.0) -> list[dict]:
-    """Fig. 9: anonymity vs. path length L (N=10000, d=3, f=0.1)."""
-    return experiment_rows("fig09", scale=scale)
 
 
 # -- Fig. 10: anonymity vs. added redundancy -------------------------------------
@@ -277,11 +260,6 @@ register(
         reduce=_fig10_reduce,
     )
 )
-
-
-def figure10_anonymity_vs_redundancy(scale: float = 1.0) -> list[dict]:
-    """Fig. 10: anonymity vs. added redundancy (d=3, L=8, f=0.1)."""
-    return experiment_rows("fig10", scale=scale)
 
 
 # -- Figs. 11 and 12: throughput vs. path length ---------------------------------
@@ -384,16 +362,6 @@ register(
 )
 
 
-def figure11_throughput_lan(scale: float = 1.0) -> list[dict]:
-    """Fig. 11: LAN throughput vs. path length, slicing (d=2) vs. onion routing."""
-    return experiment_rows("fig11", scale=scale)
-
-
-def figure12_throughput_wan(scale: float = 1.0) -> list[dict]:
-    """Fig. 12: PlanetLab throughput vs. path length."""
-    return experiment_rows("fig12", scale=scale)
-
-
 # -- Fig. 13: aggregate throughput vs. concurrent flows --------------------------
 
 
@@ -439,11 +407,6 @@ register(
         schemes=OVERLAY_SCHEMES,
     )
 )
-
-
-def figure13_scaling_with_flows(scale: float = 1.0) -> list[dict]:
-    """Fig. 13: aggregate throughput vs. number of concurrent flows."""
-    return experiment_rows("fig13", scale=scale)
 
 
 # -- Figs. 14 and 15: route-setup latency ----------------------------------------
@@ -535,16 +498,6 @@ register(
 )
 
 
-def figure14_setup_latency_lan(scale: float = 1.0) -> list[dict]:
-    """Fig. 14: LAN route-setup latency vs. path length and split factor."""
-    return experiment_rows("fig14", scale=scale)
-
-
-def figure15_setup_latency_wan(scale: float = 1.0) -> list[dict]:
-    """Fig. 15: PlanetLab route-setup latency vs. path length and split factor."""
-    return experiment_rows("fig15", scale=scale)
-
-
 # -- Fig. 16: analytical resilience ----------------------------------------------
 
 _FIG16_D = 2
@@ -584,11 +537,6 @@ register(
         run_trial=_fig16_run,
     )
 )
-
-
-def figure16_resilience_analysis(scale: float = 1.0) -> list[dict]:
-    """Fig. 16: analytical success probability vs. redundancy (p=0.1 and 0.3)."""
-    return experiment_rows("fig16", scale=scale)
 
 
 # -- Fig. 17: churn resilience ---------------------------------------------------
@@ -639,11 +587,6 @@ register(
         reduce=_fig17_reduce,
     )
 )
-
-
-def figure17_churn_resilience(scale: float = 1.0) -> list[dict]:
-    """Fig. 17: 30-minute transfer success vs. redundancy on a churning overlay."""
-    return experiment_rows("fig17", scale=scale)
 
 
 # -- §7.1 coding microbenchmark --------------------------------------------------
@@ -721,11 +664,6 @@ register(
         shardable=False,  # single-host comparison; numbers mean nothing sharded
     )
 )
-
-
-def coding_microbenchmark(scale: float = 1.0) -> list[dict]:
-    """§7.1 microbenchmark: coding cost per 1500-byte packet across d."""
-    return experiment_rows("microbench", scale=scale)
 
 
 # -- §6.2 anonymity Monte-Carlo microbenchmark -----------------------------------
@@ -814,11 +752,6 @@ register(
 )
 
 
-def anonymity_microbenchmark(scale: float = 1.0) -> list[dict]:
-    """§6.2 microbenchmark: batched vs. scalar anonymity Monte-Carlo engine."""
-    return experiment_rows("anonbench", scale=scale)
-
-
 # -- batched data-plane microbenchmark ---------------------------------------------
 
 #: The dataplane-bench acceptance target: the batched overlay data plane must
@@ -849,11 +782,6 @@ register(
         shardable=False,  # single-host comparison; numbers mean nothing sharded
     )
 )
-
-
-def dataplane_microbenchmark(scale: float = 1.0) -> list[dict]:
-    """Batched data plane vs. per-packet reference on a fig11-style workload."""
-    return experiment_rows("dataplane-bench", scale=scale)
 
 
 # -- GF(2^8) kernel microbenchmark -------------------------------------------------
@@ -892,11 +820,6 @@ register(
         shardable=False,  # single-host comparison; numbers mean nothing sharded
     )
 )
-
-
-def gf_kernel_microbenchmark(scale: float = 1.0) -> list[dict]:
-    """Compiled GF(2^8) kernel vs. the numpy reference at dataplane shapes."""
-    return experiment_rows("gfbench", scale=scale)
 
 
 # -- Chaum-mix Monte-Carlo microbenchmark ------------------------------------------
@@ -979,11 +902,6 @@ register(
         shardable=False,  # single-host comparison; numbers mean nothing sharded
     )
 )
-
-
-def chaum_microbenchmark(scale: float = 1.0) -> list[dict]:
-    """Fig. 7 microbenchmark: batched vs. scalar Chaum-mix Monte-Carlo engine."""
-    return experiment_rows("chaumbench", scale=scale)
 
 
 # -- Sphinx batched-cell microbenchmark --------------------------------------------
@@ -1085,11 +1003,6 @@ register(
 )
 
 
-def sphinx_microbenchmark(scale: float = 1.0) -> list[dict]:
-    """Sphinx microbenchmark: batched cell wrap/strip vs. the per-cell loop."""
-    return experiment_rows("sphinxbench", scale=scale)
-
-
 # -- distributed-sharding benchmark ------------------------------------------------
 
 #: Experiment the distributed-sharding benchmark shards (fig11: four
@@ -1189,11 +1102,6 @@ register(
         shardable=False,  # it *runs* the coordinator; sharding it would nest fan-outs
     )
 )
-
-
-def distributed_sharding_benchmark(scale: float = 1.0) -> list[dict]:
-    """Distributed sharding benchmark: coordinator/worker speedup on fig11."""
-    return experiment_rows("distbench", scale=scale)
 
 
 # -- distributed transport sweep ----------------------------------------------------
@@ -1337,33 +1245,3 @@ register(
         shardable=False,  # it *runs* the coordinator; sharding it would nest fan-outs
     )
 )
-
-
-def distributed_transport_sweep(scale: float = 1.0) -> list[dict]:
-    """Distributed transport sweep: worker-count scaling, plain vs. secure."""
-    return experiment_rows("distsweep", scale=scale)
-
-
-#: Backwards-compatible name → callable map (kept for tests and docs).
-FIGURES = {
-    "fig07": figure07_anonymity_vs_malicious,
-    "fig08": figure08_anonymity_vs_split,
-    "fig09": figure09_anonymity_vs_path_length,
-    "fig10": figure10_anonymity_vs_redundancy,
-    "fig11": figure11_throughput_lan,
-    "fig12": figure12_throughput_wan,
-    "fig13": figure13_scaling_with_flows,
-    "fig14": figure14_setup_latency_lan,
-    "fig15": figure15_setup_latency_wan,
-    "fig16": figure16_resilience_analysis,
-    "fig17": figure17_churn_resilience,
-    "distinguishability": distinguishability_rows,
-    "microbench": coding_microbenchmark,
-    "anonbench": anonymity_microbenchmark,
-    "chaumbench": chaum_microbenchmark,
-    "dataplane-bench": dataplane_microbenchmark,
-    "gfbench": gf_kernel_microbenchmark,
-    "sphinxbench": sphinx_microbenchmark,
-    "distbench": distributed_sharding_benchmark,
-    "distsweep": distributed_transport_sweep,
-}

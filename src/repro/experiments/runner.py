@@ -3,7 +3,9 @@
 The runner turns a registered :class:`~repro.experiments.registry.Experiment`
 into rows:
 
-1. ``build_trials(scale)`` produces the trial list;
+1. the run request becomes a :class:`Job` — ``(name, scale, seed, backend,
+   scheme, kernel)``, validated on construction — whose ``build_trials(scale)``
+   produces the trial list;
 2. the experiment's seed is expanded with ``np.random.SeedSequence.spawn``
    into one child sequence per trial, so every trial's randomness is
    independent of scheduling — running with 1 worker or 16 produces the
@@ -26,11 +28,14 @@ picklable under both fork and spawn start methods.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +55,172 @@ DEFAULT_RESULTS_DIR = Path("results")
 ARTIFACT_VERSION = 2
 
 
+class UsageError(ValueError):
+    """A run request the caller got wrong.
+
+    The message is one line; the CLI prints it after ``error: `` and exits 2,
+    a distributed worker after ``worker error: `` and exits 1.
+    """
+
+
+@dataclass(frozen=True)
+class Job:
+    """The six values that fully determine a run; constructing one validates it.
+
+    Every way of starting a run — the CLI, :func:`run_experiment`,
+    :func:`~repro.experiments.distributed.run_distributed` and a distributed
+    worker parsing its ``job`` frame — builds a ``Job`` first, so each check
+    below exists once and runs on every host that takes part.  A rejected
+    request raises :class:`UsageError` (an unknown ``name`` keeps the
+    registry's :class:`KeyError`, an unloadable compiled kernel its
+    :class:`~repro.core.errors.KernelUnavailableError`); all carry one-line
+    messages.
+
+    ``seed=None`` resolves to the experiment's base seed.  ``backend``
+    selects the overlay transport for experiments that support more than the
+    simulator (the figs. 11-15 family).  ``scheme`` restricts a
+    scheme-capable experiment to one registered protocol runtime.
+    ``kernel`` selects the GF(2^8) implementation trials execute with
+    (``"numpy"``/``"compiled"``); it is deliberately *not* stamped into the
+    trial dictionaries: kernels are bit-identical by construction, so the
+    artifact cache (and the artifact bytes) must stay kernel-independent — a
+    cached numpy run serves a ``--kernel compiled`` request and vice versa.
+
+    >>> len(Job("fig16", scale=0.05).trials)
+    18
+    >>> Job("fig16", backend="aio")
+    Traceback (most recent call last):
+        ...
+    repro.experiments.runner.UsageError: experiment 'fig16' does not support backend 'aio' (supported: sim)
+    """
+
+    name: str
+    scale: float = 1.0
+    seed: int | None = None
+    backend: str = "sim"
+    scheme: str | None = None
+    kernel: str | None = None
+
+    def __post_init__(self) -> None:
+        experiment = self.experiment
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise UsageError(f"scale must be positive and finite, got {self.scale}")
+        seed = experiment.base_seed if self.seed is None else int(self.seed)
+        if seed < 0:
+            raise UsageError(f"seed must be non-negative, got {seed}")
+        object.__setattr__(self, "seed", seed)
+        if self.backend not in experiment.backends:
+            supported = ", ".join(experiment.backends)
+            raise UsageError(
+                f"experiment {self.name!r} does not support backend "
+                f"{self.backend!r} (supported: {supported})"
+            )
+        if self.scheme is not None:
+            self._check_scheme(experiment)
+        if self.kernel is not None:
+            if self.kernel not in experiment.kernels:
+                supported = ", ".join(experiment.kernels)
+                raise UsageError(
+                    f"experiment {self.name!r} does not support kernel "
+                    f"{self.kernel!r} (supported: {supported})"
+                )
+            field_for_kernel(self.kernel)  # raises KernelUnavailableError when unavailable
+
+    def _check_scheme(self, experiment: Experiment) -> None:
+        from ..overlay.runtime import runtime_backends, runtime_schemes
+
+        scheme = self.scheme
+        if not experiment.schemes:
+            raise UsageError(
+                f"experiment {self.name!r} does not support per-scheme runs"
+            )
+        if scheme not in experiment.schemes:
+            supported = ", ".join(experiment.schemes)
+            raise UsageError(
+                f"experiment {self.name!r} does not support scheme {scheme!r} "
+                f"(supported: {supported})"
+            )
+        if scheme not in runtime_schemes():
+            known = ", ".join(runtime_schemes())
+            raise UsageError(f"unknown runtime scheme {scheme!r} (known: {known})")
+        if self.backend not in runtime_backends(scheme):
+            supported = ", ".join(
+                name
+                for name in experiment.schemes
+                if self.backend in runtime_backends(name)
+            )
+            raise UsageError(
+                f"scheme {scheme!r} does not run on backend {self.backend!r} "
+                f"(schemes supported on {self.backend!r}: {supported or 'none'})"
+            )
+
+    @property
+    def experiment(self) -> Experiment:
+        """The registered experiment (``KeyError`` listing the known names)."""
+        return get_experiment(self.name)
+
+    def require_shardable(self) -> None:
+        """Reject leasing this job's trials to distributed workers."""
+        if not self.experiment.shardable:
+            raise UsageError(
+                f"experiment {self.name!r} is not shardable (single-host "
+                "wall-clock measurement); run it through `run` without --dist"
+            )
+
+    @property
+    def cacheable(self) -> bool:
+        """Whether a matching artifact may be served instead of recomputing.
+
+        Runs on a non-default backend never are — their timing fields are
+        wall-clock-dependent — and neither are the timing experiments.
+        """
+        return self.experiment.deterministic and self.backend == "sim"
+
+    @cached_property
+    def trials(self) -> list[dict]:
+        """The experiment's declarative parameters expanded into its trial list.
+
+        Backend-capable experiments carry the backend in every trial, and a
+        scheme restriction (``--scheme``) is likewise stamped into every
+        trial, so both reach ``run_trial`` in workers and key the artifact
+        cache; the default (no restriction) trial list is byte-identical to
+        what it was before schemes existed.  The result is already
+        JSON-hygienic: a distributed worker rebuilding this list from an
+        equal ``Job`` gets the exact dictionaries the coordinator holds.
+        """
+        experiment = self.experiment
+        trials = _jsonify(experiment.build_trials(self.scale))
+        if len(experiment.backends) > 1:
+            trials = [{**params, "backend": self.backend} for params in trials]
+        if self.scheme is not None:
+            trials = [{**params, "scheme": self.scheme} for params in trials]
+        return trials
+
+    def payloads(
+        self,
+    ) -> list[tuple[str, int, dict, np.random.SeedSequence, str | None]]:
+        """Per-trial execution payloads with deterministically spawned seeds.
+
+        ``SeedSequence.spawn`` derives child ``i`` purely from ``(seed, i)``,
+        so any process holding an equal ``Job`` reconstructs the identical
+        payload for trial ``i`` — the property both the local pool and the
+        distributed workers rely on.  The kernel rides in the payload (not
+        the trial dict) so it reaches workers without touching the cache key
+        or the artifact bytes.
+        """
+        children = np.random.SeedSequence(self.seed).spawn(len(self.trials))
+        return [
+            (self.name, index, params, child, self.kernel)
+            for index, (params, child) in enumerate(zip(self.trials, children))
+        ]
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one experiment run (fresh or served from the artifact cache)."""
+    """Outcome of one experiment run (fresh or served from the artifact cache).
+
+    ``name`` … ``kernel`` are the fields of the :class:`Job` that ran.
+    """
 
     name: str
     scale: float
@@ -66,59 +234,15 @@ class RunResult:
     backend: str = "sim"
     scheme: str | None = None
     kernel: str | None = None
-
-
-def validate_kernel(experiment: Experiment, kernel: str) -> None:
-    """Reject ``--kernel`` selections the experiment or host cannot run.
-
-    Raises :class:`ValueError` for an unsupported selection and
-    :class:`~repro.core.errors.KernelUnavailableError` when the compiled
-    backend cannot load; both carry one-line messages the CLI surfaces
-    verbatim as exit-2 usage errors.
-
-    The kernel is deliberately *not* stamped into trial dictionaries: kernels
-    are bit-identical by construction, so the artifact cache (and the
-    artifact bytes) must stay kernel-independent — a cached numpy run
-    serves a ``--kernel compiled`` request and vice versa.
-    """
-    if kernel not in experiment.kernels:
-        supported = ", ".join(experiment.kernels)
-        raise ValueError(
-            f"experiment {experiment.name!r} does not support kernel {kernel!r} "
-            f"(supported: {supported})"
-        )
-    field_for_kernel(kernel)  # raises KernelUnavailableError when unavailable
-
-
-def validate_scheme(experiment: Experiment, scheme: str, backend: str) -> None:
-    """Reject ``--scheme`` selections the experiment or backend cannot run.
-
-    Raises :class:`ValueError` with a one-line message listing what *is*
-    supported — the CLI surfaces it verbatim as an exit-2 usage error.
-    """
-    from ..overlay.runtime import runtime_backends, runtime_schemes
-
-    if not experiment.schemes:
-        raise ValueError(
-            f"experiment {experiment.name!r} does not support per-scheme runs"
-        )
-    if scheme not in experiment.schemes:
-        supported = ", ".join(experiment.schemes)
-        raise ValueError(
-            f"experiment {experiment.name!r} does not support scheme {scheme!r} "
-            f"(supported: {supported})"
-        )
-    if scheme not in runtime_schemes():
-        known = ", ".join(runtime_schemes())
-        raise ValueError(f"unknown runtime scheme {scheme!r} (known: {known})")
-    if backend not in runtime_backends(scheme):
-        supported = ", ".join(
-            name for name in experiment.schemes if backend in runtime_backends(name)
-        )
-        raise ValueError(
-            f"scheme {scheme!r} does not run on backend {backend!r} "
-            f"(schemes supported on {backend!r}: {supported or 'none'})"
-        )
+    # The rest is filled in by distributed runs only.
+    #: First lease granted -> last result recorded; excludes worker start-up,
+    #: which is what the ``distbench`` sharding-speedup gate measures.
+    compute_seconds: float = 0.0
+    workers_seen: int = 0
+    redispatched: int = 0
+    #: Wire transport the run used ("plain" | "secure"); the merged artifact
+    #: is byte-identical either way.
+    transport: str = "plain"
 
 
 def run_experiment(
@@ -132,83 +256,59 @@ def run_experiment(
     scheme: str | None = None,
     kernel: str | None = None,
 ) -> RunResult:
-    """Run (or load from cache) one registered experiment.
+    """Run (or load from cache) one registered experiment in this process.
 
-    ``out_dir=None`` keeps everything in memory; passing a directory enables
-    both artifact writing and cache lookups.  ``force=True`` ignores an
-    existing artifact and recomputes.  ``backend`` selects the overlay
-    transport for experiments that support more than the simulator (the
-    figs. 11-15 family); runs on a non-default backend are never served from
-    cache — their timing fields are wall-clock-dependent.  ``scheme``
-    restricts a scheme-capable experiment to one registered protocol runtime
-    (the scheme lands in every trial dictionary, so it keys the artifact
-    cache; the default multi-scheme trial list is untouched).  ``kernel``
-    selects the GF(2^8) implementation trials execute with
-    (``"numpy"``/``"compiled"``); it travels out-of-band of the trial
-    dictionaries because kernels are bit-identical by construction, keeping
-    cached artifacts kernel-independent.
+    ``(name, scale, seed, backend, scheme, kernel)`` are the fields of
+    :class:`Job`, which documents and validates them; ``workers`` fans the
+    trials out over a ``multiprocessing`` pool.  ``out_dir=None`` keeps
+    everything in memory; passing a directory enables both artifact writing
+    and cache lookups.  ``force=True`` ignores an existing artifact and
+    recomputes.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    experiment = get_experiment(name)
-    if backend not in experiment.backends:
-        supported = ", ".join(experiment.backends)
-        raise ValueError(
-            f"experiment {name!r} does not support backend {backend!r} "
-            f"(supported: {supported})"
-        )
-    if scheme is not None:
-        validate_scheme(experiment, scheme, backend)
-    if kernel is not None:
-        validate_kernel(experiment, kernel)
-    seed = experiment.base_seed if seed is None else int(seed)
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    job = Job(name, scale, seed, backend, scheme, kernel)
+    return run_job(job, lambda: _run_trials(job, workers), workers, out_dir, force)
+
+
+def run_job(
+    job: Job,
+    execute: Callable[[], list[dict]],
+    workers: int,
+    out_dir: str | Path | None,
+    force: bool,
+) -> RunResult:
+    """The one run pipeline: cache lookup → ``execute`` → reduce → artifacts.
+
+    ``execute`` returns the per-trial results in trial order — inline or
+    from the pool for :func:`run_experiment`, from leased workers for
+    :func:`~repro.experiments.distributed.run_distributed`.  Everything
+    around it is shared, so a distributed run's merged artifact is
+    byte-identical to the single-process one for an equal ``Job``.
+    """
     started = time.perf_counter()
-    trials = build_trial_list(experiment, scale, backend, scheme)
-    cacheable = experiment.deterministic and backend == "sim"
-
-    artifact = None if out_dir is None else Path(out_dir) / f"{name}.json"
-    if artifact is not None and not force and cacheable:
-        cached = _load_cached_document(artifact, name, scale, seed, trials)
-        if cached is not None:
-            # The parity mirror must track the served rows even when the
-            # main artifact is a cache hit (it may have been deleted or
-            # predate the current layout).
-            _write_parity_artifact(artifact, experiment, scale, seed, cached["rows"])
-            return RunResult(
-                name=name,
-                scale=scale,
-                seed=seed,
-                workers=workers,
-                rows=cached["rows"],
-                trial_count=len(cached["trials"]),
-                artifact=artifact,
-                cached=True,
-                elapsed_seconds=time.perf_counter() - started,
-                backend=backend,
-                scheme=scheme,
-                kernel=kernel,
-            )
-
-    results = _run_trials(experiment, trials, seed, workers, kernel)
-    rows = reduce_rows(experiment, trials, results)
-
+    artifact = None if out_dir is None else Path(out_dir) / f"{job.name}.json"
+    rows = None
+    if artifact is not None and not force and job.cacheable:
+        rows = _load_cached_rows(artifact, job)
+    cached = rows is not None
+    if not cached:
+        rows = _jsonify(job.experiment.rows(job.trials, execute()))
+        if artifact is not None:
+            _atomic_write_json(artifact, _artifact_document(job, rows))
     if artifact is not None:
-        write_run_artifacts(artifact, experiment, scale, seed, trials, rows)
+        # The parity mirror must track the served rows even when the main
+        # artifact is a cache hit (it may have been deleted or predate the
+        # current layout).
+        _write_parity_artifact(artifact, job, rows)
     return RunResult(
-        name=name,
-        scale=scale,
-        seed=seed,
+        **asdict(job),
         workers=workers,
         rows=rows,
-        trial_count=len(trials),
+        trial_count=len(job.trials),
         artifact=artifact,
-        cached=False,
+        cached=cached,
         elapsed_seconds=time.perf_counter() - started,
-        backend=backend,
-        scheme=scheme,
-        kernel=kernel,
     )
 
 
@@ -221,55 +321,11 @@ def experiment_rows(
 
 # -- execution ---------------------------------------------------------------------
 #
-# The three helpers below are the *shared trial-execution core*: the local
-# multiprocessing fan-out (`_run_trials`) and the distributed coordinator /
-# worker loop (:mod:`repro.experiments.distributed`) both build the same
-# trial list, derive the same per-trial seed sequences, and execute trials
-# through the same function — which is what makes a distributed run of a
-# deterministic experiment byte-identical to a single-process one.
-
-
-def build_trial_list(
-    experiment: Experiment,
-    scale: float,
-    backend: str = "sim",
-    scheme: str | None = None,
-) -> list[dict]:
-    """Expand an experiment's declarative parameters into its trial list.
-
-    Backend-capable experiments carry the backend in every trial, and a
-    scheme restriction (``--scheme``) is likewise stamped into every trial,
-    so both reach ``run_trial`` in workers and key the artifact cache; the
-    default (no restriction) trial list is byte-identical to what it was
-    before schemes existed.  The result is already JSON-hygienic: a
-    distributed worker rebuilding this list from ``(name, scale, backend,
-    scheme)`` gets the exact dictionaries the coordinator holds.
-    """
-    trials = _jsonify(experiment.build_trials(scale))
-    if len(experiment.backends) > 1:
-        trials = [{**params, "backend": backend} for params in trials]
-    if scheme is not None:
-        trials = [{**params, "scheme": scheme} for params in trials]
-    return trials
-
-
-def trial_payloads(
-    name: str, trials: list[dict], seed: int, kernel: str | None = None
-) -> list[tuple[str, int, dict, np.random.SeedSequence, str | None]]:
-    """Per-trial execution payloads with deterministically spawned seeds.
-
-    ``SeedSequence.spawn`` derives child ``i`` purely from ``(seed, i)``, so
-    any process that knows the experiment name, trial list and root seed
-    reconstructs the identical payload for trial ``i`` — the property both
-    the local pool and the distributed workers rely on.  The kernel rides in
-    the payload (not the trial dict) so it reaches workers without touching
-    the cache key or the artifact bytes.
-    """
-    children = np.random.SeedSequence(seed).spawn(len(trials))
-    return [
-        (name, index, params, child, kernel)
-        for index, (params, child) in enumerate(zip(trials, children))
-    ]
+# The local multiprocessing fan-out (`_run_trials`) and the distributed worker
+# loop (:mod:`repro.experiments.distributed`) both take their payloads from an
+# equal `Job` and execute them through `execute_trial` — which is what makes a
+# distributed run of a deterministic experiment byte-identical to a
+# single-process one.
 
 
 def execute_trial(
@@ -283,19 +339,8 @@ def execute_trial(
         return index, experiment.run_trial(params, rng)
 
 
-def reduce_rows(experiment: Experiment, trials: list[dict], results: list[dict]) -> list[dict]:
-    """Fold per-trial results (in trial order) into JSON-hygienic rows."""
-    return _jsonify(experiment.rows(trials, results))
-
-
-def _run_trials(
-    experiment: Experiment,
-    trials: list[dict],
-    seed: int,
-    workers: int,
-    kernel: str | None = None,
-) -> list[dict]:
-    payloads = trial_payloads(experiment.name, trials, seed, kernel)
+def _run_trials(job: Job, workers: int) -> list[dict]:
+    payloads = job.payloads()
     workers = min(workers, len(payloads)) or 1
     if workers == 1:
         indexed = [execute_trial(payload) for payload in payloads]
@@ -311,16 +356,14 @@ def _run_trials(
 # -- artifacts ---------------------------------------------------------------------
 
 
-def _artifact_document(
-    experiment: Experiment, scale: float, seed: int, trials: list[dict], rows: list[dict]
-) -> dict:
+def _artifact_document(job: Job, rows: list[dict]) -> dict:
     return {
         "version": ARTIFACT_VERSION,
-        "experiment": experiment.name,
-        "title": experiment.title,
-        "scale": scale,
-        "seed": seed,
-        "trials": trials,
+        "experiment": job.name,
+        "title": job.experiment.title,
+        "scale": job.scale,
+        "seed": job.seed,
+        "trials": job.trials,
         "rows": rows,
     }
 
@@ -342,39 +385,7 @@ def _atomic_write_json(path: Path, document: dict) -> None:
     tmp.replace(path)
 
 
-def _write_artifact(
-    artifact: Path,
-    experiment: Experiment,
-    scale: float,
-    seed: int,
-    trials: list[dict],
-    rows: list[dict],
-) -> None:
-    _atomic_write_json(artifact, _artifact_document(experiment, scale, seed, trials, rows))
-
-
-def write_run_artifacts(
-    artifact: Path,
-    experiment: Experiment,
-    scale: float,
-    seed: int,
-    trials: list[dict],
-    rows: list[dict],
-) -> None:
-    """Write the canonical artifact plus its parity mirror (if rows carry one).
-
-    This is the single artifact-serialisation path: the local runner and the
-    distributed coordinator both land here, so a distributed run's merged
-    artifact is byte-identical to the single-process one for the same
-    ``(experiment, scale, seed)``.
-    """
-    _write_artifact(artifact, experiment, scale, seed, trials, rows)
-    _write_parity_artifact(artifact, experiment, scale, seed, rows)
-
-
-def _write_parity_artifact(
-    artifact: Path, experiment: Experiment, scale: float, seed: int, rows: list[dict]
-) -> None:
+def _write_parity_artifact(artifact: Path, job: Job, rows: list[dict]) -> None:
     """Mirror the rows' ``parity`` sub-dicts into ``<name>.parity.json``.
 
     The parity document deliberately carries *no* backend or timing fields:
@@ -387,17 +398,15 @@ def _write_parity_artifact(
         return
     document = {
         "version": ARTIFACT_VERSION,
-        "experiment": experiment.name,
-        "scale": scale,
-        "seed": seed,
+        "experiment": job.name,
+        "scale": job.scale,
+        "seed": job.seed,
         "rows": parity_rows,
     }
     _atomic_write_json(artifact.with_name(f"{artifact.stem}.parity.json"), document)
 
 
-def _load_cached_document(
-    artifact: Path, name: str, scale: float, seed: int, trials: list[dict]
-) -> dict | None:
+def _load_cached_rows(artifact: Path, job: Job) -> list[dict] | None:
     if not artifact.exists():
         return None
     try:
@@ -406,15 +415,15 @@ def _load_cached_document(
         return None
     matches = (
         document.get("version") == ARTIFACT_VERSION
-        and document.get("experiment") == name
-        and document.get("scale") == scale
-        and document.get("seed") == seed
+        and document.get("experiment") == job.name
+        and document.get("scale") == job.scale
+        and document.get("seed") == job.seed
         and isinstance(document.get("rows"), list)
         # The stored trial list must match what the current experiment
         # definition would run — an edited definition invalidates the cache.
-        and document.get("trials") == trials
+        and document.get("trials") == job.trials
     )
-    return document if matches else None
+    return document["rows"] if matches else None
 
 
 # -- JSON hygiene ------------------------------------------------------------------

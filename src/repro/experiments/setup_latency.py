@@ -169,24 +169,3 @@ def compare_setup_decode_engines(
         "setup_seconds": batched.setup_seconds,
         "identical": True,
     }
-
-
-def setup_latency_sweep(
-    profile: OverlayProfile,
-    path_lengths: list[int],
-    split_factors: list[int] = (2, 3, 4),
-    seed: int = 21,
-) -> list[dict]:
-    """Figs. 14 / 15: setup time vs. path length for onion and slicing d=2,3,4."""
-    rows = []
-    for path_length in path_lengths:
-        row: dict = {"path_length": path_length}
-        onion = measure_onion_setup(profile, path_length, seed=seed + path_length)
-        row["onion_seconds"] = onion.setup_seconds
-        for d in split_factors:
-            result = measure_slicing_setup(
-                profile, path_length, d=d, seed=seed + 10 * d + path_length
-            )
-            row[f"slicing_d{d}_seconds"] = result.setup_seconds
-        rows.append(row)
-    return rows

@@ -285,44 +285,6 @@ def measure_onion_throughput(
     )
 
 
-def throughput_vs_path_length(
-    profile: OverlayProfile,
-    path_lengths: list[int],
-    d: int = 2,
-    num_messages: int = 300,
-    message_bytes: int = 1500,
-    seed: int = 7,
-) -> list[dict]:
-    """Figs. 11 and 12: slicing (d=2) vs. onion routing across path lengths."""
-    rows = []
-    for path_length in path_lengths:
-        slicing = measure_slicing_throughput(
-            profile,
-            path_length,
-            d=d,
-            num_messages=num_messages,
-            message_bytes=message_bytes,
-            seed=seed + path_length,
-        )
-        onion = measure_onion_throughput(
-            profile,
-            path_length,
-            num_messages=num_messages,
-            message_bytes=message_bytes,
-            seed=seed + 100 + path_length,
-        )
-        rows.append(
-            {
-                "path_length": path_length,
-                "slicing_mbps": slicing.throughput_bps / 1e6,
-                "onion_mbps": onion.throughput_bps / 1e6,
-                "slicing_delivered": slicing.messages_delivered,
-                "onion_delivered": onion.messages_delivered,
-            }
-        )
-    return rows
-
-
 def _aggregate_runtime_flows(
     scheme: str,
     substrate: OverlayTransport,

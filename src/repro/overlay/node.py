@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.errors import SimulationError
-from ..core.gf import resolve_field
+from ..core.gf import default_field
 from ..core.packet import Packet, PacketKind
 from ..core.relay import Relay
 from ..core.source import FlowSetup, Source
@@ -485,11 +485,6 @@ class SlicingRuntime:
         Relay flow-table entries idle longer than this are garbage collected
         (the satellite of :meth:`Relay.garbage_collect
         <repro.core.relay.Relay.garbage_collect>`).  ``None`` disables.
-    kernel:
-        The GF(2^8) kernel every relay of this runtime codes with
-        (``"numpy"``/``"compiled"``, see :mod:`repro.core.gf_kernels`);
-        ``None`` follows the active kernel.  Delivered bytes
-        and stats are bit-identical across kernels by construction.
     """
 
     def __init__(
@@ -502,7 +497,6 @@ class SlicingRuntime:
         seq_retention: int | None = DEFAULT_SEQ_RETENTION,
         flow_retention_seconds: float | None = DEFAULT_FLOW_RETENTION_SECONDS,
         batch_chunk: int = DEFAULT_BATCH_CHUNK,
-        kernel: str | None = None,
     ) -> None:
         if data_plane not in DATA_PLANES:
             raise SimulationError(
@@ -520,7 +514,9 @@ class SlicingRuntime:
         self.seq_retention = seq_retention
         self.flow_retention_seconds = flow_retention_seconds
         self.batch_chunk = batch_chunk
-        self.field = resolve_field(kernel=kernel)
+        # Every relay of this runtime codes with the kernel active at
+        # construction (see repro.core.gf.use_kernel).
+        self.field = default_field()
         self.relays: dict[str, Relay] = {}
         self.progress: dict[int, FlowProgress] = {}
         self._flow_setups: dict[int, FlowSetup] = {}

@@ -15,11 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import PacketFormatError
+from repro.experiments import Job, UsageError, experiment_names
 from repro.experiments.distributed import (
     Lease,
     TrialLedger,
     decode_message,
     encode_message,
+    job_frame,
+    job_from_frame,
+    message_payload,
     trials_digest,
 )
 from repro.net import FRAME_HEADER, MAX_FRAME_BYTES, decode_frames
@@ -105,6 +109,60 @@ def test_trials_digest_is_deterministic_and_order_sensitive(trials):
     if len(trials) >= 2 and trials[0] != trials[1]:
         swapped = [trials[1], trials[0], *trials[2:]]
         assert trials_digest(swapped) != trials_digest(trials)
+
+
+# -- Job <-> job frame ---------------------------------------------------------------
+
+
+def test_every_job_round_trips_through_its_frame():
+    # Enumerated, not sampled: every registered experiment on each backend
+    # it supports, unrestricted and under each scheme it supports.
+    count = 0
+    for name in experiment_names():
+        experiment = Job(name).experiment
+        for backend in experiment.backends:
+            for scheme in (None, *experiment.schemes):
+                job = Job(name, 0.05, 7, backend, scheme)
+                on_the_wire = decode_message(message_payload(job_frame(job)))
+                assert job_from_frame(on_the_wire) == job
+                count += 1
+    # 18 sim-only experiments + figs. 11-15 at 2 backends x (none + 4 schemes).
+    assert count >= 18 + 5 * 10
+
+
+def test_job_frame_that_disagrees_with_the_local_code_is_version_skew():
+    frame = job_frame(Job("fig11", 0.05))
+    for skewed in (
+        {**frame, "trial_count": frame["trial_count"] + 1},
+        {**frame, "trials_digest": "0" * 64},
+    ):
+        with pytest.raises(UsageError, match="version skew"):
+            job_from_frame(skewed)
+    # The worker re-runs the coordinator's own checks on its own host.
+    with pytest.raises(KeyError, match="unknown experiment 'fig99'"):
+        job_from_frame({**frame, "experiment": "fig99"})
+    with pytest.raises(UsageError, match="does not support kernel 'compiled'"):
+        job_from_frame({**job_frame(Job("gfbench", 0.05)), "kernel": "compiled"})
+    with pytest.raises(UsageError, match="scale must be positive and finite"):
+        job_from_frame({**frame, "scale": float("nan")})
+
+
+def test_job_frame_bytes_and_trial_digests_match_the_recorded_vectors():
+    # Recorded from commit 89fa07c, the last one before Job existed: an old
+    # worker and a new coordinator (or vice versa) still interoperate, and
+    # cache keys and artifact ``trials`` stay put.
+    assert message_payload(job_frame(Job("fig11", 0.05))) == (
+        b'{"type":"job","protocol":1,"experiment":"fig11","scale":0.05,'
+        b'"seed":20070411,"backend":"sim","scheme":null,"kernel":null,'
+        b'"trial_count":4,"trials_digest":'
+        b'"aaca206295b3677431b6cf7d7510d0ec9cb4b77e0d1e53931143fad7217d9e2a"}'
+    )
+    for kwargs, digest in (
+        ({}, "aaca206295b3677431b6cf7d7510d0ec9cb4b77e0d1e53931143fad7217d9e2a"),
+        ({"backend": "aio"}, "adef7e79e6e75b3509d950198ea90e372167c2da161f54ed6701549d7c29ba93"),
+        ({"scheme": "sphinx"}, "26b3e75fe0b0e191878840f9e450542bfcf285cdf7f44db4f518436870e6e62e"),
+    ):
+        assert trials_digest(Job("fig11", 0.05, **kwargs).trials) == digest
 
 
 # -- lease ledger properties --------------------------------------------------------

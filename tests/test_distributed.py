@@ -15,14 +15,17 @@ import time
 
 import pytest
 
-from repro.experiments import run_distributed, run_experiment, run_worker
+from repro.experiments import Job, run_distributed, run_experiment, run_worker
 from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.distributed import (
     PROTOCOL_VERSION,
     _connect_with_retry,
     decode_message,
+    job_frame,
+    job_from_frame,
     message_payload,
 )
+from repro.experiments.runner import _jsonify, execute_trial
 from repro.net import SyncChannel
 
 SMALL = 0.03
@@ -35,7 +38,7 @@ def _free_port() -> int:
 
 
 class _FakeWorkerWire:
-    """The worker's side of the protocol, spoken by hand over one socket."""
+    """One side of the protocol, spoken by hand over one socket."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.channel = SyncChannel(sock)
@@ -46,6 +49,24 @@ class _FakeWorkerWire:
     def recv(self) -> dict | None:
         payload = self.channel.recv_frame()
         return None if payload is None else decode_message(payload)
+
+
+def _fake_coordinator(script) -> tuple[int, threading.Thread]:
+    """Listen, accept one worker and speak ``script(wire)`` to it by hand."""
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with server:
+            sock, _ = server.accept()
+            with sock:
+                sock.settimeout(30)
+                wire = _FakeWorkerWire(sock)
+                assert wire.recv()["type"] == "hello"
+                script(wire)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return server.getsockname()[1], thread
 
 
 def _start_workers(port: int, count: int, **kwargs) -> list[threading.Thread]:
@@ -185,17 +206,7 @@ def test_duplicate_results_on_the_wire_are_idempotent(tmp_path):
             wire.send({"type": "hello", "protocol": PROTOCOL_VERSION, "worker": "dup"})
             job = wire.recv()
             assert job["type"] == "job"
-            from repro.experiments.runner import (
-                _jsonify,
-                build_trial_list,
-                execute_trial,
-                trial_payloads,
-            )
-            from repro.experiments.registry import get_experiment
-
-            experiment = get_experiment(job["experiment"])
-            trials = build_trial_list(experiment, job["scale"], job["backend"])
-            payloads = trial_payloads(experiment.name, trials, job["seed"])
+            payloads = job_from_frame(job).payloads()
             wire.send({"type": "request"})
             while True:
                 message = wire.recv()
@@ -238,6 +249,108 @@ def test_duplicate_results_on_the_wire_are_idempotent(tmp_path):
     ).read_bytes()
 
 
+# Frames from the other side are outside input: a missing or mistyped field is
+# a PacketFormatError one-liner on the receiving side, never a traceback.
+
+
+def test_malformed_job_frame_is_a_worker_one_liner(capsys):
+    good = job_frame(Job("fig16", SMALL))
+    without_scale = {key: value for key, value in good.items() if key != "scale"}
+    for frame, field in (
+        (without_scale, "scale"),
+        ({**good, "scale": "0.03"}, "scale"),
+        ({**good, "seed": True}, "seed"),
+        ({**good, "experiment": 16}, "experiment"),
+        ({**good, "backend": None}, "backend"),
+        ({**good, "kernel": 0}, "kernel"),
+        ({**good, "trial_count": "18"}, "trial_count"),
+        ({**good, "trials_digest": None}, "trials_digest"),
+    ):
+        port, coordinator = _fake_coordinator(lambda wire, frame=frame: wire.send(frame))
+        assert run_worker(port=port) == 1
+        _join_all([coordinator])
+        err = capsys.readouterr().err
+        assert err.startswith(f"worker error: malformed job frame: {field!r} is ")
+        assert err.count("\n") == 1
+
+
+def test_malformed_lease_frame_is_a_worker_one_liner(capsys):
+    for lease in (
+        {"type": "lease", "lease_id": "abc", "indices": [0]},
+        {"type": "lease", "indices": [0]},
+        {"type": "lease", "lease_id": 1},
+        {"type": "lease", "lease_id": 1, "indices": "0"},
+        {"type": "lease", "lease_id": 1, "indices": ["0"]},
+        {"type": "lease", "lease_id": 1, "indices": [18]},  # fig16 has 18 trials
+        {"type": "lease", "lease_id": 1, "indices": [-1]},
+    ):
+
+        def script(wire, lease=lease):
+            wire.send(job_frame(Job("fig16", SMALL)))
+            assert wire.recv()["type"] == "request"
+            wire.send(lease)
+
+        port, coordinator = _fake_coordinator(script)
+        assert run_worker(port=port) == 1
+        _join_all([coordinator])
+        err = capsys.readouterr().err
+        assert err.startswith("worker error: malformed lease frame: ")
+        assert err.count("\n") == 1
+
+
+def test_malformed_result_frame_drops_the_worker_and_redispatches(tmp_path, caplog):
+    single = run_experiment("fig16", scale=SMALL, out_dir=tmp_path / "single")
+    port = _free_port()
+    bad_results = (
+        {"type": "result", "lease_id": "abc", "results": []},
+        {"type": "result", "results": []},
+        {"type": "result", "lease_id": 1},
+    )
+
+    def bad_worker(bad_result):
+        with _connect_with_retry("127.0.0.1", port, connect_timeout=30) as sock:
+            sock.settimeout(60)
+            wire = _FakeWorkerWire(sock)
+            wire.send({"type": "hello", "protocol": PROTOCOL_VERSION, "worker": "bad"})
+            assert wire.recv()["type"] == "job"
+            wire.send({"type": "request"})
+            assert wire.recv()["type"] == "lease"
+            wire.send(bad_result)
+            try:
+                assert wire.recv() is None  # dropped, not answered
+            except ConnectionError:
+                pass
+
+    # min_workers=4 holds every lease until all four are connected, so each
+    # bad peer is sure to hold one when it sends its malformed result.
+    bad = [
+        threading.Thread(target=bad_worker, args=(bad_result,), daemon=True)
+        for bad_result in bad_results
+    ]
+    for thread in bad:
+        thread.start()
+    healthy = _start_workers(port, 1)
+    log: list[str] = []
+    result = run_distributed(
+        "fig16",
+        scale=SMALL,
+        out_dir=tmp_path / "dist",
+        port=port,
+        min_workers=4,
+        timeout=120,
+        log=log.append,
+    )
+    _join_all(bad + healthy)
+    dropped = [line for line in log if "dropped: malformed result frame: " in line]
+    assert len(dropped) == len(bad_results)
+    assert "Unhandled exception" not in caplog.text
+    assert result.redispatched >= len(bad_results)
+    assert (tmp_path / "dist" / "fig16.json").read_bytes() == (
+        tmp_path / "single" / "fig16.json"
+    ).read_bytes()
+    assert result.rows == single.rows
+
+
 def test_distributed_run_serves_matching_artifact_from_cache(tmp_path):
     port = _free_port()
     threads = _start_workers(port, 1)
@@ -253,8 +366,11 @@ def test_distributed_run_serves_matching_artifact_from_cache(tmp_path):
 
 
 def test_run_distributed_validates_arguments():
-    with pytest.raises(ValueError, match="scale"):
-        run_distributed("fig16", scale=0.0)
+    for scale in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale"):
+            run_distributed("fig16", scale=scale)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        run_distributed("fig16", scale=SMALL, seed=-1)
     with pytest.raises(ValueError, match="shardable"):
         run_distributed("microbench", scale=SMALL)
     with pytest.raises(ValueError, match="backend"):
@@ -301,6 +417,13 @@ def test_cli_worker_count_validation(capsys):
         ["run", "fig16", "--workers", "-3"],
         ["run", "fig16", "--dist", "0"],
         ["run", "fig16", "--dist", "-1"],
+        # ... and so must a bad run request on the distributed paths.
+        ["run", "fig16", "--dist", "2", "--seed", "-1"],
+        ["run", "fig16", "--dist", "2", "--scale", "nan"],
+        ["run", "fig16", "--dist", "2", "--scale", "inf"],
+        ["coordinate", "fig16", "--seed", "-1"],
+        ["coordinate", "fig16", "--scale", "nan"],
+        ["coordinate", "fig16", "--scale", "inf"],
     ):
         assert experiments_main(argv) == 2
         captured = capsys.readouterr()

@@ -1,18 +1,13 @@
 """Tests for the per-figure experiment harness (small-scale smoke + shape checks)."""
 
 from repro.experiments import (
-    FIGURES,
-    coding_microbenchmark,
-    figure07_anonymity_vs_malicious,
-    figure16_resilience_analysis,
-    figure17_churn_resilience,
+    experiment_names,
+    experiment_rows,
     format_table,
     measure_onion_setup,
     measure_onion_throughput,
     measure_slicing_setup,
     measure_slicing_throughput,
-    setup_latency_sweep,
-    throughput_vs_path_length,
 )
 from repro.overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
 
@@ -30,12 +25,16 @@ def test_registry_contains_every_figure():
         "distbench",
         "distsweep",
         "distinguishability",
+        "ablation_transforms",
+        "ablation_as_selection",
+        "ablation_network_coding",
     }
-    assert expected == set(FIGURES)
+    # Scenario-matrix cells (scn-*) register dynamically from spec files.
+    assert expected == {n for n in experiment_names() if not n.startswith("scn-")}
 
 
 def test_fig07_shape():
-    rows = figure07_anonymity_vs_malicious(scale=SMALL)
+    rows = experiment_rows("fig07", scale=SMALL)
     assert rows[0]["fraction_malicious"] < rows[-1]["fraction_malicious"]
     # Low-f anonymity is near 1, and degrades as f grows.
     assert rows[0]["source_anonymity"] > 0.9
@@ -44,30 +43,29 @@ def test_fig07_shape():
 
 
 def test_fig11_slicing_beats_onion_on_lan():
-    rows = throughput_vs_path_length(
-        LAN_PROFILE, path_lengths=[2, 4], d=2, num_messages=60
-    )
+    rows = experiment_rows("fig11", scale=0.2)  # 60 messages per path length
+    assert [row["path_length"] for row in rows] == [2, 3, 4, 5]
     for row in rows:
         assert row["slicing_mbps"] > row["onion_mbps"]
         assert row["slicing_delivered"] == 60
 
 
 def test_fig12_slicing_beats_onion_on_wan():
-    rows = throughput_vs_path_length(
-        PLANETLAB_PROFILE, path_lengths=[3], d=2, num_messages=20
-    )
-    assert rows[0]["slicing_mbps"] > rows[0]["onion_mbps"]
+    rows = experiment_rows("fig12", scale=SMALL)
+    for row in rows:
+        assert row["slicing_mbps"] > row["onion_mbps"]
 
 
 def test_fig14_setup_orderings():
-    rows = setup_latency_sweep(LAN_PROFILE, path_lengths=[2, 5], split_factors=(2, 4))
+    rows = experiment_rows("fig14")
     for row in rows:
         # Setup cost grows with the split factor; onion (no slicing work) is
         # the cheapest, exactly as in Fig. 14.
         assert row["onion_seconds"] < row["slicing_d2_seconds"]
         assert row["slicing_d2_seconds"] < row["slicing_d4_seconds"]
     # And it grows with path length.
-    assert rows[0]["slicing_d2_seconds"] < rows[1]["slicing_d2_seconds"]
+    by_length = {row["path_length"]: row for row in rows}
+    assert by_length[2]["slicing_d2_seconds"] < by_length[5]["slicing_d2_seconds"]
 
 
 def test_setup_latency_wan_slower_than_lan():
@@ -80,7 +78,7 @@ def test_setup_latency_wan_slower_than_lan():
 
 
 def test_fig16_slicing_dominates_onion_erasure():
-    rows = figure16_resilience_analysis()
+    rows = experiment_rows("fig16")
     for row in rows:
         assert row["information_slicing_success"] >= row["onion_erasure_success"] - 1e-9
     # Higher failure probability lowers success at equal redundancy.
@@ -90,7 +88,7 @@ def test_fig16_slicing_dominates_onion_erasure():
 
 
 def test_fig17_slicing_reaches_high_success_with_little_redundancy():
-    rows = figure17_churn_resilience(scale=0.3)
+    rows = experiment_rows("fig17", scale=0.3)
     by_redundancy = {row["added_redundancy"]: row for row in rows}
     assert by_redundancy[1.5]["information_slicing_success"] > 0.7
     assert (
@@ -102,7 +100,7 @@ def test_fig17_slicing_reaches_high_success_with_little_redundancy():
 
 
 def test_microbenchmark_rows():
-    rows = coding_microbenchmark(scale=0.2)
+    rows = experiment_rows("microbench", scale=0.2)
     assert [row["d"] for row in rows] == [2, 3, 4, 5, 6, 8]
     for row in rows:
         assert row["encode_us_per_packet"] > 0

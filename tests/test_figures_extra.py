@@ -1,22 +1,15 @@
-"""Additional coverage for the experiment harness: Figs. 8-10, 13, 15, CLI."""
+"""Additional coverage for the experiment harness: Figs. 8-10, 13, 15."""
 
 import pytest
 
-from repro.experiments import (
-    aggregate_throughput_vs_flows,
-    figure08_anonymity_vs_split,
-    figure09_anonymity_vs_path_length,
-    figure10_anonymity_vs_redundancy,
-    figure15_setup_latency_wan,
-)
-from repro.experiments.__main__ import main as experiments_main
+from repro.experiments import aggregate_throughput_vs_flows, experiment_rows
 from repro.overlay.profiles import PLANETLAB_PROFILE
 
 SMALL = 0.03
 
 
 def test_fig08_rows_cover_both_adversary_strengths():
-    rows = figure08_anonymity_vs_split(scale=SMALL)
+    rows = experiment_rows("fig08", scale=SMALL)
     assert [row["split_factor"] for row in rows] == [2, 3, 4, 6, 8, 10, 12]
     for row in rows:
         assert 0.0 <= row["source_anonymity_f0.1"] <= 1.0
@@ -26,14 +19,14 @@ def test_fig08_rows_cover_both_adversary_strengths():
 
 
 def test_fig09_anonymity_rises_with_path_length():
-    rows = figure09_anonymity_vs_path_length(scale=SMALL)
+    rows = experiment_rows("fig09", scale=SMALL)
     assert rows[0]["path_length"] == 2 and rows[-1]["path_length"] == 20
     assert rows[-1]["source_anonymity"] > rows[0]["source_anonymity"] - 0.02
     assert rows[-1]["destination_anonymity"] > rows[0]["destination_anonymity"] - 0.02
 
 
 def test_fig10_destination_anonymity_decreases_with_redundancy():
-    rows = figure10_anonymity_vs_redundancy(scale=SMALL)
+    rows = experiment_rows("fig10", scale=SMALL)
     assert rows[0]["added_redundancy"] == pytest.approx(0.0)
     assert rows[-1]["added_redundancy"] > 2.0
     assert (
@@ -61,7 +54,7 @@ def test_fig13_aggregate_throughput_scales_with_flows():
 
 
 def test_fig15_wan_setup_is_slower_than_a_lan_would_be():
-    rows = figure15_setup_latency_wan(scale=SMALL)
+    rows = experiment_rows("fig15", scale=SMALL)
     # Wide-area RTTs and loaded nodes push every setup well beyond LAN times
     # (Fig. 14 tops out around a tenth of that).  Individual points are noisy
     # because the heterogeneous profile redraws node loads per run, so the
@@ -70,10 +63,3 @@ def test_fig15_wan_setup_is_slower_than_a_lan_would_be():
     mean_d2 = sum(row["slicing_d2_seconds"] for row in rows) / len(rows)
     mean_d4 = sum(row["slicing_d4_seconds"] for row in rows) / len(rows)
     assert mean_d4 > mean_d2
-
-
-def test_cli_runs_selected_figure(capsys):
-    assert experiments_main(["fig16", "--scale", "0.05"]) == 0
-    output = capsys.readouterr().out
-    assert "fig16" in output
-    assert "information_slicing_success" in output

@@ -25,8 +25,8 @@ from repro.core.gf import (
     GF256,
     active_kernel,
     available_kernels,
+    default_field,
     field_for_kernel,
-    resolve_field,
     use_kernel,
 )
 
@@ -103,8 +103,8 @@ def test_cross_kernel_coding_round_trips():
     """Blocks encoded under one kernel decode under the other."""
     messages = [bytes([i] * 96) for i in range(6)]
     for encode_kernel, decode_kernel in (("compiled", "numpy"), ("numpy", "compiled")):
-        encoder = SliceCoder(4, kernel=encode_kernel)
-        decoder = SliceCoder(4, kernel=decode_kernel)
+        encoder = SliceCoder(4, field=field_for_kernel(encode_kernel))
+        decoder = SliceCoder(4, field=field_for_kernel(decode_kernel))
         rng = np.random.default_rng(7)
         assert decoder.decode(encoder.encode(messages[0], rng)) == messages[0]
         batches = encoder.encode_batch(messages, rng)
@@ -117,7 +117,7 @@ def test_kernel_choice_never_changes_coded_bytes():
     the invariant that keeps cached experiment artifacts kernel-independent."""
     message = bytes(range(128))
     blocks = {
-        kernel: SliceCoder(4, kernel=kernel).encode(
+        kernel: SliceCoder(4, field=field_for_kernel(kernel)).encode(
             message, np.random.default_rng(11)
         )
         for kernel in ("numpy", "compiled")
@@ -136,12 +136,13 @@ def test_unknown_kernel_is_rejected_everywhere():
         field_for_kernel("fortran")
 
 
-def test_resolve_field_precedence():
+def test_explicit_field_beats_the_active_kernel():
     explicit = GF256()
-    assert resolve_field(explicit, None) is explicit
-    assert resolve_field(explicit, "numpy") is explicit  # field beats kernel
-    assert resolve_field(None, "numpy") is field_for_kernel("numpy")
-    assert resolve_field() is GF
+    assert SliceCoder(3, field=explicit).field is explicit
+    with use_kernel("numpy"):
+        assert SliceCoder(3, field=explicit).field is explicit  # field beats kernel
+        assert SliceCoder(3).field is field_for_kernel("numpy")
+    assert default_field() is GF
 
 
 def test_use_kernel_scopes_the_active_kernel():
@@ -151,7 +152,7 @@ def test_use_kernel_scopes_the_active_kernel():
     if gf_kernels.compiled_available():
         with use_kernel("compiled"):
             assert active_kernel() == "compiled"
-            assert resolve_field().kernel == "compiled"
+            assert default_field().kernel == "compiled"
             assert SliceCoder(3).field.kernel == "compiled"
         assert active_kernel() == "numpy"
     with pytest.raises(FieldError, match="unknown kernel"):

@@ -103,11 +103,22 @@ def test_rows_are_plain_json_types():
     assert all(isinstance(row, dict) for row in rows)
 
 
-def test_invalid_arguments_rejected():
-    with pytest.raises(ValueError, match="scale"):
-        run_experiment("fig16", scale=0.0)
+def test_invalid_arguments_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad"
+    for scale in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale"):
+            run_experiment("fig16", scale=scale, out_dir=bad)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        run_experiment("fig16", scale=SMALL, seed=-1, out_dir=bad)
     with pytest.raises(ValueError, match="workers"):
         run_experiment("fig16", scale=SMALL, workers=0)
+    # The CLI turns the same checks into exit-2 one-liners.
+    for flags in (["--seed", "-1"], ["--scale", "nan"], ["--scale", "inf"]):
+        assert experiments_main(["run", "fig16", *flags, "--out", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flags[0][2:]} must be ")
+        assert captured.err.count("\n") == 1
+    assert not bad.exists()  # nothing was written
 
 
 def test_cli_run_subcommand(tmp_path, capsys):
