@@ -15,6 +15,8 @@ import os
 
 import pytest
 
+from repro.experiments.bench_history import GATES, summarise_gate
+
 _RAW_SCALE = os.environ.get("REPRO_BENCH_SCALE", "0.1")
 
 
@@ -42,14 +44,15 @@ def scale() -> float:
     return SCALE
 
 
-# -- speedup thresholds: always reported, enforced only on opt-in -------------------
+# -- speedup gates: always reported, enforced only on opt-in ------------------------
 #
 # Wall-clock speed must never decide whether tier-1 (`python -m pytest -x -q`)
 # is green: a slow or busy host is not a bug.  Every benchmark keeps asserting
-# bit-identity and structure unconditionally and routes its speedup threshold
-# through `check_speedups`, which records the measurement for the terminal
-# summary and fails below target only under `--enforce-speedups` (the CI
-# bench steps pass it).
+# bit-identity and structure unconditionally and hands its rows to
+# `check_speedups`, which summarises them exactly as the ledger does
+# (`bench_history.summarise_gate`), records the line for the terminal summary
+# and fails below the gate's target or floor (`bench_history.GATES`) only
+# under `--enforce-speedups` (the CI bench steps pass it).
 
 
 def pytest_addoption(parser):
@@ -67,24 +70,27 @@ _SPEEDUP_REPORT = pytest.StashKey[list]()
 
 @pytest.fixture
 def check_speedups(request):
-    """``check(speedups, median_at_least, each_above=None)`` for one benchmark."""
+    """``check(rows, gate)``: report ``gate``'s measured rows; enforce on opt-in."""
     config = request.config
     enforce = config.getoption("--enforce-speedups", default=False)
 
-    def check(speedups, median_at_least: float, each_above: float | None = None):
-        ordered = sorted(speedups)
-        median = ordered[len(ordered) // 2]
-        floor = "" if each_above is None else f", each > {each_above:g}x"
+    def check(rows: list[dict], gate: str):
+        target, floor = GATES[gate]["target"], GATES[gate]["floor"]
+        summary = summarise_gate({"rows": rows})
+        speedups = sorted(round(row["speedup"], 2) for row in rows if "speedup" in row)
+        wanted = "no target" if target is None else f"target >= {target:g}x"
+        if floor is not None:
+            wanted += f", each > {floor:g}x"
         line = (
-            f"{request.node.name}: median {median:.2f}x of "
-            f"{[round(s, 2) for s in ordered]} "
-            f"(target >= {median_at_least:g}x{floor})"
+            f"{gate}: median {summary['speedup']:.2f}x "
+            f"({summary['reference_ms']:.4g} -> {summary['fast_ms']:.4g} ms) "
+            f"of {speedups} ({wanted})"
         )
         config.stash.setdefault(_SPEEDUP_REPORT, []).append(line)
         if not enforce:
             return
-        assert median >= median_at_least, line
-        assert each_above is None or all(s > each_above for s in ordered), line
+        assert target is None or summary["speedup"] >= target, line
+        assert floor is None or summary["min_speedup"] > floor, line
 
     return check
 

@@ -3,7 +3,8 @@
 paper's 1000 trials per data point.
 
 The acceptance bar for the vectorised engine: bit-identical per-trial values
-under a shared seed, and >= 10x faster at 1000 trials.  Regenerates the
+under a shared seed, and the ``anonbench`` speedup target of
+``bench_history.GATES`` at 1000 trials.  Regenerates the
 series through the experiment runner (``run_experiment("anonbench")``).
 """
 
@@ -17,9 +18,9 @@ def test_anonymity_microbench(benchmark, scale, check_speedups):
     )
     # The vectorised engine must reproduce the scalar reference bit-for-bit.
     assert all(row["identical"] for row in rows)
-    # And beat it by >= 10x at 1000 trials.  Locally the margin is ~25-40x;
-    # gate the median across parameter points so one contended timing
-    # sample on a loaded CI runner cannot flake the bench job.
-    check_speedups([row["speedup"] for row in rows], 10.0, each_above=3.0)
+    # Locally the margin is ~25-40x; the gate is on the median across
+    # parameter points so one contended timing sample on a loaded CI runner
+    # cannot flake the bench job.
+    check_speedups(rows, "anonbench")
     print()
     print(format_table(rows))

@@ -1,6 +1,7 @@
 """Section 7.1 microbenchmark: coding/decoding cost per 1500-byte packet,
 plus the batched-coding comparison: ``encode_batch`` on a 64-message burst
-must beat the equivalent per-message encode loop by at least 3x.
+against the equivalent per-message encode loop (the ``microbench`` gate of
+``bench_history.GATES``).
 
 Regenerates the series through the experiment runner
 (``run_experiment("microbench")``) and prints the rows the paper plots.  See
@@ -16,11 +17,10 @@ def test_coding_microbench(benchmark, scale, check_speedups):
         experiment_rows, kwargs={"name": "microbench", "scale": scale}, iterations=1, rounds=1
     )
     assert all(r['encode_us_per_packet'] > 0 for r in rows)
-    # The batched path must beat the per-message loop by >= 3x on 64 messages.
-    # Gate the median across split factors (locally 3.4-4.7x) so one noisy
-    # timing sample on a loaded CI runner cannot flake the bench job.  Every
-    # d must still win outright; that margin is kept loose because a single
-    # contended timing sample on a shared runner can degrade one d.
-    check_speedups([r['batch_speedup'] for r in rows], 3.0, each_above=1.0)
+    # The gate is on the median across split factors (locally 3.4-4.7x) so
+    # one noisy timing sample on a loaded CI runner cannot flake the bench
+    # job.  Every d must still win outright; that floor is kept loose because
+    # a single contended timing sample on a shared runner can degrade one d.
+    check_speedups(rows, "microbench")
     print()
     print(format_table(rows))

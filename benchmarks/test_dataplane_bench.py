@@ -1,11 +1,11 @@
-"""Data-plane microbenchmark gate: the batched overlay plane must beat the
-per-packet reference by >= 5x on a 64-message fig11-style workload, while
-delivering bit-identical plaintexts and relay counters.  Regenerates the
+"""Data-plane microbenchmark gate: the batched overlay plane against the
+per-packet reference on a 64-message fig11-style workload (the
+``dataplane-bench`` target of ``bench_history.GATES``), while delivering
+bit-identical plaintexts and relay counters.  Regenerates the
 series through the experiment runner (``run_experiment("dataplane-bench")``).
 """
 
 from repro.experiments import format_table
-from repro.experiments.figures import DATAPLANE_TARGET_SPEEDUP
 from repro.experiments.runner import experiment_rows
 
 
@@ -19,14 +19,10 @@ def test_dataplane_microbench(benchmark, scale, check_speedups):
     # The batched plane must reproduce the per-packet reference bit-for-bit:
     # same delivered plaintexts, same per-relay counters.
     assert all(row["identical"] for row in rows)
-    # And beat it by >= 5x at 64 messages.  Locally the margin is ~5-7x;
-    # gate the median across seeds so one contended timing sample on a
-    # loaded CI runner cannot flake the bench job.
-    check_speedups(
-        [row["speedup"] for row in rows],
-        DATAPLANE_TARGET_SPEEDUP,
-        each_above=DATAPLANE_TARGET_SPEEDUP / 2,
-    )
+    # Locally the margin is ~5-7x; the gate is on the median across seeds so
+    # one contended timing sample on a loaded CI runner cannot flake the
+    # bench job.
+    check_speedups(rows, "dataplane-bench")
     # The event collapse is structural, not a timing accident.
     assert all(row["batched_events"] * 5 < row["scalar_events"] for row in rows)
     print()

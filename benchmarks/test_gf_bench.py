@@ -1,8 +1,8 @@
-"""GF(2^8) kernel gate: the compiled kernel must beat the numpy reference by
->= 3x at the data plane's real shapes — the fig11-style encode matmul
-(64 x (8, 4) @ (4, 65)) and the decoder's batched Gauss–Jordan inverse
-(64 x (4, 4), singular members included) — while every output array stays
-bit-identical to the reference.  Regenerates the series through the
+"""GF(2^8) kernel gate: the compiled kernel against the numpy reference (the
+``gfbench`` target of ``bench_history.GATES``) on two stacked 64-matrix
+calls — a batched matmul (64 x (8, 4) @ (4, 65)) and the batched
+Gauss–Jordan inverse (64 x (4, 4), singular members included) — while every
+output array stays bit-identical to the reference.  Regenerates the series through the
 experiment runner (``run_experiment("gfbench")``).
 
 The compiled backend is an optional extra (numba, or the bundled C
@@ -15,7 +15,6 @@ the CI ``compiled-kernels`` job installs ``.[fast]`` and enforces it
 import pytest
 
 from repro.experiments import format_table
-from repro.experiments.figures import GFBENCH_TARGET_SPEEDUP
 from repro.experiments.runner import experiment_rows
 
 
@@ -36,11 +35,7 @@ def test_gf_kernel_microbench(benchmark, scale, check_speedups):
     # any speedup is considered.
     assert all(row["identical"] for row in rows)
     assert {row["op"] for row in rows} == {"matmul", "invert"}
-    # Locally the margin is ~5x (matmul) and ~10x (invert); gate the
-    # median across seeds and ops so one contended timing sample on a loaded
-    # CI runner cannot flake the bench job.
-    check_speedups(
-        [row["speedup"] for row in rows],
-        GFBENCH_TARGET_SPEEDUP,
-        each_above=GFBENCH_TARGET_SPEEDUP / 3,
-    )
+    # Locally the margin is ~5x (matmul) and ~10x (invert); the gate is on
+    # the median across seeds and ops so one contended timing sample on a
+    # loaded CI runner cannot flake the bench job.
+    check_speedups(rows, "gfbench")

@@ -1,16 +1,15 @@
 #!/usr/bin/env python
-"""Collect the benchmark speedup gates into BENCH_trajectory.json.
+"""Collect bench gates and perfbench medians into BENCH_trajectory.json.
 
-``collect`` reads whichever gate artifacts (anonbench, chaumbench,
-dataplane-bench, distbench, distsweep, gfbench, sphinxbench) exist in the
-given results directories and
-upserts one entry per ``--label`` into the versioned trajectory file;
-``render`` prints the trajectory as the markdown trend table that the
-scenario report embeds.
+``collect`` reads whichever gate artifacts (``<gate>.json`` for every name
+in ``bench_history.GATES``) exist in the results directory and, with
+``--perfbench``, the result documents ``perfbench/run.py --out-dir`` wrote,
+and upserts one entry per ``--label`` into the ledger; ``render`` prints the
+ledger as the markdown tables the README and the scenario report embed.
 
 Usage:
-    python scripts/bench_history.py collect --label pr6 \
-        --results results [--results more/results] [--out BENCH_trajectory.json]
+    python scripts/bench_history.py collect --label pr19 --results results \
+        [--perfbench perfbench/results] [--out BENCH_trajectory.json]
     python scripts/bench_history.py render [--trajectory BENCH_trajectory.json]
 """
 
@@ -35,14 +34,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    collect = subparsers.add_parser("collect", help="record gate speedups for a label")
+    collect = subparsers.add_parser("collect", help="record one ledger entry for a label")
     collect.add_argument("--label", required=True, help="entry label (PR number or commit)")
     collect.add_argument(
         "--results",
-        action="append",
+        type=Path,
+        default=REPO_ROOT / "results",
+        help="directory holding the gate artifacts (default: results/)",
+    )
+    collect.add_argument(
+        "--perfbench",
         type=Path,
         default=None,
-        help="results directory to probe for gate artifacts (repeatable)",
+        help="directory of perfbench/run.py --out-dir documents to take medians of",
     )
     collect.add_argument("--out", type=Path, default=DEFAULT_TRAJECTORY)
 
@@ -51,14 +55,19 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "collect":
-        results_dirs = args.results or [REPO_ROOT / "results"]
         try:
-            trajectory, missing = bench_history.collect(args.label, results_dirs, args.out)
+            trajectory, missing = bench_history.collect(
+                args.label, args.results, args.out, args.perfbench
+            )
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         entry = next(e for e in trajectory["entries"] if e["label"] == args.label)
-        print(f"{args.out}: label {args.label!r} records {len(entry['gates'])} gate(s)")
+        workloads = entry.get("perfbench", {}).get("workloads", {})
+        print(
+            f"{args.out}: label {args.label!r} records {len(entry['gates'])} gate(s) "
+            f"and {len(workloads)} perfbench workload(s)"
+        )
         for gate in missing:
             print(f"  missing artifact for gate {gate!r}", file=sys.stderr)
         return 0

@@ -57,8 +57,8 @@ def decode_setup_payload(
     picks (matrix inverses over GF(2^8) are unique), and anything irregular
     — dependent rows, churn padding that fails the integrity frame, ragged
     payload lengths — falls back to :func:`robust_decode` on the very same
-    blocks.  Asserted in ``tests/test_setup_decode.py`` and re-checked by
-    :func:`repro.experiments.setup_latency.compare_setup_decode_engines`.
+    blocks.  Asserted in ``tests/test_setup_decode.py``, block by block and
+    through a full route setup on both engines.
     """
     field = default_field() if field is None else field
     d = coder.d

@@ -14,12 +14,7 @@ from .scenarios import (
     register_matrix,
     register_matrix_file,
 )
-from .setup_latency import (
-    compare_setup_decode_engines,
-    measure_onion_setup,
-    measure_setup,
-    measure_slicing_setup,
-)
+from .setup_latency import measure_onion_setup, measure_setup, measure_slicing_setup
 from .tables import format_table
 from .throughput import (
     ThroughputResult,
@@ -52,7 +47,6 @@ __all__ = [
     "measure_setup",
     "measure_slicing_setup",
     "measure_onion_setup",
-    "compare_setup_decode_engines",
     "ScenarioCell",
     "ScenarioMatrix",
     "ScenarioSpecError",

@@ -620,14 +620,17 @@ def _report_command(args: argparse.Namespace, matrix) -> int:
         Path(args.json) if args.json else results_dir / "scenario_report.json"
     )
     md_path = None if args.md == "-" else Path(args.md)
-    report = write_report(
-        matrix,
-        results_dir,
-        json_path=json_path,
-        md_path=md_path,
-        baseline_path=args.baseline,
-        trajectory_path=args.trajectory,
-    )
+    try:
+        report = write_report(
+            matrix,
+            results_dir,
+            json_path=json_path,
+            md_path=md_path,
+            baseline_path=args.baseline,
+            trajectory_path=args.trajectory,
+        )
+    except ValueError as error:  # a ledger file of another schema version
+        return _fail(str(error))
     summary = report["summary"]
     print(
         f"report for matrix {matrix.name!r}: {summary['cells']} cell(s), "

@@ -1,24 +1,27 @@
-"""Per-PR bench trajectory: the speedup gates as one versioned JSON file.
+"""The performance ledger: ``BENCH_trajectory.json``, one entry per PR.
 
-CI runs seven benchmark gates — ``anonbench`` (vectorised anonymity
-Monte-Carlo), ``chaumbench`` (vectorised Chaum-mix Monte-Carlo),
-``dataplane-bench`` (batched overlay data plane), ``distbench``
-(coordinator/worker sharding), ``distsweep`` (worker-count scaling,
-plain vs. secure wire), ``gfbench`` (compiled GF(2^8) kernel vs.
-numpy reference) and ``sphinxbench`` (batched Sphinx cell
-masking) — and uploads their artifacts per run, but
-uploaded artifacts expire: nothing in-repo showed how the speedups move
-PR over PR.  This module maintains ``BENCH_trajectory.json``: one entry per
-label (a PR number or commit), each recording the median and minimum
-measured speedup of every gate next to the gate's enforced target.
+Two kinds of measurement exist in this repo and the ledger holds both, side
+by side, under one label (a PR number or commit):
 
-``scripts/bench_history.py`` is the CLI wrapper (``collect`` / ``render``);
-:func:`render_trend` also feeds the trend table in the generated scenario
-report (:mod:`repro.experiments.report`).
+* the **ratio gates** — bench experiments that time a reference path
+  against a fast path of our own code through
+  :func:`~repro.experiments.timing.compare_paths`.  :data:`GATES` is the
+  only place their names and targets are written down; an entry records,
+  per gate, the median of *both absolute sides* in milliseconds next to the
+  median and minimum speedup, so a ratio that moves can be attributed to
+  the side that moved.
+* the **perfbench medians** — the five end-to-end metrics of every
+  workload ``perfbench/run.py`` measures, with the host manifest of the
+  runs they came from.
 
-Entries deliberately carry no timestamps: the file is regenerated in CI and
-compared across runs, so everything in it must be a pure function of the
-bench artifacts and the ``--label`` argument.
+Both are read from files the existing commands already write:
+``results/<gate>.json`` (``repro-experiments run <gate>``) and the result
+documents of ``perfbench/run.py --out-dir``.  ``scripts/bench_history.py``
+is the CLI wrapper (``collect`` / ``render``); :func:`render_trend` also
+feeds the generated scenario report (:mod:`repro.experiments.report`).
+
+Entries deliberately carry no timestamps: collecting the same inputs twice
+leaves the file byte-identical.
 """
 
 from __future__ import annotations
@@ -29,88 +32,118 @@ from pathlib import Path
 
 from .runner import serialise_artifact
 
-TRAJECTORY_VERSION = 1
+TRAJECTORY_VERSION = 2
 
-#: Gate name -> enforced speedup target and the artifact filenames to probe
-#: (the runner's ``results/<name>.json`` plus the CI upload aliases).
+#: Gate (= bench experiment) name -> the speedup its median must reach and
+#: the floor every row must clear, enforced by ``benchmarks/`` only under
+#: ``--enforce-speedups``.  ``distsweep`` has neither: sharding fig11 is
+#: bounded by its fixed per-run cost (docs/ARCHITECTURE.md, "Distributed
+#: execution"), so the ledger records its seconds and asserts no ratio.
 GATES: dict[str, dict] = {
-    "anonbench": {"target": 10.0, "files": ("anonbench.json", "BENCH_anon.json")},
-    "chaumbench": {"target": 10.0, "files": ("chaumbench.json", "BENCH_chaum.json")},
-    "dataplane-bench": {
-        "target": 5.0,
-        "files": ("dataplane-bench.json", "BENCH_dataplane.json"),
-    },
-    "distbench": {"target": 1.5, "files": ("distbench.json", "BENCH_dist.json")},
-    "distsweep": {"target": 1.5, "files": ("distsweep.json", "BENCH_distsweep.json")},
-    "gfbench": {"target": 3.0, "files": ("gfbench.json", "BENCH_gf.json")},
-    "sphinxbench": {
-        "target": 2.0,
-        "files": ("sphinxbench.json", "BENCH_sphinx.json"),
-    },
+    "anonbench": {"target": 10.0, "floor": 3.0},
+    "chaumbench": {"target": 10.0, "floor": 3.0},
+    "dataplane-bench": {"target": 5.0, "floor": 2.5},
+    "distsweep": {"target": None, "floor": None},
+    "gfbench": {"target": 3.0, "floor": 1.0},
+    "microbench": {"target": 3.0, "floor": 1.0},
+    "sphinxbench": {"target": 2.0, "floor": None},
 }
+
+#: The end-to-end metrics ``BENCHMARK.json`` declares (tests/test_docs.py
+#: checks the two lists stay equal).
+END_TO_END_METRICS = (
+    "goodput_MBps",
+    "round_ms_p50",
+    "cpu_s_per_MB",
+    "peak_rss_MB",
+    "setup_s",
+)
+
+_COLUMNS = ("reference_ms", "fast_ms", "speedup")
+
+
+def _median(values: list[float]) -> float:
+    return round(statistics.median(values), 4)
 
 
 def summarise_gate(document: dict) -> dict:
-    """Condense one bench artifact's rows into the trajectory fields.
+    """Condense one bench artifact's rows into the ledger fields.
 
-    Every gate experiment reports a ``speedup`` column per row; the median is
-    what the benchmark suites assert against, the minimum shows the worst
-    parameter point.  Gates that cannot run on the current host (``gfbench``
-    with no compiled provider, ``distbench`` on a single-CPU runner) report
-    ``"skipped"`` rows instead; those summarise to a ``skipped`` reason and
-    render as ``n/a`` in the trend table rather than failing collection.
+    Rows that measured something carry ``reference_ms``, ``fast_ms`` and
+    ``speedup``; the ledger keeps the median of each plus the worst
+    speedup.  Gates that cannot run on the current host (``gfbench`` with
+    no compiled provider, ``distsweep`` on a single-CPU runner) report only
+    ``"skipped"`` rows; those summarise to the reason and render as ``n/a``.
 
-    >>> doc = {"rows": [{"speedup": 12.0}, {"speedup": 20.0}, {"speedup": 14.0}]}
+    >>> doc = {"rows": [{"reference_ms": 24.0, "fast_ms": 2.0, "speedup": 12.0},
+    ...                 {"reference_ms": 30.0, "fast_ms": 1.5, "speedup": 20.0},
+    ...                 {"reference_ms": 28.0, "fast_ms": 2.0, "speedup": 14.0}]}
     >>> summarise_gate(doc)
-    {'median_speedup': 14.0, 'min_speedup': 12.0, 'rows': 3}
+    {'reference_ms': 28.0, 'fast_ms': 2.0, 'speedup': 14.0, 'min_speedup': 12.0, 'rows': 3}
     >>> summarise_gate({"rows": [{"skipped": "host has 1 CPU(s)"}]})
     {'skipped': 'host has 1 CPU(s)', 'rows': 1}
     """
     rows = [row for row in document.get("rows", []) if isinstance(row, dict)]
-    speedups = [float(row["speedup"]) for row in rows if "speedup" in row]
-    if not speedups:
+    measured = [row for row in rows if "speedup" in row]
+    if not measured:
         skipped = [str(row["skipped"]) for row in rows if "skipped" in row]
         if skipped:
             return {"skipped": skipped[0], "rows": len(skipped)}
         raise ValueError("bench artifact has no rows with a 'speedup' field")
+    try:
+        columns = {
+            name: [float(row[name]) for row in measured] for name in _COLUMNS
+        }
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(
+            f"bench rows must carry numeric {', '.join(_COLUMNS)} columns ({error!r})"
+        ) from None
     return {
-        "median_speedup": round(statistics.median(speedups), 4),
-        "min_speedup": round(min(speedups), 4),
-        "rows": len(speedups),
+        **{name: _median(values) for name, values in columns.items()},
+        "min_speedup": round(min(columns["speedup"]), 4),
+        "rows": len(measured),
     }
 
 
-def find_gate_artifact(gate: str, results_dirs: list[Path]) -> Path | None:
-    """First existing artifact for ``gate`` across the candidate directories."""
-    for directory in results_dirs:
-        for filename in GATES[gate]["files"]:
-            candidate = Path(directory) / filename
-            if candidate.is_file():
-                return candidate
-    return None
+def summarise_perfbench(directory: Path) -> dict:
+    """Medians of the end-to-end metrics per workload, plus the host manifest.
 
-
-def collect_entry(label: str, results_dirs: list[Path]) -> tuple[dict, list[str]]:
-    """Build one trajectory entry from whatever gate artifacts are present.
-
-    Returns the entry plus the list of gates that had no artifact — missing
-    gates degrade to absent keys rather than failures, so a partial bench
-    run still records what it measured.
+    ``directory`` holds the ``*-trace0.json`` documents one or more
+    ``perfbench/run.py --out-dir`` runs wrote; several seeds of one
+    workload reduce to their median.  The manifest is the first document's
+    (one ledger entry is one host).
     """
-    gates: dict[str, dict] = {}
-    missing: list[str] = []
-    for gate in sorted(GATES):
-        artifact = find_gate_artifact(gate, results_dirs)
-        if artifact is None:
-            missing.append(gate)
-            continue
-        document = json.loads(artifact.read_text(encoding="utf-8"))
-        gates[gate] = {"target": GATES[gate]["target"], **summarise_gate(document)}
-    return {"label": label, "gates": gates}, missing
+    runs: dict[str, list[dict]] = {}
+    manifest = None
+    try:
+        for path in sorted(Path(directory).glob("*-trace0.json")):
+            document = json.loads(path.read_text(encoding="utf-8"))
+            manifest = manifest or document["manifest"]
+            runs.setdefault(document["workload"], []).append(document)
+        workloads = {
+            workload: {
+                "runs": len(documents),
+                "failed": sum(document["failed"] for document in documents),
+                **{
+                    metric: _median(
+                        [float(d["metrics"][metric]["value"]) for d in documents]
+                    )
+                    for metric in END_TO_END_METRICS
+                },
+            }
+            for workload, documents in sorted(runs.items())
+        }
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(
+            f"{directory} holds a malformed perfbench document ({error!r})"
+        ) from None
+    if not workloads:
+        raise ValueError(f"{directory} holds no perfbench documents (*-trace0.json)")
+    return {"manifest": manifest, "workloads": workloads}
 
 
 def load_trajectory(path: Path) -> dict:
-    """Load an existing trajectory file, or start a fresh one."""
+    """Load an existing ledger file, or start a fresh one."""
     path = Path(path)
     if not path.is_file():
         return {"version": TRAJECTORY_VERSION, "entries": []}
@@ -128,7 +161,7 @@ def upsert_entry(trajectory: dict, entry: dict) -> dict:
     Re-running collection for one label (a re-triggered CI run) updates that
     label's measurements without duplicating or re-ordering history.
 
-    >>> trajectory = {"version": 1, "entries": [{"label": "pr1", "gates": {}}]}
+    >>> trajectory = {"version": 2, "entries": [{"label": "pr1", "gates": {}}]}
     >>> updated = upsert_entry(trajectory, {"label": "pr1", "gates": {"x": 1}})
     >>> [e["label"] for e in updated["entries"]]
     ['pr1']
@@ -146,44 +179,98 @@ def upsert_entry(trajectory: dict, entry: dict) -> dict:
     return {"version": TRAJECTORY_VERSION, "entries": entries}
 
 
-def collect(label: str, results_dirs: list[Path], path: Path) -> tuple[dict, list[str]]:
-    """Collect the current gate artifacts into the trajectory file at ``path``."""
-    entry, missing = collect_entry(label, results_dirs)
+def collect(
+    label: str, results_dir: Path, path: Path, perfbench_dir: Path | None = None
+) -> tuple[dict, list[str]]:
+    """Upsert ``label``'s entry into the ledger file at ``path``.
+
+    Reads ``results_dir/<gate>.json`` for every gate and, if given, the
+    perfbench documents in ``perfbench_dir``.  Returns the ledger plus the
+    gates that had no artifact — those degrade to absent keys rather than
+    failures, so a partial bench run still records what it measured.
+    """
+    gates: dict[str, dict] = {}
+    missing: list[str] = []
+    for gate in sorted(GATES):
+        artifact = Path(results_dir) / f"{gate}.json"
+        if not artifact.is_file():
+            missing.append(gate)
+            continue
+        document = json.loads(artifact.read_text(encoding="utf-8"))
+        gates[gate] = {"target": GATES[gate]["target"], **summarise_gate(document)}
+    entry = {"label": label, "gates": gates}
+    if perfbench_dir is not None:
+        entry["perfbench"] = summarise_perfbench(perfbench_dir)
     trajectory = upsert_entry(load_trajectory(path), entry)
     Path(path).write_text(serialise_artifact(trajectory), encoding="utf-8")
     return trajectory, missing
 
 
+def _gate_cell(measured: dict | None) -> str:
+    if measured is None:
+        return "—"
+    if "skipped" in measured:
+        return "n/a"
+    cell = f"{measured['speedup']:.3g}×"
+    if measured.get("reference_ms") is not None:
+        cell += f" ({measured['reference_ms']:.4g} → {measured['fast_ms']:.4g} ms)"
+    return cell
+
+
 def render_trend(trajectory: dict) -> str:
-    """The trajectory as a markdown trend table (one row per label).
+    """The ledger as markdown: the gate table, then the perfbench medians.
 
-    Gates a host could not run (a ``skipped`` summary) render as ``n/a``;
-    gates with no artifact at all render as ``—``.
+    A gate cell reads ``speedup× (reference → fast ms)``, all three medians
+    over the gate's rows (entries migrated from the ratio-only schema have
+    no milliseconds to show).  Gates a host could not run render as
+    ``n/a``; gates with no artifact at all render as ``—``.  Entries with
+    perfbench runs add one row per workload and a line naming the host.
 
-    >>> print(render_trend({"version": 1, "entries": [
-    ...     {"label": "pr5", "gates": {"distbench": {"target": 1.5,
-    ...                                              "median_speedup": 2.1},
-    ...                                "gfbench": {"target": 3.0,
-    ...                                            "skipped": "no provider"}}}]}))
-    | label | anonbench (≥10×) | chaumbench (≥10×) | dataplane-bench (≥5×) | distbench (≥1.5×) | distsweep (≥1.5×) | gfbench (≥3×) | sphinxbench (≥2×) |
+    >>> print(render_trend({"version": 2, "entries": [
+    ...     {"label": "pr5", "gates": {
+    ...         "sphinxbench": {"target": 2.0, "reference_ms": 50.0,
+    ...                         "fast_ms": 1.6, "speedup": 31.25},
+    ...         "gfbench": {"target": 3.0, "skipped": "no provider"}}}]}))
+    | label | anonbench (≥10×) | chaumbench (≥10×) | dataplane-bench (≥5×) | distsweep | gfbench (≥3×) | microbench (≥3×) | sphinxbench (≥2×) |
     |---|---|---|---|---|---|---|---|
-    | pr5 | — | — | — | 2.1× | — | n/a | — |
+    | pr5 | — | — | — | — | n/a | — | 31.2× (50 → 1.6 ms) |
     """
+    entries = trajectory.get("entries", [])
     gate_names = sorted(GATES)
-    header = "| label | " + " | ".join(
-        f"{gate} (≥{GATES[gate]['target']:g}×)" for gate in gate_names
-    ) + " |"
-    separator = "|" + "---|" * (len(gate_names) + 1)
-    lines = [header, separator]
-    for entry in trajectory.get("entries", []):
-        cells = []
-        for gate in gate_names:
-            measured = entry.get("gates", {}).get(gate)
-            if measured is None:
-                cells.append("—")
-            elif "skipped" in measured:
-                cells.append("n/a")
-            else:
-                cells.append(f"{measured['median_speedup']:g}×")
+    lines = [
+        "| label | "
+        + " | ".join(
+            gate if GATES[gate]["target"] is None
+            else f"{gate} (≥{GATES[gate]['target']:g}×)"
+            for gate in gate_names
+        )
+        + " |",
+        "|" + "---|" * (len(gate_names) + 1),
+    ]
+    for entry in entries:
+        cells = [_gate_cell(entry.get("gates", {}).get(gate)) for gate in gate_names]
         lines.append(f"| {entry.get('label', '?')} | " + " | ".join(cells) + " |")
+    measured = [entry for entry in entries if "perfbench" in entry]
+    if measured:
+        lines += [
+            "",
+            "| label | workload | runs | " + " | ".join(END_TO_END_METRICS) + " |",
+            "|" + "---|" * (len(END_TO_END_METRICS) + 3),
+        ]
+        for entry in measured:
+            for workload, medians in entry["perfbench"]["workloads"].items():
+                cells = [f"{medians[metric]:.4g}" for metric in END_TO_END_METRICS]
+                lines.append(
+                    f"| {entry['label']} | {workload} | {medians['runs']} | "
+                    + " | ".join(cells)
+                    + " |"
+                )
+        for entry in measured:
+            host = entry["perfbench"]["manifest"]
+            lines += [
+                "",
+                f"`{entry['label']}` host: {host.get('cpu_count')} CPU(s), "
+                f"Python {host.get('python')}, numpy {host.get('numpy')}, "
+                f"{host.get('kernel')} kernel, {host.get('platform')}",
+            ]
     return "\n".join(lines)

@@ -5,28 +5,28 @@ end to end through real relay engines) is driven twice over identical
 substrates and seeds: once on the per-packet ``"scalar"`` data plane and once
 on the ``"batched"`` plane.  The comparison asserts the batched plane's
 contract — *bit-identical* delivered plaintexts and relay counters — and
-measures its wall-clock speedup, which the ``dataplane-bench`` experiment
-(and the benchmark gate in ``benchmarks/``) requires to be >= 5x at 64
-messages.
+measures both sides' wall-clock milliseconds for the ``dataplane-bench``
+experiment (gate target: :data:`repro.experiments.bench_history.GATES`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from ..core.source import Source
 from ..overlay.node import SimulatedOverlayNetwork, SlicingRuntime
-from ..overlay.profiles import LAN_PROFILE, OverlayProfile
+from ..overlay.profiles import LAN_PROFILE
 from .throughput import connection_bps_for
+from .timing import compare_paths
 
 #: Message count of the acceptance workload.
 DATAPLANE_MESSAGES = 64
 
-#: Default workload shape (chosen so coding work is non-trivial per message
-#: while the burst still runs in well under a second on the batched plane).
+#: Workload shape (chosen so coding work is non-trivial per message while
+#: the burst still runs in well under a second on the batched plane).
 DATAPLANE_D = 4
 DATAPLANE_PATH_LENGTH = 5
 DATAPLANE_MESSAGE_BYTES = 256
@@ -37,136 +37,104 @@ DATAPLANE_MESSAGE_BYTES = 256
 DATAPLANE_BATCH_CHUNK = 64
 
 
-@dataclass
-class DataplaneRun:
-    """Outcome of one workload execution on one data plane."""
-
-    data_plane: str
-    elapsed_seconds: float
-    delivered: dict[int, bytes]
-    relay_stats: dict[str, tuple]
-    events_processed: int
-
-
-def run_dataplane_workload(
+def prepare_dataplane_burst(
     data_plane: str,
     num_messages: int = DATAPLANE_MESSAGES,
-    d: int = DATAPLANE_D,
-    d_prime: int | None = None,
-    path_length: int = DATAPLANE_PATH_LENGTH,
     message_bytes: int = DATAPLANE_MESSAGE_BYTES,
     seed: int = 42,
-    batch_chunk: int = DATAPLANE_BATCH_CHUNK,
-    profile: OverlayProfile = LAN_PROFILE,
-) -> DataplaneRun:
-    """Run the fig11-style burst once on ``data_plane``; time only the burst.
+) -> Callable[[], tuple[dict[int, bytes], dict[str, tuple], int]]:
+    """Establish the fig11-style flow on ``data_plane``; return its burst.
 
-    Setup (flow establishment) is identical on both planes and excluded from
-    the measurement; the clock covers coding, shipping and decoding the
-    ``num_messages`` burst until the simulator drains (including flush
-    timers).
+    Set-up (substrate, flow establishment) is identical on both planes and
+    happens here, off the clock; calling the returned function codes, ships
+    and decodes the ``num_messages`` burst until the simulator drains
+    (including flush timers) — the part :func:`compare_data_planes` times —
+    and returns ``(delivered plaintexts, per-relay counters, events processed)``.
     """
-    d_prime = d if d_prime is None else d_prime
+    d = DATAPLANE_D
     rng = np.random.default_rng(seed)
-    source_stage = [f"src-{i}" for i in range(d_prime)]
-    relays = [f"relay-{i}" for i in range(max(path_length * d_prime * 2, 32))]
+    source_stage = [f"src-{i}" for i in range(d)]
+    relays = [f"relay-{i}" for i in range(DATAPLANE_PATH_LENGTH * d * 2)]
     destination = "destination"
-    network = profile.build_network(source_stage + relays + [destination], rng)
+    network = LAN_PROFILE.build_network(source_stage + relays + [destination], rng)
     substrate = SimulatedOverlayNetwork(
-        network, connection_bps=connection_bps_for(profile)
+        network, connection_bps=connection_bps_for(LAN_PROFILE)
     )
     runtime = SlicingRuntime(
         substrate,
         rng=np.random.default_rng(seed + 1),
         data_plane=data_plane,
-        batch_chunk=batch_chunk,
+        batch_chunk=DATAPLANE_BATCH_CHUNK,
     )
     source = Source(
         source_stage[0],
         source_stage[1:],
         d=d,
-        d_prime=d_prime,
-        path_length=path_length,
+        d_prime=d,
+        path_length=DATAPLANE_PATH_LENGTH,
         rng=rng,
     )
     flow = source.establish_flow(relays, destination)
     progress = runtime.start_flow(source, flow)
     substrate.sim.run()
     payload = bytes(message_bytes)
-    started = time.perf_counter()
-    runtime.send_messages(source, flow, [payload] * num_messages)
-    substrate.sim.run()
-    elapsed = time.perf_counter() - started
-    destination_relay = runtime.relays[destination]
-    delivered = destination_relay.delivered_messages(flow.plan.flow_ids[destination])
-    stats = {
-        address: (
-            relay.stats.packets_received,
-            relay.stats.packets_sent,
-            relay.stats.bytes_received,
-            relay.stats.bytes_sent,
-            relay.stats.flows_decoded,
-            relay.stats.messages_delivered,
-            relay.stats.regenerated_slices,
+
+    def burst():
+        runtime.send_messages(source, flow, [payload] * num_messages)
+        substrate.sim.run()
+        destination_relay = runtime.relays[destination]
+        delivered = destination_relay.delivered_messages(
+            flow.plan.flow_ids[destination]
         )
-        for address, relay in runtime.relays.items()
-    }
-    assert len(progress.delivered_messages) == len(delivered)
-    return DataplaneRun(
-        data_plane=data_plane,
-        elapsed_seconds=elapsed,
-        delivered=delivered,
-        relay_stats=stats,
-        events_processed=substrate.sim.events_processed,
-    )
+        stats = {
+            address: (
+                relay.stats.packets_received,
+                relay.stats.packets_sent,
+                relay.stats.bytes_received,
+                relay.stats.bytes_sent,
+                relay.stats.flows_decoded,
+                relay.stats.messages_delivered,
+                relay.stats.regenerated_slices,
+            )
+            for address, relay in runtime.relays.items()
+        }
+        assert len(progress.delivered_messages) == len(delivered)
+        return delivered, stats, substrate.sim.events_processed
+
+    return burst
 
 
 def compare_data_planes(
     reps: int = 3,
     seed: int = 42,
     num_messages: int = DATAPLANE_MESSAGES,
-    **workload,
+    message_bytes: int = DATAPLANE_MESSAGE_BYTES,
 ) -> dict:
     """Run both planes ``reps`` times; returns the benchmark row.
 
-    Timing uses the per-side minimum over ``reps`` (the standard noise-robust
-    microbenchmark estimator, as in the coding and anonymity benches);
-    bit-identity of delivered plaintexts and relay counters is checked on
-    every repetition pair.
+    Each plane is handed to :func:`~repro.experiments.timing.compare_paths`
+    as a factory — a fresh substrate and established flow per repetition,
+    off the clock — and what must be identical is the delivered plaintexts
+    (all ``num_messages`` of them) and the per-relay counters.
     """
-    scalar_times: list[float] = []
-    batched_times: list[float] = []
-    identical = True
-    events = {"scalar": 0, "batched": 0}
-    # Warm both paths so neither measurement pays first-call allocation costs.
-    run_dataplane_workload("scalar", num_messages=num_messages, seed=seed, **workload)
-    run_dataplane_workload("batched", num_messages=num_messages, seed=seed, **workload)
-    for _ in range(reps):
-        scalar = run_dataplane_workload(
-            "scalar", num_messages=num_messages, seed=seed, **workload
-        )
-        batched = run_dataplane_workload(
-            "batched", num_messages=num_messages, seed=seed, **workload
-        )
-        scalar_times.append(scalar.elapsed_seconds)
-        batched_times.append(batched.elapsed_seconds)
-        identical = identical and (
-            scalar.delivered == batched.delivered
-            and scalar.relay_stats == batched.relay_stats
-            and len(scalar.delivered) == num_messages
-        )
-        events = {
-            "scalar": scalar.events_processed,
-            "batched": batched.events_processed,
-        }
-    scalar_seconds = min(scalar_times)
-    batched_seconds = min(batched_times)
+    seen: dict[str, tuple[int, int]] = {}  # plane -> (messages delivered, events)
+
+    def prepare(data_plane: str):
+        burst = prepare_dataplane_burst(data_plane, num_messages, message_bytes, seed)
+
+        def run():
+            delivered, stats, events = burst()
+            seen[data_plane] = (len(delivered), events)
+            return delivered, stats
+
+        return run
+
+    row = compare_paths(partial(prepare, "scalar"), partial(prepare, "batched"), reps)
+    row["identical"] = row["identical"] and seen["batched"][0] == num_messages
     return {
+        "seed": seed,
         "num_messages": num_messages,
-        "scalar_ms": scalar_seconds * 1e3,
-        "batched_ms": batched_seconds * 1e3,
-        "speedup": scalar_seconds / max(batched_seconds, 1e-12),
-        "identical": identical,
-        "scalar_events": events["scalar"],
-        "batched_events": events["batched"],
+        **row,
+        "scalar_events": seen["scalar"][1],
+        "batched_events": seen["batched"][1],
     }

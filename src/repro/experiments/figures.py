@@ -15,20 +15,16 @@ Run one by name through :func:`~repro.experiments.runner.run_experiment`
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from ..anonymity.simulation import (
-    simulate_anonymity,
-    simulate_anonymity_batch,
-    simulate_anonymity_trials,
-)
-from ..baselines.chaum import (
-    simulate_chaum_anonymity,
-    simulate_chaum_anonymity_batch,
-    simulate_chaum_trials,
-)
+from ..anonymity.simulation import simulate_anonymity_batch, simulate_anonymity_trials
+from ..baselines.chaum import simulate_chaum_anonymity_batch, simulate_chaum_trials
 from ..core.coder import SliceCoder
 from ..overlay.churn import PLANETLAB_CHURN
 from ..overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
@@ -37,6 +33,8 @@ from ..resilience.analysis import (
     slicing_success_probability,
 )
 from ..resilience.transfer import simulate_transfers
+from .dataplane import compare_data_planes
+from .gfbench import compare_kernels
 from .registry import Experiment, register
 from .setup_latency import measure_onion_setup, measure_setup, measure_slicing_setup
 from .throughput import (
@@ -45,6 +43,7 @@ from .throughput import (
     measure_slicing_throughput,
     measure_throughput,
 )
+from .timing import compare_paths
 from .trials import chunked_points, merge_chunks, spawn_seed
 
 #: Default parameters straight from the paper's captions.
@@ -590,18 +589,31 @@ register(
 
 
 # -- §7.1 coding microbenchmark --------------------------------------------------
+#
+# This and the following bench experiments time two paths of our own code
+# against each other through the one protocol in :mod:`.timing`; their gate
+# targets live in :data:`repro.experiments.bench_history.GATES`.
 
-#: Batch size the batched-coding comparison runs on (the acceptance target:
-#: ``encode_batch`` must beat a per-message loop on this many messages).
-MICROBENCH_BATCH = 64
+
+def _register_bench(name: str, title: str, build_trials, run_trial, **extra) -> None:
+    # A wall-clock experiment's rows are timings, so it is never served from
+    # cache, and they are single-host numbers, so it is never sharded.
+    register(
+        Experiment(
+            name=name,
+            title=title,
+            build_trials=build_trials,
+            run_trial=run_trial,
+            deterministic=False,
+            shardable=False,
+            **extra,
+        )
+    )
 
 
 def _microbench_trials(scale: float) -> list[dict]:
     iterations = max(int(50 * scale), 10)
-    return [
-        {"d": d, "iterations": iterations, "batch_size": MICROBENCH_BATCH}
-        for d in (2, 3, 4, 5, 6, 8)
-    ]
+    return [{"d": d, "iterations": iterations, "batch_size": 64} for d in (2, 3, 4, 5, 6, 8)]
 
 
 def _microbench_run(params: dict, rng: np.random.Generator) -> dict:
@@ -621,142 +633,86 @@ def _microbench_run(params: dict, rng: np.random.Generator) -> dict:
         coder.decode(blocks)
     decode_seconds = (time.perf_counter() - start) / iterations
 
-    # Batched-vs-loop comparison on a burst of equal-size packets.  Warm both
-    # paths so neither measurement pays first-call allocation costs, and take
-    # the per-rep minimum — the standard noise-robust microbenchmark
-    # estimator — so scheduler hiccups don't skew either side.
+    # Per-message loop vs. ``encode_batch`` on a burst of equal-size packets.
+    # The two paths sample their coding matrices in different orders, so
+    # there are no equal bytes to compare: both return None and the row
+    # carries no ``identical`` column (tests/test_coder_batch.py round-trips
+    # both paths).
     messages = [packet] * batch_size
-    loop_reps = max(iterations // 8, 5)
-    coder.encode(packet, rng)
-    coder.encode_batch(messages, rng)
-    loop_times = []
-    for _ in range(loop_reps):
-        start = time.perf_counter()
+
+    def loop_pass() -> None:
         for message in messages:
             coder.encode(message, rng)
-        loop_times.append(time.perf_counter() - start)
-    loop_seconds = min(loop_times)
 
-    batch_times = []
-    for _ in range(loop_reps):
-        start = time.perf_counter()
+    def batch_pass() -> None:
         coder.encode_batch(messages, rng)
-        batch_times.append(time.perf_counter() - start)
-    batch_seconds = min(batch_times)
 
+    batch = compare_paths(loop_pass, batch_pass, reps=max(iterations // 8, 5))
+    del batch["identical"]
     return {
         "d": d,
         "encode_us_per_packet": encode_seconds * 1e6,
         "decode_us_per_packet": decode_seconds * 1e6,
         "max_output_mbps": 1500 * 8 / max(encode_seconds, 1e-12) / 1e6,
-        "batch_encode_us_per_packet": batch_seconds / batch_size * 1e6,
-        "batch_speedup": loop_seconds / max(batch_seconds, 1e-12),
+        "batch_encode_us_per_packet": batch["fast_ms"] * 1e3 / batch_size,
+        **batch,
     }
 
 
-register(
-    Experiment(
-        name="microbench",
-        title="§7.1 microbenchmark: coding cost per 1500-byte packet across d",
-        build_trials=_microbench_trials,
-        run_trial=_microbench_run,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        shardable=False,  # single-host comparison; numbers mean nothing sharded
-    )
+_register_bench(
+    "microbench",
+    "§7.1 microbenchmark: coding cost per 1500-byte packet across d",
+    _microbench_trials,
+    _microbench_run,
 )
 
 
-# -- §6.2 anonymity Monte-Carlo microbenchmark -----------------------------------
-
-#: Trial count the batched-vs-scalar anonymity comparison runs at (the
-#: acceptance target: ``simulate_anonymity_batch`` must beat the scalar
-#: reference loop by >= 10x at the paper's 1000 trials per data point).
-ANONBENCH_TRIALS = 1000
+# -- §6.2 anonymity and Fig. 7 Chaum-mix Monte-Carlo microbenchmarks ---------------
 
 
-def _anonbench_trials(scale: float) -> list[dict]:
+def _engine_bench_trials(fractions: tuple[float, ...], scale: float) -> list[dict]:
+    # The paper's 1000 trials per data point; several fractions so the gate's
+    # median is a genuine middle value.
     reps = max(int(5 * scale), 1)
-    return [
-        {"fraction_malicious": f, "trials": ANONBENCH_TRIALS, "reps": reps}
-        for f in (0.1, 0.4)
-    ]
+    return [{"fraction_malicious": f, "trials": 1000, "reps": reps} for f in fractions]
 
 
-def _anonbench_run(params: dict, rng: np.random.Generator) -> dict:
-    fraction = params["fraction_malicious"]
-    trials = params["trials"]
-    reps = params["reps"]
+def _engine_bench_run(
+    simulate_trials, fixed: dict, params: dict, rng: np.random.Generator
+) -> dict:
+    """Scalar vs. batched engine of one Monte-Carlo on a shared seed."""
     seed = spawn_seed(rng)
-    kwargs = dict(
-        num_nodes=DEFAULT_N,
-        path_length=8,
-        d=3,
-        fraction_malicious=fraction,
-        trials=trials,
-    )
+    point = {"fraction_malicious": params["fraction_malicious"], "trials": params["trials"]}
 
-    # Warm both engines and verify the vectorised path reproduces the scalar
-    # reference bit-for-bit on this parameter point before timing anything.
-    scalar_values = simulate_anonymity_trials(
-        **kwargs, rng=np.random.default_rng(seed), engine="scalar"
-    )
-    batched_values = simulate_anonymity_trials(
-        **kwargs, rng=np.random.default_rng(seed), engine="batched"
-    )
-    identical = bool(
-        np.array_equal(scalar_values.source_anonymity, batched_values.source_anonymity)
-        and np.array_equal(
-            scalar_values.destination_anonymity, batched_values.destination_anonymity
+    def engine(name: str):
+        return lambda: simulate_trials(
+            num_nodes=DEFAULT_N,
+            path_length=8,
+            **fixed,
+            **point,
+            rng=np.random.default_rng(seed),
+            engine=name,
         )
-        and np.array_equal(scalar_values.source_case1, batched_values.source_case1)
-        and np.array_equal(
-            scalar_values.destination_case1, batched_values.destination_case1
-        )
-    )
 
-    # Same noise-robust estimator as the coding microbenchmark: identical
-    # seeds on both sides, per-rep minimum.
-    scalar_times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        simulate_anonymity(**kwargs, rng=np.random.default_rng(seed))
-        scalar_times.append(time.perf_counter() - start)
-    scalar_seconds = min(scalar_times)
-
-    batched_times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        simulate_anonymity_batch(**kwargs, rng=np.random.default_rng(seed))
-        batched_times.append(time.perf_counter() - start)
-    batched_seconds = min(batched_times)
-
-    return {
-        "fraction_malicious": fraction,
-        "trials": trials,
-        "scalar_ms": scalar_seconds * 1e3,
-        "batched_ms": batched_seconds * 1e3,
-        "speedup": scalar_seconds / max(batched_seconds, 1e-12),
-        "identical": identical,
-    }
+    return {**point, **compare_paths(engine("scalar"), engine("batched"), params["reps"])}
 
 
-register(
-    Experiment(
-        name="anonbench",
-        title="§6.2 microbenchmark: batched vs. scalar anonymity Monte-Carlo at 1000 trials",
-        build_trials=_anonbench_trials,
-        run_trial=_anonbench_run,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        shardable=False,  # single-host comparison; numbers mean nothing sharded
-    )
+_register_bench(
+    "anonbench",
+    "§6.2 microbenchmark: batched vs. scalar anonymity Monte-Carlo at 1000 trials",
+    partial(_engine_bench_trials, (0.1, 0.4)),
+    partial(_engine_bench_run, simulate_anonymity_trials, {"d": 3}),
+)
+
+_register_bench(
+    "chaumbench",
+    "Fig. 7 microbenchmark: batched vs. scalar Chaum-mix Monte-Carlo at 1000 trials",
+    partial(_engine_bench_trials, (0.1, 0.25, 0.4)),
+    partial(_engine_bench_run, simulate_chaum_trials, {}),
 )
 
 
 # -- batched data-plane microbenchmark ---------------------------------------------
-
-#: The dataplane-bench acceptance target: the batched overlay data plane must
-#: beat the per-packet reference by at least this factor at 64 messages.
-DATAPLANE_TARGET_SPEEDUP = 5.0
 
 
 def _dataplane_trials(scale: float) -> list[dict]:
@@ -766,29 +722,18 @@ def _dataplane_trials(scale: float) -> list[dict]:
 
 
 def _dataplane_run(params: dict, rng: np.random.Generator) -> dict:
-    from .dataplane import compare_data_planes
-
-    row = compare_data_planes(reps=params["reps"], seed=params["seed"])
-    return {"seed": params["seed"], **row}
+    return compare_data_planes(**params)
 
 
-register(
-    Experiment(
-        name="dataplane-bench",
-        title="Data-plane microbenchmark: batched overlay plane vs. per-packet reference at 64 messages",
-        build_trials=_dataplane_trials,
-        run_trial=_dataplane_run,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        shardable=False,  # single-host comparison; numbers mean nothing sharded
-    )
+_register_bench(
+    "dataplane-bench",
+    "Data-plane microbenchmark: batched overlay plane vs. per-packet reference at 64 messages",
+    _dataplane_trials,
+    _dataplane_run,
 )
 
 
 # -- GF(2^8) kernel microbenchmark -------------------------------------------------
-
-#: The gfbench acceptance target: the compiled GF(2^8) kernel must beat the
-#: numpy reference by at least this factor at the data plane's shapes.
-GFBENCH_TARGET_SPEEDUP = 3.0
 
 
 def _gfbench_trials(scale: float) -> list[dict]:
@@ -803,126 +748,26 @@ def _gfbench_trials(scale: float) -> list[dict]:
 
 
 def _gfbench_run(params: dict, rng: np.random.Generator) -> dict:
-    from .gfbench import compare_kernels
-
-    row = compare_kernels(params["op"], reps=params["reps"], seed=params["seed"])
-    return {"seed": params["seed"], **row}
+    return compare_kernels(**params)
 
 
-register(
-    Experiment(
-        name="gfbench",
-        title="GF(2^8) kernel microbenchmark: compiled kernel vs. numpy reference at dataplane shapes",
-        build_trials=_gfbench_trials,
-        run_trial=_gfbench_run,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        kernels=("numpy",),  # it measures the kernels against each other itself
-        shardable=False,  # single-host comparison; numbers mean nothing sharded
-    )
-)
-
-
-# -- Chaum-mix Monte-Carlo microbenchmark ------------------------------------------
-
-#: Trial count of the batched-vs-scalar Chaum comparison.
-CHAUMBENCH_TRIALS = 1000
-
-#: The chaumbench acceptance target: the batched engine must beat the scalar
-#: loop by at least this factor at :data:`CHAUMBENCH_TRIALS` trials.
-CHAUMBENCH_TARGET_SPEEDUP = 10.0
-
-
-def _chaumbench_trials(scale: float) -> list[dict]:
-    reps = max(int(5 * scale), 1)
-    # Three parameter points so the benchmark gate's median is a genuine
-    # middle value.
-    return [
-        {"fraction_malicious": f, "trials": CHAUMBENCH_TRIALS, "reps": reps}
-        for f in (0.1, 0.25, 0.4)
-    ]
-
-
-def _chaumbench_run(params: dict, rng: np.random.Generator) -> dict:
-    fraction = params["fraction_malicious"]
-    trials = params["trials"]
-    reps = params["reps"]
-    seed = spawn_seed(rng)
-    kwargs = dict(
-        num_nodes=DEFAULT_N, path_length=8, fraction_malicious=fraction, trials=trials
-    )
-
-    # Warm both engines and verify the vectorised path reproduces the scalar
-    # reference bit-for-bit on this parameter point before timing anything.
-    scalar_values = simulate_chaum_trials(
-        **kwargs, rng=np.random.default_rng(seed), engine="scalar"
-    )
-    batched_values = simulate_chaum_trials(
-        **kwargs, rng=np.random.default_rng(seed), engine="batched"
-    )
-    identical = bool(
-        np.array_equal(scalar_values.source_anonymity, batched_values.source_anonymity)
-        and np.array_equal(
-            scalar_values.destination_anonymity, batched_values.destination_anonymity
-        )
-    )
-
-    # Same noise-robust estimator as the other microbenchmarks: identical
-    # seeds on both sides, per-rep minimum.
-    scalar_times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        simulate_chaum_anonymity(**kwargs, rng=np.random.default_rng(seed))
-        scalar_times.append(time.perf_counter() - start)
-    scalar_seconds = min(scalar_times)
-
-    batched_times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        simulate_chaum_anonymity_batch(**kwargs, rng=np.random.default_rng(seed))
-        batched_times.append(time.perf_counter() - start)
-    batched_seconds = min(batched_times)
-
-    return {
-        "fraction_malicious": fraction,
-        "trials": trials,
-        "scalar_ms": scalar_seconds * 1e3,
-        "batched_ms": batched_seconds * 1e3,
-        "speedup": scalar_seconds / max(batched_seconds, 1e-12),
-        "identical": identical,
-    }
-
-
-register(
-    Experiment(
-        name="chaumbench",
-        title="Fig. 7 microbenchmark: batched vs. scalar Chaum-mix Monte-Carlo at 1000 trials",
-        build_trials=_chaumbench_trials,
-        run_trial=_chaumbench_run,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        shardable=False,  # single-host comparison; numbers mean nothing sharded
-    )
+_register_bench(
+    "gfbench",
+    "GF(2^8) kernel microbenchmark: compiled kernel vs. numpy reference on stacked 64-matrix calls",
+    _gfbench_trials,
+    _gfbench_run,
+    kernels=("numpy",),  # it measures the kernels against each other itself
 )
 
 
 # -- Sphinx batched-cell microbenchmark --------------------------------------------
 
-#: Messages per burst in the batched-vs-per-cell Sphinx comparison.
-SPHINXBENCH_MESSAGES = 192
-
-#: The sphinxbench acceptance target: one circuit keystream plus a vectorised
-#: XOR per burst must beat the per-cell StreamCipher loop by at least this
-#: factor at :data:`SPHINXBENCH_MESSAGES` messages.
-SPHINXBENCH_TARGET_SPEEDUP = 2.0
-
 
 def _sphinxbench_trials(scale: float) -> list[dict]:
     reps = max(int(5 * scale), 2)
     # Three path lengths so the benchmark gate's median is a genuine middle
-    # value.
-    return [
-        {"path_length": length, "messages": SPHINXBENCH_MESSAGES, "reps": reps}
-        for length in (3, 5, 8)
-    ]
+    # value; 192 messages per burst.
+    return [{"path_length": length, "messages": 192, "reps": reps} for length in (3, 5, 8)]
 
 
 def _sphinxbench_run(params: dict, rng: np.random.Generator) -> dict:
@@ -930,7 +775,6 @@ def _sphinxbench_run(params: dict, rng: np.random.Generator) -> dict:
 
     path_length = params["path_length"]
     count = params["messages"]
-    reps = params["reps"]
     build_rng = np.random.default_rng(spawn_seed(rng))
     relays = [f"bench-{index}" for index in range(path_length)]
     directory = SphinxDirectory.for_relays(relays, build_rng)
@@ -961,171 +805,43 @@ def _sphinxbench_run(params: dict, rng: np.random.Generator) -> dict:
             _next_hop, cells = engines[hop].strip_cells(handle, cells)
         return cells
 
-    # Warm both paths and verify the batched burst is bit-identical to the
-    # per-cell reference before timing anything.
-    identical = per_cell_pass() == batched_pass()
-
-    # Same noise-robust estimator as the other microbenchmarks: per-rep
-    # minimum on identical inputs.
-    scalar_times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        per_cell_pass()
-        scalar_times.append(time.perf_counter() - start)
-    scalar_seconds = min(scalar_times)
-
-    batched_times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        batched_pass()
-        batched_times.append(time.perf_counter() - start)
-    batched_seconds = min(batched_times)
-
     return {
         "path_length": path_length,
         "messages": count,
-        "per_cell_ms": scalar_seconds * 1e3,
-        "batched_ms": batched_seconds * 1e3,
-        "speedup": scalar_seconds / max(batched_seconds, 1e-12),
-        "identical": identical,
+        **compare_paths(per_cell_pass, batched_pass, params["reps"]),
     }
 
 
-register(
-    Experiment(
-        name="sphinxbench",
-        title="Sphinx microbenchmark: batched cell wrap/strip vs. per-cell StreamCipher loop",
-        build_trials=_sphinxbench_trials,
-        run_trial=_sphinxbench_run,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        shardable=False,  # single-host comparison; numbers mean nothing sharded
-    )
+_register_bench(
+    "sphinxbench",
+    "Sphinx microbenchmark: batched cell wrap/strip vs. per-cell StreamCipher loop",
+    _sphinxbench_trials,
+    _sphinxbench_run,
 )
 
 
-# -- distributed-sharding benchmark ------------------------------------------------
+# -- distributed sharding sweep ------------------------------------------------------
 
-#: Experiment the distributed-sharding benchmark shards (fig11: four
-#: sizeable, roughly comparable throughput trials — the canonical
-#: dist-parity workload).
-DISTBENCH_EXPERIMENT = "fig11"
+#: Experiment the sweep shards (fig11: four sizeable, roughly comparable
+#: throughput trials — the canonical dist-parity workload).
+DISTSWEEP_EXPERIMENT = "fig11"
 
-#: The distbench acceptance target: sharding across 2 workers must beat a
-#: single worker's compute time by at least this factor at bench scale.
-DISTBENCH_TARGET_SPEEDUP = 1.5
-
-#: Minimum host CPUs for the speedup number to mean anything: two worker
-#: processes time-slicing one core measure scheduler fairness, not sharding.
-#: Below this the benchmark records a ``"skipped"`` row (rendered ``n/a`` by
-#: the bench-history trend) instead of a misleading failure.
-DISTBENCH_MIN_CPUS = 2
-
-
-def _distbench_trials(scale: float) -> list[dict]:
-    # The *inner* scale sizes fig11's per-trial work (num_messages) so that
-    # trial execution dominates lease round-trips; the floor keeps the
-    # 2-worker speedup measurable even at the default bench scale of 0.1.
-    inner_scale = round(max(3.0 * scale, 1.5), 4)
-    return [{"experiment": DISTBENCH_EXPERIMENT, "inner_scale": inner_scale,
-             "worker_counts": [1, 2]}]
-
-
-def _distbench_run(params: dict, rng: np.random.Generator) -> dict:
-    import os
-    import tempfile
-    from pathlib import Path
-
-    from .distributed import run_distributed
-    from .runner import run_experiment
-
-    name = params["experiment"]
-    cpu_count = os.cpu_count() or 1
-    if cpu_count < DISTBENCH_MIN_CPUS:
-        return {
-            "experiment": name,
-            "cpu_count": cpu_count,
-            "skipped": (
-                f"host has {cpu_count} CPU(s); the 2-worker sharding speedup "
-                f"needs >= {DISTBENCH_MIN_CPUS} to measure parallelism rather "
-                "than time-slicing"
-            ),
-        }
-    inner_scale = params["inner_scale"]
-    worker_counts = list(params["worker_counts"])
-    seed = spawn_seed(rng)
-    compute_seconds: dict[int, float] = {}
-    byte_identical = True
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        reference = run_experiment(
-            name, scale=inner_scale, seed=seed, out_dir=root / "single", force=True
-        )
-        reference_bytes = (root / "single" / f"{name}.json").read_bytes()
-        for count in worker_counts:
-            out_dir = root / f"dist-{count}"
-            result = run_distributed(
-                name,
-                scale=inner_scale,
-                seed=seed,
-                out_dir=out_dir,
-                force=True,
-                workers=count,
-                min_workers=count,
-            )
-            compute_seconds[count] = result.compute_seconds
-            byte_identical &= (
-                out_dir / f"{name}.json"
-            ).read_bytes() == reference_bytes
-    base = worker_counts[0]
-    best = worker_counts[-1]
-    return {
-        "experiment": name,
-        "cpu_count": cpu_count,
-        "inner_scale": inner_scale,
-        "trials_sharded": reference.trial_count,
-        "workers": best,
-        f"seconds_{base}w": compute_seconds[base],
-        f"seconds_{best}w": compute_seconds[best],
-        "speedup": compute_seconds[base] / max(compute_seconds[best], 1e-12),
-        "byte_identical": byte_identical,
-    }
-
-
-register(
-    Experiment(
-        name="distbench",
-        title="Distributed sharding benchmark: fig11 leased to 2 workers vs. 1",
-        build_trials=_distbench_trials,
-        run_trial=_distbench_run,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        kernels=("numpy",),  # it spawns worker processes of its own
-        shardable=False,  # it *runs* the coordinator; sharding it would nest fan-outs
-    )
-)
-
-
-# -- distributed transport sweep ----------------------------------------------------
-
-#: Worker counts the sweep shards fig11 across; counts beyond the host's
-#: CPUs are recorded as skipped rather than measured as time-slicing.
+#: Worker counts the sweep shards across; a count beyond the host's CPUs
+#: would measure time-slicing, so it is recorded as skipped, not run.
 DISTSWEEP_WORKER_COUNTS = (1, 2, 4, 8)
 
 #: Wire transports the sweep compares (same trial payloads either way).
 DISTSWEEP_TRANSPORTS = ("plain", "secure")
 
-#: The distsweep acceptance target, asserted on the median multi-worker
-#: speedup across both transports: the secure channel's handshake and
-#: per-frame AEAD must not erase the sharding win.
-DISTSWEEP_TARGET_SPEEDUP = 1.5
-
 
 def _distsweep_trials(scale: float) -> list[dict]:
-    # Same inner-scale floor as distbench: per-trial work must dominate
-    # lease round-trips for the speedups to measure sharding.
+    # The *inner* scale sizes fig11's per-trial work (num_messages) so that
+    # trial execution, not lease round-trips, is what the seconds measure;
+    # the floor keeps that true at the default bench scale of 0.1.
     inner_scale = round(max(3.0 * scale, 1.5), 4)
     return [
         {
-            "experiment": DISTBENCH_EXPERIMENT,
+            "experiment": DISTSWEEP_EXPERIMENT,
             "inner_scale": inner_scale,
             "worker_counts": list(DISTSWEEP_WORKER_COUNTS),
             "transports": list(DISTSWEEP_TRANSPORTS),
@@ -1134,25 +850,11 @@ def _distsweep_trials(scale: float) -> list[dict]:
 
 
 def _distsweep_run(params: dict, rng: np.random.Generator) -> dict:
-    import os
-    import tempfile
-    from pathlib import Path
-
     from .distributed import run_distributed
     from .runner import run_experiment
 
     name = params["experiment"]
     cpu_count = os.cpu_count() or 1
-    if cpu_count < DISTBENCH_MIN_CPUS:
-        return {
-            "experiment": name,
-            "cpu_count": cpu_count,
-            "skipped": (
-                f"host has {cpu_count} CPU(s); multi-worker sharding speedups "
-                f"need >= {DISTBENCH_MIN_CPUS} to measure parallelism rather "
-                "than time-slicing"
-            ),
-        }
     inner_scale = params["inner_scale"]
     seed = spawn_seed(rng)
     measurements: list[dict] = []
@@ -1163,18 +865,13 @@ def _distsweep_run(params: dict, rng: np.random.Generator) -> dict:
         )
         reference_bytes = (root / "single" / f"{name}.json").read_bytes()
         for transport in params["transports"]:
-            base_seconds: float | None = None
+            one_worker_ms = 0.0
             for count in params["worker_counts"]:
+                measurement = {"transport": transport, "workers": count}
+                measurements.append(measurement)
                 if count > cpu_count:
-                    measurements.append(
-                        {
-                            "transport": transport,
-                            "workers": count,
-                            "skipped": (
-                                f"host has {cpu_count} CPU(s); "
-                                f"{count} workers would time-slice"
-                            ),
-                        }
+                    measurement["skipped"] = (
+                        f"host has {cpu_count} CPU(s); {count} workers would time-slice"
                     )
                     continue
                 out_dir = root / f"{transport}-{count}"
@@ -1188,21 +885,19 @@ def _distsweep_run(params: dict, rng: np.random.Generator) -> dict:
                     min_workers=count,
                     transport=transport,
                 )
-                measurement = {
-                    "transport": transport,
-                    "workers": count,
-                    "seconds": result.compute_seconds,
-                    "byte_identical": (
-                        (out_dir / f"{name}.json").read_bytes() == reference_bytes
-                    ),
-                }
+                measurement["seconds"] = result.compute_seconds
+                measurement["byte_identical"] = (
+                    out_dir / f"{name}.json"
+                ).read_bytes() == reference_bytes
                 if count == 1:
-                    base_seconds = result.compute_seconds
-                elif base_seconds is not None:
-                    measurement["speedup"] = base_seconds / max(
-                        result.compute_seconds, 1e-12
+                    one_worker_ms = result.compute_seconds * 1e3
+                else:
+                    # The ledger's columns: one worker is the reference side.
+                    measurement["reference_ms"] = one_worker_ms
+                    measurement["fast_ms"] = result.compute_seconds * 1e3
+                    measurement["speedup"] = one_worker_ms / max(
+                        measurement["fast_ms"], 1e-9
                     )
-                measurements.append(measurement)
     return {
         "experiment": name,
         "cpu_count": cpu_count,
@@ -1213,35 +908,21 @@ def _distsweep_run(params: dict, rng: np.random.Generator) -> dict:
 
 
 def _distsweep_reduce(trials: list[dict], results: list[dict]) -> list[dict]:
-    # One artifact row per (transport, worker count): the speedup column is
-    # what the bench-history gate reads, the byte_identical column is the
-    # cross-transport correctness claim.
-    rows: list[dict] = []
-    for result in results:
-        if "skipped" in result:
-            rows.append(result)
-            continue
-        context = {
-            key: result[key]
-            for key in ("experiment", "cpu_count", "inner_scale", "trials_sharded")
-        }
-        for measurement in result["measurements"]:
-            rows.append({**context, **measurement})
-    return rows
+    # One artifact row per (transport, worker count): seconds of the compute
+    # window, and byte_identical — the cross-transport correctness claim.
+    context_keys = ("experiment", "cpu_count", "inner_scale", "trials_sharded")
+    return [
+        {**{key: result[key] for key in context_keys}, **measurement}
+        for result in results
+        for measurement in result["measurements"]
+    ]
 
 
-register(
-    Experiment(
-        name="distsweep",
-        title=(
-            "Distributed transport sweep: fig11 sharded across 1/2/4/8 "
-            "workers, plain vs. secure wire"
-        ),
-        build_trials=_distsweep_trials,
-        run_trial=_distsweep_run,
-        reduce=_distsweep_reduce,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        kernels=("numpy",),  # it spawns worker processes of its own
-        shardable=False,  # it *runs* the coordinator; sharding it would nest fan-outs
-    )
+_register_bench(
+    "distsweep",
+    "Distributed sharding sweep: fig11 leased to 1/2/4/8 workers, plain vs. secure wire",
+    _distsweep_trials,
+    _distsweep_run,
+    reduce=_distsweep_reduce,
+    kernels=("numpy",),  # it spawns worker processes of its own (and *runs* the coordinator)
 )

@@ -1,14 +1,20 @@
 """GF(2^8) kernel microbenchmark: compiled kernels vs. the numpy reference.
 
-The two hot field operations of the slicing data plane are timed at their
-real dataplane shapes — the fig11-style encode matmul (a stack of 64 coding
-matrices applied to 64 payload blocks) and the batched Gauss–Jordan inverse
-the decoders run — once through the pure-numpy ``"numpy"`` kernel and once
-through the ``"compiled"`` kernel (numba or the bundled C extension,
-whichever :mod:`~repro.core.gf_kernels` resolved).  Bit-identity of every
-output array is asserted on every repetition; the ``gfbench`` experiment
-(and the benchmark gate in ``benchmarks/``) requires the compiled kernel to
-be >= 3x faster at these shapes.
+Two stacked field operations are timed on shapes chosen to show the kernels
+at their best — a 64-matrix ``batched_matmul`` (64 x (8, 4) coding matrices
+applied to (4, 65) payload blocks) and the batched Gauss–Jordan inverse of
+64 stacked (4, 4) matrices — once through the pure-numpy ``"numpy"`` kernel
+and once through the ``"compiled"`` kernel (numba or the bundled C
+extension, whichever :mod:`~repro.core.gf_kernels` resolved).  Every output
+array must be bit-identical on every repetition.
+
+These are **not** the data plane's call mix: one ``slicing-churn`` perfbench
+round issues 5192 elementwise ``multiply``, 104 ``batched_matmul`` and 88
+``gauss_jordan`` provider calls, mostly on far smaller operands, so the
+ratio measured here (gate target in
+:data:`repro.experiments.bench_history.GATES`) is a kernel-level number and
+says little about end-to-end goodput — see "Compiled kernels" in
+docs/ARCHITECTURE.md for the end-to-end sizing runs.
 
 When no compiled provider is available (no numba, no C toolchain, or
 ``REPRO_GF_KERNEL_PROVIDER=none``) the rows carry a ``"skipped"`` reason
@@ -18,16 +24,15 @@ failing — the compiled backend is an optional extra, not a requirement.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+from ..core import gf_kernels
 from ..core.errors import KernelUnavailableError
 from ..core.gf import field_for_kernel
+from .timing import compare_paths
 
-#: Batched operations the benchmark times, at the data plane's real shapes:
-#: ``matmul`` is the fig11-style encode (64 flows x (8, 4) coding matrices
-#: applied to (4, 65) payload blocks); ``invert`` is the decoder's batched
+#: Batched operations the benchmark times: ``matmul`` is 64 x (8, 4) coding
+#: matrices applied to (4, 65) payload blocks; ``invert`` is the batched
 #: Gauss–Jordan over 64 stacked (4, 4) candidate matrices.
 GFBENCH_OPS = ("matmul", "invert")
 
@@ -35,10 +40,10 @@ GFBENCH_BATCH = 64
 GFBENCH_MATMUL_SHAPES = ((GFBENCH_BATCH, 8, 4), (GFBENCH_BATCH, 4, 65))
 GFBENCH_INVERT_SHAPE = (GFBENCH_BATCH, 4, 4)
 
-#: Inner iterations per timed repetition: one dataplane call is only a few
-#: hundred microseconds, so each repetition times a small loop to keep the
-#: per-rep minimum well clear of timer granularity.
-GFBENCH_INNER_LOOPS = 20
+#: Calls per timed repetition: one call is only a few hundred microseconds,
+#: so each repetition times a small loop to keep the per-rep minimum well
+#: clear of timer granularity (``reference_ms`` / ``fast_ms`` are per loop).
+GFBENCH_CALLS_PER_REP = 20
 
 
 def _workload(op: str, seed: int) -> tuple[np.ndarray, ...]:
@@ -69,57 +74,34 @@ def _run_op(field, op: str, arrays: tuple[np.ndarray, ...]):
 def compare_kernels(op: str, reps: int = 3, seed: int = 42) -> dict:
     """Time ``op`` on both kernels; returns the benchmark row.
 
-    Timing uses the per-side minimum over ``reps`` of a small inner loop
-    (the standard noise-robust estimator of the other microbenchmarks).
-    Bit-identity of the compiled outputs against the numpy reference is
-    asserted on *every* repetition — a compiled kernel that drifts from the
-    reference fails the benchmark before any speedup is reported.
+    One timed repetition is :data:`GFBENCH_CALLS_PER_REP` calls; bit-identity
+    of the compiled outputs against the numpy reference is re-checked on
+    every repetition, so a compiled kernel that drifts reports
+    ``identical: False`` next to whatever speedup it bought.
 
-    Returns a ``{"op": ..., "skipped": reason}`` row instead when no
-    compiled provider is available.
+    Returns a ``{..., "skipped": reason}`` row instead when no compiled
+    provider is available.
     """
     numpy_field = field_for_kernel("numpy")
     try:
         compiled_field = field_for_kernel("compiled")
     except KernelUnavailableError as error:
-        return {"op": op, "skipped": str(error)}
-
+        return {"seed": seed, "op": op, "skipped": str(error)}
     arrays = _workload(op, seed)
-    # Warm both kernels (first-call allocation, and JIT compilation for the
-    # numba provider) and establish the reference outputs.
-    reference = _run_op(numpy_field, op, arrays)
-    _run_op(compiled_field, op, arrays)
 
-    identical = True
-    numpy_times: list[float] = []
-    compiled_times: list[float] = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        for _ in range(GFBENCH_INNER_LOOPS):
-            numpy_out = _run_op(numpy_field, op, arrays)
-        numpy_times.append(time.perf_counter() - start)
+    def loop(field):
+        def run():
+            for _ in range(GFBENCH_CALLS_PER_REP):
+                outputs = _run_op(field, op, arrays)
+            return outputs
 
-        start = time.perf_counter()
-        for _ in range(GFBENCH_INNER_LOOPS):
-            compiled_out = _run_op(compiled_field, op, arrays)
-        compiled_times.append(time.perf_counter() - start)
-
-        identical = identical and all(
-            np.array_equal(ref, out) for ref, out in zip(reference, numpy_out)
-        ) and all(
-            np.array_equal(ref, out) for ref, out in zip(reference, compiled_out)
-        )
-
-    numpy_seconds = min(numpy_times) / GFBENCH_INNER_LOOPS
-    compiled_seconds = min(compiled_times) / GFBENCH_INNER_LOOPS
-    from ..core import gf_kernels
+        return run
 
     return {
+        "seed": seed,
         "op": op,
         "batch": GFBENCH_BATCH,
+        "calls_per_rep": GFBENCH_CALLS_PER_REP,
         "provider": gf_kernels.provider_name(),
-        "numpy_us": numpy_seconds * 1e6,
-        "compiled_us": compiled_seconds * 1e6,
-        "speedup": numpy_seconds / max(compiled_seconds, 1e-12),
-        "identical": identical,
+        **compare_paths(loop(numpy_field), loop(compiled_field), reps),
     }

@@ -55,7 +55,7 @@ class Experiment:
     #: bit-identical by construction and travel out-of-band of the trial
     #: list, so cached artifacts stay kernel-independent.  Experiments that
     #: *measure* kernels against each other (``gfbench``) or spawn worker
-    #: processes of their own (``distbench``) pin themselves to
+    #: processes of their own (``distsweep``) pin themselves to
     #: ``("numpy",)`` — selecting a kernel for them would change what the
     #: numbers mean.
     kernels: tuple[str, ...] = ("numpy", "compiled")

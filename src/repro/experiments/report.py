@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .bench_history import render_trend
+from .bench_history import load_trajectory, render_trend
 from .runner import serialise_artifact
 from .scenarios import ScenarioMatrix, expand_matrix, format_axis_value, label_axes
 
@@ -318,8 +318,9 @@ def render_markdown(report: dict) -> str:
         lines += ["_No bench trajectory file supplied._", ""]
     else:
         lines.append(
-            "Median measured speedup of each benchmark gate per recorded label"
-            f" (from `{trajectory['source']}`):"
+            "The performance ledger per recorded label: each gate's median "
+            "speedup with both absolute sides, then the perfbench end-to-end "
+            f"medians (from `{trajectory['source']}`):"
         )
         lines.append("")
         lines.append(render_trend({"entries": trajectory["entries"]}))
@@ -350,7 +351,7 @@ def write_report(
         baseline_source = Path(baseline_path).as_posix()
     trajectory = trajectory_source = None
     if trajectory_path is not None and Path(trajectory_path).is_file():
-        trajectory = json.loads(Path(trajectory_path).read_text(encoding="utf-8"))
+        trajectory = load_trajectory(Path(trajectory_path))
         trajectory_source = Path(trajectory_path).as_posix()
     report = build_report(
         matrix,

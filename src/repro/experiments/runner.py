@@ -235,8 +235,8 @@ class RunResult:
     scheme: str | None = None
     kernel: str | None = None
     # The rest is filled in by distributed runs only.
-    #: First lease granted -> last result recorded; excludes worker start-up,
-    #: which is what the ``distbench`` sharding-speedup gate measures.
+    #: First lease granted -> last result recorded; excludes worker start-up.
+    #: This is the window the ``distsweep`` experiment reports.
     compute_seconds: float = 0.0
     workers_seen: int = 0
     redispatched: int = 0

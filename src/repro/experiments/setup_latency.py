@@ -22,7 +22,6 @@ per-scheme construction with the throughput driver
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..overlay.profiles import OverlayProfile
@@ -116,56 +115,3 @@ def measure_onion_setup(
 ) -> SetupLatencyResult:
     """Time to build one onion circuit of ``path_length`` relays."""
     return measure_setup("onion", profile, path_length, seed=seed, backend=backend)
-
-
-def compare_setup_decode_engines(
-    profile: OverlayProfile,
-    path_length: int,
-    d: int,
-    d_prime: int | None = None,
-    seed: int = 17,
-    reps: int = 3,
-) -> dict:
-    """Wall-clock one slicing route setup on the scalar vs batched engines.
-
-    The scalar engine decodes each relay's routing slices with the
-    per-message :func:`~repro.core.integrity.robust_decode`; the batched
-    engine routes the same decode through the batched Gauss–Jordan kernel
-    (:func:`~repro.core.flow_decoder.decode_setup_payload`).  Both runs
-    share the seed, and this function *asserts* their structural results —
-    setup completion, relays decoded, relay and network counters — are
-    bit-identical before reporting the timing comparison (per-rep minimum,
-    the suite's standard noise-robust estimator).
-    """
-    scalar_times: list[float] = []
-    batched_times: list[float] = []
-    scalar = batched = None
-    for _ in range(max(reps, 1)):
-        start = time.perf_counter()
-        scalar = measure_setup(
-            "slicing", profile, path_length, d=d, d_prime=d_prime, seed=seed,
-            data_plane="scalar",
-        )
-        scalar_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        batched = measure_setup(
-            "slicing", profile, path_length, d=d, d_prime=d_prime, seed=seed,
-            data_plane="batched",
-        )
-        batched_times.append(time.perf_counter() - start)
-    if scalar.parity_fields() != batched.parity_fields():
-        raise AssertionError(
-            "batched setup decode diverged from the scalar reference: "
-            f"{scalar.parity_fields()} != {batched.parity_fields()}"
-        )
-    scalar_seconds = min(scalar_times)
-    batched_seconds = min(batched_times)
-    return {
-        "path_length": path_length,
-        "d": d,
-        "scalar_ms": scalar_seconds * 1e3,
-        "batched_ms": batched_seconds * 1e3,
-        "speedup": scalar_seconds / max(batched_seconds, 1e-12),
-        "setup_seconds": batched.setup_seconds,
-        "identical": True,
-    }

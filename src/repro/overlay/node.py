@@ -45,6 +45,7 @@ The runtime drives the protocol through one of two data planes:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -528,7 +529,9 @@ class SlicingRuntime:
 
     def add_relay(self, address: str) -> Relay:
         if address not in self.relays:
-            seed = abs(hash(address)) % (2**32)
+            # A stable digest, not hash(): str hashes vary with PYTHONHASHSEED,
+            # and "same seed, same bytes" must not depend on the interpreter.
+            seed = int.from_bytes(hashlib.sha256(address.encode()).digest()[:4], "big")
             # Data-plane names deliberately match the relay engine names, so
             # a relay decodes the way its runtime ships.
             self.relays[address] = Relay(

@@ -53,3 +53,45 @@ def test_relative_doc_links_resolve():
         text=True,
     )
     assert result.returncode == 0, result.stderr + result.stdout
+
+
+def test_readme_ledger_tables_are_the_renderer_output():
+    # The README embeds `python scripts/bench_history.py render` verbatim; a
+    # hand-edited cell or a ledger entry the README never saw fails here.
+    from repro.experiments.bench_history import load_trajectory, render_trend
+
+    rendered = render_trend(load_trajectory(REPO_ROOT / "BENCH_trajectory.json"))
+    assert rendered in (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_ledger_reads_the_metrics_the_benchmark_declares():
+    import json
+
+    from repro.experiments.bench_history import END_TO_END_METRICS
+
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert [metric["name"] for metric in declared["end_to_end"]] == list(
+        END_TO_END_METRICS
+    )
+
+
+def test_environment_side_channels_are_pinned_at_four():
+    # Every REPRO_* name the program mentions, and each one documented.  A
+    # fifth variable is a new option: give it a flag or argue it in the docs
+    # and extend this list on purpose.
+    import re
+
+    mentioned = set()
+    for source in (REPO_ROOT / "src").rglob("*.py"):
+        mentioned |= set(re.findall(r"REPRO_[A-Z_]+", source.read_text(encoding="utf-8")))
+    assert mentioned == {
+        "REPRO_SCENARIO_MATRIX",
+        "REPRO_AIO_HOST",
+        "REPRO_AIO_TRANSPORT",
+        "REPRO_GF_KERNEL_PROVIDER",
+    }
+    documented = (REPO_ROOT / "docs" / "deployment.md").read_text(encoding="utf-8") + (
+        REPO_ROOT / "docs" / "ARCHITECTURE.md"
+    ).read_text(encoding="utf-8")
+    for name in mentioned:
+        assert name in documented, f"{name} is read by src/ but documented nowhere"

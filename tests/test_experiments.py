@@ -22,7 +22,6 @@ def test_registry_contains_every_figure():
         "dataplane-bench",
         "gfbench",
         "sphinxbench",
-        "distbench",
         "distsweep",
         "distinguishability",
         "ablation_transforms",

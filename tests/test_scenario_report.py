@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.experiments.bench_history import (
+    END_TO_END_METRICS,
     collect,
     load_trajectory,
     render_trend,
@@ -166,11 +167,18 @@ def test_baseline_with_unknown_cells_ignored(full_results):
 
 def test_trajectory_section_renders(full_results):
     trajectory = {
-        "version": 1,
+        "version": 2,
         "entries": [
             {
                 "label": "pr6",
-                "gates": {"anonbench": {"target": 10.0, "median_speedup": 25.0}},
+                "gates": {
+                    "anonbench": {
+                        "target": 10.0,
+                        "reference_ms": 20.0,
+                        "fast_ms": 0.8,
+                        "speedup": 25.0,
+                    }
+                },
             }
         ],
     }
@@ -178,20 +186,31 @@ def test_trajectory_section_renders(full_results):
         MATRIX, full_results, trajectory=trajectory, trajectory_source="BENCH.json"
     )
     markdown = render_markdown(report)
-    assert "| pr6 | 25× | — | — | — | — | — | — |" in markdown
+    assert "| pr6 | 25× (20 → 0.8 ms) | — | — | — | — | — | — |" in markdown
 
 
-# -- bench trajectory --------------------------------------------------------------
+# -- the performance ledger ----------------------------------------------------------
+
+
+def _bench_rows(*speedups):
+    """Artifact rows with a 1 ms fast side, so reference_ms == speedup."""
+    return [
+        {"reference_ms": speedup, "fast_ms": 1.0, "speedup": speedup}
+        for speedup in speedups
+    ]
 
 
 def test_summarise_gate_requires_speedup_rows():
     with pytest.raises(ValueError, match="no rows"):
         summarise_gate({"rows": [{"other": 1}]})
+    # A ratio without its two sides is what the ledger exists to refuse.
+    with pytest.raises(ValueError, match="reference_ms"):
+        summarise_gate({"rows": [{"speedup": 4.0}]})
 
 
 def test_summarise_gate_skipped_rows_and_na_rendering():
     # A gate the host could not run (gfbench with no compiled provider,
-    # distbench on one CPU) summarises to its skip reason...
+    # distsweep on one CPU) summarises to its skip reason...
     summary = summarise_gate(
         {"rows": [{"op": "matmul", "skipped": "no compiled provider"}]}
     )
@@ -199,60 +218,124 @@ def test_summarise_gate_skipped_rows_and_na_rendering():
     # ...and renders as n/a, distinct from the no-artifact dash.
     table = render_trend(
         {
-            "version": 1,
+            "version": 2,
             "entries": [
                 {"label": "pr8", "gates": {"gfbench": {"target": 3.0, **summary}}}
             ],
         }
     )
-    assert "| pr8 | — | — | — | — | — | n/a | — |" in table
-    # Measured rows still win over skipped ones when both are present.
+    assert "| pr8 | — | — | — | — | n/a | — | — |" in table
+    # Measured rows still win over skipped ones when both are present (a
+    # distsweep on a 2-CPU host: 4 and 8 workers skipped).
     mixed = summarise_gate(
-        {"rows": [{"speedup": 4.0}, {"skipped": "one seed could not run"}]}
+        {"rows": [*_bench_rows(4.0), {"skipped": "one count would time-slice"}]}
     )
-    assert mixed["median_speedup"] == 4.0
+    assert mixed["speedup"] == 4.0 and mixed["rows"] == 1
 
 
 def test_collect_upserts_and_reports_missing(tmp_path):
     results = tmp_path / "results"
     results.mkdir()
     (results / "anonbench.json").write_text(
-        json.dumps({"rows": [{"speedup": 12.0}, {"speedup": 16.0}]}), encoding="utf-8"
+        json.dumps({"rows": _bench_rows(12.0, 16.0)}), encoding="utf-8"
     )
     out = tmp_path / "BENCH_trajectory.json"
-    trajectory, missing = collect("pr6", [results], out)
+    trajectory, missing = collect("pr6", results, out)
     assert missing == [
         "chaumbench",
         "dataplane-bench",
-        "distbench",
         "distsweep",
         "gfbench",
+        "microbench",
         "sphinxbench",
     ]
-    assert trajectory["entries"][0]["gates"]["anonbench"]["median_speedup"] == 14.0
+    # Both absolute sides sit next to the ratio, all three as medians.
+    assert trajectory["entries"][0]["gates"]["anonbench"] == {
+        "target": 10.0,
+        "reference_ms": 14.0,
+        "fast_ms": 1.0,
+        "speedup": 14.0,
+        "min_speedup": 12.0,
+        "rows": 2,
+    }
     # Re-collecting the same label replaces in place; a new label appends.
     (results / "anonbench.json").write_text(
-        json.dumps({"rows": [{"speedup": 20.0}]}), encoding="utf-8"
+        json.dumps({"rows": _bench_rows(20.0)}), encoding="utf-8"
     )
-    trajectory, _ = collect("pr6", [results], out)
+    trajectory, _ = collect("pr6", results, out)
     assert len(trajectory["entries"]) == 1
-    assert trajectory["entries"][0]["gates"]["anonbench"]["median_speedup"] == 20.0
-    trajectory, _ = collect("pr7", [results], out)
+    assert trajectory["entries"][0]["gates"]["anonbench"]["speedup"] == 20.0
+    trajectory, _ = collect("pr7", results, out)
     assert [entry["label"] for entry in trajectory["entries"]] == ["pr6", "pr7"]
     # Byte-deterministic: same inputs, same file.
     before = out.read_bytes()
-    collect("pr7", [results], out)
+    collect("pr7", results, out)
     assert out.read_bytes() == before
+
+
+def _perfbench_document(workload, seed, goodput):
+    metrics = dict.fromkeys(END_TO_END_METRICS, 1.0) | {"goodput_MBps": goodput}
+    return {
+        "workload": workload,
+        "seed": seed,
+        "failed": 0,
+        "manifest": {"cpu_count": 2, "python": "3.11.7", "numpy": "1.26.4",
+                     "kernel": "numpy", "platform": "Linux-test"},
+        "metrics": {
+            name: {"value": value, "unit": "x"} for name, value in metrics.items()
+        },
+    }
+
+
+def test_collect_takes_perfbench_medians_per_workload(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    perfbench = tmp_path / "perfbench"
+    perfbench.mkdir()
+    for seed, goodput in ((1, 2.0), (2, 3.0)):
+        (perfbench / f"slicing-churn-seed{seed}-trace0.json").write_text(
+            json.dumps(_perfbench_document("slicing-churn", seed, goodput)),
+            encoding="utf-8",
+        )
+    # Traced passes carry per-layer metrics only; the ledger does not read them.
+    (perfbench / "slicing-churn-seed1-trace1.json").write_text("{}", encoding="utf-8")
+    out = tmp_path / "BENCH_trajectory.json"
+    trajectory, _ = collect("pr19", results, out, perfbench)
+    recorded = trajectory["entries"][0]["perfbench"]
+    assert recorded["manifest"]["cpu_count"] == 2
+    assert recorded["workloads"] == {
+        "slicing-churn": {
+            "runs": 2,
+            "failed": 0,
+            "goodput_MBps": 2.5,
+            "round_ms_p50": 1.0,
+            "cpu_s_per_MB": 1.0,
+            "peak_rss_MB": 1.0,
+            "setup_s": 1.0,
+        }
+    }
+    rendered = render_trend(trajectory)
+    assert "| pr19 | slicing-churn | 2 | 2.5 | 1 | 1 | 1 | 1 |" in rendered
+    assert "`pr19` host: 2 CPU(s), Python 3.11.7" in rendered
+    # An empty or malformed perfbench directory is a usage error, not a crash.
+    with pytest.raises(ValueError, match="no perfbench documents"):
+        collect("pr19", results, out, results)
+    (perfbench / "broken-seed1-trace0.json").write_text("{}", encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed perfbench document"):
+        collect("pr19", results, out, perfbench)
 
 
 def test_load_trajectory_rejects_wrong_version(tmp_path):
     path = tmp_path / "t.json"
-    path.write_text(json.dumps({"version": 99, "entries": []}), encoding="utf-8")
+    path.write_text(json.dumps({"version": 1, "entries": []}), encoding="utf-8")
     with pytest.raises(ValueError, match="version"):
         load_trajectory(path)
+    # The report refuses it the same way instead of rendering half a table.
+    with pytest.raises(ValueError, match="version"):
+        write_report(MATRIX, tmp_path, tmp_path / "r.json", trajectory_path=path)
 
 
 def test_render_trend_empty_trajectory():
-    table = render_trend({"version": 1, "entries": []})
+    table = render_trend({"version": 2, "entries": []})
     assert table.splitlines()[0].startswith("| label |")
     assert len(table.splitlines()) == 2
