@@ -1,15 +1,14 @@
-"""GF(2^8) kernel gate: the compiled kernel against the numpy reference (the
+"""GF(2^8) kernel gate: the two C loops against their numpy reference (the
 ``gfbench`` target of ``bench_history.GATES``) on two stacked 64-matrix
 calls — a batched matmul (64 x (8, 4) @ (4, 65)) and the batched
 Gauss–Jordan inverse (64 x (4, 4), singular members included) — while every
 output array stays bit-identical to the reference.  Regenerates the series through the
 experiment runner (``run_experiment("gfbench")``).
 
-The compiled backend is an optional extra (numba, or the bundled C
-extension compiled on demand); on hosts where neither is available the
-experiment records ``"skipped"`` rows and this gate skips with the reason —
-the CI ``compiled-kernels`` job installs ``.[fast]`` and enforces it
-(``--enforce-speedups``; without the flag the speedup is only reported).
+The C provider is compiled on demand; on hosts where it does not load the
+experiment records ``"skipped"`` rows and this gate skips with the loader's
+reason — the CI ``dataplane-bench`` job enforces it (``--enforce-speedups``;
+without the flag the speedup is only reported).
 """
 
 import pytest
@@ -31,7 +30,7 @@ def test_gf_kernel_microbench(benchmark, scale, check_speedups):
     if skipped:
         pytest.skip(skipped[0]["skipped"])
     # Bit-identity is asserted on every repetition inside the benchmark; a
-    # compiled kernel that drifts from the numpy reference fails here before
+    # C loop that drifts from the numpy reference fails here before
     # any speedup is considered.
     assert all(row["identical"] for row in rows)
     assert {row["op"] for row in rows} == {"matmul", "invert"}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodingError, InsufficientSlicesError
-from .gf import GF256, default_field
+from .gf import GF, GF256
 from .matrix import mds_matrix, random_invertible_matrix
 
 #: Number of bytes used to prefix the plaintext with its length.
@@ -130,8 +130,8 @@ class SliceCoder:
         ``d_prime - d`` blocks are redundancy against churn (§4.4).  Defaults
         to ``d`` (no redundancy).
     field:
-        Finite field implementation.  Defaults to the shared instance for
-        the active kernel (see :func:`repro.core.gf.use_kernel`).
+        Finite field implementation.  Defaults to the shared
+        :data:`~repro.core.gf.GF`.
     """
 
     def __init__(
@@ -147,7 +147,7 @@ class SliceCoder:
             raise CodingError(f"d' ({d_prime}) must be >= d ({d})")
         self.d = d
         self.d_prime = d_prime
-        self.field = default_field() if field is None else field
+        self.field = GF if field is None else field
 
     # -- encoding ----------------------------------------------------------------
 

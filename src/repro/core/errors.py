@@ -16,15 +16,6 @@ class FieldError(ReproError):
     """Invalid finite-field operation (e.g. division by zero, bad element)."""
 
 
-class KernelUnavailableError(FieldError):
-    """The requested GF(2^8) kernel backend cannot be loaded on this host.
-
-    Raised when ``kernel="compiled"`` is requested but no compiled provider
-    (the ``numba`` extra or a C toolchain) is available, or when the
-    ``REPRO_GF_KERNEL_PROVIDER`` override names a provider that cannot load.
-    """
-
-
 class MatrixError(ReproError):
     """Matrix construction or inversion failed (e.g. singular matrix)."""
 

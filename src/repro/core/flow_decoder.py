@@ -32,7 +32,7 @@ import numpy as np
 
 from .coder import CodedBlock, SliceCoder, _unpad_message
 from .errors import CodingError, InsufficientSlicesError
-from .gf import GF256, default_field
+from .gf import GF, GF256
 from .integrity import robust_decode, unwrap, verify
 
 def decode_setup_payload(
@@ -60,7 +60,7 @@ def decode_setup_payload(
     blocks.  Asserted in ``tests/test_setup_decode.py``, block by block and
     through a full route setup on both engines.
     """
-    field = default_field() if field is None else field
+    field = GF if field is None else field
     d = coder.d
     if len(blocks) < d:
         raise InsufficientSlicesError(d, len(blocks))
@@ -206,15 +206,15 @@ class FlowDecoder:
         Split factor of the flow; any ``d`` independent slices reconstruct a
         message.
     field:
-        Finite-field implementation.  Defaults to the shared instance for
-        the active kernel (see :func:`repro.core.gf.use_kernel`).
+        Finite-field implementation.  Defaults to the shared
+        :data:`~repro.core.gf.GF`.
     """
 
     def __init__(self, d: int, field: GF256 | None = None) -> None:
         if d < 1:
             raise CodingError(f"split factor d must be >= 1, got {d}")
         self.d = d
-        self.field = default_field() if field is None else field
+        self.field = GF if field is None else field
         self._coder = SliceCoder(d, field=self.field)
         self._planes: dict[int, _Plane] = {}
         self._seq_plane: dict[int, int] = {}

@@ -15,26 +15,25 @@ A single module-level instance :data:`GF` is what the rest of the library
 uses; constructing additional instances is cheap and only useful for tests
 that want an isolated table set.
 
-Every :class:`GF256` instance has a *kernel* — ``"numpy"`` (the reference,
-always available) or ``"compiled"`` (dispatches the hot loops to
-:mod:`repro.core.gf_kernels`, bit-identical by construction).  The
-module-level helpers :func:`field_for_kernel`, :func:`use_kernel` and
-:func:`default_field` let callers select the kernel for a whole call tree
-(context-locally, so concurrent runs do not interfere) without threading a
-field instance through every constructor.
+Nobody selects an implementation.  Elementwise :meth:`GF256.multiply` is
+always the numpy table lookup; the two stacked loops —
+:meth:`GF256.batched_matmul` and the batched Gauss–Jordan elimination behind
+:meth:`GF256.try_invert_matrices` — run in the C provider of
+:mod:`repro.core.gf_kernels` when it loads on this host (resolved on the
+first such call, once per process) and in numpy otherwise.  The numpy
+implementations are the reference the C loops are bit-identical to;
+:func:`active_kernel` says which side this process runs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from . import gf_kernels
-from .errors import FieldError, KernelUnavailableError
+from .errors import FieldError
 
 #: The AES / Rijndael reduction polynomial x^8 + x^4 + x^3 + x + 1.
 DEFAULT_POLYNOMIAL = 0x11B
@@ -44,9 +43,6 @@ DEFAULT_GENERATOR = 0x03
 
 #: Field order.
 ORDER = 256
-
-#: The kernel axis every :class:`GF256` instance carries.
-KERNELS = ("numpy", "compiled")
 
 
 def _build_tables(poly: int, generator: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,46 +100,39 @@ class GF256:
     numpy ufuncs) and return ``uint8`` arrays.  Division by zero raises
     :class:`~repro.core.errors.FieldError`.
 
-    ``kernel`` selects the implementation of the three hot loops
-    (:meth:`multiply`, :meth:`batched_matmul` and the batched Gauss–Jordan
-    elimination behind :meth:`try_invert_matrices`): ``"numpy"`` is the
-    reference, ``"compiled"`` dispatches to :mod:`repro.core.gf_kernels`
-    and raises :class:`~repro.core.errors.KernelUnavailableError` at
-    construction when no compiled provider can load.  Results are
-    bit-identical across kernels by construction.
+    ``compiled=False`` keeps :meth:`batched_matmul` and the batched
+    Gauss–Jordan elimination on the numpy reference even where the C
+    provider loads — the side the bit-identity tests and ``gfbench`` compare
+    against; nothing on a run path passes it.
     """
 
     def __init__(
         self,
         polynomial: int = DEFAULT_POLYNOMIAL,
         generator: int = DEFAULT_GENERATOR,
-        kernel: str = "numpy",
+        compiled: bool = True,
     ) -> None:
-        if kernel not in KERNELS:
-            raise FieldError(
-                f"unknown kernel {kernel!r}; expected one of {', '.join(KERNELS)}"
-            )
         self.polynomial = polynomial
         self.generator = generator
         self.order = ORDER
-        self.kernel = kernel
         self._exp, self._log = _build_tables(polynomial, generator)
         # Precompute the full inverse table: inv[0] stays 0 and is guarded.
         inv = np.zeros(256, dtype=np.uint8)
         nonzero = np.arange(1, 256)
         inv[1:] = self._exp[255 - self._log[nonzero]]
         self._inv = inv
-        self._provider: gf_kernels.KernelProvider | None = None
+        self._compiled = compiled
         self._mul_table: np.ndarray | None = None
-        if kernel == "compiled":
-            self._provider = gf_kernels.load_provider()
-            self._mul_table = self._build_mul_table()
 
-    def _build_mul_table(self) -> np.ndarray:
-        """The flattened 256x256 product table the compiled providers index."""
-        elements = np.arange(256, dtype=np.uint8)
-        table = self._numpy_multiply(elements[:, None], elements[None, :])
-        return np.ascontiguousarray(table.reshape(-1), dtype=np.uint8)
+    def _c_loops(self) -> gf_kernels.CProvider | None:
+        """The C provider when the stacked loops dispatch to it, else ``None``."""
+        provider = gf_kernels.load_provider() if self._compiled else None
+        if provider is not None and self._mul_table is None:
+            # The flattened 256x256 product table the C loops index.
+            elements = np.arange(256, dtype=np.uint8)
+            table = self._numpy_multiply(elements[:, None], elements[None, :])
+            self._mul_table = np.ascontiguousarray(table.reshape(-1))
+        return provider
 
     # -- element-wise operations -------------------------------------------------
 
@@ -172,11 +161,9 @@ class GF256:
         >>> GF.multiply([2, 3], [3, 7]).tolist()
         [6, 9]
         """
-        a = np.asarray(a, dtype=np.uint8)
-        b = np.asarray(b, dtype=np.uint8)
-        if self._provider is not None:
-            return self._compiled_multiply(a, b)
-        return self._numpy_multiply(a, b)
+        return self._numpy_multiply(
+            np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
+        )
 
     def _numpy_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # uint8 operands index the int16 log table directly; the int16 sum
@@ -184,18 +171,6 @@ class GF256:
         result = self._exp[self._log[a] + self._log[b]]
         zero = (a == 0) | (b == 0)
         return np.where(zero, np.uint8(0), result).astype(np.uint8)
-
-    def _compiled_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(a, b)
-        out = np.empty(a.shape, dtype=np.uint8)
-        if out.size:
-            self._provider.multiply(
-                np.ascontiguousarray(a).reshape(-1),
-                np.ascontiguousarray(b).reshape(-1),
-                out.reshape(-1),
-                self._mul_table,
-            )
-        return out
 
     def divide(self, a, b) -> np.ndarray:
         """Element-wise division ``a / b``; raises on any zero divisor."""
@@ -274,13 +249,16 @@ class GF256:
             )
         if a.shape[-1] != b.shape[-2]:
             raise FieldError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        if self._provider is not None:
-            return self._compiled_batched_matmul(a, b)
+        provider = self._c_loops()
+        if provider is not None:
+            return self._compiled_batched_matmul(provider, a, b)
         # products[..., i, k, j] = a[..., i, k] * b[..., k, j]; XOR-reduce over k.
         products = self._numpy_multiply(a[..., :, :, None], b[..., None, :, :])
         return np.bitwise_xor.reduce(products, axis=-2)
 
-    def _compiled_batched_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _compiled_batched_matmul(
+        self, provider: gf_kernels.CProvider, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
         batch_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         m, k = a.shape[-2:]
         n = b.shape[-1]
@@ -293,7 +271,7 @@ class GF256:
             stack_b = np.ascontiguousarray(
                 np.broadcast_to(b, (*batch_shape, k, n))
             ).reshape(batch, k, n)
-            self._provider.batched_matmul(
+            provider.batched_matmul(
                 stack_a, stack_b, out.reshape(batch, m, n), self._mul_table
             )
         elif out.size:
@@ -414,11 +392,12 @@ class GF256:
         aug = np.concatenate(
             [a.copy(), np.tile(np.eye(n, dtype=np.uint8), (batch, 1, 1))], axis=2
         )
-        if self._provider is not None:
+        provider = self._c_loops()
+        if provider is not None:
             aug = np.ascontiguousarray(aug)
             singular_mask = np.zeros(batch, dtype=np.uint8)
             if batch and n:
-                self._provider.gauss_jordan(
+                provider.gauss_jordan(
                     aug, singular_mask, self._mul_table, self._inv
                 )
             return aug[:, :, n:].copy(), singular_mask.astype(bool)
@@ -473,92 +452,18 @@ class GF256:
                 raise FieldError(f"{v!r} is not an element of GF(2^8)")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GF256(polynomial=0x{self.polynomial:03x}, "
-            f"generator=0x{self.generator:02x}, kernel={self.kernel!r})"
-        )
+        return f"GF256(polynomial=0x{self.polynomial:03x}, generator=0x{self.generator:02x})"
 
 
 #: Shared field instance used throughout the library.
 GF = GF256()
 
-_FIELDS_BY_KERNEL: dict[str, GF256] = {"numpy": GF}
-
-#: Kernel selection used by :func:`default_field`.  A ContextVar so
-#: concurrent runs in one process (threads, interleaved async tasks) can
-#: each hold a different override without racing each other.
-_ACTIVE_KERNEL: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_gf_active_kernel", default="numpy"
-)
-
-
-def field_for_kernel(kernel: str) -> GF256:
-    """The shared field instance for ``kernel`` (``"numpy"`` returns :data:`GF`).
-
-    Raises :class:`~repro.core.errors.KernelUnavailableError` when
-    ``kernel="compiled"`` and no compiled provider can load.
-    """
-    if kernel not in KERNELS:
-        raise FieldError(
-            f"unknown kernel {kernel!r}; expected one of {', '.join(KERNELS)}"
-        )
-    field = _FIELDS_BY_KERNEL.get(kernel)
-    if field is None:
-        field = GF256(kernel=kernel)
-        _FIELDS_BY_KERNEL[kernel] = field
-    return field
-
-
-def available_kernels() -> tuple[str, ...]:
-    """The kernels that can actually load on this host."""
-    names = ["numpy"]
-    if gf_kernels.compiled_available():
-        names.append("compiled")
-    return tuple(names)
-
 
 def active_kernel() -> str:
-    """The kernel :func:`default_field` currently resolves to."""
-    return _ACTIVE_KERNEL.get()
+    """What the stacked loops of :data:`GF` run in this process.
 
-
-@contextlib.contextmanager
-def use_kernel(kernel: str | None) -> Iterator[None]:
-    """Select the default kernel for the duration of the block.
-
-    ``None`` is a no-op (callers thread an optional kernel through
-    unconditionally).  The experiment runner wraps every trial execution in
-    this context, so experiment code that builds coders with default
-    arguments picks up the requested kernel without any plumbing.  The
-    override is context-local (a :class:`~contextvars.ContextVar`), so
-    concurrent runs in threads or async tasks do not see each other's
-    kernel.
+    ``"compiled"`` when the C provider loads here (this call resolves it if
+    no stacked call has yet), ``"numpy"`` otherwise —
+    :func:`repro.core.gf_kernels.unavailable_reason` then says why.
     """
-    if kernel is None:
-        yield
-        return
-    field_for_kernel(kernel)  # validate + fail fast before running the block
-    token = _ACTIVE_KERNEL.set(kernel)
-    try:
-        yield
-    finally:
-        _ACTIVE_KERNEL.reset(token)
-
-
-def default_field() -> GF256:
-    """The shared field for the active kernel (:data:`GF` unless overridden)."""
-    return field_for_kernel(_ACTIVE_KERNEL.get())
-
-
-# Re-exported for convenience: callers selecting kernels catch this.
-__all__ = [
-    "GF",
-    "GF256",
-    "KERNELS",
-    "KernelUnavailableError",
-    "active_kernel",
-    "available_kernels",
-    "default_field",
-    "field_for_kernel",
-    "use_kernel",
-]
+    return "numpy" if GF._c_loops() is None else "compiled"

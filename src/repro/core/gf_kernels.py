@@ -1,38 +1,30 @@
-"""Compiled kernel providers for GF(2^8) arithmetic.
+"""The C provider for GF(2^8)'s two stacked loops.
 
-:class:`~repro.core.gf.GF256` dispatches its hot loops — elementwise
-multiply, batched matrix multiply and batched Gauss–Jordan elimination — to
-a *kernel*.  The ``"numpy"`` kernel is the in-process reference
-implementation living in :mod:`repro.core.gf`; the ``"compiled"`` kernel is
-provided by this module and is required to be bit-identical to it (the
-guarantee is asserted by hypothesis property tests and re-checked inside
-every ``gfbench`` run).
+:class:`~repro.core.gf.GF256` runs three hot loops.  Elementwise ``multiply``
+is always the numpy table lookup: the data plane issues thousands of small
+calls per round, which pay more ctypes marshalling than work.  The two
+stacked loops — ``batched_matmul`` and the batched Gauss–Jordan elimination
+behind ``try_invert_matrices`` — go to the C functions below whenever they
+load on this host, and to the numpy reference in :mod:`repro.core.gf`
+otherwise.  The two are required to be bit-identical (asserted by the
+hypothesis property tests in ``tests/test_gf_kernels.py`` and re-checked
+inside every ``gfbench`` run), so which one ran never shows in a result.
 
-Two compiled providers are known, tried in order:
+The C file is compiled once into a shared library cached under
+``$XDG_CACHE_HOME/repro-information-slicing/`` (default ``~/.cache``, keyed
+by a digest of the build recipe) and loaded through :mod:`ctypes`; set
+``CC`` to override the compiler.  Nothing is compiled or loaded before the
+first stacked call, and *any* failure on the way — no compiler, a failing
+one, an unwritable cache directory, a damaged cached library — ends in the
+numpy path with a one-line :func:`unavailable_reason`, never in an error.
 
-``numba``
-    The primary provider, enabled by installing the ``fast`` extra
-    (``pip install .[fast]``).  Kernels are ``@njit(cache=True,
-    parallel=True)`` functions with ``prange`` over the batch axis, so
-    repeat runs hit numba's on-disk cache and large stacks use every core.
-
-``cext``
-    A fallback provider for hosts with a C toolchain but no numba: a tiny
-    C file is compiled once into a shared library cached under
-    ``~/.cache/repro-information-slicing/`` (keyed by source hash) and
-    loaded through :mod:`ctypes`.  Set ``CC`` to override the compiler.
-
-Both providers work on contiguous ``uint8`` stacks and take the field's
-flattened 256x256 multiplication table (and the 256-entry inverse table)
-as arguments, so non-default polynomials work unchanged.  The environment
-variable ``REPRO_GF_KERNEL_PROVIDER`` forces provider selection:
-``numba`` / ``cext`` require that provider (error if it cannot load) and
-``none`` disables compiled kernels entirely — the knob the fallback tests
-use to exercise the numpy-only path even on hosts where a provider exists.
-
-To add a provider: write a loader returning an object with the three
-methods of :class:`KernelProvider`, add it to ``_LOADERS``, and the
-bit-identity suite in ``tests/test_gf_kernels.py`` covers it for free.
+The functions work on contiguous ``uint8`` stacks and take the field's
+flattened 256x256 multiplication table (and the 256-entry inverse table) as
+arguments, so non-default polynomials work unchanged.  The environment
+variable ``REPRO_GF_KERNEL_PROVIDER=none`` keeps the provider from ever
+loading — how CI and the fallback tests exercise the numpy side on a host
+with a compiler, and the escape hatch for a broken toolchain.  ``none`` is
+the only accepted value.
 """
 
 from __future__ import annotations
@@ -43,66 +35,18 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import KernelUnavailableError
+from .errors import FieldError
 
-#: Environment variable forcing provider selection (``numba``/``cext``/``none``).
+#: Environment variable whose one legal value, ``none``, disables the provider.
 PROVIDER_ENV = "REPRO_GF_KERNEL_PROVIDER"
-
-#: Cache directory for the compiled C provider's shared libraries.
-CACHE_DIR = Path(
-    os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")
-) / "repro-information-slicing"
-
-
-class KernelProvider(Protocol):
-    """The three hot loops a compiled provider must implement.
-
-    All arrays are C-contiguous ``uint8``.  ``mul`` is the flattened
-    256x256 multiplication table (``mul[a * 256 + b] == a * b``), ``inv``
-    the 256-entry inverse table with ``inv[0] == 0``.
-    """
-
-    name: str
-
-    def multiply(
-        self, a: np.ndarray, b: np.ndarray, out: np.ndarray, mul: np.ndarray
-    ) -> None:
-        """Elementwise product of flat arrays ``a`` and ``b`` into ``out``."""
-
-    def batched_matmul(
-        self, a: np.ndarray, b: np.ndarray, out: np.ndarray, mul: np.ndarray
-    ) -> None:
-        """``(B, m, k) @ (B, k, n) -> (B, m, n)`` into ``out``."""
-
-    def gauss_jordan(
-        self,
-        aug: np.ndarray,
-        singular: np.ndarray,
-        mul: np.ndarray,
-        inv: np.ndarray,
-    ) -> None:
-        """In-place Gauss–Jordan over an augmented ``(B, n, 2n)`` stack.
-
-        Mirrors ``GF256._gauss_jordan_batch`` exactly (pivot choice, the
-        safe-pivot substitution for singular entries, elimination order) so
-        even the garbage rows of singular entries stay bit-identical.
-        ``singular`` is a ``(B,)`` uint8 output mask.
-        """
 
 
 _C_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
-
-void gf_mul_elementwise(const uint8_t *a, const uint8_t *b, uint8_t *out,
-                        ptrdiff_t count, const uint8_t *mul) {
-    for (ptrdiff_t i = 0; i < count; i++)
-        out[i] = mul[((size_t)a[i] << 8) | b[i]];
-}
 
 void gf_batched_matmul(const uint8_t *a, const uint8_t *b, uint8_t *out,
                        ptrdiff_t batch, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n,
@@ -184,40 +128,40 @@ void gf_gauss_jordan(uint8_t *aug, uint8_t *singular,
 _CFLAGS = ("-O3", "-fPIC", "-shared")
 
 
-def _compile_shared_library() -> Path:
-    """Compile the C provider into the cache directory, reusing prior builds."""
+def _library_path() -> Path:
+    """Where this build recipe's shared library lives in the cache directory."""
     compiler = os.environ.get("CC", "cc")
     # The digest covers the *whole* build recipe — source, compiler and
     # flags — so any change to it invalidates the cached .so instead of
     # silently reusing a library built under a different recipe.
     recipe = "\0".join([_C_SOURCE, compiler, *_CFLAGS])
     digest = hashlib.sha256(recipe.encode("utf-8")).hexdigest()[:16]
-    library = CACHE_DIR / f"gf_kernels_{digest}.so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    return cache / "repro-information-slicing" / f"gf_kernels_{digest}.so"
+
+
+def _compile_shared_library() -> Path:
+    """Compile the C provider into the cache directory, reusing prior builds."""
+    library = _library_path()
     if library.is_file():
         return library
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    source = CACHE_DIR / f"gf_kernels_{digest}.c"
+    library.parent.mkdir(parents=True, exist_ok=True)
+    source = library.with_suffix(".c")
     source.write_text(_C_SOURCE, encoding="utf-8")
     with tempfile.NamedTemporaryFile(
-        dir=CACHE_DIR, suffix=".so", delete=False
+        dir=library.parent, suffix=".so", delete=False
     ) as handle:
         temporary = Path(handle.name)
     try:
         subprocess.run(
-            [compiler, *_CFLAGS, "-o", str(temporary), str(source)],
+            [os.environ.get("CC", "cc"), *_CFLAGS, "-o", str(temporary), str(source)],
             check=True,
             capture_output=True,
             text=True,
         )
-    except FileNotFoundError as error:
+        os.replace(temporary, library)  # atomic: concurrent builders race safely
+    finally:
         temporary.unlink(missing_ok=True)
-        raise KernelUnavailableError(f"C compiler {compiler!r} not found") from error
-    except subprocess.CalledProcessError as error:
-        temporary.unlink(missing_ok=True)
-        raise KernelUnavailableError(
-            f"C compilation failed: {error.stderr.strip()}"
-        ) from error
-    os.replace(temporary, library)  # atomic: concurrent builders race safely
     return library
 
 
@@ -228,17 +172,16 @@ def _as_ptr(array: np.ndarray):
     return array.ctypes.data_as(_UINT8_P)
 
 
-class _CExtensionProvider:
-    """The three kernels as C functions loaded through ctypes."""
+class CProvider:
+    """The two stacked loops as C functions loaded through ctypes.
 
-    name = "cext"
+    All arrays are C-contiguous ``uint8``.  ``mul`` is the flattened
+    256x256 multiplication table (``mul[a * 256 + b] == a * b``), ``inv``
+    the 256-entry inverse table with ``inv[0] == 0``.
+    """
 
-    def __init__(self) -> None:
-        self._lib = ctypes.CDLL(str(_compile_shared_library()))
-        self._lib.gf_mul_elementwise.restype = None
-        self._lib.gf_mul_elementwise.argtypes = [
-            _UINT8_P, _UINT8_P, _UINT8_P, ctypes.c_ssize_t, _UINT8_P,
-        ]
+    def __init__(self, library: Path) -> None:
+        self._lib = ctypes.CDLL(str(library))
         self._lib.gf_batched_matmul.restype = None
         self._lib.gf_batched_matmul.argtypes = [
             _UINT8_P, _UINT8_P, _UINT8_P,
@@ -251,210 +194,68 @@ class _CExtensionProvider:
             _UINT8_P, _UINT8_P,
         ]
 
-    def multiply(self, a, b, out, mul) -> None:
-        self._lib.gf_mul_elementwise(
-            _as_ptr(a), _as_ptr(b), _as_ptr(out), a.size, _as_ptr(mul)
-        )
-
-    def batched_matmul(self, a, b, out, mul) -> None:
+    def batched_matmul(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray, mul: np.ndarray
+    ) -> None:
+        """``(B, m, k) @ (B, k, n) -> (B, m, n)`` into ``out``."""
         batch, m, k = a.shape
         n = b.shape[2]
         self._lib.gf_batched_matmul(
             _as_ptr(a), _as_ptr(b), _as_ptr(out), batch, m, k, n, _as_ptr(mul)
         )
 
-    def gauss_jordan(self, aug, singular, mul, inv) -> None:
+    def gauss_jordan(
+        self, aug: np.ndarray, singular: np.ndarray, mul: np.ndarray, inv: np.ndarray
+    ) -> None:
+        """In-place Gauss–Jordan over an augmented ``(B, n, 2n)`` stack.
+
+        Mirrors ``GF256._gauss_jordan_batch`` exactly (pivot choice, the
+        safe-pivot substitution for singular entries, elimination order) so
+        even the garbage rows of singular entries stay bit-identical.
+        ``singular`` is a ``(B,)`` uint8 output mask.
+        """
         batch, n, _ = aug.shape
         self._lib.gf_gauss_jordan(
             _as_ptr(aug), _as_ptr(singular), batch, n, _as_ptr(mul), _as_ptr(inv)
         )
 
 
-def _load_cext_provider() -> KernelProvider:
-    return _CExtensionProvider()
+#: ``(provider or None, reason or None)`` once resolved; ``None`` until the
+#: first :func:`load_provider` call of this process.
+_resolution: tuple[CProvider | None, str | None] | None = None
 
 
-def _load_numba_provider() -> KernelProvider:
-    try:
-        import numba
-    except ImportError as error:
-        raise KernelUnavailableError(
-            "numba is not installed (pip install .[fast])"
-        ) from error
-
-    @numba.njit(cache=True, parallel=True)
-    def _mul(a, b, out, mul):  # pragma: no cover - compiled
-        for i in numba.prange(a.shape[0]):
-            out[i] = mul[np.int64(a[i]) * 256 + np.int64(b[i])]
-
-    @numba.njit(cache=True, parallel=True)
-    def _matmul(a, b, out, mul):  # pragma: no cover - compiled
-        batch, m, k = a.shape
-        n = b.shape[2]
-        for s in numba.prange(batch):
-            for i in range(m):
-                for j in range(n):
-                    out[s, i, j] = 0
-                for kk in range(k):
-                    base = np.int64(a[s, i, kk]) * 256
-                    for j in range(n):
-                        out[s, i, j] ^= mul[base + np.int64(b[s, kk, j])]
-
-    @numba.njit(cache=True, parallel=True)
-    def _gauss_jordan(aug, singular, mul, inv):  # pragma: no cover - compiled
-        batch, n, w = aug.shape
-        for s in numba.prange(batch):
-            sing = np.uint8(0)
-            for col in range(n):
-                pivot = col
-                found = False
-                for r in range(col, n):
-                    if aug[s, r, col] != 0:
-                        pivot = r
-                        found = True
-                        break
-                if not found:
-                    sing = np.uint8(1)
-                if pivot != col:
-                    for j in range(w):
-                        t = aug[s, col, j]
-                        aug[s, col, j] = aug[s, pivot, j]
-                        aug[s, pivot, j] = t
-                p = aug[s, col, col]
-                safe = p if p != 0 else np.uint8(1)
-                base = np.int64(inv[safe]) * 256
-                for j in range(w):
-                    aug[s, col, j] = mul[base + np.int64(aug[s, col, j])]
-                for r2 in range(n):
-                    if r2 == col:
-                        continue
-                    f = aug[s, r2, col]
-                    if f == 0:
-                        continue
-                    fbase = np.int64(f) * 256
-                    for j in range(w):
-                        aug[s, r2, j] ^= mul[fbase + np.int64(aug[s, col, j])]
-            singular[s] = sing
-
-    class _NumbaProvider:
-        name = "numba"
-
-        def multiply(self, a, b, out, mul) -> None:
-            _mul(a, b, out, mul)
-
-        def batched_matmul(self, a, b, out, mul) -> None:
-            _matmul(a, b, out, mul)
-
-        def gauss_jordan(self, aug, singular, mul, inv) -> None:
-            _gauss_jordan(aug, singular, mul, inv)
-
-    provider = _NumbaProvider()
-    # Trigger compilation now so a broken numba install fails loudly at
-    # selection time instead of mid-experiment.
-    mul = np.zeros(65536, dtype=np.uint8)
-    inv = np.zeros(256, dtype=np.uint8)
-    provider.multiply(
-        np.zeros(1, dtype=np.uint8),
-        np.zeros(1, dtype=np.uint8),
-        np.zeros(1, dtype=np.uint8),
-        mul,
-    )
-    provider.batched_matmul(
-        np.zeros((1, 1, 1), dtype=np.uint8),
-        np.zeros((1, 1, 1), dtype=np.uint8),
-        np.zeros((1, 1, 1), dtype=np.uint8),
-        mul,
-    )
-    provider.gauss_jordan(
-        np.zeros((1, 1, 2), dtype=np.uint8), np.zeros(1, dtype=np.uint8), mul, inv
-    )
-    return provider
-
-
-#: Provider loaders in preference order.
-_LOADERS: dict[str, Callable[[], KernelProvider]] = {
-    "numba": _load_numba_provider,
-    "cext": _load_cext_provider,
-}
-
-_PROVIDER: KernelProvider | None = None
-_PROVIDER_ERROR: KernelUnavailableError | None = None
-_PROVIDER_RESOLVED = False
-
-
-def _select_provider() -> KernelProvider:
-    forced = os.environ.get(PROVIDER_ENV, "").strip().lower()
-    if forced == "none":
-        raise KernelUnavailableError(
-            f"compiled kernels disabled by {PROVIDER_ENV}=none"
+def _resolve() -> tuple[CProvider | None, str | None]:
+    setting = os.environ.get(PROVIDER_ENV, "").strip().lower()
+    if setting == "none":
+        return None, f"disabled by {PROVIDER_ENV}=none"
+    if setting:
+        raise FieldError(
+            f"unknown {PROVIDER_ENV} value {setting!r}; the only accepted value is 'none'"
         )
-    if forced:
-        if forced not in _LOADERS:
-            raise KernelUnavailableError(
-                f"unknown {PROVIDER_ENV} value {forced!r}; "
-                f"expected one of {', '.join([*sorted(_LOADERS), 'none'])}"
-            )
-        return _LOADERS[forced]()
-    errors = []
-    for name, loader in _LOADERS.items():
-        try:
-            return loader()
-        except KernelUnavailableError as error:
-            errors.append(f"{name}: {error}")
-    raise KernelUnavailableError(
-        "no compiled GF(2^8) provider available — " + "; ".join(errors)
-    )
+    try:
+        return CProvider(_compile_shared_library()), None
+    except (OSError, RuntimeError, subprocess.CalledProcessError) as error:
+        # No or failing compiler, no home directory, unwritable cache,
+        # truncated or foreign-architecture cached library: numpy it is.
+        stderr = (getattr(error, "stderr", None) or "").strip()
+        detail = stderr.splitlines()[0] if stderr else error
+        return None, f"{type(error).__name__}: {detail}"
 
 
-def load_provider() -> KernelProvider:
-    """The selected compiled provider, loading (and caching) it on first use.
+def load_provider() -> CProvider | None:
+    """The C provider, or ``None`` when it cannot (or must not) load here.
 
-    Raises :class:`~repro.core.errors.KernelUnavailableError` when no
-    provider can load; the failure is cached too, so repeated probes are
-    cheap.
+    Resolved on the first call and cached for the life of the process,
+    success or failure alike.
     """
-    global _PROVIDER, _PROVIDER_ERROR, _PROVIDER_RESOLVED
-    if not _PROVIDER_RESOLVED:
-        try:
-            _PROVIDER = _select_provider()
-        except KernelUnavailableError as error:
-            _PROVIDER_ERROR = error
-        _PROVIDER_RESOLVED = True
-    if _PROVIDER is None:
-        assert _PROVIDER_ERROR is not None
-        raise _PROVIDER_ERROR
-    return _PROVIDER
+    global _resolution
+    if _resolution is None:
+        _resolution = _resolve()
+    return _resolution[0]
 
 
-def reset_provider_cache() -> None:
-    """Forget the cached provider selection (tests flip ``PROVIDER_ENV``)."""
-    global _PROVIDER, _PROVIDER_ERROR, _PROVIDER_RESOLVED
-    _PROVIDER = None
-    _PROVIDER_ERROR = None
-    _PROVIDER_RESOLVED = False
-
-
-def compiled_available() -> bool:
-    """True when a compiled provider can load on this host."""
-    try:
-        load_provider()
-    except KernelUnavailableError:
-        return False
-    return True
-
-
-def compiled_unavailable_reason() -> str | None:
-    """Why compiled kernels cannot load, or ``None`` when they can."""
-    try:
-        load_provider()
-    except KernelUnavailableError as error:
-        return str(error)
-    return None
-
-
-def provider_name() -> str | None:
-    """Name of the loaded provider (``numba``/``cext``), or ``None``."""
-    try:
-        return load_provider().name
-    except KernelUnavailableError:
-        return None
+def unavailable_reason() -> str | None:
+    """One line on why :func:`load_provider` returns ``None``, else ``None``."""
+    load_provider()
+    return _resolution[1]

@@ -43,7 +43,7 @@ from ..crypto.symmetric import StreamCipher
 from .coder import CodedBlock, SliceCoder
 from .errors import CodingError, InsufficientSlicesError, ProtocolError
 from .flow_decoder import FlowDecoder, decode_setup_payload
-from .gf import GF256, default_field
+from .gf import GF, GF256
 from .integrity import robust_decode
 from .node_info import NodeInfo
 from .packet import Packet, PacketKind, random_padding_slice
@@ -130,10 +130,7 @@ class Relay:
         Both produce bit-identical delivered messages and stats.
     field:
         The GF(2^8) implementation every coder and decoder of this relay
-        uses; defaults to the shared instance for the active kernel (see
-        :func:`repro.core.gf.use_kernel`).  Kernels are bit-identical by
-        construction, so delivered messages and stats do not depend on the
-        choice.
+        uses; defaults to the shared :data:`~repro.core.gf.GF`.
     """
 
     def __init__(
@@ -152,7 +149,7 @@ class Relay:
         self.auto_forward_setup = auto_forward_setup
         self.regenerate_redundancy = regenerate_redundancy
         self.engine = engine
-        self.field = default_field() if field is None else field
+        self.field = GF if field is None else field
         self.flows: dict[int, FlowState] = {}
         self.stats = RelayStats()
 

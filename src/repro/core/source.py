@@ -23,7 +23,7 @@ import numpy as np
 from ..crypto.symmetric import StreamCipher
 from .coder import CodedBlock, SliceCoder
 from .errors import GraphConstructionError, ProtocolError
-from .gf import GF256, default_field
+from .gf import GF, GF256
 from .graph import ForwardingGraph, build_forwarding_graph
 from .integrity import wrap
 from .packet import Packet, PacketKind, random_padding_slice
@@ -79,9 +79,7 @@ class Source:
         Randomness source; pass a seeded generator for reproducible flows.
     field:
         The GF(2^8) implementation this source's coders use; defaults to
-        the shared instance for the active kernel (see
-        :func:`repro.core.gf.use_kernel`).  Output is bit-identical across
-        kernels by construction.
+        the shared :data:`~repro.core.gf.GF`.
     """
 
     def __init__(
@@ -100,7 +98,7 @@ class Source:
         self.d_prime = d if d_prime is None else d_prime
         self.path_length = path_length
         self.rng = np.random.default_rng() if rng is None else rng
-        self.field = default_field() if field is None else field
+        self.field = GF if field is None else field
         if self.d_prime < self.d:
             raise ProtocolError(f"d' ({self.d_prime}) must be >= d ({self.d})")
         if len(self.pseudo_sources) != self.d_prime - 1:

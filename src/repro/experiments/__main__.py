@@ -5,7 +5,7 @@ Subcommands::
     python -m repro.experiments run <name> [...] [--workers N] [--scale S]
                                     [--out DIR] [--seed N] [--force]
                                     [--backend sim|aio] [--dist N]
-                                    [--kernel numpy|compiled] [--matrix SPEC ...]
+                                    [--matrix SPEC ...]
     python -m repro.experiments coordinate <name> [--host H] [--port P]
                                     [--transport plain|secure] [--keyfile K]
                                     [--authorized-keys A] [--scale S] [...]
@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 from dataclasses import asdict
 
-from ..core.errors import KernelUnavailableError
 from ..overlay.runtime import SUBSTRATE_BACKENDS
 from .registry import experiment_names, get_experiment
 from .runner import DEFAULT_RESULTS_DIR, Job, RunResult, UsageError, run_experiment
@@ -88,9 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     # The run request.  Its values are validated by building the Job in
     # _jobs (not via argparse type=) so that a non-finite scale, a negative
-    # seed, an unsupported scheme/backend pairing or a missing compiled
-    # kernel is a one-line exit-2 error listing what is supported, not a
-    # usage dump or a traceback.
+    # seed or an unsupported scheme/backend pairing is a one-line exit-2
+    # error listing what is supported, not a usage dump or a traceback.
     job_flags = argparse.ArgumentParser(add_help=False)
     job_flags.add_argument(
         "--scale",
@@ -114,14 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="NAME",
         help="restrict a scheme-capable experiment (figs. 11-15) to one "
         "registered protocol runtime (slicing, onion, onion-erasure, sphinx)",
-    )
-    job_flags.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="GF(2^8) kernel trials execute with: 'numpy' (reference) or "
-        "'compiled' (numba/cext, requires the 'fast' extra or a C "
-        "toolchain); results are bit-identical either way",
     )
     job_flags.add_argument(
         "--out",
@@ -432,18 +422,17 @@ def _jobs(names: list[str], args: argparse.Namespace, *, sharded: bool):
 
     Building them all up front means usage mistakes exit with one line
     before any trial runs, while genuine failures inside trial code keep
-    their tracebacks.  An unavailable compiled backend is a usage error too
-    (install the ``fast`` extra or provide a C toolchain).
+    their tracebacks.
     """
     try:
         jobs = [
-            Job(name, args.scale, args.seed, args.backend, args.scheme, args.kernel)
+            Job(name, args.scale, args.seed, args.backend, args.scheme)
             for name in names
         ]
         if sharded:
             for job in jobs:
                 job.require_shardable()
-    except (KeyError, UsageError, KernelUnavailableError) as error:
+    except (KeyError, UsageError) as error:
         return None, _fail(error.args[0])
     return jobs, 0
 
@@ -455,8 +444,6 @@ def _print_result(result: RunResult) -> None:
         header += f", backend={result.backend}"
     if result.scheme:
         header += f", scheme={result.scheme}"
-    if result.kernel:
-        header += f", kernel={result.kernel}"
     if result.workers_seen:
         header += f", dist-workers={result.workers_seen}"
     print(f"\n=== {result.name} ({header}, {status}) ===")

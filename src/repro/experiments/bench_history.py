@@ -39,6 +39,7 @@ TRAJECTORY_VERSION = 2
 #: ``--enforce-speedups``.  ``distsweep`` has neither: sharding fig11 is
 #: bounded by its fixed per-run cost (docs/ARCHITECTURE.md, "Distributed
 #: execution"), so the ledger records its seconds and asserts no ratio.
+#: ``gfbench`` is the two C loops against their numpy reference.
 GATES: dict[str, dict] = {
     "anonbench": {"target": 10.0, "floor": 3.0},
     "chaumbench": {"target": 10.0, "floor": 3.0},
@@ -71,8 +72,8 @@ def summarise_gate(document: dict) -> dict:
 
     Rows that measured something carry ``reference_ms``, ``fast_ms`` and
     ``speedup``; the ledger keeps the median of each plus the worst
-    speedup.  Gates that cannot run on the current host (``gfbench`` with
-    no compiled provider, ``distsweep`` on a single-CPU runner) report only
+    speedup.  Gates that cannot run on the current host (``gfbench`` where
+    the C provider does not load, ``distsweep`` on a single-CPU runner) report only
     ``"skipped"`` rows; those summarise to the reason and render as ``n/a``.
 
     >>> doc = {"rows": [{"reference_ms": 24.0, "fast_ms": 2.0, "speedup": 12.0},

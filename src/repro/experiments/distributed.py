@@ -41,8 +41,8 @@ type            direction  payload
 ==============  =========  ====================================================
 ``hello``       w -> c     ``protocol``, ``worker`` (display label)
 ``job``         c -> w     ``protocol``, ``experiment``, ``scale``, ``seed``,
-                           ``backend``, ``scheme``, ``kernel``,
-                           ``trial_count``, ``trials_digest``
+                           ``backend``, ``scheme``, ``trial_count``,
+                           ``trials_digest``
 ``request``     w -> c     ask for work
 ``lease``       c -> w     ``lease_id``, ``indices`` (trial indices to run)
 ``result``      w -> c     ``lease_id``, ``results``: ``[[index, row], ...]``
@@ -61,6 +61,13 @@ only the first result for an index counts, which makes duplicate and stale
 outside input: a missing or mistyped field is a
 :class:`~repro.core.errors.PacketFormatError` on the receiving side, never a
 traceback.
+
+Until PR 20 the ``job`` frame also carried a ``"kernel"`` key (the GF(2^8)
+implementation the coordinator's user asked for).  It went without a version
+bump because both mixed pairings still work: an older worker reads the
+missing key as ``null`` — its own default — and this worker ignores the extra
+key of an older coordinator; the implementations being bit-identical, the
+rows are the same either way.
 """
 
 from __future__ import annotations
@@ -79,12 +86,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from ..core.errors import (
-    HandshakeError,
-    KernelUnavailableError,
-    PacketFormatError,
-    SecureTransportError,
-)
+from ..core.errors import HandshakeError, PacketFormatError, SecureTransportError
 from ..net import (
     AioChannel,
     SyncChannel,
@@ -193,7 +195,6 @@ def job_frame(job: Job) -> dict:
         "seed": job.seed,
         "backend": job.backend,
         "scheme": job.scheme,
-        "kernel": job.kernel,
         "trial_count": len(job.trials),
         "trials_digest": trials_digest(job.trials),
     }
@@ -203,7 +204,7 @@ def job_from_frame(frame: dict) -> Job:
     """Parse a ``job`` frame back into the coordinator's :class:`Job`.
 
     Building the ``Job`` re-runs the coordinator's own validation on this
-    host (unknown experiment, kernel that cannot load here, ...); a trial
+    host (unknown experiment, unsupported backend, ...); a trial
     list that then differs from the coordinator's in count or digest means
     the two sides run different code, and is a
     :class:`~repro.experiments.runner.UsageError` as well.
@@ -217,7 +218,6 @@ def job_from_frame(frame: dict) -> Job:
         seed=_frame_field(frame, "seed", int),
         backend=_frame_field(frame, "backend", str),
         scheme=_frame_field(frame, "scheme", str, none),
-        kernel=_frame_field(frame, "kernel", str, none),
     )
     if (len(job.trials), trials_digest(job.trials)) != (count, digest):
         raise UsageError(
@@ -657,10 +657,12 @@ class Coordinator:
             if not (
                 isinstance(entry, list)
                 and len(entry) == 2
-                and isinstance(entry[0], int)
+                and type(entry[0]) is int
                 and isinstance(entry[1], dict)
             ):
-                raise PacketFormatError("result entries must be [index, row] pairs")
+                raise PacketFormatError(
+                    "malformed result frame: 'results' entries must be [index, row] pairs"
+                )
             results[entry[0]] = entry[1]
         state.ledger.complete(_frame_field(message, "lease_id", int), results)
         state.note_progress()
@@ -689,7 +691,6 @@ def run_distributed(
     force: bool = False,
     backend: str = "sim",
     scheme: str | None = None,
-    kernel: str | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
     workers: int = 0,
@@ -723,7 +724,7 @@ def run_distributed(
     sim-backend runs write (and may be served from) the same canonical
     ``<name>.json``, byte-identical to the single-process artifact.
     """
-    job = Job(name, scale, seed, backend, scheme, kernel)
+    job = Job(name, scale, seed, backend, scheme)
     job.require_shardable()
     coordinator = Coordinator(
         job,
@@ -846,10 +847,10 @@ def run_worker(
             return 1
         try:
             job = job_from_frame(frame)
-        except (KeyError, UsageError, KernelUnavailableError) as error:
+        except (KeyError, UsageError) as error:
             # The coordinator's own checks, failing on this host: an unknown
             # experiment or a differing trial list means the two sides run
-            # different code; a kernel may simply not load here.
+            # different code.
             print(
                 f"worker error: cannot serve the coordinator's job: {error.args[0]}",
                 file=sys.stderr,

@@ -753,10 +753,9 @@ def _gfbench_run(params: dict, rng: np.random.Generator) -> dict:
 
 _register_bench(
     "gfbench",
-    "GF(2^8) kernel microbenchmark: compiled kernel vs. numpy reference on stacked 64-matrix calls",
+    "GF(2^8) microbenchmark: the two C loops vs. their numpy reference on stacked 64-matrix calls",
     _gfbench_trials,
     _gfbench_run,
-    kernels=("numpy",),  # it measures the kernels against each other itself
 )
 
 
@@ -924,5 +923,4 @@ _register_bench(
     _distsweep_trials,
     _distsweep_run,
     reduce=_distsweep_reduce,
-    kernels=("numpy",),  # it spawns worker processes of its own (and *runs* the coordinator)
 )

@@ -1,25 +1,24 @@
-"""GF(2^8) kernel microbenchmark: compiled kernels vs. the numpy reference.
+"""GF(2^8) microbenchmark: the two C loops vs. their numpy reference.
 
-Two stacked field operations are timed on shapes chosen to show the kernels
-at their best — a 64-matrix ``batched_matmul`` (64 x (8, 4) coding matrices
-applied to (4, 65) payload blocks) and the batched Gauss–Jordan inverse of
-64 stacked (4, 4) matrices — once through the pure-numpy ``"numpy"`` kernel
-and once through the ``"compiled"`` kernel (numba or the bundled C
-extension, whichever :mod:`~repro.core.gf_kernels` resolved).  Every output
-array must be bit-identical on every repetition.
+The two stacked field operations :class:`~repro.core.gf.GF256` hands to the C
+provider are timed on shapes chosen to show it at its best — a 64-matrix
+``batched_matmul`` (64 x (8, 4) coding matrices applied to (4, 65) payload
+blocks) and the batched Gauss–Jordan inverse of 64 stacked (4, 4) matrices —
+once through ``GF256(compiled=False)`` and once through the field every run
+uses.  Every output array must be bit-identical on every repetition.
 
 These are **not** the data plane's call mix: one ``slicing-churn`` perfbench
-round issues 5192 elementwise ``multiply``, 104 ``batched_matmul`` and 88
-``gauss_jordan`` provider calls, mostly on far smaller operands, so the
-ratio measured here (gate target in
-:data:`repro.experiments.bench_history.GATES`) is a kernel-level number and
+round issues 104 ``batched_matmul`` and 88 Gauss–Jordan calls, mostly on far
+smaller operands (and 5192 elementwise ``multiply`` calls, which is why that
+loop stays on numpy), so the ratio measured here (gate target in
+:data:`repro.experiments.bench_history.GATES`) is a loop-level number and
 says little about end-to-end goodput — see "Compiled kernels" in
-docs/ARCHITECTURE.md for the end-to-end sizing runs.
+docs/ARCHITECTURE.md for the end-to-end pairs.
 
-When no compiled provider is available (no numba, no C toolchain, or
-``REPRO_GF_KERNEL_PROVIDER=none``) the rows carry a ``"skipped"`` reason
-instead of timings, and the benchmark gate reports ``n/a`` rather than
-failing — the compiled backend is an optional extra, not a requirement.
+When the provider does not load (no C toolchain, unwritable cache, or
+``REPRO_GF_KERNEL_PROVIDER=none``) the rows carry the loader's reason under
+``"skipped"`` instead of timings, and the benchmark gate reports ``n/a``
+rather than failing.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import gf_kernels
-from ..core.errors import KernelUnavailableError
-from ..core.gf import field_for_kernel
+from ..core.gf import GF, GF256
 from .timing import compare_paths
 
 #: Batched operations the benchmark times: ``matmul`` is 64 x (8, 4) coding
@@ -72,21 +70,19 @@ def _run_op(field, op: str, arrays: tuple[np.ndarray, ...]):
 
 
 def compare_kernels(op: str, reps: int = 3, seed: int = 42) -> dict:
-    """Time ``op`` on both kernels; returns the benchmark row.
+    """Time ``op`` on the numpy reference and on the C loop; returns the row.
 
     One timed repetition is :data:`GFBENCH_CALLS_PER_REP` calls; bit-identity
-    of the compiled outputs against the numpy reference is re-checked on
-    every repetition, so a compiled kernel that drifts reports
-    ``identical: False`` next to whatever speedup it bought.
+    of the C outputs against the numpy reference is re-checked on every
+    repetition, so a C loop that drifts reports ``identical: False`` next to
+    whatever speedup it bought.
 
-    Returns a ``{..., "skipped": reason}`` row instead when no compiled
-    provider is available.
+    Returns a ``{..., "skipped": reason}`` row instead when the provider
+    does not load on this host.
     """
-    numpy_field = field_for_kernel("numpy")
-    try:
-        compiled_field = field_for_kernel("compiled")
-    except KernelUnavailableError as error:
-        return {"seed": seed, "op": op, "skipped": str(error)}
+    reason = gf_kernels.unavailable_reason()
+    if reason is not None:
+        return {"seed": seed, "op": op, "skipped": reason}
     arrays = _workload(op, seed)
 
     def loop(field):
@@ -102,6 +98,5 @@ def compare_kernels(op: str, reps: int = 3, seed: int = 42) -> dict:
         "op": op,
         "batch": GFBENCH_BATCH,
         "calls_per_rep": GFBENCH_CALLS_PER_REP,
-        "provider": gf_kernels.provider_name(),
-        **compare_paths(loop(numpy_field), loop(compiled_field), reps),
+        **compare_paths(loop(GF256(compiled=False)), loop(GF), reps),
     }

@@ -51,14 +51,6 @@ class Experiment:
     #: their unified drivers).  Empty means the experiment has no per-scheme
     #: mode and rejects ``--scheme``.
     schemes: tuple[str, ...] = ()
-    #: GF(2^8) kernels the experiment accepts via ``--kernel``.  Kernels are
-    #: bit-identical by construction and travel out-of-band of the trial
-    #: list, so cached artifacts stay kernel-independent.  Experiments that
-    #: *measure* kernels against each other (``gfbench``) or spawn worker
-    #: processes of their own (``distsweep``) pin themselves to
-    #: ``("numpy",)`` — selecting a kernel for them would change what the
-    #: numbers mean.
-    kernels: tuple[str, ...] = ("numpy", "compiled")
     #: Whether the trial list may be sharded across machines by the
     #: distributed coordinator (:mod:`~repro.experiments.distributed`).
     #: Trials are already independent by construction, so this defaults to

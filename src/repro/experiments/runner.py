@@ -4,7 +4,7 @@ The runner turns a registered :class:`~repro.experiments.registry.Experiment`
 into rows:
 
 1. the run request becomes a :class:`Job` — ``(name, scale, seed, backend,
-   scheme, kernel)``, validated on construction — whose ``build_trials(scale)``
+   scheme)``, validated on construction — whose ``build_trials(scale)``
    produces the trial list;
 2. the experiment's seed is expanded with ``np.random.SeedSequence.spawn``
    into one child sequence per trial, so every trial's randomness is
@@ -40,7 +40,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.gf import field_for_kernel, use_kernel
 from .registry import Experiment, get_experiment
 
 #: Where artifacts land unless the caller overrides it (the CLI's --out).
@@ -65,26 +64,21 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class Job:
-    """The six values that fully determine a run; constructing one validates it.
+    """The five values that fully determine a run; constructing one validates it.
 
     Every way of starting a run — the CLI, :func:`run_experiment`,
     :func:`~repro.experiments.distributed.run_distributed` and a distributed
     worker parsing its ``job`` frame — builds a ``Job`` first, so each check
     below exists once and runs on every host that takes part.  A rejected
     request raises :class:`UsageError` (an unknown ``name`` keeps the
-    registry's :class:`KeyError`, an unloadable compiled kernel its
-    :class:`~repro.core.errors.KernelUnavailableError`); all carry one-line
-    messages.
+    registry's :class:`KeyError`); both carry one-line messages.
 
     ``seed=None`` resolves to the experiment's base seed.  ``backend``
     selects the overlay transport for experiments that support more than the
     simulator (the figs. 11-15 family).  ``scheme`` restricts a
-    scheme-capable experiment to one registered protocol runtime.
-    ``kernel`` selects the GF(2^8) implementation trials execute with
-    (``"numpy"``/``"compiled"``); it is deliberately *not* stamped into the
-    trial dictionaries: kernels are bit-identical by construction, so the
-    artifact cache (and the artifact bytes) must stay kernel-independent — a
-    cached numpy run serves a ``--kernel compiled`` request and vice versa.
+    scheme-capable experiment to one registered protocol runtime.  Which
+    GF(2^8) loops execute the trials is not part of a run request:
+    :mod:`repro.core.gf` decides per host, bit-identically.
 
     >>> len(Job("fig16", scale=0.05).trials)
     18
@@ -99,7 +93,6 @@ class Job:
     seed: int | None = None
     backend: str = "sim"
     scheme: str | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         experiment = self.experiment
@@ -117,14 +110,6 @@ class Job:
             )
         if self.scheme is not None:
             self._check_scheme(experiment)
-        if self.kernel is not None:
-            if self.kernel not in experiment.kernels:
-                supported = ", ".join(experiment.kernels)
-                raise UsageError(
-                    f"experiment {self.name!r} does not support kernel "
-                    f"{self.kernel!r} (supported: {supported})"
-                )
-            field_for_kernel(self.kernel)  # raises KernelUnavailableError when unavailable
 
     def _check_scheme(self, experiment: Experiment) -> None:
         from ..overlay.runtime import runtime_backends, runtime_schemes
@@ -196,21 +181,17 @@ class Job:
             trials = [{**params, "scheme": self.scheme} for params in trials]
         return trials
 
-    def payloads(
-        self,
-    ) -> list[tuple[str, int, dict, np.random.SeedSequence, str | None]]:
+    def payloads(self) -> list[tuple[str, int, dict, np.random.SeedSequence]]:
         """Per-trial execution payloads with deterministically spawned seeds.
 
         ``SeedSequence.spawn`` derives child ``i`` purely from ``(seed, i)``,
         so any process holding an equal ``Job`` reconstructs the identical
         payload for trial ``i`` — the property both the local pool and the
-        distributed workers rely on.  The kernel rides in the payload (not
-        the trial dict) so it reaches workers without touching the cache key
-        or the artifact bytes.
+        distributed workers rely on.
         """
         children = np.random.SeedSequence(self.seed).spawn(len(self.trials))
         return [
-            (self.name, index, params, child, self.kernel)
+            (self.name, index, params, child)
             for index, (params, child) in enumerate(zip(self.trials, children))
         ]
 
@@ -219,7 +200,7 @@ class Job:
 class RunResult:
     """Outcome of one experiment run (fresh or served from the artifact cache).
 
-    ``name`` … ``kernel`` are the fields of the :class:`Job` that ran.
+    ``name`` … ``scheme`` are the fields of the :class:`Job` that ran.
     """
 
     name: str
@@ -233,7 +214,6 @@ class RunResult:
     elapsed_seconds: float
     backend: str = "sim"
     scheme: str | None = None
-    kernel: str | None = None
     # The rest is filled in by distributed runs only.
     #: First lease granted -> last result recorded; excludes worker start-up.
     #: This is the window the ``distsweep`` experiment reports.
@@ -254,11 +234,10 @@ def run_experiment(
     force: bool = False,
     backend: str = "sim",
     scheme: str | None = None,
-    kernel: str | None = None,
 ) -> RunResult:
     """Run (or load from cache) one registered experiment in this process.
 
-    ``(name, scale, seed, backend, scheme, kernel)`` are the fields of
+    ``(name, scale, seed, backend, scheme)`` are the fields of
     :class:`Job`, which documents and validates them; ``workers`` fans the
     trials out over a ``multiprocessing`` pool.  ``out_dir=None`` keeps
     everything in memory; passing a directory enables both artifact writing
@@ -267,7 +246,7 @@ def run_experiment(
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    job = Job(name, scale, seed, backend, scheme, kernel)
+    job = Job(name, scale, seed, backend, scheme)
     return run_job(job, lambda: _run_trials(job, workers), workers, out_dir, force)
 
 
@@ -329,14 +308,13 @@ def experiment_rows(
 
 
 def execute_trial(
-    payload: tuple[str, int, dict, np.random.SeedSequence, str | None],
+    payload: tuple[str, int, dict, np.random.SeedSequence],
 ) -> tuple[int, dict]:
     """Run one trial; module-level so it pickles into worker processes."""
-    name, index, params, seed_sequence, kernel = payload
+    name, index, params, seed_sequence = payload
     experiment = get_experiment(name)
     rng = np.random.default_rng(seed_sequence)
-    with use_kernel(kernel):
-        return index, experiment.run_trial(params, rng)
+    return index, experiment.run_trial(params, rng)
 
 
 def _run_trials(job: Job, workers: int) -> list[dict]:

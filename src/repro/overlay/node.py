@@ -52,7 +52,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.errors import SimulationError
-from ..core.gf import default_field
 from ..core.packet import Packet, PacketKind
 from ..core.relay import Relay
 from ..core.source import FlowSetup, Source
@@ -515,9 +514,6 @@ class SlicingRuntime:
         self.seq_retention = seq_retention
         self.flow_retention_seconds = flow_retention_seconds
         self.batch_chunk = batch_chunk
-        # Every relay of this runtime codes with the kernel active at
-        # construction (see repro.core.gf.use_kernel).
-        self.field = default_field()
         self.relays: dict[str, Relay] = {}
         self.progress: dict[int, FlowProgress] = {}
         self._flow_setups: dict[int, FlowSetup] = {}
@@ -538,7 +534,6 @@ class SlicingRuntime:
                 address,
                 rng=np.random.default_rng(seed),
                 engine=self.data_plane,
-                field=self.field,
             )
         return self.relays[address]
 

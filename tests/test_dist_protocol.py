@@ -141,19 +141,26 @@ def test_job_frame_that_disagrees_with_the_local_code_is_version_skew():
     # The worker re-runs the coordinator's own checks on its own host.
     with pytest.raises(KeyError, match="unknown experiment 'fig99'"):
         job_from_frame({**frame, "experiment": "fig99"})
-    with pytest.raises(UsageError, match="does not support kernel 'compiled'"):
-        job_from_frame({**job_frame(Job("gfbench", 0.05)), "kernel": "compiled"})
     with pytest.raises(UsageError, match="scale must be positive and finite"):
         job_from_frame({**frame, "scale": float("nan")})
 
 
+def test_frames_of_coordinators_that_still_sent_a_kernel_parse_to_the_same_job():
+    # Up to PR 19 the job frame carried the user's GF(2^8) kernel choice.
+    # This worker ignores the key; an older worker reads its absence as null.
+    job = Job("fig11", 0.05)
+    for kernel in (None, "numpy", "compiled"):
+        assert job_from_frame({**job_frame(job), "kernel": kernel}) == job
+
+
 def test_job_frame_bytes_and_trial_digests_match_the_recorded_vectors():
-    # Recorded from commit 89fa07c, the last one before Job existed: an old
-    # worker and a new coordinator (or vice versa) still interoperate, and
-    # cache keys and artifact ``trials`` stay put.
+    # Digests recorded from commit 89fa07c, the last one before Job existed:
+    # cache keys and artifact ``trials`` stay put.  The frame bytes were
+    # re-recorded in PR 20, which dropped the ``"kernel":null`` pair that sat
+    # between scheme and trial_count; everything else is as at 89fa07c.
     assert message_payload(job_frame(Job("fig11", 0.05))) == (
         b'{"type":"job","protocol":1,"experiment":"fig11","scale":0.05,'
-        b'"seed":20070411,"backend":"sim","scheme":null,"kernel":null,'
+        b'"seed":20070411,"backend":"sim","scheme":null,'
         b'"trial_count":4,"trials_digest":'
         b'"aaca206295b3677431b6cf7d7510d0ec9cb4b77e0d1e53931143fad7217d9e2a"}'
     )

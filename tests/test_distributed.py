@@ -262,7 +262,6 @@ def test_malformed_job_frame_is_a_worker_one_liner(capsys):
         ({**good, "seed": True}, "seed"),
         ({**good, "experiment": 16}, "experiment"),
         ({**good, "backend": None}, "backend"),
-        ({**good, "kernel": 0}, "kernel"),
         ({**good, "trial_count": "18"}, "trial_count"),
         ({**good, "trials_digest": None}, "trials_digest"),
     ):
@@ -305,6 +304,8 @@ def test_malformed_result_frame_drops_the_worker_and_redispatches(tmp_path, capl
         {"type": "result", "lease_id": "abc", "results": []},
         {"type": "result", "results": []},
         {"type": "result", "lease_id": 1},
+        # true is not a trial index, even though bool is an int in Python.
+        {"type": "result", "lease_id": 1, "results": [[True, {}]]},
     )
 
     def bad_worker(bad_result):
@@ -321,7 +322,7 @@ def test_malformed_result_frame_drops_the_worker_and_redispatches(tmp_path, capl
             except ConnectionError:
                 pass
 
-    # min_workers=4 holds every lease until all four are connected, so each
+    # min_workers=5 holds every lease until all five are connected, so each
     # bad peer is sure to hold one when it sends its malformed result.
     bad = [
         threading.Thread(target=bad_worker, args=(bad_result,), daemon=True)
@@ -336,7 +337,7 @@ def test_malformed_result_frame_drops_the_worker_and_redispatches(tmp_path, capl
         scale=SMALL,
         out_dir=tmp_path / "dist",
         port=port,
-        min_workers=4,
+        min_workers=5,
         timeout=120,
         log=log.append,
     )

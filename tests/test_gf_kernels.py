@@ -1,16 +1,18 @@
-"""Compiled GF(2^8) kernel backend: bit-identity, selection and fallback.
+"""The C loops behind GF(2^8): bit-identity, automatic selection and fallback.
 
-The contract under test (``docs/ARCHITECTURE.md``, "Compiled kernels"): the
-``"compiled"`` kernel is an *accelerator*, never an approximation — every
-array it returns, including the unspecified entries of singular Gauss–Jordan
-outputs, is bit-identical to the ``"numpy"`` reference — and it degrades
-gracefully: when neither numba nor a C toolchain is available the numpy
-kernel keeps working and ``"compiled"`` fails loudly with an actionable
-:class:`~repro.core.errors.KernelUnavailableError`.
+The contract under test (``docs/ARCHITECTURE.md``, "Compiled kernels"): the C
+provider is an *accelerator*, never an approximation — every array it
+returns, including the unspecified entries of singular Gauss–Jordan outputs,
+is bit-identical to the numpy reference ``GF256(compiled=False)``.  Nobody
+selects it: the field dispatches the two stacked loops to it when it loads,
+lazily, and every way it can fail to load ends in the numpy path with a
+one-line reason.  Elementwise ``multiply`` never leaves numpy.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,20 +21,15 @@ from hypothesis import strategies as st
 
 from repro.core import gf_kernels
 from repro.core.coder import SliceCoder
-from repro.core.errors import FieldError, KernelUnavailableError
-from repro.core.gf import (
-    GF,
-    GF256,
-    active_kernel,
-    available_kernels,
-    default_field,
-    field_for_kernel,
-    use_kernel,
-)
+from repro.core.errors import FieldError
+from repro.core.gf import GF, GF256, active_kernel
+
+#: The numpy side of every comparison below, wherever the tests run.
+REFERENCE = GF256(compiled=False)
 
 requires_compiled = pytest.mark.skipif(
-    not gf_kernels.compiled_available(),
-    reason=f"no compiled provider: {gf_kernels.compiled_unavailable_reason()}",
+    gf_kernels.load_provider() is None,
+    reason=f"C provider does not load: {gf_kernels.unavailable_reason()}",
 )
 
 
@@ -45,66 +42,61 @@ def _rng_array(seed, shape):
 
 @requires_compiled
 @settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (1,), (7,), (3, 5), (2, 3, 4)]))
-def test_compiled_multiply_is_bit_identical(seed, shape):
-    compiled = field_for_kernel("compiled")
-    a = _rng_array(seed, shape)
-    b = _rng_array(seed + 1, shape)
-    assert np.array_equal(GF.multiply(a, b), compiled.multiply(a, b))
-
-
-@requires_compiled
-def test_compiled_multiply_broadcasts_like_numpy():
-    compiled = field_for_kernel("compiled")
-    a = _rng_array(0, (4, 1, 6))
-    b = _rng_array(1, (3, 1))
-    assert np.array_equal(GF.multiply(a, b), compiled.multiply(a, b))
-    assert np.array_equal(GF.multiply(a, 0x83), compiled.multiply(a, 0x83))
-    assert int(compiled.multiply(0x57, 0x83)) == 0xC1
-
-
-@requires_compiled
-@settings(deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     batch=st.integers(1, 8),
     m=st.integers(1, 9),
-    k=st.integers(1, 9),
+    k=st.integers(0, 9),
     n=st.integers(1, 9),
+    broadcast=st.sampled_from(["neither", "a", "b"]),
 )
-def test_compiled_batched_matmul_is_bit_identical(seed, batch, m, k, n):
-    compiled = field_for_kernel("compiled")
-    a = _rng_array(seed, (batch, m, k))
-    b = _rng_array(seed + 1, (batch, k, n))
-    assert np.array_equal(GF.batched_matmul(a, b), compiled.batched_matmul(a, b))
+def test_compiled_batched_matmul_is_bit_identical(seed, batch, m, k, n, broadcast):
+    """Incl. a single matrix against a stack, and the empty inner axis."""
+    a = _rng_array(seed, (m, k) if broadcast == "a" else (batch, m, k))
+    b = _rng_array(seed + 1, (k, n) if broadcast == "b" else (batch, k, n))
+    expected = REFERENCE.batched_matmul(a, b)
+    assert expected.shape == (batch, m, n)
+    assert np.array_equal(expected, GF.batched_matmul(a, b))
 
 
-@requires_compiled
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 12), n=st.integers(1, 6))
 def test_compiled_inversion_is_bit_identical_on_mixed_stacks(seed, batch, n):
-    """Singular members included: even the garbage entries match bit-for-bit."""
-    compiled = field_for_kernel("compiled")
+    """Singular members included: even the garbage entries match bit-for-bit.
+
+    Where no provider loads both sides are numpy, and what is left is the
+    scalar oracle: the mask is per-matrix ``is_invertible`` and the regular
+    entries are ``invert_matrix``.
+    """
     stacks = _rng_array(seed, (batch, n, n))
     # Force the first members singular in two different ways so every run
     # exercises the dead-pivot path, not just whatever chance provides.
     stacks[0] = 0
     if batch > 1 and n > 1:
         stacks[1, :, 0] = stacks[1, :, 1]
-    ref_inv, ref_invertible = GF.try_invert_matrices(stacks)
-    fast_inv, fast_invertible = compiled.try_invert_matrices(stacks)
+    ref_inv, ref_invertible = REFERENCE.try_invert_matrices(stacks)
+    fast_inv, fast_invertible = GF.try_invert_matrices(stacks)
     assert np.array_equal(ref_invertible, fast_invertible)
     assert np.array_equal(ref_inv, fast_inv)
+    assert np.array_equal(GF.invertible_mask(stacks), ref_invertible)
     assert not bool(ref_invertible[0])  # the forced all-zero member
+    for matrix, inverse, invertible in zip(stacks, fast_inv, fast_invertible):
+        assert bool(invertible) == REFERENCE.is_invertible(matrix)
+        if invertible:
+            assert np.array_equal(inverse, REFERENCE.invert_matrix(matrix))
+    regular = stacks[fast_invertible]
+    assert np.array_equal(GF.invert_matrices(regular), fast_inv[fast_invertible])
+    with pytest.raises(FieldError, match="singular"):
+        GF.invert_matrices(stacks)
 
 
 @requires_compiled
 def test_cross_kernel_coding_round_trips():
-    """Blocks encoded under one kernel decode under the other."""
+    """Blocks encoded on one side of the selection decode on the other."""
     messages = [bytes([i] * 96) for i in range(6)]
-    for encode_kernel, decode_kernel in (("compiled", "numpy"), ("numpy", "compiled")):
-        encoder = SliceCoder(4, field=field_for_kernel(encode_kernel))
-        decoder = SliceCoder(4, field=field_for_kernel(decode_kernel))
+    for encode_field, decode_field in ((GF, REFERENCE), (REFERENCE, GF)):
+        encoder = SliceCoder(4, field=encode_field)
+        decoder = SliceCoder(4, field=decode_field)
         rng = np.random.default_rng(7)
         assert decoder.decode(encoder.encode(messages[0], rng)) == messages[0]
         batches = encoder.encode_batch(messages, rng)
@@ -113,121 +105,154 @@ def test_cross_kernel_coding_round_trips():
 
 @requires_compiled
 def test_kernel_choice_never_changes_coded_bytes():
-    """The same rng seed yields byte-identical blocks on both kernels —
-    the invariant that keeps cached experiment artifacts kernel-independent."""
+    """The same rng seed yields byte-identical blocks on both sides — the
+    invariant that lets the field pick per host without touching an artifact."""
     message = bytes(range(128))
-    blocks = {
-        kernel: SliceCoder(4, field=field_for_kernel(kernel)).encode(
-            message, np.random.default_rng(11)
-        )
-        for kernel in ("numpy", "compiled")
-    }
-    for numpy_block, compiled_block in zip(*blocks.values()):
+    numpy_blocks, compiled_blocks = (
+        SliceCoder(4, field=field).encode(message, np.random.default_rng(11))
+        for field in (REFERENCE, GF)
+    )
+    for numpy_block, compiled_block in zip(numpy_blocks, compiled_blocks):
         assert numpy_block.to_bytes() == compiled_block.to_bytes()
 
 
-# -- kernel selection ---------------------------------------------------------------
-
-
-def test_unknown_kernel_is_rejected_everywhere():
-    with pytest.raises(FieldError, match="unknown kernel"):
-        GF256(kernel="fortran")
-    with pytest.raises(FieldError, match="unknown kernel"):
-        field_for_kernel("fortran")
+# -- what the field dispatches to ---------------------------------------------------
 
 
 def test_explicit_field_beats_the_active_kernel():
-    explicit = GF256()
-    assert SliceCoder(3, field=explicit).field is explicit
-    with use_kernel("numpy"):
-        assert SliceCoder(3, field=explicit).field is explicit  # field beats kernel
-        assert SliceCoder(3).field is field_for_kernel("numpy")
-    assert default_field() is GF
-
-
-def test_use_kernel_scopes_the_active_kernel():
-    assert active_kernel() == "numpy"
-    with use_kernel(None):  # None is the explicit no-op
-        assert active_kernel() == "numpy"
-    if gf_kernels.compiled_available():
-        with use_kernel("compiled"):
-            assert active_kernel() == "compiled"
-            assert default_field().kernel == "compiled"
-            assert SliceCoder(3).field.kernel == "compiled"
-        assert active_kernel() == "numpy"
-    with pytest.raises(FieldError, match="unknown kernel"):
-        with use_kernel("fortran"):
-            pass
-    assert active_kernel() == "numpy"
-
-
-def test_available_kernels_always_includes_numpy():
-    kernels = available_kernels()
-    assert kernels[0] == "numpy"
-    assert ("compiled" in kernels) == gf_kernels.compiled_available()
+    assert SliceCoder(3, field=REFERENCE).field is REFERENCE
+    assert SliceCoder(3).field is GF
+    assert active_kernel() == ("numpy" if gf_kernels.load_provider() is None else "compiled")
 
 
 @requires_compiled
 def test_shared_compiled_field_is_cached():
-    assert field_for_kernel("compiled") is field_for_kernel("compiled")
-    assert field_for_kernel("numpy") is GF
+    """Success is resolved once per process; so is the table the C loops index."""
+    assert gf_kernels.load_provider() is gf_kernels.load_provider()
+    GF.batched_matmul(np.ones((1, 1, 1), np.uint8), np.ones((1, 1, 1), np.uint8))
+    table = GF._mul_table
+    assert table.shape == (65536,) and table[0x57 * 256 + 0x83] == 0xC1
+    GF.try_invert_matrices(np.ones((1, 1, 1), np.uint8))
+    assert GF._mul_table is table
+    assert REFERENCE._mul_table is None  # the numpy side never builds it
 
 
-# -- fallback when no provider is available -----------------------------------------
+class _ExplodingProvider:
+    def __getattr__(self, name):
+        raise AssertionError(f"the provider's {name} was reached")
 
 
-def test_provider_disabled_by_env_raises_and_numpy_still_works(monkeypatch):
+def test_multiply_never_reaches_the_provider(monkeypatch):
+    monkeypatch.setattr(gf_kernels, "_resolution", (_ExplodingProvider(), None))
+    field = GF256()
+    a = _rng_array(0, (4, 1, 6))
+    b = _rng_array(1, (3, 1))
+    assert np.array_equal(field.multiply(a, b), REFERENCE.multiply(a, b))  # broadcasts
+    assert int(field.multiply(0x57, 0x83)) == 0xC1
+    square = _rng_array(2, (5, 5))
+    assert np.array_equal(field.matmul(square, square), REFERENCE.matmul(square, square))
+    assert field.rank(square) == REFERENCE.rank(square)
+    # ... whereas the stacked loops do ask for it.
+    with pytest.raises(AssertionError, match="batched_matmul was reached"):
+        field.batched_matmul(square[None], square[None])
+
+
+# -- fallback: every way the provider can fail to load ends in numpy ----------------
+
+
+def test_provider_disabled_by_env_falls_back_to_numpy(monkeypatch):
     monkeypatch.setenv(gf_kernels.PROVIDER_ENV, "none")
-    gf_kernels.reset_provider_cache()
-    try:
-        assert not gf_kernels.compiled_available()
-        assert "disabled" in (gf_kernels.compiled_unavailable_reason() or "")
-        with pytest.raises(KernelUnavailableError):
-            GF256(kernel="compiled")
-        # The reference kernel is untouched by the compiled backend's absence.
-        field = GF256()
-        assert int(field.multiply(0x57, 0x83)) == 0xC1
-    finally:
-        monkeypatch.delenv(gf_kernels.PROVIDER_ENV)
-        gf_kernels.reset_provider_cache()
+    monkeypatch.setattr(gf_kernels, "_resolution", None)
+    assert gf_kernels.load_provider() is None
+    assert "disabled by REPRO_GF_KERNEL_PROVIDER=none" in gf_kernels.unavailable_reason()
+    assert active_kernel() == "numpy"
+    stacks = _rng_array(3, (5, 3, 3))
+    for got, expected in zip(
+        GF.try_invert_matrices(stacks), REFERENCE.try_invert_matrices(stacks)
+    ):
+        assert np.array_equal(got, expected)
 
 
 def test_unknown_provider_env_value_raises(monkeypatch):
-    monkeypatch.setenv(gf_kernels.PROVIDER_ENV, "gpu")
-    gf_kernels.reset_provider_cache()
-    try:
-        with pytest.raises(KernelUnavailableError, match="gpu"):
+    # "cext" was legal until the option went; now only "none" is.
+    for value in ("gpu", "cext"):
+        monkeypatch.setenv(gf_kernels.PROVIDER_ENV, value)
+        monkeypatch.setattr(gf_kernels, "_resolution", None)
+        with pytest.raises(FieldError, match=f"unknown .* value '{value}'") as raised:
             gf_kernels.load_provider()
-    finally:
-        monkeypatch.delenv(gf_kernels.PROVIDER_ENV)
-        gf_kernels.reset_provider_cache()
+        assert "\n" not in str(raised.value)
 
 
-def test_fallback_in_a_pristine_interpreter():
-    """A subprocess with the provider disabled: import, compute, fail loudly.
+_ROUND_TRIP = (
+    "import numpy as np\n"
+    "from repro.core import gf_kernels\n"
+    "from repro.core.coder import SliceCoder\n"
+    "from repro.core.gf import active_kernel\n"
+    "coder = SliceCoder(3, 5)\n"
+    "messages = [bytes([i] * 64) for i in range(4)]\n"
+    "blocks = coder.encode_batch(messages, np.random.default_rng(1))\n"
+    "assert coder.decode_batch(blocks) == messages\n"
+    "print(active_kernel(), '|', gf_kernels.unavailable_reason())\n"
+)
 
-    This is the exact situation of an install without the ``[fast]`` extra on
-    a host with no C toolchain — nothing at import time may touch or require
-    a compiled provider.
-    """
-    code = (
-        "from repro.core.gf import GF, GF256\n"
-        "from repro.core.errors import KernelUnavailableError\n"
-        "assert int(GF.multiply(0x57, 0x83)) == 0xC1\n"
-        "try:\n"
-        "    GF256(kernel='compiled')\n"
-        "except KernelUnavailableError as error:\n"
-        "    assert 'REPRO_GF_KERNEL_PROVIDER' in str(error), error\n"
-        "else:\n"
-        "    raise SystemExit('compiled kernel loaded despite being disabled')\n"
-        "print('fallback ok')\n"
-    )
+
+def _pristine(code, tmp_path, **env):
+    """Run ``code`` in a fresh interpreter whose cache lives under ``tmp_path``."""
+    environ = {key: value for key, value in os.environ.items()
+               if key not in (gf_kernels.PROVIDER_ENV, "CC")}
+    environ["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+    environ.update(env)
     result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**__import__("os").environ, gf_kernels.PROVIDER_ENV: "none"},
-        check=False,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=environ, check=False
     )
     assert result.returncode == 0, result.stderr
-    assert "fallback ok" in result.stdout
+    return result.stdout.strip()
+
+
+def test_fallback_in_a_pristine_interpreter(tmp_path):
+    """Every provider failure degrades: the coder round-trips on numpy and the
+    reason is one retrievable line."""
+    not_a_directory = tmp_path / "regular-file"
+    not_a_directory.write_text("")
+    unwritable = tmp_path / "read-only"
+    unwritable.mkdir()
+    unwritable.chmod(0o500)
+    if os.access(unwritable, os.W_OK):  # root ignores mode bits; /proc refuses even root
+        unwritable = Path("/proc")
+    plant_empty_library = (
+        "from repro.core import gf_kernels\n"
+        "library = gf_kernels._library_path()\n"
+        "library.parent.mkdir(parents=True)\n"
+        "library.touch()\n"
+    )
+    cases = {
+        "disabled": ("", {gf_kernels.PROVIDER_ENV: "none"}),
+        "cache under a regular file": ("", {"XDG_CACHE_HOME": str(not_a_directory)}),
+        "failing compiler": ("", {"CC": "false"}),
+        "missing compiler": ("", {"CC": "no-such-compiler-anywhere"}),
+        "zero-byte cached library": (plant_empty_library, {}),
+    }
+    if unwritable.is_dir():
+        cases["unwritable cache"] = ("", {"XDG_CACHE_HOME": str(unwritable)})
+    for label, (prelude, env) in cases.items():
+        output = _pristine(prelude + _ROUND_TRIP, tmp_path / label, **env)
+        kernel, _, reason = output.partition(" | ")
+        assert kernel == "numpy", (label, output)
+        assert reason not in ("", "None") and "\n" not in reason, (label, output)
+
+
+def test_resolution_is_lazy(tmp_path):
+    """Importing the field and multiplying compile, load and decide nothing.
+
+    (numpy itself imports ctypes, so ``sys.modules`` says nothing here.)
+    """
+    code = (
+        "import repro\n"
+        "from repro.core import gf_kernels\n"
+        "from repro.core.gf import GF\n"
+        "assert int(GF.multiply(0x57, 0x83)) == 0xC1\n"
+        "assert GF.rank([[1, 2], [3, 4]]) == 2\n"
+        "print(gf_kernels._resolution)\n"
+    )
+    assert _pristine(code, tmp_path) == "None"
+    assert not (tmp_path / "cache").exists()
