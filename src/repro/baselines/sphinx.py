@@ -27,8 +27,10 @@ The Diffie-Hellman group is simulated the same way the rest of
 :mod:`repro.crypto` simulates cryptography: modular exponentiation in
 ``Z_p^*`` with ``p = 2**255 - 19``, with each relay's group secret derived
 deterministically from its :class:`~repro.crypto.public_key.SimulatedKeyPair`
-secret.  The shared-secret schedule, keystreams and MACs are real (SHA-256 /
-HMAC over the :class:`~repro.crypto.symmetric.StreamCipher` keystream), so
+secret.  The shared-secret schedule, keystreams and MACs are real (SHA-256
+key derivation, HMAC-SHA256 tags, the SHAKE256
+:class:`~repro.crypto.symmetric.StreamCipher` keystream — whose shorter
+reads are prefixes of longer ones, which the relay's unroll relies on), so
 the structural properties under test — constant size, per-hop integrity,
 blinding determinism — hold exactly as in the production construction.
 

@@ -60,6 +60,9 @@ END_TO_END_METRICS = (
     "setup_s",
 )
 
+#: Seeds of one workload a ledger entry needs before it records a median.
+MIN_PERFBENCH_SEEDS = 3
+
 _COLUMNS = ("reference_ms", "fast_ms", "speedup")
 
 
@@ -106,21 +109,48 @@ def summarise_gate(document: dict) -> dict:
     }
 
 
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def _malformed(directory: Path, error: Exception) -> ValueError:
+    return ValueError(f"{directory} holds a malformed perfbench document ({error!r})")
+
+
 def summarise_perfbench(directory: Path) -> dict:
     """Medians of the end-to-end metrics per workload, plus the host manifest.
 
     ``directory`` holds the ``*-trace0.json`` documents one or more
-    ``perfbench/run.py --out-dir`` runs wrote; several seeds of one
-    workload reduce to their median.  The manifest is the first document's
-    (one ledger entry is one host).
+    ``perfbench/run.py --out-dir`` runs wrote; the seeds of one workload
+    reduce to their median, and a workload with fewer than
+    :data:`MIN_PERFBENCH_SEEDS` of them is refused — one run is a sample,
+    not a median.  The manifest is the first document's (one ledger entry
+    is one host and one commit): its ``commit`` is the one the runs that
+    knew theirs agree on, and a directory whose runs name two is refused.
     """
     runs: dict[str, list[dict]] = {}
-    manifest = None
     try:
         for path in sorted(Path(directory).glob("*-trace0.json")):
             document = json.loads(path.read_text(encoding="utf-8"))
-            manifest = manifest or document["manifest"]
             runs.setdefault(document["workload"], []).append(document)
+        manifests = [d["manifest"] for documents in runs.values() for d in documents]
+        commits = {m.get("commit", "unknown") for m in manifests} - {"unknown"}
+    except _MALFORMED as error:
+        raise _malformed(directory, error) from None
+    if not runs:
+        raise ValueError(f"{directory} holds no perfbench documents (*-trace0.json)")
+    for workload, documents in sorted(runs.items()):
+        if len(documents) < MIN_PERFBENCH_SEEDS:
+            raise ValueError(
+                f"{directory} holds {len(documents)} *-trace0.json run(s) of "
+                f"{workload!r}; a ledger entry takes the median of at least "
+                f"{MIN_PERFBENCH_SEEDS} seeds"
+            )
+    if len(commits) > 1:
+        raise ValueError(
+            f"{directory} mixes runs of commits {', '.join(sorted(commits))}; "
+            "a ledger entry is one commit"
+        )
+    try:
         workloads = {
             workload: {
                 "runs": len(documents),
@@ -134,13 +164,10 @@ def summarise_perfbench(directory: Path) -> dict:
             }
             for workload, documents in sorted(runs.items())
         }
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValueError(
-            f"{directory} holds a malformed perfbench document ({error!r})"
-        ) from None
-    if not workloads:
-        raise ValueError(f"{directory} holds no perfbench documents (*-trace0.json)")
-    return {"manifest": manifest, "workloads": workloads}
+    except _MALFORMED as error:
+        raise _malformed(directory, error) from None
+    commit = commits.pop() if commits else "unknown"
+    return {"manifest": {**manifests[0], "commit": commit}, "workloads": workloads}
 
 
 def load_trajectory(path: Path) -> dict:

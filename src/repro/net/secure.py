@@ -15,9 +15,9 @@ fails the MAC check.
 Like the rest of :mod:`repro.crypto`, the primitives are *simulated*
 cryptography with real structure: the Diffie-Hellman group is modular
 exponentiation over ``p = 2**255 - 19`` (the same group the Sphinx runtime
-uses), the AEAD is the repo's counter-mode :class:`~repro.crypto.symmetric.
-StreamCipher` in encrypt-then-MAC composition with HMAC-SHA256, and the key
-schedule is HKDF-SHA256.  Every structural property the tests rely on —
+uses), the AEAD is the repo's SHAKE256 keystream :class:`~repro.crypto.
+symmetric.StreamCipher` in encrypt-then-MAC composition with HMAC-SHA256, and
+the key schedule is HKDF-SHA256.  Every structural property the tests rely on —
 transcript binding, wrong-static-key rejection, nonce-reuse rejection,
 tamper rejection, rotation continuity — holds exactly as in the production
 construction; only the primitives' hardness is out of scope.
@@ -33,6 +33,14 @@ it against an allowlist before any application frame is processed::
         ----- act one (49 B) ----->    e, es
         <---- act two (49 B) ------    e, ee
         ----- act three (65 B) --->    s, se
+
+Every act starts with a version byte.  It is ``0x01`` since the stream
+cipher became a SHAKE256 XOF (``0x00`` was the SHA-256 counter construction):
+the AEAD's ciphertext bytes differ between the two, so a peer of the other
+release is turned away at the first act it sends — ``unsupported act one
+version byte 0`` — instead of at a tag check that could not say why.
+Coordinator and workers of a secure-transport fleet therefore upgrade
+together.
 
 Everything is a pure state machine — no sockets, no clocks.
 :func:`handshake` sequences the three acts of either role as a generator
@@ -79,7 +87,7 @@ from ..core.errors import FrameAuthenticationError, HandshakeError
 from .framing import FRAME_HEADER, check_frame_size
 
 #: Hashed into the initial handshake digest; both sides must agree on it.
-PROTOCOL_NAME = b"Noise_XK_repro+stream+hmacsha256"
+PROTOCOL_NAME = b"Noise_XK_repro+shake256+hmacsha256"
 
 #: Simulated Diffie-Hellman group (shared with the Sphinx runtime).
 GROUP_PRIME = 2**255 - 19
@@ -104,7 +112,7 @@ ACT_ONE_SIZE = 1 + PUBLIC_KEY_SIZE + TAG_SIZE
 ACT_TWO_SIZE = 1 + PUBLIC_KEY_SIZE + TAG_SIZE
 ACT_THREE_SIZE = 1 + PUBLIC_KEY_SIZE + TAG_SIZE + TAG_SIZE
 
-_HANDSHAKE_VERSION = b"\x00"
+_HANDSHAKE_VERSION = b"\x01"
 _NONCE = struct.Struct("<Q")
 
 
@@ -190,9 +198,9 @@ class StaticKeyPair:
 def aead_encrypt(key: bytes, nonce: int, associated_data: bytes, plaintext: bytes) -> bytes:
     """Encrypt-then-MAC with the repo's keystream cipher: ct || 16-byte tag.
 
-    Stands in for ChaCha20-Poly1305: a 64-bit little-endian nonce feeds the
-    counter-mode keystream, and the tag binds key, nonce, associated data
-    and ciphertext.
+    Stands in for ChaCha20-Poly1305: a 64-bit little-endian nonce selects the
+    SHAKE256 keystream, and the tag binds key, nonce, associated data and
+    ciphertext.
     """
     from ..crypto.symmetric import StreamCipher
 

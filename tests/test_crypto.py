@@ -1,5 +1,7 @@
 """Tests for the crypto substrates: keystream cipher, keys, PK cost model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,8 +41,33 @@ def test_stream_cipher_key_separates_keystreams():
 def test_stream_cipher_rejects_bad_inputs():
     with pytest.raises(ProtocolError):
         StreamCipher(b"")
-    with pytest.raises(ProtocolError):
-        StreamCipher(b"key").encrypt(b"data", b"short")
+    # key || nonce has one parse only because the nonce width is fixed:
+    # (b"ab", b"c" * 8) and (b"abc", b"c" * 7) would otherwise share a stream.
+    cipher = StreamCipher(b"abc")
+    for nonce in (b"", b"short", b"c" * (NONCE_SIZE - 1), b"c" * (NONCE_SIZE + 1)):
+        for call in (
+            lambda: cipher.keystream(nonce, 16),
+            lambda: cipher.encrypt(b"data", nonce),
+            lambda: cipher.decrypt(b"data", nonce),
+        ):
+            with pytest.raises(ProtocolError, match=f"nonce must be {NONCE_SIZE} bytes"):
+                call()
+    with pytest.raises(ProtocolError, match="non-negative, got -1"):
+        cipher.keystream(b"\x00" * NONCE_SIZE, -1)
+
+
+@pytest.mark.parametrize("key", [b"k", b"a considerably longer key than a digest is wide"])
+def test_keystream_known_answer_is_one_shake256_call(key):
+    # The expectation is computed here, not read from the module: a second
+    # construction cannot come back unnoticed.
+    nonce = bytes(range(NONCE_SIZE))
+    for length in (0, 1, 32, 33, 1500):
+        expected = hashlib.shake_256(key + nonce).hexdigest(length)
+        assert StreamCipher(key).keystream(nonce, length).hex() == expected
+    zeros = bytes(64)
+    assert StreamCipher(key).encrypt(zeros, nonce).hex() == hashlib.shake_256(
+        key + nonce
+    ).hexdigest(64)
 
 
 def test_seal_open_roundtrip():
@@ -89,6 +116,55 @@ def test_cost_model_defaults_ordering():
     assert model.symmetric_seconds_per_byte > 0
 
 
+# -- keystream properties -----------------------------------------------------------
+
+cipher_keys = st.binary(min_size=1, max_size=64)
+cipher_nonces = st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE)
+stream_lengths = st.integers(0, 4096)
+
+
+@given(key=cipher_keys, nonce=cipher_nonces, a=stream_lengths, b=stream_lengths)
+@settings(max_examples=100, deadline=None)
+def test_shorter_keystream_is_a_prefix_of_a_longer_one(key, nonce, a, b):
+    # SphinxRelay.peel unrolls ROUTING_SIZE + HOP_SIZE bytes of a stream the
+    # source only read ROUTING_SIZE of; both must see the same leading bytes.
+    a, b = sorted((a, b))
+    cipher = StreamCipher(key)
+    assert cipher.keystream(nonce, a) == cipher.keystream(nonce, b)[:a]
+
+
+@given(
+    key=cipher_keys,
+    nonce=cipher_nonces,
+    message=st.binary(max_size=4096),
+    buffer=st.sampled_from([bytes, bytearray, memoryview]),
+)
+@settings(max_examples=100, deadline=None)
+def test_encrypt_round_trips_any_buffer_and_preserves_length(key, nonce, message, buffer):
+    cipher = StreamCipher(key)
+    ciphertext = cipher.encrypt(buffer(message), nonce)
+    assert isinstance(ciphertext, bytes) and len(ciphertext) == len(message)
+    assert cipher.decrypt(buffer(ciphertext), nonce) == message
+
+
+@given(
+    key=cipher_keys,
+    other_key=cipher_keys,
+    nonce=cipher_nonces,
+    other_nonce=cipher_nonces,
+    length=st.integers(16, 4096),
+)
+@settings(max_examples=100, deadline=None)
+def test_distinct_keys_and_distinct_nonces_give_distinct_streams(
+    key, other_key, nonce, other_nonce, length
+):
+    stream = StreamCipher(key).keystream(nonce, length)
+    if other_key != key:
+        assert StreamCipher(other_key).keystream(nonce, length) != stream
+    if other_nonce != nonce:
+        assert StreamCipher(key).keystream(other_nonce, length) != stream
+
+
 # -- negative paths (hypothesis over the shared strategies) -------------------------
 
 
@@ -105,8 +181,11 @@ def test_wrong_key_never_recovers_the_plaintext(plaintext, keys):
     key, wrong_key = keys
     nonce = b"\x05" * NONCE_SIZE
     ciphertext = encrypt(key, plaintext, nonce)
-    assert decrypt(wrong_key, ciphertext, nonce) != plaintext
     assert decrypt(key, ciphertext, nonce) == plaintext
+    # Two streams agree on n bytes once in 256**n draws, whatever the cipher:
+    # the wrong-key claim is only sound from 4 bytes (2**-32) up.
+    if len(plaintext) >= 4:
+        assert decrypt(wrong_key, ciphertext, nonce) != plaintext
 
 
 @given(plaintext=payload_blobs(min_size=2), cut=st.integers(1, 160))

@@ -273,14 +273,14 @@ def test_collect_upserts_and_reports_missing(tmp_path):
     assert out.read_bytes() == before
 
 
-def _perfbench_document(workload, seed, goodput):
+def _perfbench_document(workload, seed, goodput, commit="unknown"):
     metrics = dict.fromkeys(END_TO_END_METRICS, 1.0) | {"goodput_MBps": goodput}
     return {
         "workload": workload,
         "seed": seed,
         "failed": 0,
-        "manifest": {"cpu_count": 2, "python": "3.11.7", "numpy": "1.26.4",
-                     "kernel": "numpy", "platform": "Linux-test"},
+        "manifest": {"commit": commit, "cpu_count": 2, "python": "3.11.7",
+                     "numpy": "1.26.4", "kernel": "numpy", "platform": "Linux-test"},
         "metrics": {
             name: {"value": value, "unit": "x"} for name, value in metrics.items()
         },
@@ -292,7 +292,7 @@ def test_collect_takes_perfbench_medians_per_workload(tmp_path):
     results.mkdir()
     perfbench = tmp_path / "perfbench"
     perfbench.mkdir()
-    for seed, goodput in ((1, 2.0), (2, 3.0)):
+    for seed, goodput in ((1, 2.0), (2, 3.5), (3, 2.5)):
         (perfbench / f"slicing-churn-seed{seed}-trace0.json").write_text(
             json.dumps(_perfbench_document("slicing-churn", seed, goodput)),
             encoding="utf-8",
@@ -303,9 +303,10 @@ def test_collect_takes_perfbench_medians_per_workload(tmp_path):
     trajectory, _ = collect("pr19", results, out, perfbench)
     recorded = trajectory["entries"][0]["perfbench"]
     assert recorded["manifest"]["cpu_count"] == 2
+    assert recorded["manifest"]["commit"] == "unknown"
     assert recorded["workloads"] == {
         "slicing-churn": {
-            "runs": 2,
+            "runs": 3,
             "failed": 0,
             "goodput_MBps": 2.5,
             "round_ms_p50": 1.0,
@@ -315,7 +316,7 @@ def test_collect_takes_perfbench_medians_per_workload(tmp_path):
         }
     }
     rendered = render_trend(trajectory)
-    assert "| pr19 | slicing-churn | 2 | 2.5 | 1 | 1 | 1 | 1 |" in rendered
+    assert "| pr19 | slicing-churn | 3 | 2.5 | 1 | 1 | 1 | 1 |" in rendered
     assert "`pr19` host: 2 CPU(s), Python 3.11.7" in rendered
     # An empty or malformed perfbench directory is a usage error, not a crash.
     with pytest.raises(ValueError, match="no perfbench documents"):
@@ -323,6 +324,40 @@ def test_collect_takes_perfbench_medians_per_workload(tmp_path):
     (perfbench / "broken-seed1-trace0.json").write_text("{}", encoding="utf-8")
     with pytest.raises(ValueError, match="malformed perfbench document"):
         collect("pr19", results, out, perfbench)
+
+
+def test_collect_refuses_thin_or_mixed_runs_and_keeps_a_known_commit(tmp_path):
+    perfbench = tmp_path / "perfbench"
+    perfbench.mkdir()
+    out = tmp_path / "BENCH_trajectory.json"
+
+    def write(workload, seed, commit="unknown"):
+        (perfbench / f"{workload}-seed{seed}-trace0.json").write_text(
+            json.dumps(_perfbench_document(workload, seed, 2.0, commit)),
+            encoding="utf-8",
+        )
+
+    for seed in (1, 2, 3):
+        write("slicing-churn", seed)
+    write("circuit-bulk", 1)
+    write("circuit-bulk", 2, commit="83891fc")
+    # Two seeds are two samples, not a median: one line, workload and count.
+    with pytest.raises(ValueError, match=r"2 \*-trace0.json run\(s\) of 'circuit-bulk'"):
+        collect("pr23", tmp_path, out, perfbench)
+    # Runs of two commits are two entries, not one.
+    write("circuit-bulk", 3, commit="c350960")
+    with pytest.raises(ValueError, match="mixes runs of commits 83891fc, c350960"):
+        collect("pr23", tmp_path, out, perfbench)
+    assert not out.exists()
+    write("circuit-bulk", 3)
+    trajectory, _ = collect("pr23", tmp_path, out, perfbench)
+    recorded = trajectory["entries"][0]["perfbench"]
+    assert {name: w["runs"] for name, w in recorded["workloads"].items()} == {
+        "circuit-bulk": 3,
+        "slicing-churn": 3,
+    }
+    # The first document did not know its commit; a later one did.
+    assert recorded["manifest"]["commit"] == "83891fc"
 
 
 def test_load_trajectory_rejects_wrong_version(tmp_path):

@@ -179,28 +179,41 @@ secrets = st.binary(min_size=1, max_size=48)
 seeds = st.binary(min_size=0, max_size=16)
 payloads = st.lists(st.binary(max_size=256), min_size=1, max_size=6)
 
-#: Recorded from the pre-refactor ``HandshakeState`` / ``SecureSession``
-#: (commit 57cf95e) with ``keypair(b"vector-i")`` / ``keypair(b"vector-r")``
-#: and ``entropy_from(b"vector-i")`` / ``entropy_from(b"vector-r")``: the wire
-#: bytes of the secure flavour must never change under a refactor.
+#: The three acts as the PR 20 release sent them (version byte ``0x00``, SHA-256
+#: counter keystream; recorded at commit 57cf95e with the ``vector-`` keys and
+#: entropy below): the ready-made "old peer" for the version-byte tests.
+PR20_ACTS = [
+    "0001d57425c02349bd46ef6b4acf4b0e0aa3958382f69167c6dc2d33e15005e5ba"
+    "913693cb3c3863ffbedff141849d3d69",
+    "003e67638a6951f407dec059d0627470c7fb3a5f77a199ad733973ff441eb0b965"
+    "24eb75d52bf214a6a01169079c55e59f",
+    "00eb37576473cf8f6971571a22ce7aecba16bf2124ad39f15b05d08b18ec507e67"
+    "33878b0a2910a9b3e466311dd357cd90c332fc132d225c294c719737e6a35a1e",
+]
+
+#: Recorded with ``keypair(b"vector-i")`` / ``keypair(b"vector-r")`` and
+#: ``entropy_from(b"vector-i")`` / ``entropy_from(b"vector-r")``, and re-recorded
+#: once, deliberately, when the stream cipher became a SHAKE256 XOF and the
+#: handshake version byte went ``0x00`` -> ``0x01``: the wire bytes of the
+#: secure flavour must never change under a refactor.
 VECTOR = {
     "acts": [
-        "0001d57425c02349bd46ef6b4acf4b0e0aa3958382f69167c6dc2d33e15005e5ba"
-        "913693cb3c3863ffbedff141849d3d69",
-        "003e67638a6951f407dec059d0627470c7fb3a5f77a199ad733973ff441eb0b965"
-        "24eb75d52bf214a6a01169079c55e59f",
-        "00eb37576473cf8f6971571a22ce7aecba16bf2124ad39f15b05d08b18ec507e67"
-        "33878b0a2910a9b3e466311dd357cd90c332fc132d225c294c719737e6a35a1e",
+        "0101d57425c02349bd46ef6b4acf4b0e0aa3958382f69167c6dc2d33e15005e5ba"
+        "77e38daa52f03e6f3a817d93dcb1e5cb",
+        "013e67638a6951f407dec059d0627470c7fb3a5f77a199ad733973ff441eb0b965"
+        "934ca3e5633ed3d0c5d132c5b7ab1696",
+        "01518878a42f4365cc2bb7a0bb5353b440f4a4f9e8c2780a2121ff42fcdc8a6bac"
+        "17e492f25b0ce4099d311e28f22e6741cd2e335b40c6c3900bfff4d2724e4dc6",
     ],
     "initiator_frames": {
-        b"hello": "826d1ab5286e262f5eb1f9971b1fa0a9bcce8024bfde0faa7e78d18cc40f55"
-        "96e1c240eddc06761a50",
-        b"": "f8cbf0ca9c0d46ed8cacf13b08cf35254a1859ab61f6e2450901b775d38d76ce"
-        "c6faa49e",
+        b"hello": "d27f389e328ff63326d5637d550e589b25c29a9aa5b893ea64163d8a7f59cd"
+        "2f928571b7bf81b6f926",
+        b"": "ae43452b65537187496ceb98f25aee5de9f219cecb14ed6a1e3a42d45ea5b294"
+        "bdddebd8",
     },
     "responder_frames": {
-        b"job frame": "d678dad173427c8ad7f0979cd1dc542bebf4789ce1f4f92f0a407ac948b123"
-        "2cc87ba44ef2650263570552c155",
+        b"job frame": "d6c4a9e262e67102626c8b79196d82d0f720b5426349c44e74a40eb1ddb308"
+        "f12f133d92fc07419452c5559c9f",
     },
 }
 
@@ -219,6 +232,45 @@ def test_handshake_and_first_frames_match_the_recorded_vector():
     for side, frames in (("i", "initiator_frames"), ("r", "responder_frames")):
         for payload, sealed in VECTOR[frames].items():
             assert outcome.sessions[side].seal(payload).hex() == sealed
+
+
+def test_old_release_version_byte_is_rejected_at_every_act():
+    old_one, old_two, old_three = (bytes.fromhex(act) for act in PR20_ACTS)
+    pair_i, pair_r = keypair(b"vector-i"), keypair(b"vector-r")
+
+    def old_initiator():
+        yield old_one
+        if len((yield ACT_TWO_SIZE)) == ACT_TWO_SIZE:
+            yield old_three
+
+    def old_responder():
+        yield ACT_ONE_SIZE
+        yield old_two
+        yield ACT_THREE_SIZE
+
+    # An old worker dials a new coordinator: turned away at act one, by name,
+    # and the coordinator never answers.
+    _, responder = honest_pair(pair_i, pair_r, b"vector-")
+    outcome = lockstep(old_initiator(), responder)
+    assert str(outcome.errors["r"]) == "unsupported act one version byte 0"
+    assert outcome.acts == [old_one] and "r" not in outcome.sessions
+    # A new worker dials an old coordinator: the old side refuses act one the
+    # same way; were it to answer anyway, its act two is refused here and act
+    # three never leaves.
+    initiator, _ = honest_pair(pair_i, pair_r, b"vector-")
+    outcome = lockstep(initiator, old_responder())
+    assert str(outcome.errors["i"]) == "unsupported act two version byte 0"
+    assert outcome.acts[1:] == [old_two] and "i" not in outcome.sessions
+    # An old act three spliced into an otherwise current handshake.
+    outcome = vector_outcome(lambda index, act: old_three if index == 2 else act)
+    assert str(outcome.errors["r"]) == "unsupported act three version byte 0"
+    assert "r" not in outcome.sessions
+    # The state machine itself derives nothing after a refused act.
+    state = HandshakeState.responder(pair_r, entropy=entropy_from(b"vector-r"))
+    with pytest.raises(HandshakeError, match="unsupported act one version byte 0"):
+        state.read_act_one(old_one)
+    with pytest.raises(HandshakeError, match="handshake incomplete"):
+        state.session()
 
 
 def test_every_truncation_of_every_act_is_rejected():
