@@ -22,10 +22,11 @@ arithmetic of the simulator (sender CPU queue, per-connection FIFO
 serialisation, propagation delay — see
 :meth:`~repro.overlay.node.OverlayTransport._account_batch`), and the
 resulting virtual arrival instants ride along with the frames.  What changes
-is *transport and scheduling*: frames really are serialised
-(length-prefixed :meth:`Packet.to_bytes <repro.core.packet.Packet.to_bytes>`),
-really cross a socket, and are parsed back on the receiving side, whose
-relay engines are driven from that address's own asyncio reader task.
+is *transport and scheduling*: batches really are serialised
+(:func:`~repro.core.packet.pack_packets`, the packets' wire bytes back to
+back in a length-prefixed frame), really cross a socket, and are parsed back
+on the receiving side, whose relay engines are driven from that address's own
+asyncio reader task.
 
 Timer events (CPU completions, flush timeouts) are kept on a virtual-time
 heap and fired in virtual order whenever the data plane is *quiescent* (no
@@ -41,12 +42,27 @@ Every message on a connection is a *frame* (:mod:`repro.net.framing`: a
 4-byte big-endian length followed by that many payload bytes, at most
 :data:`~repro.net.MAX_FRAME_BYTES`).  A connection opens with a hello frame
 (``sender\\x00receiver``), then carries batches: one batch-header frame
-(``>QI``: batch id, frame count) followed by the batch's payload frames —
-serialised :class:`~repro.core.packet.Packet` bytes for the slicing data
-plane, opaque onion cells for the baselines.  A batch leaves in one
-``writelines`` of its sealed frames, on either transport.  The receiving
-side rejects an unknown batch id, a malformed batch header and a connection
-that closes inside a batch with a
+(``>QI``: batch id, payload frame count) followed by the batch's payload
+frames.  A payload frame holds a whole number of the batch's items back to
+back: packets in their :meth:`Packet.to_bytes
+<repro.core.packet.Packet.to_bytes>` wire form for the slicing data plane
+(self-delimiting — the packet header declares its length — and, since a
+flow's packets all have one size (§9.4(c)), parsed as one ``(n,
+packet_size)`` byte matrix by :func:`~repro.core.packet.unpack_packets`),
+or length-prefixed opaque cells (:func:`~repro.net.encode_frame` each, read
+back with the strict :func:`~repro.net.decode_frames`) for the baselines,
+so a cell may be at most ``MAX_FRAME_BYTES`` minus its prefix.  A batch is
+as few payload frames as :data:`~repro.net.MAX_FRAME_BYTES` allows — one,
+for every batch the figures send — split between items, and leaves in one
+``writelines`` of its sealed frames, on either transport; on the secure
+transport a batch is therefore one AEAD message, not one per packet.
+
+Both ends of every connection live in this process, so the sending side's
+record of a batch (its connection, payload frame count and item count) is
+what the receiving side checks the wire against: an unknown batch id, a
+batch id on another connection, a frame or item count that differs from what
+was sent, a malformed hello, batch header, packet or cell, and a connection
+that closes inside a batch are each rejected with a
 :class:`~repro.core.errors.PacketFormatError` naming the connection.
 """
 
@@ -60,8 +76,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.errors import PacketFormatError, SimulationError
-from ..core.packet import Packet
-from ..net import AioChannel, TransportCredential, handshake
+from ..core.packet import Packet, pack_packets, unpack_packets
+from ..net import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
+    AioChannel,
+    TransportCredential,
+    decode_frames,
+    encode_frame,
+    handshake,
+)
 from .network import NetworkModel
 from .node import DEFAULT_PER_PACKET_OVERHEAD, OverlayTransport
 from .simulator import EventSimulator
@@ -116,10 +140,60 @@ class AioClock(EventSimulator):
 class _PendingBatch:
     """Sender-side record of a batch in flight, resolved when frames land."""
 
-    kind: str  # "packets" | "blobs" | "blob"
-    deliver: Callable
-    arrivals: list[float]
+    batch_id: int
+    kind: str  # "packets" | "blobs"
+    sender: str
+    receiver: str
+    frame_count: int  # payload frames the batch left as
+    deliver: Callable[[list, list[float]], None]
+    arrivals: list[float]  # one per item
     submitted_at: float
+
+    @property
+    def link(self) -> str:
+        return f"{self.sender}→{self.receiver}"
+
+    def parse(self, frames: list[bytes]) -> list:
+        """The batch's items back from its payload frames, one per arrival."""
+        try:
+            if self.kind == "packets":
+                items = [
+                    packet
+                    for frame in frames
+                    for packet in unpack_packets(frame, self.sender, self.receiver)
+                ]
+            else:
+                items = [cell for frame in frames for cell in decode_frames(frame)]
+        except PacketFormatError as exc:
+            raise PacketFormatError(f"{self.link}: {exc}") from exc
+        if len(items) != len(self.arrivals):
+            raise PacketFormatError(
+                f"{self.link}: batch {self.batch_id} carried {len(items)} items, "
+                f"{len(self.arrivals)} were sent"
+            )
+        return items
+
+
+def _pack_cells(cells: list[bytes]) -> bytes:
+    return b"".join(map(encode_frame, cells))
+
+
+def _payload_frames(items: list, wire_sizes: list[int], pack: Callable) -> list[bytes]:
+    """``pack`` the items into as few payload frames as the frame bound allows.
+
+    Frames split between items, never inside one; an item over the bound on
+    its own is left for the channel's size check to reject.
+    """
+    if sum(wire_sizes) <= MAX_FRAME_BYTES:
+        return [pack(items)]
+    frames, start, used = [], 0, 0
+    for index, size in enumerate(wire_sizes):
+        if used + size > MAX_FRAME_BYTES and index > start:
+            frames.append(pack(items[start:index]))
+            start, used = index, 0
+        used += size
+    frames.append(pack(items[start:]))
+    return frames
 
 
 # -- the backend --------------------------------------------------------------------
@@ -211,7 +285,7 @@ class AioOverlayNetwork(OverlayTransport):
         self._submit(
             sender,
             receiver,
-            [packet.to_bytes() for packet in packets],
+            packets,
             [packet.size_bytes() for packet in packets],
             self._normalise_cpus(len(packets), sender_cpu_seconds),
             kind="packets",
@@ -229,7 +303,7 @@ class AioOverlayNetwork(OverlayTransport):
         self._submit(
             sender,
             receiver,
-            list(blobs),
+            blobs,
             [len(blob) for blob in blobs],
             self._normalise_cpus(len(blobs), sender_cpu_seconds),
             kind="blobs",
@@ -250,8 +324,8 @@ class AioOverlayNetwork(OverlayTransport):
             [blob],
             [len(blob)],
             [sender_cpu_seconds],
-            kind="blob",
-            deliver=deliver,
+            kind="blobs",
+            deliver=lambda blobs, _arrivals: deliver(blobs[0]),
         )
 
     # The size-only callback API cannot cross a real socket: there is no
@@ -274,7 +348,7 @@ class AioOverlayNetwork(OverlayTransport):
         self,
         sender: str,
         receiver: str,
-        frames: list[bytes],
+        items: list,
         sizes: list[int],
         cpus: list[float],
         kind: str,
@@ -282,15 +356,28 @@ class AioOverlayNetwork(OverlayTransport):
     ) -> None:
         if self._closed:
             raise SimulationError("aio backend is closed")
-        if not frames:
+        if not items:
             return
         if not self.is_alive(sender):
-            self.stats.packets_dropped += len(frames)
+            self.stats.packets_dropped += len(items)
             return
         arrivals = self._account_batch(sender, receiver, sizes, cpus)
+        if kind == "packets":
+            frames = _payload_frames(items, sizes, pack_packets)
+        else:
+            frames = _payload_frames(
+                items, [FRAME_HEADER.size + size for size in sizes], _pack_cells
+            )
         batch_id = next(self._batch_ids)
         self._pending[batch_id] = _PendingBatch(
-            kind=kind, deliver=deliver, arrivals=arrivals, submitted_at=self.sim.now
+            batch_id=batch_id,
+            kind=kind,
+            sender=sender,
+            receiver=receiver,
+            frame_count=len(frames),
+            deliver=deliver,
+            arrivals=arrivals,
+            submitted_at=self.sim.now,
         )
         self._outbox.append((sender, receiver, batch_id, frames))
         self._inflight += 1
@@ -426,7 +513,10 @@ class AioOverlayNetwork(OverlayTransport):
             hello = await channel.recv_frame()
             if hello is None:
                 return
-            sender, _, receiver = hello.decode("utf-8").partition("\x00")
+            try:
+                sender, receiver = hello.decode("utf-8").split("\x00")
+            except ValueError:  # not UTF-8, or not exactly two addresses
+                raise PacketFormatError(f"malformed hello frame {hello!r}") from None
             link = f"{sender}→{receiver}"
             while True:
                 header = await channel.recv_frame()
@@ -441,6 +531,15 @@ class AioOverlayNetwork(OverlayTransport):
                 batch = self._pending.pop(batch_id, None)
                 if batch is None:
                     raise PacketFormatError(f"{link}: unknown batch id {batch_id}")
+                if batch.link != link:
+                    raise PacketFormatError(
+                        f"{link}: batch {batch_id} was sent on {batch.link}"
+                    )
+                if count != batch.frame_count:
+                    raise PacketFormatError(
+                        f"{link}: batch {batch_id} announces {count} payload "
+                        f"frames, {batch.frame_count} were sent"
+                    )
                 frames = []
                 for _ in range(count):
                     frame = await channel.recv_frame()
@@ -450,7 +549,7 @@ class AioOverlayNetwork(OverlayTransport):
                             f"the {count} frames of batch {batch_id}"
                         )
                     frames.append(frame)
-                await self._deliver_batch(sender, receiver, frames, batch)
+                await self._deliver_batch(frames, batch)
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: B036 - must not strand _quiesce
@@ -459,9 +558,7 @@ class AioOverlayNetwork(OverlayTransport):
             self._handler_writers.discard(writer)
             writer.close()
 
-    async def _deliver_batch(
-        self, sender: str, receiver: str, frames: list[bytes], batch: _PendingBatch
-    ) -> None:
+    async def _deliver_batch(self, frames: list[bytes], batch: _PendingBatch) -> None:
         if self.pace:
             delay = max(0.0, batch.arrivals[-1] - batch.submitted_at) * self.pace
             if delay:
@@ -477,21 +574,10 @@ class AioOverlayNetwork(OverlayTransport):
             # the receiver is still alive — exactly like the simulator,
             # whose deliver event advances `now` before the is_alive check.
             self.sim.advance(batch.arrivals[-1])
-            if not self.is_alive(receiver):
-                self.stats.packets_dropped += len(frames)
+            if not self.is_alive(batch.receiver):
+                self.stats.packets_dropped += len(batch.arrivals)
             else:
-                if batch.kind == "packets":
-                    packets = [
-                        Packet.from_bytes(
-                            frame, source_address=sender, destination_address=receiver
-                        )
-                        for frame in frames
-                    ]
-                    batch.deliver(packets, batch.arrivals)
-                elif batch.kind == "blobs":
-                    batch.deliver(frames, batch.arrivals)
-                else:
-                    batch.deliver(frames[0])
+                batch.deliver(batch.parse(frames), batch.arrivals)
         finally:
             self._inflight -= 1
             if self._outbox:

@@ -77,20 +77,37 @@ def coded_blocks(draw, d: int, payload_bytes: int):
 
 
 @st.composite
-def packets(draw):
-    """Packets across all slot layouts: any d, slice count and slice size."""
-    d = draw(st.integers(1, 8))
-    payload_bytes = draw(st.integers(1, 48))
-    slice_count = draw(st.integers(1, 6))
+def packets(draw, d=None, payload_bytes=None, slice_count=None, kind=None):
+    """Packets across all slot layouts: any d, slice count and slice size.
+
+    A shape argument that is given is fixed instead of drawn.
+    """
+    d = draw(st.integers(1, 8)) if d is None else d
+    if payload_bytes is None:
+        payload_bytes = draw(st.integers(1, 48))
+    if slice_count is None:
+        slice_count = draw(st.integers(1, 6))
     slices = [draw(coded_blocks(d, payload_bytes)) for _ in range(slice_count)]
     return Packet(
         flow_id=draw(st.integers(0, 2**64 - 1)),
-        kind=draw(st.sampled_from(list(PacketKind))),
+        kind=draw(st.sampled_from(list(PacketKind))) if kind is None else kind,
         slices=slices,
         d=d,
         lane=draw(st.integers(0, 255)),
         seq=draw(st.integers(0, 2**32 - 1)),
     )
+
+
+@st.composite
+def packet_runs(draw, max_size: int = 6):
+    """A flow's batch: 0..max_size packets of one kind, slice count and size."""
+    shape = {
+        "d": draw(st.integers(1, 8)),
+        "payload_bytes": draw(st.integers(1, 48)),
+        "slice_count": draw(st.integers(1, 6)),
+        "kind": draw(st.sampled_from(list(PacketKind))),
+    }
+    return draw(st.lists(packets(**shape), max_size=max_size))
 
 
 @st.composite

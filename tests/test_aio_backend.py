@@ -22,7 +22,9 @@ from repro.experiments.throughput import (
     measure_throughput,
     prepare_scheme_transfer,
 )
-from repro.net import encode_frame
+from repro.core.coder import CodedBlock
+from repro.core.packet import Packet, PacketKind
+from repro.net import MAX_FRAME_BYTES, encode_frame
 from repro.overlay.aio import BATCH_HEADER, AioOverlayNetwork
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.runtime import build_substrate
@@ -254,18 +256,72 @@ def test_aio_rejects_a_batch_header_of_the_wrong_length(substrate):
 def test_aio_reports_how_much_of_a_batch_arrived_before_the_connection_closed(
     substrate,
 ):
-    substrate.transmit_blobs("a", "b", [b"one", b"two", b"three"], lambda *_: None)
+    # Three cells that only fit one to a payload frame.
+    cells = [bytes([fill]) * (MAX_FRAME_BYTES // 2 + 1) for fill in range(3)]
+    substrate.transmit_blobs("a", "b", cells, lambda *_: None)
     (batch_id,) = substrate._pending
     wire = (
         encode_frame(b"a\x00b")
         + encode_frame(BATCH_HEADER.pack(batch_id, 3))
-        + encode_frame(b"one")
+        + encode_frame(encode_frame(cells[0]))
     )
     with pytest.raises(
         PacketFormatError,
         match=f"a→b: connection closed after 1 of the 3 frames of batch {batch_id}",
     ):
         _receive(substrate, wire)
+
+
+def _cells(*cells: bytes) -> bytes:
+    """One payload frame holding ``cells``."""
+    return encode_frame(b"".join(encode_frame(cell) for cell in cells))
+
+
+@pytest.mark.parametrize(
+    ("hello", "frame_count", "payload", "message"),
+    [
+        (b"b\x00a", 1, _cells(b"one", b"two", b"three"), "b→a: batch 1 was sent on a→b"),
+        (
+            b"a\x00b",
+            2,
+            _cells(b"one", b"two") + _cells(b"three"),
+            "a→b: batch 1 announces 2 payload frames, 1 were sent",
+        ),
+        (
+            b"a\x00b",
+            1,
+            _cells(b"one", b"two"),
+            "a→b: batch 1 carried 2 items, 3 were sent",
+        ),
+        (b"a\x00b", 1, encode_frame(b"\x00\x00"), "a→b: truncated frame header"),
+    ],
+    ids=["wrong-link", "frame-count", "item-count", "malformed-cell"],
+)
+def test_aio_checks_an_arriving_batch_against_what_was_sent(
+    substrate, hello, frame_count, payload, message
+):
+    substrate.transmit_blobs("a", "b", [b"one", b"two", b"three"], lambda *_: None)
+    assert list(substrate._pending) == [1]
+    wire = encode_frame(hello) + encode_frame(BATCH_HEADER.pack(1, frame_count))
+    with pytest.raises(PacketFormatError, match=message):
+        _receive(substrate, wire + payload)
+
+
+def test_aio_names_the_connection_of_a_malformed_packet(substrate):
+    block = CodedBlock(np.zeros(2, np.uint8), np.zeros(8, np.uint8))
+    packet = Packet(flow_id=1, kind=PacketKind.DATA, slices=[block], d=2)
+    substrate.transmit_packets("a", "b", [packet, packet], lambda *_: None)
+    bad = bytearray(packet.to_bytes() * 2)
+    bad[len(bad) // 2 + 8] = 7  # the second packet's kind byte
+    wire = encode_frame(b"a\x00b") + encode_frame(BATCH_HEADER.pack(1, 1))
+    with pytest.raises(PacketFormatError, match="a→b: unknown packet kind 7"):
+        _receive(substrate, wire + encode_frame(bytes(bad)))
+
+
+@pytest.mark.parametrize("hello", [b"\xff\xfe\x00b", b"no separator", b"a\x00b\x00c"])
+def test_aio_rejects_a_malformed_hello_frame(substrate, hello):
+    with pytest.raises(PacketFormatError, match="malformed hello frame"):
+        _receive(substrate, encode_frame(hello))
 
 
 def test_aio_pace_shapes_wall_clock_delivery():

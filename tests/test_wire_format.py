@@ -1,10 +1,12 @@
 """Property tests for the aio backend's wire format.
 
-The asyncio backend serialises every :class:`~repro.core.packet.Packet` with
-:meth:`to_bytes`, wraps it in a length-prefixed frame, and parses it back on
-the receiving side.  These tests drive that encode→decode round trip across
-all slot layouts with hypothesis, and check that truncated and oversized
-frames are rejected rather than mis-parsed.
+:meth:`Packet.to_bytes` / :meth:`Packet.from_bytes` define a packet's wire
+bytes; the asyncio backend ships a batch as those bytes back to back in a
+length-prefixed payload frame (:func:`pack_packets`) and parses it back as
+one byte matrix (:func:`unpack_packets`).  These tests pin the scalar round
+trip across all slot layouts with hypothesis, hold the batch codec to the
+scalar reference packet by packet, and check that truncated, oversized and
+malformed input is rejected rather than mis-parsed.
 """
 
 import asyncio
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.coder import CodedBlock
 from repro.core.errors import PacketFormatError
-from repro.core.packet import Packet
+from repro.core.packet import Packet, PacketKind, pack_packets, unpack_packets
 from repro.net import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -22,8 +25,10 @@ from repro.net import (
     decode_frames,
     encode_frame,
 )
+from repro.overlay.aio import AioOverlayNetwork
+from repro.overlay.profiles import LAN_PROFILE
 
-from strategies import packets
+from strategies import packet_runs, packets
 
 
 @given(packet=packets())
@@ -51,6 +56,135 @@ def test_concatenated_frames_decode_in_order(packet_list):
     wire = b"".join(encode_frame(p.to_bytes()) for p in packet_list)
     payloads = decode_frames(wire)
     assert payloads == [p.to_bytes() for p in packet_list]
+
+
+# -- the batch codec against the scalar reference -----------------------------------
+
+
+def _assert_parses_like_the_reference(batch):
+    """``unpack_packets`` == ``Packet.from_bytes`` per packet, field by field."""
+    parsed = unpack_packets(pack_packets(batch), "a", "b")
+    reference = [Packet.from_bytes(p.to_bytes(), "a", "b") for p in batch]
+    assert len(parsed) == len(reference)
+    for got, want in zip(parsed, reference):
+        for name in ("flow_id", "kind", "d", "lane", "seq", "slice_count"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert (got.source_address, got.destination_address) == ("a", "b")
+        assert got.size_bytes() == want.size_bytes()
+        for got_slice, want_slice in zip(got.slices, want.slices):
+            assert np.array_equal(got_slice.coefficients, want_slice.coefficients)
+            assert np.array_equal(got_slice.payload, want_slice.payload)
+            assert got_slice.index == want_slice.index
+
+
+@given(batch=st.one_of(packet_runs(), st.lists(packets(), max_size=5)))
+@settings(max_examples=100, deadline=None)
+def test_a_packed_batch_is_the_packets_wire_bytes_back_to_back(batch):
+    assert pack_packets(batch) == b"".join(p.to_bytes() for p in batch)
+
+
+@given(run=packet_runs())
+@settings(max_examples=100, deadline=None)
+def test_a_uniform_run_parses_like_the_scalar_reference(run):
+    _assert_parses_like_the_reference(run)
+
+
+# Half the packets share d and slice size, so runs of several rows, runs of one
+# and shape changes in kind or slice count alone all occur inside one buffer.
+@given(batch=st.lists(st.one_of(packets(), packets(d=2, payload_bytes=8)), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_a_mixed_shape_batch_parses_like_the_scalar_reference(batch):
+    _assert_parses_like_the_reference(batch)
+
+
+def _block(d, payload_bytes, fill):
+    return CodedBlock(np.full(d, fill, np.uint8), np.full(payload_bytes, fill, np.uint8))
+
+
+def _packet(d=2, payload_bytes=8, slice_count=2, kind=PacketKind.DATA, seq=0):
+    blocks = [_block(d, payload_bytes, seq + index) for index in range(slice_count)]
+    return Packet(flow_id=5, kind=kind, slices=blocks, d=d, lane=1, seq=seq)
+
+
+@pytest.mark.parametrize(
+    "odd_one",
+    [
+        _packet(payload_bytes=18, slice_count=1, seq=9),  # other slice_bytes
+        _packet(d=3, payload_bytes=7, seq=9),  # other d
+        _packet(kind=PacketKind.SETUP, seq=9),  # other kind
+    ],
+    ids=["slice_bytes", "d", "kind"],
+)
+@pytest.mark.parametrize("position", [1, 3])
+def test_a_row_of_equal_size_but_another_shape_is_cut_on_its_own_header(
+    odd_one, position
+):
+    """Same packet size, so the buffer still divides into rows — by row 0's shape."""
+    batch = [_packet(seq=seq) for seq in range(4)]
+    assert odd_one.size_bytes() == batch[0].size_bytes()
+    batch[position] = odd_one
+    _assert_parses_like_the_reference(batch)
+
+
+def _patched(offset, value):
+    """A well-formed packet's bytes with one header byte overwritten."""
+    wire = bytearray(_packet().to_bytes())
+    wire[offset] = value
+    return bytes(wire)
+
+
+_GOOD = _packet().to_bytes()
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        (_patched(8, 7), "unknown packet kind 7"),
+        (_patched(9, 0), "slice_count = 0"),
+        (_patched(12, 0), "d = 0"),
+        (_patched(12, 11), "slice_bytes = 10, shorter than its d = 11"),
+        (_GOOD[:-3], "truncated|does not match header"),
+        (_GOOD[:7], "shorter than"),
+    ],
+    ids=["kind", "no-slices", "no-d", "short-slice", "truncated", "no-header"],
+)
+def test_both_parsers_reject_a_malformed_packet_naming_the_field(bad, message):
+    """Alone through the scalar parser, and as a later row of a batch."""
+    with pytest.raises(PacketFormatError, match=message):
+        Packet.from_bytes(bad)
+    with pytest.raises(PacketFormatError, match=message):
+        unpack_packets(_GOOD + _GOOD + bad)
+
+
+def test_a_buffer_that_is_not_whole_packets_is_rejected():
+    half = len(_GOOD) // 2
+    with pytest.raises(PacketFormatError, match="truncated"):
+        unpack_packets(_GOOD + _GOOD + _GOOD[:half])  # not a multiple of the size
+    with pytest.raises(PacketFormatError, match="5 trailing bytes"):
+        unpack_packets(_GOOD + _GOOD + bytes(5))
+
+
+def test_a_batch_over_the_frame_bound_splits_between_packets_and_round_trips():
+    batch = [_packet(payload_bytes=64_998, slice_count=1, seq=seq) for seq in range(70)]
+    assert sum(p.size_bytes() for p in batch) > MAX_FRAME_BYTES
+    network = LAN_PROFILE.build_network(["a", "b"], np.random.default_rng(0))
+    substrate = AioOverlayNetwork(network, connection_bps=30e6)
+    try:
+        delivered = []
+        substrate.transmit_packets(
+            "a", "b", batch, lambda packets, arrivals: delivered.extend(packets)
+        )
+        ((_, _, _, frames),) = substrate._outbox
+        assert len(frames) == 2
+        assert all(len(frame) <= MAX_FRAME_BYTES for frame in frames)
+        assert sum(len(unpack_packets(frame)) for frame in frames) == 70
+        substrate.drive()
+        assert [p.to_bytes() for p in delivered] == [p.to_bytes() for p in batch]
+    finally:
+        substrate.close()
+
+
+# -- frames -------------------------------------------------------------------------
 
 
 @given(packet=packets(), data=st.data())
