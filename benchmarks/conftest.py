@@ -48,7 +48,7 @@ def scale() -> float:
 #
 # Wall-clock speed must never decide whether tier-1 (`python -m pytest -x -q`)
 # is green: a slow or busy host is not a bug.  Every benchmark keeps asserting
-# bit-identity and structure unconditionally and hands its rows to
+# bit-identity and structure unconditionally; the gated ones hand their rows to
 # `check_speedups`, which summarises them exactly as the ledger does
 # (`bench_history.summarise_gate`), records the line for the terminal summary
 # and fails below the gate's target or floor (`bench_history.GATES`) only

@@ -3,7 +3,7 @@ onion routing at every path length.
 
 Regenerates the figure's series through the experiment runner
 (``run_experiment("fig11")``) and prints the rows the paper plots.  See
-EXPERIMENTS.md for paper-vs-measured.
+README.md ("Figure → experiment name") for the paper artifact.
 """
 
 from repro.experiments import format_table

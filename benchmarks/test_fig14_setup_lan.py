@@ -3,7 +3,7 @@ slicing with d=2,3,4; larger d means longer setup.
 
 Regenerates the figure's series through the experiment runner
 (``run_experiment("fig14")``) and prints the rows the paper plots.  See
-EXPERIMENTS.md for paper-vs-measured.
+README.md ("Figure → experiment name") for the paper artifact.
 """
 
 from repro.experiments import format_table

@@ -2,9 +2,10 @@
 
 Regenerates the figure's series through the experiment runner
 (``run_experiment("fig15")``) and prints the rows the paper plots.  See
-EXPERIMENTS.md for paper-vs-measured.  Individual points are noisy because
-the heterogeneous profile redraws node loads per run, so the d=2 < d=4
-ordering is asserted on the sweep average (as in the tier-1 tests).
+README.md ("Figure → experiment name") for the paper artifact.
+Individual points are noisy because the heterogeneous profile redraws node
+loads per run, so the d=2 < d=4 ordering is asserted on the sweep average
+(as in the tier-1 tests).
 """
 
 from repro.experiments import format_table

@@ -23,9 +23,8 @@ Two engines implement the evaluation:
 
 Both engines draw randomness through
 :func:`~repro.anonymity.attacker.sample_stage_layout_batch`, so the same seed
-yields bit-identical per-trial anonymity values from either — asserted in
-``tests/test_anonymity_batch.py`` and checked again inside the ``anonbench``
-experiment.
+yields bit-identical per-trial anonymity values from either — asserted by
+``tests/test_anonymity_batch.py::test_batched_engine_matches_scalar_per_trial``.
 
 The four figure sweeps (malicious fraction, split factor, path length,
 redundancy) are thin declarative wrappers over the shared
@@ -307,9 +306,10 @@ def simulate_anonymity_batch(
 ) -> AnonymityResult:
     """Vectorised twin of :func:`simulate_anonymity` (same seed, same values).
 
-    All trials are evaluated as numpy arrays in one pass; at the paper's 1000
-    trials per point this is well over an order of magnitude faster than the
-    scalar loop (asserted by the ``anonbench`` experiment).
+    All trials are evaluated as numpy arrays in one pass, well over an order
+    of magnitude faster than the scalar loop at the paper's 1000 trials per
+    point; ``tests/test_anonymity_batch.py::test_batched_engine_matches_scalar_per_trial``
+    holds the two to the same values.
     """
     return simulate_anonymity_trials(
         num_nodes,

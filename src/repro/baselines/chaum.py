@@ -29,8 +29,8 @@ Two engines implement the Monte-Carlo, mirroring
 
 Both engines draw their malicious masks through :func:`_sample_malicious`
 (one bulk draw, stream-identical to the historical per-trial draws), so the
-same seed yields bit-identical per-trial values from either — asserted in
-``tests/test_chaum_batch.py`` and again inside the ``chaumbench`` experiment.
+same seed yields bit-identical per-trial values from either — asserted by
+``tests/test_chaum_batch.py::test_batched_engine_is_bit_identical_to_scalar``.
 """
 
 from __future__ import annotations
@@ -229,9 +229,10 @@ def simulate_chaum_anonymity_batch(
 ) -> ChaumAnonymityResult:
     """Vectorised twin of :func:`simulate_chaum_anonymity` (same seed, same values).
 
-    All trials evaluate as numpy arrays in one pass; at the paper's 1000
-    trials per point this is well over an order of magnitude faster than the
-    scalar loop (asserted by the ``chaumbench`` experiment).
+    All trials evaluate as numpy arrays in one pass, well over an order of
+    magnitude faster than the scalar loop at the paper's 1000 trials per
+    point; ``tests/test_chaum_batch.py::test_batched_engine_is_bit_identical_to_scalar``
+    holds the two to the same values.
     """
     return simulate_chaum_trials(
         num_nodes, path_length, fraction_malicious, trials, rng, engine="batched"

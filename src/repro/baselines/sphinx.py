@@ -39,8 +39,9 @@ size-preserving keystream XOR per relay), but pad every message into a
 fixed :data:`DATA_CELL_SIZE` cell first, so payload lengths leak nothing
 either.  :meth:`SphinxSource.wrap_cells` / :meth:`SphinxRelay.strip_cells`
 are the batched fast paths (one keystream per circuit, one vectorised XOR
-per burst) and are bit-identical to the per-cell reference — the
-``sphinxbench`` gate enforces both.
+per burst) and are bit-identical to the per-cell reference —
+``tests/test_sphinx.py::test_batched_cells_bit_identical_to_per_cell_reference``
+asserts it.
 """
 
 from __future__ import annotations
@@ -373,8 +374,8 @@ class SphinxSource:
     def wrap_cells(self, circuit: SphinxCircuit, messages: list[bytes]) -> list[bytes]:
         """Batched wrap: one circuit keystream, one vectorised XOR per burst.
 
-        Bit-identical to calling :meth:`wrap_data` per message (enforced by
-        the ``sphinxbench`` gate).
+        Bit-identical to calling :meth:`wrap_data` per message (asserted by
+        ``tests/test_sphinx.py::test_batched_cells_bit_identical_to_per_cell_reference``).
         """
         if not messages:
             return []

@@ -102,8 +102,9 @@ class GF256:
 
     ``compiled=False`` keeps :meth:`batched_matmul` and the batched
     Gauss–Jordan elimination on the numpy reference even where the C
-    provider loads — the side the bit-identity tests and ``gfbench`` compare
-    against; nothing on a run path passes it.
+    provider loads — the side ``tests/test_gf_kernels.py``'s
+    ``test_compiled_batched_matmul_*`` and ``test_compiled_inversion_*``
+    compare against; nothing on a run path passes it.
     """
 
     def __init__(

@@ -7,8 +7,9 @@ stacked loops — ``batched_matmul`` and the batched Gauss–Jordan elimination
 behind ``try_invert_matrices`` — go to the C functions below whenever they
 load on this host, and to the numpy reference in :mod:`repro.core.gf`
 otherwise.  The two are required to be bit-identical (asserted by the
-hypothesis property tests in ``tests/test_gf_kernels.py`` and re-checked
-inside every ``gfbench`` run), so which one ran never shows in a result.
+hypothesis property tests ``test_compiled_batched_matmul_*`` and
+``test_compiled_inversion_*`` in ``tests/test_gf_kernels.py``), so which one
+ran never shows in a result.
 
 The C file is compiled once into a shared library cached under
 ``$XDG_CACHE_HOME/repro-information-slicing/`` (default ``~/.cache``, keyed

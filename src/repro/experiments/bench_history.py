@@ -39,15 +39,9 @@ TRAJECTORY_VERSION = 2
 #: ``--enforce-speedups``.  ``distsweep`` has neither: sharding fig11 is
 #: bounded by its fixed per-run cost (docs/ARCHITECTURE.md, "Distributed
 #: execution"), so the ledger records its seconds and asserts no ratio.
-#: ``gfbench`` is the two C loops against their numpy reference.
 GATES: dict[str, dict] = {
-    "anonbench": {"target": 10.0, "floor": 3.0},
-    "chaumbench": {"target": 10.0, "floor": 3.0},
     "dataplane-bench": {"target": 5.0, "floor": 2.5},
     "distsweep": {"target": None, "floor": None},
-    "gfbench": {"target": 3.0, "floor": 1.0},
-    "microbench": {"target": 3.0, "floor": 1.0},
-    "sphinxbench": {"target": 2.0, "floor": None},
 }
 
 #: The end-to-end metrics ``BENCHMARK.json`` declares (tests/test_docs.py
@@ -75,9 +69,9 @@ def summarise_gate(document: dict) -> dict:
 
     Rows that measured something carry ``reference_ms``, ``fast_ms`` and
     ``speedup``; the ledger keeps the median of each plus the worst
-    speedup.  Gates that cannot run on the current host (``gfbench`` where
-    the C provider does not load, ``distsweep`` on a single-CPU runner) report only
-    ``"skipped"`` rows; those summarise to the reason and render as ``n/a``.
+    speedup.  A gate that cannot run on the current host (``distsweep`` on a
+    single-CPU runner) reports only ``"skipped"`` rows; those summarise to
+    the reason and render as ``n/a``.
 
     >>> doc = {"rows": [{"reference_ms": 24.0, "fast_ms": 2.0, "speedup": 12.0},
     ...                 {"reference_ms": 30.0, "fast_ms": 1.5, "speedup": 20.0},
@@ -248,20 +242,25 @@ def _gate_cell(measured: dict | None) -> str:
 def render_trend(trajectory: dict) -> str:
     """The ledger as markdown: the gate table, then the perfbench medians.
 
-    A gate cell reads ``speedup× (reference → fast ms)``, all three medians
-    over the gate's rows (entries migrated from the ratio-only schema have
-    no milliseconds to show).  Gates a host could not run render as
+    The gate table has one column per gate of :data:`GATES`; a gate retired
+    from it keeps its past readings in the ledger file but leaves the table
+    (``pr6`` below recorded only such a gate).  A gate cell reads
+    ``speedup× (reference → fast ms)``, all three medians over the gate's
+    rows (entries migrated from the ratio-only schema have no milliseconds
+    to show).  Gates a host could not run render as
     ``n/a``; gates with no artifact at all render as ``—``.  Entries with
     perfbench runs add one row per workload and a line naming the host.
 
     >>> print(render_trend({"version": 2, "entries": [
     ...     {"label": "pr5", "gates": {
-    ...         "sphinxbench": {"target": 2.0, "reference_ms": 50.0,
-    ...                         "fast_ms": 1.6, "speedup": 31.25},
-    ...         "gfbench": {"target": 3.0, "skipped": "no provider"}}}]}))
-    | label | anonbench (≥10×) | chaumbench (≥10×) | dataplane-bench (≥5×) | distsweep | gfbench (≥3×) | microbench (≥3×) | sphinxbench (≥2×) |
-    |---|---|---|---|---|---|---|---|
-    | pr5 | — | — | — | — | n/a | — | 31.2× (50 → 1.6 ms) |
+    ...         "dataplane-bench": {"target": 5.0, "reference_ms": 180.0,
+    ...                             "fast_ms": 30.0, "speedup": 6.0},
+    ...         "distsweep": {"target": None, "skipped": "host has 1 CPU(s)"}}},
+    ...     {"label": "pr6", "gates": {"retired": {"target": 2.0, "speedup": 9.0}}}]}))
+    | label | dataplane-bench (≥5×) | distsweep |
+    |---|---|---|
+    | pr5 | 6× (180 → 30 ms) | n/a |
+    | pr6 | — | — |
     """
     entries = trajectory.get("entries", [])
     gate_names = sorted(GATES)

@@ -18,13 +18,12 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ..anonymity.simulation import simulate_anonymity_batch, simulate_anonymity_trials
-from ..baselines.chaum import simulate_chaum_anonymity_batch, simulate_chaum_trials
+from ..anonymity.simulation import simulate_anonymity_batch
+from ..baselines.chaum import simulate_chaum_anonymity_batch
 from ..core.coder import SliceCoder
 from ..overlay.churn import PLANETLAB_CHURN
 from ..overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
@@ -34,7 +33,6 @@ from ..resilience.analysis import (
 )
 from ..resilience.transfer import simulate_transfers
 from .dataplane import compare_data_planes
-from .gfbench import compare_kernels
 from .registry import Experiment, register
 from .setup_latency import measure_onion_setup, measure_setup, measure_slicing_setup
 from .throughput import (
@@ -43,7 +41,6 @@ from .throughput import (
     measure_slicing_throughput,
     measure_throughput,
 )
-from .timing import compare_paths
 from .trials import chunked_points, merge_chunks, spawn_seed
 
 #: Default parameters straight from the paper's captions.
@@ -588,11 +585,11 @@ register(
 )
 
 
-# -- §7.1 coding microbenchmark --------------------------------------------------
+# -- wall-clock experiments ---------------------------------------------------------
 #
-# This and the following bench experiments time two paths of our own code
-# against each other through the one protocol in :mod:`.timing`; their gate
-# targets live in :data:`repro.experiments.bench_history.GATES`.
+# The experiments below time code on this host.  ``microbench`` is §7.1's
+# cost table and carries no target; ``dataplane-bench`` and ``distsweep`` are
+# the gates of :data:`repro.experiments.bench_history.GATES`.
 
 
 def _register_bench(name: str, title: str, build_trials, run_trial, **extra) -> None:
@@ -613,13 +610,12 @@ def _register_bench(name: str, title: str, build_trials, run_trial, **extra) -> 
 
 def _microbench_trials(scale: float) -> list[dict]:
     iterations = max(int(50 * scale), 10)
-    return [{"d": d, "iterations": iterations, "batch_size": 64} for d in (2, 3, 4, 5, 6, 8)]
+    return [{"d": d, "iterations": iterations} for d in (2, 3, 4, 5, 6, 8)]
 
 
 def _microbench_run(params: dict, rng: np.random.Generator) -> dict:
     d = params["d"]
     iterations = params["iterations"]
-    batch_size = params["batch_size"]
     coder = SliceCoder(d)
     packet = bytes(rng.integers(0, 256, size=1500, dtype=np.uint8).tobytes())
 
@@ -633,29 +629,11 @@ def _microbench_run(params: dict, rng: np.random.Generator) -> dict:
         coder.decode(blocks)
     decode_seconds = (time.perf_counter() - start) / iterations
 
-    # Per-message loop vs. ``encode_batch`` on a burst of equal-size packets.
-    # The two paths sample their coding matrices in different orders, so
-    # there are no equal bytes to compare: both return None and the row
-    # carries no ``identical`` column (tests/test_coder_batch.py round-trips
-    # both paths).
-    messages = [packet] * batch_size
-
-    def loop_pass() -> None:
-        for message in messages:
-            coder.encode(message, rng)
-
-    def batch_pass() -> None:
-        coder.encode_batch(messages, rng)
-
-    batch = compare_paths(loop_pass, batch_pass, reps=max(iterations // 8, 5))
-    del batch["identical"]
     return {
         "d": d,
         "encode_us_per_packet": encode_seconds * 1e6,
         "decode_us_per_packet": decode_seconds * 1e6,
         "max_output_mbps": 1500 * 8 / max(encode_seconds, 1e-12) / 1e6,
-        "batch_encode_us_per_packet": batch["fast_ms"] * 1e3 / batch_size,
-        **batch,
     }
 
 
@@ -664,51 +642,6 @@ _register_bench(
     "§7.1 microbenchmark: coding cost per 1500-byte packet across d",
     _microbench_trials,
     _microbench_run,
-)
-
-
-# -- §6.2 anonymity and Fig. 7 Chaum-mix Monte-Carlo microbenchmarks ---------------
-
-
-def _engine_bench_trials(fractions: tuple[float, ...], scale: float) -> list[dict]:
-    # The paper's 1000 trials per data point; several fractions so the gate's
-    # median is a genuine middle value.
-    reps = max(int(5 * scale), 1)
-    return [{"fraction_malicious": f, "trials": 1000, "reps": reps} for f in fractions]
-
-
-def _engine_bench_run(
-    simulate_trials, fixed: dict, params: dict, rng: np.random.Generator
-) -> dict:
-    """Scalar vs. batched engine of one Monte-Carlo on a shared seed."""
-    seed = spawn_seed(rng)
-    point = {"fraction_malicious": params["fraction_malicious"], "trials": params["trials"]}
-
-    def engine(name: str):
-        return lambda: simulate_trials(
-            num_nodes=DEFAULT_N,
-            path_length=8,
-            **fixed,
-            **point,
-            rng=np.random.default_rng(seed),
-            engine=name,
-        )
-
-    return {**point, **compare_paths(engine("scalar"), engine("batched"), params["reps"])}
-
-
-_register_bench(
-    "anonbench",
-    "§6.2 microbenchmark: batched vs. scalar anonymity Monte-Carlo at 1000 trials",
-    partial(_engine_bench_trials, (0.1, 0.4)),
-    partial(_engine_bench_run, simulate_anonymity_trials, {"d": 3}),
-)
-
-_register_bench(
-    "chaumbench",
-    "Fig. 7 microbenchmark: batched vs. scalar Chaum-mix Monte-Carlo at 1000 trials",
-    partial(_engine_bench_trials, (0.1, 0.25, 0.4)),
-    partial(_engine_bench_run, simulate_chaum_trials, {}),
 )
 
 
@@ -730,92 +663,6 @@ _register_bench(
     "Data-plane microbenchmark: batched overlay plane vs. per-packet reference at 64 messages",
     _dataplane_trials,
     _dataplane_run,
-)
-
-
-# -- GF(2^8) kernel microbenchmark -------------------------------------------------
-
-
-def _gfbench_trials(scale: float) -> list[dict]:
-    reps = max(int(3 * scale), 2)
-    # Three seeds per operation so the benchmark gate's median is a genuine
-    # middle value.
-    return [
-        {"op": op, "seed": seed, "reps": reps}
-        for op in ("matmul", "invert")
-        for seed in (42, 1042, 2042)
-    ]
-
-
-def _gfbench_run(params: dict, rng: np.random.Generator) -> dict:
-    return compare_kernels(**params)
-
-
-_register_bench(
-    "gfbench",
-    "GF(2^8) microbenchmark: the two C loops vs. their numpy reference on stacked 64-matrix calls",
-    _gfbench_trials,
-    _gfbench_run,
-)
-
-
-# -- Sphinx batched-cell microbenchmark --------------------------------------------
-
-
-def _sphinxbench_trials(scale: float) -> list[dict]:
-    reps = max(int(5 * scale), 2)
-    # Three path lengths so the benchmark gate's median is a genuine middle
-    # value; 192 messages per burst.
-    return [{"path_length": length, "messages": 192, "reps": reps} for length in (3, 5, 8)]
-
-
-def _sphinxbench_run(params: dict, rng: np.random.Generator) -> dict:
-    from ..baselines.sphinx import SphinxDirectory, SphinxRelay, SphinxSource
-
-    path_length = params["path_length"]
-    count = params["messages"]
-    build_rng = np.random.default_rng(spawn_seed(rng))
-    relays = [f"bench-{index}" for index in range(path_length)]
-    directory = SphinxDirectory.for_relays(relays, build_rng)
-    source = SphinxSource(directory, build_rng)
-    circuit, packet = source.build_circuit(relays, "bench-destination", path_length)
-    engines = {
-        address: SphinxRelay(address, directory.node(address)) for address in relays
-    }
-    handles = []
-    current = packet
-    for hop in circuit.hops:
-        handle, _next_hop, current = engines[hop].handle_setup(current)
-        handles.append((hop, handle))
-    messages = [
-        bytes(build_rng.integers(0, 256, size=512, dtype=np.uint8).tobytes())
-        for _ in range(count)
-    ]
-
-    def per_cell_pass() -> list[bytes]:
-        cells = [source.wrap_data(circuit, message) for message in messages]
-        for hop, handle in handles:
-            cells = [engines[hop].handle_data(handle, cell)[1] for cell in cells]
-        return cells
-
-    def batched_pass() -> list[bytes]:
-        cells = source.wrap_cells(circuit, messages)
-        for hop, handle in handles:
-            _next_hop, cells = engines[hop].strip_cells(handle, cells)
-        return cells
-
-    return {
-        "path_length": path_length,
-        "messages": count,
-        **compare_paths(per_cell_pass, batched_pass, params["reps"]),
-    }
-
-
-_register_bench(
-    "sphinxbench",
-    "Sphinx microbenchmark: batched cell wrap/strip vs. per-cell StreamCipher loop",
-    _sphinxbench_trials,
-    _sphinxbench_run,
 )
 
 

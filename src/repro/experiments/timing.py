@@ -1,8 +1,8 @@
-"""The one wall-clock comparison protocol behind every bench experiment.
+"""The one wall-clock comparison protocol for two paths of our own code.
 
-A bench experiment declares two paths that must produce the same result —
-the reference implementation and the fast one — and :func:`compare_paths`
-does the rest: warm both, re-check identity on every repetition, take each
+A bench experiment (today ``dataplane-bench``) declares two paths that must
+produce the same result — the reference implementation and the fast one —
+and :func:`compare_paths` does the rest: warm both, re-check identity on every repetition, take each
 side's per-repetition minimum (the standard noise-robust microbenchmark
 estimator) and report both absolute sides next to their ratio, under the
 column names :mod:`~repro.experiments.bench_history` reads into the ledger.

@@ -2,8 +2,8 @@
 
 A profile knows how to turn a list of addresses into a
 :class:`~repro.overlay.network.NetworkModel` and which churn model applies.
-Substituting these profiles for the paper's physical testbeds is documented
-in DESIGN.md §2; the knobs below are the calibration points.
+Where these profiles stand in for the paper's physical testbeds (§5, §7) is
+mapped in docs/ARCHITECTURE.md; the knobs below are the calibration points.
 """
 
 from __future__ import annotations

@@ -95,3 +95,49 @@ def test_environment_side_channels_are_pinned_at_four():
     ).read_text(encoding="utf-8")
     for name in mentioned:
         assert name in documented, f"{name} is read by src/ but documented nowhere"
+
+
+def _docstrings(path: Path):
+    import ast
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Module | ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef):
+            docstring = ast.get_docstring(node)
+            if docstring:
+                yield docstring
+
+
+def test_markdown_files_named_in_docstrings_exist():
+    # A docstring that sends the reader to a page must name one that exists
+    # (paths are relative to the repository root).
+    import re
+
+    sources = [*(REPO_ROOT / "src").rglob("*.py"), *(REPO_ROOT / "benchmarks").glob("*.py")]
+    dangling = sorted(
+        f"{source.relative_to(REPO_ROOT)}: {name}"
+        for source in sources
+        for docstring in _docstrings(source)
+        for name in re.findall(r"[\w./-]+\.md\b", docstring)
+        if not (REPO_ROOT / name).is_file()
+    )
+    assert not dangling, dangling
+
+
+def test_gate_table_matches_registry_and_benchmarks():
+    # Every gate is a registered experiment, and the benchmark suite checks
+    # exactly the gates the ledger records — no more, no fewer.
+    import re
+
+    from repro.experiments import experiment_names
+    from repro.experiments.bench_history import GATES
+
+    assert set(GATES) <= set(experiment_names())
+    checked = {
+        name
+        for source in (REPO_ROOT / "benchmarks").glob("*.py")
+        for name in re.findall(
+            r'check_speedups\([^()]*,\s*"([^"]+)"\)', source.read_text(encoding="utf-8")
+        )
+    }
+    assert checked == set(GATES)

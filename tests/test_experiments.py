@@ -17,11 +17,7 @@ SMALL = 0.05  # scale factor: keep the whole module under a minute
 def test_registry_contains_every_figure():
     expected = {f"fig{n:02d}" for n in range(7, 18)} | {
         "microbench",
-        "anonbench",
-        "chaumbench",
         "dataplane-bench",
-        "gfbench",
-        "sphinxbench",
         "distsweep",
         "distinguishability",
         "ablation_transforms",
@@ -102,6 +98,13 @@ def test_microbenchmark_rows():
     rows = experiment_rows("microbench", scale=0.2)
     assert [row["d"] for row in rows] == [2, 3, 4, 5, 6, 8]
     for row in rows:
+        # §7.1's cost table: absolute per-packet costs, no ratio column.
+        assert set(row) == {
+            "d",
+            "encode_us_per_packet",
+            "decode_us_per_packet",
+            "max_output_mbps",
+        }
         assert row["encode_us_per_packet"] > 0
         assert row["max_output_mbps"] > 0
 

@@ -172,8 +172,8 @@ def test_trajectory_section_renders(full_results):
             {
                 "label": "pr6",
                 "gates": {
-                    "anonbench": {
-                        "target": 10.0,
+                    "dataplane-bench": {
+                        "target": 5.0,
                         "reference_ms": 20.0,
                         "fast_ms": 0.8,
                         "speedup": 25.0,
@@ -186,7 +186,7 @@ def test_trajectory_section_renders(full_results):
         MATRIX, full_results, trajectory=trajectory, trajectory_source="BENCH.json"
     )
     markdown = render_markdown(report)
-    assert "| pr6 | 25× (20 → 0.8 ms) | — | — | — | — | — | — |" in markdown
+    assert "| pr6 | 25× (20 → 0.8 ms) | — |" in markdown
 
 
 # -- the performance ledger ----------------------------------------------------------
@@ -209,22 +209,22 @@ def test_summarise_gate_requires_speedup_rows():
 
 
 def test_summarise_gate_skipped_rows_and_na_rendering():
-    # A gate the host could not run (gfbench with no compiled provider,
-    # distsweep on one CPU) summarises to its skip reason...
+    # A gate the host could not run (distsweep on one CPU) summarises to its
+    # skip reason...
     summary = summarise_gate(
-        {"rows": [{"op": "matmul", "skipped": "no compiled provider"}]}
+        {"rows": [{"workers": 2, "skipped": "host has 1 CPU(s)"}]}
     )
-    assert summary == {"skipped": "no compiled provider", "rows": 1}
+    assert summary == {"skipped": "host has 1 CPU(s)", "rows": 1}
     # ...and renders as n/a, distinct from the no-artifact dash.
     table = render_trend(
         {
             "version": 2,
             "entries": [
-                {"label": "pr8", "gates": {"gfbench": {"target": 3.0, **summary}}}
+                {"label": "pr8", "gates": {"distsweep": {"target": None, **summary}}}
             ],
         }
     )
-    assert "| pr8 | — | — | — | — | n/a | — | — |" in table
+    assert "| pr8 | — | n/a |" in table
     # Measured rows still win over skipped ones when both are present (a
     # distsweep on a 2-CPU host: 4 and 8 workers skipped).
     mixed = summarise_gate(
@@ -236,22 +236,15 @@ def test_summarise_gate_skipped_rows_and_na_rendering():
 def test_collect_upserts_and_reports_missing(tmp_path):
     results = tmp_path / "results"
     results.mkdir()
-    (results / "anonbench.json").write_text(
+    (results / "dataplane-bench.json").write_text(
         json.dumps({"rows": _bench_rows(12.0, 16.0)}), encoding="utf-8"
     )
     out = tmp_path / "BENCH_trajectory.json"
     trajectory, missing = collect("pr6", results, out)
-    assert missing == [
-        "chaumbench",
-        "dataplane-bench",
-        "distsweep",
-        "gfbench",
-        "microbench",
-        "sphinxbench",
-    ]
+    assert missing == ["distsweep"]
     # Both absolute sides sit next to the ratio, all three as medians.
-    assert trajectory["entries"][0]["gates"]["anonbench"] == {
-        "target": 10.0,
+    assert trajectory["entries"][0]["gates"]["dataplane-bench"] == {
+        "target": 5.0,
         "reference_ms": 14.0,
         "fast_ms": 1.0,
         "speedup": 14.0,
@@ -259,12 +252,12 @@ def test_collect_upserts_and_reports_missing(tmp_path):
         "rows": 2,
     }
     # Re-collecting the same label replaces in place; a new label appends.
-    (results / "anonbench.json").write_text(
+    (results / "dataplane-bench.json").write_text(
         json.dumps({"rows": _bench_rows(20.0)}), encoding="utf-8"
     )
     trajectory, _ = collect("pr6", results, out)
     assert len(trajectory["entries"]) == 1
-    assert trajectory["entries"][0]["gates"]["anonbench"]["speedup"] == 20.0
+    assert trajectory["entries"][0]["gates"]["dataplane-bench"]["speedup"] == 20.0
     trajectory, _ = collect("pr7", results, out)
     assert [entry["label"] for entry in trajectory["entries"]] == ["pr6", "pr7"]
     # Byte-deterministic: same inputs, same file.
