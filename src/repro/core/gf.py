@@ -424,11 +424,15 @@ class GF256:
         return aug[:, :, n:].copy(), singular
 
     def is_invertible(self, matrix: np.ndarray) -> bool:
-        """Return True iff ``matrix`` is square and full-rank over GF(2^8)."""
+        """Return True iff ``matrix`` is square and full-rank over GF(2^8).
+
+        One matrix through the stacked Gauss–Jordan of :meth:`invertible_mask`
+        (C where the provider loads), not the Python loop of :meth:`rank`.
+        """
         matrix = np.asarray(matrix, dtype=np.uint8)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             return False
-        return self.rank(matrix) == matrix.shape[0]
+        return bool(self.invertible_mask(matrix[None])[0])
 
     # -- random elements ---------------------------------------------------------
 

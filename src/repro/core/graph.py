@@ -21,6 +21,7 @@ knowledge into the per-node instructions the protocol ships around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,30 +138,55 @@ class ForwardingGraph:
 
     # -- slice carrier assignment ----------------------------------------------------
 
+    @cached_property
+    def _tables(self) -> tuple[dict[SliceId, tuple[str, ...]], dict[tuple[str, str], list[SliceId]]]:
+        """Every slice's carrier path and every edge's ordered slice list.
+
+        Built once per graph, in one pass over ``(owner, k)`` in stage /
+        position / slice-index order, from the carrier formula of the module
+        docstring.  A path lists the carrier at each stage before the owner's
+        and ends at the owner.  Because owners come in stage order, each
+        edge's list starts with the child's own slice, followed by the
+        downstream slices in (stage, position, slice index) order.
+        """
+        d_prime = self.d_prime
+        paths: dict[SliceId, tuple[str, ...]] = {}
+        edges: dict[tuple[str, str], list[SliceId]] = {}
+        for owner_stage, members in enumerate(self.stages):
+            offset = self.stage_offsets[owner_stage]
+            for j, owner in enumerate(members):
+                for k in range(d_prime):
+                    path = (
+                        *(self.stages[m][(m * j + k + offset) % d_prime]
+                          for m in range(owner_stage)),
+                        owner,
+                    )
+                    paths[(owner, k)] = path
+                    for hop in zip(path, path[1:]):
+                        edges.setdefault(hop, []).append((owner, k))
+        return paths, edges
+
+    def _path(self, owner: str, slice_index: int) -> tuple[str, ...]:
+        path = self._tables[0].get((owner, slice_index))
+        if path is None:
+            self.stage_of(owner)  # an unknown owner is the error to report
+            raise GraphConstructionError(
+                f"slice index {slice_index} out of range for d'={self.d_prime}"
+            )
+        return path
+
     def carrier(self, owner: str, slice_index: int, stage: int) -> str:
         """The node at ``stage`` that carries slice ``slice_index`` of ``owner``.
 
         Defined for ``0 <= stage < stage_of(owner)``; at the owner's own stage
         the owner itself holds all its slices.
         """
-        owner_stage = self.stage_of(owner)
-        if not 0 <= slice_index < self.d_prime:
-            raise GraphConstructionError(
-                f"slice index {slice_index} out of range for d'={self.d_prime}"
-            )
-        if stage >= owner_stage:
-            return owner
-        j = self.position_of(owner)
-        offset = self.stage_offsets[owner_stage]
-        position = (stage * j + slice_index + offset) % self.d_prime
-        return self.stages[stage][position]
+        path = self._path(owner, slice_index)
+        return path[stage] if stage < len(path) else owner
 
     def slice_path(self, owner: str, slice_index: int) -> list[str]:
         """The full vertex path taken by one slice, ending at its owner."""
-        owner_stage = self.stage_of(owner)
-        path = [self.carrier(owner, slice_index, m) for m in range(owner_stage)]
-        path.append(owner)
-        return path
+        return list(self._path(owner, slice_index))
 
     def slices_carried_by(self, address: str) -> list[SliceId]:
         """All slices that transit (or terminate at) ``address``.
@@ -169,15 +195,12 @@ class ForwardingGraph:
         every node in every later stage.
         """
         stage = self.stage_of(address)
-        carried: list[SliceId] = []
-        if stage > 0:
-            carried.extend((address, k) for k in range(self.d_prime))
-        for later_stage in range(stage + 1, len(self.stages)):
-            for owner in self.stages[later_stage]:
-                for k in range(self.d_prime):
-                    if self.carrier(owner, k, stage) == address:
-                        carried.append((owner, k))
-        return carried
+        # A source-stage owner's path is just itself: it carries no slice of its own.
+        return [
+            slice_id
+            for slice_id, path in self._tables[0].items()
+            if 1 < len(path) and stage < len(path) and path[stage] == address
+        ]
 
     def edge_slices(self, parent: str, child: str) -> list[SliceId]:
         """Ordered list of slices traversing the edge ``parent -> child``.
@@ -194,25 +217,13 @@ class ForwardingGraph:
                 f"{parent} (stage {parent_stage}) and {child} (stage {child_stage}) "
                 "are not adjacent"
             )
-        result: list[SliceId] = []
-        # The child's own slice carried by this parent.
-        for k in range(self.d_prime):
-            if self.carrier(child, k, parent_stage) == parent:
-                result.append((child, k))
-        if len(result) != 1:
+        result = list(self._tables[1].get((parent, child), ()))
+        own = sum(1 for owner, _k in result if owner == child)
+        if own != 1:
             raise GraphConstructionError(
                 f"expected exactly one slice of {child} at parent {parent}, "
-                f"found {len(result)}"
+                f"found {own}"
             )
-        # Downstream slices that ride this edge.
-        for later_stage in range(child_stage + 1, len(self.stages)):
-            for owner in self.stages[later_stage]:
-                for k in range(self.d_prime):
-                    if (
-                        self.carrier(owner, k, parent_stage) == parent
-                        and self.carrier(owner, k, child_stage) == child
-                    ):
-                        result.append((owner, k))
         return result
 
     def max_slices_per_edge(self) -> int:

@@ -480,7 +480,7 @@ class Relay:
             return []
         state.data_flushed.add(seq)
         blocks: list[CodedBlock] | None = None
-        coder = SliceCoder(state.d, field=self.field)
+        coder: SliceCoder | None = None
         outgoing: list[Packet] = []
         for child_index, (child, child_flow) in enumerate(
             zip(info.next_hop_addresses, info.next_hop_flow_ids)
@@ -491,6 +491,7 @@ class Relay:
                 continue
             if blocks is None:
                 blocks = state.data.blocks(seq)
+                coder = SliceCoder(state.d, field=self.field)
             replacement = coder.recombine(blocks, self.rng)
             self.stats.regenerated_slices += 1
             state.data_forwarded.add((seq, child_index))

@@ -69,7 +69,6 @@ that closes inside a batch are each rejected with a
 from __future__ import annotations
 
 import asyncio
-import heapq
 import itertools
 import struct
 from dataclasses import dataclass
@@ -119,18 +118,6 @@ class AioClock(EventSimulator):
         """Move the virtual clock forward (never backwards)."""
         if time > self.now:
             self.now = time
-
-    def next_event(self, until: float | None = None):
-        """Pop the earliest live event, or ``None`` (heap drained / past ``until``)."""
-        while self._queue:
-            event = self._queue[0]
-            if until is not None and event.time > until:
-                return None
-            heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            return event
-        return None
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
         return self._substrate.drive(until=until, max_events=max_events)
@@ -402,15 +389,14 @@ class AioOverlayNetwork(OverlayTransport):
         processed = 0
         while True:
             await self._quiesce()
-            event = clock.next_event(until)
+            event = clock.pop_due(until, max_events - processed)
             if event is None:
                 break
             processed += 1
-            if processed > max_events:
-                raise SimulationError("event budget exceeded; possible livelock")
-            clock.advance(event.time)
+            time, callback = event
+            clock.advance(time)
             clock.events_processed += 1
-            event.callback()
+            callback()
         if until is not None:
             clock.advance(until)
         return clock.now

@@ -46,6 +46,7 @@ The runtime drives the protocol through one of two data planes:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -93,20 +94,28 @@ def _queue_dones(
 
     Small batches run the plain recurrence; larger ones use its closed form
     ``done_i = c_i + max(free, max_{j<=i}(start_j - c_{j-1}))`` (``c`` the
-    duration cumsum), which is three numpy passes instead of a Python loop.
+    running sum of durations), in one pass.  The closed form's float
+    operations and their order are those of its numpy statement
+    (``cumsum``, ``maximum.accumulate``, ``maximum``), so the virtual clock
+    is the same to the last bit (``tests/test_event_core.py`` keeps that
+    statement as the oracle).
     """
+    dones: list[float] = []
     if len(durations) < 8:
-        dones: list[float] = []
         for start, duration in zip(starts, durations):
             begin = start if start > free else free
             free = begin + duration
             dones.append(free)
         return dones
-    durations_arr = np.asarray(durations, dtype=float)
-    starts_arr = np.asarray(starts, dtype=float)
-    csum = np.cumsum(durations_arr)
-    slack = np.maximum.accumulate(starts_arr - (csum - durations_arr))
-    return (csum + np.maximum(slack, free)).tolist()
+    c = 0.0
+    slack = -math.inf
+    for start, duration in zip(starts, durations):
+        c += duration
+        gap = start - (c - duration)
+        if gap > slack:
+            slack = gap
+        dones.append(c + (slack if slack >= free else free))
+    return dones
 
 
 @dataclass

@@ -6,38 +6,38 @@ Rather than racing wall-clock asyncio tasks, we schedule everything on a
 simulated clock.  The simulator is deliberately tiny — an event heap with
 deterministic tie-breaking — because all domain behaviour lives in the node
 runtimes built on top of it (:mod:`repro.overlay.node`).
+
+A heap entry is a ``[time, sequence, callback]`` list.  Sequences are
+unique, so ``heapq`` orders entries by ``(time, sequence)`` in C without
+ever comparing callbacks; cancelling an event sets its callback to ``None``.
+:meth:`EventSimulator.pop_due` is the one place that pops an entry, shared
+by :meth:`EventSimulator.run` and the asyncio backend's drain loop.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from ..core.errors import SimulationError
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
     """Handle returned by :meth:`EventSimulator.schedule`; allows cancellation."""
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        self._entry[2] = None
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._entry[0]
 
 
 class _KeyedBatch:
@@ -55,25 +55,34 @@ class EventSimulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[list] = []
         self._sequence = itertools.count()
         self._batches: dict[object, _KeyedBatch] = {}
         self.events_processed = 0
         self.batched_events = 0
 
+    def _push(self, time: float, callback: Callable[[], None]) -> list:
+        entry = [time, next(self._sequence), callback]
+        heappush(self._queue, entry)
+        return entry
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` ``delay`` simulated seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay}s in the past")
-        event = _ScheduledEvent(
-            time=self.now + delay, sequence=next(self._sequence), callback=callback
-        )
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(
+                f"cannot schedule an event with delay {delay!r}: "
+                "delays must be finite and non-negative"
+            )
+        return EventHandle(self._push(self.now + delay, callback))
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Run ``callback`` at absolute simulated time ``time``."""
-        return self.schedule(max(time - self.now, 0.0), callback)
+        """Run ``callback`` at absolute simulated time ``time`` (now, if already past)."""
+        if not 0.0 <= time < math.inf:
+            raise SimulationError(
+                f"cannot schedule an event at time {time!r}: "
+                "times must be finite and non-negative"
+            )
+        return EventHandle(self._push(self.now + max(time - self.now, 0.0), callback))
 
     def schedule_keyed(
         self,
@@ -109,26 +118,45 @@ class EventSimulator:
 
         self.schedule_at(time, fire)
 
+    def pop_due(
+        self, until: float | None, budget: int
+    ) -> tuple[float, Callable[[], None]] | None:
+        """Pop the earliest live event due by ``until``: ``(time, callback)``.
+
+        Returns ``None`` when the heap is drained or its earliest event lies
+        past ``until``; cancelled entries reached on the way are discarded.
+        ``budget`` is how many more events the caller may run: when it is
+        used up, a due event raises :class:`SimulationError` and stays
+        queued, so a later run still executes it.
+        """
+        queue = self._queue
+        while queue:
+            time, _sequence, callback = queue[0]
+            if until is not None and time > until:
+                return None
+            if callback is None:
+                heappop(queue)
+                continue
+            if budget <= 0:
+                raise SimulationError("event budget exceeded; possible livelock")
+            heappop(queue)
+            return time, callback
+        return None
+
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
         """Process events until the queue drains or ``until`` is reached.
 
-        Returns the simulated time at which processing stopped.
+        Returns the simulated time at which processing stopped.  Running more
+        than ``max_events`` events in one call raises :class:`SimulationError`
+        before the next one is popped, so it is still queued for a later run.
         """
+        pop_due = self.pop_due
         processed = 0
-        while self._queue:
-            event = self._queue[0]
-            if until is not None and event.time > until:
-                self.now = until
-                return self.now
-            heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
+        while (event := pop_due(until, max_events - processed)) is not None:
             processed += 1
-            if processed > max_events:
-                raise SimulationError("event budget exceeded; possible livelock")
-            self.now = event.time
+            self.now, callback = event
             self.events_processed += 1
-            event.callback()
+            callback()
         if until is not None:
             self.now = max(self.now, until)
         return self.now
@@ -136,4 +164,4 @@ class EventSimulator:
     @property
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) events still waiting."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if entry[2] is not None)

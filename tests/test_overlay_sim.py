@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator, network models and node runtime."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.source import Source
 from repro.overlay.network import NodeResources, heterogeneous_network, uniform_network
 from repro.overlay.node import SimulatedOverlayNetwork, SlicingRuntime
 from repro.overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE, get_profile
+from repro.overlay.runtime import build_substrate
 from repro.overlay.simulator import EventSimulator
 
 
@@ -29,6 +32,35 @@ def test_schedule_in_past_rejected():
     sim = EventSimulator()
     with pytest.raises(SimulationError):
         sim.schedule(-1.0, lambda: None)
+    # NaN compares false with everything, so `delay < 0` alone let it in.
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(SimulationError, match=re.escape(repr(bad))):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError, match=re.escape(repr(bad))):
+            sim.schedule_at(bad, lambda: None)
+    assert sim.pending == 0
+    assert sim.run() == 0.0
+
+
+@pytest.mark.parametrize("backend", ["sim", "aio"])
+def test_event_that_trips_the_budget_stays_queued(backend):
+    substrate = build_substrate(
+        backend, uniform_network(["a"], 0.0, NodeResources()), connection_bps=1e6
+    )
+    sim = substrate.sim
+    try:
+        ran = []
+        for index in range(3):
+            sim.schedule(float(index), lambda index=index: ran.append(index))
+        with pytest.raises(SimulationError, match="event budget"):
+            sim.run(max_events=1)
+        assert ran == [0]
+        sim.run()
+        assert ran == [0, 1, 2]
+        assert sim.events_processed == 3
+        assert sim.now == 2.0
+    finally:
+        substrate.close()
 
 
 def test_run_until_stops_early():
