@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.experiments.bench_history import GATES, summarise_gate
+from repro.experiments.bench_history import summarise_gate
 
 _RAW_SCALE = os.environ.get("REPRO_BENCH_SCALE", "0.1")
 
@@ -44,25 +44,14 @@ def scale() -> float:
     return SCALE
 
 
-# -- speedup gates: always reported, enforced only on opt-in ------------------------
+# -- gate readings: reported, never enforced ---------------------------------------
 #
 # Wall-clock speed must never decide whether tier-1 (`python -m pytest -x -q`)
-# is green: a slow or busy host is not a bug.  Every benchmark keeps asserting
-# bit-identity and structure unconditionally; the gated ones hand their rows to
-# `check_speedups`, which summarises them exactly as the ledger does
-# (`bench_history.summarise_gate`), records the line for the terminal summary
-# and fails below the gate's target or floor (`bench_history.GATES`) only
-# under `--enforce-speedups` (the CI bench steps pass it).
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--enforce-speedups",
-        action="store_true",
-        default=False,
-        help="fail a benchmark whose measured speedup is below its target "
-        "(default: report the speedups, assert only identity and structure)",
-    )
+# is green: a slow or busy host is not a bug.  Every benchmark asserts
+# bit-identity and structure; the one gate of `bench_history.GATES` hands its
+# rows to `check_speedups`, which summarises them exactly as the ledger does
+# (`bench_history.summarise_gate`) and records the line for the terminal
+# summary.
 
 
 _SPEEDUP_REPORT = pytest.StashKey[list]()
@@ -70,27 +59,16 @@ _SPEEDUP_REPORT = pytest.StashKey[list]()
 
 @pytest.fixture
 def check_speedups(request):
-    """``check(rows, gate)``: report ``gate``'s measured rows; enforce on opt-in."""
+    """``check(rows, gate)``: report ``gate``'s measured rows."""
     config = request.config
-    enforce = config.getoption("--enforce-speedups", default=False)
 
     def check(rows: list[dict], gate: str):
-        target, floor = GATES[gate]["target"], GATES[gate]["floor"]
         summary = summarise_gate({"rows": rows})
         speedups = sorted(round(row["speedup"], 2) for row in rows if "speedup" in row)
-        wanted = "no target" if target is None else f"target >= {target:g}x"
-        if floor is not None:
-            wanted += f", each > {floor:g}x"
-        line = (
+        config.stash.setdefault(_SPEEDUP_REPORT, []).append(
             f"{gate}: median {summary['speedup']:.2f}x "
-            f"({summary['reference_ms']:.4g} -> {summary['fast_ms']:.4g} ms) "
-            f"of {speedups} ({wanted})"
+            f"({summary['reference_ms']:.4g} -> {summary['fast_ms']:.4g} ms) of {speedups}"
         )
-        config.stash.setdefault(_SPEEDUP_REPORT, []).append(line)
-        if not enforce:
-            return
-        assert target is None or summary["speedup"] >= target, line
-        assert floor is None or summary["min_speedup"] > floor, line
 
     return check
 
@@ -99,8 +77,6 @@ def pytest_terminal_summary(terminalreporter, config):
     lines = config.stash.get(_SPEEDUP_REPORT, [])
     if not lines:
         return
-    enforced = config.getoption("--enforce-speedups", default=False)
-    verdict = "enforced" if enforced else "reported only; --enforce-speedups gates them"
-    terminalreporter.section(f"measured speedups ({verdict})")
+    terminalreporter.section("measured speedups (reported only)")
     for line in lines:
         terminalreporter.line(line)

@@ -8,11 +8,8 @@ from .analysis import (
     source_case1_probability,
 )
 from .attacker import (
-    AttackerView,
     AttackerViewBatch,
-    StageLayout,
     StageLayoutBatch,
-    sample_stage_layout,
     sample_stage_layout_batch,
 )
 from .metrics import (
@@ -25,11 +22,8 @@ from .metrics import (
 from .simulation import (
     AnonymityResult,
     AnonymityTrialValues,
-    destination_anonymity_for_view,
-    simulate_anonymity,
     simulate_anonymity_batch,
     simulate_anonymity_trials,
-    source_anonymity_for_view,
     sweep_anonymity,
     sweep_malicious_fraction,
     sweep_path_length,
@@ -43,19 +37,13 @@ __all__ = [
     "degree_of_anonymity",
     "two_level_anonymity",
     "information_bits_missing",
-    "StageLayout",
     "StageLayoutBatch",
-    "AttackerView",
     "AttackerViewBatch",
-    "sample_stage_layout",
     "sample_stage_layout_batch",
     "AnonymityResult",
     "AnonymityTrialValues",
-    "simulate_anonymity",
     "simulate_anonymity_batch",
     "simulate_anonymity_trials",
-    "source_anonymity_for_view",
-    "destination_anonymity_for_view",
     "sweep_anonymity",
     "sweep_malicious_fraction",
     "sweep_split_factor",

@@ -6,8 +6,8 @@ stage), and nothing else: slice contents are pi-secure and flow-ids change at
 every hop, so malicious relays can link their observations only when they sit
 in *consecutive* stages of the same graph.
 
-:class:`AttackerView` condenses everything the colluding set can derive from
-a particular graph instance:
+:class:`AttackerViewBatch` condenses everything the colluding set can derive
+from each graph instance of a Monte-Carlo run:
 
 * which stages are *exposed* (their full membership is visible),
 * the longest run ``s`` of consecutive exposed stages and its first stage
@@ -16,17 +16,14 @@ a particular graph instance:
   are malicious, letting the attacker pool slices and decode the entire
   downstream graph (Case 1 of the appendix).
 
-Two representations coexist.  :class:`StageLayout` / :class:`AttackerView`
-hold one graph instance as plain Python objects — the readable reference
-implementation.  :class:`StageLayoutBatch` / :class:`AttackerViewBatch` hold
-*all* Monte-Carlo trials of a parameter point as flat numpy arrays and derive
-every attacker quantity with vectorised kernels; this is what
-:func:`~repro.anonymity.simulation.simulate_anonymity_batch` builds on.  Both
-*simulation engines* draw their randomness through
-:func:`sample_stage_layout_batch`, so equal seeds give them the identical
-trial set.  (The standalone per-instance sampler :func:`sample_stage_layout`
-predates the batch sampler and consumes the generator in a different order —
-seeding both the same does *not* reproduce the same layout.)
+:class:`StageLayoutBatch` / :class:`AttackerViewBatch` hold *all* trials of a
+parameter point as flat numpy arrays and derive every attacker quantity with
+vectorised kernels; this is what
+:func:`~repro.anonymity.simulation.simulate_anonymity_batch` builds on.  The
+one-graph-instance reference written as plain Python objects, which reads
+like the appendix, lives in ``tests/oracles/anonymity.py`` and is checked
+against this module trial by trial
+(``tests/test_anonymity_batch.py::test_batch_view_matches_scalar_view_per_trial``).
 """
 
 from __future__ import annotations
@@ -36,163 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class StageLayout:
-    """A lightweight stand-in for a forwarding graph used in anonymity studies.
-
-    ``malicious[l][i]`` says whether node ``i`` of stage ``l`` is controlled
-    by the attacker.  Stage 0 is the source stage, which is never malicious
-    (the source uses its own machines).  ``destination_stage`` /
-    ``destination_position`` locate the receiver.
-    """
-
-    malicious: tuple[tuple[bool, ...], ...]
-    destination_stage: int
-    destination_position: int
-    d: int
-    d_prime: int
-
-    @property
-    def path_length(self) -> int:
-        return len(self.malicious) - 1
-
-    def stage_malicious_count(self, stage: int) -> int:
-        return sum(self.malicious[stage])
-
-    def stage_has_malicious(self, stage: int) -> bool:
-        return any(self.malicious[stage])
-
-
-def sample_stage_layout(
-    path_length: int,
-    d: int,
-    fraction_malicious: float,
-    rng: np.random.Generator,
-    d_prime: int | None = None,
-) -> StageLayout:
-    """Sample one random graph instance for the Monte-Carlo anonymity study.
-
-    Relays are drawn from a large overlay in which a fraction ``f`` of nodes
-    is malicious, so each relay slot is malicious independently with
-    probability ``f``.  The source stage is clean by assumption (§3c) and the
-    destination is placed uniformly at random among the relay slots, and is
-    of course not malicious.
-    """
-    d_prime = d if d_prime is None else d_prime
-    stages: list[tuple[bool, ...]] = [tuple([False] * d_prime)]
-    flags = rng.random((path_length, d_prime)) < fraction_malicious
-    destination_stage = int(rng.integers(1, path_length + 1))
-    destination_position = int(rng.integers(0, d_prime))
-    for stage_index in range(1, path_length + 1):
-        row = list(flags[stage_index - 1])
-        if stage_index == destination_stage:
-            row[destination_position] = False
-        stages.append(tuple(bool(x) for x in row))
-    return StageLayout(
-        malicious=tuple(stages),
-        destination_stage=destination_stage,
-        destination_position=destination_position,
-        d=d,
-        d_prime=d_prime,
-    )
-
-
-@dataclass
-class AttackerView:
-    """What a colluding adversary can infer from one graph instance."""
-
-    layout: StageLayout
-    exposed_stages: tuple[bool, ...]
-    longest_chain_start: int
-    longest_chain_length: int
-    first_stage_decodable: bool
-    decodable_stage_before_destination: bool
-
-    @property
-    def chain_stages(self) -> range:
-        return range(
-            self.longest_chain_start,
-            self.longest_chain_start + self.longest_chain_length,
-        )
-
-    @classmethod
-    def from_layout(cls, layout: StageLayout) -> "AttackerView":
-        num_stages = len(layout.malicious)  # L + 1 including the source stage
-        # Stage j is exposed when the attacker has a vantage point onto it: a
-        # malicious node in stage j itself, a malicious child (which sees all
-        # of stage j as its parents) or a malicious parent (which sees all of
-        # stage j as its children).
-        exposed = []
-        for stage in range(num_stages):
-            own = layout.stage_has_malicious(stage) if stage >= 1 else False
-            before = stage - 1 >= 1 and layout.stage_has_malicious(stage - 1)
-            after = stage + 1 < num_stages and layout.stage_has_malicious(stage + 1)
-            exposed.append(own or before or after)
-        start, length = _longest_true_run(exposed)
-
-        # Case-1 conditions: the attacker decodes everything downstream of a
-        # stage in which it controls at least d of the d' relays.
-        first_stage_decodable = layout.stage_malicious_count(1) >= layout.d
-        decodable_before_destination = any(
-            layout.stage_malicious_count(stage) >= layout.d
-            for stage in range(1, layout.destination_stage)
-        )
-        return cls(
-            layout=layout,
-            exposed_stages=tuple(exposed),
-            longest_chain_start=start,
-            longest_chain_length=length,
-            first_stage_decodable=first_stage_decodable,
-            decodable_stage_before_destination=decodable_before_destination,
-        )
-
-    def known_relay_count(self) -> int:
-        """Number of relay slots inside the longest exposed chain."""
-        relay_stages = [
-            stage for stage in self.chain_stages if 1 <= stage <= self.layout.path_length
-        ]
-        return len(relay_stages) * self.layout.d_prime
-
-    def destination_in_chain(self) -> bool:
-        return self.layout.destination_stage in self.chain_stages
-
-
-def _longest_true_run(values: list[bool]) -> tuple[int, int]:
-    """Return (start, length) of the longest run of True values.
-
-    Ties resolve to the *first* longest run, and an empty or all-False input
-    yields ``(0, 0)``:
-
-    >>> _longest_true_run([True, True, False, True, True, True])
-    (3, 3)
-    >>> _longest_true_run([True, True, False, True, True])
-    (0, 2)
-    >>> _longest_true_run([])
-    (0, 0)
-    """
-    best_start, best_length = 0, 0
-    current_start, current_length = 0, 0
-    for index, value in enumerate(values):
-        if value:
-            if current_length == 0:
-                current_start = index
-            current_length += 1
-            if current_length > best_length:
-                best_start, best_length = current_start, current_length
-        else:
-            current_length = 0
-    return best_start, best_length
-
-
 def _longest_true_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`_longest_true_run` over the rows of a 2-D bool mask.
+    """(start, length) of the longest run of True values in each row of a 2-D mask.
 
-    Returns ``(starts, lengths)`` arrays of shape ``(rows,)``.  The Python
-    loop runs over the ~``L + 1`` columns, never over the (many) rows: column
-    ``j`` of ``streak`` holds, for every row at once, the length of the True
-    run ending at ``j``.  ``argmax`` then finds the first column attaining
-    each row's maximum streak, which is exactly the end of the row's *first*
-    longest run — the same tie-break the scalar helper uses.
+    Returns ``(starts, lengths)`` arrays of shape ``(rows,)``.  Ties resolve
+    to the *first* longest run, and an all-False row yields ``(0, 0)``.  The
+    Python loop runs over the ~``L + 1`` columns, never over the (many) rows:
+    column ``j`` of ``streak`` holds, for every row at once, the length of the
+    True run ending at ``j``.  ``argmax`` then finds the first column
+    attaining each row's maximum streak, which is exactly the end of the
+    row's first longest run.
 
     >>> import numpy as np
     >>> starts, lengths = _longest_true_runs(
@@ -223,9 +73,7 @@ class StageLayoutBatch:
 
     ``malicious[t, l, i]`` says whether node ``i`` of stage ``l`` in trial
     ``t`` is controlled by the attacker; stage 0 (the source stage) is all
-    False, and so is every trial's destination slot.  This is the batched
-    twin of :class:`StageLayout`: one array instead of ``trials`` nested
-    tuple objects.
+    False, and so is every trial's destination slot.
     """
 
     malicious: np.ndarray
@@ -242,18 +90,6 @@ class StageLayoutBatch:
     def path_length(self) -> int:
         return self.malicious.shape[1] - 1
 
-    def layout(self, trial: int) -> StageLayout:
-        """Extract one trial as a scalar :class:`StageLayout` object."""
-        return StageLayout(
-            malicious=tuple(
-                tuple(bool(flag) for flag in stage) for stage in self.malicious[trial]
-            ),
-            destination_stage=int(self.destination_stage[trial]),
-            destination_position=int(self.destination_position[trial]),
-            d=self.d,
-            d_prime=self.d_prime,
-        )
-
 
 def sample_stage_layout_batch(
     trials: int,
@@ -265,10 +101,12 @@ def sample_stage_layout_batch(
 ) -> StageLayoutBatch:
     """Sample all Monte-Carlo trials of one parameter point in a single draw.
 
-    Randomness is consumed in three bulk draws (relay flags, destination
-    stages, destination positions), so both the scalar reference loop and the
-    batched engine — which share this sampler — see the identical trial set
-    for equal seeds.
+    Relays are drawn from a large overlay in which a fraction ``f`` of nodes
+    is malicious, so each relay slot is malicious independently with
+    probability ``f``.  The source stage is clean by assumption (§3c) and the
+    destination is placed uniformly at random among the relay slots, and is
+    of course not malicious.  Randomness is consumed in three bulk draws
+    (relay flags, destination stages, destination positions).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -291,10 +129,10 @@ def sample_stage_layout_batch(
 
 @dataclass(frozen=True)
 class AttackerViewBatch:
-    """Vectorised attacker view over every trial of a :class:`StageLayoutBatch`.
+    """The attacker view of every trial of a :class:`StageLayoutBatch`.
 
-    Each field is the array twin of the corresponding :class:`AttackerView`
-    attribute, indexed by trial.
+    Each field is an array indexed by trial (``exposed_stages`` by trial and
+    stage).
     """
 
     layouts: StageLayoutBatch
@@ -334,7 +172,3 @@ class AttackerViewBatch:
             first_stage_decodable=first_stage_decodable,
             decodable_stage_before_destination=decodable_before_destination,
         )
-
-    def view(self, trial: int) -> AttackerView:
-        """Extract one trial as a scalar :class:`AttackerView` object."""
-        return AttackerView.from_layout(self.layouts.layout(trial))

@@ -7,23 +7,19 @@ destination anonymity via the entropy metric (Eq. 5).  The reported value is
 the average over many trials, exactly as in the paper (1000 trials per data
 point).
 
-Two engines implement the evaluation:
+:func:`simulate_anonymity_batch` is the engine behind Figs. 7-10: all
+trials are sampled as one ``(trials, L, d')`` boolean array
+(:func:`~repro.anonymity.attacker.sample_stage_layout_batch`), and the
+exposed-stage masks, longest consecutive-exposed runs and Case-1
+decodability come out of batched numpy kernels with no per-trial Python
+objects.  The Appendix-A entropy assignment depends only on the longest chain
+length ``s`` once the parameter point is fixed, so it is evaluated once per
+distinct ``s`` (at most ``L + 2`` values) and gathered per trial.
 
-* :func:`simulate_anonymity` — the scalar *reference* implementation: one
-  :class:`~repro.anonymity.attacker.StageLayout` and
-  :class:`~repro.anonymity.attacker.AttackerView` per trial, evaluated with
-  plain Python.  Kept deliberately close to the appendix's prose.
-* :func:`simulate_anonymity_batch` — the vectorised engine behind Figs. 7-10:
-  all trials are sampled as one ``(trials, L, d')`` boolean array, and the
-  exposed-stage masks, longest consecutive-exposed runs and Case-1
-  decodability come out of batched numpy kernels with no per-trial Python
-  objects.  The Appendix-A entropy assignment depends only on the longest
-  chain length ``s`` once the parameter point is fixed, so it is evaluated
-  once per distinct ``s`` (at most ``L + 2`` values) and gathered per trial.
-
-Both engines draw randomness through
-:func:`~repro.anonymity.attacker.sample_stage_layout_batch`, so the same seed
-yields bit-identical per-trial anonymity values from either — asserted by
+The per-trial reference — one stage layout and attacker view per trial,
+written to read like the appendix — lives in ``tests/oracles/anonymity.py``
+and draws through the same sampler, so the same seed yields bit-identical
+per-trial values from both — asserted by
 ``tests/test_anonymity_batch.py::test_batched_engine_matches_scalar_per_trial``.
 
 The four figure sweeps (malicious fraction, split factor, path length,
@@ -33,18 +29,12 @@ redundancy) are thin declarative wrappers over the shared
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .attacker import (
-    AttackerView,
-    AttackerViewBatch,
-    StageLayoutBatch,
-    sample_stage_layout_batch,
-)
+from .attacker import AttackerViewBatch, sample_stage_layout_batch
 from .metrics import two_level_anonymity
 
 
@@ -64,8 +54,8 @@ class AnonymityTrialValues:
     """Per-trial outcomes of one Monte-Carlo run, before averaging.
 
     Exposing the raw per-trial arrays is what lets the test suite assert
-    *exact* statistical equivalence between the scalar and batched engines:
-    same seed in, same array of per-trial anonymity values out.
+    *exact* statistical equivalence with the per-trial reference: same seed
+    in, same array of per-trial anonymity values out.
     """
 
     source_anonymity: np.ndarray
@@ -133,67 +123,35 @@ def _destination_anonymity_from_chain(
     return two_level_anonymity(suspects, p_suspect, others, p_other, num_nodes)
 
 
-def source_anonymity_for_view(
-    view: AttackerView, num_nodes: int, fraction_malicious: float
-) -> float:
-    """Source anonymity of one graph instance (Appendix A.1)."""
-    if view.first_stage_decodable:
-        return 0.0
-    layout = view.layout
-    return _source_anonymity_from_chain(
-        view.longest_chain_length,
-        num_nodes,
-        layout.path_length,
-        layout.d_prime,
-        fraction_malicious,
-    )
+# -- engine ----------------------------------------------------------------------
 
 
-def destination_anonymity_for_view(
-    view: AttackerView, num_nodes: int, fraction_malicious: float
-) -> float:
-    """Destination anonymity of one graph instance (Appendix A.2)."""
-    if view.decodable_stage_before_destination:
-        return 0.0
-    layout = view.layout
-    return _destination_anonymity_from_chain(
-        view.longest_chain_length,
-        num_nodes,
-        layout.path_length,
-        layout.d_prime,
-        fraction_malicious,
-    )
-
-
-# -- engines ---------------------------------------------------------------------
-
-
-def _scalar_trial_values(
-    layouts: StageLayoutBatch, num_nodes: int, fraction_malicious: float
+def simulate_anonymity_trials(
+    num_nodes: int,
+    path_length: int,
+    d: int,
+    fraction_malicious: float,
+    trials: int = 1000,
+    rng: np.random.Generator | None = None,
+    d_prime: int | None = None,
 ) -> AnonymityTrialValues:
-    """Reference engine: per-trial Python objects, exactly as the appendix reads."""
-    trials = layouts.trials
-    source = np.empty(trials, dtype=float)
-    destination = np.empty(trials, dtype=float)
-    source_case1 = np.empty(trials, dtype=bool)
-    destination_case1 = np.empty(trials, dtype=bool)
-    for trial in range(trials):
-        view = AttackerView.from_layout(layouts.layout(trial))
-        source_case1[trial] = view.first_stage_decodable
-        destination_case1[trial] = view.decodable_stage_before_destination
-        source[trial] = source_anonymity_for_view(view, num_nodes, fraction_malicious)
-        destination[trial] = destination_anonymity_for_view(
-            view, num_nodes, fraction_malicious
-        )
-    return AnonymityTrialValues(source, destination, source_case1, destination_case1)
+    """Run one parameter point and return the raw per-trial values.
 
-
-def _batched_trial_values(
-    layouts: StageLayoutBatch, num_nodes: int, fraction_malicious: float
-) -> AnonymityTrialValues:
-    """Vectorised engine: numpy kernels over the whole trial stack at once."""
+    Parameters mirror Table 1: ``num_nodes`` is N, ``path_length`` is L,
+    ``d`` the split factor, ``fraction_malicious`` is f, and ``d_prime``
+    enables the redundancy study of Fig. 10.
+    """
+    _validate_trials(trials)
+    rng = np.random.default_rng() if rng is None else rng
+    layouts = sample_stage_layout_batch(
+        trials=trials,
+        path_length=path_length,
+        d=d,
+        fraction_malicious=fraction_malicious,
+        rng=rng,
+        d_prime=d_prime,
+    )
     views = AttackerViewBatch.from_layouts(layouts)
-    path_length = layouts.path_length
     d_prime = layouts.d_prime
     # For a fixed parameter point the Appendix-A assignment is a pure function
     # of the longest exposed chain length s in {0, ..., L + 1}, so tabulating
@@ -229,44 +187,7 @@ def _batched_trial_values(
     )
 
 
-_ENGINES = {"scalar": _scalar_trial_values, "batched": _batched_trial_values}
-
-
-def simulate_anonymity_trials(
-    num_nodes: int,
-    path_length: int,
-    d: int,
-    fraction_malicious: float,
-    trials: int = 1000,
-    rng: np.random.Generator | None = None,
-    d_prime: int | None = None,
-    engine: str = "batched",
-) -> AnonymityTrialValues:
-    """Run one parameter point and return the raw per-trial values.
-
-    ``engine`` selects ``"batched"`` (vectorised numpy, the default) or
-    ``"scalar"`` (the per-trial reference loop).  Both consume randomness
-    identically, so equal seeds give bit-identical per-trial values.
-    """
-    _validate_trials(trials)
-    try:
-        evaluate = _ENGINES[engine]
-    except KeyError:
-        known = ", ".join(sorted(_ENGINES))
-        raise ValueError(f"unknown engine {engine!r} (known: {known})") from None
-    rng = np.random.default_rng() if rng is None else rng
-    layouts = sample_stage_layout_batch(
-        trials=trials,
-        path_length=path_length,
-        d=d,
-        fraction_malicious=fraction_malicious,
-        rng=rng,
-        d_prime=d_prime,
-    )
-    return evaluate(layouts, num_nodes, fraction_malicious)
-
-
-def simulate_anonymity(
+def simulate_anonymity_batch(
     num_nodes: int,
     path_length: int,
     d: int,
@@ -277,49 +198,11 @@ def simulate_anonymity(
 ) -> AnonymityResult:
     """Run the paper's Monte-Carlo anonymity experiment for one parameter point.
 
-    Parameters mirror Table 1: ``num_nodes`` is N, ``path_length`` is L,
-    ``d`` the split factor, ``fraction_malicious`` is f, and ``d_prime``
-    enables the redundancy study of Fig. 10.  This is the scalar reference
-    implementation; :func:`simulate_anonymity_batch` computes the identical
-    values vectorised.
+    The averages of :func:`simulate_anonymity_trials`; all trials are
+    evaluated as numpy arrays in one pass.
     """
     return simulate_anonymity_trials(
-        num_nodes,
-        path_length,
-        d,
-        fraction_malicious,
-        trials,
-        rng,
-        d_prime,
-        engine="scalar",
-    ).result()
-
-
-def simulate_anonymity_batch(
-    num_nodes: int,
-    path_length: int,
-    d: int,
-    fraction_malicious: float,
-    trials: int = 1000,
-    rng: np.random.Generator | None = None,
-    d_prime: int | None = None,
-) -> AnonymityResult:
-    """Vectorised twin of :func:`simulate_anonymity` (same seed, same values).
-
-    All trials are evaluated as numpy arrays in one pass, well over an order
-    of magnitude faster than the scalar loop at the paper's 1000 trials per
-    point; ``tests/test_anonymity_batch.py::test_batched_engine_matches_scalar_per_trial``
-    holds the two to the same values.
-    """
-    return simulate_anonymity_trials(
-        num_nodes,
-        path_length,
-        d,
-        fraction_malicious,
-        trials,
-        rng,
-        d_prime,
-        engine="batched",
+        num_nodes, path_length, d, fraction_malicious, trials, rng, d_prime
     ).result()
 
 
@@ -330,7 +213,6 @@ def sweep_anonymity(
     points: list[tuple[Any, dict]],
     trials: int = 1000,
     seed: int = 0,
-    simulate: Callable[..., AnonymityResult] = simulate_anonymity_batch,
 ) -> list[tuple[Any, AnonymityResult]]:
     """Shared driver behind the Fig. 7-10 sweeps.
 
@@ -338,15 +220,13 @@ def sweep_anonymity(
     value reported back, ``kwargs`` the :func:`simulate_anonymity_batch`
     parameters of that point.  Each point gets its own deterministic
     generator (``seed + index``), matching the historical behaviour of the
-    individual sweep loops this driver replaced.  ``simulate`` defaults to
-    the batched engine; pass :func:`simulate_anonymity` to force the scalar
-    reference path.
+    individual sweep loops this driver replaced.
     """
     _validate_trials(trials)
     results = []
     for index, (key, kwargs) in enumerate(points):
         rng = np.random.default_rng(seed + index)
-        results.append((key, simulate(trials=trials, rng=rng, **kwargs)))
+        results.append((key, simulate_anonymity_batch(trials=trials, rng=rng, **kwargs)))
     return results
 
 

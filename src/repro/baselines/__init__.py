@@ -9,7 +9,6 @@ slicing.
 from .chaum import (
     ChaumAnonymityResult,
     ChaumTrialValues,
-    simulate_chaum_anonymity,
     simulate_chaum_anonymity_batch,
     simulate_chaum_trials,
     sweep_chaum_anonymity,
@@ -36,7 +35,6 @@ __all__ = [
     "run_multipath_transfer",
     "ChaumAnonymityResult",
     "ChaumTrialValues",
-    "simulate_chaum_anonymity",
     "simulate_chaum_anonymity_batch",
     "simulate_chaum_trials",
     "sweep_chaum_anonymity",

@@ -15,21 +15,16 @@ The model mirrors the information-slicing attacker analysis with ``d = 1``:
 * otherwise the attacker's suspicion concentrates on the neighbours of its
   longest compromised run, and the entropy metric quantifies what remains.
 
-Two engines implement the Monte-Carlo, mirroring
-:mod:`repro.anonymity.simulation`:
-
-* :func:`simulate_chaum_anonymity` — the scalar *reference*: one Python pass
-  per trial, kept deliberately close to the prose above.
-* :func:`simulate_chaum_anonymity_batch` — the vectorised engine behind
-  Fig. 7: all trials are sampled as one ``(trials, hops)`` boolean mask, the
-  longest compromised runs come out of the shared
-  :func:`~repro.anonymity.attacker._longest_true_runs` kernel, and the
-  entropy assignment (a pure function of the run length ``s`` once the
-  parameter point is fixed) is tabulated once and gathered per trial.
-
-Both engines draw their malicious masks through :func:`_sample_malicious`
-(one bulk draw, stream-identical to the historical per-trial draws), so the
-same seed yields bit-identical per-trial values from either — asserted by
+:func:`simulate_chaum_anonymity_batch` is the Monte-Carlo behind Fig. 7's
+Chaum curves, mirroring :mod:`repro.anonymity.simulation`: all trials are
+sampled as one ``(trials, hops)`` boolean mask (:func:`_sample_malicious`),
+the longest compromised runs come out of the shared
+:func:`~repro.anonymity.attacker._longest_true_runs` kernel, and the entropy
+assignment (a pure function of the run length ``s`` once the parameter point
+is fixed) is tabulated once and gathered per trial.  The per-trial chain-walk
+reference, kept close to the prose above, lives in
+``tests/oracles/chaum.py``; it draws through the same sampler, so the same
+seed yields bit-identical per-trial values from both — asserted by
 ``tests/test_chaum_batch.py::test_batched_engine_is_bit_identical_to_scalar``.
 """
 
@@ -56,8 +51,8 @@ class ChaumAnonymityResult:
 class ChaumTrialValues:
     """Per-trial outcomes of one Monte-Carlo run, before averaging.
 
-    Exposing the raw arrays lets the tests assert *exact* equivalence between
-    the scalar and batched engines: same seed in, same per-trial values out.
+    Exposing the raw arrays lets the tests assert *exact* equivalence with
+    the per-trial reference: same seed in, same per-trial values out.
     """
 
     source_anonymity: np.ndarray
@@ -87,20 +82,6 @@ def _sample_malicious(
     return rng.random((trials, path_length)) < fraction_malicious
 
 
-def _longest_run(flags: np.ndarray) -> tuple[int, int]:
-    best_start, best_len, cur_start, cur_len = 0, 0, 0, 0
-    for index, value in enumerate(flags):
-        if value:
-            if cur_len == 0:
-                cur_start = index
-            cur_len += 1
-            if cur_len > best_len:
-                best_start, best_len = cur_start, cur_len
-        else:
-            cur_len = 0
-    return best_start, best_len
-
-
 # -- entropy assignments as functions of the longest compromised run -------------
 
 
@@ -121,47 +102,22 @@ def _chain_anonymity_from_run(
     return two_level_anonymity(1, p_suspect, others, p_other, num_nodes)
 
 
-def _chain_source_anonymity(
-    malicious: np.ndarray, num_nodes: int, clean_nodes: int, path_length: int
-) -> float:
-    if malicious[0]:
-        return 0.0
-    _start, length = _longest_run(malicious)
-    return _chain_anonymity_from_run(length, num_nodes, clean_nodes, path_length)
+# -- engine ----------------------------------------------------------------------
 
 
-def _chain_destination_anonymity(
-    malicious: np.ndarray, num_nodes: int, clean_nodes: int, path_length: int
-) -> float:
-    if malicious[-1]:
-        return 0.0
-    _start, length = _longest_run(malicious)
-    return _chain_anonymity_from_run(length, num_nodes, clean_nodes, path_length)
-
-
-# -- engines ---------------------------------------------------------------------
-
-
-def _scalar_chaum_values(
-    malicious: np.ndarray, num_nodes: int, clean_nodes: int, path_length: int
+def simulate_chaum_trials(
+    num_nodes: int,
+    path_length: int,
+    fraction_malicious: float,
+    trials: int = 1000,
+    rng: np.random.Generator | None = None,
 ) -> ChaumTrialValues:
-    trials = malicious.shape[0]
-    source = np.empty(trials, dtype=float)
-    destination = np.empty(trials, dtype=float)
-    for trial in range(trials):
-        row = malicious[trial]
-        source[trial] = _chain_source_anonymity(
-            row, num_nodes, clean_nodes, path_length
-        )
-        destination[trial] = _chain_destination_anonymity(
-            row, num_nodes, clean_nodes, path_length
-        )
-    return ChaumTrialValues(source_anonymity=source, destination_anonymity=destination)
-
-
-def _batched_chaum_values(
-    malicious: np.ndarray, num_nodes: int, clean_nodes: int, path_length: int
-) -> ChaumTrialValues:
+    """Run one parameter point and return the raw per-trial values."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng() if rng is None else rng
+    malicious = _sample_malicious(trials, path_length, fraction_malicious, rng)
+    clean_nodes = max(int(num_nodes * (1.0 - fraction_malicious)), 1)
     _starts, lengths = _longest_true_runs(malicious)
     # For a fixed parameter point the assignment is a pure function of the
     # longest run length s in {0, ..., L}; tabulate once, gather per trial.
@@ -177,49 +133,6 @@ def _batched_chaum_values(
     return ChaumTrialValues(source_anonymity=source, destination_anonymity=destination)
 
 
-_ENGINES = {"scalar": _scalar_chaum_values, "batched": _batched_chaum_values}
-
-
-def simulate_chaum_trials(
-    num_nodes: int,
-    path_length: int,
-    fraction_malicious: float,
-    trials: int = 1000,
-    rng: np.random.Generator | None = None,
-    engine: str = "batched",
-) -> ChaumTrialValues:
-    """Run one parameter point and return the raw per-trial values.
-
-    ``engine`` selects ``"batched"`` (vectorised numpy, the default) or
-    ``"scalar"`` (the per-trial reference loop).  Both consume randomness
-    identically, so equal seeds give bit-identical per-trial values.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    try:
-        evaluate = _ENGINES[engine]
-    except KeyError:
-        known = ", ".join(sorted(_ENGINES))
-        raise ValueError(f"unknown engine {engine!r} (known: {known})") from None
-    rng = np.random.default_rng() if rng is None else rng
-    malicious = _sample_malicious(trials, path_length, fraction_malicious, rng)
-    clean_nodes = max(int(num_nodes * (1.0 - fraction_malicious)), 1)
-    return evaluate(malicious, num_nodes, clean_nodes, path_length)
-
-
-def simulate_chaum_anonymity(
-    num_nodes: int,
-    path_length: int,
-    fraction_malicious: float,
-    trials: int = 1000,
-    rng: np.random.Generator | None = None,
-) -> ChaumAnonymityResult:
-    """Monte-Carlo anonymity of a Chaum-mix chain (scalar reference engine)."""
-    return simulate_chaum_trials(
-        num_nodes, path_length, fraction_malicious, trials, rng, engine="scalar"
-    ).result()
-
-
 def simulate_chaum_anonymity_batch(
     num_nodes: int,
     path_length: int,
@@ -227,15 +140,10 @@ def simulate_chaum_anonymity_batch(
     trials: int = 1000,
     rng: np.random.Generator | None = None,
 ) -> ChaumAnonymityResult:
-    """Vectorised twin of :func:`simulate_chaum_anonymity` (same seed, same values).
-
-    All trials evaluate as numpy arrays in one pass, well over an order of
-    magnitude faster than the scalar loop at the paper's 1000 trials per
-    point; ``tests/test_chaum_batch.py::test_batched_engine_is_bit_identical_to_scalar``
-    holds the two to the same values.
-    """
+    """Monte-Carlo anonymity of a Chaum-mix chain: the averages of
+    :func:`simulate_chaum_trials`, all trials evaluated in one numpy pass."""
     return simulate_chaum_trials(
-        num_nodes, path_length, fraction_malicious, trials, rng, engine="batched"
+        num_nodes, path_length, fraction_malicious, trials, rng
     ).result()
 
 

@@ -163,13 +163,21 @@ class OnionRelay:
         self.sessions[handle] = (session_key, next_hop)
         return handle, next_hop, inner
 
-    def handle_data(self, handle: int, cell: bytes) -> tuple[str, bytes]:
-        """Strip this relay's symmetric layer from a data cell."""
+    def _session(self, handle: int) -> tuple[bytes, str]:
         try:
-            session_key, next_hop = self.sessions[handle]
+            return self.sessions[handle]
         except KeyError as exc:
             raise ProtocolError(f"unknown circuit handle {handle}") from exc
+
+    def handle_data(self, handle: int, cell: bytes) -> tuple[str, bytes]:
+        """Strip this relay's symmetric layer from a data cell."""
+        session_key, next_hop = self._session(handle)
         return next_hop, StreamCipher(session_key).decrypt(cell, _NONCE)
+
+    def strip_cells(self, handle: int, cells: list[bytes]) -> tuple[str, list[bytes]]:
+        """:meth:`handle_data` over a burst of cells (the runtimes' relay surface)."""
+        _session_key, next_hop = self._session(handle)
+        return next_hop, [self.handle_data(handle, cell)[1] for cell in cells]
 
 
 def run_circuit(

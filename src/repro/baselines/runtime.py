@@ -157,10 +157,7 @@ class _CircuitDriver:
             handle = self.handles.get(receiver)
             if handle is None:
                 return  # circuit never established through this relay
-            stripped = [
-                self.engines[receiver].handle_data(handle, cell)[1]
-                for cell in delivered
-            ]
+            _next_hop, stripped = self.engines[receiver].strip_cells(handle, delivered)
             self._forward_cells(hop_index + 1, seqs, stripped, source_layers)
 
         self.substrate.transmit_blobs(

@@ -38,8 +38,9 @@ Data cells mirror the classic baseline's session-key layering (one
 size-preserving keystream XOR per relay), but pad every message into a
 fixed :data:`DATA_CELL_SIZE` cell first, so payload lengths leak nothing
 either.  :meth:`SphinxSource.wrap_cells` / :meth:`SphinxRelay.strip_cells`
-are the batched fast paths (one keystream per circuit, one vectorised XOR
-per burst) and are bit-identical to the per-cell reference —
+layer a whole burst at once (one keystream per circuit, one vectorised XOR
+per burst) and are bit-identical to layering one stream cipher pass per hop
+per cell, the reference in ``tests/oracles/sphinx.py`` —
 ``tests/test_sphinx.py::test_batched_cells_bit_identical_to_per_cell_reference``
 asserts it.
 """
@@ -364,18 +365,11 @@ class SphinxSource:
             mac = _mac(secrets[index], routing)
         return SphinxPacket(alpha=alphas[0], routing=routing, mac=mac)
 
-    def wrap_data(self, circuit: SphinxCircuit, message: bytes) -> bytes:
-        """Per-cell reference: pad to a cell, then layer one stream per hop."""
-        cell = pack_cell(message)
-        for session_key in reversed(circuit.session_keys):
-            cell = StreamCipher(session_key).encrypt(cell, _NONCE)
-        return cell
-
     def wrap_cells(self, circuit: SphinxCircuit, messages: list[bytes]) -> list[bytes]:
-        """Batched wrap: one circuit keystream, one vectorised XOR per burst.
+        """Pad each message to a cell and layer one keystream per hop onto it.
 
-        Bit-identical to calling :meth:`wrap_data` per message (asserted by
-        ``tests/test_sphinx.py::test_batched_cells_bit_identical_to_per_cell_reference``).
+        The hops' keystreams are combined once per circuit and applied to the
+        whole burst in one vectorised XOR.
         """
         if not messages:
             return []
@@ -436,13 +430,8 @@ class SphinxRelay:
         except KeyError as exc:
             raise ProtocolError(f"unknown circuit handle {handle}") from exc
 
-    def handle_data(self, handle: int, cell: bytes) -> tuple[str, bytes]:
-        """Strip this relay's keystream layer from one data cell."""
-        session_key, next_hop = self._session(handle)
-        return next_hop, StreamCipher(session_key).decrypt(cell, _NONCE)
-
     def strip_cells(self, handle: int, cells: list[bytes]) -> tuple[str, list[bytes]]:
-        """Batched strip, bit-identical to per-cell :meth:`handle_data`."""
+        """Strip this relay's keystream layer from a burst of data cells."""
         session_key, next_hop = self._session(handle)
         if not cells:
             return next_hop, []
@@ -476,9 +465,7 @@ def run_sphinx_circuit(
     for hop in circuit.hops:
         handle, _next_hop, current = relay_engines[hop].handle_setup(current)
         handles.append(handle)
-    received: list[bytes] = []
-    for cell in source.wrap_cells(circuit, messages):
-        for hop, handle in zip(circuit.hops, handles):
-            _next_hop, cell = relay_engines[hop].handle_data(handle, cell)
-        received.append(source.open_delivered(cell))
-    return circuit, received
+    cells = source.wrap_cells(circuit, messages)
+    for hop, handle in zip(circuit.hops, handles):
+        _next_hop, cells = relay_engines[hop].strip_cells(handle, cells)
+    return circuit, [source.open_delivered(cell) for cell in cells]

@@ -58,7 +58,7 @@ def decode_setup_payload(
     — dependent rows, churn padding that fails the integrity frame, ragged
     payload lengths — falls back to :func:`robust_decode` on the very same
     blocks.  Asserted in ``tests/test_setup_decode.py``, block by block and
-    through a full route setup on both engines.
+    through a full route setup against the per-packet reference plane.
     """
     field = GF if field is None else field
     d = coder.d

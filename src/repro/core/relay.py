@@ -13,24 +13,20 @@ real socket daemon) decides how and when to deliver them.  Timeout-driven
 behaviour (forwarding despite missing parents) is triggered by the overlay
 calling :meth:`flush_setup` / :meth:`flush_data`.
 
-Data-plane engines
-------------------
+Decoding
+--------
 Per-(flow, seq) data slices live in a :class:`~repro.core.flow_decoder.FlowDecoder`
-(array-native accumulation).  Two engines turn accumulated slices into
-delivered messages:
-
-* ``"scalar"`` — the reference path: one
-  :func:`~repro.core.integrity.robust_decode` per message, attempted the
-  moment the ``d``-th slice arrives.  Kept deliberately close to the paper's
-  prose.
-* ``"batched"`` (default) — deliveries are deferred to the end of each
-  :meth:`handle_packets` call and decoded together through the batched
-  Gauss–Jordan kernels, and the *setup-phase* decode of a relay's own
-  routing slices (§4.3.5) goes through the same kernel
-  (:func:`~repro.core.flow_decoder.decode_setup_payload`).  Bit-identical to
-  the scalar engine (matrix inverses are unique and irregular cases fall
-  back to ``robust_decode``), asserted in ``tests/test_dataplane.py`` and
-  ``tests/test_setup_decode.py``.
+(array-native accumulation).  Deliveries are deferred to the end of each
+:meth:`handle_packets` call and decoded together through the batched
+Gauss–Jordan kernels, and the *setup-phase* decode of a relay's own routing
+slices (§4.3.5) goes through the same kernel
+(:func:`~repro.core.flow_decoder.decode_setup_payload`).  The per-message
+reference — one :func:`~repro.core.integrity.robust_decode` the moment the
+``d``-th slice arrives, as the paper's prose reads — lives in
+``tests/oracles/dataplane.py``; matrix inverses are unique and irregular
+cases fall back to ``robust_decode``, so the two are bit-identical
+(``tests/test_dataplane.py::test_batched_plane_bit_identical_to_scalar_reference``,
+``tests/test_setup_decode.py``).
 """
 
 from __future__ import annotations
@@ -44,13 +40,9 @@ from .coder import CodedBlock, SliceCoder
 from .errors import CodingError, InsufficientSlicesError, ProtocolError
 from .flow_decoder import FlowDecoder, decode_setup_payload
 from .gf import GF, GF256
-from .integrity import robust_decode
 from .node_info import NodeInfo
 from .packet import Packet, PacketKind, random_padding_slice
 from .source import data_nonce
-
-#: Valid relay data-plane engines.
-ENGINES = ("scalar", "batched")
 
 
 @dataclass
@@ -124,10 +116,6 @@ class Relay:
     regenerate_redundancy:
         Enable the network-coding regeneration of §4.4.1.  Disabling it gives
         the plain "erasure-coding only" behaviour used by the ablation bench.
-    engine:
-        ``"batched"`` (default) decodes deliverable messages in batched
-        GF(2^8) kernels; ``"scalar"`` keeps the per-message reference path.
-        Both produce bit-identical delivered messages and stats.
     field:
         The GF(2^8) implementation every coder and decoder of this relay
         uses; defaults to the shared :data:`~repro.core.gf.GF`.
@@ -139,16 +127,12 @@ class Relay:
         rng: np.random.Generator | None = None,
         auto_forward_setup: bool = True,
         regenerate_redundancy: bool = True,
-        engine: str = "batched",
         field: GF256 | None = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ProtocolError(f"unknown relay engine {engine!r} (known: {ENGINES})")
         self.address = address
         self.rng = np.random.default_rng() if rng is None else rng
         self.auto_forward_setup = auto_forward_setup
         self.regenerate_redundancy = regenerate_redundancy
-        self.engine = engine
         self.field = GF if field is None else field
         self.flows: dict[int, FlowState] = {}
         self.stats = RelayStats()
@@ -209,9 +193,9 @@ class Relay:
         """Process a batch of incoming packets; returns the packets to transmit.
 
         Packets are processed in order, so a batch behaves exactly like the
-        equivalent sequence of :meth:`handle_packet` calls — except that with
-        the ``"batched"`` engine all messages that become deliverable during
-        the batch are decoded together in one batched kernel pass.
+        equivalent sequence of :meth:`handle_packet` calls — except that all
+        messages that become deliverable during the batch are decoded
+        together in one batched kernel pass.
         """
         outgoing: list[Packet] = []
         pending: list[tuple[FlowState, int]] = []
@@ -225,7 +209,7 @@ class Relay:
             if packet.kind == PacketKind.SETUP:
                 outgoing.extend(self._handle_setup(state, packet, pending))
             elif packet.kind == PacketKind.DATA:
-                if self.engine == "batched" and state.decoded:
+                if state.decoded:
                     # Consume the whole same-connection run (one flow, one
                     # lane, consecutive data packets) in one pass.
                     run = index + 1
@@ -287,14 +271,7 @@ class Relay:
             return
         coder = SliceCoder(state.d, field=self.field)
         try:
-            # The batched engine decodes its routing slices through the
-            # batched Gauss-Jordan kernel (bit-identical fast path, scalar
-            # robust_decode fallback); the scalar engine keeps the
-            # per-message reference decode.
-            if self.engine == "batched":
-                payload = decode_setup_payload(coder, blocks, field=self.field)
-            else:
-                payload = robust_decode(coder, blocks)
+            payload = decode_setup_payload(coder, blocks, field=self.field)
             state.info = NodeInfo.unpack(payload)
             self.stats.flows_decoded += 1
         except (InsufficientSlicesError, CodingError, ProtocolError):
@@ -369,10 +346,7 @@ class Relay:
             return []
         block = packet.own_slice
         if info.is_receiver:
-            if self.engine == "batched":
-                pending.append((state, packet.seq))
-            else:
-                self._try_deliver(state, packet.seq)
+            pending.append((state, packet.seq))
         outgoing: list[Packet] = []
         for child_index, (child, child_flow) in enumerate(
             zip(info.next_hop_addresses, info.next_hop_flow_ids)
@@ -451,7 +425,9 @@ class Relay:
         message ``seq`` it can synthesise a fresh random linear combination to
         replace any slice a failed parent should have delivered.  Without
         ``regenerate_redundancy`` the lost slice stays lost (erasure-coding
-        baseline behaviour).
+        baseline behaviour).  The one-sequence entry point: its one ``src/``
+        caller is the in-process overlay (:mod:`repro.overlay.local`); the
+        overlay runtimes flush whole bursts through :meth:`flush_data_many`.
         """
         state = self.flows.get(flow_id)
         if state is None or not state.decoded:
@@ -540,20 +516,3 @@ class Relay:
                     continue
                 state.delivered[seq] = cipher.decrypt(ciphertext, data_nonce(seq))
                 self.stats.messages_delivered += 1
-
-    def _try_deliver(self, state: FlowState, seq: int) -> None:
-        if seq in state.delivered:
-            return
-        info = state.info
-        assert info is not None
-        if state.data.count(seq) < state.d:
-            return
-        blocks = state.data.blocks(seq)
-        coder = SliceCoder(state.d, field=self.field)
-        try:
-            ciphertext = robust_decode(coder, blocks)
-        except (InsufficientSlicesError, CodingError):
-            return
-        cipher = StreamCipher(info.secret_key)
-        state.delivered[seq] = cipher.decrypt(ciphertext, data_nonce(seq))
-        self.stats.messages_delivered += 1

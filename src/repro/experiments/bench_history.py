@@ -3,13 +3,13 @@
 Two kinds of measurement exist in this repo and the ledger holds both, side
 by side, under one label (a PR number or commit):
 
-* the **ratio gates** — bench experiments that time a reference path
-  against a fast path of our own code through
-  :func:`~repro.experiments.timing.compare_paths`.  :data:`GATES` is the
-  only place their names and targets are written down; an entry records,
-  per gate, the median of *both absolute sides* in milliseconds next to the
-  median and minimum speedup, so a ratio that moves can be attributed to
-  the side that moved.
+* the **gates** — bench experiments whose rows time a reference side
+  against a fast side (``distsweep``: one worker against two or more).
+  :data:`GATES` is the only place their names are written down; an entry
+  records, per gate, the median of *both absolute sides* in milliseconds
+  next to the median and minimum speedup, so a ratio that moves can be
+  attributed to the side that moved.  No gate has a target: the ledger
+  reports, it does not enforce.
 * the **perfbench medians** — the five end-to-end metrics of every
   workload ``perfbench/run.py`` measures, with the host manifest of the
   runs they came from.
@@ -34,15 +34,11 @@ from .runner import serialise_artifact
 
 TRAJECTORY_VERSION = 2
 
-#: Gate (= bench experiment) name -> the speedup its median must reach and
-#: the floor every row must clear, enforced by ``benchmarks/`` only under
-#: ``--enforce-speedups``.  ``distsweep`` has neither: sharding fig11 is
-#: bounded by its fixed per-run cost (docs/ARCHITECTURE.md, "Distributed
-#: execution"), so the ledger records its seconds and asserts no ratio.
-GATES: dict[str, dict] = {
-    "dataplane-bench": {"target": 5.0, "floor": 2.5},
-    "distsweep": {"target": None, "floor": None},
-}
+#: Gate (= bench experiment) names.  ``distsweep`` is report-only: sharding
+#: fig11 is bounded by its fixed per-run cost (docs/ARCHITECTURE.md,
+#: "Distributed execution"), so the ledger records its seconds and asserts
+#: no ratio.
+GATES = frozenset({"distsweep"})
 
 #: The end-to-end metrics ``BENCHMARK.json`` declares (tests/test_docs.py
 #: checks the two lists stay equal).
@@ -219,7 +215,7 @@ def collect(
             missing.append(gate)
             continue
         document = json.loads(artifact.read_text(encoding="utf-8"))
-        gates[gate] = {"target": GATES[gate]["target"], **summarise_gate(document)}
+        gates[gate] = summarise_gate(document)
     entry = {"label": label, "gates": gates}
     if perfbench_dir is not None:
         entry["perfbench"] = summarise_perfbench(perfbench_dir)
@@ -244,7 +240,7 @@ def render_trend(trajectory: dict) -> str:
 
     The gate table has one column per gate of :data:`GATES`; a gate retired
     from it keeps its past readings in the ledger file but leaves the table
-    (``pr6`` below recorded only such a gate).  A gate cell reads
+    (``pr7`` below recorded only such a gate).  A gate cell reads
     ``speedup× (reference → fast ms)``, all three medians over the gate's
     rows (entries migrated from the ratio-only schema have no milliseconds
     to show).  Gates a host could not run render as
@@ -253,25 +249,19 @@ def render_trend(trajectory: dict) -> str:
 
     >>> print(render_trend({"version": 2, "entries": [
     ...     {"label": "pr5", "gates": {
-    ...         "dataplane-bench": {"target": 5.0, "reference_ms": 180.0,
-    ...                             "fast_ms": 30.0, "speedup": 6.0},
-    ...         "distsweep": {"target": None, "skipped": "host has 1 CPU(s)"}}},
-    ...     {"label": "pr6", "gates": {"retired": {"target": 2.0, "speedup": 9.0}}}]}))
-    | label | dataplane-bench (≥5×) | distsweep |
-    |---|---|---|
-    | pr5 | 6× (180 → 30 ms) | n/a |
-    | pr6 | — | — |
+    ...         "distsweep": {"reference_ms": 180.0, "fast_ms": 120.0, "speedup": 1.5}}},
+    ...     {"label": "pr6", "gates": {"distsweep": {"skipped": "host has 1 CPU(s)"}}},
+    ...     {"label": "pr7", "gates": {"retired": {"target": 2.0, "speedup": 9.0}}}]}))
+    | label | distsweep |
+    |---|---|
+    | pr5 | 1.5× (180 → 120 ms) |
+    | pr6 | n/a |
+    | pr7 | — |
     """
     entries = trajectory.get("entries", [])
     gate_names = sorted(GATES)
     lines = [
-        "| label | "
-        + " | ".join(
-            gate if GATES[gate]["target"] is None
-            else f"{gate} (≥{GATES[gate]['target']:g}×)"
-            for gate in gate_names
-        )
-        + " |",
+        "| label | " + " | ".join(gate_names) + " |",
         "|" + "---|" * (len(gate_names) + 1),
     ]
     for entry in entries:

@@ -32,7 +32,6 @@ from ..resilience.analysis import (
     slicing_success_probability,
 )
 from ..resilience.transfer import simulate_transfers
-from .dataplane import compare_data_planes
 from .registry import Experiment, register
 from .setup_latency import measure_onion_setup, measure_setup, measure_slicing_setup
 from .throughput import (
@@ -588,8 +587,8 @@ register(
 # -- wall-clock experiments ---------------------------------------------------------
 #
 # The experiments below time code on this host.  ``microbench`` is §7.1's
-# cost table and carries no target; ``dataplane-bench`` and ``distsweep`` are
-# the gates of :data:`repro.experiments.bench_history.GATES`.
+# cost table; ``distsweep`` is the one report-only entry of
+# :data:`repro.experiments.bench_history.GATES`.
 
 
 def _register_bench(name: str, title: str, build_trials, run_trial, **extra) -> None:
@@ -642,27 +641,6 @@ _register_bench(
     "§7.1 microbenchmark: coding cost per 1500-byte packet across d",
     _microbench_trials,
     _microbench_run,
-)
-
-
-# -- batched data-plane microbenchmark ---------------------------------------------
-
-
-def _dataplane_trials(scale: float) -> list[dict]:
-    reps = max(int(3 * scale), 2)
-    # Three seeds so the benchmark gate's median is a genuine middle value.
-    return [{"seed": seed, "reps": reps} for seed in (42, 1042, 2042)]
-
-
-def _dataplane_run(params: dict, rng: np.random.Generator) -> dict:
-    return compare_data_planes(**params)
-
-
-_register_bench(
-    "dataplane-bench",
-    "Data-plane microbenchmark: batched overlay plane vs. per-packet reference at 64 messages",
-    _dataplane_trials,
-    _dataplane_run,
 )
 
 

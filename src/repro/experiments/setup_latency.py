@@ -64,13 +64,12 @@ def measure_setup(
     d: int = 1,
     d_prime: int | None = None,
     seed: int = 17,
-    data_plane: str = "batched",
     backend: str = "sim",
 ) -> SetupLatencyResult:
     """Unified driver: time one scheme's route establishment on a profile."""
     d_prime = d if d_prime is None else d_prime
     substrate, runtime, relays, destination = prepare_scheme_transfer(
-        scheme, profile, path_length, d, d_prime, seed, data_plane, backend
+        scheme, profile, path_length, d, d_prime, seed, "batched", backend
     )
     try:
         start = substrate.sim.now

@@ -135,11 +135,14 @@ def prepare_scheme_transfer(
     Shared by the throughput and setup-latency drivers, so the per-scheme
     address plan and runtime construction live in exactly one place.
     ``backend`` selects the transport: ``"sim"`` (discrete-event) or
-    ``"aio"`` (asyncio localhost TCP); the aio backend requires the batched
-    data plane, which is the default.  ``substrate_factory`` (network ->
+    ``"aio"`` (asyncio localhost TCP).  ``substrate_factory`` (network ->
     transport) overrides the backend lookup — the distinguishability
     experiments inject their recording substrate through it.
+    ``data_plane`` must be ``"batched"``, the one data plane there is; the
+    positional slot stays because ``perfbench/workloads.py`` passes it.
     """
+    if data_plane != "batched":
+        raise ValueError(f"unknown data plane {data_plane!r}; the only one is 'batched'")
     rng = np.random.default_rng(seed)
     source_stage, relays, destination = scheme_address_plan(scheme, path_length, d_prime)
     all_addresses = [*source_stage, *relays, destination]
@@ -160,7 +163,6 @@ def prepare_scheme_transfer(
             path_length=path_length,
             rng=rng,
             runtime_rng=np.random.default_rng(seed + 1),
-            data_plane=data_plane,
         )
     elif scheme in ("onion", "sphinx"):
         runtime = build_runtime(
@@ -192,7 +194,6 @@ def measure_throughput(
     num_messages: int = 300,
     message_bytes: int = 1500,
     seed: int = 42,
-    data_plane: str = "batched",
     backend: str = "sim",
 ) -> ThroughputResult:
     """Drive one transfer of any registered scheme and measure delivered goodput.
@@ -203,7 +204,7 @@ def measure_throughput(
     """
     d_prime = d if d_prime is None else d_prime
     substrate, runtime, relays, destination = prepare_scheme_transfer(
-        scheme, profile, path_length, d, d_prime, seed, data_plane, backend
+        scheme, profile, path_length, d, d_prime, seed, "batched", backend
     )
     try:
         progress = runtime.establish(relays, destination)
@@ -240,7 +241,6 @@ def measure_slicing_throughput(
     num_messages: int = 300,
     message_bytes: int = 1500,
     seed: int = 42,
-    data_plane: str = "batched",
     backend: str = "sim",
 ) -> ThroughputResult:
     """Drive one information-slicing flow and measure delivered goodput."""
@@ -253,7 +253,6 @@ def measure_slicing_throughput(
         num_messages=num_messages,
         message_bytes=message_bytes,
         seed=seed,
-        data_plane=data_plane,
         backend=backend,
     )
 
@@ -361,7 +360,6 @@ def aggregate_throughput_vs_flows(
     num_messages: int = 60,
     message_bytes: int = 1500,
     seed: int = 9,
-    data_plane: str = "batched",
     backend: str = "sim",
     scheme: str = "slicing",
 ) -> list[dict]:
@@ -411,9 +409,7 @@ def aggregate_throughput_vs_flows(
                     )
                 )
                 continue
-            runtime = SlicingRuntime(
-                substrate, rng=np.random.default_rng(seed + 1), data_plane=data_plane
-            )
+            runtime = SlicingRuntime(substrate, rng=np.random.default_rng(seed + 1))
             total_bytes = 0
             flows = []
             progresses = []

@@ -315,22 +315,6 @@ class AioOverlayNetwork(OverlayTransport):
             deliver=lambda blobs, _arrivals: deliver(blobs[0]),
         )
 
-    # The size-only callback API cannot cross a real socket: there is no
-    # payload to frame.  The batched data plane and the baseline runtimes all
-    # ship through the payload-carrying surface instead.
-
-    def transmit(self, *args, **kwargs) -> None:
-        raise SimulationError(
-            "the aio backend has no size-only transmit(); use the payload-carrying "
-            "surface (for SlicingRuntime this means data_plane='batched')"
-        )
-
-    def transmit_batch(self, *args, **kwargs) -> None:
-        raise SimulationError(
-            "the aio backend has no size-only transmit_batch(); use transmit_packets()/"
-            "transmit_blobs() (for SlicingRuntime this means data_plane='batched')"
-        )
-
     def _submit(
         self,
         sender: str,

@@ -24,23 +24,21 @@ Resource model
 * a failed node silently drops everything addressed to it (the paper's
   unreachable PlanetLab nodes).
 
-Data planes
------------
-The runtime drives the protocol through one of two data planes:
-
-* ``"scalar"`` — the reference: every packet is its own transmit, arrival and
-  CPU event, and the relay decodes per message.  Kept deliberately simple;
-  this is the behaviour of the original per-packet simulator.
-* ``"batched"`` (default) — a burst of packets on one connection becomes one
-  :meth:`~SimulatedOverlayNetwork.transmit_batch` (per-packet serialisation
-  and CPU *times* are still accounted exactly, so the simulated clock stays
-  comparable), deliveries landing at one relay at one simulated instant
-  coalesce into a single batch event
-  (:meth:`~repro.overlay.simulator.EventSimulator.schedule_keyed`), and the
-  relay decodes whole batches through the batched GF(2^8) kernels.  Delivered
-  messages and relay counters are bit-identical to the scalar plane under a
-  shared seed (asserted in ``tests/test_dataplane.py``); only host wall-clock
-  and sub-millisecond event interleavings differ.
+Data plane
+----------
+A burst of packets on one connection becomes one
+:meth:`~SimulatedOverlayNetwork.transmit_batch` (per-packet serialisation and
+CPU *times* are still accounted exactly, so the simulated clock stays
+comparable), deliveries landing at one relay at one simulated instant
+coalesce into a single batch event
+(:meth:`~repro.overlay.simulator.EventSimulator.schedule_keyed`), and the
+relay decodes whole batches through the batched GF(2^8) kernels.  The
+per-packet reference plane — every packet its own transmit, arrival and CPU
+event, the relay decoding per message — lives in
+``tests/oracles/dataplane.py``.  Delivered messages and relay counters are
+bit-identical to it under a shared seed
+(``tests/test_dataplane.py::test_batched_plane_bit_identical_to_scalar_reference``);
+only host wall-clock and sub-millisecond event interleavings differ.
 """
 
 from __future__ import annotations
@@ -69,9 +67,6 @@ DEFAULT_PER_PACKET_OVERHEAD = 3e-5
 #: hundreds of milliseconds in the paper's Fig. 14 despite a quiet LAN.
 DEFAULT_SETUP_PROCESSING_OVERHEAD = 0.008
 
-#: Valid runtime data planes.
-DATA_PLANES = ("scalar", "batched")
-
 #: Default per-flow retention window (sequence numbers) for relay data state.
 DEFAULT_SEQ_RETENTION = 1024
 
@@ -79,10 +74,10 @@ DEFAULT_SEQ_RETENTION = 1024
 #: are garbage collected.
 DEFAULT_FLOW_RETENTION_SECONDS = 900.0
 
-#: Default pipelining quantum of the batched data plane: bursts ship in
-#: chunks of this many packets per connection.  A chunk is one simulator
-#: event, so events collapse by up to this factor, while chunks of one hop
-#: still overlap the next hop's serialisation — keeping the stage-pipelining
+#: Default pipelining quantum of the data plane: bursts ship in chunks of
+#: this many packets per connection.  A chunk is one simulator event, so
+#: events collapse by up to this factor, while chunks of one hop still
+#: overlap the next hop's serialisation — keeping the stage-pipelining
 #: behaviour (and therefore the throughput figures) of the per-packet path.
 DEFAULT_BATCH_CHUNK = 16
 
@@ -483,8 +478,6 @@ class SlicingRuntime:
     setup_processing_overhead:
         Per-setup-packet daemon cost (see
         :data:`DEFAULT_SETUP_PROCESSING_OVERHEAD`).
-    data_plane:
-        ``"batched"`` (default) or ``"scalar"`` — see the module docstring.
     seq_retention:
         Per-flow retention window: when data message ``seq`` is flushed,
         relay state for sequence numbers below ``seq + 1 - seq_retention``
@@ -502,15 +495,10 @@ class SlicingRuntime:
         rng: np.random.Generator | None = None,
         flush_timeout: float = 2.0,
         setup_processing_overhead: float = DEFAULT_SETUP_PROCESSING_OVERHEAD,
-        data_plane: str = "batched",
         seq_retention: int | None = DEFAULT_SEQ_RETENTION,
         flow_retention_seconds: float | None = DEFAULT_FLOW_RETENTION_SECONDS,
         batch_chunk: int = DEFAULT_BATCH_CHUNK,
     ) -> None:
-        if data_plane not in DATA_PLANES:
-            raise SimulationError(
-                f"unknown data plane {data_plane!r} (known: {DATA_PLANES})"
-            )
         if seq_retention is not None and seq_retention < 1:
             raise SimulationError(f"seq_retention must be >= 1, got {seq_retention}")
         if batch_chunk < 1:
@@ -519,7 +507,6 @@ class SlicingRuntime:
         self.rng = np.random.default_rng() if rng is None else rng
         self.flush_timeout = flush_timeout
         self.setup_processing_overhead = setup_processing_overhead
-        self.data_plane = data_plane
         self.seq_retention = seq_retention
         self.flow_retention_seconds = flow_retention_seconds
         self.batch_chunk = batch_chunk
@@ -537,13 +524,7 @@ class SlicingRuntime:
             # A stable digest, not hash(): str hashes vary with PYTHONHASHSEED,
             # and "same seed, same bytes" must not depend on the interpreter.
             seed = int.from_bytes(hashlib.sha256(address.encode()).digest()[:4], "big")
-            # Data-plane names deliberately match the relay engine names, so
-            # a relay decodes the way its runtime ships.
-            self.relays[address] = Relay(
-                address,
-                rng=np.random.default_rng(seed),
-                engine=self.data_plane,
-            )
+            self.relays[address] = Relay(address, rng=np.random.default_rng(seed))
         return self.relays[address]
 
     # -- driving a flow ------------------------------------------------------------------
@@ -558,73 +539,41 @@ class SlicingRuntime:
         self._flow_setups[key] = flow
         for flow_id in flow.plan.flow_ids.values():
             self._flows_by_id[flow_id] = (flow, progress)
-        if self.data_plane == "batched":
-            for packet in flow.setup_packets:
-                self._transmit_packets(
-                    packet.source_address,
-                    packet.destination_address,
-                    [packet],
-                    [0.0],
-                )
-        else:
-            for packet in flow.setup_packets:
-                self._send_packet(packet, flow, progress, sender_cpu=0.0)
+        for packet in flow.setup_packets:
+            self._transmit_packets(
+                packet.source_address,
+                packet.destination_address,
+                [packet],
+                [0.0],
+            )
         # Timeout-driven flush so churn cannot wedge the setup forever.
-        self.sim.schedule(self.flush_timeout, lambda: self._flush_setup(flow, progress))
+        self.sim.schedule(self.flush_timeout, lambda: self._flush_setup(flow))
         return progress
 
     def send_message(
         self, source: Source, flow: FlowSetup, message: bytes
     ) -> None:
         """Code and inject one data message from the source stage."""
-        if self.data_plane == "batched":
-            self.send_messages(source, flow, [message])
-            return
-        packets = source.make_data_packets(flow, message)
-        progress = self.progress[id(flow)]
-        source_resources = self.substrate.network.resources(source.address)
-        per_packet_cpu = source_resources.coding_time(
-            max(len(message) // max(flow.d, 1), 1), flow.d
-        )
-        for packet in packets:
-            self._send_packet(packet, flow, progress, sender_cpu=per_packet_cpu)
-        seq = packets[0].seq
-        self.sim.schedule(
-            self.flush_timeout, lambda: self._flush_data(flow, progress, seq)
-        )
+        self.send_messages(source, flow, [message])
 
     def send_messages(
         self, source: Source, flow: FlowSetup, messages: list[bytes]
     ) -> None:
-        """Batched :meth:`send_message`: code and ship a burst in one pass.
+        """Code and ship a burst of data messages in one pass.
 
         The coding happens through
         :meth:`~repro.core.source.Source.make_data_packets_batch`, so the
         GF(2^8) work for the whole burst is a single batched kernel call; the
         per-message CPU *cost model* charged to the source is unchanged, so
-        simulated timings stay comparable with the per-message path.  On the
-        batched data plane the burst additionally ships as one
-        :meth:`~SimulatedOverlayNetwork.transmit_batch` per connection and is
-        covered by a single flush timer.
+        simulated timings stay comparable with the per-message path.  The
+        burst ships as one :meth:`~SimulatedOverlayNetwork.transmit_batch`
+        per connection and chunk, and is covered by a single flush timer.
         """
         if not messages:
             return
         packet_batches = source.make_data_packets_batch(flow, messages)
         progress = self.progress[id(flow)]
         source_resources = self.substrate.network.resources(source.address)
-        if self.data_plane == "scalar":
-            for message, packets in zip(messages, packet_batches):
-                per_packet_cpu = source_resources.coding_time(
-                    max(len(message) // max(flow.d, 1), 1), flow.d
-                )
-                for packet in packets:
-                    self._send_packet(packet, flow, progress, sender_cpu=per_packet_cpu)
-                seq = packets[0].seq
-                self.sim.schedule(
-                    self.flush_timeout,
-                    lambda seq=seq: self._flush_data(flow, progress, seq),
-                )
-            return
         per_connection: dict[tuple[str, str], tuple[list[Packet], list[float]]] = {}
         for message, packets in zip(messages, packet_batches):
             per_packet_cpu = source_resources.coding_time(
@@ -643,7 +592,7 @@ class SlicingRuntime:
             lambda: self._flush_data_burst(flow, progress, seqs),
         )
 
-    # -- batched data plane ----------------------------------------------------------------
+    # -- data plane ------------------------------------------------------------------------
 
     def _transmit_packets(
         self,
@@ -767,56 +716,7 @@ class SlicingRuntime:
         for receiver, packets in per_receiver.items():
             self._transmit_packets(sender, receiver, packets, [0.0] * len(packets))
 
-    # -- scalar (per-packet) data plane ------------------------------------------------------
-
-    def _send_packet(
-        self,
-        packet: Packet,
-        flow: FlowSetup,
-        progress: FlowProgress,
-        sender_cpu: float,
-    ) -> None:
-        receiver = packet.destination_address
-
-        def deliver() -> None:
-            self._deliver_packet(packet, flow, progress)
-
-        self.substrate.transmit(
-            sender=packet.source_address,
-            receiver=receiver,
-            size_bytes=packet.size_bytes(),
-            on_delivered=deliver,
-            sender_cpu_seconds=sender_cpu,
-        )
-
-    def _deliver_packet(
-        self, packet: Packet, flow: FlowSetup, progress: FlowProgress
-    ) -> None:
-        receiver = packet.destination_address
-        relay = self.relays.get(receiver)
-        if relay is None:
-            return
-        resources = self.substrate.network.resources(receiver)
-        payload_bytes = sum(block.payload.shape[0] for block in packet.slices)
-        cpu = resources.coding_time(payload_bytes, packet.d)
-        if packet.kind == PacketKind.SETUP:
-            cpu += self.setup_processing_overhead * resources.load_factor
-        done = self.substrate.reserve_cpu(
-            receiver, cpu + self.substrate.per_packet_overhead
-        )
-
-        def process() -> None:
-            before_decoded = self._relay_decoded(relay, flow, receiver)
-            outputs = relay.handle_packet(packet, now=self.sim.now)
-            if not before_decoded and self._relay_decoded(relay, flow, receiver):
-                progress.relay_decode_times.setdefault(receiver, self.sim.now)
-            self._record_delivery(relay, flow, progress, receiver)
-            for output in outputs:
-                self._send_packet(output, flow, progress, sender_cpu=0.0)
-
-        self.sim.schedule_at(done, process)
-
-    # -- shared internals ---------------------------------------------------------------------
+    # -- progress and flushes -----------------------------------------------------------------
 
     def _relay_decoded(self, relay: Relay, flow: FlowSetup, address: str) -> bool:
         flow_id = flow.plan.flow_ids.get(address)
@@ -840,18 +740,13 @@ class SlicingRuntime:
                     progress.first_delivery_at = self.sim.now
                 progress.last_delivery_at = self.sim.now
 
-    def _flush_setup(self, flow: FlowSetup, progress: FlowProgress) -> None:
+    def _flush_setup(self, flow: FlowSetup) -> None:
         for relay_address in flow.graph.relays:
             relay = self.relays.get(relay_address)
             if relay is None or not self.substrate.is_alive(relay_address):
                 continue
             flow_id = flow.plan.flow_ids[relay_address]
-            outputs = relay.flush_setup(flow_id)
-            if self.data_plane == "batched":
-                self._dispatch_outputs(relay_address, outputs)
-            else:
-                for output in outputs:
-                    self._send_packet(output, flow, progress, sender_cpu=0.0)
+            self._dispatch_outputs(relay_address, relay.flush_setup(flow_id))
 
     def _flush_data_burst(
         self, flow: FlowSetup, progress: FlowProgress, seqs: list[int]
@@ -872,21 +767,6 @@ class SlicingRuntime:
             self._record_delivery(relay, flow, progress, relay_address)
         if seqs:
             self._retire(flow, max(seqs))
-
-    def _flush_data(self, flow: FlowSetup, progress: FlowProgress, seq: int) -> None:
-        for relay_address in flow.graph.relays:
-            relay = self.relays.get(relay_address)
-            if relay is None or not self.substrate.is_alive(relay_address):
-                continue
-            flow_id = flow.plan.flow_ids[relay_address]
-            outputs = relay.flush_data(flow_id, seq)
-            if self.data_plane == "batched":
-                self._dispatch_outputs(relay_address, outputs)
-            else:
-                for output in outputs:
-                    self._send_packet(output, flow, progress, sender_cpu=0.0)
-            self._record_delivery(relay, flow, progress, relay_address)
-        self._retire(flow, seq)
 
     def _retire(self, flow: FlowSetup, seq: int) -> None:
         """Apply the retention windows after data message ``seq`` was flushed."""

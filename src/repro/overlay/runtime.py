@@ -218,8 +218,6 @@ class SlicingProtocolRuntime(ProtocolRuntime):
     Parameters mirror the paper: split factor ``d``, redundancy ``d'`` and
     path length ``L``.  ``source_stage`` names the ``d'`` addresses the
     source controls (they must be part of the substrate's network model).
-    ``data_plane`` selects the batched overlay data plane (default) or the
-    per-packet scalar reference; both deliver bit-identical messages.
     """
 
     scheme = "slicing"
@@ -233,7 +231,6 @@ class SlicingProtocolRuntime(ProtocolRuntime):
         d_prime: int | None = None,
         rng: np.random.Generator | None = None,
         runtime_rng: np.random.Generator | None = None,
-        data_plane: str = "batched",
         runtime_kwargs: dict | None = None,
     ) -> None:
         super().__init__(substrate)
@@ -248,12 +245,7 @@ class SlicingProtocolRuntime(ProtocolRuntime):
             path_length=path_length,
             rng=rng,
         )
-        self.runtime = SlicingRuntime(
-            substrate,
-            rng=runtime_rng,
-            data_plane=data_plane,
-            **(runtime_kwargs or {}),
-        )
+        self.runtime = SlicingRuntime(substrate, rng=runtime_rng, **(runtime_kwargs or {}))
         self.flow: FlowSetup | None = None
 
     def establish(self, relays: list[str], destination: str) -> FlowProgress:

@@ -1,0 +1,114 @@
+"""The per-packet reference data plane (§4.3.5–§4.4.1).
+
+:class:`ScalarRelay` decodes a relay's routing slices and every data message
+with :func:`~repro.core.integrity.robust_decode`, the moment the ``d``-th
+slice arrives.  :class:`ScalarSlicingRuntime` ships every packet as its own
+transmit, arrival and CPU event and arms one flush timer per message.  Both
+override only what the reference does differently; flow tables, forwarding,
+regeneration and retention are the shipped code.
+"""
+
+from __future__ import annotations
+
+from repro.core.coder import SliceCoder
+from repro.core.errors import CodingError, InsufficientSlicesError, ProtocolError
+from repro.core.integrity import robust_decode
+from repro.core.node_info import NodeInfo
+from repro.core.packet import Packet
+from repro.core.relay import FlowState, Relay
+from repro.core.source import FlowSetup, Source, data_nonce
+from repro.crypto.symmetric import StreamCipher
+from repro.overlay.node import SlicingRuntime
+
+
+class ScalarRelay(Relay):
+    """A relay that decodes one message at a time, never deferring."""
+
+    def _try_decode_info(self, state: FlowState) -> None:
+        blocks = state.own_setup_blocks()
+        if len(blocks) < state.d:
+            return
+        try:
+            payload = robust_decode(SliceCoder(state.d, field=self.field), blocks)
+            state.info = NodeInfo.unpack(payload)
+            self.stats.flows_decoded += 1
+        except (InsufficientSlicesError, CodingError, ProtocolError):
+            state.info = None
+
+    def _handle_data_run(self, state, lane, packets, pending):
+        outgoing: list[Packet] = []
+        for packet in packets:
+            outgoing.extend(self._handle_data(state, packet, pending))
+        return outgoing
+
+    def _handle_data(self, state, packet, pending):
+        deliverable: list[tuple[FlowState, int]] = []
+        outgoing = super()._handle_data(state, packet, deliverable)
+        for _state, seq in deliverable:
+            self._try_deliver(state, seq)
+        return outgoing
+
+    def _try_deliver(self, state: FlowState, seq: int) -> None:
+        if seq in state.delivered or state.data.count(seq) < state.d:
+            return
+        try:
+            ciphertext = robust_decode(
+                SliceCoder(state.d, field=self.field), state.data.blocks(seq)
+            )
+        except (InsufficientSlicesError, CodingError):
+            return
+        cipher = StreamCipher(state.info.secret_key)
+        state.delivered[seq] = cipher.decrypt(ciphertext, data_nonce(seq))
+        self.stats.messages_delivered += 1
+
+
+class ScalarSlicingRuntime(SlicingRuntime):
+    """Every packet its own transmit, arrival and CPU event."""
+
+    def add_relay(self, address: str) -> Relay:
+        if address not in self.relays:
+            seeded = super().add_relay(address)
+            self.relays[address] = ScalarRelay(address, rng=seeded.rng)
+        return self.relays[address]
+
+    def send_messages(self, source: Source, flow: FlowSetup, messages: list[bytes]) -> None:
+        progress = self.progress[id(flow)]
+        resources = self.substrate.network.resources(source.address)
+        for message, packets in zip(messages, source.make_data_packets_batch(flow, messages)):
+            cpu = resources.coding_time(max(len(message) // max(flow.d, 1), 1), flow.d)
+            for packet in packets:
+                self._send_packet(packet, cpu)
+            seq = packets[0].seq
+            self.sim.schedule(
+                self.flush_timeout,
+                lambda seq=seq: self._flush_data_burst(flow, progress, [seq]),
+            )
+
+    def _transmit_packets(self, sender, receiver, packets, sender_cpus) -> None:
+        for packet, cpu in zip(packets, sender_cpus):
+            self._send_packet(packet, cpu)
+
+    def _dispatch_outputs(self, sender: str, outputs: list[Packet]) -> None:
+        # In output order, not grouped per receiver.
+        for packet in outputs:
+            self._send_packet(packet, 0.0)
+
+    def _send_packet(self, packet: Packet, sender_cpu: float) -> None:
+        receiver = packet.destination_address
+
+        def arrive() -> None:
+            if receiver not in self.relays:
+                return
+            resources = self.substrate.network.resources(receiver)
+            done = self.substrate.reserve_cpu(
+                receiver, self._packet_cpu_cost(packet, resources)
+            )
+            self.sim.schedule_at(done, lambda: self._handle_batch(receiver, [packet]))
+
+        self.substrate.transmit(
+            packet.source_address,
+            receiver,
+            packet.size_bytes(),
+            arrive,
+            sender_cpu_seconds=sender_cpu,
+        )

@@ -172,17 +172,6 @@ def test_build_substrate_selects_backends():
         sim.close()  # no-op on the simulator backend
 
 
-def test_aio_rejects_size_only_transmit_surface():
-    substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
-    try:
-        with pytest.raises(SimulationError, match="payload-carrying"):
-            substrate.transmit("a", "b", 100, lambda: None)
-        with pytest.raises(SimulationError, match="transmit_packets"):
-            substrate.transmit_batch("a", "b", [100], lambda arrivals: None)
-    finally:
-        substrate.close()
-
-
 def test_aio_blob_round_trip_and_teardown():
     substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
     delivered = []

@@ -14,10 +14,10 @@ from repro.anonymity.analysis import (
     source_case1_probability,
 )
 from repro.anonymity.attacker import (
-    AttackerView,
-    StageLayout,
-    _longest_true_run,
-    sample_stage_layout,
+    AttackerViewBatch,
+    StageLayoutBatch,
+    _longest_true_runs,
+    sample_stage_layout_batch,
 )
 from repro.anonymity.metrics import (
     MetricError,
@@ -27,8 +27,8 @@ from repro.anonymity.metrics import (
     max_entropy,
     two_level_anonymity,
 )
-from repro.anonymity.simulation import simulate_anonymity, sweep_malicious_fraction
-from repro.baselines.chaum import simulate_chaum_anonymity
+from repro.anonymity.simulation import simulate_anonymity_batch, sweep_malicious_fraction
+from repro.baselines.chaum import simulate_chaum_anonymity_batch
 
 
 # -- metrics ---------------------------------------------------------------------------
@@ -81,78 +81,76 @@ def test_two_level_anonymity_in_unit_interval(high, low, p_high):
 
 
 # -- attacker view ----------------------------------------------------------------------
+#
+# Hand-built graph instances go through the shipped view as one-trial batches,
+# so these cases test what Figs. 7-10 run.
+
+
+def view_of(malicious, destination_stage, destination_position, d):
+    """The attacker view of one hand-built instance (``malicious[stage][slot]``)."""
+    return AttackerViewBatch.from_layouts(
+        StageLayoutBatch(
+            malicious=np.array([malicious], dtype=bool),
+            destination_stage=np.array([destination_stage]),
+            destination_position=np.array([destination_position]),
+            d=d,
+            d_prime=len(malicious[0]),
+        )
+    )
+
+
+def longest_run(values):
+    starts, lengths = _longest_true_runs(np.array([values], dtype=bool))
+    return int(starts[0]), int(lengths[0])
 
 
 def test_sample_layout_shape_and_clean_source_stage():
     rng = np.random.default_rng(0)
-    layout = sample_stage_layout(8, 3, 0.3, rng)
-    assert layout.path_length == 8
-    assert len(layout.malicious) == 9
-    assert not any(layout.malicious[0])
+    layouts = sample_stage_layout_batch(1, 8, 3, 0.3, rng)
+    assert layouts.path_length == 8
+    assert layouts.malicious.shape == (1, 9, 3)
+    assert not layouts.malicious[0, 0].any()
     # The destination slot is never malicious.
-    assert not layout.malicious[layout.destination_stage][layout.destination_position]
+    assert not layouts.malicious[
+        0, layouts.destination_stage[0], layouts.destination_position[0]
+    ]
 
 
 def test_attacker_view_no_malicious_nodes():
-    layout = StageLayout(
-        malicious=tuple([tuple([False] * 3)] * 5),
-        destination_stage=2,
-        destination_position=0,
-        d=3,
-        d_prime=3,
-    )
-    view = AttackerView.from_layout(layout)
-    assert view.longest_chain_length == 0
-    assert not view.first_stage_decodable
-    assert not view.decodable_stage_before_destination
+    view = view_of([[False] * 3] * 5, destination_stage=2, destination_position=0, d=3)
+    assert view.longest_chain_length[0] == 0
+    assert not view.first_stage_decodable[0]
+    assert not view.decodable_stage_before_destination[0]
 
 
 def test_attacker_view_fully_compromised_first_stage():
-    malicious = [tuple([False] * 2)] + [tuple([True] * 2)] + [tuple([False] * 2)] * 3
-    layout = StageLayout(
-        malicious=tuple(malicious),
-        destination_stage=3,
-        destination_position=0,
-        d=2,
-        d_prime=2,
-    )
-    view = AttackerView.from_layout(layout)
-    assert view.first_stage_decodable
-    assert view.decodable_stage_before_destination
-    assert view.longest_chain_length >= 2
+    malicious = [[False] * 2] + [[True] * 2] + [[False] * 2] * 3
+    view = view_of(malicious, destination_stage=3, destination_position=0, d=2)
+    assert view.first_stage_decodable[0]
+    assert view.decodable_stage_before_destination[0]
+    assert view.longest_chain_length[0] >= 2
 
 
 def test_attacker_view_exposure_comes_from_neighbours():
     # One malicious node in stage 2 exposes stages 1-3 (its parents, itself,
     # its children) but not the source stage.
-    malicious = [
-        tuple([False, False]),
-        tuple([False, False]),
-        tuple([True, False]),
-        tuple([False, False]),
-    ]
-    layout = StageLayout(
-        malicious=tuple(malicious),
-        destination_stage=1,
-        destination_position=0,
-        d=2,
-        d_prime=2,
-    )
-    view = AttackerView.from_layout(layout)
-    assert view.exposed_stages[1] and view.exposed_stages[2] and view.exposed_stages[3]
-    assert not view.exposed_stages[0]
-    assert view.longest_chain_length == 3
+    malicious = [[False, False], [False, False], [True, False], [False, False]]
+    view = view_of(malicious, destination_stage=1, destination_position=0, d=2)
+    exposed = view.exposed_stages[0]
+    assert exposed[1] and exposed[2] and exposed[3]
+    assert not exposed[0]
+    assert view.longest_chain_length[0] == 3
 
 
 def test_longest_true_run_edge_cases():
-    assert _longest_true_run([]) == (0, 0)
-    assert _longest_true_run([False, False]) == (0, 0)
-    assert _longest_true_run([True] * 7) == (0, 7)
+    assert longest_run([]) == (0, 0)
+    assert longest_run([False, False]) == (0, 0)
+    assert longest_run([True] * 7) == (0, 7)
     # Ties resolve to the first longest run.
-    assert _longest_true_run([True, True, False, True, True]) == (0, 2)
-    assert _longest_true_run([False, True, False, True]) == (1, 1)
+    assert longest_run([True, True, False, True, True]) == (0, 2)
+    assert longest_run([False, True, False, True]) == (1, 1)
     # A later, strictly longer run wins.
-    assert _longest_true_run([True, False, True, True]) == (2, 2)
+    assert longest_run([True, False, True, True]) == (2, 2)
 
 
 def test_d_prime_smaller_than_d_is_never_decodable():
@@ -160,17 +158,17 @@ def test_d_prime_smaller_than_d_is_never_decodable():
     # Case-1 condition can fire even under a near-total compromise.
     rng = np.random.default_rng(21)
     for _ in range(50):
-        layout = sample_stage_layout(6, 4, 0.95, rng, d_prime=2)
-        view = AttackerView.from_layout(layout)
-        assert not view.first_stage_decodable
-        assert not view.decodable_stage_before_destination
+        layouts = sample_stage_layout_batch(1, 6, 4, 0.95, rng, d_prime=2)
+        view = AttackerViewBatch.from_layouts(layouts)
+        assert not view.first_stage_decodable[0]
+        assert not view.decodable_stage_before_destination[0]
 
 
 def test_d_prime_smaller_than_d_layout_shape():
     rng = np.random.default_rng(22)
-    layout = sample_stage_layout(5, 3, 0.5, rng, d_prime=2)
-    assert layout.d == 3 and layout.d_prime == 2
-    assert all(len(stage) == 2 for stage in layout.malicious)
+    layouts = sample_stage_layout_batch(1, 5, 3, 0.5, rng, d_prime=2)
+    assert layouts.d == 3 and layouts.d_prime == 2
+    assert layouts.malicious.shape[2] == 2
 
 
 @given(
@@ -182,10 +180,11 @@ def test_d_prime_smaller_than_d_layout_shape():
 @settings(max_examples=80, deadline=None)
 def test_destination_slot_is_never_malicious(path_length, d_prime, fraction, seed):
     rng = np.random.default_rng(seed)
-    layout = sample_stage_layout(path_length, 2, fraction, rng, d_prime=d_prime)
-    assert 1 <= layout.destination_stage <= path_length
-    assert not layout.malicious[layout.destination_stage][layout.destination_position]
-    assert not any(layout.malicious[0])
+    layouts = sample_stage_layout_batch(1, path_length, 2, fraction, rng, d_prime=d_prime)
+    stage, position = layouts.destination_stage[0], layouts.destination_position[0]
+    assert 1 <= stage <= path_length
+    assert not layouts.malicious[0, stage, position]
+    assert not layouts.malicious[0, 0].any()
 
 
 # -- analytical formulas -------------------------------------------------------------------
@@ -226,14 +225,14 @@ def test_redundancy_overhead():
 
 
 def test_simulation_low_f_gives_high_anonymity():
-    result = simulate_anonymity(10_000, 8, 3, 0.01, trials=300, rng=np.random.default_rng(1))
+    result = simulate_anonymity_batch(10_000, 8, 3, 0.01, trials=300, rng=np.random.default_rng(1))
     assert result.source_anonymity > 0.85
     assert result.destination_anonymity > 0.85
 
 
 def test_simulation_anonymity_decreases_with_f():
-    low = simulate_anonymity(10_000, 8, 3, 0.05, trials=300, rng=np.random.default_rng(2))
-    high = simulate_anonymity(10_000, 8, 3, 0.5, trials=300, rng=np.random.default_rng(3))
+    low = simulate_anonymity_batch(10_000, 8, 3, 0.05, trials=300, rng=np.random.default_rng(2))
+    high = simulate_anonymity_batch(10_000, 8, 3, 0.5, trials=300, rng=np.random.default_rng(3))
     assert low.source_anonymity > high.source_anonymity
     assert low.destination_anonymity > high.destination_anonymity
 
@@ -241,7 +240,7 @@ def test_simulation_anonymity_decreases_with_f():
 def test_destination_anonymity_falls_faster_than_source():
     # Fig. 7's qualitative claim: discovering the destination only needs one
     # fully-compromised stage upstream of it, so it degrades faster.
-    result = simulate_anonymity(10_000, 8, 3, 0.4, trials=400, rng=np.random.default_rng(4))
+    result = simulate_anonymity_batch(10_000, 8, 3, 0.4, trials=400, rng=np.random.default_rng(4))
     assert result.destination_anonymity < result.source_anonymity
     assert result.destination_case1_rate > result.source_case1_rate
 
@@ -253,7 +252,7 @@ def test_sweep_is_monotone_in_f():
 
 
 def test_chaum_baseline_comparable_at_low_f():
-    slicing = simulate_anonymity(10_000, 8, 3, 0.05, trials=300, rng=np.random.default_rng(5))
-    chaum = simulate_chaum_anonymity(10_000, 8, 0.05, trials=300, rng=np.random.default_rng(6))
+    slicing = simulate_anonymity_batch(10_000, 8, 3, 0.05, trials=300, rng=np.random.default_rng(5))
+    chaum = simulate_chaum_anonymity_batch(10_000, 8, 0.05, trials=300, rng=np.random.default_rng(6))
     assert abs(slicing.source_anonymity - chaum.source_anonymity) < 0.15
     assert chaum.destination_anonymity > 0.7

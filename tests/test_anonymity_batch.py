@@ -1,27 +1,28 @@
-"""Batched anonymity Monte-Carlo engine: exact equivalence with the scalar
-reference path, vectorised attacker-view correctness, and input validation."""
+"""Batched anonymity Monte-Carlo engine: exact equivalence with the per-trial
+reference (``tests/oracles/anonymity.py``), vectorised attacker-view
+correctness, and input validation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.anonymity import simulation
 from repro.anonymity.attacker import (
-    AttackerView,
     AttackerViewBatch,
-    _longest_true_run,
     _longest_true_runs,
     sample_stage_layout_batch,
 )
 from repro.anonymity.simulation import (
-    simulate_anonymity,
     simulate_anonymity_batch,
     simulate_anonymity_trials,
     sweep_anonymity,
     sweep_malicious_fraction,
     sweep_redundancy,
 )
-from repro.baselines.chaum import simulate_chaum_anonymity
+from repro.baselines.chaum import simulate_chaum_anonymity_batch
+
+from oracles import anonymity as oracle
 
 #: Parameter grid for the exact-equivalence tests: includes the paper's
 #: defaults, a redundant layout (d' > d), a degenerate short path and a
@@ -39,12 +40,10 @@ PARAMETER_POINTS = [
 
 @pytest.mark.parametrize("kwargs", PARAMETER_POINTS)
 def test_batched_engine_matches_scalar_per_trial(kwargs):
-    scalar = simulate_anonymity_trials(
-        **kwargs, trials=400, rng=np.random.default_rng(42), engine="scalar"
+    scalar = oracle.simulate_anonymity_trials(
+        **kwargs, trials=400, rng=np.random.default_rng(42)
     )
-    batched = simulate_anonymity_trials(
-        **kwargs, trials=400, rng=np.random.default_rng(42), engine="batched"
-    )
+    batched = simulate_anonymity_trials(**kwargs, trials=400, rng=np.random.default_rng(42))
     # Bit-identical per-trial values, not approximate agreement.
     assert np.array_equal(scalar.source_anonymity, batched.source_anonymity)
     assert np.array_equal(scalar.destination_anonymity, batched.destination_anonymity)
@@ -54,22 +53,17 @@ def test_batched_engine_matches_scalar_per_trial(kwargs):
 
 def test_batched_result_equals_scalar_result():
     kwargs = dict(num_nodes=10_000, path_length=8, d=3, fraction_malicious=0.2)
-    scalar = simulate_anonymity(**kwargs, trials=300, rng=np.random.default_rng(9))
+    scalar = oracle.simulate_anonymity(**kwargs, trials=300, rng=np.random.default_rng(9))
     batched = simulate_anonymity_batch(**kwargs, trials=300, rng=np.random.default_rng(9))
     assert scalar == batched
 
 
 def test_single_trial_works_in_both_engines():
     kwargs = dict(num_nodes=100, path_length=4, d=2, fraction_malicious=0.3)
-    scalar = simulate_anonymity(**kwargs, trials=1, rng=np.random.default_rng(0))
+    scalar = oracle.simulate_anonymity(**kwargs, trials=1, rng=np.random.default_rng(0))
     batched = simulate_anonymity_batch(**kwargs, trials=1, rng=np.random.default_rng(0))
     assert scalar == batched
     assert scalar.trials == 1
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        simulate_anonymity_trials(100, 4, 2, 0.1, trials=10, engine="turbo")
 
 
 # -- trials validation (both paths + baseline + sweeps) ----------------------------
@@ -78,7 +72,7 @@ def test_unknown_engine_rejected():
 @pytest.mark.parametrize("trials", [0, -5])
 def test_scalar_path_rejects_non_positive_trials(trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        simulate_anonymity(10_000, 8, 3, 0.1, trials=trials)
+        oracle.simulate_anonymity(10_000, 8, 3, 0.1, trials=trials)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -94,7 +88,7 @@ def test_sweep_driver_rejects_non_positive_trials():
 
 def test_chaum_baseline_rejects_non_positive_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        simulate_chaum_anonymity(10_000, 8, 0.1, trials=0)
+        simulate_chaum_anonymity_batch(10_000, 8, 0.1, trials=0)
 
 
 # -- vectorised attacker view ------------------------------------------------------
@@ -116,7 +110,7 @@ def test_batch_view_matches_scalar_view_per_trial(path_length, d, d_prime, fract
     )
     views = AttackerViewBatch.from_layouts(layouts)
     for trial in range(layouts.trials):
-        reference = AttackerView.from_layout(layouts.layout(trial))
+        reference = oracle.AttackerView.from_layout(oracle.layout_of(layouts, trial))
         assert tuple(views.exposed_stages[trial]) == reference.exposed_stages
         assert views.longest_chain_start[trial] == reference.longest_chain_start
         assert views.longest_chain_length[trial] == reference.longest_chain_length
@@ -170,7 +164,7 @@ def test_longest_true_runs_matches_scalar_helper(rows):
     mask = np.array(rows, dtype=bool)
     starts, lengths = _longest_true_runs(mask)
     for index, row in enumerate(rows):
-        assert (starts[index], lengths[index]) == _longest_true_run(row)
+        assert (starts[index], lengths[index]) == oracle._longest_true_run(row)
 
 
 # -- sweeps route through the batched engine ---------------------------------------
@@ -187,10 +181,11 @@ def test_sweep_driver_matches_manual_batched_calls():
         assert result == expected
 
 
-def test_sweep_driver_scalar_engine_agrees_with_batched():
+def test_sweep_driver_scalar_engine_agrees_with_batched(monkeypatch):
     points = [(0.1, dict(num_nodes=1000, path_length=5, d=2, fraction_malicious=0.1))]
     batched = sweep_anonymity(points, trials=80, seed=3)
-    scalar = sweep_anonymity(points, trials=80, seed=3, simulate=simulate_anonymity)
+    monkeypatch.setattr(simulation, "simulate_anonymity_batch", oracle.simulate_anonymity)
+    scalar = sweep_anonymity(points, trials=80, seed=3)
     assert batched == scalar
 
 

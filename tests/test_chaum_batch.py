@@ -1,18 +1,18 @@
-"""The vectorised Chaum-mix Monte-Carlo engine: bit-identity with the scalar
-reference and stream-compatibility with the historical per-trial sampler."""
+"""The vectorised Chaum-mix Monte-Carlo engine: bit-identity with the per-trial
+reference (``tests/oracles/chaum.py``) and stream-compatibility with the
+historical per-trial sampler."""
 
 import numpy as np
 import pytest
 
 from repro.anonymity.metrics import two_level_anonymity
 from repro.baselines.chaum import (
-    _chain_destination_anonymity,
-    _chain_source_anonymity,
-    simulate_chaum_anonymity,
     simulate_chaum_anonymity_batch,
     simulate_chaum_trials,
     sweep_chaum_anonymity,
 )
+
+from oracles import chaum as oracle
 
 POINTS = [
     # (num_nodes, path_length, fraction_malicious)
@@ -28,13 +28,11 @@ POINTS = [
 @pytest.mark.parametrize("num_nodes,path_length,fraction", POINTS)
 def test_batched_engine_is_bit_identical_to_scalar(num_nodes, path_length, fraction):
     seed = int(fraction * 1000) + path_length
-    scalar = simulate_chaum_trials(
-        num_nodes, path_length, fraction, trials=400,
-        rng=np.random.default_rng(seed), engine="scalar",
+    scalar = oracle.simulate_chaum_trials(
+        num_nodes, path_length, fraction, trials=400, rng=np.random.default_rng(seed)
     )
     batched = simulate_chaum_trials(
-        num_nodes, path_length, fraction, trials=400,
-        rng=np.random.default_rng(seed), engine="batched",
+        num_nodes, path_length, fraction, trials=400, rng=np.random.default_rng(seed)
     )
     assert np.array_equal(scalar.source_anonymity, batched.source_anonymity)
     assert np.array_equal(scalar.destination_anonymity, batched.destination_anonymity)
@@ -50,8 +48,8 @@ def test_engines_match_the_historical_per_trial_implementation():
     src_total = dst_total = 0.0
     for _ in range(trials):
         malicious = rng.random(path_length) < fraction
-        src_total += _chain_source_anonymity(malicious, num_nodes, clean, path_length)
-        dst_total += _chain_destination_anonymity(
+        src_total += oracle.chain_source_anonymity(malicious, num_nodes, clean, path_length)
+        dst_total += oracle.chain_destination_anonymity(
             malicious, num_nodes, clean, path_length
         )
     legacy_src = src_total / trials
@@ -68,19 +66,19 @@ def test_rng_state_advances_identically_in_both_engines():
     # the two engines must leave that stream in the same state.
     rng_a = np.random.default_rng(5)
     rng_b = np.random.default_rng(5)
-    simulate_chaum_trials(1000, 8, 0.3, trials=123, rng=rng_a, engine="scalar")
-    simulate_chaum_trials(1000, 8, 0.3, trials=123, rng=rng_b, engine="batched")
+    oracle.simulate_chaum_trials(1000, 8, 0.3, trials=123, rng=rng_a)
+    simulate_chaum_trials(1000, 8, 0.3, trials=123, rng=rng_b)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_edge_cases_match():
     for fraction in (0.0, 1.0):
         seed = 31
-        scalar = simulate_chaum_trials(
-            100, 4, fraction, trials=50, rng=np.random.default_rng(seed), engine="scalar"
+        scalar = oracle.simulate_chaum_trials(
+            100, 4, fraction, trials=50, rng=np.random.default_rng(seed)
         )
         batched = simulate_chaum_trials(
-            100, 4, fraction, trials=50, rng=np.random.default_rng(seed), engine="batched"
+            100, 4, fraction, trials=50, rng=np.random.default_rng(seed)
         )
         assert np.array_equal(scalar.source_anonymity, batched.source_anonymity)
         assert np.array_equal(
@@ -99,8 +97,6 @@ def test_edge_cases_match():
 def test_engine_validation():
     with pytest.raises(ValueError):
         simulate_chaum_trials(100, 4, 0.1, trials=0)
-    with pytest.raises(ValueError):
-        simulate_chaum_trials(100, 4, 0.1, trials=10, engine="quantum")
 
 
 def test_sweep_uses_batched_engine_values():

@@ -1,9 +1,10 @@
-"""The batched overlay data plane: bit-identity with the per-packet reference,
-event coalescing, the FlowDecoder store, and the runtime's retention windows."""
+"""The batched overlay data plane: bit-identity with the per-packet reference
+(``tests/oracles/dataplane.py``), event coalescing, the FlowDecoder store, and
+the runtime's retention windows."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.coder import CodedBlock, SliceCoder
@@ -11,13 +12,16 @@ from repro.core.errors import CodingError, SimulationError
 from repro.core.flow_decoder import FlowDecoder
 from repro.core.integrity import robust_decode, wrap
 from repro.core.packet import random_padding_slice
-from repro.core.relay import Relay
 from repro.core.source import Source
-from repro.overlay.node import SimulatedOverlayNetwork, SlicingRuntime
+from repro.overlay.node import DEFAULT_BATCH_CHUNK, SimulatedOverlayNetwork, SlicingRuntime
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.simulator import EventSimulator
 
+from oracles.dataplane import ScalarSlicingRuntime
 from strategies import dimension_triples
+
+#: The two planes by name: the shipped one and the per-packet reference.
+PLANES = {"scalar": ScalarSlicingRuntime, "batched": SlicingRuntime}
 
 # -- FlowDecoder -------------------------------------------------------------------
 
@@ -114,13 +118,6 @@ def test_flow_decoder_validates_split_factor():
         decoder.add_run(0, [(0, bad)])
 
 
-def test_relay_rejects_unknown_engine():
-    from repro.core.errors import ProtocolError
-
-    with pytest.raises(ProtocolError):
-        Relay("x", engine="turbo")
-
-
 # -- simulator coalescing ------------------------------------------------------------
 
 
@@ -211,6 +208,7 @@ def run_plane(
     seed=5,
     fail_stage=None,
     seq_retention=None,
+    batch_chunk=DEFAULT_BATCH_CHUNK,
 ):
     d_prime = d if d_prime is None else d_prime
     rng = np.random.default_rng(seed)
@@ -218,11 +216,11 @@ def run_plane(
     relays = [f"r{i}" for i in range(path_length * d_prime * 2 + 8)]
     network = LAN_PROFILE.build_network(sources + relays + ["dst"], rng)
     substrate = SimulatedOverlayNetwork(network, connection_bps=30e6)
-    runtime = SlicingRuntime(
+    runtime = PLANES[data_plane](
         substrate,
         rng=np.random.default_rng(seed + 1),
-        data_plane=data_plane,
         seq_retention=seq_retention,
+        batch_chunk=batch_chunk,
     )
     source = Source(
         sources[0],
@@ -265,13 +263,19 @@ def run_plane(
     message_len=st.integers(min_value=1, max_value=160),
     fail_stage=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
     seed=st.integers(min_value=0, max_value=50),
+    batch_chunk=st.sampled_from([1, DEFAULT_BATCH_CHUNK]),
+)
+# The retired dataplane-bench workload: d = d' = 4, L = 5, 64 x 256 B.
+@example(
+    dims=(4, 4, 5), num_messages=64, message_len=256, fail_stage=None, seed=42,
+    batch_chunk=64,
 )
 def test_batched_plane_bit_identical_to_scalar_reference(
-    dims, num_messages, message_len, fail_stage, seed
+    dims, num_messages, message_len, fail_stage, seed, batch_chunk
 ):
     """The acceptance property: across d, d', path length and loss patterns,
     the batched data plane delivers byte-identical messages and identical
-    RelayStats counters under a shared seed."""
+    RelayStats counters under a shared seed — in fewer simulator events."""
     d, d_prime, path_length = dims
     body = np.random.default_rng(seed).integers(0, 256, message_len, dtype=np.uint8)
     messages = [bytes(body)] * num_messages
@@ -282,9 +286,10 @@ def test_batched_plane_bit_identical_to_scalar_reference(
         messages=messages,
         seed=seed,
         fail_stage=fail_stage,
+        batch_chunk=batch_chunk,
     )
-    scalar_delivered, scalar_stats, scalar_progress, _, _ = run_plane("scalar", **kwargs)
-    batched_delivered, batched_stats, batched_progress, _, _ = run_plane(
+    scalar_delivered, scalar_stats, scalar_progress, scalar, _ = run_plane("scalar", **kwargs)
+    batched_delivered, batched_stats, batched_progress, batched, _ = run_plane(
         "batched", **kwargs
     )
     assert batched_delivered == scalar_delivered
@@ -292,6 +297,7 @@ def test_batched_plane_bit_identical_to_scalar_reference(
     assert set(batched_progress.delivered_messages) == set(
         scalar_progress.delivered_messages
     )
+    assert batched.sim.events_processed < scalar.sim.events_processed
     if fail_stage is None:
         assert len(batched_delivered) == num_messages
 
@@ -362,8 +368,6 @@ def test_flow_retention_garbage_collects_idle_flows():
 
 def test_runtime_validates_parameters():
     substrate = build_substrate(["a"])
-    with pytest.raises(SimulationError):
-        SlicingRuntime(substrate, data_plane="warp")
     with pytest.raises(SimulationError):
         SlicingRuntime(substrate, seq_retention=0)
     with pytest.raises(SimulationError):

@@ -126,8 +126,8 @@ def test_every_job_round_trips_through_its_frame():
                 on_the_wire = decode_message(message_payload(job_frame(job)))
                 assert job_from_frame(on_the_wire) == job
                 count += 1
-    # 13 sim-only experiments + figs. 11-15 at 2 backends x (none + 4 schemes).
-    assert count >= 13 + 5 * 10
+    # 12 sim-only experiments + figs. 11-15 at 2 backends x (none + 4 schemes).
+    assert count >= 12 + 5 * 10
 
 
 def test_job_frame_that_disagrees_with_the_local_code_is_version_skew():

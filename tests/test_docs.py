@@ -124,6 +124,39 @@ def test_markdown_files_named_in_docstrings_exist():
     assert not dangling, dangling
 
 
+def test_test_citations_name_existing_tests():
+    # A citation `tests/<file>.py::<name>` under src/, benchmarks/ or docs/
+    # must name a test function that exists, so renaming or folding a test
+    # cannot leave a docstring pointing at nothing.
+    import ast
+    import re
+
+    sources = [
+        *(REPO_ROOT / "src").rglob("*.py"),
+        *(REPO_ROOT / "benchmarks").glob("*.py"),
+        *(REPO_ROOT / "docs").rglob("*.md"),
+    ]
+    cited = {
+        (source.relative_to(REPO_ROOT), path, name)
+        for source in sources
+        for path, name in re.findall(
+            r"(tests/[\w/]+\.py)::(\w+)", source.read_text(encoding="utf-8")
+        )
+    }
+    assert cited, "expected at least one citation"
+    defined: dict[str, set[str]] = {}
+    for _source, path, _name in cited:
+        if path not in defined and (REPO_ROOT / path).is_file():
+            tree = ast.parse((REPO_ROOT / path).read_text(encoding="utf-8"))
+            defined[path] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    dangling = sorted(
+        f"{source}: {path}::{name}"
+        for source, path, name in cited
+        if name not in defined.get(path, set())
+    )
+    assert not dangling, dangling
+
+
 def test_gate_table_matches_registry_and_benchmarks():
     # Every gate is a registered experiment, and the benchmark suite checks
     # exactly the gates the ledger records — no more, no fewer.
@@ -132,6 +165,7 @@ def test_gate_table_matches_registry_and_benchmarks():
     from repro.experiments import experiment_names
     from repro.experiments.bench_history import GATES
 
+    assert GATES == {"distsweep"}
     assert set(GATES) <= set(experiment_names())
     checked = {
         name

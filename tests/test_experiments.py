@@ -17,7 +17,6 @@ SMALL = 0.05  # scale factor: keep the whole module under a minute
 def test_registry_contains_every_figure():
     expected = {f"fig{n:02d}" for n in range(7, 18)} | {
         "microbench",
-        "dataplane-bench",
         "distsweep",
         "distinguishability",
         "ablation_transforms",

@@ -4,13 +4,19 @@ drive Figs. 11-15 through one establish/send driver over one substrate."""
 import numpy as np
 import pytest
 
-from repro.experiments.dataplane import compare_data_planes
+from repro.core.source import Source
 from repro.experiments.runner import run_experiment
 from repro.experiments.setup_latency import measure_setup
-from repro.experiments.throughput import measure_throughput
-from repro.overlay.node import SimulatedOverlayNetwork
+from repro.experiments.throughput import (
+    connection_bps_for,
+    measure_throughput,
+    prepare_scheme_transfer,
+)
+from repro.overlay.node import SimulatedOverlayNetwork, SlicingRuntime
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.runtime import build_runtime, runtime_backends, runtime_schemes
+
+from oracles.dataplane import ScalarSlicingRuntime
 
 
 def test_registry_lists_all_schemes():
@@ -166,10 +172,61 @@ def test_unified_setup_driver_covers_all_schemes():
         measure_setup("smoke-signals", LAN_PROFILE, path_length=2)
 
 
+def test_prepare_scheme_transfer_accepts_only_the_batched_plane():
+    # The positional data-plane slot survives for its callers; "batched" is
+    # the only value it takes.
+    with pytest.raises(ValueError, match="unknown data plane 'scalar'"):
+        prepare_scheme_transfer("slicing", LAN_PROFILE, 2, 2, 2, 1, "scalar")
+
+
+def dataplane_burst(runtime_cls, seed, num_messages, message_bytes):
+    """A fig11-style LAN flow (d = d' = 4, L = 5) shipping a burst of
+    zero-filled messages; returns delivered plaintexts, per-relay counters
+    and the simulator events the burst took."""
+    d, path_length = 4, 5
+    rng = np.random.default_rng(seed)
+    source_stage = [f"src-{i}" for i in range(d)]
+    relays = [f"relay-{i}" for i in range(path_length * d * 2)]
+    network = LAN_PROFILE.build_network(source_stage + relays + ["destination"], rng)
+    substrate = SimulatedOverlayNetwork(network, connection_bps=connection_bps_for(LAN_PROFILE))
+    runtime = runtime_cls(substrate, rng=np.random.default_rng(seed + 1), batch_chunk=64)
+    source = Source(
+        source_stage[0], source_stage[1:], d=d, d_prime=d, path_length=path_length, rng=rng
+    )
+    flow = source.establish_flow(relays, "destination")
+    runtime.start_flow(source, flow)
+    substrate.sim.run()
+    events_before = substrate.sim.events_processed
+    runtime.send_messages(source, flow, [bytes(message_bytes)] * num_messages)
+    substrate.sim.run()
+    delivered = runtime.relays["destination"].delivered_messages(
+        flow.plan.flow_ids["destination"]
+    )
+    stats = {
+        address: (
+            relay.stats.packets_received,
+            relay.stats.packets_sent,
+            relay.stats.bytes_received,
+            relay.stats.bytes_sent,
+            relay.stats.flows_decoded,
+            relay.stats.messages_delivered,
+            relay.stats.regenerated_slices,
+        )
+        for address, relay in runtime.relays.items()
+    }
+    return delivered, stats, substrate.sim.events_processed - events_before
+
+
 def test_dataplane_comparison_is_bit_identical_at_small_scale():
-    row = compare_data_planes(reps=1, seed=3, num_messages=8, message_bytes=256)
-    assert row["identical"]
-    assert row["batched_events"] < row["scalar_events"]
+    kwargs = dict(seed=3, num_messages=8, message_bytes=256)
+    batched_delivered, batched_stats, batched_events = dataplane_burst(SlicingRuntime, **kwargs)
+    scalar_delivered, scalar_stats, scalar_events = dataplane_burst(
+        ScalarSlicingRuntime, **kwargs
+    )
+    assert len(batched_delivered) == 8
+    assert batched_delivered == scalar_delivered
+    assert batched_stats == scalar_stats
+    assert batched_events < scalar_events
 
 
 def test_fig13_rows_identical_across_worker_counts(tmp_path):

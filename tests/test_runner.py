@@ -147,6 +147,15 @@ def test_cli_run_unknown_experiment(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cli_run_retired_gate_is_an_unknown_experiment(capsys):
+    # dataplane-bench timed the batched plane against a reference no run
+    # uses; it is gone from the registry, not hidden behind a flag.
+    assert experiments_main(["run", "dataplane-bench"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown experiment 'dataplane-bench'")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_run_unsupported_backend(capsys):
     # fig16 is analytic: it only runs on the simulator backend.
     assert experiments_main(["run", "fig16", "--backend", "aio"]) == 2

@@ -172,8 +172,7 @@ def test_trajectory_section_renders(full_results):
             {
                 "label": "pr6",
                 "gates": {
-                    "dataplane-bench": {
-                        "target": 5.0,
+                    "distsweep": {
                         "reference_ms": 20.0,
                         "fast_ms": 0.8,
                         "speedup": 25.0,
@@ -186,7 +185,7 @@ def test_trajectory_section_renders(full_results):
         MATRIX, full_results, trajectory=trajectory, trajectory_source="BENCH.json"
     )
     markdown = render_markdown(report)
-    assert "| pr6 | 25× (20 → 0.8 ms) | — |" in markdown
+    assert "| pr6 | 25× (20 → 0.8 ms) |" in markdown
 
 
 # -- the performance ledger ----------------------------------------------------------
@@ -220,11 +219,13 @@ def test_summarise_gate_skipped_rows_and_na_rendering():
         {
             "version": 2,
             "entries": [
-                {"label": "pr8", "gates": {"distsweep": {"target": None, **summary}}}
+                {"label": "pr8", "gates": {"distsweep": summary}},
+                {"label": "pr9", "gates": {}},
             ],
         }
     )
-    assert "| pr8 | — | n/a |" in table
+    assert "| pr8 | n/a |" in table
+    assert "| pr9 | — |" in table
     # Measured rows still win over skipped ones when both are present (a
     # distsweep on a 2-CPU host: 4 and 8 workers skipped).
     mixed = summarise_gate(
@@ -236,15 +237,17 @@ def test_summarise_gate_skipped_rows_and_na_rendering():
 def test_collect_upserts_and_reports_missing(tmp_path):
     results = tmp_path / "results"
     results.mkdir()
-    (results / "dataplane-bench.json").write_text(
+    out = tmp_path / "BENCH_trajectory.json"
+    trajectory, missing = collect("pr5", results, out)
+    assert missing == ["distsweep"]
+    assert trajectory["entries"][0]["gates"] == {}
+    (results / "distsweep.json").write_text(
         json.dumps({"rows": _bench_rows(12.0, 16.0)}), encoding="utf-8"
     )
-    out = tmp_path / "BENCH_trajectory.json"
     trajectory, missing = collect("pr6", results, out)
-    assert missing == ["distsweep"]
+    assert missing == []
     # Both absolute sides sit next to the ratio, all three as medians.
-    assert trajectory["entries"][0]["gates"]["dataplane-bench"] == {
-        "target": 5.0,
+    assert trajectory["entries"][1]["gates"]["distsweep"] == {
         "reference_ms": 14.0,
         "fast_ms": 1.0,
         "speedup": 14.0,
@@ -252,14 +255,14 @@ def test_collect_upserts_and_reports_missing(tmp_path):
         "rows": 2,
     }
     # Re-collecting the same label replaces in place; a new label appends.
-    (results / "dataplane-bench.json").write_text(
+    (results / "distsweep.json").write_text(
         json.dumps({"rows": _bench_rows(20.0)}), encoding="utf-8"
     )
     trajectory, _ = collect("pr6", results, out)
-    assert len(trajectory["entries"]) == 1
-    assert trajectory["entries"][0]["gates"]["dataplane-bench"]["speedup"] == 20.0
+    assert len(trajectory["entries"]) == 2
+    assert trajectory["entries"][1]["gates"]["distsweep"]["speedup"] == 20.0
     trajectory, _ = collect("pr7", results, out)
-    assert [entry["label"] for entry in trajectory["entries"]] == ["pr6", "pr7"]
+    assert [entry["label"] for entry in trajectory["entries"]] == ["pr5", "pr6", "pr7"]
     # Byte-deterministic: same inputs, same file.
     before = out.read_bytes()
     collect("pr7", results, out)

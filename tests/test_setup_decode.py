@@ -6,7 +6,8 @@ stacked into the batched Gauss–Jordan kernel, scalar
 :func:`~repro.core.integrity.robust_decode` fallback — and the claim is
 *bit-identity*: for any block multiset the two return the same bytes (or
 raise the same error class).  Checked here block-by-block with hypothesis
-and end-to-end through a full route setup on both engines.
+and end-to-end through a full route setup against the per-packet reference
+plane (``tests/oracles/dataplane.py``).
 """
 
 import numpy as np
@@ -19,7 +20,10 @@ from repro.core.flow_decoder import decode_setup_payload
 from repro.core.integrity import robust_decode, wrap
 from repro.core.packet import random_padding_slice
 from repro.experiments.setup_latency import measure_setup
+from repro.overlay import runtime as overlay_runtime
 from repro.overlay.profiles import LAN_PROFILE
+
+from oracles.dataplane import ScalarSlicingRuntime
 
 
 def _decode_both(coder, blocks):
@@ -91,12 +95,11 @@ def test_insufficient_blocks_raise_in_both_paths():
 
 
 @pytest.mark.parametrize("path_length,d", [(2, 2), (3, 3)])
-def test_route_setup_engines_bit_identical_end_to_end(path_length, d):
-    # One slicing route setup per relay engine under a shared seed: setup
+def test_route_setup_engines_bit_identical_end_to_end(path_length, d, monkeypatch):
+    # One slicing route setup per data plane under a shared seed: setup
     # completion, relays decoded, relay and network counters must all match.
-    scalar, batched = (
-        measure_setup("slicing", LAN_PROFILE, path_length, d=d, seed=23, data_plane=engine)
-        for engine in ("scalar", "batched")
-    )
+    batched = measure_setup("slicing", LAN_PROFILE, path_length, d=d, seed=23)
+    monkeypatch.setattr(overlay_runtime, "SlicingRuntime", ScalarSlicingRuntime)
+    scalar = measure_setup("slicing", LAN_PROFILE, path_length, d=d, seed=23)
     assert scalar.parity_fields() == batched.parity_fields()
     assert batched.setup_complete and batched.setup_seconds > 0

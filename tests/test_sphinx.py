@@ -13,7 +13,7 @@ route shape:
 * building from the same seed is bit-for-bit deterministic, and distinct
   seeds diverge;
 * the batched cell path (``wrap_cells`` / ``strip_cells``) is bit-identical
-  to the per-cell reference (``wrap_data`` / ``handle_data``).
+  to the per-cell reference (``tests/oracles/sphinx.py``).
 
 Backend parity of delivered digests lives with the other runtime-parity
 tests in ``tests/test_protocol_runtimes.py``.
@@ -38,6 +38,7 @@ from repro.baselines.sphinx import (
 )
 from repro.core.errors import ProtocolError
 
+from oracles import sphinx as oracle
 from strategies import payload_blobs, routes
 
 
@@ -89,10 +90,10 @@ def test_constant_size_at_every_hop(route, message, seed):
         handle, next_hop, packet = engines[hop].handle_setup(packet)
         handles.append(handle)
     assert len(packet) == PACKET_SIZE  # what the exit would forward onward
-    cell = source.wrap_data(circuit, message)
+    [cell] = source.wrap_cells(circuit, [message])
     for hop, handle in zip(circuit.hops, handles):
         assert len(cell) == DATA_CELL_SIZE
-        next_hop, cell = engines[hop].handle_data(handle, cell)
+        next_hop, [cell] = engines[hop].strip_cells(handle, [cell])
     assert len(cell) == DATA_CELL_SIZE
     assert next_hop == destination
     assert source.open_delivered(cell) == message
@@ -154,12 +155,12 @@ def test_batched_cells_bit_identical_to_per_cell_reference(route, messages, seed
         handle, _next_hop, packet = engines[hop].handle_setup(packet)
         handles.append(handle)
     batched = source.wrap_cells(circuit, messages)
-    stripped = [source.wrap_data(circuit, message) for message in messages]
+    stripped = [oracle.wrap_data(circuit, message) for message in messages]
     assert batched == stripped
     for hop, handle in zip(circuit.hops, handles):
         _next_hop, batched = engines[hop].strip_cells(handle, batched)
     for hop, handle in zip(circuit.hops, handles):
-        stripped = [engines[hop].handle_data(handle, cell)[1] for cell in stripped]
+        stripped = [oracle.handle_data(engines[hop], handle, cell)[1] for cell in stripped]
     assert batched == stripped
     assert [unpack_cell(cell) for cell in batched] == messages
 
@@ -207,7 +208,7 @@ def test_directory_and_sessions_reject_unknowns():
         directory.node("missing")
     relay = SphinxRelay("relay-0", directory.node("relay-0"))
     with pytest.raises(ProtocolError):
-        relay.handle_data(99, b"\x00" * DATA_CELL_SIZE)
+        relay.strip_cells(99, [b"\x00" * DATA_CELL_SIZE])
 
 
 def test_oversized_hop_address_is_rejected_at_build_time():
