@@ -12,9 +12,13 @@ Run with:  python examples/censorship_circumvention.py
 
 import numpy as np
 
-from repro.core import SliceCoder, Source
-from repro.core.packet import PacketKind
-from repro.overlay import LocalOverlay
+from repro.core import SliceCoder
+from repro.overlay import (
+    NodeResources,
+    SimulatedOverlayNetwork,
+    SlicingProtocolRuntime,
+    uniform_network,
+)
 from repro.overlay.address import assign_overlay_addresses, generate_as_database
 from repro.overlay.selection import as_diverse_selection
 
@@ -33,39 +37,36 @@ def main() -> None:
         f"{selection.distinct_ases} ASes and {selection.distinct_countries} countries"
     )
 
-    overlay = LocalOverlay()
-    overlay.add_nodes(selection.relays + ["free-press.example"])
-
     # The sender's pseudo-source is an account outside the firewall; traffic
     # to it goes over a pre-existing secure channel (§3c).
-    sender = Source(
-        address="sender-inside.example",
-        pseudo_sources=["friend-outside.example"],
-        d=2,
-        path_length=4,
-        rng=rng,
+    sender = ["sender-inside.example", "friend-outside.example"]
+    network = uniform_network(
+        [*sender, *selection.relays, "free-press.example"], 0.001, NodeResources()
     )
-    flow, delivered = overlay.run_flow(
-        sender,
-        selection.relays,
-        destination="free-press.example",
-        messages=[b"report: the dam is failing, publish at 09:00"],
-    )
-    print(f"Destination decoded: {delivered[0].decode()!r}")
+    overlay = SimulatedOverlayNetwork(network, connection_bps=1e9)
+    transfer = SlicingProtocolRuntime(overlay, sender, d=2, path_length=4, rng=rng)
+    transfer.establish(selection.relays, "free-press.example")
+    overlay.sim.run()
+    transfer.send_messages([b"report: the dam is failing, publish at 09:00"])
+    overlay.sim.run()
+    print(f"Destination decoded: {transfer.delivered_plaintexts()[0].decode()!r}")
 
-    # What does the firewall see?  Model it as an eavesdropper on every link
-    # that touches the sender's country: it observes the sender's own packets.
-    firewall_view = overlay.observed_by({"sender-inside.example"})
-    data_slices = [
-        record.packet.slices[0]
-        for record in firewall_view
-        if record.packet.kind == PacketKind.DATA
+    # What does the firewall see?  Model it as an eavesdropper on the
+    # sender's own uplink: every slice that left the sender itself, i.e.
+    # what the first-stage relays stored on the sender's lane.
+    flow = transfer.flow
+    lane = sender.index("sender-inside.example")
+    relays = transfer.runtime.relays
+    stored = [
+        relays[relay].flows[flow.plan.flow_ids[relay]].data.blocks(0)
+        for relay in flow.graph.stages[1]
     ]
+    data_slices = [block for blocks in stored for block in blocks if block.index == lane]
     coder = SliceCoder(flow.d)
     print(
         "Firewall captured "
         f"{len(data_slices)} data slice(s) from the sender's own uplink; "
-        f"can it decode the message? {coder.can_decode(data_slices[:1])}"
+        f"can it decode the message? {coder.can_decode(data_slices)}"
     )
     print(
         "The second slice of every message travelled through the outside "

@@ -10,41 +10,40 @@ Run with:  python examples/churn_resilient_transfer.py
 
 import numpy as np
 
-from repro.core import Source
-from repro.overlay import LocalOverlay
+from repro.overlay import (
+    NodeResources,
+    SimulatedOverlayNetwork,
+    SlicingProtocolRuntime,
+    uniform_network,
+)
 
 
 def run_transfer(d: int, d_prime: int, kill_per_stage: int, seed: int = 3) -> int:
     """Send 20 chunks of a file while killing relays; return chunks delivered."""
-    rng = np.random.default_rng(seed)
-    overlay = LocalOverlay()
+    sender = ["sender-home", *(f"sender-alt-{i}" for i in range(d_prime - 1))]
     relays = [f"peer-{i}" for i in range(80)]
-    overlay.add_nodes(relays + ["receiver"])
-    source = Source(
-        "sender-home",
-        [f"sender-alt-{i}" for i in range(d_prime - 1)],
-        d=d,
-        d_prime=d_prime,
-        path_length=5,
-        rng=rng,
+    network = uniform_network([*sender, *relays, "receiver"], 0.001, NodeResources())
+    overlay = SimulatedOverlayNetwork(network, connection_bps=1e9)
+    transfer = SlicingProtocolRuntime(
+        overlay, sender, d=d, d_prime=d_prime, path_length=5, rng=np.random.default_rng(seed)
     )
-    flow = source.establish_flow(relays, "receiver")
-    overlay.inject(flow.setup_packets)
+    transfer.establish(relays, "receiver")
+    overlay.sim.run()
 
     file_chunks = [bytes([i]) * 4096 for i in range(20)]
     for index, chunk in enumerate(file_chunks):
         # Halfway through, churn strikes: one relay per stage disappears.
         if index == len(file_chunks) // 2:
-            for stage in flow.graph.stages[1:]:
+            for stage in transfer.flow.graph.stages[1:]:
                 victims = [node for node in stage if node != "receiver"]
                 for victim in victims[:kill_per_stage]:
                     overlay.fail_node(victim)
-        overlay.inject(source.make_data_packets(flow, chunk))
-        overlay.flush_flow(flow)
+        # Each chunk runs until the relays' flush timers have fired, so lost
+        # slices are regenerated before the next chunk leaves.
+        transfer.send_messages([chunk])
+        overlay.sim.run()
 
-    delivered = overlay.node("receiver").delivered_messages(
-        flow.plan.flow_ids["receiver"]
-    )
+    delivered = transfer.delivered_plaintexts()
     correct = sum(
         1 for seq, chunk in enumerate(file_chunks) if delivered.get(seq) == chunk
     )

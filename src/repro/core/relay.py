@@ -7,11 +7,13 @@ to its children as instructed by its slice-map (§4.3.6), and relays data
 slices according to its data-map (§4.3.7), regenerating lost redundancy with
 network coding when a parent has failed (§4.4.1).
 
-The relay is transport-agnostic: :meth:`handle_packet` returns the packets to
-transmit, and the overlay layer (local loop, discrete-event simulator, or a
-real socket daemon) decides how and when to deliver them.  Timeout-driven
-behaviour (forwarding despite missing parents) is triggered by the overlay
-calling :meth:`flush_setup` / :meth:`flush_data`.
+The relay is transport-agnostic: :meth:`handle_packets` returns the packets
+to transmit, and the overlay runtime
+(:class:`~repro.overlay.node.SlicingRuntime`, over the discrete-event
+simulator or the asyncio socket backend) decides how and when to deliver
+them.  Timeout-driven behaviour (forwarding despite missing parents) is
+triggered by the runtime calling :meth:`flush_setup` /
+:meth:`flush_data_many`.
 
 Decoding
 --------
@@ -425,9 +427,10 @@ class Relay:
         message ``seq`` it can synthesise a fresh random linear combination to
         replace any slice a failed parent should have delivered.  Without
         ``regenerate_redundancy`` the lost slice stays lost (erasure-coding
-        baseline behaviour).  The one-sequence entry point: its one ``src/``
-        caller is the in-process overlay (:mod:`repro.overlay.local`); the
-        overlay runtimes flush whole bursts through :meth:`flush_data_many`.
+        baseline behaviour).  The one-sequence entry point has no caller in
+        the package: the overlay runtime flushes whole bursts through
+        :meth:`flush_data_many`.  It stays because ``perfbench/spans.py``
+        wraps it by name.
         """
         state = self.flows.get(flow_id)
         if state is None or not state.decoded:

@@ -14,15 +14,9 @@ from .scenarios import (
     register_matrix,
     register_matrix_file,
 )
-from .setup_latency import measure_onion_setup, measure_setup, measure_slicing_setup
+from .setup_latency import measure_setup
 from .tables import format_table
-from .throughput import (
-    ThroughputResult,
-    aggregate_throughput_vs_flows,
-    measure_onion_throughput,
-    measure_slicing_throughput,
-    measure_throughput,
-)
+from .throughput import ThroughputResult, aggregate_throughput_vs_flows, measure_throughput
 
 __all__ = [
     "REGISTRY",
@@ -40,13 +34,9 @@ __all__ = [
     "run_distributed",
     "run_worker",
     "measure_throughput",
-    "measure_slicing_throughput",
-    "measure_onion_throughput",
     "aggregate_throughput_vs_flows",
     "ThroughputResult",
     "measure_setup",
-    "measure_slicing_setup",
-    "measure_onion_setup",
     "ScenarioCell",
     "ScenarioMatrix",
     "ScenarioSpecError",

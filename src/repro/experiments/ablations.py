@@ -12,10 +12,11 @@ import time
 import numpy as np
 
 from ..core.coder import SliceCoder
-from ..core.source import Source
 from ..core.transforms import build_transform_chain
 from ..overlay.address import assign_overlay_addresses, generate_as_database
-from ..overlay.local import LocalOverlay
+from ..overlay.network import NodeResources, uniform_network
+from ..overlay.node import SimulatedOverlayNetwork
+from ..overlay.runtime import SlicingProtocolRuntime
 from ..overlay.selection import (
     adversary_capture_probability,
     as_diverse_selection,
@@ -136,33 +137,34 @@ def _network_coding_trials(scale: float) -> list[dict]:
 
 
 def _regeneration_success_rate(regenerate: bool, trials: int, base_seed: int) -> float:
+    source_stage = ["src", "src-b", "src-c"]
+    relays = [f"relay-{i}" for i in range(60)]
+    network = uniform_network([*source_stage, *relays, "dest"], 0.001, NodeResources())
     successes = 0
     for trial in range(trials):
-        overlay = LocalOverlay()
-        relays = [f"relay-{i}" for i in range(60)]
-        overlay.add_nodes(relays + ["dest"], seed=base_seed + trial)
-        for relay in overlay.relays.values():
-            relay.regenerate_redundancy = regenerate
-        source = Source(
-            "src",
-            ["src-b", "src-c"],
+        substrate = SimulatedOverlayNetwork(network, connection_bps=1e9)
+        transfer = SlicingProtocolRuntime(
+            substrate,
+            source_stage,
             d=2,
             d_prime=3,
             path_length=4,
             rng=np.random.default_rng(base_seed + 1000 + trial),
         )
-        flow = source.establish_flow(relays, "dest")
-        overlay.inject(flow.setup_packets)
+        transfer.establish(relays, "dest")
+        flow = transfer.flow
+        for address in flow.graph.relays:
+            transfer.runtime.add_relay(address).regenerate_redundancy = regenerate
+        substrate.sim.run()
         rng = np.random.default_rng(base_seed + 2000 + trial)
         # Fail one randomly chosen non-destination relay in every stage after
         # setup: survivable iff redundancy keeps getting regenerated.
         for stage in flow.graph.stages[1:]:
             candidates = [node for node in stage if node != "dest"]
-            overlay.fail_node(candidates[int(rng.integers(0, len(candidates)))])
-        overlay.inject(source.make_data_packets(flow, b"payload"))
-        overlay.flush_flow(flow)
-        delivered = overlay.node("dest").delivered_messages(flow.plan.flow_ids["dest"])
-        successes += int(delivered.get(0) == b"payload")
+            substrate.fail_node(candidates[int(rng.integers(0, len(candidates)))])
+        transfer.send_messages([b"payload"])
+        substrate.sim.run()
+        successes += int(transfer.delivered_plaintexts().get(0) == b"payload")
     return successes / trials
 
 

@@ -33,13 +33,8 @@ from ..resilience.analysis import (
 )
 from ..resilience.transfer import simulate_transfers
 from .registry import Experiment, register
-from .setup_latency import measure_onion_setup, measure_setup, measure_slicing_setup
-from .throughput import (
-    aggregate_throughput_vs_flows,
-    measure_onion_throughput,
-    measure_slicing_throughput,
-    measure_throughput,
-)
+from .setup_latency import measure_setup
+from .throughput import aggregate_throughput_vs_flows, measure_throughput
 from .trials import chunked_points, merge_chunks, spawn_seed
 
 #: Default parameters straight from the paper's captions.
@@ -303,7 +298,8 @@ def _throughput_run(params: dict, rng: np.random.Generator) -> dict:
                 "result": result.parity_fields(),
             },
         }
-    slicing = measure_slicing_throughput(
+    slicing = measure_throughput(
+        "slicing",
         profile,
         params["path_length"],
         d=params["d"],
@@ -311,7 +307,8 @@ def _throughput_run(params: dict, rng: np.random.Generator) -> dict:
         seed=spawn_seed(rng),
         backend=backend,
     )
-    onion = measure_onion_throughput(
+    onion = measure_throughput(
+        "onion",
         profile,
         params["path_length"],
         num_messages=params["num_messages"],
@@ -434,8 +431,8 @@ def _setup_run(params: dict, rng: np.random.Generator) -> dict:
         parity = {"path_length": path_length, "scheme": scheme}
         if scheme == "slicing":
             for d in params["split_factors"]:
-                result = measure_slicing_setup(
-                    profile, path_length, d=d, seed=spawn_seed(rng), backend=backend
+                result = measure_setup(
+                    "slicing", profile, path_length, d=d, seed=spawn_seed(rng), backend=backend
                 )
                 row[f"slicing_d{d}_seconds"] = result.setup_seconds
                 parity[f"slicing_d{d}"] = result.parity_fields()
@@ -455,14 +452,12 @@ def _setup_run(params: dict, rng: np.random.Generator) -> dict:
         return row
     row = {"path_length": path_length}
     parity = {"path_length": path_length}
-    onion = measure_onion_setup(
-        profile, path_length, seed=spawn_seed(rng), backend=backend
-    )
+    onion = measure_setup("onion", profile, path_length, seed=spawn_seed(rng), backend=backend)
     row["onion_seconds"] = onion.setup_seconds
     parity["onion"] = onion.parity_fields()
     for d in params["split_factors"]:
-        result = measure_slicing_setup(
-            profile, path_length, d=d, seed=spawn_seed(rng), backend=backend
+        result = measure_setup(
+            "slicing", profile, path_length, d=d, seed=spawn_seed(rng), backend=backend
         )
         row[f"slicing_d{d}_seconds"] = result.setup_seconds
         parity[f"slicing_d{d}"] = result.parity_fields()

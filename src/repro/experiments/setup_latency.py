@@ -93,24 +93,3 @@ def measure_setup(
         )
     finally:
         substrate.close()
-
-
-def measure_slicing_setup(
-    profile: OverlayProfile,
-    path_length: int,
-    d: int,
-    d_prime: int | None = None,
-    seed: int = 17,
-    backend: str = "sim",
-) -> SetupLatencyResult:
-    """Time to establish one information-slicing forwarding graph."""
-    return measure_setup(
-        "slicing", profile, path_length, d=d, d_prime=d_prime, seed=seed, backend=backend
-    )
-
-
-def measure_onion_setup(
-    profile: OverlayProfile, path_length: int, seed: int = 19, backend: str = "sim"
-) -> SetupLatencyResult:
-    """Time to build one onion circuit of ``path_length`` relays."""
-    return measure_setup("onion", profile, path_length, seed=seed, backend=backend)

@@ -162,7 +162,6 @@ def prepare_scheme_transfer(
             d_prime=d_prime,
             path_length=path_length,
             rng=rng,
-            runtime_rng=np.random.default_rng(seed + 1),
         )
     elif scheme in ("onion", "sphinx"):
         runtime = build_runtime(
@@ -231,57 +230,6 @@ def measure_throughput(
         )
     finally:
         substrate.close()
-
-
-def measure_slicing_throughput(
-    profile: OverlayProfile,
-    path_length: int,
-    d: int,
-    d_prime: int | None = None,
-    num_messages: int = 300,
-    message_bytes: int = 1500,
-    seed: int = 42,
-    backend: str = "sim",
-) -> ThroughputResult:
-    """Drive one information-slicing flow and measure delivered goodput."""
-    return measure_throughput(
-        "slicing",
-        profile,
-        path_length,
-        d=d,
-        d_prime=d_prime,
-        num_messages=num_messages,
-        message_bytes=message_bytes,
-        seed=seed,
-        backend=backend,
-    )
-
-
-def measure_onion_throughput(
-    profile: OverlayProfile,
-    path_length: int,
-    num_messages: int = 300,
-    message_bytes: int = 1500,
-    seed: int = 43,
-    backend: str = "sim",
-) -> ThroughputResult:
-    """Drive an onion-routing transfer over the same substrate.
-
-    The data path is a single chain of ``path_length`` relays.  The source
-    pays one symmetric pass per layer (``L`` passes per message); every relay
-    pays one pass; each hop is one connection, so the chain's throughput is
-    capped by a single connection's capacity — which is exactly the effect
-    information slicing's parallel paths avoid.
-    """
-    return measure_throughput(
-        "onion",
-        profile,
-        path_length,
-        num_messages=num_messages,
-        message_bytes=message_bytes,
-        seed=seed,
-        backend=backend,
-    )
 
 
 def _aggregate_runtime_flows(

@@ -1,10 +1,9 @@
-"""Overlay substrates: local in-memory overlay, discrete-event simulator,
-asyncio socket backend, churn models, latency/load profiles, and AS-aware
-relay selection."""
+"""Overlay substrates: the discrete-event simulator and the asyncio socket
+backend (the relay engines run on either through the protocol runtimes),
+churn models, latency/load profiles, and AS-aware relay selection."""
 
 from .address import ASDatabase, Prefix, assign_overlay_addresses, generate_as_database
 from .churn import PLANETLAB_CHURN, STABLE_CHURN, ChurnModel
-from .local import DeliveryRecord, LocalOverlay
 from .network import (
     NetworkModel,
     NodeResources,
@@ -37,8 +36,6 @@ from .selection import (
 from .simulator import EventHandle, EventSimulator
 
 __all__ = [
-    "LocalOverlay",
-    "DeliveryRecord",
     "EventSimulator",
     "EventHandle",
     "NetworkModel",

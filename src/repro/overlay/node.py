@@ -471,7 +471,9 @@ class SlicingRuntime:
     substrate:
         The shared transport substrate.
     rng:
-        Randomness source (currently only used to derive relay seeds).
+        Stored as ``self.rng`` and never read: every relay draws from its own
+        generator, seeded by ``sha256(address)`` (see :meth:`add_relay`).
+        The parameter stays because existing callers pass it.
     flush_timeout:
         Simulated seconds after which un-forwardable state is flushed
         (timeout-driven padding/regeneration, §4.4.1).
@@ -549,12 +551,6 @@ class SlicingRuntime:
         # Timeout-driven flush so churn cannot wedge the setup forever.
         self.sim.schedule(self.flush_timeout, lambda: self._flush_setup(flow))
         return progress
-
-    def send_message(
-        self, source: Source, flow: FlowSetup, message: bytes
-    ) -> None:
-        """Code and inject one data message from the source stage."""
-        self.send_messages(source, flow, [message])
 
     def send_messages(
         self, source: Source, flow: FlowSetup, messages: list[bytes]

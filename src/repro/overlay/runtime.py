@@ -230,13 +230,9 @@ class SlicingProtocolRuntime(ProtocolRuntime):
         path_length: int,
         d_prime: int | None = None,
         rng: np.random.Generator | None = None,
-        runtime_rng: np.random.Generator | None = None,
         runtime_kwargs: dict | None = None,
     ) -> None:
         super().__init__(substrate)
-        rng = np.random.default_rng() if rng is None else rng
-        if runtime_rng is None:
-            runtime_rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
         self.source = Source(
             source_stage[0],
             source_stage[1:],
@@ -245,7 +241,7 @@ class SlicingProtocolRuntime(ProtocolRuntime):
             path_length=path_length,
             rng=rng,
         )
-        self.runtime = SlicingRuntime(substrate, rng=runtime_rng, **(runtime_kwargs or {}))
+        self.runtime = SlicingRuntime(substrate, **(runtime_kwargs or {}))
         self.flow: FlowSetup | None = None
 
     def establish(self, relays: list[str], destination: str) -> FlowProgress:

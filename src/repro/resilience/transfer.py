@@ -15,7 +15,8 @@ a Monte-Carlo over node lifetimes drawn from a churn model:
 
 The same trials can optionally be cross-checked against the packet-level
 protocol via :func:`packet_level_success` (used in the integration tests),
-which replays the failure pattern on a real in-memory overlay.
+which replays the failure pattern with the real relay engines on
+:class:`~repro.overlay.node.SlicingRuntime` over the discrete-event simulator.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.errors import SimulationError
 from ..core.source import Source
 from ..overlay.churn import ChurnModel
-from ..overlay.local import LocalOverlay
+from ..overlay.network import NodeResources, uniform_network
+from ..overlay.node import SimulatedOverlayNetwork, SlicingRuntime
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ def packet_level_success(
     message: bytes = b"payload",
     seed: int = 5,
 ) -> bool:
-    """Replay a failure pattern on the real protocol over an in-memory overlay.
+    """Replay a failure pattern on the real protocol over the simulated overlay.
 
     ``failed_stage_positions`` lists (stage, position) pairs — 1-based stages
     — whose relay dies after route setup but before the data phase.  Returns
@@ -141,38 +144,41 @@ def packet_level_success(
     that the lightweight Monte-Carlo model and the packet-level protocol
     agree on what survives.
     """
-    overlay = LocalOverlay()
+    source_stage = ["source", *(f"pseudo-{i}" for i in range(d_prime - 1))]
     relays = [f"relay-{i}" for i in range(path_length * d_prime * 3)]
     destination = "destination"
-    overlay.add_nodes(relays + [destination], seed=seed)
     # Place the destination in the last stage (as the paper does for its
     # measurements) so the lightweight "every stage needs >= d live relays"
     # model and the packet-level outcome agree on what counts as success.
-    flow = None
     for attempt in range(200):
         source = Source(
-            "source",
-            [f"pseudo-{i}" for i in range(d_prime - 1)],
+            source_stage[0],
+            source_stage[1:],
             d=d,
             d_prime=d_prime,
             path_length=path_length,
             rng=np.random.default_rng(seed + attempt),
         )
-        candidate = source.establish_flow(relays, destination)
-        if candidate.graph.destination_stage == path_length:
-            flow = candidate
+        flow = source.establish_flow(relays, destination)
+        if flow.graph.destination_stage == path_length:
             break
-    assert flow is not None, "could not place the destination in the last stage"
-    overlay.inject(flow.setup_packets)
-    graph = flow.graph
+    else:
+        raise SimulationError(
+            "could not place the destination in the last stage "
+            f"(path_length={path_length}, d={d}, d_prime={d_prime}, seed={seed})"
+        )
+    network = uniform_network([*source_stage, *relays, destination], 0.001, NodeResources())
+    substrate = SimulatedOverlayNetwork(network, connection_bps=1e9)
+    runtime = SlicingRuntime(substrate)
+    runtime.start_flow(source, flow)
+    substrate.sim.run()
     for stage, position in failed_stage_positions:
-        victim = graph.stages[stage][position]
-        if victim == destination:
-            continue
-        overlay.fail_node(victim)
-    overlay.inject(source.make_data_packets(flow, message))
-    overlay.flush_flow(flow)
-    delivered = overlay.node(destination).delivered_messages(
+        victim = flow.graph.stages[stage][position]
+        if victim != destination:
+            substrate.fail_node(victim)
+    runtime.send_messages(source, flow, [message])
+    substrate.sim.run()
+    delivered = runtime.relays[destination].delivered_messages(
         flow.plan.flow_ids[destination]
     )
     return any(value == message for value in delivered.values())

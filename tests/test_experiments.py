@@ -4,10 +4,9 @@ from repro.experiments import (
     experiment_names,
     experiment_rows,
     format_table,
-    measure_onion_setup,
-    measure_onion_throughput,
-    measure_slicing_setup,
-    measure_slicing_throughput,
+    measure_setup,
+    measure_throughput,
+    run_experiment,
 )
 from repro.overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
 
@@ -63,11 +62,11 @@ def test_fig14_setup_orderings():
 
 
 def test_setup_latency_wan_slower_than_lan():
-    lan = measure_slicing_setup(LAN_PROFILE, 4, d=3)
-    wan = measure_slicing_setup(PLANETLAB_PROFILE, 4, d=3)
+    lan = measure_setup("slicing", LAN_PROFILE, 4, d=3)
+    wan = measure_setup("slicing", PLANETLAB_PROFILE, 4, d=3)
     assert wan.setup_seconds > lan.setup_seconds
-    lan_onion = measure_onion_setup(LAN_PROFILE, 4)
-    wan_onion = measure_onion_setup(PLANETLAB_PROFILE, 4)
+    lan_onion = measure_setup("onion", LAN_PROFILE, 4, seed=19)
+    wan_onion = measure_setup("onion", PLANETLAB_PROFILE, 4, seed=19)
     assert wan_onion.setup_seconds > lan_onion.setup_seconds
 
 
@@ -109,12 +108,21 @@ def test_microbenchmark_rows():
 
 
 def test_throughput_result_fields():
-    result = measure_slicing_throughput(LAN_PROFILE, 3, d=2, num_messages=30)
+    result = measure_throughput("slicing", LAN_PROFILE, 3, d=2, num_messages=30)
     assert result.protocol == "information-slicing"
     assert result.messages_delivered == 30
-    onion = measure_onion_throughput(LAN_PROFILE, 3, num_messages=30)
+    onion = measure_throughput("onion", LAN_PROFILE, 3, num_messages=30, seed=43)
     assert onion.protocol == "onion-routing"
     assert onion.messages_delivered == 30
+
+
+def test_ablation_network_coding_golden_rows():
+    # §4.4.1 on vs. off at smoke scale: both arms replay the same flows and
+    # failure patterns, so these rates pin the relay protocol's behaviour.
+    assert run_experiment("ablation_network_coding", scale=SMALL).rows == [
+        {"regeneration": "enabled", "success_rate": 0.9333333333333333},
+        {"regeneration": "disabled", "success_rate": 0.4666666666666667},
+    ]
 
 
 def test_format_table_renders_all_columns():

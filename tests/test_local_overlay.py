@@ -1,20 +1,14 @@
-"""End-to-end integration tests over the in-memory overlay."""
+"""End-to-end integration tests of in-process transfers: the real relay
+engines on :class:`~repro.overlay.node.SlicingRuntime` over the simulator."""
 
 import numpy as np
 import pytest
 
 from repro.core.coder import SliceCoder
-from repro.core.errors import SimulationError
-from repro.core.packet import PacketKind
+from repro.core.integrity import robust_decode
 from repro.core.source import Source
-from repro.overlay.local import LocalOverlay
-
-
-def build_overlay(num_relays=40):
-    overlay = LocalOverlay()
-    relays = [f"10.1.0.{i}" for i in range(1, num_relays + 1)]
-    overlay.add_nodes(relays + ["bob"])
-    return overlay, relays
+from repro.overlay.network import NodeResources, uniform_network
+from repro.overlay.node import SimulatedOverlayNetwork, SlicingRuntime
 
 
 def make_source(d=2, d_prime=None, path_length=3, seed=1):
@@ -29,59 +23,74 @@ def make_source(d=2, d_prime=None, path_length=3, seed=1):
     )
 
 
+def run_flow(source, messages, num_relays=40, fail_stage=None, fail_before_setup=False):
+    """Set up a flow to "bob", optionally kill one relay of ``fail_stage``
+    (before setup, or between setup and data), send ``messages``, and return
+    ``(runtime, flow, what bob decoded)``."""
+    relays = [f"10.1.0.{i}" for i in range(1, num_relays + 1)]
+    network = uniform_network([*source.source_stage, *relays, "bob"], 0.001, NodeResources())
+    substrate = SimulatedOverlayNetwork(network, connection_bps=1e9)
+    runtime = SlicingRuntime(substrate)
+    flow = source.establish_flow(relays, "bob")
+    victim = None
+    if fail_stage is not None:
+        victim = [n for n in flow.graph.stages[fail_stage] if n != "bob"][0]
+    if fail_before_setup:
+        substrate.fail_node(victim)
+    runtime.start_flow(source, flow)
+    substrate.sim.run()
+    if victim is not None and not fail_before_setup:
+        substrate.fail_node(victim)
+    runtime.send_messages(source, flow, messages)
+    substrate.sim.run()
+    delivered = runtime.relays["bob"].delivered_messages(flow.plan.flow_ids["bob"])
+    return runtime, flow, delivered
+
+
 def test_end_to_end_delivery_basic():
-    overlay, relays = build_overlay()
-    source = make_source()
-    flow, delivered = overlay.run_flow(
-        source, relays, "bob", [b"Let's meet at 5pm", b"bring the docs"]
+    _runtime, _flow, delivered = run_flow(
+        make_source(), [b"Let's meet at 5pm", b"bring the docs"]
     )
     assert delivered == {0: b"Let's meet at 5pm", 1: b"bring the docs"}
 
 
 @pytest.mark.parametrize("d,path_length", [(2, 2), (3, 3), (2, 5), (4, 3)])
 def test_end_to_end_various_parameters(d, path_length):
-    overlay, relays = build_overlay(60)
     source = make_source(d=d, path_length=path_length, seed=d * 10 + path_length)
     message = bytes(f"parameters d={d} L={path_length}", "ascii")
-    _flow, delivered = overlay.run_flow(source, relays, "bob", [message])
+    _runtime, _flow, delivered = run_flow(source, [message], num_relays=60)
     assert delivered[0] == message
 
 
 def test_end_to_end_with_redundancy():
-    overlay, relays = build_overlay()
     source = make_source(d=2, d_prime=4, path_length=3, seed=7)
-    _flow, delivered = overlay.run_flow(source, relays, "bob", [b"redundant"])
+    _runtime, _flow, delivered = run_flow(source, [b"redundant"])
     assert delivered[0] == b"redundant"
 
 
 def test_large_message_delivery():
-    overlay, relays = build_overlay()
     source = make_source(d=3, path_length=3, seed=8)
     payload = bytes(np.random.default_rng(0).integers(0, 256, 20_000, dtype=np.uint8))
-    _flow, delivered = overlay.run_flow(source, relays, "bob", [payload])
+    _runtime, _flow, delivered = run_flow(source, [payload])
     assert delivered[0] == payload
 
 
 def test_only_destination_decodes_the_message():
-    overlay, relays = build_overlay()
-    source = make_source(seed=9)
-    flow, delivered = overlay.run_flow(source, relays, "bob", [b"for bob only"])
+    runtime, flow, delivered = run_flow(make_source(seed=9), [b"for bob only"])
     assert delivered[0] == b"for bob only"
     for relay_address in flow.graph.relays:
         if relay_address == "bob":
             continue
-        relay = overlay.node(relay_address)
+        relay = runtime.relays[relay_address]
         for flow_id in relay.flows:
             assert relay.delivered_messages(flow_id) == {}
 
 
 def test_relays_learn_only_parents_and_children():
-    overlay, relays = build_overlay()
-    source = make_source(path_length=4, seed=10)
-    flow, _ = overlay.run_flow(source, relays, "bob", [b"topology secrecy"])
+    runtime, flow, _ = run_flow(make_source(path_length=4, seed=10), [b"topology secrecy"])
     graph = flow.graph
     for relay_address in graph.relays:
-        relay = overlay.node(relay_address)
+        relay = runtime.relays[relay_address]
         flow_id = flow.plan.flow_ids[relay_address]
         info = relay.flows[flow_id].info
         assert info is not None
@@ -95,76 +104,28 @@ def test_relays_learn_only_parents_and_children():
 
 
 def test_eavesdropper_with_partial_slices_cannot_decode():
-    overlay, relays = build_overlay()
-    source = make_source(d=3, path_length=3, seed=11)
-    flow, delivered = overlay.run_flow(source, relays, "bob", [b"confidential"])
+    runtime, flow, delivered = run_flow(make_source(d=3, path_length=3, seed=11), [b"confidential"])
     assert delivered[0] == b"confidential"
-    # An attacker observing a single first-stage relay sees at most one data
-    # slice per message: strictly fewer than d, so decoding must fail.
+    # An attacker holding what one first-stage relay stored for the message
+    # has one slice per source-stage lane; any d-1 of them never decode.
     victim = flow.graph.stages[1][0]
-    observed = overlay.observed_by({victim})
-    data_blocks = [
-        record.packet.slices[0]
-        for record in observed
-        if record.packet.kind == PacketKind.DATA and record.receiver == victim
-    ]
+    stored = runtime.relays[victim].flows[flow.plan.flow_ids[victim]].data.blocks(0)
+    assert sorted(block.index for block in stored) == list(range(flow.d_prime))
     coder = SliceCoder(flow.d)
-    assert not coder.can_decode(data_blocks[: flow.d - 1])
+    assert not coder.can_decode(stored[: flow.d - 1])
+    # All of them decode only the ciphertext under the destination's key.
+    assert robust_decode(coder, stored) != b"confidential"
 
 
 def test_failure_before_setup_kills_flow_without_redundancy():
-    overlay, relays = build_overlay()
     source = make_source(d=2, path_length=3, seed=12)
-    flow = source.establish_flow(relays, "bob")
-    victim = [n for n in flow.graph.stages[1] if n != "bob"][0]
-    overlay.fail_node(victim)
-    overlay.inject(flow.setup_packets)
-    overlay.inject(source.make_data_packets(flow, b"will not arrive"))
-    overlay.flush_flow(flow)
-    delivered = overlay.node("bob").delivered_messages(flow.plan.flow_ids["bob"])
+    _runtime, _flow, delivered = run_flow(
+        source, [b"will not arrive"], fail_stage=1, fail_before_setup=True
+    )
     assert delivered == {}
 
 
 def test_failure_tolerated_with_redundancy():
-    overlay, relays = build_overlay(60)
     source = make_source(d=2, d_prime=3, path_length=4, seed=13)
-    flow = source.establish_flow(relays, "bob")
-    overlay.inject(flow.setup_packets)
-    victim = [n for n in flow.graph.stages[2] if n != "bob"][0]
-    overlay.fail_node(victim)
-    overlay.inject(source.make_data_packets(flow, b"survives"))
-    overlay.flush_flow(flow)
-    delivered = overlay.node("bob").delivered_messages(flow.plan.flow_ids["bob"])
+    _runtime, _flow, delivered = run_flow(source, [b"survives"], num_relays=60, fail_stage=2)
     assert delivered == {0: b"survives"}
-
-
-def test_node_recovery_restores_delivery():
-    overlay, relays = build_overlay()
-    source = make_source(d=2, path_length=3, seed=14)
-    flow = source.establish_flow(relays, "bob")
-    overlay.inject(flow.setup_packets)
-    victim = [n for n in flow.graph.stages[1] if n != "bob"][0]
-    overlay.fail_node(victim)
-    overlay.inject(source.make_data_packets(flow, b"lost"))
-    overlay.recover_node(victim)
-    overlay.inject(source.make_data_packets(flow, b"found"))
-    overlay.flush_flow(flow)
-    delivered = overlay.node("bob").delivered_messages(flow.plan.flow_ids["bob"])
-    assert delivered.get(1) == b"found"
-
-
-def test_unknown_node_raises():
-    overlay = LocalOverlay()
-    with pytest.raises(SimulationError):
-        overlay.node("missing")
-
-
-def test_delivery_log_records_drops():
-    overlay, relays = build_overlay()
-    source = make_source(seed=15)
-    flow = source.establish_flow(relays, "bob")
-    victim = flow.graph.stages[1][0]
-    overlay.fail_node(victim)
-    overlay.inject(flow.setup_packets)
-    dropped = [r for r in overlay.log if not r.delivered]
-    assert dropped and all(r.receiver == victim for r in dropped)

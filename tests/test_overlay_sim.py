@@ -206,7 +206,7 @@ def run_simulated_flow(
         victim = [n for n in flow.graph.stages[fail_stage] if n != "dest"][0]
         substrate.fail_node(victim)
     for index in range(messages):
-        runtime.send_message(source, flow, f"message-{index}".encode())
+        runtime.send_messages(source, flow, [f"message-{index}".encode()])
     substrate.sim.run()
     return flow, progress
 

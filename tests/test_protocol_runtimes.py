@@ -37,6 +37,24 @@ def build_substrate(addresses, seed=0):
     return SimulatedOverlayNetwork(network, connection_bps=30e6)
 
 
+def test_slicing_runtime_source_is_a_bare_source_on_the_same_rng():
+    # The wrapper hands ``rng`` to its Source untouched, so a caller that
+    # switches from Source + SlicingRuntime to it keeps the same graph.
+    relays = [f"r{i}" for i in range(20)]
+    substrate = build_substrate(["s0", "s1", *relays, "dst"])
+    transfer = build_runtime(
+        "slicing",
+        substrate,
+        source_stage=["s0", "s1"],
+        d=2,
+        path_length=3,
+        rng=np.random.default_rng(4),
+    )
+    transfer.establish(relays, "dst")
+    bare = Source("s0", ["s1"], d=2, path_length=3, rng=np.random.default_rng(4))
+    assert transfer.flow.graph.stages == bare.establish_flow(relays, "dst").graph.stages
+
+
 def test_onion_runtime_delivers_plaintexts_end_to_end():
     relays = [f"onion-{i}" for i in range(4)]
     substrate = build_substrate(["src", *relays, "dst"])

@@ -1,12 +1,15 @@
 """Tests for the churn-resilience analysis and transfer simulation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.churn import PLANETLAB_CHURN, STABLE_CHURN, ChurnModel
-from repro.core.errors import ChurnError
+from repro.core.errors import ChurnError, SimulationError
+from repro.resilience import transfer
 from repro.resilience.analysis import (
     onion_erasure_success_probability,
     path_survival_probability,
@@ -162,3 +165,18 @@ def test_packet_level_agrees_with_model_failure_case():
     # Two failures in the same stage with d'=3, d=2: the stage drops below d.
     failures = [(2, 0), (2, 1), (2, 2)]
     assert not packet_level_success(3, 2, 3, failures)
+
+
+def test_packet_level_reports_unplaceable_destination(monkeypatch):
+    # A source whose graphs never put the destination in the last stage: the
+    # search must fail with a named error (not an assert stripped by -O).
+    class NeverLastStage:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def establish_flow(self, relays, destination):
+            return SimpleNamespace(graph=SimpleNamespace(destination_stage=1))
+
+    monkeypatch.setattr(transfer, "Source", NeverLastStage)
+    with pytest.raises(SimulationError, match="path_length=3, d=2, d_prime=3, seed=5"):
+        packet_level_success(3, 2, 3, [(1, 0)])

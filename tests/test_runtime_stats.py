@@ -3,25 +3,34 @@
 import numpy as np
 
 from repro.core.source import Source
-from repro.overlay.local import LocalOverlay
 from repro.overlay.network import NodeResources, uniform_network
 from repro.overlay.node import FlowProgress, SimulatedOverlayNetwork, SlicingRuntime
 from repro.overlay.profiles import LAN_PROFILE
+from repro.overlay.runtime import SlicingProtocolRuntime
 
 
 def test_relay_stats_track_traffic():
-    overlay = LocalOverlay()
     relays = [f"n{i}" for i in range(30)]
-    overlay.add_nodes(relays + ["dst"])
-    source = Source("s0", ["s1"], d=2, path_length=3, rng=np.random.default_rng(0))
-    flow, delivered = overlay.run_flow(source, relays, "dst", [b"x" * 600])
-    assert delivered[0] == b"x" * 600
-    total_received = sum(r.stats.packets_received for r in overlay.relays.values())
-    total_sent = sum(r.stats.packets_sent for r in overlay.relays.values())
+    network = uniform_network(["s0", "s1", *relays, "dst"], 0.001, NodeResources())
+    transfer = SlicingProtocolRuntime(
+        SimulatedOverlayNetwork(network, connection_bps=1e9),
+        ["s0", "s1"],
+        d=2,
+        path_length=3,
+        rng=np.random.default_rng(0),
+    )
+    transfer.establish(relays, "dst")
+    transfer.sim.run()
+    transfer.send_messages([b"x" * 600])
+    transfer.sim.run()
+    assert transfer.delivered_plaintexts()[0] == b"x" * 600
+    engines = transfer.runtime.relays.values()
+    total_received = sum(r.stats.packets_received for r in engines)
+    total_sent = sum(r.stats.packets_sent for r in engines)
     assert total_received > 0 and total_sent > 0
-    decoded = sum(r.stats.flows_decoded for r in overlay.relays.values())
-    assert decoded == len(flow.graph.relays)
-    destination = overlay.node("dst")
+    decoded = sum(r.stats.flows_decoded for r in engines)
+    assert decoded == len(transfer.flow.graph.relays)
+    destination = transfer.runtime.relays["dst"]
     assert destination.stats.messages_delivered == 1
     assert destination.stats.bytes_received > 600
 
