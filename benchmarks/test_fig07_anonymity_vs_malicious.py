@@ -2,9 +2,10 @@
 compared against Chaum mixes (N=10000, L=8, d=3).
 
 Regenerates the figure's series through the experiment runner
-(``run_experiment("fig07")``), with each Monte-Carlo chunk evaluated by the
-vectorised engine (``simulate_anonymity_batch``), and prints the rows the
-paper plots.  See docs/anonymity-math.md for the underlying model.
+(``run_experiment("fig07")``), one exact point per row (``exact_anonymity``
+and ``exact_chaum_anonymity``; no sampling, so ``scale`` changes nothing),
+and prints the rows the paper plots.  See docs/anonymity-math.md for the
+underlying model.
 """
 
 from repro.experiments import format_table

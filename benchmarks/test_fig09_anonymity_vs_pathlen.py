@@ -2,8 +2,8 @@
 
 Regenerates the figure's series through the experiment runner
 (``run_experiment("fig09")``) and prints the rows the paper plots.
-Each Monte-Carlo chunk is evaluated by the vectorised engine
-(``simulate_anonymity_batch``); see docs/anonymity-math.md for the model.
+Each point is the exact expectation (``exact_anonymity``; no sampling, so
+``scale`` changes nothing); see docs/anonymity-math.md for the model.
 """
 
 from repro.experiments import format_table

@@ -1,28 +1,24 @@
 """Parameter study: how do L, d and redundancy affect anonymity?
 
-Reproduces, at reduced scale, the sweeps behind Figs. 7-10 so a user can pick
+Computes, exactly, points of the sweeps behind Figs. 7-10 so a user can pick
 protocol parameters for their own threat model (expected fraction of
 colluding nodes), and prints the resulting operating points.
 
 Run with:  python examples/anonymity_study.py
 """
 
-from repro.anonymity import simulate_anonymity_batch
+from repro.anonymity import exact_anonymity
 from repro.experiments import format_table
 
 
 def main() -> None:
-    print("Anonymity (entropy / log N) for N=10000 nodes, 300 trials per point\n")
+    print("Exact anonymity (entropy / log N) for N=10000 nodes\n")
 
     rows = []
     for fraction in (0.05, 0.1, 0.2, 0.4):
         for path_length, d in ((5, 2), (8, 3), (12, 3)):
-            result = simulate_anonymity_batch(
-                num_nodes=10_000,
-                path_length=path_length,
-                d=d,
-                fraction_malicious=fraction,
-                trials=300,
+            result = exact_anonymity(
+                num_nodes=10_000, path_length=path_length, d=d, fraction_malicious=fraction
             )
             rows.append(
                 {

@@ -13,7 +13,7 @@ sub-packages hold the full system:
 * :mod:`repro.crypto` — keystream cipher and the simulated PK cost model
 * :mod:`repro.overlay` — discrete-event overlay simulator, churn, profiles
 * :mod:`repro.baselines` — onion routing, onion + erasure codes, Chaum mixes
-* :mod:`repro.anonymity` — entropy metric, attacker model, Monte-Carlo study
+* :mod:`repro.anonymity` — entropy metric and the exact Appendix-A analysis
 * :mod:`repro.resilience` — churn-resilience analysis and transfer simulation
 * :mod:`repro.experiments` — per-figure experiment runners
 """

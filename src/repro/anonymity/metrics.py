@@ -82,8 +82,7 @@ def two_level_anonymity(
     The attacker models used in the paper's appendix always produce
     distributions with (at most) two distinct probability values: one for the
     small suspect set and one for everyone else.  Computing the entropy in
-    closed form keeps the Monte-Carlo simulation at ``O(1)`` per trial even
-    for ``N = 10000`` nodes.
+    closed form keeps each assignment ``O(1)`` even for ``N = 10000`` nodes.
     """
     if total_nodes <= 1:
         return 0.0

@@ -6,13 +6,7 @@ setup-latency figures drive them through the same driver as information
 slicing.
 """
 
-from .chaum import (
-    ChaumAnonymityResult,
-    ChaumTrialValues,
-    simulate_chaum_anonymity_batch,
-    simulate_chaum_trials,
-    sweep_chaum_anonymity,
-)
+from .chaum import ChaumAnonymityResult, exact_chaum_anonymity
 from .erasure import ErasureCoder, ErasureShare
 from .onion import OnionCircuit, OnionDirectory, OnionRelay, OnionSource, run_circuit
 from .onion_erasure import (
@@ -34,10 +28,7 @@ __all__ = [
     "MultiPathCircuits",
     "run_multipath_transfer",
     "ChaumAnonymityResult",
-    "ChaumTrialValues",
-    "simulate_chaum_anonymity_batch",
-    "simulate_chaum_trials",
-    "sweep_chaum_anonymity",
+    "exact_chaum_anonymity",
     "OnionProtocolRuntime",
     "OnionErasureProtocolRuntime",
 ]

@@ -218,7 +218,7 @@ class OnionProtocolRuntime(ProtocolRuntime):
         return self.progress
 
     def send_messages(self, messages: list[bytes]) -> None:
-        assert self._driver is not None, "establish() must run before send_messages()"
+        self._require_established(self._driver)
         source = self._source
         assert source is not None
         seqs = list(range(self._next_seq, self._next_seq + len(messages)))
@@ -292,7 +292,7 @@ class SphinxProtocolRuntime(OnionProtocolRuntime):
         return self.progress
 
     def send_messages(self, messages: list[bytes]) -> None:
-        assert self._driver is not None, "establish() must run before send_messages()"
+        self._require_established(self._driver)
         source = self._source
         assert source is not None
         seqs = list(range(self._next_seq, self._next_seq + len(messages)))
@@ -380,7 +380,7 @@ class OnionErasureProtocolRuntime(ProtocolRuntime):
         return self.progress
 
     def send_messages(self, messages: list[bytes]) -> None:
-        assert self._multipath is not None, "establish() must run first"
+        self._require_established(self._multipath)
         source = self._source
         assert source is not None
         seqs = list(range(self._next_seq, self._next_seq + len(messages)))

@@ -6,11 +6,12 @@ Every figure of the paper's evaluation is declared as a named
 function (module-level so worker processes can pickle references to it), and
 a reduction that folds per-trial results into the row dictionaries the paper
 plots.  Monte-Carlo figures additionally split each parameter point into
-bounded chunks so the runner can spread one expensive point across workers.
+bounded chunks so the runner can spread one expensive point across workers;
+the anonymity figures (7-10) are exact and run one trial per point.
 
 Run one by name through :func:`~repro.experiments.runner.run_experiment`
 (or :func:`~repro.experiments.runner.experiment_rows` for just the rows);
-``scale=1.0`` reproduces the paper's trial counts.
+``scale=1.0`` reproduces the paper's trial counts where a figure samples.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..anonymity.simulation import simulate_anonymity_batch
-from ..baselines.chaum import simulate_chaum_anonymity_batch
+from ..anonymity.analysis import exact_anonymity
+from ..baselines.chaum import exact_chaum_anonymity
 from ..core.coder import SliceCoder
 from ..overlay.churn import PLANETLAB_CHURN
 from ..overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
@@ -53,43 +54,29 @@ def _trials(scale: float) -> int:
     return max(int(DEFAULT_TRIALS * scale), 20)
 
 
-# -- Fig. 7: anonymity vs. fraction of malicious nodes ---------------------------
+# -- Figs. 7-10: exact anonymity -------------------------------------------------
+#
+# One trial per plotted point, computed exactly (no RNG), so the rows do not
+# depend on ``scale``, the seed or the worker count.
 
 _FIG07_FRACTIONS = [0.001, 0.005, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
-_FIG07_FIELDS = (
-    "source_anonymity",
-    "destination_anonymity",
-    "chaum_source_anonymity",
-    "chaum_destination_anonymity",
-)
 
 
 def _fig07_trials(scale: float) -> list[dict]:
-    points = [{"fraction_malicious": f} for f in _FIG07_FRACTIONS]
-    return chunked_points(points, _trials(scale))
+    return [{"fraction_malicious": f} for f in _FIG07_FRACTIONS]
 
 
 def _fig07_run(params: dict, rng: np.random.Generator) -> dict:
     fraction = params["fraction_malicious"]
-    trials = params["trials"]
-    slicing = simulate_anonymity_batch(
-        DEFAULT_N, path_length=8, d=3, fraction_malicious=fraction, trials=trials, rng=rng
-    )
-    chaum = simulate_chaum_anonymity_batch(
-        DEFAULT_N, path_length=8, fraction_malicious=fraction, trials=trials, rng=rng
-    )
+    slicing = exact_anonymity(DEFAULT_N, path_length=8, d=3, fraction_malicious=fraction)
+    chaum = exact_chaum_anonymity(DEFAULT_N, path_length=8, fraction_malicious=fraction)
     return {
         "fraction_malicious": fraction,
-        "trials": trials,
         "source_anonymity": slicing.source_anonymity,
         "destination_anonymity": slicing.destination_anonymity,
         "chaum_source_anonymity": chaum.source_anonymity,
         "chaum_destination_anonymity": chaum.destination_anonymity,
     }
-
-
-def _fig07_reduce(trials: list[dict], results: list[dict]) -> list[dict]:
-    return merge_chunks(results, ("fraction_malicious",), _FIG07_FIELDS)
 
 
 register(
@@ -98,56 +85,26 @@ register(
         title="Fig. 7: anonymity vs. fraction of malicious nodes (N=10000, L=8, d=3)",
         build_trials=_fig07_trials,
         run_trial=_fig07_run,
-        reduce=_fig07_reduce,
     )
 )
 
-
-# -- Fig. 8: anonymity vs. split factor ------------------------------------------
 
 _FIG08_SPLIT_FACTORS = [2, 3, 4, 6, 8, 10, 12]
 
 
 def _fig08_trials(scale: float) -> list[dict]:
-    points = [
-        {"split_factor": d, "fraction_malicious": f}
-        for d in _FIG08_SPLIT_FACTORS
-        for f in (0.1, 0.4)
-    ]
-    return chunked_points(points, _trials(scale))
+    return [{"split_factor": d} for d in _FIG08_SPLIT_FACTORS]
 
 
 def _fig08_run(params: dict, rng: np.random.Generator) -> dict:
-    result = simulate_anonymity_batch(
-        DEFAULT_N,
-        path_length=8,
-        d=params["split_factor"],
-        fraction_malicious=params["fraction_malicious"],
-        trials=params["trials"],
-        rng=rng,
-    )
-    return {
-        "split_factor": params["split_factor"],
-        "fraction_malicious": params["fraction_malicious"],
-        "trials": params["trials"],
-        "source_anonymity": result.source_anonymity,
-        "destination_anonymity": result.destination_anonymity,
-    }
-
-
-def _fig08_reduce(trials: list[dict], results: list[dict]) -> list[dict]:
-    merged = merge_chunks(
-        results,
-        ("split_factor", "fraction_malicious"),
-        ("source_anonymity", "destination_anonymity"),
-    )
-    rows: dict[int, dict] = {}
-    for entry in merged:
-        row = rows.setdefault(entry["split_factor"], {"split_factor": entry["split_factor"]})
-        suffix = f"f{entry['fraction_malicious']:g}"
-        row[f"source_anonymity_{suffix}"] = entry["source_anonymity"]
-        row[f"destination_anonymity_{suffix}"] = entry["destination_anonymity"]
-    return [rows[d] for d in sorted(rows)]
+    row = {"split_factor": params["split_factor"]}
+    for fraction in (0.1, 0.4):
+        result = exact_anonymity(
+            DEFAULT_N, path_length=8, d=params["split_factor"], fraction_malicious=fraction
+        )
+        row[f"source_anonymity_f{fraction:g}"] = result.source_anonymity
+        row[f"destination_anonymity_f{fraction:g}"] = result.destination_anonymity
+    return row
 
 
 register(
@@ -156,42 +113,26 @@ register(
         title="Fig. 8: anonymity vs. split factor d (N=10000, L=8, f in {0.1, 0.4})",
         build_trials=_fig08_trials,
         run_trial=_fig08_run,
-        reduce=_fig08_reduce,
     )
 )
 
-
-# -- Fig. 9: anonymity vs. path length -------------------------------------------
 
 _FIG09_LENGTHS = [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
 
 
 def _fig09_trials(scale: float) -> list[dict]:
-    points = [{"path_length": length} for length in _FIG09_LENGTHS]
-    return chunked_points(points, _trials(scale))
+    return [{"path_length": length} for length in _FIG09_LENGTHS]
 
 
 def _fig09_run(params: dict, rng: np.random.Generator) -> dict:
-    result = simulate_anonymity_batch(
-        DEFAULT_N,
-        path_length=params["path_length"],
-        d=3,
-        fraction_malicious=0.1,
-        trials=params["trials"],
-        rng=rng,
+    result = exact_anonymity(
+        DEFAULT_N, path_length=params["path_length"], d=3, fraction_malicious=0.1
     )
     return {
         "path_length": params["path_length"],
-        "trials": params["trials"],
         "source_anonymity": result.source_anonymity,
         "destination_anonymity": result.destination_anonymity,
     }
-
-
-def _fig09_reduce(trials: list[dict], results: list[dict]) -> list[dict]:
-    return merge_chunks(
-        results, ("path_length",), ("source_anonymity", "destination_anonymity")
-    )
 
 
 register(
@@ -200,45 +141,28 @@ register(
         title="Fig. 9: anonymity vs. path length L (N=10000, d=3, f=0.1)",
         build_trials=_fig09_trials,
         run_trial=_fig09_run,
-        reduce=_fig09_reduce,
     )
 )
 
-
-# -- Fig. 10: anonymity vs. added redundancy -------------------------------------
 
 _FIG10_D = 3
 _FIG10_D_PRIMES = [3, 4, 5, 6, 7, 8, 9, 10]
 
 
 def _fig10_trials(scale: float) -> list[dict]:
-    points = [{"d_prime": d_prime} for d_prime in _FIG10_D_PRIMES]
-    return chunked_points(points, _trials(scale))
+    return [{"d_prime": d_prime} for d_prime in _FIG10_D_PRIMES]
 
 
 def _fig10_run(params: dict, rng: np.random.Generator) -> dict:
     d_prime = params["d_prime"]
-    result = simulate_anonymity_batch(
-        DEFAULT_N,
-        path_length=8,
-        d=_FIG10_D,
-        fraction_malicious=0.1,
-        trials=params["trials"],
-        rng=rng,
-        d_prime=d_prime,
+    result = exact_anonymity(
+        DEFAULT_N, path_length=8, d=_FIG10_D, fraction_malicious=0.1, d_prime=d_prime
     )
     return {
         "added_redundancy": (d_prime - _FIG10_D) / _FIG10_D,
-        "trials": params["trials"],
         "source_anonymity": result.source_anonymity,
         "destination_anonymity": result.destination_anonymity,
     }
-
-
-def _fig10_reduce(trials: list[dict], results: list[dict]) -> list[dict]:
-    return merge_chunks(
-        results, ("added_redundancy",), ("source_anonymity", "destination_anonymity")
-    )
 
 
 register(
@@ -247,7 +171,6 @@ register(
         title="Fig. 10: anonymity vs. added redundancy (d=3, L=8, f=0.1)",
         build_trials=_fig10_trials,
         run_trial=_fig10_run,
-        reduce=_fig10_reduce,
     )
 )
 

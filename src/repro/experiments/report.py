@@ -174,7 +174,6 @@ def build_report(
             "schemes": list(matrix.schemes),
             "profile": matrix.profile,
             "messages": matrix.messages,
-            "anonymity_trials": matrix.anonymity_trials,
             "num_nodes": matrix.num_nodes,
         },
         "summary": {
@@ -237,8 +236,7 @@ def render_markdown(report: dict) -> str:
         "## Matrix",
         "",
         f"- base profile `{matrix['profile']}`, {matrix['messages']} messages per"
-        f" transfer, {matrix['anonymity_trials']} anonymity trials per scheme,"
-        f" N={matrix['num_nodes']} overlay nodes",
+        f" transfer, N={matrix['num_nodes']} overlay nodes",
         f"- schemes: {', '.join(f'`{scheme}`' for scheme in matrix['schemes'])}",
         f"- {summary['cells']} cell(s): {summary['complete']} complete,"
         f" {summary['partial']} partial, {summary['missing']} missing",

@@ -50,8 +50,9 @@ DEFAULT_RESULTS_DIR = Path("results")
 #: (name, scale, seed, trials) key, so stale cached artifacts the current
 #: code cannot reproduce are never served.  v2: anonymity figures (7-10)
 #: moved to the batched Monte-Carlo engine, which consumes randomness in
-#: bulk draws rather than per trial.
-ARTIFACT_VERSION = 2
+#: bulk draws rather than per trial.  v3: figs. 7-10 and the scenario cells'
+#: anonymity columns are exact expectations, no longer Monte-Carlo estimates.
+ARTIFACT_VERSION = 3
 
 
 class UsageError(ValueError):

@@ -26,7 +26,7 @@ axis                   what the knob maps to
                        spread; 0 gives every node the base profile's load
                        factor
 ``adversary``          fraction of colluding malicious overlay nodes in the
-                       §6 anonymity Monte-Carlo
+                       exact §6 anonymity analysis
 ``d``                  split factor
 ``d_prime``            per-stage redundancy (must be >= every ``d``)
 ``path_length``        forwarding-graph stages ``L``
@@ -64,8 +64,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..anonymity.simulation import simulate_anonymity_batch
-from ..baselines.chaum import simulate_chaum_anonymity_batch
+from ..anonymity.analysis import exact_anonymity
+from ..baselines.chaum import exact_chaum_anonymity
 from ..overlay.churn import ChurnModel
 from ..overlay.network import NetworkModel, NodeResources
 from ..overlay.profiles import get_profile
@@ -107,7 +107,6 @@ INTEGER_AXES = ("d", "d_prime", "path_length")
 _BASE_DEFAULTS = {
     "profile": "lan",
     "messages": 120,
-    "anonymity_trials": 400,
     "num_nodes": 2000,
 }
 
@@ -129,7 +128,6 @@ class ScenarioMatrix:
     schemes: tuple[str, ...]
     profile: str
     messages: int
-    anonymity_trials: int
     num_nodes: int
 
     def cell_count(self) -> int:
@@ -319,7 +317,7 @@ def parse_matrix(spec: dict) -> ScenarioMatrix:
         base["profile"] in ("lan", "planetlab"),
         f"base profile must be 'lan' or 'planetlab', got {base['profile']!r}",
     )
-    for key in ("messages", "anonymity_trials", "num_nodes"):
+    for key in ("messages", "num_nodes"):
         value = base[key]
         _require(
             isinstance(value, int) and not isinstance(value, bool) and value >= 1,
@@ -333,7 +331,6 @@ def parse_matrix(spec: dict) -> ScenarioMatrix:
         schemes=tuple(raw_schemes),
         profile=str(base["profile"]),
         messages=int(base["messages"]),
-        anonymity_trials=int(base["anonymity_trials"]),
         num_nodes=int(base["num_nodes"]),
     )
 
@@ -492,23 +489,20 @@ def build_scenario_profile(params: dict) -> ScenarioProfile:
 
 # -- cell experiments --------------------------------------------------------------
 
-#: Floors keeping scaled-down cells meaningful (mirrors the figure modules).
+#: Floor keeping scaled-down cells meaningful (mirrors the figure modules).
 MIN_MESSAGES = 8
-MIN_ANONYMITY_TRIALS = 10
 
 
 def _build_cell_trials(
     matrix: ScenarioMatrix, cell: ScenarioCell, scale: float
 ) -> list[dict]:
     messages = max(int(matrix.messages * scale), MIN_MESSAGES)
-    anonymity_trials = max(int(matrix.anonymity_trials * scale), MIN_ANONYMITY_TRIALS)
     return [
         {
             "cell": cell.name,
             "scheme": scheme,
             "profile": matrix.profile,
             "messages": messages,
-            "anonymity_trials": anonymity_trials,
             "num_nodes": matrix.num_nodes,
             **cell.axes,
         }
@@ -520,8 +514,8 @@ def run_cell_trial(params: dict, rng: np.random.Generator) -> dict:
     """Measure one scheme at one cell: throughput, setup, anonymity, resilience.
 
     Module-level so worker processes can pickle references to it.  All four
-    measurements are virtual-clock or Monte-Carlo quantities, so the row is
-    a pure function of ``(params, rng)`` — which is what lets cells cache,
+    measurements are virtual-clock or exact quantities, so the row is a pure
+    function of ``(params, rng)`` — which is what lets cells cache,
     shard and byte-compare like any other deterministic experiment.
     """
     # Imported here (not at module top) to keep the spec-parsing half of this
@@ -550,28 +544,13 @@ def run_cell_trial(params: dict, rng: np.random.Generator) -> dict:
     )
 
     adversary = float(params["adversary"])
-    trials = int(params["anonymity_trials"])
     num_nodes = int(params["num_nodes"])
     if scheme == "slicing":
-        anonymity = simulate_anonymity_batch(
-            num_nodes,
-            path_length=path_length,
-            d=d,
-            fraction_malicious=adversary,
-            trials=trials,
-            rng=rng,
-            d_prime=d_prime,
-        )
+        anonymity = exact_anonymity(num_nodes, path_length, d, adversary, d_prime)
     else:
         # The onion-family baselines are single chains to the attacker: the
-        # Chaum chain walk is the matching Monte-Carlo model (as in Fig. 7).
-        anonymity = simulate_chaum_anonymity_batch(
-            num_nodes,
-            path_length=path_length,
-            fraction_malicious=adversary,
-            trials=trials,
-            rng=rng,
-        )
+        # Chaum chain is the matching model (as in Fig. 7).
+        anonymity = exact_chaum_anonymity(num_nodes, path_length, adversary)
 
     loss = float(params["loss"])
     if scheme == "slicing":
@@ -602,7 +581,6 @@ def run_cell_trial(params: dict, rng: np.random.Generator) -> dict:
         "destination_anonymity": anonymity.destination_anonymity,
         "success_probability": success,
         "unlinkability": unlinkability,
-        "anonymity_trials": trials,
     }
 
 
@@ -644,7 +622,6 @@ def _matrix_digest(matrix: ScenarioMatrix) -> str:
                 "schemes": list(matrix.schemes),
                 "profile": matrix.profile,
                 "messages": matrix.messages,
-                "anonymity_trials": matrix.anonymity_trials,
                 "num_nodes": matrix.num_nodes,
             },
             sort_keys=True,

@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.errors import SimulationError
 from ..core.relay import RelayStats
 from ..core.source import FlowSetup, Source
 from .network import NetworkModel
@@ -72,6 +73,13 @@ class ProtocolRuntime(abc.ABC):
     @abc.abstractmethod
     def send_messages(self, messages: list[bytes]) -> None:
         """Code/wrap and inject a burst of data messages."""
+
+    def _require_established(self, handle: object) -> None:
+        """Reject ``send_messages`` before ``establish`` (``handle`` is still None)."""
+        if handle is None:
+            raise SimulationError(
+                f"{self.scheme}: establish() must run before send_messages()"
+            )
 
     @abc.abstractmethod
     def setup_seconds(self) -> float | None:
@@ -230,7 +238,6 @@ class SlicingProtocolRuntime(ProtocolRuntime):
         path_length: int,
         d_prime: int | None = None,
         rng: np.random.Generator | None = None,
-        runtime_kwargs: dict | None = None,
     ) -> None:
         super().__init__(substrate)
         self.source = Source(
@@ -241,7 +248,7 @@ class SlicingProtocolRuntime(ProtocolRuntime):
             path_length=path_length,
             rng=rng,
         )
-        self.runtime = SlicingRuntime(substrate, **(runtime_kwargs or {}))
+        self.runtime = SlicingRuntime(substrate)
         self.flow: FlowSetup | None = None
 
     def establish(self, relays: list[str], destination: str) -> FlowProgress:
@@ -250,7 +257,7 @@ class SlicingProtocolRuntime(ProtocolRuntime):
         return self.progress
 
     def send_messages(self, messages: list[bytes]) -> None:
-        assert self.flow is not None, "establish() must run before send_messages()"
+        self._require_established(self.flow)
         self.runtime.send_messages(self.source, self.flow, messages)
 
     def setup_seconds(self) -> float | None:

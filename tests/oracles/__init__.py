@@ -1,10 +1,10 @@
 """Reference implementations the shipped engines are checked against.
 
 Each module holds the plain, one-item-at-a-time version of one engine, written
-to read like the paper: the per-packet data plane (``dataplane``), the
-per-trial anonymity Monte-Carlo (``anonymity``), its Chaum-chain twin
-(``chaum``) and the per-cell Sphinx layering (``sphinx``).  No run of the
-program selects them; the property tests hold the batched engines in ``src/``
-to the same bytes.  They subclass or call the production classes and need no
-hook in ``src/``.
+to read like the paper: the per-packet data plane (``dataplane``) and the
+per-cell Sphinx layering (``sphinx``), which the property tests hold the
+batched engines in ``src/`` to the same bytes; and the anonymity Monte-Carlo
+(``anonymity``) with its Chaum-chain twin (``chaum``), the samplers the exact
+DPs of Figs. 7-10 are checked against.  No run of the program selects them.
+They subclass or call the production classes and need no hook in ``src/``.
 """

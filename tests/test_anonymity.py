@@ -1,4 +1,4 @@
-"""Tests for the anonymity metric, attacker model, analysis and Monte Carlo."""
+"""Tests for the anonymity metric, attacker model and the exact analysis."""
 
 
 import numpy as np
@@ -7,17 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anonymity.analysis import (
+    _destination_anonymity_from_chain,
+    _source_anonymity_from_chain,
     destination_case1_probability,
-    expected_destination_anonymity,
-    expected_source_anonymity,
+    exact_anonymity,
     redundancy_overhead,
     source_case1_probability,
-)
-from repro.anonymity.attacker import (
-    AttackerViewBatch,
-    StageLayoutBatch,
-    _longest_true_runs,
-    sample_stage_layout_batch,
 )
 from repro.anonymity.metrics import (
     MetricError,
@@ -27,8 +22,14 @@ from repro.anonymity.metrics import (
     max_entropy,
     two_level_anonymity,
 )
-from repro.anonymity.simulation import simulate_anonymity_batch, sweep_malicious_fraction
-from repro.baselines.chaum import simulate_chaum_anonymity_batch
+from repro.baselines.chaum import exact_chaum_anonymity
+
+from oracles.anonymity import (
+    AttackerViewBatch,
+    StageLayoutBatch,
+    _longest_true_runs,
+    sample_stage_layout_batch,
+)
 
 
 # -- metrics ---------------------------------------------------------------------------
@@ -82,8 +83,8 @@ def test_two_level_anonymity_in_unit_interval(high, low, p_high):
 
 # -- attacker view ----------------------------------------------------------------------
 #
-# Hand-built graph instances go through the shipped view as one-trial batches,
-# so these cases test what Figs. 7-10 run.
+# Hand-built graph instances go through the Monte-Carlo oracle's view as
+# one-trial batches: the view the exact DP is checked against.
 
 
 def view_of(malicious, destination_stage, destination_position, d):
@@ -207,12 +208,12 @@ def test_destination_case1_increases_with_f_and_L():
 
 
 def test_expected_anonymity_decreases_with_chain_length():
-    short = expected_source_anonymity(10_000, 8, 3, 0.1, chain_length=1)
-    long = expected_source_anonymity(10_000, 8, 3, 0.1, chain_length=6)
-    assert short > long
-    short_d = expected_destination_anonymity(10_000, 8, 3, 0.1, chain_length=1)
-    long_d = expected_destination_anonymity(10_000, 8, 3, 0.1, chain_length=6)
-    assert short_d > long_d
+    # The per-s assignments of Eqs. 8 and 11 (N=10000, L=8, d'=3, f=0.1).
+    args = (10_000, 8, 3, 0.1)
+    assert _source_anonymity_from_chain(1, *args) > _source_anonymity_from_chain(6, *args)
+    assert _destination_anonymity_from_chain(1, *args) > _destination_anonymity_from_chain(
+        6, *args
+    )
 
 
 def test_redundancy_overhead():
@@ -221,18 +222,18 @@ def test_redundancy_overhead():
         redundancy_overhead(0, 1)
 
 
-# -- Monte Carlo -------------------------------------------------------------------------
+# -- exact expectation -------------------------------------------------------------------
 
 
 def test_simulation_low_f_gives_high_anonymity():
-    result = simulate_anonymity_batch(10_000, 8, 3, 0.01, trials=300, rng=np.random.default_rng(1))
+    result = exact_anonymity(10_000, 8, 3, 0.01)
     assert result.source_anonymity > 0.85
     assert result.destination_anonymity > 0.85
 
 
 def test_simulation_anonymity_decreases_with_f():
-    low = simulate_anonymity_batch(10_000, 8, 3, 0.05, trials=300, rng=np.random.default_rng(2))
-    high = simulate_anonymity_batch(10_000, 8, 3, 0.5, trials=300, rng=np.random.default_rng(3))
+    low = exact_anonymity(10_000, 8, 3, 0.05)
+    high = exact_anonymity(10_000, 8, 3, 0.5)
     assert low.source_anonymity > high.source_anonymity
     assert low.destination_anonymity > high.destination_anonymity
 
@@ -240,19 +241,18 @@ def test_simulation_anonymity_decreases_with_f():
 def test_destination_anonymity_falls_faster_than_source():
     # Fig. 7's qualitative claim: discovering the destination only needs one
     # fully-compromised stage upstream of it, so it degrades faster.
-    result = simulate_anonymity_batch(10_000, 8, 3, 0.4, trials=400, rng=np.random.default_rng(4))
+    result = exact_anonymity(10_000, 8, 3, 0.4)
     assert result.destination_anonymity < result.source_anonymity
-    assert result.destination_case1_rate > result.source_case1_rate
+    assert result.destination_case1 > result.source_case1
 
 
 def test_sweep_is_monotone_in_f():
-    rows = sweep_malicious_fraction(10_000, 8, 3, [0.01, 0.2, 0.6], trials=200)
-    anonymities = [result.source_anonymity for _, result in rows]
+    anonymities = [exact_anonymity(10_000, 8, 3, f).source_anonymity for f in (0.01, 0.2, 0.6)]
     assert anonymities[0] > anonymities[1] > anonymities[2]
 
 
 def test_chaum_baseline_comparable_at_low_f():
-    slicing = simulate_anonymity_batch(10_000, 8, 3, 0.05, trials=300, rng=np.random.default_rng(5))
-    chaum = simulate_chaum_anonymity_batch(10_000, 8, 0.05, trials=300, rng=np.random.default_rng(6))
+    slicing = exact_anonymity(10_000, 8, 3, 0.05)
+    chaum = exact_chaum_anonymity(10_000, 8, 0.05)
     assert abs(slicing.source_anonymity - chaum.source_anonymity) < 0.15
     assert chaum.destination_anonymity > 0.7

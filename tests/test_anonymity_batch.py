@@ -1,28 +1,21 @@
-"""Batched anonymity Monte-Carlo engine: exact equivalence with the per-trial
-reference (``tests/oracles/anonymity.py``), vectorised attacker-view
-correctness, and input validation."""
+"""The batched anonymity Monte-Carlo oracle: exact equivalence with its
+per-trial reference (both in ``tests/oracles/anonymity.py``), vectorised
+attacker-view correctness, and input validation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.anonymity import simulation
-from repro.anonymity.attacker import (
+from oracles import anonymity as oracle
+from oracles.anonymity import (
     AttackerViewBatch,
     _longest_true_runs,
     sample_stage_layout_batch,
-)
-from repro.anonymity.simulation import (
     simulate_anonymity_batch,
     simulate_anonymity_trials,
-    sweep_anonymity,
-    sweep_malicious_fraction,
-    sweep_redundancy,
 )
-from repro.baselines.chaum import simulate_chaum_anonymity_batch
-
-from oracles import anonymity as oracle
+from oracles.chaum import simulate_chaum_anonymity_batch
 
 #: Parameter grid for the exact-equivalence tests: includes the paper's
 #: defaults, a redundant layout (d' > d), a degenerate short path and a
@@ -40,7 +33,7 @@ PARAMETER_POINTS = [
 
 @pytest.mark.parametrize("kwargs", PARAMETER_POINTS)
 def test_batched_engine_matches_scalar_per_trial(kwargs):
-    scalar = oracle.simulate_anonymity_trials(
+    scalar = oracle.scalar_anonymity_trials(
         **kwargs, trials=400, rng=np.random.default_rng(42)
     )
     batched = simulate_anonymity_trials(**kwargs, trials=400, rng=np.random.default_rng(42))
@@ -53,37 +46,32 @@ def test_batched_engine_matches_scalar_per_trial(kwargs):
 
 def test_batched_result_equals_scalar_result():
     kwargs = dict(num_nodes=10_000, path_length=8, d=3, fraction_malicious=0.2)
-    scalar = oracle.simulate_anonymity(**kwargs, trials=300, rng=np.random.default_rng(9))
+    scalar = oracle.scalar_anonymity(**kwargs, trials=300, rng=np.random.default_rng(9))
     batched = simulate_anonymity_batch(**kwargs, trials=300, rng=np.random.default_rng(9))
     assert scalar == batched
 
 
 def test_single_trial_works_in_both_engines():
     kwargs = dict(num_nodes=100, path_length=4, d=2, fraction_malicious=0.3)
-    scalar = oracle.simulate_anonymity(**kwargs, trials=1, rng=np.random.default_rng(0))
-    batched = simulate_anonymity_batch(**kwargs, trials=1, rng=np.random.default_rng(0))
-    assert scalar == batched
+    scalar = oracle.scalar_anonymity_trials(**kwargs, trials=1, rng=np.random.default_rng(0))
+    batched = simulate_anonymity_trials(**kwargs, trials=1, rng=np.random.default_rng(0))
+    assert scalar.result() == batched.result()
     assert scalar.trials == 1
 
 
-# -- trials validation (both paths + baseline + sweeps) ----------------------------
+# -- trials validation (both paths + baseline) -------------------------------------
 
 
 @pytest.mark.parametrize("trials", [0, -5])
 def test_scalar_path_rejects_non_positive_trials(trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        oracle.simulate_anonymity(10_000, 8, 3, 0.1, trials=trials)
+        oracle.scalar_anonymity(10_000, 8, 3, 0.1, trials=trials)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_batched_path_rejects_non_positive_trials(trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         simulate_anonymity_batch(10_000, 8, 3, 0.1, trials=trials)
-
-
-def test_sweep_driver_rejects_non_positive_trials():
-    with pytest.raises(ValueError, match="trials must be >= 1"):
-        sweep_malicious_fraction(10_000, 8, 3, [0.1], trials=0)
 
 
 def test_chaum_baseline_rejects_non_positive_trials():
@@ -165,30 +153,3 @@ def test_longest_true_runs_matches_scalar_helper(rows):
     starts, lengths = _longest_true_runs(mask)
     for index, row in enumerate(rows):
         assert (starts[index], lengths[index]) == oracle._longest_true_run(row)
-
-
-# -- sweeps route through the batched engine ---------------------------------------
-
-
-def test_sweep_driver_matches_manual_batched_calls():
-    fractions = [0.05, 0.3]
-    rows = sweep_malicious_fraction(1000, 6, 2, fractions, trials=50, seed=17)
-    for index, (fraction, result) in enumerate(rows):
-        expected = simulate_anonymity_batch(
-            1000, 6, 2, fraction, trials=50, rng=np.random.default_rng(17 + index)
-        )
-        assert fraction == fractions[index]
-        assert result == expected
-
-
-def test_sweep_driver_scalar_engine_agrees_with_batched(monkeypatch):
-    points = [(0.1, dict(num_nodes=1000, path_length=5, d=2, fraction_malicious=0.1))]
-    batched = sweep_anonymity(points, trials=80, seed=3)
-    monkeypatch.setattr(simulation, "simulate_anonymity_batch", oracle.simulate_anonymity)
-    scalar = sweep_anonymity(points, trials=80, seed=3)
-    assert batched == scalar
-
-
-def test_sweep_redundancy_reports_redundancy_keys():
-    rows = sweep_redundancy(1000, 5, 2, [2, 4], fraction_malicious=0.2, trials=40)
-    assert [key for key, _ in rows] == [0.0, 1.0]

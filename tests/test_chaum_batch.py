@@ -1,18 +1,13 @@
-"""The vectorised Chaum-mix Monte-Carlo engine: bit-identity with the per-trial
-reference (``tests/oracles/chaum.py``) and stream-compatibility with the
-historical per-trial sampler."""
+"""The vectorised Chaum-mix Monte-Carlo oracle: bit-identity with its per-trial
+chain walk (both in ``tests/oracles/chaum.py``) and stream-compatibility with
+the historical per-trial sampler."""
 
 import numpy as np
 import pytest
 
 from repro.anonymity.metrics import two_level_anonymity
-from repro.baselines.chaum import (
-    simulate_chaum_anonymity_batch,
-    simulate_chaum_trials,
-    sweep_chaum_anonymity,
-)
-
 from oracles import chaum as oracle
+from oracles.chaum import simulate_chaum_anonymity_batch, simulate_chaum_trials
 
 POINTS = [
     # (num_nodes, path_length, fraction_malicious)
@@ -28,7 +23,7 @@ POINTS = [
 @pytest.mark.parametrize("num_nodes,path_length,fraction", POINTS)
 def test_batched_engine_is_bit_identical_to_scalar(num_nodes, path_length, fraction):
     seed = int(fraction * 1000) + path_length
-    scalar = oracle.simulate_chaum_trials(
+    scalar = oracle.scalar_chaum_trials(
         num_nodes, path_length, fraction, trials=400, rng=np.random.default_rng(seed)
     )
     batched = simulate_chaum_trials(
@@ -40,8 +35,8 @@ def test_batched_engine_is_bit_identical_to_scalar(num_nodes, path_length, fract
 
 def test_engines_match_the_historical_per_trial_implementation():
     """The shared bulk sampler consumes the RNG stream exactly like the old
-    per-trial ``rng.random(path_length)`` loop, so historical seeds (and the
-    cached fig07 artifacts) keep their values."""
+    per-trial ``rng.random(path_length)`` loop, so historical seeds keep
+    their values."""
     num_nodes, path_length, fraction, trials, seed = 10_000, 8, 0.2, 250, 77
     clean = max(int(num_nodes * (1.0 - fraction)), 1)
     rng = np.random.default_rng(seed)
@@ -62,11 +57,11 @@ def test_engines_match_the_historical_per_trial_implementation():
 
 
 def test_rng_state_advances_identically_in_both_engines():
-    # fig07 calls the slicing engine and the Chaum engine on one shared rng;
-    # the two engines must leave that stream in the same state.
+    # Both engines draw through one sampler, so they must leave a shared
+    # stream in the same state.
     rng_a = np.random.default_rng(5)
     rng_b = np.random.default_rng(5)
-    oracle.simulate_chaum_trials(1000, 8, 0.3, trials=123, rng=rng_a)
+    oracle.scalar_chaum_trials(1000, 8, 0.3, trials=123, rng=rng_a)
     simulate_chaum_trials(1000, 8, 0.3, trials=123, rng=rng_b)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -74,7 +69,7 @@ def test_rng_state_advances_identically_in_both_engines():
 def test_edge_cases_match():
     for fraction in (0.0, 1.0):
         seed = 31
-        scalar = oracle.simulate_chaum_trials(
+        scalar = oracle.scalar_chaum_trials(
             100, 4, fraction, trials=50, rng=np.random.default_rng(seed)
         )
         batched = simulate_chaum_trials(
@@ -97,12 +92,3 @@ def test_edge_cases_match():
 def test_engine_validation():
     with pytest.raises(ValueError):
         simulate_chaum_trials(100, 4, 0.1, trials=0)
-
-
-def test_sweep_uses_batched_engine_values():
-    results = sweep_chaum_anonymity(1000, 8, [0.1, 0.5], trials=60, seed=11)
-    for index, (fraction, result) in enumerate(results):
-        reference = simulate_chaum_anonymity_batch(
-            1000, 8, fraction, trials=60, rng=np.random.default_rng(11 + index)
-        )
-        assert result == reference

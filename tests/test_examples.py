@@ -12,7 +12,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: Script -> one line its output must contain.
 EXPECTED_LINES = {
     "quickstart.py": "Relays that learned the message besides Bob: none",
-    "anonymity_study.py": "Anonymity (entropy / log N) for N=10000 nodes, 300 trials per point",
+    "anonymity_study.py": "Exact anonymity (entropy / log N) for N=10000 nodes",
     "censorship_circumvention.py": (
         "Destination decoded: 'report: the dam is failing, publish at 09:00'"
     ),

@@ -4,6 +4,7 @@ drive Figs. 11-15 through one establish/send driver over one substrate."""
 import numpy as np
 import pytest
 
+from repro.core.errors import SimulationError
 from repro.core.source import Source
 from repro.experiments.runner import run_experiment
 from repro.experiments.setup_latency import measure_setup
@@ -35,6 +36,16 @@ def test_runtime_backends_reports_supported_substrates():
 def build_substrate(addresses, seed=0):
     network = LAN_PROFILE.build_network(addresses, np.random.default_rng(seed))
     return SimulatedOverlayNetwork(network, connection_bps=30e6)
+
+
+@pytest.mark.parametrize("scheme", runtime_schemes())
+def test_send_before_establish_is_a_simulation_error(scheme):
+    # A real exception, not an assert: ``python -O`` must not strip the check.
+    _substrate, runtime, _relays, _destination = prepare_scheme_transfer(
+        scheme, LAN_PROFILE, 2, 2, 3, 0, "batched"
+    )
+    with pytest.raises(SimulationError, match=f"{scheme}: establish"):
+        runtime.send_messages([b"too early"])
 
 
 def test_slicing_runtime_source_is_a_bare_source_on_the_same_rng():

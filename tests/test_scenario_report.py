@@ -30,7 +30,7 @@ MATRIX = parse_matrix(
         "name": "rep",
         "axes": {"loss": [0.0, 0.5]},
         "schemes": ["slicing", "onion"],
-        "base": {"messages": 8, "anonymity_trials": 10, "num_nodes": 60},
+        "base": {"messages": 8, "num_nodes": 60},
     }
 )
 

@@ -217,7 +217,7 @@ TINY_SPEC = {
     "name": "tiny",
     "axes": {"loss": [0.3]},
     "schemes": ["slicing", "onion"],
-    "base": {"messages": 8, "anonymity_trials": 10, "num_nodes": 60},
+    "base": {"messages": 8, "num_nodes": 60},
 }
 
 
