@@ -2,7 +2,9 @@
 overlay vs. added redundancy (L=5, d=2).
 
 Regenerates the figure's series through the experiment runner
-(``run_experiment("fig17")``) and prints the rows the paper plots.  See
+(``run_experiment("fig17")``) and prints the rows the paper plots.  The rows
+are closed forms (Eqs. 7 and 6 and plain onion routing at the churn model's
+30-minute failure probability), so they do not depend on the scale.  See
 README.md ("Figure → experiment name") for the paper artifact.
 """
 

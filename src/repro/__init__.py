@@ -14,7 +14,7 @@ sub-packages hold the full system:
 * :mod:`repro.overlay` — discrete-event overlay simulator, churn, profiles
 * :mod:`repro.baselines` — onion routing, onion + erasure codes, Chaum mixes
 * :mod:`repro.anonymity` — entropy metric and the exact Appendix-A analysis
-* :mod:`repro.resilience` — churn-resilience analysis and transfer simulation
+* :mod:`repro.resilience` — churn-resilience closed forms (Eqs. 6-7)
 * :mod:`repro.experiments` — per-figure experiment runners
 """
 

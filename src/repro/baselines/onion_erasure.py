@@ -86,8 +86,9 @@ def run_multipath_transfer(
     """Push messages through the multipath circuits, dropping failed relays.
 
     Returns the reconstructed plaintexts (``None`` where reconstruction was
-    impossible because fewer than ``d`` circuits survived).  Used by tests and
-    the Fig. 17 cross-validation.
+    impossible because fewer than ``d`` circuits survived).  Only the
+    baseline tests call it; the overlay figures run
+    :class:`~repro.baselines.runtime.OnionErasureProtocolRuntime`.
     """
     failed_relays = failed_relays or set()
     relay_engines = {

@@ -5,13 +5,13 @@ Every figure of the paper's evaluation is declared as a named
 ``scale`` into independent trial dictionaries, a module-level ``run_trial``
 function (module-level so worker processes can pickle references to it), and
 a reduction that folds per-trial results into the row dictionaries the paper
-plots.  Monte-Carlo figures additionally split each parameter point into
-bounded chunks so the runner can spread one expensive point across workers;
-the anonymity figures (7-10) are exact and run one trial per point.
+plots.  No figure samples: the anonymity figures (7-10) are exact DPs and
+the resilience figures (16-17) closed forms, one trial per point, so their
+rows ignore ``scale`` and the seed.  The overlay figures (11-15) measure
+simulated transfers, and ``scale`` sizes those transfers.
 
 Run one by name through :func:`~repro.experiments.runner.run_experiment`
-(or :func:`~repro.experiments.runner.experiment_rows` for just the rows);
-``scale=1.0`` reproduces the paper's trial counts where a figure samples.
+(or :func:`~repro.experiments.runner.experiment_rows` for just the rows).
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ from ..overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
 from ..resilience.analysis import (
     onion_erasure_success_probability,
     slicing_success_probability,
+    standard_onion_success_probability,
 )
-from ..resilience.transfer import simulate_transfers
 from .registry import Experiment, register
 from .setup_latency import measure_setup
 from .throughput import aggregate_throughput_vs_flows, measure_throughput
-from .trials import chunked_points, merge_chunks, spawn_seed
+from .trials import spawn_seed
 
 #: Default parameters straight from the paper's captions.
 DEFAULT_N = 10_000
-DEFAULT_TRIALS = 1000
 
 _PROFILES = {"lan": LAN_PROFILE, "planetlab": PLANETLAB_PROFILE}
 
@@ -48,10 +47,6 @@ _PROFILES = {"lan": LAN_PROFILE, "planetlab": PLANETLAB_PROFILE}
 #: single registered protocol runtime can be driven through the unified
 #: measurement drivers on either backend.
 OVERLAY_SCHEMES = ("slicing", "onion", "onion-erasure", "sphinx")
-
-
-def _trials(scale: float) -> int:
-    return max(int(DEFAULT_TRIALS * scale), 20)
 
 
 # -- Figs. 7-10: exact anonymity -------------------------------------------------
@@ -453,42 +448,30 @@ register(
 
 
 # -- Fig. 17: churn resilience ---------------------------------------------------
+#
+# Each relay dies within the 30-minute session independently, with the churn
+# model's probability q, and each scheme's success depends only on which
+# relays die.  So every column is a closed form at p = q (fig. 16's two plus
+# plain onion routing): one trial per d', no RNG, the same rows at any
+# ``scale``, seed or worker count.
 
 _FIG17_D = 2
 _FIG17_D_PRIMES = [2, 3, 4, 5, 6]
-_FIG17_FIELDS = (
-    "information_slicing_success",
-    "onion_erasure_success",
-    "standard_onion_success",
-)
 
 
 def _fig17_trials(scale: float) -> list[dict]:
-    points = [{"d_prime": d_prime} for d_prime in _FIG17_D_PRIMES]
-    return chunked_points(points, _trials(scale))
+    return [{"d_prime": d_prime} for d_prime in _FIG17_D_PRIMES]
 
 
 def _fig17_run(params: dict, rng: np.random.Generator) -> dict:
-    result = simulate_transfers(
-        PLANETLAB_CHURN,
-        session_seconds=30 * 60.0,
-        path_length=5,
-        d=_FIG17_D,
-        d_prime=params["d_prime"],
-        trials=params["trials"],
-        rng=rng,
-    )
+    q = PLANETLAB_CHURN.failure_probability(30 * 60.0)
+    d_prime = params["d_prime"]
     return {
-        "added_redundancy": result.redundancy,
-        "trials": params["trials"],
-        "information_slicing_success": result.information_slicing,
-        "onion_erasure_success": result.onion_erasure,
-        "standard_onion_success": result.standard_onion,
+        "added_redundancy": (d_prime - _FIG17_D) / _FIG17_D,
+        "information_slicing_success": slicing_success_probability(q, 5, _FIG17_D, d_prime),
+        "onion_erasure_success": onion_erasure_success_probability(q, 5, _FIG17_D, d_prime),
+        "standard_onion_success": standard_onion_success_probability(q, 5),
     }
-
-
-def _fig17_reduce(trials: list[dict], results: list[dict]) -> list[dict]:
-    return merge_chunks(results, ("added_redundancy",), _FIG17_FIELDS)
 
 
 register(
@@ -497,7 +480,6 @@ register(
         title="Fig. 17: 30-minute transfer success vs. redundancy on a churning overlay",
         build_trials=_fig17_trials,
         run_trial=_fig17_run,
-        reduce=_fig17_reduce,
     )
 )
 

@@ -1,10 +1,11 @@
-"""Churn models: node lifetimes and failure processes (§8).
+"""Churn models: node lifetimes and the failure probability they imply (§8).
 
 The paper's PlanetLab experiments deliberately include "failure-prone" nodes
 with perceived lifetimes under 20 minutes alongside stable nodes.  We model
-an overlay population as a mixture of two exponential lifetime classes and
-expose both trial-level sampling (used by the Fig. 17 Monte Carlo) and a
-failure-event stream (used by the discrete-event simulator).
+an overlay population as a mixture of two exponential lifetime classes.
+Fig. 17 needs one number from it: the probability that a node fails within
+the session, at which it evaluates the closed forms of
+:mod:`repro.resilience.analysis`.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ class ChurnModel:
         if self.short_mean_seconds <= 0 or self.long_mean_seconds <= 0:
             raise ChurnError("mean lifetimes must be positive")
 
-    def sample_lifetimes(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample residual lifetimes (seconds) for ``count`` randomly drawn nodes."""
-        prone = rng.random(count) < self.failure_prone_fraction
-        short = rng.exponential(self.short_mean_seconds, size=count)
-        long = rng.exponential(self.long_mean_seconds, size=count)
-        return np.where(prone, short, long)
-
     def failure_probability(self, horizon_seconds: float) -> float:
         """Probability that a randomly drawn node fails within the horizon."""
         if horizon_seconds < 0:
@@ -57,12 +51,6 @@ class ChurnModel:
             self.failure_prone_fraction * p_short
             + (1.0 - self.failure_prone_fraction) * p_long
         )
-
-    def sample_failures(
-        self, count: int, horizon_seconds: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Boolean array: which of ``count`` nodes fail within the horizon."""
-        return self.sample_lifetimes(count, rng) < horizon_seconds
 
 
 #: Churn model matching the paper's PlanetLab experiments: a substantial

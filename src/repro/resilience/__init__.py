@@ -1,37 +1,17 @@
-"""Churn-resilience analysis (Eqs. 6-7) and transfer-success simulation."""
+"""Churn-resilience closed forms (Eqs. 6-7) behind Figs. 16 and 17."""
 
 from .analysis import (
-    ResiliencePoint,
     onion_erasure_success_probability,
     path_survival_probability,
     slicing_success_probability,
     stage_success_probability,
     standard_onion_success_probability,
-    sweep_redundancy,
 )
-from .transfer import (
-    TransferResult,
-    onion_erasure_transfer_succeeds,
-    packet_level_success,
-    simulate_transfers,
-    slicing_transfer_succeeds,
-    standard_onion_transfer_succeeds,
-)
-from .transfer import sweep_redundancy as sweep_transfer_redundancy
 
 __all__ = [
-    "ResiliencePoint",
     "onion_erasure_success_probability",
     "slicing_success_probability",
     "stage_success_probability",
     "standard_onion_success_probability",
     "path_survival_probability",
-    "sweep_redundancy",
-    "TransferResult",
-    "simulate_transfers",
-    "sweep_transfer_redundancy",
-    "slicing_transfer_succeeds",
-    "onion_erasure_transfer_succeeds",
-    "standard_onion_transfer_succeeds",
-    "packet_level_success",
 ]

@@ -1,4 +1,4 @@
-"""Analytical churn-resilience model (§8.1, Eqs. 6 and 7, Fig. 16).
+"""Analytical churn-resilience model (§8, Eqs. 6 and 7, Figs. 16 and 17).
 
 Both schemes add the same redundancy ``R = (d' - d)/d`` by sending ``d'``
 coded slices of which any ``d`` suffice:
@@ -9,12 +9,17 @@ coded slices of which any ``d`` suffice:
 * *Information slicing* lets relays regenerate redundancy (§4.4.1), so a
   transfer survives as long as **every stage** keeps at least ``d`` live
   relays — failures in different stages do not compound (Eq. 7).
+
+Fig. 16 evaluates both at a fixed node-failure probability.  Fig. 17 is
+the same formulas, plus plain onion routing, at the probability that a
+PlanetLab-churn node dies within a 30-minute session.  Where the relays
+part from Eq. 7's every-stage premise is in docs/ARCHITECTURE.md
+("Resilience").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def path_survival_probability(node_failure_prob: float, path_length: int) -> float:
@@ -58,40 +63,6 @@ def standard_onion_success_probability(
 ) -> float:
     """Plain onion routing (one path, no redundancy) for the Fig. 17 comparison."""
     return path_survival_probability(node_failure_prob, path_length)
-
-
-@dataclass(frozen=True)
-class ResiliencePoint:
-    """One point of the Fig. 16 curves."""
-
-    redundancy: float
-    d_prime: int
-    onion_erasure: float
-    information_slicing: float
-
-
-def sweep_redundancy(
-    node_failure_prob: float,
-    path_length: int,
-    d: int,
-    d_primes: list[int],
-) -> list[ResiliencePoint]:
-    """Fig. 16: success probability vs. added redundancy for both schemes."""
-    points = []
-    for d_prime in d_primes:
-        points.append(
-            ResiliencePoint(
-                redundancy=(d_prime - d) / d,
-                d_prime=d_prime,
-                onion_erasure=onion_erasure_success_probability(
-                    node_failure_prob, path_length, d, d_prime
-                ),
-                information_slicing=slicing_success_probability(
-                    node_failure_prob, path_length, d, d_prime
-                ),
-            )
-        )
-    return points
 
 
 def _validate_probability(p: float) -> None:

@@ -34,12 +34,12 @@ def test_get_experiment_unknown_name():
 def test_worker_count_does_not_change_rows_or_artifact_bytes(tmp_path):
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
-    serial = run_experiment("fig17", scale=SMALL, workers=1, out_dir=serial_dir)
-    parallel = run_experiment("fig17", scale=SMALL, workers=3, out_dir=parallel_dir)
+    serial = run_experiment("fig11", scale=SMALL, workers=1, out_dir=serial_dir)
+    parallel = run_experiment("fig11", scale=SMALL, workers=3, out_dir=parallel_dir)
     assert serial.rows == parallel.rows
     assert not serial.cached and not parallel.cached
-    assert (serial_dir / "fig17.json").read_bytes() == (
-        parallel_dir / "fig17.json"
+    assert (serial_dir / "fig11.json").read_bytes() == (
+        parallel_dir / "fig11.json"
     ).read_bytes()
 
 
@@ -79,11 +79,12 @@ def test_wall_clock_experiments_never_served_from_cache(tmp_path):
 
 
 def test_seed_changes_monte_carlo_results():
-    default = run_experiment("fig17", scale=SMALL)
-    reseeded = run_experiment("fig17", scale=SMALL, seed=99)
+    # fig11's trials draw their flows from the seed; the exact figures ignore it.
+    default = run_experiment("fig11", scale=SMALL)
+    reseeded = run_experiment("fig11", scale=SMALL, seed=99)
     assert default.rows != reseeded.rows
     # but the same seed reproduces exactly
-    again = run_experiment("fig17", scale=SMALL, seed=99)
+    again = run_experiment("fig11", scale=SMALL, seed=99)
     assert reseeded.rows == again.rows
 
 
