@@ -140,10 +140,6 @@ class OnionSource:
             cell = StreamCipher(session_key).encrypt(cell, _NONCE)
         return cell
 
-    def public_key_operations(self, circuit: OnionCircuit) -> int:
-        """Public-key encryptions performed by the source during setup."""
-        return circuit.length
-
 
 class OnionRelay:
     """One onion-routing relay: peels setup onions and data layers."""

@@ -47,10 +47,6 @@ class PacketFormatError(ProtocolError):
     """A packet could not be parsed or serialized."""
 
 
-class RoutingError(ProtocolError):
-    """A relay could not determine where to forward a packet."""
-
-
 class SecureTransportError(ProtocolError):
     """The authenticated transport layer (:mod:`repro.net`) failed."""
 
@@ -81,7 +77,3 @@ class ChurnError(SimulationError):
 
 class SelectionError(ReproError):
     """Relay selection could not satisfy the requested constraints."""
-
-
-class ConfidentialityError(ReproError):
-    """A confidentiality invariant would be violated (e.g. reusing slices)."""

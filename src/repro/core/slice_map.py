@@ -48,12 +48,6 @@ class FlowPlan:
     def destination_key(self) -> KeyMaterial:
         return self.keys[self.graph.destination]
 
-    def flow_id_of(self, address: str) -> int:
-        return self.flow_ids[address]
-
-    def info_of(self, address: str) -> NodeInfo:
-        return self.node_infos[address]
-
 
 def compile_flow_plan(graph: ForwardingGraph, rng: np.random.Generator) -> FlowPlan:
     """Compile the forwarding graph into per-node routing information."""

@@ -59,10 +59,6 @@ class FlowSetup:
     def destination_key(self) -> bytes:
         return self.plan.keys[self.plan.destination].key
 
-    def total_setup_bytes(self) -> int:
-        """Total bytes injected by the source stage during route setup."""
-        return sum(packet.size_bytes() for packet in self.setup_packets)
-
 
 class Source:
     """Builds anonymous flows and produces the packets that drive them.
@@ -263,7 +259,3 @@ class Source:
                     )
                 )
         return packets
-
-    def data_overhead_factor(self, flow: FlowSetup) -> float:
-        """Redundancy overhead R = (d' - d) / d of the data phase (§8.1)."""
-        return (flow.d_prime - flow.d) / flow.d

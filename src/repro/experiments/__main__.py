@@ -36,8 +36,8 @@ every registered experiment.
 (:mod:`repro.experiments.scenarios`) before dispatch; with ``run`` and no
 explicit names, all of the matrix's cells run.  ``report`` merges the cell
 artifacts of a matrix into ``scenario_report.json`` plus a markdown page
-(:mod:`repro.experiments.report`), with optional baseline-delta and
-bench-trajectory sections.
+(:mod:`repro.experiments.report`), with an optional baseline-delta
+section.
 """
 
 from __future__ import annotations
@@ -284,13 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         help="baseline report snapshot for regression deltas "
         "(default: docs/scenario-baseline.json; missing file = no deltas)",
     )
-    report_parser.add_argument(
-        "--trajectory",
-        default="BENCH_trajectory.json",
-        metavar="PATH",
-        help="bench trajectory file for the trend table "
-        "(default: BENCH_trajectory.json; missing file = no trend section)",
-    )
 
     subparsers.add_parser("list", help="list registered experiments")
 
@@ -489,15 +482,22 @@ def _run_command(args: argparse.Namespace, matrices: list) -> int:
         return code
     for job in jobs:
         if args.dist is not None:
-            from .distributed import run_distributed
+            from .distributed import WorkersExitedError, run_distributed
 
-            result = run_distributed(
-                **asdict(job),
-                out_dir=args.out,
-                force=args.force,
-                workers=args.dist,
-                transport=args.transport,
-            )
+            try:
+                result = run_distributed(
+                    **asdict(job),
+                    out_dir=args.out,
+                    force=args.force,
+                    workers=args.dist,
+                    transport=args.transport,
+                )
+            except WorkersExitedError as error:
+                # Not a usage error: the run started and cannot finish.
+                import sys
+
+                print(f"error: {error}", file=sys.stderr)
+                return 1
         else:
             result = run_experiment(
                 **asdict(job), workers=args.workers, out_dir=args.out, force=args.force
@@ -614,9 +614,8 @@ def _report_command(args: argparse.Namespace, matrix) -> int:
             json_path=json_path,
             md_path=md_path,
             baseline_path=args.baseline,
-            trajectory_path=args.trajectory,
         )
-    except ValueError as error:  # a ledger file of another schema version
+    except ValueError as error:  # a malformed --baseline file
         return _fail(str(error))
     summary = report["summary"]
     print(

@@ -118,6 +118,18 @@ DEFAULT_POLL_SECONDS = 0.2
 #: artifacts — are identical either way.
 TRANSPORTS = ("plain", "secure")
 
+#: Directory holding the ``repro`` package this process imported; spawned
+#: local workers get it at the front of ``PYTHONPATH`` so they run the same
+#: source tree, whether or not the package is installed.
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
+
+#: Seconds between checks that a spawn-local run still has a live worker.
+_SPAWN_POLL_SECONDS = 0.1
+
+
+class WorkersExitedError(RuntimeError):
+    """Every spawned local worker exited while trials were still unfinished."""
+
 
 # -- message layer ------------------------------------------------------------------
 
@@ -382,13 +394,11 @@ class _CoordinatorState:
     workers_seen: int = 0
     connected: int = 0
     redispatched: int = 0
-    compute_started: float | None = None
-    compute_seconds: float = 0.0
+    #: Why the run ended without every result, set when ``done`` is.
+    failure: str | None = None
 
     def note_progress(self) -> None:
-        if self.ledger.done and not self.done.is_set():
-            if self.compute_started is not None:
-                self.compute_seconds = time.perf_counter() - self.compute_started
+        if self.ledger.done:
             self.done.set()
 
 
@@ -474,7 +484,10 @@ class Coordinator:
         """Run to completion; returns the per-trial results in trial order.
 
         ``workers`` (the CLI's ``run --dist N`` convenience mode) launches
-        that many worker processes against the bound port.
+        that many worker processes against the bound port; if all of them
+        exit while no worker is connected and trials remain, the run raises
+        :class:`WorkersExitedError` instead of waiting for workers that will
+        never come.
         """
         state = self.state
         if state.ledger.total == 0:
@@ -487,9 +500,11 @@ class Coordinator:
             f"listening on {self.host}:{self.port}"
         )
         spawned: list[subprocess.Popen] = []
-        watchdog = asyncio.ensure_future(self._watch_expiry())
+        watchdogs = [asyncio.ensure_future(self._watch_expiry())]
         try:
             spawned = [self._spawn_local_worker(rank) for rank in range(self.workers)]
+            if spawned:
+                watchdogs.append(asyncio.ensure_future(self._watch_spawned(spawned)))
             await asyncio.wait_for(state.done.wait(), self.timeout)
         except asyncio.TimeoutError:
             raise TimeoutError(
@@ -498,11 +513,14 @@ class Coordinator:
                 "trials complete"
             ) from None
         finally:
-            watchdog.cancel()
+            for watchdog in watchdogs:
+                watchdog.cancel()
             server.close()
             await server.wait_closed()
             await self._drain_handlers()
             self._reap(spawned)
+        if state.failure is not None:
+            raise WorkersExitedError(state.failure)
         return state.ledger.results_in_order()
 
     async def _drain_handlers(self) -> None:
@@ -536,7 +554,11 @@ class Coordinator:
             f"local-{rank}",
             *self._worker_extra_args,
         ]
-        return subprocess.Popen(command, stdout=subprocess.DEVNULL)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")])
+        )
+        return subprocess.Popen(command, stdout=subprocess.DEVNULL, env=env)
 
     def _reap(self, workers: list[subprocess.Popen]) -> None:
         # Workers exit on the done frame / server EOF; escalate only if one
@@ -547,6 +569,22 @@ class Coordinator:
             except subprocess.TimeoutExpired:
                 worker.kill()
                 worker.wait()
+
+    async def _watch_spawned(self, spawned: list[subprocess.Popen]) -> None:
+        # A worker that cannot start (or dies) never connects; once none is
+        # left running or connected, nobody will finish the trials.
+        state = self.state
+        while not state.done.is_set():
+            await asyncio.sleep(_SPAWN_POLL_SECONDS)
+            codes = [worker.poll() for worker in spawned]
+            if None in codes or state.connected or state.ledger.done:
+                continue
+            state.failure = (
+                f"all {len(codes)} spawned worker(s) of {self.job.name!r} exited "
+                f"(exit codes {', '.join(map(str, codes))}) with "
+                f"{state.ledger.completed}/{state.ledger.total} trials complete"
+            )
+            state.done.set()
 
     async def _watch_expiry(self) -> None:
         state = self.state
@@ -674,8 +712,6 @@ class Coordinator:
         lease = state.ledger.lease(worker_key, time.monotonic())
         if lease is None:
             return {"type": "wait", "seconds": DEFAULT_POLL_SECONDS}
-        if state.compute_started is None:
-            state.compute_started = time.perf_counter()
         return {"type": "lease", "lease_id": lease.lease_id, "indices": list(lease.indices)}
 
     @staticmethod
@@ -709,7 +745,7 @@ def run_distributed(
     ``N`` local worker processes against the bound port (the CLI's
     ``run --dist N`` convenience mode).  ``min_workers`` holds the first
     lease back until that many workers are connected (default: ``workers``
-    or 1), so multi-worker timing measurements start from a level field.
+    or 1), so every one of them gets a share of the trials.
 
     ``transport="secure"`` mounts the frames on the authenticated
     :mod:`repro.net` channel.  A ``coordinate``-style run passes its own
@@ -743,7 +779,6 @@ def run_distributed(
     state = coordinator.state
     return replace(
         result,
-        compute_seconds=state.compute_seconds,
         workers_seen=state.workers_seen,
         redispatched=state.redispatched,
         transport=transport,

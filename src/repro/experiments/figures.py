@@ -16,10 +16,7 @@ Run one by name through :func:`~repro.experiments.runner.run_experiment`
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -484,27 +481,10 @@ register(
 )
 
 
-# -- wall-clock experiments ---------------------------------------------------------
+# -- §7.1 microbenchmark ----------------------------------------------------------
 #
-# The experiments below time code on this host.  ``microbench`` is §7.1's
-# cost table; ``distsweep`` is the one report-only entry of
-# :data:`repro.experiments.bench_history.GATES`.
-
-
-def _register_bench(name: str, title: str, build_trials, run_trial, **extra) -> None:
-    # A wall-clock experiment's rows are timings, so it is never served from
-    # cache, and they are single-host numbers, so it is never sharded.
-    register(
-        Experiment(
-            name=name,
-            title=title,
-            build_trials=build_trials,
-            run_trial=run_trial,
-            deterministic=False,
-            shardable=False,
-            **extra,
-        )
-    )
+# Its rows time code on this host, so it is never served from cache
+# (deterministic=False) and never sharded across machines.
 
 
 def _microbench_trials(scale: float) -> list[dict]:
@@ -536,116 +516,13 @@ def _microbench_run(params: dict, rng: np.random.Generator) -> dict:
     }
 
 
-_register_bench(
-    "microbench",
-    "§7.1 microbenchmark: coding cost per 1500-byte packet across d",
-    _microbench_trials,
-    _microbench_run,
-)
-
-
-# -- distributed sharding sweep ------------------------------------------------------
-
-#: Experiment the sweep shards (fig11: four sizeable, roughly comparable
-#: throughput trials — the canonical dist-parity workload).
-DISTSWEEP_EXPERIMENT = "fig11"
-
-#: Worker counts the sweep shards across; a count beyond the host's CPUs
-#: would measure time-slicing, so it is recorded as skipped, not run.
-DISTSWEEP_WORKER_COUNTS = (1, 2, 4, 8)
-
-#: Wire transports the sweep compares (same trial payloads either way).
-DISTSWEEP_TRANSPORTS = ("plain", "secure")
-
-
-def _distsweep_trials(scale: float) -> list[dict]:
-    # The *inner* scale sizes fig11's per-trial work (num_messages) so that
-    # trial execution, not lease round-trips, is what the seconds measure;
-    # the floor keeps that true at the default bench scale of 0.1.
-    inner_scale = round(max(3.0 * scale, 1.5), 4)
-    return [
-        {
-            "experiment": DISTSWEEP_EXPERIMENT,
-            "inner_scale": inner_scale,
-            "worker_counts": list(DISTSWEEP_WORKER_COUNTS),
-            "transports": list(DISTSWEEP_TRANSPORTS),
-        }
-    ]
-
-
-def _distsweep_run(params: dict, rng: np.random.Generator) -> dict:
-    from .distributed import run_distributed
-    from .runner import run_experiment
-
-    name = params["experiment"]
-    cpu_count = os.cpu_count() or 1
-    inner_scale = params["inner_scale"]
-    seed = spawn_seed(rng)
-    measurements: list[dict] = []
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        reference = run_experiment(
-            name, scale=inner_scale, seed=seed, out_dir=root / "single", force=True
-        )
-        reference_bytes = (root / "single" / f"{name}.json").read_bytes()
-        for transport in params["transports"]:
-            one_worker_ms = 0.0
-            for count in params["worker_counts"]:
-                measurement = {"transport": transport, "workers": count}
-                measurements.append(measurement)
-                if count > cpu_count:
-                    measurement["skipped"] = (
-                        f"host has {cpu_count} CPU(s); {count} workers would time-slice"
-                    )
-                    continue
-                out_dir = root / f"{transport}-{count}"
-                result = run_distributed(
-                    name,
-                    scale=inner_scale,
-                    seed=seed,
-                    out_dir=out_dir,
-                    force=True,
-                    workers=count,
-                    min_workers=count,
-                    transport=transport,
-                )
-                measurement["seconds"] = result.compute_seconds
-                measurement["byte_identical"] = (
-                    out_dir / f"{name}.json"
-                ).read_bytes() == reference_bytes
-                if count == 1:
-                    one_worker_ms = result.compute_seconds * 1e3
-                else:
-                    # The ledger's columns: one worker is the reference side.
-                    measurement["reference_ms"] = one_worker_ms
-                    measurement["fast_ms"] = result.compute_seconds * 1e3
-                    measurement["speedup"] = one_worker_ms / max(
-                        measurement["fast_ms"], 1e-9
-                    )
-    return {
-        "experiment": name,
-        "cpu_count": cpu_count,
-        "inner_scale": inner_scale,
-        "trials_sharded": reference.trial_count,
-        "measurements": measurements,
-    }
-
-
-def _distsweep_reduce(trials: list[dict], results: list[dict]) -> list[dict]:
-    # One artifact row per (transport, worker count): seconds of the compute
-    # window, and byte_identical — the cross-transport correctness claim.
-    context_keys = ("experiment", "cpu_count", "inner_scale", "trials_sharded")
-    return [
-        {**{key: result[key] for key in context_keys}, **measurement}
-        for result in results
-        for measurement in result["measurements"]
-    ]
-
-
-_register_bench(
-    "distsweep",
-    "Distributed sharding sweep: fig11 leased to 1/2/4/8 workers, plain vs. secure wire",
-    _distsweep_trials,
-    _distsweep_run,
-    reduce=_distsweep_reduce,
+register(
+    Experiment(
+        name="microbench",
+        title="§7.1 microbenchmark: coding cost per 1500-byte packet across d",
+        build_trials=_microbench_trials,
+        run_trial=_microbench_run,
+        deterministic=False,
+        shardable=False,
+    )
 )

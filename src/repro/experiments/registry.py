@@ -54,10 +54,9 @@ class Experiment:
     #: Whether the trial list may be sharded across machines by the
     #: distributed coordinator (:mod:`~repro.experiments.distributed`).
     #: Trials are already independent by construction, so this defaults to
-    #: True; the wall-clock experiments opt out — their rows are timings *of
-    #: one host*, and ``distsweep`` spawns worker processes of its own, so
-    #: leasing their trials to remote machines would change what the
-    #: numbers mean (and nest process fan-outs).
+    #: True; the wall-clock ``microbench`` opts out — its rows are timings
+    #: *of one host*, so leasing its trials to remote machines would change
+    #: what the numbers mean.
     shardable: bool = True
 
     def rows(self, trials: list[dict], results: list[dict]) -> list[dict]:

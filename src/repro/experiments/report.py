@@ -7,13 +7,13 @@ their canonical artifacts from the results directory into
 
 * ``results/scenario_report.json`` — the machine-readable consolidated
   document (per-cell scheme metrics, best-scheme assignments, regression
-  deltas against a committed baseline snapshot, the bench trajectory), and
+  deltas against a committed baseline snapshot), and
 * ``docs/scenario-report.md`` — the same content rendered as markdown.
 
 Missing or partial cells degrade gracefully: they are listed with their
 status instead of failing the merge, so a half-finished sweep still reports
 what it measured.  Everything in both outputs is a pure function of the
-spec, the cell artifacts, the baseline file and the trajectory file — no
+spec, the cell artifacts and the baseline file — no
 timestamps, no environment — so report generation is byte-deterministic
 for deterministic cells (asserted in ``tests/test_scenario_report.py`` and
 by the CI ``scenario-smoke`` job).
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .bench_history import load_trajectory, render_trend
 from .runner import serialise_artifact
 from .scenarios import ScenarioMatrix, expand_matrix, format_axis_value, label_axes
 
@@ -115,12 +114,41 @@ def collect_cells(matrix: ScenarioMatrix, results_dir: Path) -> list[dict]:
     return entries
 
 
+def load_baseline(path: Path) -> dict:
+    """Read a baseline report snapshot, rejecting shapes the deltas cannot use.
+
+    The file is input from outside the program, so each problem is one
+    ``ValueError`` line naming the file, never a traceback further in.
+    """
+    try:
+        baseline = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(f"baseline {path} is not JSON ({error})") from None
+    if not isinstance(baseline, dict):
+        raise ValueError(f"baseline {path}: the top level must be an object")
+    cells = baseline.get("cells", [])
+    if not isinstance(cells, list) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("cell"), str) for entry in cells
+    ):
+        raise ValueError(
+            f"baseline {path}: 'cells' must be a list of objects with a string 'cell'"
+        )
+    for entry in cells:
+        schemes = entry.get("schemes", {})
+        if not isinstance(schemes, dict) or not all(
+            isinstance(metrics, dict) for metrics in schemes.values()
+        ):
+            raise ValueError(
+                f"baseline {path}: 'schemes' of cell {entry['cell']!r} must be an "
+                "object of per-scheme objects"
+            )
+    return baseline
+
+
 def _baseline_deltas(cells: list[dict], baseline: dict) -> list[dict]:
     """Per-(cell, scheme, metric) relative changes against a baseline report."""
     baseline_cells = {
-        entry.get("cell"): entry.get("schemes", {})
-        for entry in baseline.get("cells", [])
-        if isinstance(entry, dict)
+        entry["cell"]: entry.get("schemes", {}) for entry in baseline.get("cells", [])
     }
     deltas = []
     for entry in cells:
@@ -154,8 +182,6 @@ def build_report(
     results_dir: str | Path,
     baseline: dict | None = None,
     baseline_source: str | None = None,
-    trajectory: dict | None = None,
-    trajectory_source: str | None = None,
 ) -> dict:
     """Assemble the consolidated report document (pure data, no I/O side effects)."""
     cells = collect_cells(matrix, Path(results_dir))
@@ -191,11 +217,6 @@ def build_report(
             "source": baseline_source or "",
             "deltas": deltas,
             "regressions": sum(1 for delta in deltas if delta["regressed"]),
-        }
-    if trajectory is not None:
-        report["trajectory"] = {
-            "source": trajectory_source or "",
-            "entries": trajectory.get("entries", []),
         }
     return report
 
@@ -309,20 +330,6 @@ def render_markdown(report: dict) -> str:
                     f"{delta['relative_change'] * 100:+.2f}% |"
                 )
             lines.append("")
-
-    lines += ["## Bench trajectory", ""]
-    trajectory = report.get("trajectory")
-    if trajectory is None:
-        lines += ["_No bench trajectory file supplied._", ""]
-    else:
-        lines.append(
-            "The performance ledger per recorded label: each gate's median "
-            "speedup with both absolute sides, then the perfbench end-to-end "
-            f"medians (from `{trajectory['source']}`):"
-        )
-        lines.append("")
-        lines.append(render_trend({"entries": trajectory["entries"]}))
-        lines.append("")
     return "\n".join(lines)
 
 
@@ -335,29 +342,20 @@ def write_report(
     json_path: str | Path,
     md_path: str | Path | None = None,
     baseline_path: str | Path | None = None,
-    trajectory_path: str | Path | None = None,
 ) -> dict:
     """Build the report and write the JSON (and optionally markdown) outputs.
 
-    ``baseline_path`` / ``trajectory_path`` that do not exist are treated as
-    absent rather than errors, so a fresh checkout can generate its first
-    report before any snapshot has been committed.
+    A ``baseline_path`` that does not exist is treated as absent rather than
+    an error, so a fresh checkout can generate its first report before any
+    snapshot has been committed; one that exists but is malformed is a
+    ``ValueError`` (:func:`load_baseline`).
     """
     baseline = baseline_source = None
     if baseline_path is not None and Path(baseline_path).is_file():
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
+        baseline = load_baseline(Path(baseline_path))
         baseline_source = Path(baseline_path).as_posix()
-    trajectory = trajectory_source = None
-    if trajectory_path is not None and Path(trajectory_path).is_file():
-        trajectory = load_trajectory(Path(trajectory_path))
-        trajectory_source = Path(trajectory_path).as_posix()
     report = build_report(
-        matrix,
-        results_dir,
-        baseline=baseline,
-        baseline_source=baseline_source,
-        trajectory=trajectory,
-        trajectory_source=trajectory_source,
+        matrix, results_dir, baseline=baseline, baseline_source=baseline_source
     )
     json_path = Path(json_path)
     json_path.parent.mkdir(parents=True, exist_ok=True)

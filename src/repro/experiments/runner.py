@@ -216,9 +216,6 @@ class RunResult:
     backend: str = "sim"
     scheme: str | None = None
     # The rest is filled in by distributed runs only.
-    #: First lease granted -> last result recorded; excludes worker start-up.
-    #: This is the window the ``distsweep`` experiment reports.
-    compute_seconds: float = 0.0
     workers_seen: int = 0
     redispatched: int = 0
     #: Wire transport the run used ("plain" | "secure"); the merged artifact

@@ -57,9 +57,6 @@ class ASDatabase:
     def country_of(self, address: str) -> str:
         return self.as_countries.get(self.asn_of(address), "unknown")
 
-    def distinct_as_count(self, addresses: list[str]) -> int:
-        return len({self.asn_of(address) for address in addresses})
-
 
 _COUNTRIES = ["us", "de", "cn", "ir", "br", "jp", "in", "ru", "fr", "za", "kr", "gb"]
 

@@ -41,17 +41,6 @@ class NodeResources:
         """CPU time to code or decode ``payload_bytes`` with split factor ``d``."""
         return self.coding_seconds_per_byte_per_d * d * payload_bytes * self.load_factor
 
-    def coding_time_batch(self, payload_bytes: int, d: int, count: int) -> float:
-        """CPU time to code or decode ``count`` equal-size payloads as one batch.
-
-        The modelled work is byte-proportional, so a batch costs exactly the
-        sum of its per-packet costs: batching collapses *scheduler events*
-        (one CPU reservation instead of ``count``), not the finite-field work
-        itself.  Keeping the totals equal is what makes the batched data
-        plane's simulated clock comparable with the per-packet reference.
-        """
-        return self.coding_time(payload_bytes, d) * count
-
     def symmetric_time(self, payload_bytes: int) -> float:
         """CPU time for one symmetric crypto pass over ``payload_bytes``."""
         return self.symmetric_seconds_per_byte * payload_bytes * self.load_factor
@@ -86,9 +75,6 @@ class NetworkModel:
         except KeyError as exc:
             raise SimulationError(f"no resources registered for {address}") from exc
 
-    def has_node(self, address: str) -> bool:
-        return address in self._resources
-
     def addresses(self) -> list[str]:
         return list(self._resources)
 
@@ -103,12 +89,6 @@ class NetworkModel:
         if reverse in self._latency:
             return self._latency[reverse]
         return self.default_latency
-
-    def delivery_time(self, sender: str, receiver: str, size_bytes: int) -> float:
-        """Transmission plus propagation delay for one packet."""
-        return self.resources(sender).transmission_time(size_bytes) + self.latency(
-            sender, receiver
-        )
 
 
 def uniform_network(

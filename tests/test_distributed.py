@@ -9,16 +9,22 @@ the asyncio coordinator; the ``run --dist`` CLI test spawns genuine worker
 subprocesses.
 """
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import Job, run_distributed, run_experiment, run_worker
 from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.distributed import (
     PROTOCOL_VERSION,
+    Coordinator,
     _connect_with_retry,
     decode_message,
     job_frame,
@@ -29,6 +35,8 @@ from repro.experiments.runner import _jsonify, execute_trial
 from repro.net import SyncChannel
 
 SMALL = 0.03
+#: fig11 at the CI smoke scale: one short transfer per path length.
+FIG11_SMOKE = 0.02
 
 
 def _free_port() -> int:
@@ -380,21 +388,23 @@ def test_run_distributed_validates_arguments():
         run_distributed("fig99")
 
 
-def test_cli_run_dist_spawns_local_workers(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, scale", [("fig16", SMALL), ("fig11", FIG11_SMOKE)], ids=["fig16", "fig11"]
+)
+def test_cli_run_dist_spawns_local_workers(tmp_path, capsys, name, scale):
+    # The exact fig16, and fig11, whose trials drive real overlay transfers.
     single_dir = tmp_path / "single"
     dist_dir = tmp_path / "dist"
     assert (
-        experiments_main(
-            ["run", "fig16", "--scale", str(SMALL), "--out", str(single_dir)]
-        )
+        experiments_main(["run", name, "--scale", str(scale), "--out", str(single_dir)])
         == 0
     )
     code = experiments_main(
         [
             "run",
-            "fig16",
+            name,
             "--scale",
-            str(SMALL),
+            str(scale),
             "--out",
             str(dist_dir),
             "--dist",
@@ -404,9 +414,53 @@ def test_cli_run_dist_spawns_local_workers(tmp_path, capsys):
     assert code == 0
     output = capsys.readouterr().out
     assert "dist-workers=2" in output
-    assert (dist_dir / "fig16.json").read_bytes() == (
-        single_dir / "fig16.json"
+    assert (dist_dir / f"{name}.json").read_bytes() == (
+        single_dir / f"{name}.json"
     ).read_bytes()
+
+
+def test_spawned_workers_import_the_coordinators_source_tree(tmp_path):
+    # A coordinator that found `repro` through sys.path alone, with no
+    # PYTHONPATH to pass on: its spawned worker must still import the same
+    # tree, finish the run and merge byte-identically.
+    package_root = Path(repro.__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from repro.experiments import run_distributed; "
+        "run_distributed('fig16', scale=0.05, workers=1, out_dir=sys.argv[2], timeout=120)"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    subprocess.run(
+        [sys.executable, "-c", script, str(package_root), str(tmp_path / "dist")],
+        env=env,
+        cwd=tmp_path,
+        check=True,
+        timeout=120,
+    )
+    run_experiment("fig16", scale=0.05, out_dir=tmp_path / "single")
+    assert (tmp_path / "dist" / "fig16.json").read_bytes() == (
+        tmp_path / "single" / "fig16.json"
+    ).read_bytes()
+
+
+def test_run_dist_fails_fast_when_every_spawned_worker_exits(
+    tmp_path, capsys, monkeypatch
+):
+    def exit_at_once(self, rank):
+        return subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
+
+    monkeypatch.setattr(Coordinator, "_spawn_local_worker", exit_at_once)
+    started = time.monotonic()
+    code = experiments_main(
+        ["run", "fig16", "--scale", str(SMALL), "--out", str(tmp_path), "--dist", "2"]
+    )
+    assert time.monotonic() - started < 30
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: all 2 spawned worker(s) of 'fig16' exited ")
+    assert "(exit codes 3, 3)" in err and "0/18 trials complete" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "fig16.json").exists()
 
 
 def test_cli_worker_count_validation(capsys):

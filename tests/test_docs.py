@@ -55,26 +55,6 @@ def test_relative_doc_links_resolve():
     assert result.returncode == 0, result.stderr + result.stdout
 
 
-def test_readme_ledger_tables_are_the_renderer_output():
-    # The README embeds `python scripts/bench_history.py render` verbatim; a
-    # hand-edited cell or a ledger entry the README never saw fails here.
-    from repro.experiments.bench_history import load_trajectory, render_trend
-
-    rendered = render_trend(load_trajectory(REPO_ROOT / "BENCH_trajectory.json"))
-    assert rendered in (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-
-
-def test_ledger_reads_the_metrics_the_benchmark_declares():
-    import json
-
-    from repro.experiments.bench_history import END_TO_END_METRICS
-
-    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    assert [metric["name"] for metric in declared["end_to_end"]] == list(
-        END_TO_END_METRICS
-    )
-
-
 def test_environment_side_channels_are_pinned_at_four():
     # Every REPRO_* name the program mentions, and each one documented.  A
     # fifth variable is a new option: give it a flag or argue it in the docs
@@ -155,23 +135,3 @@ def test_test_citations_name_existing_tests():
         if name not in defined.get(path, set())
     )
     assert not dangling, dangling
-
-
-def test_gate_table_matches_registry_and_benchmarks():
-    # Every gate is a registered experiment, and the benchmark suite checks
-    # exactly the gates the ledger records — no more, no fewer.
-    import re
-
-    from repro.experiments import experiment_names
-    from repro.experiments.bench_history import GATES
-
-    assert GATES == {"distsweep"}
-    assert set(GATES) <= set(experiment_names())
-    checked = {
-        name
-        for source in (REPO_ROOT / "benchmarks").glob("*.py")
-        for name in re.findall(
-            r'check_speedups\([^()]*,\s*"([^"]+)"\)', source.read_text(encoding="utf-8")
-        )
-    }
-    assert checked == set(GATES)

@@ -58,6 +58,8 @@ from repro.net.secure import (
 )
 
 SMALL = 0.03
+#: fig11 at the CI smoke scale: one short transfer per path length.
+FIG11_SMOKE = 0.02
 
 
 def keypair(tag: bytes) -> StaticKeyPair:
@@ -893,24 +895,26 @@ def test_cli_keygen_writes_and_refuses_overwrite(tmp_path, capsys):
     assert "refusing to overwrite" in capsys.readouterr().err
 
 
-def test_cli_secure_dist_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, scale", [("fig16", SMALL), ("fig11", FIG11_SMOKE)], ids=["fig16", "fig11"]
+)
+def test_cli_secure_dist_round_trip(tmp_path, capsys, name, scale):
     # `run --dist N --transport secure` provisions throwaway keys for its
-    # spawned workers and still merges byte-identically.
+    # spawned workers and still merges byte-identically: the exact fig16,
+    # and fig11, whose trials drive real overlay transfers.
     single = tmp_path / "single"
     dist = tmp_path / "dist"
     assert (
-        experiments_main(
-            ["run", "fig16", "--scale", str(SMALL), "--out", str(single)]
-        )
+        experiments_main(["run", name, "--scale", str(scale), "--out", str(single)])
         == 0
     )
     assert (
         experiments_main(
             [
                 "run",
-                "fig16",
+                name,
                 "--scale",
-                str(SMALL),
+                str(scale),
                 "--out",
                 str(dist),
                 "--dist",
@@ -922,4 +926,4 @@ def test_cli_secure_dist_round_trip(tmp_path, capsys):
         == 0
     )
     assert "dist-workers=2" in capsys.readouterr().out
-    assert (dist / "fig16.json").read_bytes() == (single / "fig16.json").read_bytes()
+    assert (dist / f"{name}.json").read_bytes() == (single / f"{name}.json").read_bytes()
