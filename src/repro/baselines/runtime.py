@@ -1,9 +1,10 @@
-"""Baseline protocol runtimes over the simulated overlay substrate.
+"""Baseline protocol runtimes over the overlay substrate.
 
-Onion routing (§2, §7) and onion-routing-with-erasure-codes (§8.1) as
+Onion routing (§2, §7), its Sphinx-format variant and
+onion-routing-with-erasure-codes (§8.1) as
 :class:`~repro.overlay.runtime.ProtocolRuntime` implementations, so the
 throughput and setup-latency experiments (Figs. 11–15) drive every scheme —
-information slicing and both baselines — through the *same* driver over the
+information slicing and the baselines — through the *same* driver over the
 *same* substrate, rather than each figure keeping a bespoke forwarding loop.
 
 The runtimes use the real baseline engines (:class:`OnionSource` /
@@ -12,24 +13,23 @@ real :class:`ErasureShare` bytes), while the simulated CPU charges mirror the
 historical cost model exactly: the source pays one symmetric pass per layer
 per cell (and one public-key encryption per layer during setup), every relay
 pays one symmetric pass per cell (one public-key decryption plus the daemon
-handling constant during setup), and each hop is one connection.  Like the
-slicing runtime, bursts ship in ``batch_chunk``-sized
-:meth:`~repro.overlay.node.SimulatedOverlayNetwork.transmit_batch` chunks —
-one simulator event per chunk, per-packet serialisation accounted exactly.
+handling constant during setup), and each hop is one connection.  A setup
+onion is one :meth:`~repro.overlay.node.OverlayTransport.transmit_blob` per
+hop; like the slicing runtime, data bursts ship in
+:data:`~repro.overlay.node.DEFAULT_BATCH_CHUNK`-sized ``transmit_blobs``
+chunks — one simulator event per chunk, per-packet serialisation accounted
+exactly.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..core.errors import ProtocolError
 from ..overlay.node import (
     DEFAULT_BATCH_CHUNK,
     DEFAULT_SETUP_PROCESSING_OVERHEAD,
     FlowProgress,
-    OverlayTransport,
 )
-from ..overlay.runtime import ProtocolRuntime, register_runtime
+from ..overlay.runtime import ProtocolRuntime
 from .erasure import ErasureShare
 from .onion import OnionCircuit, OnionDirectory, OnionRelay, OnionSource
 from .onion_erasure import MultiPathCircuits, OnionErasureSource
@@ -41,22 +41,17 @@ class _CircuitDriver:
 
     def __init__(
         self,
-        runtime: ProtocolRuntime,
+        runtime: "_CircuitRuntime",
         engines: dict[str, OnionRelay],
-        source_address: str,
         circuit: OnionCircuit,
-        setup_processing_overhead: float,
-        batch_chunk: int,
     ) -> None:
         self.runtime = runtime
         self.substrate = runtime.substrate
         self.engines = engines
         self.circuit = circuit
-        self.chain = [source_address, *circuit.hops, circuit.destination]
+        self.chain = [runtime.source_stage[0], *circuit.hops, circuit.destination]
         self.handles: dict[str, int] = {}
         self.setup_finished_at: float | None = None
-        self.setup_processing_overhead = setup_processing_overhead
-        self.batch_chunk = batch_chunk
 
     # -- setup ---------------------------------------------------------------------
 
@@ -77,7 +72,7 @@ class _CircuitDriver:
             resources = network.resources(sender)
             cpu = (
                 resources.pk_decrypt_time()
-                + self.setup_processing_overhead * resources.load_factor
+                + DEFAULT_SETUP_PROCESSING_OVERHEAD * resources.load_factor
             )
 
         def on_delivered(delivered: bytes) -> None:
@@ -112,17 +107,13 @@ class _CircuitDriver:
     def _finish_setup(self, now: float) -> None:
         self.setup_finished_at = now
 
-    @property
-    def established(self) -> bool:
-        return len(self.handles) >= self.circuit.length
-
     # -- data ----------------------------------------------------------------------
 
     def send_cells(
         self, seqs: list[int], cells: list[bytes], source_cpu_per_byte_factor: int
     ) -> None:
         """Ship wrapped data cells down the circuit in pipelined chunks."""
-        chunk = self.batch_chunk
+        chunk = DEFAULT_BATCH_CHUNK
         for start in range(0, len(cells), chunk):
             self._forward_cells(
                 0,
@@ -152,7 +143,7 @@ class _CircuitDriver:
 
         def on_delivered(delivered: list[bytes], arrivals: list[float]) -> None:
             if receiver == self.circuit.destination:
-                self.runtime._deliver_cells(self.circuit, seqs, delivered)
+                self.runtime._deliver_cells(seqs, delivered)
                 return
             handle = self.handles.get(receiver)
             if handle is None:
@@ -169,31 +160,57 @@ class _CircuitDriver:
         )
 
 
-class OnionProtocolRuntime(ProtocolRuntime):
+class _CircuitRuntime(ProtocolRuntime):
+    """What the circuit schemes share: drivers, sequence numbers, delivery."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.delivered: dict[int, bytes] = {}
+        self._drivers: list[_CircuitDriver] = []
+        self._source: OnionSource | SphinxSource | None = None
+        self._next_seq = 0
+
+    def _start_circuits(
+        self, engines: dict, circuits: list[OnionCircuit], onions: list[bytes]
+    ) -> FlowProgress:
+        """Inject one setup onion per circuit; returns the progress tracker."""
+        self.progress = FlowProgress(setup_injected_at=self.sim.now)
+        self._drivers = [_CircuitDriver(self, engines, circuit) for circuit in circuits]
+        for driver, onion in zip(self._drivers, onions):
+            driver.start_setup(onion)
+        return self.progress
+
+    def _take_seqs(self, count: int) -> list[int]:
+        """Reject sends before ``establish``; number the burst's messages."""
+        self._require_established(self._source)
+        seqs = list(range(self._next_seq, self._next_seq + count))
+        self._next_seq += count
+        return seqs
+
+    def _deliver(self, seq: int, message: bytes, now: float) -> None:
+        self.delivered[seq] = message
+        progress = self.progress
+        progress.delivered_messages[seq] = now
+        progress.delivered_bytes += len(message)
+        if progress.first_delivery_at is None:
+            progress.first_delivery_at = now
+        progress.last_delivery_at = now
+
+    def setup_seconds(self) -> float | None:
+        """Time until the last circuit acknowledged its setup."""
+        finished = [driver.setup_finished_at for driver in self._drivers]
+        if not finished or any(at is None for at in finished):
+            return None
+        return max(finished) - self.progress.setup_injected_at
+
+    def delivered_plaintexts(self) -> dict[int, bytes]:
+        return dict(self.delivered)
+
+
+class OnionProtocolRuntime(_CircuitRuntime):
     """Classic onion routing: one circuit of ``path_length`` relays."""
 
     scheme = "onion"
-
-    def __init__(
-        self,
-        substrate: OverlayTransport,
-        source_address: str,
-        path_length: int,
-        rng: np.random.Generator | None = None,
-        setup_processing_overhead: float = DEFAULT_SETUP_PROCESSING_OVERHEAD,
-        batch_chunk: int = DEFAULT_BATCH_CHUNK,
-    ) -> None:
-        super().__init__(substrate)
-        self.source_address = source_address
-        self.path_length = path_length
-        self.rng = np.random.default_rng() if rng is None else rng
-        self.setup_processing_overhead = setup_processing_overhead
-        self.batch_chunk = batch_chunk
-        self.delivered: dict[int, bytes] = {}
-        self._driver: _CircuitDriver | None = None
-        self._source: OnionSource | None = None
-        self._setup_started_at: float | None = None
-        self._next_seq = 0
 
     def establish(self, relays: list[str], destination: str) -> FlowProgress:
         pool = [address for address in relays if address != destination]
@@ -204,51 +221,19 @@ class OnionProtocolRuntime(ProtocolRuntime):
             address: OnionRelay(address, directory.key_pair(address))
             for address in directory.addresses()
         }
-        self.progress = FlowProgress(setup_injected_at=self.sim.now)
-        self._setup_started_at = self.sim.now
-        self._driver = _CircuitDriver(
-            self,
-            engines,
-            self.source_address,
-            circuit,
-            self.setup_processing_overhead,
-            self.batch_chunk,
-        )
-        self._driver.start_setup(onion)
-        return self.progress
+        return self._start_circuits(engines, [circuit], [onion])
 
     def send_messages(self, messages: list[bytes]) -> None:
-        self._require_established(self._driver)
-        source = self._source
-        assert source is not None
-        seqs = list(range(self._next_seq, self._next_seq + len(messages)))
-        self._next_seq += len(messages)
-        cells = [
-            source.wrap_data(self._driver.circuit, message) for message in messages
-        ]
-        self._driver.send_cells(seqs, cells, self.path_length)
+        seqs = self._take_seqs(len(messages))
+        (driver,) = self._drivers
+        cells = [self._source.wrap_data(driver.circuit, message) for message in messages]
+        driver.send_cells(seqs, cells, self.path_length)
 
-    def _deliver_cells(
-        self, circuit: OnionCircuit, seqs: list[int], cells: list[bytes]
-    ) -> None:
+    def _deliver_cells(self, seqs: list[int], cells: list[bytes]) -> None:
         now = self.sim.now
         for seq, cell in zip(seqs, cells):
-            if seq in self.delivered:
-                continue
-            self.delivered[seq] = cell
-            self.progress.delivered_messages[seq] = now
-            self.progress.delivered_bytes += len(cell)
-            if self.progress.first_delivery_at is None:
-                self.progress.first_delivery_at = now
-            self.progress.last_delivery_at = now
-
-    def setup_seconds(self) -> float | None:
-        if self._driver is None or self._driver.setup_finished_at is None:
-            return None
-        return self._driver.setup_finished_at - (self._setup_started_at or 0.0)
-
-    def delivered_plaintexts(self) -> dict[int, bytes]:
-        return dict(self.delivered)
+            if seq not in self.delivered:
+                self._deliver(seq, cell, now)
 
 
 class SphinxProtocolRuntime(OnionProtocolRuntime):
@@ -278,31 +263,15 @@ class SphinxProtocolRuntime(OnionProtocolRuntime):
             address: SphinxRelay(address, directory.node(address))
             for address in directory.addresses()
         }
-        self.progress = FlowProgress(setup_injected_at=self.sim.now)
-        self._setup_started_at = self.sim.now
-        self._driver = _CircuitDriver(
-            self,
-            engines,
-            self.source_address,
-            circuit,
-            self.setup_processing_overhead,
-            self.batch_chunk,
-        )
-        self._driver.start_setup(packet)
-        return self.progress
+        return self._start_circuits(engines, [circuit], [packet])
 
     def send_messages(self, messages: list[bytes]) -> None:
-        self._require_established(self._driver)
-        source = self._source
-        assert source is not None
-        seqs = list(range(self._next_seq, self._next_seq + len(messages)))
-        self._next_seq += len(messages)
-        cells = source.wrap_cells(self._driver.circuit, messages)
-        self._driver.send_cells(seqs, cells, self.path_length)
+        seqs = self._take_seqs(len(messages))
+        (driver,) = self._drivers
+        cells = self._source.wrap_cells(driver.circuit, messages)
+        driver.send_cells(seqs, cells, self.path_length)
 
-    def _deliver_cells(
-        self, circuit: OnionCircuit, seqs: list[int], cells: list[bytes]
-    ) -> None:
+    def _deliver_cells(self, seqs: list[int], cells: list[bytes]) -> None:
         now = self.sim.now
         for seq, cell in zip(seqs, cells):
             if seq in self.delivered:
@@ -311,93 +280,48 @@ class SphinxProtocolRuntime(OnionProtocolRuntime):
                 message = unpack_cell(cell)
             except ProtocolError:
                 continue  # a cell that crossed a never-established circuit
-            self.delivered[seq] = message
-            self.progress.delivered_messages[seq] = now
-            self.progress.delivered_bytes += len(message)
-            if self.progress.first_delivery_at is None:
-                self.progress.first_delivery_at = now
-            self.progress.last_delivery_at = now
+            self._deliver(seq, message, now)
 
 
-class OnionErasureProtocolRuntime(ProtocolRuntime):
+class OnionErasureProtocolRuntime(_CircuitRuntime):
     """Onion routing with erasure codes over ``d'`` node-disjoint circuits (§8.1)."""
 
     scheme = "onion-erasure"
 
-    def __init__(
-        self,
-        substrate: OverlayTransport,
-        source_address: str,
-        path_length: int,
-        d: int,
-        d_prime: int,
-        rng: np.random.Generator | None = None,
-        setup_processing_overhead: float = DEFAULT_SETUP_PROCESSING_OVERHEAD,
-        batch_chunk: int = DEFAULT_BATCH_CHUNK,
-    ) -> None:
-        super().__init__(substrate)
-        self.source_address = source_address
-        self.path_length = path_length
-        self.d = d
-        self.d_prime = d_prime
-        self.rng = np.random.default_rng() if rng is None else rng
-        self.setup_processing_overhead = setup_processing_overhead
-        self.batch_chunk = batch_chunk
-        self.delivered: dict[int, bytes] = {}
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._multipath: MultiPathCircuits | None = None
-        self._drivers: list[_CircuitDriver] = []
-        self._source: OnionErasureSource | None = None
-        self._setup_started_at: float | None = None
         self._shares: dict[int, list[ErasureShare]] = {}
-        self._next_seq = 0
 
     def establish(self, relays: list[str], destination: str) -> FlowProgress:
         pool = [address for address in relays if address != destination]
         directory = OnionDirectory.for_relays(pool, self.rng)
         self._source = OnionErasureSource(directory, self.rng)
-        multipath = self._source.build_multipath(
+        self._multipath = self._source.build_multipath(
             pool, destination, self.path_length, self.d, self.d_prime
         )
-        self._multipath = multipath
         engines = {
             address: OnionRelay(address, directory.key_pair(address))
             for address in directory.addresses()
         }
-        self.progress = FlowProgress(setup_injected_at=self.sim.now)
-        self._setup_started_at = self.sim.now
-        self._drivers = []
-        for circuit, onion in zip(multipath.circuits, multipath.setup_onions):
-            driver = _CircuitDriver(
-                self,
-                engines,
-                self.source_address,
-                circuit,
-                self.setup_processing_overhead,
-                self.batch_chunk,
-            )
-            self._drivers.append(driver)
-            driver.start_setup(onion)
-        return self.progress
+        return self._start_circuits(
+            engines, self._multipath.circuits, self._multipath.setup_onions
+        )
 
     def send_messages(self, messages: list[bytes]) -> None:
-        self._require_established(self._multipath)
-        source = self._source
-        assert source is not None
-        seqs = list(range(self._next_seq, self._next_seq + len(messages)))
-        self._next_seq += len(messages)
+        seqs = self._take_seqs(len(messages))
         # One wrapped share per (message, circuit); ship per circuit so each
         # connection sees one pipelined burst.
         per_circuit: list[list[bytes]] = [[] for _ in self._drivers]
         for message in messages:
-            for index, cell in enumerate(source.encode_message(self._multipath, message)):
+            for index, cell in enumerate(
+                self._source.encode_message(self._multipath, message)
+            ):
                 per_circuit[index].append(cell)
         for driver, cells in zip(self._drivers, per_circuit):
             driver.send_cells(seqs, cells, self.path_length)
 
-    def _deliver_cells(
-        self, circuit: OnionCircuit, seqs: list[int], cells: list[bytes]
-    ) -> None:
-        assert self._multipath is not None
+    def _deliver_cells(self, seqs: list[int], cells: list[bytes]) -> None:
         coder = self._multipath.coder
         now = self.sim.now
         for seq, cell in zip(seqs, cells):
@@ -407,26 +331,5 @@ class OnionErasureProtocolRuntime(ProtocolRuntime):
             shares.append(ErasureShare.from_bytes(cell, d=coder.d))
             if len(shares) < coder.d or not coder.can_decode(shares):
                 continue
-            message = coder.decode(shares)
-            self.delivered[seq] = message
             del self._shares[seq]
-            self.progress.delivered_messages[seq] = now
-            self.progress.delivered_bytes += len(message)
-            if self.progress.first_delivery_at is None:
-                self.progress.first_delivery_at = now
-            self.progress.last_delivery_at = now
-
-    def setup_seconds(self) -> float | None:
-        """Time until the last of the ``d'`` circuits acknowledged its setup."""
-        finished = [driver.setup_finished_at for driver in self._drivers]
-        if not finished or any(at is None for at in finished):
-            return None
-        return max(finished) - (self._setup_started_at or 0.0)
-
-    def delivered_plaintexts(self) -> dict[int, bytes]:
-        return dict(self.delivered)
-
-
-register_runtime(OnionProtocolRuntime.scheme, OnionProtocolRuntime)
-register_runtime(OnionErasureProtocolRuntime.scheme, OnionErasureProtocolRuntime)
-register_runtime(SphinxProtocolRuntime.scheme, SphinxProtocolRuntime)
+            self._deliver(seq, coder.decode(shares), now)

@@ -49,6 +49,7 @@ from ..overlay.runtime import SUBSTRATE_BACKENDS
 from .registry import experiment_names, get_experiment
 from .runner import DEFAULT_RESULTS_DIR, Job, RunResult, UsageError, run_experiment
 from .tables import format_table
+from .throughput import SCHEMES
 
 #: Wire transports the distributed subcommands accept (mirrors
 #: :data:`repro.experiments.distributed.TRANSPORTS`).
@@ -110,8 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         "--scheme",
         default=None,
         metavar="NAME",
-        help="restrict a scheme-capable experiment (figs. 11-15) to one "
-        "registered protocol runtime (slicing, onion, onion-erasure, sphinx)",
+        help="restrict a scheme-capable experiment (figs. 11-15) to one scheme "
+        f"({', '.join(SCHEMES)})",
     )
     job_flags.add_argument(
         "--out",

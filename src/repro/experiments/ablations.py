@@ -69,8 +69,7 @@ register(
         title="Ablation §9.4a: per-hop anti-pattern transform CPU overhead",
         build_trials=_transforms_trials,
         run_trial=_transforms_run,
-        deterministic=False,  # wall-clock timings; never serve from cache
-        shardable=False,  # single-host comparison; numbers mean nothing sharded
+        wall_clock=True,  # timings of this host: never cached, never sharded
     )
 )
 

@@ -1,4 +1,4 @@
-"""Packet-size distinguishability across the registered protocol runtimes.
+"""Packet-size distinguishability across the compared schemes.
 
 A passive network observer sees every transmission's (sender, receiver,
 size) triple but no payload bytes.  If on-wire sizes vary with a packet's
@@ -12,9 +12,9 @@ substrate:
 
 1. :class:`RecordingOverlayNetwork` — the discrete-event substrate with a
    wiretap: every transmission's (sender, receiver, size) is appended to
-   ``records``.  All blob/packet helpers funnel through
-   :meth:`~repro.overlay.node.SimulatedOverlayNetwork.transmit` /
-   ``transmit_batch``, so overriding those two observes everything.
+   ``records``.  Every blob/packet helper funnels through
+   :meth:`~repro.overlay.node.SimulatedOverlayNetwork.transmit_batch`, so
+   overriding that one method observes everything.
 2. :func:`observe_transfer` — drive one scheme's transfer through the
    unified runtime interface and split the tap into a *setup* phase and a
    *data* phase (the phases leak independently: data cells dominate the
@@ -46,15 +46,8 @@ import numpy as np
 from ..overlay.node import SimulatedOverlayNetwork
 from ..overlay.profiles import LAN_PROFILE, OverlayProfile
 from .registry import Experiment, register
-from .throughput import (
-    connection_bps_for,
-    prepare_scheme_transfer,
-    scheme_address_plan,
-)
+from .throughput import SCHEMES, connection_bps_for, prepare_scheme_transfer
 from .trials import spawn_seed
-
-#: Schemes the distinguishability family compares.
-DISTINGUISHABILITY_SCHEMES = ("slicing", "onion", "onion-erasure", "sphinx")
 
 
 class RecordingOverlayNetwork(SimulatedOverlayNetwork):
@@ -67,15 +60,6 @@ class RecordingOverlayNetwork(SimulatedOverlayNetwork):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.records: list[tuple[str, str, int]] = []
-
-    def transmit(
-        self, sender, receiver, size_bytes, on_delivered, sender_cpu_seconds=0.0
-    ):
-        self.records.append((sender, receiver, int(size_bytes)))
-        return super().transmit(
-            sender, receiver, size_bytes, on_delivered,
-            sender_cpu_seconds=sender_cpu_seconds,
-        )
 
     def transmit_batch(
         self, sender, receiver, sizes, on_delivered, sender_cpu_seconds=None
@@ -127,8 +111,8 @@ def observe_transfer(
         data_records = list(substrate.records)
     finally:
         substrate.close()
-    source_stage, _relays, _destination = scheme_address_plan(
-        scheme, path_length, d_prime
+    source_stage, _relays, _destination = SCHEMES[scheme].address_plan(
+        path_length, d_prime
     )
     return setup_records, data_records, source_stage
 
@@ -242,7 +226,7 @@ def _distinguishability_trials(scale: float) -> list[dict]:
             "num_messages": num_messages,
             "message_bytes": 512,
         }
-        for scheme in DISTINGUISHABILITY_SCHEMES
+        for scheme in SCHEMES
         for length in (3, 5)
     ]
 

@@ -32,18 +32,13 @@ from ..resilience.analysis import (
 )
 from .registry import Experiment, register
 from .setup_latency import measure_setup
-from .throughput import aggregate_throughput_vs_flows, measure_throughput
+from .throughput import SCHEMES, aggregate_throughput_vs_flows, measure_throughput
 from .trials import spawn_seed
 
 #: Default parameters straight from the paper's captions.
 DEFAULT_N = 10_000
 
 _PROFILES = {"lan": LAN_PROFILE, "planetlab": PLANETLAB_PROFILE}
-
-#: Runtime schemes the overlay figures (11-15) accept via ``--scheme``: any
-#: single registered protocol runtime can be driven through the unified
-#: measurement drivers on either backend.
-OVERLAY_SCHEMES = ("slicing", "onion", "onion-erasure", "sphinx")
 
 
 # -- Figs. 7-10: exact anonymity -------------------------------------------------
@@ -253,7 +248,7 @@ register(
         build_trials=_fig11_trials,
         run_trial=_throughput_run,
         backends=("sim", "aio"),
-        schemes=OVERLAY_SCHEMES,
+        schemes=tuple(SCHEMES),
     )
 )
 
@@ -264,7 +259,7 @@ register(
         build_trials=_fig12_trials,
         run_trial=_throughput_run,
         backends=("sim", "aio"),
-        schemes=OVERLAY_SCHEMES,
+        schemes=tuple(SCHEMES),
     )
 )
 
@@ -311,7 +306,7 @@ register(
         build_trials=_fig13_trials,
         run_trial=_fig13_run,
         backends=("sim", "aio"),
-        schemes=OVERLAY_SCHEMES,
+        schemes=tuple(SCHEMES),
     )
 )
 
@@ -352,14 +347,16 @@ def _setup_run(params: dict, rng: np.random.Generator) -> dict:
                 row[f"slicing_d{d}_seconds"] = result.setup_seconds
                 parity[f"slicing_d{d}"] = result.parity_fields()
         else:
-            kwargs = {"d": 2, "d_prime": 3} if scheme == "onion-erasure" else {}
+            # d and d' shape onion-erasure's d' circuits; onion and Sphinx
+            # ignore them.
             result = measure_setup(
                 scheme,
                 profile,
                 path_length,
+                d=2,
+                d_prime=3,
                 seed=spawn_seed(rng),
                 backend=backend,
-                **kwargs,
             )
             row["setup_seconds"] = result.setup_seconds
             parity[scheme] = result.parity_fields()
@@ -387,7 +384,7 @@ register(
         build_trials=_fig14_trials,
         run_trial=_setup_run,
         backends=("sim", "aio"),
-        schemes=OVERLAY_SCHEMES,
+        schemes=tuple(SCHEMES),
     )
 )
 
@@ -398,7 +395,7 @@ register(
         build_trials=_fig15_trials,
         run_trial=_setup_run,
         backends=("sim", "aio"),
-        schemes=OVERLAY_SCHEMES,
+        schemes=tuple(SCHEMES),
     )
 )
 
@@ -484,7 +481,7 @@ register(
 # -- §7.1 microbenchmark ----------------------------------------------------------
 #
 # Its rows time code on this host, so it is never served from cache
-# (deterministic=False) and never sharded across machines.
+# (wall_clock=True) and never sharded across machines.
 
 
 def _microbench_trials(scale: float) -> list[dict]:
@@ -522,7 +519,6 @@ register(
         title="§7.1 microbenchmark: coding cost per 1500-byte packet across d",
         build_trials=_microbench_trials,
         run_trial=_microbench_run,
-        deterministic=False,
-        shardable=False,
+        wall_clock=True,
     )
 )

@@ -39,25 +39,20 @@ class Experiment:
     run_trial: Callable[[dict, np.random.Generator], dict]
     reduce: Callable[[list[dict], list[dict]], list[dict]] | None = None
     base_seed: int = DEFAULT_BASE_SEED
-    #: False for wall-clock measurements (timings differ per run/machine);
-    #: the runner never serves cached artifacts for those.
-    deterministic: bool = True
+    #: True when the rows are wall-clock timings of this host (``microbench``,
+    #: ``ablation_transforms``).  Timings differ per run, so the runner never
+    #: serves them from cache; and they are timings *of one host*, so the
+    #: distributed coordinator never leases their trials to other machines.
+    wall_clock: bool = False
     #: Overlay transport backends this experiment can run on.  Experiments
     #: that drive the overlay substrate (figs. 11-15) also accept ``"aio"``;
     #: everything else is simulator-only and rejects ``--backend aio``.
     backends: tuple[str, ...] = ("sim",)
-    #: Protocol-runtime schemes the experiment can be restricted to with
-    #: ``--scheme`` (figs. 11-15 run any single registered runtime through
-    #: their unified drivers).  Empty means the experiment has no per-scheme
-    #: mode and rejects ``--scheme``.
+    #: Schemes the experiment can be restricted to with ``--scheme``
+    #: (figs. 11-15 run any single scheme through their unified drivers).
+    #: Empty means the experiment has no per-scheme mode and rejects
+    #: ``--scheme``.
     schemes: tuple[str, ...] = ()
-    #: Whether the trial list may be sharded across machines by the
-    #: distributed coordinator (:mod:`~repro.experiments.distributed`).
-    #: Trials are already independent by construction, so this defaults to
-    #: True; the wall-clock ``microbench`` opts out — its rows are timings
-    #: *of one host*, so leasing its trials to remote machines would change
-    #: what the numbers mean.
-    shardable: bool = True
 
     def rows(self, trials: list[dict], results: list[dict]) -> list[dict]:
         """Reduce per-trial results (in trial order) to plottable rows."""

@@ -16,7 +16,7 @@ into rows:
    artifact (fixed separators, deterministic key order) under the output
    directory and re-used as a cache on the next run.  For experiments whose
    trials are pure functions of their RNG (everything except the wall-clock
-   timing experiments, which are marked ``deterministic=False`` and never
+   timing experiments, which are marked ``wall_clock=True`` and never
    served from cache), the artifact is byte-identical for a given
    ``(name, scale, seed)`` regardless of worker count.
 
@@ -77,7 +77,7 @@ class Job:
     ``seed=None`` resolves to the experiment's base seed.  ``backend``
     selects the overlay transport for experiments that support more than the
     simulator (the figs. 11-15 family).  ``scheme`` restricts a
-    scheme-capable experiment to one registered protocol runtime.  Which
+    scheme-capable experiment to one of its schemes.  Which
     GF(2^8) loops execute the trials is not part of a run request:
     :mod:`repro.core.gf` decides per host, bit-identically.
 
@@ -109,35 +109,17 @@ class Job:
                 f"experiment {self.name!r} does not support backend "
                 f"{self.backend!r} (supported: {supported})"
             )
-        if self.scheme is not None:
-            self._check_scheme(experiment)
-
-    def _check_scheme(self, experiment: Experiment) -> None:
-        from ..overlay.runtime import runtime_backends, runtime_schemes
-
-        scheme = self.scheme
+        if self.scheme is None:
+            return
         if not experiment.schemes:
             raise UsageError(
                 f"experiment {self.name!r} does not support per-scheme runs"
             )
-        if scheme not in experiment.schemes:
+        if self.scheme not in experiment.schemes:
             supported = ", ".join(experiment.schemes)
             raise UsageError(
-                f"experiment {self.name!r} does not support scheme {scheme!r} "
+                f"experiment {self.name!r} does not support scheme {self.scheme!r} "
                 f"(supported: {supported})"
-            )
-        if scheme not in runtime_schemes():
-            known = ", ".join(runtime_schemes())
-            raise UsageError(f"unknown runtime scheme {scheme!r} (known: {known})")
-        if self.backend not in runtime_backends(scheme):
-            supported = ", ".join(
-                name
-                for name in experiment.schemes
-                if self.backend in runtime_backends(name)
-            )
-            raise UsageError(
-                f"scheme {scheme!r} does not run on backend {self.backend!r} "
-                f"(schemes supported on {self.backend!r}: {supported or 'none'})"
             )
 
     @property
@@ -147,7 +129,7 @@ class Job:
 
     def require_shardable(self) -> None:
         """Reject leasing this job's trials to distributed workers."""
-        if not self.experiment.shardable:
+        if self.experiment.wall_clock:
             raise UsageError(
                 f"experiment {self.name!r} is not shardable (single-host "
                 "wall-clock measurement); run it through `run` without --dist"
@@ -160,7 +142,7 @@ class Job:
         Runs on a non-default backend never are — their timing fields are
         wall-clock-dependent — and neither are the timing experiments.
         """
-        return self.experiment.deterministic and self.backend == "sim"
+        return not self.experiment.wall_clock and self.backend == "sim"
 
     @cached_property
     def trials(self) -> list[dict]:

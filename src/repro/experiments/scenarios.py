@@ -17,11 +17,6 @@ axis                   what the knob maps to
 ``jitter``             log-normal shape parameter of pairwise one-way
                        latencies, added on top of the base profile's
                        ``latency_sigma`` (0 keeps latencies uniform)
-``bandwidth_mbps``     every node's access-link bandwidth in Mbit/s
-                       (0 keeps the base profile's link speed)
-``asymmetry``          factor by which *relay* access links are slower than
-                       source/destination links (models asymmetric edges;
-                       1 keeps links symmetric)
 ``cpu_heterogeneity``  scale of the heavy-tailed (Pareto) per-node CPU load
                        spread; 0 gives every node the base profile's load
                        factor
@@ -66,7 +61,6 @@ import numpy as np
 
 from ..anonymity.analysis import exact_anonymity
 from ..baselines.chaum import exact_chaum_anonymity
-from ..overlay.churn import ChurnModel
 from ..overlay.network import NetworkModel, NodeResources
 from ..overlay.profiles import get_profile
 from ..resilience.analysis import (
@@ -85,15 +79,10 @@ class ScenarioSpecError(ValueError):
 #: Prefix of every generated cell experiment name.
 CELL_PREFIX = "scn"
 
-#: Schemes a cell may compare (the unified §7 runtime registry's names).
-KNOWN_SCHEMES = ("slicing", "onion", "onion-erasure", "sphinx")
-
 #: Axis name -> default grid used when the spec omits the axis.
 AXIS_DEFAULTS: dict[str, list[float]] = {
     "loss": [0.0],
     "jitter": [0.0],
-    "bandwidth_mbps": [0.0],
-    "asymmetry": [1.0],
     "cpu_heterogeneity": [0.0],
     "adversary": [0.1],
     "d": [2],
@@ -272,13 +261,6 @@ def parse_matrix(spec: dict) -> ScenarioMatrix:
     )
     _require(all(v >= 0.0 for v in axes["jitter"]), 'axis "jitter" values must be >= 0')
     _require(
-        all(v >= 0.0 for v in axes["bandwidth_mbps"]),
-        'axis "bandwidth_mbps" values must be >= 0 (0 = profile default)',
-    )
-    _require(
-        all(v >= 1.0 for v in axes["asymmetry"]), 'axis "asymmetry" values must be >= 1'
-    )
-    _require(
         all(v >= 0.0 for v in axes["cpu_heterogeneity"]),
         'axis "cpu_heterogeneity" values must be >= 0',
     )
@@ -288,16 +270,20 @@ def parse_matrix(spec: dict) -> ScenarioMatrix:
         f"(got d'={min(axes['d_prime'])} < d={max(axes['d'])})",
     )
 
-    raw_schemes = spec.get("schemes", list(KNOWN_SCHEMES))
+    # Imported here so spec parsing does not load the overlay stack at
+    # module import.
+    from .throughput import SCHEMES
+
+    raw_schemes = spec.get("schemes", list(SCHEMES))
     _require(
         isinstance(raw_schemes, list) and len(raw_schemes) > 0,
         '"schemes" must be a non-empty list',
     )
-    unknown_schemes = [s for s in raw_schemes if s not in KNOWN_SCHEMES]
+    unknown_schemes = [s for s in raw_schemes if s not in SCHEMES]
     _require(
         not unknown_schemes,
         f"unknown scheme(s): {', '.join(map(str, unknown_schemes))} "
-        f"(known: {', '.join(KNOWN_SCHEMES)})",
+        f"(known: {', '.join(SCHEMES)})",
     )
     _require(
         len(set(raw_schemes)) == len(raw_schemes), '"schemes" has duplicate entries'
@@ -407,16 +393,14 @@ class ScenarioProfile:
     ``name`` stays the *base* profile's name so the per-connection capacity
     lookup (``connection_bps_for``) keeps its LAN/WAN semantics.  Jitter and
     CPU heterogeneity are controlled purely by the axes — the base profile
-    contributes its latency median, cost anchors and churn model.
+    contributes its latency median and cost anchors.
     """
 
     name: str
     latency_seconds: float
     jitter: float
     resources: NodeResources
-    asymmetry: float
     cpu_heterogeneity: float
-    churn: ChurnModel
 
     def build_network(
         self, addresses: list[str], rng: np.random.Generator | None = None
@@ -430,14 +414,10 @@ class ScenarioProfile:
             )
         else:
             factors = np.full(count, self.resources.load_factor)
-        resources = {}
-        for address, factor in zip(addresses, factors):
-            bandwidth = self.resources.bandwidth_bps
-            if self.asymmetry > 1.0 and _is_relay_address(address):
-                bandwidth /= self.asymmetry
-            resources[address] = replace(
-                self.resources, load_factor=float(factor), bandwidth_bps=bandwidth
-            )
+        resources = {
+            address: replace(self.resources, load_factor=float(factor))
+            for address, factor in zip(addresses, factors)
+        }
         latency: dict[tuple[str, str], float] = {}
         if self.jitter > 0.0:
             for i, a in enumerate(addresses):
@@ -450,40 +430,15 @@ class ScenarioProfile:
         )
 
 
-def _is_relay_address(address: str) -> bool:
-    """Relay-class addresses pay the asymmetric (slower) access link.
-
-    The §7 drivers name source-stage nodes ``src-*`` / ``onion-source`` /
-    ``sphinx-source`` and destinations ``destination`` /
-    ``onion-destination`` / ``sphinx-destination``; everything else in
-    their address plans is a relay.
-    """
-    if address in (
-        "onion-source",
-        "onion-destination",
-        "sphinx-source",
-        "sphinx-destination",
-        "destination",
-    ):
-        return False
-    return address.startswith(("relay-", "onion-", "sphinx-", "pl-"))
-
-
 def build_scenario_profile(params: dict) -> ScenarioProfile:
     """Derive the cell's testbed from its axis assignment (trial-dict form)."""
     base = get_profile(params["profile"])
-    resources = base.resources
-    bandwidth_mbps = float(params["bandwidth_mbps"])
-    if bandwidth_mbps > 0.0:
-        resources = replace(resources, bandwidth_bps=bandwidth_mbps * 1e6)
     return ScenarioProfile(
         name=base.name,
         latency_seconds=base.latency_seconds,
         jitter=base.latency_sigma + float(params["jitter"]),
-        resources=resources,
-        asymmetry=float(params["asymmetry"]),
+        resources=base.resources,
         cpu_heterogeneity=float(params["cpu_heterogeneity"]),
-        churn=base.churn,
     )
 
 

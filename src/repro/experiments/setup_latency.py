@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..overlay.profiles import OverlayProfile
-from .throughput import PROTOCOL_LABELS, prepare_scheme_transfer
+from .throughput import SCHEMES, prepare_scheme_transfer
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def measure_setup(
             # time the simulation drained as an upper bound.
             setup_seconds = substrate.sim.now - start
         return SetupLatencyResult(
-            protocol=PROTOCOL_LABELS.get(scheme, scheme),
+            protocol=SCHEMES[scheme].label,
             path_length=path_length,
             d=d,
             setup_seconds=setup_seconds,

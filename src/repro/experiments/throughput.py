@@ -1,30 +1,37 @@
 """Per-flow throughput experiments (§7.2, §7.3 — Figs. 11, 12, 13).
 
-Every scheme runs over the same simulated substrate
-(:class:`~repro.overlay.node.SimulatedOverlayNetwork`): identical per-node CPU
-model, per-connection capacity, latencies and per-packet overhead.  Since the
-unified-runtime refactor all schemes are driven through one driver
-(:func:`measure_throughput`): the scheme name selects a registered
-:class:`~repro.overlay.runtime.ProtocolRuntime` — ``"slicing"`` runs the real
-relay engines over the batched overlay data plane, ``"onion"`` and
-``"onion-erasure"`` run the baseline engines with the paper's cost structure
-(one symmetric pass per relay per cell, the source paying one pass per
-layer, one connection per hop).
+Every scheme runs over the same substrate
+(:class:`~repro.overlay.node.SimulatedOverlayNetwork` or the asyncio socket
+backend): identical per-node CPU model, per-connection capacity, latencies
+and per-packet overhead.  All schemes are driven through one driver
+(:func:`measure_throughput`), and :data:`SCHEMES` is the one table of which
+schemes exist: each entry names the scheme's reported label, its
+:class:`~repro.overlay.runtime.ProtocolRuntime` and its address plan.
+``"slicing"`` runs the real relay engines over the batched overlay data
+plane; ``"onion"``, ``"onion-erasure"`` and ``"sphinx"`` run the baseline
+engines with the paper's cost structure (one symmetric pass per relay per
+cell, the source paying one pass per layer, one connection per hop).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from ..baselines.runtime import (
+    OnionErasureProtocolRuntime,
+    OnionProtocolRuntime,
+    SphinxProtocolRuntime,
+)
 from ..core.source import Source
 from ..overlay.node import OverlayTransport, SlicingRuntime
 from ..overlay.profiles import OverlayProfile
 from ..overlay.runtime import (
     ProtocolRuntime,
+    SlicingProtocolRuntime,
     aggregate_relay_stats,
-    build_runtime,
     build_substrate,
 )
 
@@ -35,12 +42,60 @@ LAN_CONNECTION_BPS = 30e6
 #: Per-connection capacity on the wide area (PlanetLab-era TCP over ~80 ms RTT).
 WAN_CONNECTION_BPS = 0.9e6
 
-#: Scheme name -> reported protocol label.
-PROTOCOL_LABELS = {
-    "slicing": "information-slicing",
-    "onion": "onion-routing",
-    "onion-erasure": "onion-erasure",
-    "sphinx": "sphinx-onion",
+
+def _addresses(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}-{index}" for index in range(count)]
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One compared scheme: reported label, runtime class and address plan.
+
+    ``address_plan(path_length, d_prime)`` returns the overlay addresses one
+    transfer uses: (source stage, relay pool, destination).  The measurement
+    drivers build their network from it, and the distinguishability observer
+    anchors hop positions at its source stage.
+    """
+
+    label: str
+    runtime: type[ProtocolRuntime]
+    address_plan: Callable[[int, int], tuple[list[str], list[str], str]]
+
+
+#: The schemes §7 and §8.1 compare, in report order.  Every scheme list in
+#: the package (``--scheme`` choices, scenario-matrix schemes, the
+#: distinguishability family) is this table's keys.
+SCHEMES: dict[str, Scheme] = {
+    "slicing": Scheme(
+        "information-slicing",
+        SlicingProtocolRuntime,
+        lambda length, d_prime: (
+            _addresses("src", d_prime),
+            _addresses("relay", max(length * d_prime * 2, 32)),
+            "destination",
+        ),
+    ),
+    "onion": Scheme(
+        "onion-routing",
+        OnionProtocolRuntime,
+        lambda length, d_prime: (
+            ["onion-source"], _addresses("onion", length), "onion-destination"
+        ),
+    ),
+    "onion-erasure": Scheme(
+        "onion-erasure",
+        OnionErasureProtocolRuntime,
+        lambda length, d_prime: (
+            ["onion-source"], _addresses("onion", length * d_prime), "onion-destination"
+        ),
+    ),
+    "sphinx": Scheme(
+        "sphinx-onion",
+        SphinxProtocolRuntime,
+        lambda length, d_prime: (
+            ["sphinx-source"], _addresses("sphinx", length), "sphinx-destination"
+        ),
+    ),
 }
 
 
@@ -82,43 +137,6 @@ class ThroughputResult:
         }
 
 
-def _addresses(prefix: str, count: int) -> list[str]:
-    return [f"{prefix}-{index}" for index in range(count)]
-
-
-def scheme_address_plan(
-    scheme: str, path_length: int, d_prime: int
-) -> tuple[list[str], list[str], str]:
-    """The per-scheme address plan: (source stage, relay pool, destination).
-
-    One place defines which overlay addresses each scheme's transfer uses —
-    shared by the measurement drivers (via :func:`prepare_scheme_transfer`)
-    and the distinguishability observer, which needs the source-stage
-    addresses to anchor hop positions.
-    """
-    if scheme == "slicing":
-        return (
-            _addresses("src", d_prime),
-            _addresses("relay", max(path_length * d_prime * 2, 32)),
-            "destination",
-        )
-    if scheme == "onion":
-        return ["onion-source"], _addresses("onion", path_length), "onion-destination"
-    if scheme == "onion-erasure":
-        return (
-            ["onion-source"],
-            _addresses("onion", path_length * d_prime),
-            "onion-destination",
-        )
-    if scheme == "sphinx":
-        return (
-            ["sphinx-source"],
-            _addresses("sphinx", path_length),
-            "sphinx-destination",
-        )
-    raise KeyError(f"unknown throughput scheme {scheme!r}")
-
-
 def prepare_scheme_transfer(
     scheme: str,
     profile: OverlayProfile,
@@ -132,8 +150,9 @@ def prepare_scheme_transfer(
 ) -> tuple[OverlayTransport, ProtocolRuntime, list[str], str]:
     """Build the substrate, runtime, relay pool and destination for one scheme.
 
-    Shared by the throughput and setup-latency drivers, so the per-scheme
-    address plan and runtime construction live in exactly one place.
+    Shared by the throughput and setup-latency drivers and the
+    distinguishability observer; the scheme's :data:`SCHEMES` entry supplies
+    the address plan and the runtime class.
     ``backend`` selects the transport: ``"sim"`` (discrete-event) or
     ``"aio"`` (asyncio localhost TCP).  ``substrate_factory`` (network ->
     transport) overrides the backend lookup — the distinguishability
@@ -143,8 +162,9 @@ def prepare_scheme_transfer(
     """
     if data_plane != "batched":
         raise ValueError(f"unknown data plane {data_plane!r}; the only one is 'batched'")
+    entry = SCHEMES[scheme]
     rng = np.random.default_rng(seed)
-    source_stage, relays, destination = scheme_address_plan(scheme, path_length, d_prime)
+    source_stage, relays, destination = entry.address_plan(path_length, d_prime)
     all_addresses = [*source_stage, *relays, destination]
     network = profile.build_network(all_addresses, rng)
     if substrate_factory is not None:
@@ -153,34 +173,7 @@ def prepare_scheme_transfer(
         substrate = build_substrate(
             backend, network, connection_bps=connection_bps_for(profile)
         )
-    if scheme == "slicing":
-        runtime = build_runtime(
-            scheme,
-            substrate,
-            source_stage=source_stage,
-            d=d,
-            d_prime=d_prime,
-            path_length=path_length,
-            rng=rng,
-        )
-    elif scheme in ("onion", "sphinx"):
-        runtime = build_runtime(
-            scheme,
-            substrate,
-            source_address=source_stage[0],
-            path_length=path_length,
-            rng=rng,
-        )
-    else:
-        runtime = build_runtime(
-            scheme,
-            substrate,
-            source_address=source_stage[0],
-            path_length=path_length,
-            d=d,
-            d_prime=d_prime,
-            rng=rng,
-        )
+    runtime = entry.runtime(substrate, source_stage, path_length, d, d_prime, rng)
     return substrate, runtime, relays, destination
 
 
@@ -195,7 +188,7 @@ def measure_throughput(
     seed: int = 42,
     backend: str = "sim",
 ) -> ThroughputResult:
-    """Drive one transfer of any registered scheme and measure delivered goodput.
+    """Drive one transfer of any scheme and measure delivered goodput.
 
     The unified driver behind Figs. 11–13: establish the route, drain the
     simulator, then ship ``num_messages`` fixed-size messages and measure
@@ -217,7 +210,7 @@ def measure_throughput(
         duration = max(last - transfer_start, 1e-9)
         throughput = progress.delivered_bytes * 8.0 / duration
         return ThroughputResult(
-            protocol=PROTOCOL_LABELS.get(scheme, scheme),
+            protocol=SCHEMES[scheme].label,
             path_length=path_length,
             d=d,
             d_prime=d_prime,
@@ -255,14 +248,13 @@ def _aggregate_runtime_flows(
     runtimes = []
     progresses = []
     for flow_index in range(flow_count):
-        kwargs = {"d": d, "d_prime": d_prime} if scheme == "onion-erasure" else {}
-        runtime = build_runtime(
-            scheme,
+        runtime = SCHEMES[scheme].runtime(
             substrate,
-            source_address=source_stages[flow_index][0],
-            path_length=path_length,
+            source_stages[flow_index],
+            path_length,
+            d,
+            d_prime,
             rng=np.random.default_rng(seed + 31 * flow_index),
-            **kwargs,
         )
         progresses.append(runtime.establish(overlay_nodes, destinations[flow_index]))
         runtimes.append(runtime)
@@ -317,8 +309,8 @@ def aggregate_throughput_vs_flows(
     contend for the same per-node CPU and per-connection capacity; the curve
     rises roughly linearly and then saturates, as in the paper.  ``scheme``
     selects the flows' protocol: ``"slicing"`` (the default, the paper's
-    figure) drives the real relay engines; any other registered runtime is
-    driven through the unified interface (:func:`_aggregate_runtime_flows`).
+    figure) drives the real relay engines; any other scheme is driven
+    through the unified interface (:func:`_aggregate_runtime_flows`).
     """
     rows = []
     for flow_count in flow_counts:

@@ -22,10 +22,7 @@ from .runtime import (
     SUBSTRATE_BACKENDS,
     ProtocolRuntime,
     SlicingProtocolRuntime,
-    build_runtime,
     build_substrate,
-    register_runtime,
-    runtime_schemes,
 )
 from .selection import (
     SelectionReport,
@@ -48,11 +45,8 @@ __all__ = [
     "FlowProgress",
     "ProtocolRuntime",
     "SlicingProtocolRuntime",
-    "build_runtime",
     "build_substrate",
     "SUBSTRATE_BACKENDS",
-    "register_runtime",
-    "runtime_schemes",
     "DEFAULT_PER_PACKET_OVERHEAD",
     "ChurnModel",
     "PLANETLAB_CHURN",

@@ -22,7 +22,7 @@ from ..core.errors import SimulationError
 
 @dataclass(frozen=True)
 class NodeResources:
-    """Per-node CPU and access-link characteristics."""
+    """Per-node CPU costs (per-connection capacity is the substrate's)."""
 
     #: Seconds per byte per unit of split factor for GF(2^8) coding.
     coding_seconds_per_byte_per_d: float = 8e-9
@@ -32,8 +32,6 @@ class NodeResources:
     pk_encrypt_seconds: float = 0.0015
     #: Seconds per public-key decryption (onion route setup).
     pk_decrypt_seconds: float = 0.006
-    #: Access-link bandwidth in bits per second.
-    bandwidth_bps: float = 1e9
     #: Multiplier applied to all CPU costs (models a loaded PlanetLab node).
     load_factor: float = 1.0
 
@@ -50,10 +48,6 @@ class NodeResources:
 
     def pk_decrypt_time(self) -> float:
         return self.pk_decrypt_seconds * self.load_factor
-
-    def transmission_time(self, size_bytes: int) -> float:
-        """Serialisation delay of a packet on the access link."""
-        return size_bytes * 8.0 / self.bandwidth_bps
 
 
 class NetworkModel:
@@ -129,7 +123,6 @@ def heterogeneous_network(
             symmetric_seconds_per_byte=base_resources.symmetric_seconds_per_byte,
             pk_encrypt_seconds=base_resources.pk_encrypt_seconds,
             pk_decrypt_seconds=base_resources.pk_decrypt_seconds,
-            bandwidth_bps=base_resources.bandwidth_bps,
             load_factor=float(factor),
         )
         for address, factor in zip(addresses, load_factors)

@@ -11,7 +11,8 @@ baselines in :mod:`repro.baselines` provide their own adapters.
 The accounting and the payload-carrying transmit surface live on the
 :class:`OverlayTransport` base class, which the asyncio socket backend
 (:mod:`repro.overlay.aio`) also implements — the adapters run unchanged on
-either backend.
+either backend, and both backends charge every transmission to the virtual
+clock through one method, :meth:`OverlayTransport._account_batch`.
 
 Resource model
 --------------
@@ -29,8 +30,9 @@ Data plane
 A burst of packets on one connection becomes one
 :meth:`~SimulatedOverlayNetwork.transmit_batch` (per-packet serialisation and
 CPU *times* are still accounted exactly, so the simulated clock stays
-comparable), deliveries landing at one relay at one simulated instant
-coalesce into a single batch event
+comparable); a single blob, such as an onion setup packet, is a burst of
+one.  Deliveries landing at one relay at one simulated instant coalesce into
+a single batch event
 (:meth:`~repro.overlay.simulator.EventSimulator.schedule_keyed`), and the
 relay decodes whole batches through the batched GF(2^8) kernels.  The
 per-packet reference plane — every packet its own transmit, arrival and CPU
@@ -214,14 +216,6 @@ class OverlayTransport:
 
     # -- resource accounting ----------------------------------------------------------
 
-    def _reserve_link(self, sender: str, receiver: str, size_bytes: int) -> float:
-        """Queue a packet on the (sender, receiver) connection; return send-done time."""
-        key = (sender, receiver)
-        start = max(self.sim.now, self._link_free_at.get(key, 0.0))
-        done = start + size_bytes * 8.0 / self.connection_bps
-        self._link_free_at[key] = done
-        return done
-
     def reserve_cpu(self, address: str, work_seconds: float) -> float:
         """Queue ``work_seconds`` of CPU work on a node; return completion time."""
         start = max(self.sim.now, self._cpu_free_at.get(address, 0.0))
@@ -268,12 +262,12 @@ class OverlayTransport:
     ) -> list[float]:
         """Reserve sender CPU and the connection for a burst; return arrivals.
 
-        This is the exact per-packet arithmetic of the per-packet path — each
-        packet queues on the sender CPU (its cost plus the fixed per-packet
-        overhead), serialises on the (sender, receiver) connection in order,
-        and arrives one propagation delay later — collapsed into one
-        bookkeeping pass.  Both backends call it, so their virtual clocks and
-        counters agree.
+        Each packet queues on the sender CPU (its cost plus the fixed
+        per-packet overhead), serialises on the (sender, receiver) connection
+        in order, and arrives one propagation delay later — one bookkeeping
+        pass per burst.  It is the one place either backend charges a
+        transmission to the virtual clock, so their clocks and counters
+        agree.
         """
         now = self.sim.now
         ready_times = self.reserve_cpu_sequence(
@@ -303,53 +297,11 @@ class SimulatedOverlayNetwork(OverlayTransport):
         network: NetworkModel,
         connection_bps: float,
         per_packet_overhead: float = DEFAULT_PER_PACKET_OVERHEAD,
-        simulator: EventSimulator | None = None,
     ) -> None:
         super().__init__(network, connection_bps, per_packet_overhead)
-        self.sim = EventSimulator() if simulator is None else simulator
+        self.sim = EventSimulator()
 
     # -- transmission -------------------------------------------------------------------
-
-    def transmit(
-        self,
-        sender: str,
-        receiver: str,
-        size_bytes: int,
-        on_delivered: Callable[[], None],
-        sender_cpu_seconds: float = 0.0,
-    ) -> None:
-        """Send ``size_bytes`` from ``sender`` to ``receiver``.
-
-        The sender first spends ``sender_cpu_seconds`` of CPU (plus the fixed
-        per-packet overhead), then the packet serialises onto the connection,
-        propagates, and ``on_delivered`` fires at the receiver — unless either
-        endpoint has failed by the relevant instant.
-        """
-        if not self.is_alive(sender):
-            self.stats.packets_dropped += 1
-            return
-        cpu_done = self.reserve_cpu(
-            sender, sender_cpu_seconds + self.per_packet_overhead
-        )
-
-        def start_transmission() -> None:
-            if not self.is_alive(sender):
-                self.stats.packets_dropped += 1
-                return
-            link_done = self._reserve_link(sender, receiver, size_bytes)
-            arrival = link_done + self.network.latency(sender, receiver)
-            self.stats.packets_sent += 1
-            self.stats.bytes_sent += size_bytes
-
-            def deliver() -> None:
-                if not self.is_alive(receiver):
-                    self.stats.packets_dropped += 1
-                    return
-                on_delivered()
-
-            self.sim.schedule_at(arrival, deliver)
-
-        self.sim.schedule_at(cpu_done, start_transmission)
 
     def transmit_batch(
         self,
@@ -361,20 +313,18 @@ class SimulatedOverlayNetwork(OverlayTransport):
     ) -> None:
         """Send a burst of packets on one connection with one delivery event.
 
-        Per-packet times are accounted exactly as :meth:`transmit` would:
-        each packet queues on the sender CPU (its cost plus the fixed
-        per-packet overhead), then serialises on the connection in order, and
-        arrives one propagation delay later.  But the whole burst raises a
-        *single* simulator event, fired at the last packet's arrival instant,
-        and ``on_delivered`` receives every packet's individual arrival time
-        so the receiver can charge its CPU faithfully.
+        Every transmission on this backend ends here.  Per-packet times are
+        accounted by :meth:`_account_batch` (sender CPU queue, in-order
+        serialisation on the connection, one propagation delay), but the
+        whole burst raises a *single* simulator event, fired at the last
+        packet's arrival instant, and ``on_delivered`` receives every
+        packet's arrival time so the receiver can charge its CPU faithfully.
 
-        Two modelling simplifications relative to the per-packet path: link
-        and CPU capacity are reserved when the batch is submitted (competing
-        traffic submitted later queues behind the whole burst), and a sender
-        failing mid-burst no longer truncates it — the batch is committed
-        once submission succeeds.  Neither changes any experiment that fails
-        nodes between phases, which is how churn is modelled.
+        Link and CPU capacity are reserved when the batch is submitted
+        (competing traffic submitted later queues behind the whole burst),
+        and a sender failing after submission does not truncate the batch.
+        Neither changes any experiment that fails nodes between phases,
+        which is how churn is modelled.
         """
         sizes = list(sizes)
         if not sizes:
@@ -435,12 +385,12 @@ class SimulatedOverlayNetwork(OverlayTransport):
         deliver: Callable[[bytes], None],
         sender_cpu_seconds: float = 0.0,
     ) -> None:
-        self.transmit(
+        self.transmit_batch(
             sender,
             receiver,
-            len(blob),
-            lambda: deliver(blob),
-            sender_cpu_seconds=sender_cpu_seconds,
+            [len(blob)],
+            lambda _arrivals: deliver(blob),
+            sender_cpu_seconds=[sender_cpu_seconds],
         )
 
 

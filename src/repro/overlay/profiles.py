@@ -1,7 +1,11 @@
 """Testbed profiles: the paper's LAN and a PlanetLab-like wide-area overlay.
 
 A profile knows how to turn a list of addresses into a
-:class:`~repro.overlay.network.NetworkModel` and which churn model applies.
+:class:`~repro.overlay.network.NetworkModel`.  Per-connection capacity is not
+a profile field: the drivers pick it per profile
+(:func:`~repro.experiments.throughput.connection_bps_for`), and the churn
+models live in :mod:`repro.overlay.churn`.
+
 Where these profiles stand in for the paper's physical testbeds (§5, §7) is
 mapped in docs/ARCHITECTURE.md; the knobs below are the calibration points.
 """
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .churn import PLANETLAB_CHURN, STABLE_CHURN, ChurnModel
 from .network import NetworkModel, NodeResources, heterogeneous_network, uniform_network
 
 
@@ -24,7 +27,6 @@ class OverlayProfile:
     latency_seconds: float
     latency_sigma: float
     resources: NodeResources
-    churn: ChurnModel
     heterogeneous: bool
 
     def build_network(
@@ -53,15 +55,13 @@ LAN_PROFILE = OverlayProfile(
         symmetric_seconds_per_byte=4e-9,
         pk_encrypt_seconds=0.0015,
         pk_decrypt_seconds=0.006,
-        bandwidth_bps=1e9,
         load_factor=1.0,
     ),
-    churn=STABLE_CHURN,
     heterogeneous=False,
 )
 
-#: PlanetLab-like wide-area overlay: tens-of-milliseconds RTTs, contended
-#: CPUs (heavy-tailed load factors), modest access bandwidth, real churn.
+#: PlanetLab-like wide-area overlay: tens-of-milliseconds RTTs and contended
+#: CPUs (heavy-tailed load factors).
 PLANETLAB_PROFILE = OverlayProfile(
     name="planetlab",
     latency_seconds=0.04,
@@ -71,10 +71,8 @@ PLANETLAB_PROFILE = OverlayProfile(
         symmetric_seconds_per_byte=4e-9,
         pk_encrypt_seconds=0.0015,
         pk_decrypt_seconds=0.006,
-        bandwidth_bps=10e6,
         load_factor=8.0,
     ),
-    churn=PLANETLAB_CHURN,
     heterogeneous=True,
 )
 

@@ -1,11 +1,10 @@
-"""Unified protocol-runtime interface over the simulated overlay substrate.
+"""Unified protocol-runtime interface over the overlay substrate.
 
 Figs. 11–15 compare information slicing against onion routing (and its
 erasure-coded variant) over *identical* substrates: same latencies, same
-per-node CPU model, same per-connection capacity.  Historically every scheme
-had a bespoke driver loop inside the experiment modules; this module defines
-the one interface they all implement, so the experiments drive every scheme
-through the same two calls:
+per-node CPU model, same per-connection capacity.  This module defines the
+one interface every scheme implements, so the experiments drive each scheme
+through the same constructor and the same two calls:
 
 1. :meth:`ProtocolRuntime.establish` — inject the scheme's route setup;
 2. :meth:`ProtocolRuntime.send_messages` — ship a burst of data messages.
@@ -16,9 +15,10 @@ setup instants) and :meth:`ProtocolRuntime.setup_seconds`.
 
 Concrete runtimes: :class:`SlicingProtocolRuntime` (here) wraps the real
 relay engines via :class:`~repro.overlay.node.SlicingRuntime`;
-``OnionProtocolRuntime`` and ``OnionErasureProtocolRuntime`` live in
-:mod:`repro.baselines.runtime` and register themselves under ``"onion"`` and
-``"onion-erasure"``.
+``OnionProtocolRuntime``, ``OnionErasureProtocolRuntime`` and
+``SphinxProtocolRuntime`` live in :mod:`repro.baselines.runtime`.  Which
+schemes exist, and the label and address plan of each, is the one ``SCHEMES``
+table in :mod:`repro.experiments.throughput`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import fields as dataclass_fields
-from typing import Callable
 
 import numpy as np
 
@@ -45,17 +44,30 @@ from .node import (
 class ProtocolRuntime(abc.ABC):
     """One anonymous transfer (setup + data burst) of one scheme."""
 
-    #: Registry key; subclasses set this and call :func:`register_runtime`.
+    #: The scheme's key in ``SCHEMES`` (names it in error messages).
     scheme: str = ""
 
-    #: Overlay transport backends the scheme supports.  Every shipped scheme
-    #: runs on both, but a runtime that depends on simulator-only facilities
-    #: can narrow this; the CLI rejects mismatched ``--scheme``/``--backend``
-    #: combinations with a one-line error (see :func:`runtime_backends`).
-    backends: tuple[str, ...] = ("sim", "aio")
+    def __init__(
+        self,
+        substrate: OverlayTransport,
+        source_stage: list[str],
+        path_length: int,
+        d: int = 1,
+        d_prime: int | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        """Every scheme takes the same arguments; each reads what it needs.
 
-    def __init__(self, substrate: OverlayTransport) -> None:
+        ``source_stage`` is the scheme's stage-0 addresses (the circuit
+        schemes send from its first), ``d`` / ``d_prime`` the split factor
+        and per-stage redundancy (unused by onion routing and Sphinx).
+        """
         self.substrate = substrate
+        self.source_stage = list(source_stage)
+        self.path_length = path_length
+        self.d = d
+        self.d_prime = d if d_prime is None else d_prime
+        self.rng = np.random.default_rng() if rng is None else rng
         self.progress = FlowProgress()
 
     @property
@@ -127,7 +139,7 @@ def aggregate_relay_stats(relays) -> dict[str, int]:
     return totals
 
 
-#: Overlay transport backends selectable on the registry and the CLI.
+#: Overlay transport backends selectable by name (the CLI's ``--backend``).
 SUBSTRATE_BACKENDS = ("sim", "aio")
 
 
@@ -171,55 +183,6 @@ def build_substrate(
     raise KeyError(f"unknown overlay backend {backend!r} (known: {known})")
 
 
-#: Registered runtime factories by scheme name.
-RUNTIME_SCHEMES: dict[str, Callable[..., ProtocolRuntime]] = {}
-
-
-def register_runtime(name: str, factory: Callable[..., ProtocolRuntime]) -> None:
-    """Register a runtime factory; names must be unique."""
-    if name in RUNTIME_SCHEMES:
-        raise ValueError(f"runtime scheme {name!r} is already registered")
-    RUNTIME_SCHEMES[name] = factory
-
-
-def build_runtime(scheme: str, substrate: SimulatedOverlayNetwork, **kwargs) -> ProtocolRuntime:
-    """Instantiate the runtime registered under ``scheme``."""
-    _ensure_runtimes_loaded()
-    try:
-        factory = RUNTIME_SCHEMES[scheme]
-    except KeyError:
-        known = ", ".join(sorted(RUNTIME_SCHEMES))
-        raise KeyError(f"unknown runtime scheme {scheme!r} (known: {known})") from None
-    return factory(substrate, **kwargs)
-
-
-def runtime_schemes() -> list[str]:
-    """Sorted names of every registered protocol runtime."""
-    _ensure_runtimes_loaded()
-    return sorted(RUNTIME_SCHEMES)
-
-
-def runtime_backends(scheme: str) -> tuple[str, ...]:
-    """The overlay backends the runtime registered under ``scheme`` supports.
-
-    Factories that are not :class:`ProtocolRuntime` subclasses (plain
-    callables) are assumed to support every substrate backend.
-    """
-    _ensure_runtimes_loaded()
-    try:
-        factory = RUNTIME_SCHEMES[scheme]
-    except KeyError:
-        known = ", ".join(sorted(RUNTIME_SCHEMES))
-        raise KeyError(f"unknown runtime scheme {scheme!r} (known: {known})") from None
-    return tuple(getattr(factory, "backends", SUBSTRATE_BACKENDS))
-
-
-def _ensure_runtimes_loaded() -> None:
-    # Importing the baselines registers their runtimes, mirroring how the
-    # experiment registry loads its definitions.
-    from ..baselines import runtime as _baseline_runtimes  # noqa: F401
-
-
 class SlicingProtocolRuntime(ProtocolRuntime):
     """Information slicing through the real relay engines (§4, §7).
 
@@ -230,25 +193,17 @@ class SlicingProtocolRuntime(ProtocolRuntime):
 
     scheme = "slicing"
 
-    def __init__(
-        self,
-        substrate: OverlayTransport,
-        source_stage: list[str],
-        d: int,
-        path_length: int,
-        d_prime: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__(substrate)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.source = Source(
-            source_stage[0],
-            source_stage[1:],
-            d=d,
-            d_prime=d_prime,
-            path_length=path_length,
-            rng=rng,
+            self.source_stage[0],
+            self.source_stage[1:],
+            d=self.d,
+            d_prime=self.d_prime,
+            path_length=self.path_length,
+            rng=self.rng,
         )
-        self.runtime = SlicingRuntime(substrate)
+        self.runtime = SlicingRuntime(self.substrate)
         self.flow: FlowSetup | None = None
 
     def establish(self, relays: list[str], destination: str) -> FlowProgress:
@@ -280,6 +235,3 @@ class SlicingProtocolRuntime(ProtocolRuntime):
 
     def relay_counters(self) -> dict[str, int]:
         return aggregate_relay_stats(self.runtime.relays.values())
-
-
-register_runtime(SlicingProtocolRuntime.scheme, SlicingProtocolRuntime)

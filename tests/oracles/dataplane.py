@@ -3,9 +3,10 @@
 :class:`ScalarRelay` decodes a relay's routing slices and every data message
 with :func:`~repro.core.integrity.robust_decode`, the moment the ``d``-th
 slice arrives.  :class:`ScalarSlicingRuntime` ships every packet as its own
-transmit, arrival and CPU event and arms one flush timer per message.  Both
-override only what the reference does differently; flow tables, forwarding,
-regeneration and retention are the shipped code.
+transmit, arrival and CPU event and arms one flush timer per message: the
+sender's CPU, then the connection, then the receiver's CPU, each reserved at
+its own instant.  Both override only what the reference does differently;
+flow tables, forwarding, regeneration and retention are the shipped code.
 """
 
 from __future__ import annotations
@@ -105,10 +106,36 @@ class ScalarSlicingRuntime(SlicingRuntime):
             )
             self.sim.schedule_at(done, lambda: self._handle_batch(receiver, [packet]))
 
-        self.substrate.transmit(
-            packet.source_address,
-            receiver,
-            packet.size_bytes(),
-            arrive,
-            sender_cpu_seconds=sender_cpu,
+        self._transmit_one(
+            packet.source_address, receiver, packet.size_bytes(), arrive, sender_cpu
         )
+
+    def _transmit_one(self, sender, receiver, size_bytes, on_delivered, sender_cpu) -> None:
+        """One packet: sender CPU, then the connection once the CPU is done."""
+        substrate = self.substrate
+        if not substrate.is_alive(sender):
+            substrate.stats.packets_dropped += 1
+            return
+        cpu_done = substrate.reserve_cpu(sender, sender_cpu + substrate.per_packet_overhead)
+
+        def start_transmission() -> None:
+            if not substrate.is_alive(sender):
+                substrate.stats.packets_dropped += 1
+                return
+            key = (sender, receiver)
+            start = max(self.sim.now, substrate._link_free_at.get(key, 0.0))
+            link_done = start + size_bytes * 8.0 / substrate.connection_bps
+            substrate._link_free_at[key] = link_done
+            substrate.stats.packets_sent += 1
+            substrate.stats.bytes_sent += size_bytes
+
+            def deliver() -> None:
+                if not substrate.is_alive(receiver):
+                    substrate.stats.packets_dropped += 1
+                    return
+                on_delivered()
+
+            arrival = link_done + substrate.network.latency(sender, receiver)
+            self.sim.schedule_at(arrival, deliver)
+
+        self.sim.schedule_at(cpu_done, start_transmission)

@@ -154,15 +154,13 @@ def scenario_axis_params(draw):
     """One cell's full axis assignment in trial-dict form.
 
     Spans both base profiles and the documented range of every
-    profile-shaping axis (jitter, bandwidth, asymmetry, CPU heterogeneity);
+    profile-shaping axis (jitter, CPU heterogeneity);
     the remaining axes ride along so the dict looks exactly like a trial's
     params.
     """
     return {
         "profile": draw(st.sampled_from(["lan", "planetlab"])),
         "jitter": draw(st.floats(0.0, 1.5)),
-        "bandwidth_mbps": draw(st.one_of(st.just(0.0), st.floats(0.5, 1000.0))),
-        "asymmetry": draw(st.floats(1.0, 16.0)),
         "cpu_heterogeneity": draw(st.floats(0.0, 4.0)),
         "loss": draw(st.floats(0.0, 0.99)),
         "adversary": draw(st.floats(0.0, 0.99)),

@@ -13,13 +13,13 @@ import pytest
 
 from repro.experiments import run_distributed, run_experiment, run_worker
 from repro.experiments.distinguishability import (
-    DISTINGUISHABILITY_SCHEMES,
     RecordingOverlayNetwork,
     hop_positions,
     hop_size_unlinkability,
     observe_transfer,
     size_position_advantage,
 )
+from repro.experiments.throughput import SCHEMES
 from repro.overlay.network import uniform_network
 from repro.overlay.profiles import LAN_PROFILE
 
@@ -33,7 +33,7 @@ def test_recording_network_taps_every_transmission():
     network = uniform_network(["a", "b"], 0.001, LAN_PROFILE.resources)
     substrate = RecordingOverlayNetwork(network, connection_bps=1e9)
     try:
-        substrate.transmit("a", "b", 100, lambda: None)
+        substrate.transmit_blob("a", "b", bytes(100), lambda _blob: None)
         substrate.transmit_batch("b", "a", [10, 20], lambda arrivals: None)
         substrate.sim.run()
     finally:
@@ -76,7 +76,7 @@ def test_advantage_is_zero_without_observations():
 # -- scheme expectations ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", DISTINGUISHABILITY_SCHEMES)
+@pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_scheme_unlinkability_matches_the_paper_story(scheme):
     row = hop_size_unlinkability(scheme, LAN_PROFILE, 3, seed=11)
     if scheme in ("sphinx", "slicing"):
@@ -104,7 +104,7 @@ def test_family_runs_byte_identical_across_worker_counts(tmp_path):
         "distinguishability", scale=SMALL, out_dir=tmp_path / "w2", workers=2
     )
     assert one.artifact.read_bytes() == two.artifact.read_bytes()
-    assert {row["scheme"] for row in one.rows} == set(DISTINGUISHABILITY_SCHEMES)
+    assert {row["scheme"] for row in one.rows} == set(SCHEMES)
     for row in one.rows:
         assert 0.0 <= row["unlinkability"] <= 1.0
 

@@ -100,11 +100,11 @@ def test_nested_scheduling():
 
 
 def test_uniform_network_latency_and_resources():
-    resources = NodeResources(bandwidth_bps=1e6)
+    resources = NodeResources(load_factor=3.0)
     network = uniform_network(["a", "b"], 0.01, resources)
     assert network.latency("a", "b") == pytest.approx(0.01)
     assert network.latency("a", "a") == 0.0
-    assert network.resources("a").transmission_time(1250) == pytest.approx(0.01)
+    assert network.resources("a") is resources
     with pytest.raises(SimulationError):
         network.resources("missing")
 
@@ -142,14 +142,18 @@ def test_transmit_delivers_and_respects_failures():
     network = uniform_network(["a", "b"], 0.01, NodeResources())
     substrate = SimulatedOverlayNetwork(network, connection_bps=1e6)
     delivered = []
-    substrate.transmit("a", "b", 1250, lambda: delivered.append(substrate.sim.now))
+
+    def record(_blob):
+        delivered.append(substrate.sim.now)
+
+    substrate.transmit_blob("a", "b", bytes(1250), record)
     substrate.sim.run()
     assert len(delivered) == 1
     # transmission (0.01s at 1 Mbps for 1250 B) + latency 0.01 + overhead.
     assert delivered[0] == pytest.approx(0.02, abs=2e-3)
 
     substrate.fail_node("b")
-    substrate.transmit("a", "b", 1250, lambda: delivered.append(substrate.sim.now))
+    substrate.transmit_blob("a", "b", bytes(1250), record)
     substrate.sim.run()
     assert len(delivered) == 1
     assert substrate.stats.packets_dropped == 1
@@ -162,7 +166,9 @@ def test_connection_serialisation_queues_packets():
     )
     times = []
     for _ in range(3):
-        substrate.transmit("a", "b", 1000, lambda: times.append(substrate.sim.now))
+        substrate.transmit_blob(
+            "a", "b", bytes(1000), lambda _blob: times.append(substrate.sim.now)
+        )
     substrate.sim.run()
     # Each 1000-byte packet takes 1 s on an 8 kbit/s connection; they queue.
     assert times == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]

@@ -6,31 +6,21 @@ import pytest
 
 from repro.core.errors import SimulationError
 from repro.core.source import Source
-from repro.experiments.runner import run_experiment
+from repro.experiments.registry import get_experiment
+from repro.experiments.runner import Job, run_experiment
+from repro.experiments.scenarios import parse_matrix
 from repro.experiments.setup_latency import measure_setup
 from repro.experiments.throughput import (
+    SCHEMES,
     connection_bps_for,
     measure_throughput,
     prepare_scheme_transfer,
 )
 from repro.overlay.node import SimulatedOverlayNetwork, SlicingRuntime
 from repro.overlay.profiles import LAN_PROFILE
-from repro.overlay.runtime import build_runtime, runtime_backends, runtime_schemes
+from repro.overlay.runtime import SUBSTRATE_BACKENDS, ProtocolRuntime
 
 from oracles.dataplane import ScalarSlicingRuntime
-
-
-def test_registry_lists_all_schemes():
-    assert runtime_schemes() == ["onion", "onion-erasure", "slicing", "sphinx"]
-    with pytest.raises(KeyError):
-        build_runtime("carrier-pigeon", None)
-
-
-def test_runtime_backends_reports_supported_substrates():
-    for scheme in runtime_schemes():
-        assert runtime_backends(scheme) == ("sim", "aio")
-    with pytest.raises(KeyError):
-        runtime_backends("carrier-pigeon")
 
 
 def build_substrate(addresses, seed=0):
@@ -38,7 +28,51 @@ def build_substrate(addresses, seed=0):
     return SimulatedOverlayNetwork(network, connection_bps=30e6)
 
 
-@pytest.mark.parametrize("scheme", runtime_schemes())
+def test_registry_lists_all_schemes():
+    # The SCHEMES table is the one scheme list every consumer reads.
+    schemes = tuple(SCHEMES)
+    assert schemes == ("slicing", "onion", "onion-erasure", "sphinx")
+    for name in ("fig11", "fig12", "fig13", "fig14", "fig15"):
+        assert get_experiment(name).schemes == schemes
+    assert parse_matrix({"name": "m"}).schemes == schemes
+    trial_schemes = [trial["scheme"] for trial in Job("distinguishability", 0.1).trials]
+    assert tuple(dict.fromkeys(trial_schemes)) == schemes
+    # Every entry's runtime builds from the one constructor its plan feeds.
+    for name, entry in SCHEMES.items():
+        source_stage, relays, destination = entry.address_plan(2, 3)
+        substrate = build_substrate([*source_stage, *relays, destination])
+        runtime = entry.runtime(substrate, source_stage, 2, d=2, d_prime=3, rng=None)
+        assert isinstance(runtime, ProtocolRuntime)
+        assert runtime.scheme == name
+        assert (runtime.path_length, runtime.d, runtime.d_prime) == (2, 2, 3)
+    with pytest.raises(KeyError):
+        prepare_scheme_transfer("carrier-pigeon", LAN_PROFILE, 2, 2, 3, 0, "batched")
+
+
+def test_runtime_backends_reports_supported_substrates():
+    # Every scheme runs on every substrate backend, so the backends are one
+    # list, not a per-scheme property.
+    assert SUBSTRATE_BACKENDS == ("sim", "aio")
+    for name in ("fig11", "fig12", "fig13", "fig14", "fig15"):
+        assert get_experiment(name).backends == SUBSTRATE_BACKENDS
+    for scheme in SCHEMES:
+        for backend in SUBSTRATE_BACKENDS:
+            substrate, runtime, _relays, _destination = prepare_scheme_transfer(
+                scheme, LAN_PROFILE, 2, 2, 3, 0, "batched", backend=backend
+            )
+            try:
+                assert runtime.scheme == scheme
+                assert runtime.sim is substrate.sim
+            finally:
+                if backend == "aio":
+                    substrate.close()
+    with pytest.raises(KeyError):
+        prepare_scheme_transfer(
+            "slicing", LAN_PROFILE, 2, 2, 3, 0, "batched", backend="carrier-pigeon"
+        )
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
 def test_send_before_establish_is_a_simulation_error(scheme):
     # A real exception, not an assert: ``python -O`` must not strip the check.
     _substrate, runtime, _relays, _destination = prepare_scheme_transfer(
@@ -53,13 +87,8 @@ def test_slicing_runtime_source_is_a_bare_source_on_the_same_rng():
     # switches from Source + SlicingRuntime to it keeps the same graph.
     relays = [f"r{i}" for i in range(20)]
     substrate = build_substrate(["s0", "s1", *relays, "dst"])
-    transfer = build_runtime(
-        "slicing",
-        substrate,
-        source_stage=["s0", "s1"],
-        d=2,
-        path_length=3,
-        rng=np.random.default_rng(4),
+    transfer = SCHEMES["slicing"].runtime(
+        substrate, ["s0", "s1"], path_length=3, d=2, rng=np.random.default_rng(4)
     )
     transfer.establish(relays, "dst")
     bare = Source("s0", ["s1"], d=2, path_length=3, rng=np.random.default_rng(4))
@@ -69,18 +98,15 @@ def test_slicing_runtime_source_is_a_bare_source_on_the_same_rng():
 def test_onion_runtime_delivers_plaintexts_end_to_end():
     relays = [f"onion-{i}" for i in range(4)]
     substrate = build_substrate(["src", *relays, "dst"])
-    runtime = build_runtime(
-        "onion",
-        substrate,
-        source_address="src",
-        path_length=4,
-        rng=np.random.default_rng(1),
+    runtime = SCHEMES["onion"].runtime(
+        substrate, ["src"], path_length=4, rng=np.random.default_rng(1)
     )
     progress = runtime.establish(relays, "dst")
     substrate.sim.run()
     assert runtime.setup_seconds() > 0
     # Every circuit relay peeled a layer during setup.
-    assert set(runtime._driver.handles) == set(runtime._driver.circuit.hops)
+    (driver,) = runtime._drivers
+    assert set(driver.handles) == set(driver.circuit.hops)
     messages = [b"cell-%d" % i for i in range(5)]
     runtime.send_messages(messages)
     substrate.sim.run()
@@ -92,17 +118,14 @@ def test_onion_runtime_delivers_plaintexts_end_to_end():
 def test_sphinx_runtime_delivers_plaintexts_end_to_end():
     relays = [f"sphinx-{i}" for i in range(4)]
     substrate = build_substrate(["src", *relays, "dst"], seed=6)
-    runtime = build_runtime(
-        "sphinx",
-        substrate,
-        source_address="src",
-        path_length=4,
-        rng=np.random.default_rng(7),
+    runtime = SCHEMES["sphinx"].runtime(
+        substrate, ["src"], path_length=4, rng=np.random.default_rng(7)
     )
     progress = runtime.establish(relays, "dst")
     substrate.sim.run()
     assert runtime.setup_seconds() > 0
-    assert set(runtime._driver.handles) == set(runtime._driver.circuit.hops)
+    (driver,) = runtime._drivers
+    assert set(driver.handles) == set(driver.circuit.hops)
     messages = [b"cell-%d" % i for i in range(5)]
     runtime.send_messages(messages)
     substrate.sim.run()
@@ -125,14 +148,8 @@ def test_onion_erasure_runtime_survives_a_circuit_failure():
     d, d_prime, path_length = 2, 3, 2
     relays = [f"onion-{i}" for i in range(d_prime * path_length)]
     substrate = build_substrate(["src", *relays, "dst"], seed=2)
-    runtime = build_runtime(
-        "onion-erasure",
-        substrate,
-        source_address="src",
-        path_length=path_length,
-        d=d,
-        d_prime=d_prime,
-        rng=np.random.default_rng(3),
+    runtime = SCHEMES["onion-erasure"].runtime(
+        substrate, ["src"], path_length, d, d_prime, rng=np.random.default_rng(3)
     )
     progress = runtime.establish(relays, "dst")
     substrate.sim.run()
@@ -150,14 +167,8 @@ def test_onion_erasure_runtime_fails_below_d_circuits():
     d, d_prime, path_length = 2, 3, 2
     relays = [f"onion-{i}" for i in range(d_prime * path_length)]
     substrate = build_substrate(["src", *relays, "dst"], seed=4)
-    runtime = build_runtime(
-        "onion-erasure",
-        substrate,
-        source_address="src",
-        path_length=path_length,
-        d=d,
-        d_prime=d_prime,
-        rng=np.random.default_rng(5),
+    runtime = SCHEMES["onion-erasure"].runtime(
+        substrate, ["src"], path_length, d, d_prime, rng=np.random.default_rng(5)
     )
     progress = runtime.establish(relays, "dst")
     substrate.sim.run()

@@ -75,7 +75,7 @@ def test_wall_clock_experiments_never_served_from_cache(tmp_path):
     first = run_experiment("microbench", scale=0.2, out_dir=tmp_path)
     assert not first.cached
     second = run_experiment("microbench", scale=0.2, out_dir=tmp_path)
-    assert not second.cached  # deterministic=False: timings always remeasured
+    assert not second.cached  # wall_clock=True: timings always remeasured
 
 
 def test_seed_changes_monte_carlo_results():
@@ -185,33 +185,6 @@ def test_cli_run_unknown_scheme_lists_supported(capsys):
     captured = capsys.readouterr()
     assert "supported: slicing, onion, onion-erasure, sphinx" in captured.err
     assert captured.err.count("\n") == 1
-
-
-def test_cli_run_backend_unsupported_scheme_lists_backend_schemes(capsys, monkeypatch):
-    # A sim-only scheme requested on the aio backend must fail with a one-line
-    # error that lists the schemes the experiment *does* support on aio.
-    from dataclasses import replace
-
-    from repro.experiments.registry import REGISTRY
-    from repro.overlay.runtime import RUNTIME_SCHEMES
-
-    class SimOnlyRuntime:
-        backends = ("sim",)
-
-    monkeypatch.setitem(RUNTIME_SCHEMES, "sim-only", SimOnlyRuntime)
-    fig11 = get_experiment("fig11")
-    monkeypatch.setitem(
-        REGISTRY, "fig11", replace(fig11, schemes=(*fig11.schemes, "sim-only"))
-    )
-    assert (
-        experiments_main(["run", "fig11", "--backend", "aio", "--scheme", "sim-only"])
-        == 2
-    )
-    captured = capsys.readouterr()
-    assert "does not run on backend 'aio'" in captured.err
-    assert "slicing, onion, onion-erasure, sphinx" in captured.err
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
 
 
 def test_scheme_restriction_keys_the_artifact_cache(tmp_path):

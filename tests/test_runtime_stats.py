@@ -38,10 +38,10 @@ def test_relay_stats_track_traffic():
 def test_substrate_stats_and_progress_counters():
     network = uniform_network(["a", "b", "c"], 0.001, NodeResources())
     substrate = SimulatedOverlayNetwork(network, connection_bps=1e7)
-    substrate.transmit("a", "b", 100, lambda: None)
-    substrate.transmit("b", "c", 200, lambda: None)
+    substrate.transmit_blob("a", "b", bytes(100), lambda _blob: None)
+    substrate.transmit_batch("b", "c", [120, 80], lambda _arrivals: None)
     substrate.sim.run()
-    assert substrate.stats.packets_sent == 2
+    assert substrate.stats.packets_sent == 3
     assert substrate.stats.bytes_sent == 300
     assert substrate.stats.packets_dropped == 0
 
