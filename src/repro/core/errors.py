@@ -63,10 +63,6 @@ class FrameAuthenticationError(SecureTransportError):
     body)."""
 
 
-class KeyFileError(SecureTransportError):
-    """A static-key or allowlist file is missing or malformed."""
-
-
 class SimulationError(ReproError):
     """The overlay simulator was driven into an invalid state."""
 

@@ -1,6 +1,5 @@
-"""Experiment harness: a registry of named experiments plus a parallel runner."""
+"""Experiment harness: a registry of named experiments plus a runner."""
 
-from .distributed import TrialLedger, run_distributed, run_worker
 from .registry import REGISTRY, Experiment, experiment_names, get_experiment, register
 from .report import build_report, render_markdown, write_report
 from .runner import Job, RunResult, UsageError, experiment_rows, run_experiment
@@ -30,9 +29,6 @@ __all__ = [
     "run_experiment",
     "experiment_rows",
     "format_table",
-    "TrialLedger",
-    "run_distributed",
-    "run_worker",
     "measure_throughput",
     "aggregate_throughput_vs_flows",
     "ThroughputResult",

@@ -69,7 +69,7 @@ register(
         title="Ablation §9.4a: per-hop anti-pattern transform CPU overhead",
         build_trials=_transforms_trials,
         run_trial=_transforms_run,
-        wall_clock=True,  # timings of this host: never cached, never sharded
+        wall_clock=True,  # timings of this host: never served from cache
     )
 )
 

@@ -32,9 +32,9 @@ substrate:
    ``unlinkability`` score ``1 - max(setup_advantage, data_advantage)``
    (the metric surfaced by the scenario matrices).
 
-Registered as the ``distinguishability`` experiment family: deterministic,
-simulator-only, shardable — it runs through the pool, ``--dist`` and the
-scenario matrices like every other family.
+Registered as the ``distinguishability`` experiment family: deterministic
+and simulator-only — it runs through the pool and the scenario matrices
+like every other family.
 """
 
 from __future__ import annotations

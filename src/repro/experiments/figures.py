@@ -481,7 +481,7 @@ register(
 # -- §7.1 microbenchmark ----------------------------------------------------------
 #
 # Its rows time code on this host, so it is never served from cache
-# (wall_clock=True) and never sharded across machines.
+# (wall_clock=True).
 
 
 def _microbench_trials(scale: float) -> list[dict]:

@@ -41,8 +41,7 @@ class Experiment:
     base_seed: int = DEFAULT_BASE_SEED
     #: True when the rows are wall-clock timings of this host (``microbench``,
     #: ``ablation_transforms``).  Timings differ per run, so the runner never
-    #: serves them from cache; and they are timings *of one host*, so the
-    #: distributed coordinator never leases their trials to other machines.
+    #: serves them from cache.
     wall_clock: bool = False
     #: Overlay transport backends this experiment can run on.  Experiments
     #: that drive the overlay substrate (figs. 11-15) also accept ``"aio"``;
@@ -97,8 +96,8 @@ def _ensure_definitions_loaded() -> None:
     from . import ablations, distinguishability, figures  # noqa: F401
 
     # Scenario-matrix cells are registered from spec files rather than module
-    # import; re-loading the specs named in REPRO_SCENARIO_MATRIX is how pool
-    # and distributed workers see the same dynamically registered cells.
+    # import; re-loading the specs named in REPRO_SCENARIO_MATRIX is how
+    # spawned pool workers see the same dynamically registered cells.
     from .scenarios import load_env_matrices
 
     load_env_matrices()

@@ -2,7 +2,7 @@
 
 The report stage is the other half of :mod:`repro.experiments.scenarios`:
 after the cells of a matrix have run (``repro-experiments run --matrix
-spec.json``, optionally ``--dist N``), ``repro-experiments report`` merges
+spec.json``, optionally ``--workers N``), ``repro-experiments report`` merges
 their canonical artifacts from the results directory into
 
 * ``results/scenario_report.json`` — the machine-readable consolidated

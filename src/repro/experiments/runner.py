@@ -1,4 +1,4 @@
-"""Parallel experiment runner: deterministic fan-out plus JSON artifacts.
+"""Experiment runner: deterministic fan-out on one host plus JSON artifacts.
 
 The runner turns a registered :class:`~repro.experiments.registry.Experiment`
 into rows:
@@ -32,7 +32,6 @@ import math
 import multiprocessing
 import os
 import time
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -58,8 +57,7 @@ ARTIFACT_VERSION = 3
 class UsageError(ValueError):
     """A run request the caller got wrong.
 
-    The message is one line; the CLI prints it after ``error: `` and exits 2,
-    a distributed worker after ``worker error: `` and exits 1.
+    The message is one line; the CLI prints it after ``error: `` and exits 2.
     """
 
 
@@ -67,16 +65,17 @@ class UsageError(ValueError):
 class Job:
     """The five values that fully determine a run; constructing one validates it.
 
-    Every way of starting a run — the CLI, :func:`run_experiment`,
-    :func:`~repro.experiments.distributed.run_distributed` and a distributed
-    worker parsing its ``job`` frame — builds a ``Job`` first, so each check
-    below exists once and runs on every host that takes part.  A rejected
-    request raises :class:`UsageError` (an unknown ``name`` keeps the
-    registry's :class:`KeyError`); both carry one-line messages.
+    Both ways of starting a run — the CLI and :func:`run_experiment` — build
+    a ``Job`` first, so each check below exists once and runs before any
+    trial does.  A rejected request raises :class:`UsageError` (an unknown
+    ``name`` keeps the registry's :class:`KeyError`); both carry one-line
+    messages.
 
     ``seed=None`` resolves to the experiment's base seed.  ``backend``
     selects the overlay transport for experiments that support more than the
-    simulator (the figs. 11-15 family).  ``scheme`` restricts a
+    simulator (the figs. 11-15 family); ``"aio"`` also checks the backend's
+    environment knobs (:func:`~repro.overlay.aio.environment_settings`),
+    since every trial would read them.  ``scheme`` restricts a
     scheme-capable experiment to one of its schemes.  Which
     GF(2^8) loops execute the trials is not part of a run request:
     :mod:`repro.core.gf` decides per host, bit-identically.
@@ -109,6 +108,14 @@ class Job:
                 f"experiment {self.name!r} does not support backend "
                 f"{self.backend!r} (supported: {supported})"
             )
+        if self.backend == "aio":
+            from ..core.errors import SimulationError
+            from ..overlay.aio import environment_settings
+
+            try:
+                environment_settings()
+            except SimulationError as error:
+                raise UsageError(str(error)) from None
         if self.scheme is None:
             return
         if not experiment.schemes:
@@ -126,14 +133,6 @@ class Job:
     def experiment(self) -> Experiment:
         """The registered experiment (``KeyError`` listing the known names)."""
         return get_experiment(self.name)
-
-    def require_shardable(self) -> None:
-        """Reject leasing this job's trials to distributed workers."""
-        if self.experiment.wall_clock:
-            raise UsageError(
-                f"experiment {self.name!r} is not shardable (single-host "
-                "wall-clock measurement); run it through `run` without --dist"
-            )
 
     @property
     def cacheable(self) -> bool:
@@ -153,8 +152,8 @@ class Job:
         trial, so both reach ``run_trial`` in workers and key the artifact
         cache; the default (no restriction) trial list is byte-identical to
         what it was before schemes existed.  The result is already
-        JSON-hygienic: a distributed worker rebuilding this list from an
-        equal ``Job`` gets the exact dictionaries the coordinator holds.
+        JSON-hygienic, so it compares equal to the list a cached artifact
+        stores.
         """
         experiment = self.experiment
         trials = _jsonify(experiment.build_trials(self.scale))
@@ -168,9 +167,8 @@ class Job:
         """Per-trial execution payloads with deterministically spawned seeds.
 
         ``SeedSequence.spawn`` derives child ``i`` purely from ``(seed, i)``,
-        so any process holding an equal ``Job`` reconstructs the identical
-        payload for trial ``i`` — the property both the local pool and the
-        distributed workers rely on.
+        so trial ``i`` gets the identical payload whichever pool process
+        runs it.
         """
         children = np.random.SeedSequence(self.seed).spawn(len(self.trials))
         return [
@@ -197,12 +195,6 @@ class RunResult:
     elapsed_seconds: float
     backend: str = "sim"
     scheme: str | None = None
-    # The rest is filled in by distributed runs only.
-    workers_seen: int = 0
-    redispatched: int = 0
-    #: Wire transport the run used ("plain" | "secure"); the merged artifact
-    #: is byte-identical either way.
-    transport: str = "plain"
 
 
 def run_experiment(
@@ -215,7 +207,7 @@ def run_experiment(
     backend: str = "sim",
     scheme: str | None = None,
 ) -> RunResult:
-    """Run (or load from cache) one registered experiment in this process.
+    """Run (or load from cache) one registered experiment on this host.
 
     ``(name, scale, seed, backend, scheme)`` are the fields of
     :class:`Job`, which documents and validates them; ``workers`` fans the
@@ -223,28 +215,12 @@ def run_experiment(
     everything in memory; passing a directory enables both artifact writing
     and cache lookups.  ``force=True`` ignores an existing artifact and
     recomputes.
+
+    The one run pipeline: cache lookup → trials → reduce → artifacts.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     job = Job(name, scale, seed, backend, scheme)
-    return run_job(job, lambda: _run_trials(job, workers), workers, out_dir, force)
-
-
-def run_job(
-    job: Job,
-    execute: Callable[[], list[dict]],
-    workers: int,
-    out_dir: str | Path | None,
-    force: bool,
-) -> RunResult:
-    """The one run pipeline: cache lookup → ``execute`` → reduce → artifacts.
-
-    ``execute`` returns the per-trial results in trial order — inline or
-    from the pool for :func:`run_experiment`, from leased workers for
-    :func:`~repro.experiments.distributed.run_distributed`.  Everything
-    around it is shared, so a distributed run's merged artifact is
-    byte-identical to the single-process one for an equal ``Job``.
-    """
     started = time.perf_counter()
     artifact = None if out_dir is None else Path(out_dir) / f"{job.name}.json"
     rows = None
@@ -252,7 +228,7 @@ def run_job(
         rows = _load_cached_rows(artifact, job)
     cached = rows is not None
     if not cached:
-        rows = _jsonify(job.experiment.rows(job.trials, execute()))
+        rows = _jsonify(job.experiment.rows(job.trials, _run_trials(job, workers)))
         if artifact is not None:
             _atomic_write_json(artifact, _artifact_document(job, rows))
     if artifact is not None:
@@ -279,12 +255,6 @@ def experiment_rows(
 
 
 # -- execution ---------------------------------------------------------------------
-#
-# The local multiprocessing fan-out (`_run_trials`) and the distributed worker
-# loop (:mod:`repro.experiments.distributed`) both take their payloads from an
-# equal `Job` and execute them through `execute_trial` — which is what makes a
-# distributed run of a deterministic experiment byte-identical to a
-# single-process one.
 
 
 def execute_trial(

@@ -2,8 +2,8 @@
 
 The paper evaluates information slicing against the onion baselines on a
 handful of fixed ``(d, d', L)`` points over two testbed profiles.  The
-runner, the batched engines and the distributed sharding make much wider
-sweeps cheap; this module is the declarative layer that exploits them.
+runner's worker pool and the batched engines make much wider sweeps
+cheap; this module is the declarative layer that exploits them.
 
 A **matrix spec** is a plain dictionary (typically loaded from a JSON file;
 YAML works too when PyYAML is installed) naming a grid of *axes*:
@@ -32,7 +32,7 @@ axis order, so expansion is independent of spec key order) and yields one
 :class:`ScenarioCell` per combination; :func:`register_matrix` turns each
 cell into a registered :class:`~repro.experiments.registry.Experiment`
 whose trials — one per scheme — run through the ordinary runner, including
-``repro-experiments run --dist N`` sharding.  Every cell gets a unique,
+its ``--workers N`` pool.  Every cell gets a unique,
 deterministic name and base seed derived from the matrix name and its axis
 values, so artifacts never collide and re-running a spec is bit-identical.
 
@@ -40,9 +40,8 @@ Worker processes rebuild the registry from experiment names alone, so
 dynamically registered cells must be reloadable: :func:`register_matrix_file`
 records the spec path in the ``REPRO_SCENARIO_MATRIX`` environment variable
 (``os.pathsep``-separated), and the registry's definition loader calls
-:func:`load_env_matrices` — spawned pool workers and local ``--dist``
-workers inherit the variable; remote workers pass ``worker --matrix`` or
-set it themselves.
+:func:`load_env_matrices` — pool workers started with ``spawn`` inherit the
+variable.
 
 :mod:`repro.experiments.report` merges the per-cell artifacts into the
 consolidated cross-scheme report.
@@ -470,8 +469,8 @@ def run_cell_trial(params: dict, rng: np.random.Generator) -> dict:
 
     Module-level so worker processes can pickle references to it.  All four
     measurements are virtual-clock or exact quantities, so the row is a pure
-    function of ``(params, rng)`` — which is what lets cells cache,
-    shard and byte-compare like any other deterministic experiment.
+    function of ``(params, rng)`` — which is what lets cells cache, fan out
+    and byte-compare like any other deterministic experiment.
     """
     # Imported here (not at module top) to keep the spec-parsing half of this
     # module importable without dragging in the whole overlay stack.
@@ -548,7 +547,7 @@ def _cell_title(matrix: ScenarioMatrix, cell: ScenarioCell) -> str:
 
 
 def cell_experiment(matrix: ScenarioMatrix, cell: ScenarioCell) -> Experiment:
-    """Wrap one cell as a runnable, shardable, deterministic experiment."""
+    """Wrap one cell as a runnable, deterministic experiment."""
 
     def build_trials(scale: float, _matrix=matrix, _cell=cell) -> list[dict]:
         return _build_cell_trials(_matrix, _cell, scale)
@@ -616,8 +615,8 @@ def register_matrix_file(path: str | Path, export_env: bool = True) -> ScenarioM
 
     With ``export_env=True`` the resolved path is appended to
     :data:`MATRIX_ENV_VAR`, so worker processes spawned later (the
-    multiprocessing pool under a ``spawn`` start method, ``run --dist N``
-    local workers) re-register the same cells when they rebuild the registry.
+    multiprocessing pool under a ``spawn`` start method) re-register the
+    same cells when they rebuild the registry.
     """
     path = Path(path).resolve()
     matrix = load_matrix(path)
@@ -634,7 +633,7 @@ def load_env_matrices() -> None:
     """Register every spec listed in :data:`MATRIX_ENV_VAR` (idempotent).
 
     Called by the registry's definition loader, so any process that looks up
-    experiments by name — pool workers, distributed workers, the CLI — sees
+    experiments by name — pool workers, the CLI — sees
     the same dynamically registered cells as the process that exported the
     variable.  Spec errors propagate: a worker with a skewed or unreadable
     spec should fail loudly, not silently compute a different grid.

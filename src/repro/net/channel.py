@@ -1,16 +1,15 @@
-"""The two I/O shims: a session's bytes over a blocking socket or asyncio streams.
+"""The I/O shim: a session's bytes over an asyncio stream pair.
 
 Everything that decides *what* goes on the wire is sans-I/O — the frame
 format and the plain session in :mod:`repro.net.framing`, the secure session
 and the :func:`~repro.net.secure.handshake` generator in
-:mod:`repro.net.secure`.  The shims here only move those bytes:
-:class:`SyncChannel` for the worker's blocking socket, :class:`AioChannel`
-for the coordinator and the aio overlay.  A channel starts with the plain
-session; ``handshake(steps)`` drives a handshake generator over the
-connection and adopts the session it returns (a failed handshake leaves the
-channel with none).  Either way ``send_frame(payload)`` /
-``recv_frame() -> bytes | None`` look the same from above, which is what
-keeps merged artifacts byte-identical across ``plain`` and ``secure`` runs.
+:mod:`repro.net.secure`.  :class:`AioChannel`, the aio overlay's connection,
+only moves those bytes.  A channel starts with the plain session;
+``handshake(steps)`` drives a handshake generator over the connection and
+adopts the session it returns (a failed handshake leaves the channel with
+none).  Either way ``send_frame(payload)`` / ``recv_frame() -> bytes |
+None`` look the same from above, which is what keeps parity artifacts
+byte-identical across ``plain`` and ``secure`` runs.
 
 A peer that closes mid-handshake hands the generator a short act, which it
 rejects with :class:`~repro.core.errors.HandshakeError`; a peer that closes
@@ -21,62 +20,10 @@ close between frames reads as ``None``.
 from __future__ import annotations
 
 import asyncio
-import socket
 from typing import Generator, Iterable
 
 from ..core.errors import PacketFormatError
 from .framing import PLAIN
-
-
-def _whole(data: bytes, size: int) -> bytes:
-    if len(data) < size:
-        raise PacketFormatError("connection closed mid-frame")
-    return data
-
-
-class SyncChannel:
-    """Frames over a blocking socket."""
-
-    def __init__(self, sock: socket.socket, session=PLAIN) -> None:
-        self.sock = sock
-        self.session = session
-
-    def _read(self, size: int) -> bytes:
-        """Read ``size`` bytes; fewer only if the peer closed first."""
-        chunks: list[bytes] = []
-        remaining = size
-        while remaining:
-            chunk = self.sock.recv(min(remaining, 65536))
-            if not chunk:
-                break
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def handshake(self, steps: Generator) -> None:
-        """Run a handshake generator over the socket; adopt its session."""
-        self.session = None  # a failed handshake leaves no usable channel
-        reply = None
-        try:
-            while True:
-                step = steps.send(reply)
-                reply = None
-                if isinstance(step, int):
-                    reply = self._read(step)
-                else:
-                    self.sock.sendall(step)
-        except StopIteration as done:
-            self.session = done.value
-
-    def send_frame(self, payload: bytes) -> None:
-        self.sock.sendall(self.session.seal(payload))
-
-    def recv_frame(self) -> bytes | None:
-        header = self._read(self.session.header_size)
-        if not header:
-            return None
-        size = self.session.body_size(_whole(header, self.session.header_size))
-        return self.session.open(_whole(self._read(size), size))
 
 
 class AioChannel:

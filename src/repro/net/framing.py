@@ -1,10 +1,10 @@
 """The one home of the length-prefixed frame format and the plain session.
 
-Every wire the repo owns — the asyncio overlay backend and the distributed
-coordinator/worker protocol — carries *frames*: a 4-byte big-endian length
+Every wire the repo owns — the asyncio overlay backend's relay links —
+carries *frames*: a 4-byte big-endian length
 followed by that many payload bytes.  A connection's *session* is what turns
 payloads into wire bytes and back, through a four-member byte-in/byte-out
-surface the I/O shims in :mod:`repro.net.channel` drive::
+surface the I/O shim in :mod:`repro.net.channel` drives::
 
     header_size          bytes of one wire header
     seal(payload)        payload -> complete wire message

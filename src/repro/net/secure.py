@@ -1,9 +1,7 @@
 """Noise-style authenticated transport: pure handshake and cipher logic.
 
-Both TCP substrates — the asyncio overlay backend (:mod:`repro.overlay.aio`)
-and the distributed coordinator/worker protocol
-(:mod:`repro.experiments.distributed`) — speak the length-prefixed frames of
-:mod:`repro.net.framing`.  This module supplies the authenticated flavour of
+The asyncio overlay backend (:mod:`repro.overlay.aio`) speaks the
+length-prefixed frames of :mod:`repro.net.framing`.  This module supplies the authenticated flavour of
 that framing, modelled on Lightning's BOLT #8 transport (itself Noise_XK): a
 three-act handshake establishing per-session send/receive keys, then one
 AEAD-protected message per frame with an **encrypted length prefix**,
@@ -24,8 +22,8 @@ construction; only the primitives' hardness is out of scope.
 
 Handshake (Noise XK, as in BOLT #8)
 -----------------------------------
-The initiator must know the responder's static public key up front (workers
-are provisioned with the coordinator's ``.pub`` file); the initiator's own
+The initiator must know the responder's static public key up front (the aio
+backend's endpoints all share one process-local keypair); the initiator's own
 static key travels *encrypted* inside act three, where the responder checks
 it against an allowlist before any application frame is processed::
 
@@ -39,14 +37,13 @@ cipher became a SHAKE256 XOF (``0x00`` was the SHA-256 counter construction):
 the AEAD's ciphertext bytes differ between the two, so a peer of the other
 release is turned away at the first act it sends — ``unsupported act one
 version byte 0`` — instead of at a tag check that could not say why.
-Coordinator and workers of a secure-transport fleet therefore upgrade
-together.
+Both ends of a secure connection therefore run the same release.
 
 Everything is a pure state machine — no sockets, no clocks.
 :func:`handshake` sequences the three acts of either role as a generator
 that yields bytes to send and byte counts to read, so the protocol is
-enumerable in memory (``tests/test_secure_transport.py``); the I/O shims
-that move those bytes live in :mod:`repro.net.channel`.
+enumerable in memory (``tests/test_secure_transport.py``); the I/O shim
+that moves those bytes lives in :mod:`repro.net.channel`.
 
 >>> import itertools
 >>> counter = itertools.count(7)

@@ -70,6 +70,8 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import os
+import socket
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -80,7 +82,7 @@ from ..net import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     AioChannel,
-    TransportCredential,
+    StaticKeyPair,
     decode_frames,
     encode_frame,
     handshake,
@@ -95,6 +97,39 @@ BATCH_HEADER = struct.Struct(">QI")
 #: Wall-clock seconds the backend may sit non-quiescent with no delivery
 #: progress before it declares itself wedged instead of hanging CI.
 DEFAULT_STALL_TIMEOUT = 60.0
+
+#: The wire transports a backend runs (its ``transport`` argument).
+TRANSPORTS = ("plain", "secure")
+
+
+def environment_settings() -> dict:
+    """The backend's two environment knobs as constructor kwargs, checked.
+
+    ``REPRO_AIO_HOST`` becomes ``bind_host`` and ``REPRO_AIO_TRANSPORT``
+    becomes ``transport``; an unset or empty variable is left out.  A host
+    that does not resolve or a transport not in :data:`TRANSPORTS` raises
+    :class:`~repro.core.errors.SimulationError` with a one-line message, so
+    a run request can reject it before any trial runs.
+    """
+    settings = {}
+    host = os.environ.get("REPRO_AIO_HOST")
+    if host:
+        try:
+            socket.getaddrinfo(host, None)
+        except socket.gaierror as error:
+            raise SimulationError(
+                f"REPRO_AIO_HOST: cannot resolve host {host!r} ({error})"
+            ) from None
+        settings["bind_host"] = host
+    transport = os.environ.get("REPRO_AIO_TRANSPORT")
+    if transport:
+        if transport not in TRANSPORTS:
+            raise SimulationError(
+                f"REPRO_AIO_TRANSPORT: unknown transport {transport!r} "
+                f"(supported: {', '.join(TRANSPORTS)})"
+            )
+        settings["transport"] = transport
+    return settings
 
 
 # -- the virtual clock --------------------------------------------------------------
@@ -211,11 +246,9 @@ class AioOverlayNetwork(OverlayTransport):
     transport:
         ``"plain"`` (default) or ``"secure"`` — the latter runs the
         :mod:`repro.net` handshake per connection and AEAD-protects every
-        frame.  Delivered payloads are bit-identical either way.
-    credential:
-        Static identity and allowlist for the secure transport; defaults to
-        a per-backend ephemeral credential (every endpoint shares this
-        process, so one self-trusting keypair covers the mesh).
+        frame.  Every endpoint lives in this process, so one freshly
+        generated static keypair, trusting only itself, covers the mesh.
+        Delivered payloads are bit-identical either way.
     """
 
     def __init__(
@@ -227,22 +260,19 @@ class AioOverlayNetwork(OverlayTransport):
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         bind_host: str = "127.0.0.1",
         transport: str = "plain",
-        credential: TransportCredential | None = None,
     ) -> None:
         super().__init__(network, connection_bps, per_packet_overhead)
         if pace < 0:
             raise SimulationError(f"pace must be >= 0, got {pace}")
-        if transport not in ("plain", "secure"):
+        if transport not in TRANSPORTS:
             raise SimulationError(
-                f"unknown transport {transport!r} (supported: plain, secure)"
+                f"unknown transport {transport!r} (supported: {', '.join(TRANSPORTS)})"
             )
         self.pace = pace
         self.stall_timeout = stall_timeout
         self.bind_host = bind_host
         self.transport = transport
-        if transport == "secure" and credential is None:
-            credential = TransportCredential.ephemeral()
-        self.credential = credential
+        self.keypair = StaticKeyPair.generate() if transport == "secure" else None
         self.sim = AioClock(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server_tasks: dict[str, asyncio.Task] = {}
@@ -445,8 +475,8 @@ class AioOverlayNetwork(OverlayTransport):
         port = server.sockets[0].getsockname()[1]
         channel = AioChannel(*await asyncio.open_connection(self.bind_host, port))
         if self.transport == "secure":
-            cred = self.credential
-            await channel.handshake(handshake(cred.keypair, remote_public=cred.remote_public))
+            pair = self.keypair
+            await channel.handshake(handshake(pair, remote_public=pair.public))
         await channel.send_frame(f"{sender}\x00{receiver}".encode())
         return channel
 
@@ -478,8 +508,10 @@ class AioOverlayNetwork(OverlayTransport):
         try:
             channel = AioChannel(reader, writer)
             if self.transport == "secure":
-                cred = self.credential
-                await channel.handshake(handshake(cred.keypair, authorized=cred.authorized))
+                pair = self.keypair
+                await channel.handshake(
+                    handshake(pair, authorized=frozenset({pair.public}))
+                )
             hello = await channel.recv_frame()
             if hello is None:
                 return

@@ -159,7 +159,8 @@ def build_substrate(
     that never touches constructor kwargs — the registered figure runners —
     can still be deployed off-loopback or over the authenticated transport:
     ``REPRO_AIO_HOST`` (bind/dial address, default ``127.0.0.1``) and
-    ``REPRO_AIO_TRANSPORT`` (``plain`` | ``secure``).  Explicit kwargs win
+    ``REPRO_AIO_TRANSPORT`` (``plain`` | ``secure``), read and checked by
+    :func:`~repro.overlay.aio.environment_settings`.  Explicit kwargs win
     over the environment.  Structural results are bit-identical across all
     of these settings (``tests/test_aio_backend.py`` compares sim, plain aio
     and secure aio selected either way; CI's ``aio-parity`` job ``cmp``s the
@@ -168,16 +169,9 @@ def build_substrate(
     if backend == "sim":
         return SimulatedOverlayNetwork(network, connection_bps=connection_bps, **kwargs)
     if backend == "aio":
-        import os
+        from .aio import AioOverlayNetwork, environment_settings
 
-        from .aio import AioOverlayNetwork
-
-        env_host = os.environ.get("REPRO_AIO_HOST")
-        if env_host and "bind_host" not in kwargs:
-            kwargs["bind_host"] = env_host
-        env_transport = os.environ.get("REPRO_AIO_TRANSPORT")
-        if env_transport and "transport" not in kwargs:
-            kwargs["transport"] = env_transport
+        kwargs = {**environment_settings(), **kwargs}
         return AioOverlayNetwork(network, connection_bps=connection_bps, **kwargs)
     known = ", ".join(SUBSTRATE_BACKENDS)
     raise KeyError(f"unknown overlay backend {backend!r} (known: {known})")

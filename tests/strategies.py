@@ -1,8 +1,8 @@
 """Shared hypothesis strategies for the test suite.
 
-The wire-format, distributed-protocol and data-plane suites each grew their
-own inline strategies for the same shapes — coded blocks, packets, JSON
-rows, ``(d, d', L)`` triples.  This module is the single home for those
+The wire-format and data-plane suites each grew their own inline
+strategies for the same shapes — coded blocks, packets, ``(d, d', L)``
+triples.  This module is the single home for those
 generators, so new suites (the sphinx property harness, the scenario-profile
 tests) reuse them instead of redefining them.
 """
@@ -14,49 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core.coder import CodedBlock
 from repro.core.packet import Packet, PacketKind
-
-# -- JSON shapes (the distributed coordinator's wire protocol) ----------------------
-
-#: JSON-able scalar values as they appear in trial rows.
-json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**53), 2**53),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=20),
-)
-
-#: Row-shaped dictionaries: string keys, scalar or shallow-list values.
-json_rows = st.dictionaries(
-    st.text(min_size=1, max_size=12),
-    st.one_of(json_scalars, st.lists(json_scalars, max_size=4)),
-    max_size=6,
-)
-
-
-@st.composite
-def lease_messages(draw):
-    """Coordinator→worker lease frames."""
-    indices = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=16))
-    return {
-        "type": "lease",
-        "lease_id": draw(st.integers(1, 2**53)),
-        "indices": indices,
-    }
-
-
-@st.composite
-def result_messages(draw):
-    """Worker→coordinator result frames carrying row-shaped payloads."""
-    entries = draw(
-        st.lists(st.tuples(st.integers(0, 2**32), json_rows), min_size=1, max_size=8)
-    )
-    return {
-        "type": "result",
-        "lease_id": draw(st.integers(1, 2**53)),
-        "results": [[index, row] for index, row in entries],
-    }
-
 
 # -- coding-layer shapes ------------------------------------------------------------
 

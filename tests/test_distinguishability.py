@@ -3,15 +3,13 @@
 The attacker math is pinned on hand-built observation records; the scheme
 expectations pin the paper-level outcome (classic onion routing's shrinking
 setup onions reveal hop positions, Sphinx and slicing do not); and the
-runner tests push the registered family through the pool and the
-distributed coordinator, byte-comparing artifacts.
+runner test pushes the registered family through the pool, byte-comparing
+artifacts across worker counts.
 """
-
-import threading
 
 import pytest
 
-from repro.experiments import run_distributed, run_experiment, run_worker
+from repro.experiments import run_experiment
 from repro.experiments.distinguishability import (
     RecordingOverlayNetwork,
     hop_positions,
@@ -107,36 +105,3 @@ def test_family_runs_byte_identical_across_worker_counts(tmp_path):
     assert {row["scheme"] for row in one.rows} == set(SCHEMES)
     for row in one.rows:
         assert 0.0 <= row["unlinkability"] <= 1.0
-
-
-def test_family_shards_over_the_coordinator(tmp_path):
-    import socket
-
-    single = run_experiment("distinguishability", scale=SMALL, out_dir=tmp_path / "s")
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    workers = [
-        threading.Thread(
-            target=run_worker,
-            kwargs={"host": "127.0.0.1", "port": port, "label": f"t{rank}"},
-            daemon=True,
-        )
-        for rank in range(2)
-    ]
-    for worker in workers:
-        worker.start()
-    result = run_distributed(
-        "distinguishability",
-        scale=SMALL,
-        out_dir=tmp_path / "d",
-        port=port,
-        min_workers=2,
-        timeout=120,
-    )
-    for worker in workers:
-        worker.join(timeout=30)
-    assert result.rows == single.rows
-    assert (tmp_path / "d" / "distinguishability.json").read_bytes() == (
-        tmp_path / "s" / "distinguishability.json"
-    ).read_bytes()

@@ -10,30 +10,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def test_handbook_files_exist():
     assert (REPO_ROOT / "docs" / "ARCHITECTURE.md").is_file()
     assert (REPO_ROOT / "docs" / "anonymity-math.md").is_file()
-    assert (REPO_ROOT / "docs" / "deployment.md").is_file()
 
 
 def test_readme_links_the_handbook():
     readme = (REPO_ROOT / "README.md").read_text()
     assert "docs/ARCHITECTURE.md" in readme
     assert "docs/anonymity-math.md" in readme
-    assert "docs/deployment.md" in readme
-
-
-def test_deployment_handbook_covers_the_fleet_recipe():
-    # The operational page must keep its load-bearing sections: keygen,
-    # the worked cross-host example, and the failure modes operators hit.
-    handbook = (REPO_ROOT / "docs" / "deployment.md").read_text()
-    for needle in (
-        "keygen",
-        "--transport secure",
-        "--authorized-keys",
-        "--coordinator-key",
-        "Failure modes",
-        "lease",
-        "unauthorized static key",
-    ):
-        assert needle in handbook, f"deployment.md is missing {needle!r}"
 
 
 def test_readme_maps_every_figure_to_an_experiment():
@@ -70,9 +52,7 @@ def test_environment_side_channels_are_pinned_at_four():
         "REPRO_AIO_TRANSPORT",
         "REPRO_GF_KERNEL_PROVIDER",
     }
-    documented = (REPO_ROOT / "docs" / "deployment.md").read_text(encoding="utf-8") + (
-        REPO_ROOT / "docs" / "ARCHITECTURE.md"
-    ).read_text(encoding="utf-8")
+    documented = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
     for name in mentioned:
         assert name in documented, f"{name} is read by src/ but documented nowhere"
 

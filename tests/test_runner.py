@@ -113,13 +113,43 @@ def test_invalid_arguments_rejected(tmp_path, capsys):
         run_experiment("fig16", scale=SMALL, seed=-1, out_dir=bad)
     with pytest.raises(ValueError, match="workers"):
         run_experiment("fig16", scale=SMALL, workers=0)
-    # The CLI turns the same checks into exit-2 one-liners.
-    for flags in (["--seed", "-1"], ["--scale", "nan"], ["--scale", "inf"]):
+    # The CLI turns the same checks into exit-2 one-liners, never an argparse
+    # usage dump or a traceback.
+    for flags, message in (
+        (["--seed", "-1"], "seed must be "),
+        (["--scale", "nan"], "scale must be "),
+        (["--scale", "inf"], "scale must be "),
+        (["--workers", "0"], "--workers must be >= 1, got 0"),
+        (["--workers", "-3"], "--workers must be >= 1, got -3"),
+    ):
         assert experiments_main(["run", "fig16", *flags, "--out", str(bad)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {flags[0][2:]} must be ")
+        assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
     assert not bad.exists()  # nothing was written
+
+
+@pytest.mark.parametrize(
+    ("variable", "value", "name", "message"),
+    [
+        ("REPRO_AIO_TRANSPORT", "bogus", "fig11", "unknown transport 'bogus'"),
+        ("REPRO_AIO_HOST", "no-such-host.invalid", "fig14", "cannot resolve host"),
+    ],
+    ids=["transport", "host"],
+)
+def test_cli_run_rejects_a_bad_aio_environment(
+    tmp_path, capsys, monkeypatch, variable, value, name, message
+):
+    # The aio backend's deployment knobs are checked with the rest of the
+    # run request: one stderr line, exit 2, before any trial runs.
+    monkeypatch.setenv(variable, value)
+    out = tmp_path / "out"
+    argv = ["run", name, "--backend", "aio", "--scale", "0.02", "--out", str(out)]
+    assert experiments_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {variable}: {message}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_run_subcommand(tmp_path, capsys):

@@ -1,23 +1,21 @@
-"""Enumerated, property and end-to-end tests for the authenticated transport.
+"""Enumerated, property and loopback tests for the authenticated transport.
 
 The whole wire layer is sans-I/O — the handshake is a generator, a session
 is a byte-in/byte-out object — so almost everything here runs in memory with
 injected entropy: a lock-step driver plays the initiator and responder
 generators against each other and *enumerates* the ways a handshake can be
 attacked (every truncation of every act, swapped and replayed acts, wrong
-and unauthorized keys); a scripted socket feeds the real shims one byte at a
-time.  One test crosses real sockets (a sync worker against an asyncio
-acceptor), and the end-to-end tests assert the load-bearing guarantee of the
-whole stack: a ``--transport secure`` distributed run merges to an artifact
-byte-identical to the single-process plaintext run, while a tampered frame
-or an unauthorized static key is rejected before any job frame is processed.
+and unauthorized keys); a scripted stream feeds the real
+:class:`~repro.net.AioChannel` one byte at a time.  One test crosses real
+loopback sockets: an aio dialler against an aio acceptor, with an
+authorized and a rogue static key.  That the secure aio overlay delivers
+what the plain one and the simulator deliver is pinned in
+``tests/test_aio_backend.py``.
 """
 
 import asyncio
 import hashlib
 import itertools
-import socket
-import threading
 from dataclasses import dataclass, field
 
 import pytest
@@ -27,24 +25,15 @@ from hypothesis import strategies as st
 from repro.core.errors import (
     FrameAuthenticationError,
     HandshakeError,
-    KeyFileError,
     PacketFormatError,
 )
-from repro.experiments import run_distributed, run_experiment, run_worker
-from repro.experiments.__main__ import main as experiments_main
 from repro.net import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     PLAIN,
     AioChannel,
     StaticKeyPair,
-    SyncChannel,
-    TransportCredential,
     handshake,
-    load_allowlist,
-    load_keypair,
-    load_public_key,
-    write_keypair,
 )
 from repro.net.secure import (
     ACT_ONE_SIZE,
@@ -56,11 +45,6 @@ from repro.net.secure import (
     aead_decrypt,
     aead_encrypt,
 )
-
-SMALL = 0.03
-#: fig11 at the CI smoke scale: one short transfer per path length.
-FIG11_SMOKE = 0.02
-
 
 def keypair(tag: bytes) -> StaticKeyPair:
     """A deterministic static keypair from a test label (secrets are 32B)."""
@@ -156,25 +140,55 @@ def complete_handshake(pair_i, pair_r, seed: bytes = b""):
     return outcome.sessions["i"], outcome.sessions["r"]
 
 
-class ScriptedSocket:
-    """An in-memory socket: scripted bytes out one at a time, then EOF."""
+class RecordingWriter:
+    """The writer half of a scripted connection: it keeps what was sent."""
 
-    def __init__(self, incoming: bytes = b"") -> None:
-        self.incoming = incoming
+    def __init__(self) -> None:
         self.sent = b""
 
-    def recv(self, size: int) -> bytes:
-        chunk, self.incoming = self.incoming[:1], self.incoming[1:]
-        return chunk
-
-    def sendall(self, data: bytes) -> None:
+    def write(self, data: bytes) -> None:
         self.sent += data
+
+    def writelines(self, chunks) -> None:
+        self.sent += b"".join(chunks)
+
+    async def drain(self) -> None:
+        pass
+
+
+def scripted_channel(incoming: bytes, session=PLAIN) -> AioChannel:
+    """A channel whose reader gets ``incoming`` one byte at a time, then EOF.
+
+    Call it inside a running loop: a task trickles the bytes in, yielding to
+    the loop after each one, so every read the shim makes is a partial one.
+    """
+    reader = asyncio.StreamReader()
+
+    async def trickle() -> None:
+        for index in range(len(incoming)):
+            reader.feed_data(incoming[index : index + 1])
+            await asyncio.sleep(0)
+        reader.feed_eof()
+
+    channel = AioChannel(reader, RecordingWriter(), session)
+    channel.trickle = asyncio.get_running_loop().create_task(trickle())
+    return channel
 
 
 def read_frames(session, wire: bytes) -> list[bytes]:
-    """Every frame in ``wire``, read through the real sync shim byte by byte."""
-    channel = SyncChannel(ScriptedSocket(wire), session)
-    return list(iter(channel.recv_frame, None))
+    """Every frame in ``wire``, read through the real aio shim byte by byte."""
+
+    async def read() -> list[bytes]:
+        channel = scripted_channel(wire, session)
+        frames = []
+        try:
+            while (frame := await channel.recv_frame()) is not None:
+                frames.append(frame)
+        finally:
+            channel.trickle.cancel()
+        return frames
+
+    return asyncio.run(read())
 
 
 secrets = st.binary(min_size=1, max_size=48)
@@ -516,414 +530,96 @@ def test_aead_rejects_nonce_and_associated_data_mismatch():
 # -- the I/O shims ------------------------------------------------------------------
 
 
-def test_sync_adapters_interoperate_and_enforce_the_allowlist():
-    # Socket-free: each sync shim runs its real handshake driver against the
+def test_aio_channels_interoperate_and_enforce_the_allowlist():
+    # Socket-free: each channel runs its real handshake driver against the
     # peer's recorded acts, fed one byte at a time.
     pair_i, pair_r = keypair(b"vector-i"), keypair(b"vector-r")
     act_one, act_two, act_three = (bytes.fromhex(act) for act in VECTOR["acts"])
-    dial, accept = honest_pair(pair_i, pair_r, b"vector-")
-    worker = SyncChannel(ScriptedSocket(act_two))
-    worker.handshake(dial)
-    assert worker.sock.sent == act_one + act_three
-    coordinator = SyncChannel(ScriptedSocket(act_one + act_three))
-    coordinator.handshake(accept)
-    assert coordinator.sock.sent == act_two
-    assert coordinator.session.remote_public == pair_i.public
-    worker.send_frame(b"hello over sync")
-    coordinator.sock.incoming = worker.sock.sent[len(act_one + act_three) :]
-    assert coordinator.recv_frame() == b"hello over sync"
-    assert coordinator.recv_frame() is None
 
-    # A rogue key completes the handshake crypto but is rejected by the
-    # allowlist before any session exists: the channel is left unusable.
-    _, accept = honest_pair(
-        pair_i, pair_r, b"vector-", authorized=frozenset({keypair(b"other").public})
-    )
-    coordinator = SyncChannel(ScriptedSocket(act_one + act_three + PLAIN.seal(b"job?")))
-    with pytest.raises(HandshakeError, match="unauthorized static key"):
-        coordinator.handshake(accept)
-    assert coordinator.session is None
+    async def main() -> None:
+        dial, accept = honest_pair(pair_i, pair_r, b"vector-")
+        dialler = scripted_channel(act_two)
+        await dialler.handshake(dial)
+        assert dialler.writer.sent == act_one + act_three
+        await dialler.send_frame(b"hello over aio")
+        # The acceptor reads exactly what the dialler wrote.
+        acceptor = scripted_channel(dialler.writer.sent)
+        await acceptor.handshake(accept)
+        assert acceptor.writer.sent == act_two
+        assert acceptor.session.remote_public == pair_i.public
+        assert await acceptor.recv_frame() == b"hello over aio"
+        assert await acceptor.recv_frame() is None
 
-    # A peer that hangs up inside act three hands over a stump.
-    _, accept = honest_pair(pair_i, pair_r, b"vector-")
-    coordinator = SyncChannel(ScriptedSocket(act_one + act_three[:-1]))
-    with pytest.raises(HandshakeError, match="act three must be 65 bytes, got 64"):
-        coordinator.handshake(accept)
-    assert coordinator.session is None
+        # A rogue key completes the handshake crypto but is rejected by the
+        # allowlist before any session exists: the channel is left unusable.
+        _, accept = honest_pair(
+            pair_i, pair_r, b"vector-", authorized=frozenset({keypair(b"other").public})
+        )
+        acceptor = scripted_channel(act_one + act_three + PLAIN.seal(b"job?"))
+        with pytest.raises(HandshakeError, match="unauthorized static key"):
+            await acceptor.handshake(accept)
+        assert acceptor.session is None
+
+        # A peer that hangs up inside act three hands over a stump.
+        _, accept = honest_pair(pair_i, pair_r, b"vector-")
+        acceptor = scripted_channel(act_one + act_three[:-1])
+        with pytest.raises(HandshakeError, match="act three must be 65 bytes, got 64"):
+            await acceptor.handshake(accept)
+        assert acceptor.session is None
+
+    asyncio.run(main())
 
 
-def test_sync_worker_interoperates_with_aio_acceptor():
-    coordinator = keypair(b"interop-coordinator")
-    worker = keypair(b"interop-worker")
+@pytest.mark.parametrize("dialler", ["authorized", "rogue"])
+def test_aio_dialler_interoperates_with_aio_acceptor(dialler):
+    acceptor_pair = keypair(b"interop-acceptor")
+    authorized = keypair(b"interop-dialler")
+    dialler_pair = authorized if dialler == "authorized" else keypair(b"interop-rogue")
 
     async def main():
-        loop = asyncio.get_running_loop()
-        received = []
+        received, rejected = [], []
+        handled = asyncio.Event()
 
         async def handle(reader, writer):
             channel = AioChannel(reader, writer)
-            await channel.handshake(
-                handshake(coordinator, authorized=frozenset({worker.public}))
-            )
-            received.append(await channel.recv_frame())
-            await channel.send_frame(b"ack from aio")
-            writer.close()
+            try:
+                await channel.handshake(
+                    handshake(acceptor_pair, authorized=frozenset({authorized.public}))
+                )
+                await channel.send_frame(b"ack from acceptor")
+                received.append(await channel.recv_frame())
+            except HandshakeError as error:
+                rejected.append((str(error), channel.session))
+            finally:
+                writer.close()
+                handled.set()
 
         server = await asyncio.start_server(handle, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-
-        def sync_client():
-            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-                channel = SyncChannel(sock)
-                channel.handshake(handshake(worker, remote_public=coordinator.public))
-                channel.send_frame(b"hello from sync")
-                return channel.recv_frame()
-
-        reply = await loop.run_in_executor(None, sync_client)
+        channel = AioChannel(*await asyncio.open_connection("127.0.0.1", port))
+        # In XK the initiator finishes first, so even a rogue dialler holds a
+        # session; the acceptor's verdict is that it never answers.
+        await channel.handshake(
+            handshake(dialler_pair, remote_public=acceptor_pair.public)
+        )
+        reply = await channel.recv_frame()
+        if reply is not None:
+            await channel.send_frame(b"hello from dialler")
+        await asyncio.wait_for(handled.wait(), timeout=10)
+        channel.writer.close()
         server.close()
         await server.wait_closed()
-        return received, reply
+        return received, rejected, reply
 
-    received, reply = asyncio.run(main())
-    assert received == [b"hello from sync"]
-    assert reply == b"ack from aio"
-
-
-# -- key files ----------------------------------------------------------------------
-
-
-def test_keypair_files_round_trip_and_refuse_overwrite(tmp_path):
-    path = tmp_path / "node.key"
-    pair = write_keypair(path)
-    assert path.stat().st_mode & 0o777 == 0o600
-    assert load_keypair(path) == pair
-    assert load_public_key(tmp_path / "node.key.pub") == pair.public
-    with pytest.raises(KeyFileError, match="refusing to overwrite"):
-        write_keypair(path)
-
-
-def test_allowlist_parses_comments_and_rejects_empty(tmp_path):
-    pair_a = keypair(b"allow-a")
-    pair_b = keypair(b"allow-b")
-    allowlist = tmp_path / "authorized"
-    allowlist.write_text(
-        "# fleet workers\n"
-        f"{pair_a.public.hex()}\n"
-        "\n"
-        f"  {pair_b.public.hex()}  # rack 2\n",
-        encoding="utf-8",
-    )
-    assert load_allowlist(allowlist) == frozenset({pair_a.public, pair_b.public})
-    empty = tmp_path / "empty"
-    empty.write_text("# nothing here\n", encoding="utf-8")
-    with pytest.raises(KeyFileError, match="no keys"):
-        load_allowlist(empty)
-
-
-def test_ephemeral_credential_trusts_only_itself():
-    credential = TransportCredential.ephemeral()
-    assert credential.is_authorized(credential.keypair.public)
-    other = keypair(b"someone else")
-    assert not credential.is_authorized(other.public)
-
-
-# -- end to end through the distributed substrate -----------------------------------
-
-
-def _free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def _fleet_credentials():
-    coordinator = keypair(b"e2e-coordinator")
-    worker = keypair(b"e2e-worker")
-    return (
-        TransportCredential(
-            keypair=coordinator, authorized=frozenset({worker.public})
-        ),
-        TransportCredential(keypair=worker, remote_public=coordinator.public),
-    )
-
-
-def test_secure_distributed_run_matches_plaintext_single_process_bytes(tmp_path):
-    single = run_experiment("fig16", scale=SMALL, out_dir=tmp_path / "single")
-    coordinator_cred, worker_cred = _fleet_credentials()
-    port = _free_port()
-    exit_codes = []
-    threads = [
-        threading.Thread(
-            target=lambda rank=rank: exit_codes.append(
-                run_worker(
-                    host="127.0.0.1",
-                    port=port,
-                    label=f"s{rank}",
-                    transport="secure",
-                    credential=worker_cred,
-                )
-            ),
-            daemon=True,
+    received, rejected, reply = asyncio.run(asyncio.wait_for(main(), timeout=30))
+    if dialler == "authorized":
+        assert (received, rejected, reply) == (
+            [b"hello from dialler"],
+            [],
+            b"ack from acceptor",
         )
-        for rank in range(2)
-    ]
-    for thread in threads:
-        thread.start()
-    result = run_distributed(
-        "fig16",
-        scale=SMALL,
-        out_dir=tmp_path / "secure",
-        port=port,
-        min_workers=2,
-        timeout=120,
-        transport="secure",
-        credential=coordinator_cred,
-    )
-    for thread in threads:
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-    assert exit_codes == [0, 0]
-    assert result.transport == "secure"
-    assert result.workers_seen == 2
-    assert (tmp_path / "secure" / "fig16.json").read_bytes() == (
-        tmp_path / "single" / "fig16.json"
-    ).read_bytes()
-
-
-def test_unauthorized_worker_is_rejected_before_any_job_frame(tmp_path):
-    coordinator_cred, worker_cred = _fleet_credentials()
-    rogue_cred = TransportCredential(
-        keypair=keypair(b"e2e-rogue"),
-        remote_public=coordinator_cred.keypair.public,
-    )
-    port = _free_port()
-    rogue_codes = []
-    rogue = threading.Thread(
-        target=lambda: rogue_codes.append(
-            run_worker(
-                host="127.0.0.1",
-                port=port,
-                label="rogue",
-                transport="secure",
-                credential=rogue_cred,
-                log=lambda message: None,
-            )
-        ),
-        daemon=True,
-    )
-    good = threading.Thread(
-        target=run_worker,
-        kwargs={
-            "host": "127.0.0.1",
-            "port": port,
-            "label": "good",
-            "transport": "secure",
-            "credential": worker_cred,
-        },
-        daemon=True,
-    )
-    rogue.start()
-    good.start()
-    result = run_distributed(
-        "fig16",
-        scale=SMALL,
-        out_dir=tmp_path / "out",
-        port=port,
-        min_workers=1,
-        timeout=120,
-        transport="secure",
-        credential=coordinator_cred,
-    )
-    rogue.join(timeout=30)
-    good.join(timeout=30)
-    # The rogue never joined the job: only the allowlisted worker was seen,
-    # and the rogue's run_worker exited non-zero at the handshake.
-    assert result.workers_seen == 1
-    assert rogue_codes == [1]
-
-
-def test_plain_worker_cannot_join_a_secure_coordinator(tmp_path):
-    # A plaintext hello against the secure acceptor dies at the handshake
-    # layer (its bytes are not a valid act one), before the protocol runs.
-    coordinator_cred, worker_cred = _fleet_credentials()
-    port = _free_port()
-    plain_codes = []
-    plain = threading.Thread(
-        target=lambda: plain_codes.append(
-            run_worker(
-                host="127.0.0.1",
-                port=port,
-                label="plain",
-                connect_timeout=5,
-                log=lambda message: None,
-            )
-        ),
-        daemon=True,
-    )
-    good = threading.Thread(
-        target=run_worker,
-        kwargs={
-            "host": "127.0.0.1",
-            "port": port,
-            "label": "good",
-            "transport": "secure",
-            "credential": worker_cred,
-        },
-        daemon=True,
-    )
-    plain.start()
-    good.start()
-    result = run_distributed(
-        "fig16",
-        scale=SMALL,
-        out_dir=tmp_path / "out",
-        port=port,
-        min_workers=1,
-        timeout=120,
-        transport="secure",
-        credential=coordinator_cred,
-    )
-    plain.join(timeout=30)
-    good.join(timeout=30)
-    assert result.workers_seen == 1
-    assert plain_codes == [1]
-
-
-def test_run_distributed_validates_secure_arguments(tmp_path):
-    with pytest.raises(ValueError, match="transport"):
-        run_distributed("fig16", scale=SMALL, transport="carrier-pigeon")
-    with pytest.raises(ValueError, match="TransportCredential"):
-        run_distributed(
-            "fig16", scale=SMALL, transport="secure", workers=0, min_workers=1
-        )
-
-
-# -- CLI validation -----------------------------------------------------------------
-
-
-def test_cli_worker_rejects_unresolvable_host(capsys):
-    assert (
-        experiments_main(
-            ["worker", "--host", "no-such-host.invalid", "--port", "47613"]
-        )
-        == 2
-    )
-    assert "cannot resolve host" in capsys.readouterr().err
-
-
-def test_cli_rejects_bad_ports(capsys):
-    assert experiments_main(["worker", "--port", "0"]) == 2
-    assert "not 0" in capsys.readouterr().err
-    assert experiments_main(["worker", "--port", "70000"]) == 2
-    assert "outside the valid range" in capsys.readouterr().err
-    assert experiments_main(["coordinate", "fig16", "--port", "80"]) == 2
-    assert "privileged" in capsys.readouterr().err
-
-
-def test_cli_secure_transport_requires_key_files(capsys):
-    assert experiments_main(["worker", "--port", "47613", "--transport", "secure"]) == 2
-    assert "--keyfile" in capsys.readouterr().err
-    assert (
-        experiments_main(
-            ["coordinate", "fig16", "--port", "47613", "--transport", "secure"]
-        )
-        == 2
-    )
-    assert "--keyfile" in capsys.readouterr().err
-
-
-def test_cli_secure_transport_requires_companion_flags(tmp_path, capsys):
-    keyfile = tmp_path / "w.key"
-    write_keypair(keyfile)
-    assert (
-        experiments_main(
-            [
-                "worker",
-                "--port",
-                "47613",
-                "--transport",
-                "secure",
-                "--keyfile",
-                str(keyfile),
-            ]
-        )
-        == 2
-    )
-    assert "--coordinator-key" in capsys.readouterr().err
-    assert (
-        experiments_main(
-            [
-                "coordinate",
-                "fig16",
-                "--port",
-                "47613",
-                "--transport",
-                "secure",
-                "--keyfile",
-                str(keyfile),
-            ]
-        )
-        == 2
-    )
-    assert "--authorized-keys" in capsys.readouterr().err
-
-
-def test_cli_key_flags_require_secure_transport(tmp_path, capsys):
-    keyfile = tmp_path / "w.key"
-    write_keypair(keyfile)
-    assert (
-        experiments_main(
-            ["worker", "--port", "47613", "--keyfile", str(keyfile)]
-        )
-        == 2
-    )
-    assert "require --transport secure" in capsys.readouterr().err
-
-
-def test_cli_run_transport_requires_dist(capsys):
-    assert experiments_main(["run", "fig16", "--transport", "secure"]) == 2
-    assert "--dist" in capsys.readouterr().err
-
-
-def test_cli_keygen_writes_and_refuses_overwrite(tmp_path, capsys):
-    path = tmp_path / "fleet.key"
-    assert experiments_main(["keygen", str(path)]) == 0
-    output = capsys.readouterr().out
-    assert "public hex" in output
-    assert load_keypair(path).public == load_public_key(tmp_path / "fleet.key.pub")
-    assert experiments_main(["keygen", str(path)]) == 2
-    assert "refusing to overwrite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "name, scale", [("fig16", SMALL), ("fig11", FIG11_SMOKE)], ids=["fig16", "fig11"]
-)
-def test_cli_secure_dist_round_trip(tmp_path, capsys, name, scale):
-    # `run --dist N --transport secure` provisions throwaway keys for its
-    # spawned workers and still merges byte-identically: the exact fig16,
-    # and fig11, whose trials drive real overlay transfers.
-    single = tmp_path / "single"
-    dist = tmp_path / "dist"
-    assert (
-        experiments_main(["run", name, "--scale", str(scale), "--out", str(single)])
-        == 0
-    )
-    assert (
-        experiments_main(
-            [
-                "run",
-                name,
-                "--scale",
-                str(scale),
-                "--out",
-                str(dist),
-                "--dist",
-                "2",
-                "--transport",
-                "secure",
-            ]
-        )
-        == 0
-    )
-    assert "dist-workers=2" in capsys.readouterr().out
-    assert (dist / f"{name}.json").read_bytes() == (single / f"{name}.json").read_bytes()
+    else:
+        assert received == [] and reply is None
+        [(message, session)] = rejected
+        assert "unauthorized static key" in message
+        assert session is None
