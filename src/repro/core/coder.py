@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CodingError, InsufficientSlicesError
 from .gf import GF, GF256
-from .matrix import mds_matrix, random_invertible_matrix
+from .matrix import cauchy_matrix, random_invertible_matrix
 
 #: Number of bytes used to prefix the plaintext with its length.
 _LENGTH_PREFIX = 4
@@ -160,7 +161,26 @@ class SliceCoder:
         """
         if self.d_prime == self.d:
             return random_invertible_matrix(self.d, rng, field=self.field)
-        return mds_matrix(self.d_prime, self.d, rng=rng, field=self.field)
+        return self._scaled_cauchy(1, rng)[0]
+
+    @cached_property
+    def _cauchy(self) -> np.ndarray:
+        """The ``(d', d)`` Cauchy base every redundant coding matrix scales."""
+        return cauchy_matrix(self.d_prime, self.d, field=self.field)
+
+    def _scaled_cauchy(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` draws of ``mds_matrix(d', d, rng)``, scaled in two multiplies.
+
+        Scales are drawn per matrix, rows then columns: numpy buffers bounded
+        ``uint8`` draws within one call, so one ``(count, d' + d)`` draw would
+        shift the stream.
+        """
+        rows = np.empty((count, self.d_prime, 1), dtype=np.uint8)
+        cols = np.empty((count, 1, self.d), dtype=np.uint8)
+        for index in range(count):
+            rows[index, :, 0] = self.field.random_nonzero_elements(self.d_prime, rng)
+            cols[index, 0] = self.field.random_nonzero_elements(self.d, rng)
+        return self.field.multiply(self.field.multiply(self._cauchy, rows), cols)
 
     def generate_matrices(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Sample ``count`` fresh coding matrices as a ``(count, d', d)`` stack.
@@ -175,12 +195,7 @@ class SliceCoder:
         if count == 0:
             return np.empty((0, self.d_prime, self.d), dtype=np.uint8)
         if self.d_prime != self.d:
-            return np.stack(
-                [
-                    mds_matrix(self.d_prime, self.d, rng=rng, field=self.field)
-                    for _ in range(count)
-                ]
-            )
+            return self._scaled_cauchy(count, rng)
         matrices = np.empty((count, self.d, self.d), dtype=np.uint8)
         missing = np.ones(count, dtype=bool)
         for _ in range(64):

@@ -242,6 +242,11 @@ class FlowDecoder:
         extras = self._extras.get(seq)
         return count if extras is None else count + len(extras)
 
+    def plane_count(self, seq: int) -> int:
+        """Slices of ``seq`` in its plane: :meth:`count` minus length-clashing extras."""
+        block_len = self._seq_plane.get(seq)
+        return 0 if block_len is None else self._planes[block_len].count(seq)
+
     def lanes(self, seq: int) -> list[int]:
         """Lanes that have delivered a slice for ``seq``, in arrival order."""
         block_len = self._seq_plane.get(seq)
@@ -361,6 +366,31 @@ class FlowDecoder:
         flush_writes()
         return accepted
 
+    def recombine_many(self, items: list[tuple[int, np.ndarray]]) -> list[CodedBlock]:
+        """One linear combination per ``(seq, weights)`` item, one product per plane.
+
+        ``weights`` scales the first ``len(weights)`` slices of ``seq``'s
+        plane; zero-padding to the widest item keeps stale slots of reused
+        rows out of the sum.  Bit-identical to ``SliceCoder.recombine`` over
+        those blocks with those weights.
+        """
+        per_plane: dict[int, list[int]] = {}
+        for position, (seq, _) in enumerate(items):
+            per_plane.setdefault(self._seq_plane[seq], []).append(position)
+        combined: dict[int, CodedBlock] = {}
+        for block_len, positions in per_plane.items():
+            plane = self._planes[block_len]
+            chosen = [items[position] for position in positions]
+            padded = np.zeros((len(chosen), 1, max(len(w) for _, w in chosen)), dtype=np.uint8)
+            for row, (_, weights) in enumerate(chosen):
+                padded[row, 0, : len(weights)] = weights
+            rows, width = [plane.rows[seq] for seq, _ in chosen], padded.shape[2]
+            stack = np.concatenate((plane.coeffs[rows, :width], plane.payloads[rows, :width]), 2)
+            products = self.field.batched_matmul(padded, stack)[:, 0]
+            for row, position in enumerate(positions):
+                combined[position] = CodedBlock(products[row, : self.d], products[row, self.d :])
+        return [combined[position] for position in range(len(items))]
+
     def blocks(self, seq: int) -> list[CodedBlock]:
         """Reconstruct the stored slices of ``seq`` as blocks, in arrival order."""
         block_len = self._seq_plane.get(seq)
@@ -387,10 +417,6 @@ class FlowDecoder:
         return len(stale)
 
     # -- batched decode ----------------------------------------------------------------
-
-    def decodable(self, seq: int) -> bool:
-        """True when ``seq`` holds at least ``d`` slices (decode may be tried)."""
-        return self.count(seq) >= self.d
 
     def decode_many(self, seqs: list[int]) -> dict[int, bytes]:
         """Robust-decode every listed sequence that can decode, in one batch.

@@ -29,6 +29,11 @@ reference — one :func:`~repro.core.integrity.robust_decode` the moment the
 cases fall back to ``robust_decode``, so the two are bit-identical
 (``tests/test_dataplane.py::test_batched_plane_bit_identical_to_scalar_reference``,
 ``tests/test_setup_decode.py``).
+
+Regeneration (§4.4.1) is one pass per burst: :meth:`Relay.flush_data_many`
+draws each replacement's weights as ``SliceCoder.recombine`` would and
+combines them all in one ``FlowDecoder.recombine_many`` product (reference:
+``tests/oracles/dataplane.py::reference_flush_data``).
 """
 
 from __future__ import annotations
@@ -423,69 +428,63 @@ class Relay:
     def flush_data(self, flow_id: int, seq: int) -> list[Packet]:
         """Regenerate and forward slices for children whose parent slice is lost.
 
-        Implements §4.4.1: when this relay holds at least ``d`` slices of data
-        message ``seq`` it can synthesise a fresh random linear combination to
-        replace any slice a failed parent should have delivered.  Without
-        ``regenerate_redundancy`` the lost slice stays lost (erasure-coding
-        baseline behaviour).  The one-sequence entry point has no caller in
-        the package: the overlay runtime flushes whole bursts through
-        :meth:`flush_data_many`.  It stays because ``perfbench/spans.py``
-        wraps it by name.
+        Implements §4.4.1 for one data message: ``flush_data_many(flow_id,
+        [seq])``.  The package flushes whole bursts through
+        :meth:`flush_data_many`; this entry point stays because
+        ``perfbench/spans.py`` wraps it by name.
         """
-        state = self.flows.get(flow_id)
-        if state is None or not state.decoded:
-            return []
-        return self._flush_data_state(state, seq)
+        return self.flush_data_many(flow_id, [seq])
 
     def flush_data_many(self, flow_id: int, seqs: list[int]) -> list[Packet]:
-        """Batched :meth:`flush_data`: one flow-table resolution for a burst.
+        """Regenerate and forward, for a burst, slices lost upstream (§4.4.1).
 
-        Identical behaviour and RNG consumption to flushing each ``seq`` in
-        order; the per-sequence flow lookup and decode check happen once.
+        For every seq holding at least ``d`` slices in its plane (extras of
+        a clashing length are left out), every child not yet fed gets a
+        fresh random combination of them, its weights drawn in seq-then-child
+        order as ``SliceCoder.recombine`` would.  Without
+        ``regenerate_redundancy`` a lost slice stays lost.
         """
         state = self.flows.get(flow_id)
         if state is None or not state.decoded:
             return []
-        outgoing: list[Packet] = []
-        for seq in seqs:
-            outgoing.extend(self._flush_data_state(state, seq))
-        return outgoing
-
-    def _flush_data_state(self, state: FlowState, seq: int) -> list[Packet]:
         info = state.info
         assert info is not None
-        if seq in state.data_flushed or not info.next_hop_addresses:
+        children = list(enumerate(zip(info.next_hop_addresses, info.next_hop_flow_ids)))
+        items: list[tuple[int, np.ndarray]] = []
+        targets: list[tuple[int, str, int]] = []
+        for seq in seqs:
+            flushed = seq in state.data_flushed
             state.data_flushed.add(seq)
-            return []
-        state.data_flushed.add(seq)
-        blocks: list[CodedBlock] | None = None
-        coder: SliceCoder | None = None
-        outgoing: list[Packet] = []
-        for child_index, (child, child_flow) in enumerate(
-            zip(info.next_hop_addresses, info.next_hop_flow_ids)
-        ):
-            if (seq, child_index) in state.data_forwarded:
+            if flushed or not self.regenerate_redundancy:
                 continue
-            if not self.regenerate_redundancy or state.data.count(seq) < state.d:
+            count = state.data.plane_count(seq)
+            if count < state.d:
                 continue
-            if blocks is None:
-                blocks = state.data.blocks(seq)
-                coder = SliceCoder(state.d, field=self.field)
-            replacement = coder.recombine(blocks, self.rng)
-            self.stats.regenerated_slices += 1
-            state.data_forwarded.add((seq, child_index))
-            outgoing.append(
-                Packet(
-                    flow_id=child_flow,
-                    kind=PacketKind.DATA,
-                    slices=[replacement],
-                    d=state.d,
-                    lane=info.lane,
-                    seq=seq,
-                    source_address=self.address,
-                    destination_address=child,
-                )
+            for child_index, (child, child_flow) in children:
+                if (seq, child_index) in state.data_forwarded:
+                    continue
+                weights = self.field.random_elements(count, self.rng)
+                while not weights.any():
+                    weights = self.field.random_elements(count, self.rng)
+                state.data_forwarded.add((seq, child_index))
+                items.append((seq, weights))
+                targets.append((seq, child, child_flow))
+        self.stats.regenerated_slices += len(items)
+        outgoing = [
+            Packet(
+                flow_id=child_flow,
+                kind=PacketKind.DATA,
+                slices=[replacement],
+                d=state.d,
+                lane=info.lane,
+                seq=seq,
+                source_address=self.address,
+                destination_address=child,
             )
+            for (seq, child, child_flow), replacement in zip(
+                targets, state.data.recombine_many(items)
+            )
+        ]
         self._account_sent(outgoing)
         return outgoing
 

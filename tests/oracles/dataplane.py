@@ -6,24 +6,84 @@ slice arrives.  :class:`ScalarSlicingRuntime` ships every packet as its own
 transmit, arrival and CPU event and arms one flush timer per message: the
 sender's CPU, then the connection, then the receiver's CPU, each reserved at
 its own instant.  Both override only what the reference does differently;
-flow tables, forwarding, regeneration and retention are the shipped code.
+flow tables, forwarding and retention are the shipped code.
+:func:`reference_flush_data` is the per-seq, per-replacement regeneration of
+§4.4.1 — one :meth:`~repro.core.coder.SliceCoder.recombine` per slice — that
+``Relay.flush_data_many`` batches into one product.
 """
 
 from __future__ import annotations
 
-from repro.core.coder import SliceCoder
+from repro.core.coder import CodedBlock, SliceCoder
 from repro.core.errors import CodingError, InsufficientSlicesError, ProtocolError
 from repro.core.integrity import robust_decode
 from repro.core.node_info import NodeInfo
-from repro.core.packet import Packet
+from repro.core.packet import Packet, PacketKind
 from repro.core.relay import FlowState, Relay
 from repro.core.source import FlowSetup, Source, data_nonce
 from repro.crypto.symmetric import StreamCipher
 from repro.overlay.node import SlicingRuntime
 
 
+def reference_flush_data(relay: Relay, flow_id: int, seqs: list[int]) -> list[Packet]:
+    """``Relay.flush_data_many`` one seq at a time, one ``recombine`` per slice.
+
+    The shipped flush before it was batched, verbatim except that only the
+    seq's plane is combined: a length-clashing extra slice is left out
+    instead of making ``recombine`` raise.
+    """
+    state = relay.flows.get(flow_id)
+    if state is None or not state.decoded:
+        return []
+    outgoing: list[Packet] = []
+    for seq in seqs:
+        outgoing.extend(_flush_data_state(relay, state, seq))
+    return outgoing
+
+
+def _flush_data_state(self: Relay, state: FlowState, seq: int) -> list[Packet]:
+    info = state.info
+    assert info is not None
+    if seq in state.data_flushed or not info.next_hop_addresses:
+        state.data_flushed.add(seq)
+        return []
+    state.data_flushed.add(seq)
+    blocks: list[CodedBlock] | None = None
+    coder: SliceCoder | None = None
+    outgoing: list[Packet] = []
+    for child_index, (child, child_flow) in enumerate(
+        zip(info.next_hop_addresses, info.next_hop_flow_ids)
+    ):
+        if (seq, child_index) in state.data_forwarded:
+            continue
+        if not self.regenerate_redundancy or state.data.plane_count(seq) < state.d:
+            continue
+        if blocks is None:
+            blocks = state.data.blocks(seq)[: state.data.plane_count(seq)]
+            coder = SliceCoder(state.d, field=self.field)
+        replacement = coder.recombine(blocks, self.rng)
+        self.stats.regenerated_slices += 1
+        state.data_forwarded.add((seq, child_index))
+        outgoing.append(
+            Packet(
+                flow_id=child_flow,
+                kind=PacketKind.DATA,
+                slices=[replacement],
+                d=state.d,
+                lane=info.lane,
+                seq=seq,
+                source_address=self.address,
+                destination_address=child,
+            )
+        )
+    self._account_sent(outgoing)
+    return outgoing
+
+
 class ScalarRelay(Relay):
     """A relay that decodes one message at a time, never deferring."""
+
+    flush_data_many = reference_flush_data
 
     def _try_decode_info(self, state: FlowState) -> None:
         blocks = state.own_setup_blocks()

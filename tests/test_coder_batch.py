@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.coder import SliceCoder
 from repro.core.errors import CodingError, FieldError, InsufficientSlicesError
 from repro.core.gf import GF
+from repro.core.matrix import mds_matrix
 
 
 def _messages(rng, count, size):
@@ -91,6 +92,26 @@ def test_generate_matrices_empty_and_invalid():
     assert coder.generate_matrices(0, rng).shape == (0, 2, 2)
     with pytest.raises(CodingError):
         coder.generate_matrices(-1, rng)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+@pytest.mark.parametrize("extra", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_redundant_matrices_are_stream_identical_to_mds_matrix(d, extra, count):
+    """The cached Cauchy base, scaled for a whole stack, draws and returns
+    exactly what one ``mds_matrix`` call per matrix would."""
+    d_prime = d + extra
+    coder = SliceCoder(d, d_prime)
+    rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
+    stack = coder.generate_matrices(count, rng)
+    expected = [mds_matrix(d_prime, d, rng=reference_rng) for _ in range(count)]
+    assert stack.dtype == np.uint8
+    assert stack.shape == (count, d_prime, d)
+    assert all(np.array_equal(got, want) for got, want in zip(stack, expected))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    single = coder.generate_matrix(rng)
+    assert np.array_equal(single, mds_matrix(d_prime, d, rng=reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 # -- encode_batch / decode_batch -------------------------------------------------

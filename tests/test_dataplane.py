@@ -1,6 +1,9 @@
 """The batched overlay data plane: bit-identity with the per-packet reference
-(``tests/oracles/dataplane.py``), event coalescing, the FlowDecoder store, and
-the runtime's retention windows."""
+(``tests/oracles/dataplane.py``), event coalescing, the FlowDecoder store,
+the runtime's retention windows, and the batched §4.4.1 regeneration against
+its per-seq reference."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -10,14 +13,17 @@ from hypothesis import strategies as st
 from repro.core.coder import CodedBlock, SliceCoder
 from repro.core.errors import CodingError, SimulationError
 from repro.core.flow_decoder import FlowDecoder
+from repro.core.gf import GF
 from repro.core.integrity import robust_decode, wrap
+from repro.core.node_info import KEY_SIZE, DataMap, NodeInfo, SliceMap
 from repro.core.packet import random_padding_slice
+from repro.core.relay import FlowState, Relay
 from repro.core.source import Source
 from repro.overlay.node import DEFAULT_BATCH_CHUNK, SimulatedOverlayNetwork, SlicingRuntime
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.simulator import EventSimulator
 
-from oracles.dataplane import ScalarSlicingRuntime
+from oracles.dataplane import ScalarSlicingRuntime, reference_flush_data
 from strategies import dimension_triples
 
 #: The two planes by name: the shipped one and the per-packet reference.
@@ -372,3 +378,113 @@ def test_runtime_validates_parameters():
         SlicingRuntime(substrate, seq_retention=0)
     with pytest.raises(SimulationError):
         SlicingRuntime(substrate, batch_chunk=0)
+
+
+# -- regeneration (§4.4.1): the batched flush against the per-seq reference ----------
+
+FLOW_ID = 7
+SLICE_BYTES = 10
+
+
+def regeneration_relay(d, children, regenerate=True, seed=0):
+    """A relay whose flow is decoded and whose data store is empty."""
+    relay = Relay("relay", rng=np.random.default_rng(seed), regenerate_redundancy=regenerate)
+    state = FlowState(flow_id=FLOW_ID, d=d, coding_field=relay.field)
+    state.info = NodeInfo(
+        next_hop_addresses=[f"child-{index}" for index in range(children)],
+        next_hop_flow_ids=[100 + index for index in range(children)],
+        is_receiver=False,
+        secret_key=bytes(KEY_SIZE),
+        slice_map=SliceMap(),
+        data_map=DataMap(list(range(children))),
+        lane=1,
+    )
+    relay.flows[FLOW_ID] = state
+    return relay
+
+
+def random_block(rng, d, payload_bytes=SLICE_BYTES):
+    return CodedBlock(
+        coefficients=rng.integers(0, 256, d, dtype=np.uint8),
+        payload=rng.integers(0, 256, payload_bytes, dtype=np.uint8),
+    )
+
+
+def test_flush_ignores_a_length_clashing_slice():
+    """A 12 B slice beside a 10 B one for one seq used to make ``recombine``
+    raise out of the flush; regeneration now combines only the seq's plane
+    and needs ``d`` slices there."""
+    rng = np.random.default_rng(1)
+    relay = regeneration_relay(d=2, children=3)
+    data = relay.flows[FLOW_ID].data
+    assert data.add(0, 0, random_block(rng, 2))
+    assert data.add(0, 1, random_block(rng, 2, payload_bytes=12))  # parked extra
+    assert data.count(0) == 2
+    assert relay.flush_data_many(FLOW_ID, [0]) == []
+    assert data.plane_count(0) == 1
+    assert relay.stats.regenerated_slices == 0
+    # With d slices in the plane the extra is simply left out of the sum.
+    assert data.add(1, 0, random_block(rng, 2))
+    assert data.add(1, 1, random_block(rng, 2))
+    assert data.add(1, 2, random_block(rng, 2, payload_bytes=12))
+    outgoing = relay.flush_data_many(FLOW_ID, [1])
+    assert [packet.destination_address for packet in outgoing] == [
+        "child-0", "child-1", "child-2"
+    ]
+    assert all(packet.own_slice.payload.shape == (SLICE_BYTES,) for packet in outgoing)
+    assert relay.stats.regenerated_slices == 3
+
+
+@st.composite
+def regeneration_states(draw):
+    """A decoded relay's data store, flush markers and a burst to flush."""
+    d = draw(st.integers(1, 3))
+    d_prime = d + draw(st.integers(0, 2))
+    children = draw(st.integers(0, 4))
+    relay = regeneration_relay(
+        d,
+        children,
+        regenerate=draw(st.integers(0, 3)) > 0,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    state = relay.flows[FLOW_ID]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # Stale rows: fill seqs past the burst to d' + 1 slots, then drop them,
+    # so the burst's seqs reuse rows whose unused slots hold old slices.
+    for seq in range(100, 100 + draw(st.integers(0, 3))):
+        for lane in range(d_prime + 1):
+            state.data.add(seq, lane, random_block(rng, d))
+        state.data.drop(seq)
+    seqs = list(range(draw(st.integers(1, 5))))
+    for seq in seqs:
+        count = draw(st.integers(0, d_prime + 1))
+        for lane in draw(st.permutations(range(d_prime + 1)))[:count]:
+            state.data.add(seq, lane, random_block(rng, d))
+        if count and draw(st.booleans()):
+            state.data.add(seq, d_prime + 1, random_block(rng, d, SLICE_BYTES + 2))
+        for child in range(children):
+            if draw(st.integers(0, 3)) == 0:
+                state.data_forwarded.add((seq, child))
+        if draw(st.integers(0, 4)) == 0:
+            state.data_flushed.add(seq)
+    burst = draw(st.lists(st.sampled_from([*seqs, 200]), min_size=1, max_size=8))
+    return relay, burst
+
+
+@settings(max_examples=200, deadline=None)
+@given(regeneration_states())
+def test_batched_flush_matches_per_seq_reference(case):
+    """One product per burst draws, forwards, counts and emits exactly what
+    one ``recombine`` per regenerated slice did."""
+    relay, burst = case
+    batched, reference = (copy.deepcopy(relay, {id(GF): GF}) for _ in range(2))
+    got = batched.flush_data_many(FLOW_ID, burst)
+    want = reference_flush_data(reference, FLOW_ID, burst)
+    assert [(p.destination_address, p.to_bytes()) for p in got] == [
+        (p.destination_address, p.to_bytes()) for p in want
+    ]
+    ours, theirs = batched.flows[FLOW_ID], reference.flows[FLOW_ID]
+    assert ours.data_forwarded == theirs.data_forwarded
+    assert ours.data_flushed == theirs.data_flushed
+    assert batched.stats == reference.stats
+    assert batched.rng.bit_generator.state == reference.rng.bit_generator.state

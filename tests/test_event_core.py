@@ -5,7 +5,10 @@
   sha256 over every relay decode instant and message delivery instant
   (written as ``float.hex``) are pinned, so any change to heap order, tie
   breaking, queue arithmetic or batching that moves the virtual clock by
-  one ulp fails here, not in a figure artifact much later.
+  one ulp fails here, not in a figure artifact much later.  A second sha256
+  covers the wire bytes of every packet handed to the transport, in order,
+  so a change to what relays regenerate (§4.4.1) or sources code shows up
+  as a byte change even when no instant moves.
 * *Queue arithmetic* — ``_queue_dones`` against the numpy closed form it
   replaced, kept here as the oracle.
 * *Path tables* — ``ForwardingGraph``'s precomputed carrier, path and edge
@@ -25,7 +28,7 @@ from repro.core.errors import GraphConstructionError
 from repro.core.graph import build_forwarding_graph
 from repro.core.source import Source
 from repro.experiments.throughput import connection_bps_for, prepare_scheme_transfer
-from repro.overlay.node import FlowProgress, SlicingRuntime, _queue_dones
+from repro.overlay.node import FlowProgress, SimulatedOverlayNetwork, SlicingRuntime, _queue_dones
 from repro.overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
 from repro.overlay.runtime import build_substrate
 
@@ -96,21 +99,39 @@ def _churn_flow(seed: int = 11, bursts: int = 4, burst_messages: int = 32):
     return substrate.sim, [runtime.progress], len(runtime.delivered_plaintexts())
 
 
+def _recording_wire(monkeypatch):
+    """sha256 over ``to_bytes()`` of every packet the simulator transmits."""
+    digest = hashlib.sha256()
+    transmit = SimulatedOverlayNetwork.transmit_packets
+
+    def recording(self, sender, receiver, packets, *args, **kwargs):
+        for packet in packets:
+            digest.update(packet.to_bytes())
+        return transmit(self, sender, receiver, packets, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedOverlayNetwork, "transmit_packets", recording)
+    return digest
+
+
 @pytest.mark.parametrize(
-    "run, events, batched, delivered, digest",
+    "run, events, batched, delivered, digest, wire",
     [
         (_manyflows_slice, 1088, 0, 64,
-         "44bb48e56928b7c9edccf17a85e4992d5091c424f4750fb5981317464a812fa9"),
+         "44bb48e56928b7c9edccf17a85e4992d5091c424f4750fb5981317464a812fa9",
+         "f5dff076a044b16dd73951a2dd32c9ea117ab9196aac51563e20fe6381536a9e"),
         (_churn_flow, 793, 62, 128,
-         "672ad4dba4ea385a8893ce903eca3f386c010a71f1ba34a767c4e37a32bce179"),
+         "672ad4dba4ea385a8893ce903eca3f386c010a71f1ba34a767c4e37a32bce179",
+         "1a55cd47d9412eed1153ffe7a00fa47d4568094cf658e3e81f6256bbe744fceb"),
     ],
     ids=["manyflows-4", "churn"],
 )
-def test_golden_virtual_clock(run, events, batched, delivered, digest):
+def test_golden_virtual_clock(monkeypatch, run, events, batched, delivered, digest, wire):
+    wire_digest = _recording_wire(monkeypatch)
     sim, progresses, got_delivered = run()
     assert (sim.events_processed, sim.batched_events) == (events, batched)
     assert got_delivered == delivered
     assert _progress_digest(progresses) == digest
+    assert wire_digest.hexdigest() == wire
 
 
 # -- queue arithmetic -------------------------------------------------------------------
