@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import combinations
+from itertools import combinations, islice
 
 from .coder import CodedBlock, SliceCoder
 from .errors import CodingError, InsufficientSlicesError
@@ -25,6 +25,9 @@ from .errors import CodingError, InsufficientSlicesError
 MAGIC = b"ISLC"
 
 _FRAME_HEADER = struct.Struct(">4sII")  # magic, length, crc32
+
+#: Most ``d``-subsets :func:`robust_decode` tries after the greedy decode.
+MAX_DECODE_SUBSETS = 256
 
 
 def wrap(payload: bytes) -> bytes:
@@ -60,15 +63,13 @@ def verify(data: bytes) -> bool:
     return True
 
 
-def robust_decode(
-    coder: SliceCoder, blocks: list[CodedBlock], max_subsets: int = 256
-) -> bytes:
+def robust_decode(coder: SliceCoder, blocks: list[CodedBlock]) -> bytes:
     """Decode a framed payload from ``blocks``, tolerating garbage slices.
 
     First attempts the straightforward greedy decode; if the result fails the
     integrity check (some received slices were churn padding or corrupted),
-    searches subsets of ``d`` blocks — up to ``max_subsets`` of them — for a
-    combination that verifies.
+    searches subsets of ``d`` blocks — up to :data:`MAX_DECODE_SUBSETS` of
+    them — for a combination that verifies.
 
     Returns the unwrapped payload.  Raises
     :class:`~repro.core.errors.InsufficientSlicesError` if no verifying
@@ -83,11 +84,8 @@ def robust_decode(
     except CodingError:
         pass
 
-    tried = 0
-    for subset in combinations(range(len(blocks)), coder.d):
-        if tried >= max_subsets:
-            break
-        tried += 1
+    subsets = combinations(range(len(blocks)), coder.d)
+    for subset in islice(subsets, MAX_DECODE_SUBSETS):
         chosen = [blocks[i] for i in subset]
         try:
             candidate = coder.decode(chosen)

@@ -40,9 +40,7 @@ def random_invertible_matrix(
     raise MatrixError("failed to sample an invertible matrix (should be unreachable)")
 
 
-def cauchy_matrix(
-    rows: int, cols: int, field: GF256 = GF, x_offset: int = 0
-) -> np.ndarray:
+def cauchy_matrix(rows: int, cols: int, field: GF256 = GF) -> np.ndarray:
     """Build a ``rows x cols`` Cauchy matrix ``C[i, j] = 1 / (x_i + y_j)``.
 
     ``x_i`` and ``y_j`` are distinct field elements, which guarantees that
@@ -56,8 +54,8 @@ def cauchy_matrix(
             f"cannot build a {rows}x{cols} Cauchy matrix over GF({field.order}): "
             f"needs {rows + cols} distinct evaluation points"
         )
-    xs = np.arange(x_offset, x_offset + rows, dtype=np.uint8)
-    ys = np.arange(x_offset + rows, x_offset + rows + cols, dtype=np.uint8)
+    xs = np.arange(rows, dtype=np.uint8)
+    ys = np.arange(rows, rows + cols, dtype=np.uint8)
     sums = field.add(xs[:, None], ys[None, :])
     return field.inverse(sums)
 

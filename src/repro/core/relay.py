@@ -116,10 +116,6 @@ class Relay:
         This node's overlay address.
     rng:
         Randomness source for padding and network-coding coefficients.
-    auto_forward_setup:
-        When True (default), setup slices are forwarded as soon as packets
-        from all ``d'`` parents have arrived.  The overlay can also force
-        forwarding earlier via :meth:`flush_setup` (e.g. on a timeout).
     regenerate_redundancy:
         Enable the network-coding regeneration of §4.4.1.  Disabling it gives
         the plain "erasure-coding only" behaviour used by the ablation bench.
@@ -132,13 +128,11 @@ class Relay:
         self,
         address: str,
         rng: np.random.Generator | None = None,
-        auto_forward_setup: bool = True,
         regenerate_redundancy: bool = True,
         field: GF256 | None = None,
     ) -> None:
         self.address = address
         self.rng = np.random.default_rng() if rng is None else rng
-        self.auto_forward_setup = auto_forward_setup
         self.regenerate_redundancy = regenerate_redundancy
         self.field = GF if field is None else field
         self.flows: dict[int, FlowState] = {}
@@ -261,7 +255,6 @@ class Relay:
         if (
             state.decoded
             and not state.setup_forwarded
-            and self.auto_forward_setup
             and len(state.setup_packets) >= state.info.num_parents
         ):
             outgoing.extend(self._build_setup_forwards(state))

@@ -90,14 +90,9 @@ def experiment_names() -> list[str]:
 
 
 def _ensure_definitions_loaded() -> None:
-    # Importing the definition modules runs their register() calls.  This is
-    # also what makes worker processes (which receive only experiment names)
-    # see the same registry as the parent.
+    # Importing the definition modules runs their register() calls.
+    # Scenario-matrix cells are registered at run time by register_matrix;
+    # pool workers never look experiments up (the runner ships them the
+    # trial function itself), so only the process that registered a cell
+    # needs to know it.
     from . import ablations, distinguishability, figures  # noqa: F401
-
-    # Scenario-matrix cells are registered from spec files rather than module
-    # import; re-loading the specs named in REPRO_SCENARIO_MATRIX is how
-    # spawned pool workers see the same dynamically registered cells.
-    from .scenarios import load_env_matrices
-
-    load_env_matrices()

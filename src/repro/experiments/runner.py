@@ -20,9 +20,11 @@ into rows:
    served from cache), the artifact is byte-identical for a given
    ``(name, scale, seed)`` regardless of worker count.
 
-Worker processes receive only ``(experiment name, trial params, seed)``
-triples; they re-import the registry themselves, which keeps every payload
-picklable under both fork and spawn start methods.
+Worker processes receive ``(run_trial, index, params, seed)`` payloads.
+Every ``run_trial`` is a module-level function, which pickles by reference
+under the fork, spawn and forkserver start methods alike, so workers never
+consult the registry — a cell registered at run time in the parent runs on
+any pool.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +55,13 @@ DEFAULT_RESULTS_DIR = Path("results")
 #: bulk draws rather than per trial.  v3: figs. 7-10 and the scenario cells'
 #: anonymity columns are exact expectations, no longer Monte-Carlo estimates.
 ARTIFACT_VERSION = 3
+
+
+#: What a worker runs: the experiment's ``run_trial``, the trial's index, its
+#: parameters and its seed.
+TrialPayload = tuple[
+    Callable[[dict, np.random.Generator], dict], int, dict, np.random.SeedSequence
+]
 
 
 class UsageError(ValueError):
@@ -163,16 +173,17 @@ class Job:
             trials = [{**params, "scheme": self.scheme} for params in trials]
         return trials
 
-    def payloads(self) -> list[tuple[str, int, dict, np.random.SeedSequence]]:
+    def payloads(self) -> list[TrialPayload]:
         """Per-trial execution payloads with deterministically spawned seeds.
 
         ``SeedSequence.spawn`` derives child ``i`` purely from ``(seed, i)``,
         so trial ``i`` gets the identical payload whichever pool process
         runs it.
         """
+        run_trial = self.experiment.run_trial
         children = np.random.SeedSequence(self.seed).spawn(len(self.trials))
         return [
-            (self.name, index, params, child)
+            (run_trial, index, params, child)
             for index, (params, child) in enumerate(zip(self.trials, children))
         ]
 
@@ -257,14 +268,10 @@ def experiment_rows(
 # -- execution ---------------------------------------------------------------------
 
 
-def execute_trial(
-    payload: tuple[str, int, dict, np.random.SeedSequence],
-) -> tuple[int, dict]:
+def execute_trial(payload: TrialPayload) -> tuple[int, dict]:
     """Run one trial; module-level so it pickles into worker processes."""
-    name, index, params, seed_sequence = payload
-    experiment = get_experiment(name)
-    rng = np.random.default_rng(seed_sequence)
-    return index, experiment.run_trial(params, rng)
+    run_trial, index, params, seed_sequence = payload
+    return index, run_trial(params, np.random.default_rng(seed_sequence))
 
 
 def _run_trials(job: Job, workers: int) -> list[dict]:

@@ -36,12 +36,10 @@ its ``--workers N`` pool.  Every cell gets a unique,
 deterministic name and base seed derived from the matrix name and its axis
 values, so artifacts never collide and re-running a spec is bit-identical.
 
-Worker processes rebuild the registry from experiment names alone, so
-dynamically registered cells must be reloadable: :func:`register_matrix_file`
-records the spec path in the ``REPRO_SCENARIO_MATRIX`` environment variable
-(``os.pathsep``-separated), and the registry's definition loader calls
-:func:`load_env_matrices` — pool workers started with ``spawn`` inherit the
-variable.
+Cells live only in the registry of the process that registered them: the
+runner ships each pool worker the cell's trial function
+(:func:`run_cell_trial`) with its parameters, so workers never look a cell
+up by name, under any multiprocessing start method.
 
 :mod:`repro.experiments.report` merges the per-cell artifacts into the
 consolidated cross-scheme report.
@@ -52,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -97,9 +95,6 @@ _BASE_DEFAULTS = {
     "messages": 120,
     "num_nodes": 2000,
 }
-
-#: Environment variable listing spec paths to re-register in worker processes.
-MATRIX_ENV_VAR = "REPRO_SCENARIO_MATRIX"
 
 
 @dataclass(frozen=True)
@@ -258,11 +253,11 @@ def parse_matrix(spec: dict) -> ScenarioMatrix:
         all(0.0 <= v < 1.0 for v in axes["adversary"]),
         'axis "adversary" values must be in [0, 1)',
     )
-    _require(all(v >= 0.0 for v in axes["jitter"]), 'axis "jitter" values must be >= 0')
-    _require(
-        all(v >= 0.0 for v in axes["cpu_heterogeneity"]),
-        'axis "cpu_heterogeneity" values must be >= 0',
-    )
+    for axis in ("jitter", "cpu_heterogeneity"):
+        _require(
+            all(math.isfinite(v) and v >= 0.0 for v in axes[axis]),
+            f'axis "{axis}" values must be finite and >= 0',
+        )
     _require(
         min(axes["d_prime"]) >= max(axes["d"]),
         f'every "d_prime" value must be >= every "d" value '
@@ -586,9 +581,9 @@ def _matrix_digest(matrix: ScenarioMatrix) -> str:
 def register_matrix(matrix: ScenarioMatrix) -> list[Experiment]:
     """Register every cell of ``matrix`` with the experiment registry.
 
-    Registering the same matrix twice is a no-op (workers and repeated CLI
-    invocations re-load specs freely); registering a *different* spec under
-    an already-registered matrix name is an error — cell artifacts would
+    Registering the same matrix twice is a no-op (one process may load a
+    spec more than once); registering a *different* spec under an
+    already-registered matrix name is an error — cell artifacts would
     silently mix two grids.
     """
     digest = _matrix_digest(matrix)
@@ -610,35 +605,8 @@ def register_matrix(matrix: ScenarioMatrix) -> list[Experiment]:
     return experiments
 
 
-def register_matrix_file(path: str | Path, export_env: bool = True) -> ScenarioMatrix:
-    """Load, validate and register a spec file; optionally export it to workers.
-
-    With ``export_env=True`` the resolved path is appended to
-    :data:`MATRIX_ENV_VAR`, so worker processes spawned later (the
-    multiprocessing pool under a ``spawn`` start method) re-register the
-    same cells when they rebuild the registry.
-    """
-    path = Path(path).resolve()
+def register_matrix_file(path: str | Path) -> ScenarioMatrix:
+    """Load, validate and register a spec file."""
     matrix = load_matrix(path)
     register_matrix(matrix)
-    if export_env:
-        entries = [entry for entry in os.environ.get(MATRIX_ENV_VAR, "").split(os.pathsep) if entry]
-        if str(path) not in entries:
-            entries.append(str(path))
-            os.environ[MATRIX_ENV_VAR] = os.pathsep.join(entries)
     return matrix
-
-
-def load_env_matrices() -> None:
-    """Register every spec listed in :data:`MATRIX_ENV_VAR` (idempotent).
-
-    Called by the registry's definition loader, so any process that looks up
-    experiments by name — pool workers, the CLI — sees
-    the same dynamically registered cells as the process that exported the
-    variable.  Spec errors propagate: a worker with a skewed or unreadable
-    spec should fail loudly, not silently compute a different grid.
-    """
-    raw = os.environ.get(MATRIX_ENV_VAR, "")
-    for entry in raw.split(os.pathsep):
-        if entry:
-            register_matrix_file(entry, export_env=False)

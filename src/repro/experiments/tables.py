@@ -5,14 +5,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
-def format_table(rows: Sequence[dict], float_digits: int = 4) -> str:
+def format_table(rows: Sequence[dict]) -> str:
     """Format a list of row dictionaries as an aligned, pipe-separated table."""
     if not rows:
         return "(no rows)"
     columns = list(rows[0].keys())
     rendered: list[list[str]] = [columns]
     for row in rows:
-        rendered.append([_format_value(row.get(column), float_digits) for column in columns])
+        rendered.append([_format_value(row.get(column)) for column in columns])
     widths = [max(len(line[i]) for line in rendered) for i in range(len(columns))]
     lines = []
     for index, line in enumerate(rendered):
@@ -22,7 +22,7 @@ def format_table(rows: Sequence[dict], float_digits: int = 4) -> str:
     return "\n".join(lines)
 
 
-def _format_value(value, float_digits: int) -> str:
+def _format_value(value) -> str:
     if isinstance(value, float):
-        return f"{value:.{float_digits}f}"
+        return f"{value:.4f}"
     return str(value)

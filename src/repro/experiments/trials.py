@@ -16,10 +16,11 @@ import numpy as np
 MAX_TRIALS_PER_TASK = 250
 
 
-def chunk_sizes(total: int, max_per_task: int = MAX_TRIALS_PER_TASK) -> list[int]:
+def chunk_sizes(total: int) -> list[int]:
     """Split ``total`` Monte-Carlo trials into bounded task-sized chunks."""
     return [
-        min(max_per_task, total - start) for start in range(0, total, max_per_task)
+        min(MAX_TRIALS_PER_TASK, total - start)
+        for start in range(0, total, MAX_TRIALS_PER_TASK)
     ]
 
 

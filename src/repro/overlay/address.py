@@ -64,7 +64,6 @@ _COUNTRIES = ["us", "de", "cn", "ir", "br", "jp", "in", "ru", "fr", "za", "kr", 
 def generate_as_database(
     num_ases: int,
     rng: np.random.Generator,
-    base_octet: int = 10,
 ) -> ASDatabase:
     """Create a synthetic AS database with a Zipf-skewed prefix allocation.
 
@@ -84,7 +83,7 @@ def generate_as_database(
         as_countries[asn] = _COUNTRIES[index % len(_COUNTRIES)]
         for _ in range(int(allocations[index])):
             network = ipaddress.IPv4Network(
-                f"{base_octet}.{second_octet % 256}.{(second_octet // 256) % 256}.0/24"
+                f"10.{second_octet % 256}.{(second_octet // 256) % 256}.0/24"
             )
             prefixes.append(Prefix(network=network, asn=asn))
             second_octet += 1

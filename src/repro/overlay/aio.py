@@ -88,7 +88,7 @@ from ..net import (
     handshake,
 )
 from .network import NetworkModel
-from .node import DEFAULT_PER_PACKET_OVERHEAD, OverlayTransport
+from .node import OverlayTransport
 from .simulator import EventSimulator
 
 #: Batch header payload: (batch id, number of payload frames that follow).
@@ -169,7 +169,6 @@ class _PendingBatch:
     frame_count: int  # payload frames the batch left as
     deliver: Callable[[list, list[float]], None]
     arrivals: list[float]  # one per item
-    submitted_at: float
 
     @property
     def link(self) -> str:
@@ -226,19 +225,12 @@ class AioOverlayNetwork(OverlayTransport):
 
     Parameters
     ----------
-    network, connection_bps, per_packet_overhead:
+    network, connection_bps:
         Same meaning as on the simulated backend; they feed the shared
-        virtual-time accounting.
-    pace:
-        Wall-clock seconds per *virtual* second of link delay: each batch's
-        delivery is delayed by ``pace`` times its virtual (serialisation +
-        propagation) span, so the per-link shaping of a
-        :class:`~repro.overlay.profiles.OverlayProfile` is mirrored in real
-        time.  The default 0.0 delivers as fast as the sockets allow.
-    stall_timeout:
-        Wall-clock watchdog: if the data plane stops making progress for this
-        long while work is outstanding, :meth:`drive` raises instead of
-        hanging.
+        virtual-time accounting.  Batches are delivered as fast as the
+        sockets allow; if the data plane makes no progress for
+        :data:`DEFAULT_STALL_TIMEOUT` wall-clock seconds while work is
+        outstanding, :meth:`drive` raises instead of hanging.
     bind_host:
         Interface the per-address servers bind and connections dial
         (default ``127.0.0.1``; any resolvable address works — all overlay
@@ -255,21 +247,14 @@ class AioOverlayNetwork(OverlayTransport):
         self,
         network: NetworkModel,
         connection_bps: float,
-        per_packet_overhead: float = DEFAULT_PER_PACKET_OVERHEAD,
-        pace: float = 0.0,
-        stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         bind_host: str = "127.0.0.1",
         transport: str = "plain",
     ) -> None:
-        super().__init__(network, connection_bps, per_packet_overhead)
-        if pace < 0:
-            raise SimulationError(f"pace must be >= 0, got {pace}")
+        super().__init__(network, connection_bps)
         if transport not in TRANSPORTS:
             raise SimulationError(
                 f"unknown transport {transport!r} (supported: {', '.join(TRANSPORTS)})"
             )
-        self.pace = pace
-        self.stall_timeout = stall_timeout
         self.bind_host = bind_host
         self.transport = transport
         self.keypair = StaticKeyPair.generate() if transport == "secure" else None
@@ -283,7 +268,6 @@ class AioOverlayNetwork(OverlayTransport):
         self._pending: dict[int, _PendingBatch] = {}
         self._outbox: list[tuple[str, str, int, list[bytes]]] = []
         self._inflight = 0
-        self._pacing = 0
         self._idle = asyncio.Event()
         self._failure: BaseException | None = None
         self._batch_ids = itertools.count(1)
@@ -378,7 +362,6 @@ class AioOverlayNetwork(OverlayTransport):
             frame_count=len(frames),
             deliver=deliver,
             arrivals=arrivals,
-            submitted_at=self.sim.now,
         )
         self._outbox.append((sender, receiver, batch_id, frames))
         self._inflight += 1
@@ -427,13 +410,11 @@ class AioOverlayNetwork(OverlayTransport):
                 return
             self._idle.clear()
             try:
-                await asyncio.wait_for(self._idle.wait(), timeout=self.stall_timeout)
+                await asyncio.wait_for(self._idle.wait(), timeout=DEFAULT_STALL_TIMEOUT)
             except asyncio.TimeoutError:
-                if self._pacing:
-                    continue  # deliveries are sleeping in pace shaping, not wedged
                 raise SimulationError(
                     f"aio backend stalled: {self._inflight} batch(es) in flight made "
-                    f"no progress for {self.stall_timeout}s"
+                    f"no progress for {DEFAULT_STALL_TIMEOUT}s"
                 ) from None
 
     def _flush_outbox(self) -> None:
@@ -551,7 +532,7 @@ class AioOverlayNetwork(OverlayTransport):
                             f"the {count} frames of batch {batch_id}"
                         )
                     frames.append(frame)
-                await self._deliver_batch(frames, batch)
+                self._deliver_batch(frames, batch)
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: B036 - must not strand _quiesce
@@ -560,17 +541,7 @@ class AioOverlayNetwork(OverlayTransport):
             self._handler_writers.discard(writer)
             writer.close()
 
-    async def _deliver_batch(self, frames: list[bytes], batch: _PendingBatch) -> None:
-        if self.pace:
-            delay = max(0.0, batch.arrivals[-1] - batch.submitted_at) * self.pace
-            if delay:
-                # A paced sleep is progress, not a stall — _quiesce's
-                # watchdog must keep waiting through it.
-                self._pacing += 1
-                try:
-                    await asyncio.sleep(delay)
-                finally:
-                    self._pacing -= 1
+    def _deliver_batch(self, frames: list[bytes], batch: _PendingBatch) -> None:
         try:
             # The virtual clock reaches the arrival instant whether or not
             # the receiver is still alive — exactly like the simulator,

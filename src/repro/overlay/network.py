@@ -104,19 +104,19 @@ def heterogeneous_network(
     latency_mean: float,
     latency_sigma: float,
     base_resources: NodeResources,
-    load_factors: np.ndarray | None = None,
 ) -> NetworkModel:
     """A wide-area style network with log-normal latencies and per-node load.
 
     ``latency_mean`` is the median one-way delay; ``latency_sigma`` the
-    log-normal shape parameter.  ``load_factors`` (one per address) scale the
-    CPU costs; when omitted they are drawn from a heavy-tailed distribution
-    that mimics contended PlanetLab nodes.
+    log-normal shape parameter.  Each node's CPU costs are scaled by a load
+    factor ``1 + 4·Pareto(2.5)`` drawn here, a heavy-tailed spread that
+    mimics contended PlanetLab nodes.  ``base_resources`` contributes its
+    cost anchors only: its own ``load_factor`` is discarded, so
+    :data:`~repro.overlay.profiles.PLANETLAB_PROFILE`'s 8.0 never reaches
+    the networks built here (figs. 12, 13, 15 and perfbench's
+    ``slicing-manyflows``).
     """
-    if load_factors is None:
-        load_factors = 1.0 + rng.pareto(2.5, size=len(addresses)) * 4.0
-    if len(load_factors) != len(addresses):
-        raise SimulationError("need one load factor per address")
+    load_factors = 1.0 + rng.pareto(2.5, size=len(addresses)) * 4.0
     resources = {
         address: NodeResources(
             coding_seconds_per_byte_per_d=base_resources.coding_seconds_per_byte_per_d,

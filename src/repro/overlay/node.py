@@ -69,14 +69,22 @@ DEFAULT_PER_PACKET_OVERHEAD = 3e-5
 #: hundreds of milliseconds in the paper's Fig. 14 despite a quiet LAN.
 DEFAULT_SETUP_PROCESSING_OVERHEAD = 0.008
 
-#: Default per-flow retention window (sequence numbers) for relay data state.
+#: Simulated seconds after which a flow's un-forwardable setup or data state
+#: is flushed (timeout-driven padding and regeneration, §4.4.1).
+DEFAULT_FLUSH_TIMEOUT = 2.0
+
+#: Per-flow retention window (sequence numbers) for relay data state: when
+#: data message ``seq`` is flushed, relay state for sequence numbers below
+#: ``seq + 1 - DEFAULT_SEQ_RETENTION`` (stored slices, forward and flush
+#: markers) is retired, bounding relay memory on long-running flows.
 DEFAULT_SEQ_RETENTION = 1024
 
-#: Default idle time (simulated seconds) after which relay flow-table entries
-#: are garbage collected.
+#: Idle time (simulated seconds) after which relay flow-table entries are
+#: garbage collected (:meth:`Relay.garbage_collect
+#: <repro.core.relay.Relay.garbage_collect>`).
 DEFAULT_FLOW_RETENTION_SECONDS = 900.0
 
-#: Default pipelining quantum of the data plane: bursts ship in chunks of
+#: Pipelining quantum of the data plane: bursts ship in chunks of
 #: this many packets per connection.  A chunk is one simulator event, so
 #: events collapse by up to this factor, while chunks of one hop still
 #: overlap the next hop's serialisation — keeping the stage-pipelining
@@ -138,19 +146,14 @@ class OverlayTransport:
 
     sim: EventSimulator
 
-    def __init__(
-        self,
-        network: NetworkModel,
-        connection_bps: float,
-        per_packet_overhead: float = DEFAULT_PER_PACKET_OVERHEAD,
-    ) -> None:
+    def __init__(self, network: NetworkModel, connection_bps: float) -> None:
         self.network = network
         self.connection_bps = connection_bps
-        self.per_packet_overhead = per_packet_overhead
+        self.per_packet_overhead = DEFAULT_PER_PACKET_OVERHEAD
         self.stats = TransmissionStats()
         self._link_free_at: dict[tuple[str, str], float] = {}
         self._cpu_free_at: dict[str, float] = {}
-        self._failed_at: dict[str, float] = {}
+        self._failed: set[str] = set()
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -202,17 +205,12 @@ class OverlayTransport:
 
     # -- failures ------------------------------------------------------------------
 
-    def fail_node(self, address: str, at_time: float | None = None) -> None:
-        """Kill ``address`` now or at an absolute simulated time."""
-        when = self.sim.now if at_time is None else at_time
-        previous = self._failed_at.get(address)
-        if previous is None or when < previous:
-            self._failed_at[address] = when
+    def fail_node(self, address: str) -> None:
+        """Kill ``address`` now; it stays dead (both clocks only move forward)."""
+        self._failed.add(address)
 
-    def is_alive(self, address: str, at_time: float | None = None) -> bool:
-        when = self.sim.now if at_time is None else at_time
-        failed_at = self._failed_at.get(address)
-        return failed_at is None or when < failed_at
+    def is_alive(self, address: str) -> bool:
+        return address not in self._failed
 
     # -- resource accounting ----------------------------------------------------------
 
@@ -292,13 +290,8 @@ class OverlayTransport:
 class SimulatedOverlayNetwork(OverlayTransport):
     """Discrete-event transport substrate: everything runs on a virtual clock."""
 
-    def __init__(
-        self,
-        network: NetworkModel,
-        connection_bps: float,
-        per_packet_overhead: float = DEFAULT_PER_PACKET_OVERHEAD,
-    ) -> None:
-        super().__init__(network, connection_bps, per_packet_overhead)
+    def __init__(self, network: NetworkModel, connection_bps: float) -> None:
+        super().__init__(network, connection_bps)
         self.sim = EventSimulator()
 
     # -- transmission -------------------------------------------------------------------
@@ -416,55 +409,24 @@ class FlowProgress:
 class SlicingRuntime:
     """Runs real :class:`~repro.core.relay.Relay` engines over the simulator.
 
-    Parameters
-    ----------
-    substrate:
-        The shared transport substrate.
-    rng:
-        Stored as ``self.rng`` and never read: every relay draws from its own
-        generator, seeded by ``sha256(address)`` (see :meth:`add_relay`).
-        The parameter stays because existing callers pass it.
-    flush_timeout:
-        Simulated seconds after which un-forwardable state is flushed
-        (timeout-driven padding/regeneration, §4.4.1).
-    setup_processing_overhead:
-        Per-setup-packet daemon cost (see
-        :data:`DEFAULT_SETUP_PROCESSING_OVERHEAD`).
-    seq_retention:
-        Per-flow retention window: when data message ``seq`` is flushed,
-        relay state for sequence numbers below ``seq + 1 - seq_retention``
-        (stored slices, forward and flush markers) is retired, bounding relay
-        memory on long-running flows.  ``None`` disables retirement.
-    flow_retention_seconds:
-        Relay flow-table entries idle longer than this are garbage collected
-        (the satellite of :meth:`Relay.garbage_collect
-        <repro.core.relay.Relay.garbage_collect>`).  ``None`` disables.
+    ``substrate`` is the shared transport substrate.  ``rng`` is stored as
+    ``self.rng`` and never read: every relay draws from its own generator,
+    seeded by ``sha256(address)`` (see :meth:`add_relay`); the parameter
+    stays because existing callers pass it.  The flush timeout, the setup
+    daemon cost, the data-plane chunk and both retention windows are the
+    module constants :data:`DEFAULT_FLUSH_TIMEOUT`,
+    :data:`DEFAULT_SETUP_PROCESSING_OVERHEAD`, :data:`DEFAULT_BATCH_CHUNK`,
+    :data:`DEFAULT_SEQ_RETENTION` and :data:`DEFAULT_FLOW_RETENTION_SECONDS`,
+    read when they are used.
     """
 
     def __init__(
-        self,
-        substrate: OverlayTransport,
-        rng: np.random.Generator | None = None,
-        flush_timeout: float = 2.0,
-        setup_processing_overhead: float = DEFAULT_SETUP_PROCESSING_OVERHEAD,
-        seq_retention: int | None = DEFAULT_SEQ_RETENTION,
-        flow_retention_seconds: float | None = DEFAULT_FLOW_RETENTION_SECONDS,
-        batch_chunk: int = DEFAULT_BATCH_CHUNK,
+        self, substrate: OverlayTransport, rng: np.random.Generator | None = None
     ) -> None:
-        if seq_retention is not None and seq_retention < 1:
-            raise SimulationError(f"seq_retention must be >= 1, got {seq_retention}")
-        if batch_chunk < 1:
-            raise SimulationError(f"batch_chunk must be >= 1, got {batch_chunk}")
         self.substrate = substrate
         self.rng = np.random.default_rng() if rng is None else rng
-        self.flush_timeout = flush_timeout
-        self.setup_processing_overhead = setup_processing_overhead
-        self.seq_retention = seq_retention
-        self.flow_retention_seconds = flow_retention_seconds
-        self.batch_chunk = batch_chunk
         self.relays: dict[str, Relay] = {}
         self.progress: dict[int, FlowProgress] = {}
-        self._flow_setups: dict[int, FlowSetup] = {}
         self._flows_by_id: dict[int, tuple[FlowSetup, FlowProgress]] = {}
 
     @property
@@ -486,9 +448,7 @@ class SlicingRuntime:
         for relay_address in flow.graph.relays:
             self.add_relay(relay_address)
         progress = FlowProgress(setup_injected_at=self.sim.now)
-        key = id(flow)
-        self.progress[key] = progress
-        self._flow_setups[key] = flow
+        self.progress[id(flow)] = progress
         for flow_id in flow.plan.flow_ids.values():
             self._flows_by_id[flow_id] = (flow, progress)
         for packet in flow.setup_packets:
@@ -499,7 +459,7 @@ class SlicingRuntime:
                 [0.0],
             )
         # Timeout-driven flush so churn cannot wedge the setup forever.
-        self.sim.schedule(self.flush_timeout, lambda: self._flush_setup(flow))
+        self.sim.schedule(DEFAULT_FLUSH_TIMEOUT, lambda: self._flush_setup(flow))
         return progress
 
     def send_messages(
@@ -534,7 +494,7 @@ class SlicingRuntime:
             self._transmit_packets(sender, receiver, packets, cpus)
         seqs = [packets[0].seq for packets in packet_batches]
         self.sim.schedule(
-            self.flush_timeout,
+            DEFAULT_FLUSH_TIMEOUT,
             lambda: self._flush_data_burst(flow, progress, seqs),
         )
 
@@ -549,12 +509,12 @@ class SlicingRuntime:
     ) -> None:
         """Ship a same-connection burst; deliveries coalesce per receiver.
 
-        Bursts larger than ``batch_chunk`` ship as consecutive chunks, each a
-        single delivery event, so one hop's chunks overlap the next hop's
-        serialisation (stage pipelining) instead of the whole burst marching
-        stage by stage.
+        Bursts larger than :data:`DEFAULT_BATCH_CHUNK` ship as consecutive
+        chunks, each a single delivery event, so one hop's chunks overlap the
+        next hop's serialisation (stage pipelining) instead of the whole burst
+        marching stage by stage.
         """
-        chunk = self.batch_chunk
+        chunk = DEFAULT_BATCH_CHUNK
         for start in range(0, len(packets), chunk):
             chunk_packets = packets[start : start + chunk]
             chunk_cpus = sender_cpus[start : start + chunk]
@@ -626,7 +586,7 @@ class SlicingRuntime:
             payload_bytes = sum(block.payload.shape[0] for block in slices)
         cost = resources.coding_time(payload_bytes, packet.d)
         if packet.kind == PacketKind.SETUP:
-            cost += self.setup_processing_overhead * resources.load_factor
+            cost += DEFAULT_SETUP_PROCESSING_OVERHEAD * resources.load_factor
         return cost + self.substrate.per_packet_overhead
 
     def _handle_batch(self, receiver: str, packets: list[Packet]) -> None:
@@ -716,18 +676,15 @@ class SlicingRuntime:
 
     def _retire(self, flow: FlowSetup, seq: int) -> None:
         """Apply the retention windows after data message ``seq`` was flushed."""
-        if self.seq_retention is not None:
-            horizon = seq + 1 - self.seq_retention
-            if horizon > 0:
-                for relay_address in flow.graph.relays:
-                    relay = self.relays.get(relay_address)
-                    if relay is None:
-                        continue
+        horizon = seq + 1 - DEFAULT_SEQ_RETENTION
+        if horizon > 0:
+            for relay_address in flow.graph.relays:
+                relay = self.relays.get(relay_address)
+                if relay is not None:
                     relay.retire_data(flow.plan.flow_ids[relay_address], horizon)
-        if self.flow_retention_seconds is not None:
-            before = self.sim.now - self.flow_retention_seconds
-            if before > 0:
-                for relay_address in flow.graph.relays:
-                    relay = self.relays.get(relay_address)
-                    if relay is not None:
-                        relay.garbage_collect(before)
+        before = self.sim.now - DEFAULT_FLOW_RETENTION_SECONDS
+        if before > 0:
+            for relay_address in flow.graph.relays:
+                relay = self.relays.get(relay_address)
+                if relay is not None:
+                    relay.garbage_collect(before)

@@ -61,7 +61,11 @@ LAN_PROFILE = OverlayProfile(
 )
 
 #: PlanetLab-like wide-area overlay: tens-of-milliseconds RTTs and contended
-#: CPUs (heavy-tailed load factors).
+#: CPUs (heavy-tailed load factors).  Its ``load_factor = 8.0`` is not what
+#: the PlanetLab figures use: :func:`~repro.overlay.network.heterogeneous_network`
+#: draws each node's factor as ``1 + 4·Pareto(2.5)`` and discards this one, so
+#: figs. 12, 13 and 15 never read it.  Only scenario cells on a ``planetlab``
+#: base do, through :class:`~repro.experiments.scenarios.ScenarioProfile`.
 PLANETLAB_PROFILE = OverlayProfile(
     name="planetlab",
     latency_seconds=0.04,

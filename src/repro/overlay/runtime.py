@@ -144,35 +144,29 @@ SUBSTRATE_BACKENDS = ("sim", "aio")
 
 
 def build_substrate(
-    backend: str, network: NetworkModel, connection_bps: float, **kwargs
+    backend: str, network: NetworkModel, connection_bps: float
 ) -> OverlayTransport:
     """Instantiate an overlay transport backend by name.
 
     ``"sim"`` is the discrete-event simulator; ``"aio"`` runs the same
     protocol runtimes over real asyncio TCP streams
-    (:class:`~repro.overlay.aio.AioOverlayNetwork` — loopback by default,
-    any interface via its ``bind_host`` knob).  Extra keyword arguments go
-    to the backend constructor (e.g. ``pace=`` for the aio backend's
-    wall-clock link shaping).
-
-    The aio backend also honours two environment knobs so experiment code
-    that never touches constructor kwargs — the registered figure runners —
-    can still be deployed off-loopback or over the authenticated transport:
-    ``REPRO_AIO_HOST`` (bind/dial address, default ``127.0.0.1``) and
-    ``REPRO_AIO_TRANSPORT`` (``plain`` | ``secure``), read and checked by
-    :func:`~repro.overlay.aio.environment_settings`.  Explicit kwargs win
-    over the environment.  Structural results are bit-identical across all
-    of these settings (``tests/test_aio_backend.py`` compares sim, plain aio
-    and secure aio selected either way; CI's ``aio-parity`` job ``cmp``s the
-    plain-aio figure artifacts).
+    (:class:`~repro.overlay.aio.AioOverlayNetwork`).  The aio backend takes
+    its two deployment settings from the environment, read and checked by
+    :func:`~repro.overlay.aio.environment_settings`: ``REPRO_AIO_HOST``
+    (bind/dial address, default ``127.0.0.1``) and ``REPRO_AIO_TRANSPORT``
+    (``plain`` | ``secure``).  Structural results are bit-identical across
+    all of these settings (``tests/test_aio_backend.py`` compares sim, plain
+    aio and secure aio; CI's ``aio-parity`` job ``cmp``s the plain-aio
+    figure artifacts).
     """
     if backend == "sim":
-        return SimulatedOverlayNetwork(network, connection_bps=connection_bps, **kwargs)
+        return SimulatedOverlayNetwork(network, connection_bps=connection_bps)
     if backend == "aio":
         from .aio import AioOverlayNetwork, environment_settings
 
-        kwargs = {**environment_settings(), **kwargs}
-        return AioOverlayNetwork(network, connection_bps=connection_bps, **kwargs)
+        return AioOverlayNetwork(
+            network, connection_bps=connection_bps, **environment_settings()
+        )
     known = ", ".join(SUBSTRATE_BACKENDS)
     raise KeyError(f"unknown overlay backend {backend!r} (known: {known})")
 

@@ -42,9 +42,8 @@ def as_diverse_selection(
     count: int,
     database: ASDatabase,
     rng: np.random.Generator,
-    max_per_as: int = 1,
 ) -> SelectionReport:
-    """Pick relays spread across ASes, at most ``max_per_as`` per AS.
+    """Pick relays spread across ASes, at most one per AS.
 
     Falls back to relaxing the per-AS cap (doubling it) when the candidate
     pool does not span enough ASes, rather than failing — a sender would do
@@ -55,7 +54,7 @@ def as_diverse_selection(
             f"cannot pick {count} relays from {len(candidates)} candidates"
         )
     shuffled = [str(a) for a in rng.permutation(candidates)]
-    cap = max(1, max_per_as)
+    cap = 1
     while True:
         chosen: list[str] = []
         used: dict[int, int] = {}

@@ -22,7 +22,7 @@ from repro.core.packet import Packet, PacketKind
 from repro.core.relay import FlowState, Relay
 from repro.core.source import FlowSetup, Source, data_nonce
 from repro.crypto.symmetric import StreamCipher
-from repro.overlay.node import SlicingRuntime
+from repro.overlay.node import DEFAULT_FLUSH_TIMEOUT, SlicingRuntime
 
 
 def reference_flush_data(relay: Relay, flow_id: int, seqs: list[int]) -> list[Packet]:
@@ -141,7 +141,7 @@ class ScalarSlicingRuntime(SlicingRuntime):
                 self._send_packet(packet, cpu)
             seq = packets[0].seq
             self.sim.schedule(
-                self.flush_timeout,
+                DEFAULT_FLUSH_TIMEOUT,
                 lambda seq=seq: self._flush_data_burst(flow, progress, [seq]),
             )
 

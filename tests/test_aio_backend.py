@@ -318,24 +318,26 @@ def test_aio_rejects_a_malformed_hello_frame(substrate, hello):
         _receive(substrate, encode_frame(hello))
 
 
-def test_aio_pace_shapes_wall_clock_delivery():
-    """With pace > 0, delivery waits ~pace x the virtual link span."""
-    import time
+def test_aio_stall_watchdog_names_the_wedged_batch(monkeypatch):
+    """A batch that never reaches its socket trips the watchdog, not a hang."""
+    import repro.overlay.aio as aio
 
-    from repro.overlay.network import NodeResources, uniform_network
+    monkeypatch.setattr(aio, "DEFAULT_STALL_TIMEOUT", 0.2)
+    substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
 
-    # 50 ms of virtual one-way latency at pace=1.0 must show up as >= ~50 ms
-    # of wall time — well clear of localhost socket-setup noise.
-    network = uniform_network(["a", "b"], 0.05, NodeResources())
-    slow = AioOverlayNetwork(network, connection_bps=30e6, pace=1.0)
+    async def never_sends(sender, receiver, batch_id, frames):
+        return None
+
+    substrate._send_batch = never_sends
     try:
-        delivered = []
-        slow.transmit_blob("a", "b", bytes(1500), delivered.append)
-        start = time.perf_counter()
-        virtual = slow.sim.run()
-        slow_wall = time.perf_counter() - start
-        assert delivered
-        assert virtual >= 0.05
-        assert slow_wall >= 0.04
+        substrate.transmit_blob("a", "b", b"wedged", lambda blob: None)
+        with pytest.raises(
+            SimulationError,
+            match=r"aio backend stalled: 1 batch\(es\) in flight made no progress for 0.2s",
+        ):
+            substrate.sim.run()
     finally:
-        slow.close()
+        substrate.close()
+    assert substrate._loop is None
+    with pytest.raises(SimulationError, match="closed"):
+        substrate.transmit_blob("a", "b", b"late", lambda blob: None)

@@ -19,7 +19,11 @@ from repro.core.node_info import KEY_SIZE, DataMap, NodeInfo, SliceMap
 from repro.core.packet import random_padding_slice
 from repro.core.relay import FlowState, Relay
 from repro.core.source import Source
-from repro.overlay.node import DEFAULT_BATCH_CHUNK, SimulatedOverlayNetwork, SlicingRuntime
+from repro.overlay.node import (
+    DEFAULT_FLOW_RETENTION_SECONDS,
+    SimulatedOverlayNetwork,
+    SlicingRuntime,
+)
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.simulator import EventSimulator
 
@@ -213,8 +217,6 @@ def run_plane(
     messages=(b"hello world",),
     seed=5,
     fail_stage=None,
-    seq_retention=None,
-    batch_chunk=DEFAULT_BATCH_CHUNK,
 ):
     d_prime = d if d_prime is None else d_prime
     rng = np.random.default_rng(seed)
@@ -222,12 +224,7 @@ def run_plane(
     relays = [f"r{i}" for i in range(path_length * d_prime * 2 + 8)]
     network = LAN_PROFILE.build_network(sources + relays + ["dst"], rng)
     substrate = SimulatedOverlayNetwork(network, connection_bps=30e6)
-    runtime = PLANES[data_plane](
-        substrate,
-        rng=np.random.default_rng(seed + 1),
-        seq_retention=seq_retention,
-        batch_chunk=batch_chunk,
-    )
+    runtime = PLANES[data_plane](substrate, rng=np.random.default_rng(seed + 1))
     source = Source(
         sources[0],
         sources[1:],
@@ -269,15 +266,11 @@ def run_plane(
     message_len=st.integers(min_value=1, max_value=160),
     fail_stage=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
     seed=st.integers(min_value=0, max_value=50),
-    batch_chunk=st.sampled_from([1, DEFAULT_BATCH_CHUNK]),
 )
 # The retired dataplane-bench workload: d = d' = 4, L = 5, 64 x 256 B.
-@example(
-    dims=(4, 4, 5), num_messages=64, message_len=256, fail_stage=None, seed=42,
-    batch_chunk=64,
-)
+@example(dims=(4, 4, 5), num_messages=64, message_len=256, fail_stage=None, seed=42)
 def test_batched_plane_bit_identical_to_scalar_reference(
-    dims, num_messages, message_len, fail_stage, seed, batch_chunk
+    dims, num_messages, message_len, fail_stage, seed
 ):
     """The acceptance property: across d, d', path length and loss patterns,
     the batched data plane delivers byte-identical messages and identical
@@ -292,7 +285,6 @@ def test_batched_plane_bit_identical_to_scalar_reference(
         messages=messages,
         seed=seed,
         fail_stage=fail_stage,
-        batch_chunk=batch_chunk,
     )
     scalar_delivered, scalar_stats, scalar_progress, scalar, _ = run_plane("scalar", **kwargs)
     batched_delivered, batched_stats, batched_progress, batched, _ = run_plane(
@@ -320,16 +312,14 @@ def test_batched_plane_survives_failure_with_redundancy():
 
 
 @pytest.mark.parametrize("data_plane", ["scalar", "batched"])
-def test_seq_retention_bounds_relay_state(data_plane):
+def test_seq_retention_bounds_relay_state(data_plane, monkeypatch):
+    # The runtime reads the window when it retires, so a small one stands in
+    # for DEFAULT_SEQ_RETENTION without driving a thousand messages.
     window = 8
+    monkeypatch.setattr("repro.overlay.node.DEFAULT_SEQ_RETENTION", window)
     messages = [b"retained-message-payload"] * 40
     delivered, _, _, runtime, flow = run_plane(
-        data_plane,
-        d=2,
-        path_length=3,
-        messages=messages,
-        seed=11,
-        seq_retention=window,
+        data_plane, d=2, path_length=3, messages=messages, seed=11
     )
     assert len(delivered) == 40  # retention never cost a delivery
     horizon = 40 - window
@@ -347,9 +337,7 @@ def test_flow_retention_garbage_collects_idle_flows():
     relays = [f"r{i}" for i in range(14)]
     network = LAN_PROFILE.build_network(sources + relays + ["dst1", "dst2"], rng)
     substrate = SimulatedOverlayNetwork(network, connection_bps=30e6)
-    runtime = SlicingRuntime(
-        substrate, rng=np.random.default_rng(22), flow_retention_seconds=10.0
-    )
+    runtime = SlicingRuntime(substrate, rng=np.random.default_rng(22))
     source1 = Source("s0", ["s1"], d=2, path_length=3, rng=np.random.default_rng(23))
     flow1 = source1.establish_flow(relays, "dst1")
     runtime.start_flow(source1, flow1)
@@ -358,7 +346,7 @@ def test_flow_retention_garbage_collects_idle_flows():
     substrate.sim.run()
     assert runtime.relays["dst1"].delivered_messages(flow1.plan.flow_ids["dst1"])
     # Much later, a second flow's flush sweeps the first flow's idle state.
-    substrate.sim.schedule(30.0, lambda: None)
+    substrate.sim.schedule(DEFAULT_FLOW_RETENTION_SECONDS + 30.0, lambda: None)
     substrate.sim.run()
     source2 = Source("t0", ["t1"], d=2, path_length=3, rng=np.random.default_rng(24))
     flow2 = source2.establish_flow(relays, "dst2")
@@ -370,14 +358,6 @@ def test_flow_retention_garbage_collects_idle_flows():
     assert shared, "expected the two flows to share relays with this seed"
     for relay_address in shared:
         assert flow1.plan.flow_ids[relay_address] not in runtime.relays[relay_address].flows
-
-
-def test_runtime_validates_parameters():
-    substrate = build_substrate(["a"])
-    with pytest.raises(SimulationError):
-        SlicingRuntime(substrate, seq_retention=0)
-    with pytest.raises(SimulationError):
-        SlicingRuntime(substrate, batch_chunk=0)
 
 
 # -- regeneration (§4.4.1): the batched flush against the per-seq reference ----------

@@ -161,9 +161,8 @@ def test_transmit_delivers_and_respects_failures():
 
 def test_connection_serialisation_queues_packets():
     network = uniform_network(["a", "b"], 0.0, NodeResources())
-    substrate = SimulatedOverlayNetwork(
-        network, connection_bps=8000.0, per_packet_overhead=0.0
-    )
+    substrate = SimulatedOverlayNetwork(network, connection_bps=8000.0)
+    substrate.per_packet_overhead = 0.0
     times = []
     for _ in range(3):
         substrate.transmit_blob(

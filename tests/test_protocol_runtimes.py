@@ -229,7 +229,7 @@ def dataplane_burst(runtime_cls, seed, num_messages, message_bytes):
     relays = [f"relay-{i}" for i in range(path_length * d * 2)]
     network = LAN_PROFILE.build_network(source_stage + relays + ["destination"], rng)
     substrate = SimulatedOverlayNetwork(network, connection_bps=connection_bps_for(LAN_PROFILE))
-    runtime = runtime_cls(substrate, rng=np.random.default_rng(seed + 1), batch_chunk=64)
+    runtime = runtime_cls(substrate, rng=np.random.default_rng(seed + 1))
     source = Source(
         source_stage[0], source_stage[1:], d=d, d_prime=d, path_length=path_length, rng=rng
     )

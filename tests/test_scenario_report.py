@@ -17,7 +17,7 @@ from repro.experiments.report import (
     render_markdown,
     write_report,
 )
-from repro.experiments.scenarios import MATRIX_ENV_VAR, expand_matrix, parse_matrix
+from repro.experiments.scenarios import expand_matrix, parse_matrix
 
 MATRIX_SPEC = {
     "name": "rep",
@@ -168,11 +168,10 @@ def test_baseline_with_unknown_cells_ignored(full_results):
     ],
 )
 def test_malformed_baseline_is_a_one_line_error(
-    full_results, tmp_path, capsys, monkeypatch, text, reason
+    full_results, tmp_path, capsys, text, reason
 ):
     # The baseline comes from outside the program: one `error:` line and exit
     # 2, like a bad matrix spec — never a traceback from deep in the deltas.
-    monkeypatch.delenv(MATRIX_ENV_VAR, raising=False)
     spec = tmp_path / "rep.json"
     spec.write_text(json.dumps(MATRIX_SPEC), encoding="utf-8")
     baseline = tmp_path / "baseline.json"

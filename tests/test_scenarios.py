@@ -9,7 +9,6 @@ and byte-compares the artifacts.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -21,13 +20,11 @@ from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.registry import REGISTRY
 from repro.experiments.scenarios import (
     AXIS_DEFAULTS,
-    MATRIX_ENV_VAR,
     ScenarioSpecError,
     build_scenario_profile,
     cell_name,
     cell_seed,
     expand_matrix,
-    load_env_matrices,
     load_matrix,
     parse_matrix,
     register_matrix,
@@ -72,6 +69,10 @@ def test_minimal_spec_fills_defaults():
         # two axes would change no number.
         ({"name": "m", "axes": {"bandwidth_mbps": [10.0]}}, "unknown axis"),
         ({"name": "m", "axes": {"asymmetry": [4.0]}}, "unknown axis"),
+        # Python's json reads Infinity; a cell would die mid-run scheduling
+        # an event at time inf.
+        ({"name": "m", "axes": {"jitter": [float("inf")]}}, "finite"),
+        ({"name": "m", "axes": {"cpu_heterogeneity": [float("inf")]}}, "finite"),
     ],
 )
 def test_bad_specs_raise_one_line_errors(spec, fragment):
@@ -176,26 +177,6 @@ def test_register_matrix_idempotent_but_conflicting_spec_rejected():
         _unregister("scn-regtest-")
 
 
-def test_register_matrix_file_exports_env(tmp_path, monkeypatch):
-    monkeypatch.delenv(MATRIX_ENV_VAR, raising=False)
-    spec_path = tmp_path / "envtest.json"
-    spec_path.write_text(
-        json.dumps({"name": "envtest", "axes": {"loss": [0.0]}}), encoding="utf-8"
-    )
-    try:
-        register_matrix_file(spec_path)
-        entries = os.environ[MATRIX_ENV_VAR].split(os.pathsep)
-        assert str(spec_path.resolve()) in entries
-        # A fresh registry load (what pool/dist workers do) re-registers the
-        # same cells from the environment alone.
-        _unregister("scn-envtest-")
-        assert not any(k.startswith("scn-envtest-") for k in REGISTRY)
-        load_env_matrices()
-        assert any(k.startswith("scn-envtest-") for k in REGISTRY)
-    finally:
-        _unregister("scn-envtest-")
-
-
 # -- CLI contract ------------------------------------------------------------------
 
 
@@ -206,6 +187,25 @@ def test_cli_bad_spec_is_one_line_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_non_finite_axis_is_one_line_exit_2(tmp_path, capsys):
+    spec_path = tmp_path / "inf.json"
+    spec_path.write_text(
+        '{"name": "inf", "axes": {"jitter": [Infinity]}, "schemes": ["slicing"],'
+        ' "base": {"messages": 8, "num_nodes": 60}}',
+        encoding="utf-8",
+    )
+    try:
+        code = experiments_main(
+            ["run", "--matrix", str(spec_path), "--out", str(tmp_path / "out")]
+        )
+    finally:
+        _unregister("scn-inf-")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "finite" in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -225,8 +225,7 @@ TINY_SPEC = {
 }
 
 
-def test_cell_runs_byte_identical_across_worker_counts(tmp_path, monkeypatch):
-    monkeypatch.delenv(MATRIX_ENV_VAR, raising=False)
+def test_cell_runs_byte_identical_across_worker_counts(tmp_path):
     spec_path = tmp_path / "tiny.json"
     spec_path.write_text(json.dumps(TINY_SPEC), encoding="utf-8")
     try:
@@ -245,6 +244,25 @@ def test_cell_runs_byte_identical_across_worker_counts(tmp_path, monkeypatch):
             assert 0.0 <= row["success_probability"] <= 1.0
     finally:
         _unregister("scn-tiny-")
+
+
+def test_registered_cell_runs_on_a_spawn_pool(tmp_path, monkeypatch):
+    # Registered through the public API alone: no spec file, no environment
+    # variable.  Spawned workers inherit no registry, so the trial function
+    # itself must travel in the payload.
+    import multiprocessing
+
+    spawn = multiprocessing.get_context("spawn")
+    (cell,) = register_matrix(parse_matrix({**TINY_SPEC, "name": "spawnprobe"}))
+    try:
+        from repro.experiments import run_experiment
+
+        one = run_experiment(cell.name, out_dir=tmp_path / "w1", workers=1)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *args: spawn)
+        two = run_experiment(cell.name, out_dir=tmp_path / "w2", workers=2)
+        assert one.artifact.read_bytes() == two.artifact.read_bytes()
+    finally:
+        _unregister("scn-spawnprobe-")
 
 
 def test_scenario_profile_axes_change_the_network():
