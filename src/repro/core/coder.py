@@ -244,13 +244,30 @@ class SliceCoder:
         Semantically identical to calling :meth:`encode` once per message —
         each message still gets its own independent coding matrix — but the
         padding, matrix sampling and GF(2^8) multiply all run as single
-        batched numpy kernels, which is what the throughput experiments
-        (Figs. 11–13) lean on.  ``matrices`` may supply a pre-sampled
-        ``(batch, d', d)`` stack (or one shared ``(d', d)`` matrix).
+        batched numpy kernels (:meth:`encode_stacks`).  ``matrices`` may supply
+        a pre-sampled ``(batch, d', d)`` stack (or one shared ``(d', d)`` matrix).
         """
+        matrices, coded = self.encode_stacks(messages, rng, matrices)
+        return [
+            [
+                CodedBlock(coefficients=matrices[b, i], payload=coded[b, i], index=i)
+                for i in range(self.d_prime)
+            ]
+            for b in range(coded.shape[0])
+        ]
+
+    def encode_stacks(
+        self,
+        messages: list[bytes],
+        rng: np.random.Generator,
+        matrices: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`encode_batch` as stacks: block ``i`` of message ``b`` is
+        ``(matrices[b, i], coded[b, i])``, the form the data plane ships."""
         messages = [bytes(message) for message in messages]
         if not messages:
-            return []
+            empty = np.empty((0, self.d_prime, self.d), dtype=np.uint8)
+            return empty, np.empty((0, self.d_prime, 0), dtype=np.uint8)
         length = len(messages[0])
         if any(len(message) != length for message in messages):
             raise CodingError("encode_batch requires equal-length messages")
@@ -266,14 +283,7 @@ class SliceCoder:
                 f"(batch={batch}, d'={self.d_prime}, d={self.d})"
             )
         pieces = _pad_messages(messages, self.d)
-        coded = self.field.matmul(matrices, pieces)
-        return [
-            [
-                CodedBlock(coefficients=matrices[b, i], payload=coded[b, i], index=i)
-                for i in range(self.d_prime)
-            ]
-            for b in range(batch)
-        ]
+        return matrices, self.field.matmul(matrices, pieces)
 
     # -- decoding ----------------------------------------------------------------
 

@@ -34,6 +34,7 @@ from .coder import CodedBlock, SliceCoder, _unpad_message
 from .errors import CodingError, InsufficientSlicesError
 from .gf import GF, GF256
 from .integrity import robust_decode, unwrap, verify
+from .packet import PacketBatch
 
 def decode_setup_payload(
     coder: SliceCoder,
@@ -122,23 +123,6 @@ class _Plane:
     def lanes_for(self, seq: int) -> list[int]:
         row = self.rows.get(seq)
         return [] if row is None else list(self.lane_lists[row])
-
-    def add(self, seq: int, lane: int, block: CodedBlock) -> bool:
-        row = self.rows.get(seq)
-        if row is None:
-            row = self._allocate_row(seq)
-        lane_set = self.lane_sets[row]
-        if lane in lane_set:
-            return False
-        lanes = self.lane_lists[row]
-        count = len(lanes)
-        if count == self.coeffs.shape[1]:
-            self._grow_slots()
-        self.coeffs[row, count] = block.coefficients
-        self.payloads[row, count] = block.payload
-        lanes.append(lane)
-        lane_set.add(lane)
-        return True
 
     def blocks(self, seq: int) -> list[CodedBlock]:
         row = self.rows.get(seq)
@@ -258,126 +242,90 @@ class FlowDecoder:
 
     def add(self, seq: int, lane: int, block: CodedBlock) -> bool:
         """Store one slice; returns False for a duplicate (seq, lane)."""
-        if block.coefficients.shape[0] != self.d:
-            raise CodingError(
-                f"slice coded with split factor {block.coefficients.shape[0]}, "
-                f"flow decoder expects {self.d}"
-            )
-        block_len = block.payload.shape[0]
-        owner = self._seq_plane.get(seq)
-        if owner is None:
-            self._seq_plane[seq] = owner = block_len
-            if owner not in self._planes:
-                self._planes[owner] = _Plane(self.d, owner)
-        extras = self._extras.get(seq)
-        if extras is not None and any(extra.index == lane for extra in extras):
-            return False
-        if block_len != owner:
-            # Length clash within one sequence: a non-conforming sender.  Park
-            # the slice; decoding this seq goes through the scalar fallback.
-            if lane in self._planes[owner].lanes_for(seq):
-                return False
-            self._extras.setdefault(seq, []).append(
-                CodedBlock(block.coefficients, block.payload, index=lane)
-            )
-            return True
-        return self._planes[owner].add(seq, lane, block)
+        row = PacketBatch(0, block.d, lane, [seq], block.coefficients[None], block.payload[None])
+        return bool(self.add_run(lane, row))
 
-    def add_run(
-        self, lane: int, items: list[tuple[int, CodedBlock]]
-    ) -> list[tuple[int, CodedBlock]]:
-        """Store a same-lane run of slices; returns the accepted (seq, block) pairs.
+    def add_run(self, lane: int, items: PacketBatch) -> list[int]:
+        """Store a same-lane batch of slices; returns the rows accepted, ascending.
 
         This is the shape a relay receives on the steady-state data path —
         one parent connection delivering a burst of consecutive sequence
-        numbers on one lane — so the per-slice bookkeeping is inlined here
-        (no per-call re-resolution of the plane) and anything irregular drops
-        to :meth:`add`.
+        numbers on one lane.  The bookkeeping (row, slot, duplicate lane)
+        runs per seq; the slices are copied into the plane in one
+        fancy-index pair, so nothing here keeps a view of the batch.
         """
-        accepted: list[tuple[int, CodedBlock]] = []
-        seq_plane = self._seq_plane
-        planes = self._planes
-        extras = self._extras
-        plane: _Plane | None = None
-        plane_len = -1
-        d = self.d
-        # Slot targets of the run's regular slices, written in two fancy-index
-        # passes at the end instead of one pair of row writes per packet.
-        write_rows: list[int] = []
-        write_slots: list[int] = []
-        write_blocks: list[CodedBlock] = []
-
-        def flush_writes() -> None:
-            if not write_rows:
-                return
-            plane.coeffs[write_rows, write_slots] = np.stack(
-                [block.coefficients for block in write_blocks]
+        width = items.coefficients.shape[1]
+        if width != self.d:
+            raise CodingError(
+                f"slice coded with split factor {width}, flow decoder expects {self.d}"
             )
-            plane.payloads[write_rows, write_slots] = np.stack(
-                [block.payload for block in write_blocks]
-            )
-            write_rows.clear()
-            write_slots.clear()
-            write_blocks.clear()
-
-        for seq, block in items:
-            if block.coefficients.shape[0] != d:
-                flush_writes()
-                raise CodingError(
-                    f"slice coded with split factor {block.coefficients.shape[0]}, "
-                    f"flow decoder expects {d}"
-                )
-            payload = block.payload
-            block_len = payload.shape[0]
+        block_len = items.payloads.shape[1]
+        seq_plane, extras = self._seq_plane, self._extras
+        plane = self._planes.get(block_len)
+        accepted: list[int] = []
+        # The regular rows: batch row, plane row and slot.
+        sources: list[int] = []
+        rows: list[int] = []
+        slots: list[int] = []
+        for position, seq in enumerate(items.seqs):
             owner = seq_plane.get(seq)
             if owner is None:
                 seq_plane[seq] = owner = block_len
-                if owner not in planes:
-                    planes[owner] = _Plane(d, owner)
-            if owner != block_len or (extras and seq in extras):
-                flush_writes()
-                if self.add(seq, lane, block):
-                    accepted.append((seq, block))
+                if plane is None:
+                    plane = self._planes[block_len] = _Plane(self.d, block_len)
+            if extras and any(extra.index == lane for extra in extras.get(seq, ())):
                 continue
-            if owner != plane_len:
-                flush_writes()
-                plane = planes[owner]
-                plane_len = owner
+            if owner != block_len:
+                # Length clash within one sequence: a non-conforming sender.
+                # Park the slice; decoding this seq goes through the scalar
+                # fallback.
+                if lane not in self._planes[owner].lanes_for(seq):
+                    extras.setdefault(seq, []).append(CodedBlock(
+                        items.coefficients[position], items.payloads[position], index=lane
+                    ))
+                    accepted.append(position)
+                continue
             row = plane.rows.get(seq)
             if row is None:
-                grown_before = plane.coeffs.shape[0]
                 row = plane._allocate_row(seq)
-                if plane.coeffs.shape[0] != grown_before:
-                    flush_writes()
             lane_set = plane.lane_sets[row]
             if lane in lane_set:
                 continue
             lanes = plane.lane_lists[row]
-            count = len(lanes)
-            if count == plane.coeffs.shape[1]:
-                flush_writes()
+            if len(lanes) == plane.coeffs.shape[1]:
                 plane._grow_slots()
+            sources.append(position)
+            rows.append(row)
+            slots.append(len(lanes))
             lanes.append(lane)
             lane_set.add(lane)
-            write_rows.append(row)
-            write_slots.append(count)
-            write_blocks.append(block)
-            accepted.append((seq, block))
-        flush_writes()
+            accepted.append(position)
+        if rows:
+            # Growth keeps every (row, slot) in place, so the writes can wait.
+            coefficients, payloads = items.coefficients, items.payloads
+            if len(sources) < len(items.seqs):
+                coefficients, payloads = coefficients[sources], payloads[sources]
+            plane.coeffs[rows, slots] = coefficients
+            plane.payloads[rows, slots] = payloads
         return accepted
 
-    def recombine_many(self, items: list[tuple[int, np.ndarray]]) -> list[CodedBlock]:
+    def recombine_many(
+        self, items: list[tuple[int, np.ndarray]]
+    ) -> list[tuple[list[int], np.ndarray]]:
         """One linear combination per ``(seq, weights)`` item, one product per plane.
 
         ``weights`` scales the first ``len(weights)`` slices of ``seq``'s
         plane; zero-padding to the widest item keeps stale slots of reused
-        rows out of the sum.  Bit-identical to ``SliceCoder.recombine`` over
-        those blocks with those weights.
+        rows out of the sum.  Returns, per plane in first-seen order, the
+        positions of its items and their ``(len(positions), d + block_len)``
+        combinations, coefficients first: row ``i`` is bit-identical to
+        ``SliceCoder.recombine`` over item ``positions[i]``'s blocks with its
+        weights.
         """
         per_plane: dict[int, list[int]] = {}
         for position, (seq, _) in enumerate(items):
             per_plane.setdefault(self._seq_plane[seq], []).append(position)
-        combined: dict[int, CodedBlock] = {}
+        combined: list[tuple[list[int], np.ndarray]] = []
         for block_len, positions in per_plane.items():
             plane = self._planes[block_len]
             chosen = [items[position] for position in positions]
@@ -386,10 +334,8 @@ class FlowDecoder:
                 padded[row, 0, : len(weights)] = weights
             rows, width = [plane.rows[seq] for seq, _ in chosen], padded.shape[2]
             stack = np.concatenate((plane.coeffs[rows, :width], plane.payloads[rows, :width]), 2)
-            products = self.field.batched_matmul(padded, stack)[:, 0]
-            for row, position in enumerate(positions):
-                combined[position] = CodedBlock(products[row, : self.d], products[row, self.d :])
-        return [combined[position] for position in range(len(items))]
+            combined.append((positions, self.field.batched_matmul(padded, stack)[:, 0]))
+        return combined
 
     def blocks(self, seq: int) -> list[CodedBlock]:
         """Reconstruct the stored slices of ``seq`` as blocks, in arrival order."""

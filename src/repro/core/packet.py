@@ -17,21 +17,25 @@ one packet, parsed slice by slice.  :func:`pack_packets` /
 :func:`unpack_packets` are the batch codec the socket backend ships with.  A
 packet is self-delimiting (its header declares ``slice_count × slice_bytes``),
 so a batch is just the packets back to back — ``pack_packets(ps)`` is by
-definition ``b"".join(p.to_bytes() for p in ps)`` — and because a flow's
-packets all have one size, a batch on one connection is an ``(n,
-packet_size)`` byte matrix: the parser views the headers as one structured
-array, checks every row's shape fields against the first at once and hands
-out slices as views into the one buffer.  Rows that change shape mid-buffer
-(setup and data packets in one batch) start a new run; nothing is ever cut
-on a shape that row's own header did not declare.  Both parsers validate
-headers through the same :func:`_check_header`.
+definition ``b"".join(p.to_bytes() for p in ps)``.  A data packet carries
+one slice and a flow's packets have one size, so the data plane holds the
+packets one parent sends one child as one :class:`PacketBatch` of columns,
+serialised as one ``(n, packet_size)`` fill; setup packets stay
+:class:`Packet`.  The parser views the headers of a run of equal-shaped
+packets as one structured array, checks every row's shape fields against the
+first at once, and hands out one batch per (flow id, lane) run of data rows,
+its columns read-only views into the buffer.  Rows that change shape
+mid-buffer start a new run; nothing is ever cut on a shape that row's own
+header did not declare.  Both parsers validate headers through the same
+:func:`_check_header`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -118,7 +122,6 @@ class Packet:
     seq: int = 0
     source_address: str = ""
     destination_address: str = ""
-    _size: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def slice_count(self) -> int:
@@ -139,44 +142,20 @@ class Packet:
         """Serialized size, used by the simulator's bandwidth model.
 
         Computed arithmetically (header plus ``slice_count`` equal-sized
-        slices, enforcing the constant packet format like :meth:`to_bytes`)
-        and cached on first call, so the hot simulation path never
-        serialises just to measure; always equals ``len(self.to_bytes())``.
-        Mutating ``slices`` after the first call is not supported.
+        slices, enforcing the constant packet format like :meth:`to_bytes`),
+        so sizing never serialises; always equals ``len(self.to_bytes())``.
         """
-        if self._size is None:
-            if not self.slices:
-                raise PacketFormatError("cannot size a packet with no slices")
-            first = self.slices[0].size_bytes()
-            for block in self.slices[1:]:
-                if block.size_bytes() != first:
-                    raise PacketFormatError("all slices in a packet must be equal-sized")
-            self._size = _HEADER.size + len(self.slices) * first
-        return self._size
+        if not self.slices:
+            raise PacketFormatError("cannot size a packet with no slices")
+        first = self.slices[0].size_bytes()
+        if any(block.size_bytes() != first for block in self.slices):
+            raise PacketFormatError("all slices in a packet must be equal-sized")
+        return _HEADER.size + len(self.slices) * first
 
     # -- serialization -----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        if not self.slices:
-            raise PacketFormatError("cannot serialize a packet with no slices")
-        slice_bytes = self.slices[0].size_bytes()
-        for block in self.slices:
-            if block.size_bytes() != slice_bytes:
-                raise PacketFormatError("all slices in a packet must be equal-sized")
-            if block.d != self.d:
-                raise PacketFormatError(
-                    f"slice coded with d={block.d} in a packet declaring d={self.d}"
-                )
-        header = _HEADER.pack(
-            self.flow_id & 0xFFFFFFFFFFFFFFFF,
-            int(self.kind),
-            len(self.slices),
-            slice_bytes,
-            self.d,
-            self.lane & 0xFF,
-            self.seq & 0xFFFFFFFF,
-        )
-        return header + b"".join(block.to_bytes() for block in self.slices)
+        return b"".join(_packet_parts(self))
 
     @classmethod
     def from_bytes(
@@ -212,47 +191,157 @@ class Packet:
         )
 
 
-def pack_packets(packets: list[Packet]) -> bytes:
+@dataclass(frozen=True, slots=True)
+class PacketBatch:
+    """One flow's data packets on one connection, as columns.
+
+    Row ``i`` is the data packet of ``seqs[i]`` whose one slice is
+    ``coefficients[i]`` then ``payloads[i]``; ``len`` and :meth:`size_bytes`
+    come from the shape.  The columns may be views of a source's coding
+    stacks, of another batch or of a received frame, shared by every batch
+    cut from them, so nothing writes into them.
+    """
+
+    flow_id: int
+    d: int
+    lane: int
+    seqs: list[int]
+    coefficients: np.ndarray
+    payloads: np.ndarray
+    source_address: str = ""
+    destination_address: str = ""
+
+    kind: ClassVar[PacketKind] = PacketKind.DATA
+
+    @classmethod
+    def of(cls, packet: Packet) -> "PacketBatch":
+        """A one-row batch of a scalar data packet's own slice."""
+        block = packet.own_slice
+        return cls(packet.flow_id, block.d, packet.lane, [packet.seq], block.coefficients[None],
+                   block.payload[None], packet.source_address, packet.destination_address)
+
+    def __len__(self) -> int:
+        return len(self.seqs)
+
+    def __getitem__(self, rows: slice) -> "PacketBatch":
+        """Consecutive rows, sharing this batch's columns."""
+        return replace(self, seqs=self.seqs[rows], coefficients=self.coefficients[rows],
+                       payloads=self.payloads[rows])
+
+    @property
+    def packet_size(self) -> int:
+        """Wire size of one row: header plus one slice."""
+        return _HEADER.size + self.d + self.payloads.shape[1]
+
+    def size_bytes(self) -> int:
+        """Wire size of the whole batch, ``len(self.to_bytes())``."""
+        return len(self.seqs) * self.packet_size
+
+    def forward(self, rows: list[int], **addressing) -> "PacketBatch":
+        """Rows ``rows`` (ascending), re-addressed; shares the columns when all go on."""
+        if len(rows) < len(self.seqs):
+            addressing.update(seqs=[self.seqs[row] for row in rows],
+                              coefficients=self.coefficients[rows], payloads=self.payloads[rows])
+        return replace(self, **addressing)
+
+    def to_bytes(self) -> bytes:
+        """The rows' wire bytes back to back, filled as one ``(n, packet_size)`` matrix."""
+        rows, d, size = len(self.seqs), self.d, self.packet_size
+        if self.coefficients.shape[1] != d:
+            raise PacketFormatError(
+                f"slice coded with d={self.coefficients.shape[1]} in a packet declaring d={d}"
+            )
+        out = np.empty((rows, size), np.uint8)
+        headers = np.ndarray((rows,), _HEADER_DTYPE, out, 0, (size,))
+        headers["flow_id"] = self.flow_id & 0xFFFFFFFFFFFFFFFF
+        headers["kind"], headers["slice_count"] = PacketKind.DATA, 1
+        headers["slice_bytes"], headers["d"] = size - _HEADER.size, d
+        headers["lane"] = self.lane & 0xFF
+        headers["seq"] = np.array(self.seqs, np.uint64) & 0xFFFFFFFF
+        out[:, _HEADER.size : _HEADER.size + d] = self.coefficients
+        out[:, _HEADER.size + d :] = self.payloads
+        return out.tobytes()
+
+
+#: What a transmission carries: setup packets and data batches.
+AnyPacket = Packet | PacketBatch
+
+
+def packet_count(item: AnyPacket) -> int:
+    """Packets an item stands for: a batch's rows, or one."""
+    return len(item.seqs) if type(item) is PacketBatch else 1
+
+
+def wire_sizes(items: list[AnyPacket]) -> list[int]:
+    """One wire size per packet, in order."""
+    sizes: list[int] = []
+    for item in items:
+        batch = type(item) is PacketBatch
+        sizes += [item.packet_size] * len(item) if batch else [item.size_bytes()]
+    return sizes
+
+
+def split_items(items: list, cuts: Iterable[int]) -> list[list]:
+    """Cut a sequence of packets before each of the ascending packet positions ``cuts``.
+
+    A batch that straddles a cut is split between two of its rows; any other
+    item (a :class:`Packet`, an opaque cell) counts as one packet.
+    """
+    pieces: list[list] = [[]]
+    position, cuts = 0, iter(cuts)
+    cut = next(cuts, None)
+    for item in items:
+        count, start = packet_count(item), 0
+        while cut is not None and cut < position + count:
+            if cut > position + start:
+                pieces[-1].append(item[start : cut - position])
+            pieces.append([])
+            start, cut = cut - position, next(cuts, None)
+        if start < count:
+            pieces[-1].append(item if start == 0 else item[start:])
+        position += count
+    return pieces
+
+
+def _packet_parts(packet: Packet) -> list[bytes]:
+    """A scalar packet's header and slices, validated: its wire bytes in pieces."""
+    slices, d = packet.slices, packet.d
+    if not slices:
+        raise PacketFormatError("cannot serialize a packet with no slices")
+    slice_bytes = slices[0].size_bytes()
+    parts = [b""]
+    for block in slices:
+        if block.size_bytes() != slice_bytes:
+            raise PacketFormatError("all slices in a packet must be equal-sized")
+        if block.d != d:
+            raise PacketFormatError(f"slice coded with d={block.d} in a packet declaring d={d}")
+        parts += (block.coefficients.tobytes(), block.payload.tobytes())
+    parts[0] = _HEADER.pack(
+        packet.flow_id & 0xFFFFFFFFFFFFFFFF, int(packet.kind), len(slices), slice_bytes, d,
+        packet.lane & 0xFF, packet.seq & 0xFFFFFFFF,
+    )
+    return parts
+
+
+def pack_packets(packets: list[AnyPacket]) -> bytes:
     """Serialise a run of packets back to back, in one pass.
 
     Equal to ``b"".join(p.to_bytes() for p in packets)`` — same bytes, same
-    rejections — without building each packet and each slice as its own
-    intermediate byte string.
+    rejections — with no intermediate byte string per packet; a
+    :class:`PacketBatch` is one matrix fill.
     """
     parts: list[bytes] = []
     for packet in packets:
-        slices = packet.slices
-        if not slices:
-            raise PacketFormatError("cannot serialize a packet with no slices")
-        d = packet.d
-        slice_bytes = slices[0].size_bytes()
-        parts.append(
-            _HEADER.pack(
-                packet.flow_id & 0xFFFFFFFFFFFFFFFF,
-                int(packet.kind),
-                len(slices),
-                slice_bytes,
-                d,
-                packet.lane & 0xFF,
-                packet.seq & 0xFFFFFFFF,
-            )
-        )
-        for block in slices:
-            coefficients, payload = block.coefficients, block.payload
-            if coefficients.size + payload.size != slice_bytes:
-                raise PacketFormatError("all slices in a packet must be equal-sized")
-            if coefficients.size != d:
-                raise PacketFormatError(
-                    f"slice coded with d={coefficients.size} in a packet declaring d={d}"
-                )
-            parts.append(coefficients.tobytes())
-            parts.append(payload.tobytes())
+        if type(packet) is PacketBatch:
+            parts.append(packet.to_bytes())
+        else:
+            parts += _packet_parts(packet)
     return b"".join(parts)
 
 
 def unpack_packets(
     data: bytes, source_address: str = "", destination_address: str = ""
-) -> list[Packet]:
+) -> list[AnyPacket]:
     """Parse a buffer of back-to-back packets; the inverse of :func:`pack_packets`.
 
     Equal, packet by packet, to :meth:`Packet.from_bytes` on each packet's
@@ -260,9 +349,12 @@ def unpack_packets(
     for a whole flow batch — and each run is parsed as a byte matrix: a row
     belongs to the run only if its own header declares the run's kind, slice
     count, slice size and ``d``, so a row is never cut on another row's
-    shape.  Slices are read-only views into ``data``, which they keep alive.
+    shape.  A run of one-slice data packets comes back as one
+    :class:`PacketBatch` per (flow id, lane) run, whose columns are
+    read-only views into ``data``; any other row is a :class:`Packet` whose
+    slices are such views.
     """
-    packets: list[Packet] = []
+    items: list[AnyPacket] = []
     offset, total = 0, len(data)
     while offset < total:
         if total - offset < _HEADER.size:
@@ -295,28 +387,37 @@ def unpack_packets(
             offset + _HEADER.size,
             (size, slice_bytes, 1),
         )
-        # One column of blocks per slice position: numpy hands out the
-        # rows × 2 views of a position in two iterations.
-        columns = [
-            [
-                CodedBlock(row, payload, index)
-                for row, payload in zip(body[:, index, :d], body[:, index, d:])
-            ]
-            for index in range(slice_count)
-        ]
-        for flow_id, lane, seq, *slices in zip(
-            headers["flow_id"].tolist(),
-            headers["lane"].tolist(),
-            headers["seq"].tolist(),
-            *columns,
-        ):
-            packet = Packet(
-                flow_id, kind, slices, d, lane, seq, source_address, destination_address
+        flow_ids, lanes = headers["flow_id"], headers["lane"]
+        seqs = headers["seq"].tolist()
+        if kind == PacketKind.DATA and slice_count == 1:
+            coefficients, payloads = body[:, 0, :d], body[:, 0, d:]
+            cuts = np.flatnonzero(
+                (flow_ids[1:] != flow_ids[:-1]) | (lanes[1:] != lanes[:-1])
+            ) + 1
+            bounds = [0, *cuts.tolist(), rows]
+            items += (
+                PacketBatch(int(flow_ids[a]), d, int(lanes[a]), seqs[a:b], coefficients[a:b],
+                            payloads[a:b], source_address, destination_address)
+                for a, b in zip(bounds, bounds[1:])
             )
-            packet._size = size
-            packets.append(packet)
+        else:
+            # One column of blocks per slice position: numpy hands out the
+            # rows × 2 views of a position in two iterations.
+            columns = [
+                [
+                    CodedBlock(row, payload, index)
+                    for row, payload in zip(body[:, index, :d], body[:, index, d:])
+                ]
+                for index in range(slice_count)
+            ]
+            for flow_id, lane, seq, *slices in zip(
+                flow_ids.tolist(), lanes.tolist(), seqs, *columns
+            ):
+                items.append(Packet(
+                    flow_id, kind, slices, d, lane, seq, source_address, destination_address
+                ))
         offset += rows * size
-    return packets
+    return items
 
 
 def random_padding_slice(

@@ -17,16 +17,18 @@ triggered by the runtime calling :meth:`flush_setup` /
 
 Decoding
 --------
-Per-(flow, seq) data slices live in a :class:`~repro.core.flow_decoder.FlowDecoder`
-(array-native accumulation).  Deliveries are deferred to the end of each
-:meth:`handle_packets` call and decoded together through the batched
-Gauss–Jordan kernels, and the *setup-phase* decode of a relay's own routing
-slices (§4.3.5) goes through the same kernel
-(:func:`~repro.core.flow_decoder.decode_setup_payload`).  The per-message
+Data arrives as :class:`~repro.core.packet.PacketBatch` columns (one flow and
+lane each); each batch goes whole through one run handler, which copies its
+slices into the flow's :class:`~repro.core.flow_decoder.FlowDecoder` planes
+(so no plane aliases a received frame) and forwards row selections of it.
+Deliveries are deferred to the end of each :meth:`handle_packets` call and
+decoded together through the batched Gauss–Jordan kernels, as is the
+*setup-phase* decode of a relay's own routing slices (§4.3.5,
+:func:`~repro.core.flow_decoder.decode_setup_payload`).  The per-packet
 reference — one :func:`~repro.core.integrity.robust_decode` the moment the
-``d``-th slice arrives, as the paper's prose reads — lives in
-``tests/oracles/dataplane.py``; matrix inverses are unique and irregular
-cases fall back to ``robust_decode``, so the two are bit-identical
+``d``-th slice arrives, as the paper's prose reads — is ``ScalarRelay`` in
+``tests/oracles/dataplane.py``; matrix inverses are unique and irregular cases
+fall back to ``robust_decode``, so the two are bit-identical
 (``tests/test_dataplane.py::test_batched_plane_bit_identical_to_scalar_reference``,
 ``tests/test_setup_decode.py``).
 
@@ -39,6 +41,7 @@ combines them all in one ``FlowDecoder.recombine_many`` product (reference:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .errors import CodingError, InsufficientSlicesError, ProtocolError
 from .flow_decoder import FlowDecoder, decode_setup_payload
 from .gf import GF, GF256
 from .node_info import NodeInfo
-from .packet import Packet, PacketKind, random_padding_slice
+from .packet import AnyPacket, Packet, PacketBatch, PacketKind, packet_count, random_padding_slice
 from .source import data_nonce
 
 
@@ -62,7 +65,7 @@ class FlowState:
     setup_packets: dict[int, Packet] = field(default_factory=dict)
     info: NodeInfo | None = None
     setup_forwarded: bool = False
-    pending_data: list[Packet] = field(default_factory=list)
+    pending_data: list[PacketBatch] = field(default_factory=list)
     data: FlowDecoder = field(init=False)
     data_forwarded: set[tuple[int, int]] = field(default_factory=set)
     data_flushed: set[int] = field(default_factory=set)
@@ -186,60 +189,41 @@ class Relay:
 
     # -- packet handling ---------------------------------------------------------------
 
-    def handle_packet(self, packet: Packet, now: float = 0.0) -> list[Packet]:
-        """Process one incoming packet; returns the packets to transmit."""
+    def handle_packet(self, packet: AnyPacket, now: float = 0.0) -> list[AnyPacket]:
+        """Process one incoming packet or batch; returns what to transmit."""
         return self.handle_packets([packet], now=now)
 
-    def handle_packets(self, packets: list[Packet], now: float = 0.0) -> list[Packet]:
-        """Process a batch of incoming packets; returns the packets to transmit.
+    def handle_packets(self, packets: list[AnyPacket], now: float = 0.0) -> list[AnyPacket]:
+        """Process incoming setup packets and data batches; returns what to transmit.
 
-        Packets are processed in order, so a batch behaves exactly like the
-        equivalent sequence of :meth:`handle_packet` calls — except that all
-        messages that become deliverable during the batch are decoded
-        together in one batched kernel pass.
+        Items are processed in order; a data batch (a scalar data
+        :class:`Packet` is a batch of one) goes whole through one run
+        handler, and all messages that become deliverable during the call
+        are decoded together in one batched kernel pass.
         """
-        outgoing: list[Packet] = []
+        outgoing: list[AnyPacket] = []
         pending: list[tuple[FlowState, int]] = []
-        self.stats.packets_received += len(packets)
-        self.stats.bytes_received += sum(p.size_bytes() for p in packets)
-        index, total = 0, len(packets)
-        while index < total:
-            packet = packets[index]
-            state = self._state_for(packet)
+        self.stats.packets_received += sum(map(packet_count, packets))
+        self.stats.bytes_received += sum(item.size_bytes() for item in packets)
+        for item in packets:
+            state = self._state_for(item)
             state.last_activity = now
-            if packet.kind == PacketKind.SETUP:
-                outgoing.extend(self._handle_setup(state, packet, pending))
-            elif packet.kind == PacketKind.DATA:
-                if state.decoded:
-                    # Consume the whole same-connection run (one flow, one
-                    # lane, consecutive data packets) in one pass.
-                    run = index + 1
-                    while (
-                        run < total
-                        and packets[run].kind == PacketKind.DATA
-                        and packets[run].flow_id == packet.flow_id
-                        and packets[run].lane == packet.lane
-                    ):
-                        run += 1
-                    outgoing.extend(
-                        self._handle_data_run(
-                            state, packet.lane, packets[index:run], pending
-                        )
-                    )
-                    index = run
-                    continue
-                outgoing.extend(self._handle_data(state, packet, pending))
-            else:  # pragma: no cover - PacketKind is a closed enum
-                raise ProtocolError(f"unknown packet kind {packet.kind}")
-            index += 1
+            if item.kind == PacketKind.SETUP:
+                outgoing.extend(self._handle_setup(state, item, pending))
+                continue
+            batch = item if type(item) is PacketBatch else PacketBatch.of(item)
+            if state.decoded:
+                outgoing.extend(self._handle_data_run(state, batch, pending))
+            else:
+                state.pending_data.append(batch)
         if pending:
             self._deliver_pending(pending)
         self._account_sent(outgoing)
         return outgoing
 
-    def _account_sent(self, packets: list[Packet]) -> None:
-        self.stats.packets_sent += len(packets)
-        self.stats.bytes_sent += sum(p.size_bytes() for p in packets)
+    def _account_sent(self, items: list[AnyPacket]) -> None:
+        self.stats.packets_sent += sum(map(packet_count, items))
+        self.stats.bytes_sent += sum(item.size_bytes() for item in items)
 
     # -- setup phase -------------------------------------------------------------------
 
@@ -258,11 +242,11 @@ class Relay:
             and len(state.setup_packets) >= state.info.num_parents
         ):
             outgoing.extend(self._build_setup_forwards(state))
-        # Data packets may have raced ahead of the setup decode.
+        # Data batches may have raced ahead of the setup decode.
         if state.decoded and state.pending_data:
             buffered, state.pending_data = state.pending_data, []
-            for data_packet in buffered:
-                outgoing.extend(self._handle_data(state, data_packet, pending))
+            for batch in buffered:
+                outgoing.extend(self._handle_data_run(state, batch, pending))
         return outgoing
 
     def _try_decode_info(self, state: FlowState) -> None:
@@ -334,91 +318,44 @@ class Relay:
 
     # -- data phase --------------------------------------------------------------------
 
-    def _handle_data(
-        self, state: FlowState, packet: Packet, pending: list[tuple[FlowState, int]]
-    ) -> list[Packet]:
-        if not state.decoded:
-            state.pending_data.append(packet)
-            return []
-        info = state.info
-        assert info is not None
-        if not state.data.add(packet.seq, packet.lane, packet.own_slice):
-            return []
-        block = packet.own_slice
-        if info.is_receiver:
-            pending.append((state, packet.seq))
-        outgoing: list[Packet] = []
-        for child_index, (child, child_flow) in enumerate(
-            zip(info.next_hop_addresses, info.next_hop_flow_ids)
-        ):
-            if info.data_map.for_child(child_index) != packet.lane:
-                continue
-            if (packet.seq, child_index) in state.data_forwarded:
-                continue
-            state.data_forwarded.add((packet.seq, child_index))
-            outgoing.append(
-                Packet(
-                    flow_id=child_flow,
-                    kind=PacketKind.DATA,
-                    slices=[block],
-                    d=state.d,
-                    lane=info.lane,
-                    seq=packet.seq,
-                    source_address=self.address,
-                    destination_address=child,
-                )
-            )
-        return outgoing
-
     def _handle_data_run(
         self,
         state: FlowState,
-        lane: int,
-        packets: list[Packet],
+        batch: PacketBatch,
         pending: list[tuple[FlowState, int]],
-    ) -> list[Packet]:
-        """Batched :meth:`_handle_data` for a same-lane run on a decoded flow.
+    ) -> list[PacketBatch]:
+        """Store, deliver and forward a data batch on a decoded flow (§4.3.7).
 
-        Equivalent to handling each packet in order; the accumulation, the
-        receiver's pending-delivery bookkeeping and the forward construction
-        all run once per run instead of once per packet.
+        Equivalent to handling its packets one by one in order: each
+        accepted slice is queued for delivery at the receiver and goes on to
+        every child whose data-map names the batch's lane, once per (seq,
+        child).  A child's forward is a row selection of ``batch``, sharing
+        its columns when every row goes on.
         """
         info = state.info
         assert info is not None
-        accepted = state.data.add_run(
-            lane, [(packet.seq, packet.slices[0]) for packet in packets]
-        )
+        accepted = state.data.add_run(batch.lane, batch)
         if not accepted:
             return []
+        seqs = batch.seqs
         if info.is_receiver:
-            pending.extend((state, seq) for seq, _ in accepted)
-        outgoing: list[Packet] = []
+            pending.extend((state, seqs[row]) for row in accepted)
+        outgoing: list[PacketBatch] = []
         data_forwarded = state.data_forwarded
         for child_index, (child, child_flow) in enumerate(
             zip(info.next_hop_addresses, info.next_hop_flow_ids)
         ):
-            if info.data_map.for_child(child_index) != lane:
+            if info.data_map.for_child(child_index) != batch.lane:
                 continue
-            for seq, block in accepted:
-                key = (seq, child_index)
-                if key in data_forwarded:
-                    continue
-                data_forwarded.add(key)
-                outgoing.append(
-                    Packet(
-                        flow_id=child_flow,
-                        kind=PacketKind.DATA,
-                        slices=[block],
-                        d=state.d,
-                        lane=info.lane,
-                        seq=seq,
-                        source_address=self.address,
-                        destination_address=child,
-                    )
-                )
+            rows = [row for row in accepted if (seqs[row], child_index) not in data_forwarded]
+            if not rows:
+                continue
+            data_forwarded.update((seqs[row], child_index) for row in rows)
+            outgoing.append(batch.forward(rows, flow_id=child_flow, lane=info.lane,
+                                          source_address=self.address, destination_address=child))
         return outgoing
 
-    def flush_data(self, flow_id: int, seq: int) -> list[Packet]:
+    def flush_data(self, flow_id: int, seq: int) -> list[PacketBatch]:
         """Regenerate and forward slices for children whose parent slice is lost.
 
         Implements §4.4.1 for one data message: ``flush_data_many(flow_id,
@@ -428,13 +365,15 @@ class Relay:
         """
         return self.flush_data_many(flow_id, [seq])
 
-    def flush_data_many(self, flow_id: int, seqs: list[int]) -> list[Packet]:
+    def flush_data_many(self, flow_id: int, seqs: list[int]) -> list[PacketBatch]:
         """Regenerate and forward, for a burst, slices lost upstream (§4.4.1).
 
         For every seq holding at least ``d`` slices in its plane (extras of
         a clashing length are left out), every child not yet fed gets a
         fresh random combination of them, its weights drawn in seq-then-child
-        order as ``SliceCoder.recombine`` would.  Without
+        order as ``SliceCoder.recombine`` would.  Each child gets one batch
+        per plane run of its replacements, in seq order, so its connection
+        carries what one packet per replacement would.  Without
         ``regenerate_redundancy`` a lost slice stays lost.
         """
         state = self.flows.get(flow_id)
@@ -442,9 +381,8 @@ class Relay:
             return []
         info = state.info
         assert info is not None
-        children = list(enumerate(zip(info.next_hop_addresses, info.next_hop_flow_ids)))
         items: list[tuple[int, np.ndarray]] = []
-        targets: list[tuple[int, str, int]] = []
+        per_child: dict[int, list[int]] = {}
         for seq in seqs:
             flushed = seq in state.data_flushed
             state.data_flushed.add(seq)
@@ -453,31 +391,32 @@ class Relay:
             count = state.data.plane_count(seq)
             if count < state.d:
                 continue
-            for child_index, (child, child_flow) in children:
+            for child_index in range(len(info.next_hop_addresses)):
                 if (seq, child_index) in state.data_forwarded:
                     continue
                 weights = self.field.random_elements(count, self.rng)
                 while not weights.any():
                     weights = self.field.random_elements(count, self.rng)
                 state.data_forwarded.add((seq, child_index))
+                per_child.setdefault(child_index, []).append(len(items))
                 items.append((seq, weights))
-                targets.append((seq, child, child_flow))
         self.stats.regenerated_slices += len(items)
-        outgoing = [
-            Packet(
-                flow_id=child_flow,
-                kind=PacketKind.DATA,
-                slices=[replacement],
-                d=state.d,
-                lane=info.lane,
-                seq=seq,
-                source_address=self.address,
-                destination_address=child,
-            )
-            for (seq, child, child_flow), replacement in zip(
-                targets, state.data.recombine_many(items)
-            )
-        ]
+        planes = state.data.recombine_many(items)
+        where = {
+            position: (plane, row)
+            for plane, (positions, _) in enumerate(planes)
+            for row, position in enumerate(positions)
+        }
+        outgoing: list[PacketBatch] = []
+        for child_index, positions in per_child.items():
+            for plane, run in groupby(positions, key=lambda position: where[position][0]):
+                run = list(run)
+                products = planes[plane][1][[where[position][1] for position in run]]
+                outgoing.append(PacketBatch(
+                    info.next_hop_flow_ids[child_index], state.d, info.lane,
+                    [items[position][0] for position in run], products[:, : state.d],
+                    products[:, state.d :], self.address, info.next_hop_addresses[child_index],
+                ))
         self._account_sent(outgoing)
         return outgoing
 

@@ -26,7 +26,7 @@ from .errors import GraphConstructionError, ProtocolError
 from .gf import GF, GF256
 from .graph import ForwardingGraph, build_forwarding_graph
 from .integrity import wrap
-from .packet import Packet, PacketKind, random_padding_slice
+from .packet import Packet, PacketBatch, PacketKind, random_padding_slice
 from .slice_map import FlowPlan, compile_flow_plan
 
 
@@ -210,33 +210,46 @@ class Source:
 
     def make_data_packets_batch(
         self, flow: FlowSetup, messages: list[bytes]
-    ) -> list[list[Packet]]:
-        """Batched :meth:`make_data_packets`: one packet list per message.
+    ) -> list[PacketBatch]:
+        """Batched :meth:`make_data_packets`: one :class:`PacketBatch` per connection and run.
 
-        Equal-length messages (the steady-state data path sends fixed-size
-        packets) are coded in a single batched GF(2^8) pass via
-        :meth:`~repro.core.coder.SliceCoder.encode_batch`; mixed lengths fall
-        back to per-message coding.
+        The burst is cut into runs of consecutive equal-length messages (one
+        run in the steady state), each coded in one GF(2^8) pass
+        (:meth:`~repro.core.coder.SliceCoder.encode_stacks`); the batch of
+        connection (source-stage node ``lane``, first-stage relay) views
+        slice ``lane`` of the run's stacks.  A mixed-length burst draws its
+        coding matrices message by message, as :meth:`make_data_packets` does.
         """
         if not messages:
             return []
-        sequences = list(
-            range(flow.next_sequence, flow.next_sequence + len(messages))
-        )
+        first = flow.next_sequence
         flow.next_sequence += len(messages)
         cipher = StreamCipher(flow.destination_key)
         wrapped = [
             wrap(cipher.encrypt(bytes(message), data_nonce(sequence)))
-            for sequence, message in zip(sequences, messages)
+            for sequence, message in enumerate(messages, first)
         ]
-        if len({len(blob) for blob in wrapped}) == 1:
-            blocks_batch = flow.coder.encode_batch(wrapped, self.rng)
-        else:
-            blocks_batch = [flow.coder.encode(blob, self.rng) for blob in wrapped]
-        return [
-            self._packetise_data(flow, blocks, sequence)
-            for sequence, blocks in zip(sequences, blocks_batch)
-        ]
+        cuts = (i for i in range(1, len(wrapped)) if len(wrapped[i]) != len(wrapped[i - 1]))
+        bounds = [0, *cuts, len(wrapped)]
+        matrices = None
+        if len(bounds) > 2:
+            matrices = np.stack([flow.coder.generate_matrix(self.rng) for _ in wrapped])
+        plan = flow.plan
+        batches: list[PacketBatch] = []
+        for start, stop in zip(bounds, bounds[1:]):
+            coefficients, coded = flow.coder.encode_stacks(
+                wrapped[start:stop],
+                self.rng,
+                None if matrices is None else matrices[start:stop],
+            )
+            seqs = list(range(first + start, first + stop))
+            batches += (
+                PacketBatch(plan.flow_ids[child], self.d, lane, seqs, coefficients[:, lane],
+                            coded[:, lane], origin, child)
+                for lane, origin in enumerate(plan.graph.source_stage)
+                for child in plan.graph.stages[1]
+            )
+        return batches
 
     def _packetise_data(
         self, flow: FlowSetup, blocks: list[CodedBlock], sequence: int

@@ -43,19 +43,21 @@ Every message on a connection is a *frame* (:mod:`repro.net.framing`: a
 :data:`~repro.net.MAX_FRAME_BYTES`).  A connection opens with a hello frame
 (``sender\\x00receiver``), then carries batches: one batch-header frame
 (``>QI``: batch id, payload frame count) followed by the batch's payload
-frames.  A payload frame holds a whole number of the batch's items back to
-back: packets in their :meth:`Packet.to_bytes
-<repro.core.packet.Packet.to_bytes>` wire form for the slicing data plane
-(self-delimiting — the packet header declares its length — and, since a
-flow's packets all have one size (§9.4(c)), parsed as one ``(n,
-packet_size)`` byte matrix by :func:`~repro.core.packet.unpack_packets`),
-or length-prefixed opaque cells (:func:`~repro.net.encode_frame` each, read
-back with the strict :func:`~repro.net.decode_frames`) for the baselines,
-so a cell may be at most ``MAX_FRAME_BYTES`` minus its prefix.  A batch is
-as few payload frames as :data:`~repro.net.MAX_FRAME_BYTES` allows — one,
-for every batch the figures send — split between items, and leaves in one
-``writelines`` of its sealed frames, on either transport; on the secure
-transport a batch is therefore one AEAD message, not one per packet.
+frames.  A payload frame holds a whole number of the batch's packets back
+to back: for the slicing data plane, their :meth:`Packet.to_bytes
+<repro.core.packet.Packet.to_bytes>` wire form, written by
+:func:`~repro.core.packet.pack_packets` (a data batch is one ``(n,
+packet_size)`` matrix fill) and read back by
+:func:`~repro.core.packet.unpack_packets` as setup packets and data batches
+whose columns are read-only views into the frame; for the baselines,
+length-prefixed opaque cells (:func:`~repro.net.encode_frame` each, read back
+with the strict :func:`~repro.net.decode_frames`), so a cell may be at most
+``MAX_FRAME_BYTES`` minus its prefix.  A batch is as few payload frames as
+:data:`~repro.net.MAX_FRAME_BYTES` allows — one, for every batch the figures
+send — split between packets (inside a data batch, between two of its rows,
+if need be), and leaves in one ``writelines`` of its sealed frames, on
+either transport; on the secure transport a batch is therefore one AEAD
+message, not one per packet.
 
 Both ends of every connection live in this process, so the sending side's
 record of a batch (its connection, payload frame count and item count) is
@@ -77,7 +79,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.errors import PacketFormatError, SimulationError
-from ..core.packet import Packet, pack_packets, unpack_packets
+from ..core.packet import (
+    AnyPacket,
+    pack_packets,
+    packet_count,
+    split_items,
+    unpack_packets,
+    wire_sizes,
+)
 from ..net import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -179,17 +188,18 @@ class _PendingBatch:
         try:
             if self.kind == "packets":
                 items = [
-                    packet
+                    item
                     for frame in frames
-                    for packet in unpack_packets(frame, self.sender, self.receiver)
+                    for item in unpack_packets(frame, self.sender, self.receiver)
                 ]
             else:
                 items = [cell for frame in frames for cell in decode_frames(frame)]
         except PacketFormatError as exc:
             raise PacketFormatError(f"{self.link}: {exc}") from exc
-        if len(items) != len(self.arrivals):
+        count = sum(map(packet_count, items))
+        if count != len(self.arrivals):
             raise PacketFormatError(
-                f"{self.link}: batch {self.batch_id} carried {len(items)} items, "
+                f"{self.link}: batch {self.batch_id} carried {count} items, "
                 f"{len(self.arrivals)} were sent"
             )
         return items
@@ -199,22 +209,22 @@ def _pack_cells(cells: list[bytes]) -> bytes:
     return b"".join(map(encode_frame, cells))
 
 
-def _payload_frames(items: list, wire_sizes: list[int], pack: Callable) -> list[bytes]:
+def _payload_frames(items: list, sizes: list[int], pack: Callable) -> list[bytes]:
     """``pack`` the items into as few payload frames as the frame bound allows.
 
-    Frames split between items, never inside one; an item over the bound on
-    its own is left for the channel's size check to reject.
+    ``sizes`` holds one wire size per packet (or cell).  Frames split between
+    packets, inside a data batch if need be, never inside one; a packet over
+    the bound on its own is left for the channel's size check to reject.
     """
-    if sum(wire_sizes) <= MAX_FRAME_BYTES:
+    if sum(sizes) <= MAX_FRAME_BYTES:
         return [pack(items)]
-    frames, start, used = [], 0, 0
-    for index, size in enumerate(wire_sizes):
-        if used + size > MAX_FRAME_BYTES and index > start:
-            frames.append(pack(items[start:index]))
-            start, used = index, 0
+    cuts, used = [0], 0
+    for index, size in enumerate(sizes):
+        if used + size > MAX_FRAME_BYTES and index > cuts[-1]:
+            cuts.append(index)
+            used = 0
         used += size
-    frames.append(pack(items[start:]))
-    return frames
+    return [pack(piece) for piece in split_items(items, cuts[1:])]
 
 
 # -- the backend --------------------------------------------------------------------
@@ -279,16 +289,17 @@ class AioOverlayNetwork(OverlayTransport):
         self,
         sender: str,
         receiver: str,
-        packets: list[Packet],
-        deliver: Callable[[list[Packet], list[float]], None],
+        packets: list[AnyPacket],
+        deliver: Callable[[list[AnyPacket], list[float]], None],
         sender_cpu_seconds: Sequence[float] | None = None,
     ) -> None:
+        sizes = wire_sizes(packets)
         self._submit(
             sender,
             receiver,
             packets,
-            [packet.size_bytes() for packet in packets],
-            self._normalise_cpus(len(packets), sender_cpu_seconds),
+            sizes,
+            self._normalise_cpus(len(sizes), sender_cpu_seconds),
             kind="packets",
             deliver=deliver,
         )
@@ -344,7 +355,7 @@ class AioOverlayNetwork(OverlayTransport):
         if not items:
             return
         if not self.is_alive(sender):
-            self.stats.packets_dropped += len(items)
+            self.stats.packets_dropped += len(sizes)
             return
         arrivals = self._account_batch(sender, receiver, sizes, cpus)
         if kind == "packets":

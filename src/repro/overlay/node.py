@@ -27,20 +27,19 @@ Resource model
 
 Data plane
 ----------
-A burst of packets on one connection becomes one
-:meth:`~SimulatedOverlayNetwork.transmit_batch` (per-packet serialisation and
-CPU *times* are still accounted exactly, so the simulated clock stays
-comparable); a single blob, such as an onion setup packet, is a burst of
-one.  Deliveries landing at one relay at one simulated instant coalesce into
-a single batch event
-(:meth:`~repro.overlay.simulator.EventSimulator.schedule_keyed`), and the
-relay decodes whole batches through the batched GF(2^8) kernels.  The
+Data packets travel as :class:`~repro.core.packet.PacketBatch` columns from
+the source's coding stacks to the destination's decoder.  A burst on one
+connection becomes one :meth:`~SimulatedOverlayNetwork.transmit_batch` per
+chunk of :data:`DEFAULT_BATCH_CHUNK` packets, cut inside a batch if need be
+(per-packet serialisation and CPU *times* are still accounted exactly); a
+single blob, such as an onion setup packet, is a burst of one.  Deliveries
+landing at one relay at one simulated instant coalesce into a single batch
+event (:meth:`~repro.overlay.simulator.EventSimulator.schedule_keyed`).  The
 per-packet reference plane — every packet its own transmit, arrival and CPU
-event, the relay decoding per message — lives in
-``tests/oracles/dataplane.py``.  Delivered messages and relay counters are
+event, the relay handling and decoding per packet — lives in
+``tests/oracles/dataplane.py``; delivered messages and relay counters are
 bit-identical to it under a shared seed
-(``tests/test_dataplane.py::test_batched_plane_bit_identical_to_scalar_reference``);
-only host wall-clock and sub-millisecond event interleavings differ.
+(``tests/test_dataplane.py::test_batched_plane_bit_identical_to_scalar_reference``).
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.errors import SimulationError
-from ..core.packet import Packet, PacketKind
+from ..core.packet import AnyPacket, PacketBatch, PacketKind, packet_count, split_items, wire_sizes
 from ..core.relay import Relay
 from ..core.source import FlowSetup, Source
 from .network import NetworkModel
@@ -177,8 +176,8 @@ class OverlayTransport:
         self,
         sender: str,
         receiver: str,
-        packets: list[Packet],
-        deliver: Callable[[list[Packet], list[float]], None],
+        packets: list[AnyPacket],
+        deliver: Callable[[list[AnyPacket], list[float]], None],
         sender_cpu_seconds: Sequence[float] | None = None,
     ) -> None:
         raise NotImplementedError
@@ -342,14 +341,14 @@ class SimulatedOverlayNetwork(OverlayTransport):
         self,
         sender: str,
         receiver: str,
-        packets: list[Packet],
-        deliver: Callable[[list[Packet], list[float]], None],
+        packets: list[AnyPacket],
+        deliver: Callable[[list[AnyPacket], list[float]], None],
         sender_cpu_seconds: Sequence[float] | None = None,
     ) -> None:
         self.transmit_batch(
             sender,
             receiver,
-            [packet.size_bytes() for packet in packets],
+            wire_sizes(packets),
             lambda arrivals: deliver(packets, arrivals),
             sender_cpu_seconds=sender_cpu_seconds,
         )
@@ -472,27 +471,25 @@ class SlicingRuntime:
         GF(2^8) work for the whole burst is a single batched kernel call; the
         per-message CPU *cost model* charged to the source is unchanged, so
         simulated timings stay comparable with the per-message path.  The
-        burst ships as one :meth:`~SimulatedOverlayNetwork.transmit_batch`
-        per connection and chunk, and is covered by a single flush timer.
+        burst ships as one :meth:`_transmit_packets` per connection (one
+        packet per message each), and is covered by a single flush timer.
         """
         if not messages:
             return
-        packet_batches = source.make_data_packets_batch(flow, messages)
+        batches = source.make_data_packets_batch(flow, messages)
         progress = self.progress[id(flow)]
         source_resources = self.substrate.network.resources(source.address)
-        per_connection: dict[tuple[str, str], tuple[list[Packet], list[float]]] = {}
-        for message, packets in zip(messages, packet_batches):
-            per_packet_cpu = source_resources.coding_time(
-                max(len(message) // max(flow.d, 1), 1), flow.d
-            )
-            for packet in packets:
-                key = (packet.source_address, packet.destination_address)
-                entry = per_connection.setdefault(key, ([], []))
-                entry[0].append(packet)
-                entry[1].append(per_packet_cpu)
-        for (sender, receiver), (packets, cpus) in per_connection.items():
-            self._transmit_packets(sender, receiver, packets, cpus)
-        seqs = [packets[0].seq for packets in packet_batches]
+        cpus = [
+            source_resources.coding_time(max(len(message) // max(flow.d, 1), 1), flow.d)
+            for message in messages
+        ]
+        per_connection: dict[tuple[str, str], list[PacketBatch]] = {}
+        for batch in batches:
+            key = (batch.source_address, batch.destination_address)
+            per_connection.setdefault(key, []).append(batch)
+        for (sender, receiver), items in per_connection.items():
+            self._transmit_packets(sender, receiver, items, cpus)
+        seqs = [seq for batch in next(iter(per_connection.values())) for seq in batch.seqs]
         self.sim.schedule(
             DEFAULT_FLUSH_TIMEOUT,
             lambda: self._flush_data_burst(flow, progress, seqs),
@@ -504,22 +501,22 @@ class SlicingRuntime:
         self,
         sender: str,
         receiver: str,
-        packets: list[Packet],
+        packets: list[AnyPacket],
         sender_cpus: list[float],
     ) -> None:
         """Ship a same-connection burst; deliveries coalesce per receiver.
 
-        Bursts larger than :data:`DEFAULT_BATCH_CHUNK` ship as consecutive
-        chunks, each a single delivery event, so one hop's chunks overlap the
-        next hop's serialisation (stage pipelining) instead of the whole burst
-        marching stage by stage.
+        Bursts larger than :data:`DEFAULT_BATCH_CHUNK` packets (one cost in
+        ``sender_cpus`` each) ship as consecutive chunks, cut inside a batch
+        if need be, each a single delivery event, so one hop's chunks overlap
+        the next hop's serialisation (stage pipelining) instead of the whole
+        burst marching stage by stage.
         """
         chunk = DEFAULT_BATCH_CHUNK
-        for start in range(0, len(packets), chunk):
-            chunk_packets = packets[start : start + chunk]
-            chunk_cpus = sender_cpus[start : start + chunk]
+        pieces = split_items(packets, range(chunk, len(sender_cpus), chunk))
+        for index, piece in enumerate(pieces):
 
-            def on_delivered(delivered: list[Packet], arrivals: list[float]) -> None:
+            def on_delivered(delivered: list[AnyPacket], arrivals: list[float]) -> None:
                 self.sim.schedule_keyed(
                     ("rx", receiver),
                     self.sim.now,
@@ -530,19 +527,19 @@ class SlicingRuntime:
             self.substrate.transmit_packets(
                 sender,
                 receiver,
-                chunk_packets,
+                piece,
                 on_delivered,
-                sender_cpu_seconds=chunk_cpus,
+                sender_cpu_seconds=sender_cpus[index * chunk : (index + 1) * chunk],
             )
 
     def _process_inbox(
-        self, receiver: str, items: list[tuple[list[Packet], list[float]]]
+        self, receiver: str, items: list[tuple[list[AnyPacket], list[float]]]
     ) -> None:
         """Charge receiver CPU for every coalesced packet; then process once."""
         relay = self.relays.get(receiver)
         if relay is None:
             return
-        packets: list[Packet] = []
+        packets: list[AnyPacket] = []
         arrivals: list[float] = []
         for batch_packets, batch_arrivals in items:
             packets.extend(batch_packets)
@@ -552,44 +549,26 @@ class SlicingRuntime:
         dones = self.substrate.reserve_cpu_sequence(receiver, arrivals, durations)
         self.sim.schedule_at(dones[-1], lambda: self._handle_batch(receiver, packets))
 
-    def _batch_durations(self, packets: list[Packet], resources) -> list[float]:
-        """Per-packet CPU durations; one cost computation for a uniform batch.
+    def _batch_durations(self, packets: list[AnyPacket], resources) -> list[float]:
+        """Per-packet CPU durations; a batch is costed once for all its rows."""
+        return [
+            cost
+            for item in packets
+            for cost in [self._packet_cpu_cost(item, resources)] * packet_count(item)
+        ]
 
-        Uniformity is judged on what the cost actually depends on — kind,
-        split factor and payload bytes (the single-slice steady state makes
-        the latter one attribute read per packet); anything else takes the
-        per-packet path.
-        """
-        first = packets[0]
-        kind0 = first.kind
-        d0 = first.d
-        slices0 = first.slices
-        if len(slices0) == 1:
-            payload0 = slices0[0].payload.shape[0]
-            uniform = all(
-                p.kind is kind0
-                and p.d == d0
-                and len(p.slices) == 1
-                and p.slices[0].payload.shape[0] == payload0
-                for p in packets
-            )
-            if uniform:
-                cost = self._packet_cpu_cost(first, resources)
-                return [cost] * len(packets)
-        return [self._packet_cpu_cost(packet, resources) for packet in packets]
-
-    def _packet_cpu_cost(self, packet: Packet, resources) -> float:
-        slices = packet.slices
-        if len(slices) == 1:
-            payload_bytes = slices[0].payload.shape[0]
+    def _packet_cpu_cost(self, packet: AnyPacket, resources) -> float:
+        """CPU seconds to handle one packet (one row of a batch)."""
+        if type(packet) is PacketBatch:
+            payload_bytes = packet.payloads.shape[1]
         else:
-            payload_bytes = sum(block.payload.shape[0] for block in slices)
+            payload_bytes = sum(block.payload.shape[0] for block in packet.slices)
         cost = resources.coding_time(payload_bytes, packet.d)
         if packet.kind == PacketKind.SETUP:
             cost += DEFAULT_SETUP_PROCESSING_OVERHEAD * resources.load_factor
         return cost + self.substrate.per_packet_overhead
 
-    def _handle_batch(self, receiver: str, packets: list[Packet]) -> None:
+    def _handle_batch(self, receiver: str, packets: list[AnyPacket]) -> None:
         relay = self.relays.get(receiver)
         if relay is None:
             return
@@ -613,14 +592,15 @@ class SlicingRuntime:
             self._record_delivery(relay, flow, progress, receiver)
         self._dispatch_outputs(receiver, outputs)
 
-    def _dispatch_outputs(self, sender: str, outputs: list[Packet]) -> None:
+    def _dispatch_outputs(self, sender: str, outputs: list[AnyPacket]) -> None:
         if not outputs:
             return
-        per_receiver: dict[str, list[Packet]] = {}
+        per_receiver: dict[str, list[AnyPacket]] = {}
         for packet in outputs:
             per_receiver.setdefault(packet.destination_address, []).append(packet)
         for receiver, packets in per_receiver.items():
-            self._transmit_packets(sender, receiver, packets, [0.0] * len(packets))
+            cpus = [0.0] * sum(map(packet_count, packets))
+            self._transmit_packets(sender, receiver, packets, cpus)
 
     # -- progress and flushes -----------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """The per-packet reference data plane (§4.3.5–§4.4.1).
 
-:class:`ScalarRelay` decodes a relay's routing slices and every data message
-with :func:`~repro.core.integrity.robust_decode`, the moment the ``d``-th
-slice arrives.  :class:`ScalarSlicingRuntime` ships every packet as its own
+:class:`ScalarRelay` handles data one :class:`~repro.core.packet.Packet` at a
+time — store the slice, forward it on its lane, one packet per child — and
+decodes a relay's routing slices and every data message with
+:func:`~repro.core.integrity.robust_decode`, the moment the ``d``-th slice
+arrives.  :class:`ScalarSlicingRuntime` ships every packet as its own
 transmit, arrival and CPU event and arms one flush timer per message: the
 sender's CPU, then the connection, then the receiver's CPU, each reserved at
 its own instant.  Both override only what the reference does differently;
@@ -18,11 +20,34 @@ from repro.core.coder import CodedBlock, SliceCoder
 from repro.core.errors import CodingError, InsufficientSlicesError, ProtocolError
 from repro.core.integrity import robust_decode
 from repro.core.node_info import NodeInfo
-from repro.core.packet import Packet, PacketKind
+from repro.core.packet import Packet, PacketBatch, PacketKind
 from repro.core.relay import FlowState, Relay
 from repro.core.source import FlowSetup, Source, data_nonce
 from repro.crypto.symmetric import StreamCipher
 from repro.overlay.node import DEFAULT_FLUSH_TIMEOUT, SlicingRuntime
+
+
+def batch_packets(items: list) -> list[Packet]:
+    """Every packet of ``items``: a batch's rows become scalar packets."""
+    packets: list[Packet] = []
+    for item in items:
+        if not isinstance(item, PacketBatch):
+            packets.append(item)
+            continue
+        for seq, coefficients, payload in zip(item.seqs, item.coefficients, item.payloads):
+            packets.append(
+                Packet(
+                    flow_id=item.flow_id,
+                    kind=PacketKind.DATA,
+                    slices=[CodedBlock(coefficients, payload, 0)],
+                    d=item.d,
+                    lane=item.lane,
+                    seq=seq,
+                    source_address=item.source_address,
+                    destination_address=item.destination_address,
+                )
+            )
+    return packets
 
 
 def reference_flush_data(relay: Relay, flow_id: int, seqs: list[int]) -> list[Packet]:
@@ -96,17 +121,41 @@ class ScalarRelay(Relay):
         except (InsufficientSlicesError, CodingError, ProtocolError):
             state.info = None
 
-    def _handle_data_run(self, state, lane, packets, pending):
+    def _handle_data_run(self, state, batch, pending):
         outgoing: list[Packet] = []
-        for packet in packets:
-            outgoing.extend(self._handle_data(state, packet, pending))
+        for packet in batch_packets([batch]):
+            outgoing.extend(self._handle_data(state, packet))
         return outgoing
 
-    def _handle_data(self, state, packet, pending):
-        deliverable: list[tuple[FlowState, int]] = []
-        outgoing = super()._handle_data(state, packet, deliverable)
-        for _state, seq in deliverable:
-            self._try_deliver(state, seq)
+    def _handle_data(self, state: FlowState, packet: Packet) -> list[Packet]:
+        """Store one slice, deliver at ``d``, forward it to every child on its lane."""
+        info = state.info
+        block = packet.own_slice
+        if not state.data.add(packet.seq, packet.lane, block):
+            return []
+        if info.is_receiver:
+            self._try_deliver(state, packet.seq)
+        outgoing: list[Packet] = []
+        for child_index, (child, child_flow) in enumerate(
+            zip(info.next_hop_addresses, info.next_hop_flow_ids)
+        ):
+            if info.data_map.for_child(child_index) != packet.lane:
+                continue
+            if (packet.seq, child_index) in state.data_forwarded:
+                continue
+            state.data_forwarded.add((packet.seq, child_index))
+            outgoing.append(
+                Packet(
+                    flow_id=child_flow,
+                    kind=PacketKind.DATA,
+                    slices=[block],
+                    d=state.d,
+                    lane=info.lane,
+                    seq=packet.seq,
+                    source_address=self.address,
+                    destination_address=child,
+                )
+            )
         return outgoing
 
     def _try_deliver(self, state: FlowState, seq: int) -> None:
@@ -135,23 +184,25 @@ class ScalarSlicingRuntime(SlicingRuntime):
     def send_messages(self, source: Source, flow: FlowSetup, messages: list[bytes]) -> None:
         progress = self.progress[id(flow)]
         resources = self.substrate.network.resources(source.address)
-        for message, packets in zip(messages, source.make_data_packets_batch(flow, messages)):
+        per_message: dict[int, list[Packet]] = {}
+        for packet in batch_packets(source.make_data_packets_batch(flow, messages)):
+            per_message.setdefault(packet.seq, []).append(packet)
+        for message, (seq, packets) in zip(messages, per_message.items()):
             cpu = resources.coding_time(max(len(message) // max(flow.d, 1), 1), flow.d)
             for packet in packets:
                 self._send_packet(packet, cpu)
-            seq = packets[0].seq
             self.sim.schedule(
                 DEFAULT_FLUSH_TIMEOUT,
                 lambda seq=seq: self._flush_data_burst(flow, progress, [seq]),
             )
 
     def _transmit_packets(self, sender, receiver, packets, sender_cpus) -> None:
-        for packet, cpu in zip(packets, sender_cpus):
+        for packet, cpu in zip(batch_packets(packets), sender_cpus):
             self._send_packet(packet, cpu)
 
     def _dispatch_outputs(self, sender: str, outputs: list[Packet]) -> None:
         # In output order, not grouped per receiver.
-        for packet in outputs:
+        for packet in batch_packets(outputs):
             self._send_packet(packet, 0.0)
 
     def _send_packet(self, packet: Packet, sender_cpu: float) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.coder import CodedBlock
-from repro.core.packet import Packet, PacketKind
+from repro.core.packet import Packet, PacketBatch, PacketKind
 
 # -- coding-layer shapes ------------------------------------------------------------
 
@@ -65,6 +65,30 @@ def packet_runs(draw, max_size: int = 6):
         "kind": draw(st.sampled_from(list(PacketKind))),
     }
     return draw(st.lists(packets(**shape), max_size=max_size))
+
+
+@st.composite
+def packet_batches(draw, flow_ids=None, lanes=None, d=None, payload_bytes=None, max_rows=5):
+    """A data batch: 1..max_rows one-slice packets of one flow, lane and size.
+
+    A field that is given as a list is drawn from it; a shape that is given
+    is fixed.
+    """
+    d = draw(st.integers(1, 8)) if d is None else d
+    if payload_bytes is None:
+        payload_bytes = draw(st.integers(1, 48))
+    rows = draw(st.integers(1, max_rows))
+    matrix = st.lists(st.integers(0, 255), min_size=rows * (d + payload_bytes),
+                      max_size=rows * (d + payload_bytes))
+    columns = np.array(draw(matrix), dtype=np.uint8).reshape(rows, d + payload_bytes)
+    return PacketBatch(
+        flow_id=draw(st.integers(0, 2**64 - 1) if flow_ids is None else st.sampled_from(flow_ids)),
+        d=d,
+        lane=draw(st.integers(0, 255) if lanes is None else st.sampled_from(lanes)),
+        seqs=draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows)),
+        coefficients=columns[:, :d],
+        payloads=columns[:, d:],
+    )
 
 
 @st.composite

@@ -23,7 +23,7 @@ from repro.experiments.throughput import (
     prepare_scheme_transfer,
 )
 from repro.core.coder import CodedBlock
-from repro.core.packet import Packet, PacketKind
+from repro.core.packet import Packet, PacketBatch, PacketKind
 from repro.net import MAX_FRAME_BYTES, encode_frame
 from repro.overlay.aio import BATCH_HEADER, AioOverlayNetwork
 from repro.overlay.profiles import LAN_PROFILE
@@ -201,6 +201,27 @@ def test_aio_drops_to_failed_receiver():
         substrate.sim.run()
         assert delivered == []
         assert substrate.stats.packets_dropped == 2
+    finally:
+        substrate.close()
+
+
+@pytest.mark.parametrize("backend", ["sim", "aio"])
+@pytest.mark.parametrize("dead", ["sender", "receiver"])
+def test_a_dropped_data_batch_counts_one_drop_per_packet(backend, dead):
+    substrate = build_substrate(backend, _lan_network(["a", "b"]), connection_bps=30e6)
+    batch = PacketBatch(
+        flow_id=1, d=2, lane=0, seqs=[0, 1, 2, 3, 4],
+        coefficients=np.zeros((5, 2), np.uint8), payloads=np.zeros((5, 8), np.uint8),
+    )
+    try:
+        delivered = []
+        substrate.fail_node("a" if dead == "sender" else "b")
+        substrate.transmit_packets(
+            "a", "b", [batch], lambda items, arrivals: delivered.append(items)
+        )
+        substrate.sim.run()
+        assert delivered == []
+        assert substrate.stats.packets_dropped == 5
     finally:
         substrate.close()
 

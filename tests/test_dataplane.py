@@ -16,7 +16,7 @@ from repro.core.flow_decoder import FlowDecoder
 from repro.core.gf import GF
 from repro.core.integrity import robust_decode, wrap
 from repro.core.node_info import KEY_SIZE, DataMap, NodeInfo, SliceMap
-from repro.core.packet import random_padding_slice
+from repro.core.packet import PacketBatch, random_padding_slice
 from repro.core.relay import FlowState, Relay
 from repro.core.source import Source
 from repro.overlay.node import (
@@ -27,7 +27,7 @@ from repro.overlay.node import (
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.simulator import EventSimulator
 
-from oracles.dataplane import ScalarSlicingRuntime, reference_flush_data
+from oracles.dataplane import ScalarSlicingRuntime, batch_packets, reference_flush_data
 from strategies import dimension_triples
 
 #: The two planes by name: the shipped one and the per-packet reference.
@@ -73,6 +73,18 @@ def test_flow_decoder_decode_matches_robust_decode():
     assert 9 not in decoded and 1234 not in decoded
 
 
+def column_batch(items, lane=4):
+    """A one-lane data batch of ``(seq, block)`` pairs."""
+    return PacketBatch(
+        flow_id=1,
+        d=items[0][1].d,
+        lane=lane,
+        seqs=[seq for seq, _ in items],
+        coefficients=np.stack([block.coefficients for _, block in items]),
+        payloads=np.stack([block.payload for _, block in items]),
+    )
+
+
 def test_flow_decoder_add_run_equivalent_to_scalar_adds():
     coder, _ = coded_blocks(d=2)
     rng = np.random.default_rng(3)
@@ -81,8 +93,9 @@ def test_flow_decoder_add_run_equivalent_to_scalar_adds():
         blocks = coder.encode(wrap(b"msg-%d" % seq), rng)
         items.append((seq, blocks[0]))
     run_decoder = FlowDecoder(2)
-    accepted = run_decoder.add_run(4, items + items)  # replay the run: all dups
-    assert [seq for seq, _ in accepted] == list(range(10))
+    batch = column_batch(items + items)  # replay the run: all dups
+    accepted = run_decoder.add_run(4, batch)
+    assert [batch.seqs[row] for row in accepted] == list(range(10))
     loop_decoder = FlowDecoder(2)
     for seq, block in items:
         assert loop_decoder.add(seq, 4, block)
@@ -125,7 +138,7 @@ def test_flow_decoder_validates_split_factor():
     with pytest.raises(CodingError):
         decoder.add(0, 0, bad)
     with pytest.raises(CodingError):
-        decoder.add_run(0, [(0, bad)])
+        decoder.add_run(0, column_batch([(0, bad)], lane=0))
 
 
 # -- simulator coalescing ------------------------------------------------------------
@@ -259,25 +272,41 @@ def run_plane(
     return delivered, stats, progress, runtime, flow
 
 
+@st.composite
+def burst_lengths(draw, max_messages: int = 24):
+    """One length per message, drawn from two values.
+
+    A burst with both lengths reaches the source's cut into equal-length runs,
+    and past 16 messages the runtime's chunk boundary falls inside or between
+    those runs.
+    """
+    lengths = (draw(st.integers(1, 160)), draw(st.integers(1, 160)))
+    return draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=max_messages))
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     dims=dimension_triples(),
-    num_messages=st.integers(min_value=1, max_value=6),
-    message_len=st.integers(min_value=1, max_value=160),
+    lengths=burst_lengths(),
     fail_stage=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
     seed=st.integers(min_value=0, max_value=50),
 )
 # The retired dataplane-bench workload: d = d' = 4, L = 5, 64 x 256 B.
-@example(dims=(4, 4, 5), num_messages=64, message_len=256, fail_stage=None, seed=42)
-def test_batched_plane_bit_identical_to_scalar_reference(
-    dims, num_messages, message_len, fail_stage, seed
-):
-    """The acceptance property: across d, d', path length and loss patterns,
-    the batched data plane delivers byte-identical messages and identical
-    RelayStats counters under a shared seed — in fewer simulator events."""
+@example(dims=(4, 4, 5), lengths=[256] * 64, fail_stage=None, seed=42)
+# Two runs, the 16-packet chunk boundary inside the second, then exactly
+# between them; and runs of one alternating.
+@example(dims=(2, 3, 3), lengths=[100] * 10 + [40] * 10, fail_stage=None, seed=3)
+@example(dims=(2, 3, 3), lengths=[100] * 16 + [40] * 4, fail_stage=1, seed=4)
+@example(dims=(3, 3, 2), lengths=[7, 90] * 9, fail_stage=None, seed=5)
+def test_batched_plane_bit_identical_to_scalar_reference(dims, lengths, fail_stage, seed):
+    """The acceptance property: across d, d', path length, loss patterns and
+    mixed-length bursts, the batched data plane delivers byte-identical
+    messages and identical RelayStats counters under a shared seed — in fewer
+    simulator events."""
     d, d_prime, path_length = dims
-    body = np.random.default_rng(seed).integers(0, 256, message_len, dtype=np.uint8)
-    messages = [bytes(body)] * num_messages
+    num_messages = len(lengths)
+    body = np.random.default_rng(seed).integers(0, 256, max(lengths), dtype=np.uint8)
+    messages = [bytes(body[:length]) for length in lengths]
     kwargs = dict(
         d=d,
         d_prime=d_prime,
@@ -408,10 +437,10 @@ def test_flush_ignores_a_length_clashing_slice():
     assert data.add(1, 1, random_block(rng, 2))
     assert data.add(1, 2, random_block(rng, 2, payload_bytes=12))
     outgoing = relay.flush_data_many(FLOW_ID, [1])
-    assert [packet.destination_address for packet in outgoing] == [
+    assert [batch.destination_address for batch in outgoing] == [
         "child-0", "child-1", "child-2"
     ]
-    assert all(packet.own_slice.payload.shape == (SLICE_BYTES,) for packet in outgoing)
+    assert all(batch.payloads.shape == (1, SLICE_BYTES) for batch in outgoing)
     assert relay.stats.regenerated_slices == 3
 
 
@@ -451,6 +480,18 @@ def regeneration_states(draw):
     return relay, burst
 
 
+def per_connection(packets):
+    """Each receiver's packets' wire bytes in order, receivers in first-seen order.
+
+    What one flush puts on each connection: the shipped flush emits one batch
+    per child, the reference one packet per (seq, child).
+    """
+    wire = {}
+    for packet in packets:
+        wire.setdefault(packet.destination_address, []).append(packet.to_bytes())
+    return list(wire.items())
+
+
 @settings(max_examples=200, deadline=None)
 @given(regeneration_states())
 def test_batched_flush_matches_per_seq_reference(case):
@@ -460,9 +501,7 @@ def test_batched_flush_matches_per_seq_reference(case):
     batched, reference = (copy.deepcopy(relay, {id(GF): GF}) for _ in range(2))
     got = batched.flush_data_many(FLOW_ID, burst)
     want = reference_flush_data(reference, FLOW_ID, burst)
-    assert [(p.destination_address, p.to_bytes()) for p in got] == [
-        (p.destination_address, p.to_bytes()) for p in want
-    ]
+    assert per_connection(batch_packets(got)) == per_connection(want)
     ours, theirs = batched.flows[FLOW_ID], reference.flows[FLOW_ID]
     assert ours.data_forwarded == theirs.data_forwarded
     assert ours.data_flushed == theirs.data_flushed

@@ -3,10 +3,11 @@
 :meth:`Packet.to_bytes` / :meth:`Packet.from_bytes` define a packet's wire
 bytes; the asyncio backend ships a batch as those bytes back to back in a
 length-prefixed payload frame (:func:`pack_packets`) and parses it back as
-one byte matrix (:func:`unpack_packets`).  These tests pin the scalar round
-trip across all slot layouts with hypothesis, hold the batch codec to the
-scalar reference packet by packet, and check that truncated, oversized and
-malformed input is rejected rather than mis-parsed.
+one byte matrix (:func:`unpack_packets`), data packets as column batches
+(:class:`PacketBatch`).  These tests pin the scalar round trip across all
+slot layouts with hypothesis, hold the batch codec to the scalar reference
+packet by packet, and check that truncated, oversized and malformed input is
+rejected rather than mis-parsed.
 """
 
 import asyncio
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.coder import CodedBlock
 from repro.core.errors import PacketFormatError
-from repro.core.packet import Packet, PacketKind, pack_packets, unpack_packets
+from repro.core.packet import Packet, PacketBatch, PacketKind, pack_packets, unpack_packets
 from repro.net import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -28,7 +29,8 @@ from repro.net import (
 from repro.overlay.aio import AioOverlayNetwork
 from repro.overlay.profiles import LAN_PROFILE
 
-from strategies import packet_runs, packets
+from oracles.dataplane import batch_packets
+from strategies import packet_batches, packet_runs, packets
 
 
 @given(packet=packets())
@@ -63,7 +65,7 @@ def test_concatenated_frames_decode_in_order(packet_list):
 
 def _assert_parses_like_the_reference(batch):
     """``unpack_packets`` == ``Packet.from_bytes`` per packet, field by field."""
-    parsed = unpack_packets(pack_packets(batch), "a", "b")
+    parsed = batch_packets(unpack_packets(pack_packets(batch), "a", "b"))
     reference = [Packet.from_bytes(p.to_bytes(), "a", "b") for p in batch]
     assert len(parsed) == len(reference)
     for got, want in zip(parsed, reference):
@@ -177,9 +179,103 @@ def test_a_batch_over_the_frame_bound_splits_between_packets_and_round_trips():
         ((_, _, _, frames),) = substrate._outbox
         assert len(frames) == 2
         assert all(len(frame) <= MAX_FRAME_BYTES for frame in frames)
-        assert sum(len(unpack_packets(frame)) for frame in frames) == 70
+        assert sum(len(batch_packets(unpack_packets(frame))) for frame in frames) == 70
         substrate.drive()
-        assert [p.to_bytes() for p in delivered] == [p.to_bytes() for p in batch]
+        assert pack_packets(delivered) == pack_packets(batch)
+    finally:
+        substrate.close()
+
+
+# -- column batches -------------------------------------------------------------------
+
+
+@given(batch=packet_batches())
+@settings(max_examples=100, deadline=None)
+def test_a_column_batch_is_its_packets_wire_bytes_back_to_back(batch):
+    wire = batch.to_bytes()
+    assert wire == b"".join(p.to_bytes() for p in batch_packets([batch]))
+    assert batch.size_bytes() == len(wire) == len(batch) * batch.packet_size
+
+
+def _merged(items):
+    """``items`` with neighbouring batches of one flow, lane and size joined:
+    what the parser hands back, since it cuts a run only where those change."""
+    merged = []
+    for item in items:
+        last = merged[-1] if merged else None
+        if (
+            isinstance(item, PacketBatch)
+            and isinstance(last, PacketBatch)
+            and (last.flow_id, last.lane, last.d, last.packet_size)
+            == (item.flow_id, item.lane, item.d, item.packet_size)
+        ):
+            item = PacketBatch(
+                item.flow_id, item.d, item.lane, last.seqs + item.seqs,
+                np.concatenate((last.coefficients, item.coefficients)),
+                np.concatenate((last.payloads, item.payloads)),
+            )
+            merged.pop()
+        merged.append(item)
+    return merged
+
+
+# Two flow ids, two lanes and one shape for most batches, so same-shape runs
+# change flow or lane mid-run; setup packets of the same size cut them too.
+@given(
+    items=st.lists(
+        st.one_of(
+            packet_batches(flow_ids=[1, 2], lanes=[0, 1], d=2, payload_bytes=8),
+            packet_batches(flow_ids=[1, 2], lanes=[0, 1]),
+            packets(d=2, payload_bytes=8, slice_count=1, kind=PacketKind.SETUP),
+            packets(kind=PacketKind.SETUP),
+        ),
+        max_size=6,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_setup_packets_and_data_runs_round_trip_as_the_same_items(items):
+    parsed = unpack_packets(pack_packets(items), "a", "b")
+    want = _merged(items)
+    assert [type(item) for item in parsed] == [type(item) for item in want]
+    for got, expected in zip(parsed, want):
+        assert (got.source_address, got.destination_address) == ("a", "b")
+        if isinstance(expected, PacketBatch):
+            assert (got.flow_id, got.d, got.lane, got.seqs) == (
+                expected.flow_id, expected.d, expected.lane, expected.seqs
+            )
+            assert np.array_equal(got.coefficients, expected.coefficients)
+            assert np.array_equal(got.payloads, expected.payloads)
+            assert not got.payloads.flags.writeable  # a view into the frame
+        else:
+            assert got.to_bytes() == expected.to_bytes()
+    _assert_parses_like_the_reference(batch_packets(items))
+
+
+def test_a_batch_over_the_frame_bound_splits_between_two_of_its_rows():
+    rows, block = 70, 64_998
+    batch = PacketBatch(
+        flow_id=5, d=2, lane=1, seqs=list(range(rows)),
+        coefficients=np.ones((rows, 2), np.uint8),
+        payloads=np.arange(rows * block, dtype=np.uint64).astype(np.uint8).reshape(rows, block),
+    )
+    assert batch.size_bytes() > MAX_FRAME_BYTES
+    network = LAN_PROFILE.build_network(["a", "b"], np.random.default_rng(0))
+    substrate = AioOverlayNetwork(network, connection_bps=30e6)
+    try:
+        delivered = []
+        substrate.transmit_packets(
+            "a", "b", [batch], lambda items, arrivals: delivered.extend(items)
+        )
+        ((_, _, _, frames),) = substrate._outbox
+        assert len(frames) == 2
+        assert all(len(frame) <= MAX_FRAME_BYTES for frame in frames)
+        # Every frame holds whole packets: each parses on its own.
+        halves = [unpack_packets(frame) for frame in frames]
+        assert [len(items) for items in halves] == [1, 1]
+        assert sum(len(items[0]) for items in halves) == rows
+        substrate.drive()
+        assert [len(item) for item in delivered] == [len(items[0]) for items in halves]
+        assert pack_packets(delivered) == batch.to_bytes()
     finally:
         substrate.close()
 
