@@ -47,22 +47,6 @@ class PacketFormatError(ProtocolError):
     """A packet could not be parsed or serialized."""
 
 
-class SecureTransportError(ProtocolError):
-    """The authenticated transport layer (:mod:`repro.net`) failed."""
-
-
-class HandshakeError(SecureTransportError):
-    """The Noise-style handshake failed: bad MAC, bad group element, or an
-    unauthorized static key.  Raised *before* any application frame of the
-    session is processed."""
-
-
-class FrameAuthenticationError(SecureTransportError):
-    """An encrypted frame failed authentication (tampered ciphertext, a
-    replayed or reordered message hitting the wrong nonce, or a truncated
-    body)."""
-
-
 class SimulationError(ReproError):
     """The overlay simulator was driven into an invalid state."""
 

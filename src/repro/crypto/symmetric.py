@@ -18,10 +18,9 @@ without the key and the operation cost is realistic for a software cipher —
 without claiming to be production cryptography.
 
 Contract of the move from the SHA-256 counter construction to the XOF:
-ciphertext bytes (and with them the secure transport's handshake and frame
-bytes, see :mod:`repro.net.secure`) changed once, deliberately; every result
-artifact, parity file and delivered plaintext is byte-identical, because
-artifacts carry plaintext digests and counters, never ciphertext.
+ciphertext bytes changed once, deliberately; every result artifact, parity
+file and delivered plaintext is byte-identical, because artifacts carry
+plaintext digests and counters, never ciphertext.
 """
 
 from __future__ import annotations

@@ -84,8 +84,8 @@ class Job:
     ``seed=None`` resolves to the experiment's base seed.  ``backend``
     selects the overlay transport for experiments that support more than the
     simulator (the figs. 11-15 family); ``"aio"`` also checks the backend's
-    environment knobs (:func:`~repro.overlay.aio.environment_settings`),
-    since every trial would read them.  ``scheme`` restricts a
+    environment knob (:func:`~repro.overlay.aio.environment_settings`),
+    since every trial would read it.  ``scheme`` restricts a
     scheme-capable experiment to one of its schemes.  Which
     GF(2^8) loops execute the trials is not part of a run request:
     :mod:`repro.core.gf` decides per host, bit-identically.

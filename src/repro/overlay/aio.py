@@ -7,13 +7,8 @@ implements the *same* transport surface — :meth:`transmit_packets` /
 keyed event coalescing — over real TCP streams (loopback by default, any
 interface via ``bind_host``), so :class:`~repro.overlay.node.SlicingRuntime`
 and the onion runtimes in :mod:`repro.baselines.runtime` run unchanged on
-either backend.  Frames and connections come from :mod:`repro.net`: each
-connection is an :class:`~repro.net.AioChannel` whose session is chosen once,
-where the connection opens — plain by default, or, with
-``transport="secure"``, the one the Noise-style handshake returns, so each
-frame rides one AEAD message.  The session sits *below* the frame payloads,
-so delivered payloads — and the parity artifacts built from them — are
-bit-identical to a plaintext run.
+either backend.  Each connection is an asyncio stream pair that carries
+length-prefixed frames, in the format defined below.
 
 How the two clocks relate
 -------------------------
@@ -38,9 +33,9 @@ wall-clock-dependent timing fields are not comparable by value.  See
 
 Wire format
 -----------
-Every message on a connection is a *frame* (:mod:`repro.net.framing`: a
-4-byte big-endian length followed by that many payload bytes, at most
-:data:`~repro.net.MAX_FRAME_BYTES`).  A connection opens with a hello frame
+Every message on a connection is a *frame*: a 4-byte big-endian length
+(:data:`FRAME_HEADER`) followed by that many payload bytes, at most
+:data:`MAX_FRAME_BYTES`.  A connection opens with a hello frame
 (``sender\\x00receiver``), then carries batches: one batch-header frame
 (``>QI``: batch id, payload frame count) followed by the batch's payload
 frames.  A payload frame holds a whole number of the batch's packets back
@@ -50,14 +45,13 @@ to back: for the slicing data plane, their :meth:`Packet.to_bytes
 packet_size)`` matrix fill) and read back by
 :func:`~repro.core.packet.unpack_packets` as setup packets and data batches
 whose columns are read-only views into the frame; for the baselines,
-length-prefixed opaque cells (:func:`~repro.net.encode_frame` each, read back
-with the strict :func:`~repro.net.decode_frames`), so a cell may be at most
-``MAX_FRAME_BYTES`` minus its prefix.  A batch is as few payload frames as
-:data:`~repro.net.MAX_FRAME_BYTES` allows — one, for every batch the figures
-send — split between packets (inside a data batch, between two of its rows,
-if need be), and leaves in one ``writelines`` of its sealed frames, on
-either transport; on the secure transport a batch is therefore one AEAD
-message, not one per packet.
+length-prefixed opaque cells (:func:`encode_frame` each, read back with the
+strict :func:`decode_frames`), so a cell may be at most ``MAX_FRAME_BYTES``
+minus its prefix.  A batch is as few payload frames as
+:data:`MAX_FRAME_BYTES` allows — one, for every batch the figures send —
+split between packets (inside a data batch, between two of its rows, if
+need be), and leaves in one ``writelines`` of its frames
+(:func:`send_frames`); :func:`recv_frame` reads one frame back.
 
 Both ends of every connection live in this process, so the sending side's
 record of a batch (its connection, payload frame count and item count) is
@@ -76,7 +70,7 @@ import os
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..core.errors import PacketFormatError, SimulationError
 from ..core.packet import (
@@ -87,18 +81,16 @@ from ..core.packet import (
     unpack_packets,
     wire_sizes,
 )
-from ..net import (
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
-    AioChannel,
-    StaticKeyPair,
-    decode_frames,
-    encode_frame,
-    handshake,
-)
 from .network import NetworkModel
 from .node import OverlayTransport
 from .simulator import EventSimulator
+
+#: Length prefix of every frame on the wire.
+FRAME_HEADER = struct.Struct(">I")
+
+#: Upper bound on a single frame's payload; anything larger is a protocol
+#: error (slicing packets are a few KiB even at large split factors).
+MAX_FRAME_BYTES = 1 << 22
 
 #: Batch header payload: (batch id, number of payload frames that follow).
 BATCH_HEADER = struct.Struct(">QI")
@@ -107,38 +99,85 @@ BATCH_HEADER = struct.Struct(">QI")
 #: progress before it declares itself wedged instead of hanging CI.
 DEFAULT_STALL_TIMEOUT = 60.0
 
-#: The wire transports a backend runs (its ``transport`` argument).
-TRANSPORTS = ("plain", "secure")
-
 
 def environment_settings() -> dict:
-    """The backend's two environment knobs as constructor kwargs, checked.
+    """The backend's environment knob as constructor kwargs, checked.
 
-    ``REPRO_AIO_HOST`` becomes ``bind_host`` and ``REPRO_AIO_TRANSPORT``
-    becomes ``transport``; an unset or empty variable is left out.  A host
-    that does not resolve or a transport not in :data:`TRANSPORTS` raises
+    ``REPRO_AIO_HOST`` becomes ``bind_host``; unset or empty, it is left
+    out.  A host that does not resolve raises
     :class:`~repro.core.errors.SimulationError` with a one-line message, so
     a run request can reject it before any trial runs.
     """
-    settings = {}
     host = os.environ.get("REPRO_AIO_HOST")
-    if host:
-        try:
-            socket.getaddrinfo(host, None)
-        except socket.gaierror as error:
-            raise SimulationError(
-                f"REPRO_AIO_HOST: cannot resolve host {host!r} ({error})"
-            ) from None
-        settings["bind_host"] = host
-    transport = os.environ.get("REPRO_AIO_TRANSPORT")
-    if transport:
-        if transport not in TRANSPORTS:
-            raise SimulationError(
-                f"REPRO_AIO_TRANSPORT: unknown transport {transport!r} "
-                f"(supported: {', '.join(TRANSPORTS)})"
-            )
-        settings["transport"] = transport
-    return settings
+    if not host:
+        return {}
+    try:
+        socket.getaddrinfo(host, None)
+    except socket.gaierror as error:
+        raise SimulationError(
+            f"REPRO_AIO_HOST: cannot resolve host {host!r} ({error})"
+        ) from None
+    return {"bind_host": host}
+
+
+# -- frames -------------------------------------------------------------------------
+
+
+def check_frame_size(size: int) -> int:
+    """Return ``size`` if a frame may carry it."""
+    if size > MAX_FRAME_BYTES:
+        raise PacketFormatError(
+            f"frame of {size} bytes is over the {MAX_FRAME_BYTES}-byte limit"
+        )
+    return size
+
+
+def encode_frame(payload: bytes) -> bytes:
+    """Length-prefix ``payload`` for the wire."""
+    return FRAME_HEADER.pack(check_frame_size(len(payload))) + payload
+
+
+def decode_frames(data: bytes) -> list[bytes]:
+    """Split a byte string into exact frames; reject truncated or oversized ones.
+
+    The buffer must contain a whole number of well-formed frames: a payload
+    frame of opaque cells is read back this way.
+    """
+    frames: list[bytes] = []
+    offset = 0
+    total = len(data)
+    while offset < total:
+        if total - offset < FRAME_HEADER.size:
+            raise PacketFormatError("truncated frame header")
+        (length,) = FRAME_HEADER.unpack_from(data, offset)
+        check_frame_size(length)
+        offset += FRAME_HEADER.size
+        if total - offset < length:
+            raise PacketFormatError("truncated frame payload")
+        frames.append(data[offset : offset + length])
+        offset += length
+    return frames
+
+
+async def send_frames(writer: asyncio.StreamWriter, payloads: Iterable[bytes]) -> None:
+    """Send frames back to back (a hello, or a batch) in one write."""
+    # Encode every frame before writing any, so an oversized one fails the
+    # batch with nothing on the wire; one writelines keeps the batch
+    # contiguous even when several coroutines send on the same connection.
+    writer.writelines([encode_frame(payload) for payload in payloads])
+    await writer.drain()
+
+
+async def recv_frame(reader: asyncio.StreamReader) -> bytes | None:
+    """The next frame's payload; ``None`` on a clean close between frames."""
+    header = None
+    try:
+        header = await reader.readexactly(FRAME_HEADER.size)
+        return await reader.readexactly(check_frame_size(FRAME_HEADER.unpack(header)[0]))
+    except asyncio.IncompleteReadError as exc:
+        if header is None and not exc.partial:
+            return None
+        raise PacketFormatError("connection closed mid-frame") from None
 
 
 # -- the virtual clock --------------------------------------------------------------
@@ -214,7 +253,7 @@ def _payload_frames(items: list, sizes: list[int], pack: Callable) -> list[bytes
 
     ``sizes`` holds one wire size per packet (or cell).  Frames split between
     packets, inside a data batch if need be, never inside one; a packet over
-    the bound on its own is left for the channel's size check to reject.
+    the bound on its own is left for :func:`send_frames` to reject.
     """
     if sum(sizes) <= MAX_FRAME_BYTES:
         return [pack(items)]
@@ -245,12 +284,6 @@ class AioOverlayNetwork(OverlayTransport):
         Interface the per-address servers bind and connections dial
         (default ``127.0.0.1``; any resolvable address works — all overlay
         endpoints live in this process, so host and dial address coincide).
-    transport:
-        ``"plain"`` (default) or ``"secure"`` — the latter runs the
-        :mod:`repro.net` handshake per connection and AEAD-protects every
-        frame.  Every endpoint lives in this process, so one freshly
-        generated static keypair, trusting only itself, covers the mesh.
-        Delivered payloads are bit-identical either way.
     """
 
     def __init__(
@@ -258,16 +291,9 @@ class AioOverlayNetwork(OverlayTransport):
         network: NetworkModel,
         connection_bps: float,
         bind_host: str = "127.0.0.1",
-        transport: str = "plain",
     ) -> None:
         super().__init__(network, connection_bps)
-        if transport not in TRANSPORTS:
-            raise SimulationError(
-                f"unknown transport {transport!r} (supported: {', '.join(TRANSPORTS)})"
-            )
         self.bind_host = bind_host
-        self.transport = transport
-        self.keypair = StaticKeyPair.generate() if transport == "secure" else None
         self.sim = AioClock(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server_tasks: dict[str, asyncio.Task] = {}
@@ -443,14 +469,14 @@ class AioOverlayNetwork(OverlayTransport):
         self, sender: str, receiver: str, batch_id: int, frames: list[bytes]
     ) -> None:
         try:
-            channel = await self._connection(sender, receiver)
-            await channel.send_frames([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
+            writer = await self._connection(sender, receiver)
+            await send_frames(writer, [BATCH_HEADER.pack(batch_id, len(frames)), *frames])
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: B036 - must not strand _quiesce
             self._fail(exc)
 
-    async def _connection(self, sender: str, receiver: str) -> AioChannel:
+    async def _connection(self, sender: str, receiver: str) -> asyncio.StreamWriter:
         key = (sender, receiver)
         task = self._writer_tasks.get(key)
         if task is None:
@@ -461,16 +487,13 @@ class AioOverlayNetwork(OverlayTransport):
             self._writer_tasks[key] = task
         return await task
 
-    async def _open_connection(self, sender: str, receiver: str) -> AioChannel:
-        """Dial ``receiver``'s server, settle the session, say hello."""
+    async def _open_connection(self, sender: str, receiver: str) -> asyncio.StreamWriter:
+        """Dial ``receiver``'s server and say hello."""
         server = await self._ensure_server(receiver)
         port = server.sockets[0].getsockname()[1]
-        channel = AioChannel(*await asyncio.open_connection(self.bind_host, port))
-        if self.transport == "secure":
-            pair = self.keypair
-            await channel.handshake(handshake(pair, remote_public=pair.public))
-        await channel.send_frame(f"{sender}\x00{receiver}".encode())
-        return channel
+        _reader, writer = await asyncio.open_connection(self.bind_host, port)
+        await send_frames(writer, [f"{sender}\x00{receiver}".encode()])
+        return writer
 
     async def _ensure_server(self, address: str):
         # Memoised as a task (like _connection): two senders dialling the
@@ -498,13 +521,7 @@ class AioOverlayNetwork(OverlayTransport):
             task.add_done_callback(self._handler_tasks.discard)
         self._handler_writers.add(writer)
         try:
-            channel = AioChannel(reader, writer)
-            if self.transport == "secure":
-                pair = self.keypair
-                await channel.handshake(
-                    handshake(pair, authorized=frozenset({pair.public}))
-                )
-            hello = await channel.recv_frame()
+            hello = await recv_frame(reader)
             if hello is None:
                 return
             try:
@@ -513,7 +530,7 @@ class AioOverlayNetwork(OverlayTransport):
                 raise PacketFormatError(f"malformed hello frame {hello!r}") from None
             link = f"{sender}→{receiver}"
             while True:
-                header = await channel.recv_frame()
+                header = await recv_frame(reader)
                 if header is None:
                     break
                 if len(header) != BATCH_HEADER.size:
@@ -536,7 +553,7 @@ class AioOverlayNetwork(OverlayTransport):
                     )
                 frames = []
                 for _ in range(count):
-                    frame = await channel.recv_frame()
+                    frame = await recv_frame(reader)
                     if frame is None:
                         raise PacketFormatError(
                             f"{link}: connection closed after {len(frames)} of "
@@ -606,7 +623,7 @@ class AioOverlayNetwork(OverlayTransport):
         writers: list[asyncio.StreamWriter] = []
         for task in self._writer_tasks.values():
             if task.done() and not task.cancelled() and task.exception() is None:
-                writers.append(task.result().writer)
+                writers.append(task.result())
             else:
                 task.cancel()
                 cancelled.append(task)

@@ -151,13 +151,12 @@ def build_substrate(
     ``"sim"`` is the discrete-event simulator; ``"aio"`` runs the same
     protocol runtimes over real asyncio TCP streams
     (:class:`~repro.overlay.aio.AioOverlayNetwork`).  The aio backend takes
-    its two deployment settings from the environment, read and checked by
+    its one deployment setting from the environment, read and checked by
     :func:`~repro.overlay.aio.environment_settings`: ``REPRO_AIO_HOST``
-    (bind/dial address, default ``127.0.0.1``) and ``REPRO_AIO_TRANSPORT``
-    (``plain`` | ``secure``).  Structural results are bit-identical across
-    all of these settings (``tests/test_aio_backend.py`` compares sim, plain
-    aio and secure aio; CI's ``aio-parity`` job ``cmp``s the plain-aio
-    figure artifacts).
+    (bind/dial address, default ``127.0.0.1``).  Structural results are
+    bit-identical across backends and hosts (``tests/test_aio_backend.py``
+    compares the simulator with aio on the default and a named host; CI's
+    ``aio-parity`` job ``cmp``s the aio figure artifacts).
     """
     if backend == "sim":
         return SimulatedOverlayNetwork(network, connection_bps=connection_bps)

@@ -18,14 +18,12 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.setup_latency import measure_setup
 from repro.experiments.throughput import (
     aggregate_throughput_vs_flows,
-    connection_bps_for,
     measure_throughput,
     prepare_scheme_transfer,
 )
 from repro.core.coder import CodedBlock
 from repro.core.packet import Packet, PacketBatch, PacketKind
-from repro.net import MAX_FRAME_BYTES, encode_frame
-from repro.overlay.aio import BATCH_HEADER, AioOverlayNetwork
+from repro.overlay.aio import BATCH_HEADER, MAX_FRAME_BYTES, AioOverlayNetwork, encode_frame
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.runtime import build_substrate
 
@@ -65,10 +63,10 @@ def test_throughput_parity_with_simulator(scheme, kwargs):
     assert results["sim"].delivered_digest == results["aio"].delivered_digest != ""
 
 
-def _transfer(scheme, backend="sim", substrate_factory=None):
-    """One small transfer; returns the transport used and the parity surface."""
+def _transfer(scheme, backend="sim"):
+    """One small transfer; returns the aio bind host (None on the sim) and the parity surface."""
     substrate, runtime, relays, destination = prepare_scheme_transfer(
-        scheme, LAN_PROFILE, 2, 2, 2, 42, "batched", backend, substrate_factory
+        scheme, LAN_PROFILE, 2, 2, 2, 42, "batched", backend
     )
     try:
         runtime.establish(relays, destination)
@@ -76,7 +74,7 @@ def _transfer(scheme, backend="sim", substrate_factory=None):
         runtime.send_messages([bytes([seq]) * 1500 for seq in range(15)])
         substrate.sim.run()
         assert len(runtime.delivered_plaintexts()) == 15
-        return getattr(substrate, "transport", None), (
+        return getattr(substrate, "bind_host", None), (
             runtime.delivered_digest(),
             runtime.relay_counters(),
             runtime.network_counters(),
@@ -86,24 +84,15 @@ def _transfer(scheme, backend="sim", substrate_factory=None):
 
 
 @pytest.mark.parametrize("scheme", ["slicing", "onion"])
-def test_secure_aio_overlay_parity_with_plain_and_simulator(scheme, monkeypatch):
-    def secure_by_kwarg(network):
-        return AioOverlayNetwork(
-            network, connection_bps=connection_bps_for(LAN_PROFILE), transport="secure"
-        )
-
-    monkeypatch.delenv("REPRO_AIO_TRANSPORT", raising=False)
+def test_aio_host_from_the_environment_reaches_the_substrate_with_parity(scheme, monkeypatch):
+    # prepare_scheme_transfer builds the aio substrate through
+    # build_substrate("aio", ...), which reads REPRO_AIO_HOST into bind_host;
+    # a named host delivers what the simulator delivers.
     _, sim = _transfer(scheme)
-    plain_transport, plain = _transfer(scheme, "aio")
-    kwarg_transport, by_kwarg = _transfer(scheme, substrate_factory=secure_by_kwarg)
-    monkeypatch.setenv("REPRO_AIO_TRANSPORT", "secure")
-    env_transport, by_env = _transfer(scheme, "aio")
-    assert (plain_transport, kwarg_transport, env_transport) == (
-        "plain",
-        "secure",
-        "secure",
-    )
-    assert sim == plain == by_kwarg == by_env
+    monkeypatch.setenv("REPRO_AIO_HOST", "localhost")
+    host, aio = _transfer(scheme, "aio")
+    assert host == "localhost"
+    assert aio == sim
 
 
 @pytest.mark.parametrize(

@@ -37,9 +37,9 @@ def test_relative_doc_links_resolve():
     assert result.returncode == 0, result.stderr + result.stdout
 
 
-def test_environment_side_channels_are_pinned_at_three():
+def test_environment_side_channels_are_pinned_at_two():
     # Every REPRO_* name the program mentions, and each one documented.  A
-    # fourth variable is a new option: give it a flag or argue it in the docs
+    # third variable is a new option: give it a flag or argue it in the docs
     # and extend this list on purpose.
     import re
 
@@ -48,7 +48,6 @@ def test_environment_side_channels_are_pinned_at_three():
         mentioned |= set(re.findall(r"REPRO_[A-Z_]+", source.read_text(encoding="utf-8")))
     assert mentioned == {
         "REPRO_AIO_HOST",
-        "REPRO_AIO_TRANSPORT",
         "REPRO_GF_KERNEL_PROVIDER",
     }
     documented = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")

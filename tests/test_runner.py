@@ -132,10 +132,9 @@ def test_invalid_arguments_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("variable", "value", "name", "message"),
     [
-        ("REPRO_AIO_TRANSPORT", "bogus", "fig11", "unknown transport 'bogus'"),
         ("REPRO_AIO_HOST", "no-such-host.invalid", "fig14", "cannot resolve host"),
     ],
-    ids=["transport", "host"],
+    ids=["host"],
 )
 def test_cli_run_rejects_a_bad_aio_environment(
     tmp_path, capsys, monkeypatch, variable, value, name, message

@@ -19,14 +19,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.coder import CodedBlock
 from repro.core.errors import PacketFormatError
 from repro.core.packet import Packet, PacketBatch, PacketKind, pack_packets, unpack_packets
-from repro.net import (
+from repro.overlay.aio import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
-    AioChannel,
+    AioOverlayNetwork,
     decode_frames,
     encode_frame,
+    recv_frame,
+    send_frames,
 )
-from repro.overlay.aio import AioOverlayNetwork
 from repro.overlay.profiles import LAN_PROFILE
 
 from oracles.dataplane import batch_packets
@@ -314,13 +315,13 @@ def _read_from(data: bytes):
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         reader.feed_eof()
-        return await AioChannel(reader, None).recv_frame()
+        return await recv_frame(reader)
 
     return asyncio.run(go())
 
 
 class _CapturingWriter:
-    """The two StreamWriter members a channel's send path touches."""
+    """The two StreamWriter members :func:`send_frames` touches."""
 
     def __init__(self) -> None:
         self.wire = b""
@@ -336,7 +337,7 @@ class _CapturingWriter:
 @settings(max_examples=50, deadline=None)
 def test_a_batch_of_frames_leaves_as_the_encode_frame_reference(frames):
     writer = _CapturingWriter()
-    asyncio.run(AioChannel(None, writer).send_frames(frames))
+    asyncio.run(send_frames(writer, frames))
     assert writer.wire == b"".join(encode_frame(frame) for frame in frames)
     assert decode_frames(writer.wire) == frames
 
@@ -344,9 +345,7 @@ def test_a_batch_of_frames_leaves_as_the_encode_frame_reference(frames):
 def test_an_oversized_frame_fails_the_batch_before_anything_is_written():
     writer = _CapturingWriter()
     with pytest.raises(PacketFormatError):
-        asyncio.run(
-            AioChannel(None, writer).send_frames([b"ok", bytes(MAX_FRAME_BYTES + 1)])
-        )
+        asyncio.run(send_frames(writer, [b"ok", bytes(MAX_FRAME_BYTES + 1)]))
     assert writer.wire == b""
 
 
@@ -366,3 +365,50 @@ def test_stream_read_frame_rejects_truncation():
         _read_from(frame[:-3])  # inside the payload
     with pytest.raises(PacketFormatError):
         _read_from(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))  # oversized declaration
+
+
+def _trickled_reader(incoming: bytes) -> asyncio.StreamReader:
+    """A reader that gets ``incoming`` one byte at a time, then EOF.
+
+    Call it inside a running loop: a task trickles the bytes in, yielding to
+    the loop after each one, so every read :func:`recv_frame` makes is a
+    partial one.
+    """
+    reader = asyncio.StreamReader()
+
+    async def trickle() -> None:
+        for index in range(len(incoming)):
+            reader.feed_data(incoming[index : index + 1])
+            await asyncio.sleep(0)
+        reader.feed_eof()
+
+    reader.trickle = asyncio.get_running_loop().create_task(trickle())
+    return reader
+
+
+@given(messages=st.lists(st.binary(max_size=256), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_frames_round_trip_one_byte_at_a_time(messages):
+    async def read() -> list[bytes]:
+        reader = _trickled_reader(b"".join(map(encode_frame, messages)))
+        frames = []
+        try:
+            while (frame := await recv_frame(reader)) is not None:
+                frames.append(frame)
+        finally:
+            reader.trickle.cancel()
+        return frames
+
+    assert asyncio.run(read()) == messages
+
+
+def test_size_violations_raise_packet_format_error_and_the_bound_is_legal():
+    with pytest.raises(PacketFormatError, match="over the"):
+        encode_frame(bytes(MAX_FRAME_BYTES + 1))
+    with pytest.raises(PacketFormatError, match="over the"):
+        _read_from(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))
+    # A frame of exactly MAX_FRAME_BYTES is legal on send and on read.
+    payload = bytes(MAX_FRAME_BYTES)
+    writer = _CapturingWriter()
+    asyncio.run(send_frames(writer, [payload]))
+    assert _read_from(writer.wire) == payload
