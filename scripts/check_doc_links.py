@@ -2,10 +2,10 @@
 """Check that every relative link in the repo's markdown docs resolves.
 
 Scans the top-level ``*.md`` files and everything under ``docs/`` for
-markdown links, skips external schemes (http/https/mailto) and pure
-in-page anchors, and verifies that each remaining target exists relative
-to the file containing the link.  Exits non-zero with one line per broken
-link, so CI can gate on it.
+markdown links outside inline code spans, skips external schemes
+(http/https/mailto) and pure in-page anchors, and verifies that each
+remaining target exists relative to the file containing the link.  Exits
+non-zero with one line per broken link, so CI can gate on it.
 
 Usage:  python scripts/check_doc_links.py [repo_root]
 """
@@ -20,6 +20,9 @@ from pathlib import Path
 # [text](target "title"); group 1 or 2 is the link target.
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(\s*(?:<([^>]+)>|([^)\s]+))(?:\s+\"[^\"]*\")?\s*\)")
 EXTERNAL_SCHEMES = ("http://", "https://", "mailto:")
+# An inline code span (`...`, ``...``) on one line: text inside it is code,
+# not a link, so a regex such as `x[ab](c|d)` is not checked.
+CODE_SPAN = re.compile(r"(`+)[^\n]+?\1")
 
 
 def markdown_files(root: Path) -> list[Path]:
@@ -33,7 +36,7 @@ def markdown_files(root: Path) -> list[Path]:
 def broken_links(root: Path) -> list[str]:
     failures = []
     for md_file in markdown_files(root):
-        text = md_file.read_text(encoding="utf-8")
+        text = CODE_SPAN.sub("", md_file.read_text(encoding="utf-8"))
         for match in LINK_PATTERN.finditer(text):
             target = match.group(1) or match.group(2)
             if target.startswith(EXTERNAL_SCHEMES) or target.startswith("#"):

@@ -5,8 +5,6 @@ Subcommands::
     python -m repro.experiments run <name> [...] [--workers N] [--scale S]
                                     [--out DIR] [--seed N] [--force]
                                     [--backend sim|aio] [--scheme NAME]
-                                    [--matrix SPEC ...]
-    python -m repro.experiments report --matrix SPEC [--results DIR] [...]
     python -m repro.experiments list
 
 ``run`` executes registered experiments through the runner — inline, or
@@ -18,13 +16,6 @@ experiments (figs. 11-15) over the asyncio localhost-TCP backend instead of
 the discrete-event simulator; the structural fields land in
 ``<name>.parity.json`` for cross-backend comparison.  ``list`` prints every
 registered experiment.
-
-``--matrix SPEC`` registers the cells of a scenario-matrix spec file
-(:mod:`repro.experiments.scenarios`) before dispatch; with ``run`` and no
-explicit names, all of the matrix's cells run.  ``report`` merges the cell
-artifacts of a matrix into ``scenario_report.json`` plus a markdown page
-(:mod:`repro.experiments.report`), with an optional baseline-delta
-section.
 """
 
 from __future__ import annotations
@@ -51,16 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         "names",
         nargs="*",
         metavar="name",
-        help="registered experiment names (see the 'list' subcommand); "
-        "defaults to every cell of the --matrix spec(s) when omitted",
-    )
-    run_parser.add_argument(
-        "--matrix",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="scenario-matrix spec file whose cells to register before "
-        "dispatch (repeatable)",
+        help="registered experiment names (see the 'list' subcommand)",
     )
     # The run request.  Its values are validated by building the Job in
     # _run_command (not via argparse type=) so that a non-finite scale, a
@@ -74,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         help="trial-count scale factor (1.0 = the paper's full counts)",
     )
     run_parser.add_argument(
-        "--seed", type=int, default=None, help="override the experiment's base seed"
+        "--seed", type=int, default=None, help="override the base seed"
     )
     run_parser.add_argument(
         "--backend",
@@ -104,70 +86,14 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=1, help="worker processes (default: 1)"
     )
 
-    report_parser = subparsers.add_parser(
-        "report",
-        help="merge a matrix's cell artifacts into the consolidated report",
-    )
-    report_parser.add_argument(
-        "--matrix",
-        required=True,
-        metavar="SPEC",
-        help="scenario-matrix spec file to report on",
-    )
-    report_parser.add_argument(
-        "--results",
-        default=str(DEFAULT_RESULTS_DIR),
-        help="directory holding the cell artifacts (default: results/)",
-    )
-    report_parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="consolidated JSON output (default: <results>/scenario_report.json)",
-    )
-    report_parser.add_argument(
-        "--md",
-        default="docs/scenario-report.md",
-        metavar="PATH",
-        help="markdown output (default: docs/scenario-report.md; "
-        "'-' skips markdown)",
-    )
-    report_parser.add_argument(
-        "--baseline",
-        default="docs/scenario-baseline.json",
-        metavar="PATH",
-        help="baseline report snapshot for regression deltas "
-        "(default: docs/scenario-baseline.json; missing file = no deltas)",
-    )
-
     subparsers.add_parser("list", help="list registered experiments")
 
     args = parser.parse_args(argv)
-    matrices, code = _register_matrices(getattr(args, "matrix", None))
-    if code:
-        return code
     if args.command == "list":
         for name in experiment_names():
             print(f"{name:24s} {get_experiment(name).title}")
         return 0
-    if args.command == "report":
-        return _report_command(args, matrices[0])
-    return _run_command(args, matrices)
-
-
-def _register_matrices(paths: list[str] | str | None):
-    """Register the spec file(s) named by ``--matrix``; spec errors exit 2."""
-    from .scenarios import ScenarioSpecError, register_matrix_file
-
-    if paths is None:
-        return [], 0
-    matrices = []
-    for path in [paths] if isinstance(paths, str) else paths:
-        try:
-            matrices.append(register_matrix_file(path))
-        except ScenarioSpecError as error:
-            return [], _fail(str(error))
-    return matrices, 0
+    return _run_command(args)
 
 
 def _fail(message: str) -> int:
@@ -200,15 +126,9 @@ def _print_result(result: RunResult) -> None:
         print(f"artifact: {result.artifact}")
 
 
-def _run_command(args: argparse.Namespace, matrices: list) -> int:
+def _run_command(args: argparse.Namespace) -> int:
     if not args.names:
-        if not matrices:
-            return _fail("no experiment names given (and no --matrix to default to)")
-        from .scenarios import expand_matrix
-
-        args.names = [
-            cell.name for matrix in matrices for cell in expand_matrix(matrix)
-        ]
+        return _fail("no experiment names given")
     if args.workers < 1:
         return _fail(f"--workers must be >= 1, got {args.workers}")
     # Every requested run is validated up front, so a usage mistake exits
@@ -226,38 +146,6 @@ def _run_command(args: argparse.Namespace, matrices: list) -> int:
             **asdict(job), workers=args.workers, out_dir=args.out, force=args.force
         )
         _print_result(result)
-    return 0
-
-
-def _report_command(args: argparse.Namespace, matrix) -> int:
-    from pathlib import Path
-
-    from .report import write_report
-
-    results_dir = Path(args.results)
-    json_path = (
-        Path(args.json) if args.json else results_dir / "scenario_report.json"
-    )
-    md_path = None if args.md == "-" else Path(args.md)
-    try:
-        report = write_report(
-            matrix,
-            results_dir,
-            json_path=json_path,
-            md_path=md_path,
-            baseline_path=args.baseline,
-        )
-    except ValueError as error:  # a malformed --baseline file
-        return _fail(str(error))
-    summary = report["summary"]
-    print(
-        f"report for matrix {matrix.name!r}: {summary['cells']} cell(s), "
-        f"{summary['complete']} complete, {summary['partial']} partial, "
-        f"{summary['missing']} missing"
-    )
-    print(f"json: {json_path}")
-    if md_path is not None:
-        print(f"markdown: {md_path}")
     return 0
 
 

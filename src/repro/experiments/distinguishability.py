@@ -29,12 +29,10 @@ substrate:
    prior, 1 = sizes identify the position of every packet.
 4. :func:`hop_size_unlinkability` — one row per (scheme, path length):
    per-phase advantages, per-phase distinct-size counts, and the combined
-   ``unlinkability`` score ``1 - max(setup_advantage, data_advantage)``
-   (the metric surfaced by the scenario matrices).
+   ``unlinkability`` score ``1 - max(setup_advantage, data_advantage)``.
 
 Registered as the ``distinguishability`` experiment family: deterministic
-and simulator-only — it runs through the pool and the scenario matrices
-like every other family.
+and simulator-only — it runs through the pool like every other family.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from ..anonymity.analysis import exact_anonymity
 from ..baselines.chaum import exact_chaum_anonymity
 from ..core.coder import SliceCoder
 from ..overlay.churn import PLANETLAB_CHURN
-from ..overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
+from ..overlay.profiles import PLANETLAB_PROFILE, get_profile
 from ..resilience.analysis import (
     onion_erasure_success_probability,
     slicing_success_probability,
@@ -37,8 +37,6 @@ from .trials import spawn_seed
 
 #: Default parameters straight from the paper's captions.
 DEFAULT_N = 10_000
-
-_PROFILES = {"lan": LAN_PROFILE, "planetlab": PLANETLAB_PROFILE}
 
 
 # -- Figs. 7-10: exact anonymity -------------------------------------------------
@@ -181,7 +179,7 @@ def _fig12_trials(scale: float) -> list[dict]:
 
 
 def _throughput_run(params: dict, rng: np.random.Generator) -> dict:
-    profile = _PROFILES[params["profile"]]
+    profile = get_profile(params["profile"])
     backend = params.get("backend", "sim")
     scheme = params.get("scheme")
     if scheme is not None:
@@ -330,7 +328,7 @@ def _fig15_trials(scale: float) -> list[dict]:
 
 
 def _setup_run(params: dict, rng: np.random.Generator) -> dict:
-    profile = _PROFILES[params["profile"]]
+    profile = get_profile(params["profile"])
     backend = params.get("backend", "sim")
     path_length = params["path_length"]
     scheme = params.get("scheme")

@@ -38,7 +38,6 @@ class Experiment:
     build_trials: Callable[[float], list[dict]]
     run_trial: Callable[[dict, np.random.Generator], dict]
     reduce: Callable[[list[dict], list[dict]], list[dict]] | None = None
-    base_seed: int = DEFAULT_BASE_SEED
     #: True when the rows are wall-clock timings of this host (``microbench``,
     #: ``ablation_transforms``).  Timings differ per run, so the runner never
     #: serves them from cache.
@@ -91,8 +90,4 @@ def experiment_names() -> list[str]:
 
 def _ensure_definitions_loaded() -> None:
     # Importing the definition modules runs their register() calls.
-    # Scenario-matrix cells are registered at run time by register_matrix;
-    # pool workers never look experiments up (the runner ships them the
-    # trial function itself), so only the process that registered a cell
-    # needs to know it.
     from . import ablations, distinguishability, figures  # noqa: F401

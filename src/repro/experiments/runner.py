@@ -23,8 +23,7 @@ into rows:
 Worker processes receive ``(run_trial, index, params, seed)`` payloads.
 Every ``run_trial`` is a module-level function, which pickles by reference
 under the fork, spawn and forkserver start methods alike, so workers never
-consult the registry — a cell registered at run time in the parent runs on
-any pool.
+consult the registry.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .registry import Experiment, get_experiment
+from .registry import DEFAULT_BASE_SEED, Experiment, get_experiment
 
 #: Where artifacts land unless the caller overrides it (the CLI's --out).
 DEFAULT_RESULTS_DIR = Path("results")
@@ -52,8 +51,8 @@ DEFAULT_RESULTS_DIR = Path("results")
 #: (name, scale, seed, trials) key, so stale cached artifacts the current
 #: code cannot reproduce are never served.  v2: anonymity figures (7-10)
 #: moved to the batched Monte-Carlo engine, which consumes randomness in
-#: bulk draws rather than per trial.  v3: figs. 7-10 and the scenario cells'
-#: anonymity columns are exact expectations, no longer Monte-Carlo estimates.
+#: bulk draws rather than per trial.  v3: figs. 7-10 are exact expectations,
+#: no longer Monte-Carlo estimates.
 ARTIFACT_VERSION = 3
 
 
@@ -81,7 +80,7 @@ class Job:
     ``name`` keeps the registry's :class:`KeyError`); both carry one-line
     messages.
 
-    ``seed=None`` resolves to the experiment's base seed.  ``backend``
+    ``seed=None`` resolves to ``DEFAULT_BASE_SEED``.  ``backend``
     selects the overlay transport for experiments that support more than the
     simulator (the figs. 11-15 family); ``"aio"`` also checks the backend's
     environment knob (:func:`~repro.overlay.aio.environment_settings`),
@@ -108,7 +107,7 @@ class Job:
         experiment = self.experiment
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise UsageError(f"scale must be positive and finite, got {self.scale}")
-        seed = experiment.base_seed if self.seed is None else int(self.seed)
+        seed = DEFAULT_BASE_SEED if self.seed is None else int(self.seed)
         if seed < 0:
             raise UsageError(f"seed must be non-negative, got {seed}")
         object.__setattr__(self, "seed", seed)
@@ -342,14 +341,16 @@ def _write_parity_artifact(artifact: Path, job: Job, rows: list[dict]) -> None:
 
 
 def _load_cached_rows(artifact: Path, job: Job) -> list[dict] | None:
-    if not artifact.exists():
-        return None
+    # Anything unreadable is a miss, never a crash: a missing file, bytes
+    # that are not UTF-8 or not JSON (both ValueErrors), or JSON that is
+    # not an object.
     try:
         document = json.loads(artifact.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
     matches = (
-        document.get("version") == ARTIFACT_VERSION
+        isinstance(document, dict)
+        and document.get("version") == ARTIFACT_VERSION
         and document.get("experiment") == job.name
         and document.get("scale") == job.scale
         and document.get("seed") == job.seed

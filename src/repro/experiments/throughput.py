@@ -63,8 +63,8 @@ class Scheme:
 
 
 #: The schemes §7 and §8.1 compare, in report order.  Every scheme list in
-#: the package (``--scheme`` choices, scenario-matrix schemes, the
-#: distinguishability family) is this table's keys.
+#: the package (``--scheme`` choices, the distinguishability family) is this
+#: table's keys.
 SCHEMES: dict[str, Scheme] = {
     "slicing": Scheme(
         "information-slicing",

@@ -13,7 +13,7 @@ packet with ``d = 5`` in ~60 µs, i.e. 8 ns per byte per unit of ``d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,21 +110,12 @@ def heterogeneous_network(
     ``latency_mean`` is the median one-way delay; ``latency_sigma`` the
     log-normal shape parameter.  Each node's CPU costs are scaled by a load
     factor ``1 + 4·Pareto(2.5)`` drawn here, a heavy-tailed spread that
-    mimics contended PlanetLab nodes.  ``base_resources`` contributes its
-    cost anchors only: its own ``load_factor`` is discarded, so
-    :data:`~repro.overlay.profiles.PLANETLAB_PROFILE`'s 8.0 never reaches
-    the networks built here (figs. 12, 13, 15 and perfbench's
-    ``slicing-manyflows``).
+    mimics contended PlanetLab nodes; ``base_resources`` supplies the cost
+    anchors it scales.
     """
     load_factors = 1.0 + rng.pareto(2.5, size=len(addresses)) * 4.0
     resources = {
-        address: NodeResources(
-            coding_seconds_per_byte_per_d=base_resources.coding_seconds_per_byte_per_d,
-            symmetric_seconds_per_byte=base_resources.symmetric_seconds_per_byte,
-            pk_encrypt_seconds=base_resources.pk_encrypt_seconds,
-            pk_decrypt_seconds=base_resources.pk_decrypt_seconds,
-            load_factor=float(factor),
-        )
+        address: replace(base_resources, load_factor=float(factor))
         for address, factor in zip(addresses, load_factors)
     }
     latency: dict[tuple[str, str], float] = {}

@@ -61,11 +61,9 @@ LAN_PROFILE = OverlayProfile(
 )
 
 #: PlanetLab-like wide-area overlay: tens-of-milliseconds RTTs and contended
-#: CPUs (heavy-tailed load factors).  Its ``load_factor = 8.0`` is not what
-#: the PlanetLab figures use: :func:`~repro.overlay.network.heterogeneous_network`
-#: draws each node's factor as ``1 + 4·Pareto(2.5)`` and discards this one, so
-#: figs. 12, 13 and 15 never read it.  Only scenario cells on a ``planetlab``
-#: base do, through :class:`~repro.experiments.scenarios.ScenarioProfile`.
+#: CPUs.  The load model is per node:
+#: :func:`~repro.overlay.network.heterogeneous_network` draws each node's
+#: load factor as ``1 + 4·Pareto(2.5)`` over these cost anchors.
 PLANETLAB_PROFILE = OverlayProfile(
     name="planetlab",
     latency_seconds=0.04,
@@ -75,7 +73,6 @@ PLANETLAB_PROFILE = OverlayProfile(
         symmetric_seconds_per_byte=4e-9,
         pk_encrypt_seconds=0.0015,
         pk_decrypt_seconds=0.006,
-        load_factor=8.0,
     ),
     heterogeneous=True,
 )

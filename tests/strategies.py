@@ -3,8 +3,8 @@
 The wire-format and data-plane suites each grew their own inline
 strategies for the same shapes — coded blocks, packets, ``(d, d', L)``
 triples.  This module is the single home for those
-generators, so new suites (the sphinx property harness, the scenario-profile
-tests) reuse them instead of redefining them.
+generators, so new suites (the sphinx property harness) reuse them instead of
+redefining them.
 """
 
 from __future__ import annotations
@@ -125,27 +125,3 @@ def routes(draw, max_hops: int = 8, prefix: str = "relay"):
     pool_size = draw(st.integers(path_length, max_hops + 4))
     relays = [f"{prefix}-{index}" for index in range(pool_size)]
     return relays, "destination", path_length
-
-
-# -- scenario axes ------------------------------------------------------------------
-
-
-@st.composite
-def scenario_axis_params(draw):
-    """One cell's full axis assignment in trial-dict form.
-
-    Spans both base profiles and the documented range of every
-    profile-shaping axis (jitter, CPU heterogeneity);
-    the remaining axes ride along so the dict looks exactly like a trial's
-    params.
-    """
-    return {
-        "profile": draw(st.sampled_from(["lan", "planetlab"])),
-        "jitter": draw(st.floats(0.0, 1.5)),
-        "cpu_heterogeneity": draw(st.floats(0.0, 4.0)),
-        "loss": draw(st.floats(0.0, 0.99)),
-        "adversary": draw(st.floats(0.0, 0.99)),
-        "d": draw(st.integers(2, 3)),
-        "d_prime": draw(st.integers(3, 5)),
-        "path_length": draw(st.integers(2, 6)),
-    }

@@ -23,8 +23,7 @@ def test_readme_maps_every_figure_to_an_experiment():
     from repro.experiments import experiment_names
 
     readme = (REPO_ROOT / "README.md").read_text()
-    # Scenario-matrix cells (scn-*) register dynamically from spec files.
-    for name in (n for n in experiment_names() if not n.startswith("scn-")):
+    for name in experiment_names():
         assert f"`{name}`" in readme, f"README table is missing experiment {name!r}"
 
 
@@ -35,6 +34,19 @@ def test_relative_doc_links_resolve():
         text=True,
     )
     assert result.returncode == 0, result.stderr + result.stdout
+
+
+def test_doc_link_check_skips_code_spans_only(tmp_path):
+    (tmp_path / "README.md").write_text(
+        "`grep -E 'x[ab](in-code.md)'` and [broken](missing.md)\n", encoding="utf-8"
+    )
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "check_doc_links.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "README.md: broken link -> missing.md\n"
 
 
 def test_environment_side_channels_are_pinned_at_two():

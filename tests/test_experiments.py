@@ -21,8 +21,7 @@ def test_registry_contains_every_figure():
         "ablation_as_selection",
         "ablation_network_coding",
     }
-    # Scenario-matrix cells (scn-*) register dynamically from spec files.
-    assert expected == {n for n in experiment_names() if not n.startswith("scn-")}
+    assert expected == set(experiment_names())
 
 
 def test_fig07_shape():

@@ -8,7 +8,6 @@ from repro.core.errors import SimulationError
 from repro.core.source import Source
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import Job, run_experiment
-from repro.experiments.scenarios import parse_matrix
 from repro.experiments.setup_latency import measure_setup
 from repro.experiments.throughput import (
     SCHEMES,
@@ -34,7 +33,6 @@ def test_registry_lists_all_schemes():
     assert schemes == ("slicing", "onion", "onion-erasure", "sphinx")
     for name in ("fig11", "fig12", "fig13", "fig14", "fig15"):
         assert get_experiment(name).schemes == schemes
-    assert parse_matrix({"name": "m"}).schemes == schemes
     trial_schemes = [trial["scheme"] for trial in Job("distinguishability", 0.1).trials]
     assert tuple(dict.fromkeys(trial_schemes)) == schemes
     # Every entry's runtime builds from the one constructor its plan feeds.

@@ -71,6 +71,32 @@ def test_cache_invalidated_when_trial_list_changes(tmp_path):
     assert not rerun.cached
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[]", b"null", b'"x"', b"\xff\xfe"],
+    ids=["list", "null", "string", "not-utf8"],
+)
+def test_unreadable_artifact_is_a_cache_miss(tmp_path, content):
+    artifact = tmp_path / "fig16.json"
+    artifact.write_bytes(content)
+    result = run_experiment("fig16", scale=SMALL, out_dir=tmp_path)
+    assert result.cached is False
+    assert json.loads(artifact.read_text(encoding="utf-8"))["rows"] == result.rows
+
+
+def test_registered_experiment_runs_on_a_spawn_pool(tmp_path, monkeypatch):
+    # Spawned workers start from a fresh interpreter: the trial function
+    # travels by reference in the payload.  fig11's rows consume the trial
+    # RNG, so a misrouted seed would show.
+    import multiprocessing
+
+    spawn = multiprocessing.get_context("spawn")
+    one = run_experiment("fig11", scale=0.02, out_dir=tmp_path / "w1", workers=1)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: spawn)
+    two = run_experiment("fig11", scale=0.02, out_dir=tmp_path / "w2", workers=2)
+    assert one.artifact.read_bytes() == two.artifact.read_bytes()
+
+
 def test_wall_clock_experiments_never_served_from_cache(tmp_path):
     first = run_experiment("microbench", scale=0.2, out_dir=tmp_path)
     assert not first.cached
@@ -164,6 +190,23 @@ def test_cli_run_subcommand(tmp_path, capsys):
     # Second invocation hits the artifact cache.
     assert experiments_main(["run", "fig16", "--scale", str(SMALL), "--out", str(out)]) == 0
     assert "cached" in capsys.readouterr().out
+
+
+def test_cli_run_without_names_fails(capsys):
+    assert experiments_main(["run"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no experiment names given\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--matrix", "spec.json"], ["report", "--matrix", "spec.json"]],
+    ids=["matrix", "report"],
+)
+def test_cli_retired_matrix_and_report_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        experiments_main(argv)
+    assert exit_info.value.code == 2
 
 
 def test_cli_run_unknown_experiment(capsys):
