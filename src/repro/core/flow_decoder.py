@@ -3,14 +3,20 @@
 A relay on the steady-state data path used to keep one ``dict[int,
 CodedBlock]`` per sequence number and run a scalar Gauss–Jordan per message
 (:func:`~repro.core.integrity.robust_decode`).  :class:`FlowDecoder` replaces
-that per-message structure with array-native accumulation: slices of a flow
-live in ``(seqs, slots, d)`` coefficient stacks and ``(seqs, slots,
-block_len)`` payload stacks, so a burst of deliverable messages decodes
-through the batched GF(2^8) kernels (:meth:`GF256.invert_matrices
-<repro.core.gf.GF256.invert_matrices>` / :meth:`GF256.batched_matmul
-<repro.core.gf.GF256.batched_matmul>`) in a constant number of numpy passes.
+that per-message structure with batched decoding over slices held by
+reference: each stored run is the received
+:class:`~repro.core.packet.PacketBatch` itself (its columns are read-only),
+and each (seq, slot) records which run and which of its rows holds the slice,
+so a relay that only forwards owns no slice bytes.  A run is released once
+every seq it fed has been dropped or retired.  A decode or a regeneration
+gathers the slices it reads into ``(seqs, slots, d)`` coefficient and
+``(seqs, slots, block_len)`` payload stacks, so a burst of deliverable
+messages decodes through the batched GF(2^8) kernels
+(:meth:`GF256.invert_matrices <repro.core.gf.GF256.invert_matrices>` /
+:meth:`GF256.batched_matmul <repro.core.gf.GF256.batched_matmul>`) in a
+constant number of numpy passes.
 
-One stack (*plane*) exists per distinct payload length; the protocol's
+One *plane* exists per distinct payload length; the protocol's
 constant packet format (§9.4c) means a steady-state flow has exactly one.
 Slices whose length clashes with their sequence's plane — impossible from a
 conforming sender — are kept in a per-seq side list and decoded through the
@@ -85,36 +91,30 @@ def decode_setup_payload(
     return robust_decode(coder, blocks)
 
 
-#: Initial number of sequence rows allocated per plane.
-_INITIAL_ROWS = 8
-
-#: Initial number of slice slots per sequence row (grown on demand; ``d'``
-#: parents is the steady state).
-_INITIAL_SLOTS = 4
-
-
 class _Plane:
-    """Array storage for all sequences sharing one payload length.
+    """Slice references for all sequences sharing one payload length.
 
-    Coefficients and payloads live in numpy stacks (the decode kernels read
-    them in place); per-row bookkeeping (arrival-ordered lanes, duplicate
-    sets) stays in plain Python containers, which are markedly cheaper than
-    element-wise numpy indexing on the per-packet path.
+    The plane owns no slice bytes: a run is the received batch itself, kept
+    until the last slot it feeds is dropped, and :meth:`gather` copies
+    slices out for a reader.  Per-row bookkeeping (arrival-ordered lanes,
+    duplicate sets, slot references) stays in plain Python containers, which
+    are markedly cheaper than element-wise numpy indexing on the per-packet
+    path.
     """
 
-    def __init__(self, d: int, block_len: int) -> None:
-        self.d = d
-        self.block_len = block_len
+    def __init__(self) -> None:
         self.rows: dict[int, int] = {}
         self.free: list[int] = []
-        self.coeffs = np.zeros((_INITIAL_ROWS, _INITIAL_SLOTS, d), dtype=np.uint8)
-        self.payloads = np.zeros(
-            (_INITIAL_ROWS, _INITIAL_SLOTS, block_len), dtype=np.uint8
-        )
+        #: Referenced runs by id, and how many filled slots each still feeds.
+        self.runs: dict[int, PacketBatch] = {}
+        self.run_slots: dict[int, int] = {}
+        self.next_run = 0
         #: Arrival-ordered lane of every filled slot, per row.
-        self.lane_lists: list[list[int]] = [[] for _ in range(_INITIAL_ROWS)]
+        self.lane_lists: list[list[int]] = []
         #: Per-row lane membership for O(1) duplicate detection.
-        self.lane_sets: list[set[int]] = [set() for _ in range(_INITIAL_ROWS)]
+        self.lane_sets: list[set[int]] = []
+        #: ``(run id, row of that run)`` of every filled slot, per row.
+        self.slot_refs: list[list[tuple[int, int]]] = []
 
     def count(self, seq: int) -> int:
         row = self.rows.get(seq)
@@ -130,19 +130,43 @@ class _Plane:
             return []
         return [
             CodedBlock(
-                coefficients=self.coeffs[row, slot].copy(),
-                payload=self.payloads[row, slot].copy(),
+                coefficients=self.runs[run].coefficients[at].copy(),
+                payload=self.runs[run].payloads[at].copy(),
                 index=lane,
             )
-            for slot, lane in enumerate(self.lane_lists[row])
+            for (run, at), lane in zip(self.slot_refs[row], self.lane_lists[row])
         ]
+
+    def gather(self, rows: list[int], coeffs: np.ndarray, payloads: np.ndarray) -> None:
+        """Copy the slices of ``rows[i]`` into ``coeffs[i]`` / ``payloads[i]``, arrival order.
+
+        At most ``coeffs.shape[1]`` slices per row, in one fancy-index read
+        and write per referenced run; slots past a row's count are left as
+        they are.
+        """
+        per_run: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        for position, row in enumerate(rows):
+            for slot, (run, at) in enumerate(self.slot_refs[row][: coeffs.shape[1]]):
+                positions, slots, ats = per_run.setdefault(run, ([], [], []))
+                positions.append(position)
+                slots.append(slot)
+                ats.append(at)
+        for run, (positions, slots, at) in per_run.items():
+            coeffs[positions, slots] = self.runs[run].coefficients[at]
+            payloads[positions, slots] = self.runs[run].payloads[at]
 
     def drop(self, seq: int) -> bool:
         row = self.rows.pop(seq, None)
         if row is None:
             return False
+        run_slots = self.run_slots
+        for run, _ in self.slot_refs[row]:
+            run_slots[run] -= 1
+            if not run_slots[run]:
+                del run_slots[run], self.runs[run]
         self.lane_lists[row].clear()
         self.lane_sets[row].clear()
+        self.slot_refs[row].clear()
         self.free.append(row)
         return True
 
@@ -150,39 +174,16 @@ class _Plane:
         if self.free:
             row = self.free.pop()
         else:
-            row = len(self.rows)
-            if row >= self.coeffs.shape[0]:
-                self._grow_rows()
+            row = len(self.lane_lists)
+            self.lane_lists.append([])
+            self.lane_sets.append(set())
+            self.slot_refs.append([])
         self.rows[seq] = row
         return row
 
-    def _grow_rows(self) -> None:
-        old = self.coeffs.shape[0]
-        new = old * 2
-        slots = self.coeffs.shape[1]
-        self.coeffs = _grown(self.coeffs, (new, slots, self.d))
-        self.payloads = _grown(self.payloads, (new, slots, self.block_len))
-        self.lane_lists.extend([] for _ in range(new - old))
-        self.lane_sets.extend(set() for _ in range(new - old))
-
-    def _grow_slots(self) -> None:
-        rows, old = self.coeffs.shape[0], self.coeffs.shape[1]
-        new = old * 2
-        self.coeffs = _grown(self.coeffs, (rows, new, self.d), axis=1)
-        self.payloads = _grown(self.payloads, (rows, new, self.block_len), axis=1)
-
-
-def _grown(array: np.ndarray, shape: tuple[int, ...], axis: int = 0) -> np.ndarray:
-    out = np.zeros(shape, dtype=array.dtype)
-    if axis == 0:
-        out[: array.shape[0]] = array
-    else:
-        out[:, : array.shape[1]] = array
-    return out
-
 
 class FlowDecoder:
-    """Array-native store of a flow's data slices, with batched robust decode.
+    """A flow's data slices, held by reference, with batched robust decode.
 
     Parameters
     ----------
@@ -241,7 +242,7 @@ class FlowDecoder:
         return lanes
 
     def add(self, seq: int, lane: int, block: CodedBlock) -> bool:
-        """Store one slice; returns False for a duplicate (seq, lane)."""
+        """Store one slice by reference; returns False for a duplicate (seq, lane)."""
         row = PacketBatch(0, block.d, lane, [seq], block.coefficients[None], block.payload[None])
         return bool(self.add_run(lane, row))
 
@@ -251,8 +252,8 @@ class FlowDecoder:
         This is the shape a relay receives on the steady-state data path —
         one parent connection delivering a burst of consecutive sequence
         numbers on one lane.  The bookkeeping (row, slot, duplicate lane)
-        runs per seq; the slices are copied into the plane in one
-        fancy-index pair, so nothing here keeps a view of the batch.
+        runs per seq; the plane keeps ``items`` itself and records which of
+        its rows each slot holds, so no slice byte is copied here.
         """
         width = items.coefficients.shape[1]
         if width != self.d:
@@ -262,17 +263,18 @@ class FlowDecoder:
         block_len = items.payloads.shape[1]
         seq_plane, extras = self._seq_plane, self._extras
         plane = self._planes.get(block_len)
+        if plane is None:
+            plane = self._planes[block_len] = _Plane()
+        rows, lane_sets, lane_lists, slot_refs = (
+            plane.rows, plane.lane_sets, plane.lane_lists, plane.slot_refs
+        )
+        run = plane.next_run
         accepted: list[int] = []
-        # The regular rows: batch row, plane row and slot.
-        sources: list[int] = []
-        rows: list[int] = []
-        slots: list[int] = []
+        filled = 0
         for position, seq in enumerate(items.seqs):
             owner = seq_plane.get(seq)
             if owner is None:
                 seq_plane[seq] = owner = block_len
-                if plane is None:
-                    plane = self._planes[block_len] = _Plane(self.d, block_len)
             if extras and any(extra.index == lane for extra in extras.get(seq, ())):
                 continue
             if owner != block_len:
@@ -285,28 +287,20 @@ class FlowDecoder:
                     ))
                     accepted.append(position)
                 continue
-            row = plane.rows.get(seq)
+            row = rows.get(seq)
             if row is None:
                 row = plane._allocate_row(seq)
-            lane_set = plane.lane_sets[row]
+            lane_set = lane_sets[row]
             if lane in lane_set:
                 continue
-            lanes = plane.lane_lists[row]
-            if len(lanes) == plane.coeffs.shape[1]:
-                plane._grow_slots()
-            sources.append(position)
-            rows.append(row)
-            slots.append(len(lanes))
-            lanes.append(lane)
+            lane_lists[row].append(lane)
             lane_set.add(lane)
+            slot_refs[row].append((run, position))
             accepted.append(position)
-        if rows:
-            # Growth keeps every (row, slot) in place, so the writes can wait.
-            coefficients, payloads = items.coefficients, items.payloads
-            if len(sources) < len(items.seqs):
-                coefficients, payloads = coefficients[sources], payloads[sources]
-            plane.coeffs[rows, slots] = coefficients
-            plane.payloads[rows, slots] = payloads
+            filled += 1
+        if filled:
+            plane.next_run += 1
+            plane.runs[run], plane.run_slots[run] = items, filled
         return accepted
 
     def recombine_many(
@@ -315,12 +309,11 @@ class FlowDecoder:
         """One linear combination per ``(seq, weights)`` item, one product per plane.
 
         ``weights`` scales the first ``len(weights)`` slices of ``seq``'s
-        plane; zero-padding to the widest item keeps stale slots of reused
-        rows out of the sum.  Returns, per plane in first-seen order, the
-        positions of its items and their ``(len(positions), d + block_len)``
-        combinations, coefficients first: row ``i`` is bit-identical to
-        ``SliceCoder.recombine`` over item ``positions[i]``'s blocks with its
-        weights.
+        plane, gathered into one zero-padded stack per plane.  Returns, per
+        plane in first-seen order, the positions of its items and their
+        ``(len(positions), d + block_len)`` combinations, coefficients first:
+        row ``i`` is bit-identical to ``SliceCoder.recombine`` over item
+        ``positions[i]``'s blocks with its weights.
         """
         per_plane: dict[int, list[int]] = {}
         for position, (seq, _) in enumerate(items):
@@ -332,8 +325,9 @@ class FlowDecoder:
             padded = np.zeros((len(chosen), 1, max(len(w) for _, w in chosen)), dtype=np.uint8)
             for row, (_, weights) in enumerate(chosen):
                 padded[row, 0, : len(weights)] = weights
-            rows, width = [plane.rows[seq] for seq, _ in chosen], padded.shape[2]
-            stack = np.concatenate((plane.coeffs[rows, :width], plane.payloads[rows, :width]), 2)
+            stack = np.zeros((len(chosen), padded.shape[2], self.d + block_len), dtype=np.uint8)
+            plane.gather([plane.rows[seq] for seq, _ in chosen], stack[..., : self.d],
+                         stack[..., self.d :])
             combined.append((positions, self.field.batched_matmul(padded, stack)[:, 0]))
         return combined
 
@@ -385,9 +379,9 @@ class FlowDecoder:
         decoded: dict[int, bytes] = {}
         for block_len, candidates in per_plane.items():
             plane = self._planes[block_len]
-            rows = np.array([plane.rows[seq] for seq in candidates])
-            coeffs = plane.coeffs[rows, : self.d]
-            payloads = plane.payloads[rows, : self.d]
+            coeffs = np.empty((len(candidates), self.d, self.d), dtype=np.uint8)
+            payloads = np.empty((len(candidates), self.d, block_len), dtype=np.uint8)
+            plane.gather([plane.rows[seq] for seq in candidates], coeffs, payloads)
             inverses, invertible = self.field.try_invert_matrices(coeffs)
             if invertible.any():
                 sub = np.flatnonzero(invertible)

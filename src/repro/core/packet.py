@@ -240,8 +240,10 @@ class PacketBatch:
     def forward(self, rows: list[int], **addressing) -> "PacketBatch":
         """Rows ``rows`` (ascending), re-addressed; shares the columns when all go on."""
         if len(rows) < len(self.seqs):
+            coefficients, payloads = self.coefficients[rows], self.payloads[rows]
+            coefficients.flags.writeable = payloads.flags.writeable = False
             addressing.update(seqs=[self.seqs[row] for row in rows],
-                              coefficients=self.coefficients[rows], payloads=self.payloads[rows])
+                              coefficients=coefficients, payloads=payloads)
         return replace(self, **addressing)
 
     def to_bytes(self) -> bytes:

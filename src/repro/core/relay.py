@@ -18,9 +18,10 @@ triggered by the runtime calling :meth:`flush_setup` /
 Decoding
 --------
 Data arrives as :class:`~repro.core.packet.PacketBatch` columns (one flow and
-lane each); each batch goes whole through one run handler, which copies its
-slices into the flow's :class:`~repro.core.flow_decoder.FlowDecoder` planes
-(so no plane aliases a received frame) and forwards row selections of it.
+lane each); each batch goes whole through one run handler, which forwards row
+selections of it and stores it in the flow's
+:class:`~repro.core.flow_decoder.FlowDecoder` by reference, on sockets a view
+of the received frame, until its seqs retire.
 Deliveries are deferred to the end of each :meth:`handle_packets` call and
 decoded together through the batched Gauss–Jordan kernels, as is the
 *setup-phase* decode of a relay's own routing slices (§4.3.5,
@@ -412,6 +413,7 @@ class Relay:
             for plane, run in groupby(positions, key=lambda position: where[position][0]):
                 run = list(run)
                 products = planes[plane][1][[where[position][1] for position in run]]
+                products.flags.writeable = False
                 outgoing.append(PacketBatch(
                     info.next_hop_flow_ids[child_index], state.d, info.lane,
                     [items[position][0] for position in run], products[:, : state.d],

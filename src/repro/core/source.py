@@ -217,8 +217,9 @@ class Source:
         run in the steady state), each coded in one GF(2^8) pass
         (:meth:`~repro.core.coder.SliceCoder.encode_stacks`); the batch of
         connection (source-stage node ``lane``, first-stage relay) views
-        slice ``lane`` of the run's stacks.  A mixed-length burst draws its
-        coding matrices message by message, as :meth:`make_data_packets` does.
+        slice ``lane`` of the run's stacks, which are read-only.  A
+        mixed-length burst draws its coding matrices message by message, as
+        :meth:`make_data_packets` does.
         """
         if not messages:
             return []
@@ -242,6 +243,7 @@ class Source:
                 self.rng,
                 None if matrices is None else matrices[start:stop],
             )
+            coefficients.flags.writeable = coded.flags.writeable = False
             seqs = list(range(first + start, first + stop))
             batches += (
                 PacketBatch(plan.flow_ids[child], self.d, lane, seqs, coefficients[:, lane],

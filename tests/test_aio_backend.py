@@ -23,6 +23,7 @@ from repro.experiments.throughput import (
 )
 from repro.core.coder import CodedBlock
 from repro.core.packet import Packet, PacketBatch, PacketKind
+from repro.core.relay import Relay
 from repro.overlay.aio import BATCH_HEADER, MAX_FRAME_BYTES, AioOverlayNetwork, encode_frame
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.runtime import build_substrate
@@ -351,3 +352,42 @@ def test_aio_stall_watchdog_names_the_wedged_batch(monkeypatch):
     assert substrate._loop is None
     with pytest.raises(SimulationError, match="closed"):
         substrate.transmit_blob("a", "b", b"late", lambda blob: None)
+
+
+# -- batch columns are read-only ---------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["sim", "aio"])
+def test_a_relay_cannot_write_into_a_batch_it_received(backend, monkeypatch):
+    # Relays keep received batches by reference, so every column a relay is
+    # handed (source stacks, forwarded rows, regenerated slices, received
+    # frames) must refuse an in-place write.
+    received = []
+    handle_packets = Relay.handle_packets
+
+    def recording(relay, packets, now=0.0):
+        received.extend(item for item in packets if type(item) is PacketBatch)
+        return handle_packets(relay, packets, now)
+
+    monkeypatch.setattr(Relay, "handle_packets", recording)
+    substrate, runtime, relays, destination = prepare_scheme_transfer(
+        "slicing", LAN_PROFILE, 4, 2, 3, 42, "batched", backend
+    )
+    try:
+        runtime.establish(relays, destination)
+        substrate.sim.run()
+        stage = runtime.flow.graph.stages[2]
+        substrate.fail_node(next(address for address in stage if address != destination))
+        runtime.send_messages([bytes([seq]) * 1500 for seq in range(20)])
+        substrate.sim.run()
+        assert len(runtime.delivered_plaintexts()) == 20
+        assert runtime.relay_counters()["regenerated_slices"] > 0
+    finally:
+        substrate.close()
+    assert received
+    # A relay's partial forward (a row selection) is read-only too.
+    received.append(next(batch for batch in received if len(batch) > 1).forward([0]))
+    for batch in received:
+        for column in (batch.coefficients, batch.payloads):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] ^= 1

@@ -358,6 +358,81 @@ def test_seq_retention_bounds_relay_state(data_plane, monkeypatch):
         assert all(seq >= horizon for seq in state.data.seqs())
         assert all(seq >= horizon for seq, _child in state.data_forwarded)
         assert all(seq >= horizon for seq in state.data_flushed)
+        if data_plane == "batched":
+            # A received batch stays referenced only while a row it fed is live.
+            assert all(max(run.seqs) >= horizon for run in referenced_runs(state.data))
+
+
+def referenced_runs(decoder):
+    """The received batches a flow decoder holds slices of."""
+    return [run for plane in decoder._planes.values() for run in plane.runs.values()]
+
+
+def test_a_forward_only_relay_holds_no_payload_bytes_of_its_own():
+    # Relays keep the batches they receive by reference: a relay that only
+    # forwards copies no slice, so every uint8 array its decoder reaches is a
+    # read-only column some sender built.
+    messages = [bytes([seq]) * 300 for seq in range(20)]
+    delivered, stats, _, runtime, flow = run_plane(
+        "batched", d=2, d_prime=3, path_length=3, messages=messages, seed=5
+    )
+    assert len(delivered) == 20
+    forward_only = [
+        address for address in flow.graph.relays
+        if address != "dst" and stats[address][6] == 0  # regenerated_slices
+    ]
+    assert forward_only
+    for address in forward_only:
+        decoder = runtime.relays[address].flows[flow.plan.flow_ids[address]].data
+        runs = referenced_runs(decoder)
+        assert runs
+        held = [value for plane in decoder._planes.values() for value in vars(plane).values()
+                if isinstance(value, np.ndarray)]
+        held += [column for run in runs for column in (run.coefficients, run.payloads)]
+        owned = [array for array in held if array.dtype == np.uint8 and array.flags.writeable]
+        assert sum(array.nbytes for array in owned) == 0
+
+
+def test_a_slice_for_a_retired_seq_is_stored_and_forwarded_but_not_delivered_again(
+    monkeypatch,
+):
+    # What a relay does with a late slice below its retention horizon: it has
+    # forgotten the seq, so it stores the slice and forwards it again; the
+    # destination keeps its delivered plaintexts, so nothing is delivered twice.
+    window = 8
+    monkeypatch.setattr("repro.overlay.node.DEFAULT_SEQ_RETENTION", window)
+    messages = [b"retained-message-payload"] * 40
+    delivered, _, _, runtime, flow = run_plane(
+        "batched", d=2, path_length=3, messages=messages, seed=11
+    )
+    rng = np.random.default_rng(0)
+    late = 3
+    forwarders = 0
+    for relay_address in flow.graph.relays:
+        relay = runtime.relays[relay_address]
+        state = relay.flows[flow.plan.flow_ids[relay_address]]
+        assert state.retired_before == 40 - window > late
+        assert late not in state.data and late not in state.data_flushed
+        info = state.info
+        lane = info.data_map.for_child(0) if info.next_hop_addresses else 0
+        block_len = next(iter(state.data._planes))
+        delivered_before = relay.stats.messages_delivered
+        outgoing = []
+        for row_lane in (lane, lane + 1):
+            block = random_padding_slice(2, block_len, rng)
+            outgoing.append(relay.handle_packets([PacketBatch(
+                flow.plan.flow_ids[relay_address], 2, row_lane, [late],
+                block.coefficients[None], block.payload[None],
+            )]))
+        if info.next_hop_addresses:
+            forwarders += 1
+            assert [item.seqs for item in outgoing[0]] == [[late]]
+            assert outgoing[0][0].destination_address == info.next_hop_addresses[0]
+        assert state.data.count(late) == 2 and state.retired_before == 40 - window
+        assert relay.stats.messages_delivered == delivered_before
+    assert forwarders > 0
+    destination = runtime.relays["dst"].delivered_messages(flow.plan.flow_ids["dst"])
+    assert destination == delivered and len(destination) == 40
 
 
 def test_flow_retention_garbage_collects_idle_flows():
