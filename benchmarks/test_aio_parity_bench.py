@@ -1,7 +1,7 @@
 """Backend parity bench: fig11 over the asyncio socket overlay.
 
 Regenerates the fig11 series on the ``aio`` backend (real localhost TCP
-streams, one reader task per relay) and asserts its structural fields —
+connections, frames parsed as they arrive) and asserts its structural fields —
 delivered plaintexts and relay/network counters — match the discrete-event
 simulator's under the same seed, which is the property CI's ``aio-parity``
 job gates via the ``fig11.parity.json`` artifacts.  The benchmark time is

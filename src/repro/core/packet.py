@@ -21,13 +21,13 @@ definition ``b"".join(p.to_bytes() for p in ps)``.  A data packet carries
 one slice and a flow's packets have one size, so the data plane holds the
 packets one parent sends one child as one :class:`PacketBatch` of columns,
 serialised as one ``(n, packet_size)`` fill; setup packets stay
-:class:`Packet`.  The parser views the headers of a run of equal-shaped
-packets as one structured array, checks every row's shape fields against the
-first at once, and hands out one batch per (flow id, lane) run of data rows,
-its columns read-only views into the buffer.  Rows that change shape
-mid-buffer start a new run; nothing is ever cut on a shape that row's own
-header did not declare.  Both parsers validate headers through the same
-:func:`_check_header`.
+:class:`Packet`.  The parser views the headers of a run of equal-sized
+packets as one byte matrix, settles with one bytes comparison each that every
+row has the first row's shape and whether the flow id or lane ever changes,
+and hands out one batch per (flow id, lane) run of data rows, its columns
+read-only views into the buffer.  Rows that change shape mid-buffer start a
+new run; nothing is ever cut on a shape that row's own header did not
+declare.  Both parsers validate headers through :func:`_check_header`.
 """
 
 from __future__ import annotations
@@ -372,16 +372,16 @@ def unpack_packets(
                 f"packet of {size} bytes ({slice_count} slices of {slice_bytes} "
                 f"bytes) truncated to {total - offset}"
             )
+        # The headers as a (rows, header) byte matrix: the run is one shape if
+        # bytes 8-12 (kind to d) match in every row, and uncut if 0-13 (flow
+        # id to lane) do.  Rows are compared one by one only to find the ends.
+        heads = np.ndarray((rows, _HEADER.size), np.uint8, data, offset, (size, 1))
+        first = heads[0].tobytes()
+        uncut = heads[:, :14].tobytes() == first[:14] * rows
+        if not uncut and heads[:, 8:13].tobytes() != first[8:13] * rows:
+            # The run ends where the shape changes.
+            rows = int((heads[:, 8:13] == heads[0, 8:13]).all(axis=1).argmin())
         headers = np.ndarray((rows,), _HEADER_DTYPE, data, offset, (size,))
-        same_shape = (
-            (headers["kind"] == kind)
-            & (headers["slice_count"] == slice_count)
-            & (headers["slice_bytes"] == slice_bytes)
-            & (headers["d"] == d)
-        )
-        if not same_shape.all():
-            rows = int(same_shape.argmin())  # the run ends where the shape changes
-            headers = headers[:rows]
         body = np.ndarray(
             (rows, slice_count, slice_bytes),
             np.uint8,
@@ -393,10 +393,10 @@ def unpack_packets(
         seqs = headers["seq"].tolist()
         if kind == PacketKind.DATA and slice_count == 1:
             coefficients, payloads = body[:, 0, :d], body[:, 0, d:]
-            cuts = np.flatnonzero(
-                (flow_ids[1:] != flow_ids[:-1]) | (lanes[1:] != lanes[:-1])
-            ) + 1
-            bounds = [0, *cuts.tolist(), rows]
+            bounds = [0, rows]
+            if not uncut:  # cut where the flow id or the lane changes
+                changes = (heads[1:rows, :14] != heads[: rows - 1, :14]).any(axis=1)
+                bounds[1:1] = (np.flatnonzero(changes) + 1).tolist()
             items += (
                 PacketBatch(int(flow_ids[a]), d, int(lanes[a]), seqs[a:b], coefficients[a:b],
                             payloads[a:b], source_address, destination_address)

@@ -7,7 +7,7 @@ implements the *same* transport surface — :meth:`transmit_packets` /
 keyed event coalescing — over real TCP streams (loopback by default, any
 interface via ``bind_host``), so :class:`~repro.overlay.node.SlicingRuntime`
 and the onion runtimes in :mod:`repro.baselines.runtime` run unchanged on
-either backend.  Each connection is an asyncio stream pair that carries
+either backend.  Each connection is a pair of asyncio protocols that carries
 length-prefixed frames, in the format defined below.
 
 How the two clocks relate
@@ -20,8 +20,8 @@ resulting virtual arrival instants ride along with the frames.  What changes
 is *transport and scheduling*: batches really are serialised
 (:func:`~repro.core.packet.pack_packets`, the packets' wire bytes back to
 back in a length-prefixed frame), really cross a socket, and are parsed back
-on the receiving side, whose relay engines are driven from that address's own
-asyncio reader task.
+on the receiving side, whose relay engines are driven from the receiving
+connection's ``data_received`` callback.
 
 Timer events (CPU completions, flush timeouts) are kept on a virtual-time
 heap and fired in virtual order whenever the data plane is *quiescent* (no
@@ -50,8 +50,9 @@ strict :func:`decode_frames`), so a cell may be at most ``MAX_FRAME_BYTES``
 minus its prefix.  A batch is as few payload frames as
 :data:`MAX_FRAME_BYTES` allows — one, for every batch the figures send —
 split between packets (inside a data batch, between two of its rows, if
-need be), and leaves in one ``writelines`` of its frames
-(:func:`send_frames`); :func:`recv_frame` reads one frame back.
+need be), and leaves in one ``writelines`` straight to its connection's
+transport (:class:`_Outbound`, which queues it while the connection is
+dialled); :class:`_Inbound` parses every complete frame as data arrives.
 
 Both ends of every connection live in this process, so the sending side's
 record of a batch (its connection, payload frame count and item count) is
@@ -159,27 +160,6 @@ def decode_frames(data: bytes) -> list[bytes]:
     return frames
 
 
-async def send_frames(writer: asyncio.StreamWriter, payloads: Iterable[bytes]) -> None:
-    """Send frames back to back (a hello, or a batch) in one write."""
-    # Encode every frame before writing any, so an oversized one fails the
-    # batch with nothing on the wire; one writelines keeps the batch
-    # contiguous even when several coroutines send on the same connection.
-    writer.writelines([encode_frame(payload) for payload in payloads])
-    await writer.drain()
-
-
-async def recv_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """The next frame's payload; ``None`` on a clean close between frames."""
-    header = None
-    try:
-        header = await reader.readexactly(FRAME_HEADER.size)
-        return await reader.readexactly(check_frame_size(FRAME_HEADER.unpack(header)[0]))
-    except asyncio.IncompleteReadError as exc:
-        if header is None and not exc.partial:
-            return None
-        raise PacketFormatError("connection closed mid-frame") from None
-
-
 # -- the virtual clock --------------------------------------------------------------
 
 
@@ -253,7 +233,7 @@ def _payload_frames(items: list, sizes: list[int], pack: Callable) -> list[bytes
 
     ``sizes`` holds one wire size per packet (or cell).  Frames split between
     packets, inside a data batch if need be, never inside one; a packet over
-    the bound on its own is left for :func:`send_frames` to reject.
+    the bound on its own is left for :meth:`_Outbound.send` to reject.
     """
     if sum(sizes) <= MAX_FRAME_BYTES:
         return [pack(items)]
@@ -264,6 +244,133 @@ def _payload_frames(items: list, sizes: list[int], pack: Callable) -> list[bytes
             used = 0
         used += size
     return [pack(piece) for piece in split_items(items, cuts[1:])]
+
+
+# -- connections --------------------------------------------------------------------
+
+
+class _Outbound(asyncio.Protocol):
+    """The sending end of one ``(sender, receiver)`` connection.
+
+    :meth:`send` writes straight to the transport; what is sent while the
+    connection is still being dialled queues here, in order, and leaves when
+    it is made.
+    """
+
+    def __init__(self) -> None:
+        self.transport: asyncio.Transport | None = None
+        self._queued: list[bytes] = []
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        transport.writelines(self._queued)
+        self._queued = []
+
+    def send(self, payloads: Iterable[bytes]) -> None:
+        """Frames back to back (a hello, or a batch), in one ``writelines``; all are
+        encoded first, so an oversized one fails the batch with nothing on the wire."""
+        wire: list[bytes] = []
+        for payload in payloads:
+            wire += (FRAME_HEADER.pack(check_frame_size(len(payload))), payload)
+        if self.transport is None:
+            self._queued += wire
+        else:
+            self.transport.writelines(wire)
+
+
+class _Inbound(asyncio.Protocol):
+    """The receiving end of one connection.
+
+    Each :meth:`data_received` parses every complete frame buffered and moves
+    the connection through its hello, batch-header and payload-frame states;
+    a batch is delivered as its last payload frame lands.  A rejection fails
+    the backend's drain and drops the connection.
+    """
+
+    def __init__(self, network: "AioOverlayNetwork") -> None:
+        self._network = network
+        self.transport: asyncio.BaseTransport | None = None
+        self._buffer = bytearray()
+        self._link: str | None = None  # "sender→receiver", once the hello is in
+        self._batch: _PendingBatch | None = None  # whose payload frames are arriving
+        self._frames: list[bytes] = []
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self._network._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        if buffer:  # the start of a frame is waiting for the rest
+            buffer += data
+            data = buffer
+        offset, end = 0, len(data)
+        try:
+            with memoryview(data) as view:
+                while end - offset >= FRAME_HEADER.size:
+                    start = offset + FRAME_HEADER.size
+                    stop = start + check_frame_size(FRAME_HEADER.unpack_from(view, offset)[0])
+                    if stop > end:
+                        break
+                    offset = stop
+                    # An immutable copy, never a view of the buffer: relays
+                    # keep received batches by reference.
+                    self.frame_received(bytes(view[start:stop]))
+        except BaseException as exc:  # noqa: B036 - must not strand _quiesce
+            buffer.clear()
+            self._batch = None
+            self._network._fail(exc)
+            self.transport.abort()
+            return
+        if data is buffer:
+            del buffer[:offset]
+        else:
+            buffer += data[offset:]
+
+    def frame_received(self, frame: bytes) -> None:
+        """One whole frame: the hello, a batch header or a payload frame."""
+        if self._link is None:
+            try:
+                sender, receiver = frame.decode("utf-8").split("\x00")
+            except ValueError:  # not UTF-8, or not exactly two addresses
+                raise PacketFormatError(f"malformed hello frame {frame!r}") from None
+            self._link = f"{sender}→{receiver}"
+        elif self._batch is None:
+            link = self._link
+            if len(frame) != BATCH_HEADER.size:
+                raise PacketFormatError(
+                    f"{link}: batch header of {len(frame)} bytes, expected {BATCH_HEADER.size}"
+                )
+            batch_id, count = BATCH_HEADER.unpack(frame)
+            batch = self._network._pending.pop(batch_id, None)
+            if batch is None:
+                raise PacketFormatError(f"{link}: unknown batch id {batch_id}")
+            if batch.link != link:
+                raise PacketFormatError(f"{link}: batch {batch_id} was sent on {batch.link}")
+            if count != batch.frame_count:
+                raise PacketFormatError(
+                    f"{link}: batch {batch_id} announces {count} payload "
+                    f"frames, {batch.frame_count} were sent"
+                )
+            self._batch = batch
+        else:
+            self._frames.append(frame)
+            if len(self._frames) == self._batch.frame_count:
+                batch, frames = self._batch, self._frames
+                self._batch, self._frames = None, []
+                self._network._deliver_batch(frames, batch)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._network._inbound.discard(self)
+        if self._buffer:
+            exc = PacketFormatError("connection closed mid-frame")
+        elif self._batch is not None:
+            exc = PacketFormatError(
+                f"{self._link}: connection closed after {len(self._frames)} of the "
+                f"{self._batch.frame_count} frames of batch {self._batch.batch_id}"
+            )
+        if exc is not None:
+            self._network._fail(exc)
 
 
 # -- the backend --------------------------------------------------------------------
@@ -277,7 +384,7 @@ class AioOverlayNetwork(OverlayTransport):
     network, connection_bps:
         Same meaning as on the simulated backend; they feed the shared
         virtual-time accounting.  Batches are delivered as fast as the
-        sockets allow; if the data plane makes no progress for
+        sockets allow; if no batch is delivered for
         :data:`DEFAULT_STALL_TIMEOUT` wall-clock seconds while work is
         outstanding, :meth:`drive` raises instead of hanging.
     bind_host:
@@ -297,14 +404,15 @@ class AioOverlayNetwork(OverlayTransport):
         self.sim = AioClock(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server_tasks: dict[str, asyncio.Task] = {}
-        self._writer_tasks: dict[tuple[str, str], asyncio.Task] = {}
-        self._send_tasks: set[asyncio.Task] = set()
-        self._handler_tasks: set[asyncio.Task] = set()
-        self._handler_writers: set[asyncio.StreamWriter] = set()
+        self._links: dict[tuple[str, str], _Outbound] = {}
+        self._dials: list[asyncio.Task] = []  # the loop itself holds tasks weakly
+        self._inbound: set[_Inbound] = set()
         self._pending: dict[int, _PendingBatch] = {}
         self._outbox: list[tuple[str, str, int, list[bytes]]] = []
-        self._inflight = 0
-        self._idle = asyncio.Event()
+        self._inflight = 0  # batches submitted and not yet delivered
+        self._idle: asyncio.Future | None = None  # what _quiesce waits on
+        self._progress_at = 0.0  # loop time of the last delivery
+        self._watchdog: asyncio.TimerHandle | None = None
         self._failure: BaseException | None = None
         self._batch_ids = itertools.count(1)
         self._closed = False
@@ -436,138 +544,73 @@ class AioOverlayNetwork(OverlayTransport):
         return clock.now
 
     async def _quiesce(self) -> None:
-        """Wait until no frame is in flight and nothing is queued to send."""
+        """Wait until every batch sent has been delivered."""
         while True:
             if self._failure is not None:
                 failure, self._failure = self._failure, None
                 raise failure
-            if self._outbox:
-                self._flush_outbox()
-            if self._inflight == 0 and not self._outbox:
+            self._flush_outbox()
+            if self._inflight == 0:
                 return
-            self._idle.clear()
+            self._idle = self._loop.create_future()
+            self._progress_at = self._loop.time()
+            self._watch()
             try:
-                await asyncio.wait_for(self._idle.wait(), timeout=DEFAULT_STALL_TIMEOUT)
-            except asyncio.TimeoutError:
-                raise SimulationError(
-                    f"aio backend stalled: {self._inflight} batch(es) in flight made "
-                    f"no progress for {DEFAULT_STALL_TIMEOUT}s"
-                ) from None
+                await self._idle
+            finally:
+                self._idle = None
+                self._watchdog.cancel()
 
-    def _flush_outbox(self) -> None:
-        outbox, self._outbox = self._outbox, []
-        for sender, receiver, batch_id, frames in outbox:
-            task = self._loop.create_task(
-                self._send_batch(sender, receiver, batch_id, frames)
+    def _watch(self, since: float | None = None) -> None:
+        """Fail the drain if no batch was delivered since ``since``, else re-arm."""
+        if since == self._progress_at:
+            self._fail(SimulationError(
+                f"aio backend stalled: {self._inflight} batch(es) in flight made "
+                f"no progress for {DEFAULT_STALL_TIMEOUT}s"
+            ))
+        else:
+            self._watchdog = self._loop.call_at(
+                self._progress_at + DEFAULT_STALL_TIMEOUT, self._watch, self._progress_at
             )
-            self._send_tasks.add(task)
-            task.add_done_callback(self._send_tasks.discard)
+
+    def _wake(self) -> None:
+        if self._idle is not None and not self._idle.done():
+            self._idle.set_result(None)
+
+    def _fail(self, exc: BaseException) -> None:
+        if self._failure is None:
+            self._failure = exc
+        self._wake()
 
     # -- sender side --------------------------------------------------------------
 
-    async def _send_batch(
-        self, sender: str, receiver: str, batch_id: int, frames: list[bytes]
-    ) -> None:
+    def _flush_outbox(self) -> None:
+        """Write every submitted batch to its connection, one ``writelines`` each."""
+        outbox, self._outbox = self._outbox, []
+        for sender, receiver, batch_id, frames in outbox:
+            link = self._links.get((sender, receiver))
+            if link is None:  # dialled on first use, and its hello goes first
+                link = self._links[sender, receiver] = _Outbound()
+                link.send([f"{sender}\x00{receiver}".encode()])
+                self._dials.append(self._loop.create_task(self._dial(link, receiver)))
+            link.send([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
+
+    async def _dial(self, link: _Outbound, receiver: str) -> None:
         try:
-            writer = await self._connection(sender, receiver)
-            await send_frames(writer, [BATCH_HEADER.pack(batch_id, len(frames)), *frames])
+            # A task, so that dials racing to one receiver share its server.
+            server = self._server_tasks.get(receiver)
+            if server is None:
+                server = self._server_tasks[receiver] = self._loop.create_task(
+                    self._loop.create_server(lambda: _Inbound(self), self.bind_host, 0)
+                )
+            port = (await server).sockets[0].getsockname()[1]
+            await self._loop.create_connection(lambda: link, self.bind_host, port)
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: B036 - must not strand _quiesce
             self._fail(exc)
-
-    async def _connection(self, sender: str, receiver: str) -> asyncio.StreamWriter:
-        key = (sender, receiver)
-        task = self._writer_tasks.get(key)
-        if task is None:
-            # Memoised as a task so concurrent batches for a new connection
-            # share one dial; TCP then keeps per-connection FIFO order, like
-            # the simulator's per-connection link queue.
-            task = self._loop.create_task(self._open_connection(sender, receiver))
-            self._writer_tasks[key] = task
-        return await task
-
-    async def _open_connection(self, sender: str, receiver: str) -> asyncio.StreamWriter:
-        """Dial ``receiver``'s server and say hello."""
-        server = await self._ensure_server(receiver)
-        port = server.sockets[0].getsockname()[1]
-        _reader, writer = await asyncio.open_connection(self.bind_host, port)
-        await send_frames(writer, [f"{sender}\x00{receiver}".encode()])
-        return writer
-
-    async def _ensure_server(self, address: str):
-        # Memoised as a task (like _connection): two senders dialling the
-        # same receiver concurrently must share one listening server, not
-        # race start_server and leak the loser.
-        task = self._server_tasks.get(address)
-        if task is None:
-            task = self._loop.create_task(
-                asyncio.start_server(
-                    self._handle_connection, host=self.bind_host, port=0
-                )
-            )
-            self._server_tasks[address] = task
-        return await task
 
     # -- receiver side ------------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One relay-side task per inbound connection: parse frames, deliver."""
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-            task.add_done_callback(self._handler_tasks.discard)
-        self._handler_writers.add(writer)
-        try:
-            hello = await recv_frame(reader)
-            if hello is None:
-                return
-            try:
-                sender, receiver = hello.decode("utf-8").split("\x00")
-            except ValueError:  # not UTF-8, or not exactly two addresses
-                raise PacketFormatError(f"malformed hello frame {hello!r}") from None
-            link = f"{sender}→{receiver}"
-            while True:
-                header = await recv_frame(reader)
-                if header is None:
-                    break
-                if len(header) != BATCH_HEADER.size:
-                    raise PacketFormatError(
-                        f"{link}: batch header of {len(header)} bytes, "
-                        f"expected {BATCH_HEADER.size}"
-                    )
-                batch_id, count = BATCH_HEADER.unpack(header)
-                batch = self._pending.pop(batch_id, None)
-                if batch is None:
-                    raise PacketFormatError(f"{link}: unknown batch id {batch_id}")
-                if batch.link != link:
-                    raise PacketFormatError(
-                        f"{link}: batch {batch_id} was sent on {batch.link}"
-                    )
-                if count != batch.frame_count:
-                    raise PacketFormatError(
-                        f"{link}: batch {batch_id} announces {count} payload "
-                        f"frames, {batch.frame_count} were sent"
-                    )
-                frames = []
-                for _ in range(count):
-                    frame = await recv_frame(reader)
-                    if frame is None:
-                        raise PacketFormatError(
-                            f"{link}: connection closed after {len(frames)} of "
-                            f"the {count} frames of batch {batch_id}"
-                        )
-                    frames.append(frame)
-                self._deliver_batch(frames, batch)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # noqa: B036 - must not strand _quiesce
-            self._fail(exc)
-        finally:
-            self._handler_writers.discard(writer)
-            writer.close()
 
     def _deliver_batch(self, frames: list[bytes], batch: _PendingBatch) -> None:
         try:
@@ -581,16 +624,11 @@ class AioOverlayNetwork(OverlayTransport):
                 batch.deliver(batch.parse(frames), batch.arrivals)
         finally:
             self._inflight -= 1
-            if self._outbox:
-                # The delivery callback transmitted; keep the plane moving.
-                self._flush_outbox()
-            if self._inflight == 0 and not self._outbox:
-                self._idle.set()
-
-    def _fail(self, exc: BaseException) -> None:
-        if self._failure is None:
-            self._failure = exc
-        self._idle.set()
+            self._progress_at = self._loop.time()
+            # The delivery callback may have transmitted; keep the plane moving.
+            self._flush_outbox()
+            if self._inflight == 0:
+                self._wake()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -602,7 +640,7 @@ class AioOverlayNetwork(OverlayTransport):
         return self._loop
 
     def close(self) -> None:
-        """Graceful teardown: close every stream, server and the loop."""
+        """Graceful teardown: close every connection, server and the loop."""
         if self._closed:
             return
         self._closed = True
@@ -616,56 +654,17 @@ class AioOverlayNetwork(OverlayTransport):
             loop.close()
 
     async def _shutdown(self) -> None:
-        cancelled: list[asyncio.Task] = []
-        for task in list(self._send_tasks):
+        # A server start never waits on the network: let each one finish, then
+        # close it.  Cancel what is left: dials, and accepts already begun.
+        started = await asyncio.gather(*self._server_tasks.values(), return_exceptions=True)
+        for server in started:
+            if isinstance(server, asyncio.Server):
+                server.close()
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
             task.cancel()
-            cancelled.append(task)
-        writers: list[asyncio.StreamWriter] = []
-        for task in self._writer_tasks.values():
-            if task.done() and not task.cancelled() and task.exception() is None:
-                writers.append(task.result())
-            else:
-                task.cancel()
-                cancelled.append(task)
-        self._writer_tasks.clear()
-        for writer in writers:
-            writer.close()
-        for writer in writers:
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        servers = []
-        for task in self._server_tasks.values():
-            if task.done() and not task.cancelled() and task.exception() is None:
-                servers.append(task.result())
-            else:
-                task.cancel()
-                cancelled.append(task)
-        self._server_tasks.clear()
-        if cancelled:
-            # Deliver the CancelledErrors now; the loop closes right after
-            # _shutdown returns and must not see pending tasks.
-            await asyncio.gather(*cancelled, return_exceptions=True)
-        for server in servers:
-            server.close()
-        for server in servers:
-            await server.wait_closed()
-        # The per-connection reader tasks park in recv_frame(); closing
-        # their transports wakes them with a clean EOF so they finish
-        # normally before the loop closes.  Cancellation is a last resort
-        # (a handler wedged inside a delivery callback).
-        for handler_writer in list(self._handler_writers):
-            handler_writer.close()
-        handlers = [task for task in self._handler_tasks if not task.done()]
-        if handlers:
-            _done, pending = await asyncio.wait(handlers, timeout=1.0)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
-        self._handler_tasks.clear()
-        self._handler_writers.clear()
-        self._pending.clear()
-        self._outbox.clear()
-        self._inflight = 0
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for end in [*self._links.values(), *self._inbound]:
+            if end.transport is not None:
+                end.transport.abort()
+        await asyncio.sleep(0)  # the transports' connection_lost closes their sockets

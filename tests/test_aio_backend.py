@@ -9,6 +9,10 @@ figure artifacts.
 """
 
 import asyncio
+import gc
+import os
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +28,14 @@ from repro.experiments.throughput import (
 from repro.core.coder import CodedBlock
 from repro.core.packet import Packet, PacketBatch, PacketKind
 from repro.core.relay import Relay
-from repro.overlay.aio import BATCH_HEADER, MAX_FRAME_BYTES, AioOverlayNetwork, encode_frame
+from repro.overlay.aio import (
+    BATCH_HEADER,
+    MAX_FRAME_BYTES,
+    AioOverlayNetwork,
+    _Inbound,
+    _Outbound,
+    encode_frame,
+)
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.runtime import build_substrate
 
@@ -216,24 +227,64 @@ def test_a_dropped_data_batch_counts_one_drop_per_packet(backend, dead):
         substrate.close()
 
 
+def test_a_data_burst_on_an_established_flow_creates_no_task():
+    """Batches go straight to their connections: no task per batch or per send."""
+    substrate, runtime, relays, destination = prepare_scheme_transfer(
+        "slicing", LAN_PROFILE, 4, 2, 3, 42, "batched", "aio"
+    )
+    created = []
+
+    def recording_factory(loop, coro, **kwargs):
+        created.append(coro.__qualname__)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    try:
+        runtime.establish(relays, destination)
+        substrate.sim.run()
+        substrate._loop.set_task_factory(recording_factory)
+        runtime.send_messages([bytes([seq]) * 1500 for seq in range(32)])
+        substrate.sim.run()
+        assert len(runtime.delivered_plaintexts()) == 32
+        # The one task is drive()'s own drain.
+        assert created == ["AioOverlayNetwork._drain"]
+    finally:
+        substrate.close()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds through /proc")
+@pytest.mark.parametrize("scheme", ["slicing", "onion"])
+def test_close_returns_every_socket_after_a_transfer(scheme):
+    _transfer(scheme, "aio")  # the first run imports and caches what it needs
+    gc.collect()
+    before = _open_fds()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for _ in range(3):
+            _transfer(scheme, "aio")
+        gc.collect()
+    assert _open_fds() == before
+    assert [str(warning.message) for warning in caught] == []
+
+
 # -- receive-side rejections --------------------------------------------------------
 
 
-class _NullWriter:
-    def close(self) -> None:
+class _NullTransport:
+    def abort(self) -> None:
         pass
 
 
 def _receive(substrate: AioOverlayNetwork, wire: bytes) -> None:
     """Play ``wire`` into the backend as one inbound connection, then drive."""
-
-    async def inbound():
-        reader = asyncio.StreamReader()
-        reader.feed_data(wire)
-        reader.feed_eof()
-        await substrate._handle_connection(reader, _NullWriter())
-
-    substrate._ensure_loop().run_until_complete(inbound())
+    substrate._ensure_loop()
+    inbound = _Inbound(substrate)
+    inbound.connection_made(_NullTransport())
+    inbound.data_received(wire)
+    inbound.connection_lost(None)
     substrate.drive()
 
 
@@ -331,15 +382,11 @@ def test_aio_rejects_a_malformed_hello_frame(substrate, hello):
 
 def test_aio_stall_watchdog_names_the_wedged_batch(monkeypatch):
     """A batch that never reaches its socket trips the watchdog, not a hang."""
-    import repro.overlay.aio as aio
-
-    monkeypatch.setattr(aio, "DEFAULT_STALL_TIMEOUT", 0.2)
+    monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 0.2)
     substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
-
-    async def never_sends(sender, receiver, batch_id, frames):
-        return None
-
-    substrate._send_batch = never_sends
+    sends = []
+    # The connection is dialled, but neither its hello nor the batch is written.
+    monkeypatch.setattr(_Outbound, "send", lambda link, payloads: sends.append(payloads))
     try:
         substrate.transmit_blob("a", "b", b"wedged", lambda blob: None)
         with pytest.raises(
@@ -349,9 +396,35 @@ def test_aio_stall_watchdog_names_the_wedged_batch(monkeypatch):
             substrate.sim.run()
     finally:
         substrate.close()
+    assert len(sends) == 2  # the hello and the batch, neither written
     assert substrate._loop is None
     with pytest.raises(SimulationError, match="closed"):
         substrate.transmit_blob("a", "b", b"late", lambda blob: None)
+
+
+def test_aio_stall_watchdog_measures_time_without_progress(monkeypatch):
+    """The watchdog runs from the last delivery, not from the start of the drain.
+
+    Sixteen deliveries, each 10x shorter than the timeout, that take longer
+    than the timeout together: every one is progress, so the drain completes.
+    """
+    monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 0.5)
+    substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
+    hops = []
+
+    def hop(blob):
+        time.sleep(0.05)
+        hops.append(blob)
+        if len(hops) < 16:
+            sender, receiver = ("b", "a") if len(hops) % 2 else ("a", "b")
+            substrate.transmit_blob(sender, receiver, blob, hop)
+
+    try:
+        substrate.transmit_blob("a", "b", b"hop", hop)
+        substrate.sim.run()
+    finally:
+        substrate.close()
+    assert hops == [b"hop"] * 16
 
 
 # -- batch columns are read-only ---------------------------------------------------

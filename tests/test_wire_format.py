@@ -10,7 +10,7 @@ packet by packet, and check that truncated, oversized and malformed input is
 rejected rather than mis-parsed.
 """
 
-import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,15 +18,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.coder import CodedBlock
 from repro.core.errors import PacketFormatError
-from repro.core.packet import Packet, PacketBatch, PacketKind, pack_packets, unpack_packets
+from repro.core.packet import (
+    Packet,
+    PacketBatch,
+    PacketKind,
+    pack_packets,
+    packet_count,
+    unpack_packets,
+)
 from repro.overlay.aio import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     AioOverlayNetwork,
+    _Inbound,
+    _Outbound,
     decode_frames,
     encode_frame,
-    recv_frame,
-    send_frames,
 )
 from repro.overlay.profiles import LAN_PROFILE
 
@@ -126,6 +133,37 @@ def test_a_row_of_equal_size_but_another_shape_is_cut_on_its_own_header(
     batch = [_packet(seq=seq) for seq in range(4)]
     assert odd_one.size_bytes() == batch[0].size_bytes()
     batch[position] = odd_one
+    _assert_parses_like_the_reference(batch)
+
+
+def _data_row(seq, **changes):
+    """A one-slice data packet of flow 5, lane 1, with ``changes`` applied."""
+    return replace(_packet(slice_count=1, seq=seq), **changes)
+
+
+# One variant per header byte the parser compares: 8-12 are the run's shape
+# (kind, slice count, both bytes of the slice size, d), 7 and 13 cut a data
+# run (the flow id's low byte, the lane).
+_ONE_BYTE_VARIANTS = {
+    7: dict(flow_id=4),
+    8: dict(kind=PacketKind.SETUP),
+    9: dict(slices=[_block(2, 8, 9)] * 2),
+    10: dict(slices=[_block(2, 8 + 256, 9)]),
+    11: dict(slices=[_block(2, 9, 9)]),
+    12: dict(slices=[_block(3, 7, 9)], d=3),
+    13: dict(lane=0),
+}
+
+
+@pytest.mark.parametrize("byte", sorted(_ONE_BYTE_VARIANTS))
+@pytest.mark.parametrize("position", [1, 3])
+def test_a_row_that_differs_in_one_header_byte_ends_or_cuts_the_run_there(byte, position):
+    batch = [_data_row(seq) for seq in range(5)]
+    batch[position] = _data_row(position, **_ONE_BYTE_VARIANTS[byte])
+    odd, base = batch[position].to_bytes(), batch[0].to_bytes()
+    assert [i for i in range(14) if odd[i] != base[i]] == [byte]  # the header up to the seq
+    parsed = unpack_packets(pack_packets(batch), "a", "b")
+    assert [packet_count(item) for item in parsed] == [position, 1, 4 - position]
     _assert_parses_like_the_reference(batch)
 
 
@@ -310,18 +348,41 @@ def test_oversized_payload_is_rejected_on_encode():
         encode_frame(bytes(MAX_FRAME_BYTES + 1))
 
 
-def _read_from(data: bytes):
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await recv_frame(reader)
-
-    return asyncio.run(go())
+class _NullTransport:
+    def abort(self) -> None:
+        pass
 
 
-class _CapturingWriter:
-    """The two StreamWriter members :func:`send_frames` touches."""
+def _read_chunks(chunks: list[bytes]) -> list[bytes]:
+    """The frames an inbound connection parses out of ``chunks``, then EOF.
+
+    Each chunk goes through one ``data_received``; a rejection raises from
+    the drive that follows, as it does on a live connection.
+    """
+    network = LAN_PROFILE.build_network(["a", "b"], np.random.default_rng(0))
+    substrate = AioOverlayNetwork(network, connection_bps=30e6)
+    frames: list[bytes] = []
+    try:
+        inbound = _Inbound(substrate)
+        inbound.frame_received = frames.append
+        inbound.connection_made(_NullTransport())
+        for chunk in chunks:
+            inbound.data_received(chunk)
+        inbound.connection_lost(None)
+        substrate.drive()
+    finally:
+        substrate.close()
+    return frames
+
+
+def _read_from(data: bytes, step: int | None = None) -> list[bytes]:
+    """:func:`_read_chunks` of ``data``, ``step`` bytes at a time (default: all at once)."""
+    step = step or len(data) or 1
+    return _read_chunks([data[index : index + step] for index in range(0, len(data), step)])
+
+
+class _CapturingTransport:
+    """The one transport member :class:`_Outbound` writes through."""
 
     def __init__(self) -> None:
         self.wire = b""
@@ -329,32 +390,36 @@ class _CapturingWriter:
     def writelines(self, chunks) -> None:
         self.wire += b"".join(chunks)
 
-    async def drain(self) -> None:
-        pass
 
-
-@given(frames=st.lists(st.binary(max_size=256), max_size=12))
+@given(frames=st.lists(st.binary(max_size=256), max_size=12), data=st.data())
 @settings(max_examples=50, deadline=None)
-def test_a_batch_of_frames_leaves_as_the_encode_frame_reference(frames):
-    writer = _CapturingWriter()
-    asyncio.run(send_frames(writer, frames))
-    assert writer.wire == b"".join(encode_frame(frame) for frame in frames)
-    assert decode_frames(writer.wire) == frames
+def test_a_batch_of_frames_leaves_as_the_encode_frame_reference(frames, data):
+    # What is sent while the connection is dialled queues, and leaves first.
+    cut = data.draw(st.integers(0, len(frames)), label="sent before the connection is made")
+    link, transport = _Outbound(), _CapturingTransport()
+    link.send(frames[:cut])
+    link.connection_made(transport)
+    link.send(frames[cut:])
+    assert transport.wire == b"".join(encode_frame(frame) for frame in frames)
+    assert decode_frames(transport.wire) == frames
 
 
 def test_an_oversized_frame_fails_the_batch_before_anything_is_written():
-    writer = _CapturingWriter()
+    link, transport = _Outbound(), _CapturingTransport()
     with pytest.raises(PacketFormatError):
-        asyncio.run(send_frames(writer, [b"ok", bytes(MAX_FRAME_BYTES + 1)]))
-    assert writer.wire == b""
+        link.send([b"ok", bytes(MAX_FRAME_BYTES + 1)])  # while the connection is dialled
+    link.connection_made(transport)
+    with pytest.raises(PacketFormatError):
+        link.send([b"ok", bytes(MAX_FRAME_BYTES + 1)])  # once it is made
+    assert transport.wire == b""
 
 
 def test_stream_read_frame_round_trip_and_eof():
     payload = b"hello overlay"
-    assert _read_from(encode_frame(payload)) == payload
-    assert _read_from(encode_frame(b"")) == b""
-    # Clean EOF between frames: None (the peer closed).
-    assert _read_from(b"") is None
+    assert _read_from(encode_frame(payload)) == [payload]
+    assert _read_from(encode_frame(b"")) == [b""]
+    # Clean EOF between frames: no frame, no error (the peer closed).
+    assert _read_from(b"") == []
 
 
 def test_stream_read_frame_rejects_truncation():
@@ -367,39 +432,23 @@ def test_stream_read_frame_rejects_truncation():
         _read_from(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))  # oversized declaration
 
 
-def _trickled_reader(incoming: bytes) -> asyncio.StreamReader:
-    """A reader that gets ``incoming`` one byte at a time, then EOF.
-
-    Call it inside a running loop: a task trickles the bytes in, yielding to
-    the loop after each one, so every read :func:`recv_frame` makes is a
-    partial one.
-    """
-    reader = asyncio.StreamReader()
-
-    async def trickle() -> None:
-        for index in range(len(incoming)):
-            reader.feed_data(incoming[index : index + 1])
-            await asyncio.sleep(0)
-        reader.feed_eof()
-
-    reader.trickle = asyncio.get_running_loop().create_task(trickle())
-    return reader
-
-
 @given(messages=st.lists(st.binary(max_size=256), min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_frames_round_trip_one_byte_at_a_time(messages):
-    async def read() -> list[bytes]:
-        reader = _trickled_reader(b"".join(map(encode_frame, messages)))
-        frames = []
-        try:
-            while (frame := await recv_frame(reader)) is not None:
-                frames.append(frame)
-        finally:
-            reader.trickle.cancel()
-        return frames
+    assert _read_from(b"".join(map(encode_frame, messages)), step=1) == messages
 
-    assert asyncio.run(read()) == messages
+
+@given(messages=st.lists(st.binary(max_size=64), min_size=1, max_size=8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_frames_round_trip_however_the_bytes_are_chunked(messages, data):
+    # Chunks that end on a frame boundary, inside a header and inside a
+    # payload alternate, so parsing straight from the arriving bytes and
+    # from the receive buffer alternate too.
+    wire = b"".join(map(encode_frame, messages))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(wire) - 1)), label="cuts"))
+    bounds = [0, *cuts, len(wire)]
+    chunks = [wire[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert _read_chunks(chunks) == messages
 
 
 def test_size_violations_raise_packet_format_error_and_the_bound_is_legal():
@@ -409,6 +458,7 @@ def test_size_violations_raise_packet_format_error_and_the_bound_is_legal():
         _read_from(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))
     # A frame of exactly MAX_FRAME_BYTES is legal on send and on read.
     payload = bytes(MAX_FRAME_BYTES)
-    writer = _CapturingWriter()
-    asyncio.run(send_frames(writer, [payload]))
-    assert _read_from(writer.wire) == payload
+    link, transport = _Outbound(), _CapturingTransport()
+    link.connection_made(transport)
+    link.send([payload])
+    assert _read_from(transport.wire) == [payload]
