@@ -57,6 +57,9 @@ _HEADER_DTYPE = np.dtype(
         ("seq", ">u4"),
     ]
 )
+# The header bytes of a run's shape (kind to d) and of its (flow id, lane) key.
+_SHAPE_BYTES = slice(_HEADER_DTYPE.fields["kind"][1], _HEADER_DTYPE.fields["lane"][1])
+_KEY_BYTES = slice(0, _HEADER_DTYPE.fields["seq"][1])
 
 
 class PacketKind(IntEnum):
@@ -373,14 +376,14 @@ def unpack_packets(
                 f"bytes) truncated to {total - offset}"
             )
         # The headers as a (rows, header) byte matrix: the run is one shape if
-        # bytes 8-12 (kind to d) match in every row, and uncut if 0-13 (flow
-        # id to lane) do.  Rows are compared one by one only to find the ends.
+        # the shape bytes match in every row, and uncut if the key bytes do.
+        # Rows are compared one by one only to find the ends.
         heads = np.ndarray((rows, _HEADER.size), np.uint8, data, offset, (size, 1))
         first = heads[0].tobytes()
-        uncut = heads[:, :14].tobytes() == first[:14] * rows
-        if not uncut and heads[:, 8:13].tobytes() != first[8:13] * rows:
+        uncut = heads[:, _KEY_BYTES].tobytes() == first[_KEY_BYTES] * rows
+        if not uncut and heads[:, _SHAPE_BYTES].tobytes() != first[_SHAPE_BYTES] * rows:
             # The run ends where the shape changes.
-            rows = int((heads[:, 8:13] == heads[0, 8:13]).all(axis=1).argmin())
+            rows = int((heads[:, _SHAPE_BYTES] == heads[0, _SHAPE_BYTES]).all(axis=1).argmin())
         headers = np.ndarray((rows,), _HEADER_DTYPE, data, offset, (size,))
         body = np.ndarray(
             (rows, slice_count, slice_bytes),
@@ -395,8 +398,8 @@ def unpack_packets(
             coefficients, payloads = body[:, 0, :d], body[:, 0, d:]
             bounds = [0, rows]
             if not uncut:  # cut where the flow id or the lane changes
-                changes = (heads[1:rows, :14] != heads[: rows - 1, :14]).any(axis=1)
-                bounds[1:1] = (np.flatnonzero(changes) + 1).tolist()
+                keys = heads[:rows, _KEY_BYTES]
+                bounds[1:1] = (np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()
             items += (
                 PacketBatch(int(flow_ids[a]), d, int(lanes[a]), seqs[a:b], coefficients[a:b],
                             payloads[a:b], source_address, destination_address)

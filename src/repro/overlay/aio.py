@@ -254,10 +254,12 @@ class _Outbound(asyncio.Protocol):
 
     :meth:`send` writes straight to the transport; what is sent while the
     connection is still being dialled queues here, in order, and leaves when
-    it is made.
+    it is made.  A connection lost before the backend closes fails its drain.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, network: "AioOverlayNetwork", link: str) -> None:
+        self._network = network
+        self._link = link
         self.transport: asyncio.Transport | None = None
         self._queued: list[bytes] = []
 
@@ -266,12 +268,14 @@ class _Outbound(asyncio.Protocol):
         transport.writelines(self._queued)
         self._queued = []
 
+    def connection_lost(self, exc: Exception | None) -> None:
+        if not self._network._closed:
+            self._network._fail(exc or ConnectionResetError(f"{self._link}: connection lost"))
+
     def send(self, payloads: Iterable[bytes]) -> None:
         """Frames back to back (a hello, or a batch), in one ``writelines``; all are
         encoded first, so an oversized one fails the batch with nothing on the wire."""
-        wire: list[bytes] = []
-        for payload in payloads:
-            wire += (FRAME_HEADER.pack(check_frame_size(len(payload))), payload)
+        wire = [encode_frame(payload) for payload in payloads]
         if self.transport is None:
             self._queued += wire
         else:
@@ -301,12 +305,10 @@ class _Inbound(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         buffer = self._buffer
-        if buffer:  # the start of a frame is waiting for the rest
-            buffer += data
-            data = buffer
-        offset, end = 0, len(data)
+        buffer += data
+        offset, end = 0, len(buffer)
         try:
-            with memoryview(data) as view:
+            with memoryview(buffer) as view:
                 while end - offset >= FRAME_HEADER.size:
                     start = offset + FRAME_HEADER.size
                     stop = start + check_frame_size(FRAME_HEADER.unpack_from(view, offset)[0])
@@ -322,10 +324,7 @@ class _Inbound(asyncio.Protocol):
             self._network._fail(exc)
             self.transport.abort()
             return
-        if data is buffer:
-            del buffer[:offset]
-        else:
-            buffer += data[offset:]
+        del buffer[:offset]
 
     def frame_received(self, frame: bytes) -> None:
         """One whole frame: the hello, a batch header or a payload frame."""
@@ -500,13 +499,7 @@ class AioOverlayNetwork(OverlayTransport):
             )
         batch_id = next(self._batch_ids)
         self._pending[batch_id] = _PendingBatch(
-            batch_id=batch_id,
-            kind=kind,
-            sender=sender,
-            receiver=receiver,
-            frame_count=len(frames),
-            deliver=deliver,
-            arrivals=arrivals,
+            batch_id, kind, sender, receiver, len(frames), deliver, arrivals
         )
         self._outbox.append((sender, receiver, batch_id, frames))
         self._inflight += 1
@@ -590,10 +583,15 @@ class AioOverlayNetwork(OverlayTransport):
         for sender, receiver, batch_id, frames in outbox:
             link = self._links.get((sender, receiver))
             if link is None:  # dialled on first use, and its hello goes first
-                link = self._links[sender, receiver] = _Outbound()
+                link = self._links[sender, receiver] = _Outbound(self, f"{sender}→{receiver}")
                 link.send([f"{sender}\x00{receiver}".encode()])
                 self._dials.append(self._loop.create_task(self._dial(link, receiver)))
-            link.send([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
+            try:
+                link.send([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
+            except PacketFormatError as exc:  # an oversized frame fails its batch alone
+                del self._pending[batch_id]
+                self._inflight -= 1
+                self._fail(exc)
 
     async def _dial(self, link: _Outbound, receiver: str) -> None:
         try:

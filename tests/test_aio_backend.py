@@ -427,6 +427,35 @@ def test_aio_stall_watchdog_measures_time_without_progress(monkeypatch):
     assert hops == [b"hop"] * 16
 
 
+def test_an_oversized_frame_fails_only_its_own_batch(substrate, monkeypatch):
+    # A delivery callback sends three batches on one connection, the middle
+    # one a frame over the bound: the drain fails, the other two still land.
+    monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 2.0)
+    landed = []
+
+    def reply(_blob):
+        for blob in (b"before", bytes(MAX_FRAME_BYTES), b"after"):
+            substrate.transmit_blob("b", "a", blob, landed.append)
+
+    substrate.transmit_blob("a", "b", b"ping", reply)
+    with pytest.raises(PacketFormatError, match="over the"):
+        substrate.sim.run()
+    substrate.sim.run()
+    assert landed == [b"before", b"after"]
+
+
+def test_a_lost_connection_fails_the_drain_at_once(substrate, monkeypatch):
+    # Not the stall watchdog's SimulationError, some seconds later.
+    monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 10.0)
+    substrate.transmit_blob("a", "b", b"first", lambda blob: None)
+    substrate.sim.run()
+    (inbound,) = substrate._inbound
+    inbound.transport.abort()  # the receiving end drops the connection
+    substrate.transmit_blob("a", "b", b"second", lambda blob: None)
+    with pytest.raises(ConnectionError):
+        substrate.sim.run()
+
+
 # -- batch columns are read-only ---------------------------------------------------
 
 
