@@ -12,7 +12,7 @@ sub-packages hold the full system:
 * :mod:`repro.core` — coding, forwarding graphs, source/relay protocol engines
 * :mod:`repro.crypto` — keystream cipher and the simulated PK cost model
 * :mod:`repro.overlay` — discrete-event overlay simulator, churn, profiles
-* :mod:`repro.baselines` — onion routing, onion + erasure codes, Chaum mixes
+* :mod:`repro.baselines` — onion routing (classic and Sphinx-format), Chaum mixes
 * :mod:`repro.anonymity` — entropy metric and the exact Appendix-A analysis
 * :mod:`repro.resilience` — churn-resilience closed forms (Eqs. 6-7)
 * :mod:`repro.experiments` — per-figure experiment runners

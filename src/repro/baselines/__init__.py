@@ -1,20 +1,16 @@
-"""Baseline systems: onion routing, onion + erasure codes, Chaum mixes.
+"""Baseline systems: onion routing, Chaum mixes.
 
-The onion baselines also ship as :class:`~repro.overlay.runtime.ProtocolRuntime`
-implementations (:mod:`repro.baselines.runtime`), so the throughput and
-setup-latency figures drive them through the same driver as information
-slicing.
+Onion routing and its Sphinx-format variant also ship as
+:class:`~repro.overlay.runtime.ProtocolRuntime` implementations
+(:mod:`repro.baselines.runtime`), so the throughput and setup-latency figures
+drive onion routing through the same driver as information slicing.  Onion
+routing with erasure codes (§8.1) is compared analytically only, through the
+closed forms in :mod:`repro.resilience.analysis`.
 """
 
 from .chaum import ChaumAnonymityResult, exact_chaum_anonymity
-from .erasure import ErasureCoder, ErasureShare
 from .onion import OnionCircuit, OnionDirectory, OnionRelay, OnionSource, run_circuit
-from .onion_erasure import (
-    MultiPathCircuits,
-    OnionErasureSource,
-    run_multipath_transfer,
-)
-from .runtime import OnionErasureProtocolRuntime, OnionProtocolRuntime
+from .runtime import OnionProtocolRuntime
 
 __all__ = [
     "OnionDirectory",
@@ -22,13 +18,7 @@ __all__ = [
     "OnionRelay",
     "OnionCircuit",
     "run_circuit",
-    "ErasureCoder",
-    "ErasureShare",
-    "OnionErasureSource",
-    "MultiPathCircuits",
-    "run_multipath_transfer",
     "ChaumAnonymityResult",
     "exact_chaum_anonymity",
     "OnionProtocolRuntime",
-    "OnionErasureProtocolRuntime",
 ]

@@ -1,21 +1,20 @@
 """Baseline protocol runtimes over the overlay substrate.
 
-Onion routing (§2, §7), its Sphinx-format variant and
-onion-routing-with-erasure-codes (§8.1) as
+Onion routing (§2, §7) and its Sphinx-format variant as
 :class:`~repro.overlay.runtime.ProtocolRuntime` implementations, so the
-throughput and setup-latency experiments (Figs. 11–15) drive every scheme —
-information slicing and the baselines — through the *same* driver over the
-*same* substrate, rather than each figure keeping a bespoke forwarding loop.
+throughput and setup-latency experiments (Figs. 11–15) drive information
+slicing and onion routing through the *same* driver over the *same*
+substrate, rather than each figure keeping a bespoke forwarding loop.
 
 The runtimes use the real baseline engines (:class:`OnionSource` /
-:class:`OnionRelay` peel actual layered envelopes; the erasure variant ships
-real :class:`ErasureShare` bytes), while the simulated CPU charges mirror the
-historical cost model exactly: the source pays one symmetric pass per layer
-per cell (and one public-key encryption per layer during setup), every relay
-pays one symmetric pass per cell (one public-key decryption plus the daemon
-handling constant during setup), and each hop is one connection.  A setup
-onion is one :meth:`~repro.overlay.node.OverlayTransport.transmit_blob` per
-hop; like the slicing runtime, data bursts ship in
+:class:`OnionRelay` peel actual layered envelopes), while the simulated CPU
+charges mirror the historical cost model exactly: the source pays one
+symmetric pass per layer per cell (and one public-key encryption per layer
+during setup), every relay pays one symmetric pass per cell (one public-key
+decryption plus the daemon handling constant during setup), and each hop is
+one connection.  A setup onion is one
+:meth:`~repro.overlay.node.OverlayTransport.transmit_blob` per hop; like the
+slicing runtime, data bursts ship in
 :data:`~repro.overlay.node.DEFAULT_BATCH_CHUNK`-sized ``transmit_blobs``
 chunks — one simulator event per chunk, per-packet serialisation accounted
 exactly.
@@ -30,9 +29,7 @@ from ..overlay.node import (
     FlowProgress,
 )
 from ..overlay.runtime import ProtocolRuntime
-from .erasure import ErasureShare
 from .onion import OnionCircuit, OnionDirectory, OnionRelay, OnionSource
-from .onion_erasure import MultiPathCircuits, OnionErasureSource
 from .sphinx import SphinxDirectory, SphinxRelay, SphinxSource, unpack_cell
 
 
@@ -161,23 +158,22 @@ class _CircuitDriver:
 
 
 class _CircuitRuntime(ProtocolRuntime):
-    """What the circuit schemes share: drivers, sequence numbers, delivery."""
+    """What the circuit schemes share: the driver, sequence numbers, delivery."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.delivered: dict[int, bytes] = {}
-        self._drivers: list[_CircuitDriver] = []
+        self._driver: _CircuitDriver | None = None
         self._source: OnionSource | SphinxSource | None = None
         self._next_seq = 0
 
-    def _start_circuits(
-        self, engines: dict, circuits: list[OnionCircuit], onions: list[bytes]
+    def _start_circuit(
+        self, engines: dict, circuit: OnionCircuit, onion: bytes
     ) -> FlowProgress:
-        """Inject one setup onion per circuit; returns the progress tracker."""
+        """Inject the circuit's setup onion; returns the progress tracker."""
         self.progress = FlowProgress(setup_injected_at=self.sim.now)
-        self._drivers = [_CircuitDriver(self, engines, circuit) for circuit in circuits]
-        for driver, onion in zip(self._drivers, onions):
-            driver.start_setup(onion)
+        self._driver = _CircuitDriver(self, engines, circuit)
+        self._driver.start_setup(onion)
         return self.progress
 
     def _take_seqs(self, count: int) -> list[int]:
@@ -197,11 +193,10 @@ class _CircuitRuntime(ProtocolRuntime):
         progress.last_delivery_at = now
 
     def setup_seconds(self) -> float | None:
-        """Time until the last circuit acknowledged its setup."""
-        finished = [driver.setup_finished_at for driver in self._drivers]
-        if not finished or any(at is None for at in finished):
+        """Time until the circuit acknowledged its setup."""
+        if self._driver is None or self._driver.setup_finished_at is None:
             return None
-        return max(finished) - self.progress.setup_injected_at
+        return self._driver.setup_finished_at - self.progress.setup_injected_at
 
     def delivered_plaintexts(self) -> dict[int, bytes]:
         return dict(self.delivered)
@@ -221,11 +216,11 @@ class OnionProtocolRuntime(_CircuitRuntime):
             address: OnionRelay(address, directory.key_pair(address))
             for address in directory.addresses()
         }
-        return self._start_circuits(engines, [circuit], [onion])
+        return self._start_circuit(engines, circuit, onion)
 
     def send_messages(self, messages: list[bytes]) -> None:
         seqs = self._take_seqs(len(messages))
-        (driver,) = self._drivers
+        driver = self._driver
         cells = [self._source.wrap_data(driver.circuit, message) for message in messages]
         driver.send_cells(seqs, cells, self.path_length)
 
@@ -263,11 +258,11 @@ class SphinxProtocolRuntime(OnionProtocolRuntime):
             address: SphinxRelay(address, directory.node(address))
             for address in directory.addresses()
         }
-        return self._start_circuits(engines, [circuit], [packet])
+        return self._start_circuit(engines, circuit, packet)
 
     def send_messages(self, messages: list[bytes]) -> None:
         seqs = self._take_seqs(len(messages))
-        (driver,) = self._drivers
+        driver = self._driver
         cells = self._source.wrap_cells(driver.circuit, messages)
         driver.send_cells(seqs, cells, self.path_length)
 
@@ -282,54 +277,3 @@ class SphinxProtocolRuntime(OnionProtocolRuntime):
                 continue  # a cell that crossed a never-established circuit
             self._deliver(seq, message, now)
 
-
-class OnionErasureProtocolRuntime(_CircuitRuntime):
-    """Onion routing with erasure codes over ``d'`` node-disjoint circuits (§8.1)."""
-
-    scheme = "onion-erasure"
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._multipath: MultiPathCircuits | None = None
-        self._shares: dict[int, list[ErasureShare]] = {}
-
-    def establish(self, relays: list[str], destination: str) -> FlowProgress:
-        pool = [address for address in relays if address != destination]
-        directory = OnionDirectory.for_relays(pool, self.rng)
-        self._source = OnionErasureSource(directory, self.rng)
-        self._multipath = self._source.build_multipath(
-            pool, destination, self.path_length, self.d, self.d_prime
-        )
-        engines = {
-            address: OnionRelay(address, directory.key_pair(address))
-            for address in directory.addresses()
-        }
-        return self._start_circuits(
-            engines, self._multipath.circuits, self._multipath.setup_onions
-        )
-
-    def send_messages(self, messages: list[bytes]) -> None:
-        seqs = self._take_seqs(len(messages))
-        # One wrapped share per (message, circuit); ship per circuit so each
-        # connection sees one pipelined burst.
-        per_circuit: list[list[bytes]] = [[] for _ in self._drivers]
-        for message in messages:
-            for index, cell in enumerate(
-                self._source.encode_message(self._multipath, message)
-            ):
-                per_circuit[index].append(cell)
-        for driver, cells in zip(self._drivers, per_circuit):
-            driver.send_cells(seqs, cells, self.path_length)
-
-    def _deliver_cells(self, seqs: list[int], cells: list[bytes]) -> None:
-        coder = self._multipath.coder
-        now = self.sim.now
-        for seq, cell in zip(seqs, cells):
-            if seq in self.delivered:
-                continue
-            shares = self._shares.setdefault(seq, [])
-            shares.append(ErasureShare.from_bytes(cell, d=coder.d))
-            if len(shares) < coder.d or not coder.can_decode(shares):
-                continue
-            del self._shares[seq]
-            self._deliver(seq, coder.decode(shares), now)

@@ -4,7 +4,7 @@ Subcommands::
 
     python -m repro.experiments run <name> [...] [--workers N] [--scale S]
                                     [--out DIR] [--seed N] [--force]
-                                    [--backend sim|aio] [--scheme NAME]
+                                    [--backend sim|aio]
     python -m repro.experiments list
 
 ``run`` executes registered experiments through the runner — inline, or
@@ -27,7 +27,6 @@ from ..overlay.runtime import SUBSTRATE_BACKENDS
 from .registry import experiment_names, get_experiment
 from .runner import DEFAULT_RESULTS_DIR, Job, RunResult, UsageError, run_experiment
 from .tables import format_table
-from .throughput import SCHEMES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,9 +45,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     # The run request.  Its values are validated by building the Job in
     # _run_command (not via argparse type=) so that a non-finite scale, a
-    # negative seed, a bad worker count or an unsupported scheme/backend
-    # pairing is a one-line exit-2 error listing what is supported, not a
-    # usage dump or a traceback.
+    # negative seed, a bad worker count or an unsupported backend is a
+    # one-line exit-2 error listing what is supported, not a usage dump or a
+    # traceback.
     run_parser.add_argument(
         "--scale",
         type=float,
@@ -64,13 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         default="sim",
         help="overlay transport backend for figs. 11-15: 'sim' (discrete-event, "
         "default) or 'aio' (asyncio localhost TCP)",
-    )
-    run_parser.add_argument(
-        "--scheme",
-        default=None,
-        metavar="NAME",
-        help="restrict a scheme-capable experiment (figs. 11-15) to one scheme "
-        f"({', '.join(SCHEMES)})",
     )
     run_parser.add_argument(
         "--out",
@@ -109,8 +101,6 @@ def _print_result(result: RunResult) -> None:
     header = f"scale={result.scale}, seed={result.seed}"
     if result.backend != "sim":
         header += f", backend={result.backend}"
-    if result.scheme:
-        header += f", scheme={result.scheme}"
     print(f"\n=== {result.name} ({header}, {status}) ===")
     # The structural parity sub-dicts are artifact material, not table
     # material — they would dwarf every other column.
@@ -136,8 +126,7 @@ def _run_command(args: argparse.Namespace) -> int:
     # trial code keeps its traceback.
     try:
         jobs = [
-            Job(name, args.scale, args.seed, args.backend, args.scheme)
-            for name in args.names
+            Job(name, args.scale, args.seed, args.backend) for name in args.names
         ]
     except (KeyError, UsageError) as error:
         return _fail(error.args[0])

@@ -32,7 +32,7 @@ from ..resilience.analysis import (
 )
 from .registry import Experiment, register
 from .setup_latency import measure_setup
-from .throughput import SCHEMES, aggregate_throughput_vs_flows, measure_throughput
+from .throughput import aggregate_throughput_vs_flows, measure_throughput
 from .trials import spawn_seed
 
 #: Default parameters straight from the paper's captions.
@@ -181,31 +181,6 @@ def _fig12_trials(scale: float) -> list[dict]:
 def _throughput_run(params: dict, rng: np.random.Generator) -> dict:
     profile = get_profile(params["profile"])
     backend = params.get("backend", "sim")
-    scheme = params.get("scheme")
-    if scheme is not None:
-        # Single-scheme mode (--scheme): one transfer of the selected runtime
-        # per path length; the parity sub-dict keys the scheme so cross-backend
-        # cmp catches a scheme mix-up, not just a digest mismatch.
-        result = measure_throughput(
-            scheme,
-            profile,
-            params["path_length"],
-            d=params["d"],
-            num_messages=params["num_messages"],
-            seed=spawn_seed(rng),
-            backend=backend,
-        )
-        return {
-            "path_length": params["path_length"],
-            "scheme": scheme,
-            "throughput_mbps": result.throughput_bps / 1e6,
-            "messages_delivered": result.messages_delivered,
-            "parity": {
-                "path_length": params["path_length"],
-                "scheme": scheme,
-                "result": result.parity_fields(),
-            },
-        }
     slicing = measure_throughput(
         "slicing",
         profile,
@@ -246,7 +221,6 @@ register(
         build_trials=_fig11_trials,
         run_trial=_throughput_run,
         backends=("sim", "aio"),
-        schemes=tuple(SCHEMES),
     )
 )
 
@@ -257,7 +231,6 @@ register(
         build_trials=_fig12_trials,
         run_trial=_throughput_run,
         backends=("sim", "aio"),
-        schemes=tuple(SCHEMES),
     )
 )
 
@@ -292,7 +265,6 @@ def _fig13_run(params: dict, rng: np.random.Generator) -> dict:
         num_messages=params["num_messages"],
         seed=spawn_seed(rng),
         backend=params.get("backend", "sim"),
-        scheme=params.get("scheme", "slicing"),
     )
     return rows[0]
 
@@ -304,7 +276,6 @@ register(
         build_trials=_fig13_trials,
         run_trial=_fig13_run,
         backends=("sim", "aio"),
-        schemes=tuple(SCHEMES),
     )
 )
 
@@ -331,35 +302,6 @@ def _setup_run(params: dict, rng: np.random.Generator) -> dict:
     profile = get_profile(params["profile"])
     backend = params.get("backend", "sim")
     path_length = params["path_length"]
-    scheme = params.get("scheme")
-    if scheme is not None:
-        # Single-scheme mode (--scheme): slicing keeps its split-factor sweep;
-        # the circuit schemes have no d axis and measure one establishment.
-        row = {"path_length": path_length, "scheme": scheme}
-        parity = {"path_length": path_length, "scheme": scheme}
-        if scheme == "slicing":
-            for d in params["split_factors"]:
-                result = measure_setup(
-                    "slicing", profile, path_length, d=d, seed=spawn_seed(rng), backend=backend
-                )
-                row[f"slicing_d{d}_seconds"] = result.setup_seconds
-                parity[f"slicing_d{d}"] = result.parity_fields()
-        else:
-            # d and d' shape onion-erasure's d' circuits; onion and Sphinx
-            # ignore them.
-            result = measure_setup(
-                scheme,
-                profile,
-                path_length,
-                d=2,
-                d_prime=3,
-                seed=spawn_seed(rng),
-                backend=backend,
-            )
-            row["setup_seconds"] = result.setup_seconds
-            parity[scheme] = result.parity_fields()
-        row["parity"] = parity
-        return row
     row = {"path_length": path_length}
     parity = {"path_length": path_length}
     onion = measure_setup("onion", profile, path_length, seed=spawn_seed(rng), backend=backend)
@@ -382,7 +324,6 @@ register(
         build_trials=_fig14_trials,
         run_trial=_setup_run,
         backends=("sim", "aio"),
-        schemes=tuple(SCHEMES),
     )
 )
 
@@ -393,7 +334,6 @@ register(
         build_trials=_fig15_trials,
         run_trial=_setup_run,
         backends=("sim", "aio"),
-        schemes=tuple(SCHEMES),
     )
 )
 

@@ -46,11 +46,6 @@ class Experiment:
     #: that drive the overlay substrate (figs. 11-15) also accept ``"aio"``;
     #: everything else is simulator-only and rejects ``--backend aio``.
     backends: tuple[str, ...] = ("sim",)
-    #: Schemes the experiment can be restricted to with ``--scheme``
-    #: (figs. 11-15 run any single scheme through their unified drivers).
-    #: Empty means the experiment has no per-scheme mode and rejects
-    #: ``--scheme``.
-    schemes: tuple[str, ...] = ()
 
     def rows(self, trials: list[dict], results: list[dict]) -> list[dict]:
         """Reduce per-trial results (in trial order) to plottable rows."""
@@ -90,4 +85,4 @@ def experiment_names() -> list[str]:
 
 def _ensure_definitions_loaded() -> None:
     # Importing the definition modules runs their register() calls.
-    from . import ablations, distinguishability, figures  # noqa: F401
+    from . import ablations, figures  # noqa: F401

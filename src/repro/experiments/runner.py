@@ -3,8 +3,8 @@
 The runner turns a registered :class:`~repro.experiments.registry.Experiment`
 into rows:
 
-1. the run request becomes a :class:`Job` — ``(name, scale, seed, backend,
-   scheme)``, validated on construction — whose ``build_trials(scale)``
+1. the run request becomes a :class:`Job` — ``(name, scale, seed,
+   backend)``, validated on construction — whose ``build_trials(scale)``
    produces the trial list;
 2. the experiment's seed is expanded with ``np.random.SeedSequence.spawn``
    into one child sequence per trial, so every trial's randomness is
@@ -72,7 +72,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class Job:
-    """The five values that fully determine a run; constructing one validates it.
+    """The four values that fully determine a run; constructing one validates it.
 
     Both ways of starting a run — the CLI and :func:`run_experiment` — build
     a ``Job`` first, so each check below exists once and runs before any
@@ -84,10 +84,9 @@ class Job:
     selects the overlay transport for experiments that support more than the
     simulator (the figs. 11-15 family); ``"aio"`` also checks the backend's
     environment knob (:func:`~repro.overlay.aio.environment_settings`),
-    since every trial would read it.  ``scheme`` restricts a
-    scheme-capable experiment to one of its schemes.  Which
-    GF(2^8) loops execute the trials is not part of a run request:
-    :mod:`repro.core.gf` decides per host, bit-identically.
+    since every trial would read it.  Which GF(2^8) loops execute the
+    trials is not part of a run request: :mod:`repro.core.gf` decides per
+    host, bit-identically.
 
     >>> len(Job("fig16", scale=0.05).trials)
     18
@@ -101,7 +100,6 @@ class Job:
     scale: float = 1.0
     seed: int | None = None
     backend: str = "sim"
-    scheme: str | None = None
 
     def __post_init__(self) -> None:
         experiment = self.experiment
@@ -125,18 +123,6 @@ class Job:
                 environment_settings()
             except SimulationError as error:
                 raise UsageError(str(error)) from None
-        if self.scheme is None:
-            return
-        if not experiment.schemes:
-            raise UsageError(
-                f"experiment {self.name!r} does not support per-scheme runs"
-            )
-        if self.scheme not in experiment.schemes:
-            supported = ", ".join(experiment.schemes)
-            raise UsageError(
-                f"experiment {self.name!r} does not support scheme {self.scheme!r} "
-                f"(supported: {supported})"
-            )
 
     @property
     def experiment(self) -> Experiment:
@@ -156,20 +142,15 @@ class Job:
     def trials(self) -> list[dict]:
         """The experiment's declarative parameters expanded into its trial list.
 
-        Backend-capable experiments carry the backend in every trial, and a
-        scheme restriction (``--scheme``) is likewise stamped into every
-        trial, so both reach ``run_trial`` in workers and key the artifact
-        cache; the default (no restriction) trial list is byte-identical to
-        what it was before schemes existed.  The result is already
-        JSON-hygienic, so it compares equal to the list a cached artifact
-        stores.
+        Backend-capable experiments carry the backend in every trial, so it
+        reaches ``run_trial`` in workers and keys the artifact cache.  The
+        result is already JSON-hygienic, so it compares equal to the list a
+        cached artifact stores.
         """
         experiment = self.experiment
         trials = _jsonify(experiment.build_trials(self.scale))
         if len(experiment.backends) > 1:
             trials = [{**params, "backend": self.backend} for params in trials]
-        if self.scheme is not None:
-            trials = [{**params, "scheme": self.scheme} for params in trials]
         return trials
 
     def payloads(self) -> list[TrialPayload]:
@@ -191,7 +172,7 @@ class Job:
 class RunResult:
     """Outcome of one experiment run (fresh or served from the artifact cache).
 
-    ``name`` … ``scheme`` are the fields of the :class:`Job` that ran.
+    ``name`` … ``backend`` are the fields of the :class:`Job` that ran.
     """
 
     name: str
@@ -204,7 +185,6 @@ class RunResult:
     cached: bool
     elapsed_seconds: float
     backend: str = "sim"
-    scheme: str | None = None
 
 
 def run_experiment(
@@ -215,11 +195,10 @@ def run_experiment(
     out_dir: str | Path | None = None,
     force: bool = False,
     backend: str = "sim",
-    scheme: str | None = None,
 ) -> RunResult:
     """Run (or load from cache) one registered experiment on this host.
 
-    ``(name, scale, seed, backend, scheme)`` are the fields of
+    ``(name, scale, seed, backend)`` are the fields of
     :class:`Job`, which documents and validates them; ``workers`` fans the
     trials out over a ``multiprocessing`` pool.  ``out_dir=None`` keeps
     everything in memory; passing a directory enables both artifact writing
@@ -230,7 +209,7 @@ def run_experiment(
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    job = Job(name, scale, seed, backend, scheme)
+    job = Job(name, scale, seed, backend)
     started = time.perf_counter()
     artifact = None if out_dir is None else Path(out_dir) / f"{job.name}.json"
     rows = None

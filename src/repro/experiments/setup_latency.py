@@ -62,14 +62,15 @@ def measure_setup(
     profile: OverlayProfile,
     path_length: int,
     d: int = 1,
-    d_prime: int | None = None,
     seed: int = 17,
     backend: str = "sim",
 ) -> SetupLatencyResult:
-    """Unified driver: time one scheme's route establishment on a profile."""
-    d_prime = d if d_prime is None else d_prime
+    """Unified driver: time one scheme's route establishment on a profile.
+
+    Slicing runs with ``d' = d`` (no added redundancy), as Figs. 14–15 do.
+    """
     substrate, runtime, relays, destination = prepare_scheme_transfer(
-        scheme, profile, path_length, d, d_prime, seed, "batched", backend
+        scheme, profile, path_length, d, d, seed, "batched", backend
     )
     try:
         start = substrate.sim.now

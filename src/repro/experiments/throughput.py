@@ -8,9 +8,12 @@ and per-packet overhead.  All schemes are driven through one driver
 schemes exist: each entry names the scheme's reported label, its
 :class:`~repro.overlay.runtime.ProtocolRuntime` and its address plan.
 ``"slicing"`` runs the real relay engines over the batched overlay data
-plane; ``"onion"``, ``"onion-erasure"`` and ``"sphinx"`` run the baseline
-engines with the paper's cost structure (one symmetric pass per relay per
-cell, the source paying one pass per layer, one connection per hop).
+plane; ``"onion"`` runs the baseline onion engines with the paper's cost
+structure (one symmetric pass per relay per cell, the source paying one pass
+per layer, one connection per hop).  The figures plot those two.
+``"sphinx"``, the constant-size onion format, runs the same circuit driver;
+no figure plots it, and the benchmark's ``circuit-bulk`` workload is what
+still drives it.
 """
 
 from __future__ import annotations
@@ -20,11 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..baselines.runtime import (
-    OnionErasureProtocolRuntime,
-    OnionProtocolRuntime,
-    SphinxProtocolRuntime,
-)
+from ..baselines.runtime import OnionProtocolRuntime, SphinxProtocolRuntime
 from ..core.source import Source
 from ..overlay.node import OverlayTransport, SlicingRuntime
 from ..overlay.profiles import OverlayProfile
@@ -53,8 +52,7 @@ class Scheme:
 
     ``address_plan(path_length, d_prime)`` returns the overlay addresses one
     transfer uses: (source stage, relay pool, destination).  The measurement
-    drivers build their network from it, and the distinguishability observer
-    anchors hop positions at its source stage.
+    drivers build their network from it.
     """
 
     label: str
@@ -62,9 +60,8 @@ class Scheme:
     address_plan: Callable[[int, int], tuple[list[str], list[str], str]]
 
 
-#: The schemes §7 and §8.1 compare, in report order.  Every scheme list in
-#: the package (``--scheme`` choices, the distinguishability family) is this
-#: table's keys.
+#: The schemes the runtimes implement, in report order: the two §7 compares,
+#: then Sphinx.
 SCHEMES: dict[str, Scheme] = {
     "slicing": Scheme(
         "information-slicing",
@@ -80,13 +77,6 @@ SCHEMES: dict[str, Scheme] = {
         OnionProtocolRuntime,
         lambda length, d_prime: (
             ["onion-source"], _addresses("onion", length), "onion-destination"
-        ),
-    ),
-    "onion-erasure": Scheme(
-        "onion-erasure",
-        OnionErasureProtocolRuntime,
-        lambda length, d_prime: (
-            ["onion-source"], _addresses("onion", length * d_prime), "onion-destination"
         ),
     ),
     "sphinx": Scheme(
@@ -146,17 +136,13 @@ def prepare_scheme_transfer(
     seed: int,
     data_plane: str,
     backend: str = "sim",
-    substrate_factory=None,
 ) -> tuple[OverlayTransport, ProtocolRuntime, list[str], str]:
     """Build the substrate, runtime, relay pool and destination for one scheme.
 
-    Shared by the throughput and setup-latency drivers and the
-    distinguishability observer; the scheme's :data:`SCHEMES` entry supplies
-    the address plan and the runtime class.
+    Shared by the throughput and setup-latency drivers; the scheme's
+    :data:`SCHEMES` entry supplies the address plan and the runtime class.
     ``backend`` selects the transport: ``"sim"`` (discrete-event) or
-    ``"aio"`` (asyncio localhost TCP).  ``substrate_factory`` (network ->
-    transport) overrides the backend lookup — the distinguishability
-    experiments inject their recording substrate through it.
+    ``"aio"`` (asyncio localhost TCP).
     ``data_plane`` must be ``"batched"``, the one data plane there is; the
     positional slot stays because ``perfbench/workloads.py`` passes it.
     """
@@ -167,12 +153,7 @@ def prepare_scheme_transfer(
     source_stage, relays, destination = entry.address_plan(path_length, d_prime)
     all_addresses = [*source_stage, *relays, destination]
     network = profile.build_network(all_addresses, rng)
-    if substrate_factory is not None:
-        substrate = substrate_factory(network)
-    else:
-        substrate = build_substrate(
-            backend, network, connection_bps=connection_bps_for(profile)
-        )
+    substrate = build_substrate(backend, network, connection_bps=connection_bps_for(profile))
     runtime = entry.runtime(substrate, source_stage, path_length, d, d_prime, rng)
     return substrate, runtime, relays, destination
 
@@ -225,72 +206,6 @@ def measure_throughput(
         substrate.close()
 
 
-def _aggregate_runtime_flows(
-    scheme: str,
-    substrate: OverlayTransport,
-    overlay_nodes: list[str],
-    source_stages: list[list[str]],
-    destinations: list[str],
-    path_length: int,
-    d: int,
-    d_prime: int,
-    num_messages: int,
-    message_bytes: int,
-    seed: int,
-    flow_count: int,
-) -> dict:
-    """Fig. 13's single-scheme mode: N unified-runtime flows on one overlay.
-
-    The circuit schemes cannot interleave setup and data (cells need the
-    established circuit), so every flow establishes first, then all flows
-    send together; throughput is measured over the shared data phase.
-    """
-    runtimes = []
-    progresses = []
-    for flow_index in range(flow_count):
-        runtime = SCHEMES[scheme].runtime(
-            substrate,
-            source_stages[flow_index],
-            path_length,
-            d,
-            d_prime,
-            rng=np.random.default_rng(seed + 31 * flow_index),
-        )
-        progresses.append(runtime.establish(overlay_nodes, destinations[flow_index]))
-        runtimes.append(runtime)
-    substrate.sim.run()
-    start = substrate.sim.now
-    payload = bytes(message_bytes)
-    for runtime in runtimes:
-        runtime.send_messages([payload] * num_messages)
-    substrate.sim.run()
-    end = max([p.last_delivery_at for p in progresses if p.last_delivery_at] or [start])
-    total_bytes = sum(p.delivered_bytes for p in progresses)
-    duration = max(end - start, 1e-9)
-    relay_totals: dict[str, int] = {}
-    for runtime in runtimes:
-        for key, value in runtime.relay_counters().items():
-            relay_totals[key] = relay_totals.get(key, 0) + value
-    return {
-        "flows": flow_count,
-        "scheme": scheme,
-        "network_throughput_mbps": total_bytes * 8.0 / duration / 1e6,
-        "messages_delivered": sum(len(p.delivered_messages) for p in progresses),
-        "parity": {
-            "flows": flow_count,
-            "scheme": scheme,
-            "delivered_per_flow": [len(p.delivered_messages) for p in progresses],
-            "digests": [runtime.delivered_digest() for runtime in runtimes],
-            "relay": relay_totals,
-            "net": {
-                "packets_sent": substrate.stats.packets_sent,
-                "packets_dropped": substrate.stats.packets_dropped,
-                "bytes_sent": substrate.stats.bytes_sent,
-            },
-        },
-    }
-
-
 def aggregate_throughput_vs_flows(
     profile: OverlayProfile,
     flow_counts: list[int],
@@ -301,16 +216,13 @@ def aggregate_throughput_vs_flows(
     message_bytes: int = 1500,
     seed: int = 9,
     backend: str = "sim",
-    scheme: str = "slicing",
 ) -> list[dict]:
     """Fig. 13: aggregate network throughput as concurrent flows increase.
 
     All flows share one overlay of ``overlay_size`` nodes, so their packets
     contend for the same per-node CPU and per-connection capacity; the curve
-    rises roughly linearly and then saturates, as in the paper.  ``scheme``
-    selects the flows' protocol: ``"slicing"`` (the default, the paper's
-    figure) drives the real relay engines; any other scheme is driven
-    through the unified interface (:func:`_aggregate_runtime_flows`).
+    rises roughly linearly and then saturates, as in the paper.  Every flow
+    is an information-slicing flow through the real relay engines.
     """
     rows = []
     for flow_count in flow_counts:
@@ -331,24 +243,6 @@ def aggregate_throughput_vs_flows(
             backend, network, connection_bps=connection_bps_for(profile)
         )
         try:
-            if scheme != "slicing":
-                rows.append(
-                    _aggregate_runtime_flows(
-                        scheme,
-                        substrate,
-                        overlay_nodes,
-                        source_stages,
-                        destinations,
-                        path_length,
-                        d,
-                        d_prime,
-                        num_messages,
-                        message_bytes,
-                        seed,
-                        flow_count,
-                    )
-                )
-                continue
             runtime = SlicingRuntime(substrate, rng=np.random.default_rng(seed + 1))
             total_bytes = 0
             flows = []

@@ -1,10 +1,10 @@
 """Unified protocol-runtime interface over the overlay substrate.
 
-Figs. 11–15 compare information slicing against onion routing (and its
-erasure-coded variant) over *identical* substrates: same latencies, same
-per-node CPU model, same per-connection capacity.  This module defines the
-one interface every scheme implements, so the experiments drive each scheme
-through the same constructor and the same two calls:
+Figs. 11–15 compare information slicing against onion routing over
+*identical* substrates: same latencies, same per-node CPU model, same
+per-connection capacity.  This module defines the one interface every scheme
+implements, so the experiments drive each scheme through the same
+constructor and the same two calls:
 
 1. :meth:`ProtocolRuntime.establish` — inject the scheme's route setup;
 2. :meth:`ProtocolRuntime.send_messages` — ship a burst of data messages.
@@ -15,7 +15,7 @@ setup instants) and :meth:`ProtocolRuntime.setup_seconds`.
 
 Concrete runtimes: :class:`SlicingProtocolRuntime` (here) wraps the real
 relay engines via :class:`~repro.overlay.node.SlicingRuntime`;
-``OnionProtocolRuntime``, ``OnionErasureProtocolRuntime`` and
+``OnionProtocolRuntime`` and its Sphinx-format variant
 ``SphinxProtocolRuntime`` live in :mod:`repro.baselines.runtime`.  Which
 schemes exist, and the label and address plan of each, is the one ``SCHEMES``
 table in :mod:`repro.experiments.throughput`.
@@ -60,7 +60,7 @@ class ProtocolRuntime(abc.ABC):
 
         ``source_stage`` is the scheme's stage-0 addresses (the circuit
         schemes send from its first), ``d`` / ``d_prime`` the split factor
-        and per-stage redundancy (unused by onion routing and Sphinx).
+        and per-stage redundancy (unused by the circuit schemes).
         """
         self.substrate = substrate
         self.source_stage = list(source_stage)

@@ -7,7 +7,8 @@ batched engines in ``src/`` to the same bytes; the anonymity Monte-Carlo
 (``anonymity``) with its Chaum-chain twin (``chaum``), the samplers the exact
 DPs of Figs. 7-10 are checked against; and the churn Monte-Carlo with the
 packet-level failure replay (``resilience``), which the closed forms of
-Figs. 16-17 and the stage premise of Eq. 7 are checked against.  No run of
-the program selects them.  They subclass or call the production classes and
+Figs. 16-17 and the stage premise of Eq. 7 are checked against.  The passive
+link tap (``wiretap``) records what an observer sees of a transfer.  No run
+of the program selects them.  They subclass or call the production classes and
 need no hook in ``src/``.
 """

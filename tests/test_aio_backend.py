@@ -1,6 +1,6 @@
 """The asyncio socket backend: backend parity and lifecycle.
 
-Every protocol runtime (slicing, onion, onion-erasure) must deliver the same
+Every protocol runtime (slicing, onion, Sphinx) must deliver the same
 plaintexts and produce the same relay/network counters on the ``aio``
 backend as on the discrete-event simulator under a shared seed — timing
 fields are clock-dependent and deliberately excluded.  These are the
@@ -52,7 +52,7 @@ def _lan_network(addresses, seed=0):
     [
         ("slicing", {"d": 2}),
         ("onion", {}),
-        ("onion-erasure", {"d": 2, "d_prime": 3}),
+        ("sphinx", {}),
     ],
 )
 def test_throughput_parity_with_simulator(scheme, kwargs):
@@ -109,7 +109,7 @@ def test_aio_host_from_the_environment_reaches_the_substrate_with_parity(scheme,
 
 @pytest.mark.parametrize(
     ("scheme", "d"),
-    [("slicing", 2), ("slicing", 3), ("onion", 1), ("onion-erasure", 2), ("sphinx", 1)],
+    [("slicing", 2), ("slicing", 3), ("onion", 1), ("sphinx", 1)],
 )
 def test_setup_parity_with_simulator(scheme, d):
     for path_length in (1, 3, 5):

@@ -1,12 +1,10 @@
-"""Tests for the onion routing, erasure coding and multipath baselines."""
+"""Tests for the onion routing baseline."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.erasure import ErasureCoder, ErasureShare
 from repro.baselines.onion import OnionDirectory, OnionRelay, OnionSource, run_circuit
-from repro.baselines.onion_erasure import OnionErasureSource, run_multipath_transfer
-from repro.core.errors import CodingError, ProtocolError
+from repro.core.errors import ProtocolError
 
 
 def make_directory(count=20, seed=0):
@@ -71,62 +69,3 @@ def test_onion_data_layering_changes_ciphertext_per_hop():
     assert received == [b"payload"]
     del relays, current
 
-
-def test_erasure_coder_any_d_shares_decode():
-    coder = ErasureCoder(2, 4)
-    rng = np.random.default_rng(5)
-    shares = coder.encode(b"erasure coded message", rng)
-    assert len(shares) == 4
-    from itertools import combinations
-
-    for subset in combinations(shares, 2):
-        assert coder.decode(list(subset)) == b"erasure coded message"
-    assert coder.overhead == pytest.approx(1.0)
-
-
-def test_erasure_share_serialization():
-    coder = ErasureCoder(3, 5)
-    rng = np.random.default_rng(6)
-    share = coder.encode(b"share me", rng)[4]
-    parsed = ErasureShare.from_bytes(share.to_bytes(), d=3)
-    assert parsed.index == 4
-    with pytest.raises(CodingError):
-        ErasureShare.from_bytes(b"", d=3)
-    with pytest.raises(CodingError):
-        ErasureCoder(3, 2)
-
-
-def test_multipath_survives_path_failures():
-    directory, addresses, rng = make_directory(count=40, seed=7)
-    source = OnionErasureSource(directory, rng)
-    multipath = source.build_multipath(addresses, "destination", 3, d=2, d_prime=4)
-    assert multipath.d_prime == 4
-    # Circuits are node-disjoint.
-    all_hops = [hop for circuit in multipath.circuits for hop in circuit.hops]
-    assert len(all_hops) == len(set(all_hops))
-    # Kill every relay of two circuits: 2 of 4 remain, still decodable.
-    failed = set(multipath.circuits[0].hops) | set(multipath.circuits[1].hops)
-    results = run_multipath_transfer(
-        directory, source, multipath, [b"resilient"], failed_relays=failed
-    )
-    assert results == [b"resilient"]
-
-
-def test_multipath_fails_when_too_many_paths_die():
-    directory, addresses, rng = make_directory(count=40, seed=8)
-    source = OnionErasureSource(directory, rng)
-    multipath = source.build_multipath(addresses, "destination", 3, d=2, d_prime=3)
-    failed = set(multipath.circuits[0].hops) | set(multipath.circuits[1].hops)
-    results = run_multipath_transfer(
-        directory, source, multipath, [b"lost"], failed_relays=failed
-    )
-    assert results == [None]
-
-
-def test_multipath_requires_enough_relays():
-    directory, addresses, rng = make_directory(count=5, seed=9)
-    source = OnionErasureSource(directory, rng)
-    with pytest.raises(ProtocolError):
-        source.build_multipath(addresses, "destination", 3, d=2, d_prime=4)
-    with pytest.raises(ProtocolError):
-        source.build_multipath(addresses, "destination", 1, d=3, d_prime=2)

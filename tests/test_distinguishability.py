@@ -1,30 +1,55 @@
-"""Packet-size distinguishability: the wiretap, the attacker model, the family.
+"""Packet-size distinguishability: what a passive link tap sees of each scheme.
 
-The attacker math is pinned on hand-built observation records; the scheme
-expectations pin the paper-level outcome (classic onion routing's shrinking
-setup onions reveal hop positions, Sphinx and slicing do not); and the
-runner test pushes the registered family through the pool, byte-comparing
-artifacts across worker counts.
+An observer who sees every transmission's (sender, receiver, size) but no
+payload bytes can place a packet on its route by length alone exactly when
+a scheme's on-wire sizes change along the route.  For the three runtimes
+that is a yes/no fact per phase, pinned here on real transfers: slicing and
+Sphinx put one size per phase on the wire, while classic onion setup packets
+shrink by one layer per hop.
 """
 
 import pytest
 
-from repro.experiments import run_experiment
-from repro.experiments.distinguishability import (
-    RecordingOverlayNetwork,
-    hop_positions,
-    hop_size_unlinkability,
-    observe_transfer,
-    size_position_advantage,
-)
-from repro.experiments.throughput import SCHEMES
+from repro.experiments import throughput
 from repro.overlay.network import uniform_network
 from repro.overlay.profiles import LAN_PROFILE
 
-SMALL = 0.1
+from oracles.wiretap import RecordingOverlayNetwork
+
+NUM_MESSAGES = 24
 
 
-# -- the wiretap --------------------------------------------------------------------
+def observe_transfer(monkeypatch, scheme, path_length, seed):
+    """Run one transfer under the tap; returns its (setup, data) records.
+
+    ``setup`` is everything transmitted while the route was established,
+    ``data`` everything transmitted while a burst of 512-byte messages
+    drained.  The tap replaces the simulated substrate the transfer builds.
+    """
+
+    def tapped_substrate(backend, network, connection_bps):
+        assert backend == "sim"
+        return RecordingOverlayNetwork(network, connection_bps=connection_bps)
+
+    monkeypatch.setattr(throughput, "build_substrate", tapped_substrate)
+    substrate, runtime, relays, destination = throughput.prepare_scheme_transfer(
+        scheme, LAN_PROFILE, path_length, 2, 3, seed, "batched"
+    )
+    try:
+        runtime.establish(relays, destination)
+        substrate.sim.run()
+        setup = list(substrate.records)
+        substrate.records.clear()
+        runtime.send_messages([bytes(512)] * NUM_MESSAGES)
+        substrate.sim.run()
+        assert len(runtime.delivered_plaintexts()) == NUM_MESSAGES
+        return setup, list(substrate.records)
+    finally:
+        substrate.close()
+
+
+def sizes(records):
+    return [size for _sender, _receiver, size in records]
 
 
 def test_recording_network_taps_every_transmission():
@@ -39,69 +64,35 @@ def test_recording_network_taps_every_transmission():
     assert substrate.records == [("a", "b", 100), ("b", "a", 10), ("b", "a", 20)]
 
 
-def test_observe_transfer_splits_setup_and_data_phases():
-    setup, data, sources = observe_transfer("sphinx", LAN_PROFILE, 3, seed=5)
-    assert sources == ["sphinx-source"]
-    assert setup and data
-    # Sphinx is constant-size on the wire in both phases.
-    assert len({size for _s, _r, size in setup}) == 1
-    assert len({size for _s, _r, size in data}) == 1
+def test_observe_transfer_splits_setup_and_data_phases(monkeypatch):
+    # An onion circuit of L relays: the setup onion crosses the L links up to
+    # the last relay, and every data cell crosses all L + 1 links.
+    setup, data = observe_transfer(monkeypatch, "onion", 3, seed=5)
+    assert setup[0][0] == "onion-source"
+    assert len(setup) == 3
+    assert len(data) == 4 * NUM_MESSAGES
 
 
-# -- the attacker model -------------------------------------------------------------
-
-
-def test_hop_positions_follow_observed_edges():
-    records = [("s", "r1", 10), ("r1", "r2", 10), ("r2", "d", 10)]
-    assert hop_positions(records, ["s"]) == {"s": 0, "r1": 1, "r2": 2, "d": 3}
-
-
-def test_constant_sizes_give_zero_advantage():
-    records = [("s", "r1", 64), ("r1", "r2", 64), ("r2", "d", 64)]
-    assert size_position_advantage(records, ["s"]) == 0.0
-
-
-def test_position_revealing_sizes_give_full_advantage():
-    # One distinct size per hop: the MAP guesser places every packet.
-    records = [("s", "r1", 96), ("r1", "r2", 64), ("r2", "d", 32)]
-    assert size_position_advantage(records, ["s"]) == 1.0
-
-
-def test_advantage_is_zero_without_observations():
-    assert size_position_advantage([], ["s"]) == 0.0
-
-
-# -- scheme expectations ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("scheme", list(SCHEMES))
-def test_scheme_unlinkability_matches_the_paper_story(scheme):
-    row = hop_size_unlinkability(scheme, LAN_PROFILE, 3, seed=11)
-    if scheme in ("sphinx", "slicing"):
-        assert row["unlinkability"] == 1.0
+@pytest.mark.parametrize("scheme", ["slicing", "onion", "sphinx"])
+def test_scheme_unlinkability_matches_the_paper_story(scheme, monkeypatch):
+    path_length = 3
+    setup, data = observe_transfer(monkeypatch, scheme, path_length, seed=13)
+    # Data is one size on the wire for every scheme.
+    assert len(set(sizes(data))) == 1
+    if scheme in ("slicing", "sphinx"):
+        # Constant size in both phases: length places no packet on its route.
+        assert len(set(sizes(setup))) == 1
     else:
-        # Classic onion setup packets shrink one layer per hop: the observer
-        # reads the hop position straight off the packet length.
-        assert row["unlinkability"] == 0.0
-        assert row["setup_advantage"] == 1.0
-        assert row["setup_distinct_sizes"] >= 3
+        # Classic onion setup packets shrink one layer per hop, so the length
+        # names the hop: L distinct sizes, strictly decreasing along the chain.
+        assert [receiver for _s, receiver, _size in setup[:-1]] == [
+            sender for sender, _r, _size in setup[1:]
+        ]
+        assert len(setup) == path_length
+        assert sizes(setup) == sorted(set(sizes(setup)), reverse=True)
 
 
-def test_sphinx_setup_packets_are_constant_size():
-    row = hop_size_unlinkability("sphinx", LAN_PROFILE, 5, seed=13)
-    assert row["setup_distinct_sizes"] == 1
-    assert row["data_distinct_sizes"] == 1
-
-
-# -- the registered family ----------------------------------------------------------
-
-
-def test_family_runs_byte_identical_across_worker_counts(tmp_path):
-    one = run_experiment("distinguishability", scale=SMALL, out_dir=tmp_path / "w1")
-    two = run_experiment(
-        "distinguishability", scale=SMALL, out_dir=tmp_path / "w2", workers=2
-    )
-    assert one.artifact.read_bytes() == two.artifact.read_bytes()
-    assert {row["scheme"] for row in one.rows} == set(SCHEMES)
-    for row in one.rows:
-        assert 0.0 <= row["unlinkability"] <= 1.0
+def test_sphinx_setup_packets_are_constant_size(monkeypatch):
+    setup, data = observe_transfer(monkeypatch, "sphinx", 5, seed=13)
+    assert len(set(sizes(setup))) == 1
+    assert len(set(sizes(data))) == 1

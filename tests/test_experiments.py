@@ -16,7 +16,6 @@ SMALL = 0.05  # scale factor: keep the whole module under a minute
 def test_registry_contains_every_figure():
     expected = {f"fig{n:02d}" for n in range(7, 18)} | {
         "microbench",
-        "distinguishability",
         "ablation_transforms",
         "ablation_as_selection",
         "ablation_network_coding",

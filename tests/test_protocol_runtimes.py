@@ -7,7 +7,7 @@ import pytest
 from repro.core.errors import SimulationError
 from repro.core.source import Source
 from repro.experiments.registry import get_experiment
-from repro.experiments.runner import Job, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.setup_latency import measure_setup
 from repro.experiments.throughput import (
     SCHEMES,
@@ -29,12 +29,7 @@ def build_substrate(addresses, seed=0):
 
 def test_registry_lists_all_schemes():
     # The SCHEMES table is the one scheme list every consumer reads.
-    schemes = tuple(SCHEMES)
-    assert schemes == ("slicing", "onion", "onion-erasure", "sphinx")
-    for name in ("fig11", "fig12", "fig13", "fig14", "fig15"):
-        assert get_experiment(name).schemes == schemes
-    trial_schemes = [trial["scheme"] for trial in Job("distinguishability", 0.1).trials]
-    assert tuple(dict.fromkeys(trial_schemes)) == schemes
+    assert tuple(SCHEMES) == ("slicing", "onion", "sphinx")
     # Every entry's runtime builds from the one constructor its plan feeds.
     for name, entry in SCHEMES.items():
         source_stage, relays, destination = entry.address_plan(2, 3)
@@ -103,7 +98,7 @@ def test_onion_runtime_delivers_plaintexts_end_to_end():
     substrate.sim.run()
     assert runtime.setup_seconds() > 0
     # Every circuit relay peeled a layer during setup.
-    (driver,) = runtime._drivers
+    driver = runtime._driver
     assert set(driver.handles) == set(driver.circuit.hops)
     messages = [b"cell-%d" % i for i in range(5)]
     runtime.send_messages(messages)
@@ -122,7 +117,7 @@ def test_sphinx_runtime_delivers_plaintexts_end_to_end():
     progress = runtime.establish(relays, "dst")
     substrate.sim.run()
     assert runtime.setup_seconds() > 0
-    (driver,) = runtime._drivers
+    driver = runtime._driver
     assert set(driver.handles) == set(driver.circuit.hops)
     messages = [b"cell-%d" % i for i in range(5)]
     runtime.send_messages(messages)
@@ -142,52 +137,16 @@ def test_sphinx_sim_vs_aio_delivered_digest_parity():
     assert sim.parity_fields() == aio.parity_fields()
 
 
-def test_onion_erasure_runtime_survives_a_circuit_failure():
-    d, d_prime, path_length = 2, 3, 2
-    relays = [f"onion-{i}" for i in range(d_prime * path_length)]
-    substrate = build_substrate(["src", *relays, "dst"], seed=2)
-    runtime = SCHEMES["onion-erasure"].runtime(
-        substrate, ["src"], path_length, d, d_prime, rng=np.random.default_rng(3)
-    )
-    progress = runtime.establish(relays, "dst")
-    substrate.sim.run()
-    assert runtime.setup_seconds() > 0
-    # Kill one whole circuit: d = 2 of the remaining d' - 1 = 2 still suffice.
-    victim = runtime._drivers[0].circuit.hops[0]
-    substrate.fail_node(victim)
-    runtime.send_messages([b"striped message"])
-    substrate.sim.run()
-    assert progress.delivered_messages
-    assert runtime.delivered[0] == b"striped message"
-
-
-def test_onion_erasure_runtime_fails_below_d_circuits():
-    d, d_prime, path_length = 2, 3, 2
-    relays = [f"onion-{i}" for i in range(d_prime * path_length)]
-    substrate = build_substrate(["src", *relays, "dst"], seed=4)
-    runtime = SCHEMES["onion-erasure"].runtime(
-        substrate, ["src"], path_length, d, d_prime, rng=np.random.default_rng(5)
-    )
-    progress = runtime.establish(relays, "dst")
-    substrate.sim.run()
-    for driver in runtime._drivers[:2]:
-        substrate.fail_node(driver.circuit.hops[0])
-    runtime.send_messages([b"lost message"])
-    substrate.sim.run()
-    assert not progress.delivered_messages
-
-
 def test_unified_throughput_driver_covers_all_schemes():
     results = {
         scheme: measure_throughput(
             scheme, LAN_PROFILE, path_length=3, d=2, d_prime=3,
             num_messages=20, message_bytes=600, seed=31,
         )
-        for scheme in ("slicing", "onion", "onion-erasure", "sphinx")
+        for scheme in SCHEMES
     }
     assert results["slicing"].protocol == "information-slicing"
     assert results["onion"].protocol == "onion-routing"
-    assert results["onion-erasure"].protocol == "onion-erasure"
     assert results["sphinx"].protocol == "sphinx-onion"
     for result in results.values():
         assert result.messages_delivered == 20
@@ -200,12 +159,9 @@ def test_unified_throughput_driver_covers_all_schemes():
 def test_unified_setup_driver_covers_all_schemes():
     onion = measure_setup("onion", LAN_PROFILE, path_length=3, seed=7)
     slicing = measure_setup("slicing", LAN_PROFILE, path_length=3, d=2, seed=7)
-    multi = measure_setup("onion-erasure", LAN_PROFILE, path_length=3, d=2, d_prime=3, seed=7)
     sphinx = measure_setup("sphinx", LAN_PROFILE, path_length=3, seed=7)
     assert 0 < onion.setup_seconds < slicing.setup_seconds
     assert sphinx.setup_seconds > 0
-    # d' disjoint circuits take at least as long as one.
-    assert multi.setup_seconds >= onion.setup_seconds * 0.9
     with pytest.raises(KeyError):
         measure_setup("smoke-signals", LAN_PROFILE, path_length=2)
 

@@ -243,32 +243,14 @@ def test_cli_list(capsys):
     assert "fig09" in output and "ablation_transforms" in output
 
 
-def test_cli_run_scheme_on_schemeless_experiment(capsys):
-    # fig16 has no per-scheme mode; --scheme must be a one-line usage error.
-    assert experiments_main(["run", "fig16", "--scheme", "sphinx"]) == 2
-    captured = capsys.readouterr()
-    assert "does not support per-scheme runs" in captured.err
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
-
-
-def test_cli_run_unknown_scheme_lists_supported(capsys):
-    assert experiments_main(["run", "fig11", "--scheme", "carrier-pigeon"]) == 2
-    captured = capsys.readouterr()
-    assert "supported: slicing, onion, onion-erasure, sphinx" in captured.err
-    assert captured.err.count("\n") == 1
-
-
-def test_scheme_restriction_keys_the_artifact_cache(tmp_path):
-    # The scheme rides in the trial list, so it keys the artifact cache: a
-    # default run must never be served from a scheme-restricted artifact
-    # (and vice versa), even though both share the artifact filename.
-    default = run_experiment("fig14", scale=SMALL, out_dir=tmp_path)
-    restricted = run_experiment("fig14", scale=SMALL, out_dir=tmp_path, scheme="onion")
-    assert default.scheme is None
-    assert restricted.scheme == "onion"
-    assert not restricted.cached
-    assert {row["scheme"] for row in restricted.rows} == {"onion"}
-    rerun = run_experiment("fig14", scale=SMALL, out_dir=tmp_path)
-    assert not rerun.cached
-    assert rerun.rows == default.rows
+def test_cli_retired_scheme_axis_is_a_usage_error(tmp_path, capsys):
+    # Figs. 11-15 always run slicing against onion routing; there is no
+    # per-scheme mode to select, and no distinguishability family.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        experiments_main(["run", "fig11", "--scheme", "sphinx", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--scheme" in capsys.readouterr().err
+    assert not out.exists()
+    assert experiments_main(["list"]) == 0
+    assert "distinguishability" not in capsys.readouterr().out
