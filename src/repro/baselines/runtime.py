@@ -106,35 +106,21 @@ class _CircuitDriver:
 
     # -- data ----------------------------------------------------------------------
 
-    def send_cells(
-        self, seqs: list[int], cells: list[bytes], source_cpu_per_byte_factor: int
-    ) -> None:
+    def send_cells(self, seqs: list[int], cells: list[bytes]) -> None:
         """Ship wrapped data cells down the circuit in pipelined chunks."""
         chunk = DEFAULT_BATCH_CHUNK
         for start in range(0, len(cells), chunk):
-            self._forward_cells(
-                0,
-                seqs[start : start + chunk],
-                cells[start : start + chunk],
-                source_cpu_per_byte_factor,
-            )
+            self._forward_cells(0, seqs[start : start + chunk], cells[start : start + chunk])
 
-    def _forward_cells(
-        self,
-        hop_index: int,
-        seqs: list[int],
-        cells: list[bytes],
-        source_layers: int,
-    ) -> None:
+    def _forward_cells(self, hop_index: int, seqs: list[int], cells: list[bytes]) -> None:
         chain = self.chain
         sender = chain[hop_index]
         receiver = chain[hop_index + 1]
         resources = self.substrate.network.resources(sender)
         if hop_index == 0:
-            # The source layered every cell once per hop.
-            cpus = [
-                resources.symmetric_time(len(cell)) * source_layers for cell in cells
-            ]
+            # The source layered every cell once per hop of its circuit.
+            layers = self.runtime.path_length
+            cpus = [resources.symmetric_time(len(cell)) * layers for cell in cells]
         else:
             cpus = [resources.symmetric_time(len(cell)) for cell in cells]
 
@@ -146,7 +132,7 @@ class _CircuitDriver:
             if handle is None:
                 return  # circuit never established through this relay
             _next_hop, stripped = self.engines[receiver].strip_cells(handle, delivered)
-            self._forward_cells(hop_index + 1, seqs, stripped, source_layers)
+            self._forward_cells(hop_index + 1, seqs, stripped)
 
         self.substrate.transmit_blobs(
             sender,
@@ -222,7 +208,7 @@ class OnionProtocolRuntime(_CircuitRuntime):
         seqs = self._take_seqs(len(messages))
         driver = self._driver
         cells = [self._source.wrap_data(driver.circuit, message) for message in messages]
-        driver.send_cells(seqs, cells, self.path_length)
+        driver.send_cells(seqs, cells)
 
     def _deliver_cells(self, seqs: list[int], cells: list[bytes]) -> None:
         now = self.sim.now
@@ -264,7 +250,7 @@ class SphinxProtocolRuntime(OnionProtocolRuntime):
         seqs = self._take_seqs(len(messages))
         driver = self._driver
         cells = self._source.wrap_cells(driver.circuit, messages)
-        driver.send_cells(seqs, cells, self.path_length)
+        driver.send_cells(seqs, cells)
 
     def _deliver_cells(self, seqs: list[int], cells: list[bytes]) -> None:
         now = self.sim.now

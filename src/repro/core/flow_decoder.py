@@ -1,17 +1,23 @@
 """Per-flow batched data-slice store and decoder (the relay's data plane).
 
-A relay on the steady-state data path used to keep one ``dict[int,
-CodedBlock]`` per sequence number and run a scalar Gauss–Jordan per message
-(:func:`~repro.core.integrity.robust_decode`).  :class:`FlowDecoder` replaces
-that per-message structure with batched decoding over slices held by
-reference: each stored run is the received
-:class:`~repro.core.packet.PacketBatch` itself (its columns are read-only),
-and each (seq, slot) records which run and which of its rows holds the slice,
-so a relay that only forwards owns no slice bytes.  A run is released once
-every seq it fed has been dropped or retired.  A decode or a regeneration
-gathers the slices it reads into ``(seqs, slots, d)`` coefficient and
-``(seqs, slots, block_len)`` payload stacks, so a burst of deliverable
-messages decodes through the batched GF(2^8) kernels
+:class:`FlowDecoder` keeps per-batch, not per-slice, bookkeeping over
+Python-int masks whose bit ``i`` is seq ``base + i``: one mask per lane of
+the seqs holding a slice from it, and the *runs* in arrival order, each a
+received :class:`~repro.core.packet.PacketBatch` held by reference (its
+columns are read-only), the mask of the rows it stores and the shift from a
+row to its seq.  A seq's slices, in arrival order, are the rows of the runs
+holding it.  A batch of one ascending seq range, none of it stored yet — a
+parent delivering a burst on one lane — is stored with one AND, one OR and
+one append; any other batch is cut into runs of its accepted rows.  A relay
+that only forwards owns no slice bytes.  A run is released once every seq it
+fed is dropped or retired.  Retiring shifts the lane masks and trims the
+runs that straddle the new base; a slice below the base lowers it.  ``RowFlowDecoder`` in
+``tests/oracles/dataplane.py`` is the per-row reference store.
+
+A decode or a regeneration gathers the first slices of each seq, run by
+run, into ``(seqs, slots, d)`` coefficient and ``(seqs, slots, block_len)``
+payload stacks, so a burst of deliverable messages decodes through the
+batched GF(2^8) kernels
 (:meth:`GF256.invert_matrices <repro.core.gf.GF256.invert_matrices>` /
 :meth:`GF256.batched_matmul <repro.core.gf.GF256.batched_matmul>`) in a
 constant number of numpy passes.
@@ -33,6 +39,8 @@ same blocks.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -91,95 +99,91 @@ def decode_setup_payload(
     return robust_decode(coder, blocks)
 
 
+def mask_offsets(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    if not mask:
+        return []
+    start = (mask & -mask).bit_length() - 1
+    mask >>= start
+    if not mask & (mask + 1):  # one block of ones
+        return list(range(start, start + mask.bit_length()))
+    offsets = []
+    while mask:
+        low = mask & -mask
+        offsets.append(start + low.bit_length() - 1)
+        mask ^= low
+    return offsets
+
+
+def shift_mask(mask: int, by: int) -> int:
+    """``mask`` re-expressed over a base ``by`` higher (lower if negative)."""
+    return mask >> by if by >= 0 else mask << -by
+
+
+def _is_run(seqs: list[int]) -> bool:
+    """Whether ``seqs`` is one ascending range."""
+    return bool(seqs) and seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+
+
 class _Plane:
     """Slice references for all sequences sharing one payload length.
 
-    The plane owns no slice bytes: a run is the received batch itself, kept
-    until the last slot it feeds is dropped, and :meth:`gather` copies
-    slices out for a reader.  Per-row bookkeeping (arrival-ordered lanes,
-    duplicate sets, slot references) stays in plain Python containers, which
-    are markedly cheaper than element-wise numpy indexing on the per-packet
-    path.
+    ``lanes`` maps a lane to the mask of seqs holding a slice from it and
+    ``held`` is their union.  ``runs`` are ``[rows, shift, lane, batch]`` in
+    arrival order: bit ``r`` of ``rows`` is row ``r`` of ``batch``, the
+    slice of seq ``shift + r``, so a run's mask never moves with the base.
     """
 
+    __slots__ = ("lanes", "held", "runs")
+
     def __init__(self) -> None:
-        self.rows: dict[int, int] = {}
-        self.free: list[int] = []
-        #: Referenced runs by id, and how many filled slots each still feeds.
-        self.runs: dict[int, PacketBatch] = {}
-        self.run_slots: dict[int, int] = {}
-        self.next_run = 0
-        #: Arrival-ordered lane of every filled slot, per row.
-        self.lane_lists: list[list[int]] = []
-        #: Per-row lane membership for O(1) duplicate detection.
-        self.lane_sets: list[set[int]] = []
-        #: ``(run id, row of that run)`` of every filled slot, per row.
-        self.slot_refs: list[list[tuple[int, int]]] = []
+        self.lanes: dict[int, int] = {}
+        self.held = 0
+        self.runs: list[list] = []
 
-    def count(self, seq: int) -> int:
-        row = self.rows.get(seq)
-        return 0 if row is None else len(self.lane_lists[row])
+    def shift(self, by: int) -> None:
+        """Re-express the seq masks over a base ``by`` higher (lower if negative)."""
+        lanes = {lane: shift_mask(mask, by) for lane, mask in self.lanes.items()}
+        self.lanes = {lane: mask for lane, mask in lanes.items() if mask}
+        self.held = shift_mask(self.held, by)
 
-    def lanes_for(self, seq: int) -> list[int]:
-        row = self.rows.get(seq)
-        return [] if row is None else list(self.lane_lists[row])
+    def at_least(self, mask: int, need: int) -> int:
+        """The seqs of ``mask`` holding at least ``need`` slices here."""
+        reached = [mask] + [0] * need
+        for lane_mask in self.lanes.values():
+            lane_mask &= mask
+            for count in range(need, 0, -1) if lane_mask else ():
+                reached[count] |= reached[count - 1] & lane_mask
+        return reached[need]
 
-    def blocks(self, seq: int) -> list[CodedBlock]:
-        row = self.rows.get(seq)
-        if row is None:
-            return []
-        return [
-            CodedBlock(
-                coefficients=self.runs[run].coefficients[at].copy(),
-                payload=self.runs[run].payloads[at].copy(),
-                index=lane,
-            )
-            for (run, at), lane in zip(self.slot_refs[row], self.lane_lists[row])
-        ]
+    def gather(self, base: int, mask: int, coeffs: np.ndarray, payloads: np.ndarray) -> None:
+        """Copy the slices of the ``i``-th seq of ``mask`` into ``coeffs[i]`` / ``payloads[i]``.
 
-    def gather(self, rows: list[int], coeffs: np.ndarray, payloads: np.ndarray) -> None:
-        """Copy the slices of ``rows[i]`` into ``coeffs[i]`` / ``payloads[i]``, arrival order.
-
-        At most ``coeffs.shape[1]`` slices per row, in one fancy-index read
-        and write per referenced run; slots past a row's count are left as
-        they are.
+        At most ``coeffs.shape[1]`` slices per seq, in arrival order: run by
+        run, the seqs that have filled ``slot`` slots take their next one
+        from that run, one slice copy per contiguous block of them.  Slots
+        past a seq's count are left as they are.
         """
-        per_run: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        for position, row in enumerate(rows):
-            for slot, (run, at) in enumerate(self.slot_refs[row][: coeffs.shape[1]]):
-                positions, slots, ats = per_run.setdefault(run, ([], [], []))
-                positions.append(position)
-                slots.append(slot)
-                ats.append(at)
-        for run, (positions, slots, at) in per_run.items():
-            coeffs[positions, slots] = self.runs[run].coefficients[at]
-            payloads[positions, slots] = self.runs[run].payloads[at]
-
-    def drop(self, seq: int) -> bool:
-        row = self.rows.pop(seq, None)
-        if row is None:
-            return False
-        run_slots = self.run_slots
-        for run, _ in self.slot_refs[row]:
-            run_slots[run] -= 1
-            if not run_slots[run]:
-                del run_slots[run], self.runs[run]
-        self.lane_lists[row].clear()
-        self.lane_sets[row].clear()
-        self.slot_refs[row].clear()
-        self.free.append(row)
-        return True
-
-    def _allocate_row(self, seq: int) -> int:
-        if self.free:
-            row = self.free.pop()
-        else:
-            row = len(self.lane_lists)
-            self.lane_lists.append([])
-            self.lane_sets.append(set())
-            self.slot_refs.append([])
-        self.rows[seq] = row
-        return row
+        limit, low_end, high_end = coeffs.shape[1], (mask & -mask).bit_length(), mask.bit_length()
+        filled = [mask] + [0] * limit  # filled[k]: seqs with at least k slots taken
+        for rows_mask, shift, _lane, batch in self.runs:
+            at = shift - base
+            if at >= high_end or at + rows_mask.bit_length() < low_end:
+                continue
+            hit = (rows_mask << at if at >= 0 else rows_mask >> -at) & mask & ~filled[limit]
+            for slot in range(limit) if hit else ():
+                take = hit & filled[slot] & ~filled[slot + 1]
+                while take:
+                    low = take & -take
+                    block = ((take + low) & ~take) - low
+                    take ^= block
+                    first, end = low.bit_length() - 1, block.bit_length()
+                    out = (mask & (low - 1)).bit_count()
+                    rows = slice(base + first - shift, base + end - shift)
+                    coeffs[out : out + end - first, slot] = batch.coefficients[rows]
+                    payloads[out : out + end - first, slot] = batch.payloads[rows]
+            for slot in range(limit, 0, -1) if hit else ():
+                filled[slot] |= filled[slot - 1] & hit
 
 
 class FlowDecoder:
@@ -201,160 +205,207 @@ class FlowDecoder:
         self.d = d
         self.field = GF if field is None else field
         self._coder = SliceCoder(d, field=self.field)
+        #: Bit ``i`` of every mask is seq ``base + i``.
+        self.base = 0
         self._planes: dict[int, _Plane] = {}
-        self._seq_plane: dict[int, int] = {}
         self._extras: dict[int, list[CodedBlock]] = {}
+
+    # -- masks -----------------------------------------------------------------------
+
+    def seq_mask(self, seqs: list[int]) -> int:
+        """The mask of ``seqs``, the base lowered first to the lowest of them if below."""
+        run = _is_run(seqs)
+        lowest = seqs[0] if run else min(seqs, default=self.base)
+        if lowest < self.base:
+            self._rebase(lowest)
+        if run:
+            return ((1 << len(seqs)) - 1) << (lowest - self.base)
+        return sum(1 << (seq - self.base) for seq in set(seqs))
+
+    def ready(self, mask: int) -> int:
+        """The seqs of ``mask`` holding at least ``d`` slices, extras included."""
+        ready = sum(plane.at_least(mask & plane.held, self.d) for plane in self._planes.values())
+        clashing = [seq for seq in self._extras if mask >> (seq - self.base) & 1]
+        return ready | self.seq_mask([seq for seq in clashing if self.count(seq) >= self.d])
+
+    def _rebase(self, base: int) -> None:
+        for plane in self._planes.values():
+            plane.shift(base - self.base)
+        self.base = base
+
+    def _owner(self, seq: int) -> int | None:
+        """The payload length of the plane holding ``seq``."""
+        bit = 1 << (seq - self.base) if seq >= self.base else 0
+        return next((key for key, plane in self._planes.items() if plane.held & bit), None)
 
     # -- storage ---------------------------------------------------------------------
 
     def __contains__(self, seq: int) -> bool:
-        return seq in self._seq_plane
+        return self._owner(seq) is not None
 
     def __len__(self) -> int:
         """Number of sequence numbers currently holding slices."""
-        return len(self._seq_plane)
+        return self._held().bit_count()
 
     def seqs(self) -> list[int]:
-        """Sequence numbers with stored slices, in first-seen order."""
-        return list(self._seq_plane)
+        """Sequence numbers with stored slices, ascending."""
+        return [self.base + offset for offset in mask_offsets(self._held())]
+
+    def _held(self) -> int:
+        return sum(plane.held for plane in self._planes.values())  # planes are disjoint
 
     def count(self, seq: int) -> int:
         """Number of slices stored for ``seq`` (0 if unknown)."""
-        block_len = self._seq_plane.get(seq)
-        if block_len is None:
-            return 0
-        count = self._planes[block_len].count(seq)
-        extras = self._extras.get(seq)
-        return count if extras is None else count + len(extras)
+        return self.plane_count(seq) + len(self._extras.get(seq, ()))
 
     def plane_count(self, seq: int) -> int:
         """Slices of ``seq`` in its plane: :meth:`count` minus length-clashing extras."""
-        block_len = self._seq_plane.get(seq)
-        return 0 if block_len is None else self._planes[block_len].count(seq)
+        key = self._owner(seq)
+        if key is None:
+            return 0
+        bit = 1 << (seq - self.base)
+        return sum(1 for mask in self._planes[key].lanes.values() if mask & bit)
 
     def lanes(self, seq: int) -> list[int]:
         """Lanes that have delivered a slice for ``seq``, in arrival order."""
-        block_len = self._seq_plane.get(seq)
-        if block_len is None:
-            return []
-        lanes = self._planes[block_len].lanes_for(seq)
-        lanes.extend(block.index for block in self._extras.get(seq, []))
-        return lanes
+        return [block.index for block in self.blocks(seq)]
 
     def add(self, seq: int, lane: int, block: CodedBlock) -> bool:
         """Store one slice by reference; returns False for a duplicate (seq, lane)."""
         row = PacketBatch(0, block.d, lane, [seq], block.coefficients[None], block.payload[None])
         return bool(self.add_run(lane, row))
 
-    def add_run(self, lane: int, items: PacketBatch) -> list[int]:
+    def add_run(self, lane: int, items: PacketBatch) -> Sequence[int]:
         """Store a same-lane batch of slices; returns the rows accepted, ascending.
 
-        This is the shape a relay receives on the steady-state data path —
-        one parent connection delivering a burst of consecutive sequence
-        numbers on one lane.  The bookkeeping (row, slot, duplicate lane)
-        runs per seq; the plane keeps ``items`` itself and records which of
-        its rows each slot holds, so no slice byte is copied here.
+        A row is accepted unless a slice of its (seq, lane) is already
+        stored, by an earlier batch or an earlier row of this one.  The
+        batch is kept as it is, so no slice byte is copied here.  One
+        ascending seq range with none of it stored yet — a parent delivering
+        a burst on one lane — takes one AND, one OR and one append.
         """
         width = items.coefficients.shape[1]
         if width != self.d:
             raise CodingError(
                 f"slice coded with split factor {width}, flow decoder expects {self.d}"
             )
-        block_len = items.payloads.shape[1]
-        seq_plane, extras = self._seq_plane, self._extras
-        plane = self._planes.get(block_len)
-        if plane is None:
-            plane = self._planes[block_len] = _Plane()
-        rows, lane_sets, lane_lists, slot_refs = (
-            plane.rows, plane.lane_sets, plane.lane_lists, plane.slot_refs
-        )
-        run = plane.next_run
+        seqs, block_len, planes = items.seqs, items.payloads.shape[1], self._planes
+        plane = planes.get(block_len) or planes.setdefault(block_len, _Plane())
+        if _is_run(seqs) and not self._extras:
+            if seqs[0] < self.base:
+                self._rebase(seqs[0])
+            span = ((1 << len(seqs)) - 1) << (seqs[0] - self.base)
+            lane_mask = plane.lanes.get(lane, 0)
+            if not lane_mask & span and (len(planes) == 1 or not any(
+                other.held & span for other in planes.values() if other is not plane
+            )):
+                plane.lanes[lane] = lane_mask | span
+                plane.held |= span
+                plane.runs.append([(1 << len(seqs)) - 1, seqs[0], lane, items])
+                return range(len(seqs))
+        self.seq_mask(seqs)  # lowers the base to the lowest seq
+        base, extras, lane_mask = self.base, self._extras, plane.lanes.get(lane, 0)
         accepted: list[int] = []
-        filled = 0
-        for position, seq in enumerate(items.seqs):
-            owner = seq_plane.get(seq)
-            if owner is None:
-                seq_plane[seq] = owner = block_len
+        for position, seq in enumerate(seqs):
+            bit = 1 << (seq - base)
             if extras and any(extra.index == lane for extra in extras.get(seq, ())):
                 continue
-            if owner != block_len:
+            key = self._owner(seq)
+            owner = plane if key is None else self._planes[key]
+            if owner is not plane:
                 # Length clash within one sequence: a non-conforming sender.
                 # Park the slice; decoding this seq goes through the scalar
                 # fallback.
-                if lane not in self._planes[owner].lanes_for(seq):
+                if not owner.lanes.get(lane, 0) & bit:
                     extras.setdefault(seq, []).append(CodedBlock(
                         items.coefficients[position], items.payloads[position], index=lane
                     ))
                     accepted.append(position)
                 continue
-            row = rows.get(seq)
-            if row is None:
-                row = plane._allocate_row(seq)
-            lane_set = lane_sets[row]
-            if lane in lane_set:
+            if lane_mask & bit:
                 continue
-            lane_lists[row].append(lane)
-            lane_set.add(lane)
-            slot_refs[row].append((run, position))
+            lane_mask |= bit
+            plane.held |= bit
+            last = plane.runs[-1] if plane.runs else None
+            if last and last[3] is items and last[2] == lane and last[1] == seq - position:
+                last[0] |= 1 << position
+            else:
+                plane.runs.append([1 << position, seq - position, lane, items])
             accepted.append(position)
-            filled += 1
-        if filled:
-            plane.next_run += 1
-            plane.runs[run], plane.run_slots[run] = items, filled
+        if lane_mask:
+            plane.lanes[lane] = lane_mask
         return accepted
 
-    def recombine_many(
-        self, items: list[tuple[int, np.ndarray]]
-    ) -> list[tuple[list[int], np.ndarray]]:
+    def recombine_many(self, items: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
         """One linear combination per ``(seq, weights)`` item, one product per plane.
 
         ``weights`` scales the first ``len(weights)`` slices of ``seq``'s
-        plane, gathered into one zero-padded stack per plane.  Returns, per
-        plane in first-seen order, the positions of its items and their
-        ``(len(positions), d + block_len)`` combinations, coefficients first:
-        row ``i`` is bit-identical to ``SliceCoder.recombine`` over item
-        ``positions[i]``'s blocks with its weights.
+        plane, gathered into one zero-padded stack per plane.  Returns one
+        ``(d + block_len,)`` combination per item, coefficients first, each
+        bit-identical to ``SliceCoder.recombine`` over the item's blocks with
+        its weights.
         """
         per_plane: dict[int, list[int]] = {}
         for position, (seq, _) in enumerate(items):
-            per_plane.setdefault(self._seq_plane[seq], []).append(position)
-        combined: list[tuple[list[int], np.ndarray]] = []
+            per_plane.setdefault(self._owner(seq), []).append(position)
+        combined: list[np.ndarray] = [None] * len(items)
         for block_len, positions in per_plane.items():
-            plane = self._planes[block_len]
             chosen = [items[position] for position in positions]
             padded = np.zeros((len(chosen), 1, max(len(w) for _, w in chosen)), dtype=np.uint8)
             for row, (_, weights) in enumerate(chosen):
                 padded[row, 0, : len(weights)] = weights
-            stack = np.zeros((len(chosen), padded.shape[2], self.d + block_len), dtype=np.uint8)
-            plane.gather([plane.rows[seq] for seq, _ in chosen], stack[..., : self.d],
-                         stack[..., self.d :])
-            combined.append((positions, self.field.batched_matmul(padded, stack)[:, 0]))
+            mask = self.seq_mask([seq for seq, _ in chosen])
+            stack = np.zeros((mask.bit_count(), padded.shape[2], self.d + block_len), np.uint8)
+            self._planes[block_len].gather(self.base, mask, stack[..., : self.d],
+                                           stack[..., self.d :])
+            row_of = {offset: row for row, offset in enumerate(mask_offsets(mask))}
+            stack = stack[[row_of[seq - self.base] for seq, _ in chosen]]
+            for position, row in zip(positions, self.field.batched_matmul(padded, stack)[:, 0]):
+                combined[position] = row
         return combined
 
     def blocks(self, seq: int) -> list[CodedBlock]:
         """Reconstruct the stored slices of ``seq`` as blocks, in arrival order."""
-        block_len = self._seq_plane.get(seq)
-        if block_len is None:
+        key = self._owner(seq)
+        if key is None:
             return []
-        blocks = self._planes[block_len].blocks(seq)
-        blocks.extend(self._extras.get(seq, []))
-        return blocks
+        blocks = [
+            CodedBlock(batch.coefficients[seq - shift].copy(), batch.payloads[seq - shift].copy(),
+                       index=lane)
+            for rows, shift, lane, batch in self._planes[key].runs
+            if seq >= shift and rows >> (seq - shift) & 1
+        ]
+        return blocks + self._extras.get(seq, [])
 
     def drop(self, seq: int) -> bool:
         """Forget all slices of ``seq``; returns False if it held none."""
-        block_len = self._seq_plane.pop(seq, None)
-        if block_len is None:
+        key = self._owner(seq)
+        if key is None:
             return False
-        self._planes[block_len].drop(seq)
+        plane, keep = self._planes[key], ~(1 << (seq - self.base))
+        plane.lanes = {lane: mask & keep for lane, mask in plane.lanes.items() if mask & keep}
+        plane.held &= keep
+        for run in plane.runs:
+            if seq >= run[1]:
+                run[0] &= ~(1 << (seq - run[1]))
+        plane.runs = [run for run in plane.runs if run[0]]
         self._extras.pop(seq, None)
         return True
 
     def retire_before(self, before_seq: int) -> int:
         """Drop every sequence number ``< before_seq``; returns count dropped."""
-        stale = [seq for seq in self._seq_plane if seq < before_seq]
-        for seq in stale:
-            self.drop(seq)
-        return len(stale)
+        if before_seq <= self.base:
+            return 0
+        dropped = len(self)
+        self._rebase(before_seq)
+        self._planes = {key: plane for key, plane in self._planes.items() if plane.held}
+        for plane in self._planes.values():
+            for run in plane.runs:
+                if run[1] < before_seq:  # rows below the base go; a run wholly below goes
+                    run[0] &= -1 << (before_seq - run[1])
+            plane.runs = [run for run in plane.runs if run[0]]
+        self._extras = {seq: blocks for seq, blocks in self._extras.items() if seq >= before_seq}
+        return dropped - len(self)
 
     # -- batched decode ----------------------------------------------------------------
 
@@ -366,22 +417,20 @@ class FlowDecoder:
         churn padding) are simply absent from the result.  Byte-identical to
         calling :func:`~repro.core.integrity.robust_decode` per sequence.
         """
-        per_plane: dict[int, list[int]] = {}
-        fallback: list[int] = []
-        for seq in seqs:
-            if self.count(seq) < self.d:
-                continue
-            block_len = self._seq_plane[seq]
-            if seq in self._extras or self._planes[block_len].count(seq) < self.d:
-                fallback.append(seq)
-            else:
-                per_plane.setdefault(block_len, []).append(seq)
+        base = self.base
+        want = self.seq_mask([seq for seq in seqs if seq >= base])
+        clashing = [seq for seq in self._extras if want >> (seq - base) & 1]
+        fallback = [seq for seq in clashing if self.count(seq) >= self.d]
+        want &= ~self.seq_mask(clashing)
         decoded: dict[int, bytes] = {}
-        for block_len, candidates in per_plane.items():
-            plane = self._planes[block_len]
+        for block_len, plane in self._planes.items():
+            mask = plane.at_least(want & plane.held, self.d)
+            if not mask:
+                continue
+            candidates = [base + offset for offset in mask_offsets(mask)]
             coeffs = np.empty((len(candidates), self.d, self.d), dtype=np.uint8)
             payloads = np.empty((len(candidates), self.d, block_len), dtype=np.uint8)
-            plane.gather([plane.rows[seq] for seq in candidates], coeffs, payloads)
+            plane.gather(base, mask, coeffs, payloads)
             inverses, invertible = self.field.try_invert_matrices(coeffs)
             if invertible.any():
                 sub = np.flatnonzero(invertible)

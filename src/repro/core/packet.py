@@ -240,14 +240,16 @@ class PacketBatch:
         """Wire size of the whole batch, ``len(self.to_bytes())``."""
         return len(self.seqs) * self.packet_size
 
-    def forward(self, rows: list[int], **addressing) -> "PacketBatch":
+    def forward(self, rows: list[int], flow_id: int, lane: int, source_address: str,
+                destination_address: str) -> "PacketBatch":
         """Rows ``rows`` (ascending), re-addressed; shares the columns when all go on."""
-        if len(rows) < len(self.seqs):
-            coefficients, payloads = self.coefficients[rows], self.payloads[rows]
+        seqs, coefficients, payloads = self.seqs, self.coefficients, self.payloads
+        if len(rows) < len(seqs):
+            coefficients, payloads = coefficients[rows], payloads[rows]
             coefficients.flags.writeable = payloads.flags.writeable = False
-            addressing.update(seqs=[self.seqs[row] for row in rows],
-                              coefficients=coefficients, payloads=payloads)
-        return replace(self, **addressing)
+            seqs = [seqs[row] for row in rows]
+        return PacketBatch(flow_id, self.d, lane, seqs, coefficients, payloads, source_address,
+                           destination_address)
 
     def to_bytes(self) -> bytes:
         """The rows' wire bytes back to back, filled as one ``(n, packet_size)`` matrix."""

@@ -18,10 +18,12 @@ triggered by the runtime calling :meth:`flush_setup` /
 Decoding
 --------
 Data arrives as :class:`~repro.core.packet.PacketBatch` columns (one flow and
-lane each); each batch goes whole through one run handler, which forwards row
-selections of it and stores it in the flow's
-:class:`~repro.core.flow_decoder.FlowDecoder` by reference, on sockets a view
-of the received frame, until its seqs retire.
+lane each); each batch goes whole through one run handler, which stores it in
+the flow's :class:`~repro.core.flow_decoder.FlowDecoder` by reference (on
+sockets a view of the received frame) until its seqs retire, and forwards
+row selections of it.  A flow's forward and flush markers are bitmasks over
+the store's seq base, one per child and one for flushes, so a batch or a
+burst is tested and marked with a few integer operations.
 Deliveries are deferred to the end of each :meth:`handle_packets` call and
 decoded together through the batched Gauss–Jordan kernels, as is the
 *setup-phase* decode of a relay's own routing slices (§4.3.5,
@@ -49,7 +51,7 @@ import numpy as np
 from ..crypto.symmetric import StreamCipher
 from .coder import CodedBlock, SliceCoder
 from .errors import CodingError, InsufficientSlicesError, ProtocolError
-from .flow_decoder import FlowDecoder, decode_setup_payload
+from .flow_decoder import FlowDecoder, decode_setup_payload, mask_offsets, shift_mask
 from .gf import GF, GF256
 from .node_info import NodeInfo
 from .packet import AnyPacket, Packet, PacketBatch, PacketKind, packet_count, random_padding_slice
@@ -68,8 +70,11 @@ class FlowState:
     setup_forwarded: bool = False
     pending_data: list[PacketBatch] = field(default_factory=list)
     data: FlowDecoder = field(init=False)
-    data_forwarded: set[tuple[int, int]] = field(default_factory=set)
-    data_flushed: set[int] = field(default_factory=set)
+    #: Per child index, the seqs already forwarded to it, and the seqs
+    #: already flushed: bitmasks whose bit ``i`` is seq ``marks_base + i``.
+    data_forwarded: dict[int, int] = field(default_factory=dict)
+    data_flushed: int = 0
+    marks_base: int = 0
     delivered: dict[int, bytes] = field(default_factory=dict)
     last_activity: float = 0.0
     retired_before: int = 0
@@ -91,11 +96,28 @@ class FlowState:
             return 0
         self.retired_before = before_seq
         dropped = self.data.retire_before(before_seq)
-        self.data_forwarded = {
-            (seq, child) for seq, child in self.data_forwarded if seq >= before_seq
-        }
-        self.data_flushed = {seq for seq in self.data_flushed if seq >= before_seq}
+        self.align_marks()
         return dropped
+
+    def align_marks(self) -> int:
+        """Re-express the markers over the data store's base; returns that base."""
+        by, self.marks_base = self.data.base - self.marks_base, self.data.base
+        if by:
+            self.data_forwarded = {
+                child: shift_mask(mask, by) for child, mask in self.data_forwarded.items()
+            }
+            self.data_flushed = shift_mask(self.data_flushed, by)
+        return self.marks_base
+
+    def markers(self) -> tuple[set[tuple[int, int]], set[int]]:
+        """The ``(seq, child index)`` pairs forwarded and the seqs flushed."""
+        base = self.marks_base
+        forwarded = {
+            (base + offset, child)
+            for child, mask in self.data_forwarded.items()
+            for offset in mask_offsets(mask)
+        }
+        return forwarded, {base + offset for offset in mask_offsets(self.data_flushed)}
 
 
 @dataclass
@@ -177,10 +199,6 @@ class Relay:
             return 0
         return state.retire_before(before_seq)
 
-    def is_receiver(self, flow_id: int) -> bool:
-        state = self.flows.get(flow_id)
-        return bool(state and state.info and state.info.is_receiver)
-
     def delivered_messages(self, flow_id: int) -> dict[int, bytes]:
         """Messages this node has decoded as the flow's destination."""
         state = self.flows.get(flow_id)
@@ -203,7 +221,7 @@ class Relay:
         are decoded together in one batched kernel pass.
         """
         outgoing: list[AnyPacket] = []
-        pending: list[tuple[FlowState, int]] = []
+        pending: list[tuple[FlowState, int, int]] = []
         self.stats.packets_received += sum(map(packet_count, packets))
         self.stats.bytes_received += sum(item.size_bytes() for item in packets)
         for item in packets:
@@ -229,7 +247,7 @@ class Relay:
     # -- setup phase -------------------------------------------------------------------
 
     def _handle_setup(
-        self, state: FlowState, packet: Packet, pending: list[tuple[FlowState, int]]
+        self, state: FlowState, packet: Packet, pending: list[tuple[FlowState, int, int]]
     ) -> list[Packet]:
         if packet.lane in state.setup_packets:
             return []
@@ -323,35 +341,44 @@ class Relay:
         self,
         state: FlowState,
         batch: PacketBatch,
-        pending: list[tuple[FlowState, int]],
+        pending: list[tuple[FlowState, int, int]],
     ) -> list[PacketBatch]:
         """Store, deliver and forward a data batch on a decoded flow (§4.3.7).
 
         Equivalent to handling its packets one by one in order: each
         accepted slice is queued for delivery at the receiver and goes on to
         every child whose data-map names the batch's lane, once per (seq,
-        child).  A child's forward is a row selection of ``batch``, sharing
-        its columns when every row goes on.
+        child).  The whole batch is tested and marked against each child's
+        forwarded mask at once; a child's forward is a row selection of
+        ``batch``, sharing its columns when every row goes on.
         """
         info = state.info
         assert info is not None
-        accepted = state.data.add_run(batch.lane, batch)
+        data = state.data
+        accepted = data.add_run(batch.lane, batch)
         if not accepted:
             return []
         seqs = batch.seqs
+        stored = seqs if len(accepted) == len(seqs) else [seqs[row] for row in accepted]
+        mask = data.seq_mask(stored)
+        base = state.align_marks()
         if info.is_receiver:
-            pending.extend((state, seqs[row]) for row in accepted)
+            pending.append((state, mask, base))
         outgoing: list[PacketBatch] = []
-        data_forwarded = state.data_forwarded
+        forwarded = state.data_forwarded
         for child_index, (child, child_flow) in enumerate(
             zip(info.next_hop_addresses, info.next_hop_flow_ids)
         ):
             if info.data_map.for_child(child_index) != batch.lane:
                 continue
-            rows = [row for row in accepted if (seqs[row], child_index) not in data_forwarded]
-            if not rows:
+            fed = forwarded.get(child_index, 0)
+            new = mask & ~fed
+            if not new:
                 continue
-            data_forwarded.update((seqs[row], child_index) for row in rows)
+            forwarded[child_index] = fed | new
+            rows = accepted if new == mask else [
+                row for row in accepted if new >> (seqs[row] - base) & 1
+            ]
             outgoing.append(batch.forward(rows, flow_id=child_flow, lane=info.lane,
                                           source_address=self.address, destination_address=child))
         return outgoing
@@ -382,37 +409,48 @@ class Relay:
             return []
         info = state.info
         assert info is not None
+        data, forwarded = state.data, state.data_forwarded
+        burst = data.seq_mask(seqs)
+        base = state.align_marks()
+        fresh = burst & ~state.data_flushed
+        state.data_flushed |= burst
+        if not fresh or not self.regenerate_redundancy:
+            return []
+        children = range(len(info.next_hop_addresses))
+        ready = data.ready(fresh)
+        short = 0
+        for child_index in children:
+            short |= ready & ~forwarded.get(child_index, 0)
+        if not short:
+            return []
         items: list[tuple[int, np.ndarray]] = []
         per_child: dict[int, list[int]] = {}
         for seq in seqs:
-            flushed = seq in state.data_flushed
-            state.data_flushed.add(seq)
-            if flushed or not self.regenerate_redundancy:
+            bit = 1 << (seq - base)
+            if not short & bit:
                 continue
-            count = state.data.plane_count(seq)
+            short ^= bit
+            count = data.plane_count(seq)
             if count < state.d:
-                continue
-            for child_index in range(len(info.next_hop_addresses)):
-                if (seq, child_index) in state.data_forwarded:
+                continue  # only with length-clashing extras, which are left out
+            for child_index in children:
+                fed = forwarded.get(child_index, 0)
+                if fed & bit:
                     continue
                 weights = self.field.random_elements(count, self.rng)
                 while not weights.any():
                     weights = self.field.random_elements(count, self.rng)
-                state.data_forwarded.add((seq, child_index))
+                forwarded[child_index] = fed | bit
                 per_child.setdefault(child_index, []).append(len(items))
                 items.append((seq, weights))
         self.stats.regenerated_slices += len(items)
-        planes = state.data.recombine_many(items)
-        where = {
-            position: (plane, row)
-            for plane, (positions, _) in enumerate(planes)
-            for row, position in enumerate(positions)
-        }
+        combined = state.data.recombine_many(items)
         outgoing: list[PacketBatch] = []
         for child_index, positions in per_child.items():
-            for plane, run in groupby(positions, key=lambda position: where[position][0]):
+            # One batch per run of one plane, whose rows share one width.
+            for _, run in groupby(positions, key=lambda position: combined[position].shape):
                 run = list(run)
-                products = planes[plane][1][[where[position][1] for position in run]]
+                products = np.stack([combined[position] for position in run])
                 products.flags.writeable = False
                 outgoing.append(PacketBatch(
                     info.next_hop_flow_ids[child_index], state.d, info.lane,
@@ -422,30 +460,24 @@ class Relay:
         self._account_sent(outgoing)
         return outgoing
 
-    def _deliver_pending(self, pending: list[tuple[FlowState, int]]) -> None:
+    def _deliver_pending(self, pending: list[tuple[FlowState, int, int]]) -> None:
         """Batched delivery decode for every (flow, seq) touched by a batch."""
-        per_state: dict[int, tuple[FlowState, list[int]]] = {}
-        seen: set[tuple[int, int]] = set()
-        for state, seq in pending:
-            key = (id(state), seq)
-            if key in seen:
-                continue
-            seen.add(key)
-            per_state.setdefault(id(state), (state, []))[1].append(seq)
-        for state, seqs in per_state.values():
+        per_state: dict[int, tuple[FlowState, int]] = {}
+        for state, mask, base in pending:
+            mask <<= base - state.data.base
+            held = per_state.get(id(state))
+            per_state[id(state)] = (state, mask if held is None else held[1] | mask)
+        for state, mask in per_state.values():
+            base = state.data.base
             ready = [
-                seq
-                for seq in seqs
-                if seq not in state.delivered and state.data.count(seq) >= state.d
+                base + at
+                for at in mask_offsets(state.data.ready(mask))
+                if base + at not in state.delivered
             ]
-            if not ready:
-                continue
-            decoded = state.data.decode_many(ready)
+            decoded = state.data.decode_many(ready) if ready else {}
             if not decoded:
                 continue
-            info = state.info
-            assert info is not None
-            cipher = StreamCipher(info.secret_key)
+            cipher = StreamCipher(state.info.secret_key)
             for seq in ready:
                 ciphertext = decoded.get(seq)
                 if ciphertext is None:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -614,11 +615,14 @@ class SlicingRuntime:
     ) -> None:
         if address != flow.destination:
             return
-        flow_id = flow.plan.flow_ids[address]
-        state = relay.flows.get(flow_id)
-        if state is None or len(state.delivered) == len(progress.delivered_messages):
+        state = relay.flows.get(flow.plan.flow_ids[address])
+        new = len(state.delivered) - len(progress.delivered_messages) if state else 0
+        if not new:
             return
-        for seq, message in state.delivered.items():
+        # Both dicts grow in the same order, so the new deliveries are the
+        # tail; a flow entry collected and rebuilt since holds fewer.
+        items = state.delivered.items()
+        for seq, message in list(islice(reversed(items), new))[::-1] if new > 0 else items:
             if seq not in progress.delivered_messages:
                 progress.delivered_messages[seq] = self.sim.now
                 progress.delivered_bytes += len(message)

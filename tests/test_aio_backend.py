@@ -488,7 +488,8 @@ def test_a_relay_cannot_write_into_a_batch_it_received(backend, monkeypatch):
         substrate.close()
     assert received
     # A relay's partial forward (a row selection) is read-only too.
-    received.append(next(batch for batch in received if len(batch) > 1).forward([0]))
+    batch = next(batch for batch in received if len(batch) > 1)
+    received.append(batch.forward([0], batch.flow_id, batch.lane, "relay", "child"))
     for batch in received:
         for column in (batch.coefficients, batch.payloads):
             with pytest.raises(ValueError, match="read-only"):
