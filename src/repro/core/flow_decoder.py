@@ -10,9 +10,14 @@ holding it.  A batch of one ascending seq range, none of it stored yet — a
 parent delivering a burst on one lane — is stored with one AND, one OR and
 one append; any other batch is cut into runs of its accepted rows.  A relay
 that only forwards owns no slice bytes.  A run is released once every seq it
-fed is dropped or retired.  Retiring shifts the lane masks and trims the
-runs that straddle the new base; a slice below the base lowers it.  ``RowFlowDecoder`` in
-``tests/oracles/dataplane.py`` is the per-row reference store.
+fed is dropped or retired.  The relay's forward and flush markers are masks
+here too, one per child and one for flushes, so every mask moves with the
+base together: retiring shifts them and trims the runs that straddle the
+new base, and a slice below the base lowers it.  Every mask is as wide as
+the span from the base to its highest seq; :meth:`FlowDecoder.within` is
+how a relay keeps rows off the wire inside a window of that span.
+``RowFlowDecoder`` in ``tests/oracles/dataplane.py`` is the per-row
+reference store.
 
 A decode or a regeneration gathers the first slices of each seq, run by
 run, into ``(seqs, slots, d)`` coefficient and ``(seqs, slots, block_len)``
@@ -209,34 +214,95 @@ class FlowDecoder:
         self.base = 0
         self._planes: dict[int, _Plane] = {}
         self._extras: dict[int, list[CodedBlock]] = {}
+        self._forwarded: dict[int, int] = {}  # per child, the seqs forwarded to it
+        self._flushed = 0
 
     # -- masks -----------------------------------------------------------------------
 
-    def seq_mask(self, seqs: list[int]) -> int:
-        """The mask of ``seqs``, the base lowered first to the lowest of them if below."""
+    def _lower(self, seqs: list[int]) -> bool:
+        """Lower the base to the lowest of ``seqs`` if below; whether they are one range."""
         run = _is_run(seqs)
         lowest = seqs[0] if run else min(seqs, default=self.base)
         if lowest < self.base:
             self._rebase(lowest)
-        if run:
-            return ((1 << len(seqs)) - 1) << (lowest - self.base)
+        return run
+
+    def seq_mask(self, seqs: list[int]) -> int:
+        """The mask of ``seqs``, the base lowered first to the lowest of them if below."""
+        if self._lower(seqs):
+            return ((1 << len(seqs)) - 1) << (seqs[0] - self.base)
         return sum(1 << (seq - self.base) for seq in set(seqs))
+
+    def mask_seqs(self, mask: int) -> list[int]:
+        """The seqs of ``mask``, ascending."""
+        return [self.base + offset for offset in mask_offsets(mask)]
 
     def ready(self, mask: int) -> int:
         """The seqs of ``mask`` holding at least ``d`` slices, extras included."""
         ready = sum(plane.at_least(mask & plane.held, self.d) for plane in self._planes.values())
+        return ready | self._clashing(mask)[1]
+
+    def _clashing(self, mask: int) -> tuple[int, int]:
+        """The seqs of ``mask`` with length-clashing extras, and those holding ``d`` slices."""
         clashing = [seq for seq in self._extras if mask >> (seq - self.base) & 1]
-        return ready | self.seq_mask([seq for seq in clashing if self.count(seq) >= self.d])
+        if not clashing:
+            return 0, 0
+        enough = [seq for seq in clashing if self.count(seq) >= self.d]
+        return self.seq_mask(clashing), self.seq_mask(enough)
+
+    def within(self, seqs: list[int], margin: int) -> list[int] | None:
+        """The positions of ``seqs`` at most ``margin`` outside the seqs held or flushed.
+
+        ``None`` when that is all of them.  A mask is as wide as the span from
+        the base to its highest seq, so these rows widen none by more than
+        ``margin`` bits.
+        """
+        low = self.base - margin
+        high = self.base + max(self._held().bit_length(), self._flushed.bit_length()) + margin
+        if low <= min(seqs, default=low) and max(seqs, default=low) < high:
+            return None
+        return [position for position, seq in enumerate(seqs) if low <= seq < high]
 
     def _rebase(self, base: int) -> None:
+        by, self.base = base - self.base, base
         for plane in self._planes.values():
-            plane.shift(base - self.base)
-        self.base = base
+            plane.shift(by)
+        self._forwarded = {child: shift_mask(mask, by) for child, mask in self._forwarded.items()}
+        self._flushed = shift_mask(self._flushed, by)
 
     def _owner(self, seq: int) -> int | None:
         """The payload length of the plane holding ``seq``."""
-        bit = 1 << (seq - self.base) if seq >= self.base else 0
-        return next((key for key, plane in self._planes.items() if plane.held & bit), None)
+        offset = seq - self.base
+        if offset < 0:
+            return None
+        return next((key for key, plane in self._planes.items() if plane.held >> offset & 1), None)
+
+    # -- forward and flush markers ---------------------------------------------------
+
+    def mark_forwarded(self, child: int, mask: int) -> int:
+        """Mark the seqs of ``mask`` forwarded to ``child``; returns those not marked before."""
+        fed = self._forwarded.get(child, 0)
+        self._forwarded[child] = fed | mask
+        return mask & ~fed
+
+    def mark_flushed(self, mask: int) -> int:
+        """Mark the seqs of ``mask`` flushed; returns those not marked before."""
+        fresh, self._flushed = mask & ~self._flushed, self._flushed | mask
+        return fresh
+
+    def unfed(self, mask: int, children: range) -> int:
+        """The seqs of ``mask`` not yet forwarded to one of ``children``."""
+        short = 0
+        for child in children:
+            short |= mask & ~self._forwarded.get(child, 0)
+        return short
+
+    def markers(self) -> tuple[set[tuple[int, int]], set[int]]:
+        """The ``(seq, child)`` pairs forwarded and the seqs flushed."""
+        forwarded = {
+            (seq, child) for child, mask in self._forwarded.items() for seq in self.mask_seqs(mask)
+        }
+        return forwarded, set(self.mask_seqs(self._flushed))
 
     # -- storage ---------------------------------------------------------------------
 
@@ -249,7 +315,7 @@ class FlowDecoder:
 
     def seqs(self) -> list[int]:
         """Sequence numbers with stored slices, ascending."""
-        return [self.base + offset for offset in mask_offsets(self._held())]
+        return self.mask_seqs(self._held())
 
     def _held(self) -> int:
         return sum(plane.held for plane in self._planes.values())  # planes are disjoint
@@ -263,8 +329,8 @@ class FlowDecoder:
         key = self._owner(seq)
         if key is None:
             return 0
-        bit = 1 << (seq - self.base)
-        return sum(1 for mask in self._planes[key].lanes.values() if mask & bit)
+        offset = seq - self.base
+        return sum(mask >> offset & 1 for mask in self._planes[key].lanes.values())
 
     def lanes(self, seq: int) -> list[int]:
         """Lanes that have delivered a slice for ``seq``, in arrival order."""
@@ -291,9 +357,7 @@ class FlowDecoder:
             )
         seqs, block_len, planes = items.seqs, items.payloads.shape[1], self._planes
         plane = planes.get(block_len) or planes.setdefault(block_len, _Plane())
-        if _is_run(seqs) and not self._extras:
-            if seqs[0] < self.base:
-                self._rebase(seqs[0])
+        if self._lower(seqs) and not self._extras:
             span = ((1 << len(seqs)) - 1) << (seqs[0] - self.base)
             lane_mask = plane.lanes.get(lane, 0)
             if not lane_mask & span and (len(planes) == 1 or not any(
@@ -303,7 +367,6 @@ class FlowDecoder:
                 plane.held |= span
                 plane.runs.append([(1 << len(seqs)) - 1, seqs[0], lane, items])
                 return range(len(seqs))
-        self.seq_mask(seqs)  # lowers the base to the lowest seq
         base, extras, lane_mask = self.base, self._extras, plane.lanes.get(lane, 0)
         accepted: list[int] = []
         for position, seq in enumerate(seqs):
@@ -419,15 +482,15 @@ class FlowDecoder:
         """
         base = self.base
         want = self.seq_mask([seq for seq in seqs if seq >= base])
-        clashing = [seq for seq in self._extras if want >> (seq - base) & 1]
-        fallback = [seq for seq in clashing if self.count(seq) >= self.d]
-        want &= ~self.seq_mask(clashing)
+        clashing, enough = self._clashing(want)
+        fallback = self.mask_seqs(enough)
+        want &= ~clashing
         decoded: dict[int, bytes] = {}
         for block_len, plane in self._planes.items():
             mask = plane.at_least(want & plane.held, self.d)
             if not mask:
                 continue
-            candidates = [base + offset for offset in mask_offsets(mask)]
+            candidates = self.mask_seqs(mask)
             coeffs = np.empty((len(candidates), self.d, self.d), dtype=np.uint8)
             payloads = np.empty((len(candidates), self.d, block_len), dtype=np.uint8)
             plane.gather(base, mask, coeffs, payloads)

@@ -21,9 +21,11 @@ Data arrives as :class:`~repro.core.packet.PacketBatch` columns (one flow and
 lane each); each batch goes whole through one run handler, which stores it in
 the flow's :class:`~repro.core.flow_decoder.FlowDecoder` by reference (on
 sockets a view of the received frame) until its seqs retire, and forwards
-row selections of it.  A flow's forward and flush markers are bitmasks over
-the store's seq base, one per child and one for flushes, so a batch or a
-burst is tested and marked with a few integer operations.
+row selections of it.  The store also keeps the flow's forward and flush
+markers, as masks over its seqs, so a batch or a burst is tested and marked
+with a few integer operations.  A row more than :data:`DEFAULT_SEQ_RETENTION`
+outside the seqs a flow holds or has flushed is refused: the masks are as
+wide as that span, and a conforming source's seqs reach a relay in order.
 Deliveries are deferred to the end of each :meth:`handle_packets` call and
 decoded together through the batched Gauss–Jordan kernels, as is the
 *setup-phase* decode of a relay's own routing slices (§4.3.5,
@@ -51,11 +53,19 @@ import numpy as np
 from ..crypto.symmetric import StreamCipher
 from .coder import CodedBlock, SliceCoder
 from .errors import CodingError, InsufficientSlicesError, ProtocolError
-from .flow_decoder import FlowDecoder, decode_setup_payload, mask_offsets, shift_mask
+from .flow_decoder import FlowDecoder, decode_setup_payload
 from .gf import GF, GF256
 from .node_info import NodeInfo
 from .packet import AnyPacket, Packet, PacketBatch, PacketKind, packet_count, random_padding_slice
 from .source import data_nonce
+
+#: Per-flow retention window (sequence numbers) for relay data state: when
+#: data message ``seq`` is flushed, the runtime retires relay state for
+#: sequence numbers below ``seq + 1 - DEFAULT_SEQ_RETENTION`` (stored slices,
+#: forward and flush markers), bounding relay memory on long-running flows.
+#: A relay refuses a data row more than this far outside the seqs it holds or
+#: has flushed for the flow, so no row widens the flow's masks by more.
+DEFAULT_SEQ_RETENTION = 1024
 
 
 @dataclass
@@ -70,14 +80,11 @@ class FlowState:
     setup_forwarded: bool = False
     pending_data: list[PacketBatch] = field(default_factory=list)
     data: FlowDecoder = field(init=False)
-    #: Per child index, the seqs already forwarded to it, and the seqs
-    #: already flushed: bitmasks whose bit ``i`` is seq ``marks_base + i``.
-    data_forwarded: dict[int, int] = field(default_factory=dict)
-    data_flushed: int = 0
-    marks_base: int = 0
     delivered: dict[int, bytes] = field(default_factory=dict)
     last_activity: float = 0.0
     retired_before: int = 0
+    #: Data rows refused for lying outside the retention window.
+    refused_rows: int = 0
 
     def __post_init__(self) -> None:
         self.data = FlowDecoder(self.d, field=self.coding_field)
@@ -95,29 +102,11 @@ class FlowState:
         if before_seq <= self.retired_before:
             return 0
         self.retired_before = before_seq
-        dropped = self.data.retire_before(before_seq)
-        self.align_marks()
-        return dropped
-
-    def align_marks(self) -> int:
-        """Re-express the markers over the data store's base; returns that base."""
-        by, self.marks_base = self.data.base - self.marks_base, self.data.base
-        if by:
-            self.data_forwarded = {
-                child: shift_mask(mask, by) for child, mask in self.data_forwarded.items()
-            }
-            self.data_flushed = shift_mask(self.data_flushed, by)
-        return self.marks_base
+        return self.data.retire_before(before_seq)
 
     def markers(self) -> tuple[set[tuple[int, int]], set[int]]:
         """The ``(seq, child index)`` pairs forwarded and the seqs flushed."""
-        base = self.marks_base
-        forwarded = {
-            (base + offset, child)
-            for child, mask in self.data_forwarded.items()
-            for offset in mask_offsets(mask)
-        }
-        return forwarded, {base + offset for offset in mask_offsets(self.data_flushed)}
+        return self.data.markers()
 
 
 @dataclass
@@ -221,7 +210,7 @@ class Relay:
         are decoded together in one batched kernel pass.
         """
         outgoing: list[AnyPacket] = []
-        pending: list[tuple[FlowState, int, int]] = []
+        pending: list[tuple[FlowState, list[int]]] = []
         self.stats.packets_received += sum(map(packet_count, packets))
         self.stats.bytes_received += sum(item.size_bytes() for item in packets)
         for item in packets:
@@ -247,7 +236,7 @@ class Relay:
     # -- setup phase -------------------------------------------------------------------
 
     def _handle_setup(
-        self, state: FlowState, packet: Packet, pending: list[tuple[FlowState, int, int]]
+        self, state: FlowState, packet: Packet, pending: list[tuple[FlowState, list[int]]]
     ) -> list[Packet]:
         if packet.lane in state.setup_packets:
             return []
@@ -341,7 +330,7 @@ class Relay:
         self,
         state: FlowState,
         batch: PacketBatch,
-        pending: list[tuple[FlowState, int, int]],
+        pending: list[tuple[FlowState, list[int]]],
     ) -> list[PacketBatch]:
         """Store, deliver and forward a data batch on a decoded flow (§4.3.7).
 
@@ -350,35 +339,41 @@ class Relay:
         every child whose data-map names the batch's lane, once per (seq,
         child).  The whole batch is tested and marked against each child's
         forwarded mask at once; a child's forward is a row selection of
-        ``batch``, sharing its columns when every row goes on.
+        ``batch``, sharing its columns when every row goes on.  Rows outside
+        the retention window are refused first and counted.
         """
         info = state.info
         assert info is not None
         data = state.data
+        rows = data.within(batch.seqs, DEFAULT_SEQ_RETENTION)
+        if rows is not None:
+            state.refused_rows += len(batch) - len(rows)
+            if not rows:
+                return []
+            batch = batch.forward(rows, batch.flow_id, batch.lane, batch.source_address,
+                                  batch.destination_address)
         accepted = data.add_run(batch.lane, batch)
         if not accepted:
             return []
         seqs = batch.seqs
         stored = seqs if len(accepted) == len(seqs) else [seqs[row] for row in accepted]
-        mask = data.seq_mask(stored)
-        base = state.align_marks()
         if info.is_receiver:
-            pending.append((state, mask, base))
+            pending.append((state, stored))
+        mask = data.seq_mask(stored)
         outgoing: list[PacketBatch] = []
-        forwarded = state.data_forwarded
         for child_index, (child, child_flow) in enumerate(
             zip(info.next_hop_addresses, info.next_hop_flow_ids)
         ):
             if info.data_map.for_child(child_index) != batch.lane:
                 continue
-            fed = forwarded.get(child_index, 0)
-            new = mask & ~fed
+            new = data.mark_forwarded(child_index, mask)
             if not new:
                 continue
-            forwarded[child_index] = fed | new
-            rows = accepted if new == mask else [
-                row for row in accepted if new >> (seqs[row] - base) & 1
-            ]
+            if new != mask:
+                new_seqs = set(data.mask_seqs(new))
+                rows = [row for row in accepted if seqs[row] in new_seqs]
+            else:
+                rows = accepted
             outgoing.append(batch.forward(rows, flow_id=child_flow, lane=info.lane,
                                           source_address=self.address, destination_address=child))
         return outgoing
@@ -409,42 +404,34 @@ class Relay:
             return []
         info = state.info
         assert info is not None
-        data, forwarded = state.data, state.data_forwarded
-        burst = data.seq_mask(seqs)
-        base = state.align_marks()
-        fresh = burst & ~state.data_flushed
-        state.data_flushed |= burst
+        data = state.data
+        fresh = data.mark_flushed(data.seq_mask(seqs))
         if not fresh or not self.regenerate_redundancy:
             return []
         children = range(len(info.next_hop_addresses))
-        ready = data.ready(fresh)
-        short = 0
-        for child_index in children:
-            short |= ready & ~forwarded.get(child_index, 0)
+        short = set(data.mask_seqs(data.unfed(data.ready(fresh), children)))
         if not short:
             return []
         items: list[tuple[int, np.ndarray]] = []
         per_child: dict[int, list[int]] = {}
         for seq in seqs:
-            bit = 1 << (seq - base)
-            if not short & bit:
+            if seq not in short:
                 continue
-            short ^= bit
+            short.discard(seq)
             count = data.plane_count(seq)
             if count < state.d:
                 continue  # only with length-clashing extras, which are left out
+            bit = data.seq_mask([seq])
             for child_index in children:
-                fed = forwarded.get(child_index, 0)
-                if fed & bit:
+                if not data.mark_forwarded(child_index, bit):
                     continue
                 weights = self.field.random_elements(count, self.rng)
                 while not weights.any():
                     weights = self.field.random_elements(count, self.rng)
-                forwarded[child_index] = fed | bit
                 per_child.setdefault(child_index, []).append(len(items))
                 items.append((seq, weights))
         self.stats.regenerated_slices += len(items)
-        combined = state.data.recombine_many(items)
+        combined = data.recombine_many(items)
         outgoing: list[PacketBatch] = []
         for child_index, positions in per_child.items():
             # One batch per run of one plane, whose rows share one width.
@@ -460,19 +447,18 @@ class Relay:
         self._account_sent(outgoing)
         return outgoing
 
-    def _deliver_pending(self, pending: list[tuple[FlowState, int, int]]) -> None:
+    def _deliver_pending(self, pending: list[tuple[FlowState, list[int]]]) -> None:
         """Batched delivery decode for every (flow, seq) touched by a batch."""
         per_state: dict[int, tuple[FlowState, int]] = {}
-        for state, mask, base in pending:
-            mask <<= base - state.data.base
+        for state, seqs in pending:
+            # Every seq is stored, so no mask here moves the base.
+            mask = state.data.seq_mask(seqs)
             held = per_state.get(id(state))
             per_state[id(state)] = (state, mask if held is None else held[1] | mask)
         for state, mask in per_state.values():
-            base = state.data.base
             ready = [
-                base + at
-                for at in mask_offsets(state.data.ready(mask))
-                if base + at not in state.delivered
+                seq for seq in state.data.mask_seqs(state.data.ready(mask))
+                if seq not in state.delivered
             ]
             decoded = state.data.decode_many(ready) if ready else {}
             if not decoded:

@@ -54,7 +54,7 @@ import numpy as np
 
 from ..core.errors import SimulationError
 from ..core.packet import AnyPacket, PacketBatch, PacketKind, packet_count, split_items, wire_sizes
-from ..core.relay import Relay
+from ..core.relay import DEFAULT_SEQ_RETENTION, Relay
 from ..core.source import FlowSetup, Source
 from .network import NetworkModel
 from .simulator import EventSimulator
@@ -72,12 +72,6 @@ DEFAULT_SETUP_PROCESSING_OVERHEAD = 0.008
 #: Simulated seconds after which a flow's un-forwardable setup or data state
 #: is flushed (timeout-driven padding and regeneration, §4.4.1).
 DEFAULT_FLUSH_TIMEOUT = 2.0
-
-#: Per-flow retention window (sequence numbers) for relay data state: when
-#: data message ``seq`` is flushed, relay state for sequence numbers below
-#: ``seq + 1 - DEFAULT_SEQ_RETENTION`` (stored slices, forward and flush
-#: markers) is retired, bounding relay memory on long-running flows.
-DEFAULT_SEQ_RETENTION = 1024
 
 #: Idle time (simulated seconds) after which relay flow-table entries are
 #: garbage collected (:meth:`Relay.garbage_collect
@@ -416,8 +410,8 @@ class SlicingRuntime:
     daemon cost, the data-plane chunk and both retention windows are the
     module constants :data:`DEFAULT_FLUSH_TIMEOUT`,
     :data:`DEFAULT_SETUP_PROCESSING_OVERHEAD`, :data:`DEFAULT_BATCH_CHUNK`,
-    :data:`DEFAULT_SEQ_RETENTION` and :data:`DEFAULT_FLOW_RETENTION_SECONDS`,
-    read when they are used.
+    :data:`DEFAULT_SEQ_RETENTION <repro.core.relay.DEFAULT_SEQ_RETENTION>` and
+    :data:`DEFAULT_FLOW_RETENTION_SECONDS`, read when they are used.
     """
 
     def __init__(

@@ -18,7 +18,7 @@ from repro.core.gf import GF
 from repro.core.integrity import robust_decode, wrap
 from repro.core.node_info import KEY_SIZE, DataMap, NodeInfo, SliceMap
 from repro.core.packet import PacketBatch, random_padding_slice
-from repro.core.relay import FlowState, Relay
+from repro.core.relay import DEFAULT_SEQ_RETENTION, FlowState, Relay
 from repro.core.source import Source
 from repro.overlay.node import (
     DEFAULT_FLOW_RETENTION_SECONDS,
@@ -734,18 +734,16 @@ def set_markers(state, forwarded, flushed):
     """Mark ``(seq, child)`` pairs forwarded and seqs flushed, directly.
 
     No protocol operation sets a marker without also storing or
-    regenerating a slice, so this writes the representation: a
-    :class:`ScalarFlowState`'s sets, or the shipped per-child masks.
+    regenerating a slice, so this goes through the shipped store's marking
+    calls, or writes a :class:`ScalarFlowState`'s sets.
     """
     if isinstance(state, ScalarFlowState):
         state.forwarded_pairs.update(forwarded)
         state.flushed_seqs.update(flushed)
         return
-    base = state.align_marks()
     for seq, child in forwarded:
-        state.data_forwarded[child] = state.data_forwarded.get(child, 0) | 1 << (seq - base)
-    for seq in flushed:
-        state.data_flushed |= 1 << (seq - base)
+        state.data.mark_forwarded(child, state.data.seq_mask([seq]))
+    state.data.mark_flushed(state.data.seq_mask(flushed))
 
 
 def test_a_batch_goes_on_only_with_the_rows_its_child_has_not_had():
@@ -763,6 +761,39 @@ def test_a_batch_goes_on_only_with_the_rows_its_child_has_not_had():
     (forward,) = relay.handle_packets([batch])
     assert (forward.destination_address, forward.seqs) == ("child-0", [0, 3])
     assert np.array_equal(forward.payloads, batch.payloads[[0, 3]])
+
+
+def data_batch(rng, seqs, lane=0, d=2):
+    blocks = [random_block(rng, d) for _ in seqs]
+    return PacketBatch(FLOW_ID, d, lane, list(seqs), np.stack([b.coefficients for b in blocks]),
+                       np.stack([b.payload for b in blocks]))
+
+
+def test_a_row_far_outside_the_retention_window_is_refused():
+    """A seq off the wire is 32 bits and every mask spans the flow's seqs, so
+    a relay refuses rows more than a window outside what it holds or has
+    flushed: no one frame can widen a flow's state by more than that."""
+    rng = np.random.default_rng(6)
+    relay = regeneration_relay(d=2, children=2)
+    state = relay.flows[FLOW_ID]
+    assert relay.handle_packets([data_batch(rng, range(4))])[0].seqs == [0, 1, 2, 3]
+    assert relay.handle_packets([data_batch(rng, [2**32 - 1])]) == []
+    edge = 3 + DEFAULT_SEQ_RETENTION  # a window past seq 3, the highest held
+    assert relay.handle_packets([data_batch(rng, [edge + 1])]) == []
+    assert state.refused_rows == 2
+    (forward,) = relay.handle_packets([data_batch(rng, [4, 2**32 - 1, edge, edge + 1])])
+    assert forward.seqs == [4, edge] and state.refused_rows == 4
+    # Flushed seqs count as the flow's too: a burst may reach a relay only
+    # through the regenerated slices that follow its flush.
+    assert relay.flush_data_many(FLOW_ID, list(range(3 * DEFAULT_SEQ_RETENTION))) == []
+    (ahead,) = relay.handle_packets([data_batch(rng, [4 * DEFAULT_SEQ_RETENTION - 1])])
+    assert ahead.seqs == [4 * DEFAULT_SEQ_RETENTION - 1]
+    relay.retire_data(FLOW_ID, 10 * DEFAULT_SEQ_RETENTION)
+    (late,) = relay.handle_packets([data_batch(rng, [9 * DEFAULT_SEQ_RETENTION, 0])])
+    assert late.seqs == [9 * DEFAULT_SEQ_RETENTION] and state.refused_rows == 5
+    assert state.data.seqs() == [9 * DEFAULT_SEQ_RETENTION]
+    widest = max(value.bit_length() for value in reachable(state, int, skip=(type(GF),)))
+    assert widest <= 2 * DEFAULT_SEQ_RETENTION
 
 
 @st.composite
