@@ -202,7 +202,10 @@ class PacketBatch:
     ``coefficients[i]`` then ``payloads[i]``; ``len`` and :meth:`size_bytes`
     come from the shape.  The columns may be views of a source's coding
     stacks, of another batch or of a received frame, shared by every batch
-    cut from them, so nothing writes into them.
+    cut from them, so nothing writes into them.  A batch parsed off the wire,
+    and every batch cut or forwarded from it, keeps its rows' wire bytes as
+    ``wire``, an ``(n, packet_size)`` view the columns view: :meth:`to_bytes`
+    re-sends them.
     """
 
     flow_id: int
@@ -213,6 +216,7 @@ class PacketBatch:
     payloads: np.ndarray
     source_address: str = ""
     destination_address: str = ""
+    wire: np.ndarray | None = None
 
     kind: ClassVar[PacketKind] = PacketKind.DATA
 
@@ -229,7 +233,8 @@ class PacketBatch:
     def __getitem__(self, rows: slice) -> "PacketBatch":
         """Consecutive rows, sharing this batch's columns."""
         return replace(self, seqs=self.seqs[rows], coefficients=self.coefficients[rows],
-                       payloads=self.payloads[rows])
+                       payloads=self.payloads[rows],
+                       wire=None if self.wire is None else self.wire[rows])
 
     @property
     def packet_size(self) -> int:
@@ -243,17 +248,31 @@ class PacketBatch:
     def forward(self, rows: list[int], flow_id: int, lane: int, source_address: str,
                 destination_address: str) -> "PacketBatch":
         """Rows ``rows`` (ascending), re-addressed; shares the columns when all go on."""
-        seqs, coefficients, payloads = self.seqs, self.coefficients, self.payloads
+        seqs, coefficients, payloads, wire = self.seqs, self.coefficients, self.payloads, self.wire
         if len(rows) < len(seqs):
-            coefficients, payloads = coefficients[rows], payloads[rows]
-            coefficients.flags.writeable = payloads.flags.writeable = False
+            if wire is None:
+                coefficients, payloads = coefficients[rows], payloads[rows]
+                coefficients.flags.writeable = payloads.flags.writeable = False
+            else:  # one copy of the rows, the columns views of it
+                wire = wire[rows]
+                wire.flags.writeable = False
+                coefficients = wire[:, _HEADER.size : _HEADER.size + self.d]
+                payloads = wire[:, _HEADER.size + self.d :]
             seqs = [seqs[row] for row in rows]
         return PacketBatch(flow_id, self.d, lane, seqs, coefficients, payloads, source_address,
-                           destination_address)
+                           destination_address, wire)
 
     def to_bytes(self) -> bytes:
-        """The rows' wire bytes back to back, filled as one ``(n, packet_size)`` matrix."""
+        """The rows' wire bytes back to back, filled as one ``(n, packet_size)`` matrix,
+        or copied from ``wire`` with header bytes 0-13 (flow id, shape, lane) rewritten."""
         rows, d, size = len(self.seqs), self.d, self.packet_size
+        if self.wire is not None:
+            out = self.wire.copy()
+            out[:, : _KEY_BYTES.stop] = np.frombuffer(_HEADER.pack(
+                self.flow_id & 0xFFFFFFFFFFFFFFFF, PacketKind.DATA, 1, size - _HEADER.size, d,
+                self.lane & 0xFF, 0,
+            ), np.uint8, _KEY_BYTES.stop)
+            return out.tobytes()
         if self.coefficients.shape[1] != d:
             raise PacketFormatError(
                 f"slice coded with d={self.coefficients.shape[1]} in a packet declaring d={d}"
@@ -368,7 +387,7 @@ def unpack_packets(
             raise PacketFormatError(
                 f"{total - offset} trailing bytes are shorter than a packet header"
             )
-        _, kind, slice_count, slice_bytes, d, _, _ = _HEADER.unpack_from(data, offset)
+        flow_id, kind, slice_count, slice_bytes, d, lane, _ = _HEADER.unpack_from(data, offset)
         kind = _check_header(kind, slice_count, slice_bytes, d)
         size = _HEADER.size + slice_count * slice_bytes
         rows = (total - offset) // size
@@ -380,7 +399,8 @@ def unpack_packets(
         # The headers as a (rows, header) byte matrix: the run is one shape if
         # the shape bytes match in every row, and uncut if the key bytes do.
         # Rows are compared one by one only to find the ends.
-        heads = np.ndarray((rows, _HEADER.size), np.uint8, data, offset, (size, 1))
+        wire = np.ndarray((rows, size), np.uint8, data, offset)
+        heads = wire[:, : _HEADER.size]
         first = heads[0].tobytes()
         uncut = heads[:, _KEY_BYTES].tobytes() == first[_KEY_BYTES] * rows
         if not uncut and heads[:, _SHAPE_BYTES].tobytes() != first[_SHAPE_BYTES] * rows:
@@ -394,19 +414,22 @@ def unpack_packets(
             offset + _HEADER.size,
             (size, slice_bytes, 1),
         )
-        flow_ids, lanes = headers["flow_id"], headers["lane"]
         seqs = headers["seq"].tolist()
         if kind == PacketKind.DATA and slice_count == 1:
             coefficients, payloads = body[:, 0, :d], body[:, 0, d:]
-            bounds = [0, rows]
-            if not uncut:  # cut where the flow id or the lane changes
+            if uncut:
+                items.append(PacketBatch(flow_id, d, lane, seqs, coefficients, payloads,
+                                         source_address, destination_address, wire))
+            else:  # cut where the flow id or the lane changes
                 keys = heads[:rows, _KEY_BYTES]
-                bounds[1:1] = (np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist()
-            items += (
-                PacketBatch(int(flow_ids[a]), d, int(lanes[a]), seqs[a:b], coefficients[a:b],
-                            payloads[a:b], source_address, destination_address)
-                for a, b in zip(bounds, bounds[1:])
-            )
+                bounds = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(),
+                          rows]
+                flow_ids, lanes = headers["flow_id"], headers["lane"]
+                items += (
+                    PacketBatch(int(flow_ids[a]), d, int(lanes[a]), seqs[a:b], coefficients[a:b],
+                                payloads[a:b], source_address, destination_address, wire[a:b])
+                    for a, b in zip(bounds, bounds[1:])
+                )
         else:
             # One column of blocks per slice position: numpy hands out the
             # rows × 2 views of a position in two iterations.
@@ -418,7 +441,7 @@ def unpack_packets(
                 for index in range(slice_count)
             ]
             for flow_id, lane, seq, *slices in zip(
-                flow_ids.tolist(), lanes.tolist(), seqs, *columns
+                headers["flow_id"].tolist(), headers["lane"].tolist(), seqs, *columns
             ):
                 items.append(Packet(
                     flow_id, kind, slices, d, lane, seq, source_address, destination_address

@@ -133,8 +133,9 @@ class Job:
     def cacheable(self) -> bool:
         """Whether a matching artifact may be served instead of recomputing.
 
-        Runs on a non-default backend never are — their timing fields are
-        wall-clock-dependent — and neither are the timing experiments.
+        Runs on a non-default backend never are — they exist to exercise
+        that backend's transport, though their rows equal the simulator's —
+        and neither are the timing experiments.
         """
         return not self.experiment.wall_clock and self.backend == "sim"
 

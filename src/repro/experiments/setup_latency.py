@@ -32,10 +32,10 @@ from .throughput import SCHEMES, prepare_scheme_transfer
 class SetupLatencyResult:
     """Route-setup measurement plus its structural (backend-parity) fields.
 
-    ``setup_seconds`` is clock-dependent; ``setup_complete``,
-    ``relays_decoded`` and the counters are identical between the ``sim``
-    and ``aio`` backends under a shared seed (on profiles where setup beats
-    the flush timeout).
+    Every field, ``setup_seconds`` included, is identical between the
+    ``sim`` and ``aio`` backends under a shared seed: both run the
+    simulator's event order.  :meth:`parity_fields` (``setup_complete``,
+    ``relays_decoded`` and the counters) is what the parity artifacts record.
     """
 
     protocol: str

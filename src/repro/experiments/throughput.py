@@ -98,12 +98,11 @@ def connection_bps_for(profile: OverlayProfile) -> float:
 class ThroughputResult:
     """Measured throughput of one simulated transfer.
 
-    The timing-derived fields (``throughput_bps``, ``duration_seconds``)
-    depend on the backend's clock; the structural fields
-    (``messages_delivered``, ``delivered_digest``, ``relay_counters``,
-    ``net_counters``) are the backend-parity surface — identical between the
-    ``sim`` and ``aio`` backends under a shared seed on profiles where the
-    transfer settles inside the flush timeout.
+    Both backends run the simulator's event order, so every field, timing
+    included, is identical between the ``sim`` and ``aio`` backends under a
+    shared seed.  :meth:`parity_fields`, the structural part (delivered
+    count and digest, relay and network counters), is what the figures'
+    parity artifacts record.
     """
 
     protocol: str
@@ -163,7 +162,6 @@ def measure_throughput(
     profile: OverlayProfile,
     path_length: int,
     d: int = 1,
-    d_prime: int | None = None,
     num_messages: int = 300,
     message_bytes: int = 1500,
     seed: int = 42,
@@ -171,39 +169,45 @@ def measure_throughput(
 ) -> ThroughputResult:
     """Drive one transfer of any scheme and measure delivered goodput.
 
-    The unified driver behind Figs. 11–13: establish the route, drain the
-    simulator, then ship ``num_messages`` fixed-size messages and measure
-    bytes delivered per second of simulated time.
+    The unified driver behind Figs. 11–13: :func:`transfer_throughput` on a
+    fresh :func:`prepare_scheme_transfer` with ``d' = d``.
     """
-    d_prime = d if d_prime is None else d_prime
-    substrate, runtime, relays, destination = prepare_scheme_transfer(
-        scheme, profile, path_length, d, d_prime, seed, "batched", backend
+    substrate, *transfer = prepare_scheme_transfer(
+        scheme, profile, path_length, d, d, seed, "batched", backend
     )
     try:
-        progress = runtime.establish(relays, destination)
-        substrate.sim.run()
-        transfer_start = substrate.sim.now
-        payload = bytes(message_bytes)
-        runtime.send_messages([payload] * num_messages)
-        substrate.sim.run()
-        delivered = len(progress.delivered_messages)
-        last = progress.last_delivery_at or transfer_start
-        duration = max(last - transfer_start, 1e-9)
-        throughput = progress.delivered_bytes * 8.0 / duration
-        return ThroughputResult(
-            protocol=SCHEMES[scheme].label,
-            path_length=path_length,
-            d=d,
-            d_prime=d_prime,
-            throughput_bps=throughput,
-            messages_delivered=delivered,
-            duration_seconds=duration,
-            delivered_digest=runtime.delivered_digest(),
-            relay_counters=runtime.relay_counters(),
-            net_counters=runtime.network_counters(),
-        )
+        return transfer_throughput(*transfer, num_messages, message_bytes)
     finally:
         substrate.close()
+
+
+def transfer_throughput(runtime: ProtocolRuntime, relays: list[str], destination: str,
+                        num_messages: int = 300, message_bytes: int = 1500) -> ThroughputResult:
+    """Establish the route, then ship ``num_messages`` fixed-size messages and measure
+    bytes delivered per second of simulated time; the substrate is left open."""
+    substrate = runtime.substrate
+    progress = runtime.establish(relays, destination)
+    substrate.sim.run()
+    transfer_start = substrate.sim.now
+    payload = bytes(message_bytes)
+    runtime.send_messages([payload] * num_messages)
+    substrate.sim.run()
+    delivered = len(progress.delivered_messages)
+    last = progress.last_delivery_at or transfer_start
+    duration = max(last - transfer_start, 1e-9)
+    throughput = progress.delivered_bytes * 8.0 / duration
+    return ThroughputResult(
+        protocol=SCHEMES[runtime.scheme].label,
+        path_length=runtime.path_length,
+        d=runtime.d,
+        d_prime=runtime.d_prime,
+        throughput_bps=throughput,
+        messages_delivered=delivered,
+        duration_seconds=duration,
+        delivered_digest=runtime.delivered_digest(),
+        relay_counters=runtime.relay_counters(),
+        net_counters=runtime.network_counters(),
+    )
 
 
 def aggregate_throughput_vs_flows(

@@ -12,24 +12,21 @@ length-prefixed frames, in the format defined below.
 
 How the two clocks relate
 -------------------------
-Virtual time still exists here: every burst is accounted with the exact
-arithmetic of the simulator (sender CPU queue, per-connection FIFO
-serialisation, propagation delay — see
-:meth:`~repro.overlay.node.OverlayTransport._account_batch`), and the
-resulting virtual arrival instants ride along with the frames.  What changes
-is *transport and scheduling*: batches really are serialised
+There is one clock, and the backend runs the simulator's event order.  A
+burst is accounted with the simulator's arithmetic
+(:meth:`~repro.overlay.node.OverlayTransport._account_batch`), and its
+landing is a heap event at its last packet's arrival instant, as on the
+simulator; :meth:`AioOverlayNetwork.drive` runs the heap as
+:meth:`EventSimulator.run <repro.overlay.simulator.EventSimulator.run>`
+does.  What differs is *transport*: a batch really is serialised
 (:func:`~repro.core.packet.pack_packets`, the packets' wire bytes back to
-back in a length-prefixed frame), really cross a socket, and are parsed back
-on the receiving side, whose relay engines are driven from the receiving
-connection's ``data_received`` callback.
-
-Timer events (CPU completions, flush timeouts) are kept on a virtual-time
-heap and fired in virtual order whenever the data plane is *quiescent* (no
-frame in flight, nothing unread).  On profiles where the simulator's flush
-timers fire after the transfer has settled — the LAN figures — this makes
-delivered plaintexts and relay counters bit-identical to the simulator;
-wall-clock-dependent timing fields are not comparable by value.  See
-``docs/ARCHITECTURE.md`` ("Overlay backends") for the exact contract.
+back in a length-prefixed frame) and really crosses a socket, and its
+landing parses what the receiving connection read.  The drain touches the
+sockets only when the next event is a landing whose frames have not been
+read yet: it writes every batch submitted since the last wait, then waits.
+So every virtual-time field (throughput, setup latency, event counts),
+delivered plaintext and relay counter is the simulator's, on any profile.
+See ``docs/ARCHITECTURE.md`` ("Overlay backends").
 
 Wire format
 -----------
@@ -52,7 +49,8 @@ minus its prefix.  A batch is as few payload frames as
 split between packets (inside a data batch, between two of its rows, if
 need be), and leaves in one ``writelines`` straight to its connection's
 transport (:class:`_Outbound`, which queues it while the connection is
-dialled); :class:`_Inbound` parses every complete frame as data arrives.
+dialled); :class:`_Inbound` parses every complete frame as data arrives and
+records a batch's payload frames for its landing.
 
 Both ends of every connection live in this process, so the sending side's
 record of a batch (its connection, payload frame count and item count) is
@@ -71,6 +69,7 @@ import os
 import socket
 import struct
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Callable, Iterable, Sequence
 
 from ..core.errors import PacketFormatError, SimulationError
@@ -84,7 +83,7 @@ from ..core.packet import (
 )
 from .network import NetworkModel
 from .node import OverlayTransport
-from .simulator import EventSimulator
+from .simulator import EventHandle, EventSimulator
 
 #: Length prefix of every frame on the wire.
 FRAME_HEADER = struct.Struct(">I")
@@ -96,8 +95,8 @@ MAX_FRAME_BYTES = 1 << 22
 #: Batch header payload: (batch id, number of payload frames that follow).
 BATCH_HEADER = struct.Struct(">QI")
 
-#: Wall-clock seconds the backend may sit non-quiescent with no delivery
-#: progress before it declares itself wedged instead of hanging CI.
+#: Wall-clock seconds the backend may wait for a landing's frames with no
+#: batch read before it declares itself wedged instead of hanging CI.
 DEFAULT_STALL_TIMEOUT = 60.0
 
 
@@ -169,18 +168,13 @@ class AioClock(EventSimulator):
     ``schedule`` / ``schedule_at`` / ``schedule_keyed`` behave exactly as on
     :class:`~repro.overlay.simulator.EventSimulator` (same heap, same
     deterministic tie-breaking); only :meth:`run` differs — it hands control
-    to the owning :class:`AioOverlayNetwork`, which interleaves heap events
-    with real socket traffic.
+    to the owning :class:`AioOverlayNetwork`, which waits on the sockets
+    before a landing whose frames are not read yet.
     """
 
     def __init__(self, substrate: "AioOverlayNetwork") -> None:
         super().__init__()
         self._substrate = substrate
-
-    def advance(self, time: float) -> None:
-        """Move the virtual clock forward (never backwards)."""
-        if time > self.now:
-            self.now = time
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
         return self._substrate.drive(until=until, max_events=max_events)
@@ -188,8 +182,9 @@ class AioClock(EventSimulator):
 
 @dataclass
 class _PendingBatch:
-    """Sender-side record of a batch in flight, resolved when frames land."""
+    """Sender-side record of a batch in flight; calling it is its landing."""
 
+    network: "AioOverlayNetwork"
     batch_id: int
     kind: str  # "packets" | "blobs"
     sender: str
@@ -197,10 +192,19 @@ class _PendingBatch:
     frame_count: int  # payload frames the batch left as
     deliver: Callable[[list, list[float]], None]
     arrivals: list[float]  # one per item
+    frames: list[bytes] | None = None  # its payload frames, once read
+    landing: EventHandle | None = None
 
     @property
     def link(self) -> str:
         return f"{self.sender}→{self.receiver}"
+
+    def __call__(self) -> None:
+        """The landing event: parse and deliver, or drop the batch at a dead receiver."""
+        if self.network.is_alive(self.receiver):
+            self.deliver(self.parse(self.frames), self.arrivals)
+        else:
+            self.network.stats.packets_dropped += len(self.arrivals)
 
     def parse(self, frames: list[bytes]) -> list:
         """The batch's items back from its payload frames, one per arrival."""
@@ -273,9 +277,12 @@ class _Outbound(asyncio.Protocol):
             self._network._fail(exc or ConnectionResetError(f"{self._link}: connection lost"))
 
     def send(self, payloads: Iterable[bytes]) -> None:
-        """Frames back to back (a hello, or a batch), in one ``writelines``; all are
-        encoded first, so an oversized one fails the batch with nothing on the wire."""
-        wire = [encode_frame(payload) for payload in payloads]
+        """Frames back to back (a hello, or a batch), in one ``writelines``; every
+        length is checked first, so an oversized frame fails the batch with nothing
+        on the wire.  Each payload goes out as it is, after its length prefix."""
+        wire: list[bytes] = []
+        for payload in payloads:
+            wire += (FRAME_HEADER.pack(check_frame_size(len(payload))), payload)
         if self.transport is None:
             self._queued += wire
         else:
@@ -287,8 +294,8 @@ class _Inbound(asyncio.Protocol):
 
     Each :meth:`data_received` parses every complete frame buffered and moves
     the connection through its hello, batch-header and payload-frame states;
-    a batch is delivered as its last payload frame lands.  A rejection fails
-    the backend's drain and drops the connection.
+    a batch's frames are handed to its landing as its last one is read.  A
+    rejection fails the backend's drain and drops the connection.
     """
 
     def __init__(self, network: "AioOverlayNetwork") -> None:
@@ -318,7 +325,7 @@ class _Inbound(asyncio.Protocol):
                     # An immutable copy, never a view of the buffer: relays
                     # keep received batches by reference.
                     self.frame_received(bytes(view[start:stop]))
-        except BaseException as exc:  # noqa: B036 - must not strand _quiesce
+        except BaseException as exc:  # noqa: B036 - must not strand the drain
             buffer.clear()
             self._batch = None
             self._network._fail(exc)
@@ -355,9 +362,12 @@ class _Inbound(asyncio.Protocol):
         else:
             self._frames.append(frame)
             if len(self._frames) == self._batch.frame_count:
-                batch, frames = self._batch, self._frames
+                batch, batch.frames = self._batch, self._frames
                 self._batch, self._frames = None, []
-                self._network._deliver_batch(frames, batch)
+                network = self._network
+                network._progress_at = network._loop.time()
+                if batch is network._awaited:
+                    network._wake()
 
     def connection_lost(self, exc: Exception | None) -> None:
         self._network._inbound.discard(self)
@@ -382,10 +392,9 @@ class AioOverlayNetwork(OverlayTransport):
     ----------
     network, connection_bps:
         Same meaning as on the simulated backend; they feed the shared
-        virtual-time accounting.  Batches are delivered as fast as the
-        sockets allow; if no batch is delivered for
-        :data:`DEFAULT_STALL_TIMEOUT` wall-clock seconds while work is
-        outstanding, :meth:`drive` raises instead of hanging.
+        virtual-time accounting.  If :meth:`drive` waits for a landing's
+        frames and no batch is read for :data:`DEFAULT_STALL_TIMEOUT`
+        wall-clock seconds, it raises instead of hanging.
     bind_host:
         Interface the per-address servers bind and connections dial
         (default ``127.0.0.1``; any resolvable address works — all overlay
@@ -408,9 +417,9 @@ class AioOverlayNetwork(OverlayTransport):
         self._inbound: set[_Inbound] = set()
         self._pending: dict[int, _PendingBatch] = {}
         self._outbox: list[tuple[str, str, int, list[bytes]]] = []
-        self._inflight = 0  # batches submitted and not yet delivered
-        self._idle: asyncio.Future | None = None  # what _quiesce waits on
-        self._progress_at = 0.0  # loop time of the last delivery
+        self._awaited: _PendingBatch | None = None  # whose frames _receive waits for
+        self._idle: asyncio.Future | None = None  # what _receive waits on
+        self._progress_at = 0.0  # loop time of the last batch read
         self._watchdog: asyncio.TimerHandle | None = None
         self._failure: BaseException | None = None
         self._batch_ids = itertools.count(1)
@@ -498,21 +507,21 @@ class AioOverlayNetwork(OverlayTransport):
                 items, [FRAME_HEADER.size + size for size in sizes], _pack_cells
             )
         batch_id = next(self._batch_ids)
-        self._pending[batch_id] = _PendingBatch(
-            batch_id, kind, sender, receiver, len(frames), deliver, arrivals
+        batch = self._pending[batch_id] = _PendingBatch(
+            self, batch_id, kind, sender, receiver, len(frames), deliver, arrivals
         )
+        batch.landing = self.sim.schedule_at(arrivals[-1], batch)
         self._outbox.append((sender, receiver, batch_id, frames))
-        self._inflight += 1
 
     # -- driving ------------------------------------------------------------------
 
     def drive(self, until: float | None = None, max_events: int = 10_000_000) -> float:
-        """Drain the data plane and the timer heap; returns the virtual time.
+        """Run the heap in virtual order, as the simulator does; returns the virtual time.
 
-        This is what ``substrate.sim.run()`` resolves to on this backend:
-        socket traffic is pumped until quiescent, then the earliest pending
-        timer (CPU completion, flush timeout) fires in virtual order, and the
-        cycle repeats until nothing is left.
+        This is what ``substrate.sim.run()`` resolves to on this backend.
+        Before a landing whose frames are not read yet, every batch
+        submitted since the last wait is written and the drain waits on the
+        sockets until that landing's frames are in.
         """
         loop = self._ensure_loop()
         if loop.is_running():
@@ -521,44 +530,55 @@ class AioOverlayNetwork(OverlayTransport):
 
     async def _drain(self, until: float | None, max_events: int) -> float:
         clock = self.sim
+        queue = clock._queue
         processed = 0
         while True:
-            await self._quiesce()
+            # A landing is popped only once its frames are read, so a
+            # failure raised while waiting leaves it queued.
+            while queue and queue[0][2] is None:
+                heappop(queue)  # cancelled
+            if queue and (until is None or queue[0][0] <= until):
+                landing = queue[0][2]
+                if type(landing) is _PendingBatch and landing.frames is None:
+                    await self._receive(landing)
+                    continue
             event = clock.pop_due(until, max_events - processed)
             if event is None:
                 break
             processed += 1
-            time, callback = event
-            clock.advance(time)
+            clock.now, callback = event
             clock.events_processed += 1
             callback()
+        self._raise_failure()
         if until is not None:
-            clock.advance(until)
+            clock.now = max(clock.now, until)
         return clock.now
 
-    async def _quiesce(self) -> None:
-        """Wait until every batch sent has been delivered."""
-        while True:
-            if self._failure is not None:
-                failure, self._failure = self._failure, None
-                raise failure
-            self._flush_outbox()
-            if self._inflight == 0:
-                return
-            self._idle = self._loop.create_future()
-            self._progress_at = self._loop.time()
-            self._watch()
-            try:
-                await self._idle
-            finally:
-                self._idle = None
-                self._watchdog.cancel()
+    async def _receive(self, landing: _PendingBatch) -> None:
+        """Write the outbox, then wait until ``landing``'s frames are read."""
+        self._flush_outbox()
+        self._raise_failure()
+        self._awaited = landing
+        self._idle = self._loop.create_future()
+        self._progress_at = self._loop.time()
+        self._watch()
+        try:
+            await self._idle
+        finally:
+            self._awaited = self._idle = None
+            self._watchdog.cancel()
+        self._raise_failure()
+
+    def _raise_failure(self) -> None:
+        if self._failure is not None:
+            failure, self._failure = self._failure, None
+            raise failure
 
     def _watch(self, since: float | None = None) -> None:
-        """Fail the drain if no batch was delivered since ``since``, else re-arm."""
+        """Fail the drain if no batch was read since ``since``, else re-arm."""
         if since == self._progress_at:
             self._fail(SimulationError(
-                f"aio backend stalled: {self._inflight} batch(es) in flight made "
+                f"aio backend stalled: {len(self._pending)} batch(es) in flight made "
                 f"no progress for {DEFAULT_STALL_TIMEOUT}s"
             ))
         else:
@@ -589,8 +609,7 @@ class AioOverlayNetwork(OverlayTransport):
             try:
                 link.send([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
             except PacketFormatError as exc:  # an oversized frame fails its batch alone
-                del self._pending[batch_id]
-                self._inflight -= 1
+                self._pending.pop(batch_id).landing.cancel()
                 self._fail(exc)
 
     async def _dial(self, link: _Outbound, receiver: str) -> None:
@@ -605,28 +624,8 @@ class AioOverlayNetwork(OverlayTransport):
             await self._loop.create_connection(lambda: link, self.bind_host, port)
         except asyncio.CancelledError:
             raise
-        except BaseException as exc:  # noqa: B036 - must not strand _quiesce
+        except BaseException as exc:  # noqa: B036 - must not strand the drain
             self._fail(exc)
-
-    # -- receiver side ------------------------------------------------------------
-
-    def _deliver_batch(self, frames: list[bytes], batch: _PendingBatch) -> None:
-        try:
-            # The virtual clock reaches the arrival instant whether or not
-            # the receiver is still alive — exactly like the simulator,
-            # whose deliver event advances `now` before the is_alive check.
-            self.sim.advance(batch.arrivals[-1])
-            if not self.is_alive(batch.receiver):
-                self.stats.packets_dropped += len(batch.arrivals)
-            else:
-                batch.deliver(batch.parse(frames), batch.arrivals)
-        finally:
-            self._inflight -= 1
-            self._progress_at = self._loop.time()
-            # The delivery callback may have transmitted; keep the plane moving.
-            self._flush_outbox()
-            if self._inflight == 0:
-                self._wake()
 
     # -- lifecycle ----------------------------------------------------------------
 

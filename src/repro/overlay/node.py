@@ -47,8 +47,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Sequence
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -87,34 +87,40 @@ DEFAULT_BATCH_CHUNK = 16
 
 
 def _queue_dones(
-    free: float, starts: Sequence[float], durations: Sequence[float]
-) -> list[float]:
-    """Completion times of a FIFO queue: ``done_i = max(start_i, done_{i-1}) + dur_i``.
+    free: float,
+    count: int,
+    jobs: Iterable[tuple[float, float]],
+    dones: list[float] | None = None,
+) -> float:
+    """The last completion of a FIFO queue: ``done_i = max(start_i, done_{i-1}) + dur_i``.
 
+    ``count`` ``(start, duration)`` jobs queue behind work that ends at
+    ``free``; each completion is appended to ``dones`` if it is given.
     Small batches run the plain recurrence; larger ones use its closed form
     ``done_i = c_i + max(free, max_{j<=i}(start_j - c_{j-1}))`` (``c`` the
     running sum of durations), in one pass.  The closed form's float
     operations and their order are those of its numpy statement
     (``cumsum``, ``maximum.accumulate``, ``maximum``), so the virtual clock
     is the same to the last bit (``tests/test_event_core.py`` keeps that
-    statement as the oracle).
+    statement as the oracle).  :meth:`OverlayTransport._account_batch`
+    runs the same arithmetic inline for the connection queue.
     """
-    dones: list[float] = []
-    if len(durations) < 8:
-        for start, duration in zip(starts, durations):
-            begin = start if start > free else free
-            free = begin + duration
-            dones.append(free)
-        return dones
+    if count < 8:
+        for start, duration in jobs:
+            free = (start if start > free else free) + duration
+            if dones is not None:
+                dones.append(free)
+        return free
     c = 0.0
     slack = -math.inf
-    for start, duration in zip(starts, durations):
+    for start, duration in jobs:
         c += duration
         gap = start - (c - duration)
         if gap > slack:
             slack = gap
-        dones.append(c + (slack if slack >= free else free))
-    return dones
+        if dones is not None:
+            dones.append(c + (slack if slack >= free else free))
+    return c + (slack if slack >= free else free)
 
 
 @dataclass
@@ -226,11 +232,9 @@ class OverlayTransport:
         instants would produce, collapsed into one bookkeeping pass so a
         whole batch needs a single completion event.
         """
-        if not durations:
-            return []
-        free = self._cpu_free_at.get(address, 0.0)
-        dones = _queue_dones(free, starts, durations)
-        self._cpu_free_at[address] = dones[-1]
+        dones: list[float] = []
+        free, jobs = self._cpu_free_at.get(address, 0.0), zip(starts, durations)
+        self._cpu_free_at[address] = _queue_dones(free, len(durations), jobs, dones)
         return dones
 
     # -- shared batch arithmetic --------------------------------------------------------
@@ -256,29 +260,46 @@ class OverlayTransport:
 
         Each packet queues on the sender CPU (its cost plus the fixed
         per-packet overhead), serialises on the (sender, receiver) connection
-        in order, and arrives one propagation delay later — one bookkeeping
-        pass per burst.  It is the one place either backend charges a
-        transmission to the virtual clock, so their clocks and counters
-        agree.
+        in order, and arrives one propagation delay later.  It is the one
+        place either backend charges a transmission to the virtual clock, so
+        their clocks and counters agree.  Both queues are :func:`_queue_dones`
+        to the bit, in one pass: every packet reaches the sender CPU at
+        ``now``, so its queue reduces to a running sum from ``begin``.
         """
         now = self.sim.now
-        ready_times = self.reserve_cpu_sequence(
-            sender,
-            [now] * len(sizes),
-            [cpu + self.per_packet_overhead for cpu in cpus],
-        )
+        free = self._cpu_free_at.get(sender, 0.0)
+        begin = now if now > free else free
         key = (sender, receiver)
+        link = self._link_free_at.get(key, 0.0)
         latency = self.network.latency(sender, receiver)
         scale = 8.0 / self.connection_bps
-        link_dones = _queue_dones(
-            self._link_free_at.get(key, 0.0),
-            ready_times,
-            [size * scale for size in sizes],
-        )
-        self._link_free_at[key] = link_dones[-1]
+        overhead = self.per_packet_overhead
+        arrivals: list[float] = []
+        if len(sizes) < 8:
+            ready = begin
+            for size, cpu in zip(sizes, cpus):
+                ready += cpu + overhead
+                link = (ready if ready > link else link) + size * scale
+                arrivals.append(link + latency)
+            done = link
+        else:
+            c = serial = 0.0
+            slack = -math.inf
+            for size, cpu in zip(sizes, cpus):
+                c += cpu + overhead
+                ready = c + begin
+                duration = size * scale
+                serial += duration
+                gap = ready - (serial - duration)
+                if gap > slack:
+                    slack = gap
+                done = serial + (slack if slack >= link else link)
+                arrivals.append(done + latency)
+        self._cpu_free_at[sender] = ready
+        self._link_free_at[key] = done
         self.stats.packets_sent += len(sizes)
         self.stats.bytes_sent += sum(sizes)
-        return [done + latency for done in link_dones]
+        return arrivals
 
 
 class SimulatedOverlayNetwork(OverlayTransport):
@@ -534,23 +555,22 @@ class SlicingRuntime:
         relay = self.relays.get(receiver)
         if relay is None:
             return
-        packets: list[AnyPacket] = []
-        arrivals: list[float] = []
-        for batch_packets, batch_arrivals in items:
-            packets.extend(batch_packets)
-            arrivals.extend(batch_arrivals)
+        packets = [packet for batch_packets, _arrivals in items for packet in batch_packets]
         resources = self.substrate.network.resources(receiver)
-        durations = self._batch_durations(packets, resources)
-        dones = self.substrate.reserve_cpu_sequence(receiver, arrivals, durations)
-        self.sim.schedule_at(dones[-1], lambda: self._handle_batch(receiver, packets))
-
-    def _batch_durations(self, packets: list[AnyPacket], resources) -> list[float]:
-        """Per-packet CPU durations; a batch is costed once for all its rows."""
-        return [
-            cost
-            for item in packets
-            for cost in [self._packet_cpu_cost(item, resources)] * packet_count(item)
-        ]
+        # reserve_cpu_sequence, folded straight to the last completion.
+        cpu_free_at = self.substrate._cpu_free_at
+        done = cpu_free_at[receiver] = _queue_dones(
+            cpu_free_at.get(receiver, 0.0),
+            sum(len(arrivals) for _packets, arrivals in items),
+            zip(
+                chain.from_iterable(arrivals for _packets, arrivals in items),
+                chain.from_iterable(
+                    repeat(self._packet_cpu_cost(item, resources), packet_count(item))
+                    for item in packets
+                ),
+            ),
+        )
+        self.sim.schedule_at(done, lambda: self._handle_batch(receiver, packets))
 
     def _packet_cpu_cost(self, packet: AnyPacket, resources) -> float:
         """CPU seconds to handle one packet (one row of a batch)."""

@@ -10,8 +10,9 @@ runtimes built on top of it (:mod:`repro.overlay.node`).
 A heap entry is a ``[time, sequence, callback]`` list.  Sequences are
 unique, so ``heapq`` orders entries by ``(time, sequence)`` in C without
 ever comparing callbacks; cancelling an event sets its callback to ``None``.
-:meth:`EventSimulator.pop_due` is the one place that pops an entry, shared
-by :meth:`EventSimulator.run` and the asyncio backend's drain loop.
+:meth:`EventSimulator.pop_due` pops entries for :meth:`EventSimulator.run`
+and the asyncio backend's drain loop, which peeks at the head first and
+discards a cancelled one itself.
 """
 
 from __future__ import annotations

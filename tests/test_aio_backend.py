@@ -1,15 +1,17 @@
 """The asyncio socket backend: backend parity and lifecycle.
 
-Every protocol runtime (slicing, onion, Sphinx) must deliver the same
-plaintexts and produce the same relay/network counters on the ``aio``
-backend as on the discrete-event simulator under a shared seed — timing
-fields are clock-dependent and deliberately excluded.  These are the
-in-process versions of what the CI ``aio-parity`` job asserts across whole
-figure artifacts.
+The ``aio`` backend runs the simulator's event order, so every protocol
+runtime (slicing, onion, Sphinx) must produce the same whole result on it
+as on the discrete-event simulator under a shared seed: delivered
+plaintexts, relay and network counters, and every virtual-time field
+(throughput, setup latency, events processed), on the LAN and the
+PlanetLab profile.  These are the in-process versions of what the CI
+``aio-parity`` job asserts across whole figure artifacts.
 """
 
 import asyncio
 import gc
+import json
 import os
 import time
 import warnings
@@ -19,11 +21,12 @@ import pytest
 
 from repro.core.errors import PacketFormatError, SimulationError
 from repro.experiments.runner import run_experiment
+from repro.experiments import throughput
 from repro.experiments.setup_latency import measure_setup
 from repro.experiments.throughput import (
     aggregate_throughput_vs_flows,
-    measure_throughput,
     prepare_scheme_transfer,
+    transfer_throughput,
 )
 from repro.core.coder import CodedBlock
 from repro.core.packet import Packet, PacketBatch, PacketKind
@@ -36,7 +39,7 @@ from repro.overlay.aio import (
     _Outbound,
     encode_frame,
 )
-from repro.overlay.profiles import LAN_PROFILE
+from repro.overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
 from repro.overlay.runtime import build_substrate
 
 
@@ -47,32 +50,42 @@ def _lan_network(addresses, seed=0):
 # -- parity -------------------------------------------------------------------------
 
 
+_PROFILES = (LAN_PROFILE, PLANETLAB_PROFILE)
+
+
 @pytest.mark.parametrize(
     ("scheme", "kwargs"),
     [
         ("slicing", {"d": 2}),
         ("onion", {}),
-        ("sphinx", {}),
+        # Sphinx with d' > d, a longer path and its own message size.
+        ("sphinx", {"path_length": 3, "d": 2, "d_prime": 3, "messages": 12,
+                    "message_bytes": 700, "seed": 33}),
     ],
 )
 def test_throughput_parity_with_simulator(scheme, kwargs):
-    results = {
-        backend: measure_throughput(
-            scheme,
-            LAN_PROFILE,
-            path_length=2,
-            num_messages=15,
-            seed=42,
-            backend=backend,
-            **kwargs,
-        )
-        for backend in ("sim", "aio")
-    }
-    assert results["sim"].messages_delivered == 15
-    assert results["sim"].parity_fields() == results["aio"].parity_fields()
-    # The digest covers actual plaintext content, so this is end-to-end
-    # delivery equivalence, not just equal counts.
-    assert results["sim"].delivered_digest == results["aio"].delivered_digest != ""
+    shape = {"path_length": 2, "d": 1, "messages": 15, "message_bytes": 1500, "seed": 42, **kwargs}
+    shape.setdefault("d_prime", shape["d"])
+    for profile in _PROFILES:
+        results, events = {}, {}
+        for backend in ("sim", "aio"):
+            substrate, runtime, relays, destination = prepare_scheme_transfer(
+                scheme, profile, shape["path_length"], shape["d"], shape["d_prime"],
+                shape["seed"], "batched", backend,
+            )
+            try:
+                results[backend] = transfer_throughput(
+                    runtime, relays, destination, shape["messages"], shape["message_bytes"]
+                )
+            finally:
+                substrate.close()
+            events[backend] = substrate.sim.events_processed
+        assert results["sim"].messages_delivered == shape["messages"]
+        assert results["sim"].delivered_digest != ""
+        # The whole result: the digest covers the plaintexts' content, and
+        # the virtual-time fields follow from the shared event order.
+        assert results["sim"] == results["aio"], profile.name
+        assert events["sim"] == events["aio"], profile.name
 
 
 def _transfer(scheme, backend="sim"):
@@ -107,20 +120,34 @@ def test_aio_host_from_the_environment_reaches_the_substrate_with_parity(scheme,
     assert aio == sim
 
 
+@pytest.fixture
+def built_substrates(monkeypatch):
+    """Every substrate ``prepare_scheme_transfer`` builds, in order."""
+    built = []
+    build = throughput.build_substrate
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(throughput, "build_substrate", recording)
+    return built
+
+
 @pytest.mark.parametrize(
     ("scheme", "d"),
     [("slicing", 2), ("slicing", 3), ("onion", 1), ("sphinx", 1)],
 )
-def test_setup_parity_with_simulator(scheme, d):
-    for path_length in (1, 3, 5):
-        sim = measure_setup(scheme, LAN_PROFILE, path_length, d=d, seed=17)
-        aio = measure_setup(scheme, LAN_PROFILE, path_length, d=d, seed=17, backend="aio")
-        assert sim.setup_complete and aio.setup_complete
-        assert sim.parity_fields() == aio.parity_fields()
-        # Both backends charge every transmission through one accounting
-        # path, and LAN setup settles before any flush timer, so the virtual
-        # setup latency itself is equal.
-        assert aio.setup_seconds == sim.setup_seconds > 0
+def test_setup_parity_with_simulator(scheme, d, built_substrates):
+    for profile in _PROFILES:
+        for path_length in (1, 3, 5):
+            sim = measure_setup(scheme, profile, path_length, d=d, seed=17)
+            aio = measure_setup(scheme, profile, path_length, d=d, seed=17, backend="aio")
+            assert sim.setup_complete and sim.setup_seconds > 0
+            assert sim == aio, (profile.name, path_length)
+            sim_events, aio_events = (s.sim.events_processed for s in built_substrates)
+            assert sim_events == aio_events, (profile.name, path_length)
+            built_substrates.clear()
 
 
 def test_aggregate_flows_parity_with_simulator():
@@ -141,6 +168,12 @@ def test_aggregate_flows_parity_with_simulator():
     assert rows["sim"][0]["parity"] == rows["aio"][0]["parity"]
 
 
+def _without_backend(value):
+    if isinstance(value, dict):
+        return {key: _without_backend(item) for key, item in value.items() if key != "backend"}
+    return [_without_backend(item) for item in value] if isinstance(value, list) else value
+
+
 def test_runner_parity_artifacts_are_byte_identical(tmp_path):
     """fig14 through the registry on both backends: same parity artifact."""
     paths = {}
@@ -150,10 +183,13 @@ def test_runner_parity_artifacts_are_byte_identical(tmp_path):
         paths[backend] = out / "fig14.parity.json"
         assert paths[backend].exists()
     assert paths["sim"].read_bytes() == paths["aio"].read_bytes()
-    # The main artifacts differ (wall-clock timing fields), which is exactly
-    # why the parity file exists.
-    assert (tmp_path / "sim" / "fig14.json").exists()
-    assert (tmp_path / "aio" / "fig14.json").exists()
+    # The main artifacts differ only in the backend each trial records: the
+    # setup latencies are the simulator's.
+    sim, aio = (
+        json.loads((tmp_path / backend / "fig14.json").read_text()) for backend in ("sim", "aio")
+    )
+    assert sim != aio
+    assert _without_backend(sim) == _without_backend(aio)
 
 
 def test_runner_rejects_backend_for_sim_only_experiments(tmp_path):

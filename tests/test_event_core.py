@@ -10,7 +10,8 @@
   so a change to what relays regenerate (§4.4.1) or sources code shows up
   as a byte change even when no instant moves.
 * *Queue arithmetic* — ``_queue_dones`` against the numpy closed form it
-  replaced, kept here as the oracle.
+  replaced, kept here as the oracle; the one-pass sender and receiver
+  accounting against two passes of ``_queue_dones``.
 * *Path tables* — ``ForwardingGraph``'s precomputed carrier, path and edge
   tables against the carrier formula of Algorithm 1.
 """
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import GraphConstructionError
 from repro.core.graph import build_forwarding_graph
+from repro.core.packet import PacketBatch
 from repro.core.source import Source
 from repro.experiments.throughput import connection_bps_for, prepare_scheme_transfer
 from repro.overlay.node import FlowProgress, SimulatedOverlayNetwork, SlicingRuntime, _queue_dones
@@ -177,9 +179,79 @@ def _queues(draw):
 @settings(max_examples=300, deadline=None)
 def test_queue_dones_matches_numpy_closed_form(queue):
     free, starts, durations = queue
-    got = _queue_dones(free, starts, durations)
+    got: list[float] = []
+    _queue_dones(free, len(durations), zip(starts, durations), got)
     want = _numpy_queue_dones(free, starts, durations)
     assert [value.hex() for value in got] == [value.hex() for value in want]
+
+
+_cpus = st.floats(min_value=0.0, max_value=1e-2, allow_nan=False)
+
+
+@st.composite
+def _queue_free(draw, now):
+    """A queue's free time before, at or after ``now``."""
+    return draw(st.sampled_from([now, max(now - draw(_times), 0.0), now + draw(_times)]))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_accounting_equals_two_passes_of_the_queue(data):
+    """``_account_batch`` and the receiver's folded completion, bit for bit.
+
+    The reference is the two-pass arithmetic: the sender CPU queue as a
+    ``_queue_dones`` pass whose starts are all ``now``, then the connection
+    queue as a second pass; the receiver as one ``_queue_dones`` pass over
+    per-packet durations.  Item counts cross the closed form's 8-item bound.
+    """
+    now = data.draw(_times, label="now")
+    count = data.draw(st.integers(1, 20), label="packets")
+    sizes = data.draw(st.lists(st.integers(1, 70_000), min_size=count, max_size=count))
+    cpus = data.draw(st.lists(_cpus, min_size=count, max_size=count))
+    cpu_free, link_free = data.draw(_queue_free(now)), data.draw(_queue_free(now))
+    substrate = build_substrate(
+        "sim", LAN_PROFILE.build_network(["a", "b"], np.random.default_rng(0)),
+        connection_bps=connection_bps_for(LAN_PROFILE),
+    )
+    substrate.sim.now = now
+    substrate._cpu_free_at["a"], substrate._link_free_at["a", "b"] = cpu_free, link_free
+    arrivals = substrate._account_batch("a", "b", sizes, cpus)
+
+    readies: list[float] = []
+    cpu_done = _queue_dones(cpu_free, count, zip([now] * count, [
+        cpu + substrate.per_packet_overhead for cpu in cpus
+    ]), readies)
+    link_dones: list[float] = []
+    scale = 8.0 / substrate.connection_bps
+    link_done = _queue_dones(link_free, count, zip(readies, [size * scale for size in sizes]),
+                             link_dones)
+    latency = substrate.network.latency("a", "b")
+    assert [arrival.hex() for arrival in arrivals] == [
+        (done + latency).hex() for done in link_dones
+    ]
+    assert substrate._cpu_free_at["a"].hex() == cpu_done.hex()
+    assert substrate._link_free_at["a", "b"].hex() == link_done.hex()
+
+    # The receiver: batches of several widths coalesced into one inbox.
+    runtime = SlicingRuntime(substrate)
+    runtime.add_relay("b")
+    widths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4), label="batch rows")
+    items = []
+    for width, payload_bytes in zip(widths, [8, 300, 1500, 40]):
+        batch = PacketBatch(1, 2, 0, list(range(width)), np.zeros((width, 2), np.uint8),
+                            np.zeros((width, payload_bytes), np.uint8))
+        starts = data.draw(st.lists(_times, min_size=width, max_size=width), label="arrivals")
+        items.append(([batch], starts))
+    receiver_free = data.draw(_queue_free(now))
+    substrate._cpu_free_at["b"] = receiver_free
+    runtime._process_inbox("b", items)
+    resources = substrate.network.resources("b")
+    durations = [
+        runtime._packet_cpu_cost(batch, resources) for (batch,), _ in items for _row in batch.seqs
+    ]
+    starts = [start for _batch, arrivals in items for start in arrivals]
+    want = _queue_dones(receiver_free, len(durations), zip(starts, durations))
+    assert substrate._cpu_free_at["b"].hex() == want.hex()
 
 
 # -- path tables ------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.experiments.throughput import (
     connection_bps_for,
     measure_throughput,
     prepare_scheme_transfer,
+    transfer_throughput,
 )
 from repro.overlay.node import SimulatedOverlayNetwork, SlicingRuntime
 from repro.overlay.profiles import LAN_PROFILE
@@ -127,24 +128,19 @@ def test_sphinx_runtime_delivers_plaintexts_end_to_end():
     assert [runtime.delivered[i] for i in range(5)] == messages
 
 
-def test_sphinx_sim_vs_aio_delivered_digest_parity():
-    kwargs = dict(
-        path_length=3, d=2, d_prime=3, num_messages=12, message_bytes=700, seed=33
+def _throughput_with_redundancy(scheme):
+    """One transfer at d = 2, d' = 3: ``prepare_scheme_transfer`` takes d'."""
+    substrate, runtime, relays, destination = prepare_scheme_transfer(
+        scheme, LAN_PROFILE, 3, 2, 3, 31, "batched"
     )
-    sim = measure_throughput("sphinx", LAN_PROFILE, backend="sim", **kwargs)
-    aio = measure_throughput("sphinx", LAN_PROFILE, backend="aio", **kwargs)
-    assert sim.messages_delivered == 12
-    assert sim.parity_fields() == aio.parity_fields()
+    try:
+        return transfer_throughput(runtime, relays, destination, 20, 600)
+    finally:
+        substrate.close()
 
 
 def test_unified_throughput_driver_covers_all_schemes():
-    results = {
-        scheme: measure_throughput(
-            scheme, LAN_PROFILE, path_length=3, d=2, d_prime=3,
-            num_messages=20, message_bytes=600, seed=31,
-        )
-        for scheme in SCHEMES
-    }
+    results = {scheme: _throughput_with_redundancy(scheme) for scheme in SCHEMES}
     assert results["slicing"].protocol == "information-slicing"
     assert results["onion"].protocol == "onion-routing"
     assert results["sphinx"].protocol == "sphinx-onion"

@@ -236,6 +236,37 @@ def test_a_column_batch_is_its_packets_wire_bytes_back_to_back(batch):
     assert batch.size_bytes() == len(wire) == len(batch) * batch.packet_size
 
 
+@given(
+    batches=st.lists(packet_batches(flow_ids=[1, 2], lanes=[0, 1], d=2, payload_bytes=8,
+                                    max_rows=6), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_received_batch_is_re_sent_from_its_wire_rows(batches, data):
+    # Parsed off a frame (one run, or one cut where the flow id or lane
+    # changes), forwarded with all rows or a subset, re-addressed and split:
+    # the wire-row path writes the bytes of the fill path and of the scalar
+    # reference.
+    for parsed in unpack_packets(pack_packets(batches), "a", "b"):
+        assert parsed.wire is not None
+        count = len(parsed)
+        subset = data.draw(st.lists(st.integers(0, count - 1), min_size=1, unique=True),
+                           label="rows forwarded").copy()
+        subset.sort()
+        flow_id = data.draw(st.integers(0, 2**64 - 1), label="child flow id")
+        lane = data.draw(st.integers(0, 255), label="child lane")
+        cut = data.draw(st.integers(0, count), label="split at")
+        for rows in (list(range(count)), subset):
+            forwarded = parsed.forward(rows, flow_id, lane, "b", "c")
+            for batch in (parsed, forwarded, forwarded[:cut], forwarded[cut:]):
+                if not len(batch):
+                    continue
+                wire = batch.to_bytes()
+                assert wire == replace(batch, wire=None).to_bytes()
+                assert wire == b"".join(p.to_bytes() for p in batch_packets([batch]))
+                assert not batch.payloads.flags.writeable
+
+
 def _merged(items):
     """``items`` with neighbouring batches of one flow, lane and size joined:
     what the parser hands back, since it cuts a run only where those change."""
