@@ -128,15 +128,24 @@ def test_sphinx_runtime_delivers_plaintexts_end_to_end():
     assert [runtime.delivered[i] for i in range(5)] == messages
 
 
-def _throughput_with_redundancy(scheme):
+def _throughput_with_redundancy(scheme, num_messages=20, message_bytes=600, seed=31,
+                                backend="sim"):
     """One transfer at d = 2, d' = 3: ``prepare_scheme_transfer`` takes d'."""
     substrate, runtime, relays, destination = prepare_scheme_transfer(
-        scheme, LAN_PROFILE, 3, 2, 3, 31, "batched"
+        scheme, LAN_PROFILE, 3, 2, 3, seed, "batched", backend
     )
     try:
-        return transfer_throughput(runtime, relays, destination, 20, 600)
+        return transfer_throughput(runtime, relays, destination, num_messages, message_bytes)
     finally:
         substrate.close()
+
+
+def test_sphinx_sim_vs_aio_delivered_digest_parity():
+    kwargs = dict(num_messages=12, message_bytes=700, seed=33)
+    sim = _throughput_with_redundancy("sphinx", backend="sim", **kwargs)
+    aio = _throughput_with_redundancy("sphinx", backend="aio", **kwargs)
+    assert sim.messages_delivered == 12
+    assert sim.parity_fields() == aio.parity_fields()
 
 
 def test_unified_throughput_driver_covers_all_schemes():
