@@ -69,7 +69,6 @@ import os
 import socket
 import struct
 from dataclasses import dataclass
-from heapq import heappop
 from typing import Callable, Iterable, Sequence
 
 from ..core.errors import PacketFormatError, SimulationError
@@ -530,23 +529,15 @@ class AioOverlayNetwork(OverlayTransport):
 
     async def _drain(self, until: float | None, max_events: int) -> float:
         clock = self.sim
-        queue = clock._queue
         processed = 0
-        while True:
+        while (event := clock.peek(until)) is not None:
             # A landing is popped only once its frames are read, so a
             # failure raised while waiting leaves it queued.
-            while queue and queue[0][2] is None:
-                heappop(queue)  # cancelled
-            if queue and (until is None or queue[0][0] <= until):
-                landing = queue[0][2]
-                if type(landing) is _PendingBatch and landing.frames is None:
-                    await self._receive(landing)
-                    continue
-            event = clock.pop_due(until, max_events - processed)
-            if event is None:
-                break
+            if type(event) is _PendingBatch and event.frames is None:
+                await self._receive(event)
+                continue
+            clock.now, callback = clock.pop_due(until, max_events - processed)
             processed += 1
-            clock.now, callback = event
             clock.events_processed += 1
             callback()
         self._raise_failure()
@@ -577,9 +568,12 @@ class AioOverlayNetwork(OverlayTransport):
     def _watch(self, since: float | None = None) -> None:
         """Fail the drain if no batch was read since ``since``, else re-arm."""
         if since == self._progress_at:
+            # Unread: no header read yet, or a header read and frames missing.
+            unread = len(self._pending) + sum(conn._batch is not None for conn in self._inbound)
+            awaited = self._awaited
             self._fail(SimulationError(
-                f"aio backend stalled: {len(self._pending)} batch(es) in flight made "
-                f"no progress for {DEFAULT_STALL_TIMEOUT}s"
+                f"aio backend stalled: {unread} batch(es) in flight made no progress for "
+                f"{DEFAULT_STALL_TIMEOUT}s (waiting for batch {awaited.batch_id} on {awaited.link})"
             ))
         else:
             self._watchdog = self._loop.call_at(

@@ -102,8 +102,7 @@ def _queue_dones(
     operations and their order are those of its numpy statement
     (``cumsum``, ``maximum.accumulate``, ``maximum``), so the virtual clock
     is the same to the last bit (``tests/test_event_core.py`` keeps that
-    statement as the oracle).  :meth:`OverlayTransport._account_batch`
-    runs the same arithmetic inline for the connection queue.
+    statement as the oracle).
     """
     if count < 8:
         for start, duration in jobs:
@@ -222,7 +221,7 @@ class OverlayTransport:
         return done
 
     def reserve_cpu_sequence(
-        self, address: str, starts: Sequence[float], durations: Sequence[float]
+        self, address: str, starts: Iterable[float], durations: Sequence[float]
     ) -> list[float]:
         """Queue a batch of CPU work items in one pass; returns completion times.
 
@@ -233,9 +232,23 @@ class OverlayTransport:
         whole batch needs a single completion event.
         """
         dones: list[float] = []
-        free, jobs = self._cpu_free_at.get(address, 0.0), zip(starts, durations)
-        self._cpu_free_at[address] = _queue_dones(free, len(durations), jobs, dones)
+        self.reserve_cpu_jobs(address, len(durations), zip(starts, durations), dones)
         return dones
+
+    def reserve_cpu_jobs(
+        self,
+        address: str,
+        count: int,
+        jobs: Iterable[tuple[float, float]],
+        dones: list[float] | None = None,
+    ) -> float:
+        """Queue ``count`` ``(start, duration)`` jobs on a node's CPU; returns the last completion.
+
+        Each completion is appended to ``dones`` if it is given.
+        """
+        free = self._cpu_free_at.get(address, 0.0)
+        done = self._cpu_free_at[address] = _queue_dones(free, count, jobs, dones)
+        return done
 
     # -- shared batch arithmetic --------------------------------------------------------
 
@@ -262,44 +275,26 @@ class OverlayTransport:
         per-packet overhead), serialises on the (sender, receiver) connection
         in order, and arrives one propagation delay later.  It is the one
         place either backend charges a transmission to the virtual clock, so
-        their clocks and counters agree.  Both queues are :func:`_queue_dones`
-        to the bit, in one pass: every packet reaches the sender CPU at
-        ``now``, so its queue reduces to a running sum from ``begin``.
+        their clocks and counters agree.
         """
-        now = self.sim.now
-        free = self._cpu_free_at.get(sender, 0.0)
-        begin = now if now > free else free
+        ready_times = self.reserve_cpu_sequence(
+            sender,
+            repeat(self.sim.now),
+            [cpu + self.per_packet_overhead for cpu in cpus],
+        )
         key = (sender, receiver)
-        link = self._link_free_at.get(key, 0.0)
         latency = self.network.latency(sender, receiver)
         scale = 8.0 / self.connection_bps
-        overhead = self.per_packet_overhead
-        arrivals: list[float] = []
-        if len(sizes) < 8:
-            ready = begin
-            for size, cpu in zip(sizes, cpus):
-                ready += cpu + overhead
-                link = (ready if ready > link else link) + size * scale
-                arrivals.append(link + latency)
-            done = link
-        else:
-            c = serial = 0.0
-            slack = -math.inf
-            for size, cpu in zip(sizes, cpus):
-                c += cpu + overhead
-                ready = c + begin
-                duration = size * scale
-                serial += duration
-                gap = ready - (serial - duration)
-                if gap > slack:
-                    slack = gap
-                done = serial + (slack if slack >= link else link)
-                arrivals.append(done + latency)
-        self._cpu_free_at[sender] = ready
-        self._link_free_at[key] = done
+        link_dones: list[float] = []
+        self._link_free_at[key] = _queue_dones(
+            self._link_free_at.get(key, 0.0),
+            len(sizes),
+            zip(ready_times, [size * scale for size in sizes]),
+            link_dones,
+        )
         self.stats.packets_sent += len(sizes)
         self.stats.bytes_sent += sum(sizes)
-        return arrivals
+        return [done + latency for done in link_dones]
 
 
 class SimulatedOverlayNetwork(OverlayTransport):
@@ -557,10 +552,8 @@ class SlicingRuntime:
             return
         packets = [packet for batch_packets, _arrivals in items for packet in batch_packets]
         resources = self.substrate.network.resources(receiver)
-        # reserve_cpu_sequence, folded straight to the last completion.
-        cpu_free_at = self.substrate._cpu_free_at
-        done = cpu_free_at[receiver] = _queue_dones(
-            cpu_free_at.get(receiver, 0.0),
+        done = self.substrate.reserve_cpu_jobs(
+            receiver,
             sum(len(arrivals) for _packets, arrivals in items),
             zip(
                 chain.from_iterable(arrivals for _packets, arrivals in items),

@@ -10,9 +10,9 @@ runtimes built on top of it (:mod:`repro.overlay.node`).
 A heap entry is a ``[time, sequence, callback]`` list.  Sequences are
 unique, so ``heapq`` orders entries by ``(time, sequence)`` in C without
 ever comparing callbacks; cancelling an event sets its callback to ``None``.
-:meth:`EventSimulator.pop_due` pops entries for :meth:`EventSimulator.run`
-and the asyncio backend's drain loop, which peeks at the head first and
-discards a cancelled one itself.
+:meth:`EventSimulator.run` and the asyncio backend's drain loop reach the
+heap's head only through :meth:`EventSimulator.peek` and
+:meth:`EventSimulator.pop_due`.
 """
 
 from __future__ import annotations
@@ -119,30 +119,38 @@ class EventSimulator:
 
         self.schedule_at(time, fire)
 
-    def pop_due(
-        self, until: float | None, budget: int
-    ) -> tuple[float, Callable[[], None]] | None:
-        """Pop the earliest live event due by ``until``: ``(time, callback)``.
+    def peek(self, until: float | None) -> Callable[[], None] | None:
+        """The callback of the earliest live event due by ``until``, left queued.
 
         Returns ``None`` when the heap is drained or its earliest event lies
         past ``until``; cancelled entries reached on the way are discarded.
-        ``budget`` is how many more events the caller may run: when it is
-        used up, a due event raises :class:`SimulationError` and stays
-        queued, so a later run still executes it.
         """
         queue = self._queue
         while queue:
             time, _sequence, callback = queue[0]
             if until is not None and time > until:
                 return None
-            if callback is None:
-                heappop(queue)
-                continue
-            if budget <= 0:
-                raise SimulationError("event budget exceeded; possible livelock")
+            if callback is not None:
+                return callback
             heappop(queue)
-            return time, callback
         return None
+
+    def pop_due(
+        self, until: float | None, budget: int
+    ) -> tuple[float, Callable[[], None]] | None:
+        """Pop the earliest live event due by ``until``: ``(time, callback)``.
+
+        Returns ``None`` where :meth:`peek` does.  ``budget`` is how many
+        more events the caller may run: when it is used up, a due event
+        raises :class:`SimulationError` and stays queued, so a later run
+        still executes it.
+        """
+        if self.peek(until) is None:
+            return None
+        if budget <= 0:
+            raise SimulationError("event budget exceeded; possible livelock")
+        time, _sequence, callback = heappop(self._queue)
+        return time, callback
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
         """Process events until the queue drains or ``until`` is reached.

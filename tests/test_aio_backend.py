@@ -58,29 +58,28 @@ _PROFILES = (LAN_PROFILE, PLANETLAB_PROFILE)
     [
         ("slicing", {"d": 2}),
         ("onion", {}),
-        # Sphinx with d' > d, a longer path and its own message size.
-        ("sphinx", {"path_length": 3, "d": 2, "d_prime": 3, "messages": 12,
-                    "message_bytes": 700, "seed": 33}),
+        ("sphinx", {}),
     ],
 )
 def test_throughput_parity_with_simulator(scheme, kwargs):
-    shape = {"path_length": 2, "d": 1, "messages": 15, "message_bytes": 1500, "seed": 42, **kwargs}
-    shape.setdefault("d_prime", shape["d"])
+    """Whole results and event counts are equal on LAN and PlanetLab.
+
+    Sphinx with d' > d on a longer path is
+    ``tests/test_protocol_runtimes.py::test_sphinx_sim_vs_aio_delivered_digest_parity``.
+    """
+    d = kwargs.get("d", 1)
     for profile in _PROFILES:
         results, events = {}, {}
         for backend in ("sim", "aio"):
             substrate, runtime, relays, destination = prepare_scheme_transfer(
-                scheme, profile, shape["path_length"], shape["d"], shape["d_prime"],
-                shape["seed"], "batched", backend,
+                scheme, profile, 2, d, d, 42, "batched", backend
             )
             try:
-                results[backend] = transfer_throughput(
-                    runtime, relays, destination, shape["messages"], shape["message_bytes"]
-                )
+                results[backend] = transfer_throughput(runtime, relays, destination, 15, 1500)
             finally:
                 substrate.close()
             events[backend] = substrate.sim.events_processed
-        assert results["sim"].messages_delivered == shape["messages"]
+        assert results["sim"].messages_delivered == 15
         assert results["sim"].delivered_digest != ""
         # The whole result: the digest covers the plaintexts' content, and
         # the virtual-time fields follow from the shared event order.
@@ -436,6 +435,25 @@ def test_aio_stall_watchdog_names_the_wedged_batch(monkeypatch):
     assert substrate._loop is None
     with pytest.raises(SimulationError, match="closed"):
         substrate.transmit_blob("a", "b", b"late", lambda blob: None)
+
+
+def test_aio_stall_watchdog_counts_a_batch_wedged_after_its_header(monkeypatch):
+    """A batch whose header is read but whose payload never arrives still counts."""
+    monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 0.2)
+    substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
+    send = _Outbound.send
+    # The hello goes out whole; of a batch, only its header frame.
+    monkeypatch.setattr(_Outbound, "send", lambda link, payloads: send(link, list(payloads)[:1]))
+    try:
+        substrate.transmit_blob("a", "b", b"wedged", lambda blob: None)
+        with pytest.raises(
+            SimulationError,
+            match=r"1 batch\(es\) in flight made no progress for 0.2s "
+            r"\(waiting for batch 1 on a→b\)",
+        ):
+            substrate.sim.run()
+    finally:
+        substrate.close()
 
 
 def test_aio_stall_watchdog_measures_time_without_progress(monkeypatch):

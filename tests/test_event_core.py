@@ -196,13 +196,13 @@ def _queue_free(draw, now):
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_one_pass_accounting_equals_two_passes_of_the_queue(data):
+def test_batch_accounting_equals_the_queue_passes(data):
     """``_account_batch`` and the receiver's folded completion, bit for bit.
 
-    The reference is the two-pass arithmetic: the sender CPU queue as a
-    ``_queue_dones`` pass whose starts are all ``now``, then the connection
-    queue as a second pass; the receiver as one ``_queue_dones`` pass over
-    per-packet durations.  Item counts cross the closed form's 8-item bound.
+    The reference: the sender CPU queue as a ``_queue_dones`` pass whose
+    starts are all ``now``, the connection queue as a second pass over its
+    ready times; the receiver as one pass over per-packet durations listed
+    one by one.  Item counts cross the closed form's 8-item bound.
     """
     now = data.draw(_times, label="now")
     count = data.draw(st.integers(1, 20), label="packets")
