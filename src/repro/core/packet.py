@@ -33,7 +33,7 @@ declare.  Both parsers validate headers through :func:`_check_header`.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import ClassVar, Iterable
 
@@ -232,9 +232,10 @@ class PacketBatch:
 
     def __getitem__(self, rows: slice) -> "PacketBatch":
         """Consecutive rows, sharing this batch's columns."""
-        return replace(self, seqs=self.seqs[rows], coefficients=self.coefficients[rows],
-                       payloads=self.payloads[rows],
-                       wire=None if self.wire is None else self.wire[rows])
+        wire = self.wire
+        return PacketBatch(self.flow_id, self.d, self.lane, self.seqs[rows],
+                           self.coefficients[rows], self.payloads[rows], self.source_address,
+                           self.destination_address, None if wire is None else wire[rows])
 
     @property
     def packet_size(self) -> int:

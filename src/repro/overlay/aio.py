@@ -14,19 +14,24 @@ How the two clocks relate
 -------------------------
 There is one clock, and the backend runs the simulator's event order.  A
 burst is accounted with the simulator's arithmetic
-(:meth:`~repro.overlay.node.OverlayTransport._account_batch`), and its
-landing is a heap event at its last packet's arrival instant, as on the
-simulator; :meth:`AioOverlayNetwork.drive` runs the heap as
-:meth:`EventSimulator.run <repro.overlay.simulator.EventSimulator.run>`
-does.  What differs is *transport*: a batch really is serialised
+(:meth:`~repro.overlay.node.OverlayTransport._account_batch`) and lands as
+it does there: a packet batch joins its receiver's inbox when it is sent
+(:meth:`EventSimulator.schedule_keyed
+<repro.overlay.simulator.EventSimulator.schedule_keyed>`, one heap event
+per receiver and instant, after the instant's plain events), and a blob
+batch's landing is a plain heap event at its last arrival instant.
+:meth:`AioOverlayNetwork.drive` runs the heap as :meth:`EventSimulator.run
+<repro.overlay.simulator.EventSimulator.run>` does.  What differs is
+*transport*: a batch really is serialised
 (:func:`~repro.core.packet.pack_packets`, the packets' wire bytes back to
-back in a length-prefixed frame) and really crosses a socket, and its
-landing parses what the receiving connection read.  The drain touches the
-sockets only when the next event is a landing whose frames have not been
-read yet: it writes every batch submitted since the last wait, then waits.
-So every virtual-time field (throughput, setup latency, event counts),
-delivered plaintext and relay counter is the simulator's, on any profile.
-See ``docs/ARCHITECTURE.md`` ("Overlay backends").
+back in a length-prefixed frame) and really crosses a socket, and the
+inbox or landing parses what the receiving connection read.  The drain
+touches the sockets only when the next event is an inbox or a landing that
+holds a batch whose frames have not been read yet: it writes every batch
+submitted since the last wait, then waits.  So every virtual-time field
+(throughput, setup latency, event counts), delivered plaintext and relay
+counter is the simulator's, on any profile.  See ``docs/ARCHITECTURE.md``
+("Overlay backends").
 
 Wire format
 -----------
@@ -50,7 +55,7 @@ split between packets (inside a data batch, between two of its rows, if
 need be), and leaves in one ``writelines`` straight to its connection's
 transport (:class:`_Outbound`, which queues it while the connection is
 dialled); :class:`_Inbound` parses every complete frame as data arrives and
-records a batch's payload frames for its landing.
+records a batch's payload frames for the heap event that parses them.
 
 Both ends of every connection live in this process, so the sending side's
 record of a batch (its connection, payload frame count and item count) is
@@ -82,7 +87,7 @@ from ..core.packet import (
 )
 from .network import NetworkModel
 from .node import OverlayTransport
-from .simulator import EventHandle, EventSimulator
+from .simulator import EventHandle, EventSimulator, _KeyedBatch
 
 #: Length prefix of every frame on the wire.
 FRAME_HEADER = struct.Struct(">I")
@@ -94,7 +99,7 @@ MAX_FRAME_BYTES = 1 << 22
 #: Batch header payload: (batch id, number of payload frames that follow).
 BATCH_HEADER = struct.Struct(">QI")
 
-#: Wall-clock seconds the backend may wait for a landing's frames with no
+#: Wall-clock seconds the backend may wait for a batch's frames with no
 #: batch read before it declares itself wedged instead of hanging CI.
 DEFAULT_STALL_TIMEOUT = 60.0
 
@@ -168,7 +173,7 @@ class AioClock(EventSimulator):
     :class:`~repro.overlay.simulator.EventSimulator` (same heap, same
     deterministic tie-breaking); only :meth:`run` differs — it hands control
     to the owning :class:`AioOverlayNetwork`, which waits on the sockets
-    before a landing whose frames are not read yet.
+    before an event that would parse a batch whose frames are not read yet.
     """
 
     def __init__(self, substrate: "AioOverlayNetwork") -> None:
@@ -179,9 +184,13 @@ class AioClock(EventSimulator):
         return self._substrate.drive(until=until, max_events=max_events)
 
 
-@dataclass
+@dataclass(eq=False)
 class _PendingBatch:
-    """Sender-side record of a batch in flight; calling it is its landing."""
+    """Sender-side record of a batch in flight.
+
+    A packet batch is an item of its receiver's inbox; calling a blob batch
+    is its landing.
+    """
 
     network: "AioOverlayNetwork"
     batch_id: int
@@ -192,14 +201,14 @@ class _PendingBatch:
     deliver: Callable[[list, list[float]], None]
     arrivals: list[float]  # one per item
     frames: list[bytes] | None = None  # its payload frames, once read
-    landing: EventHandle | None = None
+    landing: EventHandle | _KeyedBatch | None = None  # its landing, or its inbox
 
     @property
     def link(self) -> str:
         return f"{self.sender}→{self.receiver}"
 
     def __call__(self) -> None:
-        """The landing event: parse and deliver, or drop the batch at a dead receiver."""
+        """A blob batch's landing: parse and deliver, or drop the batch at a dead receiver."""
         if self.network.is_alive(self.receiver):
             self.deliver(self.parse(self.frames), self.arrivals)
         else:
@@ -225,6 +234,17 @@ class _PendingBatch:
                 f"{len(self.arrivals)} were sent"
             )
         return items
+
+
+def _unread(event: Callable[[], None]) -> _PendingBatch | None:
+    """The first batch whose frames are unread that a heap event would parse."""
+    if type(event) is _PendingBatch:
+        return event if event.frames is None else None
+    if type(event) is _KeyedBatch:
+        for batch in event.items:
+            if type(batch) is _PendingBatch and batch.frames is None:
+                return batch
+    return None
 
 
 def _pack_cells(cells: list[bytes]) -> bytes:
@@ -293,7 +313,7 @@ class _Inbound(asyncio.Protocol):
 
     Each :meth:`data_received` parses every complete frame buffered and moves
     the connection through its hello, batch-header and payload-frame states;
-    a batch's frames are handed to its landing as its last one is read.  A
+    a batch's frames are recorded on it as its last one is read.  A
     rejection fails the backend's drain and drops the connection.
     """
 
@@ -391,7 +411,7 @@ class AioOverlayNetwork(OverlayTransport):
     ----------
     network, connection_bps:
         Same meaning as on the simulated backend; they feed the shared
-        virtual-time accounting.  If :meth:`drive` waits for a landing's
+        virtual-time accounting.  If :meth:`drive` waits for a batch's
         frames and no batch is read for :data:`DEFAULT_STALL_TIMEOUT`
         wall-clock seconds, it raises instead of hanging.
     bind_host:
@@ -434,13 +454,12 @@ class AioOverlayNetwork(OverlayTransport):
         deliver: Callable[[list[AnyPacket], list[float]], None],
         sender_cpu_seconds: Sequence[float] | None = None,
     ) -> None:
-        sizes = wire_sizes(packets)
         self._submit(
             sender,
             receiver,
             packets,
-            sizes,
-            self._normalise_cpus(len(sizes), sender_cpu_seconds),
+            wire_sizes(packets),
+            sender_cpu_seconds,
             kind="packets",
             deliver=deliver,
         )
@@ -458,7 +477,7 @@ class AioOverlayNetwork(OverlayTransport):
             receiver,
             blobs,
             [len(blob) for blob in blobs],
-            self._normalise_cpus(len(blobs), sender_cpu_seconds),
+            sender_cpu_seconds,
             kind="blobs",
             deliver=deliver,
         )
@@ -487,18 +506,15 @@ class AioOverlayNetwork(OverlayTransport):
         receiver: str,
         items: list,
         sizes: list[int],
-        cpus: list[float],
+        sender_cpu_seconds: Sequence[float] | None,
         kind: str,
         deliver: Callable,
     ) -> None:
         if self._closed:
             raise SimulationError("aio backend is closed")
-        if not items:
+        arrivals = self._charge(sender, receiver, sizes, sender_cpu_seconds)
+        if arrivals is None:
             return
-        if not self.is_alive(sender):
-            self.stats.packets_dropped += len(sizes)
-            return
-        arrivals = self._account_batch(sender, receiver, sizes, cpus)
         if kind == "packets":
             frames = _payload_frames(items, sizes, pack_packets)
         else:
@@ -509,8 +525,31 @@ class AioOverlayNetwork(OverlayTransport):
         batch = self._pending[batch_id] = _PendingBatch(
             self, batch_id, kind, sender, receiver, len(frames), deliver, arrivals
         )
-        batch.landing = self.sim.schedule_at(arrivals[-1], batch)
+        if kind == "packets":
+            inbox = self._inbox(receiver, deliver)
+            batch.landing = self.sim.schedule_keyed(inbox, arrivals[-1], batch, inbox)
+        else:
+            batch.landing = self.sim.schedule_at(arrivals[-1], batch)
         self._outbox.append((sender, receiver, batch_id, frames))
+
+    def _land(
+        self,
+        receiver: str,
+        deliver: Callable[[list[AnyPacket], list[float]], None],
+        batches: list[_PendingBatch],
+    ) -> None:
+        """An inbox: parse its batches and deliver them, or drop them at a dead receiver."""
+        if not batches:  # every batch in it was rejected
+            return
+        if not self.is_alive(receiver):
+            self.stats.packets_dropped += sum(len(batch.arrivals) for batch in batches)
+            return
+        packets: list[AnyPacket] = []
+        arrivals: list[float] = []
+        for batch in batches:
+            packets += batch.parse(batch.frames)
+            arrivals += batch.arrivals
+        deliver(packets, arrivals)
 
     # -- driving ------------------------------------------------------------------
 
@@ -518,9 +557,9 @@ class AioOverlayNetwork(OverlayTransport):
         """Run the heap in virtual order, as the simulator does; returns the virtual time.
 
         This is what ``substrate.sim.run()`` resolves to on this backend.
-        Before a landing whose frames are not read yet, every batch
-        submitted since the last wait is written and the drain waits on the
-        sockets until that landing's frames are in.
+        Before an inbox or landing that holds a batch whose frames are not
+        read yet, every batch submitted since the last wait is written and
+        the drain waits on the sockets until that batch's frames are in.
         """
         loop = self._ensure_loop()
         if loop.is_running():
@@ -531,10 +570,11 @@ class AioOverlayNetwork(OverlayTransport):
         clock = self.sim
         processed = 0
         while (event := clock.peek(until)) is not None:
-            # A landing is popped only once its frames are read, so a
-            # failure raised while waiting leaves it queued.
-            if type(event) is _PendingBatch and event.frames is None:
-                await self._receive(event)
+            # An inbox or landing is popped only once its frames are read, so
+            # a failure raised while waiting leaves it queued.
+            unread = _unread(event)
+            if unread is not None:
+                await self._receive(unread)
                 continue
             clock.now, callback = clock.pop_due(until, max_events - processed)
             processed += 1
@@ -545,11 +585,11 @@ class AioOverlayNetwork(OverlayTransport):
             clock.now = max(clock.now, until)
         return clock.now
 
-    async def _receive(self, landing: _PendingBatch) -> None:
-        """Write the outbox, then wait until ``landing``'s frames are read."""
+    async def _receive(self, batch: _PendingBatch) -> None:
+        """Write the outbox, then wait until ``batch``'s frames are read."""
         self._flush_outbox()
         self._raise_failure()
-        self._awaited = landing
+        self._awaited = batch
         self._idle = self._loop.create_future()
         self._progress_at = self._loop.time()
         self._watch()
@@ -603,7 +643,11 @@ class AioOverlayNetwork(OverlayTransport):
             try:
                 link.send([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
             except PacketFormatError as exc:  # an oversized frame fails its batch alone
-                self._pending.pop(batch_id).landing.cancel()
+                batch = self._pending.pop(batch_id)
+                if batch.kind == "packets":  # it leaves its inbox
+                    batch.landing.items.remove(batch)
+                else:
+                    batch.landing.cancel()
                 self._fail(exc)
 
     async def _dial(self, link: _Outbound, receiver: str) -> None:

@@ -29,13 +29,19 @@ Data plane
 ----------
 Data packets travel as :class:`~repro.core.packet.PacketBatch` columns from
 the source's coding stacks to the destination's decoder.  A burst on one
-connection becomes one :meth:`~SimulatedOverlayNetwork.transmit_batch` per
-chunk of :data:`DEFAULT_BATCH_CHUNK` packets, cut inside a batch if need be
-(per-packet serialisation and CPU *times* are still accounted exactly); a
-single blob, such as an onion setup packet, is a burst of one.  Deliveries
-landing at one relay at one simulated instant coalesce into a single batch
-event (:meth:`~repro.overlay.simulator.EventSimulator.schedule_keyed`).  The
-per-packet reference plane — every packet its own transmit, arrival and CPU
+connection becomes one :meth:`~OverlayTransport.transmit_packets` per chunk
+of :data:`DEFAULT_BATCH_CHUNK` packets, cut inside a batch if need be
+(per-packet serialisation and CPU *times* are still accounted exactly).  A
+chunk joins its receiver's inbox when it is sent: the chunks landing at one
+relay at one simulated instant share one heap event
+(:meth:`~repro.overlay.simulator.EventSimulator.schedule_keyed`), which runs
+after every plain event due at that instant and hands the relay every
+packet that landed there, so a chunk costs two heap events per hop (its
+inbox's share and the relay's handling), not three.  Blobs (the onion and
+Sphinx cells; a single blob, such as an onion setup packet, is a burst of
+one) keep a plain landing event per burst
+(:meth:`~SimulatedOverlayNetwork.transmit_batch`).  The per-packet
+reference plane — every packet its own transmit, arrival and CPU
 event, the relay handling and decoding per packet — lives in
 ``tests/oracles/dataplane.py``; delivered messages and relay counters are
 bit-identical to it under a shared seed
@@ -47,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Sequence
 
@@ -153,6 +160,7 @@ class OverlayTransport:
         self._link_free_at: dict[tuple[str, str], float] = {}
         self._cpu_free_at: dict[str, float] = {}
         self._failed: set[str] = set()
+        self._inboxes: dict[tuple[str, Callable], Callable[[list], None]] = {}
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -180,6 +188,16 @@ class OverlayTransport:
         deliver: Callable[[list[AnyPacket], list[float]], None],
         sender_cpu_seconds: Sequence[float] | None = None,
     ) -> None:
+        """Send packets on one connection into the receiver's inbox.
+
+        The burst is accounted now (:meth:`_account_batch`) and joins the
+        inbox of ``(receiver, deliver)`` at its last packet's arrival
+        instant.  ``deliver(packets, arrivals)`` is called once per
+        ``(receiver, deliver, instant)``, after every plain event due at
+        that instant, with every packet that landed there in the order it
+        was sent and one arrival time per packet; if the receiver is dead
+        by then, those packets are dropped (one drop each) instead.
+        """
         raise NotImplementedError
 
     def transmit_blobs(
@@ -252,35 +270,48 @@ class OverlayTransport:
 
     # -- shared batch arithmetic --------------------------------------------------------
 
-    def _normalise_cpus(
-        self, count: int, sender_cpu_seconds: Sequence[float] | None
-    ) -> list[float]:
-        """One CPU cost per packet, validated."""
-        if sender_cpu_seconds is None:
-            return [0.0] * count
-        cpus = list(sender_cpu_seconds)
-        if len(cpus) != count:
+    def _charge(
+        self,
+        sender: str,
+        receiver: str,
+        sizes: list[int],
+        sender_cpu_seconds: Sequence[float] | None,
+    ) -> list[float] | None:
+        """Charge a burst to the virtual clock: its arrivals, or ``None`` if nothing leaves.
+
+        Nothing leaves when the burst is empty or its sender is dead (one
+        drop per packet).  ``sender_cpu_seconds`` holds one CPU cost per
+        packet, validated here, or is ``None`` for none.
+        """
+        if not sizes:
+            return None
+        if not self.is_alive(sender):
+            self.stats.packets_dropped += len(sizes)
+            return None
+        cpus = None if sender_cpu_seconds is None else list(sender_cpu_seconds)
+        if cpus is not None and len(cpus) != len(sizes):
             raise SimulationError(
                 "transmit_batch needs one CPU cost per packet "
-                f"({len(cpus)} costs for {count} packets)"
+                f"({len(cpus)} costs for {len(sizes)} packets)"
             )
-        return cpus
+        return self._account_batch(sender, receiver, sizes, cpus)
 
     def _account_batch(
-        self, sender: str, receiver: str, sizes: Sequence[int], cpus: Sequence[float]
+        self, sender: str, receiver: str, sizes: Sequence[int], cpus: Sequence[float] | None
     ) -> list[float]:
         """Reserve sender CPU and the connection for a burst; return arrivals.
 
-        Each packet queues on the sender CPU (its cost plus the fixed
-        per-packet overhead), serialises on the (sender, receiver) connection
-        in order, and arrives one propagation delay later.  It is the one
-        place either backend charges a transmission to the virtual clock, so
-        their clocks and counters agree.
+        Each packet queues on the sender CPU (its cost, none if ``cpus`` is
+        ``None``, plus the fixed per-packet overhead), serialises on the
+        (sender, receiver) connection in order, and arrives one propagation
+        delay later.  It is the one place either backend charges a
+        transmission to the virtual clock, so their clocks and counters agree.
         """
+        overhead = self.per_packet_overhead
         ready_times = self.reserve_cpu_sequence(
             sender,
             repeat(self.sim.now),
-            [cpu + self.per_packet_overhead for cpu in cpus],
+            [overhead] * len(sizes) if cpus is None else [cpu + overhead for cpu in cpus],
         )
         key = (sender, receiver)
         latency = self.network.latency(sender, receiver)
@@ -295,6 +326,16 @@ class OverlayTransport:
         self.stats.packets_sent += len(sizes)
         self.stats.bytes_sent += sum(sizes)
         return [done + latency for done in link_dones]
+
+    def _inbox(self, receiver: str, deliver: Callable) -> Callable[[list], None]:
+        """The key and drain of ``(receiver, deliver)``'s inbox: the backend's
+        ``_land``, which hands the inbox's packets to ``deliver`` or drops them
+        at a dead receiver, bound to the pair.  It is kept for the transport's
+        life, so a caller passes one ``deliver`` per receiver, not one per call."""
+        inbox = self._inboxes.get((receiver, deliver))
+        if inbox is None:
+            inbox = self._inboxes[receiver, deliver] = partial(self._land, receiver, deliver)
+        return inbox
 
 
 class SimulatedOverlayNetwork(OverlayTransport):
@@ -316,8 +357,9 @@ class SimulatedOverlayNetwork(OverlayTransport):
     ) -> None:
         """Send a burst of packets on one connection with one delivery event.
 
-        Every transmission on this backend ends here.  Per-packet times are
-        accounted by :meth:`_account_batch` (sender CPU queue, in-order
+        The blobs of :meth:`transmit_blobs` and :meth:`transmit_blob` end
+        here; packets take :meth:`transmit_packets`' inbox instead.  Per-packet
+        times are accounted by :meth:`_account_batch` (sender CPU queue, in-order
         serialisation on the connection, one propagation delay), but the
         whole burst raises a *single* simulator event, fired at the last
         packet's arrival instant, and ``on_delivered`` receives every
@@ -329,18 +371,13 @@ class SimulatedOverlayNetwork(OverlayTransport):
         Neither changes any experiment that fails nodes between phases,
         which is how churn is modelled.
         """
-        sizes = list(sizes)
-        if not sizes:
+        arrivals = self._charge(sender, receiver, list(sizes), sender_cpu_seconds)
+        if arrivals is None:
             return
-        if not self.is_alive(sender):
-            self.stats.packets_dropped += len(sizes)
-            return
-        cpus = self._normalise_cpus(len(sizes), sender_cpu_seconds)
-        arrivals = self._account_batch(sender, receiver, sizes, cpus)
 
         def deliver() -> None:
             if not self.is_alive(receiver):
-                self.stats.packets_dropped += len(sizes)
+                self.stats.packets_dropped += len(arrivals)
                 return
             on_delivered(arrivals)
 
@@ -356,13 +393,24 @@ class SimulatedOverlayNetwork(OverlayTransport):
         deliver: Callable[[list[AnyPacket], list[float]], None],
         sender_cpu_seconds: Sequence[float] | None = None,
     ) -> None:
-        self.transmit_batch(
-            sender,
-            receiver,
-            wire_sizes(packets),
-            lambda arrivals: deliver(packets, arrivals),
-            sender_cpu_seconds=sender_cpu_seconds,
-        )
+        """Send packets into the receiver's inbox (:meth:`OverlayTransport.transmit_packets`)."""
+        arrivals = self._charge(sender, receiver, wire_sizes(packets), sender_cpu_seconds)
+        if arrivals is not None:
+            inbox = self._inbox(receiver, deliver)
+            self.sim.schedule_keyed(inbox, arrivals[-1], (packets, arrivals), inbox)
+
+    def _land(
+        self,
+        receiver: str,
+        deliver: Callable[[list[AnyPacket], list[float]], None],
+        items: list[tuple[list[AnyPacket], list[float]]],
+    ) -> None:
+        packets = [packet for batch, _arrivals in items for packet in batch]
+        arrivals = [at for _batch, batch_arrivals in items for at in batch_arrivals]
+        if not self.is_alive(receiver):
+            self.stats.packets_dropped += len(arrivals)
+            return
+        deliver(packets, arrivals)
 
     def transmit_blobs(
         self,
@@ -438,6 +486,7 @@ class SlicingRuntime:
         self.relays: dict[str, Relay] = {}
         self.progress: dict[int, FlowProgress] = {}
         self._flows_by_id: dict[int, tuple[FlowSetup, FlowProgress]] = {}
+        self._deliver_to: dict[str, Callable[[list[AnyPacket], list[float]], None]] = {}
 
     @property
     def sim(self) -> EventSimulator:
@@ -513,50 +562,42 @@ class SlicingRuntime:
         sender: str,
         receiver: str,
         packets: list[AnyPacket],
-        sender_cpus: list[float],
+        sender_cpus: list[float] | None = None,
     ) -> None:
-        """Ship a same-connection burst; deliveries coalesce per receiver.
+        """Ship a same-connection burst into the receiver's inbox.
 
-        Bursts larger than :data:`DEFAULT_BATCH_CHUNK` packets (one cost in
-        ``sender_cpus`` each) ship as consecutive chunks, cut inside a batch
-        if need be, each a single delivery event, so one hop's chunks overlap
-        the next hop's serialisation (stage pipelining) instead of the whole
-        burst marching stage by stage.
+        ``sender_cpus`` holds one sender CPU cost per packet, or is ``None``
+        for a forward, which costs its sender only the per-packet overhead.
+        Bursts larger than :data:`DEFAULT_BATCH_CHUNK` packets ship as
+        consecutive chunks, cut inside a batch if need be, so one hop's
+        chunks overlap the next hop's serialisation (stage pipelining)
+        instead of the whole burst marching stage by stage.
         """
+        deliver = self._deliver_to.get(receiver)
+        if deliver is None:
+            deliver = self._deliver_to[receiver] = partial(self._process_inbox, receiver)
+        count = sum(map(packet_count, packets)) if sender_cpus is None else len(sender_cpus)
         chunk = DEFAULT_BATCH_CHUNK
-        pieces = split_items(packets, range(chunk, len(sender_cpus), chunk))
-        for index, piece in enumerate(pieces):
-
-            def on_delivered(delivered: list[AnyPacket], arrivals: list[float]) -> None:
-                self.sim.schedule_keyed(
-                    ("rx", receiver),
-                    self.sim.now,
-                    (delivered, arrivals),
-                    lambda items: self._process_inbox(receiver, items),
-                )
-
+        for start, piece in zip(range(0, count, chunk),
+                                split_items(packets, range(chunk, count, chunk))):
+            cpus = None if sender_cpus is None else sender_cpus[start : start + chunk]
             self.substrate.transmit_packets(
-                sender,
-                receiver,
-                piece,
-                on_delivered,
-                sender_cpu_seconds=sender_cpus[index * chunk : (index + 1) * chunk],
+                sender, receiver, piece, deliver, sender_cpu_seconds=cpus
             )
 
     def _process_inbox(
-        self, receiver: str, items: list[tuple[list[AnyPacket], list[float]]]
+        self, receiver: str, packets: list[AnyPacket], arrivals: list[float]
     ) -> None:
-        """Charge receiver CPU for every coalesced packet; then process once."""
+        """Charge receiver CPU for every packet of an inbox; then process them once."""
         relay = self.relays.get(receiver)
         if relay is None:
             return
-        packets = [packet for batch_packets, _arrivals in items for packet in batch_packets]
         resources = self.substrate.network.resources(receiver)
         done = self.substrate.reserve_cpu_jobs(
             receiver,
-            sum(len(arrivals) for _packets, arrivals in items),
+            len(arrivals),
             zip(
-                chain.from_iterable(arrivals for _packets, arrivals in items),
+                arrivals,
                 chain.from_iterable(
                     repeat(self._packet_cpu_cost(item, resources), packet_count(item))
                     for item in packets
@@ -607,8 +648,7 @@ class SlicingRuntime:
         for packet in outputs:
             per_receiver.setdefault(packet.destination_address, []).append(packet)
         for receiver, packets in per_receiver.items():
-            cpus = [0.0] * sum(map(packet_count, packets))
-            self._transmit_packets(sender, receiver, packets, cpus)
+            self._transmit_packets(sender, receiver, packets)
 
     # -- progress and flushes -----------------------------------------------------------------
 

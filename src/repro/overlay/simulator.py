@@ -13,6 +13,21 @@ ever comparing callbacks; cancelling an event sets its callback to ``None``.
 :meth:`EventSimulator.run` and the asyncio backend's drain loop reach the
 heap's head only through :meth:`EventSimulator.peek` and
 :meth:`EventSimulator.pop_due`.
+
+The landing contract
+--------------------
+:meth:`EventSimulator.schedule_keyed` takes an item when it is *sent*, not
+when it lands: the items of one ``(key, instant)`` pair share one heap
+event, a :class:`_KeyedBatch`, whose sequence is offset by :data:`_LATE` so
+that it runs after every plain event due at that instant, and the batches
+of one instant run in the order of their first items.  That is the order a
+plain landing event per item, each calling ``schedule_keyed(key, now, …)``,
+produced (``tests/oracles/landing.py`` keeps it as the reference): such a
+landing's drain ran after every plain event that was queued for its instant
+when the first landing fired.  The two differ only for a plain event
+scheduled with zero delay during an instant that already has a pending
+batch: it used to run after that batch and now runs before it.  No
+caller in ``src/`` schedules one; every delay there is positive.
 """
 
 from __future__ import annotations
@@ -41,14 +56,25 @@ class EventHandle:
         return self._entry[0]
 
 
+#: Added to a keyed batch's sequence: it sorts after every plain event due at
+#: its instant, whenever that event was scheduled.
+_LATE = 1 << 62
+
+
 class _KeyedBatch:
-    """Items accumulated for one (key, instant) pair; drained by one event."""
+    """The items of one ``(key, instant)`` pair; calling it is their one heap event."""
 
-    __slots__ = ("time", "items")
+    __slots__ = ("slots", "slot", "drain", "items")
 
-    def __init__(self, time: float, items: list) -> None:
-        self.time = time
-        self.items = items
+    def __init__(self, slots: dict, slot: tuple, drain: Callable[[list], None], item: Any) -> None:
+        self.slots = slots
+        self.slot = slot
+        self.drain = drain
+        self.items = [item]
+
+    def __call__(self) -> None:
+        del self.slots[self.slot]
+        self.drain(self.items)
 
 
 class EventSimulator:
@@ -58,7 +84,7 @@ class EventSimulator:
         self.now = 0.0
         self._queue: list[list] = []
         self._sequence = itertools.count()
-        self._batches: dict[object, _KeyedBatch] = {}
+        self._batches: dict[tuple[object, float], _KeyedBatch] = {}
         self.events_processed = 0
         self.batched_events = 0
 
@@ -78,12 +104,17 @@ class EventSimulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at absolute simulated time ``time`` (now, if already past)."""
+        return EventHandle(self._push(self._instant(time), callback))
+
+    def _instant(self, time: float) -> float:
+        """The instant an event for absolute time ``time`` runs at: ``now + max(time - now, 0)``."""
         if not 0.0 <= time < math.inf:
             raise SimulationError(
                 f"cannot schedule an event at time {time!r}: "
                 "times must be finite and non-negative"
             )
-        return EventHandle(self._push(self.now + max(time - self.now, 0.0), callback))
+        now = self.now
+        return now + (time - now if time > now else 0.0)
 
     def schedule_keyed(
         self,
@@ -91,33 +122,30 @@ class EventSimulator:
         time: float,
         item: Any,
         drain: Callable[[list], None],
-    ) -> None:
-        """Coalesce ``item`` with others landing on ``key`` at the same instant.
+    ) -> _KeyedBatch:
+        """Coalesce ``item`` with others for ``key`` landing at the same instant.
 
-        The first item for a ``(key, time)`` pair schedules one event at
-        absolute time ``time``; items added for the same pair before it fires
-        join its batch instead of scheduling further events.  When the event
-        fires, ``drain`` receives every accumulated item in arrival order —
-        this is what lets the overlay runtime process all packets landing at
-        one relay at one simulated instant as a single batch.  Tie-breaking
-        stays deterministic: batch events obey the same (time, sequence)
-        order as everything else, and items within a batch keep the order in
-        which they were enqueued.
+        The instant is the one :meth:`schedule_at` would give ``time``.  The
+        first item for a ``(key, instant)`` pair schedules one event there;
+        items added for the same pair before it fires join its batch, which
+        is returned.  When the event fires, ``drain`` receives every
+        accumulated item in the order it was added — this is what lets the
+        overlay transports hand all packets landing at one relay at one
+        simulated instant over as a single batch.  The event runs after
+        every plain event due at its instant, and the batches of one
+        instant run in the order of their first items (the module
+        docstring's "The landing contract").
         """
-        batch = self._batches.get(key)
-        if batch is not None and batch.time == time:
+        instant = self._instant(time)
+        slot = (key, instant)
+        batch = self._batches.get(slot)
+        if batch is not None:
             batch.items.append(item)
             self.batched_events += 1
-            return
-        batch = _KeyedBatch(time, [item])
-        self._batches[key] = batch
-
-        def fire() -> None:
-            if self._batches.get(key) is batch:
-                del self._batches[key]
-            drain(batch.items)
-
-        self.schedule_at(time, fire)
+            return batch
+        batch = self._batches[slot] = _KeyedBatch(self._batches, slot, drain, item)
+        heappush(self._queue, [instant, _LATE + next(self._sequence), batch])
+        return batch
 
     def peek(self, until: float | None) -> Callable[[], None] | None:
         """The callback of the earliest live event due by ``until``, left queued.

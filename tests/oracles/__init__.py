@@ -8,7 +8,9 @@ batched engines in ``src/`` to the same bytes; the anonymity Monte-Carlo
 DPs of Figs. 7-10 are checked against; and the churn Monte-Carlo with the
 packet-level failure replay (``resilience``), which the closed forms of
 Figs. 16-17 and the stage premise of Eq. 7 are checked against.  The passive
-link tap (``wiretap``) records what an observer sees of a transfer.  No run
+link tap (``wiretap``) records what an observer sees of a transfer, and the
+two-event landing (``landing``) is the event order keyed items had before
+they joined their inbox when sent.  No run
 of the program selects them.  They subclass or call the production classes and
 need no hook in ``src/``.
 """

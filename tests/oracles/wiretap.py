@@ -2,12 +2,11 @@
 
 :class:`RecordingOverlayNetwork` is the discrete-event substrate with every
 transmission's ``(sender, receiver, size_bytes)`` appended to ``records``.
-Every blob and packet helper of
-:class:`~repro.overlay.node.SimulatedOverlayNetwork` funnels through
-:meth:`~repro.overlay.node.SimulatedOverlayNetwork.transmit_batch`, so
-overriding that one method observes everything.  A test puts it under a
-scheme's transfer by monkeypatching
-``repro.experiments.throughput.build_substrate``.
+Every transmission of either backend is charged to the virtual clock by
+:meth:`~repro.overlay.node.OverlayTransport._account_batch` — the packet
+inbox path, the blob path and ``transmit_batch`` alike — so overriding that
+one method observes everything.  A test puts it under a scheme's transfer by
+monkeypatching ``repro.experiments.throughput.build_substrate``.
 """
 
 from __future__ import annotations
@@ -26,11 +25,6 @@ class RecordingOverlayNetwork(SimulatedOverlayNetwork):
         super().__init__(*args, **kwargs)
         self.records: list[tuple[str, str, int]] = []
 
-    def transmit_batch(
-        self, sender, receiver, sizes, on_delivered, sender_cpu_seconds=None
-    ):
+    def _account_batch(self, sender, receiver, sizes, cpus):
         self.records.extend((sender, receiver, int(size)) for size in sizes)
-        return super().transmit_batch(
-            sender, receiver, sizes, on_delivered,
-            sender_cpu_seconds=sender_cpu_seconds,
-        )
+        return super()._account_batch(sender, receiver, sizes, cpus)

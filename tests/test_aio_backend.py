@@ -39,6 +39,7 @@ from repro.overlay.aio import (
     _Outbound,
     encode_frame,
 )
+from repro.overlay.network import NodeResources, uniform_network
 from repro.overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
 from repro.overlay.runtime import build_substrate
 
@@ -496,6 +497,45 @@ def test_an_oversized_frame_fails_only_its_own_batch(substrate, monkeypatch):
         substrate.sim.run()
     substrate.sim.run()
     assert landed == [b"before", b"after"]
+
+
+def test_an_oversized_packet_batch_leaves_its_inbox(monkeypatch):
+    # With no serialisation time, a small and an oversized batch sent to one
+    # receiver at once land at one instant, in one inbox: the oversized one
+    # fails the drain and leaves it, and the other is still delivered.  Alone,
+    # an oversized batch leaves its inbox empty, and an empty inbox delivers
+    # nothing.
+    monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 2.0)
+    network = uniform_network(["a", "b", "c"], 0.001, NodeResources())
+    substrate = AioOverlayNetwork(network, connection_bps=float("inf"))
+
+    def packet(slice_count):
+        block = CodedBlock(np.zeros(2, np.uint8), np.zeros(65_000, np.uint8))
+        return Packet(flow_id=1, kind=PacketKind.SETUP, slices=[block] * slice_count, d=2)
+
+    oversized = packet(70)
+    assert oversized.size_bytes() > MAX_FRAME_BYTES
+    delivered = []
+
+    def deliver(packets, arrivals):
+        delivered.append([item.slice_count for item in packets])
+
+    try:
+        substrate.transmit_packets("a", "b", [packet(1)], deliver)
+        substrate.transmit_packets("c", "b", [oversized], deliver)
+        assert substrate.sim.batched_events == 1
+        with pytest.raises(PacketFormatError, match="over the"):
+            substrate.sim.run()
+        substrate.sim.run()
+        assert delivered == [[1]]
+        substrate.transmit_packets("c", "b", [oversized], deliver)
+        with pytest.raises(PacketFormatError, match="over the"):
+            substrate.sim.run()
+        events = substrate.sim.events_processed
+        substrate.sim.run()
+        assert delivered == [[1]] and substrate.sim.events_processed == events + 1
+    finally:
+        substrate.close()
 
 
 def test_a_lost_connection_fails_the_drain_at_once(substrate, monkeypatch):

@@ -24,7 +24,8 @@ def observe_transfer(monkeypatch, scheme, path_length, seed):
 
     ``setup`` is everything transmitted while the route was established,
     ``data`` everything transmitted while a burst of 512-byte messages
-    drained.  The tap replaces the simulated substrate the transfer builds.
+    drained.  The tap replaces the simulated substrate the transfer builds,
+    and must have seen every packet the substrate counted as sent.
     """
 
     def tapped_substrate(backend, network, connection_bps):
@@ -43,6 +44,7 @@ def observe_transfer(monkeypatch, scheme, path_length, seed):
         runtime.send_messages([bytes(512)] * NUM_MESSAGES)
         substrate.sim.run()
         assert len(runtime.delivered_plaintexts()) == NUM_MESSAGES
+        assert len(setup) + len(substrate.records) == substrate.stats.packets_sent
         return setup, list(substrate.records)
     finally:
         substrate.close()

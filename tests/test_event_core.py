@@ -14,11 +14,16 @@
   accounting against two passes of ``_queue_dones``.
 * *Path tables* — ``ForwardingGraph``'s precomputed carrier, path and edge
   tables against the carrier formula of Algorithm 1.
+* *Landing order* — ``schedule_keyed`` taking an item when it is sent,
+  against the two-event landing it replaced (``tests/oracles/landing.py``):
+  random worlds of plain events and keyed items on a coarse time grid run
+  in the same order on both, and the one documented divergence is pinned.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -33,6 +38,9 @@ from repro.experiments.throughput import connection_bps_for, prepare_scheme_tran
 from repro.overlay.node import FlowProgress, SimulatedOverlayNetwork, SlicingRuntime, _queue_dones
 from repro.overlay.profiles import LAN_PROFILE, PLANETLAB_PROFILE
 from repro.overlay.runtime import build_substrate
+from repro.overlay.simulator import EventSimulator
+
+from oracles.landing import TwoEventSimulator
 
 MESSAGE_BYTES = 1500
 
@@ -118,10 +126,10 @@ def _recording_wire(monkeypatch):
 @pytest.mark.parametrize(
     "run, events, batched, delivered, digest, wire",
     [
-        (_manyflows_slice, 1088, 0, 64,
+        (_manyflows_slice, 728, 0, 64,
          "44bb48e56928b7c9edccf17a85e4992d5091c424f4750fb5981317464a812fa9",
          "f5dff076a044b16dd73951a2dd32c9ea117ab9196aac51563e20fe6381536a9e"),
-        (_churn_flow, 793, 62, 128,
+        (_churn_flow, 493, 62, 128,
          "672ad4dba4ea385a8893ce903eca3f386c010a71f1ba34a767c4e37a32bce179",
          "1a55cd47d9412eed1153ffe7a00fa47d4568094cf658e3e81f6256bbe744fceb"),
     ],
@@ -244,7 +252,10 @@ def test_batch_accounting_equals_the_queue_passes(data):
         items.append(([batch], starts))
     receiver_free = data.draw(_queue_free(now))
     substrate._cpu_free_at["b"] = receiver_free
-    runtime._process_inbox("b", items)
+    runtime._process_inbox(
+        "b", [batch for batches, _ in items for batch in batches],
+        [start for _, arrivals in items for start in arrivals],
+    )
     resources = substrate.network.resources("b")
     durations = [
         runtime._packet_cpu_cost(batch, resources) for (batch,), _ in items for _row in batch.seqs
@@ -332,3 +343,103 @@ def test_path_tables_match_carrier_formula(d_prime, path_length, seed):
             graph.edge_slices(parent, child)
     with pytest.raises(GraphConstructionError, match="not on the graph"):
         graph.edge_slices("nobody", first)
+
+
+# -- landing order ----------------------------------------------------------------------
+
+# Positive delays on a coarse grid: instants tie often, and the ones that are
+# not binary fractions make ``now + (time - now)`` differ from ``time``.
+_delays = st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0])
+
+
+@st.composite
+def _actions(draw, depth=2):
+    """What a world submits: plain events and keyed items, each with what it submits."""
+    return [
+        (draw(st.sampled_from(["plain", "keyed"])), draw(_delays), draw(st.integers(0, 2)),
+         draw(_actions(depth - 1)) if depth else [])
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+def _run_world(sim, submit_keyed, actions):
+    """Run a world; the log of every plain event and drain, with its instant."""
+    log = []
+    names = itertools.count()
+
+    def submit(actions):
+        for kind, delay, key, children in actions:
+            name = next(names)
+            if kind == "plain":
+                def fire(name=name, children=children):
+                    log.append(("plain", name, sim.now.hex()))
+                    submit(children)
+
+                sim.schedule(delay, fire)
+            else:
+                submit_keyed(key, sim.now + delay, (name, children), drains[key])
+
+    def drain(key, items):
+        log.append(("drain", key, sim.now.hex(), [name for name, _children in items]))
+        for _name, children in items:
+            submit(children)
+
+    drains = [lambda items, key=key: drain(key, items) for key in range(3)]
+    submit(actions)
+    sim.run()
+    return log, sim.batched_events
+
+
+@given(st.lists(_actions(), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_keyed_items_land_in_the_two_event_order(worlds):
+    """Taken when sent, keyed items drain in the order their landing events gave."""
+    for actions in worlds:
+        sim, reference = EventSimulator(), TwoEventSimulator()
+        assert _run_world(sim, sim.schedule_keyed, actions) == _run_world(
+            reference, reference.land, actions
+        )
+
+
+def _zero_delay_world(sim, submit_keyed):
+    log = []
+    submit_keyed("rx", 1.0, "item", lambda items: log.append(("drain", items)))
+
+    def plain():
+        log.append("plain")
+        sim.schedule(0.0, lambda: log.append("zero-delay"))
+
+    sim.schedule(1.0, plain)
+    sim.run()
+    return log
+
+
+def test_a_zero_delay_event_runs_before_the_pending_inbox_of_its_instant():
+    """The one divergence: a zero-delay event scheduled during an instant whose
+    inbox is pending runs before that inbox; after the two-event landing had
+    scheduled the batch, it ran after it."""
+    sim, reference = EventSimulator(), TwoEventSimulator()
+    assert _zero_delay_world(sim, sim.schedule_keyed) == [
+        "plain", "zero-delay", ("drain", ["item"])
+    ]
+    assert _zero_delay_world(reference, reference.land) == [
+        "plain", ("drain", ["item"]), "zero-delay"
+    ]
+
+
+@pytest.mark.parametrize("simulator", [EventSimulator, TwoEventSimulator])
+def test_items_sent_at_two_nows_for_one_time_land_an_ulp_apart(simulator):
+    """The instant is the one ``schedule_at`` gives: ``now + (time - now)``."""
+    sim = simulator()
+    submit = sim.schedule_keyed if simulator is EventSimulator else sim.land
+    assert 0.1 + (0.9 - 0.1) == 0.9 != 0.2 + (0.9 - 0.2)
+    drained = []
+
+    def drain(items):
+        drained.append((sim.now, items))
+
+    sim.schedule_at(0.1, lambda: submit("rx", 0.9, "a", drain))
+    sim.schedule_at(0.2, lambda: submit("rx", 0.9, "b", drain))
+    sim.run()
+    assert drained == [(0.2 + (0.9 - 0.2), ["b"]), (0.9, ["a"])]
+    assert sim.batched_events == 0

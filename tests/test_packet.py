@@ -1,11 +1,13 @@
 """Wire-format tests for packets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.coder import SliceCoder
 from repro.core.errors import PacketFormatError
-from repro.core.packet import Packet, PacketKind, random_padding_slice
+from repro.core.packet import Packet, PacketBatch, PacketKind, random_padding_slice
 
 
 def build_packet(num_slices: int = 3, d: int = 2, seq: int = 7) -> Packet:
@@ -86,3 +88,18 @@ def test_packet_size_constant_across_slices():
     sizes = {block.size_bytes() for block in packet.slices}
     assert len(sizes) == 1
     assert packet.size_bytes() == len(packet.to_bytes())
+
+
+@pytest.mark.parametrize("field", [field.name for field in dataclasses.fields(PacketBatch)])
+def test_a_batch_field_cannot_be_assigned(field):
+    batch = PacketBatch(1, 2, 0, [4, 5], np.zeros((2, 2), np.uint8), np.zeros((2, 8), np.uint8),
+                        "a", "b")
+    before = getattr(batch, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(batch, field, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(batch, field)
+    assert getattr(batch, field) is before
+    rows = batch[1:]
+    assert type(rows) is PacketBatch and rows.seqs == [5] and rows.destination_address == "b"
+    assert dataclasses.replace(batch, lane=1).lane == 1
