@@ -234,15 +234,3 @@ def exact_anonymity(
             destination += mass * _destination_anonymity_from_chain(s, *args)
     return AnonymityResult(source, destination, source_case1, destination_case1)
 
-
-def redundancy_overhead(d: int, d_prime: int) -> float:
-    """Added redundancy R = (d' - d)/d (§4.4, §8.1).
-
-    >>> redundancy_overhead(3, 6)
-    1.0
-    >>> redundancy_overhead(2, 2)
-    0.0
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return (d_prime - d) / d

@@ -100,14 +100,3 @@ def two_level_anonymity(
         h -= count_low * p_low * math.log2(p_low)
     return float(min(max(h / math.log2(total_nodes), 0.0), 1.0))
 
-
-def information_bits_missing(anonymity: float, total_nodes: int) -> float:
-    """How many bits the attacker still lacks to pin down the node.
-
-    An anonymity of 0.5 over 10 000 nodes means the attacker is missing about
-    6.6 bits — the paper's "still missing half the information" observation.
-
-    >>> information_bits_missing(0.5, 1024)
-    5.0
-    """
-    return anonymity * max_entropy(total_nodes)

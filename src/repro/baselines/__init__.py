@@ -9,7 +9,7 @@ closed forms in :mod:`repro.resilience.analysis`.
 """
 
 from .chaum import ChaumAnonymityResult, exact_chaum_anonymity
-from .onion import OnionCircuit, OnionDirectory, OnionRelay, OnionSource, run_circuit
+from .onion import OnionCircuit, OnionDirectory, OnionRelay, OnionSource
 from .runtime import OnionProtocolRuntime
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "OnionSource",
     "OnionRelay",
     "OnionCircuit",
-    "run_circuit",
     "ChaumAnonymityResult",
     "exact_chaum_anonymity",
     "OnionProtocolRuntime",

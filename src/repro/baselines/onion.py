@@ -175,35 +175,3 @@ class OnionRelay:
         _session_key, next_hop = self._session(handle)
         return next_hop, [self.handle_data(handle, cell)[1] for cell in cells]
 
-
-def run_circuit(
-    directory: OnionDirectory,
-    source: OnionSource,
-    relays: list[str],
-    destination: str,
-    path_length: int,
-    messages: list[bytes],
-) -> tuple[OnionCircuit, list[bytes]]:
-    """Functional end-to-end helper: build a circuit and push messages through it.
-
-    Returns the circuit and the plaintexts that reached the destination.  Used
-    by tests to confirm the baseline is a faithful onion implementation (each
-    relay sees only its predecessor and successor, data is layered).
-    """
-    relay_engines = {
-        address: OnionRelay(address, directory.key_pair(address))
-        for address in directory.addresses()
-    }
-    circuit, onion = source.build_circuit(relays, destination, path_length)
-    handles: list[int] = []
-    current = onion
-    for hop in circuit.hops:
-        handle, next_hop, current = relay_engines[hop].handle_setup(current)
-        handles.append(handle)
-    received: list[bytes] = []
-    for message in messages:
-        cell = source.wrap_data(circuit, message)
-        for hop, handle in zip(circuit.hops, handles):
-            next_hop, cell = relay_engines[hop].handle_data(handle, cell)
-        received.append(cell)
-    return circuit, received

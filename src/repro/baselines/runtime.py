@@ -13,7 +13,7 @@ symmetric pass per layer per cell (and one public-key encryption per layer
 during setup), every relay pays one symmetric pass per cell (one public-key
 decryption plus the daemon handling constant during setup), and each hop is
 one connection.  A setup onion is one
-:meth:`~repro.overlay.node.OverlayTransport.transmit_blob` per hop; like the
+:meth:`~repro.overlay.node.SimulatedOverlayNetwork.transmit_blob` per hop; like the
 slicing runtime, data bursts ship in
 :data:`~repro.overlay.node.DEFAULT_BATCH_CHUNK`-sized ``transmit_blobs``
 chunks — one simulator event per chunk, per-packet serialisation accounted

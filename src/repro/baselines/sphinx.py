@@ -441,31 +441,3 @@ class SphinxRelay:
         stripped = stacked ^ _cell_mask([session_key])
         return next_hop, [row.tobytes() for row in stripped]
 
-
-def run_sphinx_circuit(
-    directory: SphinxDirectory,
-    source: SphinxSource,
-    relays: list[str],
-    destination: str,
-    path_length: int,
-    messages: list[bytes],
-) -> tuple[SphinxCircuit, list[bytes]]:
-    """Functional end-to-end helper: build a circuit and push messages through.
-
-    Returns the circuit and the plaintexts that reached the destination.
-    Used by tests to confirm the construction peels correctly hop by hop.
-    """
-    relay_engines = {
-        address: SphinxRelay(address, directory.node(address))
-        for address in directory.addresses()
-    }
-    circuit, packet = source.build_circuit(relays, destination, path_length)
-    handles: list[int] = []
-    current = packet
-    for hop in circuit.hops:
-        handle, _next_hop, current = relay_engines[hop].handle_setup(current)
-        handles.append(handle)
-    cells = source.wrap_cells(circuit, messages)
-    for hop, handle in zip(circuit.hops, handles):
-        _next_hop, cells = relay_engines[hop].strip_cells(handle, cells)
-    return circuit, [source.open_delivered(cell) for cell in cells]

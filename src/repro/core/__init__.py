@@ -14,13 +14,13 @@ from .errors import (
 from .gf import GF, GF256
 from .graph import ForwardingGraph, build_forwarding_graph
 from .integrity import robust_decode, unwrap, verify, wrap
-from .matrix import cauchy_matrix, mds_matrix, random_invertible_matrix, verify_mds
+from .matrix import cauchy_matrix, mds_matrix, random_invertible_matrix
 from .node_info import DataMap, NodeInfo, SliceMap, SliceMapEntry
 from .packet import Packet, PacketKind, random_padding_slice
 from .relay import FlowState, Relay, RelayStats
 from .slice_map import FlowPlan, compile_flow_plan
 from .source import FlowSetup, Source, data_nonce
-from .transforms import AffineTransform, build_transform_chain, verify_chain
+from .transforms import AffineTransform, build_transform_chain
 
 __all__ = [
     "GF",
@@ -46,7 +46,6 @@ __all__ = [
     "data_nonce",
     "AffineTransform",
     "build_transform_chain",
-    "verify_chain",
     "wrap",
     "unwrap",
     "verify",
@@ -54,7 +53,6 @@ __all__ = [
     "random_invertible_matrix",
     "mds_matrix",
     "cauchy_matrix",
-    "verify_mds",
     "ReproError",
     "FieldError",
     "MatrixError",

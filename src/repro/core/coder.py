@@ -403,60 +403,5 @@ class SliceCoder:
         """Create ``count`` recombined blocks (convenience wrapper)."""
         return [self.recombine(blocks, rng) for _ in range(count)]
 
-    # -- information-theoretic mode (§5) -------------------------------------------
-
-    def encode_information_theoretic(
-        self, message: bytes, rng: np.random.Generator
-    ) -> list[CodedBlock]:
-        """Encode with the stronger information-theoretic scheme of §5.
-
-        Each of the ``d`` message pieces is mixed with ``d - 1`` uniformly
-        random pieces before coding, at a ``d``-fold space cost.  The output
-        is ``d' * d`` blocks grouped so that blocks ``[i*d, (i+1)*d)`` carry
-        piece ``i``; all blocks of all groups are required to reconstruct.
-        """
-        pieces = _pad_message(bytes(message), self.d)
-        blocks: list[CodedBlock] = []
-        sub_coder = SliceCoder(self.d, self.d_prime * 1, field=self.field)
-        for i in range(self.d):
-            # Mix the real piece with d-1 random pieces: the real piece is the
-            # XOR of all d sub-pieces, so every sub-piece is required.
-            randoms = self.field.random_elements((self.d - 1, pieces.shape[1]), rng)
-            real = pieces[i]
-            for row in randoms:
-                real = self.field.add(real, row)
-            group = np.concatenate([real[None, :], randoms], axis=0)
-            group_bytes = group.reshape(-1).tobytes()
-            blocks.extend(
-                CodedBlock(b.coefficients, b.payload, index=i * self.d_prime + b.index)
-                for b in sub_coder.encode(group_bytes, rng)
-            )
-        return blocks
-
-    def decode_information_theoretic(self, blocks: list[CodedBlock]) -> bytes:
-        """Inverse of :meth:`encode_information_theoretic`.
-
-        Blocks must be supplied grouped in the order they were produced (the
-        ``index`` attribute preserves grouping across shuffles).
-        """
-        if len(blocks) < self.d * self.d:
-            raise InsufficientSlicesError(self.d * self.d, len(blocks))
-        groups: dict[int, list[CodedBlock]] = {}
-        for block in blocks:
-            groups.setdefault(block.index // self.d_prime, []).append(block)
-        sub_coder = SliceCoder(self.d, self.d_prime, field=self.field)
-        recovered_rows: list[np.ndarray] = []
-        for i in range(self.d):
-            if i not in groups:
-                raise InsufficientSlicesError(self.d, len(groups))
-            group_bytes = sub_coder.decode(groups[i])
-            group = np.frombuffer(group_bytes, dtype=np.uint8).reshape(self.d, -1)
-            piece = group[0]
-            for row in group[1:]:
-                piece = self.field.add(piece, row)
-            recovered_rows.append(piece)
-        matrix = np.stack(recovered_rows)
-        return _unpad_message(matrix)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SliceCoder(d={self.d}, d_prime={self.d_prime})"

@@ -28,8 +28,6 @@ implementations are the reference the C loops are bit-identical to;
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
 import numpy as np
 
 from . import gf_kernels
@@ -194,17 +192,6 @@ class GF256:
             raise FieldError("zero has no multiplicative inverse in GF(2^8)")
         return self._inv[a]
 
-    def power(self, a, n: int) -> np.ndarray:
-        """Raise each element of ``a`` to the integer power ``n``."""
-        a = np.asarray(a, dtype=np.uint8)
-        if n == 0:
-            return np.ones_like(a)
-        if n < 0:
-            return self.power(self.inverse(a), -n)
-        logs = self._log[a].astype(np.int64) * n % 255
-        result = self._exp[logs]
-        return np.where(a == 0, np.uint8(0), result).astype(np.uint8)
-
     # -- linear algebra ----------------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,18 +265,6 @@ class GF256:
         elif out.size:
             out[...] = 0  # XOR-reduce over an empty k axis is the identity
         return out
-
-    def mat_vec(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Matrix–vector product; thin convenience wrapper over :meth:`matmul`."""
-        return self.matmul(a, np.asarray(v, dtype=np.uint8).reshape(-1))
-
-    def dot(self, u: np.ndarray, v: np.ndarray) -> int:
-        """Inner product of two equal-length vectors."""
-        u = np.asarray(u, dtype=np.uint8).reshape(-1)
-        v = np.asarray(v, dtype=np.uint8).reshape(-1)
-        if u.shape != v.shape:
-            raise FieldError(f"dot shape mismatch: {u.shape} vs {v.shape}")
-        return int(np.bitwise_xor.reduce(self.multiply(u, v)))
 
     def rank(self, matrix: np.ndarray) -> int:
         """Rank of ``matrix`` over GF(2^8) via Gaussian elimination."""
@@ -449,12 +424,6 @@ class GF256:
         return rng.integers(1, self.order, size=shape, dtype=np.uint8)
 
     # -- misc --------------------------------------------------------------------
-
-    def validate_elements(self, values: Iterable[int]) -> None:
-        """Raise :class:`FieldError` unless every value is a valid element."""
-        for v in values:
-            if not 0 <= int(v) < self.order:
-                raise FieldError(f"{v!r} is not an element of GF(2^8)")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GF256(polynomial=0x{self.polynomial:03x}, generator=0x{self.generator:02x})"

@@ -80,11 +80,6 @@ class ForwardingGraph:
         return len(self.stages) - 1
 
     @property
-    def path_length(self) -> int:
-        """Alias for :attr:`num_stages` matching the paper's ``L``."""
-        return self.num_stages
-
-    @property
     def source_stage(self) -> list[str]:
         return self.stages[0]
 
@@ -187,20 +182,6 @@ class ForwardingGraph:
     def slice_path(self, owner: str, slice_index: int) -> list[str]:
         """The full vertex path taken by one slice, ending at its owner."""
         return list(self._path(owner, slice_index))
-
-    def slices_carried_by(self, address: str) -> list[SliceId]:
-        """All slices that transit (or terminate at) ``address``.
-
-        For a relay this is its own ``d'`` slices plus exactly one slice of
-        every node in every later stage.
-        """
-        stage = self.stage_of(address)
-        # A source-stage owner's path is just itself: it carries no slice of its own.
-        return [
-            slice_id
-            for slice_id, path in self._tables[0].items()
-            if 1 < len(path) and stage < len(path) and path[stage] == address
-        ]
 
     def edge_slices(self, parent: str, child: str) -> list[SliceId]:
         """Ordered list of slices traversing the edge ``parent -> child``.

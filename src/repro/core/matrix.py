@@ -71,8 +71,7 @@ def mds_matrix(
 
     This is the redundancy matrix ``A'`` of §4.4.  When ``systematic`` is
     True the top ``d x d`` block is the identity, which keeps the first ``d``
-    slices equal to the input vector (useful for debugging and for the
-    information-theoretic mode where inputs are already randomised).
+    slices equal to the input vector.
 
     When ``rng`` is given, the rows and columns of the underlying Cauchy
     matrix are scaled by random non-zero elements.  Scaling rows/columns of a
@@ -108,40 +107,3 @@ def _scale_rows_cols(
     scaled = field.multiply(matrix, row_scale[:, None])
     return field.multiply(scaled, col_scale[None, :])
 
-
-def verify_mds(matrix: np.ndarray, d: int, field: GF256 = GF) -> bool:
-    """Exhaustively check that every ``d``-row subset of ``matrix`` is full rank.
-
-    Exponential in the number of rows; intended for tests and small ``d'``.
-    """
-    from itertools import combinations
-
-    matrix = np.asarray(matrix, dtype=np.uint8)
-    if matrix.shape[1] != d:
-        raise MatrixError(f"matrix has {matrix.shape[1]} columns, expected {d}")
-    for subset in combinations(range(matrix.shape[0]), d):
-        if field.rank(matrix[list(subset)]) != d:
-            return False
-    return True
-
-
-def submatrix_inverse(
-    matrix: np.ndarray, rows: list[int] | np.ndarray, field: GF256 = GF
-) -> np.ndarray:
-    """Invert the square submatrix of ``matrix`` formed by the given rows.
-
-    Raises :class:`MatrixError` if the selected rows do not form a square,
-    invertible matrix — decoders use this to recover a message from any ``d``
-    of the ``d'`` redundant slices.
-    """
-    matrix = np.asarray(matrix, dtype=np.uint8)
-    selected = matrix[list(rows)]
-    if selected.shape[0] != selected.shape[1]:
-        raise MatrixError(
-            f"selected {selected.shape[0]} rows from a matrix with "
-            f"{selected.shape[1]} columns; need exactly {selected.shape[1]}"
-        )
-    try:
-        return field.invert_matrix(selected)
-    except Exception as exc:
-        raise MatrixError(f"selected rows are not linearly independent: {exc}") from exc

@@ -127,19 +127,11 @@ class Packet:
     destination_address: str = ""
 
     @property
-    def slice_count(self) -> int:
-        return len(self.slices)
-
-    @property
     def own_slice(self) -> CodedBlock:
         """The slice addressed to the receiving node (always slot 0)."""
         if not self.slices:
             raise PacketFormatError("packet carries no slices")
         return self.slices[0]
-
-    def payload_slices(self) -> list[CodedBlock]:
-        """The slices to be forwarded downstream (everything after slot 0)."""
-        return self.slices[1:]
 
     def size_bytes(self) -> int:
         """Serialized size, used by the simulator's bandwidth model.

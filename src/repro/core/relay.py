@@ -197,10 +197,6 @@ class Relay:
 
     # -- packet handling ---------------------------------------------------------------
 
-    def handle_packet(self, packet: AnyPacket, now: float = 0.0) -> list[AnyPacket]:
-        """Process one incoming packet or batch; returns what to transmit."""
-        return self.handle_packets([packet], now=now)
-
     def handle_packets(self, packets: list[AnyPacket], now: float = 0.0) -> list[AnyPacket]:
         """Process incoming setup packets and data batches; returns what to transmit.
 

@@ -44,10 +44,6 @@ class FlowPlan:
     def destination(self) -> str:
         return self.graph.destination
 
-    @property
-    def destination_key(self) -> KeyMaterial:
-        return self.keys[self.graph.destination]
-
 
 def compile_flow_plan(graph: ForwardingGraph, rng: np.random.Generator) -> FlowPlan:
     """Compile the forwarding graph into per-node routing information."""

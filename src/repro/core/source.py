@@ -191,35 +191,21 @@ class Source:
 
     # -- data transmission -----------------------------------------------------------
 
-    def make_data_packets(
-        self, flow: FlowSetup, message: bytes, sequence: int | None = None
-    ) -> list[Packet]:
-        """Encrypt, slice and packetise one data message (§4.3.7, §4.4c).
-
-        Returns one packet per (source-stage node, first-stage relay) pair:
-        source-stage node ``a`` injects data slice ``a`` into every first-stage
-        relay, establishing the invariant the data-maps rely on.
-        """
-        if sequence is None:
-            sequence = flow.next_sequence
-            flow.next_sequence += 1
-        cipher = StreamCipher(flow.destination_key)
-        ciphertext = cipher.encrypt(bytes(message), data_nonce(sequence))
-        blocks = flow.coder.encode(wrap(ciphertext), self.rng)
-        return self._packetise_data(flow, blocks, sequence)
-
     def make_data_packets_batch(
         self, flow: FlowSetup, messages: list[bytes]
     ) -> list[PacketBatch]:
-        """Batched :meth:`make_data_packets`: one :class:`PacketBatch` per connection and run.
+        """Encrypt, slice and packetise a burst of data messages (§4.3.7, §4.4c).
+
+        Returns one :class:`PacketBatch` per connection and run: source-stage
+        node ``lane`` injects data slice ``lane`` of every message into every
+        first-stage relay, establishing the invariant the data-maps rely on.
 
         The burst is cut into runs of consecutive equal-length messages (one
         run in the steady state), each coded in one GF(2^8) pass
         (:meth:`~repro.core.coder.SliceCoder.encode_stacks`); the batch of
         connection (source-stage node ``lane``, first-stage relay) views
         slice ``lane`` of the run's stacks, which are read-only.  A
-        mixed-length burst draws its coding matrices message by message, as
-        :meth:`make_data_packets` does.
+        mixed-length burst draws its coding matrices message by message.
         """
         if not messages:
             return []
@@ -252,25 +238,3 @@ class Source:
                 for child in plan.graph.stages[1]
             )
         return batches
-
-    def _packetise_data(
-        self, flow: FlowSetup, blocks: list[CodedBlock], sequence: int
-    ) -> list[Packet]:
-        """One data packet per (source-stage node, first-stage relay) pair."""
-        plan = flow.plan
-        packets: list[Packet] = []
-        for lane, origin in enumerate(plan.graph.source_stage):
-            for child in plan.graph.stages[1]:
-                packets.append(
-                    Packet(
-                        flow_id=plan.flow_ids[child],
-                        kind=PacketKind.DATA,
-                        slices=[blocks[lane]],
-                        d=self.d,
-                        lane=lane,
-                        seq=sequence,
-                        source_address=origin,
-                        destination_address=child,
-                    )
-                )
-        return packets

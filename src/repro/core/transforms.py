@@ -81,14 +81,6 @@ class AffineTransform:
         )
         return AffineTransform(multiplier=a, mask=b)
 
-    def pack(self) -> bytes:
-        return bytes([self.multiplier, self.mask])
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "AffineTransform":
-        if len(data) < 2:
-            raise CodingError("transform encoding truncated")
-        return cls(multiplier=data[0], mask=data[1])
 
 
 def build_transform_chain(
@@ -113,14 +105,3 @@ def build_transform_chain(
     inverses = [transforms[hops - 1 - i].invert(field) for i in range(hops)]
     return combined, inverses
 
-
-def verify_chain(
-    combined: AffineTransform,
-    inverses: list[AffineTransform],
-    field: GF256 = GF,
-) -> bool:
-    """Check that applying all per-hop inverses undoes the combined transform."""
-    current = combined
-    for inverse in inverses:
-        current = inverse.compose(current, field)
-    return current == AffineTransform.identity()

@@ -1,7 +1,7 @@
 """Cryptographic substrates: keystream cipher, key material, PK cost model."""
 
 from .keys import KeyMaterial, generate_flow_id, generate_key
-from .symmetric import StreamCipher, decrypt, encrypt
+from .symmetric import StreamCipher
 from .public_key import PublicKeyCostModel, SimulatedKeyPair
 
 __all__ = [
@@ -9,8 +9,6 @@ __all__ = [
     "StreamCipher",
     "PublicKeyCostModel",
     "SimulatedKeyPair",
-    "encrypt",
-    "decrypt",
     "generate_key",
     "generate_flow_id",
 ]

@@ -42,7 +42,3 @@ class KeyMaterial:
     @classmethod
     def generate(cls, rng: np.random.Generator) -> "KeyMaterial":
         return cls(key=generate_key(rng), nonce_prefix=generate_nonce(rng, size=4))
-
-    def nonce_for(self, sequence: int) -> bytes:
-        """Derive the 8-byte nonce for message ``sequence``."""
-        return self.nonce_prefix + int(sequence).to_bytes(4, "big")

@@ -63,23 +63,3 @@ class StreamCipher:
 
     # XOR is an involution, so decryption is identical to encryption.
     decrypt = encrypt
-
-    def seal(self, plaintext: bytes, nonce: bytes) -> bytes:
-        """Encrypt and prepend the nonce, producing a self-contained blob."""
-        return nonce + self.encrypt(plaintext, nonce)
-
-    def open(self, blob: bytes) -> bytes:
-        """Inverse of :meth:`seal`."""
-        if len(blob) < NONCE_SIZE:
-            raise ProtocolError("sealed blob shorter than its nonce")
-        return self.decrypt(blob[NONCE_SIZE:], blob[:NONCE_SIZE])
-
-
-def encrypt(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """Module-level convenience wrapper around :class:`StreamCipher`."""
-    return StreamCipher(key).encrypt(plaintext, nonce)
-
-
-def decrypt(key: bytes, ciphertext: bytes, nonce: bytes) -> bytes:
-    """Module-level convenience wrapper around :class:`StreamCipher`."""
-    return StreamCipher(key).decrypt(ciphertext, nonce)

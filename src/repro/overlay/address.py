@@ -31,9 +31,6 @@ class Prefix:
     network: ipaddress.IPv4Network
     asn: int
 
-    def contains(self, address: str) -> bool:
-        return ipaddress.IPv4Address(address) in self.network
-
 
 @dataclass
 class ASDatabase:

@@ -69,9 +69,6 @@ class NetworkModel:
         except KeyError as exc:
             raise SimulationError(f"no resources registered for {address}") from exc
 
-    def addresses(self) -> list[str]:
-        return list(self._resources)
-
     def latency(self, sender: str, receiver: str) -> float:
         """One-way propagation delay between two addresses (seconds)."""
         if sender == receiver:
@@ -118,12 +115,10 @@ def heterogeneous_network(
         address: replace(base_resources, load_factor=float(factor))
         for address, factor in zip(addresses, load_factors)
     }
-    latency: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(addresses):
-        for b in addresses[i + 1 :]:
-            latency[(a, b)] = float(
-                rng.lognormal(mean=np.log(latency_mean), sigma=latency_sigma)
-            )
+    # One draw for all pairs: their order fixes which value each pair gets.
+    pairs = [(a, b) for i, a in enumerate(addresses) for b in addresses[i + 1 :]]
+    delays = rng.lognormal(mean=np.log(latency_mean), sigma=latency_sigma, size=len(pairs))
+    latency = dict(zip(pairs, delays.tolist()))
     return NetworkModel(
         resources=resources, latency_matrix=latency, default_latency=latency_mean
     )

@@ -29,7 +29,7 @@ Data plane
 ----------
 Data packets travel as :class:`~repro.core.packet.PacketBatch` columns from
 the source's coding stacks to the destination's decoder.  A burst on one
-connection becomes one :meth:`~OverlayTransport.transmit_packets` per chunk
+connection becomes one :meth:`~SimulatedOverlayNetwork.transmit_packets` per chunk
 of :data:`DEFAULT_BATCH_CHUNK` packets, cut inside a batch if need be
 (per-packet serialisation and CPU *times* are still accounted exactly).  A
 chunk joins its receiver's inbox when it is sent: the chunks landing at one
@@ -175,50 +175,12 @@ class OverlayTransport:
 
     # -- payload-carrying transmit surface ----------------------------------------
     #
+    # Each backend provides ``transmit_packets``, ``transmit_blobs`` and
+    # ``transmit_blob`` (the contract is on :class:`SimulatedOverlayNetwork`'s).
     # The protocol runtimes ship through these three calls only, so they run
     # unchanged on any backend.  ``deliver`` receives the delivered payload
     # objects: the simulator hands back the originals, the asyncio backend
     # hands back what it parsed off the wire.
-
-    def transmit_packets(
-        self,
-        sender: str,
-        receiver: str,
-        packets: list[AnyPacket],
-        deliver: Callable[[list[AnyPacket], list[float]], None],
-        sender_cpu_seconds: Sequence[float] | None = None,
-    ) -> None:
-        """Send packets on one connection into the receiver's inbox.
-
-        The burst is accounted now (:meth:`_account_batch`) and joins the
-        inbox of ``(receiver, deliver)`` at its last packet's arrival
-        instant.  ``deliver(packets, arrivals)`` is called once per
-        ``(receiver, deliver, instant)``, after every plain event due at
-        that instant, with every packet that landed there in the order it
-        was sent and one arrival time per packet; if the receiver is dead
-        by then, those packets are dropped (one drop each) instead.
-        """
-        raise NotImplementedError
-
-    def transmit_blobs(
-        self,
-        sender: str,
-        receiver: str,
-        blobs: list[bytes],
-        deliver: Callable[[list[bytes], list[float]], None],
-        sender_cpu_seconds: Sequence[float] | None = None,
-    ) -> None:
-        raise NotImplementedError
-
-    def transmit_blob(
-        self,
-        sender: str,
-        receiver: str,
-        blob: bytes,
-        deliver: Callable[[bytes], None],
-        sender_cpu_seconds: float = 0.0,
-    ) -> None:
-        raise NotImplementedError
 
     # -- failures ------------------------------------------------------------------
 
@@ -393,7 +355,16 @@ class SimulatedOverlayNetwork(OverlayTransport):
         deliver: Callable[[list[AnyPacket], list[float]], None],
         sender_cpu_seconds: Sequence[float] | None = None,
     ) -> None:
-        """Send packets into the receiver's inbox (:meth:`OverlayTransport.transmit_packets`)."""
+        """Send packets on one connection into the receiver's inbox.
+
+        The burst is accounted now (:meth:`_account_batch`) and joins the
+        inbox of ``(receiver, deliver)`` at its last packet's arrival
+        instant.  ``deliver(packets, arrivals)`` is called once per
+        ``(receiver, deliver, instant)``, after every plain event due at
+        that instant, with every packet that landed there in the order it
+        was sent and one arrival time per packet; if the receiver is dead
+        by then, those packets are dropped (one drop each) instead.
+        """
         arrivals = self._charge(sender, receiver, wire_sizes(packets), sender_cpu_seconds)
         if arrivals is not None:
             inbox = self._inbox(receiver, deliver)

@@ -51,10 +51,6 @@ class EventHandle:
     def cancel(self) -> None:
         self._entry[2] = None
 
-    @property
-    def time(self) -> float:
-        return self._entry[0]
-
 
 #: Added to a keyed batch's sequence: it sorts after every plain event due at
 #: its instant, whenever that event was scheduled.
@@ -198,7 +194,3 @@ class EventSimulator:
             self.now = max(self.now, until)
         return self.now
 
-    @property
-    def pending(self) -> int:
-        """Number of scheduled (non-cancelled) events still waiting."""
-        return sum(1 for entry in self._queue if entry[2] is not None)

@@ -518,7 +518,7 @@ def test_an_oversized_packet_batch_leaves_its_inbox(monkeypatch):
     delivered = []
 
     def deliver(packets, arrivals):
-        delivered.append([item.slice_count for item in packets])
+        delivered.append([len(item.slices) for item in packets])
 
     try:
         substrate.transmit_packets("a", "b", [packet(1)], deliver)

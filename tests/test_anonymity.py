@@ -11,14 +11,12 @@ from repro.anonymity.analysis import (
     _source_anonymity_from_chain,
     destination_case1_probability,
     exact_anonymity,
-    redundancy_overhead,
     source_case1_probability,
 )
 from repro.anonymity.metrics import (
     MetricError,
     degree_of_anonymity,
     entropy,
-    information_bits_missing,
     max_entropy,
     two_level_anonymity,
 )
@@ -63,10 +61,6 @@ def test_two_level_matches_direct_entropy():
     direct = degree_of_anonymity([p_high] * high + [p_low] * low, n)
     closed = two_level_anonymity(high, p_high, low, p_low, n)
     assert closed == pytest.approx(direct, rel=1e-9)
-
-
-def test_information_bits_missing():
-    assert information_bits_missing(0.5, 1024) == pytest.approx(5.0)
 
 
 @given(
@@ -214,12 +208,6 @@ def test_expected_anonymity_decreases_with_chain_length():
     assert _destination_anonymity_from_chain(1, *args) > _destination_anonymity_from_chain(
         6, *args
     )
-
-
-def test_redundancy_overhead():
-    assert redundancy_overhead(3, 6) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        redundancy_overhead(0, 1)
 
 
 # -- exact expectation -------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.onion import OnionDirectory, OnionRelay, OnionSource, run_circuit
+from repro.baselines.onion import OnionDirectory, OnionRelay, OnionSource
 from repro.core.errors import ProtocolError
 
 
@@ -11,6 +11,29 @@ def make_directory(count=20, seed=0):
     rng = np.random.default_rng(seed)
     addresses = [f"relay-{i}" for i in range(count)]
     return OnionDirectory.for_relays(addresses, rng), addresses, rng
+
+
+def run_circuit(directory, source, relays, destination, path_length, messages):
+    """Build a circuit and push messages through every hop's relay engine.
+
+    Returns the circuit and the plaintexts that reached the destination.
+    """
+    engines = {
+        address: OnionRelay(address, directory.key_pair(address))
+        for address in directory.addresses()
+    }
+    circuit, current = source.build_circuit(relays, destination, path_length)
+    handles = []
+    for hop in circuit.hops:
+        handle, _next_hop, current = engines[hop].handle_setup(current)
+        handles.append(handle)
+    received = []
+    for message in messages:
+        cell = source.wrap_data(circuit, message)
+        for hop, handle in zip(circuit.hops, handles):
+            _next_hop, cell = engines[hop].handle_data(handle, cell)
+        received.append(cell)
+    return circuit, received
 
 
 def test_onion_circuit_end_to_end():

@@ -125,16 +125,3 @@ def test_encode_with_explicit_matrix_shape_check():
         coder.encode(b"x", rng_for(12), matrix=np.eye(3, dtype=np.uint8))
 
 
-def test_information_theoretic_mode_roundtrip():
-    coder = SliceCoder(d=2)
-    message = b"the strongest mode costs d-fold space"
-    blocks = coder.encode_information_theoretic(message, rng_for(13))
-    assert len(blocks) == 2 * 2
-    assert coder.decode_information_theoretic(blocks) == message
-
-
-def test_information_theoretic_missing_group_raises():
-    coder = SliceCoder(d=2)
-    blocks = coder.encode_information_theoretic(b"secret", rng_for(14))
-    with pytest.raises((InsufficientSlicesError, CodingError)):
-        coder.decode_information_theoretic(blocks[:2])

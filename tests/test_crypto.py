@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from strategies import distinct_key_pairs, payload_blobs
 
 from repro.core.errors import ProtocolError
-from repro.crypto.keys import KeyMaterial, generate_flow_id, generate_key, generate_nonce
+from repro.crypto.keys import generate_flow_id, generate_key, generate_nonce
 from repro.crypto.public_key import PublicKeyCostModel, SimulatedKeyPair
-from repro.crypto.symmetric import NONCE_SIZE, StreamCipher, decrypt, encrypt
+from repro.crypto.symmetric import NONCE_SIZE, StreamCipher
 
 
 def test_stream_cipher_roundtrip():
@@ -34,8 +34,9 @@ def test_stream_cipher_nonce_separates_keystreams():
 def test_stream_cipher_key_separates_keystreams():
     plaintext = b"\x00" * 64
     nonce = b"\x07" * 8
-    assert encrypt(b"key-a", plaintext, nonce) != encrypt(b"key-b", plaintext, nonce)
-    assert decrypt(b"key-a", encrypt(b"key-a", plaintext, nonce), nonce) == plaintext
+    cipher = StreamCipher(b"key-a")
+    assert cipher.encrypt(plaintext, nonce) != StreamCipher(b"key-b").encrypt(plaintext, nonce)
+    assert cipher.decrypt(cipher.encrypt(plaintext, nonce), nonce) == plaintext
 
 
 def test_stream_cipher_rejects_bad_inputs():
@@ -70,14 +71,6 @@ def test_keystream_known_answer_is_one_shake256_call(key):
     ).hexdigest(64)
 
 
-def test_seal_open_roundtrip():
-    cipher = StreamCipher(b"sealing key")
-    blob = cipher.seal(b"hidden", b"\x09" * 8)
-    assert cipher.open(blob) == b"hidden"
-    with pytest.raises(ProtocolError):
-        cipher.open(b"tiny")
-
-
 def test_generate_key_and_flow_id_reproducible():
     a = generate_key(np.random.default_rng(1))
     b = generate_key(np.random.default_rng(1))
@@ -86,12 +79,6 @@ def test_generate_key_and_flow_id_reproducible():
     flow_b = generate_flow_id(np.random.default_rng(2))
     assert flow_a == flow_b and flow_a != 0
     assert len(generate_nonce(np.random.default_rng(3))) == 8
-
-
-def test_key_material_nonce_derivation():
-    material = KeyMaterial.generate(np.random.default_rng(4))
-    assert material.nonce_for(1) != material.nonce_for(2)
-    assert len(material.nonce_for(7)) == 8
 
 
 def test_simulated_keypair_encrypt_decrypt():
@@ -172,7 +159,6 @@ def test_empty_payload_roundtrips():
     cipher = StreamCipher(b"key")
     nonce = b"\x02" * NONCE_SIZE
     assert cipher.encrypt(b"", nonce) == b""
-    assert cipher.open(cipher.seal(b"", nonce)) == b""
 
 
 @given(plaintext=payload_blobs(min_size=1), keys=distinct_key_pairs())
@@ -180,12 +166,12 @@ def test_empty_payload_roundtrips():
 def test_wrong_key_never_recovers_the_plaintext(plaintext, keys):
     key, wrong_key = keys
     nonce = b"\x05" * NONCE_SIZE
-    ciphertext = encrypt(key, plaintext, nonce)
-    assert decrypt(key, ciphertext, nonce) == plaintext
+    ciphertext = StreamCipher(key).encrypt(plaintext, nonce)
+    assert StreamCipher(key).decrypt(ciphertext, nonce) == plaintext
     # Two streams agree on n bytes once in 256**n draws, whatever the cipher:
     # the wrong-key claim is only sound from 4 bytes (2**-32) up.
     if len(plaintext) >= 4:
-        assert decrypt(wrong_key, ciphertext, nonce) != plaintext
+        assert StreamCipher(wrong_key).decrypt(ciphertext, nonce) != plaintext
 
 
 @given(plaintext=payload_blobs(min_size=2), cut=st.integers(1, 160))
@@ -198,15 +184,6 @@ def test_truncated_ciphertext_never_recovers_the_plaintext(plaintext, cut):
     recovered = cipher.decrypt(truncated, nonce)
     assert recovered != plaintext
     assert recovered == plaintext[: len(plaintext) - cut]
-
-
-@given(cut=st.integers(1, NONCE_SIZE))
-@settings(max_examples=20, deadline=None)
-def test_sealed_blob_truncated_into_the_nonce_is_rejected(cut):
-    cipher = StreamCipher(b"sealing key")
-    blob = cipher.seal(b"", b"\x08" * NONCE_SIZE)
-    with pytest.raises(ProtocolError):
-        cipher.open(blob[: NONCE_SIZE - cut])
 
 
 def test_truncated_envelope_header_is_rejected():

@@ -319,18 +319,6 @@ def test_path_tables_match_carrier_formula(d_prime, path_length, seed):
             with pytest.raises(GraphConstructionError):
                 graph.carrier(owner, d_prime, 0)
 
-    for address in [node for stage in graph.stages for node in stage]:
-        stage = graph.stage_of(address)
-        expected = [(address, k) for k in range(d_prime)] if stage > 0 else []
-        expected += [
-            (owner, k)
-            for later in range(stage + 1, len(graph.stages))
-            for owner in graph.stages[later]
-            for k in range(d_prime)
-            if _formula_carrier(graph, owner, k, stage) == address
-        ]
-        assert graph.slices_carried_by(address) == expected
-
     for parent, child in graph.edges():
         assert graph.edge_slices(parent, child) == _formula_edge_slices(graph, parent, child)
     assert graph.max_slices_per_edge() == path_length

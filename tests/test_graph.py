@@ -21,7 +21,7 @@ def make_graph(path_length=3, d=2, d_prime=None, seed=0):
 
 def test_basic_structure():
     graph = make_graph(path_length=4, d=2)
-    assert graph.path_length == 4
+    assert graph.num_stages == 4
     assert len(graph.stages) == 5
     assert all(len(stage) == 2 for stage in graph.stages)
     assert graph.destination in graph.relays
@@ -65,14 +65,14 @@ def test_slice_paths_are_vertex_disjoint(path_length, d, extra, seed):
 def test_edge_slices_structure():
     graph = make_graph(path_length=4, d=3, seed=2)
     slots = graph.max_slices_per_edge()
-    assert slots == graph.path_length
+    assert slots == graph.num_stages
     for parent, child in graph.edges():
         slices = graph.edge_slices(parent, child)
         # First slice always belongs to the child itself.
         assert slices[0][0] == child
         # One slice per downstream stage, none repeated.
         assert len(slices) == len(set(slices))
-        expected = graph.path_length - graph.stage_of(parent)
+        expected = graph.num_stages - graph.stage_of(parent)
         assert len(slices) == expected
 
 
@@ -85,7 +85,13 @@ def test_edge_slices_rejects_non_adjacent_nodes():
 def test_slices_carried_by_counts():
     graph = make_graph(path_length=4, d=2, seed=4)
     relay = graph.stages[1][0]
-    carried = graph.slices_carried_by(relay)
+    carried = [
+        (owner, k)
+        for stage in graph.stages[1:]
+        for owner in stage
+        for k in range(graph.d_prime)
+        if relay in graph.slice_path(owner, k)
+    ]
     # Own d' slices plus one slice per node in each later stage.
     later_nodes = sum(len(stage) for stage in graph.stages[2:])
     assert len(carried) == graph.d_prime + later_nodes

@@ -38,7 +38,7 @@ def test_schedule_in_past_rejected():
             sim.schedule(bad, lambda: None)
         with pytest.raises(SimulationError, match=re.escape(repr(bad))):
             sim.schedule_at(bad, lambda: None)
-    assert sim.pending == 0
+    assert sim.peek(None) is None
     assert sim.run() == 0.0
 
 
@@ -80,7 +80,7 @@ def test_cancelled_events_do_not_fire():
     handle.cancel()
     sim.run()
     assert fired == []
-    assert sim.pending == 0
+    assert sim.peek(None) is None
 
 
 def test_nested_scheduling():

@@ -33,7 +33,7 @@ def test_packet_roundtrip_preserves_fields():
     assert parsed.d == packet.d
     assert parsed.lane == packet.lane
     assert parsed.seq == packet.seq
-    assert parsed.slice_count == packet.slice_count
+    assert len(parsed.slices) == len(packet.slices)
     for original, decoded in zip(packet.slices, parsed.slices):
         assert np.array_equal(original.coefficients, decoded.coefficients)
         assert np.array_equal(original.payload, decoded.payload)
@@ -49,7 +49,6 @@ def test_packet_roundtrip_is_decodable():
 def test_own_slice_is_slot_zero():
     packet = build_packet()
     assert packet.own_slice is packet.slices[0]
-    assert packet.payload_slices() == packet.slices[1:]
 
 
 def test_empty_packet_rejected():

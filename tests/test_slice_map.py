@@ -83,7 +83,7 @@ def test_data_map_gives_each_child_all_distinct_slices():
     holdings = {
         relay: {lane: lane for lane in range(d_prime)} for relay in graph.stages[1]
     }
-    for stage_index in range(1, graph.path_length):
+    for stage_index in range(1, graph.num_stages):
         next_holdings: dict[str, dict[int, int]] = {}
         for relay in graph.stages[stage_index]:
             info = plan.node_infos[relay]

@@ -43,7 +43,7 @@ def test_setup_packets_cover_every_source_child_pair():
     assert senders == set(flow.graph.source_stage)
     assert receivers == set(flow.graph.stages[1])
     # Constant packet format: every packet has slots_per_packet equal slices.
-    sizes = {p.slice_count for p in packets}
+    sizes = {len(p.slices) for p in packets}
     assert sizes == {flow.plan.slots_per_packet}
     assert all(p.kind == PacketKind.SETUP for p in packets)
 
@@ -60,16 +60,16 @@ def test_data_packets_structure_and_encryption():
     source = make_source(d=2, path_length=3, seed=3)
     flow = source.establish_flow(relay_pool(), "destination")
     message = b"meet at the usual place"
-    packets = source.make_data_packets(flow, message)
-    assert len(packets) == flow.d_prime * flow.d_prime
-    assert all(p.kind == PacketKind.DATA for p in packets)
-    assert all(p.seq == 0 for p in packets)
+    batches = source.make_data_packets_batch(flow, [message])
+    assert len(batches) == flow.d_prime * flow.d_prime
+    assert all(b.kind == PacketKind.DATA for b in batches)
+    assert all(b.seqs == [0] for b in batches)
     # The ciphertext must not contain the plaintext.
-    for packet in packets:
-        assert message not in packet.to_bytes()
+    for batch in batches:
+        assert message not in batch.to_bytes()
     # Sequence numbers advance automatically.
-    second = source.make_data_packets(flow, b"second")
-    assert all(p.seq == 1 for p in second)
+    second = source.make_data_packets_batch(flow, [b"second"])
+    assert all(b.seqs == [1] for b in second)
 
 
 def test_data_nonce_is_deterministic_per_sequence():
@@ -86,7 +86,7 @@ def test_relay_decodes_info_and_forwards_setup():
     incoming = [p for p in flow.setup_packets if p.destination_address == target]
     outputs = []
     for packet in incoming:
-        outputs.extend(relay.handle_packet(packet))
+        outputs.extend(relay.handle_packets([packet]))
     flow_id = flow.plan.flow_ids[target]
     state = relay.flows[flow_id]
     assert state.decoded
@@ -97,7 +97,7 @@ def test_relay_decodes_info_and_forwards_setup():
     for packet in outputs:
         assert packet.flow_id == flow.plan.flow_ids[packet.destination_address]
         assert packet.lane == info.lane
-        assert packet.slice_count == flow.plan.slots_per_packet
+        assert len(packet.slices) == flow.plan.slots_per_packet
 
 
 def test_relay_waits_for_all_parents_before_forwarding():
@@ -106,10 +106,10 @@ def test_relay_waits_for_all_parents_before_forwarding():
     target = flow.graph.stages[1][1]
     relay = Relay(target, rng=np.random.default_rng(1))
     incoming = [p for p in flow.setup_packets if p.destination_address == target]
-    outputs = relay.handle_packet(incoming[0])
-    outputs += relay.handle_packet(incoming[1])
+    outputs = relay.handle_packets([incoming[0]])
+    outputs += relay.handle_packets([incoming[1]])
     assert outputs == []  # decoded (d=2) but still waiting for parent 3 of 3
-    outputs = relay.handle_packet(incoming[2])
+    outputs = relay.handle_packets([incoming[2]])
     assert outputs  # now forwards
 
 
@@ -120,7 +120,7 @@ def test_flush_setup_pads_missing_parent():
     relay = Relay(target, rng=np.random.default_rng(2))
     incoming = [p for p in flow.setup_packets if p.destination_address == target]
     for packet in incoming[:2]:
-        relay.handle_packet(packet)
+        relay.handle_packets([packet])
     flow_id = flow.plan.flow_ids[target]
     outputs = relay.flush_setup(flow_id)
     assert outputs
@@ -134,8 +134,8 @@ def test_duplicate_packets_are_ignored():
     target = flow.graph.stages[1][0]
     relay = Relay(target, rng=np.random.default_rng(3))
     incoming = [p for p in flow.setup_packets if p.destination_address == target]
-    relay.handle_packet(incoming[0])
-    assert relay.handle_packet(incoming[0]) == []
+    relay.handle_packets([incoming[0]])
+    assert relay.handle_packets([incoming[0]]) == []
     assert relay.stats.packets_received == 2
 
 
@@ -144,12 +144,16 @@ def test_destination_decrypts_data_with_its_key():
     flow = source.establish_flow(relay_pool(), "destination")
     # Verify the data encryption end to end at the crypto level.
     message = b"data phase ciphertext"
-    packets = source.make_data_packets(flow, message, sequence=9)
+    flow.next_sequence = 9
+    batches = source.make_data_packets_batch(flow, [message])
     cipher = StreamCipher(flow.destination_key)
-    from repro.core.coder import SliceCoder
+    from repro.core.coder import CodedBlock, SliceCoder
     from repro.core.integrity import robust_decode
 
-    blocks = [p.slices[0] for p in packets if p.destination_address == flow.graph.stages[1][0]]
+    blocks = [
+        CodedBlock(b.coefficients[0], b.payloads[0])
+        for b in batches if b.destination_address == flow.graph.stages[1][0]
+    ]
     ciphertext = robust_decode(SliceCoder(flow.d), blocks)
     assert cipher.decrypt(ciphertext, data_nonce(9)) == message
 
@@ -162,7 +166,7 @@ def test_relay_garbage_collect():
     relay.address = target
     for packet in flow.setup_packets:
         if packet.destination_address == target:
-            relay.handle_packet(packet, now=10.0)
+            relay.handle_packets([packet], now=10.0)
     assert relay.flows
     flow_count = len(relay.flows)
     assert relay.garbage_collect(before=5.0) == 0

@@ -33,7 +33,6 @@ from repro.baselines.sphinx import (
     SphinxRelay,
     SphinxSource,
     pack_cell,
-    run_sphinx_circuit,
     unpack_cell,
 )
 from repro.core.errors import ProtocolError
@@ -51,6 +50,23 @@ def build_engines(directory):
         address: SphinxRelay(address, directory.node(address))
         for address in directory.addresses()
     }
+
+
+def run_sphinx_circuit(directory, source, relays, destination, path_length, messages):
+    """Build a circuit and push messages through every hop's relay engine.
+
+    Returns the circuit and the plaintexts that reached the destination.
+    """
+    engines = build_engines(directory)
+    circuit, current = source.build_circuit(relays, destination, path_length)
+    handles = []
+    for hop in circuit.hops:
+        handle, _next_hop, current = engines[hop].handle_setup(current)
+        handles.append(handle)
+    cells = source.wrap_cells(circuit, messages)
+    for hop, handle in zip(circuit.hops, handles):
+        _next_hop, cells = engines[hop].strip_cells(handle, cells)
+    return circuit, [source.open_delivered(cell) for cell in cells]
 
 
 @given(
