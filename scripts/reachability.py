@@ -89,14 +89,11 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
         FALLBACK, "tests/test_gf_kernels.py::test_provider_disabled_by_env_falls_back_to_numpy"),
     "repro.overlay.aio:AioOverlayNetwork._fail": (
         FALLBACK, "tests/test_aio_backend.py::test_a_lost_connection_fails_the_drain_at_once"),
-    "repro.overlay.simulator:EventHandle.cancel": (
-        FALLBACK, "tests/test_aio_backend.py::test_an_oversized_frame_fails_only_its_own_batch"),
     # Sequence-number retention (ROADMAP item 2(d) gives these a workload).
     "repro.core.flow_decoder:FlowDecoder.retire_before": (RETENTION, _RETENTION_BOUNDARY),
     "repro.core.flow_decoder:FlowDecoder._rebase": (RETENTION, _RETENTION_BOUNDARY),
     "repro.core.flow_decoder:_Plane.shift": (RETENTION, _RETENTION_BOUNDARY),
     "repro.core.flow_decoder:shift_mask": (RETENTION, _RETENTION_BOUNDARY),
-    "repro.core.flow_decoder:FlowDecoder.drop": (RETENTION, _PER_ROW_STORE),
     "repro.core.relay:FlowState.retire_before": (RETENTION, _RETENTION_BOUNDARY),
     # Interface methods and dunders; the inspection accessors are what the
     # data-plane tests compare the product relay state with the oracle's through.

@@ -10,7 +10,7 @@ holding it.  A batch of one ascending seq range, none of it stored yet — a
 parent delivering a burst on one lane — is stored with one AND, one OR and
 one append; any other batch is cut into runs of its accepted rows.  A relay
 that only forwards owns no slice bytes.  A run is released once every seq it
-fed is dropped or retired.  The relay's forward and flush markers are masks
+fed is retired.  The relay's forward and flush markers are masks
 here too, one per child and one for flushes, so every mask moves with the
 base together: retiring shifts them and trims the runs that straddle the
 new base, and a slice below the base lowers it.  Every mask is as wide as
@@ -439,21 +439,6 @@ class FlowDecoder:
             if seq >= shift and rows >> (seq - shift) & 1
         ]
         return blocks + self._extras.get(seq, [])
-
-    def drop(self, seq: int) -> bool:
-        """Forget all slices of ``seq``; returns False if it held none."""
-        key = self._owner(seq)
-        if key is None:
-            return False
-        plane, keep = self._planes[key], ~(1 << (seq - self.base))
-        plane.lanes = {lane: mask & keep for lane, mask in plane.lanes.items() if mask & keep}
-        plane.held &= keep
-        for run in plane.runs:
-            if seq >= run[1]:
-                run[0] &= ~(1 << (seq - run[1]))
-        plane.runs = [run for run in plane.runs if run[0]]
-        self._extras.pop(seq, None)
-        return True
 
     def retire_before(self, before_seq: int) -> int:
         """Drop every sequence number ``< before_seq``; returns count dropped."""

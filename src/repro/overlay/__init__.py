@@ -30,11 +30,10 @@ from .selection import (
     as_diverse_selection,
     uniform_selection,
 )
-from .simulator import EventHandle, EventSimulator
+from .simulator import EventSimulator
 
 __all__ = [
     "EventSimulator",
-    "EventHandle",
     "NetworkModel",
     "NodeResources",
     "uniform_network",

@@ -10,28 +10,34 @@ and the onion runtimes in :mod:`repro.baselines.runtime` run unchanged on
 either backend.  Each connection is a pair of asyncio protocols that carries
 length-prefixed frames, in the format defined below.
 
-How the two clocks relate
--------------------------
-There is one clock, and the backend runs the simulator's event order.  A
-burst is accounted with the simulator's arithmetic
+One loop; the landing waits
+---------------------------
+:class:`AioOverlayNetwork` is the simulated substrate
+(:class:`~repro.overlay.node.SimulatedOverlayNetwork`) with sockets under
+its landings.  A burst is charged with the simulator's arithmetic
 (:meth:`~repro.overlay.node.OverlayTransport._account_batch`) and lands as
 it does there: a packet batch joins its receiver's inbox when it is sent
 (:meth:`EventSimulator.schedule_keyed
-<repro.overlay.simulator.EventSimulator.schedule_keyed>`, one heap event
-per receiver and instant, after the instant's plain events), and a blob
+<repro.overlay.simulator.EventSimulator.schedule_keyed>`), and a blob
 batch's landing is a plain heap event at its last arrival instant.
-:meth:`AioOverlayNetwork.drive` runs the heap as :meth:`EventSimulator.run
-<repro.overlay.simulator.EventSimulator.run>` does.  What differs is
-*transport*: a batch really is serialised
+:meth:`EventSimulator.run <repro.overlay.simulator.EventSimulator.run>` is
+the one loop that pops the heap.  What differs is *transport*: the
+``_send`` hook really serialises a batch
 (:func:`~repro.core.packet.pack_packets`, the packets' wire bytes back to
-back in a length-prefixed frame) and really crosses a socket, and the
-inbox or landing parses what the receiving connection read.  The drain
-touches the sockets only when the next event is an inbox or a landing that
-holds a batch whose frames have not been read yet: it writes every batch
-submitted since the last wait, then waits.  So every virtual-time field
-(throughput, setup latency, event counts), delivered plaintext and relay
-counter is the simulator's, on any profile.  See ``docs/ARCHITECTURE.md``
-("Overlay backends").
+back in a length-prefixed frame) and queues it for its connection, and the
+``_receive`` hook, run inside the landing, parses what the receiving
+connection read.  A landing touches the sockets only when it holds a batch
+whose frames have not been read yet: it writes every batch submitted since
+the last wait, then runs the asyncio loop until those frames are in.  So
+every virtual-time field (throughput, setup latency, event counts),
+delivered plaintext and relay counter is the simulator's, on any profile.
+
+A failure raises from the landing it concerns.  A batch with a frame over
+:data:`MAX_FRAME_BYTES` never leaves, and raises at its own landing once
+the landings before it and the batches that share its inbox are
+delivered; a stall or a lost connection raises from the landing that
+waited; a landing at a dead receiver drops its batches without waiting
+for their frames.  See ``docs/ARCHITECTURE.md`` ("Overlay backends").
 
 Wire format
 -----------
@@ -74,20 +80,12 @@ import os
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from ..core.errors import PacketFormatError, SimulationError
-from ..core.packet import (
-    AnyPacket,
-    pack_packets,
-    packet_count,
-    split_items,
-    unpack_packets,
-    wire_sizes,
-)
+from ..core.packet import pack_packets, packet_count, split_items, unpack_packets
 from .network import NetworkModel
-from .node import OverlayTransport
-from .simulator import EventHandle, EventSimulator, _KeyedBatch
+from .node import SimulatedOverlayNetwork
 
 #: Length prefix of every frame on the wire.
 FRAME_HEADER = struct.Struct(">I")
@@ -163,61 +161,30 @@ def decode_frames(data: bytes) -> list[bytes]:
     return frames
 
 
-# -- the virtual clock --------------------------------------------------------------
-
-
-class AioClock(EventSimulator):
-    """The simulator's scheduling surface, drained by the asyncio backend.
-
-    ``schedule`` / ``schedule_at`` / ``schedule_keyed`` behave exactly as on
-    :class:`~repro.overlay.simulator.EventSimulator` (same heap, same
-    deterministic tie-breaking); only :meth:`run` differs — it hands control
-    to the owning :class:`AioOverlayNetwork`, which waits on the sockets
-    before an event that would parse a batch whose frames are not read yet.
-    """
-
-    def __init__(self, substrate: "AioOverlayNetwork") -> None:
-        super().__init__()
-        self._substrate = substrate
-
-    def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
-        return self._substrate.drive(until=until, max_events=max_events)
+# -- batches ------------------------------------------------------------------------
 
 
 @dataclass(eq=False)
 class _PendingBatch:
-    """Sender-side record of a batch in flight.
+    """Sender-side record of a batch in flight: what travels from its send to its landing."""
 
-    A packet batch is an item of its receiver's inbox; calling a blob batch
-    is its landing.
-    """
-
-    network: "AioOverlayNetwork"
     batch_id: int
-    kind: str  # "packets" | "blobs"
+    packets: bool  # packets, else opaque cells
     sender: str
     receiver: str
     frame_count: int  # payload frames the batch left as
-    deliver: Callable[[list, list[float]], None]
-    arrivals: list[float]  # one per item
+    count: int  # packets (or cells) it was sent with
     frames: list[bytes] | None = None  # its payload frames, once read
-    landing: EventHandle | _KeyedBatch | None = None  # its landing, or its inbox
+    error: PacketFormatError | None = None  # why it never left, if it did not
 
     @property
     def link(self) -> str:
         return f"{self.sender}→{self.receiver}"
 
-    def __call__(self) -> None:
-        """A blob batch's landing: parse and deliver, or drop the batch at a dead receiver."""
-        if self.network.is_alive(self.receiver):
-            self.deliver(self.parse(self.frames), self.arrivals)
-        else:
-            self.network.stats.packets_dropped += len(self.arrivals)
-
     def parse(self, frames: list[bytes]) -> list:
-        """The batch's items back from its payload frames, one per arrival."""
+        """The batch's items back from its payload frames, one per packet sent."""
         try:
-            if self.kind == "packets":
+            if self.packets:
                 items = [
                     item
                     for frame in frames
@@ -228,23 +195,12 @@ class _PendingBatch:
         except PacketFormatError as exc:
             raise PacketFormatError(f"{self.link}: {exc}") from exc
         count = sum(map(packet_count, items))
-        if count != len(self.arrivals):
+        if count != self.count:
             raise PacketFormatError(
                 f"{self.link}: batch {self.batch_id} carried {count} items, "
-                f"{len(self.arrivals)} were sent"
+                f"{self.count} were sent"
             )
         return items
-
-
-def _unread(event: Callable[[], None]) -> _PendingBatch | None:
-    """The first batch whose frames are unread that a heap event would parse."""
-    if type(event) is _PendingBatch:
-        return event if event.frames is None else None
-    if type(event) is _KeyedBatch:
-        for batch in event.items:
-            if type(batch) is _PendingBatch and batch.frames is None:
-                return batch
-    return None
 
 
 def _pack_cells(cells: list[bytes]) -> bytes:
@@ -277,7 +233,8 @@ class _Outbound(asyncio.Protocol):
 
     :meth:`send` writes straight to the transport; what is sent while the
     connection is still being dialled queues here, in order, and leaves when
-    it is made.  A connection lost before the backend closes fails its drain.
+    it is made.  A connection lost before the backend closes fails the landing
+    that waits.
     """
 
     def __init__(self, network: "AioOverlayNetwork", link: str) -> None:
@@ -314,7 +271,7 @@ class _Inbound(asyncio.Protocol):
     Each :meth:`data_received` parses every complete frame buffered and moves
     the connection through its hello, batch-header and payload-frame states;
     a batch's frames are recorded on it as its last one is read.  A
-    rejection fails the backend's drain and drops the connection.
+    rejection fails the landing that waits and drops the connection.
     """
 
     def __init__(self, network: "AioOverlayNetwork") -> None:
@@ -344,7 +301,7 @@ class _Inbound(asyncio.Protocol):
                     # An immutable copy, never a view of the buffer: relays
                     # keep received batches by reference.
                     self.frame_received(bytes(view[start:stop]))
-        except BaseException as exc:  # noqa: B036 - must not strand the drain
+        except BaseException as exc:  # noqa: B036 - must not strand the wait
             buffer.clear()
             self._batch = None
             self._network._fail(exc)
@@ -404,16 +361,16 @@ class _Inbound(asyncio.Protocol):
 # -- the backend --------------------------------------------------------------------
 
 
-class AioOverlayNetwork(OverlayTransport):
-    """Overlay transport over asyncio TCP streams on localhost.
+class AioOverlayNetwork(SimulatedOverlayNetwork):
+    """The simulated substrate with every batch carried over asyncio TCP streams.
 
     Parameters
     ----------
     network, connection_bps:
         Same meaning as on the simulated backend; they feed the shared
-        virtual-time accounting.  If :meth:`drive` waits for a batch's
-        frames and no batch is read for :data:`DEFAULT_STALL_TIMEOUT`
-        wall-clock seconds, it raises instead of hanging.
+        virtual-time accounting.  If a landing waits for a batch's frames
+        and no batch is read for :data:`DEFAULT_STALL_TIMEOUT` wall-clock
+        seconds, it raises instead of hanging.
     bind_host:
         Interface the per-address servers bind and connections dial
         (default ``127.0.0.1``; any resolvable address works — all overlay
@@ -428,7 +385,6 @@ class AioOverlayNetwork(OverlayTransport):
     ) -> None:
         super().__init__(network, connection_bps)
         self.bind_host = bind_host
-        self.sim = AioClock(self)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server_tasks: dict[str, asyncio.Task] = {}
         self._links: dict[tuple[str, str], _Outbound] = {}
@@ -436,86 +392,29 @@ class AioOverlayNetwork(OverlayTransport):
         self._inbound: set[_Inbound] = set()
         self._pending: dict[int, _PendingBatch] = {}
         self._outbox: list[tuple[str, str, int, list[bytes]]] = []
-        self._awaited: _PendingBatch | None = None  # whose frames _receive waits for
-        self._idle: asyncio.Future | None = None  # what _receive waits on
+        self._awaited: _PendingBatch | None = None  # whose frames _wait waits for
+        self._idle: asyncio.Future | None = None  # what _wait waits on
         self._progress_at = 0.0  # loop time of the last batch read
         self._watchdog: asyncio.TimerHandle | None = None
         self._failure: BaseException | None = None
         self._batch_ids = itertools.count(1)
         self._closed = False
 
-    # -- payload-carrying transmit surface ----------------------------------------
+    # The benchmark's tracer (perfbench/spans.py) wraps these names on this
+    # class, so they stay bound here; they are the simulator's own.
+    transmit_packets = SimulatedOverlayNetwork.transmit_packets
+    transmit_blobs = SimulatedOverlayNetwork.transmit_blobs
+    transmit_blob = SimulatedOverlayNetwork.transmit_blob
 
-    def transmit_packets(
-        self,
-        sender: str,
-        receiver: str,
-        packets: list[AnyPacket],
-        deliver: Callable[[list[AnyPacket], list[float]], None],
-        sender_cpu_seconds: Sequence[float] | None = None,
-    ) -> None:
-        self._submit(
-            sender,
-            receiver,
-            packets,
-            wire_sizes(packets),
-            sender_cpu_seconds,
-            kind="packets",
-            deliver=deliver,
-        )
+    # -- carrying a batch -------------------------------------------------------------
 
-    def transmit_blobs(
-        self,
-        sender: str,
-        receiver: str,
-        blobs: list[bytes],
-        deliver: Callable[[list[bytes], list[float]], None],
-        sender_cpu_seconds: Sequence[float] | None = None,
-    ) -> None:
-        self._submit(
-            sender,
-            receiver,
-            blobs,
-            [len(blob) for blob in blobs],
-            sender_cpu_seconds,
-            kind="blobs",
-            deliver=deliver,
-        )
-
-    def transmit_blob(
-        self,
-        sender: str,
-        receiver: str,
-        blob: bytes,
-        deliver: Callable[[bytes], None],
-        sender_cpu_seconds: float = 0.0,
-    ) -> None:
-        self._submit(
-            sender,
-            receiver,
-            [blob],
-            [len(blob)],
-            [sender_cpu_seconds],
-            kind="blobs",
-            deliver=lambda blobs, _arrivals: deliver(blobs[0]),
-        )
-
-    def _submit(
-        self,
-        sender: str,
-        receiver: str,
-        items: list,
-        sizes: list[int],
-        sender_cpu_seconds: Sequence[float] | None,
-        kind: str,
-        deliver: Callable,
-    ) -> None:
+    def _send(
+        self, sender: str, receiver: str, items: list, sizes: list[int], packets: bool
+    ) -> _PendingBatch:
+        """Frame a charged burst for its connection; its record is what travels."""
         if self._closed:
             raise SimulationError("aio backend is closed")
-        arrivals = self._charge(sender, receiver, sizes, sender_cpu_seconds)
-        if arrivals is None:
-            return
-        if kind == "packets":
+        if packets:
             frames = _payload_frames(items, sizes, pack_packets)
         else:
             frames = _payload_frames(
@@ -523,78 +422,51 @@ class AioOverlayNetwork(OverlayTransport):
             )
         batch_id = next(self._batch_ids)
         batch = self._pending[batch_id] = _PendingBatch(
-            self, batch_id, kind, sender, receiver, len(frames), deliver, arrivals
+            batch_id, packets, sender, receiver, len(frames), len(sizes)
         )
-        if kind == "packets":
-            inbox = self._inbox(receiver, deliver)
-            batch.landing = self.sim.schedule_keyed(inbox, arrivals[-1], batch, inbox)
-        else:
-            batch.landing = self.sim.schedule_at(arrivals[-1], batch)
         self._outbox.append((sender, receiver, batch_id, frames))
+        return batch
+
+    def _receive(self, batch: _PendingBatch) -> list:
+        """The batch's items, parsed off the wire; waits for its frames if unread."""
+        if batch.frames is None:
+            self._wait(batch)
+        return batch.parse(batch.frames)
 
     def _land(
         self,
         receiver: str,
-        deliver: Callable[[list[AnyPacket], list[float]], None],
-        batches: list[_PendingBatch],
+        deliver: Callable[[list, list[float]], None],
+        items: list[tuple[_PendingBatch, list[float]]],
     ) -> None:
-        """An inbox: parse its batches and deliver them, or drop them at a dead receiver."""
-        if not batches:  # every batch in it was rejected
-            return
-        if not self.is_alive(receiver):
-            self.stats.packets_dropped += sum(len(batch.arrivals) for batch in batches)
-            return
-        packets: list[AnyPacket] = []
-        arrivals: list[float] = []
-        for batch in batches:
-            packets += batch.parse(batch.frames)
-            arrivals += batch.arrivals
-        deliver(packets, arrivals)
+        """Write the outbox, land the batches that left, then fail on one that did not."""
+        if self._outbox:
+            self._flush_outbox()
+        left = [item for item in items if item[0].error is None]
+        if left:
+            super()._land(receiver, deliver, left)
+        if len(left) < len(items):
+            raise next(batch.error for batch, _arrivals in items if batch.error is not None)
 
-    # -- driving ------------------------------------------------------------------
+    # -- waiting ------------------------------------------------------------------
 
     def drive(self, until: float | None = None, max_events: int = 10_000_000) -> float:
-        """Run the heap in virtual order, as the simulator does; returns the virtual time.
-
-        This is what ``substrate.sim.run()`` resolves to on this backend.
-        Before an inbox or landing that holds a batch whose frames are not
-        read yet, every batch submitted since the last wait is written and
-        the drain waits on the sockets until that batch's frames are in.
-        """
-        loop = self._ensure_loop()
-        if loop.is_running():
-            raise SimulationError("drive() re-entered from within the event loop")
-        return loop.run_until_complete(self._drain(until, max_events))
-
-    async def _drain(self, until: float | None, max_events: int) -> float:
-        clock = self.sim
-        processed = 0
-        while (event := clock.peek(until)) is not None:
-            # An inbox or landing is popped only once its frames are read, so
-            # a failure raised while waiting leaves it queued.
-            unread = _unread(event)
-            if unread is not None:
-                await self._receive(unread)
-                continue
-            clock.now, callback = clock.pop_due(until, max_events - processed)
-            processed += 1
-            clock.events_processed += 1
-            callback()
+        """``sim.run``, then raise a failure a connection recorded; returns the virtual time."""
+        now = self.sim.run(until, max_events)
         self._raise_failure()
-        if until is not None:
-            clock.now = max(clock.now, until)
-        return clock.now
+        return now
 
-    async def _receive(self, batch: _PendingBatch) -> None:
-        """Write the outbox, then wait until ``batch``'s frames are read."""
+    def _wait(self, batch: _PendingBatch) -> None:
+        """Write the outbox, then run the loop until ``batch``'s frames are read."""
         self._flush_outbox()
         self._raise_failure()
+        loop = self._loop
         self._awaited = batch
-        self._idle = self._loop.create_future()
-        self._progress_at = self._loop.time()
+        self._idle = loop.create_future()
+        self._progress_at = loop.time()
         self._watch()
         try:
-            await self._idle
+            loop.run_until_complete(self._idle)
         finally:
             self._awaited = self._idle = None
             self._watchdog.cancel()
@@ -606,7 +478,7 @@ class AioOverlayNetwork(OverlayTransport):
             raise failure
 
     def _watch(self, since: float | None = None) -> None:
-        """Fail the drain if no batch was read since ``since``, else re-arm."""
+        """Fail the wait if no batch was read since ``since``, else re-arm."""
         if since == self._progress_at:
             # Unread: no header read yet, or a header read and frames missing.
             unread = len(self._pending) + sum(conn._batch is not None for conn in self._inbound)
@@ -633,22 +505,18 @@ class AioOverlayNetwork(OverlayTransport):
 
     def _flush_outbox(self) -> None:
         """Write every submitted batch to its connection, one ``writelines`` each."""
+        loop = self._ensure_loop()
         outbox, self._outbox = self._outbox, []
         for sender, receiver, batch_id, frames in outbox:
             link = self._links.get((sender, receiver))
             if link is None:  # dialled on first use, and its hello goes first
                 link = self._links[sender, receiver] = _Outbound(self, f"{sender}→{receiver}")
                 link.send([f"{sender}\x00{receiver}".encode()])
-                self._dials.append(self._loop.create_task(self._dial(link, receiver)))
+                self._dials.append(loop.create_task(self._dial(link, receiver)))
             try:
                 link.send([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
             except PacketFormatError as exc:  # an oversized frame fails its batch alone
-                batch = self._pending.pop(batch_id)
-                if batch.kind == "packets":  # it leaves its inbox
-                    batch.landing.items.remove(batch)
-                else:
-                    batch.landing.cancel()
-                self._fail(exc)
+                self._pending.pop(batch_id).error = exc
 
     async def _dial(self, link: _Outbound, receiver: str) -> None:
         try:
@@ -662,7 +530,7 @@ class AioOverlayNetwork(OverlayTransport):
             await self._loop.create_connection(lambda: link, self.bind_host, port)
         except asyncio.CancelledError:
             raise
-        except BaseException as exc:  # noqa: B036 - must not strand the drain
+        except BaseException as exc:  # noqa: B036 - must not strand the wait
             self._fail(exc)
 
     # -- lifecycle ----------------------------------------------------------------

@@ -8,11 +8,14 @@ information-slicing adapter (:class:`SlicingRuntime`) wires the real
 :class:`~repro.core.relay.Relay` engines into this substrate; the onion
 baselines in :mod:`repro.baselines` provide their own adapters.
 
-The accounting and the payload-carrying transmit surface live on the
-:class:`OverlayTransport` base class, which the asyncio socket backend
-(:mod:`repro.overlay.aio`) also implements — the adapters run unchanged on
-either backend, and both backends charge every transmission to the virtual
-clock through one method, :meth:`OverlayTransport._account_batch`.
+The accounting lives on the :class:`OverlayTransport` base class and the
+transmit surface on :class:`SimulatedOverlayNetwork`, which the asyncio
+socket backend (:mod:`repro.overlay.aio`) subclasses: it only carries each
+burst over a real connection between its charge and its landing.  So the
+adapters run unchanged on either backend, both charge every transmission
+to the virtual clock through one method,
+:meth:`OverlayTransport._account_batch`, and both run one event loop,
+:meth:`EventSimulator.run <repro.overlay.simulator.EventSimulator.run>`.
 
 Resource model
 --------------
@@ -40,7 +43,7 @@ packet that landed there, so a chunk costs two heap events per hop (its
 inbox's share and the relay's handling), not three.  Blobs (the onion and
 Sphinx cells; a single blob, such as an onion setup packet, is a burst of
 one) keep a plain landing event per burst
-(:meth:`~SimulatedOverlayNetwork.transmit_batch`).  The per-packet
+(:meth:`~SimulatedOverlayNetwork.transmit_blobs`).  The per-packet
 reference plane — every packet its own transmit, arrival and CPU
 event, the relay handling and decoding per packet — lives in
 ``tests/oracles/dataplane.py``; delivered messages and relay counters are
@@ -146,8 +149,8 @@ class OverlayTransport:
     discrete-event backend (:class:`SimulatedOverlayNetwork`) and the asyncio
     socket backend (:class:`~repro.overlay.aio.AioOverlayNetwork`) account
     packets identically; only *how* a packet travels differs.  Subclasses
-    provide ``self.sim`` (an :class:`~repro.overlay.simulator.EventSimulator`
-    or a compatible clock) and the payload-carrying transmit surface.
+    provide ``self.sim``, the :class:`~repro.overlay.simulator.EventSimulator`
+    the accounting reads the time from.
     """
 
     sim: EventSimulator
@@ -173,19 +176,10 @@ class OverlayTransport:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- payload-carrying transmit surface ----------------------------------------
-    #
-    # Each backend provides ``transmit_packets``, ``transmit_blobs`` and
-    # ``transmit_blob`` (the contract is on :class:`SimulatedOverlayNetwork`'s).
-    # The protocol runtimes ship through these three calls only, so they run
-    # unchanged on any backend.  ``deliver`` receives the delivered payload
-    # objects: the simulator hands back the originals, the asyncio backend
-    # hands back what it parsed off the wire.
-
     # -- failures ------------------------------------------------------------------
 
     def fail_node(self, address: str) -> None:
-        """Kill ``address`` now; it stays dead (both clocks only move forward)."""
+        """Kill ``address`` now; it stays dead (the clock only moves forward)."""
         self._failed.add(address)
 
     def is_alive(self, address: str) -> bool:
@@ -253,7 +247,7 @@ class OverlayTransport:
         cpus = None if sender_cpu_seconds is None else list(sender_cpu_seconds)
         if cpus is not None and len(cpus) != len(sizes):
             raise SimulationError(
-                "transmit_batch needs one CPU cost per packet "
+                "a burst needs one CPU cost per packet "
                 f"({len(cpus)} costs for {len(sizes)} packets)"
             )
         return self._account_batch(sender, receiver, sizes, cpus)
@@ -290,9 +284,9 @@ class OverlayTransport:
         return [done + latency for done in link_dones]
 
     def _inbox(self, receiver: str, deliver: Callable) -> Callable[[list], None]:
-        """The key and drain of ``(receiver, deliver)``'s inbox: the backend's
-        ``_land``, which hands the inbox's packets to ``deliver`` or drops them
-        at a dead receiver, bound to the pair.  It is kept for the transport's
+        """The key and drain of ``(receiver, deliver)``'s inbox: ``_land``,
+        which hands the inbox's packets to ``deliver`` or drops them at a
+        dead receiver, bound to the pair.  It is kept for the transport's
         life, so a caller passes one ``deliver`` per receiver, not one per call."""
         inbox = self._inboxes.get((receiver, deliver))
         if inbox is None:
@@ -301,51 +295,27 @@ class OverlayTransport:
 
 
 class SimulatedOverlayNetwork(OverlayTransport):
-    """Discrete-event transport substrate: everything runs on a virtual clock."""
+    """Discrete-event transport substrate: everything runs on a virtual clock.
+
+    A burst is charged to the clock when it is sent and handed to
+    :meth:`_send`; what that returns is what travels, and :meth:`_receive`
+    turns it back into the items its landing delivers.  Here both return
+    what they are given, so ``deliver`` receives the originals; the asyncio
+    backend (:class:`~repro.overlay.aio.AioOverlayNetwork`) overrides the
+    two to carry the burst over a real connection.
+
+    Link and CPU capacity are reserved when a burst is submitted (competing
+    traffic submitted later queues behind the whole burst), and a sender
+    failing after submission does not truncate it.  Neither changes any
+    experiment that fails nodes between phases, which is how churn is
+    modelled.
+    """
 
     def __init__(self, network: NetworkModel, connection_bps: float) -> None:
         super().__init__(network, connection_bps)
         self.sim = EventSimulator()
 
     # -- transmission -------------------------------------------------------------------
-
-    def transmit_batch(
-        self,
-        sender: str,
-        receiver: str,
-        sizes: Sequence[int],
-        on_delivered: Callable[[list[float]], None],
-        sender_cpu_seconds: Sequence[float] | None = None,
-    ) -> None:
-        """Send a burst of packets on one connection with one delivery event.
-
-        The blobs of :meth:`transmit_blobs` and :meth:`transmit_blob` end
-        here; packets take :meth:`transmit_packets`' inbox instead.  Per-packet
-        times are accounted by :meth:`_account_batch` (sender CPU queue, in-order
-        serialisation on the connection, one propagation delay), but the
-        whole burst raises a *single* simulator event, fired at the last
-        packet's arrival instant, and ``on_delivered`` receives every
-        packet's arrival time so the receiver can charge its CPU faithfully.
-
-        Link and CPU capacity are reserved when the batch is submitted
-        (competing traffic submitted later queues behind the whole burst),
-        and a sender failing after submission does not truncate the batch.
-        Neither changes any experiment that fails nodes between phases,
-        which is how churn is modelled.
-        """
-        arrivals = self._charge(sender, receiver, list(sizes), sender_cpu_seconds)
-        if arrivals is None:
-            return
-
-        def deliver() -> None:
-            if not self.is_alive(receiver):
-                self.stats.packets_dropped += len(arrivals)
-                return
-            on_delivered(arrivals)
-
-        self.sim.schedule_at(arrivals[-1], deliver)
-
-    # -- payload-carrying surface (the originals are delivered directly) ---------------
 
     def transmit_packets(
         self,
@@ -365,23 +335,12 @@ class SimulatedOverlayNetwork(OverlayTransport):
         was sent and one arrival time per packet; if the receiver is dead
         by then, those packets are dropped (one drop each) instead.
         """
-        arrivals = self._charge(sender, receiver, wire_sizes(packets), sender_cpu_seconds)
+        sizes = wire_sizes(packets)
+        arrivals = self._charge(sender, receiver, sizes, sender_cpu_seconds)
         if arrivals is not None:
+            carried = self._send(sender, receiver, packets, sizes, True)
             inbox = self._inbox(receiver, deliver)
-            self.sim.schedule_keyed(inbox, arrivals[-1], (packets, arrivals), inbox)
-
-    def _land(
-        self,
-        receiver: str,
-        deliver: Callable[[list[AnyPacket], list[float]], None],
-        items: list[tuple[list[AnyPacket], list[float]]],
-    ) -> None:
-        packets = [packet for batch, _arrivals in items for packet in batch]
-        arrivals = [at for _batch, batch_arrivals in items for at in batch_arrivals]
-        if not self.is_alive(receiver):
-            self.stats.packets_dropped += len(arrivals)
-            return
-        deliver(packets, arrivals)
+            self.sim.schedule_keyed(inbox, arrivals[-1], (carried, arrivals), inbox)
 
     def transmit_blobs(
         self,
@@ -391,13 +350,22 @@ class SimulatedOverlayNetwork(OverlayTransport):
         deliver: Callable[[list[bytes], list[float]], None],
         sender_cpu_seconds: Sequence[float] | None = None,
     ) -> None:
-        self.transmit_batch(
-            sender,
-            receiver,
-            [len(blob) for blob in blobs],
-            lambda arrivals: deliver(blobs, arrivals),
-            sender_cpu_seconds=sender_cpu_seconds,
-        )
+        """Send opaque cells on one connection with one landing event.
+
+        Per-cell times are accounted by :meth:`_account_batch` (sender CPU
+        queue, in-order serialisation on the connection, one propagation
+        delay), but the whole burst lands in a *single* plain event at its
+        last cell's arrival instant: ``deliver(blobs, arrivals)`` receives
+        every cell's arrival time so the receiver can charge its CPU
+        faithfully, or the cells are dropped at a dead receiver.
+        """
+        sizes = [len(blob) for blob in blobs]
+        arrivals = self._charge(sender, receiver, sizes, sender_cpu_seconds)
+        if arrivals is not None:
+            carried = self._send(sender, receiver, blobs, sizes, False)
+            self.sim.schedule_at(
+                arrivals[-1], partial(self._land, receiver, deliver, [(carried, arrivals)])
+            )
 
     def transmit_blob(
         self,
@@ -407,13 +375,40 @@ class SimulatedOverlayNetwork(OverlayTransport):
         deliver: Callable[[bytes], None],
         sender_cpu_seconds: float = 0.0,
     ) -> None:
-        self.transmit_batch(
+        """:meth:`transmit_blobs` of one cell; ``deliver`` receives the cell."""
+        self.transmit_blobs(
             sender,
             receiver,
-            [len(blob)],
-            lambda _arrivals: deliver(blob),
+            [blob],
+            lambda blobs, _arrivals: deliver(blobs[0]),
             sender_cpu_seconds=[sender_cpu_seconds],
         )
+
+    def _send(self, sender: str, receiver: str, items: list, sizes: list[int], packets: bool):
+        """What carries a charged burst (``packets``: packets, else cells) to its landing."""
+        return items
+
+    def _receive(self, carried) -> list:
+        """The items a landing delivers from what :meth:`_send` returned."""
+        return carried
+
+    def _land(
+        self,
+        receiver: str,
+        deliver: Callable[[list, list[float]], None],
+        items: list[tuple[object, list[float]]],
+    ) -> None:
+        """A landing: deliver its ``(carried, arrivals)`` items, or drop them at a dead receiver."""
+        if not self.is_alive(receiver):
+            self.stats.packets_dropped += sum(len(arrivals) for _carried, arrivals in items)
+            return
+        receive = self._receive
+        delivered: list = []
+        times: list[float] = []
+        for carried, arrivals in items:
+            delivered += receive(carried)
+            times += arrivals
+        deliver(delivered, times)
 
 
 @dataclass

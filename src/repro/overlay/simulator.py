@@ -9,10 +9,10 @@ runtimes built on top of it (:mod:`repro.overlay.node`).
 
 A heap entry is a ``[time, sequence, callback]`` list.  Sequences are
 unique, so ``heapq`` orders entries by ``(time, sequence)`` in C without
-ever comparing callbacks; cancelling an event sets its callback to ``None``.
-:meth:`EventSimulator.run` and the asyncio backend's drain loop reach the
-heap's head only through :meth:`EventSimulator.peek` and
-:meth:`EventSimulator.pop_due`.
+ever comparing callbacks.  :meth:`EventSimulator.run` is the one loop that
+pops the heap, on either overlay backend: the asyncio backend waits on its
+sockets inside a landing (:mod:`repro.overlay.aio`), not in a loop of its
+own.
 
 The landing contract
 --------------------
@@ -38,18 +38,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable
 
 from ..core.errors import SimulationError
-
-
-class EventHandle:
-    """Handle returned by :meth:`EventSimulator.schedule`; allows cancellation."""
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list) -> None:
-        self._entry = entry
-
-    def cancel(self) -> None:
-        self._entry[2] = None
 
 
 #: Added to a keyed batch's sequence: it sorts after every plain event due at
@@ -84,23 +72,18 @@ class EventSimulator:
         self.events_processed = 0
         self.batched_events = 0
 
-    def _push(self, time: float, callback: Callable[[], None]) -> list:
-        entry = [time, next(self._sequence), callback]
-        heappush(self._queue, entry)
-        return entry
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` simulated seconds from now."""
         if not 0.0 <= delay < math.inf:
             raise SimulationError(
                 f"cannot schedule an event with delay {delay!r}: "
                 "delays must be finite and non-negative"
             )
-        return EventHandle(self._push(self.now + delay, callback))
+        heappush(self._queue, [self.now + delay, next(self._sequence), callback])
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute simulated time ``time`` (now, if already past)."""
-        return EventHandle(self._push(self._instant(time), callback))
+        heappush(self._queue, [self._instant(time), next(self._sequence), callback])
 
     def _instant(self, time: float) -> float:
         """The instant an event for absolute time ``time`` runs at: ``now + max(time - now, 0)``."""
@@ -118,16 +101,16 @@ class EventSimulator:
         time: float,
         item: Any,
         drain: Callable[[list], None],
-    ) -> _KeyedBatch:
+    ) -> None:
         """Coalesce ``item`` with others for ``key`` landing at the same instant.
 
         The instant is the one :meth:`schedule_at` would give ``time``.  The
         first item for a ``(key, instant)`` pair schedules one event there;
-        items added for the same pair before it fires join its batch, which
-        is returned.  When the event fires, ``drain`` receives every
-        accumulated item in the order it was added — this is what lets the
-        overlay transports hand all packets landing at one relay at one
-        simulated instant over as a single batch.  The event runs after
+        items added for the same pair before it fires join its batch.  When
+        the event fires, ``drain`` receives every accumulated item in the
+        order it was added — this is what lets the overlay transports hand
+        all packets landing at one relay at one simulated instant over as a
+        single batch.  The event runs after
         every plain event due at its instant, and the batches of one
         instant run in the order of their first items (the module
         docstring's "The landing contract").
@@ -138,31 +121,25 @@ class EventSimulator:
         if batch is not None:
             batch.items.append(item)
             self.batched_events += 1
-            return batch
+            return
         batch = self._batches[slot] = _KeyedBatch(self._batches, slot, drain, item)
         heappush(self._queue, [instant, _LATE + next(self._sequence), batch])
-        return batch
 
     def peek(self, until: float | None) -> Callable[[], None] | None:
-        """The callback of the earliest live event due by ``until``, left queued.
+        """The callback of the earliest event due by ``until``, left queued.
 
         Returns ``None`` when the heap is drained or its earliest event lies
-        past ``until``; cancelled entries reached on the way are discarded.
+        past ``until``.
         """
         queue = self._queue
-        while queue:
-            time, _sequence, callback = queue[0]
-            if until is not None and time > until:
-                return None
-            if callback is not None:
-                return callback
-            heappop(queue)
-        return None
+        if not queue or until is not None and queue[0][0] > until:
+            return None
+        return queue[0][2]
 
     def pop_due(
         self, until: float | None, budget: int
     ) -> tuple[float, Callable[[], None]] | None:
-        """Pop the earliest live event due by ``until``: ``(time, callback)``.
+        """Pop the earliest event due by ``until``: ``(time, callback)``.
 
         Returns ``None`` where :meth:`peek` does.  ``budget`` is how many
         more events the caller may run: when it is used up, a due event

@@ -4,8 +4,8 @@
 transmission's ``(sender, receiver, size_bytes)`` appended to ``records``.
 Every transmission of either backend is charged to the virtual clock by
 :meth:`~repro.overlay.node.OverlayTransport._account_batch` — the packet
-inbox path, the blob path and ``transmit_batch`` alike — so overriding that
-one method observes everything.  A test puts it under a scheme's transfer by
+inbox path and the blob path alike — so overriding that one method
+observes everything.  A test puts it under a scheme's transfer by
 monkeypatching ``repro.experiments.throughput.build_substrate``.
 """
 

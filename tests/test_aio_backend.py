@@ -281,8 +281,8 @@ def test_a_data_burst_on_an_established_flow_creates_no_task():
         runtime.send_messages([bytes([seq]) * 1500 for seq in range(32)])
         substrate.sim.run()
         assert len(runtime.delivered_plaintexts()) == 32
-        # The one task is drive()'s own drain.
-        assert created == ["AioOverlayNetwork._drain"]
+        # A landing waits on a future, not a task.
+        assert created == []
     finally:
         substrate.close()
 
@@ -484,7 +484,7 @@ def test_aio_stall_watchdog_measures_time_without_progress(monkeypatch):
 
 def test_an_oversized_frame_fails_only_its_own_batch(substrate, monkeypatch):
     # A delivery callback sends three batches on one connection, the middle
-    # one a frame over the bound: the drain fails, the other two still land.
+    # one a frame over the bound: its landing fails, the other two still land.
     monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 2.0)
     landed = []
 
@@ -501,10 +501,9 @@ def test_an_oversized_frame_fails_only_its_own_batch(substrate, monkeypatch):
 
 def test_an_oversized_packet_batch_leaves_its_inbox(monkeypatch):
     # With no serialisation time, a small and an oversized batch sent to one
-    # receiver at once land at one instant, in one inbox: the oversized one
-    # fails the drain and leaves it, and the other is still delivered.  Alone,
-    # an oversized batch leaves its inbox empty, and an empty inbox delivers
-    # nothing.
+    # receiver at once land at one instant, in one inbox: the other one is
+    # delivered, then the oversized one fails the landing.  Alone, an
+    # oversized batch fails its landing, which delivers nothing.
     monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 2.0)
     network = uniform_network(["a", "b", "c"], 0.001, NodeResources())
     substrate = AioOverlayNetwork(network, connection_bps=float("inf"))
@@ -529,9 +528,9 @@ def test_an_oversized_packet_batch_leaves_its_inbox(monkeypatch):
         substrate.sim.run()
         assert delivered == [[1]]
         substrate.transmit_packets("c", "b", [oversized], deliver)
+        events = substrate.sim.events_processed
         with pytest.raises(PacketFormatError, match="over the"):
             substrate.sim.run()
-        events = substrate.sim.events_processed
         substrate.sim.run()
         assert delivered == [[1]] and substrate.sim.events_processed == events + 1
     finally:

@@ -120,7 +120,6 @@ def test_flow_decoder_retire_and_drop():
         decoder.add(seq, 0, blocks[0])
     assert decoder.retire_before(6) == 6
     assert decoder.seqs() == [6, 7, 8, 9]
-    assert decoder.drop(7) and not decoder.drop(7)
     assert decoder.count(6) == 1 and decoder.count(5) == 0
     # Freed rows are reused for new sequences.
     decoder.add(100, 0, blocks[0])
@@ -174,14 +173,13 @@ def store_operations(draw):
 
     ``add_run`` batches are contiguous, gapped, unsorted or repeat seqs,
     partly duplicate what is stored, some clash in length, and a batch may
-    come again under another lane; ``drop`` and
-    ``retire_before`` are interleaved, later seqs fall below the retired
-    base and some lie more than 64 ahead of it.
+    come again under another lane; ``retire_before`` is interleaved, later
+    seqs fall below the retired base and some lie more than 64 ahead of it.
     """
     d = draw(st.integers(1, 3))
     operations = []
     for _ in range(draw(st.integers(1, 14))):
-        kind = draw(st.sampled_from(["run", "run", "run", "rows", "again", "drop", "retire"]))
+        kind = draw(st.sampled_from(["run", "run", "run", "rows", "again", "retire"]))
         if kind == "again":  # the previous batch object once more, under any lane
             operations.append((kind, draw(st.integers(0, STORE_LANES))))
             continue
@@ -239,8 +237,6 @@ def test_flow_decoder_matches_the_per_row_reference_store(case, shuffle):
             lane = operation[1]
             batch = store_batch(d, *operation[1:]) if operation[0] == "add" else batch
             assert list(ours.add_run(lane, batch)) == theirs.add_run(lane, batch)
-        elif operation[0] == "drop":
-            assert ours.drop(operation[1]) == theirs.drop(operation[1])
         elif operation[0] == "retire":
             assert ours.retire_before(operation[1]) == theirs.retire_before(operation[1])
         assert_stores_equal(ours, theirs, probe)
@@ -284,7 +280,7 @@ def test_schedule_keyed_after_fire_starts_a_new_batch():
     assert drained == [["first"], ["late"]]
 
 
-# -- transmit_batch -------------------------------------------------------------------
+# -- transmit_blobs -------------------------------------------------------------------
 
 
 def build_substrate(addresses, bps=1e6, latency=0.01):
@@ -294,11 +290,12 @@ def build_substrate(addresses, bps=1e6, latency=0.01):
     return SimulatedOverlayNetwork(network, connection_bps=bps)
 
 
-def test_transmit_batch_matches_per_packet_serialisation_times():
+def test_transmit_blobs_matches_per_packet_serialisation_times():
     substrate = build_substrate(["a", "b"], bps=8000.0)
     substrate.per_packet_overhead = 0.0
     received = []
-    substrate.transmit_batch("a", "b", [1000, 1000, 1000], received.append)
+    blobs = [bytes(1000)] * 3
+    substrate.transmit_blobs("a", "b", blobs, lambda cells, arrivals: received.append(arrivals))
     substrate.sim.run()
     # 1000 B at 8 kbit/s = 1 s serialisation each; one event, exact times.
     assert len(received) == 1
@@ -307,22 +304,24 @@ def test_transmit_batch_matches_per_packet_serialisation_times():
     assert substrate.sim.events_processed == 1
 
 
-def test_transmit_batch_drops_on_dead_endpoints():
+def test_transmit_blobs_drops_on_dead_endpoints():
     substrate = build_substrate(["a", "b"])
     substrate.fail_node("b")
     calls = []
-    substrate.transmit_batch("a", "b", [10, 10], calls.append)
+    substrate.transmit_blobs("a", "b", [bytes(10)] * 2, lambda *call: calls.append(call))
     substrate.sim.run()
     assert calls == [] and substrate.stats.packets_dropped == 2
     substrate.fail_node("a")
-    substrate.transmit_batch("a", "c", [10], calls.append)
+    substrate.transmit_blobs("a", "c", [bytes(10)], lambda *call: calls.append(call))
     assert substrate.stats.packets_dropped == 3
 
 
-def test_transmit_batch_validates_cpu_list():
+def test_transmit_blobs_validates_cpu_list():
     substrate = build_substrate(["a", "b"])
-    with pytest.raises(SimulationError):
-        substrate.transmit_batch("a", "b", [10, 10], lambda _: None, sender_cpu_seconds=[0.1])
+    with pytest.raises(SimulationError, match="one CPU cost per packet"):
+        substrate.transmit_blobs(
+            "a", "b", [bytes(10)] * 2, lambda *_: None, sender_cpu_seconds=[0.1]
+        )
 
 
 def test_reserve_cpu_sequence_matches_loop_for_any_size():
@@ -808,8 +807,6 @@ def regeneration_states(draw):
     children = draw(st.integers(0, 4))
     regenerate = draw(st.integers(0, 3)) > 0
     relay_seed, data_seed = draw(st.integers(0, 2**16)), draw(st.integers(0, 2**16))
-    # Stale seqs past the burst: filled to d' + 1 slots, then dropped.
-    stale = range(100, 100 + draw(st.integers(0, 3)))
     seqs = list(range(draw(st.integers(1, 5))))
     slots, forwarded, flushed = {}, [], []
     for seq in seqs:
@@ -825,10 +822,6 @@ def regeneration_states(draw):
         relay = regeneration_relay(d, children, regenerate, relay_seed, state_class)
         state = relay.flows[FLOW_ID]
         rng = np.random.default_rng(data_seed)
-        for seq in stale:
-            for lane in range(d_prime + 1):
-                state.data.add(seq, lane, random_block(rng, d))
-            state.data.drop(seq)
         for seq, (lanes, clash) in slots.items():
             for lane in lanes:
                 state.data.add(seq, lane, random_block(rng, d))

@@ -59,7 +59,7 @@ def test_recording_network_taps_every_transmission():
     substrate = RecordingOverlayNetwork(network, connection_bps=1e9)
     try:
         substrate.transmit_blob("a", "b", bytes(100), lambda _blob: None)
-        substrate.transmit_batch("b", "a", [10, 20], lambda arrivals: None)
+        substrate.transmit_blobs("b", "a", [bytes(10), bytes(20)], lambda *_: None)
         substrate.sim.run()
     finally:
         substrate.close()

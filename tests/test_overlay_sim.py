@@ -73,16 +73,6 @@ def test_run_until_stops_early():
     assert fired == [1]
 
 
-def test_cancelled_events_do_not_fire():
-    sim = EventSimulator()
-    fired = []
-    handle = sim.schedule(1.0, lambda: fired.append(1))
-    handle.cancel()
-    sim.run()
-    assert fired == []
-    assert sim.peek(None) is None
-
-
 def test_nested_scheduling():
     sim = EventSimulator()
     times = []

@@ -39,7 +39,7 @@ def test_substrate_stats_and_progress_counters():
     network = uniform_network(["a", "b", "c"], 0.001, NodeResources())
     substrate = SimulatedOverlayNetwork(network, connection_bps=1e7)
     substrate.transmit_blob("a", "b", bytes(100), lambda _blob: None)
-    substrate.transmit_batch("b", "c", [120, 80], lambda _arrivals: None)
+    substrate.transmit_blobs("b", "c", [bytes(120), bytes(80)], lambda *_: None)
     substrate.sim.run()
     assert substrate.stats.packets_sent == 3
     assert substrate.stats.bytes_sent == 300

@@ -6,8 +6,9 @@ length-prefixed payload frame (:func:`pack_packets`) and parses it back as
 one byte matrix (:func:`unpack_packets`), data packets as column batches
 (:class:`PacketBatch`).  These tests pin the scalar round trip across all
 slot layouts with hypothesis, hold the batch codec to the scalar reference
-packet by packet, and check that truncated, oversized and malformed input is
-rejected rather than mis-parsed.
+packet by packet, check that truncated, oversized and malformed input is
+rejected rather than mis-parsed, and run figs. 11-15 with every burst
+round-tripped through the codec (``tests/oracles/wire.py``).
 """
 
 from dataclasses import replace
@@ -26,6 +27,8 @@ from repro.core.packet import (
     packet_count,
     unpack_packets,
 )
+from repro.experiments import throughput
+from repro.experiments.runner import run_experiment
 from repro.overlay.aio import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -38,6 +41,7 @@ from repro.overlay.aio import (
 from repro.overlay.profiles import LAN_PROFILE
 
 from oracles.dataplane import batch_packets
+from oracles.wire import WireOverlayNetwork
 from strategies import packet_batches, packet_runs, packets
 
 
@@ -349,6 +353,28 @@ def test_a_batch_over_the_frame_bound_splits_between_two_of_its_rows():
         assert pack_packets(delivered) == batch.to_bytes()
     finally:
         substrate.close()
+
+
+# -- figures through the codec -------------------------------------------------------
+
+
+def test_overlay_figures_over_the_wire_codec_equal_the_simulator(monkeypatch):
+    """Figs. 11-15 with every packet batch and cell parsed back from its wire
+    bytes: the same rows as the simulator's, parity sub-dicts included."""
+    names = ("fig11", "fig12", "fig13", "fig14", "fig15")
+    sim = {name: run_experiment(name, scale=0.02).rows for name in names}
+    built = []
+
+    def wire_substrate(backend, network, connection_bps):
+        assert backend == "sim"
+        built.append(WireOverlayNetwork(network, connection_bps=connection_bps))
+        return built[-1]
+
+    monkeypatch.setattr(throughput, "build_substrate", wire_substrate)
+    for name in names:
+        built.clear()
+        assert run_experiment(name, scale=0.02).rows == sim[name], name
+        assert sum(substrate.stats.packets_sent for substrate in built) > 0, name
 
 
 # -- frames -------------------------------------------------------------------------
