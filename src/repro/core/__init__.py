@@ -16,7 +16,7 @@ from .graph import ForwardingGraph, build_forwarding_graph
 from .integrity import robust_decode, unwrap, verify, wrap
 from .matrix import cauchy_matrix, mds_matrix, random_invertible_matrix
 from .node_info import DataMap, NodeInfo, SliceMap, SliceMapEntry
-from .packet import Packet, PacketKind, random_padding_slice
+from .packet import Packet, PacketKind, random_padding_slices
 from .relay import FlowState, Relay, RelayStats
 from .slice_map import FlowPlan, compile_flow_plan
 from .source import FlowSetup, Source, data_nonce
@@ -37,7 +37,7 @@ __all__ = [
     "DataMap",
     "Packet",
     "PacketKind",
-    "random_padding_slice",
+    "random_padding_slices",
     "Relay",
     "RelayStats",
     "FlowState",

@@ -253,12 +253,12 @@ class GF256:
         batch = math.prod(batch_shape)
         out = np.empty((*batch_shape, m, n), dtype=np.uint8)
         if out.size and k:
-            stack_a = np.ascontiguousarray(
-                np.broadcast_to(a, (*batch_shape, m, k))
-            ).reshape(batch, m, k)
-            stack_b = np.ascontiguousarray(
-                np.broadcast_to(b, (*batch_shape, k, n))
-            ).reshape(batch, k, n)
+            if a.shape[:-2] != batch_shape:
+                a = np.broadcast_to(a, (*batch_shape, m, k))
+            if b.shape[:-2] != batch_shape:
+                b = np.broadcast_to(b, (*batch_shape, k, n))
+            stack_a = np.ascontiguousarray(a).reshape(batch, m, k)
+            stack_b = np.ascontiguousarray(b).reshape(batch, k, n)
             provider.batched_matmul(
                 stack_a, stack_b, out.reshape(batch, m, n), self._mul_table
             )
@@ -365,12 +365,11 @@ class GF256:
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise FieldError(f"expected a stack of square matrices, got {a.shape}")
         batch, n, _ = a.shape
-        aug = np.concatenate(
-            [a.copy(), np.tile(np.eye(n, dtype=np.uint8), (batch, 1, 1))], axis=2
-        )
+        aug = np.zeros((batch, n, 2 * n), dtype=np.uint8)
+        aug[:, :, :n] = a
+        aug[:, range(n), range(n, 2 * n)] = 1
         provider = self._c_loops()
         if provider is not None:
-            aug = np.ascontiguousarray(aug)
             singular_mask = np.zeros(batch, dtype=np.uint8)
             if batch and n:
                 provider.gauss_jordan(

@@ -21,7 +21,12 @@ numpy path with a one-line :func:`unavailable_reason`, never in an error.
 
 The functions work on contiguous ``uint8`` stacks and take the field's
 flattened 256x256 multiplication table (and the 256-entry inverse table) as
-arguments, so non-default polynomials work unchanged.  The environment
+arguments, so non-default polynomials work unchanged.  Every pointer goes as
+a ``c_void_p`` integer, ``array.ctypes.data``: about 1.3 µs an argument
+where a typed ``POINTER(c_uint8)`` costs 2.9 µs, which is most of a call on
+route setup's one-matrix stacks: one 3x3 inversion takes about 14 µs and
+one 3x3 by 3x40 product about 13 µs, Python 3.11 and numpy 2.4 on a 2-vCPU
+Xeon.  The environment
 variable ``REPRO_GF_KERNEL_PROVIDER=none`` keeps the provider from ever
 loading — how CI and the fallback tests exercise the numpy side on a host
 with a compiler, and the escape hatch for a broken toolchain.  ``none`` is
@@ -166,13 +171,6 @@ def _compile_shared_library() -> Path:
     return library
 
 
-_UINT8_P = ctypes.POINTER(ctypes.c_uint8)
-
-
-def _as_ptr(array: np.ndarray):
-    return array.ctypes.data_as(_UINT8_P)
-
-
 class CProvider:
     """The two stacked loops as C functions loaded through ctypes.
 
@@ -183,17 +181,13 @@ class CProvider:
 
     def __init__(self, library: Path) -> None:
         self._lib = ctypes.CDLL(str(library))
+        pointer, size = ctypes.c_void_p, ctypes.c_ssize_t
         self._lib.gf_batched_matmul.restype = None
         self._lib.gf_batched_matmul.argtypes = [
-            _UINT8_P, _UINT8_P, _UINT8_P,
-            ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t,
-            _UINT8_P,
+            pointer, pointer, pointer, size, size, size, size, pointer,
         ]
         self._lib.gf_gauss_jordan.restype = None
-        self._lib.gf_gauss_jordan.argtypes = [
-            _UINT8_P, _UINT8_P, ctypes.c_ssize_t, ctypes.c_ssize_t,
-            _UINT8_P, _UINT8_P,
-        ]
+        self._lib.gf_gauss_jordan.argtypes = [pointer, pointer, size, size, pointer, pointer]
 
     def batched_matmul(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray, mul: np.ndarray
@@ -202,7 +196,7 @@ class CProvider:
         batch, m, k = a.shape
         n = b.shape[2]
         self._lib.gf_batched_matmul(
-            _as_ptr(a), _as_ptr(b), _as_ptr(out), batch, m, k, n, _as_ptr(mul)
+            a.ctypes.data, b.ctypes.data, out.ctypes.data, batch, m, k, n, mul.ctypes.data
         )
 
     def gauss_jordan(
@@ -217,7 +211,7 @@ class CProvider:
         """
         batch, n, _ = aug.shape
         self._lib.gf_gauss_jordan(
-            _as_ptr(aug), _as_ptr(singular), batch, n, _as_ptr(mul), _as_ptr(inv)
+            aug.ctypes.data, singular.ctypes.data, batch, n, mul.ctypes.data, inv.ctypes.data
         )
 
 

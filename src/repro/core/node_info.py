@@ -48,8 +48,8 @@ class SliceMapEntry:
 
     @classmethod
     def random(cls) -> "SliceMapEntry":
-        """Entry instructing the relay to insert random padding."""
-        return cls(*RANDOM_SLOT)
+        """Entry instructing the relay to insert random padding (one shared, frozen)."""
+        return _RANDOM_ENTRY
 
     @property
     def is_random(self) -> bool:
@@ -58,10 +58,8 @@ class SliceMapEntry:
     def pack(self) -> bytes:
         return struct.pack(">BB", self.parent_index, self.slot_index)
 
-    @classmethod
-    def unpack(cls, data: bytes) -> "SliceMapEntry":
-        parent, slot = struct.unpack(">BB", data)
-        return cls(parent, slot)
+
+_RANDOM_ENTRY = SliceMapEntry(*RANDOM_SLOT)
 
 
 @dataclass
@@ -107,14 +105,11 @@ class SliceMap:
         needed = 2 + num_children * slots * 2
         if len(data) < needed:
             raise ProtocolError("slice-map body truncated")
-        entries: list[list[SliceMapEntry]] = []
-        offset = 2
-        for _ in range(num_children):
-            child_entries = []
-            for _ in range(slots):
-                child_entries.append(SliceMapEntry.unpack(data[offset : offset + 2]))
-                offset += 2
-            entries.append(child_entries)
+        pairs = iter(data[2:needed])
+        entries = [
+            [SliceMapEntry(next(pairs), next(pairs)) for _ in range(slots)]
+            for _ in range(num_children)
+        ]
         return cls(entries=entries), needed
 
 

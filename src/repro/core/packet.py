@@ -8,7 +8,10 @@ down the forwarding graph.
 
 All slices in a packet have the same size, and every packet of a flow carries
 the same number of slices, so packet sizes are constant along the path
-(§9.4(c)).
+(§9.4(c)).  Slots with nothing to carry hold random padding
+(:func:`random_padding_slices`): whoever builds a forward draws all of its
+padding in one ``uint32`` call, byte for byte the stream of one two-call
+``uint8`` draw per slice, so the generator ends where it would have.
 
 Two codecs, one wire format
 ---------------------------
@@ -443,10 +446,20 @@ def unpack_packets(
     return items
 
 
-def random_padding_slice(
-    d: int, payload_bytes: int, rng: np.random.Generator
-) -> CodedBlock:
-    """A slice filled with uniformly random bytes (§4.3.6 ``rand`` entries)."""
-    coefficients = rng.integers(0, 256, size=d, dtype=np.uint8)
-    payload = rng.integers(0, 256, size=payload_bytes, dtype=np.uint8)
-    return CodedBlock(coefficients=coefficients, payload=payload, index=-1)
+def random_padding_slices(
+    count: int, d: int, payload_bytes: int, rng: np.random.Generator
+) -> list[CodedBlock]:
+    """``count`` slices of uniformly random bytes (§4.3.6 ``rand`` entries), in one draw.
+
+    Stream-identical to ``count`` successive draws of ``d`` coefficient
+    bytes then ``payload_bytes`` payload bytes: numpy fills a full-range
+    ``uint8`` draw from 32-bit words, low byte first, and drops what is left
+    of the last word when the call returns.  So each slice is a row of
+    ``ceil(d/4) + ceil(payload_bytes/4)`` words read as little-endian bytes,
+    its coefficients at the row's start and its payload at word
+    ``ceil(d/4)``.
+    """
+    head = -(-d // 4) * 4
+    words = rng.integers(0, 1 << 32, (count, head // 4 + -(-payload_bytes // 4)), np.uint32)
+    rows = words.astype("<u4", copy=False).view(np.uint8)
+    return [CodedBlock(row[:d], row[head : head + payload_bytes], -1) for row in rows]

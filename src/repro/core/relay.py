@@ -15,6 +15,14 @@ them.  Timeout-driven behaviour (forwarding despite missing parents) is
 triggered by the runtime calling :meth:`flush_setup` /
 :meth:`flush_data_many`.
 
+A setup forward first lays out every child's slots from the slice-map and
+the parents heard, then fills the holes — random entries and slots of
+parents that never arrived — from one
+:func:`~repro.core.packet.random_padding_slices` draw.  That draw is the
+stream of one draw per hole in slot order (numpy fills ``uint8`` from
+32-bit words and keeps no bytes between calls), so the padding bytes and
+every later draw of the relay's generator are what they were slot by slot.
+
 Decoding
 --------
 Data arrives as :class:`~repro.core.packet.PacketBatch` columns (one flow and
@@ -56,7 +64,7 @@ from .errors import CodingError, InsufficientSlicesError, ProtocolError
 from .flow_decoder import FlowDecoder, decode_setup_payload
 from .gf import GF, GF256
 from .node_info import NodeInfo
-from .packet import AnyPacket, Packet, PacketBatch, PacketKind, packet_count, random_padding_slice
+from .packet import AnyPacket, Packet, PacketBatch, PacketKind, packet_count, random_padding_slices
 from .source import data_nonce
 
 #: Per-flow retention window (sequence numbers) for relay data state: when
@@ -273,33 +281,36 @@ class Relay:
             return []
         sample = next(iter(state.setup_packets.values())).own_slice
         payload_bytes = int(sample.payload.shape[0])
-        outgoing: list[Packet] = []
-        for child_index, (child, child_flow) in enumerate(
-            zip(info.next_hop_addresses, info.next_hop_flow_ids)
-        ):
-            slices: list[CodedBlock] = []
+        # Each child's slots in slice-map order; None marks a hole (a random
+        # entry or a missing parent) that one padding draw fills below.
+        children: list[list[CodedBlock | None]] = []
+        for child_index in range(len(info.next_hop_addresses)):
+            slots: list[CodedBlock | None] = []
             for entry in info.slice_map.for_child(child_index):
                 block = None
                 if not entry.is_random:
                     incoming = state.setup_packets.get(entry.parent_index)
                     if incoming is not None and entry.slot_index < len(incoming.slices):
                         block = incoming.slices[entry.slot_index]
-                if block is None:
-                    block = random_padding_slice(state.d, payload_bytes, self.rng)
-                slices.append(block)
-            outgoing.append(
-                Packet(
-                    flow_id=child_flow,
-                    kind=PacketKind.SETUP,
-                    slices=slices,
-                    d=state.d,
-                    lane=info.lane,
-                    seq=0,
-                    source_address=self.address,
-                    destination_address=child,
-                )
+                slots.append(block)
+            children.append(slots)
+        holes = sum(slots.count(None) for slots in children)
+        padding = iter(random_padding_slices(holes, state.d, payload_bytes, self.rng))
+        return [
+            Packet(
+                flow_id=child_flow,
+                kind=PacketKind.SETUP,
+                slices=[next(padding) if block is None else block for block in slots],
+                d=state.d,
+                lane=info.lane,
+                seq=0,
+                source_address=self.address,
+                destination_address=child,
             )
-        return outgoing
+            for slots, child, child_flow in zip(
+                children, info.next_hop_addresses, info.next_hop_flow_ids
+            )
+        ]
 
     def flush_setup(self, flow_id: int) -> list[Packet]:
         """Forward setup slices now, padding slots whose parents never arrived.

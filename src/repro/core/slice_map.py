@@ -65,7 +65,6 @@ def compile_flow_plan(graph: ForwardingGraph, rng: np.random.Generator) -> FlowP
 
     node_infos: dict[str, NodeInfo] = {}
     for relay in graph.relays:
-        stage = graph.stage_of(relay)
         position = graph.position_of(relay)
         children = graph.children(relay)
         slice_map = _build_slice_map(graph, relay, children, edge_lists, slots)
@@ -80,8 +79,6 @@ def compile_flow_plan(graph: ForwardingGraph, rng: np.random.Generator) -> FlowP
             lane=position,
             num_parents=d_prime,
         )
-        # Silence unused warning for stage; kept for readability of intent.
-        del stage
     return FlowPlan(
         graph=graph,
         flow_ids=flow_ids,

@@ -26,7 +26,7 @@ from .errors import GraphConstructionError, ProtocolError
 from .gf import GF, GF256
 from .graph import ForwardingGraph, build_forwarding_graph
 from .integrity import wrap
-from .packet import Packet, PacketBatch, PacketKind, random_padding_slice
+from .packet import Packet, PacketBatch, PacketKind, random_padding_slices
 from .slice_map import FlowPlan, compile_flow_plan
 
 
@@ -153,11 +153,10 @@ class Source:
             relay: wrap(plan.node_infos[relay].pack()) for relay in plan.graph.relays
         }
         max_len = max(len(blob) for blob in wrapped.values())
-        blocks: dict[str, list[CodedBlock]] = {}
-        for relay, blob in wrapped.items():
-            padded = blob + b"\x00" * (max_len - len(blob))
-            blocks[relay] = coder.encode(padded, self.rng)
-        return blocks
+        padded = [blob + b"\x00" * (max_len - len(blob)) for blob in wrapped.values()]
+        # Each relay's matrix is drawn in turn, as one encode per relay would.
+        matrices = np.stack([coder.generate_matrix(self.rng) for _ in padded])
+        return dict(zip(wrapped, coder.encode_batch(padded, self.rng, matrices)))
 
     def _build_setup_packets(
         self, plan: FlowPlan, info_blocks: dict[str, list[CodedBlock]]
@@ -166,27 +165,31 @@ class Source:
         graph = plan.graph
         sample_block = next(iter(info_blocks.values()))[0]
         payload_bytes = int(sample_block.payload.shape[0])
+        edges = [
+            (lane, origin, child)
+            for lane, origin in enumerate(graph.source_stage)
+            for child in graph.stages[1]
+        ]
+        # Every packet's padding, in packet order, from one draw.
+        slots = plan.slots_per_packet
+        holes = sum(slots - len(plan.edge_slices[(origin, child)]) for _, origin, child in edges)
+        padding = iter(random_padding_slices(holes, self.d, payload_bytes, self.rng))
         packets: list[Packet] = []
-        for lane, origin in enumerate(graph.source_stage):
-            for child in graph.stages[1]:
-                slice_ids = plan.edge_slices[(origin, child)]
-                slices = [info_blocks[owner][k] for owner, k in slice_ids]
-                while len(slices) < plan.slots_per_packet:
-                    slices.append(
-                        random_padding_slice(self.d, payload_bytes, self.rng)
-                    )
-                packets.append(
-                    Packet(
-                        flow_id=plan.flow_ids[child],
-                        kind=PacketKind.SETUP,
-                        slices=slices,
-                        d=self.d,
-                        lane=lane,
-                        seq=0,
-                        source_address=origin,
-                        destination_address=child,
-                    )
+        for lane, origin, child in edges:
+            slices = [info_blocks[owner][k] for owner, k in plan.edge_slices[(origin, child)]]
+            slices += (next(padding) for _ in range(slots - len(slices)))
+            packets.append(
+                Packet(
+                    flow_id=plan.flow_ids[child],
+                    kind=PacketKind.SETUP,
+                    slices=slices,
+                    d=self.d,
+                    lane=lane,
+                    seq=0,
+                    source_address=origin,
+                    destination_address=child,
                 )
+            )
         return packets
 
     # -- data transmission -----------------------------------------------------------

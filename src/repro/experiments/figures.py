@@ -39,6 +39,11 @@ from .trials import spawn_seed
 DEFAULT_N = 10_000
 
 
+def _added_redundancy(d: int, d_prime: int) -> float:
+    """The §4.4 added redundancy ``(d' - d) / d``, the x axis of Figs. 10, 16 and 17."""
+    return (d_prime - d) / d
+
+
 # -- Figs. 7-10: exact anonymity -------------------------------------------------
 #
 # One trial per plotted point, computed exactly (no RNG), so the rows do not
@@ -144,7 +149,7 @@ def _fig10_run(params: dict, rng: np.random.Generator) -> dict:
         DEFAULT_N, path_length=8, d=_FIG10_D, fraction_malicious=0.1, d_prime=d_prime
     )
     return {
-        "added_redundancy": (d_prime - _FIG10_D) / _FIG10_D,
+        "added_redundancy": _added_redundancy(_FIG10_D, d_prime),
         "source_anonymity": result.source_anonymity,
         "destination_anonymity": result.destination_anonymity,
     }
@@ -359,7 +364,7 @@ def _fig16_run(params: dict, rng: np.random.Generator) -> dict:
     path_length = params["path_length"]
     return {
         "node_failure_prob": p,
-        "added_redundancy": (d_prime - d) / d,
+        "added_redundancy": _added_redundancy(d, d_prime),
         "onion_erasure_success": onion_erasure_success_probability(
             p, path_length, d, d_prime
         ),
@@ -399,7 +404,7 @@ def _fig17_run(params: dict, rng: np.random.Generator) -> dict:
     q = PLANETLAB_CHURN.failure_probability(30 * 60.0)
     d_prime = params["d_prime"]
     return {
-        "added_redundancy": (d_prime - _FIG17_D) / _FIG17_D,
+        "added_redundancy": _added_redundancy(_FIG17_D, d_prime),
         "information_slicing_success": slicing_success_probability(q, 5, _FIG17_D, d_prime),
         "onion_erasure_success": onion_erasure_success_probability(q, 5, _FIG17_D, d_prime),
         "standard_onion_success": standard_onion_success_probability(q, 5),

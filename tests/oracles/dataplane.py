@@ -17,6 +17,8 @@ flow tables and setup forwarding are the shipped code.
 :func:`reference_flush_data` is the per-seq, per-replacement regeneration of
 §4.4.1 — one :meth:`~repro.core.coder.SliceCoder.recombine` per slice — that
 ``Relay.flush_data_many`` batches into one product.
+:func:`random_padding_slice` draws one §4.3.6 ``rand`` slot in two calls,
+the stream ``random_padding_slices`` reproduces in one call per forward.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ from repro.core.relay import FlowState, Relay
 from repro.core.source import FlowSetup, Source, data_nonce
 from repro.crypto.symmetric import StreamCipher
 from repro.overlay.node import DEFAULT_FLUSH_TIMEOUT, SlicingRuntime
+
+
+def random_padding_slice(d: int, payload_bytes: int, rng: np.random.Generator) -> CodedBlock:
+    """One slice of uniformly random bytes: ``d`` coefficients, then the payload."""
+    coefficients = rng.integers(0, 256, size=d, dtype=np.uint8)
+    payload = rng.integers(0, 256, size=payload_bytes, dtype=np.uint8)
+    return CodedBlock(coefficients=coefficients, payload=payload, index=-1)
 
 
 class RowPlane:

@@ -17,7 +17,7 @@ from repro.core.flow_decoder import FlowDecoder
 from repro.core.gf import GF
 from repro.core.integrity import robust_decode, wrap
 from repro.core.node_info import KEY_SIZE, DataMap, NodeInfo, SliceMap
-from repro.core.packet import PacketBatch, random_padding_slice
+from repro.core.packet import PacketBatch, random_padding_slices
 from repro.core.relay import DEFAULT_SEQ_RETENTION, FlowState, Relay
 from repro.core.source import Source
 from repro.overlay.node import (
@@ -68,7 +68,7 @@ def test_flow_decoder_decode_matches_robust_decode():
     # Three seqs: clean, churn-padded (garbage first), and insufficient.
     for lane, block in enumerate(blocks[:4]):
         decoder.add(7, lane, block)
-    garbage = random_padding_slice(3, blocks[0].payload.shape[0], np.random.default_rng(9))
+    (garbage,) = random_padding_slices(1, 3, blocks[0].payload.shape[0], np.random.default_rng(9))
     decoder.add(8, 0, garbage)
     for lane, block in enumerate(blocks[:3]):
         decoder.add(8, lane + 1, block)
@@ -164,7 +164,7 @@ def store_slice(d, seq, lane, kind):
     if kind == "true":
         return true
     width = true.payload.shape[0] + (2 if kind == "clash" else 0)
-    return random_padding_slice(d, width, np.random.default_rng((seq, lane, width)))
+    return random_padding_slices(1, d, width, np.random.default_rng((seq, lane, width)))[0]
 
 
 @st.composite
@@ -594,7 +594,7 @@ def test_a_slice_for_a_retired_seq_is_stored_and_forwarded_but_not_delivered_aga
         delivered_before = relay.stats.messages_delivered
         outgoing = []
         for row_lane in (lane, lane + 1):
-            block = random_padding_slice(2, block_len, rng)
+            (block,) = random_padding_slices(1, 2, block_len, rng)
             outgoing.append(relay.handle_packets([PacketBatch(
                 flow.plan.flow_ids[relay_address], 2, row_lane, [late],
                 block.coefficients[None], block.payload[None],

@@ -27,6 +27,13 @@ from repro.core.gf import GF, GF256, active_kernel
 #: The numpy side of every comparison below, wherever the tests run.
 REFERENCE = GF256(compiled=False)
 
+#: (numpy side, dispatching side) under the default polynomial and under the
+#: Reed-Solomon one, x^8 + x^4 + x^3 + x^2 + 1 (0x11D, generator 0x02): the C
+#: loops index whichever table the field passes them.
+FIELD_PAIRS = st.sampled_from(
+    [(REFERENCE, GF), (GF256(0x11D, 0x02, compiled=False), GF256(0x11D, 0x02))]
+)
+
 requires_compiled = pytest.mark.skipif(
     gf_kernels.load_provider() is None,
     reason=f"C provider does not load: {gf_kernels.unavailable_reason()}",
@@ -49,19 +56,26 @@ def _rng_array(seed, shape):
     k=st.integers(0, 9),
     n=st.integers(1, 9),
     broadcast=st.sampled_from(["neither", "a", "b"]),
+    fields=FIELD_PAIRS,
 )
-def test_compiled_batched_matmul_is_bit_identical(seed, batch, m, k, n, broadcast):
+def test_compiled_batched_matmul_is_bit_identical(seed, batch, m, k, n, broadcast, fields):
     """Incl. a single matrix against a stack, and the empty inner axis."""
+    reference, field = fields
     a = _rng_array(seed, (m, k) if broadcast == "a" else (batch, m, k))
     b = _rng_array(seed + 1, (k, n) if broadcast == "b" else (batch, k, n))
-    expected = REFERENCE.batched_matmul(a, b)
+    expected = reference.batched_matmul(a, b)
     assert expected.shape == (batch, m, n)
-    assert np.array_equal(expected, GF.batched_matmul(a, b))
+    assert np.array_equal(expected, field.batched_matmul(a, b))
 
 
 @settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 12), n=st.integers(1, 6))
-def test_compiled_inversion_is_bit_identical_on_mixed_stacks(seed, batch, n):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 12),
+    n=st.integers(1, 6),
+    fields=FIELD_PAIRS,
+)
+def test_compiled_inversion_is_bit_identical_on_mixed_stacks(seed, batch, n, fields):
     """Singular members included: even the garbage entries match bit-for-bit.
 
     Where no provider loads both sides are numpy, and what is left is the
@@ -74,20 +88,21 @@ def test_compiled_inversion_is_bit_identical_on_mixed_stacks(seed, batch, n):
     stacks[0] = 0
     if batch > 1 and n > 1:
         stacks[1, :, 0] = stacks[1, :, 1]
-    ref_inv, ref_invertible = REFERENCE.try_invert_matrices(stacks)
-    fast_inv, fast_invertible = GF.try_invert_matrices(stacks)
+    reference, field = fields
+    ref_inv, ref_invertible = reference.try_invert_matrices(stacks)
+    fast_inv, fast_invertible = field.try_invert_matrices(stacks)
     assert np.array_equal(ref_invertible, fast_invertible)
     assert np.array_equal(ref_inv, fast_inv)
-    assert np.array_equal(GF.invertible_mask(stacks), ref_invertible)
+    assert np.array_equal(field.invertible_mask(stacks), ref_invertible)
     assert not bool(ref_invertible[0])  # the forced all-zero member
     for matrix, inverse, invertible in zip(stacks, fast_inv, fast_invertible):
-        assert bool(invertible) == REFERENCE.is_invertible(matrix)
+        assert bool(invertible) == reference.is_invertible(matrix)
         if invertible:
-            assert np.array_equal(inverse, REFERENCE.invert_matrix(matrix))
+            assert np.array_equal(inverse, reference.invert_matrix(matrix))
     regular = stacks[fast_invertible]
-    assert np.array_equal(GF.invert_matrices(regular), fast_inv[fast_invertible])
+    assert np.array_equal(field.invert_matrices(regular), fast_inv[fast_invertible])
     with pytest.raises(FieldError, match="singular"):
-        GF.invert_matrices(stacks)
+        field.invert_matrices(stacks)
 
 
 @requires_compiled

@@ -6,7 +6,7 @@ import pytest
 from repro.core.coder import SliceCoder
 from repro.core.errors import CodingError, InsufficientSlicesError
 from repro.core.integrity import robust_decode, unwrap, verify, wrap
-from repro.core.packet import random_padding_slice
+from repro.core.packet import random_padding_slices
 
 
 def test_wrap_unwrap_roundtrip():
@@ -51,7 +51,7 @@ def test_robust_decode_survives_garbage_slices():
     coder = SliceCoder(d=2, d_prime=3)
     blocks = coder.encode(wrap(b"churn happened"), rng)
     payload_len = int(blocks[0].payload.shape[0])
-    garbage = random_padding_slice(2, payload_len, rng)
+    (garbage,) = random_padding_slices(1, 2, payload_len, rng)
     mixed = [blocks[0], garbage, blocks[2]]
     assert robust_decode(coder, mixed) == b"churn happened"
 
@@ -67,6 +67,6 @@ def test_robust_decode_insufficient_slices():
 def test_robust_decode_all_garbage_fails():
     rng = np.random.default_rng(3)
     coder = SliceCoder(d=2)
-    garbage = [random_padding_slice(2, 40, rng) for _ in range(4)]
+    garbage = random_padding_slices(4, 2, 40, rng)
     with pytest.raises(InsufficientSlicesError):
         robust_decode(coder, garbage)

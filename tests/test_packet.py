@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.dataplane import random_padding_slice
 from repro.core.coder import SliceCoder
 from repro.core.errors import PacketFormatError
-from repro.core.packet import Packet, PacketBatch, PacketKind, random_padding_slice
+from repro.core.packet import Packet, PacketBatch, PacketKind, random_padding_slices
 
 
 def build_packet(num_slices: int = 3, d: int = 2, seq: int = 7) -> Packet:
@@ -62,7 +65,7 @@ def test_empty_packet_rejected():
 
 def test_unequal_slice_sizes_rejected():
     packet = build_packet()
-    packet.slices[1] = random_padding_slice(2, 5, np.random.default_rng(1))
+    packet.slices[1] = random_padding_slices(1, 2, 5, np.random.default_rng(1))[0]
     with pytest.raises(PacketFormatError):
         packet.to_bytes()
 
@@ -77,9 +80,29 @@ def test_truncated_bytes_rejected():
 
 def test_random_padding_slice_shape():
     rng = np.random.default_rng(2)
-    block = random_padding_slice(4, 100, rng)
-    assert block.coefficients.shape == (4,)
-    assert block.payload.shape == (100,)
+    blocks = random_padding_slices(3, 4, 100, rng)
+    assert len(blocks) == 3
+    for block in blocks:
+        assert block.coefficients.shape == (4,)
+        assert block.payload.shape == (100,)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 8),
+    d=st.integers(1, 8),
+    payload_bytes=st.integers(0, 1600),
+)
+def test_random_padding_slices_equal_per_slice_draws(seed, count, d, payload_bytes):
+    """One draw for ``count`` slices is ``count`` two-call draws, byte for
+    byte, and leaves the generator where they leave it."""
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = random_padding_slices(count, d, payload_bytes, batched)
+    expected = [random_padding_slice(d, payload_bytes, scalar) for _ in range(count)]
+    assert [block.to_bytes() for block in blocks] == [block.to_bytes() for block in expected]
+    assert all(block.d == d and block.index == -1 for block in blocks)
+    assert batched.bytes(16) == scalar.bytes(16)
 
 
 def test_packet_size_constant_across_slices():

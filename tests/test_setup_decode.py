@@ -18,7 +18,7 @@ from repro.core.coder import SliceCoder
 from repro.core.errors import InsufficientSlicesError
 from repro.core.flow_decoder import decode_setup_payload
 from repro.core.integrity import robust_decode, wrap
-from repro.core.packet import random_padding_slice
+from repro.core.packet import random_padding_slices
 from repro.experiments.setup_latency import measure_setup
 from repro.overlay import runtime as overlay_runtime
 from repro.overlay.profiles import LAN_PROFILE
@@ -67,7 +67,7 @@ def test_batched_setup_decode_matches_robust_decode(
         position = data.draw(
             st.integers(0, len(blocks)), label="garbage_position"
         )
-        blocks.insert(position, random_padding_slice(d, payload_bytes, rng))
+        blocks.insert(position, *random_padding_slices(1, d, payload_bytes, rng))
     if duplicate_first and blocks:
         # A repeated coefficient row makes the first-d stack singular.
         blocks.insert(1, blocks[0])
@@ -78,7 +78,7 @@ def test_fast_path_and_fallback_agree_on_ragged_lengths():
     rng = np.random.default_rng(7)
     coder = SliceCoder(2)
     blocks = coder.encode(wrap(b"routing info"), rng)
-    short = random_padding_slice(2, 3, rng)  # mismatched payload length
+    (short,) = random_padding_slices(1, 2, 3, rng)  # mismatched payload length
     assert decode_setup_payload(coder, [short, *blocks]) == robust_decode(
         coder, [short, *blocks]
     )

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.coder import SliceCoder
 from repro.core.errors import GraphConstructionError, ProtocolError
 from repro.core.packet import PacketKind
+from repro.core.integrity import wrap
 from repro.core.relay import Relay
+from repro.core.slice_map import compile_flow_plan
 from repro.core.source import Source, data_nonce
 from repro.crypto.symmetric import StreamCipher
 
@@ -54,6 +59,29 @@ def test_setup_packets_use_child_flow_ids_and_lanes():
     for packet in flow.setup_packets:
         assert packet.flow_id == flow.plan.flow_ids[packet.destination_address]
         assert packet.lane == flow.graph.source_stage.index(packet.source_address)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 5)]))
+def test_node_infos_coded_in_one_pass_equal_per_relay_encodes(seed, shape):
+    """One coding pass over every relay's padded info is one ``encode`` per
+    relay in turn: equal blocks, and the generator left in the same place."""
+    d, d_prime = shape
+    graph = make_source(d, d_prime, seed=seed).establish_flow(relay_pool(), "destination").graph
+    plan = compile_flow_plan(graph, np.random.default_rng(seed))
+    coder = SliceCoder(d, d_prime)
+    source = make_source(d, d_prime, seed=seed + 1)
+    reference = np.random.default_rng(seed + 1)
+    blocks = source._encode_node_infos(plan, coder)
+    wrapped = {relay: wrap(plan.node_infos[relay].pack()) for relay in graph.relays}
+    width = max(map(len, wrapped.values()))
+    assert list(blocks) == list(wrapped)
+    for relay, blob in wrapped.items():
+        expected = coder.encode(blob.ljust(width, b"\x00"), reference)
+        assert [(block.to_bytes(), block.index) for block in blocks[relay]] == [
+            (block.to_bytes(), block.index) for block in expected
+        ]
+    assert source.rng.bytes(16) == reference.bytes(16)
 
 
 def test_data_packets_structure_and_encryption():
