@@ -6,6 +6,17 @@ relay peels a layer to learn its next hop and a symmetric session key, and
 data cells are wrapped in the session keys so each relay strips exactly one
 symmetric layer.
 
+Every cell of a hop shares its session key and the constant nonce, so data
+moves a burst at a time: :meth:`OnionSource.wrap_cells` layers one combined
+keystream (the XOR of the hops' streams, read at the burst's longest
+message) onto every message, and :meth:`OnionRelay.strip_cells` strips one
+keystream of its hop's key per burst it receives.  Both go through
+:func:`~repro.crypto.symmetric.mask_cells`, which Sphinx's cells share; the
+ciphertext equals one stream-cipher pass per hop per cell byte for byte
+(the per-cell reference is ``tests/oracles/onion.py``).  :meth:`wrap_data`
+and :meth:`handle_data` are the one-cell case.  A real circuit would advance
+its nonce per cell; the constant nonce is a modelling simplification.
+
 Built on the same substrates as information slicing — the keystream cipher
 and the simulated public-key envelopes of :mod:`repro.crypto` — so the two
 protocols can be compared over the same simulated overlay with the same CPU
@@ -22,7 +33,7 @@ import numpy as np
 from ..core.errors import ProtocolError
 from ..crypto.keys import generate_key
 from ..crypto.public_key import SimulatedKeyPair
-from ..crypto.symmetric import StreamCipher
+from ..crypto.symmetric import layered_keystream, mask_cells
 
 _TERMINATOR = "__exit__"
 _NONCE = b"\x00" * 8
@@ -133,12 +144,19 @@ class OnionSource:
             onion = self.directory.key_pair(chosen[hop_index]).encrypt(layer)
         return circuit, onion
 
+    def wrap_cells(self, circuit: OnionCircuit, messages: list[bytes]) -> list[bytes]:
+        """Layer a burst of data cells so each relay strips exactly one layer.
+
+        One mask of the circuit's session keys, as long as the longest
+        message, is applied to every message.
+        """
+        cells = [bytes(message) for message in messages]
+        longest = max(map(len, cells), default=0)
+        return mask_cells(cells, layered_keystream(circuit.session_keys, _NONCE, longest))
+
     def wrap_data(self, circuit: OnionCircuit, message: bytes) -> bytes:
-        """Layer a data cell so each relay strips exactly one symmetric layer."""
-        cell = bytes(message)
-        for session_key in reversed(circuit.session_keys):
-            cell = StreamCipher(session_key).encrypt(cell, _NONCE)
-        return cell
+        """:meth:`wrap_cells` for one message."""
+        return self.wrap_cells(circuit, [message])[0]
 
 
 class OnionRelay:
@@ -165,13 +183,14 @@ class OnionRelay:
         except KeyError as exc:
             raise ProtocolError(f"unknown circuit handle {handle}") from exc
 
-    def handle_data(self, handle: int, cell: bytes) -> tuple[str, bytes]:
-        """Strip this relay's symmetric layer from a data cell."""
-        session_key, next_hop = self._session(handle)
-        return next_hop, StreamCipher(session_key).decrypt(cell, _NONCE)
-
     def strip_cells(self, handle: int, cells: list[bytes]) -> tuple[str, list[bytes]]:
-        """:meth:`handle_data` over a burst of cells (the runtimes' relay surface)."""
-        _session_key, next_hop = self._session(handle)
-        return next_hop, [self.handle_data(handle, cell)[1] for cell in cells]
+        """Strip this relay's symmetric layer from a burst of data cells."""
+        session_key, next_hop = self._session(handle)
+        longest = max(map(len, cells), default=0)
+        return next_hop, mask_cells(cells, layered_keystream([session_key], _NONCE, longest))
+
+    def handle_data(self, handle: int, cell: bytes) -> tuple[str, bytes]:
+        """:meth:`strip_cells` for one cell."""
+        next_hop, [stripped] = self.strip_cells(handle, [cell])
+        return next_hop, stripped
 

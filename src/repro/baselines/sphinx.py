@@ -39,8 +39,9 @@ size-preserving keystream XOR per relay), but pad every message into a
 fixed :data:`DATA_CELL_SIZE` cell first, so payload lengths leak nothing
 either.  :meth:`SphinxSource.wrap_cells` / :meth:`SphinxRelay.strip_cells`
 layer a whole burst at once (one keystream per circuit, one vectorised XOR
-per burst) and are bit-identical to layering one stream cipher pass per hop
-per cell, the reference in ``tests/oracles/sphinx.py`` —
+per burst, through :func:`~repro.crypto.symmetric.mask_cells`, which the
+classic onion's cells share) and are bit-identical to layering one stream
+cipher pass per hop per cell, the reference in ``tests/oracles/sphinx.py`` —
 ``tests/test_sphinx.py::test_batched_cells_bit_identical_to_per_cell_reference``
 asserts it.
 """
@@ -57,7 +58,7 @@ import numpy as np
 from ..core.errors import ProtocolError
 from ..crypto.keys import KEY_SIZE, generate_key
 from ..crypto.public_key import SimulatedKeyPair
-from ..crypto.symmetric import StreamCipher
+from ..crypto.symmetric import StreamCipher, layered_keystream, mask_cells
 
 #: Simulated Diffie-Hellman group: exponentiation mod a 255-bit prime.
 GROUP_PRIME = 2**255 - 19
@@ -277,17 +278,6 @@ def unpack_cell(cell: bytes) -> bytes:
     return bytes(cell[_CELL_HEADER.size : _CELL_HEADER.size + length])
 
 
-def _cell_mask(session_keys: list[bytes]) -> np.ndarray:
-    """The combined per-circuit keystream the source layers onto every cell."""
-    mask = np.zeros(DATA_CELL_SIZE, dtype=np.uint8)
-    for session_key in session_keys:
-        mask ^= np.frombuffer(
-            StreamCipher(session_key).keystream(_NONCE, DATA_CELL_SIZE),
-            dtype=np.uint8,
-        )
-    return mask
-
-
 class SphinxSource:
     """Builds circuits, constant-size setup packets and padded data cells."""
 
@@ -371,13 +361,8 @@ class SphinxSource:
         The hops' keystreams are combined once per circuit and applied to the
         whole burst in one vectorised XOR.
         """
-        if not messages:
-            return []
-        cells = np.frombuffer(
-            b"".join(pack_cell(message) for message in messages), dtype=np.uint8
-        ).reshape(len(messages), DATA_CELL_SIZE)
-        wrapped = cells ^ _cell_mask(circuit.session_keys)
-        return [row.tobytes() for row in wrapped]
+        mask = layered_keystream(circuit.session_keys, _NONCE, DATA_CELL_SIZE)
+        return mask_cells([pack_cell(message) for message in messages], mask)
 
     def open_delivered(self, cell: bytes) -> bytes:
         """Parse a fully-stripped cell back into the original message."""
@@ -433,11 +418,6 @@ class SphinxRelay:
     def strip_cells(self, handle: int, cells: list[bytes]) -> tuple[str, list[bytes]]:
         """Strip this relay's keystream layer from a burst of data cells."""
         session_key, next_hop = self._session(handle)
-        if not cells:
-            return next_hop, []
-        stacked = np.frombuffer(b"".join(cells), dtype=np.uint8).reshape(
-            len(cells), DATA_CELL_SIZE
-        )
-        stripped = stacked ^ _cell_mask([session_key])
-        return next_hop, [row.tobytes() for row in stripped]
+        mask = layered_keystream([session_key], _NONCE, DATA_CELL_SIZE)
+        return next_hop, mask_cells(cells, mask)
 

@@ -36,7 +36,7 @@ declare.  Both parsers validate headers through :func:`_check_header`.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import ClassVar, Iterable
 
@@ -128,6 +128,14 @@ class Packet:
     seq: int = 0
     source_address: str = ""
     destination_address: str = ""
+    _slice_bytes: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The constant packet format, checked once when the packet is built.
+        sizes = {block.size_bytes() for block in self.slices}
+        if len(sizes) > 1:
+            raise PacketFormatError("all slices in a packet must be equal-sized")
+        self._slice_bytes = sizes.pop() if sizes else 0
 
     @property
     def own_slice(self) -> CodedBlock:
@@ -139,16 +147,14 @@ class Packet:
     def size_bytes(self) -> int:
         """Serialized size, used by the simulator's bandwidth model.
 
-        Computed arithmetically (header plus ``slice_count`` equal-sized
-        slices, enforcing the constant packet format like :meth:`to_bytes`),
-        so sizing never serialises; always equals ``len(self.to_bytes())``.
+        Computed arithmetically (header plus ``slice_count`` slices of the
+        size checked equal when the packet was built), so sizing never
+        serialises or walks the slices; equals ``len(self.to_bytes())``,
+        which checks the slices again.
         """
         if not self.slices:
             raise PacketFormatError("cannot size a packet with no slices")
-        first = self.slices[0].size_bytes()
-        if any(block.size_bytes() != first for block in self.slices):
-            raise PacketFormatError("all slices in a packet must be equal-sized")
-        return _HEADER.size + len(self.slices) * first
+        return _HEADER.size + len(self.slices) * self._slice_bytes
 
     # -- serialization -----------------------------------------------------------
 

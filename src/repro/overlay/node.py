@@ -595,10 +595,13 @@ class SlicingRuntime:
             if entry is None:
                 continue
             flow, progress = entry
+            # A recorded decode time never changes (``setdefault``), so a
+            # receiver that has one needs neither decode check.
             tracked[packet.flow_id] = (
                 flow,
                 progress,
-                self._relay_decoded(relay, flow, receiver),
+                receiver in progress.relay_decode_times
+                or self._relay_decoded(relay, flow, receiver),
             )
         outputs = relay.handle_packets(packets, now=self.sim.now)
         for flow, progress, decoded_before in tracked.values():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import onion as oracle
 from repro.baselines.onion import OnionDirectory, OnionRelay, OnionSource
 from repro.core.errors import ProtocolError
 
@@ -92,3 +95,37 @@ def test_onion_data_layering_changes_ciphertext_per_hop():
     assert received == [b"payload"]
     del relays, current
 
+
+@st.composite
+def bursts(draw, max_cells: int = 20):
+    """A burst of cells: one length for all (every figure's case) or mixed, 0-byte included."""
+    count = draw(st.integers(0, max_cells))
+    if draw(st.booleans()):
+        length = draw(st.sampled_from([0, 1, 1500]) | st.integers(0, 3000))
+        return [draw(st.binary(min_size=length, max_size=length)) for _ in range(count)]
+    return draw(st.lists(st.binary(min_size=0, max_size=3000), min_size=count, max_size=count))
+
+
+@given(path_length=st.integers(1, 6), messages=bursts(), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_burst_cells_bit_identical_to_per_cell_reference(path_length, messages, seed):
+    directory, addresses, rng = make_directory(count=8, seed=seed)
+    source = OnionSource(directory, rng)
+    engines = {a: OnionRelay(a, directory.key_pair(a)) for a in addresses}
+    circuit, onion = source.build_circuit(addresses, "destination", path_length)
+    handles = []
+    for hop in circuit.hops:
+        handle, _next_hop, onion = engines[hop].handle_setup(onion)
+        handles.append(handle)
+    batched = source.wrap_cells(circuit, messages)
+    reference = [oracle.wrap_data(circuit, message) for message in messages]
+    assert batched == reference
+    assert [source.wrap_data(circuit, message) for message in messages] == reference
+    for hop, handle in zip(circuit.hops, handles):
+        next_hop, batched = engines[hop].strip_cells(handle, batched)
+        per_cell = [oracle.handle_data(engines[hop], handle, cell) for cell in reference]
+        assert [engines[hop].handle_data(handle, cell) for cell in reference] == per_cell
+        assert all(hop_of_cell == next_hop for hop_of_cell, _cell in per_cell)
+        reference = [cell for _next_hop, cell in per_cell]
+        assert batched == reference
+    assert batched == messages

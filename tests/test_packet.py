@@ -70,6 +70,19 @@ def test_unequal_slice_sizes_rejected():
         packet.to_bytes()
 
 
+def test_a_packet_built_with_unequal_slices_is_rejected():
+    blocks = build_packet().slices
+    odd = random_padding_slices(1, 2, 5, np.random.default_rng(1))[0]
+    with pytest.raises(PacketFormatError, match="equal-sized"):
+        Packet(flow_id=1, kind=PacketKind.SETUP, slices=[blocks[0], odd], d=2)
+
+
+def test_an_empty_packet_cannot_be_sized():
+    empty = Packet(flow_id=1, kind=PacketKind.SETUP, slices=[], d=2)
+    with pytest.raises(PacketFormatError):
+        empty.size_bytes()
+
+
 def test_truncated_bytes_rejected():
     data = build_packet().to_bytes()
     with pytest.raises(PacketFormatError):
