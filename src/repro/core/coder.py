@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CodingError, InsufficientSlicesError
 from .gf import GF, GF256
-from .matrix import cauchy_matrix, random_invertible_matrix
+from .matrix import cauchy_matrix, random_invertible_matrices, random_invertible_matrix
 
 #: Number of bytes used to prefix the plaintext with its length.
 _LENGTH_PREFIX = 4
@@ -49,12 +49,12 @@ class CodedBlock:
     index: int = -1
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", np.asarray(self.coefficients, dtype=np.uint8).reshape(-1)
-        )
-        object.__setattr__(
-            self, "payload", np.asarray(self.payload, dtype=np.uint8).reshape(-1)
-        )
+        # A 1-D uint8 array — a row view of a coded stack, a received frame
+        # or a padding draw — is kept as it is; anything else is normalised.
+        for name in ("coefficients", "payload"):
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.uint8):
+                object.__setattr__(self, name, np.asarray(value, dtype=np.uint8).reshape(-1))
 
     @property
     def d(self) -> int:
@@ -163,6 +163,19 @@ class SliceCoder:
             return random_invertible_matrix(self.d, rng, field=self.field)
         return self._scaled_cauchy(1, rng)[0]
 
+    def generate_matrix_run(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` successive :meth:`generate_matrix` draws as one ``(count, d', d)`` stack.
+
+        Stream-identical to the loop of single draws, matrices and the
+        generator's next draw alike: the square case is
+        :func:`~repro.core.matrix.random_invertible_matrices`, the redundant
+        one :meth:`_scaled_cauchy`.  Route setup draws a flow's coding
+        matrices, one per relay, through it.
+        """
+        if self.d_prime == self.d:
+            return random_invertible_matrices(self.d, count, rng, field=self.field)
+        return self._scaled_cauchy(count, rng)
+
     @cached_property
     def _cauchy(self) -> np.ndarray:
         """The ``(d', d)`` Cauchy base every redundant coding matrix scales."""
@@ -185,10 +198,16 @@ class SliceCoder:
     def generate_matrices(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Sample ``count`` fresh coding matrices as a ``(count, d', d)`` stack.
 
-        The square (no-redundancy) case samples all candidates at once and
-        keeps the invertible ones via the batched elimination kernel, so the
-        rejection loop runs a constant number of numpy passes instead of one
-        rank computation per matrix.
+        The square (no-redundancy) case samples all candidates in one
+        ``uint8`` call and keeps the invertible ones via the batched
+        elimination kernel, so the rejection loop runs a constant number of
+        numpy passes instead of one rank computation per matrix.  That one
+        call packs candidates back to back in the generator's 32-bit words
+        and gives a redrawn candidate to the slot it replaces, so it is a
+        different stream from ``count`` :meth:`generate_matrix` calls (for
+        those, see :meth:`generate_matrix_run`).  The data plane codes every
+        burst through it, so every data artifact depends on this stream and
+        it stays as it is.
         """
         if count < 0:
             raise CodingError(f"matrix count must be >= 0, got {count}")

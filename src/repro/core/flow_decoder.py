@@ -50,7 +50,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .coder import CodedBlock, SliceCoder, _unpad_message
-from .errors import CodingError, InsufficientSlicesError
+from .errors import CodingError, FieldError, InsufficientSlicesError
 from .gf import GF, GF256
 from .integrity import robust_decode, unwrap, verify
 from .packet import PacketBatch
@@ -60,21 +60,20 @@ def decode_setup_payload(
     blocks: list[CodedBlock],
     field: GF256 | None = None,
 ) -> bytes:
-    """Robust-decode one slice set through the batched Gauss–Jordan kernel.
+    """Robust-decode one slice set with one Gauss–Jordan elimination.
 
     This is the route-setup counterpart of :meth:`FlowDecoder.decode_many`:
-    a relay decoding its own routing information (§4.3.5) stacks the first
-    ``d`` received slices — arrival order — into a ``(1, d, d)``
-    coefficient stack and a ``(1, d, block_len)`` payload stack and decodes
-    through :meth:`GF256.try_invert_matrices
-    <repro.core.gf.GF256.try_invert_matrices>` /
-    :meth:`GF256.batched_matmul <repro.core.gf.GF256.batched_matmul>`,
-    instead of paying :func:`~repro.core.integrity.robust_decode`'s greedy
-    per-block rank eliminations.
+    a relay decoding its own routing information (§4.3.5) lays the first
+    ``d`` received slices — arrival order — out as the rows of one
+    ``[coefficients | payloads]`` matrix and solves it in one elimination
+    (:meth:`GF256.solve <repro.core.gf.GF256.solve>`, which leaves the
+    pieces where the payloads were), instead of paying
+    :func:`~repro.core.integrity.robust_decode`'s greedy per-block rank
+    eliminations or an inversion followed by a product.
 
     Bit-identical to ``robust_decode(coder, blocks)``: when the first ``d``
     blocks are independent they are exactly what the greedy scalar selection
-    picks (matrix inverses over GF(2^8) are unique), and anything irregular
+    picks (``A⁻¹B`` is unique over GF(2^8)), and anything irregular
     — dependent rows, churn padding that fails the integrity frame, ragged
     payload lengths — falls back to :func:`robust_decode` on the very same
     blocks.  Asserted in ``tests/test_setup_decode.py``, block by block and
@@ -90,17 +89,15 @@ def decode_setup_payload(
         block.coefficients.shape[0] == d and block.payload.shape[0] == block_len
         for block in head
     ):
-        coeffs = np.stack([block.coefficients for block in head])[None, :, :]
-        inverses, invertible = field.try_invert_matrices(coeffs)
-        if invertible[0]:
-            payloads = np.stack([block.payload for block in head])[None, :, :]
-            pieces = field.batched_matmul(inverses, payloads)[0]
-            try:
-                candidate = _unpad_message(pieces)
-            except CodingError:
-                candidate = None
-            if candidate is not None and verify(candidate):
-                return unwrap(candidate)
+        rows = np.concatenate(
+            [part for block in head for part in (block.coefficients, block.payload)]
+        ).reshape(d, d + block_len)
+        try:
+            candidate = _unpad_message(field.solve(rows[:, :d], rows[:, d:]))
+        except (FieldError, CodingError):
+            candidate = None
+        if candidate is not None and verify(candidate):
+            return unwrap(candidate)
     return robust_decode(coder, blocks)
 
 

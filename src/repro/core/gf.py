@@ -17,8 +17,9 @@ that want an isolated table set.
 
 Nobody selects an implementation.  Elementwise :meth:`GF256.multiply` is
 always the numpy table lookup; the two stacked loops —
-:meth:`GF256.batched_matmul` and the batched Gauss–Jordan elimination behind
-:meth:`GF256.try_invert_matrices` — run in the C provider of
+:meth:`GF256.batched_matmul` and the batched Gauss–Jordan elimination of an
+augmented ``[A | R]`` stack, behind both :meth:`GF256.try_invert_matrices`
+(``R = I``) and :meth:`GF256.solve` — run in the C provider of
 :mod:`repro.core.gf_kernels` when it loads on this host (resolved on the
 first such call, once per process) and in numpy otherwise.  The numpy
 implementations are the reference the C loops are bit-identical to;
@@ -293,34 +294,41 @@ class GF256:
         """Solve ``a @ x = b`` for a square, invertible ``a``.
 
         ``b`` may be a vector or a matrix of stacked right-hand-side columns.
+        One Gauss–Jordan elimination of the augmented ``[a | b]`` — the
+        stacked loop of :meth:`try_invert_matrices`, C where the provider
+        loads — leaves ``x`` where ``b`` was, so no inverse is formed and no
+        product follows.  The field is exact, so ``x = a⁻¹ b`` is unique and
+        equals ``matmul(invert_matrix(a), b)`` byte for byte.  Raises
+        :class:`FieldError` when ``a`` is singular.
+
+        >>> a = np.array([[1, 2], [3, 4]], dtype=np.uint8)
+        >>> x = np.array([5, 6], dtype=np.uint8)
+        >>> np.array_equal(GF.solve(a, GF.matmul(a, x)), x)
+        True
         """
         a = np.asarray(a, dtype=np.uint8)
+        b_in = np.asarray(b, dtype=np.uint8)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise FieldError(f"solve expects a square matrix, got {a.shape}")
-        inv = self.invert_matrix(a)
-        return self.matmul(inv, b)
+        n = a.shape[0]
+        b2 = b_in.reshape(-1, 1) if b_in.ndim == 1 else b_in
+        if b2.ndim != 2 or b2.shape[0] != n:
+            raise FieldError(f"solve shape mismatch: {a.shape} x {b_in.shape}")
+        aug = np.empty((1, n, n + b2.shape[1]), dtype=np.uint8)
+        aug[0, :, :n] = a
+        aug[0, :, n:] = b2
+        if self._eliminate(aug)[0]:
+            raise FieldError("matrix is singular over GF(2^8)")
+        x = aug[0, :, n:]
+        return x.reshape(-1) if b_in.ndim == 1 else x
 
     def invert_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Invert a square matrix over GF(2^8) via Gauss–Jordan elimination."""
-        a = np.array(matrix, dtype=np.uint8, copy=True)
+        """Invert a square matrix over GF(2^8): the one-matrix case of
+        :meth:`invert_matrices`, raising :class:`FieldError` when singular."""
+        a = np.asarray(matrix, dtype=np.uint8)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise FieldError(f"cannot invert non-square matrix of shape {a.shape}")
-        n = a.shape[0]
-        aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
-        for col in range(n):
-            pivot_rows = np.nonzero(aug[col:, col])[0]
-            if pivot_rows.size == 0:
-                raise FieldError("matrix is singular over GF(2^8)")
-            pivot = pivot_rows[0] + col
-            if pivot != col:
-                aug[[col, pivot]] = aug[[pivot, col]]
-            aug[col] = self.divide(aug[col], aug[col, col])
-            others = np.arange(n) != col
-            factors = aug[others, col]
-            aug[others] = self.add(
-                aug[others], self.multiply(factors[:, None], aug[col][None, :])
-            )
-        return aug[:, n:].copy()
+        return self.invert_matrices(a[None])[0]
 
     def invert_matrices(self, matrices: np.ndarray) -> np.ndarray:
         """Invert a ``(batch, n, n)`` stack of square matrices in one pass.
@@ -356,7 +364,7 @@ class GF256:
         return inverses, ~singular
 
     def _gauss_jordan_batch(self, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched Gauss–Jordan elimination: ``(inverses, singular_mask)``.
+        """Batched inversion as the elimination of ``[A | I]``: ``(inverses, singular_mask)``.
 
         Entries flagged singular carry garbage in ``inverses`` and must be
         discarded by the caller.
@@ -368,14 +376,25 @@ class GF256:
         aug = np.zeros((batch, n, 2 * n), dtype=np.uint8)
         aug[:, :, :n] = a
         aug[:, range(n), range(n, 2 * n)] = 1
+        singular = self._eliminate(aug)
+        return aug[:, :, n:].copy(), singular
+
+    def _eliminate(self, aug: np.ndarray) -> np.ndarray:
+        """Gauss–Jordan over an augmented ``(B, n, w)`` stack in place; the singular mask.
+
+        Each member's left ``n x n`` block is reduced to the identity, which
+        leaves ``A⁻¹R`` where its right ``w - n`` columns ``R`` were.  A
+        member with a dead pivot column is flagged singular and keeps
+        eliminating with a pivot of 1, so its garbage rows are defined too —
+        and equal on both sides of the C provider.
+        """
+        batch, n, _ = aug.shape
         provider = self._c_loops()
         if provider is not None:
             singular_mask = np.zeros(batch, dtype=np.uint8)
             if batch and n:
-                provider.gauss_jordan(
-                    aug, singular_mask, self._mul_table, self._inv
-                )
-            return aug[:, :, n:].copy(), singular_mask.astype(bool)
+                provider.gauss_jordan(aug, singular_mask, self._mul_table, self._inv)
+            return singular_mask.astype(bool)
         singular = np.zeros(batch, dtype=bool)
         batch_index = np.arange(batch)
         for col in range(n):
@@ -395,18 +414,7 @@ class GF256:
             factors = aug[:, :, col].copy()
             factors[:, col] = 0
             aug ^= self.multiply(factors[:, :, None], aug[:, col][:, None, :])
-        return aug[:, :, n:].copy(), singular
-
-    def is_invertible(self, matrix: np.ndarray) -> bool:
-        """Return True iff ``matrix`` is square and full-rank over GF(2^8).
-
-        One matrix through the stacked Gauss–Jordan of :meth:`invertible_mask`
-        (C where the provider loads), not the Python loop of :meth:`rank`.
-        """
-        matrix = np.asarray(matrix, dtype=np.uint8)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            return False
-        return bool(self.invertible_mask(matrix[None])[0])
+        return singular
 
     # -- random elements ---------------------------------------------------------
 

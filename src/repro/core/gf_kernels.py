@@ -4,7 +4,8 @@
 is always the numpy table lookup: the data plane issues thousands of small
 calls per round, which pay more ctypes marshalling than work.  The two
 stacked loops — ``batched_matmul`` and the batched Gauss–Jordan elimination
-behind ``try_invert_matrices`` — go to the C functions below whenever they
+of an augmented ``[A | R]`` stack, behind ``try_invert_matrices`` and
+``solve`` — go to the C functions below whenever they
 load on this host, and to the numpy reference in :mod:`repro.core.gf`
 otherwise.  The two are required to be bit-identical (asserted by the
 hypothesis property tests ``test_compiled_batched_matmul_*`` and
@@ -24,9 +25,10 @@ flattened 256x256 multiplication table (and the 256-entry inverse table) as
 arguments, so non-default polynomials work unchanged.  Every pointer goes as
 a ``c_void_p`` integer, ``array.ctypes.data``: about 1.3 µs an argument
 where a typed ``POINTER(c_uint8)`` costs 2.9 µs, which is most of a call on
-route setup's one-matrix stacks: one 3x3 inversion takes about 14 µs and
-one 3x3 by 3x40 product about 13 µs, Python 3.11 and numpy 2.4 on a 2-vCPU
-Xeon.  The environment
+route setup's one-matrix stacks: a relay's 3x3 solve of 42-byte rows, one
+elimination of a ``(1, 3, 45)`` stack, takes about 11 µs, where the 3x3
+inversion and 3x3 by 3x42 product it replaced took about 14 and 13 µs,
+Python 3.11 and numpy 2.4 on a 2-vCPU Xeon.  The environment
 variable ``REPRO_GF_KERNEL_PROVIDER=none`` keeps the provider from ever
 loading — how CI and the fallback tests exercise the numpy side on a host
 with a compiler, and the escape hatch for a broken toolchain.  ``none`` is
@@ -77,9 +79,8 @@ void gf_batched_matmul(const uint8_t *a, const uint8_t *b, uint8_t *out,
 }
 
 void gf_gauss_jordan(uint8_t *aug, uint8_t *singular,
-                     ptrdiff_t batch, ptrdiff_t n,
+                     ptrdiff_t batch, ptrdiff_t n, ptrdiff_t w,
                      const uint8_t *mul, const uint8_t *inv) {
-    ptrdiff_t w = 2 * n;
     for (ptrdiff_t s = 0; s < batch; s++) {
         uint8_t *M = aug + s * n * w;
         uint8_t sing = 0;
@@ -187,7 +188,9 @@ class CProvider:
             pointer, pointer, pointer, size, size, size, size, pointer,
         ]
         self._lib.gf_gauss_jordan.restype = None
-        self._lib.gf_gauss_jordan.argtypes = [pointer, pointer, size, size, pointer, pointer]
+        self._lib.gf_gauss_jordan.argtypes = [
+            pointer, pointer, size, size, size, pointer, pointer,
+        ]
 
     def batched_matmul(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray, mul: np.ndarray
@@ -202,16 +205,16 @@ class CProvider:
     def gauss_jordan(
         self, aug: np.ndarray, singular: np.ndarray, mul: np.ndarray, inv: np.ndarray
     ) -> None:
-        """In-place Gauss–Jordan over an augmented ``(B, n, 2n)`` stack.
+        """In-place Gauss–Jordan over an augmented ``(B, n, w)`` stack, ``w >= n``.
 
-        Mirrors ``GF256._gauss_jordan_batch`` exactly (pivot choice, the
-        safe-pivot substitution for singular entries, elimination order) so
-        even the garbage rows of singular entries stay bit-identical.
-        ``singular`` is a ``(B,)`` uint8 output mask.
+        Mirrors ``GF256._eliminate`` exactly (pivot choice, the safe-pivot
+        substitution for singular entries, elimination order) so even the
+        garbage rows of singular entries stay bit-identical.  ``singular``
+        is a ``(B,)`` uint8 output mask.
         """
-        batch, n, _ = aug.shape
+        batch, n, w = aug.shape
         self._lib.gf_gauss_jordan(
-            aug.ctypes.data, singular.ctypes.data, batch, n, mul.ctypes.data, inv.ctypes.data
+            aug.ctypes.data, singular.ctypes.data, batch, n, w, mul.ctypes.data, inv.ctypes.data
         )
 
 

@@ -12,6 +12,31 @@ This module builds both.  For the MDS case we use Cauchy matrices, whose
 square submatrices are all invertible by construction, optionally stacked
 under an identity block (a "systematic" layout) when callers want the first
 ``d`` slices to carry the plain randomised message.
+
+One flow's square coding matrices come from one draw
+(:func:`random_invertible_matrices`), stream-identical to one rejection
+loop per matrix.  numpy fills a full-range ``uint8`` draw from 32-bit
+words, low byte first, and drops what is left of the last word when the
+call returns.  So one ``d x d`` candidate is ``ceil(d²/4)`` words read as
+little-endian bytes, its entries in the first ``d²`` of them, and ``count``
+candidates are the rows of one ``(count, ceil(d²/4))`` ``uint32`` draw.
+The per-matrix loop gives matrix ``j`` the ``j``-th invertible candidate of
+that sequence, skipping the singular ones it would redraw; so does the run,
+drawing more rows only for the matrices still missing one.
+
+One run of four against four rejection loops of ``uint8`` draws:
+
+>>> rng, again = np.random.default_rng(5), np.random.default_rng(5)
+>>> run = random_invertible_matrices(3, 4, rng)
+>>> singles = []
+>>> while len(singles) < 4:
+...     candidate = GF.random_elements((3, 3), again)
+...     if GF.rank(candidate) == 3:
+...         singles.append(candidate)
+>>> bool(np.array_equal(run, singles))
+True
+>>> int(rng.integers(1 << 30)) == int(again.integers(1 << 30))  # the same next draw
+True
 """
 
 from __future__ import annotations
@@ -28,15 +53,37 @@ def random_invertible_matrix(
     """Return a uniformly random invertible ``d x d`` matrix over GF(2^8).
 
     Sampling is rejection-based: random matrices over GF(2^8) are invertible
-    with probability > 0.99, so this loop nearly always succeeds on the first
-    draw.
+    with probability > 0.99, so one draw nearly always suffices.  This is
+    the ``count = 1`` case of :func:`random_invertible_matrices`.
+    """
+    return random_invertible_matrices(d, 1, rng, field)[0]
+
+
+def random_invertible_matrices(
+    d: int, count: int, rng: np.random.Generator, field: GF256 = GF
+) -> np.ndarray:
+    """``count`` successive :func:`random_invertible_matrix` draws as a ``(count, d, d)`` stack.
+
+    Stream-identical to the loop of single draws (module docstring): the
+    candidates are the rows of one ``uint32`` draw, one batched elimination
+    checks them all, and matrix ``j`` is the ``j``-th invertible one.
     """
     if d < 1:
         raise MatrixError(f"matrix dimension must be >= 1, got {d}")
+    if count < 0:
+        raise MatrixError(f"matrix count must be >= 0, got {count}")
+    matrices = np.empty((count, d, d), dtype=np.uint8)
+    words = -(-d * d // 4)
+    filled = 0
     for _ in range(64):
-        candidate = field.random_elements((d, d), rng)
-        if field.is_invertible(candidate):
-            return candidate
+        if filled == count:
+            return matrices
+        rows = rng.integers(0, 1 << 32, (count - filled, words), np.uint32)
+        candidates = rows.astype("<u4", copy=False).view(np.uint8)[:, : d * d]
+        candidates = candidates.reshape(-1, d, d)
+        accepted = candidates[field.invertible_mask(candidates)]
+        matrices[filled : filled + len(accepted)] = accepted
+        filled += len(accepted)
     raise MatrixError("failed to sample an invertible matrix (should be unreachable)")
 
 
@@ -92,7 +139,7 @@ def mds_matrix(
     matrix = cauchy_matrix(d_prime, d, field=field)
     if rng is not None:
         matrix = _scale_rows_cols(matrix, rng, field)
-    if d_prime == d and not field.is_invertible(matrix):  # pragma: no cover - defensive
+    if d_prime == d and field.rank(matrix) < d:  # pragma: no cover - defensive
         raise MatrixError("generated square MDS matrix is singular")
     return matrix
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ProtocolError
 
@@ -33,14 +34,14 @@ KEY_SIZE = 16
 FLOW_ID_SIZE = 8
 
 
-@dataclass(frozen=True)
-class SliceMapEntry:
+class SliceMapEntry(NamedTuple):
     """Where one outgoing slice slot gets its contents from.
 
     ``parent_index`` / ``slot_index`` identify an incoming slot (which parent's
     packet and which position in it).  The special value :data:`RANDOM_SLOT`
     (exposed via :meth:`random`) tells the relay to fill the slot with random
-    padding bytes instead.
+    padding bytes instead.  An entry is a plain pair, equal to the tuple of
+    its two bytes.
     """
 
     parent_index: int
@@ -48,15 +49,12 @@ class SliceMapEntry:
 
     @classmethod
     def random(cls) -> "SliceMapEntry":
-        """Entry instructing the relay to insert random padding (one shared, frozen)."""
+        """Entry instructing the relay to insert random padding (one shared instance)."""
         return _RANDOM_ENTRY
 
     @property
     def is_random(self) -> bool:
-        return (self.parent_index, self.slot_index) == RANDOM_SLOT
-
-    def pack(self) -> bytes:
-        return struct.pack(">BB", self.parent_index, self.slot_index)
+        return self == RANDOM_SLOT
 
 
 _RANDOM_ENTRY = SliceMapEntry(*RANDOM_SLOT)
@@ -90,26 +88,24 @@ class SliceMap:
             ) from exc
 
     def pack(self) -> bytes:
+        """Two header bytes (children, slots), then each entry's two bytes."""
         header = struct.pack(">BB", self.num_children, self.slots_per_packet)
-        body = b"".join(
-            entry.pack() for child in self.entries for entry in child
-        )
-        return header + body
+        return header + bytes(byte for child in self.entries for entry in child for byte in entry)
 
     @classmethod
     def unpack(cls, data: bytes) -> tuple["SliceMap", int]:
         """Parse a slice-map; returns ``(map, bytes_consumed)``."""
         if len(data) < 2:
             raise ProtocolError("slice-map header truncated")
-        num_children, slots = struct.unpack(">BB", data[:2])
-        needed = 2 + num_children * slots * 2
+        num_children, slots = data[0], data[1]
+        width = 2 * slots
+        needed = 2 + num_children * width
         if len(data) < needed:
             raise ProtocolError("slice-map body truncated")
-        pairs = iter(data[2:needed])
-        entries = [
-            [SliceMapEntry(next(pairs), next(pairs)) for _ in range(slots)]
-            for _ in range(num_children)
-        ]
+        # Each child's entries are ``width`` bytes of the body: parent indices
+        # at the even offsets, slot indices at the odd ones.
+        rows = [data[2 + c * width : 2 + (c + 1) * width] for c in range(num_children)]
+        entries = [list(map(SliceMapEntry, row[::2], row[1::2])) for row in rows]
         return cls(entries=entries), needed
 
 
@@ -216,11 +212,8 @@ class NodeInfo:
                 offset += 1
                 addresses.append(data[offset : offset + length].decode("utf-8"))
                 offset += length
-            flow_ids = []
-            for _ in range(num_children):
-                (flow_id,) = struct.unpack(">Q", data[offset : offset + FLOW_ID_SIZE])
-                flow_ids.append(flow_id)
-                offset += FLOW_ID_SIZE
+            flow_ids = list(struct.unpack_from(f">{num_children}Q", data, offset))
+            offset += num_children * FLOW_ID_SIZE
             is_receiver = bool(data[offset])
             offset += 1
             lane = data[offset]

@@ -154,8 +154,8 @@ class Source:
         }
         max_len = max(len(blob) for blob in wrapped.values())
         padded = [blob + b"\x00" * (max_len - len(blob)) for blob in wrapped.values()]
-        # Each relay's matrix is drawn in turn, as one encode per relay would.
-        matrices = np.stack([coder.generate_matrix(self.rng) for _ in padded])
+        # Each relay's matrix in turn, as one encode per relay would draw it.
+        matrices = coder.generate_matrix_run(len(padded), self.rng)
         return dict(zip(wrapped, coder.encode_batch(padded, self.rng, matrices)))
 
     def _build_setup_packets(
@@ -208,7 +208,8 @@ class Source:
         (:meth:`~repro.core.coder.SliceCoder.encode_stacks`); the batch of
         connection (source-stage node ``lane``, first-stage relay) views
         slice ``lane`` of the run's stacks, which are read-only.  A
-        mixed-length burst draws its coding matrices message by message.
+        mixed-length burst draws its coding matrices as one run of
+        per-message draws (:meth:`~repro.core.coder.SliceCoder.generate_matrix_run`).
         """
         if not messages:
             return []
@@ -223,7 +224,7 @@ class Source:
         bounds = [0, *cuts, len(wrapped)]
         matrices = None
         if len(bounds) > 2:
-            matrices = np.stack([flow.coder.generate_matrix(self.rng) for _ in wrapped])
+            matrices = flow.coder.generate_matrix_run(len(wrapped), self.rng)
         plan = flow.plan
         batches: list[PacketBatch] = []
         for start, stop in zip(bounds, bounds[1:]):

@@ -107,6 +107,21 @@ def test_coded_block_serialization_roundtrip():
     assert np.array_equal(parsed.payload, block.payload)
 
 
+def test_coded_block_keeps_uint8_rows_and_normalises_the_rest():
+    """A 1-D ``uint8`` array — a row view of a coded stack — is kept as the
+    very same object; a list, a 2-D array or another dtype is normalised."""
+    stack = np.arange(24, dtype=np.uint8).reshape(2, 12)
+    coefficients, payload = stack[0, :3], stack[1, 3:]
+    block = CodedBlock(coefficients, payload, 1)
+    assert block.coefficients is coefficients and block.payload is payload
+    for raw in ([0, 1, 2], np.array([[0, 1, 2]]), np.array([0, 1, 2], dtype=np.int64)):
+        block = CodedBlock(raw, stack[0, :2].reshape(1, 2))
+        assert block.coefficients.dtype == np.uint8 and block.coefficients.shape == (3,)
+        assert block.coefficients.tolist() == [0, 1, 2]
+        assert block.payload.shape == (2,) and block.payload.tolist() == [0, 1]
+        assert block.size_bytes() == 5
+
+
 def test_coded_block_from_short_bytes_raises():
     with pytest.raises(CodingError):
         CodedBlock.from_bytes(b"\x01", d=4)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gf as oracle
 from repro.core.coder import SliceCoder
 from repro.core.errors import CodingError, FieldError, InsufficientSlicesError
 from repro.core.gf import GF
@@ -52,7 +53,7 @@ def test_invert_matrices_matches_single_inversion():
     inverses = GF.invert_matrices(stack)
     identity = np.eye(4, dtype=np.uint8)
     for i in range(20):
-        assert np.array_equal(inverses[i], GF.invert_matrix(stack[i]))
+        assert np.array_equal(inverses[i], oracle.invert_matrix(GF, stack[i]))
         assert np.array_equal(GF.matmul(stack[i], inverses[i]), identity)
 
 
@@ -112,6 +113,44 @@ def test_redundant_matrices_are_stream_identical_to_mds_matrix(d, extra, count):
     single = coder.generate_matrix(rng)
     assert np.array_equal(single, mds_matrix(d_prime, d, rng=reference_rng))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_square_matrix_run_is_stream_identical_to_single_draws(d):
+    """One run of ``count`` coding matrices is ``count`` rejection loops of
+    single draws — matrices and the generator's next draw alike — including
+    where a singular candidate is skipped (likely at d = 1: a zero byte)."""
+    coder = SliceCoder(d)
+    skipped = 0
+    for seed in range(3):
+        for count in range(41):
+            rng, singles_rng, oracle_rng = (np.random.default_rng((seed, count)) for _ in range(3))
+            run = coder.generate_matrix_run(count, rng)
+            assert run.shape == (count, d, d) and run.dtype == np.uint8
+            singles = [coder.generate_matrix(singles_rng) for _ in range(count)]
+            drawn = [oracle.random_invertible_matrix(GF, d, oracle_rng) for _ in range(count)]
+            skipped += sum(skips for _, skips in drawn)
+            for got, single, (want, _) in zip(run, singles, drawn):
+                assert np.array_equal(got, want) and np.array_equal(single, want)
+            assert rng.bit_generator.state == singles_rng.bit_generator.state
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if d == 1:
+        assert skipped > 0  # the skip path ran
+
+
+@pytest.mark.parametrize("d,d_prime", [(1, 2), (2, 3), (3, 5)])
+def test_redundant_matrix_run_is_stream_identical_to_single_draws(d, d_prime):
+    coder = SliceCoder(d, d_prime)
+    for count in range(41):
+        rng, singles_rng, mds_rng = (np.random.default_rng(count) for _ in range(3))
+        run = coder.generate_matrix_run(count, rng)
+        assert run.shape == (count, d_prime, d)
+        singles = [coder.generate_matrix(singles_rng) for _ in range(count)]
+        expected = [mds_matrix(d_prime, d, rng=mds_rng) for _ in range(count)]
+        assert all(np.array_equal(a, b) for a, b in zip(run, singles))
+        assert all(np.array_equal(a, b) for a, b in zip(run, expected))
+        assert rng.bit_generator.state == singles_rng.bit_generator.state
+        assert rng.bit_generator.state == mds_rng.bit_generator.state
 
 
 # -- encode_batch / decode_batch -------------------------------------------------

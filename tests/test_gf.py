@@ -83,7 +83,7 @@ def test_invert_matrix_roundtrip():
     rng = np.random.default_rng(1)
     for _ in range(10):
         matrix = GF.random_elements((4, 4), rng)
-        if not GF.is_invertible(matrix):
+        if GF.rank(matrix) < 4:
             continue
         inverse = GF.invert_matrix(matrix)
         assert np.array_equal(GF.matmul(matrix, inverse), np.eye(4, dtype=np.uint8))
@@ -105,7 +105,7 @@ def test_rank_of_identity_and_zero():
 def test_solve_recovers_vector():
     rng = np.random.default_rng(2)
     matrix = GF.random_elements((5, 5), rng)
-    while not GF.is_invertible(matrix):
+    while GF.rank(matrix) < 5:
         matrix = GF.random_elements((5, 5), rng)
     x = GF.random_elements(5, rng)
     b = GF.matmul(matrix, x)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gf as oracle
 from repro.core import gf_kernels
 from repro.core.coder import SliceCoder
 from repro.core.errors import FieldError
@@ -79,8 +80,8 @@ def test_compiled_inversion_is_bit_identical_on_mixed_stacks(seed, batch, n, fie
     """Singular members included: even the garbage entries match bit-for-bit.
 
     Where no provider loads both sides are numpy, and what is left is the
-    scalar oracle: the mask is per-matrix ``is_invertible`` and the regular
-    entries are ``invert_matrix``.
+    scalar oracle: the mask is per-matrix full ``rank`` and the regular
+    entries are ``oracles/gf.py::invert_matrix``, as is ``invert_matrix``.
     """
     stacks = _rng_array(seed, (batch, n, n))
     # Force the first members singular in two different ways so every run
@@ -96,13 +97,65 @@ def test_compiled_inversion_is_bit_identical_on_mixed_stacks(seed, batch, n, fie
     assert np.array_equal(field.invertible_mask(stacks), ref_invertible)
     assert not bool(ref_invertible[0])  # the forced all-zero member
     for matrix, inverse, invertible in zip(stacks, fast_inv, fast_invertible):
-        assert bool(invertible) == reference.is_invertible(matrix)
+        assert bool(invertible) == (reference.rank(matrix) == n)
         if invertible:
-            assert np.array_equal(inverse, reference.invert_matrix(matrix))
+            assert np.array_equal(inverse, oracle.invert_matrix(reference, matrix))
+            assert np.array_equal(field.invert_matrix(matrix), inverse)
+        else:
+            with pytest.raises(FieldError, match="singular"):
+                field.invert_matrix(matrix)
     regular = stacks[fast_invertible]
     assert np.array_equal(field.invert_matrices(regular), fast_inv[fast_invertible])
     with pytest.raises(FieldError, match="singular"):
         field.invert_matrices(stacks)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 6),
+    n=st.integers(1, 6),
+    width=st.integers(1, 64),
+    fields=FIELD_PAIRS,
+)
+def test_elimination_of_augmented_stacks_is_bit_identical(seed, batch, n, width, fields):
+    """``[A | R]`` of any right-hand width: the same bytes on both sides of
+    the provider, garbage rows of singular members included, and ``A⁻¹R``
+    on every invertible member; ``solve`` is that elimination."""
+    a = _rng_array(seed, (batch, n, n))
+    r = _rng_array(seed + 1, (batch, n, width))
+    a[0] = 0  # a forced singular member, dead from the first pivot
+    if batch > 1 and n > 1:
+        a[1, :, -1] = a[1, :, 0]  # and one that dies at the last pivot
+    reference, field = fields
+    reduced = []
+    for side in (reference, field):
+        aug = np.concatenate([a, r], axis=2)
+        reduced.append((aug, side._eliminate(aug)))
+    (ref_aug, ref_singular), (aug, singular) = reduced
+    assert np.array_equal(ref_aug, aug) and np.array_equal(ref_singular, singular)
+    assert singular[0] and (batch < 2 or n < 2 or singular[1])
+    inverses, invertible = reference.try_invert_matrices(a)
+    assert np.array_equal(invertible, ~singular)
+    regular = np.flatnonzero(invertible)
+    expected = reference.batched_matmul(inverses[regular], r[regular])
+    assert np.array_equal(aug[regular, :, n:], expected)
+    assert (aug[regular, :, :n] == np.eye(n, dtype=np.uint8)).all()
+    for member, rhs, dead in zip(a, r, singular):
+        for b in (rhs, rhs[:, 0]):  # a matrix and a vector right-hand side
+            if dead:
+                with pytest.raises(FieldError, match="singular"):
+                    field.solve(member, b)
+            else:
+                expected = reference.matmul(oracle.invert_matrix(reference, member), b)
+                assert np.array_equal(field.solve(member, b), expected)
+
+
+def test_solve_rejects_bad_shapes():
+    with pytest.raises(FieldError, match="square"):
+        GF.solve(np.ones((2, 3), np.uint8), np.ones(2, np.uint8))
+    with pytest.raises(FieldError, match="mismatch"):
+        GF.solve(np.eye(3, dtype=np.uint8), np.ones((2, 4), np.uint8))
 
 
 @requires_compiled

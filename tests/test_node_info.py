@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import ProtocolError
 from repro.core.node_info import (
     KEY_SIZE,
+    RANDOM_SLOT,
     DataMap,
     NodeInfo,
     SliceMap,
@@ -46,6 +47,25 @@ def test_slice_map_pack_unpack_roundtrip():
     parsed, consumed = SliceMap.unpack(original.pack())
     assert consumed == len(original.pack())
     assert parsed.entries == original.entries
+
+
+def test_slice_map_entries_are_plain_pairs():
+    parsed, _ = SliceMap.unpack(sample_slice_map().pack())
+    entries = [entry for child in parsed.entries for entry in child]
+    assert all(isinstance(entry, SliceMapEntry) for entry in entries)
+    assert [entry.is_random for entry in entries] == [False, False, True, False, True, False]
+    assert parsed.entries[0][1] == (1, 2) and parsed.entries[0][1].slot_index == 2
+    assert SliceMapEntry.random() == RANDOM_SLOT
+
+
+def test_slice_map_without_children_or_slots_round_trips():
+    for entries in ([], [[], []]):
+        original = SliceMap(entries=entries)
+        packed = original.pack()
+        assert len(packed) == 2
+        parsed, consumed = SliceMap.unpack(packed + b"trailing")
+        assert consumed == 2 and parsed.entries == entries
+        assert parsed.num_children == len(entries) and parsed.slots_per_packet == 0
 
 
 def test_slice_map_truncated_raises():
