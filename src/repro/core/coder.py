@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CodingError, InsufficientSlicesError
-from .gf import GF, GF256
+from .gf import GF, GF256, uint8_draws
 from .matrix import cauchy_matrix, random_invertible_matrices, random_invertible_matrix
 
 #: Number of bytes used to prefix the plaintext with its length.
@@ -184,15 +184,14 @@ class SliceCoder:
     def _scaled_cauchy(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """``count`` draws of ``mds_matrix(d', d, rng)``, scaled in two multiplies.
 
-        Scales are drawn per matrix, rows then columns: numpy buffers bounded
-        ``uint8`` draws within one call, so one ``(count, d' + d)`` draw would
-        shift the stream.
+        Each matrix draws its ``d'`` row scales, then its ``d`` column
+        scales, as two non-zero ``uint8`` calls; all ``count`` matrices' calls
+        come from one :func:`~repro.core.gf.uint8_draws`, so the scales and
+        the generator's next draw are those of the per-matrix calls.
         """
-        rows = np.empty((count, self.d_prime, 1), dtype=np.uint8)
-        cols = np.empty((count, 1, self.d), dtype=np.uint8)
-        for index in range(count):
-            rows[index, :, 0] = self.field.random_nonzero_elements(self.d_prime, rng)
-            cols[index, 0] = self.field.random_nonzero_elements(self.d, rng)
+        scales = uint8_draws(rng, (self.d_prime, self.d), count, nonzero=True)
+        rows = scales[:, : self.d_prime, None]
+        cols = scales[:, None, self.d_prime :]
         return self.field.multiply(self.field.multiply(self._cauchy, rows), cols)
 
     def generate_matrices(self, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,6 +19,9 @@ how a relay keeps rows off the wire inside a window of that span.
 ``RowFlowDecoder`` in ``tests/oracles/dataplane.py`` is the per-row
 reference store.
 
+A regeneration is planned on the masks too: the lane masks give each
+seq's slice count, and one operation per child on its forwarded mask gives
+the seqs it still lacks (:meth:`FlowDecoder.feed_short`).
 A decode or a regeneration gathers the first slices of each seq, run by
 run, into ``(seqs, slots, d)`` coefficient and ``(seqs, slots, block_len)``
 payload stacks, so a burst of deliverable messages decodes through the
@@ -115,6 +118,12 @@ def mask_offsets(mask: int) -> list[int]:
         offsets.append(start + low.bit_length() - 1)
         mask ^= low
     return offsets
+
+
+def _bits(mask: int, width: int) -> np.ndarray:
+    """The low ``width`` bits of ``mask`` as a boolean array, bit ``i`` at ``i``."""
+    packed = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=width, bitorder="little").view(bool)
 
 
 def shift_mask(mask: int, by: int) -> int:
@@ -287,12 +296,45 @@ class FlowDecoder:
         fresh, self._flushed = mask & ~self._flushed, self._flushed | mask
         return fresh
 
-    def unfed(self, mask: int, children: range) -> int:
-        """The seqs of ``mask`` not yet forwarded to one of ``children``."""
-        short = 0
-        for child in children:
-            short |= mask & ~self._forwarded.get(child, 0)
-        return short
+    def feed_short(
+        self, mask: int, seqs: list[int], children: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mark every child fed the seqs of ``mask`` it lacks that hold ``d`` slices in their plane.
+
+        Returns those ``(seq, child)`` pairs as three arrays — seqs, children
+        and each seq's slices in its plane, the weights a replacement
+        combines — seqs in the order of ``seqs`` (first occurrence), then
+        children ascending.  A seq that reaches ``d`` slices only with
+        length-clashing extras is left out and left unmarked.
+        """
+        ready = sum(plane.at_least(mask & plane.held, self.d) for plane in self._planes.values())
+        fed = []
+        for child in range(children):
+            prior = self._forwarded.get(child, 0)
+            fed.append(ready & ~prior)
+            self._forwarded[child] = prior | ready
+        width = ready.bit_length()
+        if not any(fed):
+            none = np.empty(0, np.intp)
+            return none, none, none
+        offsets = np.fromiter(dict.fromkeys(seqs), np.intp) - self.base
+        offsets = offsets[(offsets >= 0) & (offsets < width)]
+        rows, child = np.nonzero(np.stack([_bits(new, width) for new in fed])[:, offsets].T)
+        offsets = offsets[rows]
+        return offsets + self.base, child, self.plane_counts(ready)[offsets]
+
+    def plane_counts(self, mask: int) -> np.ndarray:
+        """The slices each seq of ``mask`` holds in its plane, length-clashing extras left out.
+
+        Element ``i`` is seq ``base + i``'s, 0 off ``mask``; the array is as
+        long as ``mask`` is wide.
+        """
+        width = mask.bit_length()
+        counts = np.zeros(width, np.intp)
+        for plane in self._planes.values():
+            for lane_mask in plane.lanes.values():
+                counts += _bits(lane_mask & mask, width)
+        return counts
 
     def markers(self) -> tuple[set[tuple[int, int]], set[int]]:
         """The ``(seq, child)`` pairs forwarded and the seqs flushed."""
@@ -319,15 +361,9 @@ class FlowDecoder:
 
     def count(self, seq: int) -> int:
         """Number of slices stored for ``seq`` (0 if unknown)."""
-        return self.plane_count(seq) + len(self._extras.get(seq, ()))
-
-    def plane_count(self, seq: int) -> int:
-        """Slices of ``seq`` in its plane: :meth:`count` minus length-clashing extras."""
-        key = self._owner(seq)
-        if key is None:
-            return 0
-        offset = seq - self.base
-        return sum(mask >> offset & 1 for mask in self._planes[key].lanes.values())
+        key, offset = self._owner(seq), seq - self.base
+        lanes = () if key is None else self._planes[key].lanes.values()
+        return sum(mask >> offset & 1 for mask in lanes) + len(self._extras.get(seq, ()))
 
     def lanes(self, seq: int) -> list[int]:
         """Lanes that have delivered a slice for ``seq``, in arrival order."""
@@ -396,32 +432,33 @@ class FlowDecoder:
             plane.lanes[lane] = lane_mask
         return accepted
 
-    def recombine_many(self, items: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
-        """One linear combination per ``(seq, weights)`` item, one product per plane.
+    def recombine_many(
+        self, seqs: np.ndarray, weights: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One linear combination per item ``i``, one product per plane.
 
-        ``weights`` scales the first ``len(weights)`` slices of ``seq``'s
-        plane, gathered into one zero-padded stack per plane.  Returns one
-        ``(d + block_len,)`` combination per item, coefficients first, each
-        bit-identical to ``SliceCoder.recombine`` over the item's blocks with
-        its weights.
+        Row ``weights[i]`` scales the first slices of seq ``seqs[i]``'s plane,
+        in arrival order; a row is zero past the slices it combines.
+        Returns, per plane the items touch, the positions of its items,
+        ascending, and their ``(d + block_len)``-wide combinations,
+        coefficients first, each bit-identical to ``SliceCoder.recombine``
+        over the item's blocks with its weights.
         """
-        per_plane: dict[int, list[int]] = {}
-        for position, (seq, _) in enumerate(items):
-            per_plane.setdefault(self._owner(seq), []).append(position)
-        combined: list[np.ndarray] = [None] * len(items)
-        for block_len, positions in per_plane.items():
-            chosen = [items[position] for position in positions]
-            padded = np.zeros((len(chosen), 1, max(len(w) for _, w in chosen)), dtype=np.uint8)
-            for row, (_, weights) in enumerate(chosen):
-                padded[row, 0, : len(weights)] = weights
-            mask = self.seq_mask([seq for seq, _ in chosen])
-            stack = np.zeros((mask.bit_count(), padded.shape[2], self.d + block_len), np.uint8)
-            self._planes[block_len].gather(self.base, mask, stack[..., : self.d],
-                                           stack[..., self.d :])
-            row_of = {offset: row for row, offset in enumerate(mask_offsets(mask))}
-            stack = stack[[row_of[seq - self.base] for seq, _ in chosen]]
-            for position, row in zip(positions, self.field.batched_matmul(padded, stack)[:, 0]):
-                combined[position] = row
+        offsets = np.asarray(seqs, dtype=np.intp) - self.base
+        width = self._held().bit_length()
+        combined = []
+        for block_len, plane in self._planes.items():
+            positions = np.flatnonzero(_bits(plane.held, width)[offsets])
+            if not positions.size:
+                continue
+            chosen = np.zeros(width, dtype=bool)
+            chosen[offsets[positions]] = True
+            mask = int.from_bytes(np.packbits(chosen, bitorder="little").tobytes(), "little")
+            stack = np.zeros((mask.bit_count(), weights.shape[1], self.d + block_len), np.uint8)
+            plane.gather(self.base, mask, stack[..., : self.d], stack[..., self.d :])
+            stack = stack[(np.cumsum(chosen) - 1)[offsets[positions]]]
+            products = self.field.batched_matmul(weights[positions, None, :], stack)[:, 0]
+            combined.append((positions, products))
         return combined
 
     def blocks(self, seq: int) -> list[CodedBlock]:

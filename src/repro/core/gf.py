@@ -29,6 +29,7 @@ implementations are the reference the C loops are bit-identical to;
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from . import gf_kernels
@@ -424,12 +425,6 @@ class GF256:
         """Uniformly random field elements of the given shape."""
         return rng.integers(0, self.order, size=shape, dtype=np.uint8)
 
-    def random_nonzero_elements(
-        self, shape: int | tuple[int, ...], rng: np.random.Generator
-    ) -> np.ndarray:
-        """Uniformly random *non-zero* field elements of the given shape."""
-        return rng.integers(1, self.order, size=shape, dtype=np.uint8)
-
     # -- misc --------------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -438,6 +433,130 @@ class GF256:
 
 #: Shared field instance used throughout the library.
 GF = GF256()
+
+
+def _word_bytes(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
+    """A ``uint32`` draw of ``shape`` words, each read as its four bytes, low first."""
+    words = rng.integers(0, 1 << 32, shape, np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)
+
+
+def uint8_blocks(rng: np.random.Generator, lengths, count: int = 1) -> list[np.ndarray]:
+    """``count`` rounds of full-range ``uint8`` calls, one per entry of ``lengths``, in one ``uint32`` draw.
+
+    Returns one ``(count, n)`` block per length ``n``: row ``i`` of block
+    ``j`` is what ``rng.integers(0, 256, lengths[j], np.uint8)`` returns
+    the ``i``-th time round, and ``rng`` ends where those calls leave it.
+
+    This is numpy's word-stream rule: a ``uint8`` call starts a fresh 32-bit
+    word and reads its bytes low first, so a full-range call of ``n``
+    values is the first ``n`` bytes of ``ceil(n/4)`` words and drops the
+    rest of the last one.  A round is one row of words and each block a
+    column range of their bytes, so no value is copied.
+
+    >>> rng, again = np.random.default_rng(7), np.random.default_rng(7)
+    >>> heads, tails = uint8_blocks(rng, (3, 6), count=2)
+    >>> calls = [again.integers(0, 256, n, np.uint8) for n in (3, 6, 3, 6)]
+    >>> [row.tolist() for row in (heads[0], tails[0], heads[1], tails[1])] == [
+    ...     call.tolist() for call in calls]
+    True
+    >>> int(rng.integers(1 << 30)) == int(again.integers(1 << 30))  # the same next draw
+    True
+    """
+    reads = [(n + 3) & ~3 for n in lengths]
+    data = _word_bytes(rng, (count, sum(reads) // 4))
+    blocks, start = [], 0
+    for n, read in zip(lengths, reads):
+        blocks.append(data[:, start : start + n])
+        start += read
+    return blocks
+
+
+#: The value ``integers(1, 256)`` makes of an accepted (non-zero) byte: Lemire's
+#: method with range 255 maps ``x`` to ``((x * 255) >> 8) + 1``.
+_NONZERO_VALUE = (((np.arange(256) * 255) >> 8) + 1).astype(np.uint8)
+
+
+def uint8_draws(
+    rng: np.random.Generator,
+    lengths,
+    count: int = 1,
+    nonzero: bool = False,
+    redraw_zero: bool = False,
+) -> np.ndarray:
+    """``count`` rounds of ``uint8`` calls that may read past their words, in one ``uint32`` draw.
+
+    Row ``i`` of the ``(count, sum(lengths))`` result is what the calls
+    ``rng.integers(low, 256, n, np.uint8)`` for ``n`` in ``lengths`` return,
+    back to back, the ``i``-th time round (``low`` is 1 with ``nonzero``,
+    else 0), and ``rng`` ends where those calls leave it.  With
+    ``redraw_zero`` a call that drew only zeros is made again, as
+    ``SliceCoder.recombine`` redraws its weights.
+
+    Each call starts a fresh word and reads its bytes low first, as in
+    :func:`uint8_blocks`.  A non-zero call is Lemire's method with range
+    255: a zero byte is rejected and the next read, any other byte ``x``
+    gives ``((x * 255) >> 8) + 1``, so the call reads words until ``n``
+    bytes are accepted.  No call reads fewer than ``ceil(n/4)`` words, so
+    those are drawn for every call at once; from the first call that needs
+    more (or is made again), the rest are parsed again from where it
+    stopped, drawing further words only as they are read.
+
+    >>> rng, again = np.random.default_rng(7), np.random.default_rng(7)
+    >>> got = uint8_draws(rng, (3, 6), count=2, nonzero=True)
+    >>> calls = [again.integers(1, 256, n, np.uint8) for n in (3, 6, 3, 6)]
+    >>> bool(np.array_equal(got.reshape(-1), np.concatenate(calls)))
+    True
+    >>> got = uint8_draws(rng, (5, 2), redraw_zero=True)
+    >>> calls = [again.integers(0, 256, n, np.uint8) for n in (5, 2)]
+    >>> bool(np.array_equal(got[0], np.concatenate(calls)))
+    True
+    >>> int(rng.integers(1 << 30)) == int(again.integers(1 << 30))  # the same next draw
+    True
+    """
+    lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
+    calls = np.tile(lengths[lengths > 0], count)  # an empty call reads nothing
+    parts: list[np.ndarray] = []
+    pending = np.empty(0, dtype=np.uint8)  # bytes of words drawn but not read yet
+    while calls.size:
+        reads = (calls + 3) & ~3
+        missing = int(reads.sum()) - pending.size
+        data = np.concatenate([pending, _word_bytes(rng, missing // 4)]) if missing else pending
+        # One row per call: the bytes of its words, then the next call's.
+        starts = np.cumsum(reads) - reads
+        column = np.arange(int(reads.max()))
+        rows = data[np.minimum(starts[:, None] + column, data.size - 1)]
+        if nonzero:
+            accepted = (rows != 0) & (column < reads[:, None])
+            seen = accepted.cumsum(axis=1)
+            short = np.flatnonzero(seen[:, -1] < calls)
+            take = accepted & (seen <= calls[:, None])
+        else:
+            take = column < calls[:, None]
+            short = np.flatnonzero(~(take & (rows != 0)).any(axis=1) & redraw_zero)
+        stop = int(short[0]) if short.size else calls.size
+        take[stop:] = False
+        values = rows[take]
+        parts.append(_NONZERO_VALUE[values] if nonzero else values)
+        if stop == calls.size:
+            break
+        rest = data[starts[stop] :]
+        if nonzero:
+            # Call `stop` reads on past its words: parse it byte by byte.
+            need = int(calls[stop])
+            while np.count_nonzero(rest) < need:
+                more = -(-(need - np.count_nonzero(rest)) // 4)
+                rest = np.concatenate([rest, _word_bytes(rng, more)])
+            picked = np.flatnonzero(rest)[:need]
+            parts.append(_NONZERO_VALUE[rest[picked]])
+            pending = rest[(picked[-1] // 4 + 1) * 4 :]
+            calls = calls[stop + 1 :]
+        else:
+            # Call `stop` drew only zeros: it is made again from the next word.
+            pending = rest[reads[stop] :]
+            calls = calls[stop:]
+    values = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
+    return values.reshape(count, int(lengths.sum()))
 
 
 def active_kernel() -> str:

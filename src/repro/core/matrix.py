@@ -15,14 +15,13 @@ under an identity block (a "systematic" layout) when callers want the first
 
 One flow's square coding matrices come from one draw
 (:func:`random_invertible_matrices`), stream-identical to one rejection
-loop per matrix.  numpy fills a full-range ``uint8`` draw from 32-bit
-words, low byte first, and drops what is left of the last word when the
-call returns.  So one ``d x d`` candidate is ``ceil(d²/4)`` words read as
-little-endian bytes, its entries in the first ``d²`` of them, and ``count``
-candidates are the rows of one ``(count, ceil(d²/4))`` ``uint32`` draw.
-The per-matrix loop gives matrix ``j`` the ``j``-th invertible candidate of
-that sequence, skipping the singular ones it would redraw; so does the run,
-drawing more rows only for the matrices still missing one.
+loop per matrix.  One ``d x d`` candidate is one full-range ``uint8`` call
+of ``d²`` values, so ``count`` candidates are one
+:func:`~repro.core.gf.uint8_blocks` round each (numpy's word-stream rule is
+written down there).  The per-matrix loop gives matrix ``j`` the ``j``-th
+invertible candidate of that sequence, skipping the singular ones it would
+redraw; so does the run, drawing more rounds only for the matrices still
+missing one.
 
 One run of four against four rejection loops of ``uint8`` draws:
 
@@ -44,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MatrixError
-from .gf import GF, GF256
+from .gf import GF, GF256, uint8_blocks
 
 
 def random_invertible_matrix(
@@ -65,21 +64,20 @@ def random_invertible_matrices(
     """``count`` successive :func:`random_invertible_matrix` draws as a ``(count, d, d)`` stack.
 
     Stream-identical to the loop of single draws (module docstring): the
-    candidates are the rows of one ``uint32`` draw, one batched elimination
-    checks them all, and matrix ``j`` is the ``j``-th invertible one.
+    candidates are the rows of one ``uint8_blocks`` call, one batched
+    elimination checks them all, and matrix ``j`` is the ``j``-th
+    invertible one.
     """
     if d < 1:
         raise MatrixError(f"matrix dimension must be >= 1, got {d}")
     if count < 0:
         raise MatrixError(f"matrix count must be >= 0, got {count}")
     matrices = np.empty((count, d, d), dtype=np.uint8)
-    words = -(-d * d // 4)
     filled = 0
     for _ in range(64):
         if filled == count:
             return matrices
-        rows = rng.integers(0, 1 << 32, (count - filled, words), np.uint32)
-        candidates = rows.astype("<u4", copy=False).view(np.uint8)[:, : d * d]
+        (candidates,) = uint8_blocks(rng, (d * d,), count - filled)
         candidates = candidates.reshape(-1, d, d)
         accepted = candidates[field.invertible_mask(candidates)]
         matrices[filled : filled + len(accepted)] = accepted
@@ -149,8 +147,8 @@ def _scale_rows_cols(
 ) -> np.ndarray:
     """Scale each row and column by a random non-zero field element."""
     rows, cols = matrix.shape
-    row_scale = field.random_nonzero_elements(rows, rng)
-    col_scale = field.random_nonzero_elements(cols, rng)
+    row_scale = rng.integers(1, field.order, rows, dtype=np.uint8)
+    col_scale = rng.integers(1, field.order, cols, dtype=np.uint8)
     scaled = field.multiply(matrix, row_scale[:, None])
     return field.multiply(scaled, col_scale[None, :])
 

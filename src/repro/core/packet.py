@@ -44,6 +44,7 @@ import numpy as np
 
 from .coder import CodedBlock
 from .errors import PacketFormatError
+from .gf import uint8_blocks
 
 # flow_id, kind, slice_count, slice_bytes, d, lane, seq
 _HEADER = struct.Struct(">QBBHBBI")
@@ -458,14 +459,8 @@ def random_padding_slices(
     """``count`` slices of uniformly random bytes (§4.3.6 ``rand`` entries), in one draw.
 
     Stream-identical to ``count`` successive draws of ``d`` coefficient
-    bytes then ``payload_bytes`` payload bytes: numpy fills a full-range
-    ``uint8`` draw from 32-bit words, low byte first, and drops what is left
-    of the last word when the call returns.  So each slice is a row of
-    ``ceil(d/4) + ceil(payload_bytes/4)`` words read as little-endian bytes,
-    its coefficients at the row's start and its payload at word
-    ``ceil(d/4)``.
+    bytes then ``payload_bytes`` payload bytes: one
+    :func:`~repro.core.gf.uint8_blocks` round per slice.
     """
-    head = -(-d // 4) * 4
-    words = rng.integers(0, 1 << 32, (count, head // 4 + -(-payload_bytes // 4)), np.uint32)
-    rows = words.astype("<u4", copy=False).view(np.uint8)
-    return [CodedBlock(row[:d], row[head : head + payload_bytes], -1) for row in rows]
+    coefficients, payloads = uint8_blocks(rng, (d, payload_bytes), count)
+    return [CodedBlock(head, body, -1) for head, body in zip(coefficients, payloads)]

@@ -19,9 +19,9 @@ A setup forward first lays out every child's slots from the slice-map and
 the parents heard, then fills the holes — random entries and slots of
 parents that never arrived — from one
 :func:`~repro.core.packet.random_padding_slices` draw.  That draw is the
-stream of one draw per hole in slot order (numpy fills ``uint8`` from
-32-bit words and keeps no bytes between calls), so the padding bytes and
-every later draw of the relay's generator are what they were slot by slot.
+stream of one draw per hole in slot order
+(:func:`~repro.core.gf.uint8_blocks`), so the padding bytes and every later
+draw of the relay's generator are what they were slot by slot.
 
 Decoding
 --------
@@ -46,15 +46,17 @@ fall back to ``robust_decode``, so the two are bit-identical
 ``tests/test_setup_decode.py``).
 
 Regeneration (§4.4.1) is one pass per burst: :meth:`Relay.flush_data_many`
-draws each replacement's weights as ``SliceCoder.recombine`` would and
-combines them all in one ``FlowDecoder.recombine_many`` product (reference:
+has the flow's decoder find, by mask, every (seq, child) pair to feed
+(``FlowDecoder.feed_short``), draws all their weights in one
+:func:`~repro.core.gf.uint8_draws` call — the stream of one
+``SliceCoder.recombine`` per pair — and combines them in one
+``FlowDecoder.recombine_many`` product per plane (reference:
 ``tests/oracles/dataplane.py::reference_flush_data``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -62,7 +64,7 @@ from ..crypto.symmetric import StreamCipher
 from .coder import CodedBlock, SliceCoder
 from .errors import CodingError, InsufficientSlicesError, ProtocolError
 from .flow_decoder import FlowDecoder, decode_setup_payload
-from .gf import GF, GF256
+from .gf import GF, GF256, uint8_draws
 from .node_info import NodeInfo
 from .packet import AnyPacket, Packet, PacketBatch, PacketKind, packet_count, random_padding_slices
 from .source import data_nonce
@@ -400,10 +402,13 @@ class Relay:
 
         For every seq holding at least ``d`` slices in its plane (extras of
         a clashing length are left out), every child not yet fed gets a
-        fresh random combination of them, its weights drawn in seq-then-child
-        order as ``SliceCoder.recombine`` would.  Each child gets one batch
-        per plane run of its replacements, in seq order, so its connection
-        carries what one packet per replacement would.  Without
+        fresh random combination of them.  The decoder plans the pairs on
+        its masks; their weights, in seq-then-child order, come from one
+        :func:`~repro.core.gf.uint8_draws` call that draws what one
+        ``SliceCoder.recombine`` per pair would, an all-zero row redrawn
+        where ``recombine`` redraws it.  Each child gets one batch per plane
+        run of its replacements, in seq order, so its connection carries
+        what one packet per replacement would.  Without
         ``regenerate_redundancy`` a lost slice stays lost.
         """
         state = self.flows.get(flow_id)
@@ -415,41 +420,33 @@ class Relay:
         fresh = data.mark_flushed(data.seq_mask(seqs))
         if not fresh or not self.regenerate_redundancy:
             return []
-        children = range(len(info.next_hop_addresses))
-        short = set(data.mask_seqs(data.unfed(data.ready(fresh), children)))
-        if not short:
+        pair_seqs, pair_children, counts = data.feed_short(
+            fresh, seqs, len(info.next_hop_addresses)
+        )
+        if not counts.size:
             return []
-        items: list[tuple[int, np.ndarray]] = []
-        per_child: dict[int, list[int]] = {}
-        for seq in seqs:
-            if seq not in short:
-                continue
-            short.discard(seq)
-            count = data.plane_count(seq)
-            if count < state.d:
-                continue  # only with length-clashing extras, which are left out
-            bit = data.seq_mask([seq])
-            for child_index in children:
-                if not data.mark_forwarded(child_index, bit):
-                    continue
-                weights = self.field.random_elements(count, self.rng)
-                while not weights.any():
-                    weights = self.field.random_elements(count, self.rng)
-                per_child.setdefault(child_index, []).append(len(items))
-                items.append((seq, weights))
-        self.stats.regenerated_slices += len(items)
-        combined = data.recombine_many(items)
+        weights = np.zeros((counts.size, counts.max()), dtype=np.uint8)
+        weights[np.arange(weights.shape[1]) < counts[:, None]] = uint8_draws(
+            self.rng, counts, redraw_zero=True
+        )[0]
+        self.stats.regenerated_slices += counts.size
+        # Each replacement's plane and row among that plane's products.
+        plane_of, row_of = np.empty_like(counts), np.empty_like(counts)
+        combined = data.recombine_many(pair_seqs, weights)
+        for plane, (positions, _) in enumerate(combined):
+            plane_of[positions], row_of[positions] = plane, np.arange(positions.size)
         outgoing: list[PacketBatch] = []
-        for child_index, positions in per_child.items():
+        for child_index in dict.fromkeys(pair_children.tolist()):
+            positions = np.flatnonzero(pair_children == child_index)
             # One batch per run of one plane, whose rows share one width.
-            for _, run in groupby(positions, key=lambda position: combined[position].shape):
-                run = list(run)
-                products = np.stack([combined[position] for position in run])
+            cuts = np.flatnonzero(np.diff(plane_of[positions])) + 1
+            for run in np.split(positions, cuts):
+                products = combined[plane_of[run[0]]][1][row_of[run]]
                 products.flags.writeable = False
                 outgoing.append(PacketBatch(
                     info.next_hop_flow_ids[child_index], state.d, info.lane,
-                    [items[position][0] for position in run], products[:, : state.d],
-                    products[:, state.d :], self.address, info.next_hop_addresses[child_index],
+                    pair_seqs[run].tolist(), products[:, : state.d], products[:, state.d :],
+                    self.address, info.next_hop_addresses[child_index],
                 ))
         self._account_sent(outgoing)
         return outgoing

@@ -2,8 +2,9 @@
 
 Each module holds the plain, one-item-at-a-time version of one engine, written
 to read like the paper: the per-packet data plane (``dataplane``), the
-per-cell onion and Sphinx layering (``onion``, ``sphinx``) and the one-matrix
-GF(2^8) inversion (``gf``), which the property tests hold the batched
+per-cell onion and Sphinx layering (``onion``, ``sphinx``), and the one-matrix
+GF(2^8) inversion and one-call-at-a-time ``uint8`` draws (``gf``), which the
+property tests hold the batched
 engines in ``src/`` to the same bytes; the
 anonymity Monte-Carlo (``anonymity``) with its Chaum-chain twin (``chaum``),
 the samplers the exact DPs of Figs. 7-10 are checked against; and the churn

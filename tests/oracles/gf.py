@@ -1,4 +1,4 @@
-"""The scalar reference for GF(2^8) inversion: one matrix, one pivot at a time.
+"""Scalar references for GF(2^8): inversion one pivot at a time, draws one call at a time.
 
 Gauss–Jordan elimination written row by row over the field's element-wise
 operations, as a textbook states it.  The shipped ``GF256.invert_matrix``,
@@ -12,9 +12,15 @@ them to this on every invertible matrix.
 [[2, 1], [140, 141]]
 >>> GF.matmul([[1, 2], [3, 4]], inverse).tolist()
 [[1, 0], [0, 1]]
+
+:func:`uint8_calls` is one ``rng.integers(low, 256, n, np.uint8)`` call per
+length, the stream ``repro.core.gf.uint8_draws`` reproduces in one
+``uint32`` draw; it also counts the calls that took a rare path.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -53,3 +59,26 @@ def random_invertible_matrix(field: GF256, d: int, rng: np.random.Generator) -> 
         if field.rank(candidate) == d:
             return candidate, skipped
         skipped += 1
+
+
+def uint8_calls(
+    rng: np.random.Generator, lengths, low: int = 0, redraw_zero: bool = False
+) -> tuple[np.ndarray, int, int]:
+    """One ``uint8`` call per length: ``(values back to back, long calls, redraws)``.
+
+    With ``redraw_zero`` a call that drew only zeros is made again, as
+    ``SliceCoder.recombine`` does.  A *long* call read more generator words
+    than ``ceil(n / 4)``: a twin of ``rng`` that draws that many ``uint32``
+    words ends in another state.
+    """
+    values, long_calls, redraws = [], 0, 0
+    for n in lengths:
+        twin = copy.deepcopy(rng)
+        twin.integers(0, 1 << 32, -(-n // 4), np.uint32)
+        drawn = rng.integers(low, 256, n, np.uint8)
+        long_calls += twin.bit_generator.state != rng.bit_generator.state
+        while redraw_zero and not drawn.any():
+            redraws += 1
+            drawn = rng.integers(low, 256, n, np.uint8)
+        values.append(drawn)
+    return np.concatenate(values or [np.empty(0, np.uint8)]), long_calls, redraws

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oracles import gf as oracle
 from repro.core.coder import SliceCoder
 from repro.core.errors import CodingError, FieldError, InsufficientSlicesError
-from repro.core.gf import GF
-from repro.core.matrix import mds_matrix
+from repro.core.gf import GF, uint8_blocks, uint8_draws
+from repro.core.matrix import cauchy_matrix, mds_matrix
 
 
 def _messages(rng, count, size):
@@ -151,6 +151,84 @@ def test_redundant_matrix_run_is_stream_identical_to_single_draws(d, d_prime):
         assert all(np.array_equal(a, b) for a, b in zip(run, expected))
         assert rng.bit_generator.state == singles_rng.bit_generator.state
         assert rng.bit_generator.state == mds_rng.bit_generator.state
+
+
+def _generators(seed, prior):
+    """Two generators in one state, after ``prior`` ``uint32`` draws: an odd
+    count leaves half of a drawn 64-bit word buffered for the next one."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in pair:
+        rng.integers(0, 1 << 32, prior, np.uint32)
+    assert pair[0].bit_generator.state["has_uint32"] == prior % 2
+    return pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 13), max_size=5),
+    st.integers(0, 6),
+    st.sampled_from(["blocks", "full", "nonzero", "redraw"]),
+    st.integers(0, 2**16),
+    st.integers(0, 3),
+)
+def test_burst_draws_are_per_call_draws(lengths, count, mode, seed, prior):
+    """One burst of ``uint8`` calls returns and leaves the generator exactly
+    where the calls one by one do, whatever the lengths, mode and buffered word."""
+    if mode == "redraw":
+        lengths = [max(n, 1) for n in lengths]
+    rng, reference = _generators(seed, prior)
+    if mode == "blocks":
+        blocks = uint8_blocks(rng, lengths, count)
+        assert [block.shape for block in blocks] == [(count, n) for n in lengths]
+        got = np.concatenate([np.empty((count, 0), np.uint8), *blocks], axis=1)
+    else:
+        got = uint8_draws(rng, lengths, count, nonzero=mode == "nonzero",
+                          redraw_zero=mode == "redraw")
+    want, _, _ = oracle.uint8_calls(
+        reference, lengths * count, low=int(mode == "nonzero"), redraw_zero=mode == "redraw"
+    )
+    assert got.shape == (count, sum(lengths)) and got.dtype == np.uint8
+    assert np.array_equal(got.reshape(-1), want)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_burst_draws_take_the_rare_paths_as_per_call_draws_do():
+    """Calls that read past their words — from the last call, whose top-up is
+    drawn on demand, and from a middle one — and zero calls made again."""
+    long_calls = redraws = 0
+    for seed in range(40):
+        for lengths, mode in (((8,), "nonzero"), ((4, 12, 5), "nonzero"), ((1, 2), "redraw")):
+            rng, reference = _generators(seed, seed % 2)
+            got = uint8_draws(rng, lengths, 30, nonzero=mode == "nonzero",
+                              redraw_zero=mode == "redraw")
+            want, long, redrawn = oracle.uint8_calls(
+                reference, lengths * 30, low=int(mode == "nonzero"), redraw_zero=mode == "redraw"
+            )
+            long_calls, redraws = long_calls + long, redraws + redrawn
+            assert np.array_equal(got.reshape(-1), want)
+            assert rng.bit_generator.state == reference.bit_generator.state
+    assert long_calls > 0 and redraws > 0  # both rare paths ran
+
+
+@pytest.mark.parametrize("d,d_prime", [(1, 4), (2, 8), (4, 12)])
+def test_redundant_scales_that_read_past_their_words_are_single_calls(d, d_prime):
+    """A redundant stack's scales are the per-matrix non-zero calls, values
+    and next draw alike, where a call's words hold a zero byte and it reads
+    another (call lengths above 4, and a generator holding half a word,
+    included)."""
+    coder, cauchy = SliceCoder(d, d_prime), cauchy_matrix(d_prime, d)
+    long_calls = 0
+    for seed in range(8):
+        for prior in (0, 1):
+            rng, reference = _generators(seed, prior)
+            stack = coder.generate_matrices(40, rng)
+            scales, long, _ = oracle.uint8_calls(reference, [d_prime, d] * 40, low=1)
+            long_calls += long
+            scales = scales.reshape(40, d_prime + d)
+            rows, cols = scales[:, :d_prime, None], scales[:, None, d_prime:]
+            assert np.array_equal(stack, GF.multiply(GF.multiply(cauchy, rows), cols))
+            assert rng.bit_generator.state == reference.bit_generator.state
+    assert long_calls > 0  # the extra-word path ran
 
 
 # -- encode_batch / decode_batch -------------------------------------------------

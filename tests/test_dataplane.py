@@ -3,6 +3,7 @@
 the runtime's retention windows, and the batched §4.4.1 regeneration against
 its per-seq reference."""
 
+import copy
 import functools
 import gc
 
@@ -28,6 +29,7 @@ from repro.overlay.node import (
 from repro.overlay.profiles import LAN_PROFILE
 from repro.overlay.simulator import EventSimulator
 
+from oracles import gf as oracle_gf
 from oracles.dataplane import (
     RowFlowDecoder,
     ScalarFlowState,
@@ -212,10 +214,13 @@ def store_batch(d, lane, seqs, rows):
 
 def assert_stores_equal(ours, theirs, probe):
     assert ours.seqs() == theirs.seqs() and len(ours) == len(theirs)
+    plane_counts = ours.plane_counts(ours.seq_mask([seq for seq in probe if seq >= ours.base]))
     for seq in probe:
         assert (seq in ours) == (seq in theirs), seq
         assert ours.count(seq) == theirs.count(seq), seq
-        assert ours.plane_count(seq) == theirs.plane_count(seq), seq
+        offset = seq - ours.base
+        in_plane = int(plane_counts[offset]) if 0 <= offset < plane_counts.size else 0
+        assert in_plane == theirs.plane_count(seq), seq
         assert ours.lanes(seq) == theirs.lanes(seq), seq
         mine, reference = ours.blocks(seq), theirs.blocks(seq)
         assert [b.to_bytes() for b in mine] == [b.to_bytes() for b in reference], seq
@@ -250,7 +255,15 @@ def test_flow_decoder_matches_the_per_row_reference_store(case, shuffle):
         if theirs.plane_count(seq)
     ]
     items += items[: len(items) // 2]
-    got, want = ours.recombine_many(items), theirs.recombine_many(items)
+    weights = np.zeros((len(items), max((len(w) for _, w in items), default=0)), np.uint8)
+    for row, (_, item_weights) in enumerate(items):
+        weights[row, : len(item_weights)] = item_weights
+    got = [None] * len(items)
+    for positions, products in ours.recombine_many([seq for seq, _ in items], weights):
+        for position, product in zip(positions.tolist(), products):
+            assert got[position] is None
+            got[position] = product
+    want = theirs.recombine_many(items)
     assert len(got) == len(want) == len(items)
     for mine, reference in zip(got, want):
         assert mine.shape == reference.shape and np.array_equal(mine, reference)
@@ -715,7 +728,7 @@ def test_flush_ignores_a_length_clashing_slice():
     assert data.add(0, 1, random_block(rng, 2, payload_bytes=12))  # parked extra
     assert data.count(0) == 2
     assert relay.flush_data_many(FLOW_ID, [0]) == []
-    assert data.plane_count(0) == 1
+    assert data.plane_counts(data.seq_mask([0])).tolist() == [1]
     assert relay.stats.regenerated_slices == 0
     # With d slices in the plane the extra is simply left out of the sum.
     assert data.add(1, 0, random_block(rng, 2))
@@ -857,3 +870,30 @@ def test_batched_flush_matches_per_seq_reference(case):
     assert batched.flows[FLOW_ID].markers() == reference.flows[FLOW_ID].markers()
     assert batched.stats == reference.stats
     assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_an_all_zero_weight_row_is_redrawn_where_recombine_redraws_it():
+    """At d = 1 a replacement combines one slice with one weight byte, zero
+    one time in 256: the burst's one draw makes such a call again, from the
+    next word, as the per-seq reference's ``recombine`` does, from a
+    generator holding half of a drawn word."""
+    seqs = list(range(400))
+    relays = []
+    for state_class in (FlowState, ScalarFlowState):
+        relay = regeneration_relay(d=1, children=2, seed=3, state_class=state_class)
+        rng = np.random.default_rng(9)
+        for seq in seqs:
+            assert relay.flows[FLOW_ID].data.add(seq, 0, random_block(rng, 1))
+        relay.rng.integers(0, 1 << 32, 1, np.uint32)
+        assert relay.rng.bit_generator.state["has_uint32"]
+        relays.append(relay)
+    batched, reference = relays
+    twin = copy.deepcopy(batched.rng)
+    _, _, redraws = oracle_gf.uint8_calls(twin, [1] * 2 * len(seqs), redraw_zero=True)
+    assert redraws > 0  # this flush takes the redraw path
+    got = batched.flush_data_many(FLOW_ID, seqs)
+    want = reference_flush_data(reference, FLOW_ID, seqs)
+    assert per_connection(batch_packets(got)) == per_connection(want)
+    assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert batched.rng.bit_generator.state == twin.bit_generator.state
+    assert batched.stats == reference.stats and batched.stats.regenerated_slices == 800

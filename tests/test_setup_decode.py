@@ -10,16 +10,21 @@ and end-to-end through a full route setup against the per-packet reference
 plane (``tests/oracles/dataplane.py``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import flow_decoder
 from repro.core.coder import SliceCoder
 from repro.core.errors import InsufficientSlicesError
 from repro.core.flow_decoder import decode_setup_payload
 from repro.core.integrity import robust_decode, wrap
-from repro.core.packet import random_padding_slices
+from repro.core.packet import PacketKind, random_padding_slices
+from repro.core.relay import Relay
 from repro.experiments.setup_latency import measure_setup
+from repro.experiments.throughput import prepare_scheme_transfer
 from repro.overlay import runtime as overlay_runtime
 from repro.overlay.profiles import LAN_PROFILE
 
@@ -103,3 +108,56 @@ def test_route_setup_engines_bit_identical_end_to_end(path_length, d, monkeypatc
     scalar = measure_setup("slicing", LAN_PROFILE, path_length, d=d, seed=23)
     assert scalar.parity_fields() == batched.parity_fields()
     assert batched.setup_complete and batched.setup_seconds > 0
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The block counts of every ``robust_decode`` a relay's decode falls back to."""
+    calls = []
+
+    def counted(coder, blocks):
+        calls.append(len(blocks))
+        return robust_decode(coder, blocks)
+
+    monkeypatch.setattr(flow_decoder, "robust_decode", counted)
+    return calls
+
+
+@pytest.mark.parametrize("path_length,d", [(2, 2), (3, 3)])
+def test_an_undamaged_route_setup_never_leaves_the_fast_path(path_length, d, fallbacks):
+    """Every relay decodes its routing slices in the one elimination: a fast
+    path that returned wrong pieces would still set up the route, through
+    ``robust_decode``, and only this count would show it."""
+    result = measure_setup("slicing", LAN_PROFILE, path_length, d=d, seed=23)
+    assert result.setup_complete and result.relays_decoded > 0
+    assert fallbacks == []
+
+
+def test_a_garbage_routing_slice_leaves_the_fast_path(monkeypatch, fallbacks):
+    """The first setup packet a relay receives carries garbage as the
+    relay's own slice: its decode falls back to ``robust_decode``, which
+    finds a verifying pair once a third parent's slice arrives (d = 2, d' = 3)."""
+    substrate, runtime, relays, destination = prepare_scheme_transfer(
+        "slicing", LAN_PROFILE, 3, 2, 3, 23, "batched"
+    )
+    handle, garbled = Relay.handle_packets, []
+
+    def garbling(relay, packets, now=0.0):
+        for index, packet in enumerate(packets):
+            if not garbled and packet.kind == PacketKind.SETUP:
+                own = packet.own_slice
+                (garbage,) = random_padding_slices(1, own.d, own.payload.size,
+                                                   np.random.default_rng(5))
+                packets = [*packets]
+                packets[index] = dataclasses.replace(packet, slices=[garbage, *packet.slices[1:]])
+                garbled.append(relay.address)
+        return handle(relay, packets, now)
+
+    monkeypatch.setattr(Relay, "handle_packets", garbling)
+    try:
+        runtime.establish(relays, destination)
+        substrate.sim.run()
+        assert runtime.setup_seconds() is not None
+    finally:
+        substrate.close()
+    assert garbled and fallbacks and min(fallbacks) >= 2
