@@ -1,4 +1,4 @@
-"""Backend parity bench: fig11 over the asyncio socket overlay.
+"""Backend parity bench: fig11 over the socket overlay.
 
 Regenerates the fig11 series on the ``aio`` backend (real localhost TCP
 connections, frames parsed as they arrive) and asserts its structural fields —

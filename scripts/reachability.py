@@ -87,8 +87,6 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
         FALLBACK, _DATAPLANE + "test_batched_plane_bit_identical_to_scalar_reference"),
     "repro.core.gf_kernels:unavailable_reason": (
         FALLBACK, "tests/test_gf_kernels.py::test_provider_disabled_by_env_falls_back_to_numpy"),
-    "repro.overlay.aio:AioOverlayNetwork._fail": (
-        FALLBACK, "tests/test_aio_backend.py::test_a_lost_connection_fails_the_drain_at_once"),
     # Sequence-number retention (ROADMAP item 2(d) gives these a workload).
     "repro.core.flow_decoder:FlowDecoder.retire_before": (RETENTION, _RETENTION_BOUNDARY),
     "repro.core.flow_decoder:FlowDecoder._rebase": (RETENTION, _RETENTION_BOUNDARY),
@@ -103,6 +101,8 @@ ALLOWLIST: dict[str, tuple[str, str]] = {
     "repro.core.flow_decoder:FlowDecoder.seqs": (INTERFACE, _PER_ROW_STORE),
     "repro.core.flow_decoder:FlowDecoder.markers": (INTERFACE, _RETENTION_BOUNDARY),
     "repro.core.relay:FlowState.markers": (INTERFACE, _RETENTION_BOUNDARY),
+    "repro.core.graph:ForwardingGraph.slice_path": (
+        INTERFACE, "tests/test_graph.py::test_slice_paths_are_vertex_disjoint"),
     "repro.core.coder:SliceCoder.__repr__": (INTERFACE, ""),
     "repro.core.gf:GF256.__repr__": (INTERFACE, ""),
     "repro.overlay.node:OverlayTransport.__enter__": (INTERFACE, ""),

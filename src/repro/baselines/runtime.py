@@ -117,12 +117,13 @@ class _CircuitDriver:
         sender = chain[hop_index]
         receiver = chain[hop_index + 1]
         resources = self.substrate.network.resources(sender)
-        if hop_index == 0:
-            # The source layered every cell once per hop of its circuit.
-            layers = self.runtime.path_length
-            cpus = [resources.symmetric_time(len(cell)) * layers for cell in cells]
-        else:
-            cpus = [resources.symmetric_time(len(cell)) for cell in cells]
+        # The source layered every cell once per hop of its circuit; a relay
+        # strips one layer (``x * 1`` is ``x`` to the bit).  Each distinct
+        # cell length is priced once.
+        layers = self.runtime.path_length if hop_index == 0 else 1
+        lengths = [len(cell) for cell in cells]
+        price = {length: resources.symmetric_time(length) * layers for length in set(lengths)}
+        cpus = [price[length] for length in lengths]
 
         def on_delivered(delivered: list[bytes], arrivals: list[float]) -> None:
             if receiver == self.circuit.destination:

@@ -237,11 +237,14 @@ class ForwardingGraph:
                 f"source stage has {len(self.source_stage)} nodes, expected "
                 f"d'={self.d_prime}"
             )
+        d_prime = self.d_prime
+        paths = self._tables[0]
         for owner in self.relays:
-            paths = [self.slice_path(owner, k) for k in range(self.d_prime)]
-            for m in range(self.stage_of(owner)):
-                carriers = {path[m] for path in paths}
-                if len(carriers) != self.d_prime:
+            # Each of the owner's cached paths holds its carrier at every
+            # earlier stage, then the owner: zip reads them a stage at a time.
+            stages = zip(*[paths[owner, k] for k in range(d_prime)])
+            for m, carriers in zip(range(self._stage_of[owner]), stages):
+                if len(set(carriers)) != d_prime:
                     raise GraphConstructionError(
                         f"slices of {owner} are not vertex-disjoint at stage {m}"
                     )

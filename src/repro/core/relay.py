@@ -10,7 +10,7 @@ network coding when a parent has failed (§4.4.1).
 The relay is transport-agnostic: :meth:`handle_packets` returns the packets
 to transmit, and the overlay runtime
 (:class:`~repro.overlay.node.SlicingRuntime`, over the discrete-event
-simulator or the asyncio socket backend) decides how and when to deliver
+simulator or the socket backend) decides how and when to deliver
 them.  Timeout-driven behaviour (forwarding despite missing parents) is
 triggered by the runtime calling :meth:`flush_setup` /
 :meth:`flush_data_many`.

@@ -1,7 +1,7 @@
 """Per-flow throughput experiments (§7.2, §7.3 — Figs. 11, 12, 13).
 
 Every scheme runs over the same substrate
-(:class:`~repro.overlay.node.SimulatedOverlayNetwork` or the asyncio socket
+(:class:`~repro.overlay.node.SimulatedOverlayNetwork` or the socket
 backend): identical per-node CPU model, per-connection capacity, latencies
 and per-packet overhead.  All schemes are driven through one driver
 (:func:`measure_throughput`), and :data:`SCHEMES` is the one table of which
@@ -141,7 +141,7 @@ def prepare_scheme_transfer(
     Shared by the throughput and setup-latency drivers; the scheme's
     :data:`SCHEMES` entry supplies the address plan and the runtime class.
     ``backend`` selects the transport: ``"sim"`` (discrete-event) or
-    ``"aio"`` (asyncio localhost TCP).
+    ``"aio"`` (socket localhost TCP).
     ``data_plane`` must be ``"batched"``, the one data plane there is; the
     positional slot stays because ``perfbench/workloads.py`` passes it.
     """

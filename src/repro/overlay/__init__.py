@@ -1,4 +1,4 @@
-"""Overlay substrates: the discrete-event simulator and the asyncio socket
+"""Overlay substrates: the discrete-event simulator and the socket
 backend (the relay engines run on either through the protocol runtimes),
 churn models, latency/load profiles, and AS-aware relay selection."""
 

@@ -1,4 +1,4 @@
-"""Asyncio socket overlay backend: the same transport surface, real TCP.
+"""Socket overlay backend: the same transport surface, real TCP.
 
 The discrete-event backend (:class:`~repro.overlay.node.SimulatedOverlayNetwork`)
 delivers packets by invoking callbacks on a virtual clock.  This module
@@ -7,37 +7,43 @@ implements the *same* transport surface — :meth:`transmit_packets` /
 keyed event coalescing — over real TCP streams (loopback by default, any
 interface via ``bind_host``), so :class:`~repro.overlay.node.SlicingRuntime`
 and the onion runtimes in :mod:`repro.baselines.runtime` run unchanged on
-either backend.  Each connection is a pair of asyncio protocols that carries
-length-prefixed frames, in the format defined below.
+either backend.  Each connection is a pair of plain non-blocking sockets
+carrying length-prefixed frames, in the format defined below.
 
-One loop; the landing waits
+One loop; the landing reads
 ---------------------------
-:class:`AioOverlayNetwork` is the simulated substrate
-(:class:`~repro.overlay.node.SimulatedOverlayNetwork`) with sockets under
+:class:`AioOverlayNetwork` is the simulated substrate with sockets under
 its landings.  A burst is charged with the simulator's arithmetic
 (:meth:`~repro.overlay.node.OverlayTransport._account_batch`) and lands as
-it does there: a packet batch joins its receiver's inbox when it is sent
-(:meth:`EventSimulator.schedule_keyed
-<repro.overlay.simulator.EventSimulator.schedule_keyed>`), and a blob
-batch's landing is a plain heap event at its last arrival instant.
-:meth:`EventSimulator.run <repro.overlay.simulator.EventSimulator.run>` is
-the one loop that pops the heap.  What differs is *transport*: the
-``_send`` hook really serialises a batch
-(:func:`~repro.core.packet.pack_packets`, the packets' wire bytes back to
-back in a length-prefixed frame) and queues it for its connection, and the
-``_receive`` hook, run inside the landing, parses what the receiving
-connection read.  A landing touches the sockets only when it holds a batch
-whose frames have not been read yet: it writes every batch submitted since
-the last wait, then runs the asyncio loop until those frames are in.  So
-every virtual-time field (throughput, setup latency, event counts),
-delivered plaintext and relay counter is the simulator's, on any profile.
+it does there (a packet batch joins its receiver's inbox when it is sent, a
+blob batch's landing is a plain heap event), and :meth:`EventSimulator.run
+<repro.overlay.simulator.EventSimulator.run>` is the one loop.  What
+differs is *transport*: the ``_send`` hook serialises a batch
+(:func:`~repro.core.packet.pack_packets`) and queues its frames on its
+connection, dialled on first use; the ``_receive`` hook, run inside the
+landing, parses them.  A landing whose batch is still unread hands every
+connection's queued frames to the kernel (one ``sendmsg`` each), then reads
+*that batch's own connection* into its parse buffer, parsing the frames of
+earlier batches on it as it goes, until the batch's frames are in; it
+blocks in ``poll`` on that connection only when its socket holds nothing.
+So every virtual-time field, delivered plaintext and relay counter is the
+simulator's, on any profile.
 
-A failure raises from the landing it concerns.  A batch with a frame over
-:data:`MAX_FRAME_BYTES` never leaves, and raises at its own landing once
-the landings before it and the batches that share its inbox are
-delivered; a stall or a lost connection raises from the landing that
-waited; a landing at a dead receiver drops its batches without waiting
-for their frames.  See ``docs/ARCHITECTURE.md`` ("Overlay backends").
+A wait cannot deadlock.  A send never blocks: a full kernel buffer leaves
+the rest of a connection's frames queued.  Both ends of every connection
+live in this process, and the frames a landing waits for are ahead in its
+own connection's stream or in that connection's queue; each read of that
+connection makes room in its kernel buffers, which the wait refills from
+the queue as the sending end turns writable.  So every round of the wait
+moves bytes toward the reader, until the frames are in or the connection
+is found broken.
+
+A failure raises from the landing it concerns: a batch with a frame over
+:data:`MAX_FRAME_BYTES` is never queued and raises at its own landing,
+after the batches that share its inbox are delivered; a rejected frame, a
+stall or a lost connection raises from the landing that waited; a landing
+at a dead receiver drops its batches without reading them.  See
+``docs/ARCHITECTURE.md`` ("Overlay backends").
 
 Wire format
 -----------
@@ -48,37 +54,36 @@ Every message on a connection is a *frame*: a 4-byte big-endian length
 (``>QI``: batch id, payload frame count) followed by the batch's payload
 frames.  A payload frame holds a whole number of the batch's packets back
 to back: for the slicing data plane, their :meth:`Packet.to_bytes
-<repro.core.packet.Packet.to_bytes>` wire form, written by
-:func:`~repro.core.packet.pack_packets` (a data batch is one ``(n,
-packet_size)`` matrix fill) and read back by
+<repro.core.packet.Packet.to_bytes>` wire form (a data batch is one ``(n,
+packet_size)`` matrix fill), read back by
 :func:`~repro.core.packet.unpack_packets` as setup packets and data batches
 whose columns are read-only views into the frame; for the baselines,
-length-prefixed opaque cells (:func:`encode_frame` each, read back with the
-strict :func:`decode_frames`), so a cell may be at most ``MAX_FRAME_BYTES``
-minus its prefix.  A batch is as few payload frames as
-:data:`MAX_FRAME_BYTES` allows — one, for every batch the figures send —
-split between packets (inside a data batch, between two of its rows, if
-need be), and leaves in one ``writelines`` straight to its connection's
-transport (:class:`_Outbound`, which queues it while the connection is
-dialled); :class:`_Inbound` parses every complete frame as data arrives and
-records a batch's payload frames for the heap event that parses them.
+length-prefixed opaque cells (read back with the strict
+:func:`decode_frames`), so a cell may be at most ``MAX_FRAME_BYTES`` minus
+its prefix.  A batch is as few payload frames as the bound allows — one,
+for every batch the figures send — split between packets (inside a data
+batch, between two of its rows, if need be).  A frame is queued as its
+length prefix and its payload, uncopied; its one copy on the way is the
+immutable ``bytes`` the reader cuts from its parse buffer, which relays
+keep by reference.
 
 Both ends of every connection live in this process, so the sending side's
 record of a batch (its connection, payload frame count and item count) is
 what the receiving side checks the wire against: an unknown batch id, a
 batch id on another connection, a frame or item count that differs from what
 was sent, a malformed hello, batch header, packet or cell, and a connection
-that closes inside a batch are each rejected with a
+that closes inside a frame or a batch are each rejected with a
 :class:`~repro.core.errors.PacketFormatError` naming the connection.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import os
+import select
 import socket
 import struct
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -97,9 +102,16 @@ MAX_FRAME_BYTES = 1 << 22
 #: Batch header payload: (batch id, number of payload frames that follow).
 BATCH_HEADER = struct.Struct(">QI")
 
-#: Wall-clock seconds the backend may wait for a batch's frames with no
-#: batch read before it declares itself wedged instead of hanging CI.
+#: Wall-clock seconds a landing may wait for its batch's frames with no
+#: byte read before it declares the backend wedged instead of hanging CI.
 DEFAULT_STALL_TIMEOUT = 60.0
+
+#: Bytes of a connection's parse buffer; it grows for a larger frame only
+#: while that frame is read.
+_READ_BUFFER = 1 << 16
+
+#: Most buffers one ``sendmsg`` takes (``IOV_MAX`` on Linux and macOS).
+_IOV_MAX = 1024
 
 
 def environment_settings() -> dict:
@@ -161,6 +173,14 @@ def decode_frames(data: bytes) -> list[bytes]:
     return frames
 
 
+def _wire(payloads: Iterable[bytes]) -> list[bytes]:
+    """Each payload, as it is, after its length prefix; every length is checked first."""
+    wire: list[bytes] = []
+    for payload in payloads:
+        wire += (FRAME_HEADER.pack(check_frame_size(len(payload))), payload)
+    return wire
+
+
 # -- batches ------------------------------------------------------------------------
 
 
@@ -175,7 +195,7 @@ class _PendingBatch:
     frame_count: int  # payload frames the batch left as
     count: int  # packets (or cells) it was sent with
     frames: list[bytes] | None = None  # its payload frames, once read
-    error: PacketFormatError | None = None  # why it never left, if it did not
+    error: PacketFormatError | None = None  # why it was never queued, if it was not
 
     @property
     def link(self) -> str:
@@ -204,7 +224,8 @@ class _PendingBatch:
 
 
 def _pack_cells(cells: list[bytes]) -> bytes:
-    return b"".join(map(encode_frame, cells))
+    """Opaque cells as one payload frame: each after its length prefix."""
+    return b"".join([piece for cell in cells for piece in (FRAME_HEADER.pack(len(cell)), cell)])
 
 
 def _payload_frames(items: list, sizes: list[int], pack: Callable) -> list[bytes]:
@@ -212,7 +233,7 @@ def _payload_frames(items: list, sizes: list[int], pack: Callable) -> list[bytes
 
     ``sizes`` holds one wire size per packet (or cell).  Frames split between
     packets, inside a data batch if need be, never inside one; a packet over
-    the bound on its own is left for :meth:`_Outbound.send` to reject.
+    the bound on its own is left for :meth:`AioOverlayNetwork._send` to reject.
     """
     if sum(sizes) <= MAX_FRAME_BYTES:
         return [pack(items)]
@@ -228,103 +249,115 @@ def _payload_frames(items: list, sizes: list[int], pack: Callable) -> list[bytes
 # -- connections --------------------------------------------------------------------
 
 
-class _Outbound(asyncio.Protocol):
-    """The sending end of one ``(sender, receiver)`` connection.
+class _Connection:
+    """Both ends of one ``(sender, receiver)`` connection: the sending end's
+    queue of frames, and the receiving end's parse buffer and frame states.
+    ``pending`` holds the backend's batches sent and not yet announced on the wire."""
 
-    :meth:`send` writes straight to the transport; what is sent while the
-    connection is still being dialled queues here, in order, and leaves when
-    it is made.  A connection lost before the backend closes fails the landing
-    that waits.
-    """
+    def __init__(
+        self, link: str, outbound: socket.socket, inbound: socket.socket, pending: dict
+    ) -> None:
+        self.link = link  # "sender→receiver", as dialled
+        self.outbound = outbound
+        self.inbound = inbound
+        self.pending = pending
+        self.queue: list = []  # frames not yet handed to the kernel, pieces for sendmsg
+        self.buffer = bytearray(_READ_BUFFER)
+        self.view = memoryview(self.buffer)
+        self.end = 0  # the unparsed bytes are buffer[:end]
+        self.hello: str | None = None  # "sender→receiver", as the hello names it
+        self.batch: _PendingBatch | None = None  # whose payload frames are arriving
+        self.frames: list[bytes] = []
+        self.failure: PacketFormatError | None = None  # a rejection, raised on every read after
 
-    def __init__(self, network: "AioOverlayNetwork", link: str) -> None:
-        self._network = network
-        self._link = link
-        self.transport: asyncio.Transport | None = None
-        self._queued: list[bytes] = []
-
-    def connection_made(self, transport: asyncio.Transport) -> None:
-        self.transport = transport
-        transport.writelines(self._queued)
-        self._queued = []
-
-    def connection_lost(self, exc: Exception | None) -> None:
-        if not self._network._closed:
-            self._network._fail(exc or ConnectionResetError(f"{self._link}: connection lost"))
-
-    def send(self, payloads: Iterable[bytes]) -> None:
-        """Frames back to back (a hello, or a batch), in one ``writelines``; every
-        length is checked first, so an oversized frame fails the batch with nothing
-        on the wire.  Each payload goes out as it is, after its length prefix."""
-        wire: list[bytes] = []
-        for payload in payloads:
-            wire += (FRAME_HEADER.pack(check_frame_size(len(payload))), payload)
-        if self.transport is None:
-            self._queued += wire
-        else:
-            self.transport.writelines(wire)
-
-
-class _Inbound(asyncio.Protocol):
-    """The receiving end of one connection.
-
-    Each :meth:`data_received` parses every complete frame buffered and moves
-    the connection through its hello, batch-header and payload-frame states;
-    a batch's frames are recorded on it as its last one is read.  A
-    rejection fails the landing that waits and drops the connection.
-    """
-
-    def __init__(self, network: "AioOverlayNetwork") -> None:
-        self._network = network
-        self.transport: asyncio.BaseTransport | None = None
-        self._buffer = bytearray()
-        self._link: str | None = None  # "sender→receiver", once the hello is in
-        self._batch: _PendingBatch | None = None  # whose payload frames are arriving
-        self._frames: list[bytes] = []
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport
-        self._network._inbound.add(self)
-
-    def data_received(self, data: bytes) -> None:
-        buffer = self._buffer
-        buffer += data
-        offset, end = 0, len(buffer)
+    def push(self) -> bool:
+        """Hand the queued frames to the kernel in one ``sendmsg``; True if some stay queued."""
+        queue = self.queue
+        if not queue:
+            return False
         try:
-            with memoryview(buffer) as view:
-                while end - offset >= FRAME_HEADER.size:
-                    start = offset + FRAME_HEADER.size
-                    stop = start + check_frame_size(FRAME_HEADER.unpack_from(view, offset)[0])
-                    if stop > end:
-                        break
-                    offset = stop
-                    # An immutable copy, never a view of the buffer: relays
-                    # keep received batches by reference.
-                    self.frame_received(bytes(view[start:stop]))
-        except BaseException as exc:  # noqa: B036 - must not strand the wait
-            buffer.clear()
-            self._batch = None
-            self._network._fail(exc)
-            self.transport.abort()
-            return
-        del buffer[:offset]
+            sent = self.outbound.sendmsg(queue[:_IOV_MAX] if len(queue) > _IOV_MAX else queue)
+        except BlockingIOError:
+            return True
+        for index, piece in enumerate(queue):
+            sent -= len(piece)
+            if sent < 0:  # the unsent tail of this piece, and what follows it, stay
+                del queue[:index]
+                queue[0] = memoryview(piece)[len(piece) + sent :]
+                return True
+        queue.clear()
+        return False
+
+    def receive(self) -> int | None:
+        """Read what the socket holds into the parse buffer and parse every whole frame.
+
+        Returns the bytes read, ``None`` if there were none, 0 at an end of
+        stream between batches.  An end inside a frame or a batch raises; a
+        rejected frame raises, and again on every later call.
+        """
+        if self.failure is not None:
+            raise self.failure
+        end = self.end
+        try:
+            read = self.inbound.recv_into(self.view[end:])
+        except BlockingIOError:
+            return None
+        if not read:
+            if end:
+                raise PacketFormatError("connection closed mid-frame")
+            if self.batch is not None:
+                raise PacketFormatError(
+                    f"{self.hello}: connection closed after {len(self.frames)} of the "
+                    f"{self.batch.frame_count} frames of batch {self.batch.batch_id}"
+                )
+            return 0
+        end += read
+        view, offset = self.view, 0
+        try:
+            while end - offset >= FRAME_HEADER.size:
+                start = offset + FRAME_HEADER.size
+                stop = start + check_frame_size(FRAME_HEADER.unpack_from(view, offset)[0])
+                if stop > end:
+                    break
+                offset = stop
+                # An immutable copy, never a view of the buffer: relays keep
+                # received batches by reference.
+                self.frame_received(bytes(view[start:stop]))
+        except PacketFormatError as exc:
+            self.failure = exc
+            raise
+        # Keep a partial frame at the front of a buffer it fits whole: the
+        # buffer grows for a frame over _READ_BUFFER and shrinks after it.
+        rest = end - offset
+        need = _READ_BUFFER
+        if rest >= FRAME_HEADER.size:
+            need = max(need, FRAME_HEADER.size + FRAME_HEADER.unpack_from(view, offset)[0])
+        if need != len(self.buffer):
+            buffer = bytearray(need)
+            buffer[:rest] = view[offset:end]
+            view.release()
+            self.buffer, self.view = buffer, memoryview(buffer)
+        elif offset:
+            view[:rest] = view[offset:end]
+        self.end = rest
+        return read
 
     def frame_received(self, frame: bytes) -> None:
         """One whole frame: the hello, a batch header or a payload frame."""
-        if self._link is None:
+        if self.hello is None:
             try:
                 sender, receiver = frame.decode("utf-8").split("\x00")
             except ValueError:  # not UTF-8, or not exactly two addresses
                 raise PacketFormatError(f"malformed hello frame {frame!r}") from None
-            self._link = f"{sender}→{receiver}"
-        elif self._batch is None:
-            link = self._link
+            self.hello = f"{sender}→{receiver}"
+        elif self.batch is None:
+            link = self.hello
             if len(frame) != BATCH_HEADER.size:
                 raise PacketFormatError(
                     f"{link}: batch header of {len(frame)} bytes, expected {BATCH_HEADER.size}"
                 )
             batch_id, count = BATCH_HEADER.unpack(frame)
-            batch = self._network._pending.pop(batch_id, None)
+            batch = self.pending.pop(batch_id, None)
             if batch is None:
                 raise PacketFormatError(f"{link}: unknown batch id {batch_id}")
             if batch.link != link:
@@ -334,47 +367,38 @@ class _Inbound(asyncio.Protocol):
                     f"{link}: batch {batch_id} announces {count} payload "
                     f"frames, {batch.frame_count} were sent"
                 )
-            self._batch = batch
+            self.batch = batch
         else:
-            self._frames.append(frame)
-            if len(self._frames) == self._batch.frame_count:
-                batch, batch.frames = self._batch, self._frames
-                self._batch, self._frames = None, []
-                network = self._network
-                network._progress_at = network._loop.time()
-                if batch is network._awaited:
-                    network._wake()
+            frames = self.frames
+            frames.append(frame)
+            if len(frames) == self.batch.frame_count:
+                self.batch.frames = frames
+                self.batch, self.frames = None, []
 
-    def connection_lost(self, exc: Exception | None) -> None:
-        self._network._inbound.discard(self)
-        if self._buffer:
-            exc = PacketFormatError("connection closed mid-frame")
-        elif self._batch is not None:
-            exc = PacketFormatError(
-                f"{self._link}: connection closed after {len(self._frames)} of the "
-                f"{self._batch.frame_count} frames of batch {self._batch.batch_id}"
-            )
-        if exc is not None:
-            self._network._fail(exc)
+    def close(self) -> None:
+        self.outbound.close()
+        self.inbound.close()
+        self.view.release()
 
 
 # -- the backend --------------------------------------------------------------------
 
 
 class AioOverlayNetwork(SimulatedOverlayNetwork):
-    """The simulated substrate with every batch carried over asyncio TCP streams.
+    """The simulated substrate with every batch carried over TCP sockets.
 
     Parameters
     ----------
     network, connection_bps:
         Same meaning as on the simulated backend; they feed the shared
-        virtual-time accounting.  If a landing waits for a batch's frames
-        and no batch is read for :data:`DEFAULT_STALL_TIMEOUT` wall-clock
+        virtual-time accounting.  If a landing waits for its batch's frames
+        and no byte is read for :data:`DEFAULT_STALL_TIMEOUT` wall-clock
         seconds, it raises instead of hanging.
     bind_host:
-        Interface the per-address servers bind and connections dial
+        Interface the per-receiver listeners bind and connections dial
         (default ``127.0.0.1``; any resolvable address works — all overlay
         endpoints live in this process, so host and dial address coincide).
+        It is resolved once, here, to the first ``getaddrinfo`` result.
     """
 
     def __init__(
@@ -385,18 +409,14 @@ class AioOverlayNetwork(SimulatedOverlayNetwork):
     ) -> None:
         super().__init__(network, connection_bps)
         self.bind_host = bind_host
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server_tasks: dict[str, asyncio.Task] = {}
-        self._links: dict[tuple[str, str], _Outbound] = {}
-        self._dials: list[asyncio.Task] = []  # the loop itself holds tasks weakly
-        self._inbound: set[_Inbound] = set()
+        # Resolved once: every listener binds this family and address.
+        self._family, _type, _proto, _name, self._address = socket.getaddrinfo(
+            bind_host, 0, type=socket.SOCK_STREAM
+        )[0]
+        self._listeners: dict[str, socket.socket] = {}
+        self._links: dict[tuple[str, str], _Connection] = {}
         self._pending: dict[int, _PendingBatch] = {}
-        self._outbox: list[tuple[str, str, int, list[bytes]]] = []
-        self._awaited: _PendingBatch | None = None  # whose frames _wait waits for
-        self._idle: asyncio.Future | None = None  # what _wait waits on
-        self._progress_at = 0.0  # loop time of the last batch read
-        self._watchdog: asyncio.TimerHandle | None = None
-        self._failure: BaseException | None = None
+        self._outbox: dict[_Connection, None] = {}  # connections with frames queued
         self._batch_ids = itertools.count(1)
         self._closed = False
 
@@ -411,7 +431,8 @@ class AioOverlayNetwork(SimulatedOverlayNetwork):
     def _send(
         self, sender: str, receiver: str, items: list, sizes: list[int], packets: bool
     ) -> _PendingBatch:
-        """Frame a charged burst for its connection; its record is what travels."""
+        """Frame a charged burst and queue it on its connection; its record is what
+        travels.  A batch with a frame over the bound gets its ``error``, unqueued."""
         if self._closed:
             raise SimulationError("aio backend is closed")
         if packets:
@@ -421,10 +442,16 @@ class AioOverlayNetwork(SimulatedOverlayNetwork):
                 items, [FRAME_HEADER.size + size for size in sizes], _pack_cells
             )
         batch_id = next(self._batch_ids)
-        batch = self._pending[batch_id] = _PendingBatch(
-            batch_id, packets, sender, receiver, len(frames), len(sizes)
-        )
-        self._outbox.append((sender, receiver, batch_id, frames))
+        batch = _PendingBatch(batch_id, packets, sender, receiver, len(frames), len(sizes))
+        try:
+            wire = _wire([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
+        except PacketFormatError as exc:  # an oversized frame fails its batch alone
+            batch.error = exc
+            return batch
+        connection = self._links.get((sender, receiver)) or self._dial(sender, receiver)
+        connection.queue += wire
+        self._outbox[connection] = None
+        self._pending[batch_id] = batch
         return batch
 
     def _receive(self, batch: _PendingBatch) -> list:
@@ -439,9 +466,7 @@ class AioOverlayNetwork(SimulatedOverlayNetwork):
         deliver: Callable[[list, list[float]], None],
         items: list[tuple[_PendingBatch, list[float]]],
     ) -> None:
-        """Write the outbox, land the batches that left, then fail on one that did not."""
-        if self._outbox:
-            self._flush_outbox()
+        """Land the batches that were queued, then fail on one that was not."""
         left = [item for item in items if item[0].error is None]
         if left:
             super()._land(receiver, deliver, left)
@@ -451,123 +476,85 @@ class AioOverlayNetwork(SimulatedOverlayNetwork):
     # -- waiting ------------------------------------------------------------------
 
     def drive(self, until: float | None = None, max_events: int = 10_000_000) -> float:
-        """``sim.run``, then raise a failure a connection recorded; returns the virtual time."""
-        now = self.sim.run(until, max_events)
-        self._raise_failure()
-        return now
+        """``sim.run``: a landing raises what went wrong on its connection; returns the virtual time."""
+        return self.sim.run(until, max_events)
 
     def _wait(self, batch: _PendingBatch) -> None:
-        """Write the outbox, then run the loop until ``batch``'s frames are read."""
-        self._flush_outbox()
-        self._raise_failure()
-        loop = self._loop
-        self._awaited = batch
-        self._idle = loop.create_future()
-        self._progress_at = loop.time()
-        self._watch()
-        try:
-            loop.run_until_complete(self._idle)
-        finally:
-            self._awaited = self._idle = None
-            self._watchdog.cancel()
-        self._raise_failure()
+        """Push the outbox, then read ``batch``'s connection until its frames are in.
 
-    def _raise_failure(self) -> None:
-        if self._failure is not None:
-            failure, self._failure = self._failure, None
-            raise failure
-
-    def _watch(self, since: float | None = None) -> None:
-        """Fail the wait if no batch was read since ``since``, else re-arm."""
-        if since == self._progress_at:
-            # Unread: no header read yet, or a header read and frames missing.
-            unread = len(self._pending) + sum(conn._batch is not None for conn in self._inbound)
-            awaited = self._awaited
-            self._fail(SimulationError(
-                f"aio backend stalled: {unread} batch(es) in flight made no progress for "
-                f"{DEFAULT_STALL_TIMEOUT}s (waiting for batch {awaited.batch_id} on {awaited.link})"
-            ))
-        else:
-            self._watchdog = self._loop.call_at(
-                self._progress_at + DEFAULT_STALL_TIMEOUT, self._watch, self._progress_at
-            )
-
-    def _wake(self) -> None:
-        if self._idle is not None and not self._idle.done():
-            self._idle.set_result(None)
-
-    def _fail(self, exc: BaseException) -> None:
-        if self._failure is None:
-            self._failure = exc
-        self._wake()
-
-    # -- sender side --------------------------------------------------------------
-
-    def _flush_outbox(self) -> None:
-        """Write every submitted batch to its connection, one ``writelines`` each."""
-        loop = self._ensure_loop()
-        outbox, self._outbox = self._outbox, []
-        for sender, receiver, batch_id, frames in outbox:
-            link = self._links.get((sender, receiver))
-            if link is None:  # dialled on first use, and its hello goes first
-                link = self._links[sender, receiver] = _Outbound(self, f"{sender}→{receiver}")
-                link.send([f"{sender}\x00{receiver}".encode()])
-                self._dials.append(loop.create_task(self._dial(link, receiver)))
-            try:
-                link.send([BATCH_HEADER.pack(batch_id, len(frames)), *frames])
-            except PacketFormatError as exc:  # an oversized frame fails its batch alone
-                self._pending.pop(batch_id).error = exc
-
-    async def _dial(self, link: _Outbound, receiver: str) -> None:
-        try:
-            # A task, so that dials racing to one receiver share its server.
-            server = self._server_tasks.get(receiver)
-            if server is None:
-                server = self._server_tasks[receiver] = self._loop.create_task(
-                    self._loop.create_server(lambda: _Inbound(self), self.bind_host, 0)
-                )
-            port = (await server).sockets[0].getsockname()[1]
-            await self._loop.create_connection(lambda: link, self.bind_host, port)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # noqa: B036 - must not strand the wait
-            self._fail(exc)
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
+        A read is progress; :data:`DEFAULT_STALL_TIMEOUT` seconds without one raise.
+        """
         if self._closed:
             raise SimulationError("aio backend is closed")
-        if self._loop is None:
-            self._loop = asyncio.new_event_loop()
-        return self._loop
+        outbox = self._outbox
+        for connection in list(outbox):
+            if not connection.push():
+                del outbox[connection]
+        connection = self._links[batch.sender, batch.receiver]
+        progress = time.monotonic()
+        while batch.frames is None:
+            if connection.queue:
+                connection.push()
+            read = connection.receive()
+            if read:
+                progress = time.monotonic()
+                continue
+            if read == 0:
+                raise ConnectionResetError(f"{connection.link}: connection lost")
+            left = progress + DEFAULT_STALL_TIMEOUT - time.monotonic()
+            if left <= 0:
+                # Unread: no header read yet, or a header read and frames missing.
+                unread = len(self._pending) + sum(
+                    link.batch is not None for link in self._links.values()
+                )
+                raise SimulationError(
+                    f"aio backend stalled: {unread} batch(es) in flight made no progress for "
+                    f"{DEFAULT_STALL_TIMEOUT}s (waiting for batch {batch.batch_id} on {batch.link})"
+                )
+            poller = select.poll()
+            poller.register(connection.inbound, select.POLLIN)
+            if connection.queue:
+                poller.register(connection.outbound, select.POLLOUT)
+            poller.poll(left * 1000)
+
+    # -- connections --------------------------------------------------------------
+
+    def _dial(self, sender: str, receiver: str) -> _Connection:
+        """Connect ``sender`` to ``receiver``'s listener, synchronously; the hello goes first."""
+        listener = self._listeners.get(receiver)
+        if listener is None:
+            listener = self._listeners[receiver] = socket.create_server(
+                self._address, family=self._family
+            )
+        outbound = socket.socket(self._family, socket.SOCK_STREAM)
+        try:
+            # The listener's own numeric address: no name lookup per dial.
+            outbound.connect(listener.getsockname())
+            inbound, peer = listener.accept()
+            while peer != outbound.getsockname():  # not a connection of this backend
+                inbound.close()
+                inbound, peer = listener.accept()
+        except BaseException:
+            outbound.close()
+            raise
+        outbound.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        outbound.setblocking(False)
+        inbound.setblocking(False)
+        connection = self._links[sender, receiver] = _Connection(
+            f"{sender}→{receiver}", outbound, inbound, self._pending
+        )
+        connection.queue.append(encode_frame(f"{sender}\x00{receiver}".encode()))
+        return connection
 
     def close(self) -> None:
-        """Graceful teardown: close every connection, server and the loop."""
+        """Close every connection's sockets and every listener."""
         if self._closed:
             return
         self._closed = True
-        loop = self._loop
-        self._loop = None
-        if loop is None or loop.is_closed():
-            return
-        try:
-            loop.run_until_complete(self._shutdown())
-        finally:
-            loop.close()
-
-    async def _shutdown(self) -> None:
-        # A server start never waits on the network: let each one finish, then
-        # close it.  Cancel what is left: dials, and accepts already begun.
-        started = await asyncio.gather(*self._server_tasks.values(), return_exceptions=True)
-        for server in started:
-            if isinstance(server, asyncio.Server):
-                server.close()
-        tasks = asyncio.all_tasks() - {asyncio.current_task()}
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        for end in [*self._links.values(), *self._inbound]:
-            if end.transport is not None:
-                end.transport.abort()
-        await asyncio.sleep(0)  # the transports' connection_lost closes their sockets
+        for connection in self._links.values():
+            connection.close()
+        for listener in self._listeners.values():
+            listener.close()
+        self._links.clear()
+        self._listeners.clear()
+        self._outbox.clear()

@@ -9,7 +9,7 @@ information-slicing adapter (:class:`SlicingRuntime`) wires the real
 baselines in :mod:`repro.baselines` provide their own adapters.
 
 The accounting lives on the :class:`OverlayTransport` base class and the
-transmit surface on :class:`SimulatedOverlayNetwork`, which the asyncio
+transmit surface on :class:`SimulatedOverlayNetwork`, which the
 socket backend (:mod:`repro.overlay.aio`) subclasses: it only carries each
 burst over a real connection between its charge and its landing.  So the
 adapters run unchanged on either backend, both charge every transmission
@@ -146,7 +146,7 @@ class OverlayTransport:
 
     The virtual-time arithmetic (per-connection FIFO serialisation, per-node
     CPU queues, drop-on-failure, aggregate counters) lives here so the
-    discrete-event backend (:class:`SimulatedOverlayNetwork`) and the asyncio
+    discrete-event backend (:class:`SimulatedOverlayNetwork`) and the
     socket backend (:class:`~repro.overlay.aio.AioOverlayNetwork`) account
     packets identically; only *how* a packet travels differs.  Subclasses
     provide ``self.sim``, the :class:`~repro.overlay.simulator.EventSimulator`
@@ -300,7 +300,7 @@ class SimulatedOverlayNetwork(OverlayTransport):
     A burst is charged to the clock when it is sent and handed to
     :meth:`_send`; what that returns is what travels, and :meth:`_receive`
     turns it back into the items its landing delivers.  Here both return
-    what they are given, so ``deliver`` receives the originals; the asyncio
+    what they are given, so ``deliver`` receives the originals; the socket
     backend (:class:`~repro.overlay.aio.AioOverlayNetwork`) overrides the
     two to carry the burst over a real connection.
 

@@ -100,7 +100,7 @@ class ProtocolRuntime(abc.ABC):
     # -- structural observables (backend-parity surface) ---------------------------
     #
     # These are the fields asserted identical between the simulated and the
-    # asyncio backend under a shared seed: *what* was delivered and *how
+    # socket backend under a shared seed: *what* was delivered and *how
     # much* work the relays did — never virtual/wall timestamps.
 
     def delivered_plaintexts(self) -> dict[int, bytes]:
@@ -149,7 +149,7 @@ def build_substrate(
     """Instantiate an overlay transport backend by name.
 
     ``"sim"`` is the discrete-event simulator; ``"aio"`` runs the same
-    protocol runtimes over real asyncio TCP streams
+    protocol runtimes over real socket TCP streams
     (:class:`~repro.overlay.aio.AioOverlayNetwork`).  The aio backend takes
     its one deployment setting from the environment, read and checked by
     :func:`~repro.overlay.aio.environment_settings`: ``REPRO_AIO_HOST``

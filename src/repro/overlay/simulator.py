@@ -2,7 +2,7 @@
 
 The performance experiments (§7) need controlled time: wide-area latencies,
 per-node CPU costs, node failures at precise instants, and reproducibility.
-Rather than racing wall-clock asyncio tasks, we schedule everything on a
+Rather than racing wall-clock tasks, we schedule everything on a
 simulated clock.  The simulator is deliberately tiny — an event heap with
 deterministic tie-breaking — because all domain behaviour lives in the node
 runtimes built on top of it (:mod:`repro.overlay.node`).
@@ -10,7 +10,7 @@ runtimes built on top of it (:mod:`repro.overlay.node`).
 A heap entry is a ``[time, sequence, callback]`` list.  Sequences are
 unique, so ``heapq`` orders entries by ``(time, sequence)`` in C without
 ever comparing callbacks.  :meth:`EventSimulator.run` is the one loop that
-pops the heap, on either overlay backend: the asyncio backend waits on its
+pops the heap, on either overlay backend: the socket backend waits on its
 sockets inside a landing (:mod:`repro.overlay.aio`), not in a loop of its
 own.
 

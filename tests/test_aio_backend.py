@@ -1,4 +1,4 @@
-"""The asyncio socket backend: backend parity and lifecycle.
+"""The socket backend: backend parity and lifecycle.
 
 The ``aio`` backend runs the simulator's event order, so every protocol
 runtime (slicing, onion, Sphinx) must produce the same whole result on it
@@ -9,10 +9,12 @@ PlanetLab profile.  These are the in-process versions of what the CI
 ``aio-parity`` job asserts across whole figure artifacts.
 """
 
-import asyncio
 import gc
 import json
 import os
+import socket
+import subprocess
+import sys
 import time
 import warnings
 
@@ -35,8 +37,8 @@ from repro.overlay.aio import (
     BATCH_HEADER,
     MAX_FRAME_BYTES,
     AioOverlayNetwork,
-    _Inbound,
-    _Outbound,
+    _Connection,
+    decode_frames,
     encode_frame,
 )
 from repro.overlay.network import NodeResources, uniform_network
@@ -118,6 +120,68 @@ def test_aio_host_from_the_environment_reaches_the_substrate_with_parity(scheme,
     host, aio = _transfer(scheme, "aio")
     assert host == "localhost"
     assert aio == sim
+
+
+def _binds(host: str, family: socket.AddressFamily) -> bool:
+    try:
+        socket.create_server((host, 0), family=family).close()
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    ("host", "family"),
+    [
+        ("localhost", socket.getaddrinfo("localhost", 0, type=socket.SOCK_STREAM)[0][0]),
+        pytest.param(
+            "::1", socket.AF_INET6,
+            marks=pytest.mark.skipif(
+                not _binds("::1", socket.AF_INET6), reason="this host has no IPv6 loopback"
+            ),
+        ),
+    ],
+)
+def test_a_bind_host_gives_every_connection_its_address_family(host, family):
+    # The family is the first of getaddrinfo(bind_host), as asyncio's
+    # create_server took it; both ends of a connection are on that interface.
+    substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6, bind_host=host)
+    delivered = []
+    try:
+        substrate.transmit_blob("a", "b", b"ping", delivered.append)
+        substrate.transmit_blob("b", "a", b"pong", delivered.append)
+        substrate.sim.run()
+        assert delivered == [b"ping", b"pong"]
+        assert len(substrate._links) == 2
+        for connection in substrate._links.values():
+            assert connection.outbound.family == connection.inbound.family == family
+            assert connection.inbound.getpeername() == connection.outbound.getsockname()
+    finally:
+        substrate.close()
+
+
+def test_an_aio_transfer_never_imports_asyncio():
+    """The socket backend runs on the simulator's loop: asyncio stays unimported."""
+    script = (
+        "import sys\n"
+        "from repro.experiments.throughput import prepare_scheme_transfer, transfer_throughput\n"
+        "from repro.overlay.profiles import LAN_PROFILE\n"
+        "substrate, runtime, relays, destination = prepare_scheme_transfer(\n"
+        "    'slicing', LAN_PROFILE, 2, 2, 2, 42, 'batched', 'aio')\n"
+        "try:\n"
+        "    assert transfer_throughput(runtime, relays, destination, 4, 1500)"
+        ".messages_delivered == 4\n"
+        "finally:\n"
+        "    substrate.close()\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'asyncio'))\n"
+    )
+    source = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -263,27 +327,28 @@ def test_a_dropped_data_batch_counts_one_drop_per_packet(backend, dead):
         substrate.close()
 
 
-def test_a_data_burst_on_an_established_flow_creates_no_task():
-    """Batches go straight to their connections: no task per batch or per send."""
+def test_a_data_burst_on_an_established_flow_opens_no_socket_and_dials_nothing(monkeypatch):
+    """Batches go straight onto the connections the setup dialled."""
     substrate, runtime, relays, destination = prepare_scheme_transfer(
         "slicing", LAN_PROFILE, 4, 2, 3, 42, "batched", "aio"
     )
-    created = []
 
-    def recording_factory(loop, coro, **kwargs):
-        created.append(coro.__qualname__)
-        return asyncio.Task(coro, loop=loop, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a data burst opened a socket or dialled a connection")
 
     try:
         runtime.establish(relays, destination)
         substrate.sim.run()
-        substrate._loop.set_task_factory(recording_factory)
+        dialled = dict(substrate._links)
+        # Every new socket object, accepted ones included, goes through socket.socket.
+        monkeypatch.setattr(socket, "socket", forbidden)
+        monkeypatch.setattr(AioOverlayNetwork, "_dial", forbidden)
         runtime.send_messages([bytes([seq]) * 1500 for seq in range(32)])
         substrate.sim.run()
         assert len(runtime.delivered_plaintexts()) == 32
-        # A landing waits on a future, not a task.
-        assert created == []
+        assert substrate._links == dialled
     finally:
+        monkeypatch.undo()
         substrate.close()
 
 
@@ -309,18 +374,27 @@ def test_close_returns_every_socket_after_a_transfer(scheme):
 # -- receive-side rejections --------------------------------------------------------
 
 
-class _NullTransport:
-    def abort(self) -> None:
-        pass
+def _receive(substrate: AioOverlayNetwork, wire: bytes, monkeypatch) -> None:
+    """Drive with ``wire`` on connection a→b in place of the frames queued there.
 
+    If no batch is in flight, a blob is sent first, so that a landing
+    waits on the connection.  The connection's sending end shuts once
+    ``wire`` is written, so the reader sees ``wire``, then the end of the stream.
+    """
+    if not substrate._pending:
+        substrate.transmit_blob("a", "b", b"landing", lambda blob: None)
+    connection = substrate._links["a", "b"]
+    connection.queue[:] = [wire]
+    push, shut = _Connection.push, []
 
-def _receive(substrate: AioOverlayNetwork, wire: bytes) -> None:
-    """Play ``wire`` into the backend as one inbound connection, then drive."""
-    substrate._ensure_loop()
-    inbound = _Inbound(substrate)
-    inbound.connection_made(_NullTransport())
-    inbound.data_received(wire)
-    inbound.connection_lost(None)
+    def push_then_shut(link):
+        left = push(link)
+        if link is connection and not left and not shut:
+            link.outbound.shutdown(socket.SHUT_WR)
+            shut.append(link)
+        return left
+
+    monkeypatch.setattr(_Connection, "push", push_then_shut)
     substrate.drive()
 
 
@@ -331,22 +405,22 @@ def substrate():
     substrate.close()
 
 
-def test_aio_rejects_an_unknown_batch_id_naming_the_connection(substrate):
+def test_aio_rejects_an_unknown_batch_id_naming_the_connection(substrate, monkeypatch):
     wire = encode_frame(b"a\x00b") + encode_frame(BATCH_HEADER.pack(17, 1))
     with pytest.raises(PacketFormatError, match="a→b: unknown batch id 17"):
-        _receive(substrate, wire + encode_frame(b"payload"))
+        _receive(substrate, wire + encode_frame(b"payload"), monkeypatch)
 
 
-def test_aio_rejects_a_batch_header_of_the_wrong_length(substrate):
+def test_aio_rejects_a_batch_header_of_the_wrong_length(substrate, monkeypatch):
     wire = encode_frame(b"a\x00b") + encode_frame(b"seven b")
     with pytest.raises(
         PacketFormatError, match="a→b: batch header of 7 bytes, expected 12"
     ):
-        _receive(substrate, wire)
+        _receive(substrate, wire, monkeypatch)
 
 
 def test_aio_reports_how_much_of_a_batch_arrived_before_the_connection_closed(
-    substrate,
+    substrate, monkeypatch
 ):
     # Three cells that only fit one to a payload frame.
     cells = [bytes([fill]) * (MAX_FRAME_BYTES // 2 + 1) for fill in range(3)]
@@ -361,7 +435,7 @@ def test_aio_reports_how_much_of_a_batch_arrived_before_the_connection_closed(
         PacketFormatError,
         match=f"a→b: connection closed after 1 of the 3 frames of batch {batch_id}",
     ):
-        _receive(substrate, wire)
+        _receive(substrate, wire, monkeypatch)
 
 
 def _cells(*cells: bytes) -> bytes:
@@ -390,16 +464,16 @@ def _cells(*cells: bytes) -> bytes:
     ids=["wrong-link", "frame-count", "item-count", "malformed-cell"],
 )
 def test_aio_checks_an_arriving_batch_against_what_was_sent(
-    substrate, hello, frame_count, payload, message
+    substrate, monkeypatch, hello, frame_count, payload, message
 ):
     substrate.transmit_blobs("a", "b", [b"one", b"two", b"three"], lambda *_: None)
     assert list(substrate._pending) == [1]
     wire = encode_frame(hello) + encode_frame(BATCH_HEADER.pack(1, frame_count))
     with pytest.raises(PacketFormatError, match=message):
-        _receive(substrate, wire + payload)
+        _receive(substrate, wire + payload, monkeypatch)
 
 
-def test_aio_names_the_connection_of_a_malformed_packet(substrate):
+def test_aio_names_the_connection_of_a_malformed_packet(substrate, monkeypatch):
     block = CodedBlock(np.zeros(2, np.uint8), np.zeros(8, np.uint8))
     packet = Packet(flow_id=1, kind=PacketKind.DATA, slices=[block], d=2)
     substrate.transmit_packets("a", "b", [packet, packet], lambda *_: None)
@@ -407,24 +481,25 @@ def test_aio_names_the_connection_of_a_malformed_packet(substrate):
     bad[len(bad) // 2 + 8] = 7  # the second packet's kind byte
     wire = encode_frame(b"a\x00b") + encode_frame(BATCH_HEADER.pack(1, 1))
     with pytest.raises(PacketFormatError, match="a→b: unknown packet kind 7"):
-        _receive(substrate, wire + encode_frame(bytes(bad)))
+        _receive(substrate, wire + encode_frame(bytes(bad)), monkeypatch)
 
 
 @pytest.mark.parametrize("hello", [b"\xff\xfe\x00b", b"no separator", b"a\x00b\x00c"])
-def test_aio_rejects_a_malformed_hello_frame(substrate, hello):
+def test_aio_rejects_a_malformed_hello_frame(substrate, monkeypatch, hello):
     with pytest.raises(PacketFormatError, match="malformed hello frame"):
-        _receive(substrate, encode_frame(hello))
+        _receive(substrate, encode_frame(hello), monkeypatch)
 
 
 def test_aio_stall_watchdog_names_the_wedged_batch(monkeypatch):
     """A batch that never reaches its socket trips the watchdog, not a hang."""
     monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 0.2)
     substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
-    sends = []
-    # The connection is dialled, but neither its hello nor the batch is written.
-    monkeypatch.setattr(_Outbound, "send", lambda link, payloads: sends.append(payloads))
     try:
         substrate.transmit_blob("a", "b", b"wedged", lambda blob: None)
+        # The connection is dialled, but neither its hello nor the batch is written.
+        connection = substrate._links["a", "b"]
+        wedged = b"".join(connection.queue)
+        connection.queue.clear()
         with pytest.raises(
             SimulationError,
             match=r"aio backend stalled: 1 batch\(es\) in flight made no progress for 0.2s",
@@ -432,8 +507,11 @@ def test_aio_stall_watchdog_names_the_wedged_batch(monkeypatch):
             substrate.sim.run()
     finally:
         substrate.close()
-    assert len(sends) == 2  # the hello and the batch, neither written
-    assert substrate._loop is None
+    assert decode_frames(wedged) == [
+        b"a\x00b", BATCH_HEADER.pack(1, 1), encode_frame(b"wedged")
+    ]
+    assert substrate._links == {} and substrate._listeners == {}
+    assert connection.outbound.fileno() == connection.inbound.fileno() == -1
     with pytest.raises(SimulationError, match="closed"):
         substrate.transmit_blob("a", "b", b"late", lambda blob: None)
 
@@ -442,11 +520,13 @@ def test_aio_stall_watchdog_counts_a_batch_wedged_after_its_header(monkeypatch):
     """A batch whose header is read but whose payload never arrives still counts."""
     monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 0.2)
     substrate = AioOverlayNetwork(_lan_network(["a", "b"]), connection_bps=30e6)
-    send = _Outbound.send
-    # The hello goes out whole; of a batch, only its header frame.
-    monkeypatch.setattr(_Outbound, "send", lambda link, payloads: send(link, list(payloads)[:1]))
     try:
         substrate.transmit_blob("a", "b", b"wedged", lambda blob: None)
+        # The hello goes out whole; of a batch, only its header frame.
+        connection = substrate._links["a", "b"]
+        header = encode_frame(b"a\x00b") + encode_frame(BATCH_HEADER.pack(1, 1))
+        assert b"".join(connection.queue).startswith(header)
+        connection.queue[:] = [header]
         with pytest.raises(
             SimulationError,
             match=r"1 batch\(es\) in flight made no progress for 0.2s "
@@ -542,8 +622,8 @@ def test_a_lost_connection_fails_the_drain_at_once(substrate, monkeypatch):
     monkeypatch.setattr("repro.overlay.aio.DEFAULT_STALL_TIMEOUT", 10.0)
     substrate.transmit_blob("a", "b", b"first", lambda blob: None)
     substrate.sim.run()
-    (inbound,) = substrate._inbound
-    inbound.transport.abort()  # the receiving end drops the connection
+    # The receiving end drops the connection.
+    substrate._links["a", "b"].inbound.shutdown(socket.SHUT_RDWR)
     substrate.transmit_blob("a", "b", b"second", lambda blob: None)
     with pytest.raises(ConnectionError):
         substrate.sim.run()

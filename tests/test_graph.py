@@ -116,6 +116,39 @@ def test_construction_errors():
         )
 
 
+def test_validate_rejects_a_relay_stage_of_the_wrong_size():
+    graph = ForwardingGraph(
+        stages=[["s0", "s1"], ["a", "b"], ["c"]], destination="c", d=2, d_prime=2
+    )
+    with pytest.raises(GraphConstructionError, match=r"relay stage has 1 nodes, expected d'=2"):
+        graph.validate()
+
+
+def test_validate_rejects_a_source_stage_of_the_wrong_size():
+    graph = ForwardingGraph(
+        stages=[["s0", "s1", "s2"], ["a", "b"], ["c", "d"]], destination="c", d=2, d_prime=2
+    )
+    with pytest.raises(
+        GraphConstructionError, match=r"source stage has 3 nodes, expected d'=2"
+    ):
+        graph.validate()
+
+
+def test_validate_rejects_slices_that_share_a_carrier():
+    # The carrier formula keeps every relay's paths disjoint, so the tables
+    # are tampered with: two slices of one stage-3 owner share their stage-1 carrier.
+    graph = make_graph(path_length=3, d=2, d_prime=3)
+    graph.validate()
+    owner = graph.stages[3][1]
+    paths = graph._tables[0]
+    first, second = paths[owner, 0], paths[owner, 1]
+    paths[owner, 1] = (second[0], first[1], *second[2:])
+    with pytest.raises(
+        GraphConstructionError, match=f"slices of {owner} are not vertex-disjoint at stage 1"
+    ):
+        graph.validate()
+
+
 def test_duplicate_node_rejected():
     with pytest.raises(GraphConstructionError):
         ForwardingGraph(

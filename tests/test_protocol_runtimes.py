@@ -109,6 +109,42 @@ def test_onion_runtime_delivers_plaintexts_end_to_end():
     assert [runtime.delivered[i] for i in range(5)] == messages
 
 
+def test_circuit_cell_costs_equal_the_per_cell_prices(monkeypatch):
+    """A chunk prices each distinct cell length once: the CPU costs it charges
+    are, bit for bit, one ``symmetric_time`` per cell (times the layer count
+    at the source, hop 0)."""
+    relays = [f"onion-{i}" for i in range(4)]
+    substrate = build_substrate(["src", *relays, "dst"], seed=3)
+    runtime = SCHEMES["onion"].runtime(
+        substrate, ["src"], path_length=4, rng=np.random.default_rng(2)
+    )
+    runtime.establish(relays, "dst")
+    substrate.sim.run()
+    sent = []
+    transmit_blobs = substrate.transmit_blobs
+
+    def recording(sender, receiver, cells, deliver, sender_cpu_seconds=None):
+        sent.append((sender, list(cells), list(sender_cpu_seconds)))
+        transmit_blobs(sender, receiver, cells, deliver, sender_cpu_seconds)
+
+    monkeypatch.setattr(substrate, "transmit_blobs", recording)
+    # Three lengths in every chunk of 16 cells.
+    messages = [bytes([seq]) * (700 + 300 * (seq % 3)) for seq in range(40)]
+    runtime.send_messages(messages)
+    substrate.sim.run()
+    assert [runtime.delivered[seq] for seq in range(40)] == messages
+    hops = {sender for sender, _cells, _cpus in sent}
+    assert "src" in hops and len(hops) == 5  # hop 0 and every later hop
+    for sender, cells, cpus in sent:
+        assert len({len(cell) for cell in cells}) == 3
+        resources = substrate.network.resources(sender)
+        if sender == "src":
+            per_cell = [resources.symmetric_time(len(cell)) * 4 for cell in cells]
+        else:
+            per_cell = [resources.symmetric_time(len(cell)) for cell in cells]
+        assert cpus == per_cell, sender
+
+
 def test_sphinx_runtime_delivers_plaintexts_end_to_end():
     relays = [f"sphinx-{i}" for i in range(4)]
     substrate = build_substrate(["src", *relays, "dst"], seed=6)

@@ -1,7 +1,7 @@
 """Property tests for the aio backend's wire format.
 
 :meth:`Packet.to_bytes` / :meth:`Packet.from_bytes` define a packet's wire
-bytes; the asyncio backend ships a batch as those bytes back to back in a
+bytes; the socket backend ships a batch as those bytes back to back in a
 length-prefixed payload frame (:func:`pack_packets`) and parses it back as
 one byte matrix (:func:`unpack_packets`), data packets as column batches
 (:class:`PacketBatch`).  These tests pin the scalar round trip across all
@@ -11,6 +11,8 @@ rejected rather than mis-parsed, and run figs. 11-15 with every burst
 round-tripped through the codec (``tests/oracles/wire.py``).
 """
 
+import select
+import socket
 from dataclasses import replace
 
 import numpy as np
@@ -30,11 +32,12 @@ from repro.core.packet import (
 from repro.experiments import throughput
 from repro.experiments.runner import run_experiment
 from repro.overlay.aio import (
+    _IOV_MAX,
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     AioOverlayNetwork,
-    _Inbound,
-    _Outbound,
+    _Connection,
+    _wire,
     decode_frames,
     encode_frame,
 )
@@ -220,7 +223,7 @@ def test_a_batch_over_the_frame_bound_splits_between_packets_and_round_trips():
         substrate.transmit_packets(
             "a", "b", batch, lambda packets, arrivals: delivered.extend(packets)
         )
-        ((_, _, _, frames),) = substrate._outbox
+        frames = _queued_payload_frames(substrate)
         assert len(frames) == 2
         assert all(len(frame) <= MAX_FRAME_BYTES for frame in frames)
         assert sum(len(batch_packets(unpack_packets(frame))) for frame in frames) == 70
@@ -228,6 +231,13 @@ def test_a_batch_over_the_frame_bound_splits_between_packets_and_round_trips():
         assert pack_packets(delivered) == pack_packets(batch)
     finally:
         substrate.close()
+
+
+def _queued_payload_frames(substrate):
+    """The payload frames queued on connection a→b: what follows its hello and one batch header."""
+    hello, header, *frames = decode_frames(b"".join(substrate._links["a", "b"].queue))
+    assert hello == b"a\x00b" and len(header) == 12
+    return frames
 
 
 # -- column batches -------------------------------------------------------------------
@@ -341,7 +351,7 @@ def test_a_batch_over_the_frame_bound_splits_between_two_of_its_rows():
         substrate.transmit_packets(
             "a", "b", [batch], lambda items, arrivals: delivered.extend(items)
         )
-        ((_, _, _, frames),) = substrate._outbox
+        frames = _queued_payload_frames(substrate)
         assert len(frames) == 2
         assert all(len(frame) <= MAX_FRAME_BYTES for frame in frames)
         # Every frame holds whole packets: each parses on its own.
@@ -406,31 +416,44 @@ def test_oversized_payload_is_rejected_on_encode():
         encode_frame(bytes(MAX_FRAME_BYTES + 1))
 
 
-class _NullTransport:
-    def abort(self) -> None:
-        pass
+def _connection(cls=_Connection) -> _Connection:
+    """A connection over a socket pair: both ends non-blocking, as the backend's are."""
+    outbound, inbound = socket.socketpair()
+    outbound.setblocking(False)
+    inbound.setblocking(False)
+    return cls("a→b", outbound, inbound, {})
+
+
+class _Recording(_Connection):
+    """A connection that records every whole frame it parses, and nothing else."""
+
+    def frame_received(self, frame: bytes) -> None:
+        self.received.append(frame)
 
 
 def _read_chunks(chunks: list[bytes]) -> list[bytes]:
-    """The frames an inbound connection parses out of ``chunks``, then EOF.
+    """The frames a connection parses out of ``chunks``, then an end of stream.
 
-    Each chunk goes through one ``data_received``; a rejection raises from
-    the drive that follows, as it does on a live connection.
+    Each chunk is written to the socket and read until the socket holds
+    nothing; a rejection raises from the read, as it does in a landing.
     """
-    network = LAN_PROFILE.build_network(["a", "b"], np.random.default_rng(0))
-    substrate = AioOverlayNetwork(network, connection_bps=30e6)
-    frames: list[bytes] = []
+    connection = _connection(_Recording)
+    connection.received = []
     try:
-        inbound = _Inbound(substrate)
-        inbound.frame_received = frames.append
-        inbound.connection_made(_NullTransport())
         for chunk in chunks:
-            inbound.data_received(chunk)
-        inbound.connection_lost(None)
-        substrate.drive()
+            view = memoryview(chunk)
+            while view:
+                view = view[connection.outbound.send(view):]
+                while connection.receive():
+                    pass
+        connection.outbound.shutdown(socket.SHUT_WR)
+        while True:
+            select.select([connection.inbound], [], [], 5.0)
+            if connection.receive() == 0:
+                break
     finally:
-        substrate.close()
-    return frames
+        connection.close()
+    return connection.received
 
 
 def _read_from(data: bytes, step: int | None = None) -> list[bytes]:
@@ -439,42 +462,91 @@ def _read_from(data: bytes, step: int | None = None) -> list[bytes]:
     return _read_chunks([data[index : index + step] for index in range(0, len(data), step)])
 
 
-def _outbound() -> _Outbound:
-    """A sending end on its own; nothing here loses its connection."""
-    return _Outbound(None, "a→b")
-
-
-class _CapturingTransport:
-    """The one transport member :class:`_Outbound` writes through."""
-
-    def __init__(self) -> None:
-        self.wire = b""
-
-    def writelines(self, chunks) -> None:
-        self.wire += b"".join(chunks)
+def _written(connection: _Connection) -> bytes:
+    """Push ``connection``'s queue until it is empty; the bytes its far end received."""
+    received = bytearray()
+    while True:
+        left = connection.push()
+        try:
+            while chunk := connection.inbound.recv(1 << 20):
+                received += chunk
+        except BlockingIOError:
+            pass
+        if not left:
+            return bytes(received)
 
 
 @given(frames=st.lists(st.binary(max_size=256), max_size=12), data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_a_batch_of_frames_leaves_as_the_encode_frame_reference(frames, data):
-    # What is sent while the connection is dialled queues, and leaves first.
-    cut = data.draw(st.integers(0, len(frames)), label="sent before the connection is made")
-    link, transport = _outbound(), _CapturingTransport()
-    link.send(frames[:cut])
-    link.connection_made(transport)
-    link.send(frames[cut:])
-    assert transport.wire == b"".join(encode_frame(frame) for frame in frames)
-    assert decode_frames(transport.wire) == frames
+    # What is queued before a push leaves first, in order.
+    cut = data.draw(st.integers(0, len(frames)), label="queued before the first push")
+    connection = _connection()
+    try:
+        connection.queue += _wire(frames[:cut])
+        connection.push()
+        connection.queue += _wire(frames[cut:])
+        wire = _written(connection)
+    finally:
+        connection.close()
+    assert wire == b"".join(encode_frame(frame) for frame in frames)
+    assert decode_frames(wire) == frames
+
+
+class _Kernel:
+    """A sending end that takes at most ``room`` bytes per ``sendmsg`` and records each call."""
+
+    def __init__(self, room: int) -> None:
+        self.room = room
+        self.calls: list[list] = []
+
+    def sendmsg(self, buffers) -> int:
+        self.calls.append(list(buffers))
+        return min(self.room, sum(map(len, self.calls[-1])))
+
+
+def test_a_push_is_one_sendmsg_of_the_queued_frames_and_an_unsent_tail_stays_queued():
+    payloads = [b"a" * 10, b"b" * 20, b"c" * 30]
+    kernel = _Kernel(room=4 + 10 + 4 + 5)  # the first frame and 5 bytes of the second
+    connection = _Connection("a→b", kernel, None, {})
+    queued = _wire(payloads)
+    connection.queue += queued
+    assert connection.push()
+    # One call, handed the queued pieces themselves: no join, no copy.
+    ((*buffers,),) = kernel.calls
+    assert all(got is want for got, want in zip(buffers, queued))
+    # The second payload's unsent tail leads the queue, as a view of it.
+    assert bytes(connection.queue[0]) == b"b" * 15
+    assert connection.queue[1:] == queued[4:]
+    kernel.room = 1 << 20
+    assert not connection.push() and connection.queue == []
+    sent = b"".join(bytes(piece) for piece in kernel.calls[0])[:23]
+    sent += b"".join(bytes(piece) for piece in kernel.calls[1])
+    assert sent == b"".join(map(encode_frame, payloads))
+
+
+def test_a_push_hands_the_kernel_at_most_iov_max_buffers():
+    kernel = _Kernel(room=1 << 30)
+    connection = _Connection("a→b", kernel, None, {})
+    connection.queue += _wire([b"x"] * _IOV_MAX)  # twice IOV_MAX pieces
+    assert connection.push()
+    assert len(kernel.calls[0]) == _IOV_MAX and len(connection.queue) == _IOV_MAX
+    assert not connection.push() and connection.queue == []
 
 
 def test_an_oversized_frame_fails_the_batch_before_anything_is_written():
-    link, transport = _outbound(), _CapturingTransport()
-    with pytest.raises(PacketFormatError):
-        link.send([b"ok", bytes(MAX_FRAME_BYTES + 1)])  # while the connection is dialled
-    link.connection_made(transport)
-    with pytest.raises(PacketFormatError):
-        link.send([b"ok", bytes(MAX_FRAME_BYTES + 1)])  # once it is made
-    assert transport.wire == b""
+    with pytest.raises(PacketFormatError, match="over the"):
+        _wire([b"ok", bytes(MAX_FRAME_BYTES + 1)])
+    # On the backend: the batch is never queued, and no connection is dialled for it.
+    network = LAN_PROFILE.build_network(["a", "b"], np.random.default_rng(0))
+    substrate = AioOverlayNetwork(network, connection_bps=30e6)
+    try:
+        substrate.transmit_blobs("a", "b", [b"ok", bytes(MAX_FRAME_BYTES)], lambda *_: None)
+        assert substrate._links == {} and substrate._pending == {}
+        with pytest.raises(PacketFormatError, match="over the"):
+            substrate.sim.run()
+    finally:
+        substrate.close()
 
 
 def test_stream_read_frame_round_trip_and_eof():
@@ -508,7 +580,10 @@ def test_size_violations_raise_packet_format_error_and_the_bound_is_legal():
         _read_from(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))
     # A frame of exactly MAX_FRAME_BYTES is legal on send and on read.
     payload = bytes(MAX_FRAME_BYTES)
-    link, transport = _outbound(), _CapturingTransport()
-    link.connection_made(transport)
-    link.send([payload])
-    assert _read_from(transport.wire) == [payload]
+    connection = _connection()
+    try:
+        connection.queue += _wire([payload])
+        wire = _written(connection)
+    finally:
+        connection.close()
+    assert _read_from(wire) == [payload]
