@@ -119,11 +119,15 @@ class _CircuitDriver:
         resources = self.substrate.network.resources(sender)
         # The source layered every cell once per hop of its circuit; a relay
         # strips one layer (``x * 1`` is ``x`` to the bit).  Each distinct
-        # cell length is priced once.
+        # cell length is priced once; a chunk of one length (a bulk transfer's
+        # every chunk) takes its list without a lookup per cell.
         layers = self.runtime.path_length if hop_index == 0 else 1
-        lengths = [len(cell) for cell in cells]
-        price = {length: resources.symmetric_time(length) * layers for length in set(lengths)}
-        cpus = [price[length] for length in lengths]
+        lengths = set(map(len, cells))
+        if len(lengths) == 1:
+            cpus = [resources.symmetric_time(len(cells[0])) * layers] * len(cells)
+        else:
+            price = {length: resources.symmetric_time(length) * layers for length in lengths}
+            cpus = [price[len(cell)] for cell in cells]
 
         def on_delivered(delivered: list[bytes], arrivals: list[float]) -> None:
             if receiver == self.circuit.destination:

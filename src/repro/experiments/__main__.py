@@ -12,7 +12,7 @@ over a pool of ``--workers N`` local processes, with byte-identical
 artifacts either way — and writes canonical JSON artifacts (default:
 ``results/``); artifacts matching the requested (experiment, scale, seed)
 are re-used unless ``--force``.  ``--backend aio`` drives the overlay
-experiments (figs. 11-15) over the socket localhost-TCP backend instead of
+experiments (figs. 11-15) over the socket backend (localhost TCP) instead of
 the discrete-event simulator; the structural fields land in
 ``<name>.parity.json`` for cross-backend comparison.  ``list`` prints every
 registered experiment.
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=SUBSTRATE_BACKENDS,
         default="sim",
         help="overlay transport backend for figs. 11-15: 'sim' (discrete-event, "
-        "default) or 'aio' (socket localhost TCP)",
+        "default) or 'aio' (localhost TCP sockets)",
     )
     run_parser.add_argument(
         "--out",

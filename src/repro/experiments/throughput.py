@@ -141,7 +141,7 @@ def prepare_scheme_transfer(
     Shared by the throughput and setup-latency drivers; the scheme's
     :data:`SCHEMES` entry supplies the address plan and the runtime class.
     ``backend`` selects the transport: ``"sim"`` (discrete-event) or
-    ``"aio"`` (socket localhost TCP).
+    ``"aio"`` (localhost TCP sockets).
     ``data_plane`` must be ``"batched"``, the one data plane there is; the
     positional slot stays because ``perfbench/workloads.py`` passes it.
     """

@@ -254,10 +254,7 @@ class _Connection:
     queue of frames, and the receiving end's parse buffer and frame states.
     ``pending`` holds the backend's batches sent and not yet announced on the wire."""
 
-    def __init__(
-        self, link: str, outbound: socket.socket, inbound: socket.socket, pending: dict
-    ) -> None:
-        self.link = link  # "sender→receiver", as dialled
+    def __init__(self, outbound: socket.socket, inbound: socket.socket, pending: dict) -> None:
         self.outbound = outbound
         self.inbound = inbound
         self.pending = pending
@@ -500,7 +497,7 @@ class AioOverlayNetwork(SimulatedOverlayNetwork):
                 progress = time.monotonic()
                 continue
             if read == 0:
-                raise ConnectionResetError(f"{connection.link}: connection lost")
+                raise ConnectionResetError(f"{batch.link}: connection lost")
             left = progress + DEFAULT_STALL_TIMEOUT - time.monotonic()
             if left <= 0:
                 # Unread: no header read yet, or a header read and frames missing.
@@ -540,9 +537,7 @@ class AioOverlayNetwork(SimulatedOverlayNetwork):
         outbound.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         outbound.setblocking(False)
         inbound.setblocking(False)
-        connection = self._links[sender, receiver] = _Connection(
-            f"{sender}→{receiver}", outbound, inbound, self._pending
-        )
+        connection = self._links[sender, receiver] = _Connection(outbound, inbound, self._pending)
         connection.queue.append(encode_frame(f"{sender}\x00{receiver}".encode()))
         return connection
 

@@ -149,7 +149,7 @@ def build_substrate(
     """Instantiate an overlay transport backend by name.
 
     ``"sim"`` is the discrete-event simulator; ``"aio"`` runs the same
-    protocol runtimes over real socket TCP streams
+    protocol runtimes over real TCP sockets
     (:class:`~repro.overlay.aio.AioOverlayNetwork`).  The aio backend takes
     its one deployment setting from the environment, read and checked by
     :func:`~repro.overlay.aio.environment_settings`: ``REPRO_AIO_HOST``

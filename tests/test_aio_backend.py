@@ -141,6 +141,7 @@ def _binds(host: str, family: socket.AddressFamily) -> bool:
             ),
         ),
     ],
+    ids=["localhost", "::1"],
 )
 def test_a_bind_host_gives_every_connection_its_address_family(host, family):
     # The family is the first of getaddrinfo(bind_host), as asyncio's

@@ -109,10 +109,11 @@ def test_onion_runtime_delivers_plaintexts_end_to_end():
     assert [runtime.delivered[i] for i in range(5)] == messages
 
 
-def test_circuit_cell_costs_equal_the_per_cell_prices(monkeypatch):
+@pytest.mark.parametrize("lengths", [1, 3])
+def test_circuit_cell_costs_equal_the_per_cell_prices(monkeypatch, lengths):
     """A chunk prices each distinct cell length once: the CPU costs it charges
     are, bit for bit, one ``symmetric_time`` per cell (times the layer count
-    at the source, hop 0)."""
+    at the source, hop 0), whether its cells have one length or several."""
     relays = [f"onion-{i}" for i in range(4)]
     substrate = build_substrate(["src", *relays, "dst"], seed=3)
     runtime = SCHEMES["onion"].runtime(
@@ -128,15 +129,15 @@ def test_circuit_cell_costs_equal_the_per_cell_prices(monkeypatch):
         transmit_blobs(sender, receiver, cells, deliver, sender_cpu_seconds)
 
     monkeypatch.setattr(substrate, "transmit_blobs", recording)
-    # Three lengths in every chunk of 16 cells.
-    messages = [bytes([seq]) * (700 + 300 * (seq % 3)) for seq in range(40)]
+    # ``lengths`` cell lengths in every chunk of 16 cells.
+    messages = [bytes([seq]) * (700 + 300 * (seq % lengths)) for seq in range(40)]
     runtime.send_messages(messages)
     substrate.sim.run()
     assert [runtime.delivered[seq] for seq in range(40)] == messages
     hops = {sender for sender, _cells, _cpus in sent}
     assert "src" in hops and len(hops) == 5  # hop 0 and every later hop
     for sender, cells, cpus in sent:
-        assert len({len(cell) for cell in cells}) == 3
+        assert len({len(cell) for cell in cells}) == lengths
         resources = substrate.network.resources(sender)
         if sender == "src":
             per_cell = [resources.symmetric_time(len(cell)) * 4 for cell in cells]

@@ -421,7 +421,7 @@ def _connection(cls=_Connection) -> _Connection:
     outbound, inbound = socket.socketpair()
     outbound.setblocking(False)
     inbound.setblocking(False)
-    return cls("a→b", outbound, inbound, {})
+    return cls(outbound, inbound, {})
 
 
 class _Recording(_Connection):
@@ -508,7 +508,7 @@ class _Kernel:
 def test_a_push_is_one_sendmsg_of_the_queued_frames_and_an_unsent_tail_stays_queued():
     payloads = [b"a" * 10, b"b" * 20, b"c" * 30]
     kernel = _Kernel(room=4 + 10 + 4 + 5)  # the first frame and 5 bytes of the second
-    connection = _Connection("a→b", kernel, None, {})
+    connection = _Connection(kernel, None, {})
     queued = _wire(payloads)
     connection.queue += queued
     assert connection.push()
@@ -527,7 +527,7 @@ def test_a_push_is_one_sendmsg_of_the_queued_frames_and_an_unsent_tail_stays_que
 
 def test_a_push_hands_the_kernel_at_most_iov_max_buffers():
     kernel = _Kernel(room=1 << 30)
-    connection = _Connection("a→b", kernel, None, {})
+    connection = _Connection(kernel, None, {})
     connection.queue += _wire([b"x"] * _IOV_MAX)  # twice IOV_MAX pieces
     assert connection.push()
     assert len(kernel.calls[0]) == _IOV_MAX and len(connection.queue) == _IOV_MAX
