@@ -3,9 +3,10 @@
 Regenerates the fig11 series on the ``aio`` backend (real localhost TCP
 connections, frames parsed as they arrive) and asserts its structural fields —
 delivered plaintexts and relay/network counters — match the discrete-event
-simulator's under the same seed, which is the property CI's ``aio-parity``
-job gates via the ``fig11.parity.json`` artifacts.  The benchmark time is
-the aio run: what a real-socket pass over the figure costs.
+simulator's under the same seed; CI's ``aio-parity`` job gates the whole
+``fig11.json``, which an aio run writes byte for byte as the simulator does.
+The benchmark time is the aio run: what a real-socket pass over the figure
+costs.
 """
 
 from repro.experiments import format_table

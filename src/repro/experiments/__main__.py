@@ -13,9 +13,9 @@ artifacts either way — and writes canonical JSON artifacts (default:
 ``results/``); artifacts matching the requested (experiment, scale, seed)
 are re-used unless ``--force``.  ``--backend aio`` drives the overlay
 experiments (figs. 11-15) over the socket backend (localhost TCP) instead of
-the discrete-event simulator; the structural fields land in
-``<name>.parity.json`` for cross-backend comparison.  ``list`` prints every
-registered experiment.
+the discrete-event simulator; it runs the simulator's event order, so it
+writes the simulator's artifact bytes, and it is never served from the
+cache.  ``list`` prints every registered experiment.
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ def _fig12_trials(scale: float) -> list[dict]:
 
 def _throughput_run(params: dict, rng: np.random.Generator) -> dict:
     profile = get_profile(params["profile"])
-    backend = params.get("backend", "sim")
+    backend = params["backend"]
     slicing = measure_throughput(
         "slicing",
         profile,
@@ -209,8 +209,7 @@ def _throughput_run(params: dict, rng: np.random.Generator) -> dict:
         "onion_mbps": onion.throughput_bps / 1e6,
         "slicing_delivered": slicing.messages_delivered,
         "onion_delivered": onion.messages_delivered,
-        # Structural fields only — what both backends must agree on; the
-        # runner mirrors this sub-dict into <name>.parity.json.
+        # Structural fields only: the delivered digests and counters.
         "parity": {
             "path_length": params["path_length"],
             "slicing": slicing.parity_fields(),
@@ -269,7 +268,7 @@ def _fig13_run(params: dict, rng: np.random.Generator) -> dict:
         d=params["d"],
         num_messages=params["num_messages"],
         seed=spawn_seed(rng),
-        backend=params.get("backend", "sim"),
+        backend=params["backend"],
     )
     return rows[0]
 
@@ -305,7 +304,7 @@ def _fig15_trials(scale: float) -> list[dict]:
 
 def _setup_run(params: dict, rng: np.random.Generator) -> dict:
     profile = get_profile(params["profile"])
-    backend = params.get("backend", "sim")
+    backend = params["backend"]
     path_length = params["path_length"]
     row = {"path_length": path_length}
     parity = {"path_length": path_length}

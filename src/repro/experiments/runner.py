@@ -52,8 +52,9 @@ DEFAULT_RESULTS_DIR = Path("results")
 #: code cannot reproduce are never served.  v2: anonymity figures (7-10)
 #: moved to the batched Monte-Carlo engine, which consumes randomness in
 #: bulk draws rather than per trial.  v3: figs. 7-10 are exact expectations,
-#: no longer Monte-Carlo estimates.
-ARTIFACT_VERSION = 3
+#: no longer Monte-Carlo estimates.  v4: figs. 11-15's trials no longer
+#: record the overlay backend, which changes no row.
+ARTIFACT_VERSION = 4
 
 
 #: What a worker runs: the experiment's ``run_trial``, the trial's index, its
@@ -84,9 +85,11 @@ class Job:
     selects the overlay transport for experiments that support more than the
     simulator (the figs. 11-15 family); ``"aio"`` also checks the backend's
     environment knob (:func:`~repro.overlay.aio.environment_settings`),
-    since every trial would read it.  Which GF(2^8) loops execute the
-    trials is not part of a run request: :mod:`repro.core.gf` decides per
-    host, bit-identically.
+    since every trial would read it.  The backend reaches the trials through
+    :meth:`payloads` only: both backends run the simulator's event order, so
+    it changes no row and stays out of the trial list and the artifact, as
+    the choice of GF(2^8) loops does (:mod:`repro.core.gf` decides that per
+    host, bit-identically).
 
     >>> len(Job("fig16", scale=0.05).trials)
     18
@@ -134,7 +137,7 @@ class Job:
         """Whether a matching artifact may be served instead of recomputing.
 
         Runs on a non-default backend never are — they exist to exercise
-        that backend's transport, though their rows equal the simulator's —
+        that backend's transport, though they write the simulator's bytes —
         and neither are the timing experiments.
         """
         return not self.experiment.wall_clock and self.backend == "sim"
@@ -143,28 +146,24 @@ class Job:
     def trials(self) -> list[dict]:
         """The experiment's declarative parameters expanded into its trial list.
 
-        Backend-capable experiments carry the backend in every trial, so it
-        reaches ``run_trial`` in workers and keys the artifact cache.  The
-        result is already JSON-hygienic, so it compares equal to the list a
-        cached artifact stores.
+        The result is already JSON-hygienic, so it compares equal to the list
+        a cached artifact stores.
         """
-        experiment = self.experiment
-        trials = _jsonify(experiment.build_trials(self.scale))
-        if len(experiment.backends) > 1:
-            trials = [{**params, "backend": self.backend} for params in trials]
-        return trials
+        return _jsonify(self.experiment.build_trials(self.scale))
 
     def payloads(self) -> list[TrialPayload]:
         """Per-trial execution payloads with deterministically spawned seeds.
 
         ``SeedSequence.spawn`` derives child ``i`` purely from ``(seed, i)``,
         so trial ``i`` gets the identical payload whichever pool process
-        runs it.
+        runs it.  Backend-capable experiments find the backend in their
+        params, so it reaches ``run_trial`` in workers.
         """
-        run_trial = self.experiment.run_trial
+        experiment = self.experiment
+        carrier = {"backend": self.backend} if len(experiment.backends) > 1 else {}
         children = np.random.SeedSequence(self.seed).spawn(len(self.trials))
         return [
-            (run_trial, index, params, child)
+            (experiment.run_trial, index, {**params, **carrier}, child)
             for index, (params, child) in enumerate(zip(self.trials, children))
         ]
 
@@ -206,7 +205,7 @@ def run_experiment(
     and cache lookups.  ``force=True`` ignores an existing artifact and
     recomputes.
 
-    The one run pipeline: cache lookup → trials → reduce → artifacts.
+    The one run pipeline: cache lookup → trials → reduce → artifact.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
@@ -221,11 +220,6 @@ def run_experiment(
         rows = _jsonify(job.experiment.rows(job.trials, _run_trials(job, workers)))
         if artifact is not None:
             _atomic_write_json(artifact, _artifact_document(job, rows))
-    if artifact is not None:
-        # The parity mirror must track the served rows even when the main
-        # artifact is a cache hit (it may have been deleted or predate the
-        # current layout).
-        _write_parity_artifact(artifact, job, rows)
     return RunResult(
         **asdict(job),
         workers=workers,
@@ -297,27 +291,6 @@ def _atomic_write_json(path: Path, document: dict) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     tmp.write_text(serialise_artifact(document), encoding="utf-8")
     tmp.replace(path)
-
-
-def _write_parity_artifact(artifact: Path, job: Job, rows: list[dict]) -> None:
-    """Mirror the rows' ``parity`` sub-dicts into ``<name>.parity.json``.
-
-    The parity document deliberately carries *no* backend or timing fields:
-    for a given (experiment, scale, seed) it must serialise to identical
-    bytes no matter which overlay backend computed it, which is exactly what
-    the CI ``aio-parity`` job ``cmp``-checks.
-    """
-    parity_rows = [row["parity"] for row in rows if isinstance(row, dict) and "parity" in row]
-    if not parity_rows:
-        return
-    document = {
-        "version": ARTIFACT_VERSION,
-        "experiment": job.name,
-        "scale": job.scale,
-        "seed": job.seed,
-        "rows": parity_rows,
-    }
-    _atomic_write_json(artifact.with_name(f"{artifact.stem}.parity.json"), document)
 
 
 def _load_cached_rows(artifact: Path, job: Job) -> list[dict] | None:

@@ -10,7 +10,6 @@ PlanetLab profile.  These are the in-process versions of what the CI
 """
 
 import gc
-import json
 import os
 import socket
 import subprocess
@@ -22,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import PacketFormatError, SimulationError
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import Job, run_experiment
 from repro.experiments import throughput
 from repro.experiments.setup_latency import measure_setup
 from repro.experiments.throughput import (
@@ -233,28 +232,41 @@ def test_aggregate_flows_parity_with_simulator():
     assert rows["sim"][0]["parity"] == rows["aio"][0]["parity"]
 
 
-def _without_backend(value):
-    if isinstance(value, dict):
-        return {key: _without_backend(item) for key, item in value.items() if key != "backend"}
-    return [_without_backend(item) for item in value] if isinstance(value, list) else value
+def test_an_aio_run_over_pool_workers_writes_the_simulators_bytes(tmp_path):
+    """fig14 on the sockets over two pool workers: a one-worker simulator run's bytes.
+
+    The backend reaches each worker inside its payload's params and stays
+    out of the artifact, so nothing is left to strip before comparing.
+    """
+    for backend, workers in (("sim", 1), ("aio", 2)):
+        run_experiment(
+            "fig14", scale=0.02, workers=workers, out_dir=tmp_path / backend, backend=backend
+        )
+    assert (tmp_path / "sim" / "fig14.json").read_bytes() == (
+        tmp_path / "aio" / "fig14.json"
+    ).read_bytes()
+    assert sorted(path.name for path in tmp_path.rglob("*.json")) == ["fig14.json"] * 2
 
 
-def test_runner_parity_artifacts_are_byte_identical(tmp_path):
-    """fig14 through the registry on both backends: same parity artifact."""
-    paths = {}
-    for backend in ("sim", "aio"):
-        out = tmp_path / backend
-        run_experiment("fig14", scale=0.02, out_dir=out, backend=backend)
-        paths[backend] = out / "fig14.parity.json"
-        assert paths[backend].exists()
-    assert paths["sim"].read_bytes() == paths["aio"].read_bytes()
-    # The main artifacts differ only in the backend each trial records: the
-    # setup latencies are the simulator's.
-    sim, aio = (
-        json.loads((tmp_path / backend / "fig14.json").read_text()) for backend in ("sim", "aio")
-    )
-    assert sim != aio
-    assert _without_backend(sim) == _without_backend(aio)
+@pytest.mark.parametrize("name", ["fig11", "fig12", "fig13", "fig14", "fig15"])
+def test_the_backend_travels_in_the_payloads_not_in_the_trials(name):
+    sim, aio = Job(name, scale=0.02), Job(name, scale=0.02, backend="aio")
+    assert sim.trials == aio.trials
+    assert not any("backend" in trial for trial in sim.trials)
+    for job in (sim, aio):
+        assert [params for _, _, params, _ in job.payloads()] == [
+            {**trial, "backend": job.backend} for trial in job.trials
+        ]
+
+
+def test_an_aio_run_is_recomputed_and_leaves_the_cached_bytes(tmp_path):
+    assert run_experiment("fig14", scale=0.02, out_dir=tmp_path).cached is False
+    artifact = tmp_path / "fig14.json"
+    written = artifact.read_bytes()
+    assert run_experiment("fig14", scale=0.02, out_dir=tmp_path, backend="aio").cached is False
+    assert artifact.read_bytes() == written
+    assert run_experiment("fig14", scale=0.02, out_dir=tmp_path).cached is True
+    assert [path.name for path in tmp_path.iterdir()] == ["fig14.json"]
 
 
 def test_runner_rejects_backend_for_sim_only_experiments(tmp_path):
